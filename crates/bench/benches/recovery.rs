@@ -182,7 +182,7 @@ fn main() {
             eprintln!("cycle {cycle}: revived read {echoed:#x}, expected {expected:#x}");
             converged = false;
         }
-        let counters = dsm.engine().as_lazy().unwrap().counters();
+        let counters = dsm.engine().core().counters();
         println!(
             "cycle {cycle}: detect {:.1}ms  recover {:.1}ms  \
              ({} cuts, {} delta bytes, {} gc deferrals)",

@@ -100,176 +100,98 @@ impl fmt::Display for ProtocolMutation {
     }
 }
 
-/// Configuration of an [`LrcEngine`](crate::LrcEngine).
+/// Construction parameters of a protocol engine — the one declaration of
+/// every engine knob. Both families are built from
+/// `(`[`Policy`]`, &EngineParams)`; the runtime builder and the simulator
+/// write straight into this struct.
 ///
-/// Start from [`LrcConfig::new`] and chain setters:
+/// `piggyback_notices`, `full_page_misses` and `gc_at_barriers` shape
+/// only the lazy protocol and are documented no-ops on the eager
+/// baseline (sweeps cross them with all four protocols on purpose).
+/// `mutation` and `death_lease_episodes` select lazy-only *behaviour* and
+/// are refused for an eager engine with [`ConfigError::LazyOnly`].
 ///
 /// ```
-/// use lrc_core::{LrcConfig, Policy};
+/// use lrc_core::{EngineParams, LrcEngine, Policy};
 ///
-/// let cfg = LrcConfig::new(16, 1 << 20)
-///     .page_size(2048)
-///     .policy(Policy::Update)
-///     .locks(8)
-///     .barriers(2);
-/// assert_eq!(cfg.n_procs, 16);
+/// let params = EngineParams {
+///     n_procs: 16,
+///     mem_bytes: 1 << 20,
+///     page_bytes: 2048,
+///     ..EngineParams::default()
+/// };
+/// assert_eq!(params.address_space()?.n_pages(), 512);
+/// let engine = LrcEngine::new(Policy::Update, &params)?;
+/// assert_eq!(engine.params().n_locks, 16);
+/// # Ok::<(), lrc_core::ConfigError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct LrcConfig {
+pub struct EngineParams {
     /// Number of processors (1 to [`MAX_PROCS`]).
     pub n_procs: usize,
     /// Shared address space size in bytes.
     pub mem_bytes: u64,
-    /// Page size in bytes (power of two, 64–65536). Default 4096.
+    /// Page size in bytes (power of two, 64–65536).
     pub page_bytes: usize,
-    /// Number of locks available. Default 16.
+    /// Number of locks available.
     pub n_locks: usize,
-    /// Number of barriers available. Default 4.
+    /// Number of barriers available.
     pub n_barriers: usize,
-    /// Data-movement policy. Default invalidate (LI).
-    pub policy: Policy,
     /// Piggyback write notices on lock-grant and barrier messages (the
     /// paper's design). When disabled — an ablation — notices travel in a
     /// separate message per acquire, like a naive implementation would
-    /// send. Default `true`.
+    /// send.
     pub piggyback_notices: bool,
-    /// Merge protocol messages bound for the same destination when their
-    /// payloads travel together anyway: the no-piggyback ablation's
-    /// separate notice message rides the grant it accompanies, and a cold
-    /// miss whose base-copy supplier is also a diff supplier asks for both
-    /// in one round trip. Pure messaging optimization — the bytes moved
-    /// and the protocol state reached are identical; only the message
-    /// *count* (and per-message header cost) drops. Default `false` so the
-    /// stock accounting stays comparable with prior runs.
-    pub coalesce_notices: bool,
     /// When `true` — an ablation — a processor holding an invalidated copy
     /// re-fetches the entire page on a miss instead of only diffs,
-    /// disabling the optimization of §4.3.3. Default `false`.
+    /// disabling the optimization of §4.3.3.
     pub full_page_misses: bool,
     /// Garbage-collect consistency information at every barrier (the
     /// TreadMarks approach to the unbounded-history problem the paper
     /// leaves to future work): every processor validates its cached pages,
     /// then all interval records and diffs are discarded. Cold misses
-    /// afterwards fetch whole pages from the last writer. Default `false`.
+    /// afterwards fetch whole pages from the last writer.
     pub gc_at_barriers: bool,
     /// How many barrier episodes a dead processor's *rejoin lease* lasts.
     /// While any dead processor's lease is live, barrier-time garbage
     /// collection is deferred (counted in
-    /// [`LazyCounters::gc_deferrals`](crate::LazyCounters)) so the
+    /// [`EngineCounters::gc_deferrals`](crate::EngineCounters)) so the
     /// catch-up history a rejoin needs survives. Once every dead
     /// processor has been dead for at least this many completed episodes,
     /// GC proceeds: the store era advances, and a rejoin from a
     /// checkpoint of the old era is refused with
     /// [`CheckpointError::LeaseExpired`](crate::CheckpointError) — the
     /// node must cold-join from a checkpoint cut after the collection.
-    /// `None` (the default) means leases never expire: GC pauses for as
-    /// long as any processor is dead, the pre-lease behavior.
+    /// `None` means leases never expire: GC pauses for as long as any
+    /// processor is dead.
     pub death_lease_episodes: Option<u64>,
     /// Deliberately-broken protocol variant for mutation testing the
-    /// checker stack. Default [`ProtocolMutation::Stock`] (faithful).
+    /// checker stack.
     pub mutation: ProtocolMutation,
-    /// Measurement baseline: serialize every slow path (acquire, release,
-    /// barrier, miss resolution) on one engine-wide mutex, reproducing the
-    /// pre-split `protocol`-mutex architecture so benches can quantify the
-    /// fine-grained slow paths against it. Never enable outside
-    /// benchmarks; it changes only *contention*, not protocol behavior.
-    /// Default `false`.
-    pub serialize_slow_paths: bool,
 }
 
-impl LrcConfig {
-    /// Creates a configuration with the given processor count and shared
-    /// space, and defaults for everything else.
-    pub fn new(n_procs: usize, mem_bytes: u64) -> Self {
-        LrcConfig {
-            n_procs,
-            mem_bytes,
+impl Default for EngineParams {
+    /// A minimal single-processor system: 64 KiB of 4 KiB pages, 16 locks,
+    /// 4 barriers, no ablations, the stock protocol. Construction sites
+    /// spell out the fields they mean and take the rest from here.
+    fn default() -> Self {
+        EngineParams {
+            n_procs: 1,
+            mem_bytes: 1 << 16,
             page_bytes: 4096,
             n_locks: 16,
             n_barriers: 4,
-            policy: Policy::Invalidate,
             piggyback_notices: true,
-            coalesce_notices: false,
             full_page_misses: false,
             gc_at_barriers: false,
             death_lease_episodes: None,
             mutation: ProtocolMutation::Stock,
-            serialize_slow_paths: false,
         }
     }
+}
 
-    /// Sets the page size in bytes.
-    pub fn page_size(mut self, bytes: usize) -> Self {
-        self.page_bytes = bytes;
-        self
-    }
-
-    /// Sets the data-movement policy.
-    pub fn policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the number of locks.
-    pub fn locks(mut self, n: usize) -> Self {
-        self.n_locks = n;
-        self
-    }
-
-    /// Sets the number of barriers.
-    pub fn barriers(mut self, n: usize) -> Self {
-        self.n_barriers = n;
-        self
-    }
-
-    /// Disables write-notice piggybacking (ablation).
-    pub fn no_piggyback(mut self) -> Self {
-        self.piggyback_notices = false;
-        self
-    }
-
-    /// Enables same-destination message coalescing (see
-    /// [`LrcConfig::coalesce_notices`]).
-    pub fn coalesce_notices(mut self) -> Self {
-        self.coalesce_notices = true;
-        self
-    }
-
-    /// Forces full-page fetches on every miss (ablation of §4.3.3).
-    pub fn full_page_misses(mut self) -> Self {
-        self.full_page_misses = true;
-        self
-    }
-
-    /// Enables barrier-time garbage collection of consistency information.
-    pub fn gc_at_barriers(mut self) -> Self {
-        self.gc_at_barriers = true;
-        self
-    }
-
-    /// Bounds how long a dead processor defers garbage collection (see
-    /// [`LrcConfig::death_lease_episodes`]).
-    pub fn death_lease(mut self, episodes: u64) -> Self {
-        self.death_lease_episodes = Some(episodes);
-        self
-    }
-
-    /// Selects a deliberately-broken protocol variant (mutation testing
-    /// only; see [`ProtocolMutation`]).
-    pub fn mutate(mut self, mutation: ProtocolMutation) -> Self {
-        self.mutation = mutation;
-        self
-    }
-
-    /// Serializes every slow path on one engine-wide mutex — the pre-split
-    /// baseline, for benchmarking only (see
-    /// [`LrcConfig::serialize_slow_paths`]).
-    pub fn serialize_slow_paths(mut self) -> Self {
-        self.serialize_slow_paths = true;
-        self
-    }
-
-    /// Validates the configuration and derives the address space.
+impl EngineParams {
+    /// Validates the parameters and derives the address space.
     ///
     /// # Errors
     ///
@@ -285,9 +207,27 @@ impl LrcConfig {
         let size = PageSize::new(self.page_bytes).map_err(ConfigError::BadPageSize)?;
         Ok(AddrSpace::with_capacity(size, self.mem_bytes))
     }
+
+    /// Refuses the lazy-only options on behalf of an eager engine: a
+    /// silently faithful "mutant" makes a mutation test vacuous, and a
+    /// silently ignored lease promises a recovery that cannot happen.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::LazyOnly`] naming the first such option set.
+    pub fn refuse_lazy_only(&self) -> Result<(), ConfigError> {
+        if self.mutation != ProtocolMutation::Stock {
+            return Err(ConfigError::LazyOnly("mutation"));
+        }
+        if self.death_lease_episodes.is_some() {
+            return Err(ConfigError::LazyOnly("death_lease"));
+        }
+        Ok(())
+    }
 }
 
-/// Errors from validating an [`LrcConfig`].
+/// Errors from validating [`EngineParams`] (or the runtime options built
+/// around them).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ConfigError {
     /// Processor count outside `1..=MAX_PROCS`.
@@ -296,10 +236,9 @@ pub enum ConfigError {
     EmptySpace,
     /// Invalid page size.
     BadPageSize(PageSizeError),
-    /// A [`ProtocolMutation`] was requested for an engine family that
-    /// does not implement it (mutations exist for the lazy engines only;
-    /// silently ignoring one would make a mutation-test vacuous).
-    UnsupportedMutation(ProtocolMutation),
+    /// The named option selects behaviour only the lazy engines implement
+    /// (protocol mutations, crash recovery) but the protocol is eager.
+    LazyOnly(&'static str),
 }
 
 impl fmt::Display for ConfigError {
@@ -310,9 +249,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::EmptySpace => f.write_str("shared address space is empty"),
             ConfigError::BadPageSize(e) => write!(f, "{e}"),
-            ConfigError::UnsupportedMutation(m) => write!(
+            ConfigError::LazyOnly(option) => write!(
                 f,
-                "protocol mutation '{m}' is only implemented by the lazy engines"
+                "option '{option}' is only implemented by the lazy protocols"
             ),
         }
     }
@@ -331,54 +270,59 @@ impl Error for ConfigError {
 mod tests {
     use super::*;
 
-    #[test]
-    fn defaults_are_sensible() {
-        let cfg = LrcConfig::new(4, 1 << 16);
-        assert_eq!(cfg.page_bytes, 4096);
-        assert_eq!(cfg.policy, Policy::Invalidate);
-        assert!(cfg.piggyback_notices);
-        assert!(!cfg.full_page_misses);
-        let space = cfg.address_space().unwrap();
-        assert_eq!(space.n_pages(), 16);
+    fn params(n_procs: usize, mem_bytes: u64) -> EngineParams {
+        EngineParams {
+            n_procs,
+            mem_bytes,
+            ..EngineParams::default()
+        }
     }
 
     #[test]
-    fn builder_chains() {
-        let cfg = LrcConfig::new(8, 1 << 20)
-            .page_size(512)
-            .policy(Policy::Update)
-            .locks(3)
-            .barriers(1)
-            .no_piggyback()
-            .full_page_misses()
-            .gc_at_barriers();
-        assert_eq!(cfg.page_bytes, 512);
-        assert_eq!(cfg.policy, Policy::Update);
-        assert_eq!(cfg.n_locks, 3);
-        assert_eq!(cfg.n_barriers, 1);
-        assert!(!cfg.piggyback_notices);
-        assert!(cfg.full_page_misses);
-        assert!(cfg.gc_at_barriers);
+    fn defaults_are_sensible() {
+        let params = params(4, 1 << 16);
+        assert_eq!(params.page_bytes, 4096);
+        assert!(params.piggyback_notices);
+        assert!(!params.full_page_misses);
+        assert_eq!(params.address_space().unwrap().n_pages(), 16);
+        assert_eq!(params.refuse_lazy_only(), Ok(()));
     }
 
     #[test]
     fn validation_rejects_bad_configs() {
         assert_eq!(
-            LrcConfig::new(0, 1024).address_space(),
+            params(0, 1024).address_space(),
             Err(ConfigError::BadProcs(0))
         );
         assert_eq!(
-            LrcConfig::new(65, 1024).address_space(),
+            params(65, 1024).address_space(),
             Err(ConfigError::BadProcs(65))
         );
-        assert_eq!(
-            LrcConfig::new(2, 0).address_space(),
-            Err(ConfigError::EmptySpace)
-        );
+        assert_eq!(params(2, 0).address_space(), Err(ConfigError::EmptySpace));
+        let odd_page = EngineParams {
+            page_bytes: 100,
+            ..params(2, 1024)
+        };
         assert!(matches!(
-            LrcConfig::new(2, 1024).page_size(100).address_space(),
+            odd_page.address_space(),
             Err(ConfigError::BadPageSize(_))
         ));
+        let mutant = EngineParams {
+            mutation: ProtocolMutation::SkipTwinDiff,
+            ..params(2, 1024)
+        };
+        assert_eq!(
+            mutant.refuse_lazy_only(),
+            Err(ConfigError::LazyOnly("mutation"))
+        );
+        let leased = EngineParams {
+            death_lease_episodes: Some(2),
+            ..params(2, 1024)
+        };
+        assert_eq!(
+            leased.refuse_lazy_only(),
+            Err(ConfigError::LazyOnly("death_lease"))
+        );
     }
 
     #[test]
@@ -389,10 +333,7 @@ mod tests {
 
     #[test]
     fn mutations_default_stock_and_display() {
-        let cfg = LrcConfig::new(2, 1 << 14);
-        assert_eq!(cfg.mutation, ProtocolMutation::Stock);
-        let broken = cfg.mutate(ProtocolMutation::SkipTwinDiff);
-        assert_eq!(broken.mutation, ProtocolMutation::SkipTwinDiff);
+        assert_eq!(EngineParams::default().mutation, ProtocolMutation::Stock);
         assert_eq!(ProtocolMutation::Stock.to_string(), "stock");
         assert_eq!(ProtocolMutation::SkipTwinDiff.to_string(), "skip-twin-diff");
         assert_eq!(ProtocolMutation::DropNotices.to_string(), "drop-notices");
@@ -415,15 +356,11 @@ mod tests {
     }
 
     #[test]
-    fn serialized_baseline_defaults_off() {
-        let cfg = LrcConfig::new(2, 1 << 14);
-        assert!(!cfg.serialize_slow_paths);
-        assert!(cfg.serialize_slow_paths().serialize_slow_paths);
-    }
-
-    #[test]
     fn errors_display() {
         assert!(ConfigError::BadProcs(0).to_string().contains("0"));
         assert!(ConfigError::EmptySpace.to_string().contains("empty"));
+        assert!(ConfigError::LazyOnly("mutation")
+            .to_string()
+            .contains("mutation"));
     }
 }

@@ -1,153 +1,152 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The engine's internal, thread-safe mirror of [`LazyCounters`]: one
-/// relaxed atomic per event class, so concurrently running processors never
-/// contend on a statistics lock. [`SharedLazyCounters::snapshot`]
-/// aggregates into the plain, `Copy` public struct on read.
-#[derive(Debug, Default)]
-pub(crate) struct SharedLazyCounters {
-    pub cold_misses: AtomicU64,
-    pub warm_misses: AtomicU64,
-    pub diffs_applied: AtomicU64,
-    pub notices_received: AtomicU64,
-    pub invalidations: AtomicU64,
-    pub updates: AtomicU64,
-    pub intervals_closed: AtomicU64,
-    pub acquires: AtomicU64,
-    pub releases: AtomicU64,
-    pub barrier_episodes: AtomicU64,
-    pub gc_rounds: AtomicU64,
-    pub gc_validated_pages: AtomicU64,
-    pub slow_waits: AtomicU64,
-    pub slow_waits_avoided: AtomicU64,
-    pub miss_inflight_peak: AtomicU64,
-    pub snapshot_retries: AtomicU64,
-    pub coalesced_msgs: AtomicU64,
-    pub gc_deferrals: AtomicU64,
-    pub checkpoints_cut: AtomicU64,
-    pub delta_bytes: AtomicU64,
+/// Declares the counter list once: the engine's relaxed-atomic cells
+/// ([`CounterCells`]), the plain `Copy` snapshot ([`EngineCounters`]), and
+/// the aggregation between them.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// The engine's internal, thread-safe mirror of [`EngineCounters`]:
+        /// one relaxed atomic per event class, so concurrently running
+        /// processors never contend on a statistics lock.
+        #[derive(Debug, Default)]
+        pub struct CounterCells {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        impl CounterCells {
+            /// Aggregates the atomics into a plain snapshot.
+            pub fn snapshot(&self) -> EngineCounters {
+                EngineCounters {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        /// Protocol-level event counters of an [`Engine`](crate::Engine),
+        /// complementing the message/byte accounting of the fabric. One
+        /// struct serves both protocol families; a field a family never
+        /// bumps stays 0.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+        pub struct EngineCounters {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+    };
 }
 
-/// Adds `n` to a counter field (statistics only — relaxed ordering).
-pub(crate) fn bump(counter: &AtomicU64, n: u64) {
+counters! {
+    /// Lock acquires processed.
+    acquires,
+    /// Lock releases processed.
+    releases,
+    /// Barrier episodes completed.
+    barrier_episodes,
+    /// Slow-path entries (synchronization operations and misses) that had
+    /// to block behind another in-flight slow path: a same-lock
+    /// acquire/release, a same-page miss, or an overlapping flush.
+    slow_waits,
+    /// Slow-path entries that ran while at least one other slow path was
+    /// in flight *without* blocking — exactly the serialization the
+    /// retired engine-wide protocol mutex used to impose. Measurable even
+    /// where wall-clock scaling is not (single-core CI).
+    slow_waits_avoided,
+    /// High-water mark of misses resolving concurrently (counting any
+    /// same-page follower waiting on the resolver).
+    miss_inflight_peak,
+    /// Checkpoints cut through
+    /// [`EngineCore::note_checkpoint`](crate::EngineCore::note_checkpoint)
+    /// — the runtime's automatic policy cuts, full and delta alike.
+    checkpoints_cut,
+    /// Encoded bytes of those checkpoints as shipped to the sink (deltas
+    /// count their delta size, not the full cut they stand for).
+    delta_bytes,
+    /// Lazy: access misses on pages never cached before (base copy
+    /// needed).
+    cold_misses,
+    /// Lazy: access misses on resident but invalidated copies (diffs
+    /// only).
+    warm_misses,
+    /// Lazy: diffs applied to local copies.
+    diffs_applied,
+    /// Lazy: write notices received (at acquires and barrier exits).
+    notices_received,
+    /// Lazy: pages invalidated on notice arrival (invalidate policy).
+    invalidations,
+    /// Lazy: acquire- or barrier-time page updates (update policy).
+    updates,
+    /// Lazy: intervals closed with at least one modified page.
+    intervals_closed,
+    /// Lazy: garbage-collection rounds performed (`gc_at_barriers`).
+    gc_rounds,
+    /// Lazy: pages force-validated by garbage collection.
+    gc_validated_pages,
+    /// Lazy: miss/acquire fetch plans discarded because the interval store
+    /// was reorganized (garbage-collected) between the read snapshot the
+    /// plan was built against and the apply step's revalidation.
+    snapshot_retries,
+    /// Lazy: barrier-time garbage-collection rounds *deferred* because a
+    /// dead processor's rejoin lease was still live (clearing the history
+    /// would have stranded its catch-up). Bounded by
+    /// [`EngineParams::death_lease_episodes`](crate::EngineParams): once
+    /// the lease expires, GC proceeds and the era advances.
+    gc_deferrals,
+    /// Eager: access misses served in two messages (directory home had the
+    /// page).
+    misses_2hop,
+    /// Eager: access misses served in three messages (forwarded to the
+    /// owner).
+    misses_3hop,
+    /// Eager: update messages sent at releases and barriers (EU).
+    updates_sent,
+    /// Eager: invalidation messages sent at releases (EI); barrier
+    /// invalidations are piggybacked and not counted here.
+    invalidations_sent,
+    /// Eager: pages invalidated (EI), however delivered.
+    pages_invalidated,
+    /// Eager: diffs written back by concurrent writers hit by an
+    /// invalidation.
+    writebacks,
+    /// Eager: excess invalidators resolved at barriers (Table 1's `v`).
+    excess_invalidators,
+    /// Eager: flush episodes (releases and barrier arrivals with dirty
+    /// pages).
+    flushes,
+}
+
+/// Adds `n` to a counter cell (statistics only — relaxed ordering).
+pub fn bump(counter: &AtomicU64, n: u64) {
     counter.fetch_add(n, Ordering::Relaxed);
 }
 
-impl SharedLazyCounters {
-    /// Aggregates the atomics into a plain snapshot.
-    pub fn snapshot(&self) -> LazyCounters {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        LazyCounters {
-            cold_misses: get(&self.cold_misses),
-            warm_misses: get(&self.warm_misses),
-            diffs_applied: get(&self.diffs_applied),
-            notices_received: get(&self.notices_received),
-            invalidations: get(&self.invalidations),
-            updates: get(&self.updates),
-            intervals_closed: get(&self.intervals_closed),
-            acquires: get(&self.acquires),
-            releases: get(&self.releases),
-            barrier_episodes: get(&self.barrier_episodes),
-            gc_rounds: get(&self.gc_rounds),
-            gc_validated_pages: get(&self.gc_validated_pages),
-            slow_waits: get(&self.slow_waits),
-            slow_waits_avoided: get(&self.slow_waits_avoided),
-            miss_inflight_peak: get(&self.miss_inflight_peak),
-            snapshot_retries: get(&self.snapshot_retries),
-            coalesced_msgs: get(&self.coalesced_msgs),
-            gc_deferrals: get(&self.gc_deferrals),
-            checkpoints_cut: get(&self.checkpoints_cut),
-            delta_bytes: get(&self.delta_bytes),
-        }
-    }
-}
-
-/// Protocol-level event counters of an [`LrcEngine`](crate::LrcEngine),
-/// complementing the message/byte accounting of the fabric.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct LazyCounters {
-    /// Access misses on pages never cached before (base copy needed).
-    pub cold_misses: u64,
-    /// Access misses on resident but invalidated copies (diffs only).
-    pub warm_misses: u64,
-    /// Diffs applied to local copies.
-    pub diffs_applied: u64,
-    /// Write notices received (at acquires and barrier exits).
-    pub notices_received: u64,
-    /// Pages invalidated on notice arrival (invalidate policy).
-    pub invalidations: u64,
-    /// Acquire- or barrier-time page updates (update policy).
-    pub updates: u64,
-    /// Intervals closed with at least one modified page.
-    pub intervals_closed: u64,
-    /// Lock acquires processed.
-    pub acquires: u64,
-    /// Lock releases processed.
-    pub releases: u64,
-    /// Barrier episodes completed.
-    pub barrier_episodes: u64,
-    /// Garbage-collection rounds performed (gc_at_barriers).
-    pub gc_rounds: u64,
-    /// Pages force-validated by garbage collection.
-    pub gc_validated_pages: u64,
-    /// Slow-path entries (synchronization operations and misses) that had
-    /// to block behind another in-flight slow path: a same-lock
-    /// acquire/release, a same-page miss, or — under the
-    /// `serialize_slow_paths` baseline — *any* concurrent slow path.
-    pub slow_waits: u64,
-    /// Slow-path entries that ran while at least one other slow path was
-    /// in flight *without* blocking — exactly the serialization the
-    /// retired engine-wide protocol mutex used to impose. The split's win,
-    /// measurable even where wall-clock scaling is not (single-core CI).
-    pub slow_waits_avoided: u64,
-    /// High-water mark of misses resolving concurrently (counting any
-    /// same-page follower waiting on the resolver).
-    pub miss_inflight_peak: u64,
-    /// Miss/acquire fetch plans discarded because the interval store was
-    /// reorganized (garbage-collected) between the read snapshot the plan
-    /// was built against and the apply step's revalidation.
-    pub snapshot_retries: u64,
-    /// Protocol messages *not sent* because `coalesce_notices` merged them
-    /// into another message bound for the same destination (a standalone
-    /// notice batch riding its grant, or a base-copy request folded into a
-    /// diff request). Each unit is one saved message header.
-    pub coalesced_msgs: u64,
-    /// Barrier-time garbage-collection rounds *deferred* because a dead
-    /// processor's rejoin lease was still live (clearing the history
-    /// would have stranded its catch-up). Bounded by
-    /// [`LrcConfig::death_lease_episodes`](crate::LrcConfig): once the
-    /// lease expires, GC proceeds and the era advances.
-    pub gc_deferrals: u64,
-    /// Checkpoints cut through
-    /// [`LrcEngine::note_checkpoint`](crate::LrcEngine::note_checkpoint)
-    /// — the runtime's automatic policy cuts, full and delta alike.
-    pub checkpoints_cut: u64,
-    /// Encoded bytes of those checkpoints as shipped to the sink (deltas
-    /// count their delta size, not the full cut they stand for).
-    pub delta_bytes: u64,
-}
-
-impl LazyCounters {
-    /// Total access misses.
+impl EngineCounters {
+    /// Total access misses (cold + warm under the lazy protocols, 2-hop +
+    /// 3-hop under the eager ones).
     pub fn misses(&self) -> u64 {
-        self.cold_misses + self.warm_misses
+        self.cold_misses + self.warm_misses + self.misses_2hop + self.misses_3hop
     }
 }
 
-impl fmt::Display for LazyCounters {
+impl fmt::Display for EngineCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "misses {} (cold {} / warm {}), diffs {}, notices {}, inv {}, upd {}, intervals {}",
+            "misses {} (cold {} / warm {} / 2hop {} / 3hop {}), diffs {}, notices {}, \
+             inv {}, upd {}, intervals {}, updates sent {}, invalidations sent {}, \
+             writebacks {}, excess {}",
             self.misses(),
             self.cold_misses,
             self.warm_misses,
+            self.misses_2hop,
+            self.misses_3hop,
             self.diffs_applied,
             self.notices_received,
             self.invalidations,
             self.updates,
             self.intervals_closed,
+            self.updates_sent,
+            self.invalidations_sent,
+            self.writebacks,
+            self.excess_invalidators,
         )
     }
 }
@@ -158,9 +157,20 @@ mod tests {
 
     #[test]
     fn misses_sum_cold_and_warm() {
-        let c = LazyCounters {
+        let c = EngineCounters {
             cold_misses: 2,
             warm_misses: 3,
+            ..Default::default()
+        };
+        assert_eq!(c.misses(), 5);
+        assert!(c.to_string().contains("misses 5"));
+    }
+
+    #[test]
+    fn misses_sum_hops() {
+        let c = EngineCounters {
+            misses_2hop: 4,
+            misses_3hop: 1,
             ..Default::default()
         };
         assert_eq!(c.misses(), 5);

@@ -1,150 +1,96 @@
-use std::collections::HashMap;
+//! The protocol-independent engine: everything lazy and eager release
+//! consistency share, written once.
+//!
+//! The paper's two protocol families differ in exactly four places — what
+//! an acquire pulls, what a release sends, how a miss is resolved, and
+//! what a barrier exchanges. [`Protocol`] names those four points (plus
+//! protocol-state checkpointing); [`Engine`] owns everything else: the
+//! per-processor shards and the cached read/write fast path over them,
+//! operation dispatch, and — in [`EngineCore`] — the synchronization
+//! tables, slow-path gates, contention accounting, fabric, counters and
+//! recorder hook.
+
+use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
 use lrc_hist::HistoryRecorder;
-use lrc_pagemem::{AddrSpace, Diff, PageBuf, PageId};
-use lrc_simnet::{
-    notice_batch_bytes, vc_bytes, Fabric, MsgKind, BARRIER_ID_BYTES, DIFF_REQUEST_ENTRY_BYTES,
-    LOCK_ID_BYTES, PAGE_ID_BYTES,
+use lrc_pagemem::{AddrSpace, PageId};
+use lrc_simnet::Fabric;
+use lrc_sync::{
+    AcquirePath, BarrierArrival, BarrierError, BarrierId, BarrierSet, LockError, LockId, LockTable,
 };
-use lrc_sync::{BarrierArrival, BarrierError, BarrierId, BarrierSet, LockError, LockId, LockTable};
-use lrc_vclock::{IntervalId, ProcId, StampedInterval, VectorClock};
+use lrc_vclock::ProcId;
 use parking_lot::lockdep::classes;
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, MutexGuard};
 
-use crate::counters::{bump, SharedLazyCounters};
-use crate::pagestate::PageEntry;
+use crate::counters::{bump, CounterCells};
 use crate::slowpath::{gate_lock, raise, settle_contention, FetchHook, FetchHookCell, InFlight};
 use crate::{
-    ConfigError, EngineOp, EngineOpError, FetchPlan, IntervalStore, LazyCounters, LrcConfig,
-    Policy, ProtocolMutation,
+    CheckpointError, ConfigError, EngineCounters, EngineOp, EngineOpError, EngineParams, Frame,
+    Policy,
 };
 
-/// One processor's private slice of the engine: its page table, vector
-/// time, and open-interval dirty list. Everything an ordinary cached read
-/// or write touches lives here, behind this shard's own mutex, so two
-/// processors hitting valid cached pages never contend.
-#[derive(Debug)]
-struct ProcShard {
-    /// The processor's vector time; own entry = the *open* interval's seq.
-    clock: VectorClock,
-    /// Pages dirtied in the open interval.
-    dirty: Vec<PageId>,
-    /// The processor's page table.
-    pages: Vec<PageEntry>,
-    /// True after [`LrcEngine::declare_dead`], until a rejoin. A dead
-    /// processor's clock is frozen (valid knowledge — everything it closed
-    /// was flushed first) but its frames are reset and every public
-    /// operation on it asserts.
-    dead: bool,
-    /// Barrier-episode count at the moment of death — the start of the
-    /// rejoin lease (see [`LrcConfig::death_lease_episodes`]).
-    dead_since: u64,
-    /// True once garbage collection advanced the store era while this
-    /// processor's lease had expired: rejoin from any pre-collection
-    /// checkpoint is refused with
-    /// [`CheckpointError::LeaseExpired`](crate::CheckpointError::LeaseExpired)
-    /// instead of the generic era mismatch, directing the node to
-    /// cold-join from the latest shipped checkpoint.
-    lease_expired: bool,
-}
-
-/// What [`LrcEngine::declare_dead`] did on the survivors' behalf.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct DeathReport {
-    /// Locks the dead processor held, force-released in this order (each
-    /// recorded as an ordinary release, so the history stays checkable).
-    pub released: Vec<LockId>,
-    /// Barrier episodes completed because the dead processor was the last
-    /// arrival missing: `(barrier, episode)`.
-    pub completed_episodes: Vec<(BarrierId, u64)>,
-}
-
-/// The lazy release consistency engine: `n` processors, their page copies,
-/// interval bookkeeping, and the full acquire/release/barrier/miss protocol
-/// of §4, with every message charged to an internal [`Fabric`].
-///
-/// The engine is *data-full*: writes carry real bytes, and reads return the
-/// bytes a processor of the simulated DSM would observe — which on a
-/// properly-labeled program must equal sequential consistency (the `lrc-sim`
-/// crate checks exactly that).
+/// The state and bookkeeping every protocol engine shares, independent of
+/// the protocol: validated parameters, the lock table and barrier set,
+/// the slow-path gates and in-flight gauges, the fabric meter, the event
+/// counters, and the recorder and fetch-hook slots. An [`Engine`]
+/// dereferences to its core, so these methods are called on the engine
+/// itself.
 ///
 /// # Concurrency
 ///
-/// Every method takes `&self`: the engine is internally synchronized so a
-/// threaded runtime can drive all processors concurrently through one
-/// shared engine, while single-threaded trace replay uses the same API.
-/// State is split three ways:
+/// Every engine method takes `&self`: the engine is internally
+/// synchronized so a threaded runtime can drive all processors
+/// concurrently through one shared engine, while single-threaded trace
+/// replay uses the same API. State is split three ways:
 ///
-/// * **per-processor shards** (page table, clock, dirty list), each
-///   behind its own mutex — the only lock an ordinary access to a valid
-///   cached page takes;
-/// * **shared protocol state** — the [`IntervalStore`] behind a `RwLock`
-///   (read-mostly, with a snapshot [`IntervalStore::version`]), and the
-///   lock table, barrier set, and post-GC owner map behind their own
-///   mutexes;
-/// * **statistics** — the fabric meter and [`LazyCounters`] are relaxed
+/// * **per-processor shards** (page frames, dirty list, and the
+///   protocol's per-processor extension), each behind its own mutex — the
+///   only lock an ordinary access to a valid cached page takes;
+/// * **shared protocol state** — the lock table and barrier set here, and
+///   whatever the protocol adds (the lazy interval store, the eager
+///   directory), each behind its own lock;
+/// * **statistics** — the fabric meter and [`EngineCounters`] are relaxed
 ///   atomics, aggregated on read.
 ///
 /// Slow paths do **not** share a global mutex; they serialize only on the
-/// object they act on, which is the whole point of the lazy protocol's
-/// slow paths being rare and independent:
+/// object they act on (one preamble enters the slow path, takes the
+/// gates, and settles the contention counters for all of them):
 ///
 /// * acquire and release of a lock hold that lock's **gate** (one mutex
-///   per lock), so transfers of the *same* lock are totally ordered —
-///   the order the lock table numbers its grants in — while unrelated
-///   locks change hands concurrently;
+///   per lock), so transfers of the *same* lock are totally ordered — the
+///   order the lock table numbers its grants in — while unrelated locks
+///   change hands concurrently;
 /// * miss resolution holds the missed page's **gate** (one mutex per
 ///   page, the in-flight-miss table): misses on distinct pages resolve
-///   concurrently, and a same-page follower waits on the resolver, not
-///   on the engine;
+///   concurrently, and a same-page follower waits on the resolver, not on
+///   the engine. A protocol that flushes pages at a release or barrier
+///   arrival ([`Protocol::flush_set`]) holds those pages' gates too,
+///   taken in ascending page order — the deadlock-free order of every
+///   multi-gate path;
 /// * barrier arrivals serialize only on the barrier set's mutex; an
 ///   episode's *completion* runs on the last arriver's thread while every
 ///   other processor is parked by the runtime awaiting the episode, so it
-///   has the engine to itself and may hold the store's write lock across
-///   the whole completion (which also makes barrier-time GC atomic);
-/// * within a gated slow path, the store's write lock is held only for
-///   the brief bookkeeping steps (closing an interval, applying a fetch
-///   plan) — **never across a fetch**. Plans are built against a read
-///   snapshot of the store; the snapshot's [`IntervalStore::version`] is
-///   revalidated under the write lock before the plan applies, and a
-///   stale plan (the store was garbage-collected meanwhile) is rebuilt
-///   ([`LazyCounters::snapshot_retries`]).
+///   has the engine to itself.
 ///
-/// Lock order: serialization mutex (baseline flag only) → lock gate /
-/// page gate → lock-table / barrier-set mutexes → store lock → gc-owner
-/// map → shard mutexes → death escrow. A shard mutex may be taken while
-/// holding the store lock, never the reverse; no path holds two gates of
-/// the same kind or two shard mutexes at once; the gc-owner map is only
-/// ever taken while the store lock is held (both its writers and its
-/// readers), and never held across acquiring anything else; the death
-/// escrow is taken last, on the death and collection paths only.
+/// Lock order: lock gate → page gates (ascending) → lock-table /
+/// barrier-set mutexes → protocol state (eager directory, epoch buffer |
+/// lazy store → gc-owner map) → shard mutexes → lazy death escrow. No
+/// path holds two lock gates or two shard mutexes at once.
 ///
 /// Two assumptions bound the concurrency (both enforced by the `lrc-dsm`
 /// runtime and trivially true single-threaded): each processor is driven
 /// by one thread at a time, and a processor that arrived at a barrier
 /// issues nothing until the episode completes.
-///
-/// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug)]
-pub struct LrcEngine {
-    cfg: LrcConfig,
-    space: AddrSpace,
-    /// Per-processor state (fast-path data).
-    shards: Vec<Mutex<ProcShard>>,
-    /// Interval records, diffs, and possession tracking (read-mostly).
-    store: RwLock<IntervalStore>,
-    locks: Mutex<LockTable>,
-    barriers: Mutex<BarrierSet>,
-    /// After garbage collection: the processor holding the authoritative
-    /// copy of each page whose diff history was discarded.
-    gc_owner: Mutex<Vec<Option<ProcId>>>,
-    /// Committed contents of pages whose post-GC authoritative owner
-    /// died, parked at [`LrcEngine::declare_dead`] (the dead frames are
-    /// reset) and consumed when a lease-expired collection re-homes the
-    /// pages onto live frames.
-    escrow: Mutex<HashMap<PageId, PageBuf>>,
+pub struct EngineCore {
+    pub(crate) params: EngineParams,
+    pub(crate) policy: Policy,
+    pub(crate) space: AddrSpace,
+    pub(crate) locks: Mutex<LockTable>,
+    pub(crate) barriers: Mutex<BarrierSet>,
     /// Per-lock gates: acquire/release of one lock serialize here; distinct
     /// locks proceed concurrently.
     lock_gates: Vec<Mutex<()>>,
@@ -152,20 +98,15 @@ pub struct LrcEngine {
     /// gate for the whole resolution, so same-page followers wait on the
     /// resolver and distinct pages resolve concurrently.
     page_gates: Vec<Mutex<()>>,
-    /// The pre-split measurement baseline ([`LrcConfig::serialize_slow_paths`]):
-    /// when present, every slow path locks this first, reproducing the
-    /// retired engine-wide `protocol` mutex.
-    serial_gate: Option<Mutex<()>>,
     /// Slow paths currently in flight (gauge behind
-    /// [`LazyCounters::slow_waits_avoided`]).
+    /// [`EngineCounters::slow_waits_avoided`]).
     slow_inflight: AtomicU64,
     /// Misses currently in flight (gauge behind
-    /// [`LazyCounters::miss_inflight_peak`]).
+    /// [`EngineCounters::miss_inflight_peak`]).
     miss_inflight: AtomicU64,
-    /// Test/bench instrumentation (see [`FetchHook`]).
     fetch_hook: FetchHookCell,
-    net: Fabric,
-    counters: SharedLazyCounters,
+    pub(crate) net: Fabric,
+    pub(crate) counters: CounterCells,
     /// Optional history recorder (`lrc-hist`): when attached, every
     /// public operation logs itself — reads with the bytes they observed,
     /// synchronization operations with the engine-assigned grant/episode
@@ -173,59 +114,31 @@ pub struct LrcEngine {
     recorder: OnceLock<Arc<HistoryRecorder>>,
 }
 
-impl LrcEngine {
-    /// Builds an engine from a configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the configuration does not validate.
-    pub fn new(cfg: LrcConfig) -> Result<Self, ConfigError> {
-        let space = cfg.address_space()?;
-        let n = cfg.n_procs;
-        let shards = ProcId::all(n)
-            .map(|p| {
-                let mut clock = VectorClock::new(n);
-                clock.set(p, 1); // interval numbering starts at 1
-                Mutex::new_in(
-                    ProcShard {
-                        clock,
-                        dirty: Vec::new(),
-                        pages: (0..space.n_pages()).map(|_| PageEntry::default()).collect(),
-                        dead: false,
-                        dead_since: 0,
-                        lease_expired: false,
-                    },
-                    classes::ENGINE_SHARD,
-                )
-            })
-            .collect();
-        Ok(LrcEngine {
+impl EngineCore {
+    fn new(policy: Policy, params: &EngineParams) -> Result<Self, ConfigError> {
+        let space = params.address_space()?;
+        let n = params.n_procs;
+        Ok(EngineCore {
+            policy,
             space,
-            shards,
-            store: RwLock::new_in(IntervalStore::new(n), classes::CORE_STORE),
-            locks: Mutex::new_in(LockTable::new(cfg.n_locks, n), classes::SYNC_LOCK_TABLE),
+            locks: Mutex::new_in(LockTable::new(params.n_locks, n), classes::SYNC_LOCK_TABLE),
             barriers: Mutex::new_in(
-                BarrierSet::new(cfg.n_barriers, n),
+                BarrierSet::new(params.n_barriers, n),
                 classes::SYNC_BARRIER_SET,
             ),
-            gc_owner: Mutex::new_in(vec![None; space.n_pages() as usize], classes::CORE_GC_OWNER),
-            escrow: Mutex::new_in(HashMap::new(), classes::CORE_ESCROW),
-            lock_gates: (0..cfg.n_locks)
+            lock_gates: (0..params.n_locks)
                 .map(|l| Mutex::new_in((), classes::ENGINE_LOCK_GATE.with_order(l as u64)))
                 .collect(),
             page_gates: (0..space.n_pages())
                 .map(|p| Mutex::new_in((), classes::ENGINE_PAGE_GATE.with_order(u64::from(p))))
                 .collect(),
-            serial_gate: cfg
-                .serialize_slow_paths
-                .then(|| Mutex::new_in((), classes::ENGINE_SERIAL_GATE)),
             slow_inflight: AtomicU64::new(0),
             miss_inflight: AtomicU64::new(0),
             fetch_hook: FetchHookCell::default(),
             net: Fabric::new(n),
-            counters: SharedLazyCounters::default(),
+            counters: CounterCells::default(),
             recorder: OnceLock::new(),
-            cfg,
+            params: params.clone(),
         })
     }
 
@@ -245,13 +158,19 @@ impl LrcEngine {
     pub fn attach_recorder(&self, recorder: Arc<HistoryRecorder>) {
         assert_eq!(
             recorder.n_procs(),
-            self.cfg.n_procs,
+            self.params.n_procs,
             "recorder processor count does not match the engine"
         );
         assert!(
             self.recorder.set(recorder).is_ok(),
             "a history recorder is already attached"
         );
+    }
+
+    /// The attached history recorder, if any.
+    #[inline]
+    pub fn recorder(&self) -> Option<&HistoryRecorder> {
+        self.recorder.get().map(Arc::as_ref)
     }
 
     /// Installs the miss-fetch instrumentation hook (see [`FetchHook`]).
@@ -269,14 +188,23 @@ impl LrcEngine {
         );
     }
 
-    #[inline]
-    fn recorder(&self) -> Option<&HistoryRecorder> {
-        self.recorder.get().map(Arc::as_ref)
+    /// Runs the fetch hook, if one is installed. A protocol calls this
+    /// once per miss, after the miss's messages are charged and with no
+    /// shared-structure lock held (only the missed page's gate).
+    pub fn run_fetch_hook(&self, p: ProcId, page: PageId) {
+        if let Some(hook) = self.fetch_hook.get() {
+            hook(p, page);
+        }
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &LrcConfig {
-        &self.cfg
+    /// The parameters the engine was built from.
+    pub fn params(&self) -> &EngineParams {
+        &self.params
+    }
+
+    /// The data-movement policy.
+    pub fn policy(&self) -> Policy {
+        self.policy
     }
 
     /// The derived address space.
@@ -295,43 +223,20 @@ impl LrcEngine {
     }
 
     /// Snapshot of the protocol event counters.
-    pub fn counters(&self) -> LazyCounters {
+    pub fn counters(&self) -> EngineCounters {
         self.counters.snapshot()
     }
 
-    /// The interval/diff store (shared read access, for inspection).
-    ///
-    /// **Do not call any engine method while holding the guard.** Slow
-    /// paths take the store's write lock for interval closes and plan
-    /// application (and therefore any read or write that misses does), so
-    /// a read-then-write on the same thread deadlocks; from other threads
-    /// it merely blocks them. Read what you need and drop the guard.
-    pub fn store(&self) -> RwLockReadGuard<'_, IntervalStore> {
-        self.store.read()
+    /// The live counter cells, for a protocol to [`bump`].
+    pub fn tally(&self) -> &CounterCells {
+        &self.counters
     }
 
-    /// Processor `p`'s current vector time (a snapshot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    pub fn clock(&self, p: ProcId) -> VectorClock {
-        self.shard(p).clock.clone()
-    }
-
-    /// True if `p` holds a valid copy of `page`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` or `page` is out of range.
-    pub fn page_valid(&self, p: ProcId, page: PageId) -> bool {
-        self.shard(p).pages[page.index()].valid
-    }
-
-    /// The home processor of a page (supplies cold copies with no known
-    /// modifier).
+    /// The home processor of a page: the static directory manager under
+    /// the eager protocols, the supplier of cold copies with no known
+    /// modifier under the lazy ones.
     pub fn page_home(&self, page: PageId) -> ProcId {
-        ProcId::new((page.index() % self.cfg.n_procs) as u16)
+        ProcId::new((page.index() % self.params.n_procs) as u16)
     }
 
     /// The current holder of `lock`, if any (`None` for free or unknown
@@ -347,100 +252,307 @@ impl LrcEngine {
         self.barriers.lock().absent(barrier)
     }
 
-    fn shard(&self, p: ProcId) -> MutexGuard<'_, ProcShard> {
+    /// Records one checkpoint cut shipped by the runtime's automatic
+    /// policy: bumps [`EngineCounters::checkpoints_cut`] and adds the
+    /// encoded bytes that went to the sink (a delta counts its delta
+    /// size, not the full cut it stands for) to
+    /// [`EngineCounters::delta_bytes`]. Pure statistics — the cut itself
+    /// is [`Engine::checkpoint`].
+    pub fn note_checkpoint(&self, shipped_bytes: u64) {
+        bump(&self.counters.checkpoints_cut, 1);
+        bump(&self.counters.delta_bytes, shipped_bytes);
+    }
+
+    // ---- slow-path preamble ----
+
+    /// Marks one slow path in flight. The caller takes the gates it needs
+    /// and then [`SlowPath::settle`]s the entry.
+    fn slow_path(&self) -> SlowPath<'_> {
+        let (inflight, others) = InFlight::enter(&self.slow_inflight);
+        SlowPath {
+            core: self,
+            page_gates: Vec::new(),
+            _gate: None,
+            _miss: None,
+            _inflight: inflight,
+            overlapped: others > 0,
+            waited: false,
+        }
+    }
+
+    /// Enters a slow path serialized on `lock`'s gate (an unknown lock has
+    /// no gate; the lock table refuses it next). Not yet settled: a
+    /// release goes on to take its flush set's page gates.
+    fn with_lock_gate(&self, lock: LockId) -> SlowPath<'_> {
+        let mut slow = self.slow_path();
+        slow._gate = self
+            .lock_gates
+            .get(lock.index())
+            .map(|g| gate_lock(g, &mut slow.waited));
+        slow
+    }
+
+    /// Enters the slow path of a miss on `page`: counted in the in-flight
+    /// miss gauge, serialized on the page's gate, settled.
+    fn with_miss_gate(&self, page: PageId) -> SlowPath<'_> {
+        let mut slow = self.slow_path();
+        let (miss, others) = InFlight::enter(&self.miss_inflight);
+        raise(&self.counters.miss_inflight_peak, others + 1);
+        slow._miss = Some(miss);
+        slow._gate = Some(gate_lock(&self.page_gates[page.index()], &mut slow.waited));
+        slow.settle();
+        slow
+    }
+
+    /// Refuses a release `p` may not perform, leaving the table untouched
+    /// (with the table's own error: unknown ids before wrong holder).
+    fn check_holder(&self, p: ProcId, lock: LockId) -> Result<(), LockError> {
+        let mut locks = self.locks.lock();
+        if locks.holder(lock) == Some(p) {
+            return Ok(());
+        }
+        Err(locks
+            .release(p, lock)
+            .expect_err("release of an unheld lock must error"))
+    }
+
+    /// Hands `lock` back in the lock table as its holder `p` and records
+    /// the release. The caller holds the lock's gate.
+    fn finish_release(&self, p: ProcId, lock: LockId) {
+        let grant = self
+            .locks
+            .lock()
+            .release(p, lock)
+            .expect("the holder releases its own lock");
+        if let Some(rec) = self.recorder() {
+            rec.release(p, lock, grant);
+        }
+        bump(&self.counters.releases, 1);
+    }
+
+    /// Releases `lock` on behalf of its crashed holder `p`, serialized
+    /// with in-flight acquires of the lock like any release.
+    pub(crate) fn force_release(&self, p: ProcId, lock: LockId) {
+        let _gate = self.lock_gates.get(lock.index()).map(|g| g.lock());
+        self.finish_release(p, lock);
+    }
+}
+
+/// One slow-path entry: the RAII in-flight marks plus the gates taken so
+/// far. Dropping it releases the gates, then leaves the gauges.
+struct SlowPath<'a> {
+    core: &'a EngineCore,
+    /// The gates of a flush set.
+    page_gates: Vec<MutexGuard<'a, ()>>,
+    /// The one gate the entry is about: a lock's, or a missed page's.
+    _gate: Option<MutexGuard<'a, ()>>,
+    _miss: Option<InFlight<'a>>,
+    _inflight: InFlight<'a>,
+    /// Another slow path was in flight at entry — the overlap the retired
+    /// global protocol mutex would have serialized.
+    overlapped: bool,
+    /// A gate was contended.
+    waited: bool,
+}
+
+impl SlowPath<'_> {
+    /// Takes the gates of the flush set `pages`, which must be ascending.
+    fn page_gates(&mut self, pages: &[PageId]) {
+        let (core, waited) = (self.core, &mut self.waited);
+        self.page_gates = pages
+            .iter()
+            .map(|g| gate_lock(&core.page_gates[g.index()], waited))
+            .collect();
+    }
+
+    /// Settles the contention counters for this entry, once every gate it
+    /// needs is held.
+    fn settle(&self) {
+        settle_contention(
+            self.waited,
+            self.overlapped,
+            &self.core.counters.slow_waits,
+            &self.core.counters.slow_waits_avoided,
+        );
+    }
+}
+
+/// One processor's private slice of the engine: its page frames, the
+/// pages dirtied in the open interval or epoch, and the protocol's
+/// per-processor extension. Everything an ordinary cached read or write
+/// touches lives here, behind this shard's own mutex, so two processors
+/// hitting valid cached pages never contend.
+#[derive(Debug)]
+pub struct Shard<P: Protocol> {
+    /// The processor's page table.
+    pub pages: Vec<Frame<P::FrameExt>>,
+    /// Pages dirtied since the last interval close or flush.
+    pub dirty: Vec<PageId>,
+    /// The protocol's per-processor state.
+    pub ext: P::ShardExt,
+}
+
+/// A release-consistency protocol, as the four points where the paper
+/// says the families differ, plus checkpointing of protocol state. Every
+/// hook receives the whole [`Engine`]: its shards, its core, and — through
+/// [`Engine::protocol`] — the protocol's own shared state.
+pub trait Protocol: Sized + fmt::Debug {
+    /// Per-processor state kept in each [`Shard`] next to the frames.
+    type ShardExt: fmt::Debug;
+    /// Per-page state kept in each [`Frame`] (every processor holds a
+    /// frame for every page, so keep it small).
+    type FrameExt: fmt::Debug + Default;
+    /// A checkpoint of the engine under this protocol.
+    type Checkpoint;
+
+    /// Validates protocol-specific parameters and builds the protocol's
+    /// shared state for a fresh engine.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError`] if `core`'s parameters ask for something the
+    /// protocol does not implement.
+    fn new(core: &EngineCore) -> Result<Self, ConfigError>;
+
+    /// Builds processor `p`'s shard extension for a fresh engine.
+    fn new_ext(core: &EngineCore, p: ProcId) -> Self::ShardExt;
+
+    /// Whether processors can be declared dead under this protocol. When
+    /// set, every operation first asserts its processor is alive
+    /// ([`Protocol::is_dead`]).
+    const CRASH_TOLERANT: bool = false;
+
+    /// True if the shard's processor has been declared dead.
+    fn is_dead(_ext: &Self::ShardExt) -> bool {
+        false
+    }
+
+    /// **What an acquire pulls.** `p` was just granted the lock along
+    /// `path` (still inside the lock's gate): charge the transfer's
+    /// messages and perform the protocol's acquire-time consistency
+    /// actions.
+    fn on_acquire(engine: &Engine<Self>, p: ProcId, path: &AcquirePath);
+
+    /// The pages `p`'s next release or barrier arrival will flush to other
+    /// processors, ascending and deduplicated: the engine holds their
+    /// gates across [`Protocol::on_release`] / [`Protocol::barrier_arrive`].
+    /// Empty for a protocol whose releases are local.
+    fn flush_set(_engine: &Engine<Self>, _p: ProcId) -> Vec<PageId> {
+        Vec::new()
+    }
+
+    /// **What a release sends.** `p` holds the lock and is about to hand
+    /// it back (inside the lock's gate and the flush set's page gates).
+    fn on_release(engine: &Engine<Self>, p: ProcId);
+
+    /// **What a barrier exchanges**, arrival half: `p`'s arrival has been
+    /// validated but not yet counted (inside the flush set's page gates).
+    fn barrier_arrive(engine: &Engine<Self>, p: ProcId, barrier: BarrierId, master: ProcId);
+
+    /// **What a barrier exchanges**, completion half: the last processor
+    /// just arrived. Runs on its thread with every other processor parked.
+    fn barrier_complete(engine: &Engine<Self>, barrier: BarrierId, master: ProcId);
+
+    /// **How a miss is resolved.** `page` is not valid at `p`; make it so.
+    /// The engine holds the page's gate for the whole resolution and has
+    /// re-checked validity under it. Call [`EngineCore::run_fetch_hook`] once
+    /// the messages are charged.
+    fn resolve_miss(engine: &Engine<Self>, p: ProcId, page: PageId);
+
+    /// Captures a checkpoint of the whole engine (committed contents only
+    /// — see [`Frame::committed`]).
+    fn checkpoint(engine: &Engine<Self>) -> Self::Checkpoint;
+
+    /// Replaces a freshly built engine's state with `ckpt`'s.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Incompatible`] if the checkpoint describes a
+    /// different engine shape.
+    fn restore(engine: &Engine<Self>, ckpt: &Self::Checkpoint) -> Result<(), CheckpointError>;
+}
+
+/// A release-consistency engine: `n` processors, their page copies, and
+/// the acquire/release/barrier/miss protocol `P`, with every message
+/// charged to an internal [`Fabric`].
+///
+/// The engine is *data-full*: writes carry real bytes, and reads return
+/// the bytes a processor of the simulated DSM would observe — which on a
+/// properly-labeled program must equal sequential consistency (the
+/// `lrc-sim` crate checks exactly that). It dereferences to its
+/// [`EngineCore`], whose docs describe the concurrency model.
+#[derive(Debug)]
+pub struct Engine<P: Protocol> {
+    core: EngineCore,
+    shards: Vec<Mutex<Shard<P>>>,
+    pub(crate) proto: P,
+}
+
+impl<P: Protocol> Deref for Engine<P> {
+    type Target = EngineCore;
+
+    fn deref(&self) -> &EngineCore {
+        &self.core
+    }
+}
+
+impl<P: Protocol> Engine<P> {
+    /// Builds an engine running `policy` over `params`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] if the parameters do not validate.
+    pub fn new(policy: Policy, params: &EngineParams) -> Result<Self, ConfigError> {
+        let core = EngineCore::new(policy, params)?;
+        let proto = P::new(&core)?;
+        let shards = ProcId::all(params.n_procs)
+            .map(|p| {
+                let shard = Shard {
+                    pages: (0..core.space.n_pages())
+                        .map(|_| Frame::default())
+                        .collect(),
+                    dirty: Vec::new(),
+                    ext: P::new_ext(&core, p),
+                };
+                Mutex::new_in(shard, classes::ENGINE_SHARD)
+            })
+            .collect();
+        Ok(Engine {
+            core,
+            shards,
+            proto,
+        })
+    }
+
+    /// The protocol's shared state.
+    pub fn protocol(&self) -> &P {
+        &self.proto
+    }
+
+    /// Locks processor `p`'s shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    pub fn shard(&self, p: ProcId) -> MutexGuard<'_, Shard<P>> {
         self.shards[p.index()].lock()
     }
 
-    // ---- slow-path bookkeeping ----
-
-    /// Marks one slow path in flight (decremented by the returned guard)
-    /// and reports whether any *other* slow path was in flight at entry —
-    /// the overlap the retired global protocol mutex would have serialized.
-    fn enter_slow_path(&self) -> (InFlight<'_>, bool) {
-        let (guard, others) = InFlight::enter(&self.slow_inflight);
-        (guard, others > 0)
+    /// True if `p` holds a valid resident copy of `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` or `page` is out of range.
+    pub fn page_valid(&self, p: ProcId, page: PageId) -> bool {
+        self.shard(p).pages[page.index()].valid
     }
 
-    /// Locks the serialized-baseline mutex, when configured.
-    fn serial_gate<'a>(&'a self, waited: &mut bool) -> Option<MutexGuard<'a, ()>> {
-        self.serial_gate.as_ref().map(|g| gate_lock(g, waited))
-    }
-
-    /// Settles the contention counters for one slow-path entry.
-    fn settle_slow_entry(&self, waited: bool, overlapped: bool) {
-        settle_contention(
-            waited,
-            overlapped,
-            &self.counters.slow_waits,
-            &self.counters.slow_waits_avoided,
-        );
-    }
-
-    /// Under [`ProtocolMutation::StaleSnapshotApply`]: removes the
-    /// causally-latest diff from `plan` — emulating a plan whose snapshot
-    /// predates that interval's availability being applied without
-    /// revalidation — and returns its page so the caller can finalize it
-    /// *as if* the plan had applied completely. Stock engines return
-    /// `None` and leave the plan alone.
-    fn stale_snapshot_drop(&self, store: &IntervalStore, plan: &mut FetchPlan) -> Option<PageId> {
-        if self.cfg.mutation != ProtocolMutation::StaleSnapshotApply {
-            return None;
-        }
-        let weight_of = |iv: IntervalId| {
-            let w = store
-                .stamp(iv)
-                .expect("planned interval recorded")
-                .clock()
-                .weight();
-            (w, iv.proc(), iv.seq())
-        };
-        let latest_free = plan
-            .from_free
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &(iv, _))| weight_of(iv))
-            .map(|(i, &(iv, g))| (weight_of(iv), i, g));
-        let latest_fetched = plan
-            .targets
-            .iter()
-            .enumerate()
-            .flat_map(|(ti, (_, diffs))| {
-                diffs
-                    .iter()
-                    .enumerate()
-                    .map(move |(di, &(iv, g))| (weight_of(iv), (ti, di), g))
-            })
-            .max_by_key(|&(w, _, _)| w);
-        match (latest_free, latest_fetched) {
-            (Some((wf, i, g)), Some((wt, _, _))) if wf >= wt => {
-                plan.from_free.remove(i);
-                Some(g)
-            }
-            (Some((_, i, g)), None) => {
-                plan.from_free.remove(i);
-                Some(g)
-            }
-            (_, Some((_, (ti, di), g))) => {
-                plan.targets[ti].1.remove(di);
-                if plan.targets[ti].1.is_empty() {
-                    plan.targets.remove(ti);
-                }
-                Some(g)
-            }
-            (None, None) => None,
-        }
-    }
-
-    /// Finalizes `page` at `p` as if a fetch plan had fully applied to it:
-    /// pending notices cleared, resident copy marked valid. Only the
-    /// [`ProtocolMutation::StaleSnapshotApply`] emulation calls this for a
-    /// page whose newest diff was *not* applied.
-    fn finalize_stale_page(&self, p: ProcId, page: PageId) {
-        let mut shard = self.shard(p);
-        let entry = &mut shard.pages[page.index()];
-        entry.pending.clear();
-        if entry.copy.is_some() {
-            entry.valid = true;
+    fn assert_live(&self, p: ProcId, op: &str) {
+        if P::CRASH_TOLERANT {
+            assert!(
+                !P::is_dead(&self.shard(p).ext),
+                "{op} by dead processor {p}"
+            );
         }
     }
 
@@ -453,16 +565,21 @@ impl LrcEngine {
     /// # Panics
     ///
     /// Panics if the range is out of bounds or `p` is out of range.
+    // Out of line, like `write` and `resolve_miss`: the engine is generic,
+    // so it is instantiated in its callers' crates, where LLVM otherwise
+    // merges both families' copies — miss path included — into the
+    // caller's loop (measured: eager trace replay 7% slower).
+    #[inline(never)]
     pub fn read_into(&self, p: ProcId, addr: u64, buf: &mut [u8]) {
         let mut cursor = 0;
-        for seg in self.space.segments(addr, buf.len()) {
+        for seg in self.core.space.segments(addr, buf.len()) {
             loop {
                 {
                     let shard = self.shard(p);
-                    assert!(!shard.dead, "read by dead processor {p}");
-                    let entry = &shard.pages[seg.page.index()];
-                    if entry.valid {
-                        let copy = entry.copy.as_ref().expect("valid page has a copy");
+                    assert!(!P::is_dead(&shard.ext), "read by dead processor {p}");
+                    let frame = &shard.pages[seg.page.index()];
+                    if frame.valid {
+                        let copy = frame.copy.as_ref().expect("valid page has a copy");
                         copy.read(seg.offset, &mut buf[cursor..cursor + seg.len]);
                         break;
                     }
@@ -471,7 +588,7 @@ impl LrcEngine {
             }
             cursor += seg.len;
         }
-        if let Some(rec) = self.recorder() {
+        if let Some(rec) = self.core.recorder() {
             rec.read(p, addr, buf);
         }
     }
@@ -480,7 +597,7 @@ impl LrcEngine {
     ///
     /// # Panics
     ///
-    /// See [`LrcEngine::read_into`].
+    /// See [`Engine::read_into`].
     pub fn read_vec(&self, p: ProcId, addr: u64, len: usize) -> Vec<u8> {
         let mut buf = vec![0u8; len];
         self.read_into(p, addr, &mut buf);
@@ -491,7 +608,7 @@ impl LrcEngine {
     ///
     /// # Panics
     ///
-    /// See [`LrcEngine::read_into`].
+    /// See [`Engine::read_into`].
     pub fn read_u64(&self, p: ProcId, addr: u64) -> u64 {
         let mut raw = [0u8; 8];
         self.read_into(p, addr, &mut raw);
@@ -499,20 +616,22 @@ impl LrcEngine {
     }
 
     /// Writes `data` at `addr` as processor `p`. The first write to a page
-    /// in an interval twins it (§4.3.1); misses resolve first so the twin
-    /// reflects all noticed modifications. Writing a valid cached page
-    /// takes only `p`'s shard lock.
+    /// in an interval twins it (§4.3.1 — both families are multiple-writer
+    /// protocols); misses resolve first so the twin reflects all noticed
+    /// modifications. Writing a valid cached page takes only `p`'s shard
+    /// lock.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds or `p` is out of range.
+    #[inline(never)]
     pub fn write(&self, p: ProcId, addr: u64, data: &[u8]) {
         let mut cursor = 0;
-        for seg in self.space.segments(addr, data.len()) {
+        for seg in self.core.space.segments(addr, data.len()) {
             loop {
                 {
                     let mut shard = self.shard(p);
-                    assert!(!shard.dead, "write by dead processor {p}");
+                    assert!(!P::is_dead(&shard.ext), "write by dead processor {p}");
                     let gi = seg.page.index();
                     if shard.pages[gi].valid {
                         if !shard.pages[gi].is_dirty() {
@@ -531,7 +650,7 @@ impl LrcEngine {
             }
             cursor += seg.len;
         }
-        if let Some(rec) = self.recorder() {
+        if let Some(rec) = self.core.recorder() {
             rec.write(p, addr, data);
         }
     }
@@ -540,7 +659,7 @@ impl LrcEngine {
     ///
     /// # Panics
     ///
-    /// See [`LrcEngine::write`].
+    /// See [`Engine::write`].
     pub fn write_u64(&self, p: ProcId, addr: u64, value: u64) {
         self.write(p, addr, &value.to_le_bytes());
     }
@@ -561,32 +680,36 @@ impl LrcEngine {
     /// Panics on out-of-range accesses, like the direct methods.
     pub fn apply_op(&self, p: ProcId, op: &EngineOp) -> Result<Vec<u8>, EngineOpError> {
         match op {
-            EngineOp::Read { addr, len } => Ok(self.read_vec(p, *addr, *len as usize)),
-            EngineOp::Write { addr, data } => {
-                self.write(p, *addr, data);
-                Ok(Vec::new())
-            }
-            EngineOp::Acquire(lock) => {
-                self.acquire(p, *lock)?;
-                Ok(Vec::new())
-            }
-            EngineOp::Release(lock) => {
-                self.release(p, *lock)?;
-                Ok(Vec::new())
-            }
+            EngineOp::Read { addr, len } => return Ok(self.read_vec(p, *addr, *len as usize)),
+            EngineOp::Write { addr, data } => self.write(p, *addr, data),
+            EngineOp::Acquire(lock) => self.acquire(p, *lock)?,
+            EngineOp::Release(lock) => self.release(p, *lock)?,
             EngineOp::Barrier(barrier) => {
                 self.barrier(p, *barrier)?;
-                Ok(Vec::new())
             }
         }
+        Ok(Vec::new())
+    }
+
+    /// Resolves an access miss on `page` at `p`, holding the page's gate
+    /// for the whole resolution.
+    #[inline(never)]
+    fn resolve_miss(&self, p: ProcId, page: PageId) {
+        let _slow = self.core.with_miss_gate(page);
+        if self.page_valid(p, page) {
+            // Resolved while this processor waited for the gate (only
+            // possible through this processor's own earlier call).
+            return;
+        }
+        P::resolve_miss(self, p, page);
     }
 
     // ---- special accesses ----
 
-    /// Acquires `lock` as processor `p`: finds and transfers the lock (up
-    /// to 3 messages), receives piggybacked write notices for every
-    /// interval performed at the grantor but not at `p`, and — under the
-    /// update policy — pulls diffs to bring all cached pages up to date.
+    /// Acquires `lock` as processor `p`: the lock table finds the path the
+    /// transfer takes and numbers the grant, then the protocol charges
+    /// the messages and performs its acquire-time consistency actions
+    /// ([`Protocol::on_acquire`]).
     ///
     /// Serializes only on `lock`'s gate: acquires of unrelated locks, and
     /// misses on any page, proceed concurrently.
@@ -594,1068 +717,90 @@ impl LrcEngine {
     /// # Errors
     ///
     /// Propagates [`LockError`] (held lock, unknown ids). The lock path is
-    /// resolved *before* any interval state changes, so a failed acquire —
+    /// resolved *before* any protocol state changes, so a failed acquire —
     /// in particular a contended [`LockError::HeldByOther`] that a blocking
     /// runtime retries in a loop — has no side effects.
     pub fn acquire(&self, p: ProcId, lock: LockId) -> Result<(), LockError> {
-        assert!(!self.shard(p).dead, "acquire by dead processor {p}");
-        let (_inflight, overlapped) = self.enter_slow_path();
-        let mut waited = false;
-        let _serial = self.serial_gate(&mut waited);
-        let _gate = self
-            .lock_gates
-            .get(lock.index())
-            .map(|g| gate_lock(g, &mut waited));
-        self.settle_slow_entry(waited, overlapped);
-
-        let path = self.locks.lock().acquire(p, lock)?;
-        bump(&self.counters.acquires, 1);
-        if let Some(rec) = self.recorder() {
+        self.assert_live(p, "acquire");
+        let slow = self.core.with_lock_gate(lock);
+        slow.settle();
+        let path = self.core.locks.lock().acquire(p, lock)?;
+        bump(&self.core.counters.acquires, 1);
+        if let Some(rec) = self.core.recorder() {
             // The grant number was assigned by the lock table under its
             // own mutex, inside this lock's gate: the recorded order is
             // the order the lock actually changed hands in.
             rec.acquire(p, lock, path.grant_seq);
         }
-        self.close_interval(p);
-        let q = path.grantor;
-        if q == p {
-            // Local re-acquire: nothing new to learn, nothing on the wire.
-            return Ok(());
-        }
-
-        // Request and forward hops carry the acquirer's vector clock so the
-        // grantor can compute the missing write notices (§4.2).
-        let hop_payload = LOCK_ID_BYTES + vc_bytes(self.cfg.n_procs);
-        if let Some((src, dst)) = path.request {
-            self.net.send(src, dst, MsgKind::LockRequest, hop_payload);
-        }
-        if let Some((src, dst)) = path.forward {
-            self.net.send(src, dst, MsgKind::LockForward, hop_payload);
-        }
-
-        // The grantor's knowledge is safe to read here: everything it
-        // closed is in the store before its clock shows it (close_interval
-        // publishes under the store's write lock before bumping), so the
-        // notice computation below never names an unrecorded interval.
-        let mut know_q = Self::knowledge_of(&self.shard(q).clock, q);
-        if self.cfg.mutation == ProtocolMutation::StaleGrantKnowledge {
-            // Mutation testing: the grantor under-reports its own latest
-            // closed interval, so the acquirer never hears about the
-            // grantor's most recent critical section. The history checker
-            // must reject the run.
-            know_q.set(q, know_q.get(q).saturating_sub(1));
-        }
-        let mut store = self.store.read();
-        let p_clock = self.shard(p).clock.clone();
-        let notices = store.notices_missing(&p_clock, &know_q);
-        self.deliver_notices(p, &notices);
-        self.shard(p).clock.merge(&know_q);
-
-        // Update policy: bring every cached page up to date now. Diffs the
-        // grantor holds ride the grant; the rest cost 2 messages per other
-        // concurrent last modifier (Table 1's `2h`). The plan is built
-        // against the read snapshot, the round trips are charged with no
-        // store lock held, and the write lock is taken only to apply —
-        // revalidating the snapshot version first.
-        let mut grant_payload =
-            LOCK_ID_BYTES + vc_bytes(self.cfg.n_procs) + Self::notice_bytes(&notices);
-        if self.cfg.policy == Policy::Update {
-            loop {
-                let needed = self.needed_for_cached_pages(p);
-                let mut plan = FetchPlan::build(&store, p, Some(q), &needed);
-                let stale_page = self.stale_snapshot_drop(&store, &mut plan);
-                let version = store.version();
-                let free_payload = self.diff_payload(&store, &plan.from_free);
-                let fetches: Vec<(ProcId, u64, u64)> = plan
-                    .targets
-                    .iter()
-                    .map(|(target, diffs)| {
-                        (
-                            *target,
-                            diffs.len() as u64 * DIFF_REQUEST_ENTRY_BYTES,
-                            self.diff_payload(&store, diffs),
-                        )
-                    })
-                    .collect();
-                drop(store);
-                for (target, request, reply) in fetches {
-                    self.net.round_trip(
-                        p,
-                        target,
-                        MsgKind::AcquireDiffRequest,
-                        request,
-                        MsgKind::AcquireDiffReply,
-                        reply,
-                    );
-                }
-                let mut wstore = self.store.write();
-                if wstore.version() != version
-                    && self.cfg.mutation != ProtocolMutation::StaleSnapshotApply
-                {
-                    // The store was reorganized between snapshot and
-                    // apply: the plan may name discarded diffs. Rebuild.
-                    bump(&self.counters.snapshot_retries, 1);
-                    drop(wstore);
-                    store = self.store.read();
-                    continue;
-                }
-                let touched = self.apply_plan(&mut wstore, p, &plan);
-                bump(&self.counters.updates, touched as u64);
-                drop(wstore);
-                if let Some(g) = stale_page {
-                    self.finalize_stale_page(p, g);
-                }
-                grant_payload += free_payload;
-                break;
-            }
-        } else {
-            drop(store);
-        }
-
-        if self.cfg.piggyback_notices {
-            if let Some((src, dst)) = path.grant {
-                self.net.send(src, dst, MsgKind::LockGrant, grant_payload);
-            }
-        } else if self.cfg.coalesce_notices {
-            // Ablated *but* coalescing: the separate consistency message is
-            // bound for the same destination as the grant it trails, so the
-            // two merge back into one — same bytes, one header fewer. (This
-            // is the transport-level batching made protocol-aware: the
-            // messages would share a flush anyway.)
-            if let Some((src, dst)) = path.grant {
-                self.net.send(src, dst, MsgKind::LockGrant, grant_payload);
-                bump(&self.counters.coalesced_msgs, 1);
-            }
-        } else {
-            // Ablation: the grant carries only the lock; consistency data
-            // travels in a separate message.
-            if let Some((src, dst)) = path.grant {
-                self.net.send(src, dst, MsgKind::LockGrant, LOCK_ID_BYTES);
-                self.net
-                    .send(src, dst, MsgKind::LockGrant, grant_payload - LOCK_ID_BYTES);
-            }
-        }
+        P::on_acquire(self, p, &path);
         Ok(())
     }
 
-    /// Releases `lock`. Purely local under LRC: the interval closes (diffs
-    /// are made for dirtied pages) and the lock table records `p` as the
-    /// last releaser. **No messages are sent** (§4.2). Serializes only on
-    /// `lock`'s gate.
+    /// Releases `lock`: the protocol performs its release-time
+    /// consistency actions ([`Protocol::on_release`] — nothing on the wire
+    /// under the lazy protocols, a flush to every cacher under the eager
+    /// ones), then the lock table records `p` as the last releaser. Still
+    /// inside the lock's gate throughout, so the next acquirer cannot read
+    /// the releaser's knowledge before it is complete.
     ///
     /// # Errors
     ///
-    /// Propagates [`LockError::NotHolder`] and range errors; a failed
-    /// release leaves interval state untouched.
+    /// Propagates [`LockError::NotHolder`] and range errors; an illegal
+    /// release is refused before the protocol acts, so it has no effect.
     pub fn release(&self, p: ProcId, lock: LockId) -> Result<(), LockError> {
-        assert!(!self.shard(p).dead, "release by dead processor {p}");
-        let (_inflight, overlapped) = self.enter_slow_path();
-        let mut waited = false;
-        let _serial = self.serial_gate(&mut waited);
-        let _gate = self
-            .lock_gates
-            .get(lock.index())
-            .map(|g| gate_lock(g, &mut waited));
-        self.settle_slow_entry(waited, overlapped);
-
-        let grant = self.locks.lock().release(p, lock)?;
-        if let Some(rec) = self.recorder() {
-            rec.release(p, lock, grant);
+        self.assert_live(p, "release");
+        let mut slow = self.core.with_lock_gate(lock);
+        if let Err(e) = self.core.check_holder(p, lock) {
+            slow.settle();
+            return Err(e);
         }
-        // Still inside the gate: the next acquirer of this lock cannot
-        // read the releaser's knowledge until the interval has closed.
-        self.close_interval(p);
-        bump(&self.counters.releases, 1);
+        slow.page_gates(&P::flush_set(self, p));
+        slow.settle();
+        P::on_release(self, p);
+        self.core.finish_release(p, lock);
         Ok(())
     }
 
-    /// Arrives at `barrier` as processor `p`. Arrival messages carry the
-    /// processor's clock and fresh write notices to the master; when the
-    /// last processor arrives, exit messages distribute the merged
-    /// knowledge: `2(n-1)` messages per episode, with all consistency
-    /// information piggybacked (Table 1, LI row). Under the update policy
-    /// each processor then pulls diffs for its cached pages (`2u`).
-    ///
-    /// Arrivals serialize only on the barrier set's mutex; the completion
-    /// runs on the last arriver's thread while all other processors are
-    /// parked awaiting the episode.
+    /// Arrives at `barrier` as processor `p`: the protocol sends what an
+    /// arrival carries ([`Protocol::barrier_arrive`]), the barrier set
+    /// counts the arrival, and the last arriver runs the episode's
+    /// completion ([`Protocol::barrier_complete`]) on its own thread while
+    /// all other processors are parked awaiting the episode.
     ///
     /// # Errors
     ///
-    /// Propagates [`BarrierError`] (double arrival, range errors).
+    /// Propagates [`BarrierError`] (double arrival, range errors); an
+    /// illegal arrival is refused before the protocol acts.
     pub fn barrier(&self, p: ProcId, barrier: BarrierId) -> Result<BarrierArrival, BarrierError> {
-        assert!(!self.shard(p).dead, "barrier by dead processor {p}");
-        let (_inflight, overlapped) = self.enter_slow_path();
-        let mut waited = false;
-        let _serial = self.serial_gate(&mut waited);
-        self.settle_slow_entry(waited, overlapped);
-
-        let master = {
-            let barriers = self.barriers.lock();
-            barriers.check_arrival(p, barrier)?;
-            barriers.master(barrier)
+        self.assert_live(p, "barrier");
+        let mut slow = self.core.slow_path();
+        let checked = {
+            let barriers = self.core.barriers.lock();
+            barriers
+                .check_arrival(p, barrier)
+                .map(|()| barriers.master(barrier))
         };
-        self.close_interval(p);
-        if p != master {
-            let store = self.store.read();
-            let master_clock = self.shard(master).clock.clone();
-            let know_p = Self::knowledge_of(&self.shard(p).clock, p);
-            let fresh = store.notices_missing(&master_clock, &know_p);
-            let payload =
-                BARRIER_ID_BYTES + vc_bytes(self.cfg.n_procs) + Self::notice_bytes(&fresh);
-            self.net.send(p, master, MsgKind::BarrierArrival, payload);
-        }
-        let outcome = self.barriers.lock().arrive(p, barrier)?;
-        if let Some(rec) = self.recorder() {
+        let master = match checked {
+            Ok(master) => master,
+            Err(e) => {
+                slow.settle();
+                return Err(e);
+            }
+        };
+        slow.page_gates(&P::flush_set(self, p));
+        slow.settle();
+        P::barrier_arrive(self, p, barrier, master);
+        let outcome = self.core.barriers.lock().arrive(p, barrier)?;
+        if let Some(rec) = self.core.recorder() {
             rec.barrier(p, barrier, outcome.episode());
         }
         if let BarrierArrival::Complete { .. } = outcome {
-            self.complete_barrier(master);
+            P::barrier_complete(self, barrier, master);
         }
         Ok(outcome)
     }
 
-    // ---- internals ----
-
-    /// Closes `p`'s open interval: diffs every dirtied page against its
-    /// twin, records the interval (if any page actually changed), and opens
-    /// the next interval. The interval is published to the store *before*
-    /// the clock bump (both under the store's write lock plus `p`'s shard
-    /// lock), so any processor that observes the new clock value finds the
-    /// interval recorded.
-    fn close_interval(&self, p: ProcId) {
-        let mut store = self.store.write();
-        let mut shard = self.shard(p);
-        let dirtied = std::mem::take(&mut shard.dirty);
-        let mut page_diffs = Vec::with_capacity(dirtied.len());
-        for g in dirtied {
-            let entry = &mut shard.pages[g.index()];
-            let twin = entry.twin.take().expect("dirty page has a twin");
-            let copy = entry.copy.as_ref().expect("dirty page has a copy");
-            let diff = Diff::between(&twin, copy);
-            if !diff.is_empty() {
-                page_diffs.push((g, diff));
-            }
-        }
-        if self.cfg.mutation == ProtocolMutation::SkipTwinDiff {
-            // Mutation testing: the twins were consumed but their diffs
-            // are discarded — this interval's writes silently never
-            // propagate. The history checker must reject the run.
-            return;
-        }
-        if page_diffs.is_empty() {
-            return;
-        }
-        let seq = shard.clock.get(p);
-        let stamp = StampedInterval::new(IntervalId::new(p, seq), shard.clock.clone());
-        store.close_interval(stamp, page_diffs);
-        bump(&self.counters.intervals_closed, 1);
-        shard.clock.bump(p);
-    }
-
-    /// A processor's transferable knowledge: its clock with the own entry
-    /// lowered to the last *closed* interval.
-    fn knowledge_of(clock: &VectorClock, p: ProcId) -> VectorClock {
-        let mut vc = clock.clone();
-        let open = vc.get(p);
-        vc.set(p, open - 1);
-        vc
-    }
-
-    /// Wire size of a batch of write notices: one header per distinct
-    /// interval plus a page id per notice (TreadMarks-style interval
-    /// records).
-    fn notice_bytes(notices: &[crate::WriteNotice]) -> u64 {
-        let mut intervals: Vec<_> = notices.iter().map(|n| n.interval).collect();
-        intervals.sort();
-        intervals.dedup();
-        notice_batch_bytes(intervals.len(), notices.len())
-    }
-
-    /// Delivers write notices to `p`: pending lists grow and, under the
-    /// invalidate policy, resident valid copies are invalidated.
-    fn deliver_notices(&self, p: ProcId, notices: &[crate::WriteNotice]) {
-        if self.cfg.mutation == ProtocolMutation::DropNotices {
-            // Mutation testing: knowledge merges but the page-level
-            // notices vanish, so stale copies stay valid. The history
-            // checker must reject the run.
-            return;
-        }
-        bump(&self.counters.notices_received, notices.len() as u64);
-        let mut shard = self.shard(p);
-        for n in notices {
-            debug_assert_ne!(n.interval.proc(), p, "no notices for own intervals");
-            let entry = &mut shard.pages[n.page.index()];
-            entry.pending.push(n.interval);
-            if self.cfg.policy == Policy::Invalidate && entry.valid {
-                entry.valid = false;
-                bump(&self.counters.invalidations, 1);
-            }
-        }
-    }
-
-    /// All pending diffs of pages `p` has a copy of (the update policy's
-    /// working set at acquires and barriers).
-    fn needed_for_cached_pages(&self, p: ProcId) -> Vec<(IntervalId, PageId)> {
-        let shard = self.shard(p);
-        let mut needed = Vec::new();
-        for (gi, entry) in shard.pages.iter().enumerate() {
-            if entry.copy.is_some() && !entry.pending.is_empty() {
-                let g = PageId::new(gi as u32);
-                needed.extend(entry.pending.iter().map(|&iv| (iv, g)));
-            }
-        }
-        needed
-    }
-
-    /// Wire size of a batch of diffs supplied by one processor: per page,
-    /// the chain is squashed in happened-before order before shipping, so
-    /// overwritten modifications never cross the wire (§4.3.2's pruning of
-    /// intervals "in which the modification was overwritten").
-    fn diff_payload(&self, store: &IntervalStore, diffs: &[(IntervalId, PageId)]) -> u64 {
-        let mut by_page: Vec<(PageId, Vec<IntervalId>)> = Vec::new();
-        for &(iv, g) in diffs {
-            match by_page.iter_mut().find(|(page, _)| *page == g) {
-                Some((_, ivs)) => ivs.push(iv),
-                None => by_page.push((g, vec![iv])),
-            }
-        }
-        let mut total = 0u64;
-        for (g, mut ivs) in by_page {
-            ivs.sort_by_key(|&iv| {
-                let w = store
-                    .stamp(iv)
-                    .expect("planned interval recorded")
-                    .clock()
-                    .weight();
-                (w, iv.proc(), iv.seq())
-            });
-            let chain: Vec<&Diff> = ivs
-                .iter()
-                .map(|&iv| store.diff(iv, g).expect("planned diff exists"))
-                .collect();
-            total += if chain.len() == 1 {
-                chain[0].encoded_size() as u64
-            } else {
-                Diff::squash(chain).encoded_size() as u64
-            };
-        }
-        total
-    }
-
-    /// One request/reply exchange fetching `diffs` from `target` (used by
-    /// the barrier paths, which run exclusively and may hold the store
-    /// lock across the charge; the acquire and miss paths precompute
-    /// payloads from their read snapshot and charge lock-free instead).
-    fn fetch_round_trip(
-        &self,
-        store: &IntervalStore,
-        p: ProcId,
-        target: ProcId,
-        diffs: &[(IntervalId, PageId)],
-        request: MsgKind,
-        reply: MsgKind,
-    ) {
-        let request_payload = diffs.len() as u64 * DIFF_REQUEST_ENTRY_BYTES;
-        let reply_payload = if self.cfg.full_page_misses && request == MsgKind::MissRequest {
-            // Ablation of §4.3.3: the reply ships whole pages instead of
-            // diffs.
-            let mut pages: Vec<PageId> = diffs.iter().map(|&(_, g)| g).collect();
-            pages.sort();
-            pages.dedup();
-            pages.len() as u64 * self.space.page_size().bytes() as u64
-        } else {
-            self.diff_payload(store, diffs)
-        };
-        self.net
-            .round_trip(p, target, request, request_payload, reply, reply_payload);
-    }
-
-    /// Applies every diff of a plan to `p`'s copies in happened-before
-    /// order, page by page, and marks the touched pages valid. Returns the
-    /// number of distinct pages touched.
-    fn apply_plan(&self, store: &mut IntervalStore, p: ProcId, plan: &FetchPlan) -> usize {
-        let mut all: Vec<(IntervalId, PageId)> = plan.from_free.clone();
-        for (_, diffs) in &plan.targets {
-            all.extend_from_slice(diffs);
-        }
-        if all.is_empty() {
-            return 0;
-        }
-        // Linear extension of happened-before: stamp weight, then id.
-        all.sort_by_key(|&(iv, _)| {
-            let w = store
-                .stamp(iv)
-                .expect("planned interval recorded")
-                .clock()
-                .weight();
-            (w, iv.proc(), iv.seq())
-        });
-        if self.cfg.mutation == ProtocolMutation::WrongDiffOrder {
-            // Mutation testing: apply the chain newest-first, so the
-            // oldest modification clobbers the newest whenever a page
-            // pulls more than one diff. The history checker must reject
-            // the run.
-            all.reverse();
-        }
-        let mut shard = self.shard(p);
-        let mut touched: Vec<PageId> = Vec::new();
-        for (iv, g) in all {
-            // Split borrow: the holder bit flips and the diff is applied
-            // straight out of the store — no per-diff clone on the hot
-            // miss path.
-            let diff = store.hold_and_diff(p, iv, g).expect("planned diff exists");
-            let entry = &mut shard.pages[g.index()];
-            let copy = entry.copy_mut(self.space.page_size());
-            diff.apply_to(copy);
-            if let Some(twin) = entry.twin.as_mut() {
-                // Concurrent writer here: keep the twin in sync so this
-                // processor's own diff stays minimal and correct.
-                diff.apply_to(twin);
-            }
-            bump(&self.counters.diffs_applied, 1);
-            touched.push(g);
-        }
-        touched.sort();
-        touched.dedup();
-        let count = touched.len();
-        for g in touched {
-            let entry = &mut shard.pages[g.index()];
-            entry.pending.clear();
-            entry.valid = true;
-        }
-        count
-    }
-
-    /// Resolves an access miss on `page` at `p` (§4.3.2/§4.3.3): pulls the
-    /// needed diffs from the concurrent last modifiers (2m messages), plus
-    /// a base copy if the page was never resident.
-    ///
-    /// Holds `page`'s gate for the whole resolution (same-page followers
-    /// wait on this resolver), but no store lock across the fetch: the
-    /// plan and its payload sizes come from a read snapshot, the round
-    /// trips are charged lock-free, and the write lock is taken only to
-    /// apply — after revalidating the snapshot's store version.
-    fn resolve_miss(&self, p: ProcId, page: PageId) {
-        let (_inflight, overlapped) = self.enter_slow_path();
-        let (_miss_inflight, miss_others) = InFlight::enter(&self.miss_inflight);
-        raise(&self.counters.miss_inflight_peak, miss_others + 1);
-        let mut waited = false;
-        let _serial = self.serial_gate(&mut waited);
-        let _gate = gate_lock(&self.page_gates[page.index()], &mut waited);
-        self.settle_slow_entry(waited, overlapped);
-
-        {
-            let shard = self.shard(p);
-            if shard.pages[page.index()].valid {
-                // Resolved while this processor waited for the gate (only
-                // possible through this processor's own earlier call).
-                return;
-            }
-        }
-        let mut first_attempt = true;
-        loop {
-            // Snapshot phase: pending list, plan, and payload sizes all
-            // read under ONE store read guard. The pending list must not
-            // be read before the guard is taken: garbage collection
-            // clears pendings and the interval history together under the
-            // store's write lock, so a pre-guard pending snapshot could
-            // name intervals the guarded store no longer records and
-            // panic `FetchPlan::build` instead of reaching the version
-            // revalidation below.
-            let store = self.store.read();
-            let (cold, needed) = {
-                let shard = self.shard(p);
-                let entry = &shard.pages[page.index()];
-                let needed: Vec<(IntervalId, PageId)> =
-                    entry.pending.iter().map(|&iv| (iv, page)).collect();
-                (entry.copy.is_none(), needed)
-            };
-            if first_attempt {
-                if cold {
-                    bump(&self.counters.cold_misses, 1);
-                } else {
-                    bump(&self.counters.warm_misses, 1);
-                }
-            }
-            let gc_owner = cold.then(|| self.gc_owner.lock()[page.index()]).flatten();
-
-            let mut plan = FetchPlan::build(&store, p, None, &needed);
-            let stale_dropped = self.stale_snapshot_drop(&store, &mut plan);
-            let version = store.version();
-            debug_assert!(
-                !first_attempt || stale_dropped.is_some() || cold || !plan.is_empty(),
-                "warm miss without pending diffs cannot occur"
-            );
-
-            // Cold miss: "a copy of the page may have to be retrieved"
-            // (§4.3.3). The base ships from the first diff supplier when
-            // there is one, from the post-GC owner if the history was
-            // collected, and from the page's home (the initial contents)
-            // otherwise.
-            let mut base: Option<PageBuf> = None;
-            let mut base_trip: Option<ProcId> = None;
-            if cold {
-                let supplier = plan
-                    .targets
-                    .first()
-                    .map(|(t, _)| *t)
-                    .or(gc_owner)
-                    .unwrap_or_else(|| self.page_home(page));
-                base = Some(if supplier == p {
-                    // Only possible for the untouched-home case: the
-                    // initial contents are local.
-                    PageBuf::zeroed(self.space.page_size())
-                } else {
-                    let buf = {
-                        let supplier_shard = self.shard(supplier);
-                        let entry = &supplier_shard.pages[page.index()];
-                        // Clone the supplier's *committed* contents without
-                        // disturbing its state. A dirty page's live copy
-                        // holds uncommitted open-interval writes that must
-                        // not leak to the faulting processor before their
-                        // release — the twin is the last committed contents
-                        // (it is kept in sync with every applied diff). A
-                        // never-touched home supplies the initial zero
-                        // page.
-                        match (&entry.twin, &entry.copy) {
-                            (Some(twin), _) => twin.clone(),
-                            (None, Some(copy)) => copy.clone(),
-                            (None, None) => PageBuf::zeroed(self.space.page_size()),
-                        }
-                    };
-                    // The base rides the first diff reply when the supplier
-                    // is also a fetch target; otherwise it is its own round
-                    // trip.
-                    if plan.targets.first().is_none_or(|(t, _)| *t != supplier) {
-                        base_trip = Some(supplier);
-                    }
-                    buf
-                });
-            }
-            let page_bytes = self.space.page_size().bytes() as u64;
-            let trips: Vec<(ProcId, u64, u64)> = plan
-                .targets
-                .iter()
-                .enumerate()
-                .map(|(i, (target, diffs))| {
-                    if cold && i == 0 {
-                        // The first supplier's reply also carries the base.
-                        (
-                            *target,
-                            diffs.len() as u64 * DIFF_REQUEST_ENTRY_BYTES + PAGE_ID_BYTES,
-                            self.diff_payload(&store, diffs) + page_bytes,
-                        )
-                    } else {
-                        let reply = if self.cfg.full_page_misses {
-                            // Ablation of §4.3.3: whole pages, not diffs.
-                            // All of a miss's diffs name the missed page.
-                            page_bytes
-                        } else {
-                            self.diff_payload(&store, diffs)
-                        };
-                        (
-                            *target,
-                            diffs.len() as u64 * DIFF_REQUEST_ENTRY_BYTES,
-                            reply,
-                        )
-                    }
-                })
-                .collect();
-            drop(store);
-
-            // Fetch phase: round trips with no store lock held. A stalled
-            // fetch here blocks only this page's gate.
-            if let Some(supplier) = base_trip {
-                self.net.round_trip(
-                    p,
-                    supplier,
-                    MsgKind::MissRequest,
-                    PAGE_ID_BYTES,
-                    MsgKind::MissReply,
-                    page_bytes,
-                );
-            }
-            for (target, request, reply) in trips {
-                self.net.round_trip(
-                    p,
-                    target,
-                    MsgKind::MissRequest,
-                    request,
-                    MsgKind::MissReply,
-                    reply,
-                );
-            }
-            if let Some(hook) = self.fetch_hook.get() {
-                hook(p, page);
-            }
-
-            // Apply phase: revalidate the snapshot, then apply under the
-            // write lock.
-            let mut wstore = self.store.write();
-            if wstore.version() != version
-                && self.cfg.mutation != ProtocolMutation::StaleSnapshotApply
-            {
-                bump(&self.counters.snapshot_retries, 1);
-                drop(wstore);
-                first_attempt = false;
-                continue;
-            }
-            if let Some(buf) = base {
-                self.shard(p).pages[page.index()].copy = Some(buf);
-            }
-            self.apply_plan(&mut wstore, p, &plan);
-            drop(wstore);
-            let mut shard = self.shard(p);
-            let entry = &mut shard.pages[page.index()];
-            entry.pending.clear();
-            entry.valid = true;
-            return;
-        }
-    }
-
-    /// Completes a barrier episode at `master`: merge all knowledge, send
-    /// exit messages with the notices each processor lacks, and apply the
-    /// policy. Runs on the last arriver's thread; every other processor is
-    /// parked by the runtime awaiting the episode, so the completion holds
-    /// the store's write lock across the whole compound update.
-    fn complete_barrier(&self, master: ProcId) {
-        let n = self.cfg.n_procs;
-        // A dead processor contributes its knowledge (its frozen clock
-        // names only intervals that were flushed into the store when it
-        // was declared dead) but receives nothing: no exit message, no
-        // notices, no clock merge. Its frames were reset at death — the
-        // catch-up happens at rejoin, against its checkpoint.
-        let dead: Vec<bool> = ProcId::all(n).map(|r| self.shard(r).dead).collect();
-        let mut merged = VectorClock::new(n);
-        for r in ProcId::all(n) {
-            merged.merge(&Self::knowledge_of(&self.shard(r).clock, r));
-        }
-        let mut store = self.store.write();
-        // Compute per-processor missing notices against pre-merge clocks.
-        let missing: Vec<Vec<crate::WriteNotice>> = ProcId::all(n)
-            .map(|r| {
-                if dead[r.index()] {
-                    return Vec::new();
-                }
-                if self.cfg.mutation == ProtocolMutation::DroppedClockMerge {
-                    // Mutation testing: the master computes each
-                    // processor's exit notices against that processor's
-                    // OWN knowledge instead of the episode's merged clock
-                    // — nobody learns what their peers wrote before the
-                    // barrier. Clocks still merge below, so the loss is
-                    // silent. The history checker must reject the run.
-                    let own = Self::knowledge_of(&self.shard(r).clock, r);
-                    store.notices_missing(&self.shard(r).clock, &own)
-                } else {
-                    store.notices_missing(&self.shard(r).clock, &merged)
-                }
-            })
-            .collect();
-        for r in ProcId::all(n) {
-            if dead[r.index()] {
-                continue;
-            }
-            if r != master {
-                let payload =
-                    BARRIER_ID_BYTES + vc_bytes(n) + Self::notice_bytes(&missing[r.index()]);
-                self.net.send(master, r, MsgKind::BarrierExit, payload);
-            }
-            self.deliver_notices(r, &missing[r.index()]);
-            self.shard(r).clock.merge(&merged);
-        }
-        if self.cfg.policy == Policy::Update {
-            // Every processor pulls the diffs for its cached pages: one
-            // round trip per (cacher, modifier) pair — Table 1's `2u`.
-            for r in ProcId::all(n) {
-                if dead[r.index()] {
-                    continue;
-                }
-                let needed = self.needed_for_cached_pages(r);
-                let plan = FetchPlan::build(&store, r, None, &needed);
-                for (target, diffs) in &plan.targets {
-                    self.fetch_round_trip(
-                        &store,
-                        r,
-                        *target,
-                        diffs,
-                        MsgKind::BarrierDiffRequest,
-                        MsgKind::BarrierDiffReply,
-                    );
-                }
-                let touched = self.apply_plan(&mut store, r, &plan);
-                bump(&self.counters.updates, touched as u64);
-            }
-        }
-        bump(&self.counters.barrier_episodes, 1);
-        // Garbage collection normally pauses while any processor is down:
-        // clearing the interval history would strand both the rejoin
-        // catch-up (the era guard would reject the checkpoint) and cold
-        // misses whose authoritative owner is the dead processor's reset
-        // frame. A configured death lease bounds that pause: once every
-        // dead processor has missed at least `death_lease_episodes`
-        // completed episodes, its lease is marked expired and collection
-        // proceeds — re-homing dead-owned pages onto live frames first —
-        // after which an expired processor can only cold-join from a
-        // checkpoint of the new era. Each deferred round bumps
-        // `gc_deferrals`, so the stall stays observable and bounded.
-        if self.cfg.gc_at_barriers {
-            let any_dead = dead.iter().any(|&d| d);
-            if !any_dead {
-                self.collect_garbage(&mut store, &dead);
-            } else {
-                let episode = self.counters.snapshot().barrier_episodes;
-                let all_dead = dead.iter().all(|&d| d);
-                let leases_expired = !all_dead
-                    && self.cfg.death_lease_episodes.is_some_and(|lease| {
-                        ProcId::all(n)
-                            .filter(|r| dead[r.index()])
-                            .all(|r| episode.saturating_sub(self.shard(r).dead_since) >= lease)
-                    });
-                if leases_expired {
-                    for r in ProcId::all(n).filter(|r| dead[r.index()]) {
-                        self.shard(r).lease_expired = true;
-                    }
-                    self.collect_garbage(&mut store, &dead);
-                } else {
-                    bump(&self.counters.gc_deferrals, 1);
-                }
-            }
-        }
-    }
-
-    /// Barrier-time garbage collection (TreadMarks-style): every processor
-    /// brings its resident pages fully up to date (charged as barrier
-    /// traffic), pages never cached anywhere keep only an owner pointer,
-    /// and the entire interval/diff history is discarded — bumping the
-    /// store's snapshot version so any in-flight plan would revalidate.
-    /// Safe exactly at barrier completion, when every interval has
-    /// performed everywhere.
-    fn collect_garbage(&self, store: &mut IntervalStore, dead: &[bool]) {
-        let n = self.cfg.n_procs;
-        // Validate every resident copy (the update policy already did).
-        if self.cfg.policy == Policy::Invalidate {
-            for r in ProcId::all(n) {
-                if dead[r.index()] {
-                    // A dead processor's frames were reset at death:
-                    // nothing resident to validate.
-                    continue;
-                }
-                let needed = self.needed_for_cached_pages(r);
-                if needed.is_empty() {
-                    continue;
-                }
-                let plan = FetchPlan::build(store, r, None, &needed);
-                for (target, diffs) in &plan.targets {
-                    self.fetch_round_trip(
-                        store,
-                        r,
-                        *target,
-                        diffs,
-                        MsgKind::BarrierDiffRequest,
-                        MsgKind::BarrierDiffReply,
-                    );
-                }
-                let touched = self.apply_plan(store, r, &plan);
-                bump(&self.counters.gc_validated_pages, touched as u64);
-            }
-        }
-        // Record the authoritative owner of every page whose history is
-        // about to disappear, then drop the history and dangling notices.
-        {
-            let mut gc_owner = self.gc_owner.lock();
-            for (page, owner) in store.latest_writers() {
-                gc_owner[page.index()] = Some(owner);
-            }
-        }
-        if dead.iter().any(|&d| d) {
-            self.rehome_dead_owned_pages(store, dead);
-        }
-        for r in ProcId::all(n) {
-            let mut shard = self.shard(r);
-            for entry in &mut shard.pages {
-                entry.pending.clear();
-            }
-        }
-        store.clear();
-        bump(&self.counters.gc_rounds, 1);
-    }
-
-    /// Re-homes every page whose post-GC authoritative owner is dead onto
-    /// a live processor, so the history can be collected while the owner
-    /// is down without losing the only committed copy (a dead processor's
-    /// frames were reset at death, so it can supply nothing).
-    ///
-    /// Per page, in preference order: a live processor already holding a
-    /// resident copy — just brought fully up to date by the collection
-    /// pass — becomes the owner with no data movement; otherwise the page
-    /// is materialized from the death escrow (its committed contents at
-    /// the owner's death, zero if it was never written before this era)
-    /// plus the current era's diff chain applied in happened-before
-    /// order, and installed valid into the lowest-numbered live
-    /// processor's frame. Installing valid is sound exactly here, at
-    /// barrier completion: every recorded interval has performed at every
-    /// live processor. The bytes come from the local escrow replica, not
-    /// the fabric, so no messages are charged.
-    fn rehome_dead_owned_pages(&self, store: &IntervalStore, dead: &[bool]) {
-        let n = self.cfg.n_procs;
-        let orphaned: Vec<PageId> = {
-            let gc_owner = self.gc_owner.lock();
-            gc_owner
-                .iter()
-                .enumerate()
-                .filter(|(_, owner)| owner.is_some_and(|o| dead[o.index()]))
-                .map(|(gi, _)| PageId::new(gi as u32))
-                .collect()
-        };
-        if orphaned.is_empty() {
-            return;
-        }
-        let fallback = ProcId::all(n)
-            .find(|r| !dead[r.index()])
-            .expect("re-homing requires a live processor");
-        for page in orphaned {
-            let resident = ProcId::all(n)
-                .find(|&r| !dead[r.index()] && self.shard(r).pages[page.index()].copy.is_some());
-            let new_owner = match resident {
-                Some(r) => r,
-                None => {
-                    let mut buf = self
-                        .escrow
-                        .lock()
-                        .get(&page)
-                        .cloned()
-                        .unwrap_or_else(|| PageBuf::zeroed(self.space.page_size()));
-                    let mut chain = store.diff_intervals_of_page(page);
-                    chain.sort_by_key(|&iv| {
-                        let w = store
-                            .stamp(iv)
-                            .expect("recorded interval has a stamp")
-                            .clock()
-                            .weight();
-                        (w, iv.proc(), iv.seq())
-                    });
-                    for iv in chain {
-                        store
-                            .diff(iv, page)
-                            .expect("listed diff exists")
-                            .apply_to(&mut buf);
-                    }
-                    {
-                        let mut shard = self.shard(fallback);
-                        let entry = &mut shard.pages[page.index()];
-                        entry.copy = Some(buf);
-                        entry.valid = true;
-                    }
-                    fallback
-                }
-            };
-            self.gc_owner.lock()[page.index()] = Some(new_owner);
-            self.escrow.lock().remove(&page);
-        }
-    }
-
     // ---- crash tolerance ----
-
-    /// True if `p` has been declared dead and has not rejoined.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    pub fn is_dead(&self, p: ProcId) -> bool {
-        self.shard(p).dead
-    }
-
-    /// True while any processor is dead with an *unexpired* rejoin lease.
-    ///
-    /// This is the window in which automatic checkpoint cuts must pause:
-    /// death resets the processor's frames, so a cut taken now would
-    /// record empty frames under a clock that still claims knowledge of
-    /// the processor's own intervals — poisoning it as a rejoin source
-    /// (the catch-up delivery would skip exactly the history the frames
-    /// no longer hold). The pre-death death cut stays the newest
-    /// recoverable state until the processor rejoins, or its lease
-    /// expires and garbage collection re-homes its pages — after which
-    /// post-GC cuts are valid cold-join sources again.
-    pub fn awaiting_rejoin(&self) -> bool {
-        ProcId::all(self.cfg.n_procs).any(|p| {
-            let shard = self.shard(p);
-            shard.dead && !shard.lease_expired
-        })
-    }
-
-    /// Declares `p` dead on the survivors' behalf.
-    ///
-    /// The crash model is a compute-client failure: engine operations are
-    /// atomic, so the crash lands *between* operations. The engine first
-    /// flushes `p`'s open interval (all its committed writes become one
-    /// closed interval in the store — exactly what `p`'s next release
-    /// would have published), then force-releases every lock `p` holds
-    /// (each recorded as an ordinary release so the history stays
-    /// checkable), records the crash marker, resets `p`'s frames to cold,
-    /// and completes any barrier episode that was waiting only on `p`.
-    ///
-    /// The flush comes *before* the lock releases: the moment a
-    /// force-released lock is grantable, the next acquirer reads `p`'s
-    /// clock, which must already cover the flushed interval.
-    ///
-    /// `p`'s clock stays frozen (it is valid knowledge), its frames are
-    /// discarded (a real crash loses them — rejoin restores a checkpoint
-    /// instead), and every subsequent operation by `p` panics until
-    /// [`LrcEngine::rejoin`].
-    ///
-    /// The caller (the runtime's failure detector) must ensure `p`'s
-    /// driving thread has stopped issuing operations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range or already dead.
-    pub fn declare_dead(&self, p: ProcId) -> DeathReport {
-        {
-            let mut shard = self.shard(p);
-            assert!(!shard.dead, "processor {p} is already dead");
-            shard.dead = true;
-            shard.dead_since = self.counters.snapshot().barrier_episodes;
-        }
-        // Flush: every write of the open interval becomes durable history.
-        self.close_interval(p);
-        let held = self.locks.lock().held_by(p);
-        let mut released = Vec::with_capacity(held.len());
-        for lock in held {
-            // Serialize with in-flight acquires of this lock, like any
-            // release would.
-            let mut waited = false;
-            let _gate = self
-                .lock_gates
-                .get(lock.index())
-                .map(|g| gate_lock(g, &mut waited));
-            let grant = self
-                .locks
-                .lock()
-                .release(p, lock)
-                .expect("dead holder releases its own lock");
-            if let Some(rec) = self.recorder() {
-                rec.release(p, lock, grant);
-            }
-            bump(&self.counters.releases, 1);
-            released.push(lock);
-        }
-        if let Some(rec) = self.recorder() {
-            rec.crash(p);
-        }
-        // Park the committed contents of every page whose post-GC
-        // authoritative owner is `p`: the frames are about to be reset,
-        // and a lease-expired collection must still be able to re-home
-        // those pages onto live frames (cold misses would otherwise read
-        // zeros). The store read lock serializes this scan with a
-        // concurrent collection rewriting the owner map. Consumed by
-        // `rehome_dead_owned_pages`.
-        let owned: Vec<PageId> = {
-            let _store = self.store.read();
-            let gc_owner = self.gc_owner.lock();
-            gc_owner
-                .iter()
-                .enumerate()
-                .filter(|(_, owner)| **owner == Some(p))
-                .map(|(gi, _)| PageId::new(gi as u32))
-                .collect()
-        };
-        if !owned.is_empty() {
-            let shard = self.shard(p);
-            let mut escrow = self.escrow.lock();
-            for page in owned {
-                let entry = &shard.pages[page.index()];
-                // Post-flush, the committed contents are the copy (the
-                // twin-first match mirrors the cold-miss supplier path and
-                // covers a capture racing an open interval).
-                let committed = match (&entry.twin, &entry.copy) {
-                    (Some(twin), _) => Some(twin.clone()),
-                    (None, Some(copy)) => Some(copy.clone()),
-                    (None, None) => None,
-                };
-                if let Some(buf) = committed {
-                    escrow.insert(page, buf);
-                }
-            }
-        }
-        {
-            let mut shard = self.shard(p);
-            shard.dirty.clear();
-            for entry in &mut shard.pages {
-                *entry = PageEntry::default();
-            }
-        }
-        let completed_episodes = self.barriers.lock().mark_dead(p);
-        for &(barrier, _) in &completed_episodes {
-            let master = self.barriers.lock().master(barrier);
-            self.complete_barrier(master);
-        }
-        DeathReport {
-            released,
-            completed_episodes,
-        }
-    }
-
-    /// Checks that a checkpoint describes this engine's shape.
-    fn check_shape(&self, ckpt: &crate::EngineCheckpoint) -> Result<(), crate::CheckpointError> {
-        let (n, page_bytes, n_pages) = (
-            self.cfg.n_procs,
-            self.space.page_size().bytes(),
-            self.space.n_pages() as usize,
-        );
-        if (ckpt.n_procs, ckpt.page_bytes, ckpt.n_pages) != (n, page_bytes, n_pages)
-            || ckpt.procs.len() != n
-            || ckpt.owners.len() != n_pages
-        {
-            return Err(crate::CheckpointError::Incompatible(format!(
-                "checkpoint is {}×{}B×{} pages, engine is {n}×{page_bytes}B×{n_pages}",
-                ckpt.n_procs, ckpt.page_bytes, ckpt.n_pages
-            )));
-        }
-        for proc in &ckpt.procs {
-            for frame in &proc.frames {
-                if frame.page.index() >= n_pages {
-                    return Err(crate::CheckpointError::Incompatible(format!(
-                        "frame page {} out of range",
-                        frame.page
-                    )));
-                }
-                if frame
-                    .contents
-                    .as_ref()
-                    .is_some_and(|c| c.len() != page_bytes)
-                {
-                    return Err(crate::CheckpointError::Incompatible(
-                        "frame contents are not page-sized".into(),
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Rebuilds one frame from its checkpoint.
-    fn restore_frame(&self, shard: &mut ProcShard, frame: &crate::FrameCheckpoint) {
-        let entry = &mut shard.pages[frame.page.index()];
-        if let Some(contents) = &frame.contents {
-            let mut buf = PageBuf::zeroed(self.space.page_size());
-            buf.write(0, contents);
-            entry.copy = Some(buf);
-        }
-        entry.valid = frame.valid;
-        entry.pending = frame.pending.clone();
-    }
-
-    /// Records one checkpoint cut shipped by the runtime's automatic
-    /// policy: bumps [`LazyCounters::checkpoints_cut`] and adds the
-    /// encoded bytes that went to the sink (a delta counts its delta
-    /// size, not the full cut it stands for) to
-    /// [`LazyCounters::delta_bytes`]. Pure statistics — the cut itself is
-    /// [`LrcEngine::checkpoint`].
-    pub fn note_checkpoint(&self, shipped_bytes: u64) {
-        bump(&self.counters.checkpoints_cut, 1);
-        bump(&self.counters.delta_bytes, shipped_bytes);
-    }
 
     /// Captures a checkpoint of the whole engine.
     ///
@@ -1665,197 +810,20 @@ impl LrcEngine {
     /// intervals: a dirty page contributes its *twin* (the committed
     /// contents), so uncommitted writes are never checkpointed, exactly as
     /// a real crash would lose them.
-    pub fn checkpoint(&self) -> crate::EngineCheckpoint {
-        let store = self.store.read();
-        let owners = self.gc_owner.lock().clone();
-        let n = self.cfg.n_procs;
-        let mut procs = Vec::with_capacity(n);
-        for p in ProcId::all(n) {
-            let shard = self.shard(p);
-            let mut frames = Vec::new();
-            for (gi, entry) in shard.pages.iter().enumerate() {
-                let contents = match (&entry.twin, &entry.copy) {
-                    (Some(twin), _) => Some(twin.as_bytes().to_vec()),
-                    (None, Some(copy)) => Some(copy.as_bytes().to_vec()),
-                    (None, None) => None,
-                };
-                let frame = crate::FrameCheckpoint {
-                    page: PageId::new(gi as u32),
-                    contents,
-                    valid: entry.valid,
-                    pending: entry.pending.clone(),
-                };
-                if !frame.is_default() {
-                    frames.push(frame);
-                }
-            }
-            procs.push(crate::ProcCheckpoint {
-                clock: shard.clock.clone(),
-                frames,
-            });
-        }
-        crate::EngineCheckpoint {
-            n_procs: n,
-            page_bytes: self.space.page_size().bytes(),
-            n_pages: self.space.n_pages() as usize,
-            episode: self.counters.snapshot().barrier_episodes,
-            store_era: store.version(),
-            owners,
-            store: store.export(),
-            procs,
-        }
+    pub fn checkpoint(&self) -> P::Checkpoint {
+        P::checkpoint(self)
     }
 
     /// Restores a whole-engine checkpoint into this (freshly built)
-    /// engine: the interval store, owner table, and every processor's
-    /// frames and clock are replaced. Locks must be free and no barrier
-    /// episode in progress — the checkpoint was cut at a synchronization
-    /// point, and lock/barrier state is not checkpointed.
+    /// engine. Locks must be free and no barrier episode in progress — the
+    /// checkpoint was cut at a synchronization point, and lock/barrier
+    /// state is not checkpointed.
     ///
     /// # Errors
     ///
-    /// [`crate::CheckpointError::Incompatible`] if the checkpoint
-    /// describes a different engine shape.
-    pub fn restore(&self, ckpt: &crate::EngineCheckpoint) -> Result<(), crate::CheckpointError> {
-        self.check_shape(ckpt)?;
-        let mut store = self.store.write();
-        *store = IntervalStore::import(self.cfg.n_procs, ckpt.store_era, &ckpt.store);
-        *self.gc_owner.lock() = ckpt.owners.clone();
-        self.escrow.lock().clear();
-        for p in ProcId::all(self.cfg.n_procs) {
-            let mut shard = self.shard(p);
-            shard.clock = ckpt.procs[p.index()].clock.clone();
-            shard.dirty.clear();
-            shard.dead = false;
-            shard.dead_since = 0;
-            shard.lease_expired = false;
-            for entry in &mut shard.pages {
-                *entry = PageEntry::default();
-            }
-            for frame in &ckpt.procs[p.index()].frames {
-                self.restore_frame(&mut shard, frame);
-            }
-        }
-        Ok(())
-    }
-
-    /// Rejoins dead processor `p` from a checkpoint of this run.
-    ///
-    /// The checkpoint's frames and clock are restored, then `p` catches up
-    /// through the normal protocol: every write notice between the
-    /// checkpoint's knowledge and the cluster's current knowledge (the
-    /// survivors' merged clocks, plus `p`'s own intervals flushed at
-    /// death) is delivered into the restored frames, and any page with
-    /// unapplied notices is invalidated — under *both* policies — so the
-    /// next access pulls diffs through the ordinary miss path. Diffs of
-    /// `p`'s own flushed intervals are reapplied from local possession
-    /// (see [`FetchPlan::build`]).
-    ///
-    /// After rejoin the application must resynchronize (acquire or
-    /// barrier) before trusting shared data, like any release-consistent
-    /// reader.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::CheckpointError::Incompatible`] if the shape mismatches,
-    /// `p` is not dead, or the store has been garbage-collected since the
-    /// checkpoint was captured (the catch-up history is gone — restart
-    /// from a full restore instead).
-    /// [`crate::CheckpointError::LeaseExpired`] when that collection was
-    /// the deliberate result of `p`'s rejoin lease running out
-    /// ([`LrcConfig::death_lease_episodes`]): no pre-collection checkpoint
-    /// can ever succeed again, so the node must cold-join from the latest
-    /// checkpoint shipped after the collection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    pub fn rejoin(
-        &self,
-        p: ProcId,
-        ckpt: &crate::EngineCheckpoint,
-    ) -> Result<(), crate::CheckpointError> {
-        self.check_shape(ckpt)?;
-        let n = self.cfg.n_procs;
-        {
-            let store = self.store.read();
-            if store.version() != ckpt.store_era {
-                let why = format!(
-                    "store era {} differs from checkpoint era {}: the \
-                     catch-up history was garbage-collected",
-                    store.version(),
-                    ckpt.store_era
-                );
-                // A lease-expired processor's history was collected *on
-                // purpose*: the typed error tells the runtime to cold-join
-                // from the latest shipped checkpoint instead of retrying.
-                return Err(if self.shard(p).lease_expired {
-                    crate::CheckpointError::LeaseExpired(why)
-                } else {
-                    crate::CheckpointError::Incompatible(why)
-                });
-            }
-            // Target knowledge: the checkpoint's own view, every live
-            // survivor's knowledge, and p's own flushed intervals.
-            let ckpt_clock = &ckpt.procs[p.index()].clock;
-            let have = Self::knowledge_of(ckpt_clock, p);
-            let mut want = have.clone();
-            for r in ProcId::all(n) {
-                if r == p {
-                    continue;
-                }
-                let shard_r = self.shard(r);
-                if !shard_r.dead {
-                    want.merge(&Self::knowledge_of(&shard_r.clock, r));
-                }
-            }
-            let latest = store.latest_seq(p);
-            if want.get(p) < latest {
-                want.set(p, latest);
-            }
-            let notices = store.notices_missing(&have, &want);
-
-            let mut shard = self.shard(p);
-            if !shard.dead {
-                return Err(crate::CheckpointError::Incompatible(format!(
-                    "processor {p} is not declared dead"
-                )));
-            }
-            shard.dirty.clear();
-            for entry in &mut shard.pages {
-                *entry = PageEntry::default();
-            }
-            for frame in &ckpt.procs[p.index()].frames {
-                self.restore_frame(&mut shard, frame);
-            }
-            // Catch-up delivery. Unlike deliver_notices this may carry
-            // p's *own* post-checkpoint intervals, and it invalidates
-            // under the update policy too: rejoin is not an acquire, so
-            // nothing will pull for cached pages afterwards — the miss
-            // path must.
-            bump(&self.counters.notices_received, notices.len() as u64);
-            for notice in &notices {
-                let entry = &mut shard.pages[notice.page.index()];
-                entry.pending.push(notice.interval);
-                if entry.valid {
-                    entry.valid = false;
-                    bump(&self.counters.invalidations, 1);
-                }
-            }
-            // Advance the clock past everything just delivered, so the
-            // next synchronization does not re-deliver the same notices
-            // (duplicate pendings would poison the fetch planner). The
-            // own entry reopens past both the checkpoint's open interval
-            // and the flushed history.
-            let mut clock = ckpt_clock.clone();
-            clock.merge(&want);
-            clock.set(p, ckpt_clock.get(p).max(latest + 1));
-            shard.clock = clock;
-            shard.dead = false;
-            shard.dead_since = 0;
-            shard.lease_expired = false;
-        }
-        self.barriers.lock().revive(p);
-        Ok(())
+    /// [`CheckpointError::Incompatible`] if the checkpoint describes a
+    /// different engine shape.
+    pub fn restore(&self, ckpt: &P::Checkpoint) -> Result<(), CheckpointError> {
+        P::restore(self, ckpt)
     }
 }

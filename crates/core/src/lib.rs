@@ -28,7 +28,7 @@
 //!   shared pages never ping-pong.
 //! * **The §4.3.3 optimization** — a processor holding an *invalidated*
 //!   copy fetches only diffs, never the whole page. (Disable with
-//!   [`LrcConfig::full_page_misses`] to measure its effect.)
+//!   [`EngineParams::full_page_misses`] to measure its effect.)
 //!
 //! The engine maintains *real page contents*: every write carries bytes,
 //! twins and diffs are real, and reads return exactly what a DSM would
@@ -36,14 +36,25 @@
 //! The trace-driven simulator (`lrc-sim`) and the threaded runtime
 //! (`lrc-dsm`) are both thin drivers around [`LrcEngine`].
 //!
+//! Everything that is *not* specific to laziness — the per-processor
+//! shards and the cached read/write path over them, the lock table and
+//! barrier set, the slow-path gates, counters, fabric and recorder hook —
+//! lives in the protocol-independent [`Engine`] / [`EngineCore`], which
+//! the eager baseline (`lrc-eager`) plugs into at the same four
+//! [`Protocol`] points.
+//!
 //! # Example
 //!
 //! ```
-//! use lrc_core::{LrcConfig, LrcEngine, Policy};
+//! use lrc_core::{EngineParams, LrcEngine, Policy};
 //! use lrc_sync::LockId;
 //! use lrc_vclock::ProcId;
 //!
-//! let dsm = LrcEngine::new(LrcConfig::new(2, 1 << 16).policy(Policy::Invalidate))?;
+//! let params = EngineParams {
+//!     n_procs: 2,
+//!     ..EngineParams::default()
+//! };
+//! let dsm = LrcEngine::new(Policy::Invalidate, &params)?;
 //! let (p0, p1, l) = (ProcId::new(0), ProcId::new(1), LockId::new(0));
 //!
 //! dsm.acquire(p0, l)?;
@@ -59,22 +70,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod checkpoint;
+pub mod checkpoint;
 mod config;
 mod counters;
 mod engine;
+mod lazy;
 mod pagestate;
 mod plan;
 mod remote;
-pub mod slowpath;
+mod slowpath;
 mod store;
 
 pub use checkpoint::{
     CheckpointDelta, CheckpointError, EngineCheckpoint, FrameCheckpoint, ProcCheckpoint, StoreEntry,
 };
-pub use config::{ConfigError, LrcConfig, Policy, ProtocolMutation, MAX_PROCS};
-pub use counters::LazyCounters;
-pub use engine::{DeathReport, LrcEngine};
+pub use config::{ConfigError, EngineParams, Policy, ProtocolMutation, MAX_PROCS};
+pub use counters::{bump, CounterCells, EngineCounters};
+pub use engine::{Engine, EngineCore, Protocol, Shard};
+pub use lazy::{DeathReport, Lazy, LazyShard, LrcEngine, Pending};
+pub use pagestate::Frame;
 pub use plan::FetchPlan;
 pub use remote::{EngineOp, EngineOpError};
 pub use slowpath::FetchHook;

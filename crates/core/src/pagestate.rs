@@ -1,30 +1,32 @@
 use lrc_pagemem::{PageBuf, PageSize};
-use lrc_vclock::IntervalId;
 
-/// One processor's view of one page.
+/// One processor's frame of one page — the part of the page table both
+/// protocol families share.
 ///
-/// Invariants maintained by the engine:
+/// Invariants maintained by the engines:
 ///
-/// * `valid` implies `copy.is_some()` and `pending.is_empty()` — a valid
-///   copy reflects every modification the processor has been noticed about;
-/// * `twin.is_some()` iff the page is dirty in the current interval;
-/// * `pending` holds notices (in arrival order) whose diffs have not yet
-///   been applied to `copy`. Pages never cached (`copy.is_none()`) keep
-///   accumulating notices so a cold miss knows the page's full known write
-///   history.
+/// * `valid` implies `copy.is_some()` — a valid copy reflects every
+///   modification the processor has been told about;
+/// * `twin.is_some()` iff the page is dirty in the current interval
+///   (lazy) or epoch (eager).
+///
+/// Protocol-specific per-page state is the extension `E` (the lazy
+/// protocol's pending write notices; nothing, and therefore no bytes, for
+/// the eager baseline): every processor holds a frame for every page, so
+/// the frame stays as small as each protocol needs.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct PageEntry {
+pub struct Frame<E> {
     /// The processor's copy of the page, if it ever fetched or wrote it.
     pub copy: Option<PageBuf>,
     /// Twin made before the first write of the current interval.
     pub twin: Option<PageBuf>,
     /// True if `copy` reflects all known modifications.
     pub valid: bool,
-    /// Noticed-but-unapplied intervals that modified this page.
-    pub pending: Vec<IntervalId>,
+    /// The protocol's per-page state.
+    pub ext: E,
 }
 
-impl PageEntry {
+impl<E> Frame<E> {
     /// True if the page is writable in the current interval (dirty).
     pub fn is_dirty(&self) -> bool {
         self.twin.is_some()
@@ -48,12 +50,30 @@ impl PageEntry {
             self.twin = Some(copy.clone());
         }
     }
+
+    /// The last *committed* contents: the twin of a dirty page (kept in
+    /// sync with every applied diff), else the copy. A dirty page's live
+    /// copy holds uncommitted writes that must not leak — to a faulting
+    /// processor, a checkpoint, or the death escrow — before their
+    /// release. `None` for a page never resident.
+    pub fn committed(&self) -> Option<&PageBuf> {
+        self.twin.as_ref().or(self.copy.as_ref())
+    }
+
+    /// Installs checkpointed state: `contents` (page-sized, if the page
+    /// was resident) and the validity bit.
+    pub fn install(&mut self, contents: Option<&[u8]>, valid: bool, size: PageSize) {
+        if let Some(contents) = contents {
+            self.copy_mut(size).write(0, contents);
+        }
+        self.valid = valid;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrc_vclock::ProcId;
+    use lrc_vclock::{IntervalId, ProcId};
 
     fn size() -> PageSize {
         PageSize::new(128).unwrap()
@@ -61,16 +81,16 @@ mod tests {
 
     #[test]
     fn default_entry_is_cold() {
-        let e = PageEntry::default();
+        let e = Frame::<()>::default();
         assert!(e.copy.is_none());
         assert!(!e.valid);
         assert!(!e.is_dirty());
-        assert!(e.pending.is_empty());
+        assert!(e.committed().is_none());
     }
 
     #[test]
     fn copy_mut_materializes_zeroed_page() {
-        let mut e = PageEntry::default();
+        let mut e = Frame::<()>::default();
         let copy = e.copy_mut(size());
         assert!(copy.as_bytes().iter().all(|&b| b == 0));
         copy.write(0, &[5]);
@@ -79,7 +99,7 @@ mod tests {
 
     #[test]
     fn ensure_twin_snapshots_once() {
-        let mut e = PageEntry::default();
+        let mut e = Frame::<()>::default();
         e.copy_mut(size()).write(0, &[1]);
         e.ensure_twin();
         assert!(e.is_dirty());
@@ -87,19 +107,21 @@ mod tests {
         e.copy.as_mut().unwrap().write(0, &[2]);
         e.ensure_twin();
         assert_eq!(e.twin.as_ref().unwrap().as_bytes()[0], 1);
+        assert_eq!(e.committed().unwrap().as_bytes()[0], 1, "twin, not copy");
     }
 
     #[test]
     #[should_panic(expected = "resident copy")]
     fn twin_requires_copy() {
-        let mut e = PageEntry::default();
+        let mut e = Frame::<()>::default();
         e.ensure_twin();
     }
 
     #[test]
     fn pending_tracks_notices() {
-        let mut e = PageEntry::default();
-        e.pending.push(IntervalId::new(ProcId::new(1), 3));
-        assert_eq!(e.pending.len(), 1);
+        let mut e = Frame::<Vec<IntervalId>>::default();
+        assert!(e.ext.is_empty());
+        e.ext.push(IntervalId::new(ProcId::new(1), 3));
+        assert_eq!(e.ext.len(), 1);
     }
 }

@@ -4,13 +4,13 @@
 //! A message-passing deployment (`lrc-net` + `lrc-dsm`'s node runtime)
 //! hosts processors on nodes that are not colocated with the engine. Those
 //! processors' shared-memory and synchronization operations arrive as
-//! decoded frames; [`EngineOp`] is their in-memory form. Data-plane
-//! operations (reads, writes, and through them miss resolution) dispatch
-//! through `LrcEngine::apply_op` (and its eager / `AnyEngine`
-//! counterparts); synchronization operations are non-blocking at the
-//! engine, so the node runtime routes them through its blocking wrappers
-//! (`lrc-dsm`'s `ProcHandle`), which retry contended acquires and park on
-//! barrier episodes before reaching the same engine calls.
+//! decoded frames; [`EngineOp`] is their in-memory form.
+//! [`Engine::apply_op`](crate::Engine::apply_op) dispatches one into an
+//! engine of either family directly. Synchronization operations are
+//! non-blocking at the engine, so the node runtime applies requests
+//! through its blocking wrappers instead (`lrc-dsm`'s `ProcHandle::apply`),
+//! which retry contended acquires and park on barrier episodes before
+//! reaching the same engine calls.
 
 use std::error::Error;
 use std::fmt;

@@ -1,9 +1,6 @@
-//! Slow-path bookkeeping shared by both protocol engine families
-//! ([`LrcEngine`](crate::LrcEngine) here, `EagerEngine` in `lrc-eager`):
-//! in-flight gauges, contended-gate accounting, and the miss-fetch
-//! instrumentation hook. One definition so the wait/overlap semantics —
-//! what the contention counters *mean* — cannot silently diverge between
-//! the engines.
+//! Slow-path bookkeeping primitives behind
+//! [`EngineCore`](crate::EngineCore)'s gate preamble: in-flight gauges,
+//! contended-gate accounting, and the miss-fetch instrumentation hook.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,10 +14,9 @@ use parking_lot::{Mutex, MutexGuard};
 /// during the *fetch phase* — after the fetch plan is built and its
 /// request/reply round trips are charged, before the plan is applied. At
 /// that point the engine holds no shared-structure lock for the miss
-/// (only the missed page's gate, plus the engine-wide serialization mutex
-/// under the `serialize_slow_paths` baseline), so a hook that blocks or
-/// sleeps models a stalled network fetch: concurrent misses on *other*
-/// pages and synchronization on unrelated locks must keep flowing.
+/// (only the missed page's gate), so a hook that blocks or sleeps models a
+/// stalled network fetch: concurrent misses on *other* pages and
+/// synchronization on unrelated locks must keep flowing.
 pub type FetchHook = Box<dyn Fn(ProcId, PageId) + Send + Sync>;
 
 /// A write-once [`FetchHook`] slot with a `Debug` that does not require

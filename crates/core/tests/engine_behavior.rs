@@ -1,7 +1,7 @@
 //! Behavioral tests for the LRC engine: the protocol properties the paper
 //! states, asserted against real message traffic and real page contents.
 
-use lrc_core::{LrcConfig, LrcEngine, Policy};
+use lrc_core::{EngineParams, LrcEngine, Policy};
 use lrc_simnet::{MsgKind, OpClass, MSG_HEADER_BYTES};
 use lrc_sync::{BarrierId, LockId};
 use lrc_vclock::ProcId;
@@ -20,7 +20,16 @@ fn b(i: u32) -> BarrierId {
 
 /// 4 procs, 16 pages of 512 bytes.
 fn engine(policy: Policy) -> LrcEngine {
-    LrcEngine::new(LrcConfig::new(4, 16 * 512).page_size(512).policy(policy)).unwrap()
+    LrcEngine::new(policy, &params()).unwrap()
+}
+
+fn params() -> EngineParams {
+    EngineParams {
+        n_procs: 4,
+        mem_bytes: 16 * 512,
+        page_bytes: 512,
+        ..EngineParams::default()
+    }
 }
 
 #[test]
@@ -191,11 +200,11 @@ fn warm_miss_moves_diffs_not_pages() {
 #[test]
 fn full_page_miss_ablation_inflates_data() {
     let run = |full_page: bool| -> u64 {
-        let mut cfg = LrcConfig::new(4, 16 * 512).page_size(512);
-        if full_page {
-            cfg = cfg.full_page_misses();
-        }
-        let dsm = LrcEngine::new(cfg).unwrap();
+        let params = EngineParams {
+            full_page_misses: full_page,
+            ..params()
+        };
+        let dsm = LrcEngine::new(Policy::Invalidate, &params).unwrap();
         dsm.acquire(p(0), l(0)).unwrap();
         dsm.write_u64(p(0), 0, 1);
         dsm.release(p(0), l(0)).unwrap();
@@ -219,11 +228,11 @@ fn full_page_miss_ablation_inflates_data() {
 #[test]
 fn no_piggyback_ablation_adds_messages() {
     let run = |piggyback: bool| -> u64 {
-        let mut cfg = LrcConfig::new(4, 16 * 512).page_size(512);
-        if !piggyback {
-            cfg = cfg.no_piggyback();
-        }
-        let dsm = LrcEngine::new(cfg).unwrap();
+        let params = EngineParams {
+            piggyback_notices: piggyback,
+            ..params()
+        };
+        let dsm = LrcEngine::new(Policy::Invalidate, &params).unwrap();
         dsm.acquire(p(1), l(0)).unwrap();
         dsm.write_u64(p(1), 0, 1);
         dsm.release(p(1), l(0)).unwrap();

@@ -1,7 +1,7 @@
 //! Tests of barrier-time garbage collection — the TreadMarks-style answer
 //! to the unbounded consistency-history problem the paper leaves open.
 
-use lrc_core::{LrcConfig, LrcEngine, Policy};
+use lrc_core::{EngineParams, LrcEngine, Policy};
 use lrc_sync::{BarrierId, LockId};
 use lrc_vclock::ProcId;
 
@@ -9,14 +9,18 @@ fn p(i: u16) -> ProcId {
     ProcId::new(i)
 }
 
+fn params(gc_at_barriers: bool) -> EngineParams {
+    EngineParams {
+        n_procs: 4,
+        mem_bytes: 16 * 512,
+        page_bytes: 512,
+        gc_at_barriers,
+        ..EngineParams::default()
+    }
+}
+
 fn engine(policy: Policy) -> LrcEngine {
-    LrcEngine::new(
-        LrcConfig::new(4, 16 * 512)
-            .page_size(512)
-            .policy(policy)
-            .gc_at_barriers(),
-    )
-    .unwrap()
+    LrcEngine::new(policy, &params(true)).unwrap()
 }
 
 #[test]
@@ -49,12 +53,7 @@ fn gc_empties_the_store_at_every_barrier() {
 #[test]
 fn without_gc_the_store_grows_unboundedly() {
     let mut with = engine(Policy::Invalidate);
-    let mut without = LrcEngine::new(
-        LrcConfig::new(4, 16 * 512)
-            .page_size(512)
-            .policy(Policy::Invalidate),
-    )
-    .unwrap();
+    let mut without = LrcEngine::new(Policy::Invalidate, &params(false)).unwrap();
     for dsm in [&mut with, &mut without] {
         for round in 0..10u64 {
             for i in 0..4u16 {

@@ -2,7 +2,7 @@
 //! the cold-miss base copy leaking a supplier's *uncommitted* open-interval
 //! writes, and a failed (contended) acquire mutating interval state.
 
-use lrc_core::{LrcConfig, LrcEngine, Policy};
+use lrc_core::{EngineParams, LrcEngine, Policy};
 use lrc_sync::{LockError, LockId};
 use lrc_vclock::ProcId;
 
@@ -16,7 +16,13 @@ fn l(i: u32) -> LockId {
 
 /// 4 procs, 16 pages of 512 bytes.
 fn engine(policy: Policy) -> LrcEngine {
-    LrcEngine::new(LrcConfig::new(4, 16 * 512).page_size(512).policy(policy)).unwrap()
+    let params = EngineParams {
+        n_procs: 4,
+        mem_bytes: 16 * 512,
+        page_bytes: 512,
+        ..EngineParams::default()
+    };
+    LrcEngine::new(policy, &params).unwrap()
 }
 
 /// A cold miss whose base copy ships from a processor with an *open*

@@ -2,8 +2,8 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use lrc_core::{ConfigError, ProtocolMutation};
-use lrc_sim::{AnyEngine, EngineParams, ProtocolKind};
+use lrc_core::{ConfigError, EngineParams, ProtocolMutation};
+use lrc_sim::{AnyEngine, ProtocolKind};
 
 use crate::cluster::Dsm;
 use crate::recovery::{AutoCheckpointer, CheckpointPolicy, CheckpointSink, MemorySink};
@@ -87,46 +87,35 @@ impl DsmBuilder {
     }
 
     /// Enables barrier-time garbage collection of consistency information
-    /// (lazy protocols only; see [`lrc_core::LrcConfig::gc_at_barriers`]).
+    /// (shapes the lazy protocols only, a no-op on the eager ones; see
+    /// [`EngineParams::gc_at_barriers`]).
     pub fn gc_at_barriers(mut self) -> Self {
         self.params.gc_at_barriers = true;
         self
     }
 
-    /// Disables write-notice piggybacking (lazy protocols only; the
-    /// ablation of [`lrc_core::LrcConfig::piggyback_notices`]).
+    /// Disables write-notice piggybacking (the ablation of
+    /// [`EngineParams::piggyback_notices`]; a no-op on the eager
+    /// protocols).
     pub fn no_piggyback(mut self) -> Self {
         self.params.piggyback_notices = false;
         self
     }
 
-    /// Merges same-destination protocol messages that travel together
-    /// anyway (see [`lrc_core::LrcConfig::coalesce_notices`]).
-    pub fn coalesce_notices(mut self) -> Self {
-        self.params.coalesce_notices = true;
-        self
-    }
-
-    /// Ships whole pages on warm misses (lazy protocols only; the ablation
-    /// of [`lrc_core::LrcConfig::full_page_misses`]).
+    /// Ships whole pages on warm misses (the ablation of
+    /// [`EngineParams::full_page_misses`]; a no-op on the eager
+    /// protocols).
     pub fn full_page_misses(mut self) -> Self {
         self.params.full_page_misses = true;
         self
     }
 
     /// Selects a deliberately-broken protocol variant (mutation testing
-    /// of the history checker; lazy protocols only — see
-    /// [`lrc_core::ProtocolMutation`]).
+    /// of the history checker — see [`lrc_core::ProtocolMutation`]). Lazy
+    /// protocols only: [`DsmBuilder::build`] refuses a non-stock mutation
+    /// on an eager one.
     pub fn mutation(mut self, mutation: ProtocolMutation) -> Self {
         self.params.mutation = mutation;
-        self
-    }
-
-    /// Serializes every engine slow path on one engine-wide mutex — the
-    /// pre-split measurement baseline (see
-    /// [`lrc_core::LrcConfig::serialize_slow_paths`]). Benchmarks only.
-    pub fn serialize_slow_paths(mut self) -> Self {
-        self.params.serialize_slow_paths = true;
         self
     }
 
@@ -145,21 +134,13 @@ impl DsmBuilder {
     /// the holder (its open interval is flushed, its locks force-released)
     /// and retries the acquire; a barrier waiter suspects every live
     /// processor yet to arrive, completing the episode on their behalf.
-    /// Lazy protocols only; the eager baseline has no crash story.
-    /// Default: never suspect.
+    /// Lazy protocols only — the eager baseline has no crash story, and
+    /// [`DsmBuilder::build`] refuses the option on it. Default: never
+    /// suspect.
     ///
     /// Distinct from [`DsmBuilder::wait_timeout`], which *panics* on a
     /// stuck wait — this one recovers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the builder's protocol is eager.
     pub fn holder_timeout(mut self, timeout: Duration) -> Self {
-        assert!(
-            self.kind.is_lazy(),
-            "holder timeout requires a lazy protocol; {} has no crash story",
-            self.kind
-        );
         self.holder_timeout = Some(timeout);
         self
     }
@@ -197,8 +178,9 @@ impl DsmBuilder {
 
     /// Bounds how long a dead processor's rejoin lease keeps barrier-time
     /// garbage collection on hold, in barrier episodes (lazy protocols
-    /// with [`DsmBuilder::gc_at_barriers`]; see
-    /// [`lrc_core::LrcConfig::death_lease_episodes`]). While the lease is
+    /// with [`DsmBuilder::gc_at_barriers`] — [`DsmBuilder::build`] refuses
+    /// it on an eager one; see
+    /// [`EngineParams::death_lease_episodes`]). While the lease is
     /// live, GC defers (bounded `gc_deferrals` in the counters) so the
     /// dead processor can still rejoin from pre-death cuts; once it
     /// expires, GC proceeds, the store era advances, and rejoin needs a
@@ -213,7 +195,13 @@ impl DsmBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if the parameters do not validate.
+    /// Returns [`ConfigError`] if the parameters do not validate. One rule
+    /// covers every option that selects lazy-only *behaviour*
+    /// ([`DsmBuilder::holder_timeout`], [`DsmBuilder::death_lease`], a
+    /// non-stock [`DsmBuilder::mutation`]): on an eager protocol it is
+    /// [`ConfigError::LazyOnly`], never a panic and never silently
+    /// ignored. The three ablation flags only shape lazy traffic and are
+    /// accepted as no-ops.
     ///
     /// # Panics
     ///
@@ -221,6 +209,9 @@ impl DsmBuilder {
     /// [`DsmBuilder::checkpoint_policy`] — the supervisor would have
     /// nothing to rejoin from.
     pub fn build(self) -> Result<Dsm, ConfigError> {
+        if self.holder_timeout.is_some() && !self.kind.is_lazy() {
+            return Err(ConfigError::LazyOnly("holder_timeout"));
+        }
         let engine = AnyEngine::build(self.kind, &self.params)?;
         let recovery = self.checkpoint_policy.map(|policy| {
             let sink = self
@@ -235,8 +226,6 @@ impl DsmBuilder {
         Ok(Dsm::from_engine(
             engine,
             self.kind,
-            self.params.n_locks,
-            self.params.n_barriers,
             self.wait_timeout,
             self.holder_timeout,
             recovery,
@@ -270,5 +259,39 @@ mod tests {
         assert!(gc.is_ok());
         assert_eq!(dsm.n_procs(), 3);
         assert_eq!(dsm.kind(), ProtocolKind::EagerUpdate);
+    }
+
+    /// Every (option × family) cell: options that select lazy-only
+    /// behaviour are typed refusals on the eager kinds; the ablation
+    /// flags are accepted everywhere.
+    #[test]
+    fn lazy_only_options_are_refused_on_eager_kinds() {
+        type Setter = fn(DsmBuilder) -> DsmBuilder;
+        let options: [(&str, Setter, Option<&str>); 6] = [
+            (
+                "holder_timeout",
+                |b| b.holder_timeout(Duration::from_millis(50)),
+                Some("holder_timeout"),
+            ),
+            ("death_lease", |b| b.death_lease(2), Some("death_lease")),
+            (
+                "mutation",
+                |b| b.mutation(ProtocolMutation::DropNotices),
+                Some("mutation"),
+            ),
+            ("gc_at_barriers", |b| b.gc_at_barriers(), None),
+            ("no_piggyback", |b| b.no_piggyback(), None),
+            ("full_page_misses", |b| b.full_page_misses(), None),
+        ];
+        for (name, set, lazy_only) in options {
+            for kind in ProtocolKind::ALL {
+                let built = set(DsmBuilder::new(kind, 2, 1 << 14)).build();
+                let expected = match lazy_only {
+                    Some(option) if !kind.is_lazy() => Some(ConfigError::LazyOnly(option)),
+                    _ => None,
+                };
+                assert_eq!(built.err(), expected, "{name} on {kind}");
+            }
+        }
     }
 }

@@ -117,7 +117,7 @@ impl Cluster {
     pub(crate) fn suspect_lock_holder(&self, lock: LockId, generation: u64, p: ProcId) -> bool {
         let _serialized = self.suspicion.lock();
         let current = *self.lock_slots[lock.index()].generation.lock();
-        if current != generation || self.engine.lock_holder(lock) != Some(p) {
+        if current != generation || self.engine.core().lock_holder(lock) != Some(p) {
             return false;
         }
         if self.engine.is_dead(p) {
@@ -208,23 +208,16 @@ pub struct Dsm {
 }
 
 impl Dsm {
-    // A crate-internal constructor mirroring the builder's knobs 1:1;
-    // bundling them into a struct would just restate DsmBuilder.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_engine(
         engine: AnyEngine,
         kind: ProtocolKind,
-        n_locks: usize,
-        n_barriers: usize,
         wait_timeout: Option<Duration>,
         holder_timeout: Option<Duration>,
         recovery: Option<Arc<crate::recovery::AutoCheckpointer>>,
         supervise: Option<Duration>,
     ) -> Self {
-        let n_procs = match &engine {
-            AnyEngine::Lazy(e) => e.config().n_procs,
-            AnyEngine::Eager(e) => e.config().n_procs,
-        };
+        let params = engine.core().params();
+        let (n_procs, n_locks, n_barriers) = (params.n_procs, params.n_locks, params.n_barriers);
         let cluster = Arc::new(Cluster {
             engine,
             lock_slots: (0..n_locks)
@@ -265,7 +258,7 @@ impl Dsm {
     /// Panics if a recorder is already attached or its processor count
     /// differs from the engine's.
     pub fn attach_recorder(&self, recorder: Arc<HistoryRecorder>) {
-        self.cluster.engine.attach_recorder(recorder);
+        self.cluster.engine.core().attach_recorder(recorder);
     }
 
     /// The shared protocol engine — for inspection (counters, fabric

@@ -309,13 +309,6 @@ pub(crate) struct AutoCheckpointer {
     state: Mutex<CutState>,
 }
 
-fn episodes_of(engine: &AnyEngine) -> u64 {
-    match engine {
-        AnyEngine::Lazy(e) => e.counters().barrier_episodes,
-        AnyEngine::Eager(e) => e.counters().barrier_episodes,
-    }
-}
-
 impl AutoCheckpointer {
     pub(crate) fn new(policy: CheckpointPolicy, sink: Arc<dyn CheckpointSink>) -> AutoCheckpointer {
         AutoCheckpointer {
@@ -348,7 +341,7 @@ impl AutoCheckpointer {
             return;
         }
         let mut state = self.state.lock();
-        let episodes = episodes_of(engine);
+        let episodes = engine.core().counters().barrier_episodes;
         let episode_due = self
             .policy
             .every_episodes
@@ -376,7 +369,7 @@ impl AutoCheckpointer {
     /// (sink I/O) are swallowed — the next trigger retries — but the cut
     /// state only advances on success.
     fn cut_locked(&self, state: &mut CutState, engine: &AnyEngine) {
-        let episodes = episodes_of(engine);
+        let episodes = engine.core().counters().barrier_episodes;
         let cut = engine.checkpoint();
         let shipped_bytes = match &cut {
             AnyCheckpoint::Lazy(full) => {
@@ -426,7 +419,7 @@ impl AutoCheckpointer {
             state.last_episode = episodes;
             state.last_cut = Instant::now();
             state.shipped = true;
-            engine.note_checkpoint(bytes as u64);
+            engine.core().note_checkpoint(bytes as u64);
         }
     }
 

@@ -6,12 +6,12 @@
 //! processor's committed page frames. The codec mirrors the lazy one —
 //! little-endian, page-sized raw contents — and shares its error type.
 
+use lrc_core::checkpoint::{read_frame_head, read_header, write_frame_head, write_header, Reader};
 use lrc_core::CheckpointError;
 use lrc_pagemem::PageId;
 use lrc_vclock::ProcId;
 
 const MAGIC: &[u8; 4] = b"ERCK";
-const FORMAT: u16 = 1;
 
 /// One processor's frame of one page (committed contents only — a dirty
 /// page contributes its twin, so uncommitted epoch writes are never
@@ -41,19 +41,11 @@ pub struct EagerCheckpoint {
     pub procs: Vec<Vec<EagerFrame>>,
 }
 
-fn corrupt(why: impl Into<String>) -> CheckpointError {
-    CheckpointError::Corrupt(why.into())
-}
-
 impl EagerCheckpoint {
     /// Serializes the checkpoint.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT.to_le_bytes());
-        out.extend_from_slice(&(self.n_procs as u16).to_le_bytes());
-        out.extend_from_slice(&(self.page_bytes as u32).to_le_bytes());
-        out.extend_from_slice(&(self.n_pages as u32).to_le_bytes());
+        write_header(MAGIC, self.n_procs, self.page_bytes, self.n_pages, &mut out);
         for &(copyset, owner) in &self.dir {
             out.extend_from_slice(&copyset.to_le_bytes());
             out.extend_from_slice(&owner.raw().to_le_bytes());
@@ -61,19 +53,13 @@ impl EagerCheckpoint {
         for frames in &self.procs {
             out.extend_from_slice(&(frames.len() as u32).to_le_bytes());
             for frame in frames {
-                out.extend_from_slice(&frame.page.raw().to_le_bytes());
-                let mut flags = 0u8;
-                if frame.contents.is_some() {
-                    flags |= 1;
-                }
-                if frame.valid {
-                    flags |= 2;
-                }
-                out.push(flags);
-                if let Some(contents) = &frame.contents {
-                    assert_eq!(contents.len(), self.page_bytes, "page-sized contents");
-                    out.extend_from_slice(contents);
-                }
+                write_frame_head(
+                    frame.page,
+                    frame.contents.as_deref(),
+                    frame.valid,
+                    self.page_bytes,
+                    &mut out,
+                );
             }
         }
         out
@@ -81,81 +67,35 @@ impl EagerCheckpoint {
 
     /// Deserializes a checkpoint produced by [`EagerCheckpoint::encode`].
     pub fn decode(bytes: &[u8]) -> Result<EagerCheckpoint, CheckpointError> {
-        let mut at = 0usize;
-        let take = |at: &mut usize, n: usize| -> Result<&[u8], CheckpointError> {
-            let end = at
-                .checked_add(n)
-                .filter(|&end| end <= bytes.len())
-                .ok_or_else(|| corrupt(format!("truncated at byte {at}")))?;
-            let out = &bytes[*at..end];
-            *at = end;
-            Ok(out)
-        };
-        if take(&mut at, 4)? != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let b = take(&mut at, 2)?;
-        let format = u16::from_le_bytes([b[0], b[1]]);
-        if format != FORMAT {
-            return Err(corrupt(format!("unsupported format {format}")));
-        }
-        let b = take(&mut at, 2)?;
-        let n_procs = u16::from_le_bytes([b[0], b[1]]) as usize;
-        let b = take(&mut at, 4)?;
-        let page_bytes = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
-        let b = take(&mut at, 4)?;
-        let n_pages = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
-        if n_procs == 0 || n_pages == 0 || page_bytes == 0 {
-            return Err(corrupt("empty engine shape"));
-        }
-        if n_pages.saturating_mul(10) > bytes.len() {
-            return Err(corrupt("directory larger than the buffer"));
-        }
+        let mut r = Reader::new(bytes);
+        let (n_procs, page_bytes, n_pages) = read_header(&mut r, MAGIC)?;
+        r.fits(n_pages, 10)?;
         let mut dir = Vec::with_capacity(n_pages);
         for _ in 0..n_pages {
-            let b = take(&mut at, 8)?;
-            let copyset = u64::from_le_bytes(b.try_into().expect("eight bytes"));
-            let b = take(&mut at, 2)?;
-            let owner = ProcId::new(u16::from_le_bytes([b[0], b[1]]));
+            let copyset = r.u64()?;
+            let owner = ProcId::new(r.u16()?);
             if owner.index() >= n_procs {
-                return Err(corrupt("directory owner out of range"));
+                return Err(CheckpointError::Corrupt(
+                    "directory owner out of range".into(),
+                ));
             }
             dir.push((copyset, owner));
         }
         let mut procs = Vec::with_capacity(n_procs);
         for _ in 0..n_procs {
-            let b = take(&mut at, 4)?;
-            let n_frames = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
-            if n_frames.saturating_mul(5) > bytes.len() - at {
-                return Err(corrupt("frame count exceeds remaining bytes"));
-            }
+            let n_frames = r.count(5)?;
             let mut frames = Vec::with_capacity(n_frames);
             for _ in 0..n_frames {
-                let b = take(&mut at, 4)?;
-                let page = PageId::new(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-                if page.index() >= n_pages {
-                    return Err(corrupt(format!("frame page {page} out of range")));
-                }
-                let flags = take(&mut at, 1)?[0];
-                if flags & !3 != 0 {
-                    return Err(corrupt(format!("unknown frame flags {flags:#x}")));
-                }
-                let contents = if flags & 1 != 0 {
-                    Some(take(&mut at, page_bytes)?.to_vec())
-                } else {
-                    None
-                };
+                let (page, contents, valid) = read_frame_head(&mut r, page_bytes, n_pages)?;
                 frames.push(EagerFrame {
                     page,
                     contents,
-                    valid: flags & 2 != 0,
+                    valid,
                 });
             }
             procs.push(frames);
         }
-        if at != bytes.len() {
-            return Err(corrupt(format!("{} trailing bytes", bytes.len() - at)));
-        }
+        r.done()?;
         Ok(EagerCheckpoint {
             n_procs,
             page_bytes,

@@ -1,38 +1,14 @@
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, OnceLock};
 
-use lrc_core::slowpath::{gate_lock, raise, settle_contention, FetchHookCell, InFlight};
-use lrc_core::{ConfigError, EngineOp, EngineOpError, FetchHook, Policy};
-use lrc_hist::HistoryRecorder;
-use lrc_pagemem::{AddrSpace, Diff, PageBuf, PageId};
-use lrc_simnet::{
-    invalidation_bytes, Fabric, MsgKind, BARRIER_ID_BYTES, LOCK_ID_BYTES, PAGE_ID_BYTES,
-};
-use lrc_sync::{BarrierArrival, BarrierError, BarrierId, BarrierSet, LockError, LockId, LockTable};
+use lrc_core::{bump, CheckpointError, ConfigError, Engine, EngineCore, Frame, Policy, Protocol};
+use lrc_pagemem::{Diff, PageBuf, PageId};
+use lrc_simnet::{invalidation_bytes, MsgKind, BARRIER_ID_BYTES, LOCK_ID_BYTES, PAGE_ID_BYTES};
+use lrc_sync::{AcquirePath, BarrierId};
 use lrc_vclock::ProcId;
 use parking_lot::lockdep::classes;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
-use crate::counters::{bump, SharedEagerCounters};
-use crate::{EagerConfig, EagerCounters};
-
-/// One processor's view of one page under the eager protocol.
-#[derive(Clone, Debug, Default)]
-struct EPage {
-    copy: Option<PageBuf>,
-    twin: Option<PageBuf>,
-    valid: bool,
-}
-
-/// One processor's private slice of the engine: page table and the pages
-/// dirtied in the current epoch. Ordinary cached accesses take only this
-/// shard's mutex.
-#[derive(Debug)]
-struct EagerShard {
-    pages: Vec<EPage>,
-    dirty: Vec<PageId>,
-}
+use crate::{EagerCheckpoint, EagerFrame};
 
 /// Directory entry: who caches the page and who reconciled it last.
 #[derive(Clone, Copy, Debug)]
@@ -52,776 +28,164 @@ struct EpochMod {
     diff: Diff,
 }
 
-/// The eager release consistency engine (Munin-style write-shared
-/// protocol): modifications propagate to **all cachers at release time**,
-/// access misses go through a directory, and acquires carry no consistency
-/// information.
+/// The eager release consistency protocol (Munin-style write-shared):
+/// modifications propagate to **all cachers at release time**, access
+/// misses go through a directory, and acquires carry no consistency
+/// information. This is its shared state — the page directory and EI's
+/// per-episode modification buffer; per-processor state is just the
+/// shared frames.
 ///
-/// Like [`lrc_core::LrcEngine`], the engine is data-full and charges every
-/// message to an internal [`Fabric`], so lazy and eager runs are directly
-/// comparable. Also like the lazy engine it is internally synchronized —
-/// per-processor shards behind their own mutexes, the directory and
-/// synchronization tables behind fine-grained locks, and atomic statistics
-/// — so every method takes `&self` and a threaded runtime can drive
-/// processors concurrently.
-///
-/// # Concurrency
-///
-/// Slow paths carry no engine-wide mutex; they serialize on the objects
-/// they touch:
-///
-/// * acquire and release of a lock hold that lock's **gate** (one mutex
-///   per lock) — eager acquires perform no consistency actions at all, so
-///   unrelated acquires are fully concurrent;
-/// * a release's (or barrier arrival's) flush holds the **page gates** of
-///   every page it flushes, acquired in ascending page order — the
-///   deadlock-free ordering shared by every multi-gate path — so flushes
-///   of disjoint page sets overlap, while same-page flush/flush and
-///   flush/miss pairs serialize. The invalidation-writeback dance for a
-///   page is therefore atomic: a concurrent writer either flushes before
-///   the invalidator takes the page's gate or contributes its epoch's
-///   writes as a writeback (its twin is consumed and the page leaves its
-///   dirty set under the destination's shard lock);
-/// * directory miss resolution holds the missed page's **gate**: the
-///   directory decision, the content clone, the message charges (with no
-///   directory lock held), and the copyset update cannot interleave with
-///   a flush of the same page;
-/// * an EI barrier episode's *completion* runs on the last arriver's
-///   thread while every other processor is parked by the runtime awaiting
-///   the episode, so it has the engine to itself.
-///
-/// Lock order: serialization mutex (baseline flag only) → lock gate →
-/// page gates (ascending) → directory/table mutexes → shard mutexes. The
-/// directory mutex may be held while taking a shard mutex, never the
-/// reverse; no path holds two shard mutexes at once.
-///
-/// Like the lazy engine, concurrency assumes each processor is driven by
-/// one thread at a time and that barrier arrivers issue nothing until
-/// their episode completes (the `lrc-dsm` runtime enforces both).
-///
-/// See the [crate docs](crate) for an example.
+/// A release's (or barrier arrival's) flush runs inside the gates of
+/// every page it flushes ([`Protocol::flush_set`]), so flushes of disjoint
+/// page sets overlap while same-page flush/flush and flush/miss pairs
+/// serialize. The invalidation-writeback dance for a page is therefore
+/// atomic: a concurrent writer either flushes before the invalidator
+/// takes the page's gate or contributes its epoch's writes as a writeback
+/// (its twin is consumed and the page leaves its dirty set under the
+/// destination's shard lock). A directory entry changes only under its
+/// page's gate. The directory mutex may be held while taking a shard
+/// mutex, never the reverse.
 #[derive(Debug)]
-pub struct EagerEngine {
-    cfg: EagerConfig,
-    space: AddrSpace,
-    shards: Vec<Mutex<EagerShard>>,
+pub struct Eager {
     dir: Mutex<Vec<DirEntry>>,
-    locks: Mutex<LockTable>,
-    barriers: Mutex<BarrierSet>,
     /// EI: modifications buffered per barrier episode (keyed by barrier).
     epoch_mods: Mutex<HashMap<u32, Vec<EpochMod>>>,
-    /// Per-lock gates: acquire/release of one lock serialize here.
-    lock_gates: Vec<Mutex<()>>,
-    /// Per-page gates: flushes and misses touching one page serialize
-    /// here; disjoint pages proceed concurrently.
-    page_gates: Vec<Mutex<()>>,
-    /// The pre-split measurement baseline
-    /// ([`EagerConfig::serialize_slow_paths`]): when present, every slow
-    /// path locks this first, reproducing the retired engine-wide
-    /// `protocol` mutex.
-    serial_gate: Option<Mutex<()>>,
-    /// Slow paths currently in flight (gauge behind
-    /// [`EagerCounters::slow_waits_avoided`]).
-    slow_inflight: AtomicU64,
-    /// Misses currently in flight (gauge behind
-    /// [`EagerCounters::miss_inflight_peak`]).
-    miss_inflight: AtomicU64,
-    /// Test/bench instrumentation (see [`lrc_core::FetchHook`]).
-    fetch_hook: FetchHookCell,
-    net: Fabric,
-    counters: SharedEagerCounters,
-    /// Optional history recorder (`lrc-hist`); see
-    /// [`EagerEngine::attach_recorder`].
-    recorder: OnceLock<Arc<HistoryRecorder>>,
 }
 
-impl EagerEngine {
-    /// Builds an engine from a configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the configuration does not validate.
-    pub fn new(cfg: EagerConfig) -> Result<Self, ConfigError> {
-        let space = cfg.address_space()?;
-        let n = cfg.n_procs;
-        let dir = space
-            .pages()
-            .map(|g| {
-                let home = ProcId::new((g.index() % n) as u16);
-                // The home starts with the (all-zero) initial copy.
-                DirEntry {
-                    copyset: 1u64 << home.index(),
-                    owner: home,
-                }
-            })
-            .collect();
-        Ok(EagerEngine {
-            space,
-            shards: (0..n)
-                .map(|_| {
-                    Mutex::new_in(
-                        EagerShard {
-                            pages: (0..space.n_pages()).map(|_| EPage::default()).collect(),
-                            dirty: Vec::new(),
-                        },
-                        classes::ENGINE_SHARD,
-                    )
-                })
-                .collect(),
-            dir: Mutex::new_in(dir, classes::EAGER_DIRECTORY),
-            locks: Mutex::new_in(LockTable::new(cfg.n_locks, n), classes::SYNC_LOCK_TABLE),
-            barriers: Mutex::new_in(
-                BarrierSet::new(cfg.n_barriers, n),
-                classes::SYNC_BARRIER_SET,
-            ),
-            epoch_mods: Mutex::new_in(HashMap::new(), classes::EAGER_EPOCH_MODS),
-            lock_gates: (0..cfg.n_locks)
-                .map(|l| Mutex::new_in((), classes::ENGINE_LOCK_GATE.with_order(l as u64)))
-                .collect(),
-            page_gates: (0..space.n_pages())
-                .map(|p| Mutex::new_in((), classes::ENGINE_PAGE_GATE.with_order(u64::from(p))))
-                .collect(),
-            serial_gate: cfg
-                .serialize_slow_paths
-                .then(|| Mutex::new_in((), classes::ENGINE_SERIAL_GATE)),
-            slow_inflight: AtomicU64::new(0),
-            miss_inflight: AtomicU64::new(0),
-            fetch_hook: FetchHookCell::default(),
-            net: Fabric::new(n),
-            counters: SharedEagerCounters::default(),
-            recorder: OnceLock::new(),
-            cfg,
-        })
-    }
+/// The eager release consistency engine (EI under [`Policy::Invalidate`],
+/// EU under [`Policy::Update`]). Data-full and metered like
+/// [`lrc_core::LrcEngine`], so lazy and eager runs are directly
+/// comparable. See the [crate docs](crate) for an example.
+pub type EagerEngine = Engine<Eager>;
 
-    /// Attaches a history recorder, exactly like
-    /// [`lrc_core::LrcEngine::attach_recorder`]: both engine families
-    /// feed the same conformance checker, with synchronization orders
-    /// assigned by the lock table (grants) and barrier set (episodes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a recorder is already attached or its processor count
-    /// differs from the engine's.
-    pub fn attach_recorder(&self, recorder: Arc<HistoryRecorder>) {
-        assert_eq!(
-            recorder.n_procs(),
-            self.cfg.n_procs,
-            "recorder processor count does not match the engine"
-        );
-        assert!(
-            self.recorder.set(recorder).is_ok(),
-            "a history recorder is already attached"
-        );
-    }
+fn bit(p: ProcId) -> u64 {
+    1u64 << p.index()
+}
 
-    /// Installs the miss-fetch instrumentation hook, exactly like
-    /// [`lrc_core::LrcEngine::set_fetch_hook`]: invoked once per directory
-    /// miss after the messages are charged, with no directory lock held.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a hook is already installed.
-    pub fn set_fetch_hook(&self, hook: FetchHook) {
-        assert!(
-            self.fetch_hook.set(hook),
-            "a fetch hook is already installed"
-        );
-    }
-
-    #[inline]
-    fn recorder(&self) -> Option<&HistoryRecorder> {
-        self.recorder.get().map(Arc::as_ref)
-    }
-
-    /// The current holder of `lock`, if any (`None` for free or unknown
-    /// locks) — diagnostics for stuck-waiter reports.
-    pub fn lock_holder(&self, lock: LockId) -> Option<ProcId> {
-        self.locks.lock().holder(lock)
-    }
-
-    /// The live processors the current episode of `barrier` is still
-    /// waiting for (empty for unknown barriers) — diagnostics for stuck
-    /// barrier waits.
-    pub fn barrier_absentees(&self, barrier: BarrierId) -> Vec<ProcId> {
-        self.barriers.lock().absent(barrier)
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &EagerConfig {
-        &self.cfg
-    }
-
-    /// The derived address space.
-    pub fn space(&self) -> AddrSpace {
-        self.space
-    }
-
-    /// The network meter.
-    pub fn net(&self) -> &Fabric {
-        &self.net
-    }
-
-    /// Enables per-message logging on the internal fabric (for tests).
-    pub fn enable_net_trace(&self) {
-        self.net.enable_trace();
-    }
-
-    /// Snapshot of the protocol event counters.
-    pub fn counters(&self) -> EagerCounters {
-        self.counters.snapshot()
-    }
-
-    /// Records one checkpoint cut shipped by the runtime's automatic
-    /// policy: bumps [`EagerCounters::checkpoints_cut`] and adds the
-    /// encoded bytes that went to the sink to
-    /// [`EagerCounters::delta_bytes`]. Pure statistics — the cut itself
-    /// is [`EagerEngine::checkpoint`].
-    pub fn note_checkpoint(&self, shipped_bytes: u64) {
-        bump(&self.counters.checkpoints_cut, 1);
-        bump(&self.counters.delta_bytes, shipped_bytes);
-    }
-
-    /// True if `p` holds a valid copy of `page` (the initial home copy
-    /// counts, even before materialization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` or `page` is out of range.
-    pub fn page_valid(&self, p: ProcId, page: PageId) -> bool {
-        let resident = { self.shard(p).pages[page.index()].valid };
-        resident || self.dir.lock()[page.index()].copyset & (1u64 << p.index()) != 0
-    }
-
-    /// Processors currently caching `page`.
+impl Eager {
+    /// Processors currently caching `page` (the initial home copy counts,
+    /// even before materialization).
     ///
     /// # Panics
     ///
     /// Panics if `page` is out of range.
     pub fn copyset(&self, page: PageId) -> Vec<ProcId> {
         let mask = self.dir.lock()[page.index()].copyset;
-        ProcId::all(self.cfg.n_procs)
-            .filter(|p| mask & (1u64 << p.index()) != 0)
+        (0..u64::BITS as u16)
+            .map(ProcId::new)
+            .filter(|&p| mask & bit(p) != 0)
             .collect()
     }
+}
 
-    fn shard(&self, p: ProcId) -> MutexGuard<'_, EagerShard> {
-        self.shards[p.index()].lock()
+impl Protocol for Eager {
+    type ShardExt = ();
+    type FrameExt = ();
+    type Checkpoint = EagerCheckpoint;
+
+    fn new(core: &EngineCore) -> Result<Self, ConfigError> {
+        core.params().refuse_lazy_only()?;
+        let dir = core
+            .space()
+            .pages()
+            .map(|g| {
+                let home = core.page_home(g);
+                // The home starts with the (all-zero) initial copy.
+                DirEntry {
+                    copyset: bit(home),
+                    owner: home,
+                }
+            })
+            .collect();
+        Ok(Eager {
+            dir: Mutex::new_in(dir, classes::EAGER_DIRECTORY),
+            epoch_mods: Mutex::new_in(HashMap::new(), classes::EAGER_EPOCH_MODS),
+        })
     }
 
-    // ---- slow-path bookkeeping ----
+    fn new_ext(_core: &EngineCore, _p: ProcId) {}
 
-    /// Marks one slow path in flight (decremented by the returned guard)
-    /// and reports whether any *other* slow path was in flight at entry.
-    fn enter_slow_path(&self) -> (InFlight<'_>, bool) {
-        let (guard, others) = InFlight::enter(&self.slow_inflight);
-        (guard, others > 0)
+    /// Find-and-transfer messages only: eager RC performs **no
+    /// consistency actions at acquires** (§3).
+    fn on_acquire(e: &EagerEngine, _p: ProcId, path: &AcquirePath) {
+        let hops = [
+            (path.request, MsgKind::LockRequest),
+            (path.forward, MsgKind::LockForward),
+            (path.grant, MsgKind::LockGrant),
+        ];
+        for (hop, kind) in hops {
+            if let Some((src, dst)) = hop {
+                e.net().send(src, dst, kind, LOCK_ID_BYTES);
+            }
+        }
     }
 
-    /// Locks the serialized-baseline mutex, when configured.
-    fn serial_gate<'a>(&'a self, waited: &mut bool) -> Option<MutexGuard<'a, ()>> {
-        self.serial_gate.as_ref().map(|g| gate_lock(g, waited))
-    }
-
-    /// Settles the contention counters for one slow-path entry.
-    fn settle_slow_entry(&self, waited: bool, overlapped: bool) {
-        settle_contention(
-            waited,
-            overlapped,
-            &self.counters.slow_waits,
-            &self.counters.slow_waits_avoided,
-        );
-    }
-
-    /// The pages `p` has dirtied this epoch, ascending and deduplicated —
-    /// the gate-acquisition order for a flush.
-    fn dirty_pages_sorted(&self, p: ProcId) -> Vec<PageId> {
-        let mut pages = self.shard(p).dirty.clone();
+    /// The pages `p` has dirtied this epoch.
+    fn flush_set(e: &EagerEngine, p: ProcId) -> Vec<PageId> {
+        let mut pages = e.shard(p).dirty.clone();
         pages.sort();
         pages.dedup();
         pages
     }
 
-    /// Acquires the page gates for `pages` (which must be ascending),
-    /// noting contention in `waited`.
-    fn page_gates<'a>(&'a self, pages: &[PageId], waited: &mut bool) -> Vec<MutexGuard<'a, ()>> {
-        pages
-            .iter()
-            .map(|g| gate_lock(&self.page_gates[g.index()], waited))
-            .collect()
-    }
-
-    // ---- ordinary accesses ----
-
-    /// Reads `buf.len()` bytes at `addr` as processor `p`, taking directory
-    /// misses as needed. Hitting a valid cached page takes only `p`'s
-    /// shard lock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or `p` is out of range.
-    pub fn read_into(&self, p: ProcId, addr: u64, buf: &mut [u8]) {
-        let mut cursor = 0;
-        for seg in self.space.segments(addr, buf.len()) {
-            loop {
-                {
-                    let shard = self.shard(p);
-                    let entry = &shard.pages[seg.page.index()];
-                    if entry.valid {
-                        let copy = entry.copy.as_ref().expect("valid page has a copy");
-                        copy.read(seg.offset, &mut buf[cursor..cursor + seg.len]);
-                        break;
-                    }
-                }
-                self.resolve_miss(p, seg.page);
-            }
-            cursor += seg.len;
+    /// Propagates every modification of the epoch to all other cachers
+    /// (updates under EU, invalidations under EI), one merged message per
+    /// destination, and blocks for their acknowledgments — Table 1's `2c`.
+    fn on_release(e: &EagerEngine, p: ProcId) {
+        let diffs = take_epoch_diffs(e, p);
+        if diffs.is_empty() {
+            return;
         }
-        if let Some(rec) = self.recorder() {
-            rec.read(p, addr, buf);
+        match e.policy() {
+            Policy::Update => {
+                push_updates(e, p, &diffs, MsgKind::ReleaseUpdate, MsgKind::ReleaseAck)
+            }
+            Policy::Invalidate => push_invalidations(e, p, &diffs),
         }
     }
 
-    /// Reads `len` bytes at `addr` into a fresh vector.
-    ///
-    /// # Panics
-    ///
-    /// See [`EagerEngine::read_into`].
-    pub fn read_vec(&self, p: ProcId, addr: u64, len: usize) -> Vec<u8> {
-        let mut buf = vec![0u8; len];
-        self.read_into(p, addr, &mut buf);
-        buf
-    }
-
-    /// Reads a little-endian `u64` at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// See [`EagerEngine::read_into`].
-    pub fn read_u64(&self, p: ProcId, addr: u64) -> u64 {
-        let mut raw = [0u8; 8];
-        self.read_into(p, addr, &mut raw);
-        u64::from_le_bytes(raw)
-    }
-
-    /// Writes `data` at `addr` as processor `p` (twinning on the first
-    /// write of the epoch — eager RC is also a multiple-writer protocol).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or `p` is out of range.
-    pub fn write(&self, p: ProcId, addr: u64, data: &[u8]) {
-        let mut cursor = 0;
-        for seg in self.space.segments(addr, data.len()) {
-            loop {
-                {
-                    let mut shard = self.shard(p);
-                    let gi = seg.page.index();
-                    if shard.pages[gi].valid {
-                        if shard.pages[gi].twin.is_none() {
-                            let twin = shard.pages[gi]
-                                .copy
-                                .as_ref()
-                                .expect("valid page has a copy")
-                                .clone();
-                            shard.pages[gi].twin = Some(twin);
-                            shard.dirty.push(seg.page);
-                        }
-                        let copy = shard.pages[gi]
-                            .copy
-                            .as_mut()
-                            .expect("valid page has a copy");
-                        copy.write(seg.offset, &data[cursor..cursor + seg.len]);
-                        break;
-                    }
-                }
-                self.resolve_miss(p, seg.page);
-            }
-            cursor += seg.len;
-        }
-        if let Some(rec) = self.recorder() {
-            rec.write(p, addr, data);
-        }
-    }
-
-    /// Writes a little-endian `u64` at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// See [`EagerEngine::write`].
-    pub fn write_u64(&self, p: ProcId, addr: u64, value: u64) {
-        self.write(p, addr, &value.to_le_bytes());
-    }
-
-    /// Dispatches one decoded remote request as processor `p` — the eager
-    /// counterpart of [`lrc_core::LrcEngine::apply_op`], used by network
-    /// nodes to service messages for processors they do not host locally.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineOpError`] wrapping the lock or barrier failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range accesses, like the direct methods.
-    pub fn apply_op(&self, p: ProcId, op: &EngineOp) -> Result<Vec<u8>, EngineOpError> {
-        match op {
-            EngineOp::Read { addr, len } => Ok(self.read_vec(p, *addr, *len as usize)),
-            EngineOp::Write { addr, data } => {
-                self.write(p, *addr, data);
-                Ok(Vec::new())
-            }
-            EngineOp::Acquire(lock) => {
-                self.acquire(p, *lock)?;
-                Ok(Vec::new())
-            }
-            EngineOp::Release(lock) => {
-                self.release(p, *lock)?;
-                Ok(Vec::new())
-            }
-            EngineOp::Barrier(barrier) => {
-                self.barrier(p, *barrier)?;
-                Ok(Vec::new())
-            }
-        }
-    }
-
-    // ---- special accesses ----
-
-    /// Acquires `lock`: find-and-transfer messages only. Eager RC performs
-    /// **no consistency actions at acquires** (§3), so acquires of
-    /// unrelated locks are fully concurrent (they serialize only on this
-    /// lock's gate).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`LockError`].
-    pub fn acquire(&self, p: ProcId, lock: LockId) -> Result<(), LockError> {
-        let (_inflight, overlapped) = self.enter_slow_path();
-        let mut waited = false;
-        let _serial = self.serial_gate(&mut waited);
-        let _gate = self
-            .lock_gates
-            .get(lock.index())
-            .map(|g| gate_lock(g, &mut waited));
-        self.settle_slow_entry(waited, overlapped);
-
-        let path = self.locks.lock().acquire(p, lock)?;
-        bump(&self.counters.acquires, 1);
-        if let Some(rec) = self.recorder() {
-            // Grant numbers come from the lock table, assigned inside this
-            // lock's gate: the recorded order is the hand-over order.
-            rec.acquire(p, lock, path.grant_seq);
-        }
-        if let Some((src, dst)) = path.request {
-            self.net.send(src, dst, MsgKind::LockRequest, LOCK_ID_BYTES);
-        }
-        if let Some((src, dst)) = path.forward {
-            self.net.send(src, dst, MsgKind::LockForward, LOCK_ID_BYTES);
-        }
-        if let Some((src, dst)) = path.grant {
-            self.net.send(src, dst, MsgKind::LockGrant, LOCK_ID_BYTES);
-        }
-        Ok(())
-    }
-
-    /// Releases `lock`, first propagating every modification of the epoch
-    /// to all other cachers (updates under EU, invalidations under EI) and
-    /// blocking for their acknowledgments — Table 1's `2c`. The flush
-    /// holds the gates of the flushed pages (ascending), so releases
-    /// touching disjoint pages overlap.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`LockError::NotHolder`] and range errors.
-    pub fn release(&self, p: ProcId, lock: LockId) -> Result<(), LockError> {
-        let (_inflight, overlapped) = self.enter_slow_path();
-        let mut waited = false;
-        let _serial = self.serial_gate(&mut waited);
-        let _gate = self
-            .lock_gates
-            .get(lock.index())
-            .map(|g| gate_lock(g, &mut waited));
-        // Validate before flushing so an illegal release has no effect.
-        {
-            let mut locks = self.locks.lock();
-            if locks.holder(lock) != Some(p) {
-                self.settle_slow_entry(waited, overlapped);
-                locks.release(p, lock)?;
-                unreachable!("release of unheld lock must error");
-            }
-        }
-        let pages = self.dirty_pages_sorted(p);
-        let _page_gates = self.page_gates(&pages, &mut waited);
-        self.settle_slow_entry(waited, overlapped);
-        self.flush_at_release(p);
-        let grant = self
-            .locks
-            .lock()
-            .release(p, lock)
-            .expect("holder validated above");
-        if let Some(rec) = self.recorder() {
-            rec.release(p, lock, grant);
-        }
-        bump(&self.counters.releases, 1);
-        Ok(())
-    }
-
-    /// Arrives at `barrier`, flushing like a release (under the flushed
-    /// pages' gates). EU pushes update messages immediately (`2u`); EI
-    /// piggybacks its invalidations on the barrier traffic and pays only
-    /// `2v` to resolve multiple concurrent invalidators of one page
-    /// (Table 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BarrierError`].
-    pub fn barrier(&self, p: ProcId, barrier: BarrierId) -> Result<BarrierArrival, BarrierError> {
-        let (_inflight, overlapped) = self.enter_slow_path();
-        let mut waited = false;
-        let _serial = self.serial_gate(&mut waited);
-        // Validate the arrival before performing any flush side effects.
-        let checked = {
-            let barriers = self.barriers.lock();
-            barriers
-                .check_arrival(p, barrier)
-                .map(|()| barriers.master(barrier))
-        };
-        let master = match checked {
-            Ok(master) => master,
-            Err(e) => {
-                self.settle_slow_entry(waited, overlapped);
-                return Err(e);
-            }
-        };
-        let diffs = {
-            let pages = self.dirty_pages_sorted(p);
-            let _page_gates = self.page_gates(&pages, &mut waited);
-            self.settle_slow_entry(waited, overlapped);
-            let diffs = self.take_epoch_diffs(p);
-            if self.cfg.policy == Policy::Update {
-                self.push_updates(p, &diffs, MsgKind::BarrierUpdate, MsgKind::BarrierUpdateAck);
-            }
-            diffs
-        };
+    /// Flushes like a release. EU pushes update messages immediately
+    /// (`2u`); EI piggybacks its invalidations on the barrier traffic and
+    /// pays only `2v` to resolve multiple concurrent invalidators of one
+    /// page (Table 1).
+    fn barrier_arrive(e: &EagerEngine, p: ProcId, barrier: BarrierId, master: ProcId) {
+        let diffs = take_epoch_diffs(e, p);
         let mut piggyback_pages = 0usize;
-        if self.cfg.policy == Policy::Invalidate {
-            piggyback_pages = diffs.len();
-            let mut epoch_mods = self.epoch_mods.lock();
-            let buffer = epoch_mods.entry(barrier.raw()).or_default();
-            for (page, diff) in diffs {
-                buffer.push(EpochMod {
-                    writer: p,
-                    page,
-                    diff,
-                });
+        match e.policy() {
+            Policy::Update => push_updates(
+                e,
+                p,
+                &diffs,
+                MsgKind::BarrierUpdate,
+                MsgKind::BarrierUpdateAck,
+            ),
+            Policy::Invalidate => {
+                piggyback_pages = diffs.len();
+                let mut epoch_mods = e.protocol().epoch_mods.lock();
+                let buffer = epoch_mods.entry(barrier.raw()).or_default();
+                for (page, diff) in diffs {
+                    buffer.push(EpochMod {
+                        writer: p,
+                        page,
+                        diff,
+                    });
+                }
             }
         }
         if p != master {
             let payload = BARRIER_ID_BYTES + invalidation_bytes(piggyback_pages);
-            self.net.send(p, master, MsgKind::BarrierArrival, payload);
-        }
-        let outcome = self.barriers.lock().arrive(p, barrier)?;
-        if let Some(rec) = self.recorder() {
-            rec.barrier(p, barrier, outcome.episode());
-        }
-        if let BarrierArrival::Complete { .. } = outcome {
-            self.complete_barrier(barrier, master);
-        }
-        Ok(outcome)
-    }
-
-    // ---- internals ----
-
-    /// Ends `p`'s current epoch: diffs all dirty pages against their twins
-    /// and transfers ownership to `p`. Callers hold the dirty pages'
-    /// gates.
-    fn take_epoch_diffs(&self, p: ProcId) -> Vec<(PageId, Diff)> {
-        let mut out = Vec::new();
-        {
-            let mut shard = self.shard(p);
-            let dirtied = std::mem::take(&mut shard.dirty);
-            out.reserve(dirtied.len());
-            for g in dirtied {
-                let entry = &mut shard.pages[g.index()];
-                // Defensive: a twin consumed by a concurrent invalidator's
-                // writeback leaves the dirty list together with it (under
-                // this shard's lock), but skipping an already-written-back
-                // page is the right recovery either way.
-                let Some(twin) = entry.twin.take() else {
-                    continue;
-                };
-                let copy = entry.copy.as_ref().expect("dirty page has a copy");
-                let diff = Diff::between(&twin, copy);
-                if !diff.is_empty() {
-                    out.push((g, diff));
-                }
-            }
-        }
-        if !out.is_empty() {
-            let mut dir = self.dir.lock();
-            for (g, _) in &out {
-                dir[g.index()].owner = p;
-            }
-            bump(&self.counters.flushes, 1);
-        }
-        out
-    }
-
-    /// Release-time propagation: updates (EU) or invalidations (EI) to all
-    /// other cachers, one merged message per destination, plus acks.
-    /// Callers hold the dirty pages' gates.
-    fn flush_at_release(&self, p: ProcId) {
-        let diffs = self.take_epoch_diffs(p);
-        if diffs.is_empty() {
-            return;
-        }
-        match self.cfg.policy {
-            Policy::Update => {
-                self.push_updates(p, &diffs, MsgKind::ReleaseUpdate, MsgKind::ReleaseAck)
-            }
-            Policy::Invalidate => self.push_invalidations(p, &diffs),
+            e.net().send(p, master, MsgKind::BarrierArrival, payload);
         }
     }
 
-    /// Destinations (other cachers) per page, merged per destination.
-    fn destinations(&self, p: ProcId, diffs: &[(PageId, Diff)]) -> Vec<(ProcId, Vec<usize>)> {
-        let dir = self.dir.lock();
-        let mut per_dest: HashMap<ProcId, Vec<usize>> = HashMap::new();
-        for (i, (g, _)) in diffs.iter().enumerate() {
-            let mask = dir[g.index()].copyset & !(1u64 << p.index());
-            for d in ProcId::all(self.cfg.n_procs) {
-                if mask & (1u64 << d.index()) != 0 {
-                    per_dest.entry(d).or_default().push(i);
-                }
-            }
-        }
-        let mut out: Vec<_> = per_dest.into_iter().collect();
-        out.sort_by_key(|(d, _)| *d);
-        out
-    }
-
-    /// EU: one update message per destination carrying the diffs of every
-    /// modified page that destination caches, plus an ack each.
-    fn push_updates(
-        &self,
-        p: ProcId,
-        diffs: &[(PageId, Diff)],
-        update_kind: MsgKind,
-        ack_kind: MsgKind,
-    ) {
-        for (dest, indices) in self.destinations(p, diffs) {
-            let payload: u64 = indices
-                .iter()
-                .map(|&i| diffs[i].1.encoded_size() as u64)
-                .sum();
-            self.net.send(p, dest, update_kind, payload);
-            {
-                let mut dest_shard = self.shard(dest);
-                for &i in &indices {
-                    let (g, ref diff) = diffs[i];
-                    let entry = &mut dest_shard.pages[g.index()];
-                    let copy = entry
-                        .copy
-                        .get_or_insert_with(|| PageBuf::zeroed(self.space.page_size()));
-                    diff.apply_to(copy);
-                    if let Some(twin) = entry.twin.as_mut() {
-                        diff.apply_to(twin);
-                    }
-                    entry.valid = true;
-                }
-            }
-            self.net.send(dest, p, ack_kind, 0);
-            bump(&self.counters.updates_sent, 1);
-        }
-    }
-
-    /// EI at a release: write notices to every other cacher; cachers drop
-    /// their copies (writing back their own concurrent modifications
-    /// first), leaving the releaser the only valid copy.
-    fn push_invalidations(&self, p: ProcId, diffs: &[(PageId, Diff)]) {
-        for (dest, indices) in self.destinations(p, diffs) {
-            let payload = invalidation_bytes(indices.len());
-            self.net.send(p, dest, MsgKind::ReleaseInvalidate, payload);
-            bump(&self.counters.invalidations_sent, 1);
-            // Invalidate at the destination, collecting writebacks from
-            // concurrent writers (false sharing); never hold two shard
-            // locks at once — the writebacks apply to the releaser after
-            // the destination's shard is dropped.
-            let mut writebacks: Vec<(PageId, Diff)> = Vec::new();
-            {
-                let mut dest_shard = self.shard(dest);
-                for &i in &indices {
-                    let g = diffs[i].0;
-                    let gi = g.index();
-                    if dest_shard.pages[gi].twin.is_some() {
-                        // The destination wrote the page concurrently: its
-                        // modifications ride back to the releaser before
-                        // the copy is dropped.
-                        let twin = dest_shard.pages[gi].twin.take().expect("checked above");
-                        let copy = dest_shard.pages[gi]
-                            .copy
-                            .as_ref()
-                            .expect("dirty page has a copy");
-                        let wb = Diff::between(&twin, copy);
-                        dest_shard.dirty.retain(|&d| d != g);
-                        dest_shard.pages[gi].valid = false;
-                        if !wb.is_empty() {
-                            writebacks.push((g, wb));
-                        }
-                    } else {
-                        dest_shard.pages[gi].valid = false;
-                    }
-                }
-            }
-            if self.cfg.coalesce_notices && writebacks.len() > 1 {
-                // Coalescing: one invalidation round's writebacks all go
-                // from `dest` to the releaser — one reply carries every
-                // diff. Same bytes, one header instead of several.
-                let payload: u64 = writebacks
-                    .iter()
-                    .map(|(_, wb)| wb.encoded_size() as u64)
-                    .sum();
-                self.net.send(dest, p, MsgKind::WritebackReply, payload);
-                bump(&self.counters.coalesced_msgs, writebacks.len() as u64 - 1);
-            }
-            for (g, wb) in &writebacks {
-                if !self.cfg.coalesce_notices || writebacks.len() <= 1 {
-                    self.net
-                        .send(dest, p, MsgKind::WritebackReply, wb.encoded_size() as u64);
-                }
-                bump(&self.counters.writebacks, 1);
-                let mut releaser = self.shard(p);
-                let copy = releaser.pages[g.index()]
-                    .copy
-                    .as_mut()
-                    .expect("releaser has the page");
-                wb.apply_to(copy);
-            }
-            {
-                let mut dir = self.dir.lock();
-                for &i in &indices {
-                    let g = diffs[i].0;
-                    dir[g.index()].copyset &= !(1u64 << dest.index());
-                    bump(&self.counters.pages_invalidated, 1);
-                }
-            }
-            self.net.send(dest, p, MsgKind::ReleaseAck, 0);
-        }
-        let mut dir = self.dir.lock();
-        for (g, _) in diffs {
-            // The releaser keeps the only valid copy.
-            dir[g.index()].copyset |= 1u64 << p.index();
-        }
-    }
-
-    /// EI barrier completion: resolve multiple invalidators per page (the
-    /// `2v` term), invalidate all other cachers (piggybacked, free), and
-    /// send exit messages carrying the aggregated notices. Runs on the
-    /// last arriver's thread with every other processor parked by the
-    /// runtime, so it needs no gates of its own.
-    fn complete_barrier(&self, barrier: BarrierId, master: ProcId) {
-        let mods = self
+    /// EI: resolve multiple invalidators per page (the `2v` term),
+    /// invalidate all other cachers (piggybacked, free), and send exit
+    /// messages carrying the aggregated notices.
+    fn barrier_complete(e: &EagerEngine, barrier: BarrierId, master: ProcId) {
+        let n = e.params().n_procs;
+        let dir = &e.protocol().dir;
+        let mods = e
+            .protocol()
             .epoch_mods
             .lock()
             .remove(&barrier.raw())
@@ -849,157 +213,82 @@ impl EagerEngine {
             // content plus its own writes, and the highest-numbered one
             // wins as before.
             let winner = {
-                let owner = self.dir.lock()[g.index()].owner;
-                if self.shard(owner).pages[g.index()].valid {
+                let owner = dir.lock()[g.index()].owner;
+                if e.page_valid(owner, g) {
                     owner
                 } else {
                     writers.last().expect("page has at least one writer").0
                 }
             };
-            for (w, diff) in &writers {
-                if *w == winner {
-                    continue;
-                }
+            for (w, diff) in writers.iter().filter(|(w, _)| *w != winner) {
                 // Excess invalidator: its modifications merge into the
                 // winner's copy with one round trip.
-                self.net.send(
-                    *w,
-                    winner,
-                    MsgKind::BarrierResolve,
-                    diff.encoded_size() as u64,
-                );
-                self.net.send(winner, *w, MsgKind::BarrierResolveAck, 0);
-                {
-                    let mut winner_shard = self.shard(winner);
-                    let copy = winner_shard.pages[g.index()]
-                        .copy
-                        .as_mut()
-                        .expect("winner holds a copy");
-                    diff.apply_to(copy);
-                }
-                bump(&self.counters.excess_invalidators, 1);
+                let payload = diff.encoded_size() as u64;
+                e.net().send(*w, winner, MsgKind::BarrierResolve, payload);
+                e.net().send(winner, *w, MsgKind::BarrierResolveAck, 0);
+                let mut winner_shard = e.shard(winner);
+                let copy = winner_shard.pages[g.index()]
+                    .copy
+                    .as_mut()
+                    .expect("winner holds a copy");
+                diff.apply_to(copy);
+                bump(&e.tally().excess_invalidators, 1);
             }
             // Everyone but the winner drops the page (notices piggybacked
             // on the barrier messages — no extra traffic).
-            let mut dir = self.dir.lock();
+            let mut dir = dir.lock();
             let mask = dir[g.index()].copyset;
-            for d in ProcId::all(self.cfg.n_procs) {
-                if d != winner && mask & (1u64 << d.index()) != 0 {
-                    self.shard(d).pages[g.index()].valid = false;
-                    bump(&self.counters.pages_invalidated, 1);
-                }
+            for d in ProcId::all(n).filter(|&d| d != winner && mask & bit(d) != 0) {
+                e.shard(d).pages[g.index()].valid = false;
+                bump(&e.tally().pages_invalidated, 1);
             }
-            dir[g.index()].copyset = 1u64 << winner.index();
-            dir[g.index()].owner = winner;
+            dir[g.index()] = DirEntry {
+                copyset: bit(winner),
+                owner: winner,
+            };
         }
-        for r in ProcId::all(self.cfg.n_procs) {
-            if r != master {
-                let payload = BARRIER_ID_BYTES + invalidation_bytes(total_pages);
-                self.net.send(master, r, MsgKind::BarrierExit, payload);
-            }
+        let payload = BARRIER_ID_BYTES + invalidation_bytes(total_pages);
+        for r in ProcId::all(n).filter(|&r| r != master) {
+            e.net().send(master, r, MsgKind::BarrierExit, payload);
         }
-        bump(&self.counters.barrier_episodes, 1);
+        bump(&e.tally().barrier_episodes, 1);
     }
 
     /// Directory miss: two messages when the home has a valid copy, three
-    /// when the request is forwarded to the owner (§3). Holds the page's
-    /// gate for the whole resolution (a same-page flush or miss waits on
-    /// it), but no directory lock across the message charges.
-    fn resolve_miss(&self, p: ProcId, page: PageId) {
-        let (_inflight, overlapped) = self.enter_slow_path();
-        let (_miss_inflight, miss_others) = InFlight::enter(&self.miss_inflight);
-        raise(&self.counters.miss_inflight_peak, miss_others + 1);
-        let mut waited = false;
-        let _serial = self.serial_gate(&mut waited);
-        let _gate = gate_lock(&self.page_gates[page.index()], &mut waited);
-        self.settle_slow_entry(waited, overlapped);
-
-        {
-            let shard = self.shard(p);
-            if shard.pages[page.index()].valid {
-                // Resolved while this processor waited for the gate (only
-                // possible through this processor's own earlier call).
-                return;
-            }
-        }
+    /// when the request is forwarded to the owner (§3). No directory lock
+    /// is held across the message charges; the page's gate keeps the
+    /// entry stable meanwhile.
+    fn resolve_miss(e: &EagerEngine, p: ProcId, page: PageId) {
         let gi = page.index();
-        let home = ProcId::new((gi % self.cfg.n_procs) as u16);
-        let pbit = 1u64 << p.index();
-
-        // Directory decision under the directory mutex; the page's gate
-        // keeps the entry stable after the mutex drops (flushes touch a
-        // page's entry only under its gate).
-        enum Decision {
-            InitialHomeCopy,
-            Fetch { home_has: bool, source: ProcId },
+        let home = e.page_home(page);
+        let page_size = e.space().page_size();
+        let dir = &e.protocol().dir;
+        let entry = dir.lock()[gi];
+        if entry.copyset & bit(p) != 0 {
+            // Initial home copy: materialize the zero page locally.
+            let mut shard = e.shard(p);
+            shard.pages[gi].copy_mut(page_size);
+            shard.pages[gi].valid = true;
+            return;
         }
-        let decision = {
-            let dir = self.dir.lock();
-            if dir[gi].copyset & pbit != 0 {
-                Decision::InitialHomeCopy
-            } else {
-                let home_has = dir[gi].copyset & (1u64 << home.index()) != 0;
-                Decision::Fetch {
-                    home_has,
-                    source: if home_has { home } else { dir[gi].owner },
-                }
-            }
-        };
-        let (home_has, source) = match decision {
-            Decision::InitialHomeCopy => {
-                // Initial home copy: materialize the zero page locally.
-                let mut shard = self.shard(p);
-                let entry = &mut shard.pages[gi];
-                entry
-                    .copy
-                    .get_or_insert_with(|| PageBuf::zeroed(self.space.page_size()));
-                entry.valid = true;
-                return;
-            }
-            Decision::Fetch { home_has, source } => (home_has, source),
-        };
+        let home_has = entry.copyset & bit(home) != 0;
+        let source = if home_has { home } else { entry.owner };
         debug_assert_ne!(source, p, "a missing processor cannot be the source");
 
-        // Materialize the source copy (the home's initial copy is zeros).
-        // A dirty source serves its *twin* — the last reconciled contents —
-        // never its live copy, whose unflushed epoch writes must not leak
-        // to a cold miss under false sharing before the release-time flush
-        // makes them visible everywhere (the eager analogue of the lazy
-        // engine's twin-based base).
-        let content = {
-            let source_shard = self.shard(source);
-            match (&source_shard.pages[gi].twin, &source_shard.pages[gi].copy) {
-                (Some(twin), _) => twin.clone(),
-                (None, Some(copy)) => copy.clone(),
-                (None, None) => PageBuf::zeroed(self.space.page_size()),
-            }
-        };
-        // Fetch phase: message charges with no directory lock held.
-        let page_bytes = self.space.page_size().bytes() as u64;
-        if home_has {
-            if p != home {
-                self.net.round_trip(
-                    p,
-                    home,
-                    MsgKind::MissRequest,
-                    PAGE_ID_BYTES,
-                    MsgKind::MissReply,
-                    page_bytes,
-                );
-                bump(&self.counters.misses_2hop, 1);
-            }
-            // p == home cannot happen here (its copyset bit would be set),
-            // but the branch above keeps the accounting honest if the
-            // directory ever says otherwise.
-        } else if p != home {
-            self.net.send(p, home, MsgKind::MissRequest, PAGE_ID_BYTES);
-            self.net
-                .send(home, source, MsgKind::MissForward, PAGE_ID_BYTES);
-            self.net.send(source, p, MsgKind::MissReply, page_bytes);
-            bump(&self.counters.misses_3hop, 1);
-        } else {
-            // The home itself misses: it forwards directly.
-            self.net.round_trip(
+        // The source's *committed* contents (the home's initial copy is
+        // zeros): a dirty source's unflushed epoch writes must not leak to
+        // a cold miss under false sharing before the release-time flush
+        // makes them visible everywhere.
+        let content = e.shard(source).pages[gi]
+            .committed()
+            .cloned()
+            .unwrap_or_else(|| PageBuf::zeroed(page_size));
+        let page_bytes = page_size.bytes() as u64;
+        if p == home || home_has {
+            // The home answers itself, or — missing its own page — asks
+            // the owner directly. (`p == home && home_has` cannot happen:
+            // its copyset bit would be set.)
+            e.net().round_trip(
                 p,
                 source,
                 MsgKind::MissRequest,
@@ -1007,112 +296,236 @@ impl EagerEngine {
                 MsgKind::MissReply,
                 page_bytes,
             );
-            bump(&self.counters.misses_2hop, 1);
+            bump(&e.tally().misses_2hop, 1);
+        } else {
+            e.net().send(p, home, MsgKind::MissRequest, PAGE_ID_BYTES);
+            e.net()
+                .send(home, source, MsgKind::MissForward, PAGE_ID_BYTES);
+            e.net().send(source, p, MsgKind::MissReply, page_bytes);
+            bump(&e.tally().misses_3hop, 1);
         }
-        if let Some(hook) = self.fetch_hook.get() {
-            hook(p, page);
-        }
+        e.run_fetch_hook(p, page);
         {
-            let mut shard = self.shard(p);
+            let mut shard = e.shard(p);
             shard.pages[gi].copy = Some(content);
             shard.pages[gi].valid = true;
         }
-        self.dir.lock()[gi].copyset |= pbit;
+        dir.lock()[gi].copyset |= bit(p);
     }
 
-    // ---- crash tolerance ----
-
-    /// Captures a checkpoint: the directory plus each processor's
-    /// committed frames (a dirty page contributes its twin — uncommitted
-    /// epoch writes are never checkpointed). Call at a synchronization
-    /// point so the cut is consistent.
-    pub fn checkpoint(&self) -> crate::EagerCheckpoint {
-        let dir: Vec<(u64, ProcId)> = self
-            .dir
-            .lock()
-            .iter()
-            .map(|e| (e.copyset, e.owner))
+    /// The directory plus each processor's committed frames.
+    fn checkpoint(e: &EagerEngine) -> EagerCheckpoint {
+        let n = e.params().n_procs;
+        let dir = e.protocol().dir.lock();
+        let dir = dir.iter().map(|d| (d.copyset, d.owner)).collect();
+        let procs = ProcId::all(n)
+            .map(|p| {
+                let shard = e.shard(p);
+                let frames = shard.pages.iter().enumerate();
+                frames
+                    .filter(|(_, entry)| entry.copy.is_some() || entry.valid)
+                    .map(|(gi, entry)| EagerFrame {
+                        page: PageId::new(gi as u32),
+                        contents: entry.committed().map(|c| c.as_bytes().to_vec()),
+                        valid: entry.valid,
+                    })
+                    .collect()
+            })
             .collect();
-        let mut procs = Vec::with_capacity(self.cfg.n_procs);
-        for p in ProcId::all(self.cfg.n_procs) {
-            let shard = self.shard(p);
-            let mut frames = Vec::new();
-            for (gi, entry) in shard.pages.iter().enumerate() {
-                let contents = match (&entry.twin, &entry.copy) {
-                    (Some(twin), _) => Some(twin.as_bytes().to_vec()),
-                    (None, Some(copy)) => Some(copy.as_bytes().to_vec()),
-                    (None, None) => None,
-                };
-                if contents.is_none() && !entry.valid {
-                    continue;
-                }
-                frames.push(crate::EagerFrame {
-                    page: PageId::new(gi as u32),
-                    contents,
-                    valid: entry.valid,
-                });
-            }
-            procs.push(frames);
-        }
-        crate::EagerCheckpoint {
-            n_procs: self.cfg.n_procs,
-            page_bytes: self.space.page_size().bytes(),
-            n_pages: self.space.n_pages() as usize,
+        EagerCheckpoint {
+            n_procs: n,
+            page_bytes: e.space().page_size().bytes(),
+            n_pages: e.space().n_pages() as usize,
             dir,
             procs,
         }
     }
 
-    /// Restores a checkpoint into this (freshly built) engine: directory
-    /// and frames are replaced. Locks must be free and no barrier episode
-    /// in progress — synchronization state is not checkpointed.
-    ///
-    /// # Errors
-    ///
-    /// [`lrc_core::CheckpointError::Incompatible`] if the checkpoint
-    /// describes a different engine shape.
-    pub fn restore(&self, ckpt: &crate::EagerCheckpoint) -> Result<(), lrc_core::CheckpointError> {
+    /// Directory and frames are replaced.
+    fn restore(e: &EagerEngine, ckpt: &EagerCheckpoint) -> Result<(), CheckpointError> {
+        let page_size = e.space().page_size();
         let shape = (
-            self.cfg.n_procs,
-            self.space.page_size().bytes(),
-            self.space.n_pages() as usize,
+            e.params().n_procs,
+            page_size.bytes(),
+            e.space().n_pages() as usize,
         );
         if (ckpt.n_procs, ckpt.page_bytes, ckpt.n_pages) != shape
             || ckpt.dir.len() != shape.2
             || ckpt.procs.len() != shape.0
         {
-            return Err(lrc_core::CheckpointError::Incompatible(format!(
+            return Err(CheckpointError::Incompatible(format!(
                 "checkpoint is {}×{}B×{} pages, engine is {}×{}B×{}",
                 ckpt.n_procs, ckpt.page_bytes, ckpt.n_pages, shape.0, shape.1, shape.2
             )));
         }
+        let frames = ckpt.procs.iter().flatten();
+        if frames
+            .filter_map(|f| f.contents.as_ref())
+            .any(|c| c.len() != shape.1)
         {
-            let mut dir = self.dir.lock();
-            for (entry, &(copyset, owner)) in dir.iter_mut().zip(&ckpt.dir) {
-                *entry = DirEntry { copyset, owner };
-            }
+            return Err(CheckpointError::Incompatible(
+                "frame contents are not page-sized".into(),
+            ));
         }
-        for p in ProcId::all(self.cfg.n_procs) {
-            let mut shard = self.shard(p);
+        *e.protocol().dir.lock() = ckpt
+            .dir
+            .iter()
+            .map(|&(copyset, owner)| DirEntry { copyset, owner })
+            .collect();
+        for p in ProcId::all(shape.0) {
+            let mut shard = e.shard(p);
             shard.dirty.clear();
-            for entry in &mut shard.pages {
-                *entry = EPage::default();
-            }
+            shard.pages.fill_with(Frame::default);
             for frame in &ckpt.procs[p.index()] {
-                let entry = &mut shard.pages[frame.page.index()];
-                if let Some(contents) = &frame.contents {
-                    if contents.len() != self.space.page_size().bytes() {
-                        return Err(lrc_core::CheckpointError::Incompatible(
-                            "frame contents are not page-sized".into(),
-                        ));
-                    }
-                    let mut buf = PageBuf::zeroed(self.space.page_size());
-                    buf.write(0, contents);
-                    entry.copy = Some(buf);
-                }
-                entry.valid = frame.valid;
+                shard.pages[frame.page.index()].install(
+                    frame.contents.as_deref(),
+                    frame.valid,
+                    page_size,
+                );
             }
         }
         Ok(())
+    }
+}
+
+/// Ends `p`'s current epoch: diffs all dirty pages against their twins
+/// and transfers ownership to `p`. Callers hold the dirty pages' gates.
+fn take_epoch_diffs(e: &EagerEngine, p: ProcId) -> Vec<(PageId, Diff)> {
+    let mut out = Vec::new();
+    {
+        let mut shard = e.shard(p);
+        let dirtied = std::mem::take(&mut shard.dirty);
+        out.reserve(dirtied.len());
+        for g in dirtied {
+            let entry = &mut shard.pages[g.index()];
+            // Defensive: a twin consumed by a concurrent invalidator's
+            // writeback leaves the dirty list together with it (under
+            // this shard's lock), but skipping an already-written-back
+            // page is the right recovery either way.
+            let Some(twin) = entry.twin.take() else {
+                continue;
+            };
+            let copy = entry.copy.as_ref().expect("dirty page has a copy");
+            let diff = Diff::between(&twin, copy);
+            if !diff.is_empty() {
+                out.push((g, diff));
+            }
+        }
+    }
+    if !out.is_empty() {
+        let mut dir = e.protocol().dir.lock();
+        for (g, _) in &out {
+            dir[g.index()].owner = p;
+        }
+        bump(&e.tally().flushes, 1);
+    }
+    out
+}
+
+/// Destinations (other cachers) per page, merged per destination.
+fn destinations(e: &EagerEngine, p: ProcId, diffs: &[(PageId, Diff)]) -> Vec<(ProcId, Vec<usize>)> {
+    let dir = e.protocol().dir.lock();
+    let mut per_dest: HashMap<ProcId, Vec<usize>> = HashMap::new();
+    for (i, (g, _)) in diffs.iter().enumerate() {
+        let mask = dir[g.index()].copyset & !bit(p);
+        for d in ProcId::all(e.params().n_procs) {
+            if mask & bit(d) != 0 {
+                per_dest.entry(d).or_default().push(i);
+            }
+        }
+    }
+    let mut out: Vec<_> = per_dest.into_iter().collect();
+    out.sort_by_key(|(d, _)| *d);
+    out
+}
+
+/// EU: one update message per destination carrying the diffs of every
+/// modified page that destination caches, plus an ack each.
+fn push_updates(
+    e: &EagerEngine,
+    p: ProcId,
+    diffs: &[(PageId, Diff)],
+    update_kind: MsgKind,
+    ack_kind: MsgKind,
+) {
+    for (dest, indices) in destinations(e, p, diffs) {
+        let payload: u64 = indices
+            .iter()
+            .map(|&i| diffs[i].1.encoded_size() as u64)
+            .sum();
+        e.net().send(p, dest, update_kind, payload);
+        {
+            let mut dest_shard = e.shard(dest);
+            for &i in &indices {
+                let (g, ref diff) = diffs[i];
+                let entry = &mut dest_shard.pages[g.index()];
+                diff.apply_to(entry.copy_mut(e.space().page_size()));
+                if let Some(twin) = entry.twin.as_mut() {
+                    diff.apply_to(twin);
+                }
+                entry.valid = true;
+            }
+        }
+        e.net().send(dest, p, ack_kind, 0);
+        bump(&e.tally().updates_sent, 1);
+    }
+}
+
+/// EI at a release: write notices to every other cacher; cachers drop
+/// their copies (writing back their own concurrent modifications first),
+/// leaving the releaser the only valid copy.
+fn push_invalidations(e: &EagerEngine, p: ProcId, diffs: &[(PageId, Diff)]) {
+    for (dest, indices) in destinations(e, p, diffs) {
+        let payload = invalidation_bytes(indices.len());
+        e.net().send(p, dest, MsgKind::ReleaseInvalidate, payload);
+        bump(&e.tally().invalidations_sent, 1);
+        // Invalidate at the destination, collecting writebacks from
+        // concurrent writers (false sharing); never hold two shard
+        // locks at once — the writebacks apply to the releaser after
+        // the destination's shard is dropped.
+        let mut writebacks: Vec<(PageId, Diff)> = Vec::new();
+        {
+            let mut dest_shard = e.shard(dest);
+            for &i in &indices {
+                let g = diffs[i].0;
+                let entry = &mut dest_shard.pages[g.index()];
+                entry.valid = false;
+                // A destination that wrote the page concurrently: its
+                // modifications ride back to the releaser before the
+                // copy is dropped.
+                if let Some(twin) = entry.twin.take() {
+                    let copy = entry.copy.as_ref().expect("dirty page has a copy");
+                    let wb = Diff::between(&twin, copy);
+                    dest_shard.dirty.retain(|&d| d != g);
+                    if !wb.is_empty() {
+                        writebacks.push((g, wb));
+                    }
+                }
+            }
+        }
+        for (g, wb) in &writebacks {
+            e.net()
+                .send(dest, p, MsgKind::WritebackReply, wb.encoded_size() as u64);
+            bump(&e.tally().writebacks, 1);
+            let mut releaser = e.shard(p);
+            let copy = releaser.pages[g.index()]
+                .copy
+                .as_mut()
+                .expect("releaser has the page");
+            wb.apply_to(copy);
+        }
+        {
+            let mut dir = e.protocol().dir.lock();
+            for &i in &indices {
+                dir[diffs[i].0.index()].copyset &= !bit(dest);
+                bump(&e.tally().pages_invalidated, 1);
+            }
+        }
+        e.net().send(dest, p, MsgKind::ReleaseAck, 0);
+    }
+    let mut dir = e.protocol().dir.lock();
+    for (g, _) in diffs {
+        // The releaser keeps the only valid copy.
+        dir[g.index()].copyset |= bit(p);
     }
 }

@@ -24,15 +24,24 @@
 //! Acquires carry **no consistency information** — that is precisely what
 //! [`lrc_core`] changes.
 //!
+//! Only those four differences live here: [`Eager`] implements
+//! [`lrc_core::Protocol`] and everything else — shards, cached accesses,
+//! lock and barrier tables, slow-path gates, counters — is the shared
+//! [`lrc_core::Engine`].
+//!
 //! # Example
 //!
 //! ```
-//! use lrc_core::Policy;
-//! use lrc_eager::{EagerConfig, EagerEngine};
+//! use lrc_core::{EngineParams, Policy};
+//! use lrc_eager::EagerEngine;
 //! use lrc_sync::LockId;
 //! use lrc_vclock::ProcId;
 //!
-//! let dsm = EagerEngine::new(EagerConfig::new(2, 1 << 16).policy(Policy::Update))?;
+//! let params = EngineParams {
+//!     n_procs: 2,
+//!     ..EngineParams::default()
+//! };
+//! let dsm = EagerEngine::new(Policy::Update, &params)?;
 //! let (p0, p1, l) = (ProcId::new(0), ProcId::new(1), LockId::new(0));
 //!
 //! dsm.acquire(p0, l)?;
@@ -49,11 +58,7 @@
 #![warn(missing_docs)]
 
 mod checkpoint;
-mod config;
-mod counters;
 mod engine;
 
 pub use checkpoint::{EagerCheckpoint, EagerFrame};
-pub use config::EagerConfig;
-pub use counters::EagerCounters;
-pub use engine::EagerEngine;
+pub use engine::{Eager, EagerEngine};

@@ -1,8 +1,8 @@
 //! Directory-manager edge cases: ownership migration across releases,
 //! content freshness through the home, and late joiners.
 
-use lrc_core::Policy;
-use lrc_eager::{EagerConfig, EagerEngine};
+use lrc_core::{EngineParams, Policy};
+use lrc_eager::EagerEngine;
 use lrc_simnet::OpClass;
 use lrc_sync::LockId;
 use lrc_vclock::ProcId;
@@ -12,7 +12,13 @@ fn p(i: u16) -> ProcId {
 }
 
 fn engine(policy: Policy) -> EagerEngine {
-    EagerEngine::new(EagerConfig::new(4, 16 * 512).page_size(512).policy(policy)).unwrap()
+    let params = EngineParams {
+        n_procs: 4,
+        mem_bytes: 16 * 512,
+        page_bytes: 512,
+        ..EngineParams::default()
+    };
+    EagerEngine::new(policy, &params).unwrap()
 }
 
 #[test]
@@ -105,11 +111,11 @@ fn copyset_shrinks_under_ei_and_grows_under_eu() {
     for i in 0..4u16 {
         ei.read_u64(p(i), 0);
     }
-    assert_eq!(ei.copyset(page0).len(), 4);
+    assert_eq!(ei.protocol().copyset(page0).len(), 4);
     ei.acquire(p(2), LockId::new(0)).unwrap();
     ei.write_u64(p(2), 0, 1);
     ei.release(p(2), LockId::new(0)).unwrap();
-    assert_eq!(ei.copyset(page0), vec![p(2)]);
+    assert_eq!(ei.protocol().copyset(page0), vec![p(2)]);
 
     // EU: the copyset only ever grows.
     let eu = engine(Policy::Update);
@@ -119,7 +125,7 @@ fn copyset_shrinks_under_ei_and_grows_under_eu() {
     eu.acquire(p(2), LockId::new(0)).unwrap();
     eu.write_u64(p(2), 0, 1);
     eu.release(p(2), LockId::new(0)).unwrap();
-    assert_eq!(eu.copyset(page0).len(), 4);
+    assert_eq!(eu.protocol().copyset(page0).len(), 4);
 }
 
 #[test]

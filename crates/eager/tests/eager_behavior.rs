@@ -2,8 +2,8 @@
 //! time propagation, directory misses, and the EI/EU barrier behaviour of
 //! Table 1.
 
-use lrc_core::Policy;
-use lrc_eager::{EagerConfig, EagerEngine};
+use lrc_core::{EngineParams, Policy};
+use lrc_eager::EagerEngine;
 use lrc_simnet::{MsgKind, OpClass};
 use lrc_sync::{BarrierId, LockId};
 use lrc_vclock::ProcId;
@@ -21,7 +21,13 @@ fn b(i: u32) -> BarrierId {
 }
 
 fn engine(policy: Policy) -> EagerEngine {
-    EagerEngine::new(EagerConfig::new(4, 16 * 512).page_size(512).policy(policy)).unwrap()
+    let params = EngineParams {
+        n_procs: 4,
+        mem_bytes: 16 * 512,
+        page_bytes: 512,
+        ..EngineParams::default()
+    };
+    EagerEngine::new(policy, &params).unwrap()
 }
 
 #[test]
@@ -76,7 +82,7 @@ fn release_invalidates_under_ei() {
     assert_eq!(delta.kind(MsgKind::ReleaseInvalidate).msgs, 3);
     assert_eq!(delta.kind(MsgKind::ReleaseAck).msgs, 3);
     // Only the releaser retains the page.
-    assert_eq!(dsm.copyset(dsm.space().page_of(0)), vec![p(1)]);
+    assert_eq!(dsm.protocol().copyset(dsm.space().page_of(0)), vec![p(1)]);
     // A reader must now reload the whole page through the directory:
     // home p0 has no copy, so the request is forwarded to the owner p1.
     let before = dsm.net().snapshot();
@@ -251,19 +257,21 @@ fn lock_and_barrier_errors_propagate() {
 fn page_valid_reflects_directory_and_invalidations() {
     let dsm = engine(Policy::Invalidate);
     let page = dsm.space().page_of(0);
+    let cached = |who: ProcId| dsm.protocol().copyset(page).contains(&who);
+    assert!(cached(p(0)), "home starts with the initial copy");
     assert!(
-        dsm.page_valid(p(0), page),
-        "home starts with the initial copy"
+        !dsm.page_valid(p(0), page),
+        "not materialized until touched"
     );
-    assert!(!dsm.page_valid(p(2), page));
+    assert!(!cached(p(2)));
     dsm.read_u64(p(2), 0);
-    assert!(dsm.page_valid(p(2), page));
+    assert!(cached(p(2)) && dsm.page_valid(p(2), page));
     dsm.acquire(p(1), l(0)).unwrap();
     dsm.write_u64(p(1), 0, 1);
     dsm.release(p(1), l(0)).unwrap();
     assert!(
-        !dsm.page_valid(p(2), page),
+        !cached(p(2)) && !dsm.page_valid(p(2), page),
         "EI release invalidated the reader"
     );
-    assert!(dsm.page_valid(p(1), page));
+    assert!(cached(p(1)) && dsm.page_valid(p(1), page));
 }

@@ -5,8 +5,8 @@
 //! but a cold miss that lands *mid-epoch* under false sharing observed the
 //! supplier's live copy before the fix.
 
-use lrc_core::Policy;
-use lrc_eager::{EagerConfig, EagerEngine};
+use lrc_core::{EngineParams, Policy};
+use lrc_eager::EagerEngine;
 use lrc_sync::{BarrierId, LockId};
 use lrc_vclock::ProcId;
 
@@ -20,7 +20,13 @@ fn l(i: u32) -> LockId {
 
 /// 4 procs, 16 pages of 512 bytes (the lazy regression suite's geometry).
 fn engine(policy: Policy) -> EagerEngine {
-    EagerEngine::new(EagerConfig::new(4, 16 * 512).page_size(512).policy(policy)).unwrap()
+    let params = EngineParams {
+        n_procs: 4,
+        mem_bytes: 16 * 512,
+        page_bytes: 512,
+        ..EngineParams::default()
+    };
+    EagerEngine::new(policy, &params).unwrap()
 }
 
 /// A cold miss served by a processor with an *unflushed* epoch on the page

@@ -41,9 +41,6 @@ pub const DSM_REPLY_CACHE: Class = Class::new("dsm.reply_cache", 22);
 
 // ---- engine slow-path gates ----
 
-/// The `serialize_slow_paths` measurement baseline: when configured,
-/// every slow path locks it first — the retired global protocol mutex.
-pub const ENGINE_SERIAL_GATE: Class = Class::new("engine.serial_gate", 30);
 /// Per-lock gates (acquire/release of one DSM lock serialize here).
 /// Instances carry the lock id as order key.
 pub const ENGINE_LOCK_GATE: Class = Class::new("engine.lock_gate", 40);

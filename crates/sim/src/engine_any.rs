@@ -1,13 +1,9 @@
-use std::sync::Arc;
-
 use lrc_core::{
-    CheckpointError, ConfigError, DeathReport, EngineCheckpoint, EngineOp, EngineOpError,
-    LrcConfig, LrcEngine, ProtocolMutation,
+    CheckpointError, ConfigError, DeathReport, Engine, EngineCheckpoint, EngineCore, EngineParams,
+    LrcEngine,
 };
-use lrc_eager::{EagerCheckpoint, EagerConfig, EagerEngine};
-use lrc_hist::HistoryRecorder;
-use lrc_pagemem::AddrSpace;
-use lrc_simnet::NetStats;
+use lrc_eager::{EagerCheckpoint, EagerEngine};
+use lrc_simnet::{MsgRecord, NetStats};
 use lrc_sync::{BarrierArrival, BarrierError, BarrierId, LockError, LockId};
 use lrc_vclock::ProcId;
 
@@ -17,6 +13,10 @@ use crate::ProtocolKind;
 ///
 /// The simulator, the runtime DSM, and the benches all drive protocols
 /// through this type so a run is parameterized by [`ProtocolKind`] alone.
+/// Everything the families share — recorder and fetch-hook attachment,
+/// counters, the fabric, lock and barrier diagnostics — is reached through
+/// [`AnyEngine::core`]; only the operations whose protocol hooks differ
+/// dispatch on the family.
 // The variants' sizes diverge as the lazy engine grows recovery state,
 // but every construction site makes exactly one engine and keeps it for
 // the whole run — boxing would tax every access to save one allocation.
@@ -29,128 +29,27 @@ pub enum AnyEngine {
     Eager(EagerEngine),
 }
 
-/// Construction parameters shared by both engine families.
-#[derive(Clone, Debug)]
-pub struct EngineParams {
-    /// Number of processors.
-    pub n_procs: usize,
-    /// Shared space in bytes.
-    pub mem_bytes: u64,
-    /// Page size in bytes.
-    pub page_bytes: usize,
-    /// Locks available.
-    pub n_locks: usize,
-    /// Barriers available.
-    pub n_barriers: usize,
-    /// Disable write-notice piggybacking (lazy engines only; ablation).
-    pub piggyback_notices: bool,
-    /// Merge same-destination protocol messages that travel together
-    /// anyway (see [`lrc_core::LrcConfig::coalesce_notices`]). Both
-    /// families.
-    pub coalesce_notices: bool,
-    /// Ship whole pages on warm misses (lazy engines only; ablation).
-    pub full_page_misses: bool,
-    /// Garbage-collect consistency information at barriers (lazy engines
-    /// only; the TreadMarks extension).
-    pub gc_at_barriers: bool,
-    /// Deliberately-broken protocol variant for mutation-testing the
-    /// history checker. Lazy engines only: [`AnyEngine::build`] *rejects*
-    /// a non-stock mutation for the eager kinds rather than silently
-    /// building a faithful engine.
-    pub mutation: ProtocolMutation,
-    /// Serialize every slow path on one engine-wide mutex — the pre-split
-    /// measurement baseline (see
-    /// [`lrc_core::LrcConfig::serialize_slow_paths`]). Benchmarks only.
-    pub serialize_slow_paths: bool,
-    /// Bound on how many barrier episodes a dead processor may hold back
-    /// garbage collection before its rejoin lease expires (lazy engines
-    /// only; `None` defers GC for as long as any processor is dead — see
-    /// [`lrc_core::LrcConfig::death_lease_episodes`]).
-    pub death_lease_episodes: Option<u64>,
-}
-
-impl Default for EngineParams {
-    /// A minimal single-processor system with the builder defaults
-    /// (4 KiB pages, 16 locks, 4 barriers, no ablations, stock
-    /// protocol). Construction sites spell out the fields they mean and
-    /// take the rest from here, so adding a knob touches one place.
-    fn default() -> Self {
-        EngineParams {
-            n_procs: 1,
-            mem_bytes: 1 << 16,
-            page_bytes: 4096,
-            n_locks: 16,
-            n_barriers: 4,
-            piggyback_notices: true,
-            coalesce_notices: false,
-            full_page_misses: false,
-            gc_at_barriers: false,
-            mutation: ProtocolMutation::Stock,
-            serialize_slow_paths: false,
-            death_lease_episodes: None,
-        }
-    }
-}
-
 impl AnyEngine {
     /// Builds an engine of the given kind.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if the parameters do not validate.
+    /// Returns [`ConfigError`] if the parameters do not validate —
+    /// including [`ConfigError::LazyOnly`] for a protocol mutation or a
+    /// death lease on an eager kind.
     pub fn build(kind: ProtocolKind, params: &EngineParams) -> Result<Self, ConfigError> {
-        if kind.is_lazy() {
-            let mut cfg = LrcConfig::new(params.n_procs, params.mem_bytes)
-                .page_size(params.page_bytes)
-                .policy(kind.policy())
-                .locks(params.n_locks)
-                .barriers(params.n_barriers);
-            if !params.piggyback_notices {
-                cfg = cfg.no_piggyback();
-            }
-            if params.coalesce_notices {
-                cfg = cfg.coalesce_notices();
-            }
-            if params.full_page_misses {
-                cfg = cfg.full_page_misses();
-            }
-            if params.gc_at_barriers {
-                cfg = cfg.gc_at_barriers();
-            }
-            if params.serialize_slow_paths {
-                cfg = cfg.serialize_slow_paths();
-            }
-            if let Some(lease) = params.death_lease_episodes {
-                cfg = cfg.death_lease(lease);
-            }
-            cfg = cfg.mutate(params.mutation);
-            Ok(AnyEngine::Lazy(LrcEngine::new(cfg)?))
+        Ok(if kind.is_lazy() {
+            AnyEngine::Lazy(Engine::new(kind.policy(), params)?)
         } else {
-            if params.mutation != ProtocolMutation::Stock {
-                // Silently building a *stock* eager engine would make a
-                // mutation test vacuously green.
-                return Err(ConfigError::UnsupportedMutation(params.mutation));
-            }
-            let mut cfg = EagerConfig::new(params.n_procs, params.mem_bytes)
-                .page_size(params.page_bytes)
-                .policy(kind.policy())
-                .locks(params.n_locks)
-                .barriers(params.n_barriers);
-            if params.coalesce_notices {
-                cfg = cfg.coalesce_notices();
-            }
-            if params.serialize_slow_paths {
-                cfg = cfg.serialize_slow_paths();
-            }
-            Ok(AnyEngine::Eager(EagerEngine::new(cfg)?))
-        }
+            AnyEngine::Eager(Engine::new(kind.policy(), params)?)
+        })
     }
 
-    /// The engine's address space.
-    pub fn space(&self) -> AddrSpace {
+    /// The protocol-independent core of either family.
+    pub fn core(&self) -> &EngineCore {
         match self {
-            AnyEngine::Lazy(e) => e.space(),
-            AnyEngine::Eager(e) => e.space(),
+            AnyEngine::Lazy(e) => e,
+            AnyEngine::Eager(e) => e,
         }
     }
 
@@ -158,7 +57,7 @@ impl AnyEngine {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range accesses (see the engines' docs).
+    /// Panics on out-of-range accesses (see [`Engine::read_into`]).
     pub fn read_into(&self, p: ProcId, addr: u64, buf: &mut [u8]) {
         match self {
             AnyEngine::Lazy(e) => e.read_into(p, addr, buf),
@@ -170,7 +69,7 @@ impl AnyEngine {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range accesses (see the engines' docs).
+    /// Panics on out-of-range accesses (see [`Engine::write`]).
     pub fn write(&self, p: ProcId, addr: u64, data: &[u8]) {
         match self {
             AnyEngine::Lazy(e) => e.write(p, addr, data),
@@ -214,100 +113,24 @@ impl AnyEngine {
         }
     }
 
-    /// Dispatches one decoded remote request (the network nodes' single
-    /// entry point into either engine family).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EngineOpError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range accesses (see the engines' docs).
-    pub fn apply_op(&self, p: ProcId, op: &EngineOp) -> Result<Vec<u8>, EngineOpError> {
-        match self {
-            AnyEngine::Lazy(e) => e.apply_op(p, op),
-            AnyEngine::Eager(e) => e.apply_op(p, op),
-        }
-    }
-
-    /// Attaches a history recorder to either engine family (see
-    /// [`lrc_core::LrcEngine::attach_recorder`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a recorder is already attached or its processor count
-    /// differs from the engine's.
-    pub fn attach_recorder(&self, recorder: Arc<HistoryRecorder>) {
-        match self {
-            AnyEngine::Lazy(e) => e.attach_recorder(recorder),
-            AnyEngine::Eager(e) => e.attach_recorder(recorder),
-        }
-    }
-
-    /// The current holder of `lock`, if any (diagnostics).
-    pub fn lock_holder(&self, lock: LockId) -> Option<ProcId> {
-        match self {
-            AnyEngine::Lazy(e) => e.lock_holder(lock),
-            AnyEngine::Eager(e) => e.lock_holder(lock),
-        }
-    }
-
-    /// The live processors the current episode of `barrier` is still
-    /// waiting for (empty for unknown barriers) — the failure detector's
-    /// suspect list when a barrier wait times out.
-    pub fn barrier_absentees(&self, barrier: BarrierId) -> Vec<ProcId> {
-        match self {
-            AnyEngine::Lazy(e) => e.barrier_absentees(barrier),
-            AnyEngine::Eager(e) => e.barrier_absentees(barrier),
-        }
-    }
-
-    /// Installs the miss-fetch instrumentation hook on either engine
-    /// family (see [`lrc_core::LrcEngine::set_fetch_hook`]).
+    /// Installs the miss-fetch instrumentation hook (see
+    /// [`EngineCore::set_fetch_hook`]).
     ///
     /// # Panics
     ///
     /// Panics if a hook is already installed.
     pub fn set_fetch_hook(&self, hook: lrc_core::FetchHook) {
-        match self {
-            AnyEngine::Lazy(e) => e.set_fetch_hook(hook),
-            AnyEngine::Eager(e) => e.set_fetch_hook(hook),
-        }
-    }
-
-    /// Enables per-message logging on the engine's fabric.
-    pub fn enable_net_trace(&self) {
-        match self {
-            AnyEngine::Lazy(e) => e.enable_net_trace(),
-            AnyEngine::Eager(e) => e.enable_net_trace(),
-        }
+        self.core().set_fetch_hook(hook);
     }
 
     /// The logged messages (empty unless tracing was enabled).
-    pub fn net_records(&self) -> Vec<lrc_simnet::MsgRecord> {
-        match self {
-            AnyEngine::Lazy(e) => e.net().traced(),
-            AnyEngine::Eager(e) => e.net().traced(),
-        }
-    }
-
-    /// Records one checkpoint cut shipped by the runtime's automatic
-    /// policy on either engine family (pure statistics — see
-    /// [`lrc_core::LrcEngine::note_checkpoint`]).
-    pub fn note_checkpoint(&self, shipped_bytes: u64) {
-        match self {
-            AnyEngine::Lazy(e) => e.note_checkpoint(shipped_bytes),
-            AnyEngine::Eager(e) => e.note_checkpoint(shipped_bytes),
-        }
+    pub fn net_records(&self) -> Vec<MsgRecord> {
+        self.core().net().traced()
     }
 
     /// Snapshot of the network statistics.
     pub fn net_stats(&self) -> NetStats {
-        match self {
-            AnyEngine::Lazy(e) => e.net().stats(),
-            AnyEngine::Eager(e) => e.net().stats(),
-        }
+        self.core().net().stats()
     }
 
     /// The lazy engine, if this is one.
@@ -318,19 +141,11 @@ impl AnyEngine {
         }
     }
 
-    /// The eager engine, if this is one.
-    pub fn as_eager(&self) -> Option<&EagerEngine> {
-        match self {
-            AnyEngine::Lazy(_) => None,
-            AnyEngine::Eager(e) => Some(e),
-        }
-    }
-
     // ---- crash tolerance ----
 
     /// Captures a checkpoint of either engine family. Call at a
     /// synchronization point so the cut is consistent (see
-    /// [`lrc_core::LrcEngine::checkpoint`]).
+    /// [`Engine::checkpoint`]).
     pub fn checkpoint(&self) -> AnyCheckpoint {
         match self {
             AnyEngine::Lazy(e) => AnyCheckpoint::Lazy(e.checkpoint()),
@@ -450,6 +265,7 @@ impl AnyCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrc_core::ProtocolMutation;
 
     fn params() -> EngineParams {
         EngineParams {
@@ -466,9 +282,9 @@ mod tests {
     fn builds_all_kinds() {
         for kind in ProtocolKind::ALL {
             let engine = AnyEngine::build(kind, &params()).unwrap();
-            assert_eq!(engine.space().page_size().bytes(), 512);
+            assert_eq!(engine.core().space().page_size().bytes(), 512);
+            assert_eq!(engine.core().policy(), kind.policy());
             assert_eq!(engine.as_lazy().is_some(), kind.is_lazy());
-            assert_eq!(engine.as_eager().is_some(), !kind.is_lazy());
         }
     }
 
@@ -546,9 +362,7 @@ mod tests {
         for kind in [ProtocolKind::EagerInvalidate, ProtocolKind::EagerUpdate] {
             assert_eq!(
                 AnyEngine::build(kind, &mutated).err(),
-                Some(ConfigError::UnsupportedMutation(
-                    ProtocolMutation::SkipTwinDiff
-                )),
+                Some(ConfigError::LazyOnly("mutation")),
                 "{kind}"
             );
         }

@@ -10,6 +10,9 @@
 //! | [`ProtocolKind::EagerInvalidate`] (EI) | [`lrc_eager::EagerEngine`] | invalidate |
 //! | [`ProtocolKind::EagerUpdate`] (EU) | [`lrc_eager::EagerEngine`] | update |
 //!
+//! (both engines are the one [`lrc_core::Engine`] under a different
+//! [`lrc_core::Protocol`])
+//!
 //! — and reports the two quantities the paper measures: **messages** and
 //! **data** exchanged, per operation class (Table 1's columns).
 //!
@@ -56,7 +59,8 @@ mod protocol;
 mod runner;
 mod sweep;
 
-pub use engine_any::{AnyCheckpoint, AnyEngine, EngineParams};
+pub use engine_any::{AnyCheckpoint, AnyEngine};
+pub use lrc_core::EngineParams;
 pub use matrix::{run_traced, CommMatrix};
 pub use protocol::ProtocolKind;
 pub use runner::{run_trace, synth_write_bytes, RunReport, SimError, SimOptions};

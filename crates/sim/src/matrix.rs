@@ -4,7 +4,7 @@ use lrc_simnet::MsgRecord;
 use lrc_trace::Trace;
 use lrc_vclock::ProcId;
 
-use crate::engine_any::EngineParams;
+use crate::runner::{params_for, replay};
 use crate::{AnyEngine, ProtocolKind, RunReport, SimError, SimOptions};
 
 /// A processor-to-processor traffic matrix.
@@ -144,22 +144,10 @@ pub fn run_traced(
     page_bytes: usize,
     options: &SimOptions,
 ) -> Result<(RunReport, CommMatrix), SimError> {
-    let meta = trace.meta();
-    let params = EngineParams {
-        n_procs: meta.n_procs(),
-        mem_bytes: meta.mem_bytes(),
-        page_bytes,
-        n_locks: meta.n_locks().max(1),
-        n_barriers: meta.n_barriers().max(1),
-        piggyback_notices: options.piggyback_notices,
-        full_page_misses: options.full_page_misses,
-        gc_at_barriers: options.gc_at_barriers,
-        ..EngineParams::default()
-    };
-    let mut engine = AnyEngine::build(kind, &params)?;
-    engine.enable_net_trace();
-    let report = crate::runner::replay(trace, kind, page_bytes, options, &mut engine)?;
-    let matrix = CommMatrix::from_records(meta.n_procs(), &engine.net_records());
+    let mut engine = AnyEngine::build(kind, &params_for(trace, page_bytes, options))?;
+    engine.core().enable_net_trace();
+    let report = replay(trace, kind, page_bytes, options, &mut engine)?;
+    let matrix = CommMatrix::from_records(trace.meta().n_procs(), &engine.net_records());
     Ok((report, matrix))
 }
 

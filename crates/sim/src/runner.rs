@@ -1,12 +1,11 @@
 use std::error::Error;
 use std::fmt;
 
-use lrc_core::ConfigError;
+use lrc_core::{ConfigError, EngineParams};
 use lrc_pagemem::Memory;
 use lrc_simnet::{Counter, NetStats, OpClass};
 use lrc_trace::{Op, Trace};
 
-use crate::engine_any::EngineParams;
 use crate::{AnyEngine, ProtocolKind};
 
 /// Options of a simulation run.
@@ -203,8 +202,15 @@ pub fn run_trace(
     page_bytes: usize,
     options: &SimOptions,
 ) -> Result<RunReport, SimError> {
+    let mut engine = AnyEngine::build(kind, &params_for(trace, page_bytes, options))?;
+    replay(trace, kind, page_bytes, options, &mut engine)
+}
+
+/// The engine parameters a replay of `trace` needs: the system shape from
+/// the trace's metadata, the protocol settings from `options`.
+pub(crate) fn params_for(trace: &Trace, page_bytes: usize, options: &SimOptions) -> EngineParams {
     let meta = trace.meta();
-    let params = EngineParams {
+    EngineParams {
         n_procs: meta.n_procs(),
         mem_bytes: meta.mem_bytes(),
         page_bytes,
@@ -214,9 +220,7 @@ pub fn run_trace(
         full_page_misses: options.full_page_misses,
         gc_at_barriers: options.gc_at_barriers,
         ..EngineParams::default()
-    };
-    let mut engine = AnyEngine::build(kind, &params)?;
-    replay(trace, kind, page_bytes, options, &mut engine)
+    }
 }
 
 /// Replays `trace` through a pre-built engine (shared by [`run_trace`] and
@@ -228,7 +232,9 @@ pub(crate) fn replay(
     options: &SimOptions,
     engine: &mut AnyEngine,
 ) -> Result<RunReport, SimError> {
-    let mut oracle = options.check_sc.then(|| Memory::zeroed(engine.space()));
+    let mut oracle = options
+        .check_sc
+        .then(|| Memory::zeroed(engine.core().space()));
 
     let mut read_buf = Vec::new();
     for (at, event) in trace.events().iter().enumerate() {

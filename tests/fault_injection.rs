@@ -878,7 +878,7 @@ fn seeded_kill_and_heal_soak_converges_without_manual_recovery() {
     // The automation left its fingerprints: cuts shipped at episode
     // boundaries and at each death, and GC deferred (bounded by the
     // lease) instead of collecting under a dead processor.
-    let counters = dsm.engine().as_lazy().unwrap().counters();
+    let counters = dsm.engine().core().counters();
     assert!(
         counters.checkpoints_cut >= ITERS,
         "expected a cut per episode, got {}",

@@ -68,7 +68,7 @@ fn sim_replay(
         }
     }
     let stats = engine.net_stats();
-    let total = engine.space().total_bytes();
+    let total = engine.core().space().total_bytes();
     let mem = read_all(
         &mut |addr, buf| engine.read_into(p0, addr, buf),
         total,

@@ -192,7 +192,7 @@ fn resumable_hello_revives_a_processor_declared_dead_while_severed() {
     assert_eq!(local.read_u64(8), 8);
     local.release(lock).unwrap();
 
-    let counters = dsm.engine().as_lazy().unwrap().counters();
+    let counters = dsm.engine().core().counters();
     assert!(
         counters.checkpoints_cut >= 1,
         "the death cut must have shipped, got {}",

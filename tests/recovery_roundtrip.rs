@@ -286,7 +286,7 @@ fn expired_lease_forces_a_cold_join_from_a_post_gc_cut() {
         survivor.release(LockId::new(0)).unwrap();
         survivor.barrier(BarrierId::new(0)).unwrap();
     }
-    let counters = dsm.engine().as_lazy().unwrap().counters();
+    let counters = dsm.engine().core().counters();
     assert!(
         counters.gc_deferrals >= 1,
         "the live lease must defer at least one GC round, got {}",
@@ -353,7 +353,7 @@ fn auto_checkpoint_chain_reconstructs_the_live_state() {
         dsm.checkpoint(),
         "the folded sink chain must equal a direct cut of the live engine"
     );
-    let counters = dsm.engine().as_lazy().unwrap().counters();
+    let counters = dsm.engine().core().counters();
     assert!(
         counters.checkpoints_cut >= 5,
         "one cut per episode, got {}",

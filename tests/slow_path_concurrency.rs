@@ -116,7 +116,7 @@ fn lazy_stalled_miss_blocks_neither_unrelated_lock_nor_other_page() {
         stall.release_tx.send(()).expect("victim waiting");
     });
 
-    let counters = dsm.engine().as_lazy().expect("lazy engine").counters();
+    let counters = dsm.engine().core().counters();
     assert!(
         counters.miss_inflight_peak >= 2,
         "page-B miss must have been in flight concurrently with the \
@@ -179,7 +179,7 @@ fn eager_stalled_miss_blocks_neither_unrelated_lock_nor_other_page() {
         stall.release_tx.send(()).expect("victim waiting");
     });
 
-    let counters = dsm.engine().as_eager().expect("eager engine").counters();
+    let counters = dsm.engine().core().counters();
     assert!(
         counters.miss_inflight_peak >= 2,
         "concurrent misses in flight (peak = {})",
@@ -239,7 +239,7 @@ fn same_page_followers_wait_on_the_resolver_and_still_resolve() {
         follower.join().expect("follower completes");
     });
 
-    let counters = dsm.engine().as_lazy().expect("lazy engine").counters();
+    let counters = dsm.engine().core().counters();
     assert!(
         counters.misses() >= 2,
         "both processors resolved their own miss (misses = {})",

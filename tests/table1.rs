@@ -3,8 +3,8 @@
 //! scenarios with known `m`, `h`, `c`, `n`, `u`, `v` produce exactly the
 //! message counts the table specifies.
 
-use lrc::core::{LrcConfig, LrcEngine, Policy};
-use lrc::eager::{EagerConfig, EagerEngine};
+use lrc::core::{EngineParams, LrcEngine, Policy};
+use lrc::eager::EagerEngine;
 use lrc::simnet::OpClass;
 use lrc::sync::{BarrierId, LockId};
 use lrc::vclock::ProcId;
@@ -17,12 +17,21 @@ const N: usize = 6;
 const PAGE: usize = 512;
 const MEM: u64 = 32 * 512;
 
+fn params() -> EngineParams {
+    EngineParams {
+        n_procs: N,
+        mem_bytes: MEM,
+        page_bytes: PAGE,
+        ..EngineParams::default()
+    }
+}
+
 fn lazy(policy: Policy) -> LrcEngine {
-    LrcEngine::new(LrcConfig::new(N, MEM).page_size(PAGE).policy(policy)).unwrap()
+    LrcEngine::new(policy, &params()).unwrap()
 }
 
 fn eager(policy: Policy) -> EagerEngine {
-    EagerEngine::new(EagerConfig::new(N, MEM).page_size(PAGE).policy(policy)).unwrap()
+    EagerEngine::new(policy, &params()).unwrap()
 }
 
 /// Lock row, lazy protocols: 3 messages to find and transfer the lock
