@@ -1,26 +1,21 @@
 //! Transport comparison harness: codec throughput, end-to-end op round
-//! trips over every backend (channel loopback, thread-per-peer TCP, and
-//! — with `--features reactor` — the readiness-based reactor), and the
-//! reactor's protocol-batching microbench: a same-destination frame storm
-//! whose frames-per-write-syscall ratio is the whole point of staging
-//! buffers. Byte accounting is reconciled three ways on every run:
-//! modeled frame bytes, the sender's metered bytes, and the receiver's
-//! metered bytes must agree exactly.
+//! trips over both backends (channel loopback, TCP), and a
+//! same-destination frame storm over a TCP pair, where frames queued
+//! faster than the send thread writes them must share socket writes.
+//! Byte accounting is reconciled three ways on every run: modeled frame
+//! bytes, the sender's metered bytes, and the receiver's metered bytes
+//! must agree exactly.
 //!
 //! Results are written as machine-readable JSON to `BENCH_transport.json`
 //! (override with `--json PATH`). Flags: `--smoke` shrinks iteration
-//! counts for CI; `--check` exits non-zero unless the reactor batches
-//! same-destination frames (> 1 frame per write syscall on the storm).
+//! counts for CI; `--check` exits non-zero unless the storm averaged more
+//! than one frame per socket write.
 
 use std::time::Instant;
 
-#[cfg(feature = "reactor")]
-use std::time::Duration;
-
-#[cfg(feature = "reactor")]
 use lrc_core::EngineOp;
 use lrc_dsm::{DsmBuilder, NodeClient, NodeServer};
-use lrc_net::{ChannelNet, Frame, TcpTransport, Transport, WireCtx, WireMsg};
+use lrc_net::{ChannelNet, Frame, TcpTransport, Transport, WireCtx, WireMsg, WireStats};
 use lrc_pagemem::{Diff, PageBuf, PageId, PageSize};
 use lrc_sim::ProtocolKind;
 use lrc_vclock::ProcId;
@@ -128,36 +123,13 @@ fn tcp_pair() -> (TcpTransport, TcpTransport) {
     (hub.accept(1).unwrap(), connecting.join().unwrap())
 }
 
-/// A connected reactor loopback pair (server end, client end).
-#[cfg(feature = "reactor")]
-fn reactor_pair() -> (lrc_net::ReactorTransport, lrc_net::ReactorTransport) {
-    use lrc_net::ReactorTransport;
-    let hub = ReactorTransport::bind("127.0.0.1:0", 0).unwrap();
-    let addr = hub.local_addr();
-    let connecting = std::thread::spawn(move || ReactorTransport::connect(&addr, 1, 0).unwrap());
-    (hub.accept(1).unwrap(), connecting.join().unwrap())
-}
-
-/// The batching storm's verdict.
-#[cfg(feature = "reactor")]
-struct Burst {
-    frames: u64,
-    write_syscalls: u64,
-    frames_per_write: f64,
-    bytes_modeled: u64,
-    bytes_sent: u64,
-    bytes_received: u64,
-}
-
-/// The protocol-batching microbench: a same-destination storm of op
-/// frames submitted faster than the reactor flushes, so the staging
-/// buffer aggregates them into shared write syscalls. Returns the frame
-/// accounting, with modeled / sender-metered / receiver-metered bytes
-/// asserted equal — the `SizeCrosscheck` discipline extended to real
-/// syscall batching.
-#[cfg(feature = "reactor")]
-fn reactor_burst(frames: u64) -> Burst {
-    let (hub, spoke) = reactor_pair();
+/// A same-destination storm of op frames sent faster than the spoke's
+/// send thread writes them, so queued frames share socket writes. Returns
+/// the spoke's accounting (connect-time link hello included), with
+/// modeled / sender-metered / receiver-metered bytes asserted equal — the
+/// `SizeCrosscheck` discipline extended to coalesced writes.
+fn tcp_burst(frames: u64) -> WireStats {
+    let (hub, spoke) = tcp_pair();
     let msg = WireMsg::OpRequest {
         proc: ProcId::new(1),
         op: EngineOp::Write {
@@ -179,37 +151,19 @@ fn reactor_burst(frames: u64) -> Burst {
     for _ in 0..frames {
         hub.recv().unwrap();
     }
-    // The reactor thread may still be accounting the last flush; its
-    // frame counter includes the connect-time link hello.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let batch = loop {
-        let batch = spoke.batch_stats();
-        if batch.frames_written > frames {
-            break batch;
-        }
-        assert!(Instant::now() < deadline, "reactor never flushed the burst");
-        std::thread::sleep(Duration::from_millis(2));
-    };
-
+    // Every frame has arrived, so every write behind it has been counted.
+    let sent = spoke.stats();
     let bytes_modeled = hello_len + frames * frame_len;
-    let bytes_sent = spoke.stats().bytes_sent;
-    let bytes_received = hub.stats().bytes_received;
     assert_eq!(
-        bytes_sent, bytes_modeled,
+        sent.bytes_sent, bytes_modeled,
         "sender-metered bytes diverge from the modeled frame bytes"
     );
     assert_eq!(
-        bytes_received, bytes_modeled,
+        hub.stats().bytes_received,
+        bytes_modeled,
         "receiver-metered bytes diverge from the modeled frame bytes"
     );
-    Burst {
-        frames: batch.frames_written,
-        write_syscalls: batch.write_syscalls,
-        frames_per_write: batch.frames_per_write(),
-        bytes_modeled,
-        bytes_sent,
-        bytes_received,
-    }
+    sent
 }
 
 fn main() {
@@ -240,66 +194,44 @@ fn main() {
     let channel_us = bench_round_trips(server_end, client_end, rt_iters);
     let (server_end, client_end) = tcp_pair();
     let tcp_us = bench_round_trips(server_end, client_end, rt_iters);
-    #[cfg(feature = "reactor")]
-    let reactor_us = {
-        let (server_end, client_end) = reactor_pair();
-        bench_round_trips(server_end, client_end, rt_iters)
-    };
 
     println!("round trip (write_u64): direct {direct_us:.2}us  channel {channel_us:.2}us  tcp {tcp_us:.2}us");
-    #[cfg(feature = "reactor")]
-    println!("round trip (write_u64): reactor {reactor_us:.2}us");
 
-    #[cfg(feature = "reactor")]
-    let burst = reactor_burst(burst_frames);
-    #[cfg(not(feature = "reactor"))]
-    let _ = burst_frames;
-    #[cfg(feature = "reactor")]
+    let burst = tcp_burst(burst_frames);
+    let frames_per_flush = burst.msgs_sent as f64 / burst.flushes as f64;
     println!(
-        "reactor storm: {} frames in {} write syscalls ({:.1} frames/write), \
+        "tcp storm: {} frames in {} socket writes ({frames_per_flush:.1} frames/flush), \
          {} bytes modeled == sent == received",
-        burst.frames, burst.write_syscalls, burst.frames_per_write, burst.bytes_modeled,
+        burst.msgs_sent, burst.flushes, burst.bytes_sent,
     );
 
-    #[cfg(feature = "reactor")]
-    let reactor_json = format!(
-        ",\n    \"reactor\": {reactor_us:.3}\n  }},\n  \"reactor_burst\": {{\n    \
-         \"frames\": {},\n    \"write_syscalls\": {},\n    \"frames_per_write\": {:.2},\n    \
-         \"bytes_modeled\": {},\n    \"bytes_sent\": {},\n    \"bytes_received\": {}\n  }}",
-        burst.frames,
-        burst.write_syscalls,
-        burst.frames_per_write,
-        burst.bytes_modeled,
-        burst.bytes_sent,
-        burst.bytes_received,
-    );
-    #[cfg(not(feature = "reactor"))]
-    let reactor_json = "\n  }".to_string();
-
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"transport\",\n  \"smoke\": {smoke},\n  \"codec_us\": {{\n    \
-         \"encode\": {encode_us:.3},\n    \"decode\": {decode_us:.3}\n  }},\n  \
+        "{{\n  \"bench\": \"transport\",\n  \"smoke\": {smoke},\n  \"cores\": {cores},\n  \
+         \"codec_us\": {{\n    \"encode\": {encode_us:.3},\n    \"decode\": {decode_us:.3}\n  }},\n  \
          \"round_trip_us\": {{\n    \"direct\": {direct_us:.3},\n    \
-         \"channel\": {channel_us:.3},\n    \"tcp\": {tcp_us:.3}{reactor_json}\n}}\n",
+         \"channel\": {channel_us:.3},\n    \"tcp\": {tcp_us:.3}\n  }},\n  \
+         \"tcp_burst\": {{\n    \"frames\": {frames},\n    \"flushes\": {flushes},\n    \
+         \"frames_per_flush\": {frames_per_flush:.2},\n    \"bytes_modeled\": {bytes},\n    \
+         \"bytes_sent\": {bytes},\n    \"bytes_received\": {bytes}\n  }}\n}}\n",
+        frames = burst.msgs_sent,
+        flushes = burst.flushes,
+        bytes = burst.bytes_sent, // tcp_burst asserted all three equal
     );
     std::fs::write(&json_path, &json).expect("write JSON results");
     println!("results written to {json_path}");
 
     if check {
-        #[cfg(feature = "reactor")]
-        {
-            // The committed acceptance gate: a same-destination storm must
-            // share write syscalls across frames, or the staging buffers
-            // have regressed into frame-per-write behavior.
-            assert!(
-                burst.frames_per_write > 1.0,
-                "no batching: {} frames took {} write syscalls",
-                burst.frames,
-                burst.write_syscalls,
-            );
-            println!("check passed");
-        }
-        #[cfg(not(feature = "reactor"))]
-        println!("check: reactor feature disabled, batching gate skipped");
+        // The committed acceptance gate: a same-destination storm must
+        // share socket writes across frames, or the send thread has
+        // regressed into write-per-frame behavior. (The three-way byte
+        // equality is asserted on every run, checked or not.)
+        assert!(
+            frames_per_flush > 1.0,
+            "no coalescing: {} frames took {} socket writes",
+            burst.msgs_sent,
+            burst.flushes,
+        );
+        println!("check passed");
     }
 }

@@ -96,13 +96,6 @@ pub const SIMNET_TRACE: Class = Class::new("simnet.trace", 95);
 pub const NET_HEAL: Class = Class::new("net.heal", 79);
 /// A node client's pending-reply table.
 pub const NET_PENDING: Class = Class::new("net.pending", 80);
-/// The reactor transport's per-peer liveness map (dead flags only; the
-/// sockets themselves are private to the reactor thread). A sender drops
-/// it before touching the submission queue, so the two never nest.
-pub const NET_REACTOR_PEERS: Class = Class::new("net.reactor_peers", 81);
-/// The reactor transport's wakeable submission queue; drained whole by
-/// the reactor thread, pushed by senders holding nothing else.
-pub const NET_REACTOR_SUBMIT: Class = Class::new("net.reactor_submit", 84);
 /// Fault-injection decision state (advanced per attempted send).
 pub const NET_FAULT_STATE: Class = Class::new("net.fault_state", 82);
 /// Fault-injection dropped-frame counter.

@@ -128,10 +128,7 @@ impl SelfHealing {
         if !Arc::ptr_eq(&slot.inner, &fresh) {
             let old = slot.inner.stats();
             let mut retired = self.retired.write();
-            retired.msgs_sent += old.msgs_sent;
-            retired.bytes_sent += old.bytes_sent;
-            retired.msgs_received += old.msgs_received;
-            retired.bytes_received += old.bytes_received;
+            *retired = *retired + old;
         }
         slot.inner = fresh;
         slot.generation += 1;
@@ -199,13 +196,7 @@ impl Transport for SelfHealing {
 
     fn stats(&self) -> WireStats {
         let retired = *self.retired.read();
-        let live = self.snapshot().0.stats();
-        WireStats {
-            msgs_sent: retired.msgs_sent + live.msgs_sent,
-            bytes_sent: retired.bytes_sent + live.bytes_sent,
-            msgs_received: retired.msgs_received + live.msgs_received,
-            bytes_received: retired.bytes_received + live.bytes_received,
-        }
+        retired + self.snapshot().0.stats()
     }
 
     fn generation(&self) -> u64 {

@@ -15,9 +15,10 @@
 //!   turning the simulator's byte accounting into a measurement.
 //! * **Transports** ([`Transport`]) — the in-process [`ChannelTransport`]
 //!   (deterministic, loopback, used by the `net_vs_sim` conformance
-//!   suite) and the [`TcpTransport`] (length-prefixed framing, connection
-//!   management, per-peer send/recv threads). Both meter the bytes they
-//!   actually move ([`WireStats`]).
+//!   suite) and the [`TcpTransport`], the one socket backend
+//!   (length-prefixed framing, connection management, per-peer send/recv
+//!   threads, queued frames sharing a socket write). Both meter the bytes
+//!   they actually move ([`WireStats`]).
 //! * The **node runtime** lives in `lrc-dsm` (`lrc_dsm::node`): it hosts
 //!   processors on nodes and services remote requests by decoding frames
 //!   into [`lrc_core::EngineOp`]s and dispatching them into the engines.
@@ -43,18 +44,12 @@
 //! assert_eq!(a.stats().bytes_sent, frame.wire_len() as u64);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-// The default build carries no unsafe code at all; the `reactor` feature
-// adds exactly one `#[allow]`ed module (the poll(2) FFI in `reactor::sys`),
-// so even then new unsafe cannot appear elsewhere in the crate.
-#![cfg_attr(not(feature = "reactor"), forbid(unsafe_code))]
-#![cfg_attr(feature = "reactor", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod channel;
 mod fault;
 mod heal;
-#[cfg(feature = "reactor")]
-mod reactor;
 mod tcp;
 mod transport;
 pub mod wire;
@@ -62,8 +57,6 @@ pub mod wire;
 pub use channel::{ChannelNet, ChannelTransport};
 pub use fault::{FaultPlan, FaultRule, FaultyTransport};
 pub use heal::{Connector, SelfHealing};
-#[cfg(feature = "reactor")]
-pub use reactor::{BatchStats, ReactorHub, ReactorTransport};
 pub use tcp::{TcpHub, TcpTransport};
 pub use transport::{Backoff, NetError, NodeId, Transport, WireMeter, WireStats};
 pub use wire::{

@@ -13,6 +13,11 @@
 //! endpoint's single incoming queue). Frames are length-prefixed by their
 //! own header, so the stream needs no extra framing bytes and measured
 //! bytes equal encoded bytes.
+//!
+//! The send thread writes whatever is already queued for its peer in one
+//! socket write: an idle link (one request, one reply) issues one write
+//! per frame, a burst to one peer shares writes. [`WireStats::flushes`]
+//! counts the writes.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -28,6 +33,11 @@ use std::thread;
 
 use crate::transport::{Backoff, NetError, NodeId, Transport, WireMeter, WireStats};
 use crate::wire::{Frame, WireKind, WireMsg, FRAME_HEADER_BYTES};
+
+/// The send thread stops adding queued frames to a write once it holds
+/// this many bytes: past a socket buffer's worth the syscall is amortized
+/// and more would only grow the copy.
+const MAX_FLUSH_BYTES: usize = 64 * 1024;
 
 /// One peer link: its send queue plus a death flag poisoned by whichever
 /// I/O thread notices the link die first (recv EOF/corruption, or a
@@ -139,7 +149,7 @@ impl TcpTransport {
             .incoming_tx
             .as_ref()
             .expect("attach only runs during setup, before seal()");
-        attach_link(self.node, peer, stream, incoming, &self.peers);
+        attach_link(self.node, peer, stream, incoming, &self.peers, &self.meter);
     }
 }
 
@@ -160,14 +170,16 @@ fn attach_link(
     stream: TcpStream,
     incoming_tx: &Sender<Frame>,
     peers: &Mutex<HashMap<NodeId, PeerLink>>,
+    meter: &Arc<WireMeter>,
 ) {
     let (tx, rx): (Sender<Vec<u8>>, Receiver<Vec<u8>>) = channel();
     let dead = Arc::new(AtomicBool::new(false));
     let write_half = stream.try_clone().expect("clone TCP stream");
     let send_dead = Arc::clone(&dead);
+    let send_meter = Arc::clone(meter);
     thread::Builder::new()
         .name(format!("lrc-net-send-{node}-{peer}"))
-        .spawn(move || send_loop(write_half, rx, send_dead))
+        .spawn(move || send_loop(write_half, &rx, &send_dead, &send_meter))
         .expect("spawn send thread");
     let incoming = incoming_tx.clone();
     let recv_dead = Arc::clone(&dead);
@@ -235,14 +247,83 @@ impl TcpHub {
         n_peers: usize,
         deadline: Option<Instant>,
     ) -> Result<TcpTransport, NetError> {
-        let conns = accept_spokes(&self.listener, n_peers, deadline)?;
-        let mut transport = TcpTransport::new(self.node);
+        let mut transport = self.accept_initial(n_peers, deadline)?;
+        transport.seal();
+        Ok(transport)
+    }
+
+    /// Accepts the initial peer set and attaches every link. The endpoint
+    /// comes back unsealed: the caller either seals it or hands its
+    /// incoming sender to a healing acceptor.
+    fn accept_initial(
+        &self,
+        n_peers: usize,
+        deadline: Option<Instant>,
+    ) -> Result<TcpTransport, NetError> {
+        let conns = self.accept_spokes(n_peers, deadline)?;
+        let transport = TcpTransport::new(self.node);
         for (peer, stream, hello_len) in conns {
             transport.meter.count_received(hello_len);
             transport.attach(peer, stream);
         }
-        transport.seal();
         Ok(transport)
+    }
+
+    /// Accepts `n_peers` spoke connections and consumes each spoke's
+    /// opening transport-level [`WireMsg::Hello`], returning
+    /// `(peer id, stream, hello wire length)` triples. `None` deadline
+    /// blocks forever; with a deadline, both the accepts and the hello
+    /// reads are bounded, and expiry reports the peers collected so far.
+    /// A hello announcing an id already taken — by an earlier spoke or by
+    /// the hub — fails the accept with [`NetError::DuplicatePeer`]: one
+    /// link per id is what lets the hub address replies.
+    fn accept_spokes(
+        &self,
+        n_peers: usize,
+        deadline: Option<Instant>,
+    ) -> Result<Vec<(NodeId, TcpStream, usize)>, NetError> {
+        let timed_out = |conns: &[(NodeId, TcpStream, usize)]| NetError::AcceptTimeout {
+            wanted: n_peers,
+            connected: conns.iter().map(|&(peer, _, _)| peer).collect(),
+        };
+        if deadline.is_some() {
+            self.listener.set_nonblocking(true)?;
+        }
+        let mut conns: Vec<(NodeId, TcpStream, usize)> = Vec::with_capacity(n_peers);
+        while conns.len() < n_peers {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    if Instant::now() >= deadline.expect("WouldBlock only under a deadline") {
+                        return Err(timed_out(&conns));
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                    continue;
+                }
+                Err(e) => return Err(e.into()),
+            };
+            // Read the opening Hello synchronously to learn the peer id;
+            // under a deadline, a connected-but-silent spoke must not
+            // wedge the hub either.
+            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if remaining.is_some_and(|r| r.is_zero()) {
+                return Err(timed_out(&conns));
+            }
+            // A failure at the deadline is the silent-spoke case;
+            // anything earlier is a genuine I/O error.
+            let hello = read_hello(&stream, remaining).map_err(|e| {
+                if deadline.is_some_and(|d| Instant::now() >= d) {
+                    timed_out(&conns)
+                } else {
+                    e
+                }
+            })?;
+            if hello.src == self.node || conns.iter().any(|&(peer, _, _)| peer == hello.src) {
+                return Err(NetError::DuplicatePeer(hello.src));
+            }
+            conns.push((hello.src, stream, hello.wire_len()));
+        }
+        Ok(conns)
     }
 
     /// Like [`TcpHub::accept_within`], but the hub keeps healing after
@@ -266,15 +347,13 @@ impl TcpHub {
         n_peers: usize,
         timeout: Duration,
     ) -> Result<TcpTransport, NetError> {
-        let deadline = Instant::now() + timeout;
-        let conns = accept_spokes(&self.listener, n_peers, Some(deadline))?;
-        let mut transport = TcpTransport::new(self.node);
-        for (peer, stream, hello_len) in conns {
-            transport.meter.count_received(hello_len);
-            transport.attach(peer, stream);
-        }
-        let incoming_tx = transport.incoming_tx.as_ref().expect("before seal").clone();
-        transport.seal();
+        let mut transport = self.accept_initial(n_peers, Some(Instant::now() + timeout))?;
+        // Taking the sender seals the endpoint; the acceptor now holds
+        // the one sender that outlives the current links.
+        let incoming_tx = transport
+            .incoming_tx
+            .take()
+            .expect("accept_initial returns the endpoint unsealed");
         let node = self.node;
         let peers = Arc::clone(&transport.peers);
         let meter = Arc::clone(&transport.meter);
@@ -312,98 +391,45 @@ fn heal_accept_loop(
         };
         // A malformed or silent late connection is dropped, not fatal:
         // the hub must survive anything a flaky reconnect throws at it.
-        let ok = stream.set_nodelay(true).is_ok()
-            && stream.set_nonblocking(false).is_ok()
-            && stream
-                .set_read_timeout(Some(Duration::from_secs(5)))
-                .is_ok();
-        if !ok {
+        let Ok(hello) = read_hello(&stream, Some(Duration::from_secs(5))) else {
             continue;
-        }
-        let hello = match read_frame(&mut &stream) {
-            Ok(hello) if hello.kind == WireKind::Hello => hello,
-            _ => continue,
         };
-        if stream.set_read_timeout(None).is_err() {
-            continue;
-        }
         meter.count_received(hello.wire_len());
-        attach_link(node, hello.src, stream, &incoming_tx, &peers);
+        attach_link(node, hello.src, stream, &incoming_tx, &peers, &meter);
     }
 }
 
-/// Accepts `n_peers` spoke connections off `listener` and consumes each
-/// spoke's opening transport-level [`WireMsg::Hello`], returning
-/// `(peer id, stream, hello wire length)` triples. `None` deadline blocks
-/// forever; with a deadline, both the accepts and the hello reads are
-/// bounded, and expiry reports the peers collected so far. Shared by the
-/// thread-per-peer hub and the reactor hub.
-pub(crate) fn accept_spokes(
-    listener: &TcpListener,
-    n_peers: usize,
-    deadline: Option<Instant>,
-) -> Result<Vec<(NodeId, TcpStream, usize)>, NetError> {
-    let timed_out = |conns: &[(NodeId, TcpStream, usize)]| NetError::AcceptTimeout {
-        wanted: n_peers,
-        connected: conns.iter().map(|&(peer, _, _)| peer).collect(),
-    };
-    if deadline.is_some() {
-        listener.set_nonblocking(true)?;
+/// Readies a freshly accepted connection and reads the transport-level
+/// [`WireMsg::Hello`] every spoke opens with, within `timeout` if given.
+fn read_hello(stream: &TcpStream, timeout: Option<Duration>) -> Result<Frame, NetError> {
+    stream.set_nodelay(true)?;
+    stream.set_nonblocking(false)?;
+    stream.set_read_timeout(timeout)?;
+    let hello = read_frame(&mut &*stream)?;
+    if hello.kind != WireKind::Hello {
+        return Err(NetError::Io(format!(
+            "peer opened with {} instead of Hello",
+            hello.kind
+        )));
     }
-    let mut conns: Vec<(NodeId, TcpStream, usize)> = Vec::with_capacity(n_peers);
-    while conns.len() < n_peers {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline.expect("WouldBlock only under a deadline") {
-                    return Err(timed_out(&conns));
-                }
-                std::thread::sleep(Duration::from_millis(2));
-                continue;
-            }
-            Err(e) => return Err(e.into()),
-        };
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(false)?;
-        // Read the opening Hello synchronously to learn the peer id;
-        // under a deadline, a connected-but-silent spoke must not wedge
-        // the hub either.
-        if let Some(deadline) = deadline {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(timed_out(&conns));
-            }
-            stream.set_read_timeout(Some(remaining))?;
-        }
-        let hello = match read_frame(&mut &stream) {
-            Ok(hello) => hello,
-            Err(e) => {
-                // A read failure at the deadline is the silent-spoke
-                // case; anything earlier is a genuine I/O error.
-                return Err(if deadline.is_some_and(|d| Instant::now() >= d) {
-                    timed_out(&conns)
-                } else {
-                    e
-                });
-            }
-        };
-        if hello.kind != WireKind::Hello {
-            return Err(NetError::Io(format!(
-                "peer opened with {} instead of Hello",
-                hello.kind
-            )));
-        }
-        stream.set_read_timeout(None)?;
-        conns.push((hello.src, stream, hello.wire_len()));
-    }
-    Ok(conns)
+    stream.set_read_timeout(None)?;
+    Ok(hello)
 }
 
 /// Drains the send queue onto the socket; exits when the queue closes or
-/// a write fails (poisoning the peer's death flag).
-fn send_loop(mut stream: TcpStream, rx: Receiver<Vec<u8>>, dead: Arc<AtomicBool>) {
-    while let Ok(bytes) = rx.recv() {
-        if stream.write_all(&bytes).is_err() {
+/// a write fails (poisoning the peer's death flag). Frames already queued
+/// behind the one just dequeued ride in the same write, up to
+/// [`MAX_FLUSH_BYTES`]; a lone frame is written from its own buffer.
+fn send_loop(mut stream: TcpStream, rx: &Receiver<Vec<u8>>, dead: &AtomicBool, meter: &WireMeter) {
+    while let Ok(mut batch) = rx.recv() {
+        while batch.len() < MAX_FLUSH_BYTES {
+            let Ok(frame) = rx.try_recv() else { break };
+            batch.extend_from_slice(&frame);
+        }
+        // Counted before the write: whoever has seen these frames arrive
+        // then also sees their flush.
+        meter.count_flush();
+        if stream.write_all(&batch).is_err() {
             dead.store(true, Ordering::Release);
             break;
         }
@@ -477,14 +503,21 @@ impl std::fmt::Debug for TcpTransport {
 mod tests {
     use super::*;
 
-    #[test]
-    fn hub_and_spoke_exchange_frames_on_loopback() {
+    /// A connected loopback (hub, spoke) pair. `accept` returns only
+    /// after reading the spoke's Hello, so that frame's flush is behind
+    /// both endpoints.
+    fn loopback_pair() -> (TcpTransport, TcpTransport) {
         let hub = TcpTransport::bind("127.0.0.1:0", 0).expect("bind");
         let addr = hub.local_addr();
         let spoke_thread =
             thread::spawn(move || TcpTransport::connect(&addr, 1, 0).expect("connect"));
         let hub = hub.accept(1).expect("accept");
-        let spoke = spoke_thread.join().unwrap();
+        (hub, spoke_thread.join().unwrap())
+    }
+
+    #[test]
+    fn hub_and_spoke_exchange_frames_on_loopback() {
+        let (hub, spoke) = loopback_pair();
 
         // Request/reply round trip (the link-level Hello was consumed by
         // accept and does not surface here).
@@ -507,13 +540,9 @@ mod tests {
 
     #[test]
     fn peer_death_surfaces_as_closed_not_a_hang() {
-        let hub = TcpTransport::bind("127.0.0.1:0", 0).expect("bind");
-        let addr = hub.local_addr();
-        let spoke_thread =
-            thread::spawn(move || TcpTransport::connect(&addr, 1, 0).expect("connect"));
-        let hub = hub.accept(1).expect("accept");
+        let (hub, spoke) = loopback_pair();
         // The spoke dies without a Shutdown message.
-        drop(spoke_thread.join().unwrap());
+        drop(spoke);
         // The hub's recv thread sees EOF and exits; because the incoming
         // channel was sealed after setup, recv reports Closed.
         assert_eq!(hub.recv().unwrap_err(), NetError::Closed);
@@ -521,12 +550,7 @@ mod tests {
 
     #[test]
     fn send_after_peer_death_errors_instead_of_queueing_into_the_void() {
-        let hub = TcpTransport::bind("127.0.0.1:0", 0).expect("bind");
-        let addr = hub.local_addr();
-        let spoke_thread =
-            thread::spawn(move || TcpTransport::connect(&addr, 1, 0).expect("connect"));
-        let hub = hub.accept(1).expect("accept");
-        let spoke = spoke_thread.join().unwrap();
+        let (hub, spoke) = loopback_pair();
         // Sever the link: the hub endpoint goes away without a Shutdown.
         drop(hub);
         // recv observing Closed proves the spoke's recv thread exited and
@@ -540,12 +564,7 @@ mod tests {
 
     #[test]
     fn in_flight_blocking_fetch_unblocks_when_the_peer_dies() {
-        let hub = TcpTransport::bind("127.0.0.1:0", 0).expect("bind");
-        let addr = hub.local_addr();
-        let spoke_thread =
-            thread::spawn(move || TcpTransport::connect(&addr, 1, 0).expect("connect"));
-        let hub = hub.accept(1).expect("accept");
-        let spoke = spoke_thread.join().unwrap();
+        let (hub, spoke) = loopback_pair();
         // The spoke issues a request and blocks for the reply — the shape
         // of every remote page fetch.
         spoke.send(&WireMsg::Shutdown, 0, 9).unwrap();
@@ -653,6 +672,109 @@ mod tests {
             matches!(err, NetError::ConnectTimeout { attempts: 2, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_burst_shares_flushes_and_a_ping_pong_does_not() {
+        let (hub, spoke) = loopback_pair();
+        let frame_len = WireMsg::Shutdown.encode_frame(1, 0, 0).wire_len() as u64;
+        let before = spoke.stats();
+        assert_eq!((before.msgs_sent, before.flushes), (1, 1), "the Hello");
+
+        // Sent faster than the send thread drains: order and accounting
+        // are exact, and no frame costs more than one write.
+        const BURST: u64 = 256;
+        for seq in 0..BURST {
+            spoke.send(&WireMsg::Shutdown, 0, seq).unwrap();
+        }
+        for seq in 0..BURST {
+            let frame = hub.recv().unwrap();
+            assert_eq!((frame.kind, frame.seq), (WireKind::Shutdown, seq));
+        }
+        let burst = spoke.stats();
+        assert_eq!(burst.msgs_sent - before.msgs_sent, BURST);
+        assert_eq!(burst.bytes_sent - before.bytes_sent, BURST * frame_len);
+        assert_eq!(
+            hub.stats().bytes_received,
+            burst.bytes_sent,
+            "Hello included"
+        );
+        let burst_flushes = burst.flushes - before.flushes;
+        assert!(
+            (1..=BURST).contains(&burst_flushes),
+            "{burst_flushes} writes for {BURST} frames"
+        );
+
+        // A strict request→reply exchange never finds a second frame
+        // queued: the idle path is one write per frame, as before the
+        // drain existed.
+        const ROUNDS: u64 = 32;
+        for seq in 0..ROUNDS {
+            spoke.send(&WireMsg::Shutdown, 0, seq).unwrap();
+            assert_eq!(hub.recv().unwrap().seq, seq);
+            hub.send(&WireMsg::Shutdown, 1, seq).unwrap();
+            assert_eq!(spoke.recv().unwrap().seq, seq);
+        }
+        assert_eq!(spoke.stats().flushes - burst.flushes, ROUNDS);
+        assert_eq!(hub.stats().flushes, ROUNDS);
+        assert_eq!(hub.stats().msgs_sent, ROUNDS);
+    }
+
+    /// Runs `send_loop` over a loopback socket with `queued` already in
+    /// its queue; returns the writes it issued and the bytes that arrived.
+    fn flush_prequeued(queued: &[Vec<u8>]) -> (u64, Vec<u8>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let write_half = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut read_half, _) = listener.accept().unwrap();
+        let reader = thread::spawn(move || {
+            let mut arrived = Vec::new();
+            read_half.read_to_end(&mut arrived).unwrap();
+            arrived
+        });
+        let (tx, rx) = channel();
+        for frame in queued {
+            tx.send(frame.clone()).unwrap();
+        }
+        drop(tx);
+        let meter = WireMeter::default();
+        send_loop(write_half, &rx, &AtomicBool::new(false), &meter);
+        (meter.stats().flushes, reader.join().unwrap())
+    }
+
+    #[test]
+    fn frames_queued_before_the_send_thread_runs_share_writes_up_to_the_bound() {
+        let small: Vec<Vec<u8>> = (0..100)
+            .map(|seq| WireMsg::Shutdown.encode_frame(1, 0, seq).encode())
+            .collect();
+        let (flushes, arrived) = flush_prequeued(&small);
+        assert_eq!(flushes, 1, "100 header-only frames fit one write");
+        assert_eq!(arrived, small.concat(), "in order, byte for byte");
+
+        // Each frame is just over half the bound, so a write takes two.
+        let reply = WireMsg::OpReply {
+            result: Ok(vec![7u8; MAX_FLUSH_BYTES / 2]),
+        };
+        let big = vec![reply.encode_frame(1, 0, 0).encode(); 6];
+        let (flushes, arrived) = flush_prequeued(&big);
+        assert_eq!(flushes, 3);
+        assert_eq!(arrived, big.concat());
+    }
+
+    #[test]
+    fn a_second_spoke_announcing_a_taken_id_fails_the_accept() {
+        // Before the check both spokes counted toward `n_peers`, the
+        // second silently superseded the first in the peer map, and the
+        // first blocked forever on replies routed to the other.
+        for taken in [1, 0] {
+            let hub = TcpTransport::bind("127.0.0.1:0", 0).expect("bind");
+            let addr = hub.local_addr();
+            let first = TcpTransport::connect(&addr, 1, 0).expect("connect");
+            let second = TcpTransport::connect(&addr, taken, 0).expect("connect");
+            let err = hub.accept_within(2, Duration::from_secs(5)).unwrap_err();
+            assert_eq!(err, NetError::DuplicatePeer(taken));
+            assert!(err.to_string().contains("already in use"), "{err}");
+            drop((first, second));
+        }
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! DSM's simulated processors, several of which may live on one node).
 //! Two backends ship with the crate: the deterministic in-process
 //! [`ChannelTransport`](crate::ChannelTransport) and the
-//! [`TcpTransport`](crate::TcpTransport) with length-prefixed framing over
-//! real sockets. Both count the bytes they actually move, so the modeled
-//! byte accounting of `lrc-simnet` can be cross-checked against a
-//! measurement.
+//! [`TcpTransport`](crate::TcpTransport), the one socket backend, with
+//! length-prefixed framing. Both count the bytes they actually move, so
+//! the modeled byte accounting of `lrc-simnet` can be cross-checked
+//! against a measurement; the socket backend also counts its writes
+//! ([`WireStats::flushes`]).
 
 use std::error::Error;
 use std::fmt;
@@ -42,6 +43,11 @@ pub enum NetError {
         /// themselves before the deadline.
         connected: Vec<NodeId>,
     },
+    /// During a hub's initial accept, a spoke announced a node id that is
+    /// already taken — by an earlier spoke or by the hub itself. Both
+    /// would be addressed by one id, so replies meant for one would reach
+    /// the other; the deployment's node list is wrong.
+    DuplicatePeer(NodeId),
     /// A bounded retry/backoff budget ([`Backoff`]) ran out before a
     /// connection (or reconnection) succeeded.
     ConnectTimeout {
@@ -66,6 +72,9 @@ impl fmt::Display for NetError {
                 connected.len(),
                 wanted - connected.len()
             ),
+            NetError::DuplicatePeer(n) => {
+                write!(f, "a second peer announced node id {n}, already in use")
+            }
             NetError::ConnectTimeout { attempts, last } => write!(
                 f,
                 "connect gave up after {attempts} attempts (last error: {last})"
@@ -196,6 +205,25 @@ pub struct WireStats {
     pub msgs_received: u64,
     /// Bytes received.
     pub bytes_received: u64,
+    /// Socket writes issued for the sent frames. Frames already queued
+    /// for one peer share a write, so `msgs_sent / flushes > 1` means
+    /// bursts coalesced; a strict request→reply exchange has one write
+    /// per frame. Always 0 on the in-process channel backend.
+    pub flushes: u64,
+}
+
+impl std::ops::Add for WireStats {
+    type Output = WireStats;
+
+    fn add(self, other: WireStats) -> WireStats {
+        WireStats {
+            msgs_sent: self.msgs_sent + other.msgs_sent,
+            bytes_sent: self.bytes_sent + other.bytes_sent,
+            msgs_received: self.msgs_received + other.msgs_received,
+            bytes_received: self.bytes_received + other.bytes_received,
+            flushes: self.flushes + other.flushes,
+        }
+    }
 }
 
 /// Internal per-endpoint traffic meter (atomics; snapshot with
@@ -206,6 +234,7 @@ pub struct WireMeter {
     bytes_sent: AtomicU64,
     msgs_received: AtomicU64,
     bytes_received: AtomicU64,
+    flushes: AtomicU64,
     sent_by_kind: [AtomicU64; WireKind::COUNT],
     sent_bytes_by_kind: [AtomicU64; WireKind::COUNT],
 }
@@ -226,6 +255,11 @@ impl WireMeter {
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
+    /// Records one socket write (carrying one or more queued frames).
+    pub fn count_flush(&self) {
+        self.flushes.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Aggregate snapshot.
     pub fn stats(&self) -> WireStats {
         WireStats {
@@ -233,6 +267,7 @@ impl WireMeter {
             bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
             msgs_received: self.msgs_received.load(Ordering::Relaxed),
             bytes_received: self.bytes_received.load(Ordering::Relaxed),
+            flushes: self.flushes.load(Ordering::Relaxed),
         }
     }
 
@@ -322,11 +357,14 @@ mod tests {
         m.count_sent(WireKind::OpRequest, 40);
         m.count_sent(WireKind::OpRequest, 50);
         m.count_received(32);
+        m.count_flush();
         let s = m.stats();
         assert_eq!(s.msgs_sent, 2);
         assert_eq!(s.bytes_sent, 90);
         assert_eq!(s.msgs_received, 1);
         assert_eq!(s.bytes_received, 32);
+        assert_eq!(s.flushes, 1);
+        assert_eq!((s + s).bytes_sent, 180, "snapshots add field by field");
         assert_eq!(m.sent_of(WireKind::OpRequest), (2, 90));
         assert_eq!(m.sent_of(WireKind::Hello), (0, 0));
     }

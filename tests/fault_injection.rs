@@ -396,27 +396,24 @@ fn killed_node_with_a_miss_reply_in_flight_leaves_survivors_consistent() {
     ));
 }
 
-/// A connected loopback (hub, spoke) pair of reactor transports: the hub
-/// is node 0 (where the engine lives), the spoke node 1.
-#[cfg(feature = "reactor")]
-fn reactor_pair() -> (lrc::net::ReactorTransport, lrc::net::ReactorTransport) {
-    use lrc::net::ReactorTransport;
-    let hub = ReactorTransport::bind("127.0.0.1:0", 0).expect("bind loopback");
+/// A connected loopback (hub, spoke) pair of TCP transports: the hub is
+/// node 0 (where the engine lives), the spoke node 1.
+fn tcp_pair() -> (TcpTransport, TcpTransport) {
+    let hub = TcpTransport::bind("127.0.0.1:0", 0).expect("bind loopback");
     let addr = hub.local_addr();
     let connecting =
-        std::thread::spawn(move || ReactorTransport::connect(&addr, 1, 0).expect("connect"));
+        std::thread::spawn(move || TcpTransport::connect(&addr, 1, 0).expect("connect"));
     let server_end = hub.accept(1).expect("accept");
     (server_end, connecting.join().expect("connect thread"))
 }
 
-/// The fault layer composes with the reactor backend unchanged
+/// The fault layer composes with the socket backend unchanged
 /// ([`FaultyTransport`] is generic over [`Transport`]): the same scripted
 /// kill-after-sends plan that drives the channel-transport crash suite
 /// kills a real socket endpoint at the same frame, and the survivor's
 /// failure detector resolves it identically.
-#[cfg(feature = "reactor")]
 #[test]
-fn killed_lock_holder_is_detected_over_the_reactor_backend() {
+fn killed_lock_holder_is_detected_over_a_real_socket() {
     let dsm = DsmBuilder::new(ProtocolKind::LazyInvalidate, 2, 1 << 14)
         .page_size(256)
         .wait_timeout(WAIT)
@@ -426,7 +423,7 @@ fn killed_lock_holder_is_detected_over_the_reactor_backend() {
     let recorder = HistoryRecorder::new(2);
     dsm.attach_recorder(Arc::clone(&recorder));
 
-    let (server_end, spoke) = reactor_pair();
+    let (server_end, spoke) = tcp_pair();
     let server = NodeServer::new(dsm.clone(), server_end);
     let serving = std::thread::spawn(move || server.serve());
 
@@ -468,8 +465,8 @@ fn killed_lock_holder_is_detected_over_the_reactor_backend() {
         .check(&CheckBudget::default())
         .expect("survivor history passes after a mid-transfer kill over sockets");
 
-    // Dropping the victim closes its socket; the hub's reactor surfaces
-    // the death and the server retires with a transport close.
+    // Dropping the victim closes its socket; the hub's recv thread
+    // surfaces the death and the server retires with a transport close.
     drop(victim);
     assert!(matches!(
         serving.join().unwrap(),
@@ -477,14 +474,13 @@ fn killed_lock_holder_is_detected_over_the_reactor_backend() {
     ));
 }
 
-/// Scripted frame drops compose with the reactor too: a dropped frame
-/// never reaches the staging buffers, every delivered frame arrives
-/// intact and in order, and the drop is visible only in the fault layer's
-/// own counter — the reactor's accounting covers what actually moved.
-#[cfg(feature = "reactor")]
+/// Scripted frame drops compose with a real socket too: a dropped frame
+/// never reaches the send queue, every delivered frame arrives intact and
+/// in order, and the drop is visible only in the fault layer's own
+/// counter — the transport's accounting covers what actually moved.
 #[test]
-fn scripted_drops_compose_with_the_reactor_backend() {
-    let (hub, spoke) = reactor_pair();
+fn scripted_drops_compose_with_a_real_socket() {
+    let (hub, spoke) = tcp_pair();
     let faulty = FaultyTransport::new(spoke, FaultPlan::new().drop_nth(None, 2));
     for seq in 1..=3u64 {
         faulty
@@ -498,7 +494,7 @@ fn scripted_drops_compose_with_the_reactor_backend() {
         faulty.stats().msgs_sent,
         3,
         "connect-time link hello + the two delivered frames; the dropped \
-         frame never reached the reactor"
+         frame never reached the socket"
     );
 }
 

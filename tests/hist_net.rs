@@ -1,14 +1,17 @@
 //! Node-runtime history conformance: the same seeded programs, but with
 //! every processor except p0 hosted on a peer node — operations cross the
-//! `lrc-net` wire protocol (channel transport), get dispatched through
-//! the node server's per-processor workers, and the recorded history must
-//! still pass the full conformance check. A frame mis-dispatch, a
+//! `lrc-net` wire protocol (channel transport, and real sockets for one
+//! sweep), get dispatched through the node server's per-processor
+//! workers, and the recorded history must still pass the full
+//! conformance check. A frame mis-dispatch, a
 //! reordered worker queue, or a protocol bug surfaced only by the remote
 //! path shows up as an unjustifiable read.
 
 mod hist_support;
 
-use hist_support::{failure_report, forced_flow_program, run_over_channel_nodes, RunConfig};
+use hist_support::{
+    failure_report, forced_flow_program, run_over_channel_nodes, run_over_tcp_nodes, RunConfig,
+};
 use lrc::core::ProtocolMutation;
 use lrc::hist::CheckBudget;
 use lrc::sim::ProtocolKind;
@@ -53,15 +56,12 @@ fn node_runtime_forced_flow_passes_under_ablations() {
     }
 }
 
-/// The same seeded sweep over the reactor backend: real loopback sockets,
-/// one reactor thread per endpoint, batched flushes — and histories that
-/// must pass the identical conformance check. A frame corrupted by the
-/// staging buffers, coalesced wrongly, or delivered out of order shows up
-/// as an unjustifiable read here.
-#[cfg(feature = "reactor")]
+/// The same seeded sweep over real loopback sockets, where frames queued
+/// for one peer share socket writes. A frame corrupted by that
+/// coalescing, or delivered out of order, shows up as an unjustifiable
+/// read here.
 #[test]
-fn reactor_backend_histories_pass_conformance() {
-    use hist_support::run_over_reactor_nodes;
+fn socket_histories_pass_conformance() {
     let shape = ProgramShape::default();
     let kinds = ProtocolKind::ALL;
     for seed in 0..8u64 {
@@ -70,7 +70,7 @@ fn reactor_backend_histories_pass_conformance() {
             if seed % 2 == 0 { 256 } else { 1024 },
         );
         let prog = ThreadProgram::generate(seed, &shape);
-        let hist = run_over_reactor_nodes(&prog, &cfg);
+        let hist = run_over_tcp_nodes(&prog, &cfg);
         assert_eq!(hist.len(), prog.op_count(), "remote operations recorded");
         if let Err(err) = hist.check(&CheckBudget::default()) {
             panic!("{}", failure_report(seed, &cfg, &prog, &err, &hist));

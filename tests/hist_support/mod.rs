@@ -12,7 +12,7 @@ use std::time::Duration;
 use lrc::core::ProtocolMutation;
 use lrc::dsm::{Dsm, DsmBuilder, ProcHandle, RemoteHandle};
 use lrc::hist::{CheckBudget, CheckReport, HistError, History, HistoryRecorder};
-use lrc::net::ChannelNet;
+use lrc::net::{ChannelNet, TcpTransport, Transport};
 use lrc::sim::ProtocolKind;
 use lrc::vclock::ProcId;
 use lrc::workloads::{HistCmd, ProgramShape, ThreadOp, ThreadProgram};
@@ -188,59 +188,36 @@ pub fn run_threaded_sampled(prog: &ThreadProgram, cfg: &RunConfig, sample: u32) 
 /// recorded history (the recorder sits on the engine, so remote
 /// operations are logged where they execute).
 pub fn run_over_channel_nodes(prog: &ThreadProgram, cfg: &RunConfig) -> History {
-    let dsm = build_dsm(prog, cfg);
-    let recorder = HistoryRecorder::new(prog.n_procs);
-    dsm.attach_recorder(Arc::clone(&recorder));
-
     let mut mesh = ChannelNet::mesh(2);
     let client_end = mesh.pop().expect("two endpoints");
     let server_end = mesh.pop().expect("two endpoints");
-    let server = lrc::dsm::NodeServer::new(dsm.clone(), server_end);
-    let serving = std::thread::spawn(move || server.serve());
-
-    let remote_procs: Vec<ProcId> = (1..prog.n_procs).map(|i| ProcId::new(i as u16)).collect();
-    let client =
-        lrc::dsm::NodeClient::connect(client_end, 0, remote_procs.clone()).expect("connect");
-
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut local = dsm.handle(ProcId::new(0));
-            run_ops_local(&mut local, &prog.ops_for(ProcId::new(0)));
-        });
-        for &p in &remote_procs {
-            let mut remote = client.handle(p);
-            let ops = prog.ops_for(p);
-            scope.spawn(move || run_ops_remote(&mut remote, &ops));
-        }
-    });
-
-    client.shutdown().expect("clean shutdown");
-    serving
-        .join()
-        .expect("server thread")
-        .expect("server exits cleanly");
-    recorder.finish()
+    run_over_nodes(prog, cfg, server_end, client_end)
 }
 
-/// Like [`run_over_channel_nodes`], but the two nodes talk over the
-/// readiness-based reactor backend on real loopback sockets: one reactor
-/// thread per endpoint owns the connection, frames are staged and flushed
-/// in batches, and the recorded history must be exactly as conformant as
-/// over any other transport.
-#[cfg(feature = "reactor")]
-pub fn run_over_reactor_nodes(prog: &ThreadProgram, cfg: &RunConfig) -> History {
-    use lrc::net::ReactorTransport;
+/// Like [`run_over_channel_nodes`], but the two nodes talk over real
+/// loopback sockets ([`TcpTransport`]): the recorded history must be
+/// exactly as conformant as over the in-process mesh.
+pub fn run_over_tcp_nodes(prog: &ThreadProgram, cfg: &RunConfig) -> History {
+    let hub = TcpTransport::bind("127.0.0.1:0", 0).expect("bind loopback");
+    let addr = hub.local_addr();
+    let connecting =
+        std::thread::spawn(move || TcpTransport::connect(&addr, 1, 0).expect("connect"));
+    let server_end = hub.accept(1).expect("accept");
+    let client_end = connecting.join().expect("connect thread");
+    run_over_nodes(prog, cfg, server_end, client_end)
+}
 
+/// The node-runtime run over whichever connected transport pair the
+/// caller built (`server_end` is node 0, where the engine lives).
+fn run_over_nodes(
+    prog: &ThreadProgram,
+    cfg: &RunConfig,
+    server_end: impl Transport + 'static,
+    client_end: impl Transport + 'static,
+) -> History {
     let dsm = build_dsm(prog, cfg);
     let recorder = HistoryRecorder::new(prog.n_procs);
     dsm.attach_recorder(Arc::clone(&recorder));
-
-    let hub = ReactorTransport::bind("127.0.0.1:0", 0).expect("bind loopback");
-    let addr = hub.local_addr();
-    let connecting =
-        std::thread::spawn(move || ReactorTransport::connect(&addr, 1, 0).expect("connect"));
-    let server_end = hub.accept(1).expect("accept");
-    let client_end = connecting.join().expect("connect thread");
 
     let server = lrc::dsm::NodeServer::new(dsm.clone(), server_end);
     let serving = std::thread::spawn(move || server.serve());

@@ -2,8 +2,9 @@
 //! from the single-threaded simulator.
 //!
 //! A replayed program whose processors are split across nodes — every
-//! remote operation serialized into a wire frame, moved by the channel
-//! transport, decoded, and dispatched into the engine — must produce
+//! remote operation serialized into a wire frame, moved by a transport
+//! (the in-process channel mesh, or `TcpTransport` over real loopback
+//! sockets), decoded, and dispatched into the engine — must produce
 //! **byte-identical protocol counters and final memory** versus the same
 //! trace replayed directly through the engine. This pins the whole new
 //! layer (codec + transport + node dispatch) to the protocol semantics: a
@@ -11,7 +12,7 @@
 //! wrong processor shows up as a diverging counter or byte.
 
 use lrc::dsm::{DsmBuilder, NodeClient, NodeServer, ProcHandle, RemoteHandle};
-use lrc::net::ChannelNet;
+use lrc::net::{ChannelNet, TcpTransport};
 use lrc::sim::{synth_write_bytes, AnyEngine, EngineParams, ProtocolKind, SimOptions};
 use lrc::simnet::NetStats;
 use lrc::trace::{Op, Trace};
@@ -94,8 +95,7 @@ fn node_replay(
 /// The system under test: the same trace, but the last `n_remote`
 /// processors live on a second node and act through the wire — over
 /// whichever [`lrc::net::Transport`] pair the caller built, so the same
-/// conformance sweep pins every backend (channel, thread-per-peer TCP,
-/// reactor) to the simulator.
+/// conformance sweep pins both backends (channel, TCP) to the simulator.
 fn node_replay_over(
     trace: &Trace,
     kind: ProtocolKind,
@@ -351,27 +351,23 @@ fn threaded_nodes_with_locks_and_barriers_stay_consistent() {
     serving.join().unwrap().unwrap();
 }
 
-/// A connected loopback (hub, spoke) pair of reactor transports: the hub
-/// is node 0 (where the engine lives), the spoke node 1.
-#[cfg(feature = "reactor")]
-fn reactor_pair() -> (lrc::net::ReactorTransport, lrc::net::ReactorTransport) {
-    use lrc::net::ReactorTransport;
-    let hub = ReactorTransport::bind("127.0.0.1:0", 0).expect("bind loopback");
+/// A connected loopback (hub, spoke) pair of TCP transports: the hub is
+/// node 0 (where the engine lives), the spoke node 1.
+fn tcp_pair() -> (TcpTransport, TcpTransport) {
+    let hub = TcpTransport::bind("127.0.0.1:0", 0).expect("bind loopback");
     let addr = hub.local_addr();
     let connecting =
-        std::thread::spawn(move || ReactorTransport::connect(&addr, 1, 0).expect("connect"));
+        std::thread::spawn(move || TcpTransport::connect(&addr, 1, 0).expect("connect"));
     let server_end = hub.accept(1).expect("accept");
     (server_end, connecting.join().expect("connect thread"))
 }
 
-/// The reactor backend is *indistinguishable* too: the same traces over
-/// real loopback sockets owned by one reactor thread per endpoint produce
-/// byte-identical protocol counters and final memory versus the
-/// single-threaded simulator — and hence versus the channel and
-/// thread-per-peer TCP backends pinned by the sweep above.
-#[cfg(feature = "reactor")]
+/// The socket backend is *indistinguishable* too: the same traces over
+/// real loopback sockets produce byte-identical protocol counters and
+/// final memory versus the single-threaded simulator — and hence versus
+/// the channel backend pinned by the sweep above.
 #[test]
-fn reactor_backend_equals_simulator_on_lock_workloads() {
+fn socket_backend_equals_simulator_on_lock_workloads() {
     for (name, trace) in [
         ("migratory", migratory(4, 30, 16)),
         ("producer_consumer", producer_consumer(4, 20, 8)),
@@ -379,7 +375,7 @@ fn reactor_backend_equals_simulator_on_lock_workloads() {
         for kind in ProtocolKind::ALL {
             for n_remote in [1usize, 3] {
                 let (sim_stats, sim_mem) = sim_replay(&trace, kind, 512, &SimOptions::fast());
-                let (server_end, client_end) = reactor_pair();
+                let (server_end, client_end) = tcp_pair();
                 let (node_stats, node_mem, wire) = node_replay_over(
                     &trace,
                     kind,
@@ -391,11 +387,11 @@ fn reactor_backend_equals_simulator_on_lock_workloads() {
                 );
                 assert_eq!(
                     sim_stats, node_stats,
-                    "{name}/{kind} remote={n_remote}: protocol counters diverge over the reactor"
+                    "{name}/{kind} remote={n_remote}: protocol counters diverge over sockets"
                 );
                 assert_eq!(
                     sim_mem, node_mem,
-                    "{name}/{kind} remote={n_remote}: final memory diverges over the reactor"
+                    "{name}/{kind} remote={n_remote}: final memory diverges over sockets"
                 );
                 assert!(
                     wire.bytes_sent > 0,
@@ -406,20 +402,19 @@ fn reactor_backend_equals_simulator_on_lock_workloads() {
     }
 }
 
-/// Byte accounting stays exact over the reactor: the spoke sends its
+/// Frame accounting stays exact over sockets: the spoke sends its
 /// link-level hello at connect, the node-runtime hello, and one request
-/// per remote operation — batching changes how frames share syscalls,
-/// never how many frames (or bytes) exist.
-#[cfg(feature = "reactor")]
+/// per remote operation — queued frames may share a socket write, which
+/// never changes how many frames exist.
 #[test]
-fn op_plane_accounting_is_exact_over_the_reactor() {
+fn op_plane_accounting_is_exact_over_sockets() {
     let trace = migratory(4, 10, 8);
     let remote_ops = trace
         .events()
         .iter()
         .filter(|e| e.proc.index() >= 2)
         .count() as u64;
-    let (server_end, client_end) = reactor_pair();
+    let (server_end, client_end) = tcp_pair();
     let (_, _, wire) = node_replay_over(
         &trace,
         ProtocolKind::LazyInvalidate,

@@ -247,52 +247,3 @@ fn scripted_sever_window_loses_no_increments() {
     client.shutdown().unwrap();
     serving.join().unwrap().unwrap();
 }
-
-/// The reactor backend heals the same way: its spokes speak the same
-/// wire protocol as the thread-per-peer hub, so a severed reactor spoke
-/// reconnects through the healing hub's acceptor and the session carries
-/// on.
-#[cfg(feature = "reactor")]
-#[test]
-fn severed_reactor_spoke_heals_through_backoff() {
-    use lrc::net::ReactorTransport;
-
-    let dsm = two_proc_dsm(|b| b);
-    let (addr, serving) = healing_server(dsm.clone());
-    let dial = addr.clone();
-    let connector: Connector = Box::new(move || {
-        ReactorTransport::connect(&dial, 1, 0).map(|t| Arc::new(t) as Arc<dyn Transport>)
-    });
-    let healing = Arc::new(SelfHealing::connect(connector, backoff()).expect("initial dial"));
-    let client =
-        NodeClient::connect(Shared(Arc::clone(&healing)), 0, vec![ProcId::new(1)]).unwrap();
-    let mut remote = client.handle(ProcId::new(1));
-    let lock = LockId::new(0);
-
-    remote.acquire(lock).unwrap();
-    remote.write_u64(8, 11).unwrap();
-    remote.release(lock).unwrap();
-
-    // Supersede the reactor spoke's link at the hub, killing its socket.
-    let throwaway = TcpTransport::connect(&addr, 1, 0).expect("severing dial");
-    thread::sleep(Duration::from_millis(200));
-    drop(throwaway);
-
-    // The next operations ride the healed link (replaying through the
-    // resumable hello if the sever ate a request or reply).
-    remote.acquire(lock).unwrap();
-    let v = remote.read_u64(8).unwrap();
-    remote.write_u64(8, v + 1).unwrap();
-    remote.release(lock).unwrap();
-    assert!(
-        healing.generation() >= 1,
-        "the sever must have forced a reconnect"
-    );
-
-    let mut local = dsm.handle(ProcId::new(0));
-    local.acquire(lock).unwrap();
-    assert_eq!(local.read_u64(8), 12);
-    local.release(lock).unwrap();
-    client.shutdown().unwrap();
-    serving.join().unwrap().unwrap();
-}
