@@ -337,12 +337,22 @@ fn write_store_entry(entry: &StoreEntry, out: &mut Vec<u8>) {
     }
 }
 
-fn read_store_entry(r: &mut Reader<'_>, n_procs: usize) -> Result<StoreEntry, CheckpointError> {
+fn read_store_entry(
+    r: &mut Reader<'_>,
+    n_procs: usize,
+    page_bytes: usize,
+    n_pages: usize,
+) -> Result<StoreEntry, CheckpointError> {
     let id = r.interval()?;
     if id.proc().index() >= n_procs {
         return Err(corrupt(format!("interval {id} names an unknown processor")));
     }
     let clock = r.clock(n_procs)?;
+    if clock.get(id.proc()) != id.seq() {
+        return Err(corrupt(format!(
+            "stamp of {id} carries another sequence number"
+        )));
+    }
     let stamp = StampedInterval::new(id, clock);
     let n_diffs = r.count(8)?;
     let mut diffs = Vec::with_capacity(n_diffs);
@@ -352,9 +362,47 @@ fn read_store_entry(r: &mut Reader<'_>, n_procs: usize) -> Result<StoreEntry, Ch
         let (page, _stamp, diff, used) =
             Diff::read_wire(rest).ok_or_else(|| corrupt("short diff"))?;
         r.at += used;
+        // A restored engine indexes its frames by this page and applies
+        // this diff to a page-sized buffer: refuse both overruns here.
+        if page as usize >= n_pages {
+            return Err(corrupt(format!(
+                "diff of {id} names page {page}, out of range"
+            )));
+        }
+        if diff.extent() > page_bytes {
+            return Err(corrupt(format!(
+                "diff of {id} ends at byte {}, past the {page_bytes}-byte page",
+                diff.extent()
+            )));
+        }
         diffs.push((PageId::new(page), diff, mask));
     }
     Ok((stamp, diffs))
+}
+
+/// Reads a store section: a count, then that many entries, each
+/// processor's intervals in ascending sequence order — the order
+/// [`crate::IntervalStore`]'s export writes and its import insists on.
+fn read_store(
+    r: &mut Reader<'_>,
+    n_procs: usize,
+    page_bytes: usize,
+    n_pages: usize,
+) -> Result<Vec<StoreEntry>, CheckpointError> {
+    let n_entries = r.count(IntervalId::WIRE_BYTES)?;
+    let mut store = Vec::with_capacity(n_entries);
+    let mut latest: Vec<Option<u32>> = vec![None; n_procs];
+    for _ in 0..n_entries {
+        let entry = read_store_entry(r, n_procs, page_bytes, n_pages)?;
+        let id = entry.0.id();
+        let last = &mut latest[id.proc().index()];
+        if last.is_some_and(|seq| seq >= id.seq()) {
+            return Err(corrupt(format!("interval {id} out of sequence order")));
+        }
+        *last = Some(id.seq());
+        store.push(entry);
+    }
+    Ok(store)
 }
 
 fn write_owners(owners: &[Option<ProcId>], out: &mut Vec<u8>) {
@@ -458,11 +506,7 @@ impl EngineCheckpoint {
         let episode = r.u64()?;
         let store_era = r.u64()?;
         let owners = read_owners(&mut r, n_pages, n_procs)?;
-        let n_entries = r.count(IntervalId::WIRE_BYTES)?;
-        let mut store = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            store.push(read_store_entry(&mut r, n_procs)?);
-        }
+        let store = read_store(&mut r, n_procs, page_bytes, n_pages)?;
         let mut procs = Vec::with_capacity(n_procs);
         for _ in 0..n_procs {
             let clock = r.clock(n_procs)?;
@@ -578,6 +622,15 @@ impl CheckpointDelta {
         };
         // Import order: grouped by processor, ascending seq within each.
         store.sort_by_key(|(s, _)| (s.id().proc(), s.id().seq()));
+        if let Some(pair) = store
+            .windows(2)
+            .find(|pair| pair[0].0.id() == pair[1].0.id())
+        {
+            return Err(CheckpointError::Incompatible(format!(
+                "delta repeats interval {} of its base",
+                pair[0].0.id()
+            )));
+        }
         let mut procs = Vec::with_capacity(base.procs.len());
         for (patch, old) in self.procs.iter().zip(&base.procs) {
             let mut frames: Vec<FrameCheckpoint> = old
@@ -641,11 +694,7 @@ impl CheckpointDelta {
             f => return Err(corrupt(format!("bad store-replaced flag {f}"))),
         };
         let owners = read_owners(&mut r, n_pages, n_procs)?;
-        let n_entries = r.count(IntervalId::WIRE_BYTES)?;
-        let mut store = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            store.push(read_store_entry(&mut r, n_procs)?);
-        }
+        let store = read_store(&mut r, n_procs, page_bytes, n_pages)?;
         let mut procs = Vec::with_capacity(n_procs);
         for _ in 0..n_procs {
             let clock = r.clock(n_procs)?;
@@ -811,5 +860,13 @@ mod tests {
         let mut wrong = base.clone();
         wrong.episode = 99;
         assert!(delta.apply_to(&wrong).is_err());
+        // An additive delta carrying an interval its base already has
+        // would hand the store import the same interval twice.
+        let mut repeats = delta;
+        repeats.store.push(base.store[0].clone());
+        assert!(matches!(
+            repeats.apply_to(&base),
+            Err(CheckpointError::Incompatible(why)) if why.contains("repeats")
+        ));
     }
 }

@@ -636,26 +636,27 @@ impl Engine<Lazy> {
     /// the chain is squashed in happened-before order before shipping, so
     /// overwritten modifications never cross the wire (§4.3.2's pruning of
     /// intervals "in which the modification was overwritten").
+    ///
+    /// Only the size is charged here, and the size of a squash depends on
+    /// which bytes the chain covers — not on their values, nor on the
+    /// order of the chain — so the pairs are grouped by one sort and
+    /// [`Diff::squashed_size`] reads no data byte.
     fn diff_payload(&self, store: &IntervalStore, diffs: &[(IntervalId, PageId)]) -> u64 {
-        let mut by_page: Vec<(PageId, Vec<IntervalId>)> = Vec::new();
-        for &(iv, g) in diffs {
-            match by_page.iter_mut().find(|(page, _)| *page == g) {
-                Some((_, ivs)) => ivs.push(iv),
-                None => by_page.push((g, vec![iv])),
-            }
-        }
+        let mut by_page: Vec<(PageId, IntervalId)> = diffs.iter().map(|&(iv, g)| (g, iv)).collect();
+        by_page.sort_unstable();
+        let diff_of = |&(g, iv): &(PageId, IntervalId)| -> &Diff {
+            store.diff(iv, g).expect("planned diff exists")
+        };
         let mut total = 0u64;
-        for (g, mut ivs) in by_page {
-            ivs.sort_by_key(|&iv| hb_key(store, iv));
-            let chain: Vec<&Diff> = ivs
-                .iter()
-                .map(|&iv| store.diff(iv, g).expect("planned diff exists"))
-                .collect();
-            total += if chain.len() == 1 {
-                chain[0].encoded_size() as u64
-            } else {
-                Diff::squash(chain).encoded_size() as u64
-            };
+        for chain in by_page.chunk_by(|a, b| a.0 == b.0) {
+            total += match chain {
+                [only] => diff_of(only).encoded_size(),
+                _ => {
+                    let size = Diff::squashed_size(chain.iter().map(diff_of));
+                    debug_assert_eq!(size, Diff::squash(chain.iter().map(diff_of)).encoded_size());
+                    size
+                }
+            } as u64;
         }
         total
     }

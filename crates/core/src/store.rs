@@ -276,7 +276,8 @@ impl IntervalStore {
     ///
     /// # Panics
     ///
-    /// Panics if a processor's intervals arrive out of seq order.
+    /// Panics if a processor's intervals arrive out of seq order (a
+    /// decoded checkpoint cannot: its decoder refuses that order).
     pub(crate) fn import(
         n_procs: usize,
         version: u64,

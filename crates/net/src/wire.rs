@@ -18,20 +18,27 @@
 //! ```text
 //! offset  field
 //! 0..4    magic "LRCN"
-//! 4..6    version (u16 LE) — currently 1
+//! 4..6    version (u16 LE) — currently 2
 //! 6..7    kind (u8, see WireKind)
 //! 7..8    flags (u8, reserved, must be 0)
 //! 8..10   source node (u16 LE)
 //! 10..12  destination node (u16 LE)
 //! 12..20  sequence (u64 LE; RPC correlation id)
 //! 20..24  body length (u32 LE)
-//! 24..28  FNV-1a checksum of the body (u32 LE)
+//! 24..28  checksum of the body and its length (u32 LE)
 //! 28..32  reserved (u32 LE, must be 0)
 //! 32..    body
 //! ```
 //!
 //! The 32-byte header matches [`lrc_simnet::MSG_HEADER_BYTES`] exactly, so
 //! the model's fixed per-message overhead is also a measurement.
+//!
+//! The checksum is a 64-bit FNV-1a that eats the body one little-endian
+//! word (eight bytes) per multiply, seeded with the body length, with the
+//! last `len % 8` bytes taken one at a time and the state xor-folded to 32
+//! bits. Version 1 hashed bytewise into 32 bits; the field kept its place
+//! and size, so a version-1 frame is refused as
+//! [`WireError::UnsupportedVersion`] rather than as a checksum mismatch.
 
 use std::error::Error;
 use std::fmt;
@@ -46,7 +53,7 @@ use crate::NodeId;
 /// Frame magic.
 pub const WIRE_MAGIC: [u8; 4] = *b"LRCN";
 /// Current wire format version.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 /// Fixed frame header size (equal to the simulation model's
 /// [`lrc_simnet::MSG_HEADER_BYTES`]).
 pub const FRAME_HEADER_BYTES: usize = 32;
@@ -108,14 +115,22 @@ fn put_count(out: &mut Vec<u8>, len: usize, what: &str) {
     out.extend_from_slice(&(len as u16).to_le_bytes());
 }
 
-/// FNV-1a over the body — cheap corruption detection, not cryptography.
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h = 0x811c_9dc5u32;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
+/// The frame body checksum (see the module docs) — cheap corruption
+/// detection, not cryptography. Every step is a bijection of the 64-bit
+/// state, so bodies of one length that differ in a single word reach
+/// different states; only the final fold to 32 bits can make them collide.
+fn checksum(body: &[u8]) -> u32 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = 0xcbf2_9ce4_8422_2325 ^ body.len() as u64;
+    let mut words = body.chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        h = (h ^ word).wrapping_mul(PRIME);
     }
-    h
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+    }
+    (h ^ (h >> 32)) as u32
 }
 
 /// Every message kind of the wire protocol.
@@ -243,7 +258,7 @@ impl Frame {
         out.extend_from_slice(&self.dst.to_le_bytes());
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&(self.body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&self.body).to_le_bytes());
+        out.extend_from_slice(&checksum(&self.body).to_le_bytes());
         out.extend_from_slice(&0u32.to_le_bytes()); // reserved
         out.extend_from_slice(&self.body);
         out
@@ -319,8 +334,8 @@ impl Frame {
         let src = u16::from_le_bytes([header[8], header[9]]);
         let dst = u16::from_le_bytes([header[10], header[11]]);
         let seq = u64::from_le_bytes(header[12..20].try_into().expect("8 header bytes"));
-        let checksum = u32::from_le_bytes([header[24], header[25], header[26], header[27]]);
-        if fnv1a(&body) != checksum {
+        let declared = u32::from_le_bytes([header[24], header[25], header[26], header[27]]);
+        if checksum(&body) != declared {
             return Err(WireError::BadChecksum);
         }
         Ok(Frame {

@@ -2,9 +2,13 @@
 //! round-trips exactly through encode → frame → decode, truncated and
 //! corrupted frames are rejected, foreign versions are refused, and the
 //! encodings designed to match `lrc-simnet`'s modeled sizes really do.
+//! The checksum's word loop, byte tail and length seed are swept
+//! exhaustively over every short body length.
 
 use lrc_core::EngineOp;
-use lrc_net::{Frame, NoticeBatch, NoticeInterval, WireCtx, WireDiff, WireError, WireMsg};
+use lrc_net::{
+    Frame, NoticeBatch, NoticeInterval, WireCtx, WireDiff, WireError, WireKind, WireMsg,
+};
 use lrc_pagemem::{Diff, PageBuf, PageId, PageSize};
 use lrc_simnet::{notice_batch_bytes, vc_bytes, BARRIER_ID_BYTES, LOCK_ID_BYTES, MSG_HEADER_BYTES};
 use lrc_sync::{BarrierId, LockId};
@@ -160,6 +164,95 @@ fn msg() -> impl Strategy<Value = WireMsg> {
 
 fn ctx() -> WireCtx {
     WireCtx { n_procs: N }
+}
+
+/// Body lengths the checksum sweeps cover: nine whole words, so every
+/// tail length 0..=7 occurs behind zero up to eight full words.
+const SWEEP_LENS: std::ops::RangeInclusive<usize> = 0..=72;
+
+/// The encoded frame of an arbitrary `body` (a frame does not look inside
+/// its body; only `WireMsg::decode` does).
+fn raw_frame(body: Vec<u8>) -> Vec<u8> {
+    Frame {
+        kind: WireKind::OpReply,
+        src: 1,
+        dst: 0,
+        seq: 9,
+        body,
+    }
+    .encode()
+}
+
+fn patterned(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i * 37 + 11) as u8).collect()
+}
+
+/// Rewrites the header's body-length field.
+fn set_body_len(frame: &mut [u8], len: usize) {
+    frame[20..24].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
+#[test]
+fn every_flip_of_every_body_byte_is_caught() {
+    for len in SWEEP_LENS {
+        let good = raw_frame(patterned(len));
+        assert!(Frame::decode(&good).is_ok(), "length {len} decodes");
+        for at in 32..good.len() {
+            // Each single bit, then the whole byte.
+            for flip in (0..8).map(|bit| 1u8 << bit).chain([0xff]) {
+                let mut bad = good.clone();
+                bad[at] ^= flip;
+                assert_eq!(
+                    Frame::decode(&bad).unwrap_err(),
+                    WireError::BadChecksum,
+                    "length {len}, body byte {}, flip {flip:#04x}",
+                    at - 32
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_version_1_frame_is_refused_by_version_not_by_checksum() {
+    for len in [0, 5, 64] {
+        let mut old = raw_frame(patterned(len));
+        old[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            Frame::decode(&old).unwrap_err(),
+            WireError::UnsupportedVersion(1)
+        );
+    }
+}
+
+#[test]
+fn a_zero_byte_more_or_less_is_refused_with_the_length_patched() {
+    // The body length seeds the sum, so a body that grows or shrinks by a
+    // zero byte (the change an xor-based sum is least sensitive to) fails
+    // even when the header's length field is made to agree.
+    for len in SWEEP_LENS {
+        for mut body in [vec![0; len], patterned(len)] {
+            let mut grown = raw_frame(body.clone());
+            grown.push(0);
+            set_body_len(&mut grown, len + 1);
+            assert_eq!(
+                Frame::decode(&grown).unwrap_err(),
+                WireError::BadChecksum,
+                "length {len} grown by a zero byte"
+            );
+
+            body.push(0);
+            let mut shrunk = raw_frame(body);
+            shrunk.pop();
+            set_body_len(&mut shrunk, len);
+            assert_eq!(
+                Frame::decode(&shrunk).unwrap_err(),
+                WireError::BadChecksum,
+                "length {} shrunk by its trailing zero byte",
+                len + 1
+            );
+        }
+    }
 }
 
 proptest! {

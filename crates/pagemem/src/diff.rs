@@ -20,10 +20,20 @@ impl DiffRun {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is empty; empty runs are never encoded.
+    /// Panics if `data` is empty (empty runs are never encoded) or if the
+    /// run would end past `u32::MAX`, where the wire format has no offsets.
     pub fn new(offset: u32, data: Vec<u8>) -> Self {
         assert!(!data.is_empty(), "diff runs must carry at least one byte");
+        assert!(
+            run_end(offset, data.len()).is_some(),
+            "diff runs must end within the u32 offset space"
+        );
         DiffRun { offset, data }
+    }
+
+    /// One past the run's last byte (fits: see [`DiffRun::new`]).
+    fn end(&self) -> u32 {
+        self.offset + self.data.len() as u32
     }
 
     /// Byte offset of the run within its page.
@@ -45,6 +55,45 @@ impl DiffRun {
     pub fn is_empty(&self) -> bool {
         false
     }
+}
+
+/// One past the last byte of a run of `len` bytes at `offset`, if that is
+/// still a `u32` offset.
+fn run_end(offset: u32, len: usize) -> Option<u32> {
+    offset.checked_add(u32::try_from(len).ok()?)
+}
+
+/// Eight bytes of `bytes` starting at `at`, as one word.
+fn word_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_ne_bytes(bytes[at..at + 8].try_into().expect("eight bytes"))
+}
+
+/// True if some byte of `x` is zero (the classic exact SWAR test).
+fn has_zero_byte(x: u64) -> bool {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    x.wrapping_sub(LOW) & !x & HIGH != 0
+}
+
+/// The bytes a chain of diffs touches, as `(start, end)` ranges sorted by
+/// offset with overlapping and exactly adjacent runs merged — one range
+/// per run of the chain's [`Diff::squash`].
+fn coverage<'a>(chain: impl IntoIterator<Item = &'a Diff>) -> Vec<(u32, u32)> {
+    let mut ranges: Vec<(u32, u32)> = chain
+        .into_iter()
+        .flat_map(|diff| diff.runs.iter().map(|run| (run.offset, run.end())))
+        .collect();
+    ranges.sort_unstable();
+    // `dedup_by` hands over the later range first and the one it keeps
+    // second: fold the later one into the kept one while they touch.
+    ranges.dedup_by(|next, kept| {
+        let touches = next.0 <= kept.1;
+        if touches {
+            kept.1 = kept.1.max(next.1);
+        }
+        touches
+    });
+    ranges
 }
 
 /// A run-length encoding of the difference between a page and its twin.
@@ -117,12 +166,23 @@ impl Diff {
         let mut runs = Vec::new();
         let mut i = 0;
         let len = old.len();
+        // Both scans step a word at a time while the whole word is alike
+        // (all eight bytes equal, or all eight different) and finish byte
+        // by byte, so run boundaries are exact.
         while i < len {
-            if old[i] == new[i] {
+            while i + 8 <= len && word_at(old, i) == word_at(new, i) {
+                i += 8;
+            }
+            while i < len && old[i] == new[i] {
                 i += 1;
-                continue;
+            }
+            if i == len {
+                break;
             }
             let start = i;
+            while i + 8 <= len && !has_zero_byte(word_at(old, i) ^ word_at(new, i)) {
+                i += 8;
+            }
             while i < len && old[i] != new[i] {
                 i += 1;
             }
@@ -155,6 +215,12 @@ impl Diff {
     /// Iterates over the runs in offset order.
     pub fn runs(&self) -> impl Iterator<Item = &DiffRun> {
         self.runs.iter()
+    }
+
+    /// One past the last byte the diff modifies (0 for an empty diff): the
+    /// diff applies to any page at least this long.
+    pub fn extent(&self) -> usize {
+        self.runs.last().map_or(0, |run| run.end() as usize)
     }
 
     /// Total number of modified bytes.
@@ -205,32 +271,38 @@ impl Diff {
     /// # Ok::<(), lrc_pagemem::PageSizeError>(())
     /// ```
     pub fn squash<'a>(diffs: impl IntoIterator<Item = &'a Diff>) -> Diff {
-        use std::collections::BTreeMap;
-        let mut bytes: BTreeMap<u32, u8> = BTreeMap::new();
-        for diff in diffs {
-            for run in diff.runs() {
-                for (i, &b) in run.data().iter().enumerate() {
-                    bytes.insert(run.offset() + i as u32, b);
+        let chain: Vec<&Diff> = diffs.into_iter().collect();
+        let mut runs: Vec<DiffRun> = coverage(chain.iter().copied())
+            .into_iter()
+            .map(|(start, end)| DiffRun {
+                offset: start,
+                data: vec![0; (end - start) as usize],
+            })
+            .collect();
+        for diff in chain {
+            // Every run lies inside exactly one merged run, and both lists
+            // are sorted by offset: one cursor finds them all.
+            let mut at = 0;
+            for run in &diff.runs {
+                while runs[at].end() <= run.offset {
+                    at += 1;
                 }
+                let into = (run.offset - runs[at].offset) as usize;
+                runs[at].data[into..into + run.len()].copy_from_slice(&run.data);
             }
-        }
-        let mut runs: Vec<DiffRun> = Vec::new();
-        let mut cur: Option<(u32, Vec<u8>)> = None;
-        for (off, b) in bytes {
-            match &mut cur {
-                Some((start, data)) if *start + data.len() as u32 == off => data.push(b),
-                _ => {
-                    if let Some((start, data)) = cur.take() {
-                        runs.push(DiffRun::new(start, data));
-                    }
-                    cur = Some((off, vec![b]));
-                }
-            }
-        }
-        if let Some((start, data)) = cur {
-            runs.push(DiffRun::new(start, data));
         }
         Diff { runs }
+    }
+
+    /// `Diff::squash(diffs).encoded_size()` without building the squash:
+    /// the size depends only on which bytes the chain covers, so no data
+    /// byte is read. This is what the traffic model charges for a chain.
+    pub fn squashed_size<'a>(diffs: impl IntoIterator<Item = &'a Diff>) -> usize {
+        DIFF_HEADER_BYTES
+            + coverage(diffs)
+                .iter()
+                .map(|&(start, end)| RUN_HEADER_BYTES + (end - start) as usize)
+                .sum::<usize>()
     }
 
     /// Appends the diff's wire encoding to `out`, tagged with the page it
@@ -255,8 +327,9 @@ impl Diff {
     /// tag, interval stamp, the diff, and the number of bytes consumed.
     ///
     /// Returns `None` on truncation, an unreasonable run count, empty
-    /// runs, or runs that are not sorted and disjoint (a diff that would
-    /// not have been produced by [`Diff::write_wire`]).
+    /// runs, a run that ends past `u32::MAX`, or runs that are not sorted
+    /// and disjoint (a diff that would not have been produced by
+    /// [`Diff::write_wire`]).
     pub fn read_wire(bytes: &[u8]) -> Option<(u32, u32, Diff, usize)> {
         let u32_at = |at: usize| -> Option<u32> {
             bytes
@@ -279,7 +352,7 @@ impl Diff {
             if len == 0 || (offset as usize) < min_offset {
                 return None;
             }
-            min_offset = offset as usize + len;
+            min_offset = run_end(offset, len)? as usize;
             runs.push(DiffRun::new(offset, data.to_vec()));
             at += RUN_HEADER_BYTES + len;
         }
@@ -449,11 +522,13 @@ mod tests {
         assert_eq!(rebuilt, v2);
         // Squashing never costs more than the sum of its parts.
         assert!(squashed.encoded_size() <= d1.encoded_size() + d2.encoded_size());
+        assert_eq!(Diff::squashed_size([&d1, &d2]), squashed.encoded_size());
     }
 
     #[test]
     fn squash_of_nothing_is_empty() {
         assert!(Diff::squash([]).is_empty());
+        assert_eq!(Diff::squashed_size([]), DIFF_HEADER_BYTES);
     }
 
     #[test]
@@ -511,6 +586,30 @@ mod tests {
         let mut bad = buf.clone();
         bad[16..20].copy_from_slice(&0u32.to_le_bytes());
         assert!(Diff::read_wire(&bad).is_none());
+        // A run whose end does not fit the u32 offset space: the last
+        // offset that fits still decodes, one more does not.
+        let mut edge = buf.clone();
+        edge[12..16].copy_from_slice(&(u32::MAX - 4).to_le_bytes());
+        let (_, _, fits, _) = Diff::read_wire(&edge).expect("ends exactly at u32::MAX");
+        assert_eq!(fits.extent(), u32::MAX as usize);
+        edge[12..16].copy_from_slice(&(u32::MAX - 3).to_le_bytes());
+        assert!(Diff::read_wire(&edge).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 offset space")]
+    fn run_ending_past_the_offset_space_rejected() {
+        DiffRun::new(u32::MAX, vec![1]);
+    }
+
+    #[test]
+    fn extent_is_the_end_of_the_last_run() {
+        assert_eq!(Diff::new().extent(), 0);
+        let twin = page();
+        let mut cur = twin.clone();
+        cur.write(3, &[9; 7]);
+        cur.write(250, &[4; 6]);
+        assert_eq!(Diff::between(&twin, &cur).extent(), 256);
     }
 
     #[test]

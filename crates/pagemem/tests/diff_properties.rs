@@ -1,7 +1,11 @@
 //! Property-based tests for the diff machinery: diffs must exactly
-//! reconstruct pages, commute when disjoint, and respect the size model.
+//! reconstruct pages, commute when disjoint, and respect the size model;
+//! the word-stepping `between` and the range-merging `squash` must agree,
+//! run for run, with bytewise oracles kept here.
 
-use lrc_pagemem::{Diff, PageBuf, PageSize};
+use std::collections::BTreeMap;
+
+use lrc_pagemem::{Diff, DiffRun, PageBuf, PageSize};
 use proptest::prelude::*;
 
 const PAGE: usize = 256;
@@ -24,6 +28,107 @@ fn writes() -> impl Strategy<Value = Vec<(usize, Vec<u8>)>> {
 fn apply_writes(page: &mut PageBuf, ws: &[(usize, Vec<u8>)]) {
     for (off, data) in ws {
         page.write(*off, data);
+    }
+}
+
+/// The squash oracle: the byte-map implementation `Diff::squash` had
+/// before it merged ranges. Later diffs overwrite earlier ones one byte
+/// at a time; neighbouring offsets coalesce into runs.
+fn squash_oracle(chain: &[Diff]) -> Diff {
+    let mut bytes: BTreeMap<u32, u8> = BTreeMap::new();
+    for diff in chain {
+        for run in diff.runs() {
+            for (i, &b) in run.data().iter().enumerate() {
+                bytes.insert(run.offset() + i as u32, b);
+            }
+        }
+    }
+    let mut runs: Vec<DiffRun> = Vec::new();
+    let mut cur: Option<(u32, Vec<u8>)> = None;
+    for (off, b) in bytes {
+        match &mut cur {
+            Some((start, data)) if *start + data.len() as u32 == off => data.push(b),
+            _ => {
+                if let Some((start, data)) = cur.take() {
+                    runs.push(DiffRun::new(start, data));
+                }
+                cur = Some((off, vec![b]));
+            }
+        }
+    }
+    if let Some((start, data)) = cur {
+        runs.push(DiffRun::new(start, data));
+    }
+    Diff::from_runs(runs)
+}
+
+/// The `between` oracle: one byte compared at a time.
+fn between_oracle(old: &[u8], new: &[u8]) -> Diff {
+    let mut runs = Vec::new();
+    let mut i = 0;
+    while i < old.len() {
+        if old[i] == new[i] {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < old.len() && old[i] != new[i] {
+            i += 1;
+        }
+        runs.push(DiffRun::new(start as u32, new[start..i].to_vec()));
+    }
+    Diff::from_runs(runs)
+}
+
+/// A diff built run by run: gaps of 0..4 bytes (0 = a run exactly adjacent
+/// to its predecessor, which `from_runs` admits) and runs of 1..=12 bytes,
+/// so the diffs of a chain overlap, nest and abut all over a short prefix
+/// of the page.
+fn chain_diff() -> impl Strategy<Value = Diff> {
+    prop::collection::vec((0u32..4, prop::collection::vec(any::<u8>(), 1..=12)), 0..5).prop_map(
+        |pieces| {
+            let mut at = 0u32;
+            let runs = pieces
+                .into_iter()
+                .map(|(gap, data)| {
+                    let run = DiffRun::new(at + gap, data);
+                    at = run.offset() + run.len() as u32;
+                    run
+                })
+                .collect();
+            Diff::from_runs(runs)
+        },
+    )
+}
+
+fn chain() -> impl Strategy<Value = Vec<Diff>> {
+    prop::collection::vec(chain_diff(), 0..=8)
+}
+
+#[test]
+fn between_finds_a_lone_run_at_every_alignment() {
+    // One modified range [start, end) for every start and end within three
+    // words of the page's first byte, and the same against its last byte:
+    // every (start mod 8, end mod 8) pair, runs inside one word, runs
+    // spanning several, runs touching either edge.
+    let twin = PageBuf::from_bytes((0..PAGE).map(|i| (i * 7) as u8).collect());
+    let mut ranges = Vec::new();
+    for start in 0..24 {
+        for end in start + 1..=32 {
+            ranges.push((start, end));
+            ranges.push((PAGE - end, PAGE - start));
+        }
+    }
+    for (start, end) in ranges {
+        let mut cur = twin.clone();
+        for b in &mut cur.as_bytes_mut()[start..end] {
+            *b = !*b;
+        }
+        let diff = Diff::between(&twin, &cur);
+        assert_eq!(diff, between_oracle(twin.as_bytes(), cur.as_bytes()));
+        assert_eq!(diff.run_count(), 1, "range {start}..{end}");
+        let run = diff.runs().next().unwrap();
+        assert_eq!((run.offset() as usize, run.len()), (start, end - start));
     }
 }
 
@@ -178,6 +283,43 @@ proptest! {
         // Applying the same diff twice is idempotent.
         diff.apply_to(&mut other_proc_copy);
         prop_assert_eq!(other_proc_copy.as_bytes(), cur.as_bytes());
+    }
+
+    #[test]
+    fn between_matches_the_bytewise_scan(
+        old in prop::collection::vec(0u8..4, PAGE),
+        new in prop::collection::vec(0u8..4, PAGE),
+        ws in writes(),
+    ) {
+        // Four byte values: a quarter of the positions agree, so equal and
+        // unequal stretches of every short length start at every alignment.
+        let twin = PageBuf::from_bytes(old);
+        let dense = Diff::between(&twin, &PageBuf::from_bytes(new.clone()));
+        prop_assert_eq!(dense, between_oracle(twin.as_bytes(), &new));
+        // And the sparse shape: a few writes over an otherwise equal page.
+        let mut cur = twin.clone();
+        apply_writes(&mut cur, &ws);
+        let sparse = Diff::between(&twin, &cur);
+        prop_assert_eq!(sparse, between_oracle(twin.as_bytes(), cur.as_bytes()));
+    }
+
+    #[test]
+    fn squash_matches_the_byte_map(
+        chain in chain(),
+        base in prop::collection::vec(any::<u8>(), PAGE),
+    ) {
+        let squashed = Diff::squash(&chain);
+        prop_assert_eq!(&squashed, &squash_oracle(&chain));
+        prop_assert_eq!(Diff::squashed_size(&chain), squashed.encoded_size());
+
+        // One squashed diff does to a page what the chain does in order.
+        let mut by_chain = PageBuf::from_bytes(base);
+        let mut by_squash = by_chain.clone();
+        for diff in &chain {
+            diff.apply_to(&mut by_chain);
+        }
+        squashed.apply_to(&mut by_squash);
+        prop_assert_eq!(by_chain.as_bytes(), by_squash.as_bytes());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! A fixture changes only together with a deliberate change to the
 //! traffic model or a wire format, never as a side effect.
 
-use lrc::core::{CheckpointDelta, EngineCheckpoint};
+use lrc::core::{CheckpointDelta, CheckpointError, EngineCheckpoint};
 use lrc::sim::{
     run_trace, AnyCheckpoint, AnyEngine, EngineParams, ProtocolKind, RunReport, SimOptions,
 };
@@ -262,4 +262,73 @@ fn eager_checkpoint_encodes_byte_identically() {
         &fresh.checkpoint().encode(),
         &erck,
     );
+}
+
+// ---- a cut that travels is refused at the door ----
+//
+// Each of these decoded fine before and panicked later, inside a restore
+// or the first miss after it. Offsets into `fixtures/lrck.hex`: the store
+// opens with interval p0:2, whose first diff is one run at byte 8 of page
+// 0; the second entry is interval p1:2.
+
+const FIRST_DIFF_PAGE_AT: usize = 95;
+const FIRST_RUN_OFFSET_AT: usize = 107;
+const SECOND_ENTRY_ID_AT: usize = 145;
+
+/// Decodes the LRCK fixture with `patch` written over the bytes at `at`,
+/// which must currently hold `was`.
+fn decode_patched_lrck(at: usize, was: &[u8], patch: &[u8]) -> Result<AnyCheckpoint, String> {
+    let mut lrck = unhex(include_str!("fixtures/lrck.hex"));
+    assert_eq!(&lrck[at..at + was.len()], was, "fixture layout moved");
+    lrck[at..at + patch.len()].copy_from_slice(patch);
+    AnyCheckpoint::decode(&lrck).map_err(|e| match e {
+        CheckpointError::Corrupt(why) => why,
+        other => panic!("expected Corrupt, got {other:?}"),
+    })
+}
+
+#[test]
+fn a_store_diff_naming_a_page_out_of_range_is_corrupt() {
+    let page0 = 0u32.to_le_bytes();
+    // The fixture engine has 16 pages: 15 is the last one that exists.
+    assert!(decode_patched_lrck(FIRST_DIFF_PAGE_AT, &page0, &15u32.to_le_bytes()).is_ok());
+    let why = decode_patched_lrck(FIRST_DIFF_PAGE_AT, &page0, &16u32.to_le_bytes()).unwrap_err();
+    assert!(why.contains("names page 16"), "{why}");
+}
+
+#[test]
+fn a_store_diff_running_past_the_page_is_corrupt() {
+    let offset8 = 8u32.to_le_bytes();
+    // A one-byte run: byte 255 is the last of a 256-byte page.
+    assert!(decode_patched_lrck(FIRST_RUN_OFFSET_AT, &offset8, &255u32.to_le_bytes()).is_ok());
+    let why =
+        decode_patched_lrck(FIRST_RUN_OFFSET_AT, &offset8, &256u32.to_le_bytes()).unwrap_err();
+    assert!(why.contains("ends at byte 257"), "{why}");
+}
+
+/// An interval id (processor u16, sequence u32) and its three-entry stamp,
+/// as the store section lays them out back to back.
+fn id_and_stamp(proc: u16, seq: u32, stamp: [u32; 3]) -> Vec<u8> {
+    let mut out = proc.to_le_bytes().to_vec();
+    for word in [seq].iter().chain(&stamp) {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    out
+}
+
+#[test]
+fn store_intervals_out_of_sequence_order_are_corrupt() {
+    let p1_2 = id_and_stamp(1, 2, [2, 2, 1]);
+    let second_entry_as = |proc, seq, stamp| {
+        decode_patched_lrck(SECOND_ENTRY_ID_AT, &p1_2, &id_and_stamp(proc, seq, stamp))
+    };
+    // p0:3 after p0:2 is in order; p0:2 again, or p0:1 after it, is not.
+    assert!(second_entry_as(0, 3, [3, 2, 1]).is_ok());
+    for seq in [2, 1] {
+        let why = second_entry_as(0, seq, [seq, 2, 1]).unwrap_err();
+        assert!(why.contains("out of sequence order"), "{why}");
+    }
+    // And an interval whose stamp is not its own never reaches the store.
+    let why = second_entry_as(0, 3, [2, 2, 1]).unwrap_err();
+    assert!(why.contains("carries another sequence number"), "{why}");
 }
