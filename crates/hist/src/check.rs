@@ -1,14 +1,29 @@
+//! The checker: happens-before from the recorded grant and episode
+//! numbers, then the race scan, the justification scan and the witness
+//! search over it.
+//!
+//! `lrc-trace::race` finds races with vector clocks too, and the two share
+//! no code on purpose. That detector sweeps one global trace order with a
+//! clock per processor that counts synchronization intervals, keeping the
+//! last write and the readers of each word as it goes. A history has no
+//! global order, only per-processor logs: here every event gets its own
+//! clock (a row of a flat matrix, counting events, not intervals) and
+//! accesses are found through an index by location, which also serves the
+//! justification scan and stays exact on racy histories, where a sweep's
+//! "last write" is whichever the sweep happened to meet last. The shared
+//! part would be one integer comparison.
+
 // The error type is deliberately rich (rendered events, expected bytes,
 // blocked-frontier listings): it IS the failure report the conformance
 // suites print. The Err path is cold, so the large-variant lint trades
 // the wrong way here.
 #![allow(clippy::result_large_err)]
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
-use lrc_vclock::{ProcId, VectorClock};
+use lrc_vclock::ProcId;
 
 use crate::{HistEvent, History};
 
@@ -180,10 +195,91 @@ type Ev = (usize, usize);
 
 /// The recorded happens-before relation, materialized: cross-processor
 /// predecessor edges per event (program order stays implicit) and an
-/// event-granularity vector clock per event.
+/// event-granularity clock per event.
+///
+/// Entry `q` of the clock of `e` counts the events of processor `q` that
+/// happened before `e` (`e` itself included), so `(q, j)` happened before
+/// `e` exactly when `j < clock(e)[q]`: what `e` has seen of `q` is a
+/// prefix of `q`'s log. Both scans below lean on that.
 struct Hb {
     preds: Vec<Vec<Vec<Ev>>>,
-    clocks: Vec<Vec<VectorClock>>,
+    /// One row of `n` entries per event, processor after processor.
+    clocks: Vec<u32>,
+    /// Row number of each processor's first event.
+    base: Vec<usize>,
+    n: usize,
+}
+
+impl Hb {
+    fn clock(&self, (p, i): Ev) -> &[u32] {
+        let row = (self.base[p] + i) * self.n;
+        &self.clocks[row..row + self.n]
+    }
+
+    /// True if `a` happened strictly before `b`.
+    fn before(&self, a: Ev, b: Ev) -> bool {
+        a != b && (a.1 as u32) < self.clock(b)[a.0]
+    }
+}
+
+/// `(processor, event index)` of one access covering one segment.
+type Touch = (u32, u32);
+
+/// The accesses of one kind (writes, or reads) by the segment they cover.
+struct Touches {
+    /// Segment `s` owns `by_segment[start[s]..start[s + 1]]`.
+    start: Vec<usize>,
+    /// Per segment sorted by `(processor, event index)`: one processor's
+    /// accesses to a segment are contiguous and in program order.
+    by_segment: Vec<Touch>,
+}
+
+impl Touches {
+    /// Where processor `q`'s accesses from event index `bound` on begin
+    /// in segment `s`'s block.
+    fn split(&self, s: usize, q: usize, bound: u32) -> (&[Touch], usize) {
+        let block = &self.by_segment[self.start[s]..self.start[s + 1]];
+        (block, block.partition_point(|&t| t < (q as u32, bound)))
+    }
+
+    /// The last access of `q` to segment `s` with an index below `bound`.
+    fn last_before(&self, s: usize, q: usize, bound: u32) -> Option<Ev> {
+        let (block, at) = self.split(s, q, bound);
+        let &(proc, index) = block.get(at.checked_sub(1)?)?;
+        (proc as usize == q).then_some((q, index as usize))
+    }
+
+    /// The first access of `q` to segment `s` with an index of at least
+    /// `bound`.
+    fn first_from(&self, s: usize, q: usize, bound: u32) -> Option<Ev> {
+        let (block, at) = self.split(s, q, bound);
+        let &(proc, index) = block.get(at)?;
+        (proc as usize == q).then_some((q, index as usize))
+    }
+}
+
+/// One non-empty access and the segments it covers.
+struct Access {
+    at: Ev,
+    is_write: bool,
+    segments: std::ops::Range<usize>,
+}
+
+/// Every access of a history, indexed by where it falls.
+///
+/// The address space is cut at every boundary of every access. Between
+/// two consecutive cuts each byte is covered by exactly the same accesses,
+/// so one index entry per access and *segment* stands for all those bytes
+/// with nothing lost to partial overlaps (a program of aligned words has
+/// one segment per word, whatever the word's length).
+struct AccessIndex {
+    /// Sorted, distinct access boundaries: segment `s` is the bytes
+    /// `cuts[s]..cuts[s + 1]`.
+    cuts: Vec<u64>,
+    /// The non-empty accesses, processor after processor in log order.
+    accesses: Vec<Access>,
+    writes: Touches,
+    reads: Touches,
 }
 
 impl History {
@@ -197,8 +293,9 @@ impl History {
     /// with [`HistError::Race`] before any read is blamed).
     pub fn check(&self, budget: &CheckBudget) -> Result<CheckReport, HistError> {
         let hb = self.build_hb()?;
-        self.find_race(&hb)?;
-        self.justify_reads(&hb)?;
+        let index = self.index_accesses();
+        self.find_race(&hb, &index)?;
+        self.justify_reads(&hb, &index)?;
         let (_, states_explored) = self.search_witness(&hb, budget)?;
         Ok(CheckReport {
             events: self.len(),
@@ -209,21 +306,32 @@ impl History {
     /// Checks that the history is data-race-free under the recorded
     /// happens-before relation.
     ///
+    /// Which pair is reported is a function of the history alone: `first`
+    /// is the earliest access, in `(processor, log index)` order, that
+    /// races with an access of a higher-numbered processor. `second` is
+    /// found by taking `first`'s bytes in address order, the higher
+    /// processors in order and their writes ahead of their reads, and is
+    /// that processor's earliest such access to those bytes that did not
+    /// happen before `first`.
+    ///
     /// # Errors
     ///
-    /// [`HistError::Race`] naming the first unordered conflicting pair, or
+    /// [`HistError::Race`] naming an unordered conflicting pair, or
     /// [`HistError::Malformed`].
     pub fn check_drf(&self) -> Result<(), HistError> {
         let hb = self.build_hb()?;
-        self.find_race(&hb)
+        self.find_race(&hb, &self.index_accesses())
     }
 
     /// Checks every read against the happens-before-latest write covering
     /// it — the LRC-specific mode: a read is justified exactly when the
     /// intervals visible at the reader's last synchronization explain its
-    /// bytes. Assumes the history is data-race-free (check
-    /// [`History::check_drf`] first; on a racy history the "latest" write
-    /// is ambiguous and the blame may fall on the wrong event).
+    /// bytes. Meant for data-race-free histories (check
+    /// [`History::check_drf`] first). On a racy history the "latest" write
+    /// of a byte is ambiguous and the blame may fall on the wrong event;
+    /// the answer is still exact and repeatable: of the visible writes
+    /// that no other visible write follows, the lowest-numbered
+    /// processor's supplies the byte.
     ///
     /// # Errors
     ///
@@ -231,7 +339,7 @@ impl History {
     /// [`HistError::Malformed`].
     pub fn check_justified(&self) -> Result<(), HistError> {
         let hb = self.build_hb()?;
-        self.justify_reads(&hb)
+        self.justify_reads(&hb, &self.index_accesses())
     }
 
     /// Searches for a sequentially consistent witness: a total order of
@@ -258,6 +366,8 @@ impl History {
     /// chains (release of grant `k` precedes the acquire of grant `k+1`),
     /// barrier episodes (everything before any arrival of an episode
     /// precedes everything after any crossing of it), and program order.
+    /// Also the one place that rejects an access whose range does not fit
+    /// the address space, so the scans can add `addr + len` freely.
     fn build_hb(&self) -> Result<Hb, HistError> {
         let n = self.logs.len();
         let mut preds: Vec<Vec<Vec<Ev>>> = self
@@ -266,42 +376,42 @@ impl History {
             .map(|log| vec![Vec::new(); log.len()])
             .collect();
 
-        // Per-lock grant chains: (grant, is_release) sorts acquires ahead
-        // of the release that closes them.
-        let mut locks: HashMap<u32, Vec<(u64, bool, Ev)>> = HashMap::new();
-        // Barrier episodes: one arrival per processor each.
-        let mut barriers: HashMap<(u32, u64), Vec<Ev>> = HashMap::new();
+        // `(lock, grant, is_release, event)`: sorted, each lock's chain is
+        // contiguous with every acquire ahead of the release closing it.
+        let mut grants: Vec<(u32, u64, bool, Ev)> = Vec::new();
+        // `(barrier, episode, event)`: sorted, each episode's arrivals are
+        // contiguous, one per processor.
+        let mut arrivals: Vec<(u32, u64, Ev)> = Vec::new();
         for (p, log) in self.logs.iter().enumerate() {
             for (i, ev) in log.iter().enumerate() {
                 match ev {
+                    HistEvent::Read { addr, value } | HistEvent::Write { addr, value } => {
+                        if addr.checked_add(value.len() as u64).is_none() {
+                            return Err(HistError::Malformed(format!(
+                                "{}: the access ends past the last address",
+                                self.site((p, i))
+                            )));
+                        }
+                    }
                     HistEvent::Acquire { lock, grant } => {
-                        locks
-                            .entry(lock.raw())
-                            .or_default()
-                            .push((*grant, false, (p, i)));
+                        grants.push((lock.raw(), *grant, false, (p, i)));
                     }
                     HistEvent::Release { lock, grant } => {
-                        locks
-                            .entry(lock.raw())
-                            .or_default()
-                            .push((*grant, true, (p, i)));
+                        grants.push((lock.raw(), *grant, true, (p, i)));
                     }
                     HistEvent::Barrier { barrier, episode } => {
-                        barriers
-                            .entry((barrier.raw(), *episode))
-                            .or_default()
-                            .push((p, i));
+                        arrivals.push((barrier.raw(), *episode, (p, i)));
                     }
-                    _ => {}
+                    HistEvent::Crash => {}
                 }
             }
         }
 
-        for (lock, mut chain) in locks {
-            chain.sort_by_key(|&(grant, is_release, _)| (grant, is_release));
+        grants.sort_unstable();
+        for chain in grants.chunk_by(|a, b| a.0 == b.0) {
             for pair in chain.windows(2) {
-                let (ga, rel_a, ea) = pair[0];
-                let (gb, rel_b, eb) = pair[1];
+                let (lock, ga, rel_a, ea) = pair[0];
+                let (_, gb, rel_b, eb) = pair[1];
                 match (rel_a, rel_b) {
                     // acquire(k) then release(k): must be one critical
                     // section of one processor (program order covers it).
@@ -335,9 +445,12 @@ impl History {
             .iter()
             .map(|log| log.iter().any(|e| matches!(e, HistEvent::Crash)))
             .collect();
-        for ((barrier, episode), group) in barriers {
-            let mut seen = vec![false; n];
-            for &(p, _) in &group {
+        arrivals.sort_unstable();
+        let mut seen = vec![false; n];
+        for group in arrivals.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (barrier, episode, _) = group[0];
+            seen.fill(false);
+            for &(_, _, (p, _)) in group {
                 if std::mem::replace(&mut seen[p], true) {
                     return Err(HistError::Malformed(format!(
                         "barrier {barrier} episode {episode}: p{p} arrived twice"
@@ -353,8 +466,8 @@ impl History {
             }
             // Crossing the barrier requires every processor's pre-arrival
             // prefix; the arrivals themselves stay mutually concurrent.
-            for &(p, i) in &group {
-                for &(q, j) in &group {
+            for &(_, _, (p, i)) in group {
+                for &(_, _, (q, j)) in group {
                     if q != p && j > 0 {
                         preds[p][i].push((q, j - 1));
                     }
@@ -362,67 +475,58 @@ impl History {
             }
         }
 
-        // Event-granularity clocks by forward topological propagation
-        // (Kahn): clock(e) = join of all predecessors, own entry = index+1.
-        let mut clocks: Vec<Vec<VectorClock>> = self
-            .logs
-            .iter()
-            .map(|log| vec![VectorClock::new(n); log.len()])
-            .collect();
-        let mut succs: HashMap<Ev, Vec<Ev>> = HashMap::new();
-        let mut indegree: Vec<Vec<usize>> = self
-            .logs
-            .iter()
-            .map(|log| vec![0usize; log.len()])
-            .collect();
-        for (p, log) in self.logs.iter().enumerate() {
-            for i in 0..log.len() {
-                let mut d = preds[p][i].len();
-                if i > 0 {
-                    d += 1;
-                    succs.entry((p, i - 1)).or_default().push((p, i));
-                }
-                for &pred in &preds[p][i] {
-                    succs.entry(pred).or_default().push((p, i));
-                }
-                indegree[p][i] = d;
-            }
+        // Event-granularity clocks in a topological order: each processor
+        // in turn runs ahead until it needs an event not yet stamped, and
+        // the turns go round until a whole one stamps nothing.
+        // clock(e) = join of all predecessors, own entry = index + 1.
+        let mut base = Vec::with_capacity(n);
+        let mut rows = 0;
+        for log in &self.logs {
+            base.push(rows);
+            rows += log.len();
         }
-        let mut ready: VecDeque<Ev> = VecDeque::new();
-        for (p, log) in self.logs.iter().enumerate() {
-            if !log.is_empty() && indegree[p][0] == 0 {
-                ready.push_back((p, 0));
-            }
-        }
-        let mut done = 0usize;
-        while let Some((p, i)) = ready.pop_front() {
-            let mut clock = if i > 0 {
-                clocks[p][i - 1].clone()
-            } else {
-                VectorClock::new(n)
-            };
-            for &(q, j) in &preds[p][i] {
-                let other = clocks[q][j].clone();
-                clock.merge(&other);
-            }
-            clock.set(ProcId::new(p as u16), (i + 1) as u32);
-            clocks[p][i] = clock;
-            done += 1;
-            for &(q, j) in succs.get(&(p, i)).map(Vec::as_slice).unwrap_or(&[]) {
-                indegree[q][j] -= 1;
-                if indegree[q][j] == 0 {
-                    ready.push_back((q, j));
+        let mut clocks = vec![0u32; rows * n];
+        let mut stamped = vec![0usize; n];
+        loop {
+            let mut progress = false;
+            for p in 0..n {
+                while let Some(cross) = preds[p].get(stamped[p]) {
+                    if cross.iter().any(|&(q, j)| j >= stamped[q]) {
+                        break;
+                    }
+                    let i = stamped[p];
+                    let row = (base[p] + i) * n;
+                    if i > 0 {
+                        clocks.copy_within(row - n..row, row);
+                    }
+                    for &(q, j) in cross {
+                        let from = (base[q] + j) * n;
+                        for k in 0..n {
+                            clocks[row + k] = clocks[row + k].max(clocks[from + k]);
+                        }
+                    }
+                    clocks[row + p] = i as u32 + 1;
+                    stamped[p] += 1;
+                    progress = true;
                 }
             }
+            if !progress {
+                break;
+            }
         }
-        if done != self.len() {
+        if stamped.iter().sum::<usize>() != rows {
             // Real recordings cannot produce a cycle (every edge follows
             // wall-clock order); a hand-built history can.
             return Err(HistError::Malformed(
                 "happens-before graph has a cycle".to_string(),
             ));
         }
-        Ok(Hb { preds, clocks })
+        Ok(Hb {
+            preds,
+            clocks,
+            base,
+            n,
+        })
     }
 
     fn site(&self, (p, i): Ev) -> EventSite {
@@ -433,136 +537,170 @@ impl History {
         }
     }
 
-    /// First conflicting, happens-before-unordered access pair, if any.
-    fn find_race(&self, hb: &Hb) -> Result<(), HistError> {
-        struct Access {
-            start: u64,
-            end: u64,
-            write: bool,
-            at: Ev,
-        }
-        let mut accesses: Vec<Access> = Vec::new();
+    /// Indexes every non-empty access by the segments it covers. Relies on
+    /// [`History::build_hb`] having vetted the access ranges.
+    fn index_accesses(&self) -> AccessIndex {
+        let mut ranges = Vec::new();
         for (p, log) in self.logs.iter().enumerate() {
             for (i, ev) in log.iter().enumerate() {
-                if let Some((addr, len, write)) = ev.access() {
-                    if len > 0 {
-                        accesses.push(Access {
-                            start: addr,
-                            end: addr + len as u64,
-                            write,
-                            at: (p, i),
-                        });
-                    }
+                if let Some((addr, len @ 1.., is_write)) = ev.access() {
+                    ranges.push(((p, i), is_write, addr..addr + len as u64));
                 }
             }
         }
-        accesses.sort_by_key(|a| a.start);
-        for (i, a) in accesses.iter().enumerate() {
-            for b in &accesses[i + 1..] {
-                if b.start >= a.end {
-                    break; // sorted by start: nothing later overlaps `a`
+
+        let mut cuts: Vec<u64> = ranges
+            .iter()
+            .flat_map(|(_, _, bytes)| [bytes.start, bytes.end])
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+
+        let accesses: Vec<Access> = ranges
+            .into_iter()
+            .map(|(at, is_write, bytes)| {
+                let first = cuts.partition_point(|&cut| cut < bytes.start);
+                let covered = cuts[first..].iter().take_while(|&&cut| cut < bytes.end);
+                Access {
+                    at,
+                    is_write,
+                    segments: first..first + covered.count(),
                 }
-                if a.at.0 == b.at.0 || (!a.write && !b.write) {
-                    continue;
+            })
+            .collect();
+
+        // A counting sort by segment; filling in log order leaves every
+        // block sorted by (processor, index).
+        let touches = |of_writes: bool| {
+            let wanted = || accesses.iter().filter(|a| a.is_write == of_writes);
+            let mut start = vec![0usize; cuts.len().max(1)];
+            for s in wanted().flat_map(|a| a.segments.clone()) {
+                start[s + 1] += 1;
+            }
+            for s in 1..start.len() {
+                start[s] += start[s - 1];
+            }
+            let mut next = start.clone();
+            let mut by_segment = vec![(0, 0); next.pop().expect("never empty")];
+            for a in wanted() {
+                for s in a.segments.clone() {
+                    by_segment[next[s]] = (a.at.0 as u32, a.at.1 as u32);
+                    next[s] += 1;
                 }
-                let ca = &hb.clocks[a.at.0][a.at.1];
-                let cb = &hb.clocks[b.at.0][b.at.1];
-                if ca.concurrent_with(cb) {
-                    return Err(HistError::Race {
-                        first: self.site(a.at),
-                        second: self.site(b.at),
-                    });
+            }
+            Touches { start, by_segment }
+        };
+        AccessIndex {
+            writes: touches(true),
+            reads: touches(false),
+            cuts,
+            accesses,
+        }
+    }
+
+    /// A conflicting, happens-before-unordered access pair, if any (see
+    /// [`History::check_drf`] for which).
+    fn find_race(&self, hb: &Hb, index: &AccessIndex) -> Result<(), HistError> {
+        for access in &index.accesses {
+            let (p, i) = access.at;
+            let clock = hb.clock(access.at);
+            // A write conflicts with reads too. Each racing pair is looked
+            // for from its lower-numbered processor only.
+            let against = [Some(&index.writes), access.is_write.then_some(&index.reads)];
+            for s in access.segments.clone() {
+                for (q, &seen) in clock.iter().enumerate().skip(p + 1) {
+                    for touches in against.into_iter().flatten() {
+                        // What this access has seen of `q` is a prefix of
+                        // `q`'s log, and what has seen this access is a
+                        // suffix of it (entry `p` only grows along a log).
+                        // So the first of `q`'s accesses not before this
+                        // one is concurrent with it, or none of them is.
+                        let Some(other) = touches.first_from(s, q, seen) else {
+                            continue;
+                        };
+                        if hb.clock(other)[p] <= i as u32 {
+                            return Err(HistError::Race {
+                                first: self.site(access.at),
+                                second: self.site(other),
+                            });
+                        }
+                    }
                 }
             }
         }
         Ok(())
     }
 
-    /// Checks each read's bytes against the happens-before-latest write
-    /// covering each byte (initial memory is zero).
-    fn justify_reads(&self, hb: &Hb) -> Result<(), HistError> {
-        // All writes, once.
-        struct W {
-            start: u64,
-            end: u64,
-            at: Ev,
-        }
-        let mut writes: Vec<W> = Vec::new();
-        for (p, log) in self.logs.iter().enumerate() {
-            for (i, ev) in log.iter().enumerate() {
-                if let Some((addr, len, true)) = ev.access() {
-                    writes.push(W {
-                        start: addr,
-                        end: addr + len as u64,
-                        at: (p, i),
-                    });
-                }
+    /// The write that supplies segment `s` to the read `r`: the
+    /// happens-before-latest of the writes visible at `r`. Those of one
+    /// processor are a prefix of its writes there and the last of them
+    /// follows the rest, so only that one competes.
+    fn supplier(&self, hb: &Hb, index: &AccessIndex, r: Ev, s: usize) -> Option<Ev> {
+        let clock = hb.clock(r);
+        let mut best: Option<Ev> = None;
+        for (q, &seen) in clock.iter().enumerate() {
+            let Some(w) = index.writes.last_before(s, q, seen) else {
+                continue;
+            };
+            // DRF makes same-byte writes totally ordered, so one always
+            // dominates.
+            if best.is_none_or(|cur| hb.before(cur, w)) {
+                best = Some(w);
             }
         }
-        for (p, log) in self.logs.iter().enumerate() {
-            for (i, ev) in log.iter().enumerate() {
-                let HistEvent::Read { addr, value } = ev else {
-                    continue;
+        best
+    }
+
+    /// The bytes the write `w` put at `from..from + len`.
+    fn written(&self, w: Ev, from: u64, len: usize) -> &[u8] {
+        let HistEvent::Write { addr, value } = &self.logs[w.0][w.1] else {
+            unreachable!("indexed as a write")
+        };
+        let at = (from - addr) as usize;
+        &value[at..at + len]
+    }
+
+    /// Checks each read's bytes against the happens-before-latest write
+    /// covering each byte (initial memory is zero).
+    fn justify_reads(&self, hb: &Hb, index: &AccessIndex) -> Result<(), HistError> {
+        for read in index.accesses.iter().filter(|a| !a.is_write) {
+            let HistEvent::Read { addr, value } = &self.logs[read.at.0][read.at.1] else {
+                unreachable!("indexed as a read")
+            };
+            // The read's own boundaries are cuts, so each of its segments
+            // lies wholly inside it, and wholly inside any write that
+            // covers a byte of the segment.
+            let within = |s: usize| {
+                let from = index.cuts[s];
+                let at = (from - addr) as usize;
+                (from, at..at + (index.cuts[s + 1] - from) as usize)
+            };
+            for s in read.segments.clone() {
+                let (from, at) = within(s);
+                let got = &value[at.clone()];
+                let writer = self.supplier(hb, index, read.at, s);
+                let justified = match writer {
+                    Some(w) => self.written(w, from, at.len()) == got,
+                    None => got.iter().all(|&b| b == 0),
                 };
-                let rc = &hb.clocks[p][i];
-                // Writes that happened before this read and overlap it.
-                let visible: Vec<&W> = writes
-                    .iter()
-                    .filter(|w| {
-                        w.start < addr + value.len() as u64
-                            && w.end > *addr
-                            && hb.clocks[w.at.0][w.at.1].happened_before(rc)
-                    })
-                    .collect();
+                if justified {
+                    continue;
+                }
+                // The first bad byte lies in this segment: the earlier
+                // ones matched.
                 let mut expected = vec![0u8; value.len()];
-                let mut suppliers: Vec<Option<Ev>> = vec![None; value.len()];
-                for (k, byte) in expected.iter_mut().enumerate() {
-                    let a = addr + k as u64;
-                    let mut best: Option<&W> = None;
-                    for w in &visible {
-                        if !(w.start <= a && a < w.end) {
-                            continue;
-                        }
-                        best = match best {
-                            None => Some(w),
-                            Some(cur) => {
-                                let cw = &hb.clocks[w.at.0][w.at.1];
-                                let cc = &hb.clocks[cur.at.0][cur.at.1];
-                                // DRF makes same-byte writes totally
-                                // ordered, so one always dominates.
-                                if cc.happened_before(cw) {
-                                    Some(w)
-                                } else {
-                                    Some(cur)
-                                }
-                            }
-                        };
-                    }
-                    if let Some(w) = best {
-                        let HistEvent::Write {
-                            value: wv,
-                            addr: wa,
-                        } = &self.logs[w.at.0][w.at.1]
-                        else {
-                            unreachable!("collected from writes")
-                        };
-                        *byte = wv[(a - wa) as usize];
-                        suppliers[k] = Some(w.at);
+                for s in read.segments.clone() {
+                    let (from, at) = within(s);
+                    if let Some(w) = self.supplier(hb, index, read.at, s) {
+                        expected[at.clone()].copy_from_slice(self.written(w, from, at.len()));
                     }
                 }
-                if &expected != value {
-                    let first_bad = expected
-                        .iter()
-                        .zip(value)
-                        .position(|(e, g)| e != g)
-                        .expect("differs");
-                    return Err(HistError::Unjustified {
-                        site: self.site((p, i)),
-                        expected,
-                        got: value.clone(),
-                        writer: suppliers[first_bad].map(|at| self.site(at)),
-                    });
-                }
+                return Err(HistError::Unjustified {
+                    site: self.site(read.at),
+                    expected,
+                    got: value.clone(),
+                    writer: writer.map(|at| self.site(at)),
+                });
             }
         }
         Ok(())
@@ -577,7 +715,8 @@ impl History {
             consumed: 0,
             total: self.len(),
             mem: HashMap::new(),
-            visited: HashSet::new(),
+            undo: Vec::new(),
+            dead_ends: HashSet::new(),
             explored: 0,
             max_states: budget.max_states,
             schedule: Vec::new(),
@@ -617,14 +756,22 @@ enum Found {
 struct Search<'a> {
     logs: &'a [Vec<HistEvent>],
     preds: &'a [Vec<Vec<Ev>>],
-    pos: Vec<usize>,
+    /// Events of each processor scheduled so far.
+    pos: Vec<u32>,
     consumed: usize,
     total: usize,
     /// Byte-granular memory under the schedule built so far.
     mem: HashMap<u64, u8>,
-    /// Position vectors already proven witness-free. Sound for DRF
-    /// histories, where the consumed set determines memory.
-    visited: HashSet<Vec<u32>>,
+    /// What the scheduled writes clobbered, oldest first: per byte its
+    /// previous value (`None` = previously untouched). Each frame
+    /// remembers how long this was before its event was applied.
+    undo: Vec<(u64, Option<u8>)>,
+    /// Position vectors proven witness-free, entered when the search
+    /// backs out of them: a state still on the stack cannot be reached
+    /// again (positions only grow along a schedule), so a run that never
+    /// backtracks stores none. Sound for DRF histories, where the
+    /// consumed set determines memory.
+    dead_ends: HashSet<Vec<u32>>,
     explored: usize,
     max_states: usize,
     schedule: Vec<(usize, usize)>,
@@ -632,23 +779,20 @@ struct Search<'a> {
     best_blocked: Vec<String>,
 }
 
-/// What it takes to revert one applied event: the processor whose event
-/// was applied and, per clobbered byte, its previous value (`None` =
-/// previously untouched).
-type Undo = (usize, Vec<(u64, Option<u8>)>);
-
-/// One level of the search: which processor to try next, the undo data
-/// of the event applied to *enter* this level, and the reads found
-/// blocked while iterating it.
+/// One level of the search: which processor to try next, the event
+/// applied to *enter* this level — its processor and the length of the
+/// undo log before it — and the reads found blocked while iterating it.
 struct SearchFrame {
     next_proc: usize,
-    applied: Option<Undo>,
+    applied: Option<(usize, usize)>,
     blocked: Vec<String>,
 }
 
 impl Search<'_> {
     fn ready(&self, p: usize, i: usize) -> bool {
-        self.preds[p][i].iter().all(|&(q, j)| self.pos[q] > j)
+        self.preds[p][i]
+            .iter()
+            .all(|&(q, j)| self.pos[q] as usize > j)
     }
 
     fn mem_byte(&self, addr: u64) -> u8 {
@@ -662,8 +806,7 @@ impl Search<'_> {
         if self.consumed == self.total {
             return Some(Found::Yes);
         }
-        let key: Vec<u32> = self.pos.iter().map(|&i| i as u32).collect();
-        if !self.visited.insert(key) {
+        if self.dead_ends.contains(self.pos.as_slice()) {
             return Some(Found::No);
         }
         self.explored += 1;
@@ -673,12 +816,13 @@ impl Search<'_> {
         None
     }
 
-    /// Reverts the event that entered a frame.
-    fn revert(&mut self, p: usize, undo: Vec<(u64, Option<u8>)>) {
+    /// Reverts the last scheduled event, of processor `p`, and with it
+    /// the undo log back to length `mark`.
+    fn revert(&mut self, p: usize, mark: usize) {
         self.schedule.pop();
         self.consumed -= 1;
         self.pos[p] -= 1;
-        for (a, old) in undo.into_iter().rev() {
+        for (a, old) in self.undo.drain(mark..).rev() {
             match old {
                 Some(b) => self.mem.insert(a, b),
                 None => self.mem.remove(&a),
@@ -701,56 +845,48 @@ impl Search<'_> {
         let logs = self.logs;
         while let Some(frame) = stack.last_mut() {
             // Find the next schedulable processor at this level.
-            let mut scheduled: Option<Undo> = None;
+            let mut scheduled: Option<(usize, usize)> = None;
             while frame.next_proc < logs.len() {
                 let p = frame.next_proc;
                 frame.next_proc += 1;
-                let i = self.pos[p];
+                let i = self.pos[p] as usize;
                 if i >= logs[p].len() || !self.ready(p, i) {
                     continue;
                 }
                 let ev = &logs[p][i];
                 if let HistEvent::Read { addr, value } = ev {
-                    let current: Vec<u8> = (0..value.len() as u64)
-                        .map(|k| self.mem_byte(addr + k))
-                        .collect();
-                    if &current != value {
+                    let holds = |k: usize| self.mem_byte(addr + k as u64);
+                    if value.iter().enumerate().any(|(k, &b)| holds(k) != b) {
                         frame.blocked.push(format!(
                             "p{p}[{i}] {ev} — memory here holds {}",
-                            current
-                                .iter()
-                                .map(|b| format!("{b:02x}"))
+                            (0..value.len())
+                                .map(|k| format!("{:02x}", holds(k)))
                                 .collect::<String>()
                         ));
                         continue;
                     }
                 }
                 // Apply: only writes change state; remember the clobber.
-                let undo: Vec<(u64, Option<u8>)> = match ev {
-                    HistEvent::Write { addr, value } => value
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &b)| {
-                            let a = addr + k as u64;
-                            (a, self.mem.insert(a, b))
-                        })
-                        .collect(),
-                    _ => Vec::new(),
-                };
+                let mark = self.undo.len();
+                if let HistEvent::Write { addr, value } = ev {
+                    for (&b, a) in value.iter().zip(*addr..) {
+                        self.undo.push((a, self.mem.insert(a, b)));
+                    }
+                }
                 self.pos[p] += 1;
                 self.consumed += 1;
                 self.schedule.push((p, i));
-                scheduled = Some((p, undo));
+                scheduled = Some((p, mark));
                 break;
             }
             match scheduled {
-                Some((p, undo)) => match self.enter_state() {
+                Some((p, mark)) => match self.enter_state() {
                     Some(Found::Yes) => return Found::Yes,
                     Some(Found::Budget) => return Found::Budget,
-                    Some(Found::No) => self.revert(p, undo), // revisited state
+                    Some(Found::No) => self.revert(p, mark), // revisited state
                     None => stack.push(SearchFrame {
                         next_proc: 0,
-                        applied: Some((p, undo)),
+                        applied: Some((p, mark)),
                         blocked: Vec::new(),
                     }),
                 },
@@ -761,9 +897,10 @@ impl Search<'_> {
                         self.best_consumed = self.consumed;
                         self.best_blocked = std::mem::take(&mut frame.blocked);
                     }
+                    self.dead_ends.insert(self.pos.clone());
                     let done = stack.pop().expect("frame present");
-                    if let Some((p, undo)) = done.applied {
-                        self.revert(p, undo);
+                    if let Some((p, mark)) = done.applied {
+                        self.revert(p, mark);
                     }
                 }
             }
@@ -983,6 +1120,120 @@ mod tests {
         let h = History::from_logs(vec![log]);
         let report = h.check(&budget()).unwrap();
         assert_eq!(report.events, 60_000);
+    }
+
+    #[test]
+    fn long_one_word_history_across_processors_checks_in_one_pass() {
+        // One lock handed round four processors 15 000 times, each
+        // section reading the counter at word 0 and writing it back one
+        // higher. What the single-processor history above never reaches:
+        // every access competes with thousands of other processors'
+        // accesses to the same word, told apart by clock entries alone.
+        let mut logs = vec![Vec::new(); 4];
+        for k in 0..15_000u64 {
+            logs[k as usize % 4].extend([
+                acq(0, k + 1),
+                read(0, k),
+                write(0, k + 1),
+                rel(0, k + 1),
+            ]);
+        }
+        let report = History::from_logs(logs.clone()).check(&budget()).unwrap();
+        assert_eq!(report.events, 60_000);
+        assert_eq!(report.states_explored, 60_000);
+
+        // A stale read in the very last critical section: it sees the
+        // counter as its own processor left it four sections earlier.
+        let mut stale = logs;
+        let (p, i) = (3, stale[3].len() - 3);
+        assert_eq!(stale[p][i], read(0, 14_999));
+        stale[p][i] = read(0, 14_996);
+        match History::from_logs(stale).check(&budget()) {
+            Err(HistError::Unjustified { site, writer, .. }) => {
+                assert_eq!((site.proc.index(), site.index), (p, i));
+                let writer = writer.expect("the section before wrote the counter");
+                assert_eq!((writer.proc.index(), writer.index), (2, 15_000 - 2));
+            }
+            other => panic!("expected the planted read, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn long_many_word_history_with_barrier_phases_checks_in_one_pass() {
+        // Four processors, two banks of 512 words each: in phase `k` a
+        // processor fills its slots of bank `k % 2` and reads back what
+        // its neighbour put into the other bank a phase earlier.
+        const SLOTS: u64 = 512;
+        let word = |bank: u64, owner: u64, slot: u64| ((bank * 4 + owner) * SLOTS + slot) * 8;
+        let value = |phase: u64, owner: u64, slot: u64| (phase + 1) << 32 | owner << 16 | slot;
+        let mut logs = vec![Vec::new(); 4];
+        for phase in 0..4u64 {
+            for (p, log) in (0u64..).zip(&mut logs) {
+                let neighbour = (p + 1) % 4;
+                for slot in 0..SLOTS {
+                    let theirs = match phase {
+                        0 => 0,
+                        _ => value(phase - 1, neighbour, slot),
+                    };
+                    log.push(read(word((phase + 1) % 2, neighbour, slot), theirs));
+                    log.push(write(word(phase % 2, p, slot), value(phase, p, slot)));
+                }
+                log.push(bar(0, phase));
+            }
+        }
+        let h = History::from_logs(logs);
+        let report = h.check(&budget()).unwrap();
+        assert_eq!(report.events, 4 * 4 * (2 * SLOTS as usize + 1));
+        assert_eq!(report.states_explored, report.events);
+    }
+
+    #[test]
+    fn an_access_past_the_last_address_is_malformed() {
+        // `addr + len` does not fit a u64: no range to index. One byte
+        // less and it is an ordinary access.
+        let h = History::from_logs(vec![vec![write(0, 1), write(u64::MAX - 3, 9)]]);
+        match h.check(&budget()) {
+            Err(HistError::Malformed(detail)) => {
+                assert!(detail.contains("p0[1]"), "{detail}");
+                assert!(detail.contains("@0xfffffffffffffffc/8"), "{detail}");
+            }
+            other => panic!("expected a malformed access, got {other:?}"),
+        }
+        for mode in [History::check_drf, History::check_justified] {
+            assert!(matches!(mode(&h), Err(HistError::Malformed(_))));
+        }
+        assert!(matches!(
+            h.sc_witness(&budget()),
+            Err(HistError::Malformed(_))
+        ));
+        let last = u64::MAX - 8;
+        let h = History::from_logs(vec![vec![write(last, 9), read(last, 9)], vec![read(0, 0)]]);
+        h.check(&budget()).unwrap();
+    }
+
+    #[test]
+    fn a_dead_end_is_explored_once() {
+        // p1's read of a value nobody wrote blocks every schedule. The
+        // other five events are mutually concurrent, so the search walks
+        // all of the 3 x 2 grid of positions short of that read — each
+        // position once, however many schedules lead to it.
+        let h = History::from_logs(vec![
+            vec![write(0, 1), write(8, 1)],
+            vec![write(16, 1), read(24, 5)],
+        ]);
+        match h.sc_witness(&budget()) {
+            Err(HistError::NoWitness {
+                explored,
+                consumed,
+                total,
+                blocked,
+            }) => {
+                assert_eq!((explored, consumed, total), (6, 3, 4));
+                assert_eq!(blocked.len(), 1, "{blocked:?}");
+                assert!(blocked[0].contains("p1[1]"), "{blocked:?}");
+            }
+            other => panic!("expected an exhausted search, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,3 +1,18 @@
+//! The labeling check: a race detector over *trace programs*.
+//!
+//! `lrc-hist`'s checker also finds races with vector clocks, and the two
+//! share no code on purpose. A trace is one global, legal interleaving, so
+//! this detector is a single sweep in trace order: one clock per
+//! processor, counting synchronization *intervals*, and per word the last
+//! write and the reads since — shadow state that is only right because
+//! the sweep sees every access after everything that happened before it.
+//! A recorded history is one log per processor with no global order; its
+//! checker stamps every *event* with a clock from the recorded grant and
+//! episode numbers and looks accesses up in a per-location index, which
+//! is what lets it also answer "which write should this read have seen"
+//! on histories that are not race-free. What the two have in common is
+//! the comparison `clock[q] < seq`.
+
 use std::collections::HashMap;
 use std::fmt;
 

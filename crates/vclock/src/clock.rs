@@ -186,8 +186,7 @@ impl VectorClock {
     }
 
     /// True if `self` happened strictly before `other` — the
-    /// happens-before test spelled out (used pervasively by the history
-    /// checker in `lrc-hist`).
+    /// happens-before test spelled out.
     ///
     /// # Panics
     ///
