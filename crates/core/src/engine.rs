@@ -560,11 +560,13 @@ impl<P: Protocol> Engine<P> {
 
     /// Reads `buf.len()` bytes at `addr` as processor `p`, resolving
     /// access misses as needed. Hitting a valid cached page takes only
-    /// `p`'s shard lock.
+    /// `p`'s shard lock. An empty read touches no page: no miss, no
+    /// message.
     ///
     /// # Panics
     ///
-    /// Panics if the range is out of bounds or `p` is out of range.
+    /// Panics if the range — an empty one too — is out of bounds or `p` is
+    /// out of range.
     // Out of line, like `write` and `resolve_miss`: the engine is generic,
     // so it is instantiated in its callers' crates, where LLVM otherwise
     // merges both families' copies — miss path included — into the
@@ -619,11 +621,13 @@ impl<P: Protocol> Engine<P> {
     /// in an interval twins it (§4.3.1 — both families are multiple-writer
     /// protocols); misses resolve first so the twin reflects all noticed
     /// modifications. Writing a valid cached page takes only `p`'s shard
-    /// lock.
+    /// lock. An empty write touches no page: nothing is twinned, and the
+    /// next release has nothing of it to close or flush.
     ///
     /// # Panics
     ///
-    /// Panics if the range is out of bounds or `p` is out of range.
+    /// Panics if the range — an empty one too — is out of bounds or `p` is
+    /// out of range.
     #[inline(never)]
     pub fn write(&self, p: ProcId, addr: u64, data: &[u8]) {
         let mut cursor = 0;

@@ -107,23 +107,39 @@ fn knowledge_of(clock: &VectorClock, p: ProcId) -> VectorClock {
 
 /// Wire size of a batch of write notices: one header per distinct
 /// interval plus a page id per notice (TreadMarks-style interval
-/// records).
+/// records). `notices` comes from [`IntervalStore::notices_missing`],
+/// which lists each interval's notices contiguously.
 fn notice_bytes(notices: &[WriteNotice]) -> u64 {
-    let mut intervals: Vec<_> = notices.iter().map(|n| n.interval).collect();
-    intervals.sort();
-    intervals.dedup();
-    notice_batch_bytes(intervals.len(), notices.len())
+    let intervals = notices.chunk_by(|a, b| a.interval == b.interval).count();
+    notice_batch_bytes(intervals, notices.len())
 }
 
 /// Sort key giving a linear extension of happened-before over recorded
 /// intervals: stamp weight, then id.
 fn hb_key(store: &IntervalStore, iv: IntervalId) -> (u64, ProcId, u32) {
-    let weight = store
-        .stamp(iv)
-        .expect("planned interval recorded")
-        .clock()
-        .weight();
+    let weight = store.weight(iv).expect("planned interval recorded");
     (weight, iv.proc(), iv.seq())
+}
+
+/// Wire size of one page's chain of diffs as one processor supplies it:
+/// the chain is squashed in happened-before order before shipping, so
+/// overwritten modifications never cross the wire (§4.3.2's pruning of
+/// intervals "in which the modification was overwritten").
+///
+/// Only the size is charged here, and the size of a squash depends on
+/// which bytes the chain covers — not on their values, nor on the order
+/// of the chain — so [`Diff::squashed_size`] reads no data byte.
+fn chain_bytes<'a>(chain: impl ExactSizeIterator<Item = &'a Diff> + Clone) -> u64 {
+    let size = match chain.len() {
+        // A lone diff ships as it is.
+        1 => chain.clone().next().map_or(0, Diff::encoded_size),
+        _ => {
+            let size = Diff::squashed_size(chain.clone());
+            debug_assert_eq!(size, Diff::squash(chain).encoded_size());
+            size
+        }
+    };
+    size as u64
 }
 
 impl Protocol for Lazy {
@@ -192,10 +208,13 @@ impl Protocol for Lazy {
             know_q.set(q, know_q.get(q).saturating_sub(1));
         }
         let mut store = e.proto.store.read();
-        let p_clock = e.shard(p).ext.clock.clone();
-        let notices = store.notices_missing(&p_clock, &know_q);
-        e.deliver_notices(p, &notices);
-        e.shard(p).ext.clock.merge(&know_q);
+        let notices = {
+            let mut shard = e.shard(p);
+            let notices = store.notices_missing(&shard.ext.clock, &know_q);
+            e.deliver_notices(&mut shard, p, &notices);
+            shard.ext.clock.merge(&know_q);
+            notices
+        };
 
         // Update policy: bring every cached page up to date now. Diffs the
         // grantor holds ride the grant; the rest cost 2 messages per other
@@ -367,6 +386,14 @@ impl Protocol for Lazy {
                 }
             }
             let page_bytes = e.space.page_size().bytes() as u64;
+            // All of a miss's diffs name the missed page: each target's
+            // list is one chain as it stands.
+            let chain_payload = |diffs: &[(IntervalId, PageId)]| {
+                let diff_of = |&(iv, _): &(IntervalId, PageId)| -> &Diff {
+                    store.diff(iv, page).expect("planned diff exists")
+                };
+                chain_bytes(diffs.iter().map(diff_of))
+            };
             let trips: Vec<(ProcId, u64, u64)> = plan
                 .targets
                 .iter()
@@ -375,14 +402,13 @@ impl Protocol for Lazy {
                     let request = diffs.len() as u64 * DIFF_REQUEST_ENTRY_BYTES;
                     if cold && i == 0 {
                         // The first supplier's reply also carries the base.
-                        let reply = e.diff_payload(&store, diffs) + page_bytes;
+                        let reply = chain_payload(diffs) + page_bytes;
                         (*target, request + PAGE_ID_BYTES, reply)
                     } else if e.params.full_page_misses {
                         // Ablation of §4.3.3: whole pages, not diffs.
-                        // All of a miss's diffs name the missed page.
                         (*target, request, page_bytes)
                     } else {
-                        (*target, request, e.diff_payload(&store, diffs))
+                        (*target, request, chain_payload(diffs))
                     }
                 })
                 .collect();
@@ -569,10 +595,12 @@ impl Engine<Lazy> {
     fn close_interval(&self, p: ProcId) {
         let mut store = self.proto.store.write();
         let mut shard = self.shard(p);
-        let dirtied = std::mem::take(&mut shard.dirty);
-        let mut page_diffs = Vec::with_capacity(dirtied.len());
-        for g in dirtied {
-            let entry = &mut shard.pages[g.index()];
+        let Shard { pages, dirty, ext } = &mut *shard;
+        let mut page_diffs = Vec::with_capacity(dirty.len());
+        // Drained, not taken: the list keeps its allocation for the next
+        // interval's first write.
+        for g in dirty.drain(..) {
+            let entry = &mut pages[g.index()];
             let twin = entry.twin.take().expect("dirty page has a twin");
             let copy = entry.copy.as_ref().expect("dirty page has a copy");
             let diff = Diff::between(&twin, copy);
@@ -589,16 +617,17 @@ impl Engine<Lazy> {
         if page_diffs.is_empty() {
             return;
         }
-        let clock = &mut shard.ext.clock;
+        let clock = &mut ext.clock;
         let stamp = StampedInterval::new(IntervalId::new(p, clock.get(p)), clock.clone());
         store.close_interval(stamp, page_diffs);
         bump(&self.counters.intervals_closed, 1);
         clock.bump(p);
     }
 
-    /// Delivers write notices to `p`: pending lists grow and, under the
-    /// invalidate policy, resident valid copies are invalidated.
-    fn deliver_notices(&self, p: ProcId, notices: &[WriteNotice]) {
+    /// Delivers write notices to `p`, whose locked shard is `shard`:
+    /// pending lists grow and, under the invalidate policy, resident valid
+    /// copies are invalidated.
+    fn deliver_notices(&self, shard: &mut Shard<Lazy>, p: ProcId, notices: &[WriteNotice]) {
         if self.params.mutation == ProtocolMutation::DropNotices {
             // Mutation testing: knowledge merges but the page-level
             // notices vanish, so stale copies stay valid. The history
@@ -606,7 +635,6 @@ impl Engine<Lazy> {
             return;
         }
         bump(&self.counters.notices_received, notices.len() as u64);
-        let mut shard = self.shard(p);
         for n in notices {
             debug_assert_ne!(n.interval.proc(), p, "no notices for own intervals");
             let entry = &mut shard.pages[n.page.index()];
@@ -632,33 +660,18 @@ impl Engine<Lazy> {
         needed
     }
 
-    /// Wire size of a batch of diffs supplied by one processor: per page,
-    /// the chain is squashed in happened-before order before shipping, so
-    /// overwritten modifications never cross the wire (§4.3.2's pruning of
-    /// intervals "in which the modification was overwritten").
-    ///
-    /// Only the size is charged here, and the size of a squash depends on
-    /// which bytes the chain covers — not on their values, nor on the
-    /// order of the chain — so the pairs are grouped by one sort and
-    /// [`Diff::squashed_size`] reads no data byte.
+    /// Wire size of a batch of diffs supplied by one processor: the sum
+    /// of its pages' chains ([`chain_bytes`]), found by one sort.
     fn diff_payload(&self, store: &IntervalStore, diffs: &[(IntervalId, PageId)]) -> u64 {
         let mut by_page: Vec<(PageId, IntervalId)> = diffs.iter().map(|&(iv, g)| (g, iv)).collect();
         by_page.sort_unstable();
         let diff_of = |&(g, iv): &(PageId, IntervalId)| -> &Diff {
             store.diff(iv, g).expect("planned diff exists")
         };
-        let mut total = 0u64;
-        for chain in by_page.chunk_by(|a, b| a.0 == b.0) {
-            total += match chain {
-                [only] => diff_of(only).encoded_size(),
-                _ => {
-                    let size = Diff::squashed_size(chain.iter().map(diff_of));
-                    debug_assert_eq!(size, Diff::squash(chain.iter().map(diff_of)).encoded_size());
-                    size
-                }
-            } as u64;
-        }
-        total
+        by_page
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|chain| chain_bytes(chain.iter().map(diff_of)))
+            .sum()
     }
 
     /// One request/reply exchange fetching `diffs` from `target` at a
@@ -686,12 +699,10 @@ impl Engine<Lazy> {
     /// order, page by page, and marks the touched pages valid. Returns the
     /// number of distinct pages touched.
     fn apply_plan(&self, store: &mut IntervalStore, p: ProcId, plan: &FetchPlan) -> usize {
-        let mut all: Vec<(IntervalId, PageId)> = plan.from_free.clone();
+        let mut all: Vec<(IntervalId, PageId)> = Vec::with_capacity(plan.diff_count());
+        all.extend_from_slice(&plan.from_free);
         for (_, diffs) in &plan.targets {
             all.extend_from_slice(diffs);
-        }
-        if all.is_empty() {
-            return 0;
         }
         all.sort_by_key(|&(iv, _)| hb_key(store, iv));
         if self.params.mutation == ProtocolMutation::WrongDiffOrder {
@@ -702,11 +713,10 @@ impl Engine<Lazy> {
             all.reverse();
         }
         let mut shard = self.shard(p);
-        let mut touched: Vec<PageId> = Vec::new();
+        let mut touched = 0;
         for (iv, g) in all {
-            // Split borrow: the holder bit flips and the diff is applied
-            // straight out of the store — no per-diff clone on the hot
-            // miss path.
+            // The holder bit flips and the diff is applied straight out
+            // of the store — no per-diff clone on the hot miss path.
             let diff = store.hold_and_diff(p, iv, g).expect("planned diff exists");
             let entry = &mut shard.pages[g.index()];
             let copy = entry.copy_mut(self.space.page_size());
@@ -717,17 +727,16 @@ impl Engine<Lazy> {
                 diff.apply_to(twin);
             }
             bump(&self.counters.diffs_applied, 1);
-            touched.push(g);
-        }
-        touched.sort();
-        touched.dedup();
-        let count = touched.len();
-        for g in touched {
-            let entry = &mut shard.pages[g.index()];
-            entry.ext.clear();
+            // Every planned diff is one of its page's pending notices, so
+            // a page's first diff finds the list non-empty: that is where
+            // the page is counted and the list cleared.
+            if !entry.ext.is_empty() {
+                entry.ext.clear();
+                touched += 1;
+            }
             entry.valid = true;
         }
-        count
+        touched
     }
 
     /// Completes a barrier episode at `master`: merge all knowledge, send
@@ -778,8 +787,9 @@ impl Engine<Lazy> {
                 let payload = BARRIER_ID_BYTES + vc_bytes(n) + notice_bytes(&missing[r.index()]);
                 self.net.send(master, r, MsgKind::BarrierExit, payload);
             }
-            self.deliver_notices(r, &missing[r.index()]);
-            self.shard(r).ext.clock.merge(&merged);
+            let mut shard = self.shard(r);
+            self.deliver_notices(&mut shard, r, &missing[r.index()]);
+            shard.ext.clock.merge(&merged);
         }
         if self.policy == Policy::Update {
             // Every processor pulls the diffs for its cached pages: one

@@ -78,6 +78,8 @@ mod lazy;
 mod pagestate;
 mod plan;
 mod remote;
+#[cfg(test)]
+mod seeded;
 mod slowpath;
 mod store;
 

@@ -1,5 +1,3 @@
-use std::collections::HashMap;
-
 use lrc_pagemem::PageId;
 use lrc_vclock::{IntervalId, ProcId};
 
@@ -39,22 +37,23 @@ impl FetchPlan {
         free_source: Option<ProcId>,
         needed: &[(IntervalId, PageId)],
     ) -> FetchPlan {
-        let mut order: Vec<(u64, IntervalId, PageId)> = needed
+        // Weight and holder mask of each needed diff, from one lookup.
+        let mut order: Vec<(u64, IntervalId, PageId, u64)> = needed
             .iter()
             .map(|&(iv, g)| {
-                let weight = store
-                    .stamp(iv)
-                    .map(|s| s.clock().weight())
-                    .expect("needed diff must have a recorded interval");
-                (weight, iv, g)
+                let (weight, holders) = store
+                    .weight_and_holders(iv, g)
+                    .expect("needed diff must be recorded");
+                (weight, iv, g, holders)
             })
             .collect();
-        // Latest first; ties broken deterministically.
-        order.sort_by(|a, b| b.cmp(a));
+        // Latest first; ties broken deterministically (`needed` has no
+        // duplicates, so the mask never decides).
+        order.sort_unstable_by(|a, b| b.cmp(a));
 
+        let held_by = |holders: u64, q: ProcId| holders & (1u64 << q.index()) != 0;
         let mut plan = FetchPlan::default();
-        let mut target_index: HashMap<ProcId, usize> = HashMap::new();
-        for (_, iv, g) in order {
+        for (_, iv, g, holders) in order {
             // A diff the processor already holds costs no messages: it is
             // applied from local possession. In normal operation pending
             // diffs are never already held, so this arm is reserved for
@@ -62,30 +61,18 @@ impl FetchPlan {
             // notices of its *own* post-checkpoint intervals (flushed into
             // the store when it was declared dead) finds itself the
             // recorded holder and reapplies them locally.
-            if store.holds(for_proc, iv, g) {
-                plan.from_free.push((iv, g));
-                continue;
-            }
-            if free_source.is_some_and(|q| store.holds(q, iv, g)) {
+            if held_by(holders, for_proc) || free_source.is_some_and(|q| held_by(holders, q)) {
                 plan.from_free.push((iv, g));
                 continue;
             }
             // Prefer an already-chosen target that holds the diff.
-            let existing = plan
-                .targets
-                .iter()
-                .position(|(t, _)| store.holds(*t, iv, g));
-            let slot = match existing {
-                Some(i) => i,
-                None => {
-                    // New target: the diff's creator always holds it.
-                    let creator = iv.proc();
-                    *target_index.entry(creator).or_insert_with(|| {
-                        plan.targets.push((creator, Vec::new()));
-                        plan.targets.len() - 1
-                    })
-                }
-            };
+            let existing = plan.targets.iter().position(|(t, _)| held_by(holders, *t));
+            let slot = existing.unwrap_or_else(|| {
+                // New target: the diff's creator. It always holds the
+                // diff, so had it been chosen already it was found above.
+                plan.targets.push((iv.proc(), Vec::new()));
+                plan.targets.len() - 1
+            });
             plan.targets[slot].1.push((iv, g));
         }
         plan
@@ -109,7 +96,10 @@ impl FetchPlan {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
+    use crate::seeded::{script, Rng, StoreOp};
     use lrc_pagemem::{Diff, PageBuf, PageSize};
     use lrc_vclock::{StampedInterval, VectorClock};
 
@@ -234,5 +224,98 @@ mod tests {
         let plan = FetchPlan::build(&store, p(0), None, &[(iv, g(0)), (iv, g(1))]);
         assert_eq!(plan.target_count(), 1);
         assert_eq!(plan.targets[0].1.len(), 2);
+    }
+
+    /// The builder as it was, `target_index` map and all, over the
+    /// store's public queries — to check that the map was dead weight.
+    fn build_with_target_index(
+        store: &IntervalStore,
+        for_proc: ProcId,
+        free_source: Option<ProcId>,
+        needed: &[(IntervalId, PageId)],
+    ) -> FetchPlan {
+        let mut order: Vec<(u64, IntervalId, PageId)> = needed
+            .iter()
+            .map(|&(iv, g)| (store.weight(iv).expect("recorded"), iv, g))
+            .collect();
+        order.sort_by(|a, b| b.cmp(a));
+
+        let mut plan = FetchPlan::default();
+        let mut target_index: HashMap<ProcId, usize> = HashMap::new();
+        for (_, iv, g) in order {
+            if store.holds(for_proc, iv, g) {
+                plan.from_free.push((iv, g));
+                continue;
+            }
+            if free_source.is_some_and(|q| store.holds(q, iv, g)) {
+                plan.from_free.push((iv, g));
+                continue;
+            }
+            let existing = plan
+                .targets
+                .iter()
+                .position(|(t, _)| store.holds(*t, iv, g));
+            let slot = match existing {
+                Some(i) => i,
+                None => {
+                    let creator = iv.proc();
+                    *target_index.entry(creator).or_insert_with(|| {
+                        plan.targets.push((creator, Vec::new()));
+                        plan.targets.len() - 1
+                    })
+                }
+            };
+            plan.targets[slot].1.push((iv, g));
+        }
+        plan
+    }
+
+    #[test]
+    fn plans_match_the_builder_that_kept_a_target_index() {
+        const PAGES: u32 = 4;
+        let (mut plans, mut chains, mut free, mut many) = (0, 0, 0, 0);
+        for seed in 0..60u64 {
+            let mut rng = Rng::new(seed);
+            let n = 3 + (seed % 4) as usize;
+            let mut store = IntervalStore::new(n);
+            for op in script(&mut rng, n, PAGES, 60) {
+                op.apply(&mut store, n);
+                if !matches!(op, StoreOp::Close(..)) {
+                    continue;
+                }
+                // What a processor would pull: every diff it does not
+                // hold, of all pages or of one.
+                let for_proc = rng.proc(n);
+                let one_page =
+                    (rng.below(2) == 0).then(|| PageId::new(rng.below(PAGES as u64) as u32));
+                let needed: Vec<(IntervalId, PageId)> = store
+                    .export()
+                    .iter()
+                    .flat_map(|(stamp, diffs)| diffs.iter().map(|(g, _, _)| (stamp.id(), *g)))
+                    .filter(|&(iv, g)| !store.holds(for_proc, iv, g) || rng.below(8) == 0)
+                    .filter(|&(_, g)| one_page.is_none_or(|only| g == only))
+                    .collect();
+                let free_source = (rng.below(2) == 0).then(|| rng.proc(n));
+                let plan = FetchPlan::build(&store, for_proc, free_source, &needed);
+                let old = build_with_target_index(&store, for_proc, free_source, &needed);
+                assert_eq!(plan, old, "seed {seed}, for {for_proc} via {free_source:?}");
+                assert_eq!(plan.diff_count(), needed.len());
+                plans += 1;
+                chains += usize::from(
+                    plan.targets
+                        .iter()
+                        .any(|(t, diffs)| diffs.iter().any(|(iv, _)| iv.proc() != *t)),
+                );
+                free += usize::from(!plan.from_free.is_empty());
+                many += usize::from(plan.target_count() > 2);
+            }
+        }
+        // Not vacuous: targets serving others' diffs, free riders, and
+        // plans with several targets all occurred.
+        assert!(plans > 1000, "{plans}");
+        assert!(
+            chains > 200 && free > 200 && many > 200,
+            "{chains} {free} {many}"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Behavioral tests for the LRC engine: the protocol properties the paper
 //! states, asserted against real message traffic and real page contents.
 
-use lrc_core::{EngineParams, LrcEngine, Policy};
+use lrc_core::{EngineOp, EngineParams, LrcEngine, Policy};
 use lrc_simnet::{MsgKind, OpClass, MSG_HEADER_BYTES};
 use lrc_sync::{BarrierId, LockId};
 use lrc_vclock::ProcId;
@@ -449,6 +449,38 @@ fn interval_store_grows_only_for_nonempty_intervals() {
     dsm.write_u64(p(0), 0, 1);
     dsm.release(p(0), l(0)).unwrap();
     assert_eq!(dsm.store().interval_count(), 1);
+}
+
+#[test]
+fn an_empty_access_is_a_no_op() {
+    let dsm = engine(Policy::Invalidate);
+    dsm.acquire(p(1), l(0)).unwrap();
+    let before = dsm.net().snapshot();
+    // Page 0 was never fetched here: an empty access must not miss on it.
+    assert_eq!(dsm.read_vec(p(1), 16, 0), Vec::<u8>::new());
+    dsm.write(p(1), 16, &[]);
+    assert_eq!(
+        dsm.apply_op(p(1), &EngineOp::Read { addr: 16, len: 0 }),
+        Ok(Vec::new())
+    );
+    // One past the last byte is still inside an empty range's bounds.
+    dsm.write(p(1), 16 * 512, &[]);
+    {
+        let shard = dsm.shard(p(1));
+        assert!(shard.dirty.is_empty() && shard.pages.iter().all(|f| !f.is_dirty()));
+        assert!(shard.pages[0].copy.is_none(), "no miss was resolved");
+    }
+    dsm.release(p(1), l(0)).unwrap();
+    assert_eq!(dsm.counters().intervals_closed, 0, "nothing was written");
+    assert_eq!(dsm.store().interval_count(), 0);
+    assert_eq!(dsm.net().stats().since(&before).total().msgs, 0);
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn an_empty_access_past_the_end_still_panics() {
+    let dsm = engine(Policy::Invalidate);
+    dsm.read_vec(p(0), 16 * 512 + 1, 0);
 }
 
 #[test]

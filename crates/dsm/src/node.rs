@@ -991,6 +991,27 @@ mod tests {
     }
 
     #[test]
+    fn a_remote_empty_access_is_answered() {
+        // The reply must come: an empty access that panicked the worker
+        // was forgotten like a death, and the client waited forever.
+        let (_dsm, client, serving) = two_node_setup(ProtocolKind::LazyInvalidate);
+        let mut remote = client.handle(ProcId::new(1));
+        let (done, answered) = std::sync::mpsc::channel();
+        let asking = std::thread::spawn(move || {
+            let read = remote.read_bytes(16, &mut []);
+            let written = remote.write_bytes(16, &[]);
+            let _ = done.send((read, written));
+        });
+        let (read, written) = answered
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("both empty operations are answered");
+        assert!(read.is_ok() && written.is_ok(), "{read:?} {written:?}");
+        asking.join().unwrap();
+        client.shutdown().unwrap();
+        serving.join().unwrap().unwrap();
+    }
+
+    #[test]
     fn remote_errors_are_reported() {
         let (_dsm, client, serving) = two_node_setup(ProtocolKind::EagerInvalidate);
         let mut remote = client.handle(ProcId::new(1));

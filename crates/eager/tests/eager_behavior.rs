@@ -225,6 +225,31 @@ fn empty_critical_sections_flush_nothing() {
 }
 
 #[test]
+fn an_empty_access_is_a_no_op() {
+    let dsm = engine(Policy::Invalidate);
+    dsm.read_u64(p(1), 0); // p1 caches page 0: a flush would have a target
+    dsm.acquire(p(2), l(0)).unwrap();
+    let before = dsm.net().snapshot();
+    assert_eq!(dsm.read_vec(p(2), 16, 0), Vec::<u8>::new());
+    dsm.write(p(2), 16, &[]);
+    {
+        let shard = dsm.shard(p(2));
+        assert!(shard.dirty.is_empty() && shard.pages.iter().all(|f| !f.is_dirty()));
+        assert!(shard.pages[0].copy.is_none(), "no miss was resolved");
+    }
+    dsm.release(p(2), l(0)).unwrap();
+    assert_eq!(dsm.net().stats().since(&before).total().msgs, 0);
+    assert_eq!(dsm.counters().flushes, 0);
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn an_empty_access_past_the_end_still_panics() {
+    let dsm = engine(Policy::Invalidate);
+    dsm.write(p(0), 16 * 512 + 1, &[]);
+}
+
+#[test]
 fn migratory_chain_values_flow_correctly() {
     for policy in [Policy::Invalidate, Policy::Update] {
         let dsm = engine(policy);

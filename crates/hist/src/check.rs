@@ -19,7 +19,7 @@
 // the wrong way here.
 #![allow(clippy::result_large_err)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -235,6 +235,11 @@ struct Touches {
 }
 
 impl Touches {
+    /// True if no access of this kind covers segment `s`.
+    fn misses(&self, s: usize) -> bool {
+        self.start[s] == self.start[s + 1]
+    }
+
     /// Where processor `q`'s accesses from event index `bound` on begin
     /// in segment `s`'s block.
     fn split(&self, s: usize, q: usize, bound: u32) -> (&[Touch], usize) {
@@ -280,6 +285,18 @@ struct AccessIndex {
     accesses: Vec<Access>,
     writes: Touches,
     reads: Touches,
+    /// Memory with the gaps taken out: the segments some access covers,
+    /// laid end to end. Entry `s` is where segment `s` begins there and
+    /// the last entry is the length of it all. An access covers
+    /// consecutive segments, so its bytes stay contiguous.
+    packed: Vec<usize>,
+}
+
+impl AccessIndex {
+    /// The bytes of packed memory an access covers.
+    fn span(&self, access: &Access) -> std::ops::Range<usize> {
+        self.packed[access.segments.start]..self.packed[access.segments.end]
+    }
 }
 
 impl History {
@@ -296,7 +313,7 @@ impl History {
         let index = self.index_accesses();
         self.find_race(&hb, &index)?;
         self.justify_reads(&hb, &index)?;
-        let (_, states_explored) = self.search_witness(&hb, budget)?;
+        let (_, states_explored) = self.search_witness(&hb, &index, budget)?;
         Ok(CheckReport {
             events: self.len(),
             states_explored,
@@ -358,7 +375,7 @@ impl History {
     /// [`HistError::Malformed`].
     pub fn sc_witness(&self, budget: &CheckBudget) -> Result<Witness, HistError> {
         let hb = self.build_hb()?;
-        let (witness, _) = self.search_witness(&hb, budget)?;
+        let (witness, _) = self.search_witness(&hb, &self.index_accesses(), budget)?;
         Ok(witness)
     }
 
@@ -590,9 +607,21 @@ impl History {
             }
             Touches { start, by_segment }
         };
+        let (writes, reads) = (touches(true), touches(false));
+        let mut packed = Vec::with_capacity(cuts.len().max(1));
+        let mut bytes = 0;
+        for (s, ends) in cuts.windows(2).enumerate() {
+            packed.push(bytes);
+            if !(writes.misses(s) && reads.misses(s)) {
+                // Inside an access, so no longer than one.
+                bytes += (ends[1] - ends[0]) as usize;
+            }
+        }
+        packed.push(bytes);
         AccessIndex {
-            writes: touches(true),
-            reads: touches(false),
+            writes,
+            reads,
+            packed,
             cuts,
             accesses,
         }
@@ -707,14 +736,24 @@ impl History {
     }
 
     /// Backtracking witness search (see [`History::sc_witness`]).
-    fn search_witness(&self, hb: &Hb, budget: &CheckBudget) -> Result<(Witness, usize), HistError> {
+    fn search_witness(
+        &self,
+        hb: &Hb,
+        index: &AccessIndex,
+        budget: &CheckBudget,
+    ) -> Result<(Witness, usize), HistError> {
+        let n = self.logs.len();
         let mut search = Search {
             logs: &self.logs,
             preds: &hb.preds,
-            pos: vec![0; self.logs.len()],
+            index,
+            pos: vec![0; n],
+            next_access: (0..n)
+                .map(|p| index.accesses.partition_point(|a| a.at.0 < p))
+                .collect(),
             consumed: 0,
             total: self.len(),
-            mem: HashMap::new(),
+            mem: vec![0; *index.packed.last().expect("never empty")],
             undo: Vec::new(),
             dead_ends: HashSet::new(),
             explored: 0,
@@ -756,16 +795,21 @@ enum Found {
 struct Search<'a> {
     logs: &'a [Vec<HistEvent>],
     preds: &'a [Vec<Vec<Ev>>],
+    index: &'a AccessIndex,
     /// Events of each processor scheduled so far.
     pos: Vec<u32>,
+    /// Per processor, which of [`AccessIndex::accesses`] is its first not
+    /// yet scheduled: an event is a non-empty access exactly when it is
+    /// that one.
+    next_access: Vec<usize>,
     consumed: usize,
     total: usize,
-    /// Byte-granular memory under the schedule built so far.
-    mem: HashMap<u64, u8>,
-    /// What the scheduled writes clobbered, oldest first: per byte its
-    /// previous value (`None` = previously untouched). Each frame
+    /// Memory under the schedule built so far, packed
+    /// ([`AccessIndex::packed`]); initially zero.
+    mem: Vec<u8>,
+    /// The bytes the scheduled writes clobbered, oldest first. Each frame
     /// remembers how long this was before its event was applied.
-    undo: Vec<(u64, Option<u8>)>,
+    undo: Vec<u8>,
     /// Position vectors proven witness-free, entered when the search
     /// backs out of them: a state still on the stack cannot be reached
     /// again (positions only grow along a schedule), so a run that never
@@ -795,8 +839,11 @@ impl Search<'_> {
             .all(|&(q, j)| self.pos[q] as usize > j)
     }
 
-    fn mem_byte(&self, addr: u64) -> u8 {
-        self.mem.get(&addr).copied().unwrap_or(0)
+    /// Where in memory event `i` of processor `p`, its next to schedule,
+    /// reads or writes; `None` if it touches no byte.
+    fn span(&self, p: usize, i: usize) -> Option<std::ops::Range<usize>> {
+        let access = self.index.accesses.get(self.next_access[p])?;
+        (access.at == (p, i)).then(|| self.index.span(access))
     }
 
     /// Entry bookkeeping for the state the schedule currently denotes:
@@ -822,12 +869,18 @@ impl Search<'_> {
         self.schedule.pop();
         self.consumed -= 1;
         self.pos[p] -= 1;
-        for (a, old) in self.undo.drain(mark..).rev() {
-            match old {
-                Some(b) => self.mem.insert(a, b),
-                None => self.mem.remove(&a),
-            };
+        let event = (p, self.pos[p] as usize);
+        let last = self.next_access[p].checked_sub(1);
+        if let Some(access) = last.map(|a| &self.index.accesses[a]) {
+            if access.at == event {
+                self.next_access[p] -= 1;
+                // A read clobbered nothing.
+                let old = self.undo.drain(mark..);
+                let at = self.index.span(access).start;
+                self.mem[at..at + old.len()].copy_from_slice(old.as_slice());
+            }
         }
+        debug_assert_eq!(self.undo.len(), mark);
     }
 
     /// Depth-first search over schedules, with an explicit frame stack:
@@ -854,25 +907,27 @@ impl Search<'_> {
                     continue;
                 }
                 let ev = &logs[p][i];
-                if let HistEvent::Read { addr, value } = ev {
-                    let holds = |k: usize| self.mem_byte(addr + k as u64);
-                    if value.iter().enumerate().any(|(k, &b)| holds(k) != b) {
-                        frame.blocked.push(format!(
-                            "p{p}[{i}] {ev} — memory here holds {}",
-                            (0..value.len())
-                                .map(|k| format!("{:02x}", holds(k)))
-                                .collect::<String>()
-                        ));
-                        continue;
-                    }
-                }
-                // Apply: only writes change state; remember the clobber.
+                let span = self.span(p, i);
                 let mark = self.undo.len();
-                if let HistEvent::Write { addr, value } = ev {
-                    for (&b, a) in value.iter().zip(*addr..) {
-                        self.undo.push((a, self.mem.insert(a, b)));
+                match (ev, &span) {
+                    (HistEvent::Read { value, .. }, Some(span)) => {
+                        let holds = &self.mem[span.clone()];
+                        if holds != value {
+                            frame.blocked.push(format!(
+                                "p{p}[{i}] {ev} — memory here holds {}",
+                                holds.iter().map(|b| format!("{b:02x}")).collect::<String>()
+                            ));
+                            continue;
+                        }
                     }
+                    // Apply: only writes change state; remember the clobber.
+                    (HistEvent::Write { value, .. }, Some(span)) => {
+                        self.undo.extend_from_slice(&self.mem[span.clone()]);
+                        self.mem[span.clone()].copy_from_slice(value);
+                    }
+                    _ => {}
                 }
+                self.next_access[p] += usize::from(span.is_some());
                 self.pos[p] += 1;
                 self.consumed += 1;
                 self.schedule.push((p, i));
@@ -1231,6 +1286,42 @@ mod tests {
                 assert_eq!((explored, consumed, total), (6, 3, 4));
                 assert_eq!(blocked.len(), 1, "{blocked:?}");
                 assert!(blocked[0].contains("p1[1]"), "{blocked:?}");
+            }
+            other => panic!("expected an exhausted search, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn backing_out_of_writes_leaves_memory_as_it_was() {
+        // Racy on purpose, so that the search has to back out of writes:
+        // p1's read saw memory before either of p0's overlapping writes,
+        // but p0 is tried first. Both writes are undone, the second one's
+        // clobber of the first included, before the read fits.
+        let bytes = |addr: u64, value: &[u8]| (addr, value.to_vec());
+        let write = |(addr, value)| HistEvent::Write { addr, value };
+        let read = |(addr, value)| HistEvent::Read { addr, value };
+        let h = History::from_logs(vec![
+            vec![write(bytes(3, &[1; 8])), write(bytes(7, &[2; 8]))],
+            vec![
+                read(bytes(5, &[0; 8])),
+                read(bytes(5, &[1, 1, 2, 2, 2, 2, 2, 2])),
+            ],
+        ]);
+        let w = h.sc_witness(&budget()).unwrap();
+        let schedule: Vec<Ev> = w.schedule.iter().map(|&(p, i)| (p.index(), i)).collect();
+        assert_eq!(schedule, vec![(1, 0), (0, 0), (0, 1), (1, 1)]);
+        // One byte off in the later read and nothing fits.
+        let h = History::from_logs(vec![
+            vec![write(bytes(3, &[1; 8])), write(bytes(7, &[2; 8]))],
+            vec![
+                read(bytes(5, &[0; 8])),
+                read(bytes(5, &[1, 1, 1, 2, 2, 2, 2, 2])),
+            ],
+        ]);
+        match h.sc_witness(&budget()) {
+            Err(HistError::NoWitness { blocked, .. }) => {
+                assert_eq!(blocked.len(), 1, "{blocked:?}");
+                assert!(blocked[0].contains("memory here holds 0101020202020202"));
             }
             other => panic!("expected an exhausted search, got {other:?}"),
         }

@@ -7,13 +7,17 @@
 //! justification scan that filters every write of the history for every
 //! read and folds all the visible ones. It sees a history only through
 //! the public `History::log`, so nothing in `src/` can reach it.
+//!
+//! The witness search is checked here too, against the representation of
+//! memory it used to search over: every witness `sc_witness` returns is
+//! replayed event by event on a byte-keyed hash map.
 
 // As in `check.rs`: the error is the failure report, and its path is cold.
 #![allow(clippy::result_large_err)]
 
 use std::collections::{HashMap, VecDeque};
 
-use lrc_hist::{EventSite, HistError, HistEvent, History};
+use lrc_hist::{CheckBudget, EventSite, HistError, HistEvent, History};
 use lrc_sync::{BarrierId, LockId};
 use lrc_vclock::{ProcId, VectorClock};
 use lrc_workloads::Pcg32;
@@ -355,6 +359,9 @@ struct Shape {
     unlocked_section: bool,
     /// The last processor is declared dead in the second phase.
     crash: bool,
+    /// Private regions and exchange slots sit 2^40 bytes above the lock
+    /// regions: two clusters with a gap no flat memory could span.
+    far: bool,
 }
 
 const REGION_BYTES: u32 = 24;
@@ -399,8 +406,9 @@ impl Machine {
 
 fn generate(seed: u64, shape: Shape) -> Vec<Vec<HistEvent>> {
     let lock_region = |l: u32| 1_000 * l as u64 + 3;
-    let private_region = |p: usize| 100_000 + 1_000 * p as u64 + 5;
-    let slot = |bank: u64, q: usize| 200_001 + (bank * shape.procs as u64 + q as u64) * 8;
+    let high = if shape.far { 1 << 40 } else { 0 };
+    let private_region = |p: usize| high + 100_000 + 1_000 * p as u64 + 5;
+    let slot = |bank: u64, q: usize| high + 200_001 + (bank * shape.procs as u64 + q as u64) * 8;
     let mut m = Machine {
         rng: Pcg32::seed(seed),
         mem: HashMap::new(),
@@ -464,8 +472,9 @@ fn generate(seed: u64, shape: Shape) -> Vec<Vec<HistEvent>> {
     m.logs
 }
 
-/// Flips one byte of one non-empty read; `None` if there is no such read.
-fn flip_a_read(logs: &mut [Vec<HistEvent>], rng: &mut Pcg32) -> Option<()> {
+/// Flips one byte of one non-empty read and returns where it is and the
+/// bytes it held; `None` if there is no such read.
+fn flip_a_read(logs: &mut [Vec<HistEvent>], rng: &mut Pcg32) -> Option<(Ev, Vec<u8>)> {
     let reads: Vec<Ev> = logs
         .iter()
         .enumerate()
@@ -476,9 +485,10 @@ fn flip_a_read(logs: &mut [Vec<HistEvent>], rng: &mut Pcg32) -> Option<()> {
     let HistEvent::Read { value, .. } = &mut logs[p][i] else {
         unreachable!("filtered for reads")
     };
+    let held = value.clone();
     let at = rng.below(value.len() as u32) as usize;
     value[at] ^= rng.range(1, 256) as u8;
-    Some(())
+    Some(((p, i), held))
 }
 
 /// Removes processor 0's arrival at the first episode, which the others
@@ -499,6 +509,54 @@ struct Tally {
     races: usize,
     unjustified: usize,
     malformed: usize,
+    /// Histories `check` accepted, whose witness was replayed.
+    witnessed: usize,
+}
+
+/// Replays the witness of a history `check` accepts against memory as a
+/// byte-keyed map: the schedule must take every event once, each
+/// processor's in program order, and every read must see exactly the
+/// bytes the map holds.
+fn replay_witness(history: &History, logs: &[Vec<HistEvent>]) {
+    let witness = history
+        .sc_witness(&CheckBudget::default())
+        .expect("check found a witness");
+    let mut mem: HashMap<u64, u8> = HashMap::new();
+    let mut next = vec![0; logs.len()];
+    for &(p, i) in &witness.schedule {
+        assert_eq!(i, next[p.index()], "{p} out of program order");
+        next[p.index()] += 1;
+        match &logs[p.index()][i] {
+            HistEvent::Read { addr, value } => {
+                let held: Vec<u8> = (*addr..)
+                    .zip(value)
+                    .map(|(a, _)| mem.get(&a).copied().unwrap_or(0))
+                    .collect();
+                assert_eq!(&held, value, "{p}[{i}] in\n{}", history.render(0));
+            }
+            HistEvent::Write { addr, value } => {
+                mem.extend((*addr..).zip(value.iter().copied()));
+            }
+            _ => {}
+        }
+    }
+    let lengths: Vec<usize> = logs.iter().map(Vec::len).collect();
+    assert_eq!(next, lengths, "not every event was scheduled");
+}
+
+/// The witness search on a data-race-free history with one flipped read:
+/// it must exhaust, and the frontier it reports must be blocked on that
+/// read with memory holding what the read held before the flip.
+fn blocked_on_the_flipped_read(logs: &[Vec<HistEvent>], (p, i): Ev, held: &[u8]) {
+    let history = History::from_logs(logs.to_vec());
+    let hex: String = held.iter().map(|b| format!("{b:02x}")).collect();
+    let wanted = format!("p{p}[{i}] {} — memory here holds {hex}", logs[p][i]);
+    match history.sc_witness(&CheckBudget::default()) {
+        Err(HistError::NoWitness { blocked, .. }) => {
+            assert!(blocked.contains(&wanted), "{wanted} not in {blocked:?}")
+        }
+        other => panic!("expected an exhausted search, got {other:?}"),
+    }
 }
 
 /// Compares both scans of `logs` with the oracle's.
@@ -521,6 +579,11 @@ fn compare(logs: &[Vec<HistEvent>], tally: &mut Tally) {
     match justified {
         Ok(()) => tally.clean += 1,
         Err(_) => tally.unjustified += 1,
+    }
+    if let Ok(report) = history.check(&CheckBudget::default()) {
+        assert_eq!(report.events, history.len());
+        replay_witness(&history, logs);
+        tally.witnessed += 1;
     }
 
     match (history.check_drf(), oracle.find_race()) {
@@ -583,17 +646,20 @@ impl Oracle {
 }
 
 fn shapes() -> impl Iterator<Item = Shape> {
+    let shape = |procs, locks, crash, far| Shape {
+        procs,
+        locks,
+        phases: 3,
+        unlocked_section: false,
+        crash,
+        far,
+    };
     [(2, 1), (3, 2), (4, 3)]
         .into_iter()
-        .flat_map(|(procs, locks)| {
-            [false, true].map(|crash| Shape {
-                procs,
-                locks,
-                phases: 3,
-                unlocked_section: false,
-                crash,
-            })
+        .flat_map(move |(procs, locks)| {
+            [false, true].map(|crash| shape(procs, locks, crash, false))
         })
+        .chain([shape(3, 2, false, true)])
 }
 
 #[test]
@@ -604,7 +670,7 @@ fn conforming_programs_agree_and_are_clean() {
             compare(&generate(seed, shape), &mut tally);
         }
     }
-    assert_eq!(tally.clean, 240, "{tally:?}");
+    assert_eq!((tally.clean, tally.witnessed), (280, 280), "{tally:?}");
     assert_eq!(
         tally.races + tally.unjustified + tally.malformed,
         0,
@@ -615,16 +681,27 @@ fn conforming_programs_agree_and_are_clean() {
 #[test]
 fn a_flipped_read_is_blamed_identically() {
     let mut tally = Tally::default();
+    let mut exhausted = 0;
     for shape in shapes() {
         for seed in 100..140 {
             let mut logs = generate(seed, shape);
-            if flip_a_read(&mut logs, &mut Pcg32::seed(seed)).is_some() {
+            if let Some((site, held)) = flip_a_read(&mut logs, &mut Pcg32::seed(seed)) {
                 compare(&logs, &mut tally);
+                // Exhausting the search is what takes time here: a
+                // quarter of the histories will do.
+                if seed % 4 == 0 {
+                    blocked_on_the_flipped_read(&logs, site, &held);
+                    exhausted += 1;
+                }
             }
         }
     }
-    assert!(tally.unjustified > 200, "{tally:?}");
-    assert_eq!(tally.clean + tally.races + tally.malformed, 0, "{tally:?}");
+    assert!(tally.unjustified > 200 && exhausted > 60, "{tally:?}");
+    assert_eq!(
+        tally.clean + tally.races + tally.malformed + tally.witnessed,
+        0,
+        "{tally:?}"
+    );
 }
 
 #[test]
@@ -648,6 +725,7 @@ fn an_unlocked_section_races_or_not_identically() {
     }
     assert!(tally.races > 100, "{tally:?}");
     assert!(tally.unjustified > 100 && tally.clean > 100, "{tally:?}");
+    assert!(tally.witnessed > 50, "{tally:?}");
     assert_eq!(tally.malformed, 0, "{tally:?}");
 }
 
@@ -661,5 +739,5 @@ fn an_incomplete_episode_is_malformed_identically() {
             compare(&logs, &mut tally);
         }
     }
-    assert_eq!(tally.malformed, 60, "{tally:?}");
+    assert_eq!(tally.malformed, 70, "{tally:?}");
 }

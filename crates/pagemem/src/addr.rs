@@ -235,34 +235,37 @@ impl AddrSpace {
     }
 
     /// Splits the access `[addr, addr + len)` into per-page segments, in
-    /// address order. An access wholly inside one page yields one segment.
+    /// address order. An access wholly inside one page yields one segment;
+    /// an empty access yields none (but its address must still lie inside
+    /// the space, or one past its end).
     ///
     /// # Panics
     ///
-    /// Panics if the range is empty or out of range.
-    pub fn segments(self, addr: u64, len: usize) -> Vec<Segment> {
-        assert!(len > 0, "empty access at {addr:#x}");
+    /// Panics, at the call, if the range is out of range.
+    pub fn segments(self, addr: u64, len: usize) -> impl Iterator<Item = Segment> {
         assert!(
             self.contains(addr, len),
             "access [{addr:#x}, +{len}) out of range (space is {} bytes)",
             self.total_bytes()
         );
-        let mut out = Vec::with_capacity(1);
         let page_bytes = self.page_size.bytes();
         let mut cur = addr;
         let mut remaining = len;
-        while remaining > 0 {
+        std::iter::from_fn(move || {
+            if remaining == 0 {
+                return None;
+            }
             let offset = (cur & self.page_size.offset_mask()) as usize;
             let take = remaining.min(page_bytes - offset);
-            out.push(Segment {
+            let segment = Segment {
                 page: PageId((cur >> self.page_size.shift()) as u32),
                 offset,
                 len: take,
-            });
+            };
             cur += take as u64;
             remaining -= take;
-        }
-        out
+            Some(segment)
+        })
     }
 
     /// Iterates over all page ids.
@@ -327,7 +330,7 @@ mod tests {
     #[test]
     fn segments_within_one_page() {
         let space = AddrSpace::new(PageSize::new(256).unwrap(), 4);
-        let segs = space.segments(10, 16);
+        let segs: Vec<Segment> = space.segments(10, 16).collect();
         assert_eq!(
             segs,
             vec![Segment {
@@ -341,7 +344,7 @@ mod tests {
     #[test]
     fn segments_straddle_pages() {
         let space = AddrSpace::new(PageSize::new(256).unwrap(), 4);
-        let segs = space.segments(250, 300);
+        let segs: Vec<Segment> = space.segments(250, 300).collect();
         assert_eq!(
             segs,
             vec![
@@ -370,14 +373,23 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn segments_reject_overflow() {
         let space = AddrSpace::new(PageSize::new(256).unwrap(), 1);
-        space.segments(200, 100);
+        let _ = space.segments(200, 100);
     }
 
     #[test]
-    #[should_panic(expected = "empty access")]
-    fn segments_reject_empty() {
+    fn segments_of_an_empty_access_are_none() {
         let space = AddrSpace::new(PageSize::new(256).unwrap(), 1);
-        space.segments(0, 0);
+        assert_eq!(space.segments(0, 0).count(), 0);
+        assert_eq!(space.segments(17, 0).count(), 0);
+        // One past the last byte is still a place an empty range can be.
+        assert_eq!(space.segments(256, 0).count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn segments_reject_an_empty_access_past_the_end() {
+        let space = AddrSpace::new(PageSize::new(256).unwrap(), 1);
+        let _ = space.segments(257, 0);
     }
 
     #[test]

@@ -77,12 +77,17 @@ fn has_zero_byte(x: u64) -> bool {
 
 /// The bytes a chain of diffs touches, as `(start, end)` ranges sorted by
 /// offset with overlapping and exactly adjacent runs merged — one range
-/// per run of the chain's [`Diff::squash`].
-fn coverage<'a>(chain: impl IntoIterator<Item = &'a Diff>) -> Vec<(u32, u32)> {
-    let mut ranges: Vec<(u32, u32)> = chain
-        .into_iter()
-        .flat_map(|diff| diff.runs.iter().map(|run| (run.offset, run.end())))
-        .collect();
+/// per run of the chain's [`Diff::squash`]. The chain is walked twice, so
+/// that the ranges are gathered into one allocation.
+fn coverage<'a, I>(chain: I) -> Vec<(u32, u32)>
+where
+    I: Iterator<Item = &'a Diff> + Clone,
+{
+    let runs = chain.clone().map(Diff::run_count).sum();
+    let mut ranges: Vec<(u32, u32)> = Vec::with_capacity(runs);
+    for diff in chain {
+        ranges.extend(diff.runs.iter().map(|run| (run.offset, run.end())));
+    }
     ranges.sort_unstable();
     // `dedup_by` hands over the later range first and the one it keeps
     // second: fold the later one into the kept one while they touch.
@@ -297,9 +302,13 @@ impl Diff {
     /// `Diff::squash(diffs).encoded_size()` without building the squash:
     /// the size depends only on which bytes the chain covers, so no data
     /// byte is read. This is what the traffic model charges for a chain.
-    pub fn squashed_size<'a>(diffs: impl IntoIterator<Item = &'a Diff>) -> usize {
+    pub fn squashed_size<'a, I>(diffs: I) -> usize
+    where
+        I: IntoIterator<Item = &'a Diff>,
+        I::IntoIter: Clone,
+    {
         DIFF_HEADER_BYTES
-            + coverage(diffs)
+            + coverage(diffs.into_iter())
                 .iter()
                 .map(|&(start, end)| RUN_HEADER_BYTES + (end - start) as usize)
                 .sum::<usize>()

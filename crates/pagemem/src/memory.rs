@@ -63,11 +63,11 @@ impl Memory {
     }
 
     /// Reads `buf.len()` bytes starting at flat address `addr`, crossing
-    /// page boundaries as needed.
+    /// page boundaries as needed. An empty read is a no-op.
     ///
     /// # Panics
     ///
-    /// Panics if the range is empty or out of range.
+    /// Panics if the range — an empty one too — is out of range.
     pub fn read(&self, addr: u64, buf: &mut [u8]) {
         let mut cursor = 0;
         for seg in self.space.segments(addr, buf.len()) {
@@ -80,7 +80,7 @@ impl Memory {
     ///
     /// # Panics
     ///
-    /// Panics if the range is empty or out of range.
+    /// Panics if the range is out of range.
     pub fn read_vec(&self, addr: u64, len: usize) -> Vec<u8> {
         let mut buf = vec![0u8; len];
         self.read(addr, &mut buf);
@@ -88,11 +88,11 @@ impl Memory {
     }
 
     /// Writes `data` starting at flat address `addr`, crossing page
-    /// boundaries as needed.
+    /// boundaries as needed. An empty write is a no-op.
     ///
     /// # Panics
     ///
-    /// Panics if the range is empty or out of range.
+    /// Panics if the range — an empty one too — is out of range.
     pub fn write(&mut self, addr: u64, data: &[u8]) {
         let mut cursor = 0;
         for seg in self.space.segments(addr, data.len()) {
@@ -185,6 +185,18 @@ mod tests {
         let m = mem();
         let mut buf = [0u8; 8];
         m.read(512 - 4, &mut buf);
+    }
+
+    #[test]
+    fn empty_accesses_are_no_ops_inside_the_space_only() {
+        let mut m = mem();
+        m.write(5, &[1]);
+        m.write(5, &[]);
+        m.write(512, &[]); // one past the last byte
+        assert_eq!(m.read_vec(5, 0), Vec::<u8>::new());
+        assert_eq!(m.read_vec(5, 1), vec![1]);
+        let past = std::panic::catch_unwind(|| mem().read(513, &mut []));
+        assert!(past.is_err(), "an empty range still has to be in range");
     }
 
     #[test]

@@ -171,20 +171,24 @@ impl fmt::Display for RunReport {
 /// sequential-consistency oracle write identical data without the trace
 /// having to carry payloads.
 pub fn synth_write_bytes(event_index: usize, len: usize) -> Vec<u8> {
+    let mut out = vec![0; len];
+    fill_write_bytes(event_index, &mut out);
+    out
+}
+
+/// [`synth_write_bytes`] into a buffer the caller owns: the replay loop
+/// fills one buffer for every write of a trace.
+fn fill_write_bytes(event_index: usize, out: &mut [u8]) {
     let mut state =
         (event_index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xd1b5_4a32_d192_ed03;
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
+    for chunk in out.chunks_mut(8) {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^= z >> 31;
-        let chunk = z.to_le_bytes();
-        let take = (len - out.len()).min(8);
-        out.extend_from_slice(&chunk[..take]);
+        chunk.copy_from_slice(&z.to_le_bytes()[..chunk.len()]);
     }
-    out
 }
 
 /// Replays `trace` over protocol `kind` with pages of `page_bytes`.
@@ -237,6 +241,7 @@ pub(crate) fn replay(
         .then(|| Memory::zeroed(engine.core().space()));
 
     let mut read_buf = Vec::new();
+    let mut write_buf = Vec::new();
     for (at, event) in trace.events().iter().enumerate() {
         let p = event.proc;
         match event.op {
@@ -258,10 +263,11 @@ pub(crate) fn replay(
                 }
             }
             Op::Write { addr, len } => {
-                let data = synth_write_bytes(at, len as usize);
-                engine.write(p, addr, &data);
+                write_buf.resize(len as usize, 0);
+                fill_write_bytes(at, &mut write_buf);
+                engine.write(p, addr, &write_buf);
                 if let Some(oracle) = &mut oracle {
-                    oracle.write(addr, &data);
+                    oracle.write(addr, &write_buf);
                 }
             }
             Op::Acquire(lock) => {
