@@ -73,7 +73,6 @@ fn kill_and_heal_cycle(crash_iter: u64) -> (Cycle, u64, Dsm) {
         .wait_timeout(Duration::from_secs(30))
         .holder_timeout(SUSPECT_AFTER)
         .checkpoint_policy(CheckpointPolicy::every_episodes(1))
-        .auto_recover(Duration::from_millis(20))
         .build()
         .unwrap();
 

@@ -40,10 +40,13 @@ impl fmt::Display for Policy {
 
 /// A deliberately-broken protocol variant, for **mutation testing** the
 /// verification stack: the history checker (`lrc-hist`) must reject runs
-/// of every non-[`Stock`](ProtocolMutation::Stock) variant. Never enable
-/// outside tests — each mutation silently corrupts memory consistency
-/// while keeping the engine superficially functional (locks still hand
-/// off, barriers still complete, nothing panics).
+/// of every non-[`Stock`](ProtocolMutation::Stock) variant. Not a
+/// configuration option: a test installs one on a built lazy engine
+/// through `LrcEngine::install_mutation` (the eager engine has no such
+/// method). Never install one outside tests — each mutation silently
+/// corrupts memory consistency while keeping the engine superficially
+/// functional (locks still hand off, barriers still complete, nothing
+/// panics).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum ProtocolMutation {
     /// The faithful protocol.
@@ -108,8 +111,8 @@ impl fmt::Display for ProtocolMutation {
 /// `piggyback_notices`, `full_page_misses` and `gc_at_barriers` shape
 /// only the lazy protocol and are documented no-ops on the eager
 /// baseline (sweeps cross them with all four protocols on purpose).
-/// `mutation` and `death_lease_episodes` select lazy-only *behaviour* and
-/// are refused for an eager engine with [`ConfigError::LazyOnly`].
+/// `death_lease_episodes` selects lazy-only *behaviour* and is refused
+/// for an eager engine with [`ConfigError::LazyOnly`].
 ///
 /// ```
 /// use lrc_core::{EngineParams, LrcEngine, Policy};
@@ -165,14 +168,11 @@ pub struct EngineParams {
     /// `None` means leases never expire: GC pauses for as long as any
     /// processor is dead.
     pub death_lease_episodes: Option<u64>,
-    /// Deliberately-broken protocol variant for mutation testing the
-    /// checker stack.
-    pub mutation: ProtocolMutation,
 }
 
 impl Default for EngineParams {
     /// A minimal single-processor system: 64 KiB of 4 KiB pages, 16 locks,
-    /// 4 barriers, no ablations, the stock protocol. Construction sites
+    /// 4 barriers, no ablations. Construction sites
     /// spell out the fields they mean and take the rest from here.
     fn default() -> Self {
         EngineParams {
@@ -185,7 +185,6 @@ impl Default for EngineParams {
             full_page_misses: false,
             gc_at_barriers: false,
             death_lease_episodes: None,
-            mutation: ProtocolMutation::Stock,
         }
     }
 }
@@ -207,23 +206,6 @@ impl EngineParams {
         let size = PageSize::new(self.page_bytes).map_err(ConfigError::BadPageSize)?;
         Ok(AddrSpace::with_capacity(size, self.mem_bytes))
     }
-
-    /// Refuses the lazy-only options on behalf of an eager engine: a
-    /// silently faithful "mutant" makes a mutation test vacuous, and a
-    /// silently ignored lease promises a recovery that cannot happen.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::LazyOnly`] naming the first such option set.
-    pub fn refuse_lazy_only(&self) -> Result<(), ConfigError> {
-        if self.mutation != ProtocolMutation::Stock {
-            return Err(ConfigError::LazyOnly("mutation"));
-        }
-        if self.death_lease_episodes.is_some() {
-            return Err(ConfigError::LazyOnly("death_lease"));
-        }
-        Ok(())
-    }
 }
 
 /// Errors from validating [`EngineParams`] (or the runtime options built
@@ -237,7 +219,7 @@ pub enum ConfigError {
     /// Invalid page size.
     BadPageSize(PageSizeError),
     /// The named option selects behaviour only the lazy engines implement
-    /// (protocol mutations, crash recovery) but the protocol is eager.
+    /// (crash recovery) but the protocol is eager.
     LazyOnly(&'static str),
 }
 
@@ -285,7 +267,6 @@ mod tests {
         assert!(params.piggyback_notices);
         assert!(!params.full_page_misses);
         assert_eq!(params.address_space().unwrap().n_pages(), 16);
-        assert_eq!(params.refuse_lazy_only(), Ok(()));
     }
 
     #[test]
@@ -307,22 +288,6 @@ mod tests {
             odd_page.address_space(),
             Err(ConfigError::BadPageSize(_))
         ));
-        let mutant = EngineParams {
-            mutation: ProtocolMutation::SkipTwinDiff,
-            ..params(2, 1024)
-        };
-        assert_eq!(
-            mutant.refuse_lazy_only(),
-            Err(ConfigError::LazyOnly("mutation"))
-        );
-        let leased = EngineParams {
-            death_lease_episodes: Some(2),
-            ..params(2, 1024)
-        };
-        assert_eq!(
-            leased.refuse_lazy_only(),
-            Err(ConfigError::LazyOnly("death_lease"))
-        );
     }
 
     #[test]
@@ -333,7 +298,7 @@ mod tests {
 
     #[test]
     fn mutations_default_stock_and_display() {
-        assert_eq!(EngineParams::default().mutation, ProtocolMutation::Stock);
+        assert_eq!(ProtocolMutation::default(), ProtocolMutation::Stock);
         assert_eq!(ProtocolMutation::Stock.to_string(), "stock");
         assert_eq!(ProtocolMutation::SkipTwinDiff.to_string(), "skip-twin-diff");
         assert_eq!(ProtocolMutation::DropNotices.to_string(), "drop-notices");
@@ -359,8 +324,8 @@ mod tests {
     fn errors_display() {
         assert!(ConfigError::BadProcs(0).to_string().contains("0"));
         assert!(ConfigError::EmptySpace.to_string().contains("empty"));
-        assert!(ConfigError::LazyOnly("mutation")
+        assert!(ConfigError::LazyOnly("death_lease")
             .to_string()
-            .contains("mutation"));
+            .contains("death_lease"));
     }
 }

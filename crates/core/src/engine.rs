@@ -27,10 +27,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::counters::{bump, CounterCells};
 use crate::slowpath::{gate_lock, raise, settle_contention, FetchHook, FetchHookCell, InFlight};
-use crate::{
-    CheckpointError, ConfigError, EngineCounters, EngineOp, EngineOpError, EngineParams, Frame,
-    Policy,
-};
+use crate::{CheckpointError, ConfigError, EngineCounters, EngineParams, Frame, Policy};
 
 /// The state and bookkeeping every protocol engine shares, independent of
 /// the protocol: validated parameters, the lock table and barrier set,
@@ -666,33 +663,6 @@ impl<P: Protocol> Engine<P> {
     /// See [`Engine::write`].
     pub fn write_u64(&self, p: ProcId, addr: u64, value: u64) {
         self.write(p, addr, &value.to_le_bytes());
-    }
-
-    /// Dispatches one decoded remote request as processor `p` — the entry
-    /// point a network node uses to service messages for processors it
-    /// does not host locally. Reads return their bytes; every other
-    /// successful operation returns an empty vector.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineOpError`] wrapping the lock or barrier failure. Contended
-    /// acquires surface as [`lrc_sync::LockError::HeldByOther`]; a
-    /// blocking runtime retries them (see `lrc-dsm`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range accesses, like the direct methods.
-    pub fn apply_op(&self, p: ProcId, op: &EngineOp) -> Result<Vec<u8>, EngineOpError> {
-        match op {
-            EngineOp::Read { addr, len } => return Ok(self.read_vec(p, *addr, *len as usize)),
-            EngineOp::Write { addr, data } => self.write(p, *addr, data),
-            EngineOp::Acquire(lock) => self.acquire(p, *lock)?,
-            EngineOp::Release(lock) => self.release(p, *lock)?,
-            EngineOp::Barrier(barrier) => {
-                self.barrier(p, *barrier)?;
-            }
-        }
-        Ok(Vec::new())
     }
 
     /// Resolves an access miss on `page` at `p`, holding the page's gate

@@ -4,6 +4,7 @@
 //! points.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use lrc_pagemem::{Diff, PageBuf, PageId};
 use lrc_simnet::{
@@ -50,6 +51,9 @@ pub struct Lazy {
     /// reset) and consumed when a lease-expired collection re-homes the
     /// pages onto live frames.
     escrow: Mutex<HashMap<PageId, PageBuf>>,
+    /// Test instrumentation, like the core's fetch hook: the broken
+    /// variant [`LrcEngine::install_mutation`] selected, if any.
+    mutation: OnceLock<ProtocolMutation>,
 }
 
 /// The lazy protocol's per-page state ([`Frame::ext`]): the
@@ -154,6 +158,7 @@ impl Protocol for Lazy {
             store: RwLock::new_in(IntervalStore::new(core.params.n_procs), classes::CORE_STORE),
             gc_owner: Mutex::new_in(vec![None; n_pages], classes::CORE_GC_OWNER),
             escrow: Mutex::new_in(HashMap::new(), classes::CORE_ESCROW),
+            mutation: OnceLock::new(),
         })
     }
 
@@ -200,7 +205,7 @@ impl Protocol for Lazy {
         // publishes under the store's write lock before bumping), so the
         // notice computation below never names an unrecorded interval.
         let mut know_q = knowledge_of(&e.shard(q).ext.clock, q);
-        if e.params.mutation == ProtocolMutation::StaleGrantKnowledge {
+        if e.mutation() == ProtocolMutation::StaleGrantKnowledge {
             // Mutation testing: the grantor under-reports its own latest
             // closed interval, so the acquirer never hears about the
             // grantor's most recent critical section. The history checker
@@ -254,7 +259,7 @@ impl Protocol for Lazy {
                 }
                 let mut wstore = e.proto.store.write();
                 if wstore.version() != version
-                    && e.params.mutation != ProtocolMutation::StaleSnapshotApply
+                    && e.mutation() != ProtocolMutation::StaleSnapshotApply
                 {
                     // The store was reorganized between snapshot and
                     // apply: the plan may name discarded diffs. Rebuild.
@@ -432,9 +437,7 @@ impl Protocol for Lazy {
             // Apply phase: revalidate the snapshot, then apply under the
             // write lock.
             let mut wstore = e.proto.store.write();
-            if wstore.version() != version
-                && e.params.mutation != ProtocolMutation::StaleSnapshotApply
-            {
+            if wstore.version() != version && e.mutation() != ProtocolMutation::StaleSnapshotApply {
                 bump(&e.counters.snapshot_retries, 1);
                 drop(wstore);
                 first_attempt = false;
@@ -526,6 +529,26 @@ impl Engine<Lazy> {
         self.shard(p).ext.clock.clone()
     }
 
+    /// Turns this engine into the deliberately-broken variant `mutation`,
+    /// for mutation testing the checker stack (see [`ProtocolMutation`]).
+    /// Install before driving the engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a mutation is already installed.
+    #[doc(hidden)]
+    pub fn install_mutation(&self, mutation: ProtocolMutation) {
+        assert!(
+            self.proto.mutation.set(mutation).is_ok(),
+            "a protocol mutation is already installed"
+        );
+    }
+
+    /// The installed mutation; the stock protocol when none is.
+    fn mutation(&self) -> ProtocolMutation {
+        self.proto.mutation.get().copied().unwrap_or_default()
+    }
+
     /// Under [`ProtocolMutation::StaleSnapshotApply`]: removes the
     /// causally-latest diff from `plan` — emulating a plan whose snapshot
     /// predates that interval's availability being applied without
@@ -533,7 +556,7 @@ impl Engine<Lazy> {
     /// *as if* the plan had applied completely. Stock engines return
     /// `None` and leave the plan alone.
     fn stale_snapshot_drop(&self, store: &IntervalStore, plan: &mut FetchPlan) -> Option<PageId> {
-        if self.params.mutation != ProtocolMutation::StaleSnapshotApply {
+        if self.mutation() != ProtocolMutation::StaleSnapshotApply {
             return None;
         }
         let latest_free = plan
@@ -608,7 +631,7 @@ impl Engine<Lazy> {
                 page_diffs.push((g, diff));
             }
         }
-        if self.params.mutation == ProtocolMutation::SkipTwinDiff {
+        if self.mutation() == ProtocolMutation::SkipTwinDiff {
             // Mutation testing: the twins were consumed but their diffs
             // are discarded — this interval's writes silently never
             // propagate. The history checker must reject the run.
@@ -628,7 +651,7 @@ impl Engine<Lazy> {
     /// pending lists grow and, under the invalidate policy, resident valid
     /// copies are invalidated.
     fn deliver_notices(&self, shard: &mut Shard<Lazy>, p: ProcId, notices: &[WriteNotice]) {
-        if self.params.mutation == ProtocolMutation::DropNotices {
+        if self.mutation() == ProtocolMutation::DropNotices {
             // Mutation testing: knowledge merges but the page-level
             // notices vanish, so stale copies stay valid. The history
             // checker must reject the run.
@@ -705,7 +728,7 @@ impl Engine<Lazy> {
             all.extend_from_slice(diffs);
         }
         all.sort_by_key(|&(iv, _)| hb_key(store, iv));
-        if self.params.mutation == ProtocolMutation::WrongDiffOrder {
+        if self.mutation() == ProtocolMutation::WrongDiffOrder {
             // Mutation testing: apply the chain newest-first, so the
             // oldest modification clobbers the newest whenever a page
             // pulls more than one diff. The history checker must reject
@@ -768,7 +791,7 @@ impl Engine<Lazy> {
                 }
                 let shard = self.shard(r);
                 let clock = &shard.ext.clock;
-                if self.params.mutation == ProtocolMutation::DroppedClockMerge {
+                if self.mutation() == ProtocolMutation::DroppedClockMerge {
                     // Mutation testing: the master computes each
                     // processor's exit notices against that processor's
                     // OWN knowledge instead of the episode's merged clock

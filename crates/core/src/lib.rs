@@ -92,6 +92,6 @@ pub use engine::{Engine, EngineCore, Protocol, Shard};
 pub use lazy::{DeathReport, Lazy, LazyShard, LrcEngine, Pending};
 pub use pagestate::Frame;
 pub use plan::FetchPlan;
-pub use remote::{EngineOp, EngineOpError};
+pub use remote::EngineOp;
 pub use slowpath::FetchHook;
 pub use store::{IntervalStore, WriteNotice};

@@ -4,18 +4,15 @@
 //! A message-passing deployment (`lrc-net` + `lrc-dsm`'s node runtime)
 //! hosts processors on nodes that are not colocated with the engine. Those
 //! processors' shared-memory and synchronization operations arrive as
-//! decoded frames; [`EngineOp`] is their in-memory form.
-//! [`Engine::apply_op`](crate::Engine::apply_op) dispatches one into an
-//! engine of either family directly. Synchronization operations are
-//! non-blocking at the engine, so the node runtime applies requests
-//! through its blocking wrappers instead (`lrc-dsm`'s `ProcHandle::apply`),
-//! which retry contended acquires and park on barrier episodes before
-//! reaching the same engine calls.
+//! decoded frames; [`EngineOp`] is their in-memory form. The dispatcher is
+//! the runtime's: `lrc-dsm`'s `ProcHandle::apply` bounds-checks the access,
+//! retries contended acquires and parks on barrier episodes —
+//! synchronization operations are non-blocking at the engine — before
+//! reaching the engine calls.
 
-use std::error::Error;
 use std::fmt;
 
-use lrc_sync::{BarrierError, BarrierId, LockError, LockId};
+use lrc_sync::{BarrierId, LockId};
 
 /// One decoded remote request against one processor of an engine.
 ///
@@ -58,46 +55,6 @@ impl fmt::Display for EngineOp {
     }
 }
 
-/// Failure of a dispatched [`EngineOp`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum EngineOpError {
-    /// The operation was a lock operation and the lock layer refused it.
-    Lock(LockError),
-    /// The operation was a barrier arrival and the barrier layer refused
-    /// it.
-    Barrier(BarrierError),
-}
-
-impl fmt::Display for EngineOpError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineOpError::Lock(e) => write!(f, "lock error: {e}"),
-            EngineOpError::Barrier(e) => write!(f, "barrier error: {e}"),
-        }
-    }
-}
-
-impl Error for EngineOpError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            EngineOpError::Lock(e) => Some(e),
-            EngineOpError::Barrier(e) => Some(e),
-        }
-    }
-}
-
-impl From<LockError> for EngineOpError {
-    fn from(e: LockError) -> Self {
-        EngineOpError::Lock(e)
-    }
-}
-
-impl From<BarrierError> for EngineOpError {
-    fn from(e: BarrierError) -> Self {
-        EngineOpError::Barrier(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,14 +79,5 @@ mod tests {
             EngineOp::Barrier(BarrierId::new(1)).to_string(),
             "barrier br1"
         );
-    }
-
-    #[test]
-    fn errors_wrap_and_chain() {
-        let e = EngineOpError::from(LockError::UnknownLock(LockId::new(9)));
-        assert!(e.to_string().contains("unknown lock"));
-        assert!(e.source().is_some());
-        let e = EngineOpError::from(BarrierError::UnknownBarrier(BarrierId::new(9)));
-        assert!(matches!(e, EngineOpError::Barrier(_)));
     }
 }

@@ -1,12 +1,11 @@
-use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use lrc_core::{ConfigError, EngineParams, ProtocolMutation};
+use lrc_core::{ConfigError, EngineParams};
 use lrc_sim::{AnyEngine, ProtocolKind};
 
 use crate::cluster::Dsm;
-use crate::recovery::{AutoCheckpointer, CheckpointPolicy, CheckpointSink, MemorySink};
+use crate::recovery::{AutoCheckpointer, CheckpointPolicy};
 
 /// Configures and builds a [`Dsm`] runtime.
 ///
@@ -24,29 +23,13 @@ use crate::recovery::{AutoCheckpointer, CheckpointPolicy, CheckpointSink, Memory
 /// assert_eq!(dsm.n_procs(), 2);
 /// # Ok::<(), lrc_core::ConfigError>(())
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct DsmBuilder {
     kind: ProtocolKind,
     params: EngineParams,
     wait_timeout: Option<Duration>,
     holder_timeout: Option<Duration>,
     checkpoint_policy: Option<CheckpointPolicy>,
-    checkpoint_sink: Option<Arc<dyn CheckpointSink>>,
-    supervise: Option<Duration>,
-}
-
-impl fmt::Debug for DsmBuilder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DsmBuilder")
-            .field("kind", &self.kind)
-            .field("params", &self.params)
-            .field("wait_timeout", &self.wait_timeout)
-            .field("holder_timeout", &self.holder_timeout)
-            .field("checkpoint_policy", &self.checkpoint_policy)
-            .field("has_sink", &self.checkpoint_sink.is_some())
-            .field("supervise", &self.supervise)
-            .finish()
-    }
 }
 
 impl DsmBuilder {
@@ -63,8 +46,6 @@ impl DsmBuilder {
             wait_timeout: None,
             holder_timeout: None,
             checkpoint_policy: None,
-            checkpoint_sink: None,
-            supervise: None,
         }
     }
 
@@ -110,15 +91,6 @@ impl DsmBuilder {
         self
     }
 
-    /// Selects a deliberately-broken protocol variant (mutation testing
-    /// of the history checker — see [`lrc_core::ProtocolMutation`]). Lazy
-    /// protocols only: [`DsmBuilder::build`] refuses a non-stock mutation
-    /// on an eager one.
-    pub fn mutation(mut self, mutation: ProtocolMutation) -> Self {
-        self.params.mutation = mutation;
-        self
-    }
-
     /// Bounds every blocking wait (lock hand-offs, barrier episodes) by
     /// `timeout`. A wait that exceeds the deadline panics with a
     /// stuck-waiter report — what a test suite wants from a lost wake-up
@@ -145,34 +117,13 @@ impl DsmBuilder {
         self
     }
 
-    /// Arms the automatic checkpointer: cuts happen per `policy` (episode
-    /// cuts by the closing barrier arrival, time cuts by the supervisor)
-    /// and ship to the configured [`CheckpointSink`] — an in-memory
-    /// replica ([`MemorySink`]) unless [`DsmBuilder::checkpoint_sink`]
-    /// chose otherwise. See the [`crate::recovery` semantics in the type
-    /// docs](CheckpointPolicy).
+    /// Arms the automatic checkpointer: the closing arrival of every
+    /// `policy`-th barrier episode cuts, and so does the runtime right
+    /// before it processes a death. The cuts stay in memory, where
+    /// [`Dsm::latest_checkpoint`] and revival ([`Dsm::try_revive`], a
+    /// returning node's hello) read them back. See [`CheckpointPolicy`].
     pub fn checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint_policy = Some(policy);
-        self
-    }
-
-    /// Ships automatic cuts to `sink` instead of the default in-memory
-    /// replica. Implies nothing by itself — pair with
-    /// [`DsmBuilder::checkpoint_policy`].
-    pub fn checkpoint_sink(mut self, sink: Arc<dyn CheckpointSink>) -> Self {
-        self.checkpoint_sink = Some(sink);
-        self
-    }
-
-    /// Spawns the recovery supervisor, polling every `poll`: it drives
-    /// the wall-time checkpoint trigger between barrier episodes.
-    /// (Revival of dead processors is reconnect-driven — a returning
-    /// spoke's hello, or [`Dsm::try_revive`] — never unsolicited.)
-    /// Requires a checkpoint policy; pairs with
-    /// [`DsmBuilder::holder_timeout`] for fully hands-off recovery. The
-    /// supervisor thread ends itself when the last [`Dsm`] clone drops.
-    pub fn auto_recover(mut self, poll: Duration) -> Self {
-        self.supervise = Some(poll);
         self
     }
 
@@ -184,7 +135,7 @@ impl DsmBuilder {
     /// live, GC defers (bounded `gc_deferrals` in the counters) so the
     /// dead processor can still rejoin from pre-death cuts; once it
     /// expires, GC proceeds, the store era advances, and rejoin needs a
-    /// post-GC cut (the supervisor's cold-join path). Default: hold GC
+    /// post-GC cut (revival's cold-join path). Default: hold GC
     /// forever.
     pub fn death_lease(mut self, episodes: u64) -> Self {
         self.params.death_lease_episodes = Some(episodes);
@@ -197,39 +148,24 @@ impl DsmBuilder {
     ///
     /// Returns [`ConfigError`] if the parameters do not validate. One rule
     /// covers every option that selects lazy-only *behaviour*
-    /// ([`DsmBuilder::holder_timeout`], [`DsmBuilder::death_lease`], a
-    /// non-stock [`DsmBuilder::mutation`]): on an eager protocol it is
-    /// [`ConfigError::LazyOnly`], never a panic and never silently
-    /// ignored. The three ablation flags only shape lazy traffic and are
+    /// ([`DsmBuilder::holder_timeout`], [`DsmBuilder::death_lease`]): on
+    /// an eager protocol it is [`ConfigError::LazyOnly`], never a panic
+    /// and never silently ignored. The three ablation flags only shape lazy traffic and are
     /// accepted as no-ops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`DsmBuilder::auto_recover`] was requested without a
-    /// [`DsmBuilder::checkpoint_policy`] — the supervisor would have
-    /// nothing to rejoin from.
     pub fn build(self) -> Result<Dsm, ConfigError> {
         if self.holder_timeout.is_some() && !self.kind.is_lazy() {
             return Err(ConfigError::LazyOnly("holder_timeout"));
         }
         let engine = AnyEngine::build(self.kind, &self.params)?;
-        let recovery = self.checkpoint_policy.map(|policy| {
-            let sink = self
-                .checkpoint_sink
-                .unwrap_or_else(|| Arc::new(MemorySink::new()));
-            Arc::new(AutoCheckpointer::new(policy, sink))
-        });
-        assert!(
-            self.supervise.is_none() || recovery.is_some(),
-            "auto_recover requires a checkpoint_policy to rejoin from"
-        );
+        let recovery = self
+            .checkpoint_policy
+            .map(|policy| Arc::new(AutoCheckpointer::new(policy)));
         Ok(Dsm::from_engine(
             engine,
             self.kind,
             self.wait_timeout,
             self.holder_timeout,
             recovery,
-            self.supervise,
         ))
     }
 }
@@ -267,18 +203,13 @@ mod tests {
     #[test]
     fn lazy_only_options_are_refused_on_eager_kinds() {
         type Setter = fn(DsmBuilder) -> DsmBuilder;
-        let options: [(&str, Setter, Option<&str>); 6] = [
+        let options: [(&str, Setter, Option<&str>); 5] = [
             (
                 "holder_timeout",
                 |b| b.holder_timeout(Duration::from_millis(50)),
                 Some("holder_timeout"),
             ),
             ("death_lease", |b| b.death_lease(2), Some("death_lease")),
-            (
-                "mutation",
-                |b| b.mutation(ProtocolMutation::DropNotices),
-                Some("mutation"),
-            ),
             ("gc_at_barriers", |b| b.gc_at_barriers(), None),
             ("no_piggyback", |b| b.no_piggyback(), None),
             ("full_page_misses", |b| b.full_page_misses(), None),

@@ -17,13 +17,21 @@ use crate::ProcHandle;
 ///
 /// Lock contention is *not* an error — [`ProcHandle::acquire`] blocks — so
 /// what remains is genuine misuse: unknown ids, double acquires, releasing
-/// an unheld lock.
+/// an unheld lock, a dispatched access outside the shared space.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum DsmError {
     /// A lock operation was invalid.
     Lock(LockError),
     /// A barrier operation was invalid.
     Barrier(BarrierError),
+    /// A request dispatched through [`ProcHandle::apply`] named bytes
+    /// outside the shared space.
+    OutOfRange {
+        /// Start address of the refused access.
+        addr: u64,
+        /// Its length in bytes.
+        len: usize,
+    },
 }
 
 impl fmt::Display for DsmError {
@@ -31,6 +39,12 @@ impl fmt::Display for DsmError {
         match self {
             DsmError::Lock(e) => write!(f, "lock error: {e}"),
             DsmError::Barrier(e) => write!(f, "barrier error: {e}"),
+            DsmError::OutOfRange { addr, len } => {
+                write!(
+                    f,
+                    "access of {len} bytes at {addr:#x} is outside the shared space"
+                )
+            }
         }
     }
 }
@@ -40,6 +54,7 @@ impl Error for DsmError {
         match self {
             DsmError::Lock(e) => Some(e),
             DsmError::Barrier(e) => Some(e),
+            DsmError::OutOfRange { .. } => None,
         }
     }
 }
@@ -100,8 +115,8 @@ pub(crate) struct Cluster {
     /// atomic across waiters.
     pub(crate) suspicion: parking_lot::Mutex<()>,
     /// The automatic checkpointer, when a [`crate::CheckpointPolicy`] is
-    /// configured: closing barrier arrivals and the supervisor feed it,
-    /// and revival reads its latest shipped cut.
+    /// configured: closing barrier arrivals and death declarations feed
+    /// it, and revival reads its latest shipped cut.
     pub(crate) recovery: Option<Arc<crate::recovery::AutoCheckpointer>>,
 }
 
@@ -214,7 +229,6 @@ impl Dsm {
         wait_timeout: Option<Duration>,
         holder_timeout: Option<Duration>,
         recovery: Option<Arc<crate::recovery::AutoCheckpointer>>,
-        supervise: Option<Duration>,
     ) -> Self {
         let params = engine.core().params();
         let (n_procs, n_locks, n_barriers) = (params.n_procs, params.n_locks, params.n_barriers);
@@ -237,9 +251,6 @@ impl Dsm {
             suspicion: parking_lot::Mutex::new_in((), classes::DSM_SUSPICION),
             recovery,
         });
-        if let Some(poll) = supervise {
-            crate::recovery::spawn_supervisor(&cluster, poll);
-        }
         Dsm {
             cluster,
             kind,
@@ -392,8 +403,8 @@ impl Dsm {
     // ---- self-healing runtime ----
 
     /// The newest automatically shipped checkpoint, reconstructed from
-    /// the configured [`crate::CheckpointSink`] (full cut plus delta
-    /// chain), with the engine episode count it covers. `None` without a
+    /// the checkpointer's chain (full cut plus deltas), with the engine
+    /// episode count it covers. `None` without a
     /// [`crate::DsmBuilder::checkpoint_policy`] or before the first cut.
     pub fn latest_checkpoint(&self) -> Option<(AnyCheckpoint, u64)> {
         self.cluster.recovery.as_ref()?.latest()

@@ -168,25 +168,34 @@ impl ProcHandle {
     ///
     /// # Errors
     ///
-    /// [`DsmError`] on misuse, like the individual methods.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range accesses.
+    /// [`DsmError`] on misuse, like the individual methods — and, because
+    /// the request comes from a peer, [`DsmError::OutOfRange`] where
+    /// [`ProcHandle::read_bytes`] and [`ProcHandle::write_bytes`] panic.
     pub fn apply(&mut self, op: &EngineOp) -> Result<Vec<u8>, DsmError> {
         match op {
             EngineOp::Read { addr, len } => {
+                // Checked before the buffer exists: `len` is peer-supplied.
+                self.check_range(*addr, *len as usize)?;
                 let mut buf = vec![0u8; *len as usize];
                 self.read_bytes(*addr, &mut buf);
                 Ok(buf)
             }
             EngineOp::Write { addr, data } => {
+                self.check_range(*addr, data.len())?;
                 self.write_bytes(*addr, data);
                 Ok(Vec::new())
             }
             EngineOp::Acquire(lock) => self.acquire(*lock).map(|()| Vec::new()),
             EngineOp::Release(lock) => self.release(*lock).map(|()| Vec::new()),
             EngineOp::Barrier(barrier) => self.barrier(*barrier).map(|()| Vec::new()),
+        }
+    }
+
+    fn check_range(&self, addr: u64, len: usize) -> Result<(), DsmError> {
+        if self.cluster.engine.core().space().contains(addr, len) {
+            Ok(())
+        } else {
+            Err(DsmError::OutOfRange { addr, len })
         }
     }
 

@@ -8,10 +8,9 @@
 //! RC) machinery runs underneath: twins, diffs, write notices, vector
 //! timestamps, and message accounting.
 //!
-//! One substitution versus a production DSM, documented in DESIGN.md: a
-//! real system detects misses with `mprotect`/SIGSEGV page faults; here
-//! accesses go through [`ProcHandle`] methods that consult page state
-//! explicitly. That changes *how* a miss is detected, never the protocol
+//! One substitution versus a production DSM: a real system detects misses
+//! with `mprotect`/SIGSEGV page faults; here accesses go through
+//! [`ProcHandle`] methods that consult page state explicitly. That changes *how* a miss is detected, never the protocol
 //! traffic, and keeps the crate `forbid(unsafe_code)`.
 //!
 //! The [`NodeServer`] / [`NodeClient`] pair additionally runs the DSM as
@@ -59,4 +58,4 @@ pub use builder::DsmBuilder;
 pub use cluster::{Dsm, DsmError};
 pub use handle::ProcHandle;
 pub use node::{NodeClient, NodeError, NodeServer, RemoteHandle};
-pub use recovery::{CheckpointChain, CheckpointPolicy, CheckpointSink, FileSink, MemorySink};
+pub use recovery::CheckpointPolicy;

@@ -168,6 +168,10 @@ impl ReplyCache {
     }
 }
 
+/// A remote processor's worker: the sending end of its operation queue
+/// `(seq, client node, op)` and the thread draining it.
+type Worker = (Sender<(u64, NodeId, EngineOp)>, JoinHandle<()>);
+
 /// The engine node's service loop: decodes incoming frames and dispatches
 /// remote processors' operations into the shared [`Dsm`].
 ///
@@ -206,7 +210,7 @@ impl NodeServer {
 
     /// Spawns the worker thread that owns `proc`'s handle and drains its
     /// operation queue.
-    fn spawn_worker(&self, proc: ProcId) -> (Sender<(u64, NodeId, EngineOp)>, JoinHandle<()>) {
+    fn spawn_worker(&self, proc: ProcId) -> Worker {
         let (tx, rx) = channel::<(u64, NodeId, EngineOp)>();
         let mut handle = self.dsm.handle(proc);
         let transport = Arc::clone(&self.transport);
@@ -246,6 +250,41 @@ impl NodeServer {
         (tx, thread)
     }
 
+    /// Hands `proc` to `node`, superseding whatever incarnation drove it
+    /// before. Returns `false` if `proc` is dead and cannot be revived.
+    fn rehost(
+        &self,
+        workers: &mut HashMap<ProcId, Worker>,
+        hosts: &mut HashMap<ProcId, NodeId>,
+        peers: &mut Vec<NodeId>,
+        proc: ProcId,
+        node: NodeId,
+    ) -> bool {
+        // Retire the stale worker first: dropping its sender drains it to
+        // exit. Its pending operations finished or panicked when the death
+        // was declared (locks force-released, episodes completed), so the
+        // join is bounded — and joining *before* the revival guarantees no
+        // old-incarnation retry runs against the revived processor.
+        if let Some((tx, thread)) = workers.remove(&proc) {
+            drop(tx);
+            let _ = thread.join();
+        }
+        // A dead processor must be revived in-engine before any operation
+        // runs on its behalf (a rejoin handshake already did).
+        if self.dsm.is_dead(proc) && !self.dsm.try_revive(proc) {
+            return false;
+        }
+        workers.insert(proc, self.spawn_worker(proc));
+        if let Some(old) = hosts.insert(proc, node) {
+            // If the superseded node now hosts nothing, stop waiting for
+            // its Shutdown — it is gone and will never send one.
+            if old != node && !hosts.values().any(|&n| n == old) {
+                peers.retain(|&n| n != old);
+            }
+        }
+        true
+    }
+
     /// Serves until every greeted peer has sent [`WireMsg::Shutdown`],
     /// then joins the workers and returns.
     ///
@@ -264,8 +303,7 @@ impl NodeServer {
     /// operation for an unannounced processor, a malformed frame, a
     /// `Shutdown` before any `Hello` from that node).
     pub fn serve(&self) -> Result<(), NodeError> {
-        let mut workers: HashMap<ProcId, Sender<(u64, NodeId, EngineOp)>> = HashMap::new();
-        let mut worker_threads: HashMap<ProcId, JoinHandle<()>> = HashMap::new();
+        let mut workers: HashMap<ProcId, Worker> = HashMap::new();
         let mut greeted: Vec<NodeId> = Vec::new();
         let mut peers: Vec<NodeId> = Vec::new();
         // Which node hosts each remote processor — so a rejoin from a
@@ -316,39 +354,13 @@ impl NodeServer {
                             // announcement: supersede below.
                             _ => {}
                         }
-                        // Retire the stale worker first. Its pending
-                        // operations finished or panicked when the death
-                        // was declared (locks force-released, episodes
-                        // completed), so the join is bounded — and joining
-                        // *before* the revival guarantees no old-
-                        // incarnation retry runs against the revived
-                        // processor.
-                        workers.remove(&proc);
-                        if let Some(thread) = worker_threads.remove(&proc) {
-                            let _ = thread.join();
-                        }
-                        // A dead processor must be revived in-engine
-                        // before any operation runs on its behalf.
-                        if dead && !self.dsm.try_revive(proc) {
+                        if !self.rehost(&mut workers, &mut hosts, &mut peers, proc, node) {
                             failure = Some(format!(
                                 "processor {proc} is dead and no shipped checkpoint \
                                  can revive it (configure a checkpoint policy, or \
                                  rejoin explicitly with a saved checkpoint)"
                             ));
                             break;
-                        }
-                        let (tx, thread) = self.spawn_worker(proc);
-                        workers.insert(proc, tx);
-                        worker_threads.insert(proc, thread);
-                        if let Some(old) = hosts.insert(proc, node) {
-                            // The announcing node supersedes whichever
-                            // node hosted this processor before: if that
-                            // node now hosts nothing, stop waiting for its
-                            // Shutdown — it is gone and will never send
-                            // one.
-                            if old != node && !hosts.values().any(|&n| n == old) {
-                                peers.retain(|&n| n != old);
-                            }
                         }
                     }
                     if let Some(detail) = failure {
@@ -372,40 +384,45 @@ impl NodeServer {
                         Admission::InFlight => continue,
                         Admission::Fresh => {}
                     }
-                    // A request for a dead processor would panic the
-                    // worker if dispatched. But an operation from the
-                    // processor's *current* host is a live driver showing
-                    // up — exactly the revival trigger. This covers both
-                    // a request that outran its incarnation's resumable
-                    // hello (the link healed mid-send) and a false
-                    // suspicion (a slow-but-alive processor declared dead
-                    // over a healthy link, which will never re-hello). If
-                    // revival is impossible — no recovery configured, or
-                    // the request straggled in from a superseded node —
-                    // drop and forget, so a later replay of the same
-                    // sequence number is admitted fresh.
-                    if self.dsm.is_dead(proc)
-                        && !(hosts.get(&proc) == Some(&frame.src) && self.dsm.try_revive(proc))
-                    {
-                        self.cache.lock().forget(key);
-                        continue;
-                    }
-                    match workers.get(&proc) {
-                        Some(tx) => {
-                            if tx.send((frame.seq, frame.src, op)).is_err() {
+                    // An operation acts only for a processor its sender
+                    // hosts; anything else is refused, on the record.
+                    let refusal = match hosts.get(&proc) {
+                        Some(&host) if host == frame.src => {
+                            // A request for a dead processor would panic
+                            // the worker if dispatched. But an operation
+                            // from the processor's *current* host is a live
+                            // driver showing up — exactly the revival
+                            // trigger. This covers both a request that
+                            // outran its incarnation's resumable hello (the
+                            // link healed mid-send) and a false suspicion
+                            // (a slow-but-alive processor declared dead
+                            // over a healthy link, which will never
+                            // re-hello). If revival is impossible — no
+                            // recovery configured — drop and forget, so a
+                            // later replay of the same sequence number is
+                            // admitted fresh.
+                            if self.dsm.is_dead(proc) && !self.dsm.try_revive(proc) {
+                                self.cache.lock().forget(key);
+                                continue;
+                            }
+                            let queued = workers
+                                .get(&proc)
+                                .is_some_and(|(tx, _)| tx.send((frame.seq, frame.src, op)).is_ok());
+                            if !queued {
                                 break Err(NodeError::Protocol(format!(
                                     "worker for {proc} is gone"
                                 )));
                             }
+                            continue;
                         }
-                        None => {
-                            let result = Err(format!("processor {proc} is not hosted remotely"));
-                            self.cache.lock().record(key, result.clone());
-                            let reply = WireMsg::OpReply { result };
-                            if let Err(e) = self.transport.send(&reply, frame.src, frame.seq) {
-                                break Err(NodeError::from(e));
-                            }
-                        }
+                        Some(host) => format!("processor {proc} is hosted by node {host}"),
+                        None => format!("processor {proc} is not hosted remotely"),
+                    };
+                    let result = Err(refusal);
+                    self.cache.lock().record(key, result.clone());
+                    let reply = WireMsg::OpReply { result };
+                    if let Err(e) = self.transport.send(&reply, frame.src, frame.seq) {
+                        break Err(NodeError::from(e));
                     }
                 }
                 WireMsg::RejoinRequest {
@@ -429,32 +446,23 @@ impl NodeServer {
                                 })
                             })
                     };
+                    // The rejoin revived the processor, so this only swaps
+                    // the dead incarnation's worker and host for the
+                    // restarted one's — unless a waiter suspected the
+                    // still-silent processor in between.
+                    let outcome = outcome.and_then(|episode| {
+                        if self.rehost(&mut workers, &mut hosts, &mut peers, proc, node) {
+                            Ok(episode)
+                        } else {
+                            Err(format!("processor {proc} was declared dead again"))
+                        }
+                    });
                     if outcome.is_ok() {
                         if !greeted.contains(&node) {
                             greeted.push(node);
                         }
                         if !peers.contains(&node) {
                             peers.push(node);
-                        }
-                        // The dead incarnation's worker (if any) is stale:
-                        // dropping its sender drains it to exit, and the
-                        // revived processor gets a fresh one.
-                        workers.remove(&proc);
-                        if let Some(thread) = worker_threads.remove(&proc) {
-                            let _ = thread.join();
-                        }
-                        let (tx, thread) = self.spawn_worker(proc);
-                        workers.insert(proc, tx);
-                        worker_threads.insert(proc, thread);
-                        // The restarted incarnation supersedes whichever
-                        // node hosted this processor before the crash: if
-                        // that node now hosts nothing, stop waiting for
-                        // its Shutdown — it is dead and will never send
-                        // one.
-                        if let Some(old) = hosts.insert(proc, node) {
-                            if old != node && !hosts.values().any(|&n| n == old) {
-                                peers.retain(|&n| n != old);
-                            }
                         }
                     }
                     let reply = WireMsg::RejoinReply { result: outcome };
@@ -483,8 +491,10 @@ impl NodeServer {
                 }
             }
         };
-        drop(workers); // close the channels so workers drain and exit
-        for (_, thread) in worker_threads {
+        // Close every channel first, so the workers drain and exit.
+        let threads: Vec<JoinHandle<()>> =
+            workers.into_values().map(|(_, thread)| thread).collect();
+        for thread in threads {
             let _ = thread.join();
         }
         result
@@ -1008,6 +1018,112 @@ mod tests {
         assert!(read.is_ok() && written.is_ok(), "{read:?} {written:?}");
         asking.join().unwrap();
         client.shutdown().unwrap();
+        serving.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_remote_out_of_range_access_is_refused_not_hung() {
+        // Past the end of the space the worker's `apply` used to panic,
+        // the request was forgotten like a death, and no reply ever came.
+        let (_dsm, client, serving) = two_node_setup(ProtocolKind::LazyInvalidate);
+        let mut remote = client.handle(ProcId::new(1));
+        let (done, answered) = std::sync::mpsc::channel();
+        let asking = std::thread::spawn(move || {
+            let mem = 1u64 << 14;
+            let mut refused = Vec::new();
+            for addr in [mem, mem - 4, u64::MAX] {
+                refused.push(remote.read_u64(addr).map(|_| ()));
+                refused.push(remote.write_u64(addr, 1));
+            }
+            // The same handle keeps working.
+            let in_range = remote
+                .write_u64(mem - 8, 7)
+                .and_then(|()| remote.read_u64(mem - 8));
+            let _ = done.send((refused, in_range));
+        });
+        let (refused, in_range) = answered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("every out-of-range operation is answered");
+        for outcome in refused {
+            assert!(
+                matches!(&outcome, Err(NodeError::Remote(e)) if e.contains("outside")),
+                "{outcome:?}"
+            );
+        }
+        assert_eq!(in_range, Ok(7));
+        asking.join().unwrap();
+        client.shutdown().unwrap();
+        serving.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn an_op_request_acts_only_for_a_processor_its_sender_hosts() {
+        let dsm = DsmBuilder::new(ProtocolKind::LazyInvalidate, 3, 1 << 14)
+            .page_size(512)
+            .build()
+            .unwrap();
+        let mut mesh = ChannelNet::mesh(3);
+        let intruder = mesh.pop().unwrap();
+        let honest_end = mesh.pop().unwrap();
+        let server = NodeServer::new(dsm.clone(), mesh.pop().unwrap());
+        let serving = std::thread::spawn(move || server.serve());
+
+        let (p1, p2, lock) = (ProcId::new(1), ProcId::new(2), LockId::new(0));
+        let honest = NodeClient::connect(honest_end, 0, vec![p1]).unwrap();
+        let mut counter = honest.handle(p1);
+        let bump = |counter: &mut RemoteHandle| {
+            counter.acquire(lock).unwrap();
+            let v = counter.read_u64(8).unwrap();
+            counter.write_u64(8, v + 1).unwrap();
+            counter.release(lock).unwrap();
+        };
+        // The first round trip also proves node 1's hello was processed.
+        for _ in 0..5 {
+            bump(&mut counter);
+        }
+
+        // Node 2 greets with its own processor, then asks for node 1's:
+        // raw frames, because `NodeClient::handle` refuses client-side.
+        let (done, answered) = std::sync::mpsc::channel();
+        let intruding = std::thread::spawn(move || {
+            let hello = WireMsg::Hello {
+                node: 2,
+                procs: vec![p2],
+            };
+            intruder.send(&hello, 0, 0).unwrap();
+            let clobber = WireMsg::OpRequest {
+                proc: p1,
+                op: EngineOp::Write {
+                    addr: 8,
+                    data: 999u64.to_le_bytes().to_vec(),
+                },
+            };
+            intruder.send(&clobber, 0, 1).unwrap();
+            let frame = intruder.recv().unwrap();
+            let reply = WireMsg::decode(frame.kind, &frame.body, &WireCtx { n_procs: 0 });
+            let _ = done.send((frame.seq, reply));
+            intruder.send(&WireMsg::Shutdown, 0, 0).unwrap();
+        });
+        let (seq, reply) = answered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the foreign request is answered");
+        assert_eq!(seq, 1);
+        match reply {
+            Ok(WireMsg::OpReply { result: Err(e) }) => {
+                assert!(e.contains("hosted by node 1"), "{e}")
+            }
+            other => panic!("foreign request was not refused: {other:?}"),
+        }
+        intruding.join().unwrap();
+
+        // The server keeps serving the honest peer, whose data is intact.
+        for _ in 0..5 {
+            bump(&mut counter);
+        }
+        counter.acquire(lock).unwrap();
+        assert_eq!(counter.read_u64(8).unwrap(), 10);
+        counter.release(lock).unwrap();
+        honest.shutdown().unwrap();
         serving.join().unwrap().unwrap();
     }
 

@@ -1,43 +1,36 @@
-//! Self-healing runtime: automatic checkpoint cuts and the recovery
-//! supervisor.
+//! Self-healing runtime: automatic checkpoint cuts and revival from them.
 //!
 //! The crash-tolerance primitives (checkpoint / `declare_dead` / rejoin,
 //! see [`crate::Dsm`]) are manual: some caller must decide when to cut a
 //! checkpoint, where to keep it, and when a dead processor may come back.
 //! This module automates all three:
 //!
-//! * A [`CheckpointPolicy`] says *when* to cut — every N barrier episodes
-//!   (checked by the closing arrival, so episode cuts land exactly at
-//!   synchronization points) and/or every T milliseconds (checked by the
-//!   supervisor, best-effort between episodes).
-//! * A [`CheckpointSink`] says *where* cuts go — a dumb byte store
-//!   standing in for a peer replica ([`MemorySink`]) or stable storage
-//!   ([`FileSink`]). Lazy-family cuts ship as **deltas** against the
-//!   previous cut when possible ([`lrc_core::CheckpointDelta`]), rebasing
-//!   to a full cut when the chain grows past
-//!   [`CheckpointPolicy::rebase_after`] or the delta cannot be formed.
+//! * A [`CheckpointPolicy`] says *when* to cut — every N barrier episodes,
+//!   checked by the closing arrival while every other processor is still
+//!   parked. The runtime also cuts right before it processes a death.
+//!   Those are the only two cuts: both land at a synchronization point,
+//!   which is what [`lrc_core::Engine::checkpoint`] asks of its caller.
+//! * The cuts are kept by the checkpointer itself, in memory, as one
+//!   chain: a full cut and the **deltas** shipped since
+//!   ([`lrc_core::CheckpointDelta`], lazy family only). The chain rebases
+//!   to a full cut when it grows past [`CheckpointPolicy::rebase_after`]
+//!   or the delta cannot be formed.
 //! * **Automatic revival**: when a driver for a dead processor shows up —
-//!   a reconnecting spoke's hello or rejoin handshake, or an explicit
+//!   a reconnecting spoke's hello or rejoin handshake, an operation from
+//!   the processor's current host, or an explicit
 //!   [`crate::Dsm::try_revive`] — the runtime rejoins it from the latest
 //!   shipped cut, no manual [`crate::Dsm::rejoin`] call. If the dead
 //!   processor's rejoin lease expired and garbage collection advanced the
 //!   store era (rejoin fails with [`CheckpointError::LeaseExpired`] or
 //!   [`CheckpointError::Incompatible`]), the revival cuts a fresh post-GC
-//!   checkpoint and **cold-joins** the processor from that. A
-//!   **supervisor** thread (spawned by
-//!   [`crate::DsmBuilder::auto_recover`]) drives the wall-time checkpoint
-//!   trigger between episodes; it never revives unsolicited, because an
-//!   alive-but-undriven processor would only re-arm the failure detector
-//!   and preempt a reconnecting incarnation's supersede.
+//!   checkpoint and **cold-joins** the processor from that. Nothing
+//!   revives unsolicited: an alive-but-undriven processor would only
+//!   re-arm the failure detector and preempt a reconnecting incarnation's
+//!   supersede.
 //!
 //! Every shipped cut is recorded in the engine counters
 //! (`checkpoints_cut`, `delta_bytes`); GC rounds skipped while a dead
 //! processor's lease is live show up as `gc_deferrals`.
-
-use std::io;
-use std::path::PathBuf;
-use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
 
 use lrc_core::{CheckpointDelta, CheckpointError, EngineCheckpoint};
 use lrc_sim::{AnyCheckpoint, AnyEngine};
@@ -47,14 +40,12 @@ use parking_lot::Mutex;
 
 use crate::cluster::Cluster;
 
-/// When the automatic checkpointer cuts. Both triggers may be armed at
-/// once; either firing causes a cut. With neither armed the policy never
-/// fires on its own, but death cuts (capturing post-`declare_dead` state)
-/// still happen.
+/// When the automatic checkpointer cuts: every `n` completed barrier
+/// episodes. Death cuts (capturing pre-`declare_dead` state) happen
+/// regardless of the period.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckpointPolicy {
-    pub(crate) every_episodes: Option<u64>,
-    pub(crate) every_millis: Option<u64>,
+    pub(crate) every_episodes: u64,
     pub(crate) max_chain: usize,
 }
 
@@ -68,34 +59,9 @@ impl CheckpointPolicy {
     pub fn every_episodes(n: u64) -> CheckpointPolicy {
         assert!(n > 0, "episode period must be positive");
         CheckpointPolicy {
-            every_episodes: Some(n),
-            every_millis: None,
+            every_episodes: n,
             max_chain: 8,
         }
-    }
-
-    /// Cut every `ms` milliseconds of wall time (checked by the
-    /// supervisor thread; best effort, quantized to its poll interval).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ms` is zero.
-    pub fn every_millis(ms: u64) -> CheckpointPolicy {
-        assert!(ms > 0, "time period must be positive");
-        CheckpointPolicy {
-            every_episodes: None,
-            every_millis: Some(ms),
-            max_chain: 8,
-        }
-    }
-
-    /// Adds a wall-time trigger to an episode-based policy (or vice
-    /// versa): whichever fires first causes the cut.
-    #[must_use]
-    pub fn or_every_millis(mut self, ms: u64) -> CheckpointPolicy {
-        assert!(ms > 0, "time period must be positive");
-        self.every_millis = Some(ms);
-        self
     }
 
     /// Ship a full cut (rebasing the delta chain) after this many
@@ -108,227 +74,56 @@ impl CheckpointPolicy {
     }
 }
 
-/// A shipped delta chain as read back from a sink: one full cut and the
-/// deltas that follow it, in shipping order.
-#[derive(Clone, Debug, Default)]
-pub struct CheckpointChain {
+/// The shipped cuts: one full cut and the deltas that follow it, in
+/// shipping order. A new full cut replaces the whole chain.
+struct Chain {
     /// Engine episode count when the full cut was shipped.
-    pub full_episode: u64,
+    full_episode: u64,
     /// The full cut, encoded with [`AnyCheckpoint::encode`].
-    pub full: Vec<u8>,
-    /// `(base_episode, episode, bytes)` per delta, oldest first; each
-    /// delta's bytes come from [`lrc_core::CheckpointDelta::encode`].
-    pub deltas: Vec<(u64, u64, Vec<u8>)>,
+    full: Vec<u8>,
+    /// `(episode, bytes)` per delta, oldest first; each delta's bytes come
+    /// from [`lrc_core::CheckpointDelta::encode`].
+    deltas: Vec<(u64, Vec<u8>)>,
 }
 
-/// Where shipped checkpoints go. Sinks are dumb byte stores — the
-/// checkpointer decides full-versus-delta and does all encoding — so a
-/// sink models a peer replica, a file tree, or anything else that can
-/// hold bytes. `put_full` starts a new chain: the sink may discard
-/// everything shipped before it.
-pub trait CheckpointSink: Send + Sync {
-    /// Stores a full cut, replacing any previous chain.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the backing store.
-    fn put_full(&self, episode: u64, bytes: &[u8]) -> io::Result<()>;
-
-    /// Appends a delta to the current chain.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the backing store.
-    fn put_delta(&self, base_episode: u64, episode: u64, bytes: &[u8]) -> io::Result<()>;
-
-    /// Reads back the current chain, or `None` if nothing was shipped.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the backing store.
-    fn chain(&self) -> io::Result<Option<CheckpointChain>>;
-}
-
-/// An in-memory sink: the "peer replica" of the self-healing runtime's
-/// default configuration. Cheap, shared, and good enough whenever the
-/// surviving process itself holds the cuts.
-#[derive(Default)]
-pub struct MemorySink {
-    state: Mutex<Option<CheckpointChain>>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> MemorySink {
-        MemorySink {
-            state: Mutex::new_in(None, classes::DSM_CKPT_SINK),
-        }
-    }
-}
-
-impl CheckpointSink for MemorySink {
-    fn put_full(&self, episode: u64, bytes: &[u8]) -> io::Result<()> {
-        *self.state.lock() = Some(CheckpointChain {
-            full_episode: episode,
-            full: bytes.to_vec(),
-            deltas: Vec::new(),
-        });
-        Ok(())
-    }
-
-    fn put_delta(&self, base_episode: u64, episode: u64, bytes: &[u8]) -> io::Result<()> {
-        let mut state = self.state.lock();
-        let chain = state
-            .as_mut()
-            .ok_or_else(|| io::Error::other("delta shipped before any full cut"))?;
-        chain.deltas.push((base_episode, episode, bytes.to_vec()));
-        Ok(())
-    }
-
-    fn chain(&self) -> io::Result<Option<CheckpointChain>> {
-        Ok(self.state.lock().clone())
-    }
-}
-
-/// A file-backed sink: cuts land as `full-{episode}.ckpt` and
-/// `delta-{base}-{episode}.ckpt` under one directory. A new full cut
-/// removes the files of the previous chain, so the directory always holds
-/// exactly one recoverable chain.
-pub struct FileSink {
-    dir: PathBuf,
-    /// Serializes writers against `chain` readers (the directory scan).
-    gate: Mutex<()>,
-}
-
-impl FileSink {
-    /// A sink writing under `dir` (created if missing).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors creating the directory.
-    pub fn new(dir: impl Into<PathBuf>) -> io::Result<FileSink> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(FileSink {
-            dir,
-            gate: Mutex::new_in((), classes::DSM_CKPT_SINK),
-        })
-    }
-
-    fn entries(&self) -> io::Result<Vec<(String, PathBuf)>> {
-        let mut out = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.ends_with(".ckpt") {
-                out.push((name, entry.path()));
-            }
-        }
-        out.sort();
-        Ok(out)
-    }
-}
-
-impl CheckpointSink for FileSink {
-    fn put_full(&self, episode: u64, bytes: &[u8]) -> io::Result<()> {
-        let _writing = self.gate.lock();
-        let old = self.entries()?;
-        std::fs::write(self.dir.join(format!("full-{episode:012}.ckpt")), bytes)?;
-        for (_, path) in old {
-            let _ = std::fs::remove_file(path);
-        }
-        Ok(())
-    }
-
-    fn put_delta(&self, base_episode: u64, episode: u64, bytes: &[u8]) -> io::Result<()> {
-        let _writing = self.gate.lock();
-        let name = format!("delta-{base_episode:012}-{episode:012}.ckpt");
-        std::fs::write(self.dir.join(name), bytes)
-    }
-
-    fn chain(&self) -> io::Result<Option<CheckpointChain>> {
-        let _reading = self.gate.lock();
-        let entries = self.entries()?;
-        // The full cut first (put_full pruned everything older), then the
-        // deltas in name order — names zero-pad their episode numbers so
-        // the lexicographic sort of `entries` is shipping order.
-        let mut chain: Option<CheckpointChain> = None;
-        for (name, path) in &entries {
-            if let Some(episode) = name
-                .strip_prefix("full-")
-                .and_then(|r| r.strip_suffix(".ckpt"))
-                .and_then(|e| e.parse().ok())
-            {
-                chain = Some(CheckpointChain {
-                    full_episode: episode,
-                    full: std::fs::read(path)?,
-                    deltas: Vec::new(),
-                });
-            }
-        }
-        let Some(chain) = chain.as_mut() else {
-            return Ok(None);
-        };
-        for (name, path) in &entries {
-            if let Some((base, episode)) = name
-                .strip_prefix("delta-")
-                .and_then(|r| r.strip_suffix(".ckpt"))
-                .and_then(|r| r.split_once('-'))
-                .and_then(|(b, e)| Some((b.parse().ok()?, e.parse().ok()?)))
-            {
-                chain.deltas.push((base, episode, std::fs::read(path)?));
-            }
-        }
-        Ok(Some(chain.clone()))
-    }
-}
-
-/// Mutable cut state, serialized so concurrent triggers (closing barrier
-/// arrivals, the supervisor's timer, a death cut) produce one coherent
-/// chain.
+/// Mutable cut state, serialized so concurrent triggers (a closing
+/// barrier arrival, a death cut) produce one coherent chain.
 struct CutState {
     /// Engine episode count at the last cut (0 before any).
     last_episode: u64,
-    last_cut: Instant,
     /// The previous lazy full state — the delta base. `None` before the
     /// first cut and always on eager engines (which have no delta form).
     base: Option<EngineCheckpoint>,
-    /// Deltas shipped since the last full cut.
-    chain_len: usize,
-    /// Whether any cut has ever shipped (distinguishes "no cut yet" from
-    /// "cut at episode 0").
-    shipped: bool,
+    /// Everything shipped since the last full cut; `None` before the
+    /// first cut.
+    chain: Option<Chain>,
 }
 
-/// Drives [`CheckpointPolicy`] against an engine and ships the resulting
-/// cuts to a [`CheckpointSink`]. One per cluster, created by
+/// Drives [`CheckpointPolicy`] against an engine and keeps the resulting
+/// cuts. One per cluster, created by
 /// [`crate::DsmBuilder::checkpoint_policy`].
 pub(crate) struct AutoCheckpointer {
     policy: CheckpointPolicy,
-    sink: Arc<dyn CheckpointSink>,
     state: Mutex<CutState>,
 }
 
 impl AutoCheckpointer {
-    pub(crate) fn new(policy: CheckpointPolicy, sink: Arc<dyn CheckpointSink>) -> AutoCheckpointer {
+    pub(crate) fn new(policy: CheckpointPolicy) -> AutoCheckpointer {
         AutoCheckpointer {
             policy,
-            sink,
             state: Mutex::new_in(
                 CutState {
                     last_episode: 0,
-                    last_cut: Instant::now(),
                     base: None,
-                    chain_len: 0,
-                    shipped: false,
+                    chain: None,
                 },
                 classes::DSM_CKPT_STATE,
             ),
         }
     }
 
-    /// Cuts if the policy says one is due. Called by the closing barrier
-    /// arrival (episode trigger) and each supervisor tick (time trigger).
+    /// Cuts if the policy says one is due (or none was ever taken).
+    /// Called by the closing barrier arrival.
     ///
     /// Policy cuts pause while a processor is dead with an unexpired
     /// rejoin lease, mirroring the GC pause: a cut taken after the death
@@ -342,98 +137,72 @@ impl AutoCheckpointer {
         }
         let mut state = self.state.lock();
         let episodes = engine.core().counters().barrier_episodes;
-        let episode_due = self
-            .policy
-            .every_episodes
-            .is_some_and(|n| episodes.saturating_sub(state.last_episode) >= n);
-        let time_due = self
-            .policy
-            .every_millis
-            .is_some_and(|ms| state.last_cut.elapsed() >= Duration::from_millis(ms));
-        if (episode_due || time_due) || !state.shipped {
+        let due = episodes.saturating_sub(state.last_episode) >= self.policy.every_episodes;
+        if due || state.chain.is_none() {
             self.cut_locked(&mut state, engine);
         }
     }
 
-    /// Cuts unconditionally — used right after `declare_dead` (so the
-    /// post-death state is recoverable) and by the supervisor's cold-join
-    /// path (so a post-GC cut exists whose store era matches the live
-    /// engine).
+    /// Cuts unconditionally — used right before `declare_dead` (so the
+    /// pre-death state is recoverable) and by the cold-join path (so a
+    /// post-GC cut exists whose store era matches the live engine).
     pub(crate) fn cut_now(&self, engine: &AnyEngine) {
         let mut state = self.state.lock();
         self.cut_locked(&mut state, engine);
     }
 
-    /// The cut itself: capture the engine, ship a delta when a lazy base
-    /// exists and the chain has room, else a full cut. Shipping failures
-    /// (sink I/O) are swallowed — the next trigger retries — but the cut
-    /// state only advances on success.
+    /// The cut itself: capture the engine, push a delta when a lazy base
+    /// exists and the chain has room, else start a new chain with a full
+    /// cut.
     fn cut_locked(&self, state: &mut CutState, engine: &AnyEngine) {
         let episodes = engine.core().counters().barrier_episodes;
         let cut = engine.checkpoint();
-        let shipped_bytes = match &cut {
-            AnyCheckpoint::Lazy(full) => {
-                let delta = match state.base.as_ref() {
-                    Some(base) if state.chain_len < self.policy.max_chain => {
-                        full.delta_since(base).ok().map(|d| {
-                            (
-                                d.base_episode,
-                                d.episode,
-                                d.encode(full.page_bytes, full.n_pages),
-                            )
-                        })
-                    }
-                    _ => None,
-                };
-                let shipped = match delta {
-                    Some((base_episode, episode, bytes)) => self
-                        .sink
-                        .put_delta(base_episode, episode, &bytes)
-                        .ok()
-                        .map(|()| {
-                            state.chain_len += 1;
-                            bytes.len()
-                        }),
-                    None => {
-                        let bytes = cut.encode();
-                        self.sink.put_full(episodes, &bytes).ok().map(|()| {
-                            state.chain_len = 0;
-                            bytes.len()
-                        })
-                    }
-                };
-                if shipped.is_some() {
-                    state.base = Some(full.clone());
-                }
-                shipped
+        let delta = match (&cut, state.base.as_ref(), state.chain.as_mut()) {
+            (AnyCheckpoint::Lazy(full), Some(base), Some(chain))
+                if chain.deltas.len() < self.policy.max_chain =>
+            {
+                full.delta_since(base).ok().map(|d| {
+                    let bytes = d.encode(full.page_bytes, full.n_pages);
+                    (chain, d.episode, bytes)
+                })
             }
-            AnyCheckpoint::Eager(_) => {
-                let bytes = cut.encode();
-                self.sink
-                    .put_full(episodes, &bytes)
-                    .ok()
-                    .map(|()| bytes.len())
+            _ => None,
+        };
+        let shipped_bytes = match delta {
+            Some((chain, episode, bytes)) => {
+                let len = bytes.len();
+                chain.deltas.push((episode, bytes));
+                len
+            }
+            None => {
+                let full = cut.encode();
+                let len = full.len();
+                state.chain = Some(Chain {
+                    full_episode: episodes,
+                    full,
+                    deltas: Vec::new(),
+                });
+                len
             }
         };
-        if let Some(bytes) = shipped_bytes {
-            state.last_episode = episodes;
-            state.last_cut = Instant::now();
-            state.shipped = true;
-            engine.core().note_checkpoint(bytes as u64);
+        if let AnyCheckpoint::Lazy(full) = cut {
+            state.base = Some(full);
         }
+        state.last_episode = episodes;
+        engine.core().note_checkpoint(shipped_bytes as u64);
     }
 
-    /// Reconstructs the newest recoverable checkpoint from the sink by
-    /// folding the delta chain onto its full base. Returns the checkpoint
-    /// and the episode count it was cut at.
+    /// Reconstructs the newest recoverable checkpoint by folding the
+    /// delta chain onto its full base. Returns the checkpoint and the
+    /// episode count it was cut at.
     pub(crate) fn latest(&self) -> Option<(AnyCheckpoint, u64)> {
-        let chain = self.sink.chain().ok().flatten()?;
-        let full = AnyCheckpoint::decode(&chain.full).ok()?;
-        match full {
+        let state = self.state.lock();
+        let chain = state.chain.as_ref()?;
+        match AnyCheckpoint::decode(&chain.full).ok()? {
             AnyCheckpoint::Lazy(full) => {
                 let mut cut = full;
                 let mut episode = chain.full_episode;
-                for (_, delta_episode, bytes) in &chain.deltas {
+                for (delta_episode, bytes) in &chain.deltas {
                     let delta = CheckpointDelta::decode(bytes).ok()?;
                     cut = delta.apply_to(&cut).ok()?;
                     episode = *delta_episode;
@@ -445,40 +214,7 @@ impl AutoCheckpointer {
     }
 }
 
-/// Spawns the recovery supervisor: a detached thread that applies the
-/// time-based checkpoint trigger every `poll`. Holds only a [`Weak`]
-/// cluster reference, so dropping the last [`crate::Dsm`] ends it within
-/// one tick — no stop flag, no join handle.
-pub(crate) fn spawn_supervisor(cluster: &Arc<Cluster>, poll: Duration) {
-    let weak: Weak<Cluster> = Arc::downgrade(cluster);
-    std::thread::Builder::new()
-        .name("lrc-dsm-supervisor".into())
-        .spawn(move || loop {
-            std::thread::sleep(poll);
-            let Some(cluster) = weak.upgrade() else {
-                return;
-            };
-            cluster.supervise_tick();
-        })
-        .expect("spawn recovery supervisor");
-}
-
 impl Cluster {
-    /// One supervisor heartbeat: the time-based checkpoint trigger.
-    ///
-    /// Deliberately *not* a revival sweep: reviving a processor nobody is
-    /// driving would only re-arm the failure detector against it (an
-    /// alive-but-silent processor blocks barriers until re-suspected) and
-    /// would race the reconnect path, which needs the processor to still
-    /// be dead to supersede its old incarnation. Revival therefore
-    /// happens exactly when a driver shows up: a reconnecting spoke's
-    /// hello/rejoin, or an explicit [`crate::Dsm::try_revive`].
-    pub(crate) fn supervise_tick(&self) {
-        if let Some(auto) = self.recovery.as_ref() {
-            auto.maybe_cut(&self.engine);
-        }
-    }
-
     /// Rejoins `p` from the latest shipped cut, cold-joining from a fresh
     /// post-GC cut when the shipped one was invalidated by lease expiry
     /// (the store era moved past it). Serialized with the failure
@@ -517,56 +253,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn memory_sink_chains_and_resets_on_full() {
-        let sink = MemorySink::new();
-        assert!(sink.chain().unwrap().is_none());
-        sink.put_full(1, b"full-a").unwrap();
-        sink.put_delta(1, 2, b"d1").unwrap();
-        sink.put_delta(2, 3, b"d2").unwrap();
-        let chain = sink.chain().unwrap().unwrap();
-        assert_eq!(chain.full, b"full-a");
-        assert_eq!(chain.deltas.len(), 2);
-        sink.put_full(3, b"full-b").unwrap();
-        let chain = sink.chain().unwrap().unwrap();
-        assert_eq!(chain.full, b"full-b");
-        assert!(chain.deltas.is_empty());
-    }
-
-    #[test]
-    fn delta_before_full_is_an_error() {
-        let sink = MemorySink::new();
-        assert!(sink.put_delta(0, 1, b"d").is_err());
-    }
-
-    #[test]
-    fn file_sink_round_trips_and_prunes_old_chains() {
-        let dir = std::env::temp_dir().join(format!("lrc-filesink-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let sink = FileSink::new(&dir).unwrap();
-        sink.put_full(5, b"full-a").unwrap();
-        sink.put_delta(5, 6, b"d1").unwrap();
-        let chain = sink.chain().unwrap().unwrap();
-        assert_eq!(chain.full_episode, 5);
-        assert_eq!(chain.deltas, vec![(5, 6, b"d1".to_vec())]);
-        // A new full cut removes the previous chain's files.
-        sink.put_full(7, b"full-b").unwrap();
-        let chain = sink.chain().unwrap().unwrap();
-        assert_eq!(
-            (chain.full_episode, chain.full.as_slice()),
-            (7, &b"full-b"[..])
-        );
-        assert!(chain.deltas.is_empty());
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn policy_constructors_validate() {
-        let p = CheckpointPolicy::every_episodes(2)
-            .or_every_millis(50)
-            .rebase_after(3);
-        assert_eq!(p.every_episodes, Some(2));
-        assert_eq!(p.every_millis, Some(50));
+        let p = CheckpointPolicy::every_episodes(2).rebase_after(3);
+        assert_eq!(p.every_episodes, 2);
         assert_eq!(p.max_chain, 3);
     }
 

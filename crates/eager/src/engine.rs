@@ -84,7 +84,11 @@ impl Protocol for Eager {
     type Checkpoint = EagerCheckpoint;
 
     fn new(core: &EngineCore) -> Result<Self, ConfigError> {
-        core.params().refuse_lazy_only()?;
+        // A silently ignored lease would promise a recovery that cannot
+        // happen: the eager baseline has no crash story.
+        if core.params().death_lease_episodes.is_some() {
+            return Err(ConfigError::LazyOnly("death_lease"));
+        }
         let dir = core
             .space()
             .pages()

@@ -29,6 +29,19 @@
 //! lock and barrier tables, slow-path gates, counters — is the shared
 //! [`lrc_core::Engine`].
 //!
+//! # No crash story, on purpose
+//!
+//! Eager RC pushes a processor's modifications at release time, so what a
+//! crashed processor had not yet released is simply gone and what it had
+//! is already everywhere: there is nothing to catch a rejoiner up *with*.
+//! The baseline therefore stops at whole-runtime checkpoint/restore —
+//! [`EagerCheckpoint`] (`ERCK`) serves replay, `Dsm::restore` and the
+//! byte fixtures — and every per-processor recovery entry point is a
+//! typed refusal, never a silent no-op: `declare_dead` panics, `rejoin`
+//! returns `CheckpointError::Unsupported`, and `holder_timeout` /
+//! `death_lease` fail the build of an eager runtime or engine with
+//! [`ConfigError::LazyOnly`](lrc_core::ConfigError::LazyOnly).
+//!
 //! # Example
 //!
 //! ```

@@ -17,22 +17,16 @@ use crate::Class;
 /// Serializes concurrent failure-detector suspicions; held across
 /// `declare_dead`, which takes the whole engine hierarchy below it.
 pub const DSM_SUSPICION: Class = Class::new("dsm.suspicion", 10);
-/// The recovery supervisor's death-observation bookkeeping (when a dead
-/// processor was first seen). Never held across engine calls.
-pub const DSM_SUPERVISOR: Class = Class::new("dsm.supervisor", 12);
 /// A lock's wait-queue generation counter. Held across the condvar wait
 /// for a hand-off and, on the stuck-waiter diagnostic path, while reading
 /// the lock table — so it sits below every engine class.
 pub const DSM_LOCK_SLOT: Class = Class::new("dsm.lock_slot", 15);
 /// The barrier episode counters (runtime parking).
 pub const DSM_EPISODES: Class = Class::new("dsm.episodes", 16);
-/// The automatic checkpointer's cut state (last episode/era/base cut).
-/// Held across `checkpoint()` (the engine hierarchy below) and the sink
-/// write, so it sits above the engine classes and the sink.
+/// The automatic checkpointer's cut state (last episode, delta base,
+/// shipped chain). Held across `checkpoint()` (the engine hierarchy
+/// below), so it sits above the engine classes.
 pub const DSM_CKPT_STATE: Class = Class::new("dsm.ckpt_state", 20);
-/// A checkpoint sink's internal store (memory replica or file index);
-/// taken while the checkpointer's cut state is held, below the engine.
-pub const DSM_CKPT_SINK: Class = Class::new("dsm.ckpt_sink", 21);
 /// The node server's at-most-once reply cache (executed results plus
 /// in-flight marks, keyed by client node and sequence number). Taken by
 /// the dispatch loop before enqueueing and by workers after the engine

@@ -35,8 +35,8 @@ impl AnyEngine {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the parameters do not validate —
-    /// including [`ConfigError::LazyOnly`] for a protocol mutation or a
-    /// death lease on an eager kind.
+    /// including [`ConfigError::LazyOnly`] for a death lease on an eager
+    /// kind.
     pub fn build(kind: ProtocolKind, params: &EngineParams) -> Result<Self, ConfigError> {
         Ok(if kind.is_lazy() {
             AnyEngine::Lazy(Engine::new(kind.policy(), params)?)
@@ -265,7 +265,6 @@ impl AnyCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrc_core::ProtocolMutation;
 
     fn params() -> EngineParams {
         EngineParams {
@@ -348,23 +347,6 @@ mod tests {
                 wrong.restore(&ckpt),
                 Err(CheckpointError::Incompatible(_))
             ));
-        }
-    }
-
-    #[test]
-    fn eager_engines_reject_mutations_instead_of_ignoring_them() {
-        let mut mutated = params();
-        mutated.mutation = ProtocolMutation::SkipTwinDiff;
-        // Lazy engines implement the mutation...
-        assert!(AnyEngine::build(ProtocolKind::LazyInvalidate, &mutated).is_ok());
-        // ...eager engines must refuse rather than build a stock engine
-        // (a silently-faithful "mutant" makes mutation tests vacuous).
-        for kind in [ProtocolKind::EagerInvalidate, ProtocolKind::EagerUpdate] {
-            assert_eq!(
-                AnyEngine::build(kind, &mutated).err(),
-                Some(ConfigError::LazyOnly("mutation")),
-                "{kind}"
-            );
         }
     }
 }

@@ -63,8 +63,7 @@ fn all_workloads_pass_the_sc_oracle_under_all_protocols() {
 /// quietest program), EI's rare full-page reloads are cheaper than LRC's
 /// per-transfer vector-clock and interval-record overhead, because our
 /// synthetic Water has a higher synchronization-to-data ratio than the
-/// original; see EXPERIMENTS.md. From 1 KB pages upward the paper's
-/// ordering holds everywhere.
+/// original. From 1 KB pages upward the paper's ordering holds everywhere.
 #[test]
 fn best_lazy_beats_best_eager_everywhere() {
     for app in AppKind::ALL {

@@ -1,9 +1,9 @@
 /// A small, fast, permanently-stable PRNG (PCG-XSH-RR 64/32).
 ///
 /// The workload generators must produce byte-identical traces for a given
-/// seed, forever — results in EXPERIMENTS.md reference them — so the
-/// generator is pinned here rather than borrowed from a crate whose stream
-/// might change between versions.
+/// seed, forever — the golden traffic tables and the benchmark's
+/// counters are pinned to them — so the generator is pinned here rather
+/// than borrowed from a crate whose stream might change between versions.
 ///
 /// # Example
 ///

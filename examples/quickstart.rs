@@ -23,10 +23,14 @@ const COUNTER: u64 = 0;
 const RESULTS: u64 = 64;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let kind = std::env::args()
-        .nth(1)
-        .map(|s| ProtocolKind::from_label(&s).expect("protocol must be LI, LU, EI or EU"))
-        .unwrap_or(ProtocolKind::LazyInvalidate);
+    let kind = match std::env::args().nth(1) {
+        None => ProtocolKind::LazyInvalidate,
+        Some(label) => ProtocolKind::from_label(&label).unwrap_or_else(|| {
+            eprintln!("quickstart: unknown protocol '{label}'");
+            eprintln!("usage: quickstart [LI|LU|EI|EU]");
+            std::process::exit(2);
+        }),
+    };
 
     let dsm = DsmBuilder::new(kind, PROCS, 1 << 16)
         .page_size(4096)

@@ -746,7 +746,6 @@ fn seeded_kill_and_heal_soak_converges_without_manual_recovery() {
         .wait_timeout(WAIT)
         .holder_timeout(SOAK_SUSPECT)
         .checkpoint_policy(CheckpointPolicy::every_episodes(1))
-        .auto_recover(Duration::from_millis(50))
         .build()
         .unwrap();
     let recorder = HistoryRecorder::new(4);

@@ -104,8 +104,7 @@ pub fn build_dsm(prog: &ThreadProgram, cfg: &RunConfig) -> Dsm {
         .page_size(cfg.page)
         .locks(prog.n_locks.max(1))
         .barriers(1)
-        .wait_timeout(WAIT_TIMEOUT)
-        .mutation(cfg.mutation);
+        .wait_timeout(WAIT_TIMEOUT);
     if cfg.gc {
         builder = builder.gc_at_barriers();
     }
@@ -115,7 +114,14 @@ pub fn build_dsm(prog: &ThreadProgram, cfg: &RunConfig) -> Dsm {
     if cfg.full_pages {
         builder = builder.full_page_misses();
     }
-    builder.build().expect("program-derived config is valid")
+    let dsm = builder.build().expect("program-derived config is valid");
+    if cfg.mutation != ProtocolMutation::Stock {
+        dsm.engine()
+            .as_lazy()
+            .expect("only the lazy engines have mutations")
+            .install_mutation(cfg.mutation);
+    }
+    dsm
 }
 
 /// Runs one processor's script through a local handle.

@@ -4,15 +4,19 @@
 //! locks, barriers, `parallel`, and `net_stats` exactly as the README
 //! tells users to.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-fn run_quickstart(args: &[&str]) {
+fn quickstart_output(args: &[&str]) -> Output {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let output = Command::new(cargo)
+    Command::new(cargo)
         .args(["run", "--quiet", "--example", "quickstart", "--"])
         .args(args)
         .output()
-        .expect("spawn cargo run --example quickstart");
+        .expect("spawn cargo run --example quickstart")
+}
+
+fn run_quickstart(args: &[&str]) {
+    let output = quickstart_output(args);
     assert!(
         output.status.success(),
         "quickstart {:?} exited with {:?}\nstdout:\n{}\nstderr:\n{}",
@@ -54,4 +58,18 @@ fn quickstart_example_accepts_every_protocol_label() {
     for label in ["LI", "LU", "EI", "EU"] {
         run_quickstart(&[label]);
     }
+}
+
+#[test]
+fn quickstart_example_refuses_an_unknown_protocol_label() {
+    let output = quickstart_output(&["XX"]);
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&output.stdout),
+        String::from_utf8_lossy(&output.stderr),
+    );
+    assert_eq!(output.status.code(), Some(2), "stderr:\n{stderr}");
+    for label in ["LI", "LU", "EI", "EU"] {
+        assert!(stderr.contains(label), "usage names {label}:\n{stderr}");
+    }
+    assert!(!stdout.contains("counter ="), "ran anyway:\n{stdout}");
 }
