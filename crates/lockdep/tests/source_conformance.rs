@@ -4,10 +4,14 @@
 //! on any raw standard-library `Mutex`/`RwLock`/`Condvar` use outside the
 //! explicit allowlist below (each entry carries its justification).
 //!
+//! The same walk measures the code's size against the committed
+//! `SIZE.json`, so a change that grows or shrinks the product shows it as
+//! a diff, the way the benches show time.
+//!
 //! Comments in this file spell the forbidden module path with a space
 //! (`std:: sync`) so the scanner does not flag its own source.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Files allowed to keep raw `std::sync` locks, and why. Paths are
@@ -218,4 +222,172 @@ fn scanner_catches_the_patterns_it_claims_to() {
         "::", "::"
     );
     assert!(scan(&clean, &names).is_empty(), "no false positives");
+}
+
+// ---- size ----
+
+/// The item kinds a `pub` line declares that count as public surface.
+const PUB_ITEM_KINDS: [&str; 9] = [
+    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "use",
+];
+
+/// Splits one source file into its product code — the trimmed
+/// non-blank, non-comment lines before its inline `#[cfg(test)]` module,
+/// which by the tree's convention closes the file — and the names of the
+/// test-only module files it declares (`#[cfg(test)] mod name;`).
+fn product_lines(source: &str) -> (Vec<&str>, Vec<&str>) {
+    let mut code = Vec::new();
+    let mut test_files = Vec::new();
+    let mut lines = source.lines().map(str::trim).peekable();
+    while let Some(line) = lines.next() {
+        if line == "#[cfg(test)]" {
+            let next = lines.peek().copied().unwrap_or("");
+            if next.starts_with("mod ") && next.ends_with('{') {
+                break;
+            }
+            if let Some(name) = next.strip_prefix("mod ").and_then(|n| n.strip_suffix(';')) {
+                test_files.push(name);
+                lines.next();
+                continue;
+            }
+        }
+        if !line.is_empty() && !line.starts_with("//") {
+            code.push(line);
+        }
+    }
+    (code, test_files)
+}
+
+/// The product code of every file under `src`, keyed by path relative to
+/// `root`; test-only module files are left out.
+fn product_code(root: &Path, src: &Path) -> BTreeMap<String, Vec<String>> {
+    let mut files = Vec::new();
+    rust_files(src, &mut files);
+    let mut code = BTreeMap::new();
+    let mut test_only = BTreeSet::new();
+    for path in &files {
+        let source = std::fs::read_to_string(path).expect("readable source");
+        let (lines, test_files) = product_lines(&source);
+        for name in test_files {
+            test_only.insert(path.with_file_name(format!("{name}.rs")));
+        }
+        let rel = path.strip_prefix(root).expect("under the root");
+        let rel = rel.to_string_lossy().replace('\\', "/");
+        code.insert(rel, lines.into_iter().map(str::to_string).collect());
+    }
+    for path in test_only {
+        let rel = path.strip_prefix(root).expect("under the root");
+        code.remove(&rel.to_string_lossy().replace('\\', "/"));
+    }
+    code
+}
+
+fn is_pub_item(line: &str) -> bool {
+    line.strip_prefix("pub ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .is_some_and(|kind| PUB_ITEM_KINDS.contains(&kind))
+}
+
+/// Occurrences of `word` in `line` not run into a longer identifier.
+fn count_word(line: &str, word: &str) -> usize {
+    line.match_indices(word)
+        .filter(|&(at, _)| {
+            let before = line[..at].chars().next_back();
+            let after = line[at + word.len()..].chars().next();
+            before.is_none_or(|c| !is_ident_char(c)) && after.is_none_or(|c| !is_ident_char(c))
+        })
+        .count()
+}
+
+fn package_name(dir: &Path) -> String {
+    let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("package manifest");
+    manifest
+        .lines()
+        .find_map(|line| line.trim().strip_prefix("name = "))
+        .map(|name| name.trim_matches('"').to_string())
+        .expect("the manifest names its package")
+}
+
+/// Measures the product code of the root package and every crate under
+/// `crates/`, rendered as `SIZE.json`.
+fn size_report(root: &Path) -> String {
+    let mut dirs = vec![root.to_path_buf()];
+    let crates_dir = std::fs::read_dir(root.join("crates")).expect("crates/ is listable");
+    dirs.extend(
+        crates_dir
+            .flatten()
+            .map(|entry| entry.path())
+            .filter(|dir| dir.join("Cargo.toml").is_file()),
+    );
+    let mut per_crate = BTreeMap::new();
+    let (mut setters, mut classes) = (0, 0);
+    let mut sites = [("thread::spawn", 0), ("catch_unwind", 0), ("unsafe", 0)];
+    for dir in dirs {
+        let (mut lines, mut pub_items) = (0, 0);
+        for (rel, code) in product_code(root, &dir.join("src")) {
+            lines += code.len();
+            pub_items += code.iter().filter(|l| is_pub_item(l)).count();
+            let matching = |pred: &dyn Fn(&str) -> bool| code.iter().filter(|l| pred(l)).count();
+            match rel.as_str() {
+                "crates/dsm/src/builder.rs" => {
+                    setters += matching(&|l| l.starts_with("pub fn ") && l.contains("(mut self"))
+                }
+                "crates/lockdep/src/classes.rs" => {
+                    classes += matching(&|l| l.starts_with("pub const "))
+                }
+                _ => {}
+            }
+            for (word, count) in &mut sites {
+                *count += code.iter().map(|l| count_word(l, word)).sum::<usize>();
+            }
+        }
+        per_crate.insert(package_name(&dir), (lines, pub_items));
+    }
+    let crates: Vec<String> = per_crate
+        .iter()
+        .map(|(name, (lines, pub_items))| {
+            format!("    \"{name}\": {{\"lines\": {lines}, \"pub_items\": {pub_items}}}")
+        })
+        .collect();
+    format!(
+        "{{\n  \"crates\": {{\n{}\n  }},\n  \"dsm_builder_setters\": {setters},\n  \
+         \"lockdep_classes\": {classes},\n  \"thread_spawn_sites\": {},\n  \
+         \"catch_unwind_sites\": {},\n  \"unsafe_sites\": {}\n}}\n",
+        crates.join(",\n"),
+        sites[0].1,
+        sites[1].1,
+        sites[2].1,
+    )
+}
+
+/// Product code only — lines that are not blank, not comments and not in
+/// a test module, per package — plus the counts a simplicity change is
+/// judged by. A change that moves any of them regenerates `SIZE.json`,
+/// so the commit shows its own before/after.
+#[test]
+fn size_matches_the_committed_size_json() {
+    let root = repo_root();
+    let measured = size_report(&root);
+    let committed = std::fs::read_to_string(root.join("SIZE.json")).unwrap_or_default();
+    assert!(
+        measured == committed,
+        "SIZE.json is stale; the tree now measures:\n{measured}"
+    );
+}
+
+#[test]
+fn size_counts_only_product_code() {
+    let source = "//! docs\nuse a::b;\n\npub fn f() {}\n    // note\npub(crate) fn g() {}\n\
+                  pub struct S;\n#[cfg(test)]\nmod helpers;\nlet t = std::thread::spawn(x);\n\
+                  #![forbid(unsafe_code)] unsafe {}\n#[cfg(test)]\nmod tests {\npub fn h() {}\n}\n";
+    let (code, test_files) = product_lines(source);
+    assert_eq!(test_files, ["helpers"]);
+    assert_eq!(code.len(), 6, "{code:?}");
+    assert_eq!(code.iter().filter(|l| is_pub_item(l)).count(), 2);
+    assert_eq!(count_word(code[4], "thread::spawn"), 1);
+    assert_eq!(
+        count_word(code[5], "unsafe"),
+        1,
+        "unsafe_code is not a site"
+    );
 }
