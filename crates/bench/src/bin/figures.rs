@@ -17,6 +17,7 @@
 
 use lrc_sim::{run_trace, run_traced, sweep, Metric, ProtocolKind, SimOptions, SweepConfig};
 use lrc_simnet::OpClass;
+use lrc_trace::TraceStats;
 use lrc_workloads::{micro, AppKind, Scale};
 
 struct Args {
@@ -66,8 +67,8 @@ fn main() {
             None => {
                 eprintln!(
                     "unknown target '{name}'; use all, table1, migratory, summary, \
-                     ablation-diff, ablation-piggyback, or an application name \
-                     (locusroute, cholesky, mp3d, water, pthor)"
+                     ablation-diff, ablation-piggyback, ablation-gc, matrix, or an \
+                     application name (locusroute, cholesky, mp3d, water, pthor)"
                 );
                 std::process::exit(2);
             }
@@ -151,9 +152,9 @@ fn figures_for(app: AppKind, scale: &Scale) {
     let (fig_m, fig_d) = app.figures();
     let trace = app.generate(scale);
     println!(
-        "== Figures {fig_m}/{fig_d}: {app} ({} procs, {} events)\n",
+        "== Figures {fig_m}/{fig_d}: {app} ({} procs)\n\ntrace: {}\n",
         scale.procs,
-        trace.len()
+        TraceStats::compute(&trace)
     );
     let result = sweep(&trace, &SweepConfig::default()).expect("sweep runs");
     println!("{}", result.render(Metric::Messages));

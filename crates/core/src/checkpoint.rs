@@ -123,13 +123,6 @@ pub enum CheckpointError {
     /// The checkpoint does not fit its target (engine shape, delta base,
     /// or store era mismatch).
     Incompatible(String),
-    /// The operation itself is not implemented for the target engine
-    /// family (e.g. rejoin on an eager engine) — a property of the
-    /// *engine*, not of the checkpoint, so it is distinct from
-    /// [`CheckpointError::Incompatible`]: retrying with a better-matched
-    /// checkpoint cannot succeed. Mirrors
-    /// [`crate::ConfigError::LazyOnly`].
-    Unsupported(String),
     /// The dead processor's rejoin lease expired: garbage collection
     /// advanced the store era past the checkpoint's, so the catch-up
     /// history this checkpoint needs is gone *by policy* (see
@@ -144,9 +137,6 @@ impl fmt::Display for CheckpointError {
         match self {
             CheckpointError::Corrupt(why) => write!(f, "corrupt checkpoint: {why}"),
             CheckpointError::Incompatible(why) => write!(f, "incompatible checkpoint: {why}"),
-            CheckpointError::Unsupported(why) => {
-                write!(f, "unsupported checkpoint operation: {why}")
-            }
             CheckpointError::LeaseExpired(why) => {
                 write!(f, "rejoin lease expired: {why}")
             }
@@ -164,22 +154,19 @@ fn corrupt(why: impl Into<String>) -> CheckpointError {
 // Binary codec. Little-endian throughout, matching the wire layer.
 
 /// A bounds-checked cursor over serialized checkpoint bytes: every read
-/// that would run past the end is [`CheckpointError::Corrupt`]. Shared by
-/// every checkpoint format (`LRCK`, `LRCD`, and the eager `ERCK`).
-#[derive(Debug)]
-pub struct Reader<'a> {
+/// that would run past the end is [`CheckpointError::Corrupt`].
+struct Reader<'a> {
     bytes: &'a [u8],
     at: usize,
 }
 
-#[allow(missing_docs)] // fixed-width little-endian reads
 impl<'a> Reader<'a> {
-    pub fn new(bytes: &'a [u8]) -> Self {
+    fn new(bytes: &'a [u8]) -> Self {
         Reader { bytes, at: 0 }
     }
 
     /// The next `n` raw bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         let end = self
             .at
             .checked_add(n)
@@ -190,21 +177,21 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    pub fn u8(&mut self) -> Result<u8, CheckpointError> {
+    fn u8(&mut self) -> Result<u8, CheckpointError> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn u16(&mut self) -> Result<u16, CheckpointError> {
+    fn u16(&mut self) -> Result<u16, CheckpointError> {
         let b = self.take(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
-    pub fn u32(&mut self) -> Result<u32, CheckpointError> {
+    fn u32(&mut self) -> Result<u32, CheckpointError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    pub fn u64(&mut self) -> Result<u64, CheckpointError> {
+    fn u64(&mut self) -> Result<u64, CheckpointError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("eight bytes")))
     }
@@ -212,7 +199,7 @@ impl<'a> Reader<'a> {
     /// Refuses `n` items of at least `per_item` bytes each unless they can
     /// fit in the remaining bytes — rejects absurd counts before they turn
     /// into huge allocations.
-    pub fn fits(&self, n: usize, per_item: usize) -> Result<(), CheckpointError> {
+    fn fits(&self, n: usize, per_item: usize) -> Result<(), CheckpointError> {
         let left = self.bytes.len() - self.at;
         if n.saturating_mul(per_item.max(1)) > left {
             return Err(corrupt(format!("count {n} exceeds remaining bytes")));
@@ -222,7 +209,7 @@ impl<'a> Reader<'a> {
 
     /// A `u32` count that must be plausible for `per_item`-byte items
     /// (see [`Reader::fits`]).
-    pub fn count(&mut self, per_item: usize) -> Result<usize, CheckpointError> {
+    fn count(&mut self, per_item: usize) -> Result<usize, CheckpointError> {
         let n = self.u32()? as usize;
         self.fits(n, per_item)?;
         Ok(n)
@@ -239,7 +226,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Refuses trailing bytes.
-    pub fn done(&self) -> Result<(), CheckpointError> {
+    fn done(&self) -> Result<(), CheckpointError> {
         if self.at != self.bytes.len() {
             return Err(corrupt(format!(
                 "{} trailing bytes",
@@ -250,30 +237,26 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Serializes the part of a frame every format shares: page id, flags
-/// (bit 0 = resident, bit 1 = valid), and the page-sized contents of a
-/// resident frame.
-pub fn write_frame_head(
-    page: PageId,
-    contents: Option<&[u8]>,
-    valid: bool,
-    page_bytes: usize,
-    out: &mut Vec<u8>,
-) {
-    out.extend_from_slice(&page.raw().to_le_bytes());
-    out.push(contents.is_some() as u8 | (valid as u8) << 1);
-    if let Some(contents) = contents {
+/// Serializes a frame: page id, flags (bit 0 = resident, bit 1 = valid),
+/// the page-sized contents of a resident frame, and the pending list.
+fn write_frame(frame: &FrameCheckpoint, page_bytes: usize, out: &mut Vec<u8>) {
+    out.extend_from_slice(&frame.page.raw().to_le_bytes());
+    out.push(frame.contents.is_some() as u8 | (frame.valid as u8) << 1);
+    if let Some(contents) = &frame.contents {
         assert_eq!(contents.len(), page_bytes, "frame contents are page-sized");
         out.extend_from_slice(contents);
     }
+    out.extend_from_slice(&(frame.pending.len() as u32).to_le_bytes());
+    for iv in &frame.pending {
+        iv.write_wire(out);
+    }
 }
 
-/// Deserializes what [`write_frame_head`] wrote: `(page, contents, valid)`.
-pub fn read_frame_head(
+fn read_frame(
     r: &mut Reader<'_>,
     page_bytes: usize,
     n_pages: usize,
-) -> Result<(PageId, Option<Vec<u8>>, bool), CheckpointError> {
+) -> Result<FrameCheckpoint, CheckpointError> {
     let page = PageId::new(r.u32()?);
     if page.index() >= n_pages {
         return Err(corrupt(format!("frame page {page} out of range")));
@@ -287,29 +270,7 @@ pub fn read_frame_head(
     } else {
         None
     };
-    Ok((page, contents, flags & 2 != 0))
-}
-
-fn write_frame(frame: &FrameCheckpoint, page_bytes: usize, out: &mut Vec<u8>) {
-    write_frame_head(
-        frame.page,
-        frame.contents.as_deref(),
-        frame.valid,
-        page_bytes,
-        out,
-    );
-    out.extend_from_slice(&(frame.pending.len() as u32).to_le_bytes());
-    for iv in &frame.pending {
-        iv.write_wire(out);
-    }
-}
-
-fn read_frame(
-    r: &mut Reader<'_>,
-    page_bytes: usize,
-    n_pages: usize,
-) -> Result<FrameCheckpoint, CheckpointError> {
-    let (page, contents, valid) = read_frame_head(r, page_bytes, n_pages)?;
+    let valid = flags & 2 != 0;
     let n_pending = r.count(IntervalId::WIRE_BYTES)?;
     let mut pending = Vec::with_capacity(n_pending);
     for _ in 0..n_pending {
@@ -436,9 +397,9 @@ fn read_owners(
     Ok(owners)
 }
 
-/// Writes the header every checkpoint format starts with: magic, format
-/// version, and the engine shape.
-pub fn write_header(
+/// Writes the header both formats start with: magic, format version,
+/// and the engine shape.
+fn write_header(
     magic: &[u8; 4],
     n_procs: usize,
     page_bytes: usize,
@@ -454,7 +415,7 @@ pub fn write_header(
 
 /// Reads and validates what [`write_header`] wrote, expecting `magic`:
 /// `(n_procs, page_bytes, n_pages)`.
-pub fn read_header(
+fn read_header(
     r: &mut Reader<'_>,
     magic: &[u8; 4],
 ) -> Result<(usize, usize, usize), CheckpointError> {

@@ -3,12 +3,13 @@
 //!
 //! The paper's two protocol families differ in exactly four places — what
 //! an acquire pulls, what a release sends, how a miss is resolved, and
-//! what a barrier exchanges. [`Protocol`] names those four points (plus
-//! protocol-state checkpointing); [`Engine`] owns everything else: the
-//! per-processor shards and the cached read/write fast path over them,
-//! operation dispatch, and — in [`EngineCore`] — the synchronization
-//! tables, slow-path gates, contention accounting, fabric, counters and
-//! recorder hook.
+//! what a barrier exchanges. [`Protocol`] names those four points;
+//! [`Engine`] owns everything else: the per-processor shards and the
+//! cached read/write fast path over them, operation dispatch, and — in
+//! [`EngineCore`] — the synchronization tables, slow-path gates,
+//! contention accounting, fabric, counters and recorder hook.
+//! Checkpointing is the lazy engine's alone
+//! ([`LrcEngine::checkpoint`](crate::LrcEngine::checkpoint)).
 
 use std::fmt;
 use std::ops::Deref;
@@ -27,7 +28,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::counters::{bump, CounterCells};
 use crate::slowpath::{gate_lock, raise, settle_contention, FetchHook, FetchHookCell, InFlight};
-use crate::{CheckpointError, ConfigError, EngineCounters, EngineParams, Frame, Policy};
+use crate::{ConfigError, EngineCounters, EngineParams, Frame, Policy};
 
 /// The state and bookkeeping every protocol engine shares, independent of
 /// the protocol: validated parameters, the lock table and barrier set,
@@ -254,7 +255,7 @@ impl EngineCore {
     /// encoded bytes that went to the sink (a delta counts its delta
     /// size, not the full cut it stands for) to
     /// [`EngineCounters::delta_bytes`]. Pure statistics — the cut itself
-    /// is [`Engine::checkpoint`].
+    /// is [`LrcEngine::checkpoint`](crate::LrcEngine::checkpoint).
     pub fn note_checkpoint(&self, shipped_bytes: u64) {
         bump(&self.counters.checkpoints_cut, 1);
         bump(&self.counters.delta_bytes, shipped_bytes);
@@ -390,17 +391,15 @@ pub struct Shard<P: Protocol> {
 }
 
 /// A release-consistency protocol, as the four points where the paper
-/// says the families differ, plus checkpointing of protocol state. Every
-/// hook receives the whole [`Engine`]: its shards, its core, and — through
-/// [`Engine::protocol`] — the protocol's own shared state.
+/// says the families differ. Every hook receives the whole [`Engine`]:
+/// its shards, its core, and — through [`Engine::protocol`] — the
+/// protocol's own shared state.
 pub trait Protocol: Sized + fmt::Debug {
     /// Per-processor state kept in each [`Shard`] next to the frames.
     type ShardExt: fmt::Debug;
     /// Per-page state kept in each [`Frame`] (every processor holds a
     /// frame for every page, so keep it small).
     type FrameExt: fmt::Debug + Default;
-    /// A checkpoint of the engine under this protocol.
-    type Checkpoint;
 
     /// Validates protocol-specific parameters and builds the protocol's
     /// shared state for a fresh engine.
@@ -455,18 +454,6 @@ pub trait Protocol: Sized + fmt::Debug {
     /// re-checked validity under it. Call [`EngineCore::run_fetch_hook`] once
     /// the messages are charged.
     fn resolve_miss(engine: &Engine<Self>, p: ProcId, page: PageId);
-
-    /// Captures a checkpoint of the whole engine (committed contents only
-    /// — see [`Frame::committed`]).
-    fn checkpoint(engine: &Engine<Self>) -> Self::Checkpoint;
-
-    /// Replaces a freshly built engine's state with `ckpt`'s.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Incompatible`] if the checkpoint describes a
-    /// different engine shape.
-    fn restore(engine: &Engine<Self>, ckpt: &Self::Checkpoint) -> Result<(), CheckpointError>;
 }
 
 /// A release-consistency engine: `n` processors, their page copies, and
@@ -772,32 +759,5 @@ impl<P: Protocol> Engine<P> {
             P::barrier_complete(self, barrier, master);
         }
         Ok(outcome)
-    }
-
-    // ---- crash tolerance ----
-
-    /// Captures a checkpoint of the whole engine.
-    ///
-    /// Call at a synchronization point — in practice right after a barrier
-    /// episode completes, before any processor issues its next operation —
-    /// so the cut is consistent. The capture itself tolerates open
-    /// intervals: a dirty page contributes its *twin* (the committed
-    /// contents), so uncommitted writes are never checkpointed, exactly as
-    /// a real crash would lose them.
-    pub fn checkpoint(&self) -> P::Checkpoint {
-        P::checkpoint(self)
-    }
-
-    /// Restores a whole-engine checkpoint into this (freshly built)
-    /// engine. Locks must be free and no barrier episode in progress — the
-    /// checkpoint was cut at a synchronization point, and lock/barrier
-    /// state is not checkpointed.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Incompatible`] if the checkpoint describes a
-    /// different engine shape.
-    pub fn restore(&self, ckpt: &P::Checkpoint) -> Result<(), CheckpointError> {
-        P::restore(self, ckpt)
     }
 }

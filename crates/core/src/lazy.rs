@@ -1,7 +1,7 @@
 //! The lazy release consistency protocol (§4): interval bookkeeping, write
-//! notices, diff pulls, barrier-time garbage collection, and crash
-//! recovery, plugged into the shared [`Engine`] at the four [`Protocol`]
-//! points.
+//! notices, diff pulls and barrier-time garbage collection, plugged into
+//! the shared [`Engine`] at the four [`Protocol`] points — plus
+//! checkpointing and crash recovery, which only [`LrcEngine`] has.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -149,7 +149,6 @@ fn chain_bytes<'a>(chain: impl ExactSizeIterator<Item = &'a Diff> + Clone) -> u6
 impl Protocol for Lazy {
     type ShardExt = LazyShard;
     type FrameExt = Pending;
-    type Checkpoint = EngineCheckpoint;
     const CRASH_TOLERANT: bool = true;
 
     fn new(core: &EngineCore) -> Result<Self, ConfigError> {
@@ -453,58 +452,6 @@ impl Protocol for Lazy {
             shard.pages[gi].valid = true;
             return;
         }
-    }
-
-    fn checkpoint(e: &LrcEngine) -> EngineCheckpoint {
-        let store = e.proto.store.read();
-        let owners = e.proto.gc_owner.lock().clone();
-        let n = e.params.n_procs;
-        let mut procs = Vec::with_capacity(n);
-        for p in ProcId::all(n) {
-            let shard = e.shard(p);
-            let mut frames = Vec::new();
-            for (gi, entry) in shard.pages.iter().enumerate() {
-                let frame = FrameCheckpoint {
-                    page: PageId::new(gi as u32),
-                    contents: entry.committed().map(|c| c.as_bytes().to_vec()),
-                    valid: entry.valid,
-                    pending: entry.ext.clone(),
-                };
-                if !frame.is_default() {
-                    frames.push(frame);
-                }
-            }
-            procs.push(ProcCheckpoint {
-                clock: shard.ext.clock.clone(),
-                frames,
-            });
-        }
-        EngineCheckpoint {
-            n_procs: n,
-            page_bytes: e.space.page_size().bytes(),
-            n_pages: e.space.n_pages() as usize,
-            episode: e.counters().barrier_episodes,
-            store_era: store.version(),
-            owners,
-            store: store.export(),
-            procs,
-        }
-    }
-
-    /// The interval store, owner table, and every processor's frames and
-    /// clock are replaced.
-    fn restore(e: &LrcEngine, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
-        e.check_shape(ckpt)?;
-        let mut store = e.proto.store.write();
-        *store = IntervalStore::import(e.params.n_procs, ckpt.store_era, &ckpt.store);
-        *e.proto.gc_owner.lock() = ckpt.owners.clone();
-        e.proto.escrow.lock().clear();
-        for p in ProcId::all(e.params.n_procs) {
-            let mut shard = e.shard(p);
-            shard.ext.clock = ckpt.procs[p.index()].clock.clone();
-            e.reset_frames(&mut shard, &ckpt.procs[p.index()].frames);
-        }
-        Ok(())
     }
 }
 
@@ -979,6 +926,74 @@ impl Engine<Lazy> {
     }
 
     // ---- crash tolerance ----
+
+    /// Captures a checkpoint of the whole engine.
+    ///
+    /// Call at a synchronization point — in practice right after a barrier
+    /// episode completes, before any processor issues its next operation —
+    /// so the cut is consistent. The capture itself tolerates open
+    /// intervals: a dirty page contributes its *twin* (the committed
+    /// contents — see [`Frame::committed`]), so uncommitted writes are
+    /// never checkpointed, exactly as a real crash would lose them.
+    pub fn checkpoint(&self) -> EngineCheckpoint {
+        let store = self.proto.store.read();
+        let owners = self.proto.gc_owner.lock().clone();
+        let n = self.params.n_procs;
+        let mut procs = Vec::with_capacity(n);
+        for p in ProcId::all(n) {
+            let shard = self.shard(p);
+            let mut frames = Vec::new();
+            for (gi, entry) in shard.pages.iter().enumerate() {
+                let frame = FrameCheckpoint {
+                    page: PageId::new(gi as u32),
+                    contents: entry.committed().map(|c| c.as_bytes().to_vec()),
+                    valid: entry.valid,
+                    pending: entry.ext.clone(),
+                };
+                if !frame.is_default() {
+                    frames.push(frame);
+                }
+            }
+            procs.push(ProcCheckpoint {
+                clock: shard.ext.clock.clone(),
+                frames,
+            });
+        }
+        EngineCheckpoint {
+            n_procs: n,
+            page_bytes: self.space.page_size().bytes(),
+            n_pages: self.space.n_pages() as usize,
+            episode: self.counters().barrier_episodes,
+            store_era: store.version(),
+            owners,
+            store: store.export(),
+            procs,
+        }
+    }
+
+    /// Restores a whole-engine checkpoint into this (freshly built)
+    /// engine: the interval store, owner table, and every processor's
+    /// frames and clock are replaced. Locks must be free and no barrier
+    /// episode in progress — the checkpoint was cut at a synchronization
+    /// point, and lock/barrier state is not checkpointed.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Incompatible`] if the checkpoint describes a
+    /// different engine shape.
+    pub fn restore(&self, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
+        self.check_shape(ckpt)?;
+        let mut store = self.proto.store.write();
+        *store = IntervalStore::import(self.params.n_procs, ckpt.store_era, &ckpt.store);
+        *self.proto.gc_owner.lock() = ckpt.owners.clone();
+        self.proto.escrow.lock().clear();
+        for p in ProcId::all(self.params.n_procs) {
+            let mut shard = self.shard(p);
+            shard.ext.clock = ckpt.procs[p.index()].clock.clone();
+            self.reset_frames(&mut shard, &ckpt.procs[p.index()].frames);
+        }
+        Ok(())
+    }
 
     /// True if `p` has been declared dead and has not rejoined.
     ///

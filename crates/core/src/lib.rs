@@ -70,7 +70,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
+mod checkpoint;
 mod config;
 mod counters;
 mod engine;

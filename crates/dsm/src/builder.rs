@@ -122,6 +122,8 @@ impl DsmBuilder {
     /// before it processes a death. The cuts stay in memory, where
     /// [`Dsm::latest_checkpoint`] and revival ([`Dsm::try_revive`], a
     /// returning node's hello) read them back. See [`CheckpointPolicy`].
+    /// Lazy protocols only — [`DsmBuilder::build`] refuses it on an eager
+    /// one, which has no checkpoint.
     pub fn checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint_policy = Some(policy);
         self
@@ -148,13 +150,19 @@ impl DsmBuilder {
     ///
     /// Returns [`ConfigError`] if the parameters do not validate. One rule
     /// covers every option that selects lazy-only *behaviour*
-    /// ([`DsmBuilder::holder_timeout`], [`DsmBuilder::death_lease`]): on
-    /// an eager protocol it is [`ConfigError::LazyOnly`], never a panic
-    /// and never silently ignored. The three ablation flags only shape lazy traffic and are
+    /// ([`DsmBuilder::holder_timeout`], [`DsmBuilder::death_lease`],
+    /// [`DsmBuilder::checkpoint_policy`]): on an eager protocol it is
+    /// [`ConfigError::LazyOnly`], never a panic and never silently
+    /// ignored. The three ablation flags only shape lazy traffic and are
     /// accepted as no-ops.
     pub fn build(self) -> Result<Dsm, ConfigError> {
-        if self.holder_timeout.is_some() && !self.kind.is_lazy() {
-            return Err(ConfigError::LazyOnly("holder_timeout"));
+        if !self.kind.is_lazy() {
+            if self.holder_timeout.is_some() {
+                return Err(ConfigError::LazyOnly("holder_timeout"));
+            }
+            if self.checkpoint_policy.is_some() {
+                return Err(ConfigError::LazyOnly("checkpoint_policy"));
+            }
         }
         let engine = AnyEngine::build(self.kind, &self.params)?;
         let recovery = self
@@ -203,13 +211,18 @@ mod tests {
     #[test]
     fn lazy_only_options_are_refused_on_eager_kinds() {
         type Setter = fn(DsmBuilder) -> DsmBuilder;
-        let options: [(&str, Setter, Option<&str>); 5] = [
+        let options: [(&str, Setter, Option<&str>); 6] = [
             (
                 "holder_timeout",
                 |b| b.holder_timeout(Duration::from_millis(50)),
                 Some("holder_timeout"),
             ),
             ("death_lease", |b| b.death_lease(2), Some("death_lease")),
+            (
+                "checkpoint_policy",
+                |b| b.checkpoint_policy(CheckpointPolicy::every_episodes(1)),
+                Some("checkpoint_policy"),
+            ),
             ("gc_at_barriers", |b| b.gc_at_barriers(), None),
             ("no_piggyback", |b| b.no_piggyback(), None),
             ("full_page_misses", |b| b.full_page_misses(), None),

@@ -3,9 +3,9 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use lrc_core::{CheckpointError, DeathReport};
+use lrc_core::{CheckpointError, DeathReport, EngineCheckpoint, LrcEngine};
 use lrc_hist::HistoryRecorder;
-use lrc_sim::{AnyCheckpoint, AnyEngine, ProtocolKind};
+use lrc_sim::{AnyEngine, ProtocolKind};
 use lrc_simnet::NetStats;
 use lrc_sync::{BarrierError, BarrierId, LockError, LockId};
 use lrc_vclock::ProcId;
@@ -121,6 +121,20 @@ pub(crate) struct Cluster {
 }
 
 impl Cluster {
+    /// The lazy engine, which alone has checkpoints, deaths and rejoins.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an eager runtime. No option reaches this there —
+    /// [`crate::DsmBuilder::build`] refuses every lazy-only one — so only
+    /// a direct crash-tolerance call on an eager [`Dsm`] does.
+    pub(crate) fn lazy(&self) -> &LrcEngine {
+        self.engine.as_lazy().expect(
+            "crash tolerance is a lazy-protocol feature: the eager baseline \
+             has no checkpoint, restore, rejoin or declare_dead",
+        )
+    }
+
     /// Declares `p` dead on behalf of a lock waiter that timed out while
     /// the release generation of `lock` sat at `generation` — unless the
     /// grievance went stale while the waiter assembled it. Between the
@@ -182,10 +196,11 @@ impl Cluster {
         // `p`'s committed pages (twin-first, so its still-open interval
         // leaks nothing), and the flush below lands in the interval store
         // where rejoin's catch-up delivery finds it.
+        let engine = self.lazy();
         if let Some(auto) = self.recovery.as_ref() {
-            auto.cut_now(&self.engine);
+            auto.cut_now(engine);
         }
-        let report = self.engine.declare_dead(p);
+        let report = engine.declare_dead(p);
         for &lock in &report.released {
             if let Some(slot) = self.lock_slots.get(lock.index()) {
                 *slot.generation.lock() += 1;
@@ -351,20 +366,30 @@ impl Dsm {
 
     // ---- crash tolerance ----
 
-    /// Captures a checkpoint of the engine. Call at a synchronization
+    /// Captures a checkpoint of the engine (lazy protocols only — see
+    /// [`lrc_core::LrcEngine::checkpoint`]). Call at a synchronization
     /// point — right after a barrier episode, before any processor's next
     /// operation — so the cut is consistent.
-    pub fn checkpoint(&self) -> AnyCheckpoint {
-        self.cluster.engine.checkpoint()
+    ///
+    /// # Panics
+    ///
+    /// Panics if the protocol is eager.
+    pub fn checkpoint(&self) -> EngineCheckpoint {
+        self.cluster.lazy().checkpoint()
     }
 
-    /// Restores a checkpoint into this (freshly built, idle) runtime.
+    /// Restores a checkpoint into this (freshly built, idle) runtime
+    /// (lazy protocols only).
     ///
     /// # Errors
     ///
     /// Propagates [`CheckpointError`].
-    pub fn restore(&self, ckpt: &AnyCheckpoint) -> Result<(), CheckpointError> {
-        self.cluster.engine.restore(ckpt)
+    ///
+    /// # Panics
+    ///
+    /// Panics if the protocol is eager.
+    pub fn restore(&self, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
+        self.cluster.lazy().restore(ckpt)
     }
 
     /// Declares processor `p` dead on the survivors' behalf (lazy
@@ -376,7 +401,7 @@ impl Dsm {
     ///
     /// # Panics
     ///
-    /// Panics if `p` is out of range, already dead, or the engine is
+    /// Panics if `p` is out of range, already dead, or the protocol is
     /// eager.
     pub fn declare_dead(&self, p: ProcId) -> DeathReport {
         self.cluster.declare_dead(p)
@@ -396,8 +421,12 @@ impl Dsm {
     /// # Errors
     ///
     /// Propagates [`CheckpointError`].
-    pub fn rejoin(&self, p: ProcId, ckpt: &AnyCheckpoint) -> Result<(), CheckpointError> {
-        self.cluster.engine.rejoin(p, ckpt)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range or the protocol is eager.
+    pub fn rejoin(&self, p: ProcId, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
+        self.cluster.lazy().rejoin(p, ckpt)
     }
 
     // ---- self-healing runtime ----
@@ -406,7 +435,7 @@ impl Dsm {
     /// the checkpointer's chain (full cut plus deltas), with the engine
     /// episode count it covers. `None` without a
     /// [`crate::DsmBuilder::checkpoint_policy`] or before the first cut.
-    pub fn latest_checkpoint(&self) -> Option<(AnyCheckpoint, u64)> {
+    pub fn latest_checkpoint(&self) -> Option<(EngineCheckpoint, u64)> {
         self.cluster.recovery.as_ref()?.latest()
     }
 

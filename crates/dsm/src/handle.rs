@@ -224,7 +224,7 @@ impl ProcHandle {
                 // other processor is still parked below, so the cut is a
                 // consistent synchronization point.
                 if let Some(auto) = self.cluster.recovery.as_ref() {
-                    auto.maybe_cut(&self.cluster.engine);
+                    auto.maybe_cut(self.cluster.lazy());
                 }
                 let mut episodes = self.cluster.episodes.lock();
                 episodes[barrier.index()] += 1;

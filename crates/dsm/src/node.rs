@@ -54,9 +54,8 @@ use parking_lot::lockdep::classes;
 use parking_lot::Mutex;
 use std::thread::JoinHandle;
 
-use lrc_core::EngineOp;
+use lrc_core::{EngineCheckpoint, EngineOp};
 use lrc_net::{NetError, NodeId, Transport, WireCtx, WireKind, WireMsg, WireStats};
-use lrc_sim::AnyCheckpoint;
 use lrc_sync::{BarrierId, LockId};
 use lrc_vclock::ProcId;
 
@@ -433,18 +432,20 @@ impl NodeServer {
                     // A restarted incarnation announces itself. The rejoin
                     // handshake replaces the Hello: on success the node is
                     // greeted and the processor hosted fresh.
-                    let outcome = if proc.index() >= self.dsm.n_procs() {
+                    // Refused before the bytes are decoded: on an eager
+                    // runtime `Dsm::rejoin` panics, and peer input must
+                    // never reach a panic.
+                    let kind = self.dsm.kind();
+                    let outcome = if !kind.is_lazy() {
+                        Err(format!(
+                            "rejoin needs a lazy protocol (LI or LU), not {kind}"
+                        ))
+                    } else if proc.index() >= self.dsm.n_procs() {
                         Err(format!("processor {proc} out of range"))
                     } else {
-                        AnyCheckpoint::decode(&checkpoint)
+                        EngineCheckpoint::decode(&checkpoint)
+                            .and_then(|ckpt| self.dsm.rejoin(proc, &ckpt).map(|()| ckpt.episode))
                             .map_err(|e| e.to_string())
-                            .and_then(|ckpt| {
-                                self.dsm.rejoin(proc, &ckpt).map_err(|e| e.to_string())?;
-                                Ok(match &ckpt {
-                                    AnyCheckpoint::Lazy(c) => c.episode,
-                                    AnyCheckpoint::Eager(_) => 0,
-                                })
-                            })
                     };
                     // The rejoin revived the processor, so this only swaps
                     // the dead incarnation's worker and host for the
@@ -623,7 +624,8 @@ impl NodeClient {
     /// # Errors
     ///
     /// [`NodeError::Remote`] if the server rejects the checkpoint
-    /// (corrupt, incompatible, or the processor was never declared dead);
+    /// (corrupt, incompatible, the processor was never declared dead, or
+    /// the runtime is eager and has no checkpoint);
     /// [`NodeError::Net`] / [`NodeError::Protocol`] on transport trouble.
     pub fn rejoin(
         transport: impl Transport + 'static,
@@ -1134,6 +1136,53 @@ mod tests {
         let err = remote.release(LockId::new(0)).unwrap_err();
         assert!(matches!(err, NodeError::Remote(_)));
         assert!(err.to_string().contains("release"));
+        client.shutdown().unwrap();
+        serving.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn an_eager_server_refuses_a_rejoin_and_keeps_serving() {
+        // `Dsm::rejoin` panics on an eager runtime: a server that decoded
+        // the checkpoint and called it lost its serve thread, and the
+        // rejoining client waited forever for its reply.
+        let build = |kind| {
+            DsmBuilder::new(kind, 3, 1 << 14)
+                .page_size(512)
+                .build()
+                .unwrap()
+        };
+        let dsm = build(ProtocolKind::EagerInvalidate);
+        let mut mesh = ChannelNet::mesh(3);
+        let counter_end = mesh.pop().unwrap();
+        let rejoin_end = mesh.pop().unwrap();
+        let server = NodeServer::new(dsm.clone(), mesh.pop().unwrap());
+        let serving = std::thread::spawn(move || server.serve());
+
+        let (p1, p2, lock) = (ProcId::new(1), ProcId::new(2), LockId::new(0));
+        let checkpoint = build(ProtocolKind::LazyInvalidate).checkpoint().encode();
+        let (done, answered) = std::sync::mpsc::channel();
+        let rejoining = std::thread::spawn(move || {
+            let outcome = NodeClient::rejoin(rejoin_end, 0, p1, checkpoint);
+            let _ = done.send(outcome.map(|(_, episode)| episode));
+        });
+        match answered.recv_timeout(Duration::from_secs(10)) {
+            Ok(Err(NodeError::Remote(why))) => assert!(why.contains("LI or LU"), "{why}"),
+            other => panic!("the rejoin was not refused in time: {other:?}"),
+        }
+        rejoining.join().unwrap();
+
+        // The server keeps serving: another node greets and counts.
+        let client = NodeClient::connect(counter_end, 0, vec![p2]).unwrap();
+        let mut counter = client.handle(p2);
+        for _ in 0..10 {
+            counter.acquire(lock).unwrap();
+            let v = counter.read_u64(8).unwrap();
+            counter.write_u64(8, v + 1).unwrap();
+            counter.release(lock).unwrap();
+        }
+        counter.acquire(lock).unwrap();
+        assert_eq!(counter.read_u64(8).unwrap(), 10);
+        counter.release(lock).unwrap();
         client.shutdown().unwrap();
         serving.join().unwrap().unwrap();
     }

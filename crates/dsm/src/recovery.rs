@@ -1,20 +1,22 @@
 //! Self-healing runtime: automatic checkpoint cuts and revival from them.
 //!
 //! The crash-tolerance primitives (checkpoint / `declare_dead` / rejoin,
-//! see [`crate::Dsm`]) are manual: some caller must decide when to cut a
-//! checkpoint, where to keep it, and when a dead processor may come back.
-//! This module automates all three:
+//! see [`crate::Dsm`]) belong to the lazy protocols, and they are manual:
+//! some caller must decide when to cut a checkpoint, where to keep it,
+//! and when a dead processor may come back. This module automates all
+//! three, on lazy runtimes only — [`crate::DsmBuilder::build`] refuses a
+//! [`CheckpointPolicy`] on an eager one:
 //!
 //! * A [`CheckpointPolicy`] says *when* to cut — every N barrier episodes,
 //!   checked by the closing arrival while every other processor is still
 //!   parked. The runtime also cuts right before it processes a death.
 //!   Those are the only two cuts: both land at a synchronization point,
-//!   which is what [`lrc_core::Engine::checkpoint`] asks of its caller.
+//!   which is what [`lrc_core::LrcEngine::checkpoint`] asks of its caller.
 //! * The cuts are kept by the checkpointer itself, in memory, as one
-//!   chain: a full cut and the **deltas** shipped since
-//!   ([`lrc_core::CheckpointDelta`], lazy family only). The chain rebases
-//!   to a full cut when it grows past [`CheckpointPolicy::rebase_after`]
-//!   or the delta cannot be formed.
+//!   chain: a full [`EngineCheckpoint`] and the **deltas**
+//!   ([`lrc_core::CheckpointDelta`]) shipped since. The chain rebases to
+//!   a full cut when it grows past [`CheckpointPolicy::rebase_after`] or
+//!   the delta cannot be formed.
 //! * **Automatic revival**: when a driver for a dead processor shows up —
 //!   a reconnecting spoke's hello or rejoin handshake, an operation from
 //!   the processor's current host, or an explicit
@@ -32,8 +34,7 @@
 //! (`checkpoints_cut`, `delta_bytes`); GC rounds skipped while a dead
 //! processor's lease is live show up as `gc_deferrals`.
 
-use lrc_core::{CheckpointDelta, CheckpointError, EngineCheckpoint};
-use lrc_sim::{AnyCheckpoint, AnyEngine};
+use lrc_core::{CheckpointDelta, CheckpointError, EngineCheckpoint, LrcEngine};
 use lrc_vclock::ProcId;
 use parking_lot::lockdep::classes;
 use parking_lot::Mutex;
@@ -79,7 +80,7 @@ impl CheckpointPolicy {
 struct Chain {
     /// Engine episode count when the full cut was shipped.
     full_episode: u64,
-    /// The full cut, encoded with [`AnyCheckpoint::encode`].
+    /// The full cut, encoded with [`EngineCheckpoint::encode`].
     full: Vec<u8>,
     /// `(episode, bytes)` per delta, oldest first; each delta's bytes come
     /// from [`lrc_core::CheckpointDelta::encode`].
@@ -91,8 +92,8 @@ struct Chain {
 struct CutState {
     /// Engine episode count at the last cut (0 before any).
     last_episode: u64,
-    /// The previous lazy full state — the delta base. `None` before the
-    /// first cut and always on eager engines (which have no delta form).
+    /// The previous full state — the delta base. `None` before the
+    /// first cut.
     base: Option<EngineCheckpoint>,
     /// Everything shipped since the last full cut; `None` before the
     /// first cut.
@@ -131,12 +132,12 @@ impl AutoCheckpointer {
     /// frames no longer hold the dead processor's committed pages,
     /// poisoning its revival source. Once the lease expires and GC
     /// re-homes the pages (or the processor rejoins), cuts resume.
-    pub(crate) fn maybe_cut(&self, engine: &AnyEngine) {
+    pub(crate) fn maybe_cut(&self, engine: &LrcEngine) {
         if engine.awaiting_rejoin() {
             return;
         }
         let mut state = self.state.lock();
-        let episodes = engine.core().counters().barrier_episodes;
+        let episodes = engine.counters().barrier_episodes;
         let due = episodes.saturating_sub(state.last_episode) >= self.policy.every_episodes;
         if due || state.chain.is_none() {
             self.cut_locked(&mut state, engine);
@@ -146,23 +147,21 @@ impl AutoCheckpointer {
     /// Cuts unconditionally — used right before `declare_dead` (so the
     /// pre-death state is recoverable) and by the cold-join path (so a
     /// post-GC cut exists whose store era matches the live engine).
-    pub(crate) fn cut_now(&self, engine: &AnyEngine) {
+    pub(crate) fn cut_now(&self, engine: &LrcEngine) {
         let mut state = self.state.lock();
         self.cut_locked(&mut state, engine);
     }
 
-    /// The cut itself: capture the engine, push a delta when a lazy base
+    /// The cut itself: capture the engine, push a delta when a base
     /// exists and the chain has room, else start a new chain with a full
     /// cut.
-    fn cut_locked(&self, state: &mut CutState, engine: &AnyEngine) {
-        let episodes = engine.core().counters().barrier_episodes;
+    fn cut_locked(&self, state: &mut CutState, engine: &LrcEngine) {
+        let episodes = engine.counters().barrier_episodes;
         let cut = engine.checkpoint();
-        let delta = match (&cut, state.base.as_ref(), state.chain.as_mut()) {
-            (AnyCheckpoint::Lazy(full), Some(base), Some(chain))
-                if chain.deltas.len() < self.policy.max_chain =>
-            {
-                full.delta_since(base).ok().map(|d| {
-                    let bytes = d.encode(full.page_bytes, full.n_pages);
+        let delta = match (state.base.as_ref(), state.chain.as_mut()) {
+            (Some(base), Some(chain)) if chain.deltas.len() < self.policy.max_chain => {
+                cut.delta_since(base).ok().map(|d| {
+                    let bytes = d.encode(cut.page_bytes, cut.n_pages);
                     (chain, d.episode, bytes)
                 })
             }
@@ -185,32 +184,25 @@ impl AutoCheckpointer {
                 len
             }
         };
-        if let AnyCheckpoint::Lazy(full) = cut {
-            state.base = Some(full);
-        }
+        state.base = Some(cut);
         state.last_episode = episodes;
-        engine.core().note_checkpoint(shipped_bytes as u64);
+        engine.note_checkpoint(shipped_bytes as u64);
     }
 
     /// Reconstructs the newest recoverable checkpoint by folding the
     /// delta chain onto its full base. Returns the checkpoint and the
     /// episode count it was cut at.
-    pub(crate) fn latest(&self) -> Option<(AnyCheckpoint, u64)> {
+    pub(crate) fn latest(&self) -> Option<(EngineCheckpoint, u64)> {
         let state = self.state.lock();
         let chain = state.chain.as_ref()?;
-        match AnyCheckpoint::decode(&chain.full).ok()? {
-            AnyCheckpoint::Lazy(full) => {
-                let mut cut = full;
-                let mut episode = chain.full_episode;
-                for (delta_episode, bytes) in &chain.deltas {
-                    let delta = CheckpointDelta::decode(bytes).ok()?;
-                    cut = delta.apply_to(&cut).ok()?;
-                    episode = *delta_episode;
-                }
-                Some((AnyCheckpoint::Lazy(cut), episode))
-            }
-            eager @ AnyCheckpoint::Eager(_) => Some((eager, chain.full_episode)),
+        let mut cut = EngineCheckpoint::decode(&chain.full).ok()?;
+        let mut episode = chain.full_episode;
+        for (delta_episode, bytes) in &chain.deltas {
+            let delta = CheckpointDelta::decode(bytes).ok()?;
+            cut = delta.apply_to(&cut).ok()?;
+            episode = *delta_episode;
         }
+        Some((cut, episode))
     }
 }
 
@@ -225,21 +217,22 @@ impl Cluster {
             return false;
         };
         let _serialized = self.suspicion.lock();
-        if !self.engine.is_dead(p) {
+        let engine = self.lazy();
+        if !engine.is_dead(p) {
             return true;
         }
         let Some((cut, _)) = auto.latest() else {
             return false;
         };
-        match self.engine.rejoin(p, &cut) {
+        match engine.rejoin(p, &cut) {
             Ok(()) => true,
             Err(CheckpointError::LeaseExpired(_) | CheckpointError::Incompatible(_)) => {
                 // The shipped chain predates the GC era (or the death
                 // lease expired and GC moved on). Cold join: cut the
                 // live post-GC state and rejoin from that.
-                auto.cut_now(&self.engine);
+                auto.cut_now(engine);
                 match auto.latest() {
-                    Some((cut, _)) => self.engine.rejoin(p, &cut).is_ok(),
+                    Some((cut, _)) => engine.rejoin(p, &cut).is_ok(),
                     None => false,
                 }
             }

@@ -1,14 +1,12 @@
 use std::collections::HashMap;
 
-use lrc_core::{bump, CheckpointError, ConfigError, Engine, EngineCore, Frame, Policy, Protocol};
+use lrc_core::{bump, ConfigError, Engine, EngineCore, Policy, Protocol};
 use lrc_pagemem::{Diff, PageBuf, PageId};
 use lrc_simnet::{invalidation_bytes, MsgKind, BARRIER_ID_BYTES, LOCK_ID_BYTES, PAGE_ID_BYTES};
 use lrc_sync::{AcquirePath, BarrierId};
 use lrc_vclock::ProcId;
 use parking_lot::lockdep::classes;
 use parking_lot::Mutex;
-
-use crate::{EagerCheckpoint, EagerFrame};
 
 /// Directory entry: who caches the page and who reconciled it last.
 #[derive(Clone, Copy, Debug)]
@@ -81,7 +79,6 @@ impl Eager {
 impl Protocol for Eager {
     type ShardExt = ();
     type FrameExt = ();
-    type Checkpoint = EagerCheckpoint;
 
     fn new(core: &EngineCore) -> Result<Self, ConfigError> {
         // A silently ignored lease would promise a recovery that cannot
@@ -315,80 +312,6 @@ impl Protocol for Eager {
             shard.pages[gi].valid = true;
         }
         dir.lock()[gi].copyset |= bit(p);
-    }
-
-    /// The directory plus each processor's committed frames.
-    fn checkpoint(e: &EagerEngine) -> EagerCheckpoint {
-        let n = e.params().n_procs;
-        let dir = e.protocol().dir.lock();
-        let dir = dir.iter().map(|d| (d.copyset, d.owner)).collect();
-        let procs = ProcId::all(n)
-            .map(|p| {
-                let shard = e.shard(p);
-                let frames = shard.pages.iter().enumerate();
-                frames
-                    .filter(|(_, entry)| entry.copy.is_some() || entry.valid)
-                    .map(|(gi, entry)| EagerFrame {
-                        page: PageId::new(gi as u32),
-                        contents: entry.committed().map(|c| c.as_bytes().to_vec()),
-                        valid: entry.valid,
-                    })
-                    .collect()
-            })
-            .collect();
-        EagerCheckpoint {
-            n_procs: n,
-            page_bytes: e.space().page_size().bytes(),
-            n_pages: e.space().n_pages() as usize,
-            dir,
-            procs,
-        }
-    }
-
-    /// Directory and frames are replaced.
-    fn restore(e: &EagerEngine, ckpt: &EagerCheckpoint) -> Result<(), CheckpointError> {
-        let page_size = e.space().page_size();
-        let shape = (
-            e.params().n_procs,
-            page_size.bytes(),
-            e.space().n_pages() as usize,
-        );
-        if (ckpt.n_procs, ckpt.page_bytes, ckpt.n_pages) != shape
-            || ckpt.dir.len() != shape.2
-            || ckpt.procs.len() != shape.0
-        {
-            return Err(CheckpointError::Incompatible(format!(
-                "checkpoint is {}×{}B×{} pages, engine is {}×{}B×{}",
-                ckpt.n_procs, ckpt.page_bytes, ckpt.n_pages, shape.0, shape.1, shape.2
-            )));
-        }
-        let frames = ckpt.procs.iter().flatten();
-        if frames
-            .filter_map(|f| f.contents.as_ref())
-            .any(|c| c.len() != shape.1)
-        {
-            return Err(CheckpointError::Incompatible(
-                "frame contents are not page-sized".into(),
-            ));
-        }
-        *e.protocol().dir.lock() = ckpt
-            .dir
-            .iter()
-            .map(|&(copyset, owner)| DirEntry { copyset, owner })
-            .collect();
-        for p in ProcId::all(shape.0) {
-            let mut shard = e.shard(p);
-            shard.dirty.clear();
-            shard.pages.fill_with(Frame::default);
-            for frame in &ckpt.procs[p.index()] {
-                shard.pages[frame.page.index()].install(
-                    frame.contents.as_deref(),
-                    frame.valid,
-                    page_size,
-                );
-            }
-        }
-        Ok(())
     }
 }
 

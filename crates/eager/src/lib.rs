@@ -34,13 +34,16 @@
 //! Eager RC pushes a processor's modifications at release time, so what a
 //! crashed processor had not yet released is simply gone and what it had
 //! is already everywhere: there is nothing to catch a rejoiner up *with*.
-//! The baseline therefore stops at whole-runtime checkpoint/restore —
-//! [`EagerCheckpoint`] (`ERCK`) serves replay, `Dsm::restore` and the
-//! byte fixtures — and every per-processor recovery entry point is a
-//! typed refusal, never a silent no-op: `declare_dead` panics, `rejoin`
-//! returns `CheckpointError::Unsupported`, and `holder_timeout` /
-//! `death_lease` fail the build of an eager runtime or engine with
-//! [`ConfigError::LazyOnly`](lrc_core::ConfigError::LazyOnly).
+//! Nor is there a whole-runtime checkpoint: the engine is deterministic,
+//! so replaying a run's prefix restores any of its states. Checkpointing
+//! is the lazy engine's ([`lrc_core::EngineCheckpoint`]). Every recovery
+//! entry point refuses, never a silent no-op: the options that select
+//! recovery — `holder_timeout`, `death_lease` and `checkpoint_policy` —
+//! fail the build of an eager runtime or engine with
+//! [`ConfigError::LazyOnly`](lrc_core::ConfigError::LazyOnly), a rejoin
+//! handshake at an eager node server gets a typed error reply, and a
+//! direct `checkpoint`, `restore`, `rejoin` or `declare_dead` call on an
+//! eager runtime panics.
 //!
 //! # Example
 //!
@@ -70,8 +73,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod checkpoint;
 mod engine;
 
-pub use checkpoint::{EagerCheckpoint, EagerFrame};
 pub use engine::{Eager, EagerEngine};

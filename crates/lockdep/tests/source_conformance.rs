@@ -327,14 +327,14 @@ fn size_report(root: &Path) -> String {
         for (rel, code) in product_code(root, &dir.join("src")) {
             lines += code.len();
             pub_items += code.iter().filter(|l| is_pub_item(l)).count();
-            let matching = |pred: &dyn Fn(&str) -> bool| code.iter().filter(|l| pred(l)).count();
+            let lines_with = |prefix: &str, part: &str| {
+                code.iter()
+                    .filter(|l| l.starts_with(prefix) && l.contains(part))
+                    .count()
+            };
             match rel.as_str() {
-                "crates/dsm/src/builder.rs" => {
-                    setters += matching(&|l| l.starts_with("pub fn ") && l.contains("(mut self"))
-                }
-                "crates/lockdep/src/classes.rs" => {
-                    classes += matching(&|l| l.starts_with("pub const "))
-                }
+                "crates/dsm/src/builder.rs" => setters += lines_with("pub fn ", "(mut self"),
+                "crates/lockdep/src/classes.rs" => classes += lines_with("pub const ", ""),
                 _ => {}
             }
             for (word, count) in &mut sites {

@@ -1,8 +1,5 @@
-use lrc_core::{
-    CheckpointError, ConfigError, DeathReport, Engine, EngineCheckpoint, EngineCore, EngineParams,
-    LrcEngine,
-};
-use lrc_eager::{EagerCheckpoint, EagerEngine};
+use lrc_core::{ConfigError, Engine, EngineCore, EngineParams, LrcEngine};
+use lrc_eager::EagerEngine;
 use lrc_simnet::{MsgRecord, NetStats};
 use lrc_sync::{BarrierArrival, BarrierError, BarrierId, LockError, LockId};
 use lrc_vclock::ProcId;
@@ -16,7 +13,9 @@ use crate::ProtocolKind;
 /// Everything the families share — recorder and fetch-hook attachment,
 /// counters, the fabric, lock and barrier diagnostics — is reached through
 /// [`AnyEngine::core`]; only the operations whose protocol hooks differ
-/// dispatch on the family.
+/// dispatch on the family. Crash tolerance — checkpoints, deaths,
+/// rejoins — belongs to the lazy engine alone, reached through
+/// [`AnyEngine::as_lazy`].
 // The variants' sizes diverge as the lazy engine grows recovery state,
 // but every construction site makes exactly one engine and keeps it for
 // the whole run — boxing would tax every access to save one allocation.
@@ -141,124 +140,10 @@ impl AnyEngine {
         }
     }
 
-    // ---- crash tolerance ----
-
-    /// Captures a checkpoint of either engine family. Call at a
-    /// synchronization point so the cut is consistent (see
-    /// [`Engine::checkpoint`]).
-    pub fn checkpoint(&self) -> AnyCheckpoint {
-        match self {
-            AnyEngine::Lazy(e) => AnyCheckpoint::Lazy(e.checkpoint()),
-            AnyEngine::Eager(e) => AnyCheckpoint::Eager(e.checkpoint()),
-        }
-    }
-
-    /// Restores a checkpoint into this (freshly built) engine.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Incompatible`] if the checkpoint belongs to the
-    /// other engine family or describes a different shape.
-    pub fn restore(&self, ckpt: &AnyCheckpoint) -> Result<(), CheckpointError> {
-        match (self, ckpt) {
-            (AnyEngine::Lazy(e), AnyCheckpoint::Lazy(c)) => e.restore(c),
-            (AnyEngine::Eager(e), AnyCheckpoint::Eager(c)) => e.restore(c),
-            _ => Err(CheckpointError::Incompatible(
-                "checkpoint belongs to the other engine family".into(),
-            )),
-        }
-    }
-
-    /// Declares a processor dead (lazy engines only — see
-    /// [`lrc_core::LrcEngine::declare_dead`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an eager engine: the eager baseline has no crash story.
-    pub fn declare_dead(&self, p: ProcId) -> DeathReport {
-        self.as_lazy()
-            .expect("crash tolerance is a lazy-engine feature")
-            .declare_dead(p)
-    }
-
     /// Whether a processor is declared dead (always `false` on eager
     /// engines, which have no crash story).
     pub fn is_dead(&self, p: ProcId) -> bool {
         self.as_lazy().is_some_and(|e| e.is_dead(p))
-    }
-
-    /// Whether any processor is dead with an unexpired rejoin lease (see
-    /// [`lrc_core::LrcEngine::awaiting_rejoin`]; always `false` on eager
-    /// engines).
-    pub fn awaiting_rejoin(&self) -> bool {
-        self.as_lazy().is_some_and(LrcEngine::awaiting_rejoin)
-    }
-
-    /// Rejoins a dead processor from a checkpoint (lazy engines only —
-    /// see [`lrc_core::LrcEngine::rejoin`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CheckpointError`]. An eager *engine* cannot rejoin at
-    /// all — that is [`CheckpointError::Unsupported`] (no checkpoint could
-    /// make it work). A lazy engine handed an eager *checkpoint* is
-    /// [`CheckpointError::Incompatible`] (a matching checkpoint would).
-    pub fn rejoin(&self, p: ProcId, ckpt: &AnyCheckpoint) -> Result<(), CheckpointError> {
-        let Some(engine) = self.as_lazy() else {
-            return Err(CheckpointError::Unsupported(
-                "rejoin is a lazy-engine feature; the eager baseline has no crash story".into(),
-            ));
-        };
-        let AnyCheckpoint::Lazy(ckpt) = ckpt else {
-            return Err(CheckpointError::Incompatible(
-                "cannot rejoin a lazy engine from an eager-family checkpoint".into(),
-            ));
-        };
-        engine.rejoin(p, ckpt)
-    }
-}
-
-/// A checkpoint of either engine family (the [`AnyEngine`] counterpart of
-/// [`EngineCheckpoint`] and [`EagerCheckpoint`]).
-#[derive(Clone, PartialEq, Debug)]
-pub enum AnyCheckpoint {
-    /// A lazy engine's checkpoint.
-    Lazy(EngineCheckpoint),
-    /// An eager engine's checkpoint.
-    Eager(EagerCheckpoint),
-}
-
-impl AnyCheckpoint {
-    /// Serializes the checkpoint, tagged with its family.
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            AnyCheckpoint::Lazy(c) => {
-                let mut out = vec![0u8];
-                out.extend_from_slice(&c.encode());
-                out
-            }
-            AnyCheckpoint::Eager(c) => {
-                let mut out = vec![1u8];
-                out.extend_from_slice(&c.encode());
-                out
-            }
-        }
-    }
-
-    /// Deserializes a checkpoint produced by [`AnyCheckpoint::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CheckpointError::Corrupt`].
-    pub fn decode(bytes: &[u8]) -> Result<AnyCheckpoint, CheckpointError> {
-        match bytes.first() {
-            Some(0) => Ok(AnyCheckpoint::Lazy(EngineCheckpoint::decode(&bytes[1..])?)),
-            Some(1) => Ok(AnyCheckpoint::Eager(EagerCheckpoint::decode(&bytes[1..])?)),
-            Some(tag) => Err(CheckpointError::Corrupt(format!(
-                "unknown checkpoint family tag {tag}"
-            ))),
-            None => Err(CheckpointError::Corrupt("empty checkpoint".into())),
-        }
     }
 }
 
@@ -310,43 +195,5 @@ mod tests {
         let mut bad = params();
         bad.page_bytes = 1000;
         assert!(AnyEngine::build(ProtocolKind::LazyInvalidate, &bad).is_err());
-    }
-
-    #[test]
-    fn checkpoint_round_trips_through_either_family() {
-        for kind in ProtocolKind::ALL {
-            let e = AnyEngine::build(kind, &params()).unwrap();
-            let (p0, p1) = (ProcId::new(0), ProcId::new(1));
-            let l = LockId::new(0);
-            e.acquire(p0, l).unwrap();
-            e.write(p0, 8, &[9, 9]);
-            e.release(p0, l).unwrap();
-            e.acquire(p1, l).unwrap();
-            let mut buf = [0u8; 2];
-            e.read_into(p1, 8, &mut buf);
-            e.release(p1, l).unwrap();
-
-            let ckpt = e.checkpoint();
-            let decoded = AnyCheckpoint::decode(&ckpt.encode()).unwrap();
-            assert_eq!(decoded, ckpt, "{kind}");
-            assert_eq!(matches!(ckpt, AnyCheckpoint::Lazy(_)), kind.is_lazy());
-
-            let fresh = AnyEngine::build(kind, &params()).unwrap();
-            fresh.restore(&ckpt).unwrap();
-            let mut buf = [0u8; 2];
-            fresh.read_into(p1, 8, &mut buf);
-            assert_eq!(buf, [9, 9], "{kind}");
-
-            // Cross-family restore must be refused, not misread.
-            let other = ProtocolKind::ALL
-                .into_iter()
-                .find(|k| k.is_lazy() != kind.is_lazy())
-                .unwrap();
-            let wrong = AnyEngine::build(other, &params()).unwrap();
-            assert!(matches!(
-                wrong.restore(&ckpt),
-                Err(CheckpointError::Incompatible(_))
-            ));
-        }
     }
 }

@@ -59,7 +59,7 @@ mod protocol;
 mod runner;
 mod sweep;
 
-pub use engine_any::{AnyCheckpoint, AnyEngine};
+pub use engine_any::AnyEngine;
 pub use lrc_core::EngineParams;
 pub use matrix::{run_traced, CommMatrix};
 pub use protocol::ProtocolKind;

@@ -6,16 +6,14 @@
 //! * `fixtures/golden_traffic.txt` — messages and bytes per [`OpClass`]
 //!   plus retained history bytes for every application × protocol × page
 //!   size at a small fixed scale, and the three lazy ablations on LI.
-//! * `fixtures/{lrck,lrcd,erck}.hex` — a lazy checkpoint, a lazy delta and
-//!   an eager checkpoint of one deterministic script, hex-encoded.
+//! * `fixtures/{lrck,lrcd}.hex` — a checkpoint and a delta of one
+//!   deterministic script on the lazy engine, hex-encoded.
 //!
 //! A fixture changes only together with a deliberate change to the
 //! traffic model or a wire format, never as a side effect.
 
-use lrc::core::{CheckpointDelta, CheckpointError, EngineCheckpoint};
-use lrc::sim::{
-    run_trace, AnyCheckpoint, AnyEngine, EngineParams, ProtocolKind, RunReport, SimOptions,
-};
+use lrc::core::{CheckpointDelta, CheckpointError, EngineCheckpoint, LrcEngine, Policy};
+use lrc::sim::{run_trace, EngineParams, ProtocolKind, RunReport, SimOptions};
 use lrc::simnet::OpClass;
 use lrc::sync::{BarrierId, LockId};
 use lrc::vclock::ProcId;
@@ -139,7 +137,7 @@ fn assert_bytes_eq(what: &str, got: &[u8], want: &[u8]) {
     );
 }
 
-fn fixture_engine(kind: ProtocolKind) -> AnyEngine {
+fn fixture_engine() -> LrcEngine {
     let params = EngineParams {
         n_procs: 3,
         mem_bytes: 1 << 12,
@@ -149,7 +147,7 @@ fn fixture_engine(kind: ProtocolKind) -> AnyEngine {
         gc_at_barriers: true,
         ..EngineParams::default()
     };
-    AnyEngine::build(kind, &params).unwrap()
+    LrcEngine::new(Policy::Invalidate, &params).unwrap()
 }
 
 fn p(i: u16) -> ProcId {
@@ -157,7 +155,7 @@ fn p(i: u16) -> ProcId {
 }
 
 /// One committed round of lock-protected work over pages 0, 1, 2 and 4.
-fn phase(e: &AnyEngine, salt: u64) {
+fn phase(e: &LrcEngine, salt: u64) {
     let (l0, l1) = (LockId::new(0), LockId::new(1));
     e.acquire(p(0), l0).unwrap();
     e.write(p(0), 8, &(100 + salt).to_le_bytes());
@@ -173,10 +171,10 @@ fn phase(e: &AnyEngine, salt: u64) {
     e.release(p(2), l1).unwrap();
 }
 
-/// Runs the script up to the first cut: a phase, a barrier (under the lazy
-/// engine a garbage collection, so the owner table is populated), another
-/// phase, and a bare lock hand-off that leaves unapplied notices at p2.
-fn run_to_first_cut(e: &AnyEngine) {
+/// Runs the script up to the first cut: a phase, a barrier (a garbage
+/// collection, so the owner table is populated), another phase, and a
+/// bare lock hand-off that leaves unapplied notices at p2.
+fn run_to_first_cut(e: &LrcEngine) {
     phase(e, 1);
     for i in 0..3 {
         e.barrier(p(i), BarrierId::new(0)).unwrap();
@@ -186,31 +184,20 @@ fn run_to_first_cut(e: &AnyEngine) {
     e.release(p(2), LockId::new(0)).unwrap();
 }
 
-fn lazy_cut(e: &AnyEngine) -> EngineCheckpoint {
-    match e.checkpoint() {
-        AnyCheckpoint::Lazy(c) => c,
-        AnyCheckpoint::Eager(_) => panic!("lazy engine cut an eager checkpoint"),
-    }
-}
-
 #[test]
 fn lazy_checkpoint_and_delta_encode_byte_identically() {
     let lrck = unhex(include_str!("fixtures/lrck.hex"));
     let lrcd = unhex(include_str!("fixtures/lrcd.hex"));
 
-    let live = fixture_engine(ProtocolKind::LazyInvalidate);
+    let live = fixture_engine();
     run_to_first_cut(&live);
-    let base = lazy_cut(&live);
+    let base = live.checkpoint();
     assert!(base.owners.iter().any(Option::is_some), "owners populated");
     assert!(!base.store.is_empty(), "store populated");
-    assert_bytes_eq(
-        "the live LRCK cut",
-        &AnyCheckpoint::Lazy(base.clone()).encode(),
-        &lrck,
-    );
+    assert_bytes_eq("the live LRCK cut", &base.encode(), &lrck);
 
     phase(&live, 3);
-    let next = lazy_cut(&live);
+    let next = live.checkpoint();
     let delta = next.delta_since(&base).unwrap();
     assert!(!delta.store_replaced, "same era: an additive delta");
     assert_bytes_eq(
@@ -220,7 +207,7 @@ fn lazy_checkpoint_and_delta_encode_byte_identically() {
     );
 
     // Fixture → decode → re-encode, and the delta rebuilds the next cut.
-    let decoded = AnyCheckpoint::decode(&lrck).expect("LRCK fixture decodes");
+    let decoded = EngineCheckpoint::decode(&lrck).expect("LRCK fixture decodes");
     assert_bytes_eq("the re-encoded LRCK fixture", &decoded.encode(), &lrck);
     let decoded_delta = CheckpointDelta::decode(&lrcd).expect("LRCD fixture decodes");
     assert_bytes_eq(
@@ -232,36 +219,12 @@ fn lazy_checkpoint_and_delta_encode_byte_identically() {
 
     // Fixture → restore into a fresh engine → cut again. The episode
     // counter is engine statistics, not restored state.
-    let fresh = fixture_engine(ProtocolKind::LazyInvalidate);
+    let fresh = fixture_engine();
     fresh.restore(&decoded).expect("same-shape restore");
-    let mut again = lazy_cut(&fresh);
+    let mut again = fresh.checkpoint();
     assert_eq!(again.episode, 0);
     again.episode = base.episode;
-    assert_bytes_eq(
-        "the cut of the restored engine",
-        &AnyCheckpoint::Lazy(again).encode(),
-        &lrck,
-    );
-}
-
-#[test]
-fn eager_checkpoint_encodes_byte_identically() {
-    let erck = unhex(include_str!("fixtures/erck.hex"));
-
-    let live = fixture_engine(ProtocolKind::EagerInvalidate);
-    run_to_first_cut(&live);
-    assert_bytes_eq("the live ERCK cut", &live.checkpoint().encode(), &erck);
-
-    let decoded = AnyCheckpoint::decode(&erck).expect("ERCK fixture decodes");
-    assert_bytes_eq("the re-encoded ERCK fixture", &decoded.encode(), &erck);
-
-    let fresh = fixture_engine(ProtocolKind::EagerInvalidate);
-    fresh.restore(&decoded).expect("same-shape restore");
-    assert_bytes_eq(
-        "the cut of the restored engine",
-        &fresh.checkpoint().encode(),
-        &erck,
-    );
+    assert_bytes_eq("the cut of the restored engine", &again.encode(), &lrck);
 }
 
 // ---- a cut that travels is refused at the door ----
@@ -271,17 +234,17 @@ fn eager_checkpoint_encodes_byte_identically() {
 // opens with interval p0:2, whose first diff is one run at byte 8 of page
 // 0; the second entry is interval p1:2.
 
-const FIRST_DIFF_PAGE_AT: usize = 95;
-const FIRST_RUN_OFFSET_AT: usize = 107;
-const SECOND_ENTRY_ID_AT: usize = 145;
+const FIRST_DIFF_PAGE_AT: usize = 94;
+const FIRST_RUN_OFFSET_AT: usize = 106;
+const SECOND_ENTRY_ID_AT: usize = 144;
 
 /// Decodes the LRCK fixture with `patch` written over the bytes at `at`,
 /// which must currently hold `was`.
-fn decode_patched_lrck(at: usize, was: &[u8], patch: &[u8]) -> Result<AnyCheckpoint, String> {
+fn decode_patched_lrck(at: usize, was: &[u8], patch: &[u8]) -> Result<EngineCheckpoint, String> {
     let mut lrck = unhex(include_str!("fixtures/lrck.hex"));
     assert_eq!(&lrck[at..at + was.len()], was, "fixture layout moved");
     lrck[at..at + patch.len()].copy_from_slice(patch);
-    AnyCheckpoint::decode(&lrck).map_err(|e| match e {
+    EngineCheckpoint::decode(&lrck).map_err(|e| match e {
         CheckpointError::Corrupt(why) => why,
         other => panic!("expected Corrupt, got {other:?}"),
     })

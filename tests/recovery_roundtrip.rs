@@ -1,14 +1,15 @@
 //! Checkpoint/restore round trips at the runtime level: a checkpoint cut
 //! from a live [`Dsm`], serialized, decoded, and restored into a fresh
-//! runtime must resume *identically* — under every protocol family — and
-//! incremental deltas between barrier-episode checkpoints must
-//! reconstruct the full snapshot exactly.
+//! runtime must resume *identically* — under both lazy protocols, the
+//! only ones with a checkpoint — and incremental deltas between
+//! barrier-episode checkpoints must reconstruct the full snapshot
+//! exactly.
 
 use std::time::Duration;
 
-use lrc::core::CheckpointError;
+use lrc::core::{CheckpointError, EngineCheckpoint};
 use lrc::dsm::{CheckpointPolicy, Dsm, DsmBuilder};
-use lrc::sim::{AnyCheckpoint, ProtocolKind};
+use lrc::sim::ProtocolKind;
 use lrc::sync::{BarrierId, LockId};
 use lrc::vclock::ProcId;
 use proptest::prelude::*;
@@ -56,16 +57,16 @@ fn read_all(dsm: &Dsm, p: ProcId) -> Vec<u8> {
 
 /// Checkpoint → encode → decode → restore into a fresh runtime, then run
 /// the same continuation on both: final memory must be byte-identical,
-/// for every protocol family.
+/// under either lazy policy.
 #[test]
-fn restored_runtime_resumes_identically_across_all_kinds() {
-    for kind in ProtocolKind::ALL {
+fn restored_runtime_resumes_identically_under_both_lazy_kinds() {
+    for kind in [ProtocolKind::LazyInvalidate, ProtocolKind::LazyUpdate] {
         let original = build(kind);
         committed_phase(&original, 1);
 
         let ckpt = original.checkpoint();
         let bytes = ckpt.encode();
-        let decoded = AnyCheckpoint::decode(&bytes).expect("round trip");
+        let decoded = EngineCheckpoint::decode(&bytes).expect("round trip");
         assert_eq!(decoded, ckpt, "{kind}: codec round trip");
 
         let restored = build(kind);
@@ -93,13 +94,9 @@ fn restored_runtime_resumes_identically_across_all_kinds() {
 fn incremental_deltas_reconstruct_the_full_checkpoint() {
     let dsm = build(ProtocolKind::LazyInvalidate);
     committed_phase(&dsm, 1);
-    let AnyCheckpoint::Lazy(base) = dsm.checkpoint() else {
-        panic!("lazy runtime cuts lazy checkpoints");
-    };
+    let base = dsm.checkpoint();
     committed_phase(&dsm, 2);
-    let AnyCheckpoint::Lazy(full) = dsm.checkpoint() else {
-        panic!("lazy runtime cuts lazy checkpoints");
-    };
+    let full = dsm.checkpoint();
 
     let delta = full.delta_since(&base).expect("same run, same era");
     assert_eq!(
@@ -151,59 +148,13 @@ fn mid_interval_checkpoint_captures_committed_state_only() {
     assert_eq!(r2.read_u64(8), 0xDEAD, "the committed write is captured");
 }
 
-/// Rejoin is a lazy-engine feature: asking an eager runtime to rejoin a
-/// processor is refused with the *typed* [`CheckpointError::Unsupported`]
-/// — a property of the engine, distinct from [`CheckpointError::Incompatible`]
-/// (a property of the checkpoint), so callers can tell "retry with a
-/// better checkpoint" apart from "this engine has no crash story".
-#[test]
-fn rejoin_on_an_eager_engine_is_a_typed_unsupported_error() {
-    for kind in [ProtocolKind::EagerInvalidate, ProtocolKind::EagerUpdate] {
-        let dsm = build(kind);
-        committed_phase(&dsm, 1);
-        let ckpt = dsm.checkpoint();
-        match dsm.rejoin(ProcId::new(1), &ckpt) {
-            Err(CheckpointError::Unsupported(why)) => assert!(
-                why.contains("lazy"),
-                "{kind}: the refusal should name the supported family, got: {why}"
-            ),
-            other => panic!("{kind}: expected Unsupported, got {other:?}"),
-        }
-        // The refusal is a clean no-op: the runtime stays fully usable.
-        committed_phase(&dsm, 2);
-    }
-
-    // The complementary confusion — a lazy engine offered an eager-family
-    // checkpoint — is the checkpoint's fault, not the engine's.
-    let lazy = build(ProtocolKind::LazyInvalidate);
-    let eager = build(ProtocolKind::EagerInvalidate);
-    committed_phase(&eager, 1);
-    assert!(matches!(
-        lazy.rejoin(ProcId::new(1), &eager.checkpoint()),
-        Err(CheckpointError::Incompatible(_))
-    ));
-}
-
-/// Family and shape mismatches are rejected, and corrupt bytes are
-/// reported as corrupt — never misdecoded.
+/// Shape mismatches are rejected, and corrupt bytes are reported as
+/// corrupt — never misdecoded.
 #[test]
 fn incompatible_and_corrupt_checkpoints_are_rejected() {
     let lazy = build(ProtocolKind::LazyInvalidate);
-    let eager = build(ProtocolKind::EagerInvalidate);
     committed_phase(&lazy, 1);
-    committed_phase(&eager, 1);
-
-    // Cross-family restores are refused.
     let from_lazy = lazy.checkpoint();
-    let from_eager = eager.checkpoint();
-    assert!(matches!(
-        eager.restore(&from_lazy),
-        Err(CheckpointError::Incompatible(_))
-    ));
-    assert!(matches!(
-        lazy.restore(&from_eager),
-        Err(CheckpointError::Incompatible(_))
-    ));
 
     // Shape mismatches are refused: a 4-processor runtime cannot swallow
     // a 2-processor checkpoint.
@@ -216,19 +167,19 @@ fn incompatible_and_corrupt_checkpoints_are_rejected() {
         Err(CheckpointError::Incompatible(_))
     ));
 
-    // Truncated and tag-mangled bytes are corrupt, loudly.
+    // Truncated and magic-mangled bytes are corrupt, loudly.
     let mut bytes = from_lazy.encode();
     assert!(matches!(
-        AnyCheckpoint::decode(&bytes[..bytes.len() - 3]),
+        EngineCheckpoint::decode(&bytes[..bytes.len() - 3]),
         Err(CheckpointError::Corrupt(_))
     ));
-    bytes[0] = 9; // unknown family tag
+    bytes[0] = 9; // not the `LRCK` magic
     assert!(matches!(
-        AnyCheckpoint::decode(&bytes),
+        EngineCheckpoint::decode(&bytes),
         Err(CheckpointError::Corrupt(_))
     ));
     assert!(matches!(
-        AnyCheckpoint::decode(&[]),
+        EngineCheckpoint::decode(&[]),
         Err(CheckpointError::Corrupt(_))
     ));
 }
@@ -372,16 +323,12 @@ proptest! {
     fn delta_chains_fold_back_to_the_full_cut(salts in prop::collection::vec(0u64..50, 1..6)) {
         let dsm = build(ProtocolKind::LazyInvalidate);
         committed_phase(&dsm, 99);
-        let AnyCheckpoint::Lazy(origin) = dsm.checkpoint() else {
-            panic!("lazy runtime cuts lazy checkpoints");
-        };
+        let origin = dsm.checkpoint();
         let mut base = origin.clone();
         let mut chain = Vec::new();
         for &salt in &salts {
             committed_phase(&dsm, salt);
-            let AnyCheckpoint::Lazy(full) = dsm.checkpoint() else {
-                panic!("lazy runtime cuts lazy checkpoints");
-            };
+            let full = dsm.checkpoint();
             let delta = full.delta_since(&base).expect("same run, same era");
             let bytes = delta.encode(full.page_bytes, full.n_pages);
             let decoded = lrc::core::CheckpointDelta::decode(&bytes).expect("delta round trip");
