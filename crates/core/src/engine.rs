@@ -17,7 +17,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
 use lrc_hist::HistoryRecorder;
-use lrc_pagemem::{AddrSpace, PageId};
+use lrc_pagemem::{AddrSpace, PageBuf, PageId};
 use lrc_simnet::Fabric;
 use lrc_sync::{
     AcquirePath, BarrierArrival, BarrierError, BarrierId, BarrierSet, LockError, LockId, LockTable,
@@ -386,6 +386,11 @@ pub struct Shard<P: Protocol> {
     pub pages: Vec<Frame<P::FrameExt>>,
     /// Pages dirtied since the last interval close or flush.
     pub dirty: Vec<PageId>,
+    /// Buffers of consumed twins, for the next first writes to take
+    /// ([`Frame::ensure_twin`], [`Frame::close_twin`]). A buffer returns
+    /// here when its twin is consumed, so the list never holds more than
+    /// the largest dirty set the shard has had.
+    pub spare_twins: Vec<PageBuf>,
     /// The protocol's per-processor state.
     pub ext: P::ShardExt,
 }
@@ -496,6 +501,7 @@ impl<P: Protocol> Engine<P> {
                         .map(|_| Frame::default())
                         .collect(),
                     dirty: Vec::new(),
+                    spare_twins: Vec::new(),
                     ext: P::new_ext(&core, p),
                 };
                 Mutex::new_in(shard, classes::ENGINE_SHARD)
@@ -618,18 +624,16 @@ impl<P: Protocol> Engine<P> {
         for seg in self.core.space.segments(addr, data.len()) {
             loop {
                 {
-                    let mut shard = self.shard(p);
+                    let mut guard = self.shard(p);
+                    let shard = &mut *guard;
                     assert!(!P::is_dead(&shard.ext), "write by dead processor {p}");
-                    let gi = seg.page.index();
-                    if shard.pages[gi].valid {
-                        if !shard.pages[gi].is_dirty() {
-                            shard.pages[gi].ensure_twin();
+                    let frame = &mut shard.pages[seg.page.index()];
+                    if frame.valid {
+                        if !frame.is_dirty() {
+                            frame.ensure_twin(&mut shard.spare_twins);
                             shard.dirty.push(seg.page);
                         }
-                        let copy = shard.pages[gi]
-                            .copy
-                            .as_mut()
-                            .expect("valid page has a copy");
+                        let copy = frame.copy.as_mut().expect("valid page has a copy");
                         copy.write(seg.offset, &data[cursor..cursor + seg.len]);
                         break;
                     }

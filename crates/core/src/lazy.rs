@@ -18,9 +18,10 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 use crate::counters::bump;
 use crate::engine::{Engine, EngineCore, Protocol, Shard};
+use crate::plan::{FetchPlan, Planned, Source};
 use crate::{
-    CheckpointError, ConfigError, EngineCheckpoint, FetchPlan, Frame, FrameCheckpoint,
-    IntervalStore, Policy, ProcCheckpoint, ProtocolMutation, WriteNotice,
+    CheckpointError, ConfigError, EngineCheckpoint, Frame, FrameCheckpoint, IntervalStore, Policy,
+    ProcCheckpoint, ProtocolMutation, WriteNotice,
 };
 
 /// The lazy protocol's shared state: the interval store plus the
@@ -100,13 +101,13 @@ pub struct DeathReport {
     pub completed_episodes: Vec<(BarrierId, u64)>,
 }
 
-/// A processor's transferable knowledge: its clock with the own entry
-/// lowered to the last *closed* interval.
-fn knowledge_of(clock: &VectorClock, p: ProcId) -> VectorClock {
-    let mut vc = clock.clone();
-    let open = vc.get(p);
-    vc.set(p, open - 1);
-    vc
+/// Merges processor `r`'s transferable knowledge into `into`: `clock`,
+/// `r`'s own clock, with `r`'s entry one lower — its last *closed*
+/// interval, not the open one. The clock is read in place, not copied.
+fn merge_knowledge(into: &mut VectorClock, clock: &VectorClock, r: ProcId) {
+    let own = into.get(r);
+    into.merge(clock);
+    into.set(r, own.max(clock.get(r).saturating_sub(1)));
 }
 
 /// Wire size of a batch of write notices: one header per distinct
@@ -133,10 +134,11 @@ fn hb_key(store: &IntervalStore, iv: IntervalId) -> (u64, ProcId, u32) {
 /// Only the size is charged here, and the size of a squash depends on
 /// which bytes the chain covers — not on their values, nor on the order
 /// of the chain — so [`Diff::squashed_size`] reads no data byte.
-fn chain_bytes<'a>(chain: impl ExactSizeIterator<Item = &'a Diff> + Clone) -> u64 {
-    let size = match chain.len() {
+fn chain_bytes<'a>(chain: impl Iterator<Item = &'a Diff> + Clone) -> u64 {
+    let mut first_two = chain.clone();
+    let size = match (first_two.next(), first_two.next()) {
         // A lone diff ships as it is.
-        1 => chain.clone().next().map_or(0, Diff::encoded_size),
+        (Some(lone), None) => lone.encoded_size(),
         _ => {
             let size = Diff::squashed_size(chain.clone());
             debug_assert_eq!(size, Diff::squash(chain).encoded_size());
@@ -202,21 +204,23 @@ impl Protocol for Lazy {
         // The grantor's knowledge is safe to read here: everything it
         // closed is in the store before its clock shows it (close_interval
         // publishes under the store's write lock before bumping), so the
-        // notice computation below never names an unrecorded interval.
-        let mut know_q = knowledge_of(&e.shard(q).ext.clock, q);
+        // notice computation below never names an unrecorded interval. Its
+        // clock is copied because no path holds two shard locks; its own
+        // entry, the open interval, reads one lower where it is used.
+        let mut grantor = e.shard(q).ext.clock.clone();
         if e.mutation() == ProtocolMutation::StaleGrantKnowledge {
             // Mutation testing: the grantor under-reports its own latest
             // closed interval, so the acquirer never hears about the
             // grantor's most recent critical section. The history checker
             // must reject the run.
-            know_q.set(q, know_q.get(q).saturating_sub(1));
+            grantor.set(q, grantor.get(q).saturating_sub(1));
         }
         let mut store = e.proto.store.read();
         let notices = {
             let mut shard = e.shard(p);
-            let notices = store.notices_missing(&shard.ext.clock, &know_q);
+            let notices = store.notices_missing(&shard.ext.clock, &grantor, Some(q));
             e.deliver_notices(&mut shard, p, &notices);
-            shard.ext.clock.merge(&know_q);
+            merge_knowledge(&mut shard.ext.clock, &grantor, q);
             notices
         };
 
@@ -231,16 +235,18 @@ impl Protocol for Lazy {
             loop {
                 let needed = e.needed_for_cached_pages(p);
                 let mut plan = FetchPlan::build(&store, p, Some(q), &needed);
-                let stale_page = e.stale_snapshot_drop(&store, &mut plan);
+                let stale_page = e.stale_snapshot_drop(&mut plan);
                 let version = store.version();
-                let free_payload = e.diff_payload(&store, &plan.from_free);
+                let free_payload = e.diff_payload(&store, plan.supplied_by(Source::Free));
                 let fetches: Vec<(ProcId, u64, u64)> = plan
-                    .targets
+                    .targets()
                     .iter()
-                    .map(|(target, diffs)| {
+                    .enumerate()
+                    .map(|(t, &target)| {
+                        let diffs = plan.supplied_by(Source::Target(t));
                         (
-                            *target,
-                            diffs.len() as u64 * DIFF_REQUEST_ENTRY_BYTES,
+                            target,
+                            diffs.clone().count() as u64 * DIFF_REQUEST_ENTRY_BYTES,
                             e.diff_payload(&store, diffs),
                         )
                     })
@@ -306,8 +312,7 @@ impl Protocol for Lazy {
         if p != master {
             let store = e.proto.store.read();
             let master_clock = e.shard(master).ext.clock.clone();
-            let know_p = knowledge_of(&e.shard(p).ext.clock, p);
-            let fresh = store.notices_missing(&master_clock, &know_p);
+            let fresh = store.notices_missing(&master_clock, &e.shard(p).ext.clock, Some(p));
             let payload = BARRIER_ID_BYTES + vc_bytes(e.params.n_procs) + notice_bytes(&fresh);
             e.net.send(p, master, MsgKind::BarrierArrival, payload);
         }
@@ -355,7 +360,7 @@ impl Protocol for Lazy {
             let gc_owner = cold.then(|| e.proto.gc_owner.lock()[gi]).flatten();
 
             let mut plan = FetchPlan::build(&store, p, None, &needed);
-            let stale_dropped = e.stale_snapshot_drop(&store, &mut plan);
+            let stale_dropped = e.stale_snapshot_drop(&mut plan);
             let version = store.version();
             debug_assert!(
                 !first_attempt || stale_dropped.is_some() || cold || !plan.is_empty(),
@@ -370,7 +375,7 @@ impl Protocol for Lazy {
             let mut base: Option<PageBuf> = None;
             let mut base_trip: Option<ProcId> = None;
             if cold {
-                let first_target = plan.targets.first().map(|(t, _)| *t);
+                let first_target = plan.targets().first().copied();
                 let supplier = first_target
                     .or(gc_owner)
                     .unwrap_or_else(|| e.page_home(page));
@@ -390,29 +395,31 @@ impl Protocol for Lazy {
                 }
             }
             let page_bytes = e.space.page_size().bytes() as u64;
-            // All of a miss's diffs name the missed page: each target's
-            // list is one chain as it stands.
-            let chain_payload = |diffs: &[(IntervalId, PageId)]| {
-                let diff_of = |&(iv, _): &(IntervalId, PageId)| -> &Diff {
+            // All of a miss's diffs name the missed page: what each target
+            // supplies is one chain as it stands.
+            let chain_payload = |source: Source| {
+                let diff_of = |(iv, _): (IntervalId, PageId)| -> &Diff {
                     store.diff(iv, page).expect("planned diff exists")
                 };
-                chain_bytes(diffs.iter().map(diff_of))
+                chain_bytes(plan.supplied_by(source).map(diff_of))
             };
             let trips: Vec<(ProcId, u64, u64)> = plan
-                .targets
+                .targets()
                 .iter()
                 .enumerate()
-                .map(|(i, (target, diffs))| {
-                    let request = diffs.len() as u64 * DIFF_REQUEST_ENTRY_BYTES;
-                    if cold && i == 0 {
+                .map(|(t, &target)| {
+                    let source = Source::Target(t);
+                    let request =
+                        plan.supplied_by(source).count() as u64 * DIFF_REQUEST_ENTRY_BYTES;
+                    if cold && t == 0 {
                         // The first supplier's reply also carries the base.
-                        let reply = chain_payload(diffs) + page_bytes;
-                        (*target, request + PAGE_ID_BYTES, reply)
+                        let reply = chain_payload(source) + page_bytes;
+                        (target, request + PAGE_ID_BYTES, reply)
                     } else if e.params.full_page_misses {
                         // Ablation of §4.3.3: whole pages, not diffs.
-                        (*target, request, page_bytes)
+                        (target, request, page_bytes)
                     } else {
-                        (*target, request, chain_payload(diffs))
+                        (target, request, chain_payload(source))
                     }
                 })
                 .collect();
@@ -502,45 +509,11 @@ impl Engine<Lazy> {
     /// revalidation — and returns its page so the caller can finalize it
     /// *as if* the plan had applied completely. Stock engines return
     /// `None` and leave the plan alone.
-    fn stale_snapshot_drop(&self, store: &IntervalStore, plan: &mut FetchPlan) -> Option<PageId> {
+    fn stale_snapshot_drop(&self, plan: &mut FetchPlan) -> Option<PageId> {
         if self.mutation() != ProtocolMutation::StaleSnapshotApply {
             return None;
         }
-        let latest_free = plan
-            .from_free
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &(iv, _))| hb_key(store, iv))
-            .map(|(i, &(iv, g))| (hb_key(store, iv), i, g));
-        let latest_fetched = plan
-            .targets
-            .iter()
-            .enumerate()
-            .flat_map(|(ti, (_, diffs))| {
-                diffs
-                    .iter()
-                    .enumerate()
-                    .map(move |(di, &(iv, g))| (hb_key(store, iv), (ti, di), g))
-            })
-            .max_by_key(|&(w, _, _)| w);
-        match (latest_free, latest_fetched) {
-            (Some((wf, i, g)), Some((wt, _, _))) if wf >= wt => {
-                plan.from_free.remove(i);
-                Some(g)
-            }
-            (Some((_, i, g)), None) => {
-                plan.from_free.remove(i);
-                Some(g)
-            }
-            (_, Some((_, (ti, di), g))) => {
-                plan.targets[ti].1.remove(di);
-                if plan.targets[ti].1.is_empty() {
-                    plan.targets.remove(ti);
-                }
-                Some(g)
-            }
-            (None, None) => None,
-        }
+        plan.drop_latest()
     }
 
     /// Finalizes `page` at `p` as if a fetch plan had fully applied to it:
@@ -565,15 +538,19 @@ impl Engine<Lazy> {
     fn close_interval(&self, p: ProcId) {
         let mut store = self.proto.store.write();
         let mut shard = self.shard(p);
-        let Shard { pages, dirty, ext } = &mut *shard;
+        let Shard {
+            pages,
+            dirty,
+            spare_twins,
+            ext,
+        } = &mut *shard;
         let mut page_diffs = Vec::with_capacity(dirty.len());
         // Drained, not taken: the list keeps its allocation for the next
-        // interval's first write.
+        // interval's first write, as the twins' buffers do.
         for g in dirty.drain(..) {
-            let entry = &mut pages[g.index()];
-            let twin = entry.twin.take().expect("dirty page has a twin");
-            let copy = entry.copy.as_ref().expect("dirty page has a copy");
-            let diff = Diff::between(&twin, copy);
+            let diff = pages[g.index()]
+                .close_twin(spare_twins)
+                .expect("dirty page has a twin");
             if !diff.is_empty() {
                 page_diffs.push((g, diff));
             }
@@ -632,8 +609,12 @@ impl Engine<Lazy> {
 
     /// Wire size of a batch of diffs supplied by one processor: the sum
     /// of its pages' chains ([`chain_bytes`]), found by one sort.
-    fn diff_payload(&self, store: &IntervalStore, diffs: &[(IntervalId, PageId)]) -> u64 {
-        let mut by_page: Vec<(PageId, IntervalId)> = diffs.iter().map(|&(iv, g)| (g, iv)).collect();
+    fn diff_payload(
+        &self,
+        store: &IntervalStore,
+        diffs: impl Iterator<Item = (IntervalId, PageId)>,
+    ) -> u64 {
+        let mut by_page: Vec<(PageId, IntervalId)> = diffs.map(|(iv, g)| (g, iv)).collect();
         by_page.sort_unstable();
         let diff_of = |&(g, iv): &(PageId, IntervalId)| -> &Diff {
             store.diff(iv, g).expect("planned diff exists")
@@ -653,42 +634,32 @@ impl Engine<Lazy> {
         store: &IntervalStore,
         p: ProcId,
         target: ProcId,
-        diffs: &[(IntervalId, PageId)],
+        diffs: impl Iterator<Item = (IntervalId, PageId)> + Clone,
     ) {
         self.net.round_trip(
             p,
             target,
             MsgKind::BarrierDiffRequest,
-            diffs.len() as u64 * DIFF_REQUEST_ENTRY_BYTES,
+            diffs.clone().count() as u64 * DIFF_REQUEST_ENTRY_BYTES,
             MsgKind::BarrierDiffReply,
             self.diff_payload(store, diffs),
         );
     }
 
     /// Applies every diff of a plan to `p`'s copies in happened-before
-    /// order, page by page, and marks the touched pages valid. Returns the
-    /// number of distinct pages touched.
+    /// order — the order the plan lists them in — and marks the touched
+    /// pages valid. Returns the number of distinct pages touched.
     fn apply_plan(&self, store: &mut IntervalStore, p: ProcId, plan: &FetchPlan) -> usize {
-        let mut all: Vec<(IntervalId, PageId)> = Vec::with_capacity(plan.diff_count());
-        all.extend_from_slice(&plan.from_free);
-        for (_, diffs) in &plan.targets {
-            all.extend_from_slice(diffs);
-        }
-        all.sort_by_key(|&(iv, _)| hb_key(store, iv));
-        if self.mutation() == ProtocolMutation::WrongDiffOrder {
-            // Mutation testing: apply the chain newest-first, so the
-            // oldest modification clobbers the newest whenever a page
-            // pulls more than one diff. The history checker must reject
-            // the run.
-            all.reverse();
-        }
         let mut shard = self.shard(p);
         let mut touched = 0;
-        for (iv, g) in all {
+        let mut apply = |planned: &Planned| {
+            let Planned { interval, page, .. } = *planned;
             // The holder bit flips and the diff is applied straight out
             // of the store — no per-diff clone on the hot miss path.
-            let diff = store.hold_and_diff(p, iv, g).expect("planned diff exists");
-            let entry = &mut shard.pages[g.index()];
+            let diff = store
+                .hold_and_diff(p, interval, page)
+                .expect("planned diff exists");
+            let entry = &mut shard.pages[page.index()];
             let copy = entry.copy_mut(self.space.page_size());
             diff.apply_to(copy);
             if let Some(twin) = entry.twin.as_mut() {
@@ -705,6 +676,15 @@ impl Engine<Lazy> {
                 touched += 1;
             }
             entry.valid = true;
+        };
+        if self.mutation() == ProtocolMutation::WrongDiffOrder {
+            // Mutation testing: apply the chain newest-first, so the
+            // oldest modification clobbers the newest whenever a page
+            // pulls more than one diff. The history checker must reject
+            // the run.
+            plan.diffs().iter().rev().for_each(&mut apply);
+        } else {
+            plan.diffs().iter().for_each(&mut apply);
         }
         touched
     }
@@ -727,7 +707,7 @@ impl Engine<Lazy> {
         let dead: Vec<bool> = ProcId::all(n).map(|r| self.shard(r).ext.dead).collect();
         let mut merged = VectorClock::new(n);
         for r in ProcId::all(n) {
-            merged.merge(&knowledge_of(&self.shard(r).ext.clock, r));
+            merge_knowledge(&mut merged, &self.shard(r).ext.clock, r);
         }
         let mut store = self.proto.store.write();
         // Compute per-processor missing notices against pre-merge clocks.
@@ -745,9 +725,9 @@ impl Engine<Lazy> {
                     // — nobody learns what their peers wrote before the
                     // barrier. Clocks still merge below, so the loss is
                     // silent. The history checker must reject the run.
-                    store.notices_missing(clock, &knowledge_of(clock, r))
+                    store.notices_missing(clock, clock, Some(r))
                 } else {
-                    store.notices_missing(clock, &merged)
+                    store.notices_missing(clock, &merged, None)
                 }
             })
             .collect();
@@ -811,8 +791,8 @@ impl Engine<Lazy> {
     fn validate_cached_pages(&self, store: &mut IntervalStore, r: ProcId) -> usize {
         let needed = self.needed_for_cached_pages(r);
         let plan = FetchPlan::build(store, r, None, &needed);
-        for (target, diffs) in &plan.targets {
-            self.barrier_fetch(store, r, *target, diffs);
+        for (t, &target) in plan.targets().iter().enumerate() {
+            self.barrier_fetch(store, r, target, plan.supplied_by(Source::Target(t)));
         }
         self.apply_plan(store, r, &plan)
     }
@@ -1162,8 +1142,8 @@ impl Engine<Lazy> {
     /// death) is delivered into the restored frames, and any page with
     /// unapplied notices is invalidated — under *both* policies — so the
     /// next access pulls diffs through the ordinary miss path. Diffs of
-    /// `p`'s own flushed intervals are reapplied from local possession
-    /// (see [`FetchPlan::build`]).
+    /// `p`'s own flushed intervals are reapplied from local possession:
+    /// `p` is their recorded holder, so fetching them costs no messages.
     ///
     /// After rejoin the application must resynchronize (acquire or
     /// barrier) before trusting shared data, like any release-consistent
@@ -1208,19 +1188,20 @@ impl Engine<Lazy> {
             // Target knowledge: the checkpoint's own view, every live
             // survivor's knowledge, and p's own flushed intervals.
             let ckpt_clock = &ckpt.procs[p.index()].clock;
-            let have = knowledge_of(ckpt_clock, p);
+            let mut have = ckpt_clock.clone();
+            have.set(p, ckpt_clock.get(p) - 1);
             let mut want = have.clone();
             for r in ProcId::all(n).filter(|&r| r != p) {
                 let shard_r = self.shard(r);
                 if !shard_r.ext.dead {
-                    want.merge(&knowledge_of(&shard_r.ext.clock, r));
+                    merge_knowledge(&mut want, &shard_r.ext.clock, r);
                 }
             }
             let latest = store.latest_seq(p);
             if want.get(p) < latest {
                 want.set(p, latest);
             }
-            let notices = store.notices_missing(&have, &want);
+            let notices = store.notices_missing(&have, &want, None);
 
             let mut shard = self.shard(p);
             if !shard.ext.dead {

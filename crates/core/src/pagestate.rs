@@ -1,4 +1,4 @@
-use lrc_pagemem::{PageBuf, PageSize};
+use lrc_pagemem::{Diff, PageBuf, PageSize};
 
 /// One processor's frame of one page — the part of the page table both
 /// protocol families share.
@@ -38,17 +38,40 @@ impl<E> Frame<E> {
         self.copy.get_or_insert_with(|| PageBuf::zeroed(size))
     }
 
-    /// Makes the twin if the page is not yet dirty in this interval.
+    /// Makes the twin if the page is not yet dirty in this interval: the
+    /// copy is copied into a consumed twin's buffer taken from `spare`, or
+    /// cloned when `spare` is empty.
     ///
     /// # Panics
     ///
     /// Panics if the page has no copy yet; the engine always resolves the
     /// miss (creating the copy) before the first write.
-    pub fn ensure_twin(&mut self) {
+    pub fn ensure_twin(&mut self, spare: &mut Vec<PageBuf>) {
         if self.twin.is_none() {
             let copy = self.copy.as_ref().expect("twin requires a resident copy");
-            self.twin = Some(copy.clone());
+            self.twin = Some(match spare.pop() {
+                Some(mut buf) => {
+                    buf.write(0, copy.as_bytes());
+                    buf
+                }
+                None => copy.clone(),
+            });
         }
+    }
+
+    /// Consumes the twin of a dirty page: returns the diff of the copy
+    /// against it and puts the twin's buffer on `spare` for the next first
+    /// write. `None` if the page is not dirty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a twinned page has no copy.
+    pub fn close_twin(&mut self, spare: &mut Vec<PageBuf>) -> Option<Diff> {
+        let twin = self.twin.take()?;
+        let copy = self.copy.as_ref().expect("dirty page has a copy");
+        let diff = Diff::between(&twin, copy);
+        spare.push(twin);
+        Some(diff)
     }
 
     /// The last *committed* contents: the twin of a dirty page (kept in
@@ -101,20 +124,41 @@ mod tests {
     fn ensure_twin_snapshots_once() {
         let mut e = Frame::<()>::default();
         e.copy_mut(size()).write(0, &[1]);
-        e.ensure_twin();
+        e.ensure_twin(&mut Vec::new());
         assert!(e.is_dirty());
         // Further writes do not disturb the twin.
         e.copy.as_mut().unwrap().write(0, &[2]);
-        e.ensure_twin();
+        e.ensure_twin(&mut Vec::new());
         assert_eq!(e.twin.as_ref().unwrap().as_bytes()[0], 1);
         assert_eq!(e.committed().unwrap().as_bytes()[0], 1, "twin, not copy");
+    }
+
+    #[test]
+    fn a_closed_twin_is_recycled_with_fresh_contents() {
+        let mut spare = Vec::new();
+        let mut a = Frame::<()>::default();
+        a.copy_mut(size()).write(0, &[7; 128]);
+        a.ensure_twin(&mut spare);
+        a.copy.as_mut().unwrap().write(5, &[1]);
+        let diff = a.close_twin(&mut spare).expect("dirty");
+        assert_eq!(diff.modified_bytes(), 1);
+        assert!(!a.is_dirty() && a.close_twin(&mut spare).is_none());
+        assert_eq!(spare.len(), 1, "the twin's buffer is kept");
+
+        // The next first write, to another page, reuses it — as a copy of
+        // that page, not of the page it last twinned.
+        let mut b = Frame::<()>::default();
+        b.copy_mut(size());
+        b.ensure_twin(&mut spare);
+        assert!(spare.is_empty());
+        assert_eq!(b.twin, b.copy, "no stale bytes");
     }
 
     #[test]
     #[should_panic(expected = "resident copy")]
     fn twin_requires_copy() {
         let mut e = Frame::<()>::default();
-        e.ensure_twin();
+        e.ensure_twin(&mut Vec::new());
     }
 
     #[test]

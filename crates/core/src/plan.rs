@@ -3,22 +3,47 @@ use lrc_vclock::{IntervalId, ProcId};
 
 use crate::IntervalStore;
 
+/// Where a planned diff comes from.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Source {
+    /// A message exchange already paid for — the lock grantor's reply,
+    /// whose diffs piggyback on the grant — or the fetcher's own
+    /// possession: no extra messages.
+    Free,
+    /// The explicit fetch target at this index of [`FetchPlan::targets`],
+    /// one request/reply round trip.
+    Target(usize),
+}
+
+/// One needed diff and its source.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Planned {
+    pub(crate) interval: IntervalId,
+    pub(crate) page: PageId,
+    pub(crate) source: Source,
+}
+
 /// A plan for fetching a set of needed diffs.
 ///
 /// Built by [`FetchPlan::build`]: needed diffs are assigned either to the
-/// `free_source` (a processor we are already exchanging messages with — the
+/// free source (a processor we are already exchanging messages with — the
 /// lock grantor, whose diffs piggyback on the grant) or to explicit fetch
 /// *targets*, each costing one request/reply round trip. Targets are chosen
 /// greedily from the creators of causally-latest diffs, so a chain of
 /// migratory modifications is served by its **concurrent last modifiers**
-/// only — the paper's `m` (misses) and `h` (LU acquires) quantities equal
-/// [`FetchPlan::target_count`].
+/// only — the paper's `m` (misses) and `h` (LU acquires) quantities are
+/// the number of [`FetchPlan::targets`].
+///
+/// The plan is one list, sorted once: every needed diff in ascending
+/// `(weight, proc, seq)` order of its interval — a linear extension of
+/// happened-before — tagged with its source. Applying the plan walks the
+/// list as it is, and sizing a source's reply filters it.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct FetchPlan {
-    /// Diffs that ride an existing message exchange (no extra messages).
-    pub from_free: Vec<(IntervalId, PageId)>,
-    /// Explicit targets: processor → diffs it supplies.
-    pub targets: Vec<(ProcId, Vec<(IntervalId, PageId)>)>,
+pub(crate) struct FetchPlan {
+    /// Every needed diff, in the order the diffs apply.
+    diffs: Vec<Planned>,
+    /// The explicit targets, in the order they were chosen.
+    targets: Vec<ProcId>,
 }
 
 impl FetchPlan {
@@ -31,7 +56,7 @@ impl FetchPlan {
     /// Assignment order runs from causally latest to earliest (by stamp
     /// weight), so each new target is a *last* modifier; diffs it also
     /// holds (its chain) are assigned to it without new targets.
-    pub fn build(
+    pub(crate) fn build(
         store: &IntervalStore,
         for_proc: ProcId,
         free_source: Option<ProcId>,
@@ -52,45 +77,94 @@ impl FetchPlan {
         order.sort_unstable_by(|a, b| b.cmp(a));
 
         let held_by = |holders: u64, q: ProcId| holders & (1u64 << q.index()) != 0;
-        let mut plan = FetchPlan::default();
-        for (_, iv, g, holders) in order {
-            // A diff the processor already holds costs no messages: it is
-            // applied from local possession. In normal operation pending
-            // diffs are never already held, so this arm is reserved for
-            // crash recovery — a rejoined processor replaying the write
-            // notices of its *own* post-checkpoint intervals (flushed into
-            // the store when it was declared dead) finds itself the
-            // recorded holder and reapplies them locally.
-            if held_by(holders, for_proc) || free_source.is_some_and(|q| held_by(holders, q)) {
-                plan.from_free.push((iv, g));
-                continue;
-            }
-            // Prefer an already-chosen target that holds the diff.
-            let existing = plan.targets.iter().position(|(t, _)| held_by(holders, *t));
-            let slot = existing.unwrap_or_else(|| {
-                // New target: the diff's creator. It always holds the
-                // diff, so had it been chosen already it was found above.
-                plan.targets.push((iv.proc(), Vec::new()));
-                plan.targets.len() - 1
-            });
-            plan.targets[slot].1.push((iv, g));
-        }
-        plan
+        let mut targets: Vec<ProcId> = Vec::new();
+        // Same size and alignment: the list is built in `order`'s buffer.
+        let mut diffs: Vec<Planned> = order
+            .into_iter()
+            .map(|(_, interval, page, holders)| {
+                // A diff the processor already holds costs no messages: it
+                // is applied from local possession. In normal operation
+                // pending diffs are never already held, so this arm is
+                // reserved for crash recovery — a rejoined processor
+                // replaying the write notices of its *own*
+                // post-checkpoint intervals (flushed into the store when it
+                // was declared dead) finds itself the recorded holder and
+                // reapplies them locally.
+                let free =
+                    held_by(holders, for_proc) || free_source.is_some_and(|q| held_by(holders, q));
+                let source = if free {
+                    Source::Free
+                } else {
+                    // Prefer an already-chosen target that holds the diff;
+                    // else the new target is the diff's creator. It always
+                    // holds the diff, so had it been chosen already it was
+                    // found first.
+                    let existing = targets.iter().position(|&t| held_by(holders, t));
+                    Source::Target(existing.unwrap_or_else(|| {
+                        targets.push(interval.proc());
+                        targets.len() - 1
+                    }))
+                };
+                Planned {
+                    interval,
+                    page,
+                    source,
+                }
+            })
+            .collect();
+        // Earliest first: the order the diffs apply in.
+        diffs.reverse();
+        FetchPlan { diffs, targets }
     }
 
-    /// Number of explicit fetch targets (the paper's `m` / `h`).
-    pub fn target_count(&self) -> usize {
-        self.targets.len()
+    /// The explicit fetch targets, in the order they were chosen: the
+    /// creator of the causally latest fetched diff first.
+    pub(crate) fn targets(&self) -> &[ProcId] {
+        &self.targets
     }
 
-    /// Total diffs fetched, across free and explicit sources.
-    pub fn diff_count(&self) -> usize {
-        self.from_free.len() + self.targets.iter().map(|(_, d)| d.len()).sum::<usize>()
+    /// Every needed diff with its source, in happened-before order.
+    pub(crate) fn diffs(&self) -> &[Planned] {
+        &self.diffs
+    }
+
+    /// The diffs `source` supplies, in happened-before order.
+    pub(crate) fn supplied_by(
+        &self,
+        source: Source,
+    ) -> impl Iterator<Item = (IntervalId, PageId)> + Clone + '_ {
+        self.diffs
+            .iter()
+            .filter(move |d| d.source == source)
+            .map(|d| (d.interval, d.page))
     }
 
     /// True if nothing needs fetching.
-    pub fn is_empty(&self) -> bool {
-        self.from_free.is_empty() && self.targets.is_empty()
+    pub(crate) fn is_empty(&self) -> bool {
+        self.diffs.is_empty()
+    }
+
+    /// Removes the causally latest diff — and its target, when that
+    /// target supplies nothing else — and returns its page (`None` for an
+    /// empty plan). Only the [`ProtocolMutation::StaleSnapshotApply`]
+    /// emulation calls this.
+    ///
+    /// [`ProtocolMutation::StaleSnapshotApply`]: crate::ProtocolMutation::StaleSnapshotApply
+    pub(crate) fn drop_latest(&mut self) -> Option<PageId> {
+        let latest = self.diffs.pop()?;
+        if let Source::Target(gone) = latest.source {
+            if !self.diffs.iter().any(|d| d.source == latest.source) {
+                self.targets.remove(gone);
+                for d in &mut self.diffs {
+                    if let Source::Target(t) = &mut d.source {
+                        if *t > gone {
+                            *t -= 1;
+                        }
+                    }
+                }
+            }
+        }
+        Some(latest.page)
     }
 }
 
@@ -137,8 +211,8 @@ mod tests {
         let store = IntervalStore::new(4);
         let plan = FetchPlan::build(&store, p(0), None, &[]);
         assert!(plan.is_empty());
-        assert_eq!(plan.target_count(), 0);
-        assert_eq!(plan.diff_count(), 0);
+        assert!(plan.targets().is_empty());
+        assert!(plan.diffs().is_empty());
     }
 
     #[test]
@@ -154,10 +228,10 @@ mod tests {
         close(&mut store, 2, 1, page, &[(1, 1)]);
         let iv2 = IntervalId::new(p(2), 1);
 
-        let plan = FetchPlan::build(&store, p(0), None, &[(iv1, page), (iv2, page)]);
-        assert_eq!(plan.target_count(), 1, "one concurrent last modifier");
-        assert_eq!(plan.targets[0].0, p(2));
-        assert_eq!(plan.diff_count(), 2);
+        let plan = FetchPlan::build(&store, p(0), None, &[(iv2, page), (iv1, page)]);
+        assert_eq!(plan.targets(), [p(2)], "one concurrent last modifier");
+        let chain: Vec<_> = plan.supplied_by(Source::Target(0)).collect();
+        assert_eq!(chain, [(iv1, page), (iv2, page)], "applied oldest first");
     }
 
     #[test]
@@ -173,7 +247,7 @@ mod tests {
             (IntervalId::new(p(2), 1), page),
         ];
         let plan = FetchPlan::build(&store, p(0), None, &needed);
-        assert_eq!(plan.target_count(), 2);
+        assert_eq!(plan.targets().len(), 2);
     }
 
     #[test]
@@ -188,8 +262,8 @@ mod tests {
         let iv1 = IntervalId::new(p(1), 1);
 
         let plan = FetchPlan::build(&store, p(0), Some(p(1)), &[(iv1, page), (iv2, page)]);
-        assert_eq!(plan.target_count(), 0, "grantor supplies everything");
-        assert_eq!(plan.from_free.len(), 2);
+        assert!(plan.targets().is_empty(), "grantor supplies everything");
+        assert_eq!(plan.supplied_by(Source::Free).count(), 2);
     }
 
     #[test]
@@ -205,9 +279,9 @@ mod tests {
         let other = IntervalId::new(p(1), 2);
 
         let plan = FetchPlan::build(&store, p(0), None, &[(own, page), (other, page)]);
-        assert_eq!(plan.from_free, vec![(own, page)]);
-        assert_eq!(plan.target_count(), 1, "only the foreign diff is fetched");
-        assert_eq!(plan.targets[0].0, p(1));
+        let free: Vec<_> = plan.supplied_by(Source::Free).collect();
+        assert_eq!(free, [(own, page)]);
+        assert_eq!(plan.targets(), [p(1)], "only the foreign diff is fetched");
     }
 
     #[test]
@@ -222,25 +296,53 @@ mod tests {
         );
         let iv = IntervalId::new(p(1), 1);
         let plan = FetchPlan::build(&store, p(0), None, &[(iv, g(0)), (iv, g(1))]);
-        assert_eq!(plan.target_count(), 1);
-        assert_eq!(plan.targets[0].1.len(), 2);
+        assert_eq!(plan.targets().len(), 1);
+        assert_eq!(plan.supplied_by(Source::Target(0)).count(), 2);
     }
 
-    /// The builder as it was, `target_index` map and all, over the
-    /// store's public queries — to check that the map was dead weight.
+    #[test]
+    fn dropping_the_latest_diff_drops_a_target_left_empty() {
+        // Two concurrent last modifiers, each supplying one diff; p2's
+        // stamp is heavier, so p2 is target 0 and its diff applies last.
+        let mut store = IntervalStore::new(4);
+        let page = g(0);
+        close(&mut store, 1, 1, page, &[]);
+        close(&mut store, 2, 2, page, &[]);
+        let (iv1, iv2) = (IntervalId::new(p(1), 1), IntervalId::new(p(2), 2));
+        let mut plan = FetchPlan::build(&store, p(0), None, &[(iv1, page), (iv2, page)]);
+        assert_eq!(plan.targets(), [p(2), p(1)]);
+        assert_eq!(plan.drop_latest(), Some(page));
+        assert_eq!(plan.targets(), [p(1)], "p2 supplies nothing now");
+        let rest: Vec<_> = plan.supplied_by(Source::Target(0)).collect();
+        assert_eq!(rest, [(iv1, page)], "p1's diff moved to index 0");
+        assert_eq!(plan.drop_latest(), Some(page));
+        assert!(plan.is_empty() && plan.targets().is_empty());
+        assert_eq!(plan.drop_latest(), None);
+    }
+
+    /// The plan as the builder used to return it: the free source's diffs
+    /// and each target's, each list latest first.
+    #[derive(Default)]
+    struct SplitPlan {
+        from_free: Vec<(IntervalId, PageId)>,
+        targets: Vec<(ProcId, Vec<(IntervalId, PageId)>)>,
+    }
+
+    /// An older builder, `target_index` map and all, over the store's
+    /// public queries: the oracle for every diff's source.
     fn build_with_target_index(
         store: &IntervalStore,
         for_proc: ProcId,
         free_source: Option<ProcId>,
         needed: &[(IntervalId, PageId)],
-    ) -> FetchPlan {
+    ) -> SplitPlan {
         let mut order: Vec<(u64, IntervalId, PageId)> = needed
             .iter()
             .map(|&(iv, g)| (store.weight(iv).expect("recorded"), iv, g))
             .collect();
         order.sort_by(|a, b| b.cmp(a));
 
-        let mut plan = FetchPlan::default();
+        let mut plan = SplitPlan::default();
         let mut target_index: HashMap<ProcId, usize> = HashMap::new();
         for (_, iv, g) in order {
             if store.holds(for_proc, iv, g) {
@@ -268,6 +370,17 @@ mod tests {
             plan.targets[slot].1.push((iv, g));
         }
         plan
+    }
+
+    /// The order the apply path used to sort a split plan into: every
+    /// diff, by `(weight, proc, seq)` of its interval, stable.
+    fn old_apply_order(store: &IntervalStore, old: &SplitPlan) -> Vec<(IntervalId, PageId)> {
+        let mut all = old.from_free.clone();
+        for (_, diffs) in &old.targets {
+            all.extend_from_slice(diffs);
+        }
+        all.sort_by_key(|&(iv, _)| (store.weight(iv).expect("recorded"), iv.proc(), iv.seq()));
+        all
     }
 
     #[test]
@@ -298,16 +411,45 @@ mod tests {
                 let free_source = (rng.below(2) == 0).then(|| rng.proc(n));
                 let plan = FetchPlan::build(&store, for_proc, free_source, &needed);
                 let old = build_with_target_index(&store, for_proc, free_source, &needed);
-                assert_eq!(plan, old, "seed {seed}, for {for_proc} via {free_source:?}");
-                assert_eq!(plan.diff_count(), needed.len());
+                let why = format!("seed {seed}, for {for_proc} via {free_source:?}");
+
+                // Every diff comes from where the old builder sent it, and
+                // the targets were chosen in the same order.
+                let old_targets: Vec<ProcId> = old.targets.iter().map(|(t, _)| *t).collect();
+                assert_eq!(plan.targets(), old_targets, "{why}");
+                let sourced = |source: Source| {
+                    let mut diffs: Vec<_> = plan.supplied_by(source).collect();
+                    diffs.reverse(); // the old lists run latest first
+                    diffs
+                };
+                assert_eq!(sourced(Source::Free), old.from_free, "{why}");
+                for (t, (_, diffs)) in old.targets.iter().enumerate() {
+                    assert_eq!(&sourced(Source::Target(t)), diffs, "{why}, target {t}");
+                }
+                assert_eq!(plan.diffs().len(), needed.len());
+
+                // On every page, the diffs apply in the order the old
+                // apply path sorted them into.
+                let old_order = old_apply_order(&store, &old);
+                for page in (0..PAGES).map(PageId::new) {
+                    let on_page = |diffs: &mut dyn Iterator<Item = (IntervalId, PageId)>| {
+                        diffs.filter(|&(_, g)| g == page).collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        on_page(&mut plan.diffs().iter().map(|d| (d.interval, d.page))),
+                        on_page(&mut old_order.iter().copied()),
+                        "{why}, page {page}"
+                    );
+                }
+
                 plans += 1;
                 chains += usize::from(
-                    plan.targets
+                    old.targets
                         .iter()
                         .any(|(t, diffs)| diffs.iter().any(|(iv, _)| iv.proc() != *t)),
                 );
-                free += usize::from(!plan.from_free.is_empty());
-                many += usize::from(plan.target_count() > 2);
+                free += usize::from(!old.from_free.is_empty());
+                many += usize::from(plan.targets().len() > 2);
             }
         }
         // Not vacuous: targets serving others' diffs, free riders, and

@@ -284,9 +284,24 @@ impl IntervalStore {
     /// All write notices a processor with knowledge `have` is missing
     /// relative to knowledge `want` (pointwise interval ranges). One
     /// interval's notices are contiguous.
-    pub fn notices_missing(&self, have: &VectorClock, want: &VectorClock) -> Vec<WriteNotice> {
+    ///
+    /// `open` names the processor whose own clock `want` is, if it is one:
+    /// that processor's entry is its *open* interval, and only what it
+    /// closed is knowledge, so the entry reads one lower — the clock is
+    /// read in place rather than copied to lower it.
+    pub fn notices_missing(
+        &self,
+        have: &VectorClock,
+        want: &VectorClock,
+        open: Option<ProcId>,
+    ) -> Vec<WriteNotice> {
         let mut out = Vec::new();
         for (proc, upto) in want.iter() {
+            let upto = if open == Some(proc) {
+                upto.saturating_sub(1)
+            } else {
+                upto
+            };
             let after = have.get(proc);
             if upto > after {
                 for record in self.window(proc, after, upto) {
@@ -481,9 +496,11 @@ mod tests {
         let mut want = VectorClock::new(2);
         want.set(p(0), 1);
         want.set(p(1), 2);
-        let missing = s.notices_missing(&have, &want);
+        let missing = s.notices_missing(&have, &want, None);
         assert_eq!(missing.len(), 1);
         assert_eq!(missing[0].interval, IntervalId::new(p(1), 2));
+        // Read as p1's own clock, `want` knows p1's interval 1 only.
+        assert!(s.notices_missing(&have, &want, Some(p(1))).is_empty());
     }
 
     #[test]
@@ -491,7 +508,7 @@ mod tests {
         let s = IntervalStore::new(2);
         assert_eq!(s.interval_count(), 0);
         assert_eq!(
-            s.notices_missing(&VectorClock::new(2), &VectorClock::new(2))
+            s.notices_missing(&VectorClock::new(2), &VectorClock::new(2), None)
                 .len(),
             0
         );
@@ -794,8 +811,16 @@ mod tests {
             };
             let (have, want) = (clock(), clock());
             assert_eq!(
-                store.notices_missing(&have, &want),
+                store.notices_missing(&have, &want, None),
                 model.notices_missing(&have, &want)
+            );
+            // Read as some processor's own clock: its entry one lower.
+            let open = rng.proc(n);
+            let mut lowered = want.clone();
+            lowered.set(open, want.get(open).saturating_sub(1));
+            assert_eq!(
+                store.notices_missing(&have, &want, Some(open)),
+                model.notices_missing(&have, &lowered)
             );
         }
     }

@@ -4,7 +4,7 @@
 use lrc_core::{EngineParams, LrcEngine, Policy};
 use lrc_simnet::{MsgKind, OpClass, MSG_HEADER_BYTES};
 use lrc_sync::{BarrierId, LockId};
-use lrc_vclock::ProcId;
+use lrc_vclock::{IntervalId, ProcId};
 
 fn p(i: u16) -> ProcId {
     ProcId::new(i)
@@ -494,4 +494,41 @@ fn clock_advances_only_on_real_intervals() {
     dsm.write_u64(p(0), 0, 1);
     dsm.release(p(0), l(0)).unwrap();
     assert_eq!(dsm.clock(p(0)).get(p(0)), before + 1);
+}
+
+#[test]
+fn a_recycled_twin_never_leaks_stale_bytes() {
+    // A consumed twin's buffer becomes the next first write's twin; it
+    // must come back as a copy of *that* page. p1 fills page A with a
+    // pattern; p0 rewrites one byte of it, so p0's twin of A copies the
+    // pattern and leaves it in the buffer p0's release recycles. p0's
+    // first write to page B reuses that buffer.
+    let (a, b) = (2 * 512, 4 * 512); // homes p2 and p0
+    let pattern: Vec<u8> = (0..512).map(|i| (i % 251 + 1) as u8).collect();
+    for policy in [Policy::Invalidate, Policy::Update] {
+        let dsm = engine(policy);
+        for (proc, data) in [(p(1), &pattern[..]), (p(0), &[0])] {
+            dsm.acquire(proc, l(0)).unwrap();
+            dsm.write(proc, a, data);
+            dsm.release(proc, l(0)).unwrap();
+        }
+        dsm.acquire(p(0), l(0)).unwrap();
+        dsm.write_u64(p(0), b + 64, 0x0123_4567_89ab_cdef);
+        // Before p0 releases, a cold miss on B is served by B's home p0
+        // from its committed bytes — the twin — which are B's zeros.
+        assert_eq!(dsm.read_vec(p(1), b, 512), vec![0; 512], "{policy:?}");
+        dsm.release(p(0), l(0)).unwrap();
+
+        let store = dsm.store();
+        let closed = IntervalId::new(p(0), store.latest_seq(p(0)));
+        let diff = store
+            .diff(closed, dsm.space().page_of(b))
+            .expect("B's interval is recorded");
+        let runs: Vec<(u32, &[u8])> = diff.runs().collect();
+        assert_eq!(
+            runs,
+            [(64, &0x0123_4567_89ab_cdef_u64.to_le_bytes()[..])],
+            "{policy:?}: B's diff is the one word written"
+        );
+    }
 }

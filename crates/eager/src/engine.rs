@@ -1,6 +1,6 @@
 use std::collections::HashMap;
 
-use lrc_core::{bump, ConfigError, Engine, EngineCore, Policy, Protocol};
+use lrc_core::{bump, ConfigError, Engine, EngineCore, Policy, Protocol, Shard};
 use lrc_pagemem::{Diff, PageBuf, PageId};
 use lrc_simnet::{invalidation_bytes, MsgKind, BARRIER_ID_BYTES, LOCK_ID_BYTES, PAGE_ID_BYTES};
 use lrc_sync::{AcquirePath, BarrierId};
@@ -321,19 +321,23 @@ fn take_epoch_diffs(e: &EagerEngine, p: ProcId) -> Vec<(PageId, Diff)> {
     let mut out = Vec::new();
     {
         let mut shard = e.shard(p);
-        let dirtied = std::mem::take(&mut shard.dirty);
-        out.reserve(dirtied.len());
-        for g in dirtied {
-            let entry = &mut shard.pages[g.index()];
+        let Shard {
+            pages,
+            dirty,
+            spare_twins,
+            ..
+        } = &mut *shard;
+        out.reserve(dirty.len());
+        // Drained, not taken: the list keeps its allocation for the next
+        // epoch's first write, as the twins' buffers do.
+        for g in dirty.drain(..) {
             // Defensive: a twin consumed by a concurrent invalidator's
             // writeback leaves the dirty list together with it (under
             // this shard's lock), but skipping an already-written-back
             // page is the right recovery either way.
-            let Some(twin) = entry.twin.take() else {
+            let Some(diff) = pages[g.index()].close_twin(spare_twins) else {
                 continue;
             };
-            let copy = entry.copy.as_ref().expect("dirty page has a copy");
-            let diff = Diff::between(&twin, copy);
             if !diff.is_empty() {
                 out.push((g, diff));
             }
@@ -412,7 +416,8 @@ fn push_invalidations(e: &EagerEngine, p: ProcId, diffs: &[(PageId, Diff)]) {
         // the destination's shard is dropped.
         let mut writebacks: Vec<(PageId, Diff)> = Vec::new();
         {
-            let mut dest_shard = e.shard(dest);
+            let mut guard = e.shard(dest);
+            let dest_shard = &mut *guard;
             for &i in &indices {
                 let g = diffs[i].0;
                 let entry = &mut dest_shard.pages[g.index()];
@@ -420,9 +425,7 @@ fn push_invalidations(e: &EagerEngine, p: ProcId, diffs: &[(PageId, Diff)]) {
                 // A destination that wrote the page concurrently: its
                 // modifications ride back to the releaser before the
                 // copy is dropped.
-                if let Some(twin) = entry.twin.take() {
-                    let copy = entry.copy.as_ref().expect("dirty page has a copy");
-                    let wb = Diff::between(&twin, copy);
+                if let Some(wb) = entry.close_twin(&mut dest_shard.spare_twins) {
                     dest_shard.dirty.retain(|&d| d != g);
                     if !wb.is_empty() {
                         writebacks.push((g, wb));

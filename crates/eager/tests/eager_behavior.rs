@@ -4,7 +4,8 @@
 
 use lrc_core::{EngineParams, Policy};
 use lrc_eager::EagerEngine;
-use lrc_simnet::{MsgKind, OpClass};
+use lrc_pagemem::{DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
+use lrc_simnet::{MsgKind, OpClass, MSG_HEADER_BYTES};
 use lrc_sync::{BarrierId, LockId};
 use lrc_vclock::ProcId;
 
@@ -299,4 +300,52 @@ fn page_valid_reflects_directory_and_invalidations() {
         "EI release invalidated the reader"
     );
     assert!(cached(p(1)) && dsm.page_valid(p(1), page));
+}
+
+#[test]
+fn a_recycled_twin_never_leaks_stale_bytes() {
+    // A consumed twin's buffer becomes the next first write's twin; it
+    // must come back as a copy of *that* page. p1 fills page A with a
+    // pattern; p0 rewrites one byte of it, so p0's twin of A copies the
+    // pattern and leaves it in the buffer p0's flush recycles. p0's first
+    // write to page B reuses that buffer.
+    let (a, b_page) = (2 * 512, 4 * 512); // homes p2 and p0
+    let pattern: Vec<u8> = (0..512).map(|i| (i % 251 + 1) as u8).collect();
+    let one_word = MSG_HEADER_BYTES + (DIFF_HEADER_BYTES + RUN_HEADER_BYTES + 8) as u64;
+    for policy in [Policy::Invalidate, Policy::Update] {
+        let dsm = engine(policy);
+        for (proc, data) in [(p(1), &pattern[..]), (p(0), &[0])] {
+            dsm.acquire(proc, l(0)).unwrap();
+            dsm.write(proc, a, data);
+            dsm.release(proc, l(0)).unwrap();
+        }
+        dsm.write_u64(p(0), b_page, 0x0123_4567_89ab_cdef);
+        // Before p0 flushes, a cold miss on B is served by B's home p0
+        // from its committed bytes — the twin — which are B's zeros.
+        assert_eq!(dsm.read_vec(p(1), b_page, 512), vec![0; 512], "{policy:?}");
+        dsm.write_u64(p(1), b_page + 8, 0x1122_3344_5566_7788);
+        let before = dsm.net().snapshot();
+        for i in 0..4 {
+            dsm.barrier(p(i), b(0)).unwrap();
+        }
+        // Each writer's diff of B is the one word it wrote: EU pushes both
+        // to the other writer, EI merges the loser p0's into the winner.
+        let delta = dsm.net().stats().since(&before);
+        let (kind, diffs) = match policy {
+            Policy::Update => (MsgKind::BarrierUpdate, 2),
+            Policy::Invalidate => (MsgKind::BarrierResolve, 1),
+        };
+        assert_eq!(delta.kind(kind).bytes, diffs * one_word, "{policy:?}");
+        // Neither word was overwritten by bytes of A.
+        assert_eq!(
+            dsm.read_u64(p(3), b_page),
+            0x0123_4567_89ab_cdef,
+            "{policy:?}"
+        );
+        assert_eq!(
+            dsm.read_u64(p(3), b_page + 8),
+            0x1122_3344_5566_7788,
+            "{policy:?}"
+        );
+    }
 }

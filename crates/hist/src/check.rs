@@ -758,18 +758,15 @@ impl History {
             dead_ends: HashSet::new(),
             explored: 0,
             max_states: budget.max_states,
-            schedule: Vec::new(),
+            schedule: Vec::with_capacity(self.len()),
+            blocked: Vec::new(),
             best_consumed: 0,
             best_blocked: Vec::new(),
         };
         match search.run() {
             Found::Yes => Ok((
                 Witness {
-                    schedule: search
-                        .schedule
-                        .iter()
-                        .map(|&(p, i)| (ProcId::new(p as u16), i))
-                        .collect(),
+                    schedule: search.schedule,
                 },
                 search.explored,
             )),
@@ -784,6 +781,17 @@ impl History {
             }),
         }
     }
+}
+
+/// A processor, undo-log length or blocked-read count as a frame stores
+/// it.
+///
+/// # Panics
+///
+/// Panics past `u32::MAX`: a history that large could not be checked in
+/// memory anyway.
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).expect("search bookkeeping fits in u32")
 }
 
 enum Found {
@@ -818,18 +826,26 @@ struct Search<'a> {
     dead_ends: HashSet<Vec<u32>>,
     explored: usize,
     max_states: usize,
-    schedule: Vec<(usize, usize)>,
+    /// The witness under construction, sized once: every event is
+    /// scheduled exactly once.
+    schedule: Vec<(ProcId, usize)>,
+    /// The reads found blocked at each level of the frame stack, the
+    /// deepest level's last: a level's own run starts at its frame's
+    /// `blocked_from`.
+    blocked: Vec<String>,
     best_consumed: usize,
     best_blocked: Vec<String>,
 }
 
-/// One level of the search: which processor to try next, the event
-/// applied to *enter* this level — its processor and the length of the
-/// undo log before it — and the reads found blocked while iterating it.
+/// One level of the search: which processor to try next, where the
+/// level's blocked reads start in [`Search::blocked`], and the event
+/// applied to *enter* the level — its processor and the length of the
+/// undo log before it. The stack is as deep as the history is long, so
+/// a frame is kept to five `u32`s.
 struct SearchFrame {
-    next_proc: usize,
-    applied: Option<(usize, usize)>,
-    blocked: Vec<String>,
+    next_proc: u32,
+    blocked_from: u32,
+    applied: Option<(u32, u32)>,
 }
 
 impl Search<'_> {
@@ -890,17 +906,19 @@ impl Search<'_> {
         if let Some(found) = self.enter_state() {
             return found;
         }
-        let mut stack: Vec<SearchFrame> = vec![SearchFrame {
+        // One frame per scheduled event, plus the root.
+        let mut stack: Vec<SearchFrame> = Vec::with_capacity(self.total + 1);
+        stack.push(SearchFrame {
             next_proc: 0,
+            blocked_from: 0,
             applied: None,
-            blocked: Vec::new(),
-        }];
+        });
         let logs = self.logs;
         while let Some(frame) = stack.last_mut() {
             // Find the next schedulable processor at this level.
             let mut scheduled: Option<(usize, usize)> = None;
-            while frame.next_proc < logs.len() {
-                let p = frame.next_proc;
+            while (frame.next_proc as usize) < logs.len() {
+                let p = frame.next_proc as usize;
                 frame.next_proc += 1;
                 let i = self.pos[p] as usize;
                 if i >= logs[p].len() || !self.ready(p, i) {
@@ -913,7 +931,7 @@ impl Search<'_> {
                     (HistEvent::Read { value, .. }, Some(span)) => {
                         let holds = &self.mem[span.clone()];
                         if holds != value {
-                            frame.blocked.push(format!(
+                            self.blocked.push(format!(
                                 "p{p}[{i}] {ev} — memory here holds {}",
                                 holds.iter().map(|b| format!("{b:02x}")).collect::<String>()
                             ));
@@ -930,7 +948,7 @@ impl Search<'_> {
                 self.next_access[p] += usize::from(span.is_some());
                 self.pos[p] += 1;
                 self.consumed += 1;
-                self.schedule.push((p, i));
+                self.schedule.push((ProcId::new(p as u16), i));
                 scheduled = Some((p, mark));
                 break;
             }
@@ -941,21 +959,23 @@ impl Search<'_> {
                     Some(Found::No) => self.revert(p, mark), // revisited state
                     None => stack.push(SearchFrame {
                         next_proc: 0,
-                        applied: Some((p, mark)),
-                        blocked: Vec::new(),
+                        blocked_from: narrow(self.blocked.len()),
+                        applied: Some((narrow(p), narrow(mark))),
                     }),
                 },
                 None => {
                     // Level exhausted: keep the deepest blocked frontier
                     // for diagnostics, then backtrack.
-                    if self.consumed >= self.best_consumed && !frame.blocked.is_empty() {
+                    let own = frame.blocked_from as usize;
+                    if self.consumed >= self.best_consumed && self.blocked.len() > own {
                         self.best_consumed = self.consumed;
-                        self.best_blocked = std::mem::take(&mut frame.blocked);
+                        self.best_blocked = self.blocked.split_off(own);
                     }
+                    self.blocked.truncate(own);
                     self.dead_ends.insert(self.pos.clone());
                     let done = stack.pop().expect("frame present");
                     if let Some((p, mark)) = done.applied {
-                        self.revert(p, mark);
+                        self.revert(p as usize, mark as usize);
                     }
                 }
             }

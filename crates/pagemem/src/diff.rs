@@ -8,7 +8,10 @@ pub const DIFF_HEADER_BYTES: usize = 12;
 /// Wire overhead of one run: offset (4) and length (4).
 pub const RUN_HEADER_BYTES: usize = 8;
 
-/// One maximal run of modified bytes within a page.
+/// Bytes [`Diff::between`] compares at once while a page is unchanged.
+const BLOCK: usize = 32;
+
+/// One run of modified bytes, owned: the input of [`Diff::from_runs`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DiffRun {
     offset: u32,
@@ -35,26 +38,6 @@ impl DiffRun {
     fn end(&self) -> u32 {
         self.offset + self.data.len() as u32
     }
-
-    /// Byte offset of the run within its page.
-    pub fn offset(&self) -> u32 {
-        self.offset
-    }
-
-    /// The new bytes.
-    pub fn data(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Length of the run in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Always false: runs carry at least one byte.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
 }
 
 /// One past the last byte of a run of `len` bytes at `offset`, if that is
@@ -68,11 +51,35 @@ fn word_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_ne_bytes(bytes[at..at + 8].try_into().expect("eight bytes"))
 }
 
+/// The [`BLOCK`] bytes of `bytes` starting at `at`.
+fn block_at(bytes: &[u8], at: usize) -> &[u8; BLOCK] {
+    bytes[at..at + BLOCK].try_into().expect("a whole block")
+}
+
 /// True if some byte of `x` is zero (the classic exact SWAR test).
 fn has_zero_byte(x: u64) -> bool {
     const LOW: u64 = 0x0101_0101_0101_0101;
     const HIGH: u64 = 0x8080_8080_8080_8080;
     x.wrapping_sub(LOW) & !x & HIGH != 0
+}
+
+/// The runs of a diff's run buffer, in offset order.
+struct Runs<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Runs<'a> {
+    type Item = (u32, &'a [u8]);
+
+    fn next(&mut self) -> Option<(u32, &'a [u8])> {
+        let (&[o0, o1, o2, o3, l0, l1, l2, l3], rest) =
+            self.rest.split_first_chunk::<RUN_HEADER_BYTES>()?;
+        let offset = u32::from_le_bytes([o0, o1, o2, o3]);
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let (data, rest) = rest.split_at(len);
+        self.rest = rest;
+        Some((offset, data))
+    }
 }
 
 /// The bytes a chain of diffs touches, as `(start, end)` ranges sorted by
@@ -86,7 +93,10 @@ where
     let runs = chain.clone().map(Diff::run_count).sum();
     let mut ranges: Vec<(u32, u32)> = Vec::with_capacity(runs);
     for diff in chain {
-        ranges.extend(diff.runs.iter().map(|run| (run.offset, run.end())));
+        ranges.extend(
+            diff.runs()
+                .map(|(offset, data)| (offset, offset + data.len() as u32)),
+        );
     }
     ranges.sort_unstable();
     // `dedup_by` hands over the later range first and the one it keeps
@@ -108,6 +118,13 @@ where
 /// ships diffs instead of whole pages, which is what lets LRC "often avoid
 /// bringing an entire page across the network" (paper, §5.3.4).
 ///
+/// A diff is one buffer: its runs stored back to back in their wire
+/// layout — offset (4), length (4) and the run's bytes, in offset order —
+/// which is exactly what [`Diff::write_wire`] emits after the header. So
+/// [`Diff::encoded_size`] is that buffer's length plus the header, and a
+/// diff costs one allocation however many runs it has. [`Diff::runs`]
+/// walks the buffer as `(offset, bytes)` views.
+///
 /// Applying a diff overwrites the runs' byte ranges. Diffs from causally
 /// ordered intervals must be applied in happened-before order; diffs from
 /// concurrent intervals touch disjoint bytes in properly-labeled programs,
@@ -124,17 +141,38 @@ where
 /// let diff = Diff::between(&twin, &page);
 /// assert_eq!(diff.modified_bytes(), 16);
 /// assert_eq!(diff.encoded_size(), 12 + 8 + 16); // header + run header + data
+/// assert_eq!(diff.runs().collect::<Vec<_>>(), [(8, &[42; 16][..])]);
 /// # Ok::<(), lrc_pagemem::PageSizeError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Diff {
-    runs: Vec<DiffRun>,
+    /// The runs in their wire layout, sorted by offset and disjoint, each
+    /// non-empty and ending within the `u32` offset space.
+    wire: Vec<u8>,
+    /// How many runs `wire` holds.
+    run_count: u32,
 }
 
 impl Diff {
     /// Creates an empty diff (no modifications).
     pub fn new() -> Self {
-        Diff { runs: Vec::new() }
+        Diff::default()
+    }
+
+    /// Appends a run header for `len` bytes at `offset`; the caller
+    /// appends the bytes.
+    fn push_run_header(&mut self, offset: u32, len: usize) {
+        self.wire.extend_from_slice(&offset.to_le_bytes());
+        self.wire.extend_from_slice(&(len as u32).to_le_bytes());
+        self.run_count += 1;
+    }
+
+    /// Appends a run past every run so far, growing the buffer at most
+    /// once.
+    fn push_run(&mut self, offset: u32, data: &[u8]) {
+        self.wire.reserve(RUN_HEADER_BYTES + data.len());
+        self.push_run_header(offset, data.len());
+        self.wire.extend_from_slice(data);
     }
 
     /// Creates a diff from pre-built runs.
@@ -145,13 +183,20 @@ impl Diff {
     /// would not round-trip through the wire encoding.
     pub fn from_runs(runs: Vec<DiffRun>) -> Self {
         for pair in runs.windows(2) {
-            let end = pair[0].offset() as usize + pair[0].len();
             assert!(
-                end <= pair[1].offset() as usize,
+                pair[0].end() <= pair[1].offset,
                 "diff runs must be sorted and disjoint"
             );
         }
-        Diff { runs }
+        let bytes = runs.iter().map(|r| RUN_HEADER_BYTES + r.data.len()).sum();
+        let mut diff = Diff {
+            wire: Vec::with_capacity(bytes),
+            run_count: 0,
+        };
+        for run in &runs {
+            diff.push_run(run.offset, &run.data);
+        }
+        diff
     }
 
     /// Compares a working page against its twin and encodes every byte that
@@ -168,13 +213,17 @@ impl Diff {
         );
         let old = twin.as_bytes();
         let new = current.as_bytes();
-        let mut runs = Vec::new();
+        let mut diff = Diff::new();
         let mut i = 0;
         let len = old.len();
-        // Both scans step a word at a time while the whole word is alike
-        // (all eight bytes equal, or all eight different) and finish byte
-        // by byte, so run boundaries are exact.
+        // The equal scan steps a block at a time while whole blocks match,
+        // then a word at a time; the unequal scan steps a word at a time
+        // while all eight bytes differ. Both finish byte by byte, so run
+        // boundaries are exact.
         while i < len {
+            while i + BLOCK <= len && block_at(old, i) == block_at(new, i) {
+                i += BLOCK;
+            }
             while i + 8 <= len && word_at(old, i) == word_at(new, i) {
                 i += 8;
             }
@@ -191,9 +240,9 @@ impl Diff {
             while i < len && old[i] != new[i] {
                 i += 1;
             }
-            runs.push(DiffRun::new(start as u32, new[start..i].to_vec()));
+            diff.push_run(start as u32, &new[start..i]);
         }
-        Diff { runs }
+        diff
     }
 
     /// Overwrites the diff's byte ranges in `page`.
@@ -202,47 +251,45 @@ impl Diff {
     ///
     /// Panics if a run extends past the end of the page.
     pub fn apply_to(&self, page: &mut PageBuf) {
-        for run in &self.runs {
-            page.write(run.offset() as usize, run.data());
+        for (offset, data) in self.runs() {
+            page.write(offset as usize, data);
         }
     }
 
     /// Number of runs.
     pub fn run_count(&self) -> usize {
-        self.runs.len()
+        self.run_count as usize
     }
 
     /// True if the diff carries no modifications.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.run_count == 0
     }
 
-    /// Iterates over the runs in offset order.
-    pub fn runs(&self) -> impl Iterator<Item = &DiffRun> {
-        self.runs.iter()
+    /// Iterates over the runs in offset order, as `(offset, bytes)` views
+    /// into the diff's buffer.
+    pub fn runs(&self) -> impl Iterator<Item = (u32, &[u8])> {
+        Runs { rest: &self.wire }
     }
 
     /// One past the last byte the diff modifies (0 for an empty diff): the
     /// diff applies to any page at least this long.
     pub fn extent(&self) -> usize {
-        self.runs.last().map_or(0, |run| run.end() as usize)
+        self.runs()
+            .last()
+            .map_or(0, |(offset, data)| offset as usize + data.len())
     }
 
     /// Total number of modified bytes.
     pub fn modified_bytes(&self) -> usize {
-        self.runs.iter().map(DiffRun::len).sum()
+        self.wire.len() - self.run_count() * RUN_HEADER_BYTES
     }
 
     /// Bytes this diff occupies on the wire: a fixed header plus a header
     /// and payload per run. This is the quantity charged to the "data"
     /// figures of the evaluation.
     pub fn encoded_size(&self) -> usize {
-        DIFF_HEADER_BYTES
-            + self
-                .runs
-                .iter()
-                .map(|r| RUN_HEADER_BYTES + r.len())
-                .sum::<usize>()
+        DIFF_HEADER_BYTES + self.wire.len()
     }
 
     /// Merges a happened-before-ordered sequence of diffs of one page into
@@ -277,26 +324,37 @@ impl Diff {
     /// ```
     pub fn squash<'a>(diffs: impl IntoIterator<Item = &'a Diff>) -> Diff {
         let chain: Vec<&Diff> = diffs.into_iter().collect();
-        let mut runs: Vec<DiffRun> = coverage(chain.iter().copied())
-            .into_iter()
-            .map(|(start, end)| DiffRun {
-                offset: start,
-                data: vec![0; (end - start) as usize],
-            })
-            .collect();
+        let ranges = coverage(chain.iter().copied());
+        // Lay the merged runs out zero-filled, then copy every run of the
+        // chain into place, later diffs over earlier ones.
+        let bytes = ranges
+            .iter()
+            .map(|&(start, end)| RUN_HEADER_BYTES + (end - start) as usize)
+            .sum();
+        let mut out = Diff {
+            wire: Vec::with_capacity(bytes),
+            run_count: 0,
+        };
+        for &(start, end) in &ranges {
+            let len = (end - start) as usize;
+            out.push_run_header(start, len);
+            out.wire.resize(out.wire.len() + len, 0);
+        }
         for diff in chain {
             // Every run lies inside exactly one merged run, and both lists
-            // are sorted by offset: one cursor finds them all.
-            let mut at = 0;
-            for run in &diff.runs {
-                while runs[at].end() <= run.offset {
+            // are sorted by offset: one cursor finds them all. `at` is the
+            // merged run, `data` where its bytes start in the buffer.
+            let (mut at, mut data) = (0, RUN_HEADER_BYTES);
+            for (offset, bytes) in diff.runs() {
+                while ranges[at].1 <= offset {
+                    data += RUN_HEADER_BYTES + (ranges[at].1 - ranges[at].0) as usize;
                     at += 1;
                 }
-                let into = (run.offset - runs[at].offset) as usize;
-                runs[at].data[into..into + run.len()].copy_from_slice(&run.data);
+                let into = data + (offset - ranges[at].0) as usize;
+                out.wire[into..into + bytes.len()].copy_from_slice(bytes);
             }
         }
-        Diff { runs }
+        out
     }
 
     /// `Diff::squash(diffs).encoded_size()` without building the squash:
@@ -319,17 +377,14 @@ impl Diff {
     /// it. The layout matches [`Diff::encoded_size`] *exactly* — page id
     /// (4), run count (4), interval stamp (4), then per run offset (4),
     /// length (4), and the run's bytes — so the modeled byte accounting of
-    /// `lrc-simnet` becomes a measurement for diffs.
+    /// `lrc-simnet` becomes a measurement for diffs. The runs are the
+    /// diff's own buffer, copied as they are.
     pub fn write_wire(&self, page: u32, stamp: u32, out: &mut Vec<u8>) {
         out.reserve(self.encoded_size());
         out.extend_from_slice(&page.to_le_bytes());
-        out.extend_from_slice(&(self.runs.len() as u32).to_le_bytes());
+        out.extend_from_slice(&self.run_count.to_le_bytes());
         out.extend_from_slice(&stamp.to_le_bytes());
-        for run in &self.runs {
-            out.extend_from_slice(&run.offset().to_le_bytes());
-            out.extend_from_slice(&(run.len() as u32).to_le_bytes());
-            out.extend_from_slice(run.data());
-        }
+        out.extend_from_slice(&self.wire);
     }
 
     /// Decodes one wire diff from the front of `bytes`, returning the page
@@ -346,46 +401,53 @@ impl Diff {
                 .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
         };
         let page = u32_at(0)?;
-        let run_count = u32_at(4)? as usize;
+        let run_count = u32_at(4)?;
         let stamp = u32_at(8)?;
-        if run_count > bytes.len() / RUN_HEADER_BYTES {
+        if run_count as usize > bytes.len() / RUN_HEADER_BYTES {
             return None; // each run costs at least its header
         }
         let mut at = DIFF_HEADER_BYTES;
-        let mut runs = Vec::with_capacity(run_count);
         let mut min_offset = 0usize;
         for _ in 0..run_count {
             let offset = u32_at(at)?;
             let len = u32_at(at + 4)? as usize;
-            let data = bytes.get(at + 8..at + 8 + len)?;
-            if len == 0 || (offset as usize) < min_offset {
+            at += RUN_HEADER_BYTES;
+            if len == 0 || (offset as usize) < min_offset || bytes.len() - at < len {
                 return None;
             }
             min_offset = run_end(offset, len)? as usize;
-            runs.push(DiffRun::new(offset, data.to_vec()));
-            at += RUN_HEADER_BYTES + len;
+            at += len;
         }
-        Some((page, stamp, Diff { runs }, at))
+        let wire = bytes[DIFF_HEADER_BYTES..at].to_vec();
+        Some((page, stamp, Diff { wire, run_count }, at))
     }
 
     /// True if any byte range of `self` overlaps any byte range of `other`.
     /// Concurrent diffs of a properly-labeled program never overlap.
     pub fn overlaps(&self, other: &Diff) -> bool {
         // Runs are sorted by offset; walk both lists once.
-        let mut a = self.runs.iter().peekable();
-        let mut b = other.runs.iter().peekable();
-        while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
-            let x_end = x.offset() as usize + x.len();
-            let y_end = y.offset() as usize + y.len();
-            if x_end <= y.offset() as usize {
+        let mut a = self.runs().peekable();
+        let mut b = other.runs().peekable();
+        while let (Some(&(x, x_data)), Some(&(y, y_data))) = (a.peek(), b.peek()) {
+            let x_end = x as usize + x_data.len();
+            let y_end = y as usize + y_data.len();
+            if x_end <= y as usize {
                 a.next();
-            } else if y_end <= x.offset() as usize {
+            } else if y_end <= x as usize {
                 b.next();
             } else {
                 return true;
             }
         }
         false
+    }
+}
+
+impl fmt::Debug for Diff {
+    /// Lists the runs as `(offset, bytes)` pairs.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Diff")?;
+        f.debug_list().entries(self.runs()).finish()
     }
 }
 
@@ -573,6 +635,29 @@ mod tests {
         Diff::new().write_wire(0, 0, &mut buf);
         assert_eq!(buf.len(), DIFF_HEADER_BYTES);
         assert!(Diff::read_wire(&buf).unwrap().2.is_empty());
+    }
+
+    #[test]
+    fn the_run_buffer_is_the_wire_encoding_past_the_header() {
+        let diff = Diff::from_runs(vec![
+            DiffRun::new(3, vec![9; 2]),
+            DiffRun::new(5, vec![4]),
+            DiffRun::new(300, vec![7; 3]),
+        ]);
+        let mut buf = Vec::new();
+        diff.write_wire(0, 0, &mut buf);
+        assert_eq!(&buf[DIFF_HEADER_BYTES..], &diff.wire[..]);
+        assert_eq!(
+            diff.wire.capacity(),
+            diff.wire.len(),
+            "one exact allocation"
+        );
+        let runs: Vec<(u32, &[u8])> = diff.runs().collect();
+        assert_eq!(
+            runs,
+            [(3, &[9, 9][..]), (5, &[4][..]), (300, &[7, 7, 7][..])]
+        );
+        assert_eq!((diff.extent(), diff.modified_bytes()), (303, 6));
     }
 
     #[test]

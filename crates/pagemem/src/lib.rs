@@ -14,7 +14,10 @@
 //!   configurable power-of-two [`PageSize`];
 //! * [`PageBuf`] — one page's bytes, with typed accessors;
 //! * [`Diff`] — run-length-encoded page deltas ([`Diff::between`],
-//!   [`Diff::apply_to`]) with an on-the-wire size model;
+//!   [`Diff::apply_to`]) with an on-the-wire size model. A diff is one
+//!   buffer holding its runs in their wire layout (offset, length, bytes
+//!   per run), so its encoded size is that buffer's length plus a fixed
+//!   header and encoding it is one copy;
 //! * [`Memory`] — a flat, sequentially-consistent memory used for page homes
 //!   and as the correctness oracle in the simulator.
 //!

@@ -1,7 +1,8 @@
 //! Property-based tests for the diff machinery: diffs must exactly
-//! reconstruct pages, commute when disjoint, and respect the size model;
-//! the word-stepping `between` and the range-merging `squash` must agree,
-//! run for run, with bytewise oracles kept here.
+//! reconstruct pages, commute when disjoint, respect the size model and
+//! round-trip through their wire encoding; the block- and word-stepping
+//! `between` and the range-merging `squash` must agree, run for run, with
+//! bytewise oracles kept here.
 
 use std::collections::BTreeMap;
 
@@ -37,9 +38,9 @@ fn apply_writes(page: &mut PageBuf, ws: &[(usize, Vec<u8>)]) {
 fn squash_oracle(chain: &[Diff]) -> Diff {
     let mut bytes: BTreeMap<u32, u8> = BTreeMap::new();
     for diff in chain {
-        for run in diff.runs() {
-            for (i, &b) in run.data().iter().enumerate() {
-                bytes.insert(run.offset() + i as u32, b);
+        for (offset, data) in diff.runs() {
+            for (i, &b) in data.iter().enumerate() {
+                bytes.insert(offset + i as u32, b);
             }
         }
     }
@@ -91,9 +92,9 @@ fn chain_diff() -> impl Strategy<Value = Diff> {
             let runs = pieces
                 .into_iter()
                 .map(|(gap, data)| {
-                    let run = DiffRun::new(at + gap, data);
-                    at = run.offset() + run.len() as u32;
-                    run
+                    let start = at + gap;
+                    at = start + data.len() as u32;
+                    DiffRun::new(start, data)
                 })
                 .collect();
             Diff::from_runs(runs)
@@ -105,12 +106,34 @@ fn chain() -> impl Strategy<Value = Vec<Diff>> {
     prop::collection::vec(chain_diff(), 0..=8)
 }
 
+/// Every offset within three bytes of a 32-byte block edge of the page,
+/// the page's own ends included.
+fn near_block_edges() -> Vec<usize> {
+    (0..=PAGE)
+        .step_by(32)
+        .flat_map(|edge| edge.saturating_sub(3)..=(edge + 3).min(PAGE))
+        .collect()
+}
+
+/// `twin` with every byte of `ranges` flipped.
+fn flipped(twin: &PageBuf, ranges: &[(usize, usize)]) -> PageBuf {
+    let mut cur = twin.clone();
+    for &(start, end) in ranges {
+        for b in &mut cur.as_bytes_mut()[start..end] {
+            *b = !*b;
+        }
+    }
+    cur
+}
+
 #[test]
 fn between_finds_a_lone_run_at_every_alignment() {
     // One modified range [start, end) for every start and end within three
     // words of the page's first byte, and the same against its last byte:
     // every (start mod 8, end mod 8) pair, runs inside one word, runs
-    // spanning several, runs touching either edge.
+    // spanning several, runs touching either edge. Then every start and
+    // end within three bytes of any 32-byte block edge, where the block
+    // scan hands over to the word and byte scans.
     let twin = PageBuf::from_bytes((0..PAGE).map(|i| (i * 7) as u8).collect());
     let mut ranges = Vec::new();
     for start in 0..24 {
@@ -119,20 +142,64 @@ fn between_finds_a_lone_run_at_every_alignment() {
             ranges.push((PAGE - end, PAGE - start));
         }
     }
+    let edges = near_block_edges();
+    for &start in &edges {
+        ranges.extend(
+            edges
+                .iter()
+                .filter(|&&end| end > start)
+                .map(|&end| (start, end)),
+        );
+    }
     for (start, end) in ranges {
-        let mut cur = twin.clone();
-        for b in &mut cur.as_bytes_mut()[start..end] {
-            *b = !*b;
-        }
+        let cur = flipped(&twin, &[(start, end)]);
         let diff = Diff::between(&twin, &cur);
         assert_eq!(diff, between_oracle(twin.as_bytes(), cur.as_bytes()));
-        assert_eq!(diff.run_count(), 1, "range {start}..{end}");
-        let run = diff.runs().next().unwrap();
-        assert_eq!((run.offset() as usize, run.len()), (start, end - start));
+        let runs: Vec<_> = diff.runs().collect();
+        assert_eq!(runs, [(start as u32, &cur.as_bytes()[start..end])]);
+    }
+}
+
+#[test]
+fn between_splits_two_runs_straddling_a_block_edge() {
+    // Two runs 0..=3 bytes apart, the gap placed all around each inner
+    // block edge; a zero gap is one run.
+    let twin = PageBuf::from_bytes((0..PAGE).map(|i| (i * 13 + 5) as u8).collect());
+    for edge in (32..PAGE).step_by(32) {
+        for gap in 0..=3 {
+            for first_end in edge - 4..=edge + 4 {
+                for (len1, len2) in [(1, 1), (3, 9), (9, 3), (5, 20)] {
+                    let first = (first_end - len1, first_end);
+                    let second = (first_end + gap, first_end + gap + len2);
+                    let cur = flipped(&twin, &[first, second]);
+                    let diff = Diff::between(&twin, &cur);
+                    assert_eq!(diff, between_oracle(twin.as_bytes(), cur.as_bytes()));
+                    let expected = if gap == 0 { 1 } else { 2 };
+                    assert_eq!(diff.run_count(), expected, "{first:?} {second:?}");
+                    assert_eq!(diff.modified_bytes(), len1 + len2);
+                }
+            }
+        }
     }
 }
 
 proptest! {
+    #[test]
+    fn chains_round_trip_through_the_wire(chain in chain(), page in any::<u32>(), stamp in any::<u32>()) {
+        // Every diff of a chain, and its squash, decodes back to itself
+        // from exactly `encoded_size` bytes.
+        let squashed = Diff::squash(&chain);
+        for diff in chain.iter().chain([&squashed]) {
+            let mut buf = vec![0xAB]; // appends, never overwrites
+            diff.write_wire(page, stamp, &mut buf);
+            prop_assert_eq!(buf.len() - 1, diff.encoded_size());
+            buf.push(0xCD); // trailing bytes are not consumed
+            let (back_page, back_stamp, back, used) = Diff::read_wire(&buf[1..]).unwrap();
+            prop_assert_eq!((back_page, back_stamp, used), (page, stamp, diff.encoded_size()));
+            prop_assert_eq!(&back, diff);
+        }
+    }
+
     #[test]
     fn diff_reconstructs_exactly(ws in writes()) {
         let twin = PageBuf::zeroed(size());
@@ -162,9 +229,9 @@ proptest! {
         let mut cur = twin.clone();
         apply_writes(&mut cur, &ws);
         let diff = Diff::between(&twin, &cur);
-        for run in diff.runs() {
-            for (i, &b) in run.data().iter().enumerate() {
-                let off = run.offset() as usize + i;
+        for (offset, data) in diff.runs() {
+            for (i, &b) in data.iter().enumerate() {
+                let off = offset as usize + i;
                 prop_assert_ne!(twin.as_bytes()[off], b, "byte {} did not change", off);
                 prop_assert_eq!(cur.as_bytes()[off], b);
             }
@@ -187,8 +254,8 @@ proptest! {
         let diff = Diff::between(&twin, &cur);
         let runs: Vec<_> = diff.runs().collect();
         for pair in runs.windows(2) {
-            let gap_start = pair[0].offset() as usize + pair[0].len();
-            let gap_end = pair[1].offset() as usize;
+            let gap_start = pair[0].0 as usize + pair[0].1.len();
+            let gap_end = pair[1].0 as usize;
             // Sorted and disjoint with at least one unmodified byte between
             // runs (otherwise they would have coalesced).
             prop_assert!(gap_start < gap_end);
@@ -229,7 +296,7 @@ proptest! {
         let expected = lrc_pagemem::DIFF_HEADER_BYTES
             + diff
                 .runs()
-                .map(|r| lrc_pagemem::RUN_HEADER_BYTES + r.len())
+                .map(|(_, data)| lrc_pagemem::RUN_HEADER_BYTES + data.len())
                 .sum::<usize>();
         prop_assert_eq!(diff.encoded_size(), expected);
         // A diff never costs more than header + one run covering the page.
