@@ -2,7 +2,7 @@
 //! plus N processors generating *disjoint-page* misses, with a fetch hook
 //! modeling network round-trip latency — the workload the engine's
 //! fine-grained slow paths (per-lock gates, per-page in-flight-miss
-//! table, versioned store snapshots) exist for, and the global
+//! table, no store lock held across a fetch) exist for, and the global
 //! `protocol` mutex's worst case.
 //!
 //! The verdict is **counter-based**, not wall-clock-based, so it holds on
@@ -129,12 +129,11 @@ fn json_block(label: &str, o: &Outcome) -> String {
     let c = &o.counters;
     format!(
         "  \"{label}\": {{\n    \"slow_waits\": {},\n    \"slow_waits_avoided\": {},\n    \
-         \"miss_inflight_peak\": {},\n    \"snapshot_retries\": {},\n    \"misses\": {},\n    \
+         \"miss_inflight_peak\": {},\n    \"misses\": {},\n    \
          \"acquires\": {},\n    \"modeled_msgs\": {},\n    \"elapsed_ms\": {}\n  }}",
         c.slow_waits,
         c.slow_waits_avoided,
         c.miss_inflight_peak,
-        c.snapshot_retries,
         c.misses(),
         c.acquires,
         o.msgs,

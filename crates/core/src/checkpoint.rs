@@ -77,7 +77,7 @@ pub struct EngineCheckpoint {
     /// Completed barrier episodes at capture time — the checkpoint's
     /// version; later checkpoints of the same run have larger values.
     pub episode: u64,
-    /// The interval store's snapshot era at capture ([`crate::IntervalStore::version`]).
+    /// The interval store's era at capture ([`crate::IntervalStore::era`]).
     /// A processor may rejoin from this checkpoint only while the live
     /// store is still in the same era — garbage collection discards the
     /// history the catch-up needs.

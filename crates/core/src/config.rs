@@ -60,16 +60,6 @@ pub enum ProtocolMutation {
     /// barrier crossers merge clocks but never learn which pages changed,
     /// so stale copies stay valid.
     DropNotices,
-    /// Apply fetch plans built against an outdated store snapshot without
-    /// revalidating — the failure mode the versioned-snapshot slow paths
-    /// guard against. The mutation emulates the hazard deterministically:
-    /// at every miss and acquire-time update pull, the causally-latest
-    /// planned diff is treated as having vanished between plan and apply
-    /// (skipped), yet its page is finalized as if the plan had applied
-    /// completely (pending cleared, copy valid), and the apply-side
-    /// version check is skipped. Readers then observe pages the protocol
-    /// believes are current but are missing their newest modification.
-    StaleSnapshotApply,
     /// Apply fetched diffs in *reverse* happened-before order: when a miss
     /// or update pull brings in more than one diff for a page, the oldest
     /// modification lands last and clobbers the newest. Single-diff pulls
@@ -95,7 +85,6 @@ impl fmt::Display for ProtocolMutation {
             ProtocolMutation::Stock => f.write_str("stock"),
             ProtocolMutation::SkipTwinDiff => f.write_str("skip-twin-diff"),
             ProtocolMutation::DropNotices => f.write_str("drop-notices"),
-            ProtocolMutation::StaleSnapshotApply => f.write_str("stale-snapshot-apply"),
             ProtocolMutation::WrongDiffOrder => f.write_str("wrong-diff-order"),
             ProtocolMutation::DroppedClockMerge => f.write_str("dropped-clock-merge"),
             ProtocolMutation::StaleGrantKnowledge => f.write_str("stale-grant-knowledge"),
@@ -302,10 +291,6 @@ mod tests {
         assert_eq!(ProtocolMutation::Stock.to_string(), "stock");
         assert_eq!(ProtocolMutation::SkipTwinDiff.to_string(), "skip-twin-diff");
         assert_eq!(ProtocolMutation::DropNotices.to_string(), "drop-notices");
-        assert_eq!(
-            ProtocolMutation::StaleSnapshotApply.to_string(),
-            "stale-snapshot-apply"
-        );
         assert_eq!(
             ProtocolMutation::WrongDiffOrder.to_string(),
             "wrong-diff-order"

@@ -80,10 +80,6 @@ counters! {
     gc_rounds,
     /// Lazy: pages force-validated by garbage collection.
     gc_validated_pages,
-    /// Lazy: miss/acquire fetch plans discarded because the interval store
-    /// was reorganized (garbage-collected) between the read snapshot the
-    /// plan was built against and the apply step's revalidation.
-    snapshot_retries,
     /// Lazy: barrier-time garbage-collection rounds *deferred* because a
     /// dead processor's rejoin lease was still live (clearing the history
     /// would have stranded its catch-up). Bounded by

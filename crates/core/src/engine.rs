@@ -75,8 +75,8 @@ use crate::{ConfigError, EngineCounters, EngineParams, Frame, Policy};
 ///
 /// Lock order: lock gate → page gates (ascending) → lock-table /
 /// barrier-set mutexes → protocol state (eager directory, epoch buffer |
-/// lazy store → gc-owner map) → shard mutexes → lazy death escrow. No
-/// path holds two lock gates or two shard mutexes at once.
+/// the lazy store lock) → shard mutexes. No path holds two lock gates or
+/// two shard mutexes at once.
 ///
 /// Two assumptions bound the concurrency (both enforced by the `lrc-dsm`
 /// runtime and trivially true single-threaded): each processor is driven

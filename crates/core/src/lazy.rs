@@ -4,6 +4,7 @@
 //! checkpointing and crash recovery, which only [`LrcEngine`] has.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::OnceLock;
 
 use lrc_pagemem::{Diff, PageBuf, PageId};
@@ -14,7 +15,7 @@ use lrc_simnet::{
 use lrc_sync::{AcquirePath, BarrierId, LockId};
 use lrc_vclock::{IntervalId, ProcId, StampedInterval, VectorClock};
 use parking_lot::lockdep::classes;
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::counters::bump;
 use crate::engine::{Engine, EngineCore, Protocol, Shard};
@@ -25,36 +26,78 @@ use crate::{
 };
 
 /// The lazy protocol's shared state: the interval store plus the
-/// garbage-collection and crash-recovery tables around it.
+/// garbage-collection and crash-recovery tables around it, behind one
+/// lock.
 ///
-/// Within a gated slow path, the store's write lock is held only for the
-/// brief bookkeeping steps (closing an interval, applying a fetch plan) —
-/// **never across a fetch**. Plans are built against a read snapshot of
-/// the store; the snapshot's [`IntervalStore::version`] is revalidated
-/// under the write lock before the plan applies, and a stale plan (the
-/// store was garbage-collected meanwhile) is rebuilt
-/// ([`EngineCounters::snapshot_retries`](crate::EngineCounters)). A barrier
-/// episode's completion has the engine to itself and holds the write lock
-/// across the whole compound update, which also makes barrier-time GC
-/// atomic. A shard mutex may be taken while holding the store lock, never
-/// the reverse; the gc-owner map is only ever taken while the store lock
-/// is held and never held across acquiring anything else; the death escrow
-/// is taken last, on the death and collection paths only.
+/// Within a gated slow path, the write lock is held only for the brief
+/// bookkeeping steps (closing an interval, applying a fetch plan) —
+/// **never across a fetch**: a plan is built under the read lock, the
+/// fetch is charged with no lock held, and the plan applies under the
+/// write lock. Only garbage collection rewrites the history, and it runs
+/// where no slow path can sit between plan and apply: at a barrier
+/// episode's completion, which has the engine to itself and holds the
+/// write lock across the whole compound update, and at a death, whose
+/// victim's thread must have stopped. The apply step asserts that the
+/// store's [`IntervalStore::era`] did not move. A shard mutex may be taken
+/// while holding the lock, never the reverse.
 #[derive(Debug)]
 pub struct Lazy {
+    state: RwLock<LazyState>,
+    /// Test instrumentation, like the core's fetch hook: the broken
+    /// variant [`LrcEngine::install_mutation`] selected, if any.
+    mutation: OnceLock<ProtocolMutation>,
+}
+
+/// What the lazy protocol's one lock guards.
+#[derive(Debug)]
+struct LazyState {
     /// Interval records, diffs, and possession tracking (read-mostly).
-    store: RwLock<IntervalStore>,
+    store: IntervalStore,
     /// After garbage collection: the processor holding the authoritative
     /// copy of each page whose diff history was discarded.
-    gc_owner: Mutex<Vec<Option<ProcId>>>,
+    gc_owner: Vec<Option<ProcId>>,
     /// Committed contents of pages whose post-GC authoritative owner
     /// died, parked at [`LrcEngine::declare_dead`] (the dead frames are
     /// reset) and consumed when a lease-expired collection re-homes the
     /// pages onto live frames.
-    escrow: Mutex<HashMap<PageId, PageBuf>>,
-    /// Test instrumentation, like the core's fetch hook: the broken
-    /// variant [`LrcEngine::install_mutation`] selected, if any.
-    mutation: OnceLock<ProtocolMutation>,
+    escrow: HashMap<PageId, PageBuf>,
+}
+
+impl LazyState {
+    /// The pages whose post-GC authoritative owner satisfies `owned`.
+    fn pages_owned_where(&self, owned: impl Fn(ProcId) -> bool) -> Vec<PageId> {
+        self.gc_owner
+            .iter()
+            .enumerate()
+            .filter(|(_, owner)| owner.is_some_and(&owned))
+            .map(|(gi, _)| PageId::new(gi as u32))
+            .collect()
+    }
+}
+
+/// A read guard on the lazy lock that shows only the interval store.
+struct StoreGuard<'a>(RwLockReadGuard<'a, LazyState>);
+
+impl Deref for StoreGuard<'_> {
+    type Target = IntervalStore;
+
+    fn deref(&self) -> &IntervalStore {
+        &self.0.store
+    }
+}
+
+/// Asserts that the store's era is still `planned`, the era `p`'s slow
+/// path read when it built its plan. A collection between plan and apply
+/// would leave the plan naming discarded diffs, and none can happen
+/// there: a barrier completes only once `p` has arrived, and a death
+/// collects only with its victim's thread stopped.
+fn assert_era(store: &IntervalStore, planned: u64, p: ProcId) {
+    assert_eq!(
+        store.era(),
+        planned,
+        "the interval store was collected under {p}'s slow path: {p} was \
+         declared dead while its own thread was inside an operation"
+    );
 }
 
 /// The lazy protocol's per-page state ([`Frame::ext`]): the
@@ -154,11 +197,13 @@ impl Protocol for Lazy {
     const CRASH_TOLERANT: bool = true;
 
     fn new(core: &EngineCore) -> Result<Self, ConfigError> {
-        let n_pages = core.space.n_pages() as usize;
+        let state = LazyState {
+            store: IntervalStore::new(core.params.n_procs),
+            gc_owner: vec![None; core.space.n_pages() as usize],
+            escrow: HashMap::new(),
+        };
         Ok(Lazy {
-            store: RwLock::new_in(IntervalStore::new(core.params.n_procs), classes::CORE_STORE),
-            gc_owner: Mutex::new_in(vec![None; n_pages], classes::CORE_GC_OWNER),
-            escrow: Mutex::new_in(HashMap::new(), classes::CORE_ESCROW),
+            state: RwLock::new_in(state, classes::CORE_STORE),
             mutation: OnceLock::new(),
         })
     }
@@ -215,7 +260,8 @@ impl Protocol for Lazy {
             // must reject the run.
             grantor.set(q, grantor.get(q).saturating_sub(1));
         }
-        let mut store = e.proto.store.read();
+        let state = e.proto.state.read();
+        let store = &state.store;
         let notices = {
             let mut shard = e.shard(p);
             let notices = store.notices_missing(&shard.ext.clock, &grantor, Some(q));
@@ -227,63 +273,44 @@ impl Protocol for Lazy {
         // Update policy: bring every cached page up to date now. Diffs the
         // grantor holds ride the grant; the rest cost 2 messages per other
         // concurrent last modifier (Table 1's `2h`). The plan is built
-        // against the read snapshot, the round trips are charged with no
-        // store lock held, and the write lock is taken only to apply —
-        // revalidating the snapshot version first.
+        // under the read lock, the round trips are charged with no lock
+        // held, and the write lock is taken only to apply.
         let mut grant_payload = LOCK_ID_BYTES + vc_bytes(n) + notice_bytes(&notices);
         if e.policy == Policy::Update {
-            loop {
-                let needed = e.needed_for_cached_pages(p);
-                let mut plan = FetchPlan::build(&store, p, Some(q), &needed);
-                let stale_page = e.stale_snapshot_drop(&mut plan);
-                let version = store.version();
-                let free_payload = e.diff_payload(&store, plan.supplied_by(Source::Free));
-                let fetches: Vec<(ProcId, u64, u64)> = plan
-                    .targets()
-                    .iter()
-                    .enumerate()
-                    .map(|(t, &target)| {
-                        let diffs = plan.supplied_by(Source::Target(t));
-                        (
-                            target,
-                            diffs.clone().count() as u64 * DIFF_REQUEST_ENTRY_BYTES,
-                            e.diff_payload(&store, diffs),
-                        )
-                    })
-                    .collect();
-                drop(store);
-                for (target, request, reply) in fetches {
-                    e.net.round_trip(
-                        p,
+            let needed = e.needed_for_cached_pages(p);
+            let plan = FetchPlan::build(store, p, Some(q), &needed);
+            let era = store.era();
+            grant_payload += e.diff_payload(store, plan.supplied_by(Source::Free));
+            let fetches: Vec<(ProcId, u64, u64)> = plan
+                .targets()
+                .iter()
+                .enumerate()
+                .map(|(t, &target)| {
+                    let diffs = plan.supplied_by(Source::Target(t));
+                    (
                         target,
-                        MsgKind::AcquireDiffRequest,
-                        request,
-                        MsgKind::AcquireDiffReply,
-                        reply,
-                    );
-                }
-                let mut wstore = e.proto.store.write();
-                if wstore.version() != version
-                    && e.mutation() != ProtocolMutation::StaleSnapshotApply
-                {
-                    // The store was reorganized between snapshot and
-                    // apply: the plan may name discarded diffs. Rebuild.
-                    bump(&e.counters.snapshot_retries, 1);
-                    drop(wstore);
-                    store = e.proto.store.read();
-                    continue;
-                }
-                let touched = e.apply_plan(&mut wstore, p, &plan);
-                bump(&e.counters.updates, touched as u64);
-                drop(wstore);
-                if let Some(g) = stale_page {
-                    e.finalize_stale_page(p, g);
-                }
-                grant_payload += free_payload;
-                break;
+                        diffs.clone().count() as u64 * DIFF_REQUEST_ENTRY_BYTES,
+                        e.diff_payload(store, diffs),
+                    )
+                })
+                .collect();
+            drop(state);
+            for (target, request, reply) in fetches {
+                e.net.round_trip(
+                    p,
+                    target,
+                    MsgKind::AcquireDiffRequest,
+                    request,
+                    MsgKind::AcquireDiffReply,
+                    reply,
+                );
             }
+            let mut state = e.proto.state.write();
+            assert_era(&state.store, era, p);
+            let touched = e.apply_plan(&mut state.store, p, &plan);
+            bump(&e.counters.updates, touched as u64);
         } else {
-            drop(store);
+            drop(state);
         }
 
         if let Some((src, dst)) = path.grant {
@@ -310,9 +337,11 @@ impl Protocol for Lazy {
     fn barrier_arrive(e: &LrcEngine, p: ProcId, _barrier: BarrierId, master: ProcId) {
         e.close_interval(p);
         if p != master {
-            let store = e.proto.store.read();
+            let state = e.proto.state.read();
             let master_clock = e.shard(master).ext.clock.clone();
-            let fresh = store.notices_missing(&master_clock, &e.shard(p).ext.clock, Some(p));
+            let fresh = state
+                .store
+                .notices_missing(&master_clock, &e.shard(p).ext.clock, Some(p));
             let payload = BARRIER_ID_BYTES + vc_bytes(e.params.n_procs) + notice_bytes(&fresh);
             e.net.send(p, master, MsgKind::BarrierArrival, payload);
         }
@@ -326,139 +355,116 @@ impl Protocol for Lazy {
     /// modifiers (2m messages), plus a base copy if the page was never
     /// resident.
     ///
-    /// No store lock is held across the fetch: the plan and its payload
-    /// sizes come from a read snapshot, the round trips are charged
-    /// lock-free, and the write lock is taken only to apply — after
-    /// revalidating the snapshot's store version.
+    /// No lock is held across the fetch: the plan and its payload sizes
+    /// come from the read lock, the round trips are charged lock-free, and
+    /// the write lock is taken only to apply.
     fn resolve_miss(e: &LrcEngine, p: ProcId, page: PageId) {
         let gi = page.index();
-        let mut first_attempt = true;
-        loop {
-            // Snapshot phase: pending list, plan, and payload sizes all
-            // read under ONE store read guard. The pending list must not
-            // be read before the guard is taken: garbage collection
-            // clears pendings and the interval history together under the
-            // store's write lock, so a pre-guard pending snapshot could
-            // name intervals the guarded store no longer records and
-            // panic `FetchPlan::build` instead of reaching the version
-            // revalidation below.
-            let store = e.proto.store.read();
-            let (cold, needed) = {
-                let shard = e.shard(p);
-                let entry = &shard.pages[gi];
-                let needed: Vec<(IntervalId, PageId)> =
-                    entry.ext.iter().map(|&iv| (iv, page)).collect();
-                (entry.copy.is_none(), needed)
-            };
-            if first_attempt {
-                if cold {
-                    bump(&e.counters.cold_misses, 1);
-                } else {
-                    bump(&e.counters.warm_misses, 1);
-                }
-            }
-            let gc_owner = cold.then(|| e.proto.gc_owner.lock()[gi]).flatten();
-
-            let mut plan = FetchPlan::build(&store, p, None, &needed);
-            let stale_dropped = e.stale_snapshot_drop(&mut plan);
-            let version = store.version();
-            debug_assert!(
-                !first_attempt || stale_dropped.is_some() || cold || !plan.is_empty(),
-                "warm miss without pending diffs cannot occur"
-            );
-
-            // Cold miss: "a copy of the page may have to be retrieved"
-            // (§4.3.3). The base ships from the first diff supplier when
-            // there is one, from the post-GC owner if the history was
-            // collected, and from the page's home (the initial contents)
-            // otherwise.
-            let mut base: Option<PageBuf> = None;
-            let mut base_trip: Option<ProcId> = None;
-            if cold {
-                let first_target = plan.targets().first().copied();
-                let supplier = first_target
-                    .or(gc_owner)
-                    .unwrap_or_else(|| e.page_home(page));
-                // The supplier's *committed* contents, cloned without
-                // disturbing its state; a never-touched home (and `p`
-                // itself, only possible for the untouched-home case)
-                // supplies the initial zero page.
-                let committed = (supplier != p)
-                    .then(|| e.shard(supplier).pages[gi].committed().cloned())
-                    .flatten();
-                base = Some(committed.unwrap_or_else(|| PageBuf::zeroed(e.space.page_size())));
-                // The base rides the first diff reply when the supplier
-                // is also a fetch target; otherwise it is its own round
-                // trip.
-                if supplier != p && first_target != Some(supplier) {
-                    base_trip = Some(supplier);
-                }
-            }
-            let page_bytes = e.space.page_size().bytes() as u64;
-            // All of a miss's diffs name the missed page: what each target
-            // supplies is one chain as it stands.
-            let chain_payload = |source: Source| {
-                let diff_of = |(iv, _): (IntervalId, PageId)| -> &Diff {
-                    store.diff(iv, page).expect("planned diff exists")
-                };
-                chain_bytes(plan.supplied_by(source).map(diff_of))
-            };
-            let trips: Vec<(ProcId, u64, u64)> = plan
-                .targets()
-                .iter()
-                .enumerate()
-                .map(|(t, &target)| {
-                    let source = Source::Target(t);
-                    let request =
-                        plan.supplied_by(source).count() as u64 * DIFF_REQUEST_ENTRY_BYTES;
-                    if cold && t == 0 {
-                        // The first supplier's reply also carries the base.
-                        let reply = chain_payload(source) + page_bytes;
-                        (target, request + PAGE_ID_BYTES, reply)
-                    } else if e.params.full_page_misses {
-                        // Ablation of §4.3.3: whole pages, not diffs.
-                        (target, request, page_bytes)
-                    } else {
-                        (target, request, chain_payload(source))
-                    }
-                })
-                .collect();
-            drop(store);
-
-            // Fetch phase: round trips with no store lock held. A stalled
-            // fetch here blocks only this page's gate.
-            let base_request = base_trip.map(|supplier| (supplier, PAGE_ID_BYTES, page_bytes));
-            for (target, request, reply) in base_request.into_iter().chain(trips) {
-                e.net.round_trip(
-                    p,
-                    target,
-                    MsgKind::MissRequest,
-                    request,
-                    MsgKind::MissReply,
-                    reply,
-                );
-            }
-            e.run_fetch_hook(p, page);
-
-            // Apply phase: revalidate the snapshot, then apply under the
-            // write lock.
-            let mut wstore = e.proto.store.write();
-            if wstore.version() != version && e.mutation() != ProtocolMutation::StaleSnapshotApply {
-                bump(&e.counters.snapshot_retries, 1);
-                drop(wstore);
-                first_attempt = false;
-                continue;
-            }
-            if let Some(buf) = base {
-                e.shard(p).pages[gi].copy = Some(buf);
-            }
-            e.apply_plan(&mut wstore, p, &plan);
-            drop(wstore);
-            let mut shard = e.shard(p);
-            shard.pages[gi].ext.clear();
-            shard.pages[gi].valid = true;
-            return;
+        // Plan phase: pending list, plan, and payload sizes all read under
+        // ONE read guard, so the pending list names only intervals the
+        // store records (garbage collection clears both together).
+        let state = e.proto.state.read();
+        let store = &state.store;
+        let (cold, needed) = {
+            let shard = e.shard(p);
+            let entry = &shard.pages[gi];
+            let needed: Vec<(IntervalId, PageId)> =
+                entry.ext.iter().map(|&iv| (iv, page)).collect();
+            (entry.copy.is_none(), needed)
+        };
+        if cold {
+            bump(&e.counters.cold_misses, 1);
+        } else {
+            bump(&e.counters.warm_misses, 1);
         }
+        let plan = FetchPlan::build(store, p, None, &needed);
+        let era = store.era();
+        debug_assert!(
+            cold || !plan.is_empty(),
+            "warm miss without pending diffs cannot occur"
+        );
+
+        // Cold miss: "a copy of the page may have to be retrieved"
+        // (§4.3.3). The base ships from the first diff supplier when there
+        // is one, from the post-GC owner if the history was collected, and
+        // from the page's home (the initial contents) otherwise.
+        let mut base: Option<PageBuf> = None;
+        let mut base_trip: Option<ProcId> = None;
+        if cold {
+            let first_target = plan.targets().first().copied();
+            let supplier = first_target
+                .or(state.gc_owner[gi])
+                .unwrap_or_else(|| e.page_home(page));
+            // The supplier's *committed* contents, cloned without
+            // disturbing its state; a never-touched home (and `p` itself,
+            // only possible for the untouched-home case) supplies the
+            // initial zero page.
+            let committed = (supplier != p)
+                .then(|| e.shard(supplier).pages[gi].committed().cloned())
+                .flatten();
+            base = Some(committed.unwrap_or_else(|| PageBuf::zeroed(e.space.page_size())));
+            // The base rides the first diff reply when the supplier is
+            // also a fetch target; otherwise it is its own round trip.
+            if supplier != p && first_target != Some(supplier) {
+                base_trip = Some(supplier);
+            }
+        }
+        let page_bytes = e.space.page_size().bytes() as u64;
+        // All of a miss's diffs name the missed page: what each target
+        // supplies is one chain as it stands.
+        let chain_payload = |source: Source| {
+            let diff_of = |(iv, _): (IntervalId, PageId)| -> &Diff {
+                store.diff(iv, page).expect("planned diff exists")
+            };
+            chain_bytes(plan.supplied_by(source).map(diff_of))
+        };
+        let trips: Vec<(ProcId, u64, u64)> = plan
+            .targets()
+            .iter()
+            .enumerate()
+            .map(|(t, &target)| {
+                let source = Source::Target(t);
+                let request = plan.supplied_by(source).count() as u64 * DIFF_REQUEST_ENTRY_BYTES;
+                if cold && t == 0 {
+                    // The first supplier's reply also carries the base.
+                    let reply = chain_payload(source) + page_bytes;
+                    (target, request + PAGE_ID_BYTES, reply)
+                } else if e.params.full_page_misses {
+                    // Ablation of §4.3.3: whole pages, not diffs.
+                    (target, request, page_bytes)
+                } else {
+                    (target, request, chain_payload(source))
+                }
+            })
+            .collect();
+        drop(state);
+
+        // Fetch phase: round trips with no lock held. A stalled fetch here
+        // blocks only this page's gate.
+        let base_request = base_trip.map(|supplier| (supplier, PAGE_ID_BYTES, page_bytes));
+        for (target, request, reply) in base_request.into_iter().chain(trips) {
+            e.net.round_trip(
+                p,
+                target,
+                MsgKind::MissRequest,
+                request,
+                MsgKind::MissReply,
+                reply,
+            );
+        }
+        e.run_fetch_hook(p, page);
+
+        // Apply phase, under the write lock.
+        let mut state = e.proto.state.write();
+        assert_era(&state.store, era, p);
+        if let Some(buf) = base {
+            e.shard(p).pages[gi].copy = Some(buf);
+        }
+        e.apply_plan(&mut state.store, p, &plan);
+        drop(state);
+        let mut shard = e.shard(p);
+        shard.pages[gi].ext.clear();
+        shard.pages[gi].valid = true;
     }
 }
 
@@ -470,8 +476,8 @@ impl Engine<Lazy> {
     /// application (and therefore any read or write that misses does), so
     /// a read-then-write on the same thread deadlocks; from other threads
     /// it merely blocks them. Read what you need and drop the guard.
-    pub fn store(&self) -> RwLockReadGuard<'_, IntervalStore> {
-        self.proto.store.read()
+    pub fn store(&self) -> impl Deref<Target = IntervalStore> + '_ {
+        StoreGuard(self.proto.state.read())
     }
 
     /// Processor `p`'s current vector time (a snapshot).
@@ -503,32 +509,6 @@ impl Engine<Lazy> {
         self.proto.mutation.get().copied().unwrap_or_default()
     }
 
-    /// Under [`ProtocolMutation::StaleSnapshotApply`]: removes the
-    /// causally-latest diff from `plan` — emulating a plan whose snapshot
-    /// predates that interval's availability being applied without
-    /// revalidation — and returns its page so the caller can finalize it
-    /// *as if* the plan had applied completely. Stock engines return
-    /// `None` and leave the plan alone.
-    fn stale_snapshot_drop(&self, plan: &mut FetchPlan) -> Option<PageId> {
-        if self.mutation() != ProtocolMutation::StaleSnapshotApply {
-            return None;
-        }
-        plan.drop_latest()
-    }
-
-    /// Finalizes `page` at `p` as if a fetch plan had fully applied to it:
-    /// pending notices cleared, resident copy marked valid. Only the
-    /// [`ProtocolMutation::StaleSnapshotApply`] emulation calls this for a
-    /// page whose newest diff was *not* applied.
-    fn finalize_stale_page(&self, p: ProcId, page: PageId) {
-        let mut shard = self.shard(p);
-        let entry = &mut shard.pages[page.index()];
-        entry.ext.clear();
-        if entry.copy.is_some() {
-            entry.valid = true;
-        }
-    }
-
     /// Closes `p`'s open interval: diffs every dirtied page against its
     /// twin, records the interval (if any page actually changed), and opens
     /// the next interval. The interval is published to the store *before*
@@ -536,7 +516,7 @@ impl Engine<Lazy> {
     /// lock), so any processor that observes the new clock value finds the
     /// interval recorded.
     fn close_interval(&self, p: ProcId) {
-        let mut store = self.proto.store.write();
+        let mut state = self.proto.state.write();
         let mut shard = self.shard(p);
         let Shard {
             pages,
@@ -566,7 +546,7 @@ impl Engine<Lazy> {
         }
         let clock = &mut ext.clock;
         let stamp = StampedInterval::new(IntervalId::new(p, clock.get(p)), clock.clone());
-        store.close_interval(stamp, page_diffs);
+        state.store.close_interval(stamp, page_diffs);
         bump(&self.counters.intervals_closed, 1);
         clock.bump(p);
     }
@@ -627,8 +607,8 @@ impl Engine<Lazy> {
 
     /// One request/reply exchange fetching `diffs` from `target` at a
     /// barrier (the barrier paths run exclusively and may hold the store
-    /// lock across the charge; the acquire and miss paths precompute
-    /// payloads from their read snapshot and charge lock-free instead).
+    /// lock across the charge; the acquire and miss paths size payloads
+    /// under the read lock and charge lock-free instead).
     fn barrier_fetch(
         &self,
         store: &IntervalStore,
@@ -709,7 +689,8 @@ impl Engine<Lazy> {
         for r in ProcId::all(n) {
             merge_knowledge(&mut merged, &self.shard(r).ext.clock, r);
         }
-        let mut store = self.proto.store.write();
+        let mut state = self.proto.state.write();
+        let store = &state.store;
         // Compute per-processor missing notices against pre-merge clocks.
         let missing: Vec<Vec<WriteNotice>> = ProcId::all(n)
             .map(|r| {
@@ -745,7 +726,7 @@ impl Engine<Lazy> {
             // Every processor pulls the diffs for its cached pages: one
             // round trip per (cacher, modifier) pair — Table 1's `2u`.
             for r in live() {
-                let touched = self.validate_cached_pages(&mut store, r);
+                let touched = self.validate_cached_pages(&mut state.store, r);
                 bump(&self.counters.updates, touched as u64);
             }
         }
@@ -764,7 +745,7 @@ impl Engine<Lazy> {
         if self.params.gc_at_barriers {
             let any_dead = dead.iter().any(|&d| d);
             if !any_dead {
-                self.collect_garbage(&mut store, &dead);
+                self.collect_garbage(&mut state, &dead);
             } else {
                 let episode = self.counters().barrier_episodes;
                 let all_dead = dead.iter().all(|&d| d);
@@ -778,7 +759,7 @@ impl Engine<Lazy> {
                     for r in ProcId::all(n).filter(|r| dead[r.index()]) {
                         self.shard(r).ext.lease_expired = true;
                     }
-                    self.collect_garbage(&mut store, &dead);
+                    self.collect_garbage(&mut state, &dead);
                 } else {
                     bump(&self.counters.gc_deferrals, 1);
                 }
@@ -800,37 +781,33 @@ impl Engine<Lazy> {
     /// Barrier-time garbage collection (TreadMarks-style): every processor
     /// brings its resident pages fully up to date (charged as barrier
     /// traffic), pages never cached anywhere keep only an owner pointer,
-    /// and the entire interval/diff history is discarded — bumping the
-    /// store's snapshot version so any in-flight plan would revalidate.
-    /// Safe exactly at barrier completion, when every interval has
-    /// performed everywhere.
-    fn collect_garbage(&self, store: &mut IntervalStore, dead: &[bool]) {
+    /// and the entire interval/diff history is discarded — advancing the
+    /// store's era. Safe exactly at barrier completion, when every
+    /// interval has performed everywhere.
+    fn collect_garbage(&self, state: &mut LazyState, dead: &[bool]) {
         let n = self.params.n_procs;
         // Validate every resident copy (the update policy already did; a
         // dead processor's frames were reset at death, so it has none).
         if self.policy == Policy::Invalidate {
             for r in ProcId::all(n).filter(|r| !dead[r.index()]) {
-                let touched = self.validate_cached_pages(store, r);
+                let touched = self.validate_cached_pages(&mut state.store, r);
                 bump(&self.counters.gc_validated_pages, touched as u64);
             }
         }
         // Record the authoritative owner of every page whose history is
         // about to disappear, then drop the history and dangling notices.
-        {
-            let mut gc_owner = self.proto.gc_owner.lock();
-            for (page, owner) in store.latest_writers() {
-                gc_owner[page.index()] = Some(owner);
-            }
+        for (page, owner) in state.store.latest_writers() {
+            state.gc_owner[page.index()] = Some(owner);
         }
         if dead.iter().any(|&d| d) {
-            self.rehome_dead_owned_pages(store, dead);
+            self.rehome_dead_owned_pages(state, dead);
         }
         for r in ProcId::all(n) {
             for entry in &mut self.shard(r).pages {
                 entry.ext.clear();
             }
         }
-        store.clear();
+        state.store.clear();
         bump(&self.counters.gc_rounds, 1);
     }
 
@@ -850,28 +827,25 @@ impl Engine<Lazy> {
     /// barrier completion: every recorded interval has performed at every
     /// live processor. The bytes come from the local escrow replica, not
     /// the fabric, so no messages are charged.
-    fn rehome_dead_owned_pages(&self, store: &IntervalStore, dead: &[bool]) {
+    fn rehome_dead_owned_pages(&self, state: &mut LazyState, dead: &[bool]) {
         let n = self.params.n_procs;
-        let orphaned = self.pages_owned_where(|o| dead[o.index()]);
+        let orphaned = state.pages_owned_where(|o| dead[o.index()]);
         if orphaned.is_empty() {
             return;
         }
         let fallback = ProcId::all(n)
             .find(|r| !dead[r.index()])
             .expect("re-homing requires a live processor");
+        let store = &state.store;
         for page in orphaned {
             let resident = ProcId::all(n)
                 .find(|&r| !dead[r.index()] && self.shard(r).pages[page.index()].copy.is_some());
+            let escrowed = state.escrow.remove(&page);
             let new_owner = match resident {
                 Some(r) => r,
                 None => {
-                    let mut buf = self
-                        .proto
-                        .escrow
-                        .lock()
-                        .get(&page)
-                        .cloned()
-                        .unwrap_or_else(|| PageBuf::zeroed(self.space.page_size()));
+                    let mut buf =
+                        escrowed.unwrap_or_else(|| PageBuf::zeroed(self.space.page_size()));
                     let mut chain = store.diff_intervals_of_page(page);
                     chain.sort_by_key(|&iv| hb_key(store, iv));
                     for iv in chain {
@@ -889,20 +863,8 @@ impl Engine<Lazy> {
                     fallback
                 }
             };
-            self.proto.gc_owner.lock()[page.index()] = Some(new_owner);
-            self.proto.escrow.lock().remove(&page);
+            state.gc_owner[page.index()] = Some(new_owner);
         }
-    }
-
-    /// The pages whose post-GC authoritative owner satisfies `owned`.
-    fn pages_owned_where(&self, owned: impl Fn(ProcId) -> bool) -> Vec<PageId> {
-        let gc_owner = self.proto.gc_owner.lock();
-        gc_owner
-            .iter()
-            .enumerate()
-            .filter(|(_, owner)| owner.is_some_and(&owned))
-            .map(|(gi, _)| PageId::new(gi as u32))
-            .collect()
     }
 
     // ---- crash tolerance ----
@@ -916,8 +878,7 @@ impl Engine<Lazy> {
     /// contents — see [`Frame::committed`]), so uncommitted writes are
     /// never checkpointed, exactly as a real crash would lose them.
     pub fn checkpoint(&self) -> EngineCheckpoint {
-        let store = self.proto.store.read();
-        let owners = self.proto.gc_owner.lock().clone();
+        let state = self.proto.state.read();
         let n = self.params.n_procs;
         let mut procs = Vec::with_capacity(n);
         for p in ProcId::all(n) {
@@ -944,9 +905,9 @@ impl Engine<Lazy> {
             page_bytes: self.space.page_size().bytes(),
             n_pages: self.space.n_pages() as usize,
             episode: self.counters().barrier_episodes,
-            store_era: store.version(),
-            owners,
-            store: store.export(),
+            store_era: state.store.era(),
+            owners: state.gc_owner.clone(),
+            store: state.store.export(),
             procs,
         }
     }
@@ -963,10 +924,10 @@ impl Engine<Lazy> {
     /// different engine shape.
     pub fn restore(&self, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
         self.check_shape(ckpt)?;
-        let mut store = self.proto.store.write();
-        *store = IntervalStore::import(self.params.n_procs, ckpt.store_era, &ckpt.store);
-        *self.proto.gc_owner.lock() = ckpt.owners.clone();
-        self.proto.escrow.lock().clear();
+        let mut state = self.proto.state.write();
+        state.store = IntervalStore::import(self.params.n_procs, ckpt.store_era, &ckpt.store);
+        state.gc_owner = ckpt.owners.clone();
+        state.escrow.clear();
         for p in ProcId::all(self.params.n_procs) {
             let mut shard = self.shard(p);
             shard.ext.clock = ckpt.procs[p.index()].clock.clone();
@@ -1048,25 +1009,18 @@ impl Engine<Lazy> {
         // authoritative owner is `p`: the frames are about to be reset,
         // and a lease-expired collection must still be able to re-home
         // those pages onto live frames (cold misses would otherwise read
-        // zeros). The store read lock serializes this scan with a
-        // concurrent collection rewriting the owner map. Consumed by
-        // `rehome_dead_owned_pages`.
-        let owned = {
-            let _store = self.proto.store.read();
-            self.pages_owned_where(|o| o == p)
-        };
-        let mut shard = self.shard(p);
-        if !owned.is_empty() {
-            let mut escrow = self.proto.escrow.lock();
-            for page in owned {
+        // zeros). Consumed by `rehome_dead_owned_pages`.
+        {
+            let mut state = self.proto.state.write();
+            let mut shard = self.shard(p);
+            for page in state.pages_owned_where(|o| o == p) {
                 if let Some(buf) = shard.pages[page.index()].committed() {
-                    escrow.insert(page, buf.clone());
+                    state.escrow.insert(page, buf.clone());
                 }
             }
+            shard.dirty.clear();
+            shard.pages.fill_with(Frame::default);
         }
-        shard.dirty.clear();
-        shard.pages.fill_with(Frame::default);
-        drop(shard);
         let completed_episodes = self.barriers.lock().mark_dead(p);
         for &(barrier, _) in &completed_episodes {
             let master = self.barriers.lock().master(barrier);
@@ -1168,12 +1122,13 @@ impl Engine<Lazy> {
         self.check_shape(ckpt)?;
         let n = self.params.n_procs;
         {
-            let store = self.proto.store.read();
-            if store.version() != ckpt.store_era {
+            let state = self.proto.state.read();
+            let store = &state.store;
+            if store.era() != ckpt.store_era {
                 let why = format!(
                     "store era {} differs from checkpoint era {}: the \
                      catch-up history was garbage-collected",
-                    store.version(),
+                    store.era(),
                     ckpt.store_era
                 );
                 // A lease-expired processor's history was collected *on

@@ -143,29 +143,6 @@ impl FetchPlan {
     pub(crate) fn is_empty(&self) -> bool {
         self.diffs.is_empty()
     }
-
-    /// Removes the causally latest diff — and its target, when that
-    /// target supplies nothing else — and returns its page (`None` for an
-    /// empty plan). Only the [`ProtocolMutation::StaleSnapshotApply`]
-    /// emulation calls this.
-    ///
-    /// [`ProtocolMutation::StaleSnapshotApply`]: crate::ProtocolMutation::StaleSnapshotApply
-    pub(crate) fn drop_latest(&mut self) -> Option<PageId> {
-        let latest = self.diffs.pop()?;
-        if let Source::Target(gone) = latest.source {
-            if !self.diffs.iter().any(|d| d.source == latest.source) {
-                self.targets.remove(gone);
-                for d in &mut self.diffs {
-                    if let Source::Target(t) = &mut d.source {
-                        if *t > gone {
-                            *t -= 1;
-                        }
-                    }
-                }
-            }
-        }
-        Some(latest.page)
-    }
 }
 
 #[cfg(test)]
@@ -298,26 +275,6 @@ mod tests {
         let plan = FetchPlan::build(&store, p(0), None, &[(iv, g(0)), (iv, g(1))]);
         assert_eq!(plan.targets().len(), 1);
         assert_eq!(plan.supplied_by(Source::Target(0)).count(), 2);
-    }
-
-    #[test]
-    fn dropping_the_latest_diff_drops_a_target_left_empty() {
-        // Two concurrent last modifiers, each supplying one diff; p2's
-        // stamp is heavier, so p2 is target 0 and its diff applies last.
-        let mut store = IntervalStore::new(4);
-        let page = g(0);
-        close(&mut store, 1, 1, page, &[]);
-        close(&mut store, 2, 2, page, &[]);
-        let (iv1, iv2) = (IntervalId::new(p(1), 1), IntervalId::new(p(2), 2));
-        let mut plan = FetchPlan::build(&store, p(0), None, &[(iv1, page), (iv2, page)]);
-        assert_eq!(plan.targets(), [p(2), p(1)]);
-        assert_eq!(plan.drop_latest(), Some(page));
-        assert_eq!(plan.targets(), [p(1)], "p2 supplies nothing now");
-        let rest: Vec<_> = plan.supplied_by(Source::Target(0)).collect();
-        assert_eq!(rest, [(iv1, page)], "p1's diff moved to index 0");
-        assert_eq!(plan.drop_latest(), Some(page));
-        assert!(plan.is_empty() && plan.targets().is_empty());
-        assert_eq!(plan.drop_latest(), None);
     }
 
     /// The plan as the builder used to return it: the free source's diffs

@@ -53,7 +53,7 @@ impl StoreOp {
             StoreOp::Hold(proc, interval, page) => store.add_holder(*proc, *interval, *page),
             StoreOp::Clear => store.clear(),
             StoreOp::Reload => {
-                *store = IntervalStore::import(n_procs, store.version(), &store.export())
+                *store = IntervalStore::import(n_procs, store.era(), &store.export())
             }
         }
     }

@@ -113,15 +113,10 @@ fn position(list: &[IntervalRecord], seq: u32) -> Option<usize> {
 pub struct IntervalStore {
     /// Closed, non-empty intervals per processor, in ascending seq order.
     records: Vec<Vec<IntervalRecord>>,
-    /// Louvre-style lightweight version: bumped by every *destructive*
-    /// reorganization (today: [`IntervalStore::clear`], the barrier-time
-    /// garbage collection). Additive mutations — closing intervals, adding
-    /// holders — leave it unchanged, because a fetch plan built against an
-    /// older snapshot stays applicable when the store only grew. Slow
-    /// paths build plans under the read lock, note the version, fetch with
-    /// no store lock held at all, and revalidate the version before
-    /// applying under the write lock.
-    version: u64,
+    /// How many times the history was discarded ([`IntervalStore::clear`],
+    /// the barrier-time garbage collection). Additive mutations — closing
+    /// intervals, adding holders — leave it unchanged.
+    era: u64,
 }
 
 impl IntervalStore {
@@ -129,17 +124,16 @@ impl IntervalStore {
     pub fn new(n_procs: usize) -> Self {
         IntervalStore {
             records: vec![Vec::new(); n_procs],
-            version: 0,
+            era: 0,
         }
     }
 
-    /// The store's snapshot version: unchanged by additive mutations,
-    /// bumped by destructive reorganizations (garbage collection). A fetch
-    /// plan built while the version was `v` may be applied as long as the
-    /// version still reads `v`; otherwise the plan may reference discarded
-    /// diffs and must be rebuilt.
-    pub fn version(&self) -> u64 {
-        self.version
+    /// The store's era: advanced only by garbage collection. A checkpoint
+    /// records it, so a rejoin can refuse a checkpoint whose catch-up
+    /// history was collected since; a slow path reads it when it plans,
+    /// and asserts it unchanged when the plan applies.
+    pub fn era(&self) -> u64 {
+        self.era
     }
 
     /// Appends a record to its creator's list.
@@ -388,21 +382,17 @@ impl IntervalStore {
     }
 
     /// Rebuilds a store from an exported view (the inverse of
-    /// [`IntervalStore::export`]). `version` restores the snapshot era so
-    /// the recovery guard against rejoining across a garbage collection
-    /// keeps working after a whole-engine restore.
+    /// [`IntervalStore::export`]). `era` is restored so the recovery guard
+    /// against rejoining across a garbage collection keeps working after a
+    /// whole-engine restore.
     ///
     /// # Panics
     ///
     /// Panics if a processor's intervals arrive out of seq order (a
     /// decoded checkpoint cannot: its decoder refuses that order).
-    pub(crate) fn import(
-        n_procs: usize,
-        version: u64,
-        entries: &[crate::StoreEntry],
-    ) -> IntervalStore {
+    pub(crate) fn import(n_procs: usize, era: u64, entries: &[crate::StoreEntry]) -> IntervalStore {
         let mut store = IntervalStore::new(n_procs);
-        store.version = version;
+        store.era = era;
         for (stamp, diffs) in entries {
             let pages = diffs
                 .iter()
@@ -424,8 +414,7 @@ impl IntervalStore {
         for list in &mut self.records {
             list.clear();
         }
-        // Outstanding read snapshots now dangle: invalidate them.
-        self.version += 1;
+        self.era += 1;
     }
 }
 
@@ -528,15 +517,15 @@ mod tests {
     #[test]
     fn version_moves_only_on_destructive_reorganization() {
         let mut s = IntervalStore::new(2);
-        assert_eq!(s.version(), 0);
+        assert_eq!(s.era(), 0);
         let g = PageId::new(0);
         s.close_interval(stamp(0, 1, 2), vec![(g, diff_of(&[1]))]);
         s.add_holder(p(1), IntervalId::new(p(0), 1), g);
-        assert_eq!(s.version(), 0, "additive mutations keep snapshots valid");
+        assert_eq!(s.era(), 0, "additive mutations keep the era");
         s.clear();
-        assert_eq!(s.version(), 1, "garbage collection invalidates snapshots");
+        assert_eq!(s.era(), 1, "garbage collection starts a new era");
         s.clear();
-        assert_eq!(s.version(), 2);
+        assert_eq!(s.era(), 2);
     }
 
     #[test]
@@ -555,8 +544,8 @@ mod tests {
         s.close_interval(stamp(2, 7, 3), vec![(g0, diff_of(&[5]))]);
         s.add_holder(p(0), IntervalId::new(p(2), 7), g0);
 
-        let back = IntervalStore::import(3, s.version(), &s.export());
-        assert_eq!(back.version(), s.version());
+        let back = IntervalStore::import(3, s.era(), &s.export());
+        assert_eq!(back.era(), s.era());
         assert_eq!(back.interval_count(), s.interval_count());
         assert_eq!(back.diff_count(), s.diff_count());
         assert_eq!(back.diff_bytes(), s.diff_bytes());
@@ -611,7 +600,7 @@ mod tests {
         records: Vec<Vec<(StampedInterval, Vec<PageId>)>>,
         diffs: HashMap<(IntervalId, PageId), Diff>,
         holders: HashMap<(IntervalId, PageId), u64>,
-        version: u64,
+        era: u64,
     }
 
     impl TwoMaps {
@@ -642,11 +631,11 @@ mod tests {
                     self.records.iter_mut().for_each(Vec::clear);
                     self.diffs.clear();
                     self.holders.clear();
-                    self.version += 1;
+                    self.era += 1;
                 }
                 StoreOp::Reload => {
                     let mut back = TwoMaps::new(self.records.len());
-                    back.version = self.version;
+                    back.era = self.era;
                     for (stamp, diffs) in self.export() {
                         let id = stamp.id();
                         let mut pages = Vec::new();
@@ -735,7 +724,7 @@ mod tests {
     /// Every query of the store against the model, after one step.
     fn agree(store: &IntervalStore, model: &TwoMaps, rng: &mut Rng, n_pages: u32) {
         let n = model.records.len();
-        assert_eq!(store.version(), model.version);
+        assert_eq!(store.era(), model.era);
         assert_eq!(store.export(), model.export());
         assert_eq!(
             store.interval_count(),

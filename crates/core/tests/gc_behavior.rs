@@ -1,9 +1,19 @@
 //! Tests of barrier-time garbage collection — the TreadMarks-style answer
 //! to the unbounded consistency-history problem the paper leaves open.
 
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
+
 use lrc_core::{EngineParams, LrcEngine, Policy};
+use lrc_pagemem::Diff;
 use lrc_sync::{BarrierId, LockId};
-use lrc_vclock::ProcId;
+use lrc_vclock::{IntervalId, ProcId};
+use parking_lot::Mutex;
+
+/// Reached only on a regression (a stalled thread never released or never
+/// stalled), failing the test instead of hanging it.
+const DEADLINE: Duration = Duration::from_secs(60);
 
 fn p(i: u16) -> ProcId {
     ProcId::new(i)
@@ -21,6 +31,17 @@ fn params(gc_at_barriers: bool) -> EngineParams {
 
 fn engine(policy: Policy) -> LrcEngine {
     LrcEngine::new(policy, &params(true)).unwrap()
+}
+
+/// A collecting engine whose dead processors' leases expire at once, so
+/// the episode a death completes collects.
+fn zero_lease_engine(n_procs: usize) -> LrcEngine {
+    let params = EngineParams {
+        n_procs,
+        death_lease_episodes: Some(0),
+        ..params(true)
+    };
+    LrcEngine::new(Policy::Invalidate, &params).unwrap()
 }
 
 #[test]
@@ -146,4 +167,126 @@ fn gc_validates_invalid_resident_copies() {
     let before = dsm.net().snapshot();
     assert_eq!(dsm.read_u64(p(2), 0), 7);
     assert_eq!(dsm.net().stats().since(&before).total().msgs, 0);
+}
+
+/// Only a collection rewrites the history, and none can run while a live
+/// processor's slow path sits between plan and apply. The one way to
+/// break that is to declare a processor dead while its own thread is
+/// inside a miss: the death completes the barrier, the collection runs,
+/// and the miss resumes against a new era. It must fail loudly there,
+/// without installing anything into the dead processor's reset frame.
+#[test]
+fn a_miss_resumed_across_its_own_death_fails_loudly() {
+    let dsm = zero_lease_engine(3);
+    let (lock, barrier) = (LockId::new(0), BarrierId::new(0));
+    let page = dsm.space().page_of(0);
+    // p1 writes the page and p0 learns of it, so p0's miss plans a diff
+    // the collection below discards.
+    dsm.acquire(p(1), lock).unwrap();
+    dsm.write_u64(p(1), 0, 7);
+    dsm.release(p(1), lock).unwrap();
+    dsm.acquire(p(0), lock).unwrap();
+
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    // Stalls p0's first fetch only.
+    let release_rx = Mutex::new(Some(release_rx));
+    dsm.set_fetch_hook(Box::new(move |q, _| {
+        let stall = (q == p(0)).then(|| release_rx.lock().take());
+        if let Some(release_rx) = stall.flatten() {
+            entered_tx.send(()).expect("test alive");
+            release_rx
+                .recv_timeout(DEADLINE)
+                .expect("the test releases the stalled miss");
+        }
+    }));
+    let panic = thread::scope(|scope| {
+        let miss = scope.spawn(|| dsm.read_u64(p(0), 0));
+        entered_rx
+            .recv_timeout(DEADLINE)
+            .expect("p0's cold miss reaches its fetch");
+        dsm.barrier(p(1), barrier).unwrap();
+        dsm.barrier(p(2), barrier).unwrap();
+        let report = dsm.declare_dead(p(0));
+        assert_eq!(report.completed_episodes.len(), 1);
+        assert_eq!(dsm.counters().gc_rounds, 1, "the death collected");
+        release_tx.send(()).expect("the miss is waiting");
+        miss.join().expect_err("the miss must not apply its plan")
+    });
+    let message = panic.downcast_ref::<String>().expect("a formatted panic");
+    assert!(
+        message.contains("declared dead while its own thread was inside an operation"),
+        "{message}"
+    );
+    assert!(
+        dsm.shard(p(0)).pages[page.index()].copy.is_none(),
+        "the dead frame stays without a copy"
+    );
+}
+
+/// A lease-expired collection re-homes each page whose post-GC owner is
+/// dead onto a live frame, one of two ways: (a) a live processor's
+/// resident copy, just validated, becomes the owner and nothing is
+/// installed; (b) with no resident copy, the page is rebuilt in the
+/// fallback frame — the lowest live processor's — from the death escrow
+/// plus this era's diff chain in happened-before order. Either way a
+/// third processor's cold read returns the dead writer's last value.
+#[test]
+fn dead_writers_pages_rehome_from_a_resident_copy_or_the_escrow() {
+    // p0 writes and dies, p1 is the fallback, p2 may cache the page, and
+    // p3 reads it cold after the collection.
+    let (writer, fallback, cacher, reader) = (p(0), p(1), p(2), p(3));
+    let (lock, barrier) = (LockId::new(0), BarrierId::new(0));
+    // Two words of page 2: the first is written only before the first
+    // collection, so after it only the escrow remembers it.
+    let (first, second) = (2 * 512, 2 * 512 + 8);
+    for resident_copy in [true, false] {
+        let case = if resident_copy { "(a)" } else { "(b)" };
+        let dsm = zero_lease_engine(4);
+        let page = dsm.space().page_of(first);
+        let locked_write = |addr: u64, value: u64| -> IntervalId {
+            dsm.acquire(writer, lock).unwrap();
+            let interval = IntervalId::new(writer, dsm.clock(writer).get(writer));
+            dsm.write_u64(writer, addr, value);
+            dsm.release(writer, lock).unwrap();
+            interval
+        };
+
+        // Era 0: the collection makes the writer the page's owner.
+        locked_write(first, 11);
+        for i in 0..4 {
+            dsm.barrier(p(i), barrier).unwrap();
+        }
+        if resident_copy {
+            assert_eq!(dsm.read_u64(cacher, first), 11, "{case}");
+        }
+        // Era 1: two diffs on one word, then the writer dies while the
+        // others wait at the barrier, and its death completes the episode.
+        let chain: Vec<Diff> = [locked_write(second, 21), locked_write(second, 22)]
+            .into_iter()
+            .map(|iv| dsm.store().diff(iv, page).expect("recorded").clone())
+            .collect();
+        for r in [fallback, cacher, reader] {
+            dsm.barrier(r, barrier).unwrap();
+        }
+        dsm.declare_dead(writer);
+        assert_eq!(dsm.counters().gc_rounds, 2, "{case}");
+
+        let installed = dsm.shard(fallback).pages[page.index()].copy.clone();
+        if resident_copy {
+            assert!(installed.is_none(), "{case}: nothing installed");
+            assert!(dsm.page_valid(cacher, page), "{case}");
+        } else {
+            let mut rebuilt = installed.expect("(b): rebuilt in the fallback frame");
+            assert!(dsm.page_valid(fallback, page), "{case}");
+            assert_eq!(rebuilt.read_u64(8), 22, "{case}");
+            // The order matters: newest-first leaves the older value.
+            for diff in chain.iter().rev() {
+                diff.apply_to(&mut rebuilt);
+            }
+            assert_eq!(rebuilt.read_u64(8), 21, "{case}: newest-first");
+        }
+        assert_eq!(dsm.read_u64(reader, first), 11, "{case}");
+        assert_eq!(dsm.read_u64(reader, second), 22, "{case}");
+    }
 }

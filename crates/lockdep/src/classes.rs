@@ -52,11 +52,9 @@ pub const SYNC_BARRIER_SET: Class = Class::new("sync.barrier_set", 52);
 pub const EAGER_DIRECTORY: Class = Class::new("eager.directory", 54);
 /// EI's per-episode buffered modifications.
 pub const EAGER_EPOCH_MODS: Class = Class::new("eager.epoch_mods", 56);
-/// The lazy engine's interval/diff store (a `RwLock`).
+/// The lazy engine's shared state (a `RwLock`): the interval/diff store,
+/// the post-GC owner map and the death escrow.
 pub const CORE_STORE: Class = Class::new("core.store", 60);
-/// The post-GC authoritative-owner map; taken only under the store lock,
-/// never held across acquiring anything else.
-pub const CORE_GC_OWNER: Class = Class::new("core.gc_owner", 65);
 
 // ---- per-processor shards (innermost protocol state) ----
 
@@ -64,10 +62,6 @@ pub const CORE_GC_OWNER: Class = Class::new("core.gc_owner", 65);
 /// holds two shards at once — cross-processor copies stage through
 /// locals — so the class has no order key: nesting two is a violation.
 pub const ENGINE_SHARD: Class = Class::new("engine.shard", 70);
-/// The death-escrow page buffers (authoritative contents of pages whose
-/// post-GC owner died, parked until garbage collection re-homes them).
-/// Taken after a shard lock on the death and GC paths.
-pub const CORE_ESCROW: Class = Class::new("core.escrow", 75);
 
 // ---- leaf instrumentation (held-nothing-else-after tiers) ----
 

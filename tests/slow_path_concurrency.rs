@@ -133,10 +133,6 @@ fn lazy_stalled_miss_blocks_neither_unrelated_lock_nor_other_page() {
          protocol mutex imposed (avoided = {})",
         counters.slow_waits_avoided
     );
-    assert_eq!(
-        counters.snapshot_retries, 0,
-        "no GC ran: no stale snapshots"
-    );
 }
 
 /// Eager engine parity: a stalled directory miss on page A blocks neither
