@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lrc_dsm::{CheckpointPolicy, Dsm, DsmBuilder, NodeClient, NodeServer};
+use lrc_dsm::{Dsm, DsmBuilder, NodeClient, NodeServer};
 use lrc_net::{NodeId, TcpTransport};
 use lrc_sim::ProtocolKind;
 use lrc_sync::BarrierId;
@@ -25,7 +25,8 @@ use lrc_vclock::ProcId;
 const PAGE: usize = 256;
 const MEM: u64 = 1 << 13;
 /// Iterations per crash cycle: enough barrier episodes that the latest
-/// automatic cut is a delta on top of earlier ones, not a trivial base.
+/// automatic cut follows earlier ones and holds several episodes of
+/// history, not a trivial first cut.
 const WARM_ITERS: u64 = 4;
 /// How long a silent barrier absentee survives before the failure
 /// detector declares it dead. Dominates detection latency.
@@ -72,7 +73,7 @@ fn kill_and_heal_cycle(crash_iter: u64) -> (Cycle, u64, Dsm) {
         .death_lease(2)
         .wait_timeout(Duration::from_secs(30))
         .holder_timeout(SUSPECT_AFTER)
-        .checkpoint_policy(CheckpointPolicy::every_episodes(1))
+        .checkpoint_every(1)
         .build()
         .unwrap();
 
@@ -171,7 +172,7 @@ fn main() {
     let mut converged = true;
     for cycle in 0..cycles {
         // Vary the crash point across cycles so recovery is measured
-        // against different-depth delta chains.
+        // against cuts holding different amounts of history.
         let crash_iter = 1 + (cycle as u64) % (WARM_ITERS - 1);
         let (run, echoed, dsm) = kill_and_heal_cycle(crash_iter);
         // The revived incarnation must see p1's last pre-crash write —
@@ -184,11 +185,11 @@ fn main() {
         let counters = dsm.engine().core().counters();
         println!(
             "cycle {cycle}: detect {:.1}ms  recover {:.1}ms  \
-             ({} cuts, {} delta bytes, {} gc deferrals)",
+             ({} cuts, {} checkpoint bytes, {} gc deferrals)",
             run.detect_ms,
             run.recover_ms,
             counters.checkpoints_cut,
-            counters.delta_bytes,
+            counters.checkpoint_bytes,
             counters.gc_deferrals,
         );
         runs.push(run);

@@ -11,9 +11,8 @@
 //!
 //! Serialization reuses the protocol's wire codecs ([`VectorClock`],
 //! [`IntervalId`], [`Diff`]) so checkpoints travel the same transports as
-//! protocol messages. Between barrier episodes only a small suffix of the
-//! state changes; [`EngineCheckpoint::delta_since`] captures exactly that
-//! suffix and [`CheckpointDelta::apply_to`] replays it onto the base.
+//! protocol messages. There is one format, `LRCK`: every encoded
+//! checkpoint is a whole cut, decodable on its own.
 
 use std::error::Error;
 use std::fmt;
@@ -26,7 +25,6 @@ use lrc_vclock::{IntervalId, ProcId, StampedInterval, VectorClock};
 pub type StoreEntry = (StampedInterval, Vec<(PageId, Diff, u64)>);
 
 const MAGIC: &[u8; 4] = b"LRCK";
-const DELTA_MAGIC: &[u8; 4] = b"LRCD";
 const FORMAT: u16 = 1;
 
 /// A checkpoint of one processor's frame of one page.
@@ -49,8 +47,7 @@ pub struct FrameCheckpoint {
 
 impl FrameCheckpoint {
     /// True if this frame carries no information (cold and unnoticed) —
-    /// such frames are omitted from checkpoints and, in a delta, mean
-    /// "reset this frame".
+    /// such frames are omitted from checkpoints.
     pub fn is_default(&self) -> bool {
         self.contents.is_none() && !self.valid && self.pending.is_empty()
     }
@@ -90,38 +87,13 @@ pub struct EngineCheckpoint {
     pub procs: Vec<ProcCheckpoint>,
 }
 
-/// The difference between two checkpoints of the same run — what changed
-/// since `base_episode`, enough to rebuild the newer checkpoint from the
-/// older one.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CheckpointDelta {
-    /// Episode of the checkpoint this delta applies to.
-    pub base_episode: u64,
-    /// Episode of the checkpoint this delta produces.
-    pub episode: u64,
-    /// Store era of the produced checkpoint.
-    pub store_era: u64,
-    /// If true, `store` is a full replacement (a garbage collection
-    /// intervened, so the base's entries cannot be patched additively);
-    /// otherwise `store` holds only entries absent from the base.
-    pub store_replaced: bool,
-    /// New (or, if `store_replaced`, all) store entries.
-    pub store: Vec<StoreEntry>,
-    /// Full replacement owner table of the produced checkpoint.
-    pub owners: Vec<Option<ProcId>>,
-    /// Per-processor: the new clock plus every frame that changed. A
-    /// listed default frame means "reset" (the processor crashed and its
-    /// frames were discarded).
-    pub procs: Vec<ProcCheckpoint>,
-}
-
 /// Why a checkpoint could not be decoded, applied, or rejoined from.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CheckpointError {
     /// The serialized bytes are malformed or truncated.
     Corrupt(String),
-    /// The checkpoint does not fit its target (engine shape, delta base,
-    /// or store era mismatch).
+    /// The checkpoint does not fit its target (engine shape or store era
+    /// mismatch).
     Incompatible(String),
     /// The dead processor's rejoin lease expired: garbage collection
     /// advanced the store era past the checkpoint's, so the catch-up
@@ -397,29 +369,19 @@ fn read_owners(
     Ok(owners)
 }
 
-/// Writes the header both formats start with: magic, format version,
-/// and the engine shape.
-fn write_header(
-    magic: &[u8; 4],
-    n_procs: usize,
-    page_bytes: usize,
-    n_pages: usize,
-    out: &mut Vec<u8>,
-) {
-    out.extend_from_slice(magic);
+/// Writes the header: magic, format version, and the engine shape.
+fn write_header(n_procs: usize, page_bytes: usize, n_pages: usize, out: &mut Vec<u8>) {
+    out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT.to_le_bytes());
     out.extend_from_slice(&(n_procs as u16).to_le_bytes());
     out.extend_from_slice(&(page_bytes as u32).to_le_bytes());
     out.extend_from_slice(&(n_pages as u32).to_le_bytes());
 }
 
-/// Reads and validates what [`write_header`] wrote, expecting `magic`:
+/// Reads and validates what [`write_header`] wrote:
 /// `(n_procs, page_bytes, n_pages)`.
-fn read_header(
-    r: &mut Reader<'_>,
-    magic: &[u8; 4],
-) -> Result<(usize, usize, usize), CheckpointError> {
-    if r.take(4)? != magic {
+fn read_header(r: &mut Reader<'_>) -> Result<(usize, usize, usize), CheckpointError> {
+    if r.take(4)? != MAGIC {
         return Err(corrupt("bad magic"));
     }
     let format = r.u16()?;
@@ -442,7 +404,7 @@ impl EngineCheckpoint {
     /// Serializes the checkpoint.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        write_header(MAGIC, self.n_procs, self.page_bytes, self.n_pages, &mut out);
+        write_header(self.n_procs, self.page_bytes, self.n_pages, &mut out);
         out.extend_from_slice(&self.episode.to_le_bytes());
         out.extend_from_slice(&self.store_era.to_le_bytes());
         write_owners(&self.owners, &mut out);
@@ -463,7 +425,7 @@ impl EngineCheckpoint {
     /// Deserializes a checkpoint produced by [`EngineCheckpoint::encode`].
     pub fn decode(bytes: &[u8]) -> Result<EngineCheckpoint, CheckpointError> {
         let mut r = Reader::new(bytes);
-        let (n_procs, page_bytes, n_pages) = read_header(&mut r, MAGIC)?;
+        let (n_procs, page_bytes, n_pages) = read_header(&mut r)?;
         let episode = r.u64()?;
         let store_era = r.u64()?;
         let owners = read_owners(&mut r, n_pages, n_procs)?;
@@ -487,193 +449,6 @@ impl EngineCheckpoint {
             store_era,
             owners,
             store,
-            procs,
-        })
-    }
-
-    /// The incremental difference from `base` (an earlier checkpoint of
-    /// the same run) to `self`: changed frames, new clocks, and store
-    /// entries the base lacks. `base.apply` of the result reproduces
-    /// `self` exactly.
-    pub fn delta_since(&self, base: &EngineCheckpoint) -> Result<CheckpointDelta, CheckpointError> {
-        if (self.n_procs, self.page_bytes, self.n_pages)
-            != (base.n_procs, base.page_bytes, base.n_pages)
-        {
-            return Err(CheckpointError::Incompatible(
-                "checkpoints describe different engines".into(),
-            ));
-        }
-        if base.episode > self.episode {
-            return Err(CheckpointError::Incompatible(format!(
-                "base episode {} is newer than {}",
-                base.episode, self.episode
-            )));
-        }
-        let store_replaced = self.store_era != base.store_era;
-        let store = if store_replaced {
-            self.store.clone()
-        } else {
-            // Additive era: the base's entries are a prefix set of ours.
-            let known: std::collections::HashSet<IntervalId> =
-                base.store.iter().map(|(s, _)| s.id()).collect();
-            self.store
-                .iter()
-                .filter(|(s, _)| !known.contains(&s.id()))
-                .cloned()
-                .collect()
-        };
-        let mut procs = Vec::with_capacity(self.n_procs);
-        for (new, old) in self.procs.iter().zip(&base.procs) {
-            let mut frames: Vec<FrameCheckpoint> = new
-                .frames
-                .iter()
-                .filter(|f| old.frames.iter().find(|o| o.page == f.page) != Some(*f))
-                .cloned()
-                .collect();
-            // Frames the base had that vanished (a crash reset them):
-            // emit explicit defaults so apply knows to drop them.
-            for old_frame in &old.frames {
-                if !new.frames.iter().any(|f| f.page == old_frame.page) {
-                    frames.push(FrameCheckpoint {
-                        page: old_frame.page,
-                        contents: None,
-                        valid: false,
-                        pending: Vec::new(),
-                    });
-                }
-            }
-            frames.sort_by_key(|f| f.page);
-            procs.push(ProcCheckpoint {
-                clock: new.clock.clone(),
-                frames,
-            });
-        }
-        Ok(CheckpointDelta {
-            base_episode: base.episode,
-            episode: self.episode,
-            store_era: self.store_era,
-            store_replaced,
-            store,
-            owners: self.owners.clone(),
-            procs,
-        })
-    }
-}
-
-impl CheckpointDelta {
-    /// Rebuilds the newer checkpoint from `base` and this delta.
-    pub fn apply_to(&self, base: &EngineCheckpoint) -> Result<EngineCheckpoint, CheckpointError> {
-        if self.base_episode != base.episode {
-            return Err(CheckpointError::Incompatible(format!(
-                "delta expects base episode {}, got {}",
-                self.base_episode, base.episode
-            )));
-        }
-        if self.procs.len() != base.procs.len() || self.owners.len() != base.owners.len() {
-            return Err(CheckpointError::Incompatible(
-                "delta describes a different engine".into(),
-            ));
-        }
-        let mut store = if self.store_replaced {
-            self.store.clone()
-        } else {
-            let mut merged = base.store.clone();
-            merged.extend(self.store.iter().cloned());
-            merged
-        };
-        // Import order: grouped by processor, ascending seq within each.
-        store.sort_by_key(|(s, _)| (s.id().proc(), s.id().seq()));
-        if let Some(pair) = store
-            .windows(2)
-            .find(|pair| pair[0].0.id() == pair[1].0.id())
-        {
-            return Err(CheckpointError::Incompatible(format!(
-                "delta repeats interval {} of its base",
-                pair[0].0.id()
-            )));
-        }
-        let mut procs = Vec::with_capacity(base.procs.len());
-        for (patch, old) in self.procs.iter().zip(&base.procs) {
-            let mut frames: Vec<FrameCheckpoint> = old
-                .frames
-                .iter()
-                .filter(|o| !patch.frames.iter().any(|f| f.page == o.page))
-                .cloned()
-                .collect();
-            frames.extend(patch.frames.iter().filter(|f| !f.is_default()).cloned());
-            frames.sort_by_key(|f| f.page);
-            procs.push(ProcCheckpoint {
-                clock: patch.clock.clone(),
-                frames,
-            });
-        }
-        Ok(EngineCheckpoint {
-            n_procs: base.n_procs,
-            page_bytes: base.page_bytes,
-            n_pages: base.n_pages,
-            episode: self.episode,
-            store_era: self.store_era,
-            owners: self.owners.clone(),
-            store,
-            procs,
-        })
-    }
-
-    /// Serializes the delta.
-    pub fn encode(&self, page_bytes: usize, n_pages: usize) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_header(DELTA_MAGIC, self.procs.len(), page_bytes, n_pages, &mut out);
-        out.extend_from_slice(&self.base_episode.to_le_bytes());
-        out.extend_from_slice(&self.episode.to_le_bytes());
-        out.extend_from_slice(&self.store_era.to_le_bytes());
-        out.push(self.store_replaced as u8);
-        write_owners(&self.owners, &mut out);
-        out.extend_from_slice(&(self.store.len() as u32).to_le_bytes());
-        for entry in &self.store {
-            write_store_entry(entry, &mut out);
-        }
-        for proc in &self.procs {
-            proc.clock.write_wire(&mut out);
-            out.extend_from_slice(&(proc.frames.len() as u32).to_le_bytes());
-            for frame in &proc.frames {
-                write_frame(frame, page_bytes, &mut out);
-            }
-        }
-        out
-    }
-
-    /// Deserializes a delta produced by [`CheckpointDelta::encode`].
-    pub fn decode(bytes: &[u8]) -> Result<CheckpointDelta, CheckpointError> {
-        let mut r = Reader::new(bytes);
-        let (n_procs, page_bytes, n_pages) = read_header(&mut r, DELTA_MAGIC)?;
-        let base_episode = r.u64()?;
-        let episode = r.u64()?;
-        let store_era = r.u64()?;
-        let store_replaced = match r.u8()? {
-            0 => false,
-            1 => true,
-            f => return Err(corrupt(format!("bad store-replaced flag {f}"))),
-        };
-        let owners = read_owners(&mut r, n_pages, n_procs)?;
-        let store = read_store(&mut r, n_procs, page_bytes, n_pages)?;
-        let mut procs = Vec::with_capacity(n_procs);
-        for _ in 0..n_procs {
-            let clock = r.clock(n_procs)?;
-            let n_frames = r.count(5)?;
-            let mut frames = Vec::with_capacity(n_frames);
-            for _ in 0..n_frames {
-                frames.push(read_frame(&mut r, page_bytes, n_pages)?);
-            }
-            procs.push(ProcCheckpoint { clock, frames });
-        }
-        r.done()?;
-        Ok(CheckpointDelta {
-            base_episode,
-            episode,
-            store_era,
-            store_replaced,
-            store,
-            owners,
             procs,
         })
     }
@@ -767,67 +542,6 @@ mod tests {
         assert!(matches!(
             EngineCheckpoint::decode(&trailing),
             Err(CheckpointError::Corrupt(why)) if why.contains("trailing")
-        ));
-    }
-
-    #[test]
-    fn delta_captures_only_changes_and_applies_back() {
-        let base = sample();
-        let mut next = base.clone();
-        next.episode = 6;
-        // Canonical store order: grouped by processor, ascending seq.
-        next.store.insert(1, entry(0, 4, 2, 0b01));
-        next.procs[0].frames[0].contents = Some(vec![9u8; 64]);
-        next.procs[0].clock.set(p(0), 5);
-        // p1's frame vanished (crash reset).
-        next.procs[1].frames.clear();
-
-        let delta = next.delta_since(&base).unwrap();
-        assert!(!delta.store_replaced);
-        assert_eq!(delta.store.len(), 1, "only the new interval travels");
-        assert_eq!(delta.procs[0].frames.len(), 1, "only the changed frame");
-        assert_eq!(delta.procs[1].frames.len(), 1);
-        assert!(delta.procs[1].frames[0].is_default(), "reset marker");
-
-        assert_eq!(delta.apply_to(&base).unwrap(), next);
-
-        let bytes = delta.encode(base.page_bytes, base.n_pages);
-        assert_eq!(CheckpointDelta::decode(&bytes).unwrap(), delta);
-    }
-
-    #[test]
-    fn delta_across_garbage_collection_replaces_the_store() {
-        let base = sample();
-        let mut next = base.clone();
-        next.episode = 7;
-        next.store_era = 2;
-        next.store = vec![entry(1, 9, 3, 0b10)];
-        let delta = next.delta_since(&base).unwrap();
-        assert!(delta.store_replaced);
-        assert_eq!(delta.apply_to(&base).unwrap(), next);
-    }
-
-    #[test]
-    fn delta_guards_shape_and_base() {
-        let base = sample();
-        let mut other = base.clone();
-        other.n_pages = 8;
-        other.owners = vec![None; 8];
-        assert!(matches!(
-            base.delta_since(&other),
-            Err(CheckpointError::Incompatible(_))
-        ));
-        let delta = base.delta_since(&base).unwrap();
-        let mut wrong = base.clone();
-        wrong.episode = 99;
-        assert!(delta.apply_to(&wrong).is_err());
-        // An additive delta carrying an interval its base already has
-        // would hand the store import the same interval twice.
-        let mut repeats = delta;
-        repeats.store.push(base.store[0].clone());
-        assert!(matches!(
-            repeats.apply_to(&base),
-            Err(CheckpointError::Incompatible(why)) if why.contains("repeats")
         ));
     }
 }

@@ -55,11 +55,10 @@ counters! {
     miss_inflight_peak,
     /// Checkpoints cut through
     /// [`EngineCore::note_checkpoint`](crate::EngineCore::note_checkpoint)
-    /// — the runtime's automatic policy cuts, full and delta alike.
+    /// — the runtime's automatic cuts.
     checkpoints_cut,
-    /// Encoded bytes of those checkpoints as shipped to the sink (deltas
-    /// count their delta size, not the full cut they stand for).
-    delta_bytes,
+    /// Encoded bytes of the cuts the runtime took.
+    checkpoint_bytes,
     /// Lazy: access misses on pages never cached before (base copy
     /// needed).
     cold_misses,

@@ -250,15 +250,14 @@ impl EngineCore {
         self.barriers.lock().absent(barrier)
     }
 
-    /// Records one checkpoint cut shipped by the runtime's automatic
-    /// policy: bumps [`EngineCounters::checkpoints_cut`] and adds the
-    /// encoded bytes that went to the sink (a delta counts its delta
-    /// size, not the full cut it stands for) to
-    /// [`EngineCounters::delta_bytes`]. Pure statistics — the cut itself
-    /// is [`LrcEngine::checkpoint`](crate::LrcEngine::checkpoint).
-    pub fn note_checkpoint(&self, shipped_bytes: u64) {
+    /// Records one checkpoint cut taken by the runtime's automatic
+    /// checkpointer: bumps [`EngineCounters::checkpoints_cut`] and adds
+    /// the cut's encoded bytes to [`EngineCounters::checkpoint_bytes`].
+    /// Pure statistics — the cut itself is
+    /// [`LrcEngine::checkpoint`](crate::LrcEngine::checkpoint).
+    pub fn note_checkpoint(&self, encoded_bytes: u64) {
         bump(&self.counters.checkpoints_cut, 1);
-        bump(&self.counters.delta_bytes, shipped_bytes);
+        bump(&self.counters.checkpoint_bytes, encoded_bytes);
     }
 
     // ---- slow-path preamble ----

@@ -124,7 +124,7 @@ pub struct LazyShard {
     /// processor's lease had expired: rejoin from any pre-collection
     /// checkpoint is refused with [`CheckpointError::LeaseExpired`]
     /// instead of the generic era mismatch, directing the node to
-    /// cold-join from the latest shipped checkpoint.
+    /// cold-join from a checkpoint cut after the collection.
     lease_expired: bool,
 }
 
@@ -1113,7 +1113,7 @@ impl Engine<Lazy> {
     /// lease running out
     /// ([`EngineParams::death_lease_episodes`](crate::EngineParams)): no
     /// pre-collection checkpoint can ever succeed again, so the node must
-    /// cold-join from the latest checkpoint shipped after the collection.
+    /// cold-join from a checkpoint cut after the collection.
     ///
     /// # Panics
     ///
@@ -1133,7 +1133,7 @@ impl Engine<Lazy> {
                 );
                 // A lease-expired processor's history was collected *on
                 // purpose*: the typed error tells the runtime to cold-join
-                // from the latest shipped checkpoint instead of retrying.
+                // from a post-collection checkpoint instead of retrying.
                 return Err(if self.shard(p).ext.lease_expired {
                     CheckpointError::LeaseExpired(why)
                 } else {

@@ -84,7 +84,7 @@ mod slowpath;
 mod store;
 
 pub use checkpoint::{
-    CheckpointDelta, CheckpointError, EngineCheckpoint, FrameCheckpoint, ProcCheckpoint, StoreEntry,
+    CheckpointError, EngineCheckpoint, FrameCheckpoint, ProcCheckpoint, StoreEntry,
 };
 pub use config::{ConfigError, EngineParams, Policy, ProtocolMutation, MAX_PROCS};
 pub use counters::{bump, CounterCells, EngineCounters};

@@ -5,7 +5,7 @@ use lrc_core::{ConfigError, EngineParams};
 use lrc_sim::{AnyEngine, ProtocolKind};
 
 use crate::cluster::Dsm;
-use crate::recovery::{AutoCheckpointer, CheckpointPolicy};
+use crate::recovery::AutoCheckpointer;
 
 /// Configures and builds a [`Dsm`] runtime.
 ///
@@ -29,7 +29,7 @@ pub struct DsmBuilder {
     params: EngineParams,
     wait_timeout: Option<Duration>,
     holder_timeout: Option<Duration>,
-    checkpoint_policy: Option<CheckpointPolicy>,
+    checkpoint_every: Option<u64>,
 }
 
 impl DsmBuilder {
@@ -45,7 +45,7 @@ impl DsmBuilder {
             },
             wait_timeout: None,
             holder_timeout: None,
-            checkpoint_policy: None,
+            checkpoint_every: None,
         }
     }
 
@@ -118,14 +118,19 @@ impl DsmBuilder {
     }
 
     /// Arms the automatic checkpointer: the closing arrival of every
-    /// `policy`-th barrier episode cuts, and so does the runtime right
-    /// before it processes a death. The cuts stay in memory, where
+    /// `episodes`-th barrier episode cuts, and so does the runtime right
+    /// before it processes a death. The newest cut stays in memory, where
     /// [`Dsm::latest_checkpoint`] and revival ([`Dsm::try_revive`], a
-    /// returning node's hello) read them back. See [`CheckpointPolicy`].
-    /// Lazy protocols only — [`DsmBuilder::build`] refuses it on an eager
-    /// one, which has no checkpoint.
-    pub fn checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoint_policy = Some(policy);
+    /// returning node's hello) read it back. Lazy protocols only —
+    /// [`DsmBuilder::build`] refuses it on an eager one, which has no
+    /// checkpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `episodes` is zero.
+    pub fn checkpoint_every(mut self, episodes: u64) -> Self {
+        assert!(episodes > 0, "episode period must be positive");
+        self.checkpoint_every = Some(episodes);
         self
     }
 
@@ -151,7 +156,7 @@ impl DsmBuilder {
     /// Returns [`ConfigError`] if the parameters do not validate. One rule
     /// covers every option that selects lazy-only *behaviour*
     /// ([`DsmBuilder::holder_timeout`], [`DsmBuilder::death_lease`],
-    /// [`DsmBuilder::checkpoint_policy`]): on an eager protocol it is
+    /// [`DsmBuilder::checkpoint_every`]): on an eager protocol it is
     /// [`ConfigError::LazyOnly`], never a panic and never silently
     /// ignored. The three ablation flags only shape lazy traffic and are
     /// accepted as no-ops.
@@ -160,14 +165,14 @@ impl DsmBuilder {
             if self.holder_timeout.is_some() {
                 return Err(ConfigError::LazyOnly("holder_timeout"));
             }
-            if self.checkpoint_policy.is_some() {
-                return Err(ConfigError::LazyOnly("checkpoint_policy"));
+            if self.checkpoint_every.is_some() {
+                return Err(ConfigError::LazyOnly("checkpoint_every"));
             }
         }
         let engine = AnyEngine::build(self.kind, &self.params)?;
         let recovery = self
-            .checkpoint_policy
-            .map(|policy| Arc::new(AutoCheckpointer::new(policy)));
+            .checkpoint_every
+            .map(|episodes| Arc::new(AutoCheckpointer::new(episodes)));
         Ok(Dsm::from_engine(
             engine,
             self.kind,
@@ -219,9 +224,9 @@ mod tests {
             ),
             ("death_lease", |b| b.death_lease(2), Some("death_lease")),
             (
-                "checkpoint_policy",
-                |b| b.checkpoint_policy(CheckpointPolicy::every_episodes(1)),
-                Some("checkpoint_policy"),
+                "checkpoint_every",
+                |b| b.checkpoint_every(1),
+                Some("checkpoint_every"),
             ),
             ("gc_at_barriers", |b| b.gc_at_barriers(), None),
             ("no_piggyback", |b| b.no_piggyback(), None),
@@ -237,5 +242,11 @@ mod tests {
                 assert_eq!(built.err(), expected, "{name} on {kind}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_episode_period_rejected() {
+        let _ = DsmBuilder::new(ProtocolKind::LazyInvalidate, 2, 1 << 14).checkpoint_every(0);
     }
 }

@@ -114,9 +114,10 @@ pub(crate) struct Cluster {
     /// panics on a double `declare_dead`, so check-and-declare must be
     /// atomic across waiters.
     pub(crate) suspicion: parking_lot::Mutex<()>,
-    /// The automatic checkpointer, when a [`crate::CheckpointPolicy`] is
-    /// configured: closing barrier arrivals and death declarations feed
-    /// it, and revival reads its latest shipped cut.
+    /// The automatic checkpointer, when
+    /// [`crate::DsmBuilder::checkpoint_every`] is set: closing barrier
+    /// arrivals and death declarations feed it, and revival reads its
+    /// newest cut.
     pub(crate) recovery: Option<Arc<crate::recovery::AutoCheckpointer>>,
 }
 
@@ -195,8 +196,11 @@ impl Cluster {
         // into the page home's zeros. Captured pre-death, the cut holds
         // `p`'s committed pages (twin-first, so its still-open interval
         // leaks nothing), and the flush below lands in the interval store
-        // where rejoin's catch-up delivery finds it.
+        // where rejoin's catch-up delivery finds it. A refused
+        // declaration must not cut: a second one would replace the
+        // pre-death cut with one of the dead window.
         let engine = self.lazy();
+        assert!(!engine.is_dead(p), "processor {p} is already dead");
         if let Some(auto) = self.recovery.as_ref() {
             auto.cut_now(engine);
         }
@@ -431,19 +435,17 @@ impl Dsm {
 
     // ---- self-healing runtime ----
 
-    /// The newest automatically shipped checkpoint, reconstructed from
-    /// the checkpointer's chain (full cut plus deltas), with the engine
-    /// episode count it covers. `None` without a
-    /// [`crate::DsmBuilder::checkpoint_policy`] or before the first cut.
-    pub fn latest_checkpoint(&self) -> Option<(EngineCheckpoint, u64)> {
+    /// The automatic checkpointer's newest cut. `None` without
+    /// [`crate::DsmBuilder::checkpoint_every`] or before the first cut.
+    pub fn latest_checkpoint(&self) -> Option<EngineCheckpoint> {
         self.cluster.recovery.as_ref()?.latest()
     }
 
-    /// Attempts automatic revival of `p`: rejoin from the latest shipped
-    /// cut, cold-joining from a fresh post-GC cut if the shipped chain
+    /// Attempts automatic revival of `p`: rejoin from the newest
+    /// automatic cut, cold-joining from a fresh post-GC cut if that one
     /// was invalidated by lease expiry. Returns whether `p` is alive
-    /// afterwards (`false` without a checkpoint policy or before any
-    /// cut). This is what the node server calls when a reconnecting
+    /// afterwards (`false` without an automatic checkpointer or before
+    /// any cut). This is what the node server calls when a reconnecting
     /// spoke re-announces a processor that was declared dead; local
     /// applications call it to hand a crashed processor back to a new
     /// driving thread.

@@ -58,4 +58,3 @@ pub use builder::DsmBuilder;
 pub use cluster::{Dsm, DsmError};
 pub use handle::ProcHandle;
 pub use node::{NodeClient, NodeError, NodeServer, RemoteHandle};
-pub use recovery::CheckpointPolicy;

@@ -355,8 +355,8 @@ impl NodeServer {
                         }
                         if !self.rehost(&mut workers, &mut hosts, &mut peers, proc, node) {
                             failure = Some(format!(
-                                "processor {proc} is dead and no shipped checkpoint \
-                                 can revive it (configure a checkpoint policy, or \
+                                "processor {proc} is dead and no automatic checkpoint \
+                                 can revive it (configure checkpoint_every, or \
                                  rejoin explicitly with a saved checkpoint)"
                             ));
                             break;

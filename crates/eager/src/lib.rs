@@ -38,7 +38,7 @@
 //! so replaying a run's prefix restores any of its states. Checkpointing
 //! is the lazy engine's ([`lrc_core::EngineCheckpoint`]). Every recovery
 //! entry point refuses, never a silent no-op: the options that select
-//! recovery — `holder_timeout`, `death_lease` and `checkpoint_policy` —
+//! recovery — `holder_timeout`, `death_lease` and `checkpoint_every` —
 //! fail the build of an eager runtime or engine with
 //! [`ConfigError::LazyOnly`](lrc_core::ConfigError::LazyOnly), a rejoin
 //! handshake at an eager node server gets a typed error reply, and a

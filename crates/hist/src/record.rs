@@ -28,43 +28,15 @@ use crate::{HistEvent, History};
 pub struct HistoryRecorder {
     n_procs: usize,
     logs: Vec<Mutex<Vec<HistEvent>>>,
-    /// Read-sampling period: record every `sample`-th read per processor
-    /// (1 = record everything, the default). Writes and synchronization
-    /// events are always recorded — a dropped write would leave later
-    /// sampled reads of its bytes unjustifiable, so only the *observation*
-    /// side can be thinned.
-    sample: u32,
-    /// Per-processor read counters driving the deterministic 1-in-N
-    /// sampling decision.
-    reads_seen: Vec<Mutex<u64>>,
 }
 
 impl HistoryRecorder {
     /// A recorder for an `n_procs`-processor engine.
     pub fn new(n_procs: usize) -> Arc<Self> {
-        Self::sampled(n_procs, 1)
-    }
-
-    /// A recorder that keeps only every `sample`-th read per processor
-    /// (deterministic position-based sampling; the first read is always
-    /// kept). Writes, lock operations, barriers, and crash markers are
-    /// recorded in full, so the checker's happens-before graph and write
-    /// set stay exact — only read *coverage* is thinned, bounding recording
-    /// overhead on long runs at a known miss rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample` is zero.
-    pub fn sampled(n_procs: usize, sample: u32) -> Arc<Self> {
-        assert!(sample > 0, "sampling period must be at least 1");
         Arc::new(HistoryRecorder {
             n_procs,
             logs: (0..n_procs)
                 .map(|_| Mutex::new_in(Vec::new(), classes::HIST_LOG))
-                .collect(),
-            sample,
-            reads_seen: (0..n_procs)
-                .map(|_| Mutex::new_in(0, classes::HIST_READS_SEEN))
                 .collect(),
         })
     }
@@ -74,30 +46,16 @@ impl HistoryRecorder {
         self.n_procs
     }
 
-    /// The read-sampling period (1 = every read recorded).
-    pub fn sample_period(&self) -> u32 {
-        self.sample
-    }
-
     fn push(&self, p: ProcId, event: HistEvent) {
         self.logs[p.index()].lock().push(event);
     }
 
-    /// Records a read that observed `value` (every `sample`-th read per
-    /// processor when sampling).
+    /// Records a read that observed `value`.
     ///
     /// # Panics
     ///
     /// Panics if `p` is out of range.
     pub fn read(&self, p: ProcId, addr: u64, value: &[u8]) {
-        if self.sample > 1 {
-            let mut seen = self.reads_seen[p.index()].lock();
-            let keep = (*seen).is_multiple_of(self.sample as u64);
-            *seen += 1;
-            if !keep {
-                return;
-            }
-        }
         self.push(
             p,
             HistEvent::Read {
@@ -256,36 +214,6 @@ mod tests {
             })
             .collect();
         assert_eq!(episodes, vec![0, 1, 0, 1]);
-    }
-
-    #[test]
-    fn sampling_keeps_every_nth_read_and_all_writes() {
-        let rec = HistoryRecorder::sampled(2, 3);
-        assert_eq!(rec.sample_period(), 3);
-        for i in 0..7u8 {
-            rec.read(p(0), i as u64, &[i]);
-            rec.write(p(0), i as u64, &[i]);
-        }
-        rec.read(p(1), 0, &[9]); // independent per-proc counter
-        rec.crash(p(1));
-        let h = rec.finish();
-        let reads: Vec<u64> = h
-            .log(p(0))
-            .iter()
-            .filter_map(|e| match e {
-                HistEvent::Read { addr, .. } => Some(*addr),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(reads, vec![0, 3, 6], "reads 0, 3, 6 of 7 are kept");
-        let writes = h
-            .log(p(0))
-            .iter()
-            .filter(|e| matches!(e, HistEvent::Write { .. }))
-            .count();
-        assert_eq!(writes, 7, "writes are never sampled away");
-        assert_eq!(h.log(p(1))[0].access(), Some((0, 1, false)));
-        assert_eq!(h.log(p(1))[1], HistEvent::Crash);
     }
 
     #[test]

@@ -23,9 +23,9 @@ pub const DSM_SUSPICION: Class = Class::new("dsm.suspicion", 10);
 pub const DSM_LOCK_SLOT: Class = Class::new("dsm.lock_slot", 15);
 /// The barrier episode counters (runtime parking).
 pub const DSM_EPISODES: Class = Class::new("dsm.episodes", 16);
-/// The automatic checkpointer's cut state (last episode, delta base,
-/// shipped chain). Held across `checkpoint()` (the engine hierarchy
-/// below), so it sits above the engine classes.
+/// The automatic checkpointer's newest cut (its episode and encoded
+/// bytes). Held across `checkpoint()` (the engine hierarchy below), so it
+/// sits above the engine classes.
 pub const DSM_CKPT_STATE: Class = Class::new("dsm.ckpt_state", 20);
 /// The node server's at-most-once reply cache (executed results plus
 /// in-flight marks, keyed by client node and sequence number). Taken by
@@ -65,8 +65,6 @@ pub const ENGINE_SHARD: Class = Class::new("engine.shard", 70);
 
 // ---- leaf instrumentation (held-nothing-else-after tiers) ----
 
-/// The history recorder's per-processor read-sampling counters.
-pub const HIST_READS_SEEN: Class = Class::new("hist.reads_seen", 89);
 /// The history recorder's per-processor event logs; the engines log
 /// while holding shards, gates, or the store, so logs sit below only the
 /// fabric trace.

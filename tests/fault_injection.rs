@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lrc::core::EngineOp;
-use lrc::dsm::{CheckpointPolicy, Dsm, DsmBuilder, NodeClient, NodeError, NodeServer};
+use lrc::dsm::{Dsm, DsmBuilder, NodeClient, NodeError, NodeServer};
 use lrc::hist::{CheckBudget, HistoryRecorder};
 use lrc::net::{
     Backoff, ChannelNet, Connector, FaultPlan, FaultyTransport, Frame, NetError, NodeId,
@@ -746,7 +746,7 @@ fn seeded_kill_and_heal_soak_converges_without_manual_recovery() {
         .death_lease(2)
         .wait_timeout(WAIT)
         .holder_timeout(SOAK_SUSPECT)
-        .checkpoint_policy(CheckpointPolicy::every_episodes(1))
+        .checkpoint_every(1)
         .build()
         .unwrap();
     let recorder = HistoryRecorder::new(4);

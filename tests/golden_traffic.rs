@@ -6,13 +6,13 @@
 //! * `fixtures/golden_traffic.txt` — messages and bytes per [`OpClass`]
 //!   plus retained history bytes for every application × protocol × page
 //!   size at a small fixed scale, and the three lazy ablations on LI.
-//! * `fixtures/{lrck,lrcd}.hex` — a checkpoint and a delta of one
-//!   deterministic script on the lazy engine, hex-encoded.
+//! * `fixtures/lrck.hex` — a checkpoint of one deterministic script on
+//!   the lazy engine, hex-encoded.
 //!
 //! A fixture changes only together with a deliberate change to the
 //! traffic model or a wire format, never as a side effect.
 
-use lrc::core::{CheckpointDelta, CheckpointError, EngineCheckpoint, LrcEngine, Policy};
+use lrc::core::{CheckpointError, EngineCheckpoint, LrcEngine, Policy};
 use lrc::sim::{run_trace, EngineParams, ProtocolKind, RunReport, SimOptions};
 use lrc::simnet::OpClass;
 use lrc::sync::{BarrierId, LockId};
@@ -107,7 +107,7 @@ fn modeled_traffic_matches_the_committed_table() {
     }
 }
 
-// ---- checkpoint wire formats ----
+// ---- checkpoint wire format ----
 
 fn unhex(text: &str) -> Vec<u8> {
     let digits: Vec<u8> = text.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
@@ -185,9 +185,8 @@ fn run_to_first_cut(e: &LrcEngine) {
 }
 
 #[test]
-fn lazy_checkpoint_and_delta_encode_byte_identically() {
+fn lazy_checkpoint_encodes_byte_identically() {
     let lrck = unhex(include_str!("fixtures/lrck.hex"));
-    let lrcd = unhex(include_str!("fixtures/lrcd.hex"));
 
     let live = fixture_engine();
     run_to_first_cut(&live);
@@ -196,26 +195,9 @@ fn lazy_checkpoint_and_delta_encode_byte_identically() {
     assert!(!base.store.is_empty(), "store populated");
     assert_bytes_eq("the live LRCK cut", &base.encode(), &lrck);
 
-    phase(&live, 3);
-    let next = live.checkpoint();
-    let delta = next.delta_since(&base).unwrap();
-    assert!(!delta.store_replaced, "same era: an additive delta");
-    assert_bytes_eq(
-        "the live LRCD delta",
-        &delta.encode(base.page_bytes, base.n_pages),
-        &lrcd,
-    );
-
-    // Fixture → decode → re-encode, and the delta rebuilds the next cut.
+    // Fixture → decode → re-encode.
     let decoded = EngineCheckpoint::decode(&lrck).expect("LRCK fixture decodes");
     assert_bytes_eq("the re-encoded LRCK fixture", &decoded.encode(), &lrck);
-    let decoded_delta = CheckpointDelta::decode(&lrcd).expect("LRCD fixture decodes");
-    assert_bytes_eq(
-        "the re-encoded LRCD fixture",
-        &decoded_delta.encode(base.page_bytes, base.n_pages),
-        &lrcd,
-    );
-    assert_eq!(decoded_delta.apply_to(&base).unwrap(), next);
 
     // Fixture → restore into a fresh engine → cut again. The episode
     // counter is engine statistics, not restored state.

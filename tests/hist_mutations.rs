@@ -9,10 +9,7 @@
 
 mod hist_support;
 
-use hist_support::{
-    failure_report, forced_flow_program, run_and_check, run_threaded, run_threaded_sampled,
-    RunConfig,
-};
+use hist_support::{failure_report, forced_flow_program, run_and_check, run_threaded, RunConfig};
 use lrc::core::ProtocolMutation;
 use lrc::hist::{CheckBudget, HistError};
 use lrc::sim::ProtocolKind;
@@ -140,41 +137,6 @@ fn stale_grant_knowledge_is_rejected() {
                 "{}: unexpected rejection {err}",
                 cfg.label()
             );
-        }
-    }
-}
-
-/// Read-sampled recording (1-in-N) still rejects a broken protocol: the
-/// forced-flow program reads the flowed data often enough that even a
-/// thinned observation set contains an unjustifiable read, while the
-/// stock protocol passes the same sampled recording.
-#[test]
-fn sampled_recording_still_rejects_skip_twin_diff() {
-    let prog = forced_flow_program(3, 3);
-    let cfg = broken(
-        ProtocolKind::LazyInvalidate,
-        256,
-        ProtocolMutation::SkipTwinDiff,
-    );
-    for sample in [2u32, 3] {
-        let hist = run_threaded_sampled(&prog, &cfg, sample);
-        let err = hist
-            .check(&CheckBudget::default())
-            .expect_err("sampled skip-twin-diff must be rejected");
-        assert!(
-            matches!(
-                err,
-                HistError::Unjustified { .. } | HistError::NoWitness { .. }
-            ),
-            "{} sample=1/{sample}: unexpected rejection {err}",
-            cfg.label()
-        );
-        // The same sampled recording of the *stock* protocol passes: the
-        // rejection above is the mutation's fault, not the sampling's.
-        let stock = RunConfig::stock(ProtocolKind::LazyInvalidate, 256);
-        let verdict = run_threaded_sampled(&prog, &stock, sample).check(&CheckBudget::default());
-        if let Err(err) = verdict {
-            panic!("stock run under 1/{sample} sampling rejected: {err}");
         }
     }
 }

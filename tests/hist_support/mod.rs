@@ -171,23 +171,6 @@ pub fn run_threaded(prog: &ThreadProgram, cfg: &RunConfig) -> History {
     recorder.finish()
 }
 
-/// Like [`run_threaded`], but records through a 1-in-`sample` read-sampled
-/// recorder ([`HistoryRecorder::sampled`]): writes and synchronization are
-/// logged in full, reads are thinned. The checker still sees every
-/// happens-before edge and every write, so protocol violations that any
-/// kept read observes are still rejected.
-pub fn run_threaded_sampled(prog: &ThreadProgram, cfg: &RunConfig, sample: u32) -> History {
-    let dsm = build_dsm(prog, cfg);
-    let recorder = HistoryRecorder::sampled(prog.n_procs, sample);
-    dsm.attach_recorder(Arc::clone(&recorder));
-    dsm.parallel(|proc| {
-        run_ops_local(proc, &prog.ops_for(proc.proc()));
-        Ok(())
-    })
-    .expect("threaded run completes");
-    recorder.finish()
-}
-
 /// Runs the program through the channel-transport node runtime:
 /// processor 0 stays on the engine node, every other processor is hosted
 /// by a peer node and drives its operations over the wire. Returns the

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use lrc::dsm::{CheckpointPolicy, Dsm, DsmBuilder, NodeClient, NodeServer};
+use lrc::dsm::{Dsm, DsmBuilder, NodeClient, NodeServer};
 use lrc::net::{
     Backoff, ChannelNet, Connector, FaultPlan, FaultyTransport, Frame, NetError, NodeId,
     SelfHealing, TcpTransport, Transport, WireMsg, WireStats,
@@ -53,7 +53,7 @@ impl Transport for Shared {
 }
 
 /// A two-processor runtime: p0 local to the engine node, p1 driven over
-/// the wire. `build` customizes the builder (checkpoint policy etc.).
+/// the wire. `build` customizes the builder (checkpoint period etc.).
 fn two_proc_dsm(build: impl FnOnce(DsmBuilder) -> DsmBuilder) -> Dsm {
     build(
         DsmBuilder::new(ProtocolKind::LazyInvalidate, 2, 1 << 14)
@@ -151,7 +151,7 @@ fn in_flight_op_replays_through_a_link_heal_over_tcp() {
 /// with no manual rejoin anywhere.
 #[test]
 fn resumable_hello_revives_a_processor_declared_dead_while_severed() {
-    let dsm = two_proc_dsm(|b| b.checkpoint_policy(CheckpointPolicy::every_episodes(1)));
+    let dsm = two_proc_dsm(|b| b.checkpoint_every(1));
     let (addr, serving) = healing_server(dsm.clone());
     let healing = healing_spoke(&addr);
     let client =

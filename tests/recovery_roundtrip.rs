@@ -1,18 +1,16 @@
 //! Checkpoint/restore round trips at the runtime level: a checkpoint cut
 //! from a live [`Dsm`], serialized, decoded, and restored into a fresh
 //! runtime must resume *identically* — under both lazy protocols, the
-//! only ones with a checkpoint — and incremental deltas between
-//! barrier-episode checkpoints must reconstruct the full snapshot
-//! exactly.
+//! only ones with a checkpoint — and the automatic checkpointer's newest
+//! cut must be exactly the live state at its episode.
 
 use std::time::Duration;
 
 use lrc::core::{CheckpointError, EngineCheckpoint};
-use lrc::dsm::{CheckpointPolicy, Dsm, DsmBuilder};
+use lrc::dsm::{Dsm, DsmBuilder};
 use lrc::sim::ProtocolKind;
 use lrc::sync::{BarrierId, LockId};
 use lrc::vclock::ProcId;
-use proptest::prelude::*;
 
 const PAGE: usize = 256;
 const MEM: u64 = 1 << 13;
@@ -85,35 +83,6 @@ fn restored_runtime_resumes_identically_under_both_lazy_kinds() {
             );
         }
     }
-}
-
-/// Deltas between successive checkpoints reconstruct the full snapshot
-/// exactly, round-trip through their codec, and stay smaller than the
-/// full checkpoint — the incremental-between-barriers claim.
-#[test]
-fn incremental_deltas_reconstruct_the_full_checkpoint() {
-    let dsm = build(ProtocolKind::LazyInvalidate);
-    committed_phase(&dsm, 1);
-    let base = dsm.checkpoint();
-    committed_phase(&dsm, 2);
-    let full = dsm.checkpoint();
-
-    let delta = full.delta_since(&base).expect("same run, same era");
-    assert_eq!(
-        delta.apply_to(&base).expect("delta applies to its base"),
-        full,
-        "base + delta must equal the full checkpoint"
-    );
-
-    let delta_bytes = delta.encode(full.page_bytes, full.n_pages);
-    let decoded = lrc::core::CheckpointDelta::decode(&delta_bytes).expect("delta round trip");
-    assert_eq!(decoded, delta);
-    assert!(
-        delta_bytes.len() < full.encode().len(),
-        "a one-phase delta ({}B) should undercut the full checkpoint ({}B)",
-        delta_bytes.len(),
-        full.encode().len()
-    );
 }
 
 /// A checkpoint cut mid-interval captures only *committed* state: a write
@@ -208,16 +177,16 @@ fn barrier_both(dsm: &Dsm) {
 #[test]
 fn expired_lease_forces_a_cold_join_from_a_post_gc_cut() {
     let dead = ProcId::new(1);
-    // Episode cuts are effectively off (period 100): the shipped chain is
-    // the baseline + death cut, both from the pre-GC era — exactly the
-    // staleness the cold-join fallback exists for.
+    // Episode cuts are effectively off (period 100): the newest cut is
+    // the death cut, from the pre-GC era — exactly the staleness the
+    // cold-join fallback exists for.
     let dsm = DsmBuilder::new(ProtocolKind::LazyInvalidate, 2, MEM)
         .page_size(PAGE)
         .locks(1)
         .barriers(1)
         .gc_at_barriers()
         .death_lease(2)
-        .checkpoint_policy(CheckpointPolicy::every_episodes(100))
+        .checkpoint_every(100)
         .wait_timeout(Duration::from_secs(30))
         .build()
         .unwrap();
@@ -225,7 +194,7 @@ fn expired_lease_forces_a_cold_join_from_a_post_gc_cut() {
     committed_phase(&dsm, 1);
     barrier_both(&dsm);
     let stale = dsm.checkpoint(); // pre-death, pre-GC era
-    dsm.declare_dead(dead); // ships the automatic death cut
+    dsm.declare_dead(dead); // takes the automatic death cut
 
     // The survivor drives episodes alone. The first completions defer GC
     // (the lease is live); once two episodes pass, the lease expires, GC
@@ -245,7 +214,7 @@ fn expired_lease_forces_a_cold_join_from_a_post_gc_cut() {
     );
     assert!(
         counters.checkpoints_cut >= 2,
-        "baseline and death cuts must have shipped, got {}",
+        "baseline and death cuts must have been taken, got {}",
         counters.checkpoints_cut
     );
 
@@ -260,7 +229,7 @@ fn expired_lease_forces_a_cold_join_from_a_post_gc_cut() {
         other => panic!("expected LeaseExpired for the stale cut, got {other:?}"),
     }
 
-    // Automatic revival notices the shipped chain is just as stale, cuts
+    // Automatic revival notices the newest cut is just as stale, cuts
     // fresh post-GC state, and cold-joins from that.
     assert!(dsm.try_revive(dead), "cold join must revive the processor");
     assert!(!dsm.is_dead(dead));
@@ -277,69 +246,93 @@ fn expired_lease_forces_a_cold_join_from_a_post_gc_cut() {
     back.release(LockId::new(0)).unwrap();
 }
 
-/// The automatic checkpointer's shipped chain (full cut + deltas, cut by
-/// each episode's closing arrival) reconstructs exactly the state a
-/// direct cut sees — through the public API only.
-#[test]
-fn auto_checkpoint_chain_reconstructs_the_live_state() {
-    let dsm = DsmBuilder::new(ProtocolKind::LazyInvalidate, 2, MEM)
+/// A two-processor LI runtime whose automatic checkpointer cuts every
+/// `every` barrier episodes.
+fn auto_checkpointed(every: u64) -> Dsm {
+    DsmBuilder::new(ProtocolKind::LazyInvalidate, 2, MEM)
         .page_size(PAGE)
         .locks(1)
         .barriers(1)
-        .checkpoint_policy(CheckpointPolicy::every_episodes(1).rebase_after(3))
+        .checkpoint_every(every)
         .wait_timeout(Duration::from_secs(30))
         .build()
-        .unwrap();
+        .unwrap()
+}
 
-    // Several committed phases, each sealed by a barrier episode: the
-    // closing arrivals cut a baseline full plus deltas (rebasing after 3).
+/// The automatic checkpointer's newest cut (one per episode, cut by each
+/// episode's closing arrival) is exactly the state a direct cut sees —
+/// through the public API only.
+#[test]
+fn the_latest_automatic_cut_is_the_live_state() {
+    let dsm = auto_checkpointed(1);
+
+    // Several committed phases, each sealed by a barrier episode whose
+    // closing arrival cuts.
     for salt in 1..=5 {
         committed_phase(&dsm, salt);
         barrier_both(&dsm);
     }
 
-    let (latest, _) = dsm.latest_checkpoint().expect("cuts have shipped");
+    let latest = dsm.latest_checkpoint().expect("cuts have been taken");
     assert_eq!(
         latest,
         dsm.checkpoint(),
-        "the folded sink chain must equal a direct cut of the live engine"
+        "the newest automatic cut must equal a direct cut of the live engine"
     );
     let counters = dsm.engine().core().counters();
-    assert!(
-        counters.checkpoints_cut >= 5,
-        "one cut per episode, got {}",
-        counters.checkpoints_cut
-    );
-    assert!(counters.delta_bytes > 0, "cut traffic must be metered");
+    assert_eq!(counters.checkpoints_cut, 5, "one cut per episode");
+    assert!(counters.checkpoint_bytes > 0, "cut bytes must be metered");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+/// A period of 3 over 7 episodes cuts at episodes 1 (the first cut is
+/// always due), 4 and 7 — and the newest is the live state at 7.
+#[test]
+fn the_checkpoint_period_skips_episodes_between_cuts() {
+    let dsm = auto_checkpointed(3);
 
-    /// For any sequence of committed phases, the chain of per-phase deltas
-    /// folded onto the original base reconstructs the final full cut
-    /// exactly — and every link survives its codec round trip.
-    #[test]
-    fn delta_chains_fold_back_to_the_full_cut(salts in prop::collection::vec(0u64..50, 1..6)) {
-        let dsm = build(ProtocolKind::LazyInvalidate);
-        committed_phase(&dsm, 99);
-        let origin = dsm.checkpoint();
-        let mut base = origin.clone();
-        let mut chain = Vec::new();
-        for &salt in &salts {
-            committed_phase(&dsm, salt);
-            let full = dsm.checkpoint();
-            let delta = full.delta_since(&base).expect("same run, same era");
-            let bytes = delta.encode(full.page_bytes, full.n_pages);
-            let decoded = lrc::core::CheckpointDelta::decode(&bytes).expect("delta round trip");
-            prop_assert_eq!(&decoded, &delta);
-            chain.push(delta);
-            base = full;
-        }
-        let mut folded = origin;
-        for delta in &chain {
-            folded = delta.apply_to(&folded).expect("chain link applies");
-        }
-        prop_assert_eq!(folded, base, "folded chain must equal the final cut");
+    for salt in 1..=7 {
+        committed_phase(&dsm, salt);
+        barrier_both(&dsm);
     }
+
+    assert_eq!(dsm.engine().core().counters().checkpoints_cut, 3);
+    let latest = dsm.latest_checkpoint().expect("cuts have been taken");
+    assert_eq!(latest.episode, 7);
+    assert_eq!(latest, dsm.checkpoint());
+}
+
+/// A refused second death declaration leaves the pre-death cut alone: it
+/// panics before cutting, so the cut still holds the committed page only
+/// the dead processor had, and revival reads it back.
+#[test]
+fn a_refused_second_declare_dead_keeps_the_pre_death_cut() {
+    let lock = LockId::new(0);
+    let dead = ProcId::new(1);
+    let dsm = auto_checkpointed(1);
+
+    // Page 1's home is p1: only p1 holds the committed copy of this word.
+    let word = PAGE as u64 + 8;
+    let mut writer = dsm.handle(dead);
+    writer.acquire(lock).unwrap();
+    writer.write_u64(word, 0x5eed);
+    writer.release(lock).unwrap();
+    barrier_both(&dsm);
+    dsm.declare_dead(dead);
+    let pre_death = dsm.latest_checkpoint().expect("the death cut");
+
+    let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        dsm.declare_dead(dead);
+    }));
+    assert!(again.is_err(), "a second declaration must be refused");
+    assert_eq!(
+        dsm.latest_checkpoint().expect("the death cut"),
+        pre_death,
+        "the refused declaration must not cut"
+    );
+
+    assert!(dsm.try_revive(dead), "revival from the pre-death cut");
+    let mut back = dsm.handle(dead);
+    back.acquire(lock).unwrap();
+    assert_eq!(back.read_u64(word), 0x5eed, "the revived p1 reads its word");
+    back.release(lock).unwrap();
 }
