@@ -4,6 +4,7 @@
 //! checkpointing and crash recovery, which only [`LrcEngine`] has.
 
 use std::collections::HashMap;
+use std::mem;
 use std::ops::Deref;
 use std::sync::OnceLock;
 
@@ -126,6 +127,66 @@ pub struct LazyShard {
     /// instead of the generic era mismatch, directing the node to
     /// cold-join from a checkpoint cut after the collection.
     lease_expired: bool,
+    /// The buffers this processor's slow paths reuse.
+    scratch: Scratch,
+}
+
+/// The transient lists one processor's lazy slow paths build, kept in its
+/// shard so that each call refills the buffers of the last one instead of
+/// allocating its own. Every user clears or rebuilds a buffer before it
+/// reads it: only capacity carries over from call to call.
+///
+/// A slow path of `p` either uses a buffer in place, under a shard-`p`
+/// lock it holds anyway (an interval close, the notice step of an
+/// acquire, arrival or barrier exit), or takes the whole scratch out
+/// (`mem::take`) under the first such lock and puts it back under its
+/// last one, holding no lock in between. Only `p`'s own thread drives
+/// `p`, and a barrier completion runs with every other processor parked,
+/// so nobody else reaches for the scratch meanwhile.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Write notices, from [`IntervalStore::notices_missing`].
+    notices: Vec<WriteNotice>,
+    /// The diffs a plan is built for.
+    needed: Vec<(IntervalId, PageId)>,
+    /// The fetch plan, with its own sort buffer.
+    plan: FetchPlan,
+    /// One `(target, request bytes, reply bytes)` round trip per fetch
+    /// target, sized under the store lock and charged without it.
+    trips: Vec<(ProcId, u64, u64)>,
+    sizer: Sizer,
+    /// The diffs an interval close made, on their way into the store.
+    page_diffs: Vec<(PageId, Diff)>,
+}
+
+/// The buffers that sizing a diff reply works in: a multi-page reply's
+/// by-page sort, and the byte ranges one chain covers.
+#[derive(Debug, Default)]
+struct Sizer {
+    by_page: Vec<(PageId, IntervalId)>,
+    ranges: Vec<(u32, u32)>,
+}
+
+impl Sizer {
+    /// Wire size of a batch of diffs supplied by one processor: the sum
+    /// of its pages' chains ([`chain_bytes`]), found by one sort.
+    fn diff_payload(
+        &mut self,
+        store: &IntervalStore,
+        diffs: impl Iterator<Item = (IntervalId, PageId)>,
+    ) -> u64 {
+        let Sizer { by_page, ranges } = self;
+        by_page.clear();
+        by_page.extend(diffs.map(|(iv, g)| (g, iv)));
+        by_page.sort_unstable();
+        let diff_of = |&(g, iv): &(PageId, IntervalId)| -> &Diff {
+            store.diff(iv, g).expect("planned diff exists")
+        };
+        by_page
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|chain| chain_bytes(chain.iter().map(diff_of), ranges))
+            .sum()
+    }
 }
 
 /// The lazy release consistency engine (LI under [`Policy::Invalidate`],
@@ -176,15 +237,21 @@ fn hb_key(store: &IntervalStore, iv: IntervalId) -> (u64, ProcId, u32) {
 ///
 /// Only the size is charged here, and the size of a squash depends on
 /// which bytes the chain covers — not on their values, nor on the order
-/// of the chain — so [`Diff::squashed_size`] reads no data byte.
-fn chain_bytes<'a>(chain: impl Iterator<Item = &'a Diff> + Clone) -> u64 {
-    let mut first_two = chain.clone();
-    let size = match (first_two.next(), first_two.next()) {
+/// of the chain — so [`Diff::squashed_size`] reads no data byte; it
+/// gathers the coverage in `ranges`. The chain is walked once.
+fn chain_bytes<'a>(
+    chain: impl Iterator<Item = &'a Diff> + Clone,
+    ranges: &mut Vec<(u32, u32)>,
+) -> u64 {
+    let whole = chain.clone();
+    let mut rest = chain;
+    let size = match (rest.next(), rest.next()) {
         // A lone diff ships as it is.
         (Some(lone), None) => lone.encoded_size(),
-        _ => {
-            let size = Diff::squashed_size(chain.clone());
-            debug_assert_eq!(size, Diff::squash(chain).encoded_size());
+        (first, second) => {
+            let chain = first.into_iter().chain(second).chain(rest);
+            let size = Diff::squashed_size(chain, ranges);
+            debug_assert_eq!(size, Diff::squash(whole).encoded_size());
             size
         }
     };
@@ -216,6 +283,7 @@ impl Protocol for Lazy {
             dead: false,
             dead_since: 0,
             lease_expired: false,
+            scratch: Scratch::default(),
         }
     }
 
@@ -262,12 +330,16 @@ impl Protocol for Lazy {
         }
         let state = e.proto.state.read();
         let store = &state.store;
-        let notices = {
+        // The notices are computed into `p`'s scratch and delivered from
+        // it under the one shard lock; only their wire size leaves.
+        let notice_payload = {
             let mut shard = e.shard(p);
-            let notices = store.notices_missing(&shard.ext.clock, &grantor, Some(q));
-            e.deliver_notices(&mut shard, p, &notices);
-            merge_knowledge(&mut shard.ext.clock, &grantor, q);
-            notices
+            let Shard { pages, ext, .. } = &mut *shard;
+            let notices = &mut ext.scratch.notices;
+            store.notices_missing(&ext.clock, &grantor, Some(q), notices);
+            e.deliver_notices(pages, p, notices);
+            merge_knowledge(&mut ext.clock, &grantor, q);
+            notice_bytes(notices)
         };
 
         // Update policy: bring every cached page up to date now. Diffs the
@@ -275,27 +347,27 @@ impl Protocol for Lazy {
         // concurrent last modifier (Table 1's `2h`). The plan is built
         // under the read lock, the round trips are charged with no lock
         // held, and the write lock is taken only to apply.
-        let mut grant_payload = LOCK_ID_BYTES + vc_bytes(n) + notice_bytes(&notices);
+        let mut grant_payload = LOCK_ID_BYTES + vc_bytes(n) + notice_payload;
         if e.policy == Policy::Update {
-            let needed = e.needed_for_cached_pages(p);
-            let plan = FetchPlan::build(store, p, Some(q), &needed);
+            let mut scratch = e.needed_for_cached_pages(p);
+            let Scratch {
+                needed,
+                plan,
+                trips,
+                sizer,
+                ..
+            } = &mut scratch;
+            plan.build(store, p, Some(q), needed);
             let era = store.era();
-            grant_payload += e.diff_payload(store, plan.supplied_by(Source::Free));
-            let fetches: Vec<(ProcId, u64, u64)> = plan
-                .targets()
-                .iter()
-                .enumerate()
-                .map(|(t, &target)| {
-                    let diffs = plan.supplied_by(Source::Target(t));
-                    (
-                        target,
-                        diffs.clone().count() as u64 * DIFF_REQUEST_ENTRY_BYTES,
-                        e.diff_payload(store, diffs),
-                    )
-                })
-                .collect();
+            grant_payload += sizer.diff_payload(store, plan.supplied_by(Source::Free));
+            trips.clear();
+            for (t, &target) in plan.targets().iter().enumerate() {
+                let diffs = plan.supplied_by(Source::Target(t));
+                let request = diffs.clone().count() as u64 * DIFF_REQUEST_ENTRY_BYTES;
+                trips.push((target, request, sizer.diff_payload(store, diffs)));
+            }
             drop(state);
-            for (target, request, reply) in fetches {
+            for &(target, request, reply) in trips.iter() {
                 e.net.round_trip(
                     p,
                     target,
@@ -307,7 +379,7 @@ impl Protocol for Lazy {
             }
             let mut state = e.proto.state.write();
             assert_era(&state.store, era, p);
-            let touched = e.apply_plan(&mut state.store, p, &plan);
+            let touched = e.apply_plan(&mut state.store, p, &mut e.shard(p), scratch);
             bump(&e.counters.updates, touched as u64);
         } else {
             drop(state);
@@ -339,10 +411,16 @@ impl Protocol for Lazy {
         if p != master {
             let state = e.proto.state.read();
             let master_clock = e.shard(master).ext.clock.clone();
-            let fresh = state
-                .store
-                .notices_missing(&master_clock, &e.shard(p).ext.clock, Some(p));
-            let payload = BARRIER_ID_BYTES + vc_bytes(e.params.n_procs) + notice_bytes(&fresh);
+            let notice_payload = {
+                let mut shard = e.shard(p);
+                let LazyShard { clock, scratch, .. } = &mut shard.ext;
+                let fresh = &mut scratch.notices;
+                state
+                    .store
+                    .notices_missing(&master_clock, clock, Some(p), fresh);
+                notice_bytes(fresh)
+            };
+            let payload = BARRIER_ID_BYTES + vc_bytes(e.params.n_procs) + notice_payload;
             e.net.send(p, master, MsgKind::BarrierArrival, payload);
         }
     }
@@ -362,22 +440,34 @@ impl Protocol for Lazy {
         let gi = page.index();
         // Plan phase: pending list, plan, and payload sizes all read under
         // ONE read guard, so the pending list names only intervals the
-        // store records (garbage collection clears both together).
+        // store records (garbage collection clears both together). The
+        // miss borrows `p`'s scratch from the pending-list read to the
+        // apply.
         let state = e.proto.state.read();
         let store = &state.store;
-        let (cold, needed) = {
-            let shard = e.shard(p);
+        let (cold, mut scratch) = {
+            let mut shard = e.shard(p);
+            let mut scratch = mem::take(&mut shard.ext.scratch);
             let entry = &shard.pages[gi];
-            let needed: Vec<(IntervalId, PageId)> =
-                entry.ext.iter().map(|&iv| (iv, page)).collect();
-            (entry.copy.is_none(), needed)
+            scratch.needed.clear();
+            scratch
+                .needed
+                .extend(entry.ext.iter().map(|&iv| (iv, page)));
+            (entry.copy.is_none(), scratch)
         };
         if cold {
             bump(&e.counters.cold_misses, 1);
         } else {
             bump(&e.counters.warm_misses, 1);
         }
-        let plan = FetchPlan::build(store, p, None, &needed);
+        let Scratch {
+            needed,
+            plan,
+            trips,
+            sizer,
+            ..
+        } = &mut scratch;
+        plan.build(store, p, None, needed);
         let era = store.era();
         debug_assert!(
             cold || !plan.is_empty(),
@@ -412,37 +502,33 @@ impl Protocol for Lazy {
         let page_bytes = e.space.page_size().bytes() as u64;
         // All of a miss's diffs name the missed page: what each target
         // supplies is one chain as it stands.
-        let chain_payload = |source: Source| {
+        let mut chain_payload = |source: Source| {
             let diff_of = |(iv, _): (IntervalId, PageId)| -> &Diff {
                 store.diff(iv, page).expect("planned diff exists")
             };
-            chain_bytes(plan.supplied_by(source).map(diff_of))
+            chain_bytes(plan.supplied_by(source).map(diff_of), &mut sizer.ranges)
         };
-        let trips: Vec<(ProcId, u64, u64)> = plan
-            .targets()
-            .iter()
-            .enumerate()
-            .map(|(t, &target)| {
-                let source = Source::Target(t);
-                let request = plan.supplied_by(source).count() as u64 * DIFF_REQUEST_ENTRY_BYTES;
-                if cold && t == 0 {
-                    // The first supplier's reply also carries the base.
-                    let reply = chain_payload(source) + page_bytes;
-                    (target, request + PAGE_ID_BYTES, reply)
-                } else if e.params.full_page_misses {
-                    // Ablation of §4.3.3: whole pages, not diffs.
-                    (target, request, page_bytes)
-                } else {
-                    (target, request, chain_payload(source))
-                }
-            })
-            .collect();
+        trips.clear();
+        trips.extend(plan.targets().iter().enumerate().map(|(t, &target)| {
+            let source = Source::Target(t);
+            let request = plan.supplied_by(source).count() as u64 * DIFF_REQUEST_ENTRY_BYTES;
+            if cold && t == 0 {
+                // The first supplier's reply also carries the base.
+                let reply = chain_payload(source) + page_bytes;
+                (target, request + PAGE_ID_BYTES, reply)
+            } else if e.params.full_page_misses {
+                // Ablation of §4.3.3: whole pages, not diffs.
+                (target, request, page_bytes)
+            } else {
+                (target, request, chain_payload(source))
+            }
+        }));
         drop(state);
 
         // Fetch phase: round trips with no lock held. A stalled fetch here
         // blocks only this page's gate.
         let base_request = base_trip.map(|supplier| (supplier, PAGE_ID_BYTES, page_bytes));
-        for (target, request, reply) in base_request.into_iter().chain(trips) {
+        for &(target, request, reply) in base_request.iter().chain(trips.iter()) {
             e.net.round_trip(
                 p,
                 target,
@@ -454,17 +540,18 @@ impl Protocol for Lazy {
         }
         e.run_fetch_hook(p, page);
 
-        // Apply phase, under the write lock.
+        // Apply phase, under the write lock and one shard lock, which also
+        // takes the scratch back.
         let mut state = e.proto.state.write();
         assert_era(&state.store, era, p);
-        if let Some(buf) = base {
-            e.shard(p).pages[gi].copy = Some(buf);
-        }
-        e.apply_plan(&mut state.store, p, &plan);
-        drop(state);
         let mut shard = e.shard(p);
-        shard.pages[gi].ext.clear();
-        shard.pages[gi].valid = true;
+        if let Some(buf) = base {
+            shard.pages[gi].copy = Some(buf);
+        }
+        e.apply_plan(&mut state.store, p, &mut shard, scratch);
+        let entry = &mut shard.pages[gi];
+        entry.ext.clear();
+        entry.valid = true;
     }
 }
 
@@ -524,7 +611,8 @@ impl Engine<Lazy> {
             spare_twins,
             ext,
         } = &mut *shard;
-        let mut page_diffs = Vec::with_capacity(dirty.len());
+        let LazyShard { clock, scratch, .. } = ext;
+        let page_diffs = &mut scratch.page_diffs;
         // Drained, not taken: the list keeps its allocation for the next
         // interval's first write, as the twins' buffers do.
         for g in dirty.drain(..) {
@@ -539,22 +627,22 @@ impl Engine<Lazy> {
             // Mutation testing: the twins were consumed but their diffs
             // are discarded — this interval's writes silently never
             // propagate. The history checker must reject the run.
+            page_diffs.clear();
             return;
         }
         if page_diffs.is_empty() {
             return;
         }
-        let clock = &mut ext.clock;
         let stamp = StampedInterval::new(IntervalId::new(p, clock.get(p)), clock.clone());
         state.store.close_interval(stamp, page_diffs);
         bump(&self.counters.intervals_closed, 1);
         clock.bump(p);
     }
 
-    /// Delivers write notices to `p`, whose locked shard is `shard`:
-    /// pending lists grow and, under the invalidate policy, resident valid
-    /// copies are invalidated.
-    fn deliver_notices(&self, shard: &mut Shard<Lazy>, p: ProcId, notices: &[WriteNotice]) {
+    /// Delivers write notices to `p`, whose locked shard's frames are
+    /// `pages`: pending lists grow and, under the invalidate policy,
+    /// resident valid copies are invalidated.
+    fn deliver_notices(&self, pages: &mut [Frame<Pending>], p: ProcId, notices: &[WriteNotice]) {
         if self.mutation() == ProtocolMutation::DropNotices {
             // Mutation testing: knowledge merges but the page-level
             // notices vanish, so stale copies stay valid. The history
@@ -564,7 +652,7 @@ impl Engine<Lazy> {
         bump(&self.counters.notices_received, notices.len() as u64);
         for n in notices {
             debug_assert_ne!(n.interval.proc(), p, "no notices for own intervals");
-            let entry = &mut shard.pages[n.page.index()];
+            let entry = &mut pages[n.page.index()];
             entry.ext.push(n.interval);
             if self.policy == Policy::Invalidate && entry.valid {
                 entry.valid = false;
@@ -573,36 +661,21 @@ impl Engine<Lazy> {
         }
     }
 
-    /// All pending diffs of pages `p` has a copy of (the update policy's
-    /// working set at acquires and barriers).
-    fn needed_for_cached_pages(&self, p: ProcId) -> Vec<(IntervalId, PageId)> {
-        let shard = self.shard(p);
-        let mut needed = Vec::new();
+    /// Takes `p`'s scratch out of its shard, its `needed` list holding
+    /// every pending diff of a page `p` has a copy of (the update policy's
+    /// working set at acquires and barriers). [`Engine::apply_plan`] puts
+    /// the scratch back.
+    fn needed_for_cached_pages(&self, p: ProcId) -> Scratch {
+        let mut shard = self.shard(p);
+        let mut scratch = mem::take(&mut shard.ext.scratch);
+        scratch.needed.clear();
         for (gi, entry) in shard.pages.iter().enumerate() {
             if entry.copy.is_some() {
                 let g = PageId::new(gi as u32);
-                needed.extend(entry.ext.iter().map(|&iv| (iv, g)));
+                scratch.needed.extend(entry.ext.iter().map(|&iv| (iv, g)));
             }
         }
-        needed
-    }
-
-    /// Wire size of a batch of diffs supplied by one processor: the sum
-    /// of its pages' chains ([`chain_bytes`]), found by one sort.
-    fn diff_payload(
-        &self,
-        store: &IntervalStore,
-        diffs: impl Iterator<Item = (IntervalId, PageId)>,
-    ) -> u64 {
-        let mut by_page: Vec<(PageId, IntervalId)> = diffs.map(|(iv, g)| (g, iv)).collect();
-        by_page.sort_unstable();
-        let diff_of = |&(g, iv): &(PageId, IntervalId)| -> &Diff {
-            store.diff(iv, g).expect("planned diff exists")
-        };
-        by_page
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|chain| chain_bytes(chain.iter().map(diff_of)))
-            .sum()
+        scratch
     }
 
     /// One request/reply exchange fetching `diffs` from `target` at a
@@ -612,6 +685,7 @@ impl Engine<Lazy> {
     fn barrier_fetch(
         &self,
         store: &IntervalStore,
+        sizer: &mut Sizer,
         p: ProcId,
         target: ProcId,
         diffs: impl Iterator<Item = (IntervalId, PageId)> + Clone,
@@ -622,15 +696,22 @@ impl Engine<Lazy> {
             MsgKind::BarrierDiffRequest,
             diffs.clone().count() as u64 * DIFF_REQUEST_ENTRY_BYTES,
             MsgKind::BarrierDiffReply,
-            self.diff_payload(store, diffs),
+            sizer.diff_payload(store, diffs),
         );
     }
 
-    /// Applies every diff of a plan to `p`'s copies in happened-before
-    /// order — the order the plan lists them in — and marks the touched
-    /// pages valid. Returns the number of distinct pages touched.
-    fn apply_plan(&self, store: &mut IntervalStore, p: ProcId, plan: &FetchPlan) -> usize {
-        let mut shard = self.shard(p);
+    /// Applies every diff of `scratch`'s plan to the copies in `p`'s
+    /// locked `shard` in happened-before order — the order the plan lists
+    /// them in — and marks the touched pages valid, then returns the
+    /// scratch to the shard. Returns the number of distinct pages touched.
+    fn apply_plan(
+        &self,
+        store: &mut IntervalStore,
+        p: ProcId,
+        shard: &mut Shard<Lazy>,
+        scratch: Scratch,
+    ) -> usize {
+        let pages = &mut shard.pages;
         let mut touched = 0;
         let mut apply = |planned: &Planned| {
             let Planned { interval, page, .. } = *planned;
@@ -639,7 +720,7 @@ impl Engine<Lazy> {
             let diff = store
                 .hold_and_diff(p, interval, page)
                 .expect("planned diff exists");
-            let entry = &mut shard.pages[page.index()];
+            let entry = &mut pages[page.index()];
             let copy = entry.copy_mut(self.space.page_size());
             diff.apply_to(copy);
             if let Some(twin) = entry.twin.as_mut() {
@@ -657,15 +738,17 @@ impl Engine<Lazy> {
             }
             entry.valid = true;
         };
+        let diffs = scratch.plan.diffs().iter();
         if self.mutation() == ProtocolMutation::WrongDiffOrder {
             // Mutation testing: apply the chain newest-first, so the
             // oldest modification clobbers the newest whenever a page
             // pulls more than one diff. The history checker must reject
             // the run.
-            plan.diffs().iter().rev().for_each(&mut apply);
+            diffs.rev().for_each(&mut apply);
         } else {
-            plan.diffs().iter().for_each(&mut apply);
+            diffs.for_each(&mut apply);
         }
+        shard.ext.scratch = scratch;
         touched
     }
 
@@ -690,37 +773,34 @@ impl Engine<Lazy> {
             merge_knowledge(&mut merged, &self.shard(r).ext.clock, r);
         }
         let mut state = self.proto.state.write();
-        let store = &state.store;
-        // Compute per-processor missing notices against pre-merge clocks.
-        let missing: Vec<Vec<WriteNotice>> = ProcId::all(n)
-            .map(|r| {
-                if dead[r.index()] {
-                    return Vec::new();
-                }
-                let shard = self.shard(r);
-                let clock = &shard.ext.clock;
-                if self.mutation() == ProtocolMutation::DroppedClockMerge {
-                    // Mutation testing: the master computes each
-                    // processor's exit notices against that processor's
-                    // OWN knowledge instead of the episode's merged clock
-                    // — nobody learns what their peers wrote before the
-                    // barrier. Clocks still merge below, so the loss is
-                    // silent. The history checker must reject the run.
-                    store.notices_missing(clock, clock, Some(r))
-                } else {
-                    store.notices_missing(clock, &merged, None)
-                }
-            })
-            .collect();
         let live = || ProcId::all(n).filter(|r| !dead[r.index()]);
+        // The exits stream: each live processor's missing notices are
+        // computed into its own scratch against its own pre-merge clock,
+        // sent, delivered, and only then is its clock merged. No list
+        // reads another processor's clock, so this sends what computing
+        // every list first would.
         for r in live() {
+            let mut shard = self.shard(r);
+            let Shard { pages, ext, .. } = &mut *shard;
+            let LazyShard { clock, scratch, .. } = ext;
+            let missing = &mut scratch.notices;
+            if self.mutation() == ProtocolMutation::DroppedClockMerge {
+                // Mutation testing: the master computes each processor's
+                // exit notices against that processor's OWN knowledge
+                // instead of the episode's merged clock — nobody learns
+                // what their peers wrote before the barrier. Clocks still
+                // merge below, so the loss is silent. The history checker
+                // must reject the run.
+                state.store.notices_missing(clock, clock, Some(r), missing);
+            } else {
+                state.store.notices_missing(clock, &merged, None, missing);
+            }
             if r != master {
-                let payload = BARRIER_ID_BYTES + vc_bytes(n) + notice_bytes(&missing[r.index()]);
+                let payload = BARRIER_ID_BYTES + vc_bytes(n) + notice_bytes(missing);
                 self.net.send(master, r, MsgKind::BarrierExit, payload);
             }
-            let mut shard = self.shard(r);
-            self.deliver_notices(&mut shard, r, &missing[r.index()]);
-            shard.ext.clock.merge(&merged);
+            self.deliver_notices(pages, r, missing);
+            clock.merge(&merged);
         }
         if self.policy == Policy::Update {
             // Every processor pulls the diffs for its cached pages: one
@@ -770,12 +850,18 @@ impl Engine<Lazy> {
     /// Brings every page `r` has a copy of fully up to date, charged as
     /// barrier traffic; returns the number of pages touched.
     fn validate_cached_pages(&self, store: &mut IntervalStore, r: ProcId) -> usize {
-        let needed = self.needed_for_cached_pages(r);
-        let plan = FetchPlan::build(store, r, None, &needed);
+        let mut scratch = self.needed_for_cached_pages(r);
+        let Scratch {
+            needed,
+            plan,
+            sizer,
+            ..
+        } = &mut scratch;
+        plan.build(store, r, None, needed);
         for (t, &target) in plan.targets().iter().enumerate() {
-            self.barrier_fetch(store, r, target, plan.supplied_by(Source::Target(t)));
+            self.barrier_fetch(store, sizer, r, target, plan.supplied_by(Source::Target(t)));
         }
-        self.apply_plan(store, r, &plan)
+        self.apply_plan(store, r, &mut self.shard(r), scratch)
     }
 
     /// Barrier-time garbage collection (TreadMarks-style): every processor
@@ -1156,7 +1242,6 @@ impl Engine<Lazy> {
             if want.get(p) < latest {
                 want.set(p, latest);
             }
-            let notices = store.notices_missing(&have, &want, None);
 
             let mut shard = self.shard(p);
             if !shard.ext.dead {
@@ -1165,14 +1250,17 @@ impl Engine<Lazy> {
                 )));
             }
             self.reset_frames(&mut shard, &ckpt.procs[p.index()].frames);
+            let Shard { pages, ext, .. } = &mut *shard;
+            let notices = &mut ext.scratch.notices;
+            store.notices_missing(&have, &want, None, notices);
             // Catch-up delivery. Unlike deliver_notices this may carry
             // p's *own* post-checkpoint intervals, and it invalidates
             // under the update policy too: rejoin is not an acquire, so
             // nothing will pull for cached pages afterwards — the miss
             // path must.
             bump(&self.counters.notices_received, notices.len() as u64);
-            for notice in &notices {
-                let entry = &mut shard.pages[notice.page.index()];
+            for notice in notices.iter() {
+                let entry = &mut pages[notice.page.index()];
                 entry.ext.push(notice.interval);
                 if entry.valid {
                     entry.valid = false;
@@ -1187,7 +1275,7 @@ impl Engine<Lazy> {
             let mut clock = ckpt_clock.clone();
             clock.merge(&want);
             clock.set(p, ckpt_clock.get(p).max(latest + 1));
-            shard.ext.clock = clock;
+            ext.clock = clock;
         }
         self.barriers.lock().revive(p);
         Ok(())

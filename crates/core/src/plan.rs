@@ -38,16 +38,24 @@ pub(crate) struct Planned {
 /// `(weight, proc, seq)` order of its interval — a linear extension of
 /// happened-before — tagged with its source. Applying the plan walks the
 /// list as it is, and sizing a source's reply filters it.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+///
+/// A plan is a reusable buffer: each processor's slow paths rebuild the
+/// one plan kept in its shard, so after warm-up planning allocates
+/// nothing.
+#[derive(Debug, Default)]
 pub(crate) struct FetchPlan {
     /// Every needed diff, in the order the diffs apply.
     diffs: Vec<Planned>,
     /// The explicit targets, in the order they were chosen.
     targets: Vec<ProcId>,
+    /// Working space of [`FetchPlan::build`]: each needed diff's weight,
+    /// id and holder mask, sorted latest first.
+    order: Vec<(u64, IntervalId, PageId, u64)>,
 }
 
 impl FetchPlan {
-    /// Plans fetching `needed` diffs for processor `for_proc`.
+    /// Replans this plan for fetching `needed` diffs for processor
+    /// `for_proc`; nothing of the previous plan survives.
     ///
     /// `needed` must be free of duplicates. `free_source` is a processor
     /// whose reply is already being paid for (e.g. the lock grantor);
@@ -57,64 +65,63 @@ impl FetchPlan {
     /// weight), so each new target is a *last* modifier; diffs it also
     /// holds (its chain) are assigned to it without new targets.
     pub(crate) fn build(
+        &mut self,
         store: &IntervalStore,
         for_proc: ProcId,
         free_source: Option<ProcId>,
         needed: &[(IntervalId, PageId)],
-    ) -> FetchPlan {
+    ) {
+        let FetchPlan {
+            diffs,
+            targets,
+            order,
+        } = self;
         // Weight and holder mask of each needed diff, from one lookup.
-        let mut order: Vec<(u64, IntervalId, PageId, u64)> = needed
-            .iter()
-            .map(|&(iv, g)| {
-                let (weight, holders) = store
-                    .weight_and_holders(iv, g)
-                    .expect("needed diff must be recorded");
-                (weight, iv, g, holders)
-            })
-            .collect();
+        order.clear();
+        order.extend(needed.iter().map(|&(iv, g)| {
+            let (weight, holders) = store
+                .weight_and_holders(iv, g)
+                .expect("needed diff must be recorded");
+            (weight, iv, g, holders)
+        }));
         // Latest first; ties broken deterministically (`needed` has no
         // duplicates, so the mask never decides).
         order.sort_unstable_by(|a, b| b.cmp(a));
 
         let held_by = |holders: u64, q: ProcId| holders & (1u64 << q.index()) != 0;
-        let mut targets: Vec<ProcId> = Vec::new();
-        // Same size and alignment: the list is built in `order`'s buffer.
-        let mut diffs: Vec<Planned> = order
-            .into_iter()
-            .map(|(_, interval, page, holders)| {
-                // A diff the processor already holds costs no messages: it
-                // is applied from local possession. In normal operation
-                // pending diffs are never already held, so this arm is
-                // reserved for crash recovery — a rejoined processor
-                // replaying the write notices of its *own*
-                // post-checkpoint intervals (flushed into the store when it
-                // was declared dead) finds itself the recorded holder and
-                // reapplies them locally.
-                let free =
-                    held_by(holders, for_proc) || free_source.is_some_and(|q| held_by(holders, q));
-                let source = if free {
-                    Source::Free
-                } else {
-                    // Prefer an already-chosen target that holds the diff;
-                    // else the new target is the diff's creator. It always
-                    // holds the diff, so had it been chosen already it was
-                    // found first.
-                    let existing = targets.iter().position(|&t| held_by(holders, t));
-                    Source::Target(existing.unwrap_or_else(|| {
-                        targets.push(interval.proc());
-                        targets.len() - 1
-                    }))
-                };
-                Planned {
-                    interval,
-                    page,
-                    source,
-                }
-            })
-            .collect();
+        targets.clear();
+        diffs.clear();
+        diffs.extend(order.iter().map(|&(_, interval, page, holders)| {
+            // A diff the processor already holds costs no messages: it is
+            // applied from local possession. In normal operation pending
+            // diffs are never already held, so this arm is reserved for
+            // crash recovery — a rejoined processor replaying the write
+            // notices of its *own* post-checkpoint intervals (flushed into
+            // the store when it was declared dead) finds itself the
+            // recorded holder and reapplies them locally.
+            let free =
+                held_by(holders, for_proc) || free_source.is_some_and(|q| held_by(holders, q));
+            let source = if free {
+                Source::Free
+            } else {
+                // Prefer an already-chosen target that holds the diff;
+                // else the new target is the diff's creator. It always
+                // holds the diff, so had it been chosen already it was
+                // found first.
+                let existing = targets.iter().position(|&t| held_by(holders, t));
+                Source::Target(existing.unwrap_or_else(|| {
+                    targets.push(interval.proc());
+                    targets.len() - 1
+                }))
+            };
+            Planned {
+                interval,
+                page,
+                source,
+            }
+        }));
         // Earliest first: the order the diffs apply in.
         diffs.reverse();
-        FetchPlan { diffs, targets }
     }
 
     /// The explicit fetch targets, in the order they were chosen: the
@@ -169,6 +176,18 @@ mod tests {
         Diff::between(&twin, &cur)
     }
 
+    /// A fresh plan for `needed`.
+    fn plan_for(
+        store: &IntervalStore,
+        for_proc: ProcId,
+        free_source: Option<ProcId>,
+        needed: &[(IntervalId, PageId)],
+    ) -> FetchPlan {
+        let mut plan = FetchPlan::default();
+        plan.build(store, for_proc, free_source, needed);
+        plan
+    }
+
     /// Closes an interval for `proc` at `seq` writing `page`, with a clock
     /// covering `covers`.
     fn close(store: &mut IntervalStore, proc: u16, seq: u32, page: PageId, covers: &[(u16, u32)]) {
@@ -179,14 +198,14 @@ mod tests {
         }
         store.close_interval(
             StampedInterval::new(IntervalId::new(p(proc), seq), vc),
-            vec![(page, diff1())],
+            &mut vec![(page, diff1())],
         );
     }
 
     #[test]
     fn empty_need_empty_plan() {
         let store = IntervalStore::new(4);
-        let plan = FetchPlan::build(&store, p(0), None, &[]);
+        let plan = plan_for(&store, p(0), None, &[]);
         assert!(plan.is_empty());
         assert!(plan.targets().is_empty());
         assert!(plan.diffs().is_empty());
@@ -205,7 +224,7 @@ mod tests {
         close(&mut store, 2, 1, page, &[(1, 1)]);
         let iv2 = IntervalId::new(p(2), 1);
 
-        let plan = FetchPlan::build(&store, p(0), None, &[(iv2, page), (iv1, page)]);
+        let plan = plan_for(&store, p(0), None, &[(iv2, page), (iv1, page)]);
         assert_eq!(plan.targets(), [p(2)], "one concurrent last modifier");
         let chain: Vec<_> = plan.supplied_by(Source::Target(0)).collect();
         assert_eq!(chain, [(iv1, page), (iv2, page)], "applied oldest first");
@@ -223,7 +242,7 @@ mod tests {
             (IntervalId::new(p(1), 1), page),
             (IntervalId::new(p(2), 1), page),
         ];
-        let plan = FetchPlan::build(&store, p(0), None, &needed);
+        let plan = plan_for(&store, p(0), None, &needed);
         assert_eq!(plan.targets().len(), 2);
     }
 
@@ -238,7 +257,7 @@ mod tests {
         close(&mut store, 1, 1, page, &[(2, 1)]);
         let iv1 = IntervalId::new(p(1), 1);
 
-        let plan = FetchPlan::build(&store, p(0), Some(p(1)), &[(iv1, page), (iv2, page)]);
+        let plan = plan_for(&store, p(0), Some(p(1)), &[(iv1, page), (iv2, page)]);
         assert!(plan.targets().is_empty(), "grantor supplies everything");
         assert_eq!(plan.supplied_by(Source::Free).count(), 2);
     }
@@ -255,7 +274,7 @@ mod tests {
         close(&mut store, 1, 2, page, &[(0, 1)]);
         let other = IntervalId::new(p(1), 2);
 
-        let plan = FetchPlan::build(&store, p(0), None, &[(own, page), (other, page)]);
+        let plan = plan_for(&store, p(0), None, &[(own, page), (other, page)]);
         let free: Vec<_> = plan.supplied_by(Source::Free).collect();
         assert_eq!(free, [(own, page)]);
         assert_eq!(plan.targets(), [p(1)], "only the foreign diff is fetched");
@@ -269,10 +288,10 @@ mod tests {
         vc.set(p(1), 1);
         store.close_interval(
             StampedInterval::new(IntervalId::new(p(1), 1), vc),
-            vec![(g(0), diff1()), (g(1), diff1())],
+            &mut vec![(g(0), diff1()), (g(1), diff1())],
         );
         let iv = IntervalId::new(p(1), 1);
-        let plan = FetchPlan::build(&store, p(0), None, &[(iv, g(0)), (iv, g(1))]);
+        let plan = plan_for(&store, p(0), None, &[(iv, g(0)), (iv, g(1))]);
         assert_eq!(plan.targets().len(), 1);
         assert_eq!(plan.supplied_by(Source::Target(0)).count(), 2);
     }
@@ -344,6 +363,9 @@ mod tests {
     fn plans_match_the_builder_that_kept_a_target_index() {
         const PAGES: u32 = 4;
         let (mut plans, mut chains, mut free, mut many) = (0, 0, 0, 0);
+        // One plan, rebuilt for every case, as a processor's scratch plan
+        // is: nothing of an earlier plan may leak into a later one.
+        let mut plan = FetchPlan::default();
         for seed in 0..60u64 {
             let mut rng = Rng::new(seed);
             let n = 3 + (seed % 4) as usize;
@@ -366,7 +388,7 @@ mod tests {
                     .filter(|&(_, g)| one_page.is_none_or(|only| g == only))
                     .collect();
                 let free_source = (rng.below(2) == 0).then(|| rng.proc(n));
-                let plan = FetchPlan::build(&store, for_proc, free_source, &needed);
+                plan.build(&store, for_proc, free_source, &needed);
                 let old = build_with_target_index(&store, for_proc, free_source, &needed);
                 let why = format!("seed {seed}, for {for_proc} via {free_source:?}");
 

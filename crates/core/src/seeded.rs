@@ -48,7 +48,7 @@ impl StoreOp {
     pub(crate) fn apply(&self, store: &mut IntervalStore, n_procs: usize) {
         match self {
             StoreOp::Close(stamp, page_diffs) => {
-                store.close_interval(stamp.clone(), page_diffs.clone())
+                store.close_interval(stamp.clone(), &mut page_diffs.clone())
             }
             StoreOp::Hold(proc, interval, page) => store.add_holder(*proc, *interval, *page),
             StoreOp::Clear => store.clear(),

@@ -150,8 +150,10 @@ impl IntervalStore {
         list.push(record);
     }
 
-    /// Records a closed interval with its modified pages and their diffs.
-    /// The creator holds all of its own diffs.
+    /// Records a closed interval with its modified pages and their diffs,
+    /// drained out of `page_diffs` (which keeps its allocation for the
+    /// creator's next close) into the record's own exact-size list. The
+    /// creator holds all of its own diffs.
     ///
     /// # Panics
     ///
@@ -159,11 +161,11 @@ impl IntervalStore {
     pub(crate) fn close_interval(
         &mut self,
         stamp: StampedInterval,
-        page_diffs: Vec<(PageId, Diff)>,
+        page_diffs: &mut Vec<(PageId, Diff)>,
     ) {
         let holders = 1u64 << stamp.id().proc().index();
         let pages = page_diffs
-            .into_iter()
+            .drain(..)
             .map(|(page, diff)| PageEntry {
                 page,
                 diff,
@@ -211,7 +213,8 @@ impl IntervalStore {
     }
 
     /// True if `proc` holds the diff `(interval, page)` as an object.
-    pub fn holds(&self, proc: ProcId, interval: IntervalId, page: PageId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn holds(&self, proc: ProcId, interval: IntervalId, page: PageId) -> bool {
         self.entry(interval, page)
             .is_some_and(|e| e.holders & (1u64 << proc.index()) != 0)
     }
@@ -264,7 +267,8 @@ impl IntervalStore {
     /// All write notices of intervals of `creator` with sequence in
     /// `(after, upto]` — what a grantor sends an acquirer whose clock entry
     /// for `creator` is `after` when the grantor's knowledge is `upto`.
-    pub fn notices_between(
+    #[cfg(test)]
+    pub(crate) fn notices_between(
         &self,
         creator: ProcId,
         after: u32,
@@ -275,9 +279,11 @@ impl IntervalStore {
             .flat_map(IntervalRecord::notices)
     }
 
-    /// All write notices a processor with knowledge `have` is missing
-    /// relative to knowledge `want` (pointwise interval ranges). One
-    /// interval's notices are contiguous.
+    /// Fills `out` with all write notices a processor with knowledge
+    /// `have` is missing relative to knowledge `want` (pointwise interval
+    /// ranges), replacing whatever it held. One interval's notices are
+    /// contiguous. A slow path passes its processor's reused notice
+    /// buffer, so a query allocates only while that buffer grows.
     ///
     /// `open` names the processor whose own clock `want` is, if it is one:
     /// that processor's entry is its *open* interval, and only what it
@@ -288,8 +294,9 @@ impl IntervalStore {
         have: &VectorClock,
         want: &VectorClock,
         open: Option<ProcId>,
-    ) -> Vec<WriteNotice> {
-        let mut out = Vec::new();
+        out: &mut Vec<WriteNotice>,
+    ) {
+        out.clear();
         for (proc, upto) in want.iter() {
             let upto = if open == Some(proc) {
                 upto.saturating_sub(1)
@@ -303,7 +310,6 @@ impl IntervalStore {
                 }
             }
         }
-        out
     }
 
     fn all_records(&self) -> impl Iterator<Item = &IntervalRecord> {
@@ -445,7 +451,7 @@ mod tests {
     fn close_and_query_round_trip() {
         let mut s = IntervalStore::new(2);
         let g = PageId::new(3);
-        s.close_interval(stamp(0, 1, 2), vec![(g, diff_of(&[1]))]);
+        s.close_interval(stamp(0, 1, 2), &mut vec![(g, diff_of(&[1]))]);
         assert_eq!(s.interval_count(), 1);
         assert_eq!(s.diff_count(), 1);
         assert!(s.diff_bytes() > 0);
@@ -463,7 +469,7 @@ mod tests {
         let mut s = IntervalStore::new(1);
         let g = PageId::new(0);
         for seq in [1u32, 3, 5] {
-            s.close_interval(stamp(0, seq, 1), vec![(g, diff_of(&[seq as u8]))]);
+            s.close_interval(stamp(0, seq, 1), &mut vec![(g, diff_of(&[seq as u8]))]);
         }
         let got: Vec<u32> = s
             .notices_between(p(0), 1, 5)
@@ -478,29 +484,34 @@ mod tests {
     fn notices_missing_diffs_clocks() {
         let mut s = IntervalStore::new(2);
         let g = PageId::new(0);
-        s.close_interval(stamp(0, 1, 2), vec![(g, diff_of(&[1]))]);
-        s.close_interval(stamp(1, 2, 2), vec![(g, diff_of(&[2]))]);
+        s.close_interval(stamp(0, 1, 2), &mut vec![(g, diff_of(&[1]))]);
+        s.close_interval(stamp(1, 2, 2), &mut vec![(g, diff_of(&[2]))]);
         let mut have = VectorClock::new(2);
         have.set(p(0), 1); // already knows p0@1
         let mut want = VectorClock::new(2);
         want.set(p(0), 1);
         want.set(p(1), 2);
-        let missing = s.notices_missing(&have, &want, None);
+        let mut missing = Vec::new();
+        s.notices_missing(&have, &want, None, &mut missing);
         assert_eq!(missing.len(), 1);
         assert_eq!(missing[0].interval, IntervalId::new(p(1), 2));
         // Read as p1's own clock, `want` knows p1's interval 1 only.
-        assert!(s.notices_missing(&have, &want, Some(p(1))).is_empty());
+        s.notices_missing(&have, &want, Some(p(1)), &mut missing);
+        assert!(missing.is_empty());
     }
 
     #[test]
     fn empty_intervals_leave_no_records() {
         let s = IntervalStore::new(2);
         assert_eq!(s.interval_count(), 0);
-        assert_eq!(
-            s.notices_missing(&VectorClock::new(2), &VectorClock::new(2), None)
-                .len(),
-            0
+        let mut missing = Vec::new();
+        s.notices_missing(
+            &VectorClock::new(2),
+            &VectorClock::new(2),
+            None,
+            &mut missing,
         );
+        assert!(missing.is_empty());
     }
 
     #[test]
@@ -508,7 +519,7 @@ mod tests {
     fn add_holder_rejects_unknown_diff() {
         let mut s = IntervalStore::new(2);
         let g = PageId::new(0);
-        s.close_interval(stamp(0, 1, 2), vec![(g, diff_of(&[1]))]);
+        s.close_interval(stamp(0, 1, 2), &mut vec![(g, diff_of(&[1]))]);
         // Wrong page for a real interval: bookkeeping bug, must fail loudly
         // in debug builds (and stay a no-op in release builds).
         s.add_holder(p(1), IntervalId::new(p(0), 1), PageId::new(7));
@@ -519,7 +530,7 @@ mod tests {
         let mut s = IntervalStore::new(2);
         assert_eq!(s.era(), 0);
         let g = PageId::new(0);
-        s.close_interval(stamp(0, 1, 2), vec![(g, diff_of(&[1]))]);
+        s.close_interval(stamp(0, 1, 2), &mut vec![(g, diff_of(&[1]))]);
         s.add_holder(p(1), IntervalId::new(p(0), 1), g);
         assert_eq!(s.era(), 0, "additive mutations keep the era");
         s.clear();
@@ -535,13 +546,13 @@ mod tests {
         let g1 = PageId::new(5);
         s.close_interval(
             stamp(0, 1, 3),
-            vec![(g0, diff_of(&[1])), (g1, diff_of(&[2]))],
+            &mut vec![(g0, diff_of(&[1])), (g1, diff_of(&[2]))],
         );
-        s.close_interval(stamp(1, 1, 3), vec![(g0, diff_of(&[3]))]);
-        s.close_interval(stamp(0, 4, 3), vec![(g1, diff_of(&[4]))]);
+        s.close_interval(stamp(1, 1, 3), &mut vec![(g0, diff_of(&[3]))]);
+        s.close_interval(stamp(0, 4, 3), &mut vec![(g1, diff_of(&[4]))]);
         s.add_holder(p(2), IntervalId::new(p(0), 1), g0);
         s.clear(); // bump the era, then rebuild some history
-        s.close_interval(stamp(2, 7, 3), vec![(g0, diff_of(&[5]))]);
+        s.close_interval(stamp(2, 7, 3), &mut vec![(g0, diff_of(&[5]))]);
         s.add_holder(p(0), IntervalId::new(p(2), 7), g0);
 
         let back = IntervalStore::import(3, s.era(), &s.export());
@@ -562,8 +573,8 @@ mod tests {
         let mut s = IntervalStore::new(2);
         assert_eq!(s.latest_seq(p(0)), 0);
         let g = PageId::new(0);
-        s.close_interval(stamp(0, 2, 2), vec![(g, diff_of(&[1]))]);
-        s.close_interval(stamp(0, 6, 2), vec![(g, diff_of(&[2]))]);
+        s.close_interval(stamp(0, 2, 2), &mut vec![(g, diff_of(&[1]))]);
+        s.close_interval(stamp(0, 6, 2), &mut vec![(g, diff_of(&[2]))]);
         assert_eq!(s.latest_seq(p(0)), 6);
         assert_eq!(s.latest_seq(p(1)), 0);
     }
@@ -572,8 +583,8 @@ mod tests {
     #[should_panic(expected = "out of order")]
     fn out_of_order_close_rejected() {
         let mut s = IntervalStore::new(1);
-        s.close_interval(stamp(0, 5, 1), vec![]);
-        s.close_interval(stamp(0, 3, 1), vec![]);
+        s.close_interval(stamp(0, 5, 1), &mut vec![]);
+        s.close_interval(stamp(0, 3, 1), &mut vec![]);
     }
 
     #[test]
@@ -582,7 +593,7 @@ mod tests {
         let mut s = IntervalStore::new(2);
         let g = PageId::new(0);
         for seq in [1u32, 2, 5, 6] {
-            s.close_interval(stamp(0, seq, 2), vec![(g, diff_of(&[seq as u8]))]);
+            s.close_interval(stamp(0, seq, 2), &mut vec![(g, diff_of(&[seq as u8]))]);
         }
         assert!(
             s.holds(p(0), IntervalId::new(p(0), 5), g),
@@ -722,7 +733,16 @@ mod tests {
     }
 
     /// Every query of the store against the model, after one step.
-    fn agree(store: &IntervalStore, model: &TwoMaps, rng: &mut Rng, n_pages: u32) {
+    /// `missing` is the history's one notice buffer: every query fills it
+    /// while it still holds the previous answer, as a processor's reused
+    /// buffer does.
+    fn agree(
+        store: &IntervalStore,
+        model: &TwoMaps,
+        rng: &mut Rng,
+        n_pages: u32,
+        missing: &mut Vec<WriteNotice>,
+    ) {
         let n = model.records.len();
         assert_eq!(store.era(), model.era);
         assert_eq!(store.export(), model.export());
@@ -799,18 +819,14 @@ mod tests {
                 clock
             };
             let (have, want) = (clock(), clock());
-            assert_eq!(
-                store.notices_missing(&have, &want, None),
-                model.notices_missing(&have, &want)
-            );
+            store.notices_missing(&have, &want, None, missing);
+            assert_eq!(*missing, model.notices_missing(&have, &want));
             // Read as some processor's own clock: its entry one lower.
             let open = rng.proc(n);
             let mut lowered = want.clone();
             lowered.set(open, want.get(open).saturating_sub(1));
-            assert_eq!(
-                store.notices_missing(&have, &want, Some(open)),
-                model.notices_missing(&have, &lowered)
-            );
+            store.notices_missing(&have, &want, Some(open), missing);
+            assert_eq!(*missing, model.notices_missing(&have, &lowered));
         }
     }
 
@@ -822,6 +838,7 @@ mod tests {
             let mut rng = Rng::new(seed);
             let n = 2 + (seed % 4) as usize;
             let (mut store, mut model) = (IntervalStore::new(n), TwoMaps::new(n));
+            let mut missing = Vec::new();
             for op in script(&mut rng, n, PAGES, 70) {
                 match &op {
                     StoreOp::Close(stamp, _) => {
@@ -835,7 +852,7 @@ mod tests {
                 }
                 op.apply(&mut store, n);
                 model.apply(&op);
-                agree(&store, &model, &mut rng, PAGES);
+                agree(&store, &model, &mut rng, PAGES, &mut missing);
             }
         }
         // The histories reached what they are for.

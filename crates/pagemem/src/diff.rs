@@ -82,16 +82,13 @@ impl<'a> Iterator for Runs<'a> {
     }
 }
 
-/// The bytes a chain of diffs touches, as `(start, end)` ranges sorted by
-/// offset with overlapping and exactly adjacent runs merged — one range
-/// per run of the chain's [`Diff::squash`]. The chain is walked twice, so
-/// that the ranges are gathered into one allocation.
-fn coverage<'a, I>(chain: I) -> Vec<(u32, u32)>
-where
-    I: Iterator<Item = &'a Diff> + Clone,
-{
-    let runs = chain.clone().map(Diff::run_count).sum();
-    let mut ranges: Vec<(u32, u32)> = Vec::with_capacity(runs);
+/// Fills `ranges` with the bytes a chain of diffs touches, as
+/// `(start, end)` ranges sorted by offset with overlapping and exactly
+/// adjacent runs merged — one range per run of the chain's
+/// [`Diff::squash`]. Whatever `ranges` held is discarded; the chain is
+/// walked once.
+fn coverage<'a>(chain: impl Iterator<Item = &'a Diff>, ranges: &mut Vec<(u32, u32)>) {
+    ranges.clear();
     for diff in chain {
         ranges.extend(
             diff.runs()
@@ -108,7 +105,6 @@ where
         }
         touches
     });
-    ranges
 }
 
 /// A run-length encoding of the difference between a page and its twin.
@@ -324,7 +320,9 @@ impl Diff {
     /// ```
     pub fn squash<'a>(diffs: impl IntoIterator<Item = &'a Diff>) -> Diff {
         let chain: Vec<&Diff> = diffs.into_iter().collect();
-        let ranges = coverage(chain.iter().copied());
+        // Room for every run of the chain: the ranges take one allocation.
+        let mut ranges = Vec::with_capacity(chain.iter().map(|d| d.run_count()).sum());
+        coverage(chain.iter().copied(), &mut ranges);
         // Lay the merged runs out zero-filled, then copy every run of the
         // chain into place, later diffs over earlier ones.
         let bytes = ranges
@@ -360,13 +358,17 @@ impl Diff {
     /// `Diff::squash(diffs).encoded_size()` without building the squash:
     /// the size depends only on which bytes the chain covers, so no data
     /// byte is read. This is what the traffic model charges for a chain.
-    pub fn squashed_size<'a, I>(diffs: I) -> usize
-    where
-        I: IntoIterator<Item = &'a Diff>,
-        I::IntoIter: Clone,
-    {
+    ///
+    /// `ranges` is working space: the chain's coverage is gathered there,
+    /// over whatever it held, so a caller sizing chain after chain passes
+    /// one buffer and allocates only while it grows.
+    pub fn squashed_size<'a>(
+        diffs: impl IntoIterator<Item = &'a Diff>,
+        ranges: &mut Vec<(u32, u32)>,
+    ) -> usize {
+        coverage(diffs.into_iter(), ranges);
         DIFF_HEADER_BYTES
-            + coverage(diffs.into_iter())
+            + ranges
                 .iter()
                 .map(|&(start, end)| RUN_HEADER_BYTES + (end - start) as usize)
                 .sum::<usize>()
@@ -593,13 +595,19 @@ mod tests {
         assert_eq!(rebuilt, v2);
         // Squashing never costs more than the sum of its parts.
         assert!(squashed.encoded_size() <= d1.encoded_size() + d2.encoded_size());
-        assert_eq!(Diff::squashed_size([&d1, &d2]), squashed.encoded_size());
+        assert_eq!(
+            Diff::squashed_size([&d1, &d2], &mut Vec::new()),
+            squashed.encoded_size()
+        );
     }
 
     #[test]
     fn squash_of_nothing_is_empty() {
         assert!(Diff::squash([]).is_empty());
-        assert_eq!(Diff::squashed_size([]), DIFF_HEADER_BYTES);
+        assert_eq!(
+            Diff::squashed_size([], &mut vec![(0, 4)]),
+            DIFF_HEADER_BYTES
+        );
     }
 
     #[test]

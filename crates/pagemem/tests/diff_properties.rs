@@ -377,7 +377,19 @@ proptest! {
     ) {
         let squashed = Diff::squash(&chain);
         prop_assert_eq!(&squashed, &squash_oracle(&chain));
-        prop_assert_eq!(Diff::squashed_size(&chain), squashed.encoded_size());
+        // One range buffer sizes the chain and then every shorter suffix of
+        // it, down to the empty one, the way a processor's scratch sizes
+        // chain after chain: a range left over from a longer chain would
+        // inflate every size after it.
+        let mut ranges = Vec::new();
+        for from in 0..=chain.len() {
+            let rest = &chain[from..];
+            prop_assert_eq!(
+                Diff::squashed_size(rest, &mut ranges),
+                Diff::squash(rest).encoded_size(),
+                "suffix from {}", from
+            );
+        }
 
         // One squashed diff does to a page what the chain does in order.
         let mut by_chain = PageBuf::from_bytes(base);
