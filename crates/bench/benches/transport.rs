@@ -43,8 +43,7 @@ fn miss_reply() -> WireMsg {
 /// Per-operation codec cost (encode, decode) in microseconds.
 fn bench_codec(iters: u64) -> (f64, f64) {
     let msg = miss_reply();
-    let frame = msg.encode_frame(1, 0, 7);
-    let bytes = frame.encode();
+    let bytes = msg.encode_frame(1, 0, 7).encode();
     let ctx = WireCtx { n_procs: 8 };
 
     let start = Instant::now();
@@ -56,7 +55,7 @@ fn bench_codec(iters: u64) -> (f64, f64) {
     let start = Instant::now();
     for _ in 0..iters {
         let (frame, _) = Frame::decode(black_box(&bytes)).unwrap();
-        black_box(WireMsg::decode(frame.kind, &frame.body, &ctx).unwrap());
+        black_box(WireMsg::decode(frame.kind, frame.body, &ctx).unwrap());
     }
     let decode_us = start.elapsed().as_secs_f64() * 1e6 / iters as f64;
     (encode_us, decode_us)

@@ -79,9 +79,9 @@ impl Transport for ChannelTransport {
 
     fn recv(&self) -> Result<Frame, NetError> {
         let bytes = self.incoming.lock().recv().map_err(|_| NetError::Closed)?;
-        let (frame, used) = Frame::decode(&bytes)?;
-        debug_assert_eq!(used, bytes.len(), "channel delivers whole frames");
-        self.meter.count_received(bytes.len());
+        let len = bytes.len();
+        let frame = Frame::from_wire(bytes)?;
+        self.meter.count_received(len);
         Ok(frame)
     }
 
@@ -130,6 +130,19 @@ mod tests {
             mesh[0].send(&WireMsg::Shutdown, 9, 0),
             Err(NetError::UnknownPeer(9))
         );
+    }
+
+    #[test]
+    fn oversized_body_is_refused_at_the_sender() {
+        let mesh = ChannelNet::mesh(2);
+        let msg = WireMsg::OpReply {
+            result: Ok(vec![0u8; crate::wire::MAX_BODY_BYTES + 1]),
+        };
+        assert!(matches!(
+            mesh[0].send(&msg, 1, 0),
+            Err(NetError::Wire(crate::wire::WireError::Malformed(_)))
+        ));
+        assert_eq!(mesh[0].stats().msgs_sent, 0, "nothing was queued");
     }
 
     #[test]

@@ -60,6 +60,6 @@ pub use heal::{Connector, SelfHealing};
 pub use tcp::{TcpHub, TcpTransport};
 pub use transport::{Backoff, NetError, NodeId, Transport, WireMeter, WireStats};
 pub use wire::{
-    Frame, NoticeBatch, NoticeInterval, WireCtx, WireDiff, WireError, WireKind, WireMsg,
+    Frame, FrameBuf, NoticeBatch, NoticeInterval, WireCtx, WireDiff, WireError, WireKind, WireMsg,
     FRAME_HEADER_BYTES, MAX_BODY_BYTES, WIRE_MAGIC, WIRE_VERSION,
 };

@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::wire::{Frame, WireError, WireKind, WireMsg};
+use crate::wire::{Frame, WireError, WireKind, WireMsg, MAX_BODY_BYTES};
 
 /// Identifier of a transport endpoint (a node of the deployment).
 pub type NodeId = u16;
@@ -281,31 +281,30 @@ impl WireMeter {
 }
 
 /// Encodes a message into frame bytes, refusing bodies over
-/// [`crate::wire::MAX_BODY_BYTES`] *at the sender* — the receiver would
-/// reject the header anyway, but failing here surfaces a typed error
-/// instead of a wedged session.
+/// [`MAX_BODY_BYTES`] *at the sender*, before any buffer exists — the
+/// receiver would reject the header anyway, but failing here surfaces a
+/// typed error instead of a wedged session.
 pub(crate) fn encode_frame_checked(
     msg: &WireMsg,
     src: NodeId,
     dst: NodeId,
     seq: u64,
 ) -> Result<Vec<u8>, NetError> {
-    let frame = msg.encode_frame(src, dst, seq);
-    if frame.body.len() > crate::wire::MAX_BODY_BYTES {
+    let body_len = msg.body_len();
+    if body_len > MAX_BODY_BYTES {
         return Err(NetError::Wire(WireError::Malformed(format!(
-            "body of {} bytes exceeds the {} byte cap",
-            frame.body.len(),
-            crate::wire::MAX_BODY_BYTES
+            "body of {body_len} bytes exceeds the {MAX_BODY_BYTES} byte cap"
         ))));
     }
-    Ok(frame.encode())
+    Ok(msg.encode_frame(src, dst, seq).encode())
 }
 
 /// A reliable, ordered, frame-oriented link between nodes.
 ///
-/// Implementations encode the message once ([`WireMsg::encode_frame`] +
-/// [`Frame::encode`]) and meter the encoded length, so "bytes sent" means
-/// the same thing on every backend. `recv` blocks. Sessions normally end
+/// Implementations encode the message once, into one exact-size buffer
+/// ([`WireMsg::encode_frame`], whose [`Frame::encode`] returns that
+/// buffer), and meter its length, so "bytes sent" means the same thing on
+/// every backend. `recv` blocks. Sessions normally end
 /// with a [`WireMsg::Shutdown`] message; the TCP backend additionally
 /// reports [`NetError::Closed`] once every peer link has died (EOF or a
 /// corrupt stream), so an ungraceful peer death surfaces as an error

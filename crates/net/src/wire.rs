@@ -39,9 +39,20 @@
 //! bits. Version 1 hashed bytewise into 32 bits; the field kept its place
 //! and size, so a version-1 frame is refused as
 //! [`WireError::UnsupportedVersion`] rather than as a checksum mismatch.
+//!
+//! # Buffers
+//!
+//! An encoded frame is one exact-size allocation: [`WireMsg::body_len`]
+//! is exact, so [`WireMsg::encode_frame`] reserves header and body at
+//! once and writes the body behind a [`FRAME_HEADER_BYTES`] hole, and
+//! [`Frame::encode`] fills the header in place and hands that buffer
+//! back. Decoding borrows: [`Frame::decode`] validates a frame and lends
+//! out its body, and [`WireMsg::decode`] copies only the fields a message
+//! owns (a write's data, a reply's payload, lists).
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Deref;
 
 use lrc_core::EngineOp;
 use lrc_pagemem::{Diff, PageId};
@@ -222,13 +233,17 @@ impl fmt::Display for WireKind {
     }
 }
 
-/// One framed message: validated header fields plus the raw body.
+/// One framed message: validated header fields plus the body.
 ///
-/// [`Frame::decode`] checks magic, version, kind, flags, length, and
-/// checksum; the body is then decoded into a [`WireMsg`] with
-/// [`WireMsg::decode`] (which needs the session's [`WireCtx`]).
+/// The body type says who owns the bytes. [`Frame::decode`] lends the
+/// body out of its input (`Frame<&[u8]>`); transports hand out frames
+/// that own theirs (`Frame<Vec<u8>>`, the default); and
+/// [`WireMsg::encode_frame`] builds a `Frame<FrameBuf>`, whose
+/// [`Frame::encode`] returns the one buffer that goes on the wire.
+/// Decode a body into a [`WireMsg`] with [`WireMsg::decode`] (which needs
+/// the session's [`WireCtx`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Frame {
+pub struct Frame<B = Vec<u8>> {
     /// Message kind.
     pub kind: WireKind,
     /// Sending node.
@@ -238,47 +253,116 @@ pub struct Frame {
     /// Sender-chosen sequence number (RPC correlation id).
     pub seq: u64,
     /// The encoded message body.
-    pub body: Vec<u8>,
+    pub body: B,
 }
 
-impl Frame {
+/// The body of a frame built by [`WireMsg::encode_frame`]: one buffer of
+/// exactly header-plus-body bytes, the body written behind a zeroed
+/// [`FRAME_HEADER_BYTES`] hole. [`Frame::encode`] writes the header into
+/// the hole; flags and reserved stay zero. Derefs to the body alone.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct FrameBuf(Vec<u8>);
+
+impl Deref for FrameBuf {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0[FRAME_HEADER_BYTES..]
+    }
+}
+
+impl<B: Deref<Target = [u8]>> Frame<B> {
     /// Total bytes this frame occupies on the wire.
     pub fn wire_len(&self) -> usize {
         FRAME_HEADER_BYTES + self.body.len()
     }
 
-    /// Encodes the frame (header + body).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_len());
-        out.extend_from_slice(&WIRE_MAGIC);
-        out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-        out.push(self.kind.tag());
-        out.push(0); // flags
-        out.extend_from_slice(&self.src.to_le_bytes());
-        out.extend_from_slice(&self.dst.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&(self.body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&checksum(&self.body).to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes()); // reserved
-        out.extend_from_slice(&self.body);
-        out
+    /// Builds a frame from a 32-byte header and its body: the one frame
+    /// validator, behind [`Frame::decode`] and every transport's receive
+    /// path. Checks the header (magic, version, length cap, kind, flags)
+    /// and the body against it (length, checksum). A streaming transport
+    /// passes the body it read after [`Frame::peek_body_len`], so the
+    /// body is moved, never re-copied.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on header problems, a body whose length disagrees
+    /// with the header, or a checksum mismatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `header` is shorter than [`FRAME_HEADER_BYTES`].
+    pub fn from_wire_parts(header: &[u8], body: B) -> Result<Frame<B>, WireError> {
+        let body_len = Frame::peek_body_len(header)?;
+        if body.len() != body_len {
+            return Err(malformed(format!(
+                "body is {} bytes, header declares {body_len}",
+                body.len()
+            )));
+        }
+        let kind = WireKind::from_tag(header[6]).ok_or(WireError::UnknownKind(header[6]))?;
+        if header[7] != 0 {
+            return Err(malformed("nonzero flags"));
+        }
+        let src = u16::from_le_bytes([header[8], header[9]]);
+        let dst = u16::from_le_bytes([header[10], header[11]]);
+        let seq = u64::from_le_bytes(header[12..20].try_into().expect("8 header bytes"));
+        let declared = u32::from_le_bytes([header[24], header[25], header[26], header[27]]);
+        if checksum(&body) != declared {
+            return Err(WireError::BadChecksum);
+        }
+        Ok(Frame {
+            kind,
+            src,
+            dst,
+            seq,
+            body,
+        })
     }
+}
 
-    /// Decodes one frame from the front of `bytes`, returning it and the
-    /// number of bytes consumed.
+impl Frame<FrameBuf> {
+    /// Fills in the header in front of the body and returns the frame's
+    /// bytes: the buffer [`WireMsg::encode_frame`] allocated, not a copy.
+    pub fn encode(self) -> Vec<u8> {
+        let mut bytes = self.body.0;
+        let (header, body) = bytes.split_at_mut(FRAME_HEADER_BYTES);
+        header[..4].copy_from_slice(&WIRE_MAGIC);
+        header[4..6].copy_from_slice(&WIRE_VERSION.to_le_bytes());
+        header[6] = self.kind.tag();
+        header[8..10].copy_from_slice(&self.src.to_le_bytes());
+        header[10..12].copy_from_slice(&self.dst.to_le_bytes());
+        header[12..20].copy_from_slice(&self.seq.to_le_bytes());
+        header[20..24].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        header[24..28].copy_from_slice(&checksum(body).to_le_bytes());
+        bytes
+    }
+}
+
+impl<'a> Frame<&'a [u8]> {
+    /// Decodes one frame from the front of `bytes`, returning it (its body
+    /// borrowed from `bytes`) and the number of bytes consumed.
     ///
     /// # Errors
     ///
     /// [`WireError`] on truncation, bad magic, a foreign version, an
     /// unknown kind, or a checksum mismatch.
-    pub fn decode(bytes: &[u8]) -> Result<(Frame, usize), WireError> {
+    pub fn decode(bytes: &'a [u8]) -> Result<(Frame<&'a [u8]>, usize), WireError> {
         let header = bytes
             .get(..FRAME_HEADER_BYTES)
             .ok_or(WireError::Truncated(bytes.len()))?;
-        Frame::decode_body(header, &bytes[FRAME_HEADER_BYTES..])
-            .map(|(frame, body_len)| (frame, FRAME_HEADER_BYTES + body_len))
+        let body_len = Frame::peek_body_len(header)?;
+        let body = bytes
+            .get(FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + body_len)
+            .ok_or(WireError::Truncated(bytes.len()))?;
+        Ok((
+            Frame::from_wire_parts(header, body)?,
+            FRAME_HEADER_BYTES + body_len,
+        ))
     }
+}
 
+impl Frame {
     /// Validates a 32-byte header and returns the declared body length —
     /// what a streaming transport needs before it can read the body.
     ///
@@ -306,56 +390,37 @@ impl Frame {
         Ok(body_len)
     }
 
-    /// Builds a frame from a validated 32-byte header and an *owned* body
-    /// — what a streaming transport uses after reading exactly
-    /// [`Frame::peek_body_len`] body bytes, so the body is moved, never
-    /// re-copied.
+    /// Builds a frame from one owned buffer holding exactly one whole
+    /// frame — what a message-oriented transport receives. The header is
+    /// stripped in place, so the body keeps the buffer.
     ///
     /// # Errors
     ///
-    /// [`WireError`] on header problems, a body whose length disagrees
-    /// with the header, or a checksum mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `header` is shorter than [`FRAME_HEADER_BYTES`].
-    pub fn from_wire_parts(header: &[u8], body: Vec<u8>) -> Result<Frame, WireError> {
-        let body_len = Frame::peek_body_len(header)?;
-        if body.len() != body_len {
+    /// As [`Frame::decode`], and [`WireError::Malformed`] if bytes follow
+    /// the frame.
+    pub(crate) fn from_wire(mut bytes: Vec<u8>) -> Result<Frame, WireError> {
+        let (frame, used) = Frame::decode(&bytes)?;
+        if used != bytes.len() {
             return Err(malformed(format!(
-                "body is {} bytes, header declares {body_len}",
-                body.len()
+                "{} bytes follow a {used}-byte frame",
+                bytes.len() - used
             )));
         }
-        let kind = WireKind::from_tag(header[6]).ok_or(WireError::UnknownKind(header[6]))?;
-        if header[7] != 0 {
-            return Err(malformed("nonzero flags"));
-        }
-        let src = u16::from_le_bytes([header[8], header[9]]);
-        let dst = u16::from_le_bytes([header[10], header[11]]);
-        let seq = u64::from_le_bytes(header[12..20].try_into().expect("8 header bytes"));
-        let declared = u32::from_le_bytes([header[24], header[25], header[26], header[27]]);
-        if checksum(&body) != declared {
-            return Err(WireError::BadChecksum);
-        }
+        let Frame {
+            kind,
+            src,
+            dst,
+            seq,
+            ..
+        } = frame;
+        bytes.drain(..FRAME_HEADER_BYTES);
         Ok(Frame {
             kind,
             src,
             dst,
             seq,
-            body,
+            body: bytes,
         })
-    }
-
-    /// Decodes a frame from a validated-length header and the bytes
-    /// following it (at least the declared body). Returns the frame and
-    /// the body length consumed.
-    fn decode_body(header: &[u8], rest: &[u8]) -> Result<(Frame, usize), WireError> {
-        let body_len = Frame::peek_body_len(header)?;
-        let body = rest
-            .get(..body_len)
-            .ok_or(WireError::Truncated(FRAME_HEADER_BYTES + rest.len()))?;
-        Frame::from_wire_parts(header, body.to_vec()).map(|frame| (frame, body_len))
     }
 }
 
@@ -405,6 +470,12 @@ impl NoticeBatch {
             self.intervals.len(),
             self.intervals.iter().map(|iv| iv.pages.len()).sum(),
         )
+    }
+
+    /// Bytes the batch occupies on the wire: the count prefix plus the
+    /// records.
+    fn wire_len(&self) -> usize {
+        2 + self.record_bytes() as usize
     }
 
     fn write(&self, out: &mut Vec<u8>) {
@@ -472,6 +543,10 @@ impl WireDiff {
             diff,
         })
     }
+}
+
+fn diff_list_len(diffs: &[WireDiff]) -> usize {
+    2 + diffs.iter().map(|d| d.diff.encoded_size()).sum::<usize>()
 }
 
 fn write_diff_list(diffs: &[WireDiff], out: &mut Vec<u8>) {
@@ -631,13 +706,77 @@ impl WireMsg {
         }
     }
 
-    /// Encodes the message body (no frame header).
+    /// Exact length of the message body, computed without encoding it —
+    /// what lets a frame be one allocation and a sender refuse an
+    /// oversized message before building it.
+    pub fn body_len(&self) -> usize {
+        match self {
+            // node (2) + count (2) + one id (2) per processor
+            WireMsg::Hello { procs, .. } => 4 + 2 * procs.len(),
+            WireMsg::Shutdown => 0,
+            // proc (2) + op tag (1) + the op's fields
+            WireMsg::OpRequest { op, .. } => {
+                3 + match op {
+                    EngineOp::Read { .. } => 8 + 4,
+                    EngineOp::Write { data, .. } => 8 + 4 + data.len(),
+                    EngineOp::Acquire(_) | EngineOp::Release(_) | EngineOp::Barrier(_) => 4,
+                }
+            }
+            // status (1) + length (4) + payload
+            WireMsg::OpReply { result } => {
+                5 + match result {
+                    Ok(bytes) => bytes.len(),
+                    Err(msg) => msg.len(),
+                }
+            }
+            // 8-byte lock or barrier field + clock (+ notices, diffs)
+            WireMsg::LockRequest { clock, .. } | WireMsg::LockForward { clock, .. } => {
+                8 + clock.wire_len()
+            }
+            WireMsg::LockGrant {
+                clock,
+                notices,
+                diffs,
+                ..
+            } => 8 + clock.wire_len() + notices.wire_len() + diff_list_len(diffs),
+            WireMsg::BarrierArrival { clock, notices, .. }
+            | WireMsg::BarrierExit { clock, notices, .. } => {
+                8 + clock.wire_len() + notices.wire_len()
+            }
+            // page (4) + want_base (1) + count (2) + (interval, page) pairs
+            WireMsg::MissRequest { wanted, .. } => 7 + wanted.len() * (IntervalId::WIRE_BYTES + 4),
+            // page (4) + base flag (1) + [length (4) + base] + diffs
+            WireMsg::MissReply { base, diffs, .. } => {
+                5 + base.as_ref().map_or(0, |bytes| 4 + bytes.len()) + diff_list_len(diffs)
+            }
+            WireMsg::Notices { clock, notices } => clock.wire_len() + notices.wire_len(),
+            // node (2) + proc (2) + length (4) + checkpoint
+            WireMsg::RejoinRequest { checkpoint, .. } => 8 + checkpoint.len(),
+            // status (1) + episode (8) or length (4) + text
+            WireMsg::RejoinReply { result } => {
+                1 + match result {
+                    Ok(_) => 8,
+                    Err(msg) => 4 + msg.len(),
+                }
+            }
+        }
+    }
+
+    /// Encodes the message body (no frame header) into a buffer of
+    /// exactly [`WireMsg::body_len`] bytes.
     pub fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.body_len());
+        self.write_body(&mut out);
+        out
+    }
+
+    /// Appends the message body to `out`: the one encoder behind
+    /// [`WireMsg::encode_body`] and [`WireMsg::encode_frame`].
+    fn write_body(&self, out: &mut Vec<u8>) {
         match self {
             WireMsg::Hello { node, procs } => {
                 out.extend_from_slice(&node.to_le_bytes());
-                put_count(&mut out, procs.len(), "processor");
+                put_count(out, procs.len(), "processor");
                 for p in procs {
                     out.extend_from_slice(&p.raw().to_le_bytes());
                 }
@@ -699,7 +838,7 @@ impl WireMsg {
                 out.extend_from_slice(&lock.raw().to_le_bytes());
                 out.extend_from_slice(&acquirer.raw().to_le_bytes());
                 out.extend_from_slice(&0u16.to_le_bytes());
-                clock.write_wire(&mut out);
+                clock.write_wire(out);
             }
             WireMsg::LockGrant {
                 lock,
@@ -709,9 +848,9 @@ impl WireMsg {
             } => {
                 out.extend_from_slice(&lock.raw().to_le_bytes());
                 out.extend_from_slice(&0u32.to_le_bytes());
-                clock.write_wire(&mut out);
-                notices.write(&mut out);
-                write_diff_list(diffs, &mut out);
+                clock.write_wire(out);
+                notices.write(out);
+                write_diff_list(diffs, out);
             }
             WireMsg::BarrierArrival {
                 barrier,
@@ -724,8 +863,8 @@ impl WireMsg {
                 out.extend_from_slice(&barrier.raw().to_le_bytes());
                 out.extend_from_slice(&proc.raw().to_le_bytes());
                 out.extend_from_slice(&0u16.to_le_bytes());
-                clock.write_wire(&mut out);
-                notices.write(&mut out);
+                clock.write_wire(out);
+                notices.write(out);
             }
             WireMsg::BarrierExit {
                 barrier,
@@ -734,8 +873,8 @@ impl WireMsg {
             } => {
                 out.extend_from_slice(&barrier.raw().to_le_bytes());
                 out.extend_from_slice(&0u32.to_le_bytes());
-                clock.write_wire(&mut out);
-                notices.write(&mut out);
+                clock.write_wire(out);
+                notices.write(out);
             }
             WireMsg::MissRequest {
                 page,
@@ -744,9 +883,9 @@ impl WireMsg {
             } => {
                 out.extend_from_slice(&page.raw().to_le_bytes());
                 out.push(u8::from(*want_base));
-                put_count(&mut out, wanted.len(), "diff-request");
+                put_count(out, wanted.len(), "diff-request");
                 for (iv, g) in wanted {
-                    iv.write_wire(&mut out);
+                    iv.write_wire(out);
                     out.extend_from_slice(&g.raw().to_le_bytes());
                 }
             }
@@ -760,11 +899,11 @@ impl WireMsg {
                     }
                     None => out.push(0),
                 }
-                write_diff_list(diffs, &mut out);
+                write_diff_list(diffs, out);
             }
             WireMsg::Notices { clock, notices } => {
-                clock.write_wire(&mut out);
-                notices.write(&mut out);
+                clock.write_wire(out);
+                notices.write(out);
             }
             WireMsg::RejoinRequest {
                 node,
@@ -789,7 +928,6 @@ impl WireMsg {
                 }
             },
         }
-        out
     }
 
     /// Decodes a message body of the given kind.
@@ -978,14 +1116,24 @@ impl WireMsg {
         Ok(msg)
     }
 
-    /// Encodes the message as a complete frame.
-    pub fn encode_frame(&self, src: NodeId, dst: NodeId, seq: u64) -> Frame {
+    /// Encodes the message as a complete frame in one exact-size buffer;
+    /// [`Frame::encode`] fills in its header.
+    pub fn encode_frame(&self, src: NodeId, dst: NodeId, seq: u64) -> Frame<FrameBuf> {
+        let body_len = self.body_len();
+        let mut bytes = Vec::with_capacity(FRAME_HEADER_BYTES + body_len);
+        bytes.resize(FRAME_HEADER_BYTES, 0);
+        self.write_body(&mut bytes);
+        debug_assert_eq!(
+            bytes.len(),
+            FRAME_HEADER_BYTES + body_len,
+            "body_len is exact"
+        );
         Frame {
             kind: self.kind(),
             src,
             dst,
             seq,
-            body: self.encode_body(),
+            body: FrameBuf(bytes),
         }
     }
 }
@@ -1058,12 +1206,17 @@ mod tests {
 
     fn round_trip(msg: WireMsg) {
         let frame = msg.encode_frame(0, 1, 42);
+        let wire_len = frame.wire_len();
         let bytes = frame.encode();
-        assert_eq!(bytes.len(), frame.wire_len());
+        assert_eq!(bytes.len(), wire_len);
         let (back, used) = Frame::decode(&bytes).unwrap();
         assert_eq!(used, bytes.len());
-        assert_eq!(back, frame);
-        let decoded = WireMsg::decode(back.kind, &back.body, &ctx()).unwrap();
+        assert_eq!(
+            (back.kind, back.src, back.dst, back.seq),
+            (msg.kind(), 0, 1, 42)
+        );
+        assert_eq!(back.body, msg.encode_body());
+        let decoded = WireMsg::decode(back.kind, back.body, &ctx()).unwrap();
         assert_eq!(decoded, msg);
     }
 
@@ -1201,6 +1354,29 @@ mod tests {
         let mut bytes = frame.encode();
         *bytes.last_mut().unwrap() ^= 0x40;
         assert_eq!(Frame::decode(&bytes).unwrap_err(), WireError::BadChecksum);
+    }
+
+    #[test]
+    fn an_owned_frame_keeps_its_buffer_and_refuses_a_tail() {
+        let msg = WireMsg::OpReply {
+            result: Ok(vec![5; 16]),
+        };
+        let bytes = msg.encode_frame(3, 4, 5).encode();
+        let buffer = bytes.as_ptr();
+        let frame = Frame::from_wire(bytes.clone()).unwrap();
+        assert_eq!(
+            (frame.kind, frame.src, frame.dst, frame.seq),
+            (WireKind::OpReply, 3, 4, 5)
+        );
+        assert_eq!(frame.body, msg.encode_body());
+        assert_eq!(Frame::from_wire(bytes).unwrap().body.as_ptr(), buffer);
+
+        let mut long = msg.encode_frame(3, 4, 5).encode();
+        long.push(0);
+        assert!(matches!(
+            Frame::from_wire(long).unwrap_err(),
+            WireError::Malformed(_)
+        ));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! round-trips exactly through encode → frame → decode, truncated and
 //! corrupted frames are rejected, foreign versions are refused, and the
 //! encodings designed to match `lrc-simnet`'s modeled sizes really do.
-//! The checksum's word loop, byte tail and length seed are swept
-//! exhaustively over every short body length.
+//! The one-buffer encoder matches a field-by-field reference layout byte
+//! for byte. The checksum's word loop, byte tail and length seed are
+//! swept exhaustively over every short body length.
 
 use lrc_core::EngineOp;
 use lrc_net::{
@@ -159,6 +160,22 @@ fn msg() -> impl Strategy<Value = WireMsg> {
                 diffs,
             }),
         (clock(), notices()).prop_map(|(clock, notices)| WireMsg::Notices { clock, notices }),
+        (
+            0u16..4,
+            0u16..N as u16,
+            prop::collection::vec(any::<u8>(), 0..64)
+        )
+            .prop_map(|(node, p, checkpoint)| WireMsg::RejoinRequest {
+                node,
+                proc: ProcId::new(p),
+                checkpoint,
+            }),
+        any::<u64>().prop_map(|episode| WireMsg::RejoinReply {
+            result: Ok(episode),
+        }),
+        (0u32..16).prop_map(|e| WireMsg::RejoinReply {
+            result: Err(format!("rejoin refused {e}")),
+        }),
     ]
 }
 
@@ -170,17 +187,44 @@ fn ctx() -> WireCtx {
 /// tail length 0..=7 occurs behind zero up to eight full words.
 const SWEEP_LENS: std::ops::RangeInclusive<usize> = 0..=72;
 
+/// The checksum as the module docs describe it: 64-bit FNV-1a seeded with
+/// the body length, one little-endian word per multiply, the tail byte by
+/// byte, xor-folded to 32 bits.
+fn reference_checksum(body: &[u8]) -> u32 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = 0xcbf2_9ce4_8422_2325 ^ body.len() as u64;
+    let whole = body.len() / 8 * 8;
+    for word in body[..whole].chunks(8) {
+        h = (h ^ u64::from_le_bytes(word.try_into().unwrap())).wrapping_mul(PRIME);
+    }
+    for &b in &body[whole..] {
+        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+    }
+    (h ^ (h >> 32)) as u32
+}
+
+/// The frame layout as the module docs spell it out, appended field by
+/// field: the reference the one-buffer encoder must match byte for byte.
+fn reference_frame(kind: WireKind, src: u16, dst: u16, seq: u64, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&lrc_net::WIRE_MAGIC);
+    out.extend_from_slice(&lrc_net::WIRE_VERSION.to_le_bytes());
+    out.push(kind.tag());
+    out.push(0); // flags
+    out.extend_from_slice(&src.to_le_bytes());
+    out.extend_from_slice(&dst.to_le_bytes());
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(&reference_checksum(body).to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes()); // reserved
+    out.extend_from_slice(body);
+    out
+}
+
 /// The encoded frame of an arbitrary `body` (a frame does not look inside
 /// its body; only `WireMsg::decode` does).
 fn raw_frame(body: Vec<u8>) -> Vec<u8> {
-    Frame {
-        kind: WireKind::OpReply,
-        src: 1,
-        dst: 0,
-        seq: 9,
-        body,
-    }
-    .encode()
+    reference_frame(WireKind::OpReply, 1, 0, 9, &body)
 }
 
 fn patterned(len: usize) -> Vec<u8> {
@@ -261,13 +305,33 @@ proptest! {
     #[test]
     fn every_message_round_trips(msg in msg(), src in 0u16..4, dst in 0u16..4, seq in 0u64..1000) {
         let frame = msg.encode_frame(src, dst, seq);
+        let wire_len = frame.wire_len();
         let bytes = frame.encode();
-        prop_assert_eq!(bytes.len(), frame.wire_len());
+        prop_assert_eq!(bytes.len(), wire_len);
         let (back, used) = Frame::decode(&bytes).unwrap();
         prop_assert_eq!(used, bytes.len());
         prop_assert_eq!((back.src, back.dst, back.seq), (src, dst, seq));
-        let decoded = WireMsg::decode(back.kind, &back.body, &ctx()).unwrap();
+        let decoded = WireMsg::decode(back.kind, back.body, &ctx()).unwrap();
         prop_assert_eq!(decoded, msg);
+    }
+
+    /// `body_len` is exact, and the one-buffer encoder writes the same
+    /// bytes as the reference layout: the header built from the same
+    /// fields, then `encode_body`. This guards the encoding in release
+    /// builds, where `encode_frame`'s debug assertion is compiled out.
+    #[test]
+    fn one_buffer_encoding_matches_the_reference_layout(
+        msg in msg(),
+        src in 0u16..4,
+        dst in 0u16..4,
+        seq in 0u64..1000,
+    ) {
+        let body = msg.encode_body();
+        prop_assert_eq!(msg.body_len(), body.len());
+        prop_assert_eq!(
+            msg.encode_frame(src, dst, seq).encode(),
+            reference_frame(msg.kind(), src, dst, seq, &body)
+        );
     }
 
     /// Any strict prefix of a frame fails to decode — truncation never
@@ -283,10 +347,10 @@ proptest! {
     /// bodies have nothing to flip and are skipped).
     #[test]
     fn corrupted_bodies_are_rejected(msg in msg(), pick in any::<u64>()) {
-        let frame = msg.encode_frame(0, 1, 7);
-        if !frame.body.is_empty() {
-            let mut bytes = frame.encode();
-            let at = 32 + (pick as usize % frame.body.len());
+        let mut bytes = msg.encode_frame(0, 1, 7).encode();
+        let body_len = bytes.len() - 32;
+        if body_len > 0 {
+            let at = 32 + (pick as usize % body_len);
             bytes[at] ^= 0x5a;
             prop_assert_eq!(Frame::decode(&bytes).unwrap_err(), WireError::BadChecksum);
         }
@@ -326,9 +390,8 @@ proptest! {
         delta in 1usize..48,
         junk in prop::collection::vec(any::<u8>(), 1..48),
     ) {
-        let frame = msg.encode_frame(0, 1, 9);
-        let body_len = frame.body.len();
-        let good = frame.encode();
+        let good = msg.encode_frame(0, 1, 9).encode();
+        let body_len = good.len() - 32;
         prop_assert!(Frame::decode(&good).is_ok(), "baseline frame decodes");
 
         // Overrun: the prefix promises more bytes than the buffer holds.
@@ -415,7 +478,7 @@ proptest! {
             BARRIER_ID_BYTES + vc_bytes(N) + 2 + record_bytes
         );
 
-        let frame = WireMsg::Shutdown.encode_frame(0, 1, 0);
-        prop_assert_eq!(frame.encode().len() as u64, MSG_HEADER_BYTES);
+        let frame = WireMsg::Shutdown.encode_frame(0, 1, 0).encode();
+        prop_assert_eq!(frame.len() as u64, MSG_HEADER_BYTES);
     }
 }

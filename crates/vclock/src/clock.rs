@@ -219,11 +219,6 @@ impl VectorClock {
     pub fn weight(&self) -> u64 {
         self.entries.iter().map(|&e| e as u64).sum()
     }
-
-    /// Bytes this clock occupies on the wire (4 bytes per entry).
-    pub fn encoded_size(&self) -> usize {
-        4 * self.entries.len()
-    }
 }
 
 impl fmt::Debug for VectorClock {
@@ -339,7 +334,7 @@ mod tests {
     }
 
     #[test]
-    fn encoded_size_is_four_bytes_per_proc() {
-        assert_eq!(VectorClock::new(16).encoded_size(), 64);
+    fn wire_len_is_four_bytes_per_proc() {
+        assert_eq!(VectorClock::new(16).wire_len(), 64);
     }
 }
