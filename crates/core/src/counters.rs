@@ -108,9 +108,12 @@ counters! {
     flushes,
 }
 
-/// Adds `n` to a counter cell (statistics only — relaxed ordering).
+/// Adds `n` to a counter cell (statistics only — relaxed ordering). Adding
+/// nothing touches nothing.
 pub fn bump(counter: &AtomicU64, n: u64) {
-    counter.fetch_add(n, Ordering::Relaxed);
+    if n != 0 {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 impl EngineCounters {

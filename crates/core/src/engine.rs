@@ -632,8 +632,7 @@ impl<P: Protocol> Engine<P> {
                             frame.ensure_twin(&mut shard.spare_twins);
                             shard.dirty.push(seg.page);
                         }
-                        let copy = frame.copy.as_mut().expect("valid page has a copy");
-                        copy.write(seg.offset, &data[cursor..cursor + seg.len]);
+                        frame.write(seg.offset, &data[cursor..cursor + seg.len]);
                         break;
                     }
                 }

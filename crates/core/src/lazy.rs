@@ -650,15 +650,17 @@ impl Engine<Lazy> {
             return;
         }
         bump(&self.counters.notices_received, notices.len() as u64);
+        let mut invalidated = 0;
         for n in notices {
             debug_assert_ne!(n.interval.proc(), p, "no notices for own intervals");
             let entry = &mut pages[n.page.index()];
             entry.ext.push(n.interval);
             if self.policy == Policy::Invalidate && entry.valid {
                 entry.valid = false;
-                bump(&self.counters.invalidations, 1);
+                invalidated += 1;
             }
         }
+        bump(&self.counters.invalidations, invalidated);
     }
 
     /// Takes `p`'s scratch out of its shard, its `needed` list holding
@@ -713,6 +715,7 @@ impl Engine<Lazy> {
     ) -> usize {
         let pages = &mut shard.pages;
         let mut touched = 0;
+        let mut applied = 0;
         let mut apply = |planned: &Planned| {
             let Planned { interval, page, .. } = *planned;
             // The holder bit flips and the diff is applied straight out
@@ -721,14 +724,8 @@ impl Engine<Lazy> {
                 .hold_and_diff(p, interval, page)
                 .expect("planned diff exists");
             let entry = &mut pages[page.index()];
-            let copy = entry.copy_mut(self.space.page_size());
-            diff.apply_to(copy);
-            if let Some(twin) = entry.twin.as_mut() {
-                // Concurrent writer here: keep the twin in sync so this
-                // processor's own diff stays minimal and correct.
-                diff.apply_to(twin);
-            }
-            bump(&self.counters.diffs_applied, 1);
+            entry.apply(diff, self.space.page_size());
+            applied += 1;
             // Every planned diff is one of its page's pending notices, so
             // a page's first diff finds the list non-empty: that is where
             // the page is counted and the list cleared.
@@ -748,6 +745,7 @@ impl Engine<Lazy> {
         } else {
             diffs.for_each(&mut apply);
         }
+        bump(&self.counters.diffs_applied, applied);
         shard.ext.scratch = scratch;
         touched
     }

@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use lrc_pagemem::{Diff, PageBuf, PageSize};
 
 /// One processor's frame of one page — the part of the page table both
@@ -8,7 +10,12 @@ use lrc_pagemem::{Diff, PageBuf, PageSize};
 /// * `valid` implies `copy.is_some()` — a valid copy reflects every
 ///   modification the processor has been told about;
 /// * `twin.is_some()` iff the page is dirty in the current interval
-///   (lazy) or epoch (eager).
+///   (lazy) or epoch (eager);
+/// * a dirty copy equals its twin outside the range written since the
+///   twin was made: [`Frame::write`] is the one writer of a dirty copy's
+///   bytes and records that range, and [`Frame::apply`] writes a diff to
+///   the copy and the twin alike. So [`Frame::close_twin`] diffs only the
+///   written range.
 ///
 /// Protocol-specific per-page state is the extension `E` (the lazy
 /// protocol's pending write notices; nothing, and therefore no bytes, for
@@ -22,8 +29,49 @@ pub struct Frame<E> {
     pub twin: Option<PageBuf>,
     /// True if `copy` reflects all known modifications.
     pub valid: bool,
+    /// The bytes [`Frame::write`] changed since the twin was made.
+    written: Written,
     /// The protocol's per-page state.
     pub ext: E,
+}
+
+/// The bytes written to a dirty copy since its twin was made, as the
+/// first and last offset written (both inclusive; empty while `first >
+/// last`). Pages are at most 64 KiB, so two `u16`s hold any range and fit
+/// in the frame's padding.
+#[derive(Clone, Copy, Debug)]
+struct Written {
+    first: u16,
+    last: u16,
+}
+
+impl Written {
+    const EMPTY: Written = Written {
+        first: u16::MAX,
+        last: 0,
+    };
+
+    /// Widens the range to cover `len > 0` bytes at `offset`, a write that
+    /// fit in its page.
+    fn cover(&mut self, offset: usize, len: usize) {
+        self.first = self.first.min(offset as u16);
+        self.last = self.last.max((offset + len - 1) as u16);
+    }
+
+    /// The range as byte offsets (`0..0` if nothing was written).
+    fn range(self) -> Range<usize> {
+        if self.first > self.last {
+            0..0
+        } else {
+            self.first as usize..self.last as usize + 1
+        }
+    }
+}
+
+impl Default for Written {
+    fn default() -> Self {
+        Written::EMPTY
+    }
 }
 
 impl<E> Frame<E> {
@@ -40,7 +88,7 @@ impl<E> Frame<E> {
 
     /// Makes the twin if the page is not yet dirty in this interval: the
     /// copy is copied into a consumed twin's buffer taken from `spare`, or
-    /// cloned when `spare` is empty.
+    /// cloned when `spare` is empty. Nothing is written yet.
     ///
     /// # Panics
     ///
@@ -56,12 +104,46 @@ impl<E> Frame<E> {
                 }
                 None => copy.clone(),
             });
+            self.written = Written::EMPTY;
+        }
+    }
+
+    /// Writes `data` at `offset` into the copy of a dirty page and records
+    /// the bytes as written, for [`Frame::close_twin`] to diff.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is not dirty (see [`Frame::ensure_twin`]) or the
+    /// write runs past the end of the page.
+    pub fn write(&mut self, offset: usize, data: &[u8]) {
+        assert!(self.is_dirty(), "only a twinned page is written");
+        let copy = self.copy.as_mut().expect("dirty page has a copy");
+        copy.write(offset, data);
+        if !data.is_empty() {
+            self.written.cover(offset, data.len());
+        }
+    }
+
+    /// Applies another processor's `diff` to the copy, materializing a
+    /// zeroed one for a cold page, and to the twin of a dirty page: a
+    /// concurrent writer's twin stays in sync, so its own diff stays
+    /// minimal and correct and copy and twin stay equal outside the
+    /// written range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run of `diff` extends past the end of the page.
+    pub fn apply(&mut self, diff: &Diff, size: PageSize) {
+        diff.apply_to(self.copy_mut(size));
+        if let Some(twin) = self.twin.as_mut() {
+            diff.apply_to(twin);
         }
     }
 
     /// Consumes the twin of a dirty page: returns the diff of the copy
-    /// against it and puts the twin's buffer on `spare` for the next first
-    /// write. `None` if the page is not dirty.
+    /// against it — scanning only the written range, outside which the
+    /// two are equal — and puts the twin's buffer on `spare` for the next
+    /// first write. `None` if the page is not dirty.
     ///
     /// # Panics
     ///
@@ -69,7 +151,12 @@ impl<E> Frame<E> {
     pub fn close_twin(&mut self, spare: &mut Vec<PageBuf>) -> Option<Diff> {
         let twin = self.twin.take()?;
         let copy = self.copy.as_ref().expect("dirty page has a copy");
-        let diff = Diff::between(&twin, copy);
+        let diff = Diff::between_in(&twin, copy, self.written.range());
+        debug_assert_eq!(
+            diff,
+            Diff::between(&twin, copy),
+            "a dirty copy changed outside its written range"
+        );
         spare.push(twin);
         Some(diff)
     }
@@ -127,7 +214,7 @@ mod tests {
         e.ensure_twin(&mut Vec::new());
         assert!(e.is_dirty());
         // Further writes do not disturb the twin.
-        e.copy.as_mut().unwrap().write(0, &[2]);
+        e.write(0, &[2]);
         e.ensure_twin(&mut Vec::new());
         assert_eq!(e.twin.as_ref().unwrap().as_bytes()[0], 1);
         assert_eq!(e.committed().unwrap().as_bytes()[0], 1, "twin, not copy");
@@ -139,7 +226,7 @@ mod tests {
         let mut a = Frame::<()>::default();
         a.copy_mut(size()).write(0, &[7; 128]);
         a.ensure_twin(&mut spare);
-        a.copy.as_mut().unwrap().write(5, &[1]);
+        a.write(5, &[1]);
         let diff = a.close_twin(&mut spare).expect("dirty");
         assert_eq!(diff.modified_bytes(), 1);
         assert!(!a.is_dirty() && a.close_twin(&mut spare).is_none());
@@ -152,6 +239,49 @@ mod tests {
         b.ensure_twin(&mut spare);
         assert!(spare.is_empty());
         assert_eq!(b.twin, b.copy, "no stale bytes");
+    }
+
+    #[test]
+    fn a_closed_twin_diffs_what_was_written() {
+        let mut spare = Vec::new();
+        let mut f = Frame::<()>::default();
+        f.copy_mut(size());
+        f.ensure_twin(&mut spare);
+        assert_eq!(f.written.range(), 0..0);
+        f.write(100, &[1, 2]);
+        f.write(10, &[3]);
+        assert_eq!(f.written.range(), 10..102);
+        // Another processor's diff lands on the copy and the twin alike,
+        // so it stays out of this processor's diff.
+        let mut other = PageBuf::zeroed(size());
+        other.write(120, &[9; 4]);
+        f.apply(&Diff::between(&PageBuf::zeroed(size()), &other), size());
+        let diff = f.close_twin(&mut spare).expect("dirty");
+        let runs: Vec<_> = diff.runs().collect();
+        assert_eq!(runs, [(10, &[3][..]), (100, &[1, 2][..])]);
+        assert_eq!(f.copy.as_ref().unwrap().as_bytes()[120], 9);
+
+        // The next interval's range starts empty.
+        f.ensure_twin(&mut spare);
+        assert_eq!(f.written.range(), 0..0);
+        f.write(127, &[4]);
+        assert_eq!(f.written.range(), 127..128);
+    }
+
+    #[test]
+    #[should_panic(expected = "twinned page")]
+    fn only_a_dirty_page_is_written() {
+        let mut e = Frame::<()>::default();
+        e.copy_mut(size());
+        e.write(0, &[1]);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn the_written_range_fits_in_the_frame_padding() {
+        // Two page buffers, a vector and the validity bit take 57 bytes;
+        // the range's two `u16`s fit in what padding leaves of 64.
+        assert_eq!(std::mem::size_of::<Frame<Vec<IntervalId>>>(), 64);
     }
 
     #[test]

@@ -86,9 +86,12 @@ pub fn settle_contention(waited: bool, overlapped: bool, waits: &AtomicU64, avoi
 }
 
 /// Raises a high-water-mark counter to at least `value` (statistics only
-/// — relaxed ordering).
+/// — relaxed ordering). A value that does not raise the mark costs a load,
+/// not a read-modify-write.
 pub fn raise(counter: &AtomicU64, value: u64) {
-    counter.fetch_max(value, Ordering::Relaxed);
+    if value > counter.load(Ordering::Relaxed) {
+        counter.fetch_max(value, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]

@@ -390,10 +390,7 @@ fn push_updates(
             for &i in &indices {
                 let (g, ref diff) = diffs[i];
                 let entry = &mut dest_shard.pages[g.index()];
-                diff.apply_to(entry.copy_mut(e.space().page_size()));
-                if let Some(twin) = entry.twin.as_mut() {
-                    diff.apply_to(twin);
-                }
+                entry.apply(diff, e.space().page_size());
                 entry.valid = true;
             }
         }

@@ -31,12 +31,17 @@
 //! # Activation
 //!
 //! The verifier is compiled in behind the stub's `lockdep` feature
-//! (default-on) and costs one relaxed atomic load per lock operation until
-//! activated. Set `LRC_LOCKDEP=1` (or `panic`) to check and panic on the
-//! first violation, or `LRC_LOCKDEP=collect` to collect reports for
-//! [`take_violations`]. Tests can call [`set_mode`] instead; locks
-//! constructed while the verifier is disabled carry a null tag and stay
-//! invisible, so enable it before building the structures under test.
+//! (default-on) and stays inactive until `LRC_LOCKDEP=1` (or `panic`), which
+//! checks and panics on the first violation, or `LRC_LOCKDEP=collect`, which
+//! collects reports for [`take_violations`]. Tests can call [`set_mode`]
+//! instead. Whether a lock is checked is decided once, when it is built:
+//! a lock constructed while the verifier is disabled carries a null tag
+//! ([`LockTag::is_tracked`] is false) and stays invisible for life, so
+//! enable the verifier before building the structures under test. Such a
+//! lock costs one inline tag test per acquisition, release and condvar
+//! wait, and no call into this crate; a tracked lock calls [`on_acquire`]
+//! and [`on_release`], which do nothing further while the mode is
+//! disabled.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::Location;
@@ -91,7 +96,7 @@ impl Class {
 /// What the verifier does when a violation is found.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Mode {
-    /// Off: lock operations cost one atomic load, nothing is recorded.
+    /// Off: nothing is recorded, and locks built meanwhile are untracked.
     Disabled,
     /// Panic with the full report on the first violation (CI mode).
     Panic,
@@ -124,7 +129,8 @@ pub struct Violation {
 /// The per-instance tag the `parking_lot` stub stores in each lock:
 /// interned class id plus level and order copied out of the [`Class`] so
 /// the hot path never consults the registry. A null tag (constructed
-/// while the verifier was disabled) makes every hook a no-op.
+/// while the verifier was disabled) makes every hook a no-op, and the stub
+/// skips the hooks of such a lock without calling them.
 #[derive(Clone, Copy, Debug)]
 pub struct LockTag {
     class: u32,
@@ -142,6 +148,12 @@ impl LockTag {
             level: None,
             order: None,
         }
+    }
+
+    /// False for a null tag: the verifier ignores the lock, so the stub
+    /// makes no call for it.
+    pub const fn is_tracked(&self) -> bool {
+        self.class != UNTAGGED
     }
 }
 
@@ -423,7 +435,7 @@ fn describe_held(held: &[Held]) -> String {
 /// *before* blocking on the real lock, so a potential deadlock reports
 /// instead of hanging.
 pub fn on_acquire(tag: LockTag, addr: usize, site: &'static Location<'static>, op: AcquireOp) {
-    if mode() == Mode::Disabled || tag.class == UNTAGGED {
+    if mode() == Mode::Disabled || !tag.is_tracked() {
         return;
     }
     // Copy the stack out so no RefCell borrow is live while we take the

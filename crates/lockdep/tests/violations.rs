@@ -1,8 +1,10 @@
 //! Would-fail coverage for the verifier: each test builds a deliberate
 //! lock-order bug out of real `parking_lot` stub locks and asserts the
-//! collected report names both acquisition chains. A final test drives a
+//! collected report names both acquisition chains. Two tests drive a
 //! condvar round trip to prove the release-and-reacquire is modeled (no
-//! false positive).
+//! false positive), and three pin the stub's inline skip: an `RwLock`'s
+//! guards carry its tag, and locks built while the verifier is off stay
+//! invisible without disturbing the tracked locks around them.
 //!
 //! The verifier's mode and class graph are process-global, so every test
 //! (a) serializes on one gate, (b) uses class names unique to itself —
@@ -12,7 +14,7 @@
 use std::sync::Arc;
 
 use parking_lot::lockdep::{self, Class, Mode, Violation, ViolationKind};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 /// Serializes tests and puts the verifier in collect mode for the scope
 /// of one test.
@@ -235,4 +237,115 @@ fn condvar_wait_releases_the_mutex_for_ordering_purposes() {
         "wait releases the mutex; post-wait descending acquisition on a \
          clean stack is legal"
     );
+}
+
+#[test]
+fn rwlock_guards_report_inversions_through_read_and_write() {
+    let _serial = collect();
+    let outer = RwLock::new_in(0u32, Class::new("viol.rw_outer", 370));
+    let inner = Mutex::new_in((), Class::new("viol.rw_inner", 371));
+
+    // Each guard takes its lock off the held stack again: the same lock,
+    // read then written on a clean stack, is no re-entry, and the legal
+    // nesting reports nothing.
+    drop(outer.read());
+    drop(outer.write());
+    {
+        let _o = outer.read();
+        let _i = inner.lock();
+    }
+    {
+        let _o = outer.write();
+        let _i = inner.lock();
+    }
+    assert!(
+        lockdep::take_violations().is_empty(),
+        "released guards and ascending nesting are clean"
+    );
+
+    // Descending through `read()`, then through `write()`: each reports
+    // the hierarchy inversion, naming both locks.
+    for shared in [true, false] {
+        {
+            let _i = inner.lock();
+            if shared {
+                drop(outer.read());
+            } else {
+                drop(outer.write());
+            }
+        }
+        let violations = reports_of(ViolationKind::Hierarchy);
+        assert_eq!(violations.len(), 1, "shared {shared}: {violations:?}");
+        let report = &violations[0].report;
+        assert!(report.contains("viol.rw_outer"), "{report}");
+        assert!(report.contains("viol.rw_inner"), "{report}");
+        assert!(report.contains("violations.rs"), "{report}");
+    }
+}
+
+#[test]
+fn locks_built_while_the_verifier_is_off_stay_invisible() {
+    let _serial = collect();
+    lockdep::set_mode(Mode::Disabled);
+    let a = Mutex::new_in(false, Class::new("viol.off_a", 380));
+    let b = Mutex::new_in(0u32, Class::new("viol.off_b", 381));
+    let rw = RwLock::new(0u32);
+    let cv = Condvar::new();
+    lockdep::set_mode(Mode::Collect);
+
+    // An ABBA pair, a descending level pair, a re-entrant-looking read
+    // and a condvar wait: none of it is seen.
+    {
+        let _a = a.lock();
+        let _b = b.lock();
+    }
+    {
+        let _b = b.lock();
+        let _a = a.lock();
+    }
+    {
+        let _r = rw.read();
+        let _r2 = rw.read();
+        let mut ga = a.lock();
+        cv.wait_for(&mut ga, std::time::Duration::from_millis(1));
+        let _w = b.lock();
+    }
+    assert!(
+        lockdep::take_violations().is_empty(),
+        "untracked locks never reach the verifier"
+    );
+}
+
+#[test]
+fn an_untracked_guard_leaves_exactly_the_tracked_edge() {
+    let _serial = collect();
+    lockdep::set_mode(Mode::Disabled);
+    let untracked = Mutex::new(0u32);
+    lockdep::set_mode(Mode::Collect);
+    let a = Mutex::new_in(0u32, Class::new("viol.mixed_a", 390));
+    let b = Mutex::new_in(0u32, Class::new("viol.mixed_b", 391));
+
+    // A is held while the untracked guard comes and goes, then B nests
+    // under A: the held stack is A alone, so the one edge is A -> B.
+    {
+        let _a = a.lock();
+        drop(untracked.lock());
+        let _b = b.lock();
+    }
+    assert!(lockdep::take_violations().is_empty());
+
+    // The inversion closes exactly that edge's cycle; no class of the
+    // untracked lock appears in any chain.
+    {
+        let _b = b.lock();
+        let _a = a.lock();
+    }
+    let cycles = reports_of(ViolationKind::Cycle);
+    assert_eq!(cycles.len(), 1, "one cycle expected");
+    let report = &cycles[0].report;
+    assert!(
+        report.contains("held `viol.mixed_a`") && report.contains("acquiring `viol.mixed_b`"),
+        "the recorded edge is A -> B: {report}"
+    );
+    assert!(!report.contains("auto["), "no untracked lock: {report}");
 }

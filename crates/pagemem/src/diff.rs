@@ -1,4 +1,5 @@
 use std::fmt;
+use std::ops::Range;
 
 use crate::PageBuf;
 
@@ -8,7 +9,7 @@ pub const DIFF_HEADER_BYTES: usize = 12;
 /// Wire overhead of one run: offset (4) and length (4).
 pub const RUN_HEADER_BYTES: usize = 8;
 
-/// Bytes [`Diff::between`] compares at once while a page is unchanged.
+/// Bytes [`Diff::between_in`] compares at once while a page is unchanged.
 const BLOCK: usize = 32;
 
 /// One run of modified bytes, owned: the input of [`Diff::from_runs`].
@@ -196,44 +197,62 @@ impl Diff {
     }
 
     /// Compares a working page against its twin and encodes every byte that
-    /// changed. Adjacent modified bytes coalesce into single runs.
+    /// changed. Adjacent modified bytes coalesce into single runs. This is
+    /// [`Diff::between_in`] over the whole page.
     ///
     /// # Panics
     ///
     /// Panics if the pages have different sizes.
     pub fn between(twin: &PageBuf, current: &PageBuf) -> Self {
+        Diff::between_in(twin, current, 0..twin.len())
+    }
+
+    /// Compares a working page against its twin within `range` only and
+    /// encodes every byte there that changed. When `range` holds every
+    /// changed byte — a twinned page written only there — the result is
+    /// exactly [`Diff::between`], at the cost of scanning `range` alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pages have different sizes, or if `range` is reversed
+    /// or ends past the page.
+    pub fn between_in(twin: &PageBuf, current: &PageBuf, range: Range<usize>) -> Self {
         assert_eq!(
             twin.len(),
             current.len(),
             "diffing pages of different sizes"
         );
+        assert!(
+            range.start <= range.end && range.end <= twin.len(),
+            "diff range {range:?} outside a {}-byte page",
+            twin.len()
+        );
         let old = twin.as_bytes();
         let new = current.as_bytes();
         let mut diff = Diff::new();
-        let mut i = 0;
-        let len = old.len();
+        let Range { start: mut i, end } = range;
         // The equal scan steps a block at a time while whole blocks match,
         // then a word at a time; the unequal scan steps a word at a time
         // while all eight bytes differ. Both finish byte by byte, so run
         // boundaries are exact.
-        while i < len {
-            while i + BLOCK <= len && block_at(old, i) == block_at(new, i) {
+        while i < end {
+            while i + BLOCK <= end && block_at(old, i) == block_at(new, i) {
                 i += BLOCK;
             }
-            while i + 8 <= len && word_at(old, i) == word_at(new, i) {
+            while i + 8 <= end && word_at(old, i) == word_at(new, i) {
                 i += 8;
             }
-            while i < len && old[i] == new[i] {
+            while i < end && old[i] == new[i] {
                 i += 1;
             }
-            if i == len {
+            if i == end {
                 break;
             }
             let start = i;
-            while i + 8 <= len && !has_zero_byte(word_at(old, i) ^ word_at(new, i)) {
+            while i + 8 <= end && !has_zero_byte(word_at(old, i) ^ word_at(new, i)) {
                 i += 8;
             }
-            while i < len && old[i] != new[i] {
+            while i < end && old[i] != new[i] {
                 i += 1;
             }
             diff.push_run(start as u32, &new[start..i]);
@@ -482,6 +501,39 @@ mod tests {
         assert_eq!(diff.run_count(), 0);
         assert_eq!(diff.modified_bytes(), 0);
         assert_eq!(diff.encoded_size(), DIFF_HEADER_BYTES);
+    }
+
+    #[test]
+    fn a_range_diff_sees_only_its_range() {
+        let twin = page();
+        let mut cur = twin.clone();
+        cur.write(10, &[1, 2]);
+        cur.write(200, &[3]);
+        let runs = |range| {
+            let diff = Diff::between_in(&twin, &cur, range);
+            diff.runs()
+                .map(|(o, d)| (o, d.to_vec()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(runs(0..256), [(10, vec![1, 2]), (200, vec![3])]);
+        assert_eq!(runs(10..201), runs(0..256));
+        assert_eq!(runs(11..256), [(11, vec![2]), (200, vec![3])]);
+        assert!(runs(12..200).is_empty() && runs(256..256).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 256-byte page")]
+    fn a_reversed_range_is_refused() {
+        let twin = page();
+        let (start, end) = (9, 8);
+        Diff::between_in(&twin, &twin.clone(), start..end);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 256-byte page")]
+    fn a_range_past_the_page_is_refused() {
+        let twin = page();
+        Diff::between_in(&twin, &twin.clone(), 0..257);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! reconstruct pages, commute when disjoint, respect the size model and
 //! round-trip through their wire encoding; the block- and word-stepping
 //! `between` and the range-merging `squash` must agree, run for run, with
-//! bytewise oracles kept here.
+//! bytewise oracles kept here, and `between_in` over a range holding
+//! every changed byte must agree with `between`.
 
 use std::collections::BTreeMap;
 
@@ -368,6 +369,34 @@ proptest! {
         apply_writes(&mut cur, &ws);
         let sparse = Diff::between(&twin, &cur);
         prop_assert_eq!(sparse, between_oracle(twin.as_bytes(), cur.as_bytes()));
+    }
+
+    #[test]
+    fn a_range_holding_every_change_diffs_like_the_whole_page(
+        base in prop::collection::vec(any::<u8>(), PAGE),
+        ws in writes(),
+        lo in 0..=PAGE,
+        hi in 0..=PAGE,
+    ) {
+        // A twinned page written only inside a range — what a frame
+        // records — diffs the same over that range as over the page.
+        let twin = PageBuf::from_bytes(base);
+        let mut cur = twin.clone();
+        apply_writes(&mut cur, &ws);
+        let whole = Diff::between(&twin, &cur);
+        let changed: Vec<usize> = (0..PAGE)
+            .filter(|&i| twin.as_bytes()[i] != cur.as_bytes()[i])
+            .collect();
+        if let (Some(&first), Some(&last)) = (changed.first(), changed.last()) {
+            let holding = lo.min(first)..hi.max(last + 1);
+            prop_assert_eq!(&Diff::between_in(&twin, &cur, holding), &whole);
+            // A range that misses the first or the last changed byte does not.
+            prop_assert_ne!(&Diff::between_in(&twin, &cur, first + 1..PAGE), &whole);
+            prop_assert_ne!(&Diff::between_in(&twin, &cur, 0..last), &whole);
+        } else {
+            // Nothing changed: any range, the empty one included, is empty.
+            prop_assert!(Diff::between_in(&twin, &cur, lo.min(hi)..lo.max(hi)).is_empty());
+        }
     }
 
     #[test]
