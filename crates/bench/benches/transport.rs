@@ -1,7 +1,8 @@
-//! Transport comparison harness: codec throughput, end-to-end op round
-//! trips over both backends (channel loopback, TCP), and a
-//! same-destination frame storm over a TCP pair, where frames queued
-//! faster than the send thread writes them must share socket writes.
+//! Transport comparison harness: codec cost of a 4 KiB miss reply and of
+//! a small acquire request, end-to-end op round trips over both backends
+//! (channel loopback, TCP), and a same-destination frame storm over a TCP
+//! pair, where frames queued faster than the send thread writes them must
+//! share socket writes.
 //! Byte accounting is reconciled three ways on every run: modeled frame
 //! bytes, the sender's metered bytes, and the receiver's metered bytes
 //! must agree exactly.
@@ -18,6 +19,7 @@ use lrc_dsm::{DsmBuilder, NodeClient, NodeServer};
 use lrc_net::{ChannelNet, Frame, TcpTransport, Transport, WireCtx, WireMsg, WireStats};
 use lrc_pagemem::{Diff, PageBuf, PageId, PageSize};
 use lrc_sim::ProtocolKind;
+use lrc_sync::LockId;
 use lrc_vclock::ProcId;
 use std::hint::black_box;
 
@@ -40,9 +42,16 @@ fn miss_reply() -> WireMsg {
     }
 }
 
-/// Per-operation codec cost (encode, decode) in microseconds.
-fn bench_codec(iters: u64) -> (f64, f64) {
-    let msg = miss_reply();
+/// A small frame: a remote processor's lock acquire, 7 body bytes.
+fn acquire_request() -> WireMsg {
+    WireMsg::OpRequest {
+        proc: ProcId::new(1),
+        op: EngineOp::Acquire(LockId::new(2)),
+    }
+}
+
+/// Per-operation codec cost of `msg` (encode, decode) in microseconds.
+fn bench_codec(msg: &WireMsg, iters: u64) -> (f64, f64) {
     let bytes = msg.encode_frame(1, 0, 7).encode();
     let ctx = WireCtx { n_procs: 8 };
 
@@ -185,8 +194,12 @@ fn main() {
     };
     // `cargo bench` passes --bench and harness flags; all are ignored.
 
-    let (encode_us, decode_us) = bench_codec(codec_iters);
+    let (encode_us, decode_us) = bench_codec(&miss_reply(), codec_iters);
     println!("codec: encode {encode_us:.2}us decode {decode_us:.2}us (miss reply, 4KiB page)");
+    let (small_encode_us, small_decode_us) = bench_codec(&acquire_request(), codec_iters);
+    println!(
+        "codec: encode {small_encode_us:.3}us decode {small_decode_us:.3}us (op request, acquire)"
+    );
 
     let direct_us = bench_direct(rt_iters * 10);
     let (server_end, client_end) = channel_pair();
@@ -207,7 +220,8 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let json = format!(
         "{{\n  \"bench\": \"transport\",\n  \"smoke\": {smoke},\n  \"cores\": {cores},\n  \
-         \"codec_us\": {{\n    \"encode\": {encode_us:.3},\n    \"decode\": {decode_us:.3}\n  }},\n  \
+         \"codec_us\": {{\n    \"encode\": {encode_us:.3},\n    \"decode\": {decode_us:.3},\n    \
+         \"small_encode\": {small_encode_us:.3},\n    \"small_decode\": {small_decode_us:.3}\n  }},\n  \
          \"round_trip_us\": {{\n    \"direct\": {direct_us:.3},\n    \
          \"channel\": {channel_us:.3},\n    \"tcp\": {tcp_us:.3}\n  }},\n  \
          \"tcp_burst\": {{\n    \"frames\": {frames},\n    \"flushes\": {flushes},\n    \

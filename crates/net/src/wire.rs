@@ -18,7 +18,7 @@
 //! ```text
 //! offset  field
 //! 0..4    magic "LRCN"
-//! 4..6    version (u16 LE) — currently 2
+//! 4..6    version (u16 LE) — currently 3
 //! 6..7    kind (u8, see WireKind)
 //! 7..8    flags (u8, reserved, must be 0)
 //! 8..10   source node (u16 LE)
@@ -33,12 +33,23 @@
 //! The 32-byte header matches [`lrc_simnet::MSG_HEADER_BYTES`] exactly, so
 //! the model's fixed per-message overhead is also a measurement.
 //!
-//! The checksum is a 64-bit FNV-1a that eats the body one little-endian
-//! word (eight bytes) per multiply, seeded with the body length, with the
-//! last `len % 8` bytes taken one at a time and the state xor-folded to 32
-//! bits. Version 1 hashed bytewise into 32 bits; the field kept its place
-//! and size, so a version-1 frame is refused as
-//! [`WireError::UnsupportedVersion`] rather than as a checksum mismatch.
+//! The checksum is four 64-bit FNV-1a lanes, each seeded with the body
+//! length. The body is read in 32-byte stripes and lane *i* eats
+//! little-endian word *i* of every stripe, so four multiply chains run side
+//! by side where one chain would wait a full multiply latency per word. The
+//! lane states then go, in lane order, through one more FNV-1a chain from
+//! the same seed; the leftover whole words and the last `len % 8` bytes
+//! (one at a time) continue that chain, and its state is xor-folded to 32
+//! bits. A body shorter than one stripe has no lanes to combine and takes
+//! the chain alone, as many steps as in version 2.
+//!
+//! Version history of the sum (the header field kept its place and size
+//! each time, so an older frame is refused as
+//! [`WireError::UnsupportedVersion`] rather than as a checksum mismatch):
+//!
+//! - version 1: 32-bit FNV-1a, one byte per multiply;
+//! - version 2: one 64-bit chain, one word per multiply;
+//! - version 3: four lanes, as above.
 //!
 //! # Buffers
 //!
@@ -64,7 +75,7 @@ use crate::NodeId;
 /// Frame magic.
 pub const WIRE_MAGIC: [u8; 4] = *b"LRCN";
 /// Current wire format version.
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 /// Fixed frame header size (equal to the simulation model's
 /// [`lrc_simnet::MSG_HEADER_BYTES`]).
 pub const FRAME_HEADER_BYTES: usize = 32;
@@ -126,20 +137,45 @@ fn put_count(out: &mut Vec<u8>, len: usize, what: &str) {
     out.extend_from_slice(&(len as u16).to_le_bytes());
 }
 
+/// Bytes per checksum stripe: one little-endian word for each lane.
+const STRIPE_BYTES: usize = 32;
+
 /// The frame body checksum (see the module docs) — cheap corruption
-/// detection, not cryptography. Every step is a bijection of the 64-bit
-/// state, so bodies of one length that differ in a single word reach
-/// different states; only the final fold to 32 bits can make them collide.
+/// detection, not cryptography. Every lane step and every combine step
+/// `h = (h ^ w) * PRIME` is a bijection of the 64-bit state for a fixed
+/// word `w`, and injective in `w` for a fixed state (the prime is odd).
+/// So when two bodies of one length differ in a single word, either that
+/// word's lane ends in a different state, which the combine chain carries
+/// to a different state, or the lanes agree and the word differs in the
+/// tail chain; only the final fold to 32 bits can make them collide. The
+/// combine is a chain rather than an xor of the lanes because an xor is
+/// symmetric: it would let two words swapped between lanes collide. A
+/// swap changes two words, so nothing above guarantees it is caught, and
+/// two words that differ only in bit 63 can swap unseen: every multiply
+/// by an odd number carries a top-bit difference through unchanged.
 fn checksum(body: &[u8]) -> u32 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325 ^ body.len() as u64;
-    let mut words = body.chunks_exact(8);
-    for word in &mut words {
-        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
-        h = (h ^ word).wrapping_mul(PRIME);
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(PRIME);
+    let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
+    let seed = 0xcbf2_9ce4_8422_2325 ^ body.len() as u64;
+    let mut stripes = body.chunks_exact(STRIPE_BYTES);
+    let mut h = if body.len() < STRIPE_BYTES {
+        seed
+    } else {
+        let mut lanes = [seed; 4];
+        for stripe in &mut stripes {
+            for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = step(*lane, word(w));
+            }
+        }
+        lanes.into_iter().fold(seed, step)
+    };
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = step(h, word(w));
     }
     for &b in words.remainder() {
-        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+        h = step(h, u64::from(b));
     }
     (h ^ (h >> 32)) as u32
 }
@@ -1354,6 +1390,23 @@ mod tests {
         let mut bytes = frame.encode();
         *bytes.last_mut().unwrap() ^= 0x40;
         assert_eq!(Frame::decode(&bytes).unwrap_err(), WireError::BadChecksum);
+    }
+
+    /// Pins version 3's sum: a change to any of these is a format change
+    /// and needs a [`WIRE_VERSION`] bump. Bodies under one stripe (0 and 7
+    /// bytes) skip the lanes and keep their version-2 sums.
+    #[test]
+    fn checksum_known_answers() {
+        let patterned = |len: usize| (0..len).map(|i| (i * 37 + 11) as u8).collect::<Vec<_>>();
+        for (len, sum) in [
+            (0, 0x4fd0_bfc1),
+            (7, 0x1244_72f2),
+            (32, 0x0464_507c),
+            (100, 0x8961_2123),
+            (4096, 0x9403_998b),
+        ] {
+            assert_eq!(checksum(&patterned(len)), sum, "body of {len} bytes");
+        }
     }
 
     #[test]

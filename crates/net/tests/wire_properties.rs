@@ -3,8 +3,8 @@
 //! corrupted frames are rejected, foreign versions are refused, and the
 //! encodings designed to match `lrc-simnet`'s modeled sizes really do.
 //! The one-buffer encoder matches a field-by-field reference layout byte
-//! for byte. The checksum's word loop, byte tail and length seed are
-//! swept exhaustively over every short body length.
+//! for byte. The checksum's lanes, leftover words, byte tail and length
+//! seed are swept exhaustively over every short body length.
 
 use lrc_core::EngineOp;
 use lrc_net::{
@@ -183,22 +183,39 @@ fn ctx() -> WireCtx {
     WireCtx { n_procs: N }
 }
 
-/// Body lengths the checksum sweeps cover: nine whole words, so every
-/// tail length 0..=7 occurs behind zero up to eight full words.
-const SWEEP_LENS: std::ops::RangeInclusive<usize> = 0..=72;
+/// Body lengths the checksum sweeps cover: 0, 1 and 2 whole 32-byte
+/// stripes, each followed by every leftover-word count 0..=3 and every
+/// byte tail 0..=7.
+const SWEEP_LENS: std::ops::RangeInclusive<usize> = 0..=100;
 
-/// The checksum as the module docs describe it: 64-bit FNV-1a seeded with
-/// the body length, one little-endian word per multiply, the tail byte by
-/// byte, xor-folded to 32 bits.
+/// The checksum as the module docs describe it: four 64-bit FNV-1a lanes
+/// seeded with the body length, lane `i` taking little-endian word `i` of
+/// every 32-byte stripe; the lane states chained in order from the same
+/// seed (only when there was a stripe), then the leftover words and the
+/// tail bytes one per multiply, xor-folded to 32 bits.
 fn reference_checksum(body: &[u8]) -> u32 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325 ^ body.len() as u64;
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(PRIME);
+    let word = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+    let seed = 0xcbf2_9ce4_8422_2325 ^ body.len() as u64;
+    let striped = body.len() / 32 * 32;
+    let mut h = seed;
+    if striped > 0 {
+        let mut lanes = [seed; 4];
+        for at in (0..striped).step_by(8) {
+            let lane = at / 8 % 4;
+            lanes[lane] = step(lanes[lane], word(at));
+        }
+        for lane in lanes {
+            h = step(h, lane);
+        }
+    }
     let whole = body.len() / 8 * 8;
-    for word in body[..whole].chunks(8) {
-        h = (h ^ u64::from_le_bytes(word.try_into().unwrap())).wrapping_mul(PRIME);
+    for at in (striped..whole).step_by(8) {
+        h = step(h, word(at));
     }
     for &b in &body[whole..] {
-        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+        h = step(h, u64::from(b));
     }
     (h ^ (h >> 32)) as u32
 }
@@ -259,13 +276,47 @@ fn every_flip_of_every_body_byte_is_caught() {
 
 #[test]
 fn a_version_1_frame_is_refused_by_version_not_by_checksum() {
-    for len in [0, 5, 64] {
-        let mut old = raw_frame(patterned(len));
-        old[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(
-            Frame::decode(&old).unwrap_err(),
-            WireError::UnsupportedVersion(1)
-        );
+    // Versions 1 and 2 summed the body differently in the same header
+    // field; the version check must speak first.
+    for version in [1, 2] {
+        for len in [0, 5, 64] {
+            let mut old = raw_frame(patterned(len));
+            old[4..6].copy_from_slice(&u16::to_le_bytes(version));
+            assert_eq!(
+                Frame::decode(&old).unwrap_err(),
+                WireError::UnsupportedVersion(version)
+            );
+        }
+    }
+}
+
+#[test]
+fn swapping_two_words_of_the_first_two_stripes_is_caught() {
+    // Two unequal words trading places change two lanes (or one lane, or
+    // the tail chain) at once. The lanes are combined in order, so a swap
+    // between lanes must not cancel out as it would under an xor of them.
+    for len in SWEEP_LENS {
+        let good = raw_frame(patterned(len));
+        let words = (len / 8).min(8);
+        for i in 0..words {
+            for j in i + 1..words {
+                let mut bad = good.clone();
+                let body = &mut bad[32..];
+                assert_ne!(
+                    body[8 * i..][..8],
+                    body[8 * j..][..8],
+                    "words {i}, {j} equal"
+                );
+                for k in 0..8 {
+                    body.swap(8 * i + k, 8 * j + k);
+                }
+                assert_eq!(
+                    Frame::decode(&bad).unwrap_err(),
+                    WireError::BadChecksum,
+                    "length {len}, words {i} and {j} swapped"
+                );
+            }
+        }
     }
 }
 
