@@ -1,5 +1,3 @@
-use std::collections::HashMap;
-
 use lrc_core::{bump, ConfigError, Engine, EngineCore, Policy, Protocol, Shard};
 use lrc_pagemem::{Diff, PageBuf, PageId};
 use lrc_simnet::{invalidation_bytes, MsgKind, BARRIER_ID_BYTES, LOCK_ID_BYTES, PAGE_ID_BYTES};
@@ -46,8 +44,9 @@ struct EpochMod {
 #[derive(Debug)]
 pub struct Eager {
     dir: Mutex<Vec<DirEntry>>,
-    /// EI: modifications buffered per barrier episode (keyed by barrier).
-    epoch_mods: Mutex<HashMap<u32, Vec<EpochMod>>>,
+    /// EI: modifications buffered for the current episode, indexed by
+    /// barrier.
+    epoch_mods: Mutex<Vec<Vec<EpochMod>>>,
 }
 
 /// The eager release consistency engine (EI under [`Policy::Invalidate`],
@@ -58,6 +57,17 @@ pub type EagerEngine = Engine<Eager>;
 
 fn bit(p: ProcId) -> u64 {
     1u64 << p.index()
+}
+
+/// The processors whose bits are set in `mask`, lowest first.
+fn procs_in(mut mask: u64) -> impl Iterator<Item = ProcId> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let p = ProcId::new(mask.trailing_zeros() as u16);
+            mask &= mask - 1;
+            p
+        })
+    })
 }
 
 impl Eager {
@@ -100,7 +110,10 @@ impl Protocol for Eager {
             .collect();
         Ok(Eager {
             dir: Mutex::new_in(dir, classes::EAGER_DIRECTORY),
-            epoch_mods: Mutex::new_in(HashMap::new(), classes::EAGER_EPOCH_MODS),
+            epoch_mods: Mutex::new_in(
+                vec![Vec::new(); core.params().n_barriers],
+                classes::EAGER_EPOCH_MODS,
+            ),
         })
     }
 
@@ -162,15 +175,14 @@ impl Protocol for Eager {
             ),
             Policy::Invalidate => {
                 piggyback_pages = diffs.len();
-                let mut epoch_mods = e.protocol().epoch_mods.lock();
-                let buffer = epoch_mods.entry(barrier.raw()).or_default();
-                for (page, diff) in diffs {
-                    buffer.push(EpochMod {
+                // The barrier set refused an unknown id before this ran.
+                e.protocol().epoch_mods.lock()[barrier.index()].extend(diffs.into_iter().map(
+                    |(page, diff)| EpochMod {
                         writer: p,
                         page,
                         diff,
-                    });
-                }
+                    },
+                ));
             }
         }
         if p != master {
@@ -185,21 +197,14 @@ impl Protocol for Eager {
     fn barrier_complete(e: &EagerEngine, barrier: BarrierId, master: ProcId) {
         let n = e.params().n_procs;
         let dir = &e.protocol().dir;
-        let mods = e
-            .protocol()
-            .epoch_mods
-            .lock()
-            .remove(&barrier.raw())
-            .unwrap_or_default();
-        let mut by_page: HashMap<PageId, Vec<(ProcId, Diff)>> = HashMap::new();
-        for m in mods {
-            by_page.entry(m.page).or_default().push((m.writer, m.diff));
-        }
-        let total_pages = by_page.len();
-        let mut pages: Vec<_> = by_page.into_iter().collect();
-        pages.sort_by_key(|(g, _)| *g);
-        for (g, mut writers) in pages {
-            writers.sort_by_key(|(w, _)| *w);
+        let mut mods = std::mem::take(&mut e.protocol().epoch_mods.lock()[barrier.index()]);
+        // Pages ascending, writers ascending within a page. Each processor
+        // arrives once per episode, so no two modifications tie.
+        mods.sort_unstable_by_key(|m| (m.page, m.writer));
+        let mut total_pages = 0;
+        for writers in mods.chunk_by(|x, y| x.page == y.page) {
+            total_pages += 1;
+            let g = writers[0].page;
             // The winner must hold the *authoritative* copy. That is the
             // directory owner — the page's last flusher — whenever its
             // copy is still valid: a release inside this episode already
@@ -218,28 +223,29 @@ impl Protocol for Eager {
                 if e.page_valid(owner, g) {
                     owner
                 } else {
-                    writers.last().expect("page has at least one writer").0
+                    writers.last().expect("a page has a writer").writer
                 }
             };
-            for (w, diff) in writers.iter().filter(|(w, _)| *w != winner) {
+            for m in writers.iter().filter(|m| m.writer != winner) {
                 // Excess invalidator: its modifications merge into the
                 // winner's copy with one round trip.
-                let payload = diff.encoded_size() as u64;
-                e.net().send(*w, winner, MsgKind::BarrierResolve, payload);
-                e.net().send(winner, *w, MsgKind::BarrierResolveAck, 0);
+                let payload = m.diff.encoded_size() as u64;
+                e.net()
+                    .send(m.writer, winner, MsgKind::BarrierResolve, payload);
+                e.net()
+                    .send(winner, m.writer, MsgKind::BarrierResolveAck, 0);
                 let mut winner_shard = e.shard(winner);
                 let copy = winner_shard.pages[g.index()]
                     .copy
                     .as_mut()
                     .expect("winner holds a copy");
-                diff.apply_to(copy);
+                m.diff.apply_to(copy);
                 bump(&e.tally().excess_invalidators, 1);
             }
             // Everyone but the winner drops the page (notices piggybacked
             // on the barrier messages — no extra traffic).
             let mut dir = dir.lock();
-            let mask = dir[g.index()].copyset;
-            for d in ProcId::all(n).filter(|&d| d != winner && mask & bit(d) != 0) {
+            for d in procs_in(dir[g.index()].copyset & !bit(winner)) {
                 e.shard(d).pages[g.index()].valid = false;
                 bump(&e.tally().pages_invalidated, 1);
             }
@@ -353,21 +359,40 @@ fn take_epoch_diffs(e: &EagerEngine, p: ProcId) -> Vec<(PageId, Diff)> {
     out
 }
 
-/// Destinations (other cachers) per page, merged per destination.
-fn destinations(e: &EagerEngine, p: ProcId, diffs: &[(PageId, Diff)]) -> Vec<(ProcId, Vec<usize>)> {
-    let dir = e.protocol().dir.lock();
-    let mut per_dest: HashMap<ProcId, Vec<usize>> = HashMap::new();
-    for (i, (g, _)) in diffs.iter().enumerate() {
-        let mask = dir[g.index()].copyset & !bit(p);
-        for d in ProcId::all(e.params().n_procs) {
-            if mask & bit(d) != 0 {
-                per_dest.entry(d).or_default().push(i);
-            }
-        }
+/// Where a flush goes: the other cachers of each flushed page, as
+/// copyset bits read under one directory lock. A destination's message
+/// carries the diffs whose bit it has, in flush order, and destinations
+/// go lowest first — so the work is one bit test per diff and
+/// destination, and no list is built per destination.
+struct Fanout<'a> {
+    diffs: &'a [(PageId, Diff)],
+    /// `masks[i]`: the copyset of `diffs[i]`'s page without the flusher.
+    masks: Vec<u64>,
+}
+
+impl<'a> Fanout<'a> {
+    fn new(e: &EagerEngine, p: ProcId, diffs: &'a [(PageId, Diff)]) -> Self {
+        let dir = e.protocol().dir.lock();
+        let masks = diffs
+            .iter()
+            .map(|(g, _)| dir[g.index()].copyset & !bit(p))
+            .collect();
+        Fanout { diffs, masks }
     }
-    let mut out: Vec<_> = per_dest.into_iter().collect();
-    out.sort_by_key(|(d, _)| *d);
-    out
+
+    /// Every destination, lowest first.
+    fn dests(&self) -> impl Iterator<Item = ProcId> {
+        procs_in(self.masks.iter().fold(0, |all, m| all | m))
+    }
+
+    /// The diffs `dest` caches, in flush order.
+    fn to(&self, dest: ProcId) -> impl Iterator<Item = &'a (PageId, Diff)> + '_ {
+        self.diffs
+            .iter()
+            .zip(&self.masks)
+            .filter(move |(_, mask)| *mask & bit(dest) != 0)
+            .map(|(diff, _)| diff)
+    }
 }
 
 /// EU: one update message per destination carrying the diffs of every
@@ -379,16 +404,16 @@ fn push_updates(
     update_kind: MsgKind,
     ack_kind: MsgKind,
 ) {
-    for (dest, indices) in destinations(e, p, diffs) {
-        let payload: u64 = indices
-            .iter()
-            .map(|&i| diffs[i].1.encoded_size() as u64)
+    let fanout = Fanout::new(e, p, diffs);
+    for dest in fanout.dests() {
+        let payload: u64 = fanout
+            .to(dest)
+            .map(|(_, diff)| diff.encoded_size() as u64)
             .sum();
         e.net().send(p, dest, update_kind, payload);
         {
             let mut dest_shard = e.shard(dest);
-            for &i in &indices {
-                let (g, ref diff) = diffs[i];
+            for (g, diff) in fanout.to(dest) {
                 let entry = &mut dest_shard.pages[g.index()];
                 entry.apply(diff, e.space().page_size());
                 entry.valid = true;
@@ -403,8 +428,9 @@ fn push_updates(
 /// their copies (writing back their own concurrent modifications first),
 /// leaving the releaser the only valid copy.
 fn push_invalidations(e: &EagerEngine, p: ProcId, diffs: &[(PageId, Diff)]) {
-    for (dest, indices) in destinations(e, p, diffs) {
-        let payload = invalidation_bytes(indices.len());
+    let fanout = Fanout::new(e, p, diffs);
+    for dest in fanout.dests() {
+        let payload = invalidation_bytes(fanout.to(dest).count());
         e.net().send(p, dest, MsgKind::ReleaseInvalidate, payload);
         bump(&e.tally().invalidations_sent, 1);
         // Invalidate at the destination, collecting writebacks from
@@ -415,8 +441,7 @@ fn push_invalidations(e: &EagerEngine, p: ProcId, diffs: &[(PageId, Diff)]) {
         {
             let mut guard = e.shard(dest);
             let dest_shard = &mut *guard;
-            for &i in &indices {
-                let g = diffs[i].0;
+            for &(g, _) in fanout.to(dest) {
                 let entry = &mut dest_shard.pages[g.index()];
                 entry.valid = false;
                 // A destination that wrote the page concurrently: its
@@ -443,8 +468,8 @@ fn push_invalidations(e: &EagerEngine, p: ProcId, diffs: &[(PageId, Diff)]) {
         }
         {
             let mut dir = e.protocol().dir.lock();
-            for &i in &indices {
-                dir[diffs[i].0.index()].copyset &= !bit(dest);
+            for (g, _) in fanout.to(dest) {
+                dir[g.index()].copyset &= !bit(dest);
                 bump(&e.tally().pages_invalidated, 1);
             }
         }

@@ -5,7 +5,7 @@
 use lrc_core::{EngineParams, Policy};
 use lrc_eager::EagerEngine;
 use lrc_pagemem::{DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
-use lrc_simnet::{MsgKind, OpClass, MSG_HEADER_BYTES};
+use lrc_simnet::{invalidation_bytes, MsgKind, MsgRecord, OpClass, MSG_HEADER_BYTES};
 use lrc_sync::{BarrierId, LockId};
 use lrc_vclock::ProcId;
 
@@ -347,5 +347,110 @@ fn a_recycled_twin_never_leaks_stale_bytes() {
             0x1122_3344_5566_7788,
             "{policy:?}"
         );
+    }
+}
+
+/// The messages of one release by `releaser` of an 8-byte write to page
+/// `a` and a 16-byte write to page `b`, after `a_readers` and `b_readers`
+/// have cached those pages. Pages are 512 bytes, so page `g`'s home —
+/// which caches it from the start — is processor `g % n`.
+fn flush_messages(
+    policy: Policy,
+    n: usize,
+    releaser: u16,
+    (a, a_readers): (u64, &[u16]),
+    (b, b_readers): (u64, &[u16]),
+) -> Vec<MsgRecord> {
+    let params = EngineParams {
+        n_procs: n,
+        mem_bytes: 16 * 512,
+        page_bytes: 512,
+        ..EngineParams::default()
+    };
+    let dsm = EagerEngine::new(policy, &params).unwrap();
+    dsm.enable_net_trace();
+    for (page, readers) in [(a, a_readers), (b, b_readers)] {
+        for &r in readers {
+            dsm.read_u64(p(r), page * 512);
+        }
+    }
+    dsm.acquire(p(releaser), l(0)).unwrap();
+    dsm.write(p(releaser), a * 512, &[0xa5; 8]);
+    dsm.write(p(releaser), b * 512, &[0x5a; 16]);
+    let before = dsm.net().traced().len();
+    dsm.release(p(releaser), l(0)).unwrap();
+    dsm.net().traced().split_off(before)
+}
+
+/// What a release by `src` sends: per destination, in the order given,
+/// one message carrying the diffs (EU) or notices (EI) of the pages
+/// listed for it, then the destination's acknowledgment. `a` and `b` are
+/// the page indices of the 8- and 16-byte diffs.
+fn expected_flush(
+    policy: Policy,
+    src: u16,
+    (a, b): (u64, u64),
+    per_dest: &[(u16, &[u64])],
+) -> Vec<MsgRecord> {
+    let diff_bytes = |page: u64| {
+        let written = if page == a {
+            8
+        } else {
+            assert_eq!(page, b);
+            16
+        };
+        (DIFF_HEADER_BYTES + RUN_HEADER_BYTES + written) as u64
+    };
+    let mut out = Vec::new();
+    for &(dst, pages) in per_dest {
+        let (kind, payload) = match policy {
+            Policy::Update => (
+                MsgKind::ReleaseUpdate,
+                pages.iter().map(|&g| diff_bytes(g)).sum(),
+            ),
+            Policy::Invalidate => (MsgKind::ReleaseInvalidate, invalidation_bytes(pages.len())),
+        };
+        let record = |src: u16, dst: u16, kind, payload| MsgRecord {
+            src: p(src),
+            dst: p(dst),
+            kind,
+            payload,
+        };
+        out.push(record(src, dst, kind, payload));
+        out.push(record(dst, src, MsgKind::ReleaseAck, 0));
+    }
+    out
+}
+
+#[test]
+fn a_release_messages_each_cacher_in_ascending_order_with_its_own_pages() {
+    // Eight processors. Page 3's cachers: its home p3 and p5. Page 4's:
+    // its home p4, p2 and p5. The releaser p1 sends p2 only page 4, p3
+    // only page 3, p4 only page 4 and p5 both, lowest destination first.
+    for policy in [Policy::Update, Policy::Invalidate] {
+        let got = flush_messages(policy, 8, 1, (3, &[5]), (4, &[5, 2]));
+        let want = expected_flush(
+            policy,
+            1,
+            (3, 4),
+            &[(2, &[4]), (3, &[3]), (4, &[4]), (5, &[3, 4])],
+        );
+        assert_eq!(got, want, "{policy:?}");
+    }
+}
+
+#[test]
+fn a_release_at_64_processors_reaches_the_highest_bit() {
+    // As above with 64 processors, plus p63 caching page 4: bit 63 of
+    // the copyset is a destination, and the last one.
+    for policy in [Policy::Update, Policy::Invalidate] {
+        let got = flush_messages(policy, 64, 1, (3, &[5]), (4, &[63, 5, 2]));
+        let want = expected_flush(
+            policy,
+            1,
+            (3, 4),
+            &[(2, &[4]), (3, &[3]), (4, &[4]), (5, &[3, 4]), (63, &[4])],
+        );
+        assert_eq!(got, want, "{policy:?}");
     }
 }

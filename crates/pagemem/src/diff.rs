@@ -118,9 +118,18 @@ fn coverage<'a>(chain: impl Iterator<Item = &'a Diff>, ranges: &mut Vec<(u32, u3
 /// A diff is one buffer: its runs stored back to back in their wire
 /// layout — offset (4), length (4) and the run's bytes, in offset order —
 /// which is exactly what [`Diff::write_wire`] emits after the header. So
-/// [`Diff::encoded_size`] is that buffer's length plus the header, and a
-/// diff costs one allocation however many runs it has. [`Diff::runs`]
-/// walks the buffer as `(offset, bytes)` views.
+/// [`Diff::encoded_size`] is that buffer's length plus the header.
+/// [`Diff::runs`] walks the buffer as `(offset, bytes)` views.
+///
+/// [`Diff::from_runs`] and [`Diff::squash`] know every run before they
+/// build, so they allocate the buffer once at its exact size.
+/// [`Diff::between_in`] (and [`Diff::between`]) finds its runs as it
+/// scans, so it grows the buffer run by run: a reallocation whenever the
+/// next run does not fit. On the paper's replays that growth is ≈ 22 % of
+/// the lazy engine's allocation calls and ≈ 17 % of the eager engine's.
+/// A two-pass, exact-size `between_in` was measured and not kept: it did
+/// not speed either replay, and it would compare a page twice when its
+/// writer rewrote all of it.
 ///
 /// Applying a diff overwrites the runs' byte ranges. Diffs from causally
 /// ordered intervals must be applied in happened-before order; diffs from
