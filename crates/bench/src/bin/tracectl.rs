@@ -1,18 +1,13 @@
-//! Trace tooling: generate, inspect, validate, race-check, convert, and
-//! replay trace files.
+//! Trace tooling: generate, inspect, validate, race-check, and replay
+//! trace files, all in the text format of `lrc_trace::codec`.
 //!
 //! ```text
-//! tracectl generate <app> [--procs N] [--units N] [--seed N] -o trace.lrct
+//! tracectl generate <app> [--procs N] [--units N] [--seed N] -o trace.txt
 //! tracectl info <file>                  # metadata + statistics + sharing
 //! tracectl check <file>                 # legality + proper-labeling check
-//! tracectl convert <in> <out>           # text <-> binary by extension
 //! tracectl replay <file> [--protocol LI] [--page 4096] [--oracle]
 //! ```
-//!
-//! Files ending in `.txt` use the text codec; everything else is binary.
 
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;
 
 use lrc_sim::{run_trace, ProtocolKind, SimOptions};
@@ -34,11 +29,10 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: tracectl <generate|info|check|convert|replay> ...\n\
+const USAGE: &str = "usage: tracectl <generate|info|check|replay> ...\n\
   generate <app> [--procs N] [--units N] [--seed N] -o <file>\n\
   info <file>\n\
   check <file>\n\
-  convert <in> <out>\n\
   replay <file> [--protocol LI|LU|EI|EU] [--page BYTES] [--oracle]\n";
 
 /// Dispatches a command line; returns printable output or an error text.
@@ -47,7 +41,6 @@ fn run(args: &[String]) -> Result<String, String> {
         Some("generate") => generate(&args[1..]),
         Some("info") => info(&args[1..]),
         Some("check") => check(&args[1..]),
-        Some("convert") => convert(&args[1..]),
         Some("replay") => replay(&args[1..]),
         _ => Err(USAGE.to_string()),
     }
@@ -70,29 +63,8 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> 
 }
 
 fn load(path: &str) -> Result<Trace, String> {
-    let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    let mut reader = BufReader::new(file);
-    if path.ends_with(".txt") {
-        let mut text = String::new();
-        reader
-            .read_to_string(&mut text)
-            .map_err(|e| format!("read {path}: {e}"))?;
-        codec::from_text(&text).map_err(|e| format!("parse {path}: {e}"))
-    } else {
-        codec::read_binary(reader).map_err(|e| format!("parse {path}: {e}"))
-    }
-}
-
-fn store(trace: &Trace, path: &str) -> Result<(), String> {
-    let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-    let mut writer = BufWriter::new(file);
-    if path.ends_with(".txt") {
-        writer
-            .write_all(codec::to_text(trace).as_bytes())
-            .map_err(|e| format!("write {path}: {e}"))
-    } else {
-        codec::write_binary(trace, writer).map_err(|e| format!("write {path}: {e}"))
-    }
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    codec::from_text(&text).map_err(|e| format!("parse {path}: {e}"))
 }
 
 fn generate(args: &[String]) -> Result<String, String> {
@@ -105,7 +77,7 @@ fn generate(args: &[String]) -> Result<String, String> {
     };
     let out = flag_value(args, "-o").ok_or("generate: missing -o <file>")?;
     let trace = app.generate(&scale);
-    store(&trace, out)?;
+    std::fs::write(out, codec::to_text(&trace)).map_err(|e| format!("write {out}: {e}"))?;
     Ok(format!("wrote {} events to {out}\n", trace.len()))
 }
 
@@ -133,17 +105,6 @@ fn check(args: &[String]) -> Result<String, String> {
         Ok(()) => Ok("legal and properly labeled\n".to_string()),
         Err(race) => Err(format!("data race: {race}")),
     }
-}
-
-fn convert(args: &[String]) -> Result<String, String> {
-    let input = args.first().ok_or("convert: missing input file")?;
-    let output = args.get(1).ok_or("convert: missing output file")?;
-    let trace = load(input)?;
-    store(&trace, output)?;
-    Ok(format!(
-        "converted {input} -> {output} ({} events)\n",
-        trace.len()
-    ))
 }
 
 fn replay(args: &[String]) -> Result<String, String> {
@@ -198,7 +159,7 @@ mod tests {
 
     #[test]
     fn generate_info_check_replay_pipeline() {
-        let file = tmp("water.lrct");
+        let file = tmp("water.txt");
         let out = run(&s(&[
             "generate", "water", "--procs", "4", "--units", "16", "-o", &file,
         ]))
@@ -227,27 +188,11 @@ mod tests {
     }
 
     #[test]
-    fn convert_round_trips_formats() {
-        let bin = tmp("conv.lrct");
-        let txt = tmp("conv.txt");
-        let back = tmp("conv2.lrct");
-        run(&s(&[
-            "generate", "cholesky", "--procs", "2", "--units", "4", "-o", &bin,
-        ]))
-        .unwrap();
-        run(&s(&["convert", &bin, &txt])).unwrap();
-        run(&s(&["convert", &txt, &back])).unwrap();
-        let a = load(&bin).unwrap();
-        let b = load(&back).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn errors_are_reported() {
-        assert!(run(&s(&["info", "/nonexistent/file.lrct"])).is_err());
+        assert!(run(&s(&["info", "/nonexistent/file.txt"])).is_err());
         assert!(run(&s(&["generate", "nosuchapp", "-o", "/tmp/x"])).is_err());
         assert!(run(&s(&["replay"])).is_err());
-        let file = tmp("err.lrct");
+        let file = tmp("err.txt");
         run(&s(&[
             "generate", "water", "--procs", "2", "--units", "4", "-o", &file,
         ]))

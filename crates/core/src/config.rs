@@ -38,60 +38,6 @@ impl fmt::Display for Policy {
     }
 }
 
-/// A deliberately-broken protocol variant, for **mutation testing** the
-/// verification stack: the history checker (`lrc-hist`) must reject runs
-/// of every non-[`Stock`](ProtocolMutation::Stock) variant. Not a
-/// configuration option: a test installs one on a built lazy engine
-/// through `LrcEngine::install_mutation` (the eager engine has no such
-/// method). Never install one outside tests — each mutation silently
-/// corrupts memory consistency while keeping the engine superficially
-/// functional (locks still hand off, barriers still complete, nothing
-/// panics).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum ProtocolMutation {
-    /// The faithful protocol.
-    #[default]
-    Stock,
-    /// Skip twin-diffing when an interval closes: writes are never turned
-    /// into diffs, so no write notice is ever generated and modifications
-    /// never leave the writing processor.
-    SkipTwinDiff,
-    /// Drop write notices instead of delivering them: acquirers and
-    /// barrier crossers merge clocks but never learn which pages changed,
-    /// so stale copies stay valid.
-    DropNotices,
-    /// Apply fetched diffs in *reverse* happened-before order: when a miss
-    /// or update pull brings in more than one diff for a page, the oldest
-    /// modification lands last and clobbers the newest. Single-diff pulls
-    /// are unaffected, so the engine works until a page accumulates a
-    /// chain of modifications.
-    WrongDiffOrder,
-    /// The barrier master computes each processor's exit notices against
-    /// that processor's *own* clock instead of the episode's merged
-    /// knowledge: no processor is told about the intervals its peers
-    /// closed before arriving, so post-barrier reads see stale pages.
-    /// Clocks still merge — only the page-level knowledge is lost.
-    DroppedClockMerge,
-    /// A lock grantor under-reports its own latest closed interval by one
-    /// when computing the knowledge it piggybacks on the grant: the
-    /// acquirer never receives the write notice for the grantor's most
-    /// recent critical section and keeps reading its stale copy.
-    StaleGrantKnowledge,
-}
-
-impl fmt::Display for ProtocolMutation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtocolMutation::Stock => f.write_str("stock"),
-            ProtocolMutation::SkipTwinDiff => f.write_str("skip-twin-diff"),
-            ProtocolMutation::DropNotices => f.write_str("drop-notices"),
-            ProtocolMutation::WrongDiffOrder => f.write_str("wrong-diff-order"),
-            ProtocolMutation::DroppedClockMerge => f.write_str("dropped-clock-merge"),
-            ProtocolMutation::StaleGrantKnowledge => f.write_str("stale-grant-knowledge"),
-        }
-    }
-}
-
 /// Construction parameters of a protocol engine — the one declaration of
 /// every engine knob. Both families are built from
 /// `(`[`Policy`]`, &EngineParams)`; the runtime builder and the simulator
@@ -283,26 +229,6 @@ mod tests {
     fn policy_display() {
         assert_eq!(Policy::Invalidate.to_string(), "invalidate");
         assert_eq!(Policy::Update.suffix(), "U");
-    }
-
-    #[test]
-    fn mutations_default_stock_and_display() {
-        assert_eq!(ProtocolMutation::default(), ProtocolMutation::Stock);
-        assert_eq!(ProtocolMutation::Stock.to_string(), "stock");
-        assert_eq!(ProtocolMutation::SkipTwinDiff.to_string(), "skip-twin-diff");
-        assert_eq!(ProtocolMutation::DropNotices.to_string(), "drop-notices");
-        assert_eq!(
-            ProtocolMutation::WrongDiffOrder.to_string(),
-            "wrong-diff-order"
-        );
-        assert_eq!(
-            ProtocolMutation::DroppedClockMerge.to_string(),
-            "dropped-clock-merge"
-        );
-        assert_eq!(
-            ProtocolMutation::StaleGrantKnowledge.to_string(),
-            "stale-grant-knowledge"
-        );
     }
 
     #[test]

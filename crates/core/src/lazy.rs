@@ -6,7 +6,6 @@
 use std::collections::HashMap;
 use std::mem;
 use std::ops::Deref;
-use std::sync::OnceLock;
 
 use lrc_pagemem::{Diff, PageBuf, PageId};
 use lrc_simnet::{
@@ -23,7 +22,7 @@ use crate::engine::{Engine, EngineCore, Protocol, Shard};
 use crate::plan::{FetchPlan, Planned, Source};
 use crate::{
     CheckpointError, ConfigError, EngineCheckpoint, Frame, FrameCheckpoint, IntervalStore, Policy,
-    ProcCheckpoint, ProtocolMutation, WriteNotice,
+    ProcCheckpoint, WriteNotice,
 };
 
 /// The lazy protocol's shared state: the interval store plus the
@@ -44,9 +43,6 @@ use crate::{
 #[derive(Debug)]
 pub struct Lazy {
     state: RwLock<LazyState>,
-    /// Test instrumentation, like the core's fetch hook: the broken
-    /// variant [`LrcEngine::install_mutation`] selected, if any.
-    mutation: OnceLock<ProtocolMutation>,
 }
 
 /// What the lazy protocol's one lock guards.
@@ -271,7 +267,6 @@ impl Protocol for Lazy {
         };
         Ok(Lazy {
             state: RwLock::new_in(state, classes::CORE_STORE),
-            mutation: OnceLock::new(),
         })
     }
 
@@ -320,14 +315,7 @@ impl Protocol for Lazy {
         // notice computation below never names an unrecorded interval. Its
         // clock is copied because no path holds two shard locks; its own
         // entry, the open interval, reads one lower where it is used.
-        let mut grantor = e.shard(q).ext.clock.clone();
-        if e.mutation() == ProtocolMutation::StaleGrantKnowledge {
-            // Mutation testing: the grantor under-reports its own latest
-            // closed interval, so the acquirer never hears about the
-            // grantor's most recent critical section. The history checker
-            // must reject the run.
-            grantor.set(q, grantor.get(q).saturating_sub(1));
-        }
+        let grantor = e.shard(q).ext.clock.clone();
         let state = e.proto.state.read();
         let store = &state.store;
         // The notices are computed into `p`'s scratch and delivered from
@@ -576,26 +564,6 @@ impl Engine<Lazy> {
         self.shard(p).ext.clock.clone()
     }
 
-    /// Turns this engine into the deliberately-broken variant `mutation`,
-    /// for mutation testing the checker stack (see [`ProtocolMutation`]).
-    /// Install before driving the engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a mutation is already installed.
-    #[doc(hidden)]
-    pub fn install_mutation(&self, mutation: ProtocolMutation) {
-        assert!(
-            self.proto.mutation.set(mutation).is_ok(),
-            "a protocol mutation is already installed"
-        );
-    }
-
-    /// The installed mutation; the stock protocol when none is.
-    fn mutation(&self) -> ProtocolMutation {
-        self.proto.mutation.get().copied().unwrap_or_default()
-    }
-
     /// Closes `p`'s open interval: diffs every dirtied page against its
     /// twin, records the interval (if any page actually changed), and opens
     /// the next interval. The interval is published to the store *before*
@@ -623,13 +591,6 @@ impl Engine<Lazy> {
                 page_diffs.push((g, diff));
             }
         }
-        if self.mutation() == ProtocolMutation::SkipTwinDiff {
-            // Mutation testing: the twins were consumed but their diffs
-            // are discarded — this interval's writes silently never
-            // propagate. The history checker must reject the run.
-            page_diffs.clear();
-            return;
-        }
         if page_diffs.is_empty() {
             return;
         }
@@ -643,12 +604,6 @@ impl Engine<Lazy> {
     /// `pages`: pending lists grow and, under the invalidate policy,
     /// resident valid copies are invalidated.
     fn deliver_notices(&self, pages: &mut [Frame<Pending>], p: ProcId, notices: &[WriteNotice]) {
-        if self.mutation() == ProtocolMutation::DropNotices {
-            // Mutation testing: knowledge merges but the page-level
-            // notices vanish, so stale copies stay valid. The history
-            // checker must reject the run.
-            return;
-        }
         bump(&self.counters.notices_received, notices.len() as u64);
         let mut invalidated = 0;
         for n in notices {
@@ -716,8 +671,7 @@ impl Engine<Lazy> {
         let pages = &mut shard.pages;
         let mut touched = 0;
         let mut applied = 0;
-        let mut apply = |planned: &Planned| {
-            let Planned { interval, page, .. } = *planned;
+        for &Planned { interval, page, .. } in scratch.plan.diffs() {
             // The holder bit flips and the diff is applied straight out
             // of the store — no per-diff clone on the hot miss path.
             let diff = store
@@ -734,16 +688,6 @@ impl Engine<Lazy> {
                 touched += 1;
             }
             entry.valid = true;
-        };
-        let diffs = scratch.plan.diffs().iter();
-        if self.mutation() == ProtocolMutation::WrongDiffOrder {
-            // Mutation testing: apply the chain newest-first, so the
-            // oldest modification clobbers the newest whenever a page
-            // pulls more than one diff. The history checker must reject
-            // the run.
-            diffs.rev().for_each(&mut apply);
-        } else {
-            diffs.for_each(&mut apply);
         }
         bump(&self.counters.diffs_applied, applied);
         shard.ext.scratch = scratch;
@@ -782,17 +726,7 @@ impl Engine<Lazy> {
             let Shard { pages, ext, .. } = &mut *shard;
             let LazyShard { clock, scratch, .. } = ext;
             let missing = &mut scratch.notices;
-            if self.mutation() == ProtocolMutation::DroppedClockMerge {
-                // Mutation testing: the master computes each processor's
-                // exit notices against that processor's OWN knowledge
-                // instead of the episode's merged clock — nobody learns
-                // what their peers wrote before the barrier. Clocks still
-                // merge below, so the loss is silent. The history checker
-                // must reject the run.
-                state.store.notices_missing(clock, clock, Some(r), missing);
-            } else {
-                state.store.notices_missing(clock, &merged, None, missing);
-            }
+            state.store.notices_missing(clock, &merged, None, missing);
             if r != master {
                 let payload = BARRIER_ID_BYTES + vc_bytes(n) + notice_bytes(missing);
                 self.net.send(master, r, MsgKind::BarrierExit, payload);

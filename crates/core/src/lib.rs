@@ -86,7 +86,7 @@ mod store;
 pub use checkpoint::{
     CheckpointError, EngineCheckpoint, FrameCheckpoint, ProcCheckpoint, StoreEntry,
 };
-pub use config::{ConfigError, EngineParams, Policy, ProtocolMutation, MAX_PROCS};
+pub use config::{ConfigError, EngineParams, Policy, MAX_PROCS};
 pub use counters::{bump, CounterCells, EngineCounters};
 pub use engine::{Engine, EngineCore, Protocol, Shard};
 pub use lazy::{DeathReport, Lazy, LazyShard, LrcEngine, Pending};

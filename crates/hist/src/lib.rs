@@ -31,9 +31,9 @@
 //!      concurrent events ever need reordering).
 //!
 //! A correct protocol passes all three on every data-race-free program; a
-//! broken protocol (see `ProtocolMutation` in `lrc-core`) leaves a read
-//! that no legal order can explain, and the checker rejects the history
-//! with a diagnostic naming the event.
+//! broken protocol (the protocol mutants in the repository's
+//! `MUTANTS.txt`) leaves a read that no legal order can explain, and the
+//! checker rejects the history with a diagnostic naming the event.
 //!
 //! # Cost
 //!

@@ -1,8 +1,9 @@
-//! Trace serialization: a line-oriented text format and a compact binary
-//! format.
+//! Trace serialization: one line-oriented text format.
 //!
-//! Both formats round-trip exactly and validate legality on read, so a
+//! It round-trips exactly and validates legality on read, so a
 //! deserialized [`Trace`] carries the same guarantees as a built one.
+//! Traces are generated in process; the text form is what `tracectl`
+//! files and failure reports carry.
 //!
 //! # Text format
 //!
@@ -15,11 +16,6 @@
 //! l <proc> <lock>
 //! b <proc> <barrier>
 //! ```
-//!
-//! # Binary format
-//!
-//! Magic `LRCT`, format version, metadata, event count, then one
-//! tag-prefixed little-endian record per event.
 //!
 //! # Example
 //!
@@ -34,17 +30,11 @@
 //! let text = codec::to_text(&trace);
 //! let back = codec::from_text(&text)?;
 //! assert_eq!(trace, back);
-//!
-//! let mut buf = Vec::new();
-//! codec::write_binary(&trace, &mut buf)?;
-//! let back = codec::read_binary(&buf[..])?;
-//! assert_eq!(trace, back);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 use std::error::Error;
 use std::fmt;
-use std::io::{self, Read, Write};
 
 use lrc_sync::{BarrierId, LockId};
 use lrc_vclock::ProcId;
@@ -52,23 +42,19 @@ use lrc_vclock::ProcId;
 use crate::{Event, Op, Trace, TraceError, TraceMeta};
 
 const TEXT_HEADER: &str = "lrc-trace v1";
-const BINARY_MAGIC: &[u8; 4] = b"LRCT";
-const BINARY_VERSION: u32 = 1;
 
 /// Errors produced while decoding a trace.
 #[derive(Debug)]
 pub enum CodecError {
     /// The input is not in the expected format.
     Malformed {
-        /// Line number (text) or byte offset (binary), best effort.
+        /// Line number, best effort.
         at: usize,
         /// What went wrong.
         detail: String,
     },
     /// The decoded trace is illegal.
     Illegal(TraceError),
-    /// An underlying I/O failure.
-    Io(io::Error),
 }
 
 impl fmt::Display for CodecError {
@@ -76,7 +62,6 @@ impl fmt::Display for CodecError {
         match self {
             CodecError::Malformed { at, detail } => write!(f, "malformed trace at {at}: {detail}"),
             CodecError::Illegal(e) => write!(f, "decoded trace is illegal: {e}"),
-            CodecError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
 }
@@ -85,7 +70,6 @@ impl Error for CodecError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CodecError::Illegal(e) => Some(e),
-            CodecError::Io(e) => Some(e),
             CodecError::Malformed { .. } => None,
         }
     }
@@ -94,12 +78,6 @@ impl Error for CodecError {
 impl From<TraceError> for CodecError {
     fn from(e: TraceError) -> Self {
         CodecError::Illegal(e)
-    }
-}
-
-impl From<io::Error> for CodecError {
-    fn from(e: io::Error) -> Self {
-        CodecError::Io(e)
     }
 }
 
@@ -226,172 +204,6 @@ fn parse_meta_line(line: &str) -> Result<TraceMeta, String> {
     }
 }
 
-// ---- binary ----
-
-const TAG_READ: u8 = 0;
-const TAG_WRITE: u8 = 1;
-const TAG_ACQUIRE: u8 = 2;
-const TAG_RELEASE: u8 = 3;
-const TAG_BARRIER: u8 = 4;
-
-fn put_u32(out: &mut impl Write, v: u32) -> io::Result<()> {
-    out.write_all(&v.to_le_bytes())
-}
-
-fn put_u64(out: &mut impl Write, v: u64) -> io::Result<()> {
-    out.write_all(&v.to_le_bytes())
-}
-
-/// Writes a trace in the binary format.
-///
-/// # Errors
-///
-/// Propagates I/O failures from `out`.
-pub fn write_binary(trace: &Trace, mut out: impl Write) -> Result<(), CodecError> {
-    let meta = trace.meta();
-    out.write_all(BINARY_MAGIC)?;
-    put_u32(&mut out, BINARY_VERSION)?;
-    let name = meta.name().as_bytes();
-    put_u32(&mut out, name.len() as u32)?;
-    out.write_all(name)?;
-    put_u32(&mut out, meta.n_procs() as u32)?;
-    put_u32(&mut out, meta.n_locks() as u32)?;
-    put_u32(&mut out, meta.n_barriers() as u32)?;
-    put_u64(&mut out, meta.mem_bytes())?;
-    put_u64(&mut out, trace.len() as u64)?;
-    for event in trace.iter() {
-        let p = event.proc.raw();
-        match event.op {
-            Op::Read { addr, len } => {
-                out.write_all(&[TAG_READ])?;
-                out.write_all(&p.to_le_bytes())?;
-                put_u64(&mut out, addr)?;
-                put_u32(&mut out, len)?;
-            }
-            Op::Write { addr, len } => {
-                out.write_all(&[TAG_WRITE])?;
-                out.write_all(&p.to_le_bytes())?;
-                put_u64(&mut out, addr)?;
-                put_u32(&mut out, len)?;
-            }
-            Op::Acquire(l) => {
-                out.write_all(&[TAG_ACQUIRE])?;
-                out.write_all(&p.to_le_bytes())?;
-                put_u32(&mut out, l.raw())?;
-            }
-            Op::Release(l) => {
-                out.write_all(&[TAG_RELEASE])?;
-                out.write_all(&p.to_le_bytes())?;
-                put_u32(&mut out, l.raw())?;
-            }
-            Op::Barrier(b) => {
-                out.write_all(&[TAG_BARRIER])?;
-                out.write_all(&p.to_le_bytes())?;
-                put_u32(&mut out, b.raw())?;
-            }
-        }
-    }
-    Ok(())
-}
-
-struct Reader<R> {
-    inner: R,
-    offset: usize,
-}
-
-impl<R: Read> Reader<R> {
-    fn exact(&mut self, buf: &mut [u8]) -> Result<(), CodecError> {
-        self.inner
-            .read_exact(buf)
-            .map_err(|e| malformed(self.offset, format!("truncated input: {e}")))?;
-        self.offset += buf.len();
-        Ok(())
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        let mut b = [0u8; 1];
-        self.exact(&mut b)?;
-        Ok(b[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        let mut b = [0u8; 2];
-        self.exact(&mut b)?;
-        Ok(u16::from_le_bytes(b))
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        let mut b = [0u8; 4];
-        self.exact(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        let mut b = [0u8; 8];
-        self.exact(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-}
-
-/// Reads a trace in the binary format.
-///
-/// # Errors
-///
-/// [`CodecError::Malformed`] on format errors, [`CodecError::Illegal`] if
-/// the decoded events do not form a legal trace.
-pub fn read_binary(input: impl Read) -> Result<Trace, CodecError> {
-    let mut r = Reader {
-        inner: input,
-        offset: 0,
-    };
-    let mut magic = [0u8; 4];
-    r.exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(malformed(0, "bad magic"));
-    }
-    let version = r.u32()?;
-    if version != BINARY_VERSION {
-        return Err(malformed(4, format!("unsupported version {version}")));
-    }
-    let name_len = r.u32()? as usize;
-    if name_len > 4096 {
-        return Err(malformed(8, "unreasonable name length"));
-    }
-    let mut name = vec![0u8; name_len];
-    r.exact(&mut name)?;
-    let name = String::from_utf8(name).map_err(|_| malformed(12, "name is not UTF-8"))?;
-    let n_procs = r.u32()? as usize;
-    let n_locks = r.u32()? as usize;
-    let n_barriers = r.u32()? as usize;
-    let mem_bytes = r.u64()?;
-    if n_procs == 0 || n_procs > u16::MAX as usize || mem_bytes == 0 {
-        return Err(malformed(r.offset, "bad meta fields"));
-    }
-    let meta = TraceMeta::new(name, n_procs, n_locks, n_barriers, mem_bytes);
-    let count = r.u64()? as usize;
-    let mut events = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        let tag = r.u8()?;
-        let proc = ProcId::new(r.u16()?);
-        let op = match tag {
-            TAG_READ => Op::Read {
-                addr: r.u64()?,
-                len: r.u32()?,
-            },
-            TAG_WRITE => Op::Write {
-                addr: r.u64()?,
-                len: r.u32()?,
-            },
-            TAG_ACQUIRE => Op::Acquire(LockId::new(r.u32()?)),
-            TAG_RELEASE => Op::Release(LockId::new(r.u32()?)),
-            TAG_BARRIER => Op::Barrier(BarrierId::new(r.u32()?)),
-            other => return Err(malformed(r.offset, format!("unknown tag {other}"))),
-        };
-        events.push(Event::new(proc, op));
-    }
-    Trace::from_parts(meta, events).map_err(CodecError::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,40 +258,6 @@ mod tests {
     fn text_rejects_illegal_trace() {
         let illegal = "lrc-trace v1\nmeta t procs=1 locks=1 barriers=0 mem=64\nl 0 0\n";
         assert!(matches!(from_text(illegal), Err(CodecError::Illegal(_))));
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        let t = sample();
-        let mut buf = Vec::new();
-        write_binary(&t, &mut buf).unwrap();
-        let back = read_binary(&buf[..]).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn binary_rejects_corruption() {
-        let t = sample();
-        let mut buf = Vec::new();
-        write_binary(&t, &mut buf).unwrap();
-        // Bad magic.
-        let mut bad = buf.clone();
-        bad[0] = b'X';
-        assert!(read_binary(&bad[..]).is_err());
-        // Truncation.
-        assert!(read_binary(&buf[..buf.len() - 3]).is_err());
-        // Bad version.
-        let mut bad = buf.clone();
-        bad[4] = 99;
-        assert!(read_binary(&bad[..]).is_err());
-    }
-
-    #[test]
-    fn binary_is_denser_than_text() {
-        let t = sample();
-        let mut buf = Vec::new();
-        write_binary(&t, &mut buf).unwrap();
-        assert!(buf.len() < to_text(&t).len());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   memory behaves sequentially consistently;
 //! * [`Program`] / [`interleave`] — per-processor operation sequences and
 //!   a seeded scheduler producing legal global interleavings of them;
-//! * [`codec`] — text and binary serialization;
+//! * [`codec`] — the text serialization;
 //! * [`TraceStats`] — access/synchronization/sharing statistics.
 //!
 //! # Example

@@ -12,7 +12,6 @@ mod hist_support;
 use hist_support::{
     failure_report, forced_flow_program, run_over_channel_nodes, run_over_tcp_nodes, RunConfig,
 };
-use lrc::core::ProtocolMutation;
 use lrc::hist::CheckBudget;
 use lrc::sim::ProtocolKind;
 use lrc::workloads::{ProgramShape, ThreadProgram};
@@ -76,24 +75,4 @@ fn socket_histories_pass_conformance() {
             panic!("{}", failure_report(seed, &cfg, &prog, &err, &hist));
         }
     }
-}
-
-/// The checker guards the remote path too: a broken protocol behind the
-/// node runtime is rejected from the history alone.
-#[test]
-fn node_runtime_catches_a_broken_protocol() {
-    let prog = forced_flow_program(3, 3);
-    let cfg = RunConfig {
-        mutation: ProtocolMutation::SkipTwinDiff,
-        ..RunConfig::stock(ProtocolKind::LazyInvalidate, 256)
-    };
-    let hist = run_over_channel_nodes(&prog, &cfg);
-    let err = hist
-        .check(&CheckBudget::default())
-        .expect_err("skip-twin-diff must not conform over the node runtime");
-    let msg = err.to_string();
-    assert!(
-        msg.contains("unjustified read") || msg.contains("no sequentially consistent witness"),
-        "unexpected rejection: {msg}"
-    );
 }

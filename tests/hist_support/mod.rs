@@ -9,7 +9,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use lrc::core::ProtocolMutation;
 use lrc::dsm::{Dsm, DsmBuilder, ProcHandle, RemoteHandle};
 use lrc::hist::{CheckBudget, CheckReport, HistError, History, HistoryRecorder};
 use lrc::net::{ChannelNet, TcpTransport, Transport};
@@ -35,8 +34,6 @@ pub struct RunConfig {
     pub no_piggyback: bool,
     /// Ship whole pages on warm misses (lazy only).
     pub full_pages: bool,
-    /// Deliberately-broken protocol variant (lazy only).
-    pub mutation: ProtocolMutation,
 }
 
 impl RunConfig {
@@ -47,23 +44,17 @@ impl RunConfig {
             gc: false,
             no_piggyback: false,
             full_pages: false,
-            mutation: ProtocolMutation::Stock,
         }
     }
 
     pub fn label(&self) -> String {
         format!(
-            "{}@{}{}{}{}{}",
+            "{}@{}{}{}{}",
             self.kind,
             self.page,
             if self.gc { " +gc" } else { "" },
             if self.no_piggyback { " -piggyback" } else { "" },
             if self.full_pages { " +full-pages" } else { "" },
-            if self.mutation == ProtocolMutation::Stock {
-                String::new()
-            } else {
-                format!(" MUTATION={}", self.mutation)
-            },
         )
     }
 }
@@ -73,7 +64,7 @@ impl RunConfig {
 /// published a phase earlier (plus a shared critical section). Thread
 /// timing cannot hide a protocol that fails to propagate writes — the
 /// happens-before edges demand the data on every run — which is what
-/// makes mutation testing deterministic.
+/// lets one stock test kill every protocol mutant in `MUTANTS.txt`.
 pub fn forced_flow_program(n_procs: usize, phases: usize) -> ThreadProgram {
     ThreadProgram {
         n_procs,
@@ -114,14 +105,7 @@ pub fn build_dsm(prog: &ThreadProgram, cfg: &RunConfig) -> Dsm {
     if cfg.full_pages {
         builder = builder.full_page_misses();
     }
-    let dsm = builder.build().expect("program-derived config is valid");
-    if cfg.mutation != ProtocolMutation::Stock {
-        dsm.engine()
-            .as_lazy()
-            .expect("only the lazy engines have mutations")
-            .install_mutation(cfg.mutation);
-    }
-    dsm
+    builder.build().expect("program-derived config is valid")
 }
 
 /// Runs one processor's script through a local handle.

@@ -137,15 +137,12 @@ proptest! {
         prop_assert!(li.messages() <= eu.messages(), "LI {} > EU {}", li.messages(), eu.messages());
     }
 
-    /// Both codecs round-trip every generated trace exactly.
+    /// The text codec round-trips every generated trace exactly.
     #[test]
     fn codecs_round_trip(cmds in prop::collection::vec(cmd(), 1..40)) {
         let trace = build(&cmds);
         let text = codec::to_text(&trace);
         prop_assert_eq!(&codec::from_text(&text).unwrap(), &trace);
-        let mut buf = Vec::new();
-        codec::write_binary(&trace, &mut buf).unwrap();
-        prop_assert_eq!(&codec::read_binary(&buf[..]).unwrap(), &trace);
     }
 
     /// Replays are deterministic: two runs of the same cell are identical.
