@@ -22,7 +22,7 @@ use lrc_vclock::{IntervalId, ProcId, StampedInterval, VectorClock};
 
 /// One exported interval of the store: its stamp plus one
 /// `(page, diff, holder-mask)` row per page the interval modified.
-pub type StoreEntry = (StampedInterval, Vec<(PageId, Diff, u64)>);
+pub(crate) type StoreEntry = (StampedInterval, Vec<(PageId, Diff, u64)>);
 
 const MAGIC: &[u8; 4] = b"LRCK";
 const FORMAT: u16 = 1;
@@ -48,7 +48,7 @@ pub struct FrameCheckpoint {
 impl FrameCheckpoint {
     /// True if this frame carries no information (cold and unnoticed) —
     /// such frames are omitted from checkpoints.
-    pub fn is_default(&self) -> bool {
+    pub(crate) fn is_default(&self) -> bool {
         self.contents.is_none() && !self.valid && self.pending.is_empty()
     }
 }
@@ -74,7 +74,7 @@ pub struct EngineCheckpoint {
     /// Completed barrier episodes at capture time — the checkpoint's
     /// version; later checkpoints of the same run have larger values.
     pub episode: u64,
-    /// The interval store's era at capture ([`crate::IntervalStore::era`]).
+    /// The interval store's era at capture.
     /// A processor may rejoin from this checkpoint only while the live
     /// store is still in the same era — garbage collection discards the
     /// history the catch-up needs.

@@ -5,7 +5,7 @@ use lrc_pagemem::{AddrSpace, PageSize, PageSizeError};
 
 /// Maximum processors per system. Diff-possession tracking uses a 64-bit
 /// mask; the paper's evaluation uses 16 processors.
-pub const MAX_PROCS: usize = 64;
+pub(crate) const MAX_PROCS: usize = 64;
 
 /// Data-movement policy of a release-consistent protocol (§4.3.2).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -17,16 +17,6 @@ pub enum Policy {
     /// Update: pull diffs for all cached pages when notices arrive (at
     /// acquires and barriers), keeping caches valid. The paper's **LU**.
     Update,
-}
-
-impl Policy {
-    /// Short protocol suffix used in reports ("I" / "U").
-    pub fn suffix(self) -> &'static str {
-        match self {
-            Policy::Invalidate => "I",
-            Policy::Update => "U",
-        }
-    }
 }
 
 impl fmt::Display for Policy {
@@ -58,14 +48,13 @@ impl fmt::Display for Policy {
 ///     page_bytes: 2048,
 ///     ..EngineParams::default()
 /// };
-/// assert_eq!(params.address_space()?.n_pages(), 512);
 /// let engine = LrcEngine::new(Policy::Update, &params)?;
 /// assert_eq!(engine.params().n_locks, 16);
 /// # Ok::<(), lrc_core::ConfigError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EngineParams {
-    /// Number of processors (1 to [`MAX_PROCS`]).
+    /// Number of processors (1 to 64).
     pub n_procs: usize,
     /// Shared address space size in bytes.
     pub mem_bytes: u64,
@@ -131,7 +120,7 @@ impl EngineParams {
     ///
     /// [`ConfigError`] if the processor count or page size is out of range
     /// or the space is empty.
-    pub fn address_space(&self) -> Result<AddrSpace, ConfigError> {
+    pub(crate) fn address_space(&self) -> Result<AddrSpace, ConfigError> {
         if self.n_procs == 0 || self.n_procs > MAX_PROCS {
             return Err(ConfigError::BadProcs(self.n_procs));
         }
@@ -228,7 +217,7 @@ mod tests {
     #[test]
     fn policy_display() {
         assert_eq!(Policy::Invalidate.to_string(), "invalidate");
-        assert_eq!(Policy::Update.suffix(), "U");
+        assert_eq!(Policy::Update.to_string(), "update");
     }
 
     #[test]

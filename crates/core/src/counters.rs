@@ -16,7 +16,7 @@ macro_rules! counters {
 
         impl CounterCells {
             /// Aggregates the atomics into a plain snapshot.
-            pub fn snapshot(&self) -> EngineCounters {
+            pub(crate) fn snapshot(&self) -> EngineCounters {
                 EngineCounters {
                     $($name: self.$name.load(Ordering::Relaxed),)*
                 }

@@ -167,7 +167,7 @@ impl EngineCore {
 
     /// The attached history recorder, if any.
     #[inline]
-    pub fn recorder(&self) -> Option<&HistoryRecorder> {
+    pub(crate) fn recorder(&self) -> Option<&HistoryRecorder> {
         self.recorder.get().map(Arc::as_ref)
     }
 
@@ -386,7 +386,7 @@ pub struct Shard<P: Protocol> {
     /// Pages dirtied since the last interval close or flush.
     pub dirty: Vec<PageId>,
     /// Buffers of consumed twins, for the next first writes to take
-    /// ([`Frame::ensure_twin`], [`Frame::close_twin`]). A buffer returns
+    /// (`Frame::ensure_twin`, `Frame::close_twin`). A buffer returns
     /// here when its twin is consumed, so the list never holds more than
     /// the largest dirty set the shard has had.
     pub spare_twins: Vec<PageBuf>,

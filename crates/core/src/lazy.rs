@@ -38,7 +38,7 @@ use crate::{
 /// episode's completion, which has the engine to itself and holds the
 /// write lock across the whole compound update, and at a death, whose
 /// victim's thread must have stopped. The apply step asserts that the
-/// store's [`IntervalStore::era`] did not move. A shard mutex may be taken
+/// store's era did not move. A shard mutex may be taken
 /// while holding the lock, never the reverse.
 #[derive(Debug)]
 pub struct Lazy {
@@ -101,7 +101,7 @@ fn assert_era(store: &IntervalStore, planned: u64, p: ProcId) {
 /// noticed-but-unapplied intervals that modified the page, in arrival
 /// order. A valid frame has none; pages never cached keep accumulating
 /// notices so a cold miss knows the page's full known write history.
-pub type Pending = Vec<IntervalId>;
+pub(crate) type Pending = Vec<IntervalId>;
 
 /// The lazy protocol's per-processor state, next to the frames in the
 /// processor's shard.

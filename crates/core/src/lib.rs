@@ -69,6 +69,7 @@
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod checkpoint;
 mod config;
@@ -83,14 +84,16 @@ mod seeded;
 mod slowpath;
 mod store;
 
-pub use checkpoint::{
-    CheckpointError, EngineCheckpoint, FrameCheckpoint, ProcCheckpoint, StoreEntry,
-};
-pub use config::{ConfigError, EngineParams, Policy, MAX_PROCS};
+pub(crate) use checkpoint::StoreEntry;
+pub use checkpoint::{CheckpointError, EngineCheckpoint};
+pub use checkpoint::{FrameCheckpoint, ProcCheckpoint};
+pub(crate) use config::MAX_PROCS;
+pub use config::{ConfigError, EngineParams, Policy};
 pub use counters::{bump, CounterCells, EngineCounters};
 pub use engine::{Engine, EngineCore, Protocol, Shard};
-pub use lazy::{DeathReport, Lazy, LazyShard, LrcEngine, Pending};
+pub use lazy::{DeathReport, Lazy, LazyShard, LrcEngine};
 pub use pagestate::Frame;
 pub use remote::EngineOp;
 pub use slowpath::FetchHook;
-pub use store::{IntervalStore, WriteNotice};
+pub use store::IntervalStore;
+pub(crate) use store::WriteNotice;

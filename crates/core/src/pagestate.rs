@@ -12,7 +12,7 @@ use lrc_pagemem::{Diff, PageBuf, PageSize};
 /// * `twin.is_some()` iff the page is dirty in the current interval
 ///   (lazy) or epoch (eager);
 /// * a dirty copy equals its twin outside the range written since the
-///   twin was made: [`Frame::write`] is the one writer of a dirty copy's
+///   twin was made: `Frame::write` is the one writer of a dirty copy's
 ///   bytes and records that range, and [`Frame::apply`] writes a diff to
 ///   the copy and the twin alike. So [`Frame::close_twin`] diffs only the
 ///   written range.
@@ -94,7 +94,7 @@ impl<E> Frame<E> {
     ///
     /// Panics if the page has no copy yet; the engine always resolves the
     /// miss (creating the copy) before the first write.
-    pub fn ensure_twin(&mut self, spare: &mut Vec<PageBuf>) {
+    pub(crate) fn ensure_twin(&mut self, spare: &mut Vec<PageBuf>) {
         if self.twin.is_none() {
             let copy = self.copy.as_ref().expect("twin requires a resident copy");
             self.twin = Some(match spare.pop() {
@@ -115,7 +115,7 @@ impl<E> Frame<E> {
     ///
     /// Panics if the page is not dirty (see [`Frame::ensure_twin`]) or the
     /// write runs past the end of the page.
-    pub fn write(&mut self, offset: usize, data: &[u8]) {
+    pub(crate) fn write(&mut self, offset: usize, data: &[u8]) {
         assert!(self.is_dirty(), "only a twinned page is written");
         let copy = self.copy.as_mut().expect("dirty page has a copy");
         copy.write(offset, data);
@@ -172,7 +172,7 @@ impl<E> Frame<E> {
 
     /// Installs checkpointed state: `contents` (page-sized, if the page
     /// was resident) and the validity bit.
-    pub fn install(&mut self, contents: Option<&[u8]>, valid: bool, size: PageSize) {
+    pub(crate) fn install(&mut self, contents: Option<&[u8]>, valid: bool, size: PageSize) {
         if let Some(contents) = contents {
             self.copy_mut(size).write(0, contents);
         }

@@ -22,16 +22,16 @@ pub type FetchHook = Box<dyn Fn(ProcId, PageId) + Send + Sync>;
 /// A write-once [`FetchHook`] slot with a `Debug` that does not require
 /// the hook itself to implement it.
 #[derive(Default)]
-pub struct FetchHookCell(OnceLock<FetchHook>);
+pub(crate) struct FetchHookCell(OnceLock<FetchHook>);
 
 impl FetchHookCell {
     /// The installed hook, if any.
-    pub fn get(&self) -> Option<&FetchHook> {
+    pub(crate) fn get(&self) -> Option<&FetchHook> {
         self.0.get()
     }
 
     /// Installs `hook`; returns `false` if one is already installed.
-    pub fn set(&self, hook: FetchHook) -> bool {
+    pub(crate) fn set(&self, hook: FetchHook) -> bool {
         self.0.set(hook).is_ok()
     }
 }
@@ -44,12 +44,12 @@ impl fmt::Debug for FetchHookCell {
 
 /// RAII over an in-flight gauge: [`InFlight::enter`] increments it, the
 /// guard's drop decrements — so error returns and panics unwind it too.
-pub struct InFlight<'a>(&'a AtomicU64);
+pub(crate) struct InFlight<'a>(&'a AtomicU64);
 
 impl<'a> InFlight<'a> {
     /// Increments `gauge` and returns the guard plus the *pre-increment*
     /// value (how many others were already in flight).
-    pub fn enter(gauge: &'a AtomicU64) -> (Self, u64) {
+    pub(crate) fn enter(gauge: &'a AtomicU64) -> (Self, u64) {
         let others = gauge.fetch_add(1, Ordering::Relaxed);
         (InFlight(gauge), others)
     }
@@ -63,7 +63,7 @@ impl Drop for InFlight<'_> {
 
 /// Locks `gate`, recording in `waited` whether it was contended (a
 /// try-lock probe first, so an uncontended gate costs no extra atomics).
-pub fn gate_lock<'a>(gate: &'a Mutex<()>, waited: &mut bool) -> MutexGuard<'a, ()> {
+pub(crate) fn gate_lock<'a>(gate: &'a Mutex<()>, waited: &mut bool) -> MutexGuard<'a, ()> {
     match gate.try_lock() {
         Some(guard) => guard,
         None => {
@@ -77,7 +77,12 @@ pub fn gate_lock<'a>(gate: &'a Mutex<()>, waited: &mut bool) -> MutexGuard<'a, (
 /// entry blocked behind another slow path; an un-waited entry that
 /// `overlapped` one is a wait the retired engine-wide protocol mutex
 /// would have imposed.
-pub fn settle_contention(waited: bool, overlapped: bool, waits: &AtomicU64, avoided: &AtomicU64) {
+pub(crate) fn settle_contention(
+    waited: bool,
+    overlapped: bool,
+    waits: &AtomicU64,
+    avoided: &AtomicU64,
+) {
     if waited {
         waits.fetch_add(1, Ordering::Relaxed);
     } else if overlapped {
@@ -88,7 +93,7 @@ pub fn settle_contention(waited: bool, overlapped: bool, waits: &AtomicU64, avoi
 /// Raises a high-water-mark counter to at least `value` (statistics only
 /// — relaxed ordering). A value that does not raise the mark costs a load,
 /// not a read-modify-write.
-pub fn raise(counter: &AtomicU64, value: u64) {
+pub(crate) fn raise(counter: &AtomicU64, value: u64) {
     if value > counter.load(Ordering::Relaxed) {
         counter.fetch_max(value, Ordering::Relaxed);
     }

@@ -5,7 +5,7 @@ use lrc_vclock::{IntervalId, ProcId, StampedInterval, VectorClock};
 
 /// A write notice: page × interval, without the data (§4.2).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct WriteNotice {
+pub(crate) struct WriteNotice {
     /// The interval in which the page was modified.
     pub interval: IntervalId,
     /// The modified page.
@@ -121,7 +121,7 @@ pub struct IntervalStore {
 
 impl IntervalStore {
     /// Creates an empty store for `n_procs` processors.
-    pub fn new(n_procs: usize) -> Self {
+    pub(crate) fn new(n_procs: usize) -> Self {
         IntervalStore {
             records: vec![Vec::new(); n_procs],
             era: 0,
@@ -132,7 +132,7 @@ impl IntervalStore {
     /// records it, so a rejoin can refuse a checkpoint whose catch-up
     /// history was collected since; a slow path reads it when it plans,
     /// and asserts it unchanged when the plan applies.
-    pub fn era(&self) -> u64 {
+    pub(crate) fn era(&self) -> u64 {
         self.era
     }
 
@@ -289,7 +289,7 @@ impl IntervalStore {
     /// that processor's entry is its *open* interval, and only what it
     /// closed is knowledge, so the entry reads one lower — the clock is
     /// read in place rather than copied to lower it.
-    pub fn notices_missing(
+    pub(crate) fn notices_missing(
         &self,
         have: &VectorClock,
         want: &VectorClock,
@@ -348,7 +348,7 @@ impl IntervalStore {
     /// The causally-latest recorded writer of every written page (by stamp
     /// weight, ties broken by processor id) — the processor a cold miss
     /// falls back to after the history is garbage-collected.
-    pub fn latest_writers(&self) -> HashMap<PageId, ProcId> {
+    pub(crate) fn latest_writers(&self) -> HashMap<PageId, ProcId> {
         let mut best: HashMap<PageId, (u64, ProcId)> = HashMap::new();
         for rec in self.all_records() {
             let candidate = (rec.weight, rec.stamp.id().proc());

@@ -20,7 +20,7 @@ use crate::recovery::AutoCheckpointer;
 ///     .locks(4)
 ///     .barriers(2)
 ///     .build()?;
-/// assert_eq!(dsm.n_procs(), 2);
+/// assert!(format!("{dsm:?}").starts_with("Dsm(2 procs, LU, 4 locks, 2 barriers"));
 /// # Ok::<(), lrc_core::ConfigError>(())
 /// ```
 #[derive(Clone, Debug)]

@@ -301,23 +301,13 @@ impl Dsm {
     }
 
     /// Number of processors.
-    pub fn n_procs(&self) -> usize {
+    pub(crate) fn n_procs(&self) -> usize {
         self.cluster.n_procs
     }
 
     /// The protocol in use.
-    pub fn kind(&self) -> ProtocolKind {
+    pub(crate) fn kind(&self) -> ProtocolKind {
         self.kind
-    }
-
-    /// Locks available.
-    pub fn n_locks(&self) -> usize {
-        self.n_locks
-    }
-
-    /// Barriers available.
-    pub fn n_barriers(&self) -> usize {
-        self.n_barriers
     }
 
     /// A handle for driving processor `p` from the current thread.
@@ -475,9 +465,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(dsm.n_procs(), 2);
-        assert_eq!(dsm.n_locks(), 16);
-        assert_eq!(dsm.n_barriers(), 4);
-        assert!(format!("{dsm:?}").contains("2 procs"));
+        assert_eq!(format!("{dsm:?}"), "Dsm(2 procs, LI, 16 locks, 4 barriers)");
         assert_eq!(dsm.net_stats().total().msgs, 0);
     }
 

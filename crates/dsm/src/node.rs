@@ -589,27 +589,14 @@ impl NodeClient {
         engine_node: NodeId,
         procs: Vec<ProcId>,
     ) -> Result<NodeClient, NodeError> {
-        let node = transport.node();
-        let inner = Arc::new(ClientInner {
-            transport: Arc::new(transport),
-            engine_node,
-            procs: procs.clone(),
-            next_seq: AtomicU64::new(1),
-            hello_generation: AtomicU64::new(0),
-            pending: Mutex::new_in(HashMap::new(), classes::NET_PENDING),
-        });
-        inner
-            .transport
-            .send(&WireMsg::Hello { node, procs }, engine_node, 0)?;
-        let demux_inner = Arc::clone(&inner);
-        let demux = std::thread::Builder::new()
-            .name(format!("lrc-node-demux-{node}"))
-            .spawn(move || demux_loop(&demux_inner))
-            .expect("spawn reply demultiplexer");
-        Ok(NodeClient {
-            inner,
-            demux: Some(demux),
-        })
+        let (client, ()) = NodeClient::start(transport, engine_node, procs, |inner| {
+            let hello = WireMsg::Hello {
+                node: inner.transport.node(),
+                procs: inner.procs.clone(),
+            };
+            Ok(inner.transport.send(&hello, engine_node, 0)?)
+        })?;
+        Ok(client)
     }
 
     /// Reconnects a restarted node: sends a [`WireMsg::RejoinRequest`]
@@ -633,57 +620,63 @@ impl NodeClient {
         proc: ProcId,
         checkpoint: Vec<u8>,
     ) -> Result<(NodeClient, u64), NodeError> {
+        NodeClient::start(transport, engine_node, vec![proc], |inner| {
+            let request = WireMsg::RejoinRequest {
+                node: inner.transport.node(),
+                proc,
+                checkpoint,
+            };
+            inner.transport.send(&request, engine_node, 0)?;
+            // The reply demultiplexer is not running yet, so the handshake
+            // reply is read synchronously right here.
+            let frame = inner.transport.recv()?;
+            if frame.kind != WireKind::RejoinReply {
+                return Err(NodeError::Protocol(format!(
+                    "expected RejoinReply, got {}",
+                    frame.kind
+                )));
+            }
+            // Like OpReply, RejoinReply carries no vector clock: width 0
+            // keeps the decode context-independent.
+            match WireMsg::decode(frame.kind, &frame.body, &WireCtx { n_procs: 0 })? {
+                WireMsg::RejoinReply {
+                    result: Ok(episode),
+                } => Ok(episode),
+                WireMsg::RejoinReply { result: Err(e) } => Err(NodeError::Remote(e)),
+                _ => unreachable!("kind was RejoinReply"),
+            }
+        })
+    }
+
+    /// Builds the client state for `procs`, runs `handshake` on it before
+    /// any reply is demultiplexed, and then starts the reply
+    /// demultiplexer.
+    fn start<T>(
+        transport: impl Transport + 'static,
+        engine_node: NodeId,
+        procs: Vec<ProcId>,
+        handshake: impl FnOnce(&ClientInner) -> Result<T, NodeError>,
+    ) -> Result<(NodeClient, T), NodeError> {
         let node = transport.node();
         let inner = Arc::new(ClientInner {
             transport: Arc::new(transport),
             engine_node,
-            procs: vec![proc],
+            procs,
             next_seq: AtomicU64::new(1),
             hello_generation: AtomicU64::new(0),
             pending: Mutex::new_in(HashMap::new(), classes::NET_PENDING),
         });
-        inner.transport.send(
-            &WireMsg::RejoinRequest {
-                node,
-                proc,
-                checkpoint,
-            },
-            engine_node,
-            0,
-        )?;
-        // The reply demultiplexer is not running yet, so the handshake
-        // reply is read synchronously right here.
-        let frame = inner.transport.recv()?;
-        if frame.kind != WireKind::RejoinReply {
-            return Err(NodeError::Protocol(format!(
-                "expected RejoinReply, got {}",
-                frame.kind
-            )));
-        }
-        // Like OpReply, RejoinReply carries no vector clock: width 0
-        // keeps the decode context-independent.
-        let episode = match WireMsg::decode(frame.kind, &frame.body, &WireCtx { n_procs: 0 })? {
-            WireMsg::RejoinReply { result: Ok(ep) } => ep,
-            WireMsg::RejoinReply { result: Err(e) } => return Err(NodeError::Remote(e)),
-            _ => unreachable!("kind was RejoinReply"),
-        };
+        let handshaken = handshake(&inner)?;
         let demux_inner = Arc::clone(&inner);
         let demux = std::thread::Builder::new()
             .name(format!("lrc-node-demux-{node}"))
             .spawn(move || demux_loop(&demux_inner))
             .expect("spawn reply demultiplexer");
-        Ok((
-            NodeClient {
-                inner,
-                demux: Some(demux),
-            },
-            episode,
-        ))
-    }
-
-    /// The processors this node announced.
-    pub fn procs(&self) -> &[ProcId] {
-        &self.inner.procs
+        let client = NodeClient {
+            inner,
+            demux: Some(demux),
+        };
+        Ok((client, handshaken))
     }
 
     /// A handle driving `proc` over the wire.

@@ -72,6 +72,7 @@
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod engine;
 

@@ -30,8 +30,8 @@
 //!
 //! # Activation
 //!
-//! The verifier is compiled in behind the stub's `lockdep` feature
-//! (default-on) and stays inactive until `LRC_LOCKDEP=1` (or `panic`), which
+//! The verifier is always compiled into the `parking_lot` stub and stays
+//! inactive until `LRC_LOCKDEP=1` (or `panic`), which
 //! checks and panics on the first violation, or `LRC_LOCKDEP=collect`, which
 //! collects reports for [`take_violations`]. Tests can call [`set_mode`]
 //! instead. Whether a lock is checked is decided once, when it is built:

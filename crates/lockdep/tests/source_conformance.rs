@@ -288,6 +288,29 @@ fn is_pub_item(line: &str) -> bool {
         .is_some_and(|kind| PUB_ITEM_KINDS.contains(&kind))
 }
 
+/// The name a `pub` item line declares (`pub const fn f()` names `f`), or
+/// `None` for a `pub use` re-export, which declares no item of its own.
+fn pub_item_name(line: &str) -> Option<&str> {
+    if !is_pub_item(line) || line.starts_with("pub use ") {
+        return None;
+    }
+    let word = line
+        .split_whitespace()
+        .skip(1)
+        .find(|w| !PUB_ITEM_KINDS.contains(w) && !["unsafe", "mut"].contains(w))?;
+    let end = word.find(|c| !is_ident_char(c)).unwrap_or(word.len());
+    Some(&word[..end]).filter(|name| !name.is_empty())
+}
+
+/// The names of the `pub` items in `code` that no file of `outside` names
+/// as a word: public in syntax, but used only by their own crate.
+fn crate_local_pub<'a>(code: &[&'a str], outside: &[&str]) -> Vec<&'a str> {
+    code.iter()
+        .filter_map(|line| pub_item_name(line))
+        .filter(|name| outside.iter().all(|text| count_word(text, name) == 0))
+        .collect()
+}
+
 /// Occurrences of `word` in `line` not run into a longer identifier.
 fn count_word(line: &str, word: &str) -> usize {
     line.match_indices(word)
@@ -308,6 +331,31 @@ fn package_name(dir: &Path) -> String {
         .expect("the manifest names its package")
 }
 
+/// Every `.rs` file a caller of a crate under `crates/` (or of the
+/// facade) can live in, keyed by path: the `src/`, `tests/` and
+/// `benches/` of every measured package and of the `third_party/` stubs
+/// (the `parking_lot` stub calls `lrc-lockdep`), the examples and the
+/// benchmark's sources.
+fn caller_sources(root: &Path, packages: &[PathBuf]) -> BTreeMap<PathBuf, String> {
+    let stubs = std::fs::read_dir(root.join("third_party")).expect("third_party/ is listable");
+    let stubs: Vec<PathBuf> = stubs.flatten().map(|entry| entry.path()).collect();
+    let mut files = Vec::new();
+    for dir in packages.iter().chain(&stubs) {
+        for sub in ["src", "tests", "benches"] {
+            rust_files(&dir.join(sub), &mut files);
+        }
+    }
+    rust_files(&root.join("examples"), &mut files);
+    rust_files(&root.join("benchmark").join("src"), &mut files);
+    files
+        .into_iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(&path).expect("readable source");
+            (path, text)
+        })
+        .collect()
+}
+
 /// Measures the product code of the root package and every crate under
 /// `crates/`, rendered as `SIZE.json`.
 fn size_report(root: &Path) -> String {
@@ -319,14 +367,23 @@ fn size_report(root: &Path) -> String {
             .map(|entry| entry.path())
             .filter(|dir| dir.join("Cargo.toml").is_file()),
     );
+    let callers = caller_sources(root, &dirs);
     let mut per_crate = BTreeMap::new();
     let (mut setters, mut classes) = (0, 0);
     let mut sites = [("thread::spawn", 0), ("catch_unwind", 0), ("unsafe", 0)];
-    for dir in dirs {
-        let (mut lines, mut pub_items) = (0, 0);
-        for (rel, code) in product_code(root, &dir.join("src")) {
+    for dir in &dirs {
+        let src = dir.join("src");
+        let outside: Vec<&str> = callers
+            .iter()
+            .filter(|(path, _)| !path.starts_with(&src))
+            .map(|(_, text)| text.as_str())
+            .collect();
+        let (mut lines, mut pub_items, mut local) = (0, 0, 0);
+        for (rel, code) in product_code(root, &src) {
             lines += code.len();
             pub_items += code.iter().filter(|l| is_pub_item(l)).count();
+            let code_refs: Vec<&str> = code.iter().map(String::as_str).collect();
+            local += crate_local_pub(&code_refs, &outside).len();
             let lines_with = |prefix: &str, part: &str| {
                 code.iter()
                     .filter(|l| l.starts_with(prefix) && l.contains(part))
@@ -341,12 +398,15 @@ fn size_report(root: &Path) -> String {
                 *count += code.iter().map(|l| count_word(l, word)).sum::<usize>();
             }
         }
-        per_crate.insert(package_name(&dir), (lines, pub_items));
+        per_crate.insert(package_name(dir), (lines, pub_items, local));
     }
     let crates: Vec<String> = per_crate
         .iter()
-        .map(|(name, (lines, pub_items))| {
-            format!("    \"{name}\": {{\"lines\": {lines}, \"pub_items\": {pub_items}}}")
+        .map(|(name, (lines, pub_items, local))| {
+            format!(
+                "    \"{name}\": {{\"lines\": {lines}, \"pub_items\": {pub_items}, \
+                 \"crate_local_pub\": {local}}}"
+            )
         })
         .collect();
     format!(
@@ -390,4 +450,20 @@ fn size_counts_only_product_code() {
         1,
         "unsafe_code is not a site"
     );
+}
+
+#[test]
+fn crate_local_pub_counts_items_no_other_crate_names() {
+    let lib_a = "pub fn used() {}\npub struct Local;\npub use inner::Used;\n\
+                 pub const fn shared() -> u32 { 0 }\npub(crate) fn private() {}\n\
+                 pub const LIMIT: u32 = 4;\npub enum Kind<T> { A(T) }";
+    let (code, _) = product_lines(lib_a);
+    let lib_b = "use a::{shared, used, Kind};\nfn f() { used(); let _ = shared(); }\n\
+                 // Locality and LIMITS are other words; a_Local is one word.\n\
+                 let _: Kind<u8>;";
+    let local = crate_local_pub(&code, &[lib_b]);
+    assert_eq!(local, ["Local", "LIMIT"], "{code:?}");
+    assert_eq!(pub_item_name("pub use inner::Used;"), None);
+    assert_eq!(pub_item_name("pub(crate) fn private() {}"), None);
+    assert_eq!(pub_item_name("pub static mut N: u8 = 0;"), Some("N"));
 }

@@ -73,7 +73,7 @@ impl Transport for ChannelTransport {
         let bytes = crate::transport::encode_frame_checked(msg, self.node, dst, seq)?;
         let len = bytes.len();
         tx.send(bytes).map_err(|_| NetError::Closed)?;
-        self.meter.count_sent(msg.kind(), len);
+        self.meter.count_sent(len);
         Ok(())
     }
 

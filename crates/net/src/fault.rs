@@ -1,9 +1,8 @@
 //! Deterministic fault injection for any [`Transport`].
 //!
 //! [`FaultyTransport`] wraps a real transport and applies a [`FaultPlan`]
-//! to outgoing traffic: drop the nth frame, delay one, sever the link to
-//! one peer after a send budget, kill the whole endpoint mid-protocol, or
-//! drop a seeded pseudo-random fraction of frames. Faults are decided
+//! to outgoing traffic: drop the nth frame, cut the link to one peer for
+//! a window of sends, or kill the whole endpoint mid-protocol. Faults are decided
 //! from *send counts*, never wall-clock time, so a failing run replays
 //! exactly — the property the crash-tolerance suite leans on to kill a
 //! node at a chosen protocol step (mid-lock-transfer, mid-barrier,
@@ -18,7 +17,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::lockdep::classes;
 use parking_lot::Mutex;
-use std::time::Duration;
 
 use crate::transport::{NetError, NodeId, Transport, WireStats};
 use crate::wire::{Frame, WireKind, WireMsg};
@@ -27,7 +25,7 @@ use crate::wire::{Frame, WireKind, WireMsg};
 /// sends (including frames other rules later drop), so a rule's firing
 /// point does not shift when rules are added in front of it.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum FaultRule {
+pub(crate) enum FaultRule {
     /// Silently discard the `nth` send of `kind` (any kind if `None`):
     /// the caller sees `Ok`, the peer sees nothing.
     DropNth {
@@ -35,22 +33,6 @@ pub enum FaultRule {
         kind: Option<WireKind>,
         /// 1-based index among matching sends.
         nth: u64,
-    },
-    /// Sleep before delivering the `nth` send (reordering pressure for
-    /// timing-sensitive paths; the frame still arrives).
-    DelayNth {
-        /// 1-based index among all sends.
-        nth: u64,
-        /// How long to hold the frame.
-        delay: Duration,
-    },
-    /// After `after_sends` frames to `peer` have been let through, fail
-    /// every further send to that peer with [`NetError::Closed`].
-    SeverPeer {
-        /// The peer whose link dies.
-        peer: NodeId,
-        /// Frames to that peer that still succeed.
-        after_sends: u64,
     },
     /// Kill the endpoint at its `sends`-th send: that send and everything
     /// after it — including every later `recv` — fails with
@@ -60,15 +42,6 @@ pub enum FaultRule {
     KillAfter {
         /// 1-based index of the first send that fails.
         sends: u64,
-    },
-    /// Drop each send with probability `numer`/`denom`, decided by a
-    /// seeded xorshift stream — random-looking but identical across runs
-    /// with the same seed and send sequence.
-    DropRandom {
-        /// Drop probability numerator.
-        numer: u32,
-        /// Drop probability denominator (> 0).
-        denom: u32,
     },
     /// A transient sever that heals: counting *attempted* sends to
     /// `peer` (1-based), attempts `1..=after` deliver, the next
@@ -83,22 +56,12 @@ pub enum FaultRule {
         /// Attempted sends that fail while the link is down.
         down_for: u64,
     },
-    /// Silently discard the first `n` sends of `kind` (any kind if
-    /// `None`), 1-based among *attempted* matching sends — lossy-start
-    /// pressure for retry paths.
-    DropFirstN {
-        /// Which kind to match, or any.
-        kind: Option<WireKind>,
-        /// How many leading matching sends to drop.
-        n: u64,
-    },
 }
 
-/// A scripted set of [`FaultRule`]s plus the seed for [`FaultRule::DropRandom`].
+/// A scripted set of fault rules.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FaultPlan {
     rules: Vec<FaultRule>,
-    seed: u64,
 }
 
 impl Default for FaultPlan {
@@ -110,52 +73,32 @@ impl Default for FaultPlan {
 impl FaultPlan {
     /// An empty plan (the wrapper becomes a transparent pass-through).
     pub fn new() -> FaultPlan {
-        FaultPlan {
-            rules: Vec::new(),
-            seed: 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    /// Sets the seed of the [`FaultRule::DropRandom`] stream.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> FaultPlan {
-        self.seed = if seed == 0 { 1 } else { seed };
-        self
+        FaultPlan { rules: Vec::new() }
     }
 
     /// Adds a rule.
     #[must_use]
-    pub fn rule(mut self, rule: FaultRule) -> FaultPlan {
-        if let FaultRule::DropRandom { denom, .. } = rule {
-            assert!(denom > 0, "drop probability denominator must be positive");
-        }
+    pub(crate) fn rule(mut self, rule: FaultRule) -> FaultPlan {
         self.rules.push(rule);
         self
     }
 
-    /// Shorthand: kill the endpoint at its `sends`-th send (see
-    /// [`FaultRule::KillAfter`]).
+    /// Kills the endpoint at its `sends`-th send: that send and everything
+    /// after it, every later `recv` included, fail with
+    /// [`NetError::Closed`].
     #[must_use]
     pub fn kill_after_sends(self, sends: u64) -> FaultPlan {
         self.rule(FaultRule::KillAfter { sends })
     }
 
-    /// Shorthand: sever the link to `peer` after `after_sends` delivered
-    /// frames (see [`FaultRule::SeverPeer`]).
-    #[must_use]
-    pub fn sever_peer(self, peer: NodeId, after_sends: u64) -> FaultPlan {
-        self.rule(FaultRule::SeverPeer { peer, after_sends })
-    }
-
-    /// Shorthand: drop the `nth` send of `kind` (see [`FaultRule::DropNth`]).
+    /// Silently discards the `nth` send of `kind` (any kind if `None`).
     #[must_use]
     pub fn drop_nth(self, kind: Option<WireKind>, nth: u64) -> FaultPlan {
         self.rule(FaultRule::DropNth { kind, nth })
     }
 
-    /// Shorthand: flap the link to `peer` — deliver `after` attempts,
-    /// fail the next `down_for`, then heal (see
-    /// [`FaultRule::SeverThenHeal`]).
+    /// Flaps the link to `peer`: delivers `after` attempts, fails the
+    /// next `down_for` with [`NetError::Closed`], then heals.
     #[must_use]
     pub fn sever_then_heal(self, peer: NodeId, after: u64, down_for: u64) -> FaultPlan {
         self.rule(FaultRule::SeverThenHeal {
@@ -163,13 +106,6 @@ impl FaultPlan {
             after,
             down_for,
         })
-    }
-
-    /// Shorthand: drop the first `n` sends of `kind` (see
-    /// [`FaultRule::DropFirstN`]).
-    #[must_use]
-    pub fn drop_first_n(self, kind: Option<WireKind>, n: u64) -> FaultPlan {
-        self.rule(FaultRule::DropFirstN { kind, n })
     }
 }
 
@@ -180,20 +116,15 @@ struct FaultState {
     sends: u64,
     /// Sends attempted per kind tag.
     sends_by_kind: [u64; WireKind::COUNT],
-    /// Frames delivered per destination (for [`FaultRule::SeverPeer`]).
-    delivered_to: Vec<u64>,
     /// Sends *attempted* per destination, delivered or not (for
     /// [`FaultRule::SeverThenHeal`], whose window must not stretch when
     /// the caller retries into the cut).
     attempted_to: Vec<u64>,
-    /// xorshift64 state for [`FaultRule::DropRandom`].
-    rng: u64,
 }
 
 /// The outcome of consulting the plan for one send.
 enum Verdict {
     Deliver,
-    DeliverAfter(Duration),
     Drop,
     Sever,
     Kill,
@@ -217,7 +148,6 @@ pub struct FaultyTransport<T> {
 impl<T: Transport> FaultyTransport<T> {
     /// Wraps `inner` with the scripted `plan`.
     pub fn new(inner: T, plan: FaultPlan) -> FaultyTransport<T> {
-        let seed = plan.seed;
         FaultyTransport {
             inner,
             plan,
@@ -225,9 +155,7 @@ impl<T: Transport> FaultyTransport<T> {
                 FaultState {
                     sends: 0,
                     sends_by_kind: [0; WireKind::COUNT],
-                    delivered_to: Vec::new(),
                     attempted_to: Vec::new(),
-                    rng: seed,
                 },
                 classes::NET_FAULT_STATE,
             ),
@@ -242,7 +170,7 @@ impl<T: Transport> FaultyTransport<T> {
     }
 
     /// Whether a [`FaultRule::KillAfter`] has fired.
-    pub fn is_killed(&self) -> bool {
+    pub(crate) fn is_killed(&self) -> bool {
         self.killed.load(Ordering::Acquire)
     }
 
@@ -251,23 +179,14 @@ impl<T: Transport> FaultyTransport<T> {
         *self.dropped.lock()
     }
 
-    /// Total sends attempted so far (delivered, dropped, or refused —
-    /// the count fault rules index into).
-    pub fn sends_attempted(&self) -> u64 {
-        self.state.lock().sends
-    }
-
     /// Advances the counters for one send and decides its fate. The most
-    /// severe applicable verdict wins: kill > sever > drop > delay.
+    /// severe applicable verdict wins: kill > sever > drop.
     fn consult(&self, kind: WireKind, dst: NodeId) -> Verdict {
         let mut st = self.state.lock();
         st.sends += 1;
         st.sends_by_kind[kind.tag() as usize] += 1;
         let sends = st.sends;
         let kind_sends = st.sends_by_kind[kind.tag() as usize];
-        if st.delivered_to.len() <= dst as usize {
-            st.delivered_to.resize(dst as usize + 1, 0);
-        }
         if st.attempted_to.len() <= dst as usize {
             st.attempted_to.resize(dst as usize + 1, 0);
         }
@@ -277,29 +196,12 @@ impl<T: Transport> FaultyTransport<T> {
         for rule in &self.plan.rules {
             match *rule {
                 FaultRule::KillAfter { sends: at } if sends >= at => return Verdict::Kill,
-                FaultRule::SeverPeer { peer, after_sends }
-                    if peer == dst && st.delivered_to[dst as usize] >= after_sends =>
-                {
-                    verdict = Verdict::Sever;
-                }
                 FaultRule::DropNth { kind: k, nth }
                     if k.is_none_or(|k| k == kind)
                         && nth == if k.is_some() { kind_sends } else { sends }
                         && !matches!(verdict, Verdict::Sever) =>
                 {
                     verdict = Verdict::Drop;
-                }
-                FaultRule::DropRandom { numer, denom } => {
-                    // xorshift64 — one step per send whether or not it
-                    // fires, so earlier rules don't shift the stream.
-                    st.rng ^= st.rng << 13;
-                    st.rng ^= st.rng >> 7;
-                    st.rng ^= st.rng << 17;
-                    if (st.rng % denom as u64) < numer as u64
-                        && matches!(verdict, Verdict::Deliver | Verdict::DeliverAfter(_))
-                    {
-                        verdict = Verdict::Drop;
-                    }
                 }
                 FaultRule::SeverThenHeal {
                     peer,
@@ -308,23 +210,8 @@ impl<T: Transport> FaultyTransport<T> {
                 } if peer == dst && attempted > after && attempted <= after + down_for => {
                     verdict = Verdict::Sever;
                 }
-                FaultRule::DropFirstN { kind: k, n }
-                    if k.is_none_or(|k| k == kind)
-                        && (if k.is_some() { kind_sends } else { sends }) <= n
-                        && !matches!(verdict, Verdict::Sever) =>
-                {
-                    verdict = Verdict::Drop;
-                }
-                FaultRule::DelayNth { nth, delay } if nth == sends => {
-                    if matches!(verdict, Verdict::Deliver) {
-                        verdict = Verdict::DeliverAfter(delay);
-                    }
-                }
                 _ => {}
             }
-        }
-        if matches!(verdict, Verdict::Deliver | Verdict::DeliverAfter(_)) {
-            st.delivered_to[dst as usize] += 1;
         }
         verdict
     }
@@ -341,10 +228,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         }
         match self.consult(msg.kind(), dst) {
             Verdict::Deliver => self.inner.send(msg, dst, seq),
-            Verdict::DeliverAfter(delay) => {
-                std::thread::sleep(delay);
-                self.inner.send(msg, dst, seq)
-            }
             Verdict::Drop => {
                 *self.dropped.lock() += 1;
                 Ok(())
@@ -448,37 +331,15 @@ mod tests {
         let mut mesh = ChannelNet::mesh(3);
         let c = mesh.pop().unwrap();
         let b = mesh.pop().unwrap();
-        let a = FaultyTransport::new(mesh.pop().unwrap(), FaultPlan::new().sever_peer(1, 1));
+        let a = FaultyTransport::new(
+            mesh.pop().unwrap(),
+            FaultPlan::new().sever_then_heal(1, 1, 100),
+        );
         a.send(&hello(), 1, 0).unwrap(); // 1st to node 1: delivered
         assert_eq!(a.send(&hello(), 1, 1), Err(NetError::Closed)); // link dead
         a.send(&hello(), 2, 2).unwrap(); // node 2 unaffected
         assert_eq!(b.recv().unwrap().seq, 0);
         assert_eq!(c.recv().unwrap().seq, 2);
-    }
-
-    #[test]
-    fn seeded_random_drop_replays_identically() {
-        let run = |seed: u64| -> Vec<u64> {
-            let mut mesh = ChannelNet::mesh(2);
-            let b = mesh.pop().unwrap();
-            let a = FaultyTransport::new(
-                mesh.pop().unwrap(),
-                FaultPlan::new()
-                    .seed(seed)
-                    .rule(FaultRule::DropRandom { numer: 1, denom: 3 }),
-            );
-            for seq in 0..32 {
-                a.send(&WireMsg::Shutdown, 1, seq).unwrap();
-            }
-            let delivered = 32 - a.dropped();
-            drop(a);
-            (0..delivered).map(|_| b.recv().unwrap().seq).collect()
-        };
-        let first = run(42);
-        assert_eq!(first, run(42), "same seed, same drops");
-        assert!(first.len() < 32, "some frames dropped");
-        assert!(!first.is_empty(), "some frames delivered");
-        assert_ne!(first, run(1234), "different seed, different drops");
     }
 
     #[test]
@@ -499,37 +360,5 @@ mod tests {
         a.send(&hello(), 1, 5).unwrap(); // attempt 6: healed
         let seqs: Vec<u64> = (0..3).map(|_| b.recv().unwrap().seq).collect();
         assert_eq!(seqs, vec![0, 1, 5]);
-    }
-
-    #[test]
-    fn drop_first_n_loses_the_leading_frames_only() {
-        let mut mesh = ChannelNet::mesh(2);
-        let b = mesh.pop().unwrap();
-        let a = FaultyTransport::new(
-            mesh.pop().unwrap(),
-            FaultPlan::new().drop_first_n(Some(WireKind::Hello), 2),
-        );
-        a.send(&WireMsg::Shutdown, 1, 0).unwrap(); // other kinds unaffected
-        a.send(&hello(), 1, 1).unwrap(); // 1st Hello: dropped, still Ok
-        a.send(&hello(), 1, 2).unwrap(); // 2nd Hello: dropped
-        a.send(&hello(), 1, 3).unwrap(); // 3rd Hello: delivered
-        assert_eq!(a.dropped(), 2);
-        let seqs: Vec<u64> = (0..2).map(|_| b.recv().unwrap().seq).collect();
-        assert_eq!(seqs, vec![0, 3]);
-    }
-
-    #[test]
-    fn delay_nth_still_delivers() {
-        let (a, b) = pair();
-        let a = FaultyTransport::new(
-            a.inner,
-            FaultPlan::new().rule(FaultRule::DelayNth {
-                nth: 1,
-                delay: Duration::from_millis(5),
-            }),
-        );
-        a.send(&hello(), 1, 0).unwrap();
-        assert_eq!(b.recv().unwrap().seq, 0);
-        assert_eq!(a.dropped(), 0);
     }
 }

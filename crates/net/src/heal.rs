@@ -44,7 +44,7 @@ struct Slot {
 /// See the `heal` module docs for the healing protocol. Construct with
 /// [`SelfHealing::connect`] (real reconnects) or
 /// [`SelfHealing::retry_same`] (retry the same endpoint — pairs with
-/// [`crate::FaultRule::SeverThenHeal`] for deterministic no-socket
+/// [`crate::FaultPlan::sever_then_heal`] for deterministic no-socket
 /// tests).
 pub struct SelfHealing {
     connector: Connector,
@@ -67,7 +67,22 @@ impl SelfHealing {
     /// spent without a successful dial.
     pub fn connect(connector: Connector, backoff: Backoff) -> Result<SelfHealing, NetError> {
         let inner = backoff.retry(&connector)?;
-        Ok(SelfHealing {
+        Ok(SelfHealing::new(connector, backoff, inner))
+    }
+
+    /// Wraps an existing transport with a connector that hands the *same*
+    /// endpoint back on every heal. Useful when the failure is transient
+    /// at the fault layer (e.g. [`crate::FaultPlan::sever_then_heal`])
+    /// rather than a dead socket: the retry loop and generation bumps
+    /// behave exactly as with real reconnects, deterministically.
+    pub fn retry_same(inner: Arc<dyn Transport>, backoff: Backoff) -> SelfHealing {
+        let again = Arc::clone(&inner);
+        SelfHealing::new(Box::new(move || Ok(Arc::clone(&again))), backoff, inner)
+    }
+
+    /// Wraps the connected `inner` as generation 0.
+    fn new(connector: Connector, backoff: Backoff, inner: Arc<dyn Transport>) -> SelfHealing {
+        SelfHealing {
             connector,
             backoff,
             slot: RwLock::new_in(
@@ -79,28 +94,6 @@ impl SelfHealing {
             ),
             generation: AtomicU64::new(0),
             // Order key 1: folded into under the slot lock on heal.
-            retired: RwLock::new_in(WireStats::default(), classes::NET_HEAL.with_order(1)),
-        })
-    }
-
-    /// Wraps an existing transport with a connector that hands the *same*
-    /// endpoint back on every heal. Useful when the failure is transient
-    /// at the fault layer (e.g. [`crate::FaultRule::SeverThenHeal`])
-    /// rather than a dead socket: the retry loop and generation bumps
-    /// behave exactly as with real reconnects, deterministically.
-    pub fn retry_same(inner: Arc<dyn Transport>, backoff: Backoff) -> SelfHealing {
-        let again = Arc::clone(&inner);
-        SelfHealing {
-            connector: Box::new(move || Ok(Arc::clone(&again))),
-            backoff,
-            slot: RwLock::new_in(
-                Slot {
-                    inner,
-                    generation: 0,
-                },
-                classes::NET_HEAL.with_order(0),
-            ),
-            generation: AtomicU64::new(0),
             retired: RwLock::new_in(WireStats::default(), classes::NET_HEAL.with_order(1)),
         }
     }
@@ -136,10 +129,32 @@ impl SelfHealing {
         Ok(())
     }
 
-    /// Whether `err` means the link died (worth healing) as opposed to a
-    /// caller mistake or protocol error (surface as-is).
-    fn link_death(err: &NetError) -> bool {
-        matches!(err, NetError::Closed | NetError::Io(_))
+    /// Runs `op` on the live transport; when the link dies under it,
+    /// heals and retries on the backoff schedule. A caller mistake or
+    /// protocol error surfaces as-is.
+    fn with_healing<T>(
+        &self,
+        op: impl Fn(&dyn Transport) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
+        let attempts = self.backoff.attempts().max(1);
+        let mut last = NetError::Closed;
+        for attempt in 0..attempts {
+            let (inner, generation) = self.snapshot();
+            match op(inner.as_ref()) {
+                Err(e @ (NetError::Closed | NetError::Io(_))) => {
+                    last = e;
+                    self.heal(generation)?;
+                    if attempt + 1 < attempts {
+                        std::thread::sleep(self.backoff.delay(attempt));
+                    }
+                }
+                result => return result,
+            }
+        }
+        Err(NetError::ConnectTimeout {
+            attempts,
+            last: last.to_string(),
+        })
     }
 }
 
@@ -149,49 +164,11 @@ impl Transport for SelfHealing {
     }
 
     fn send(&self, msg: &WireMsg, dst: NodeId, seq: u64) -> Result<(), NetError> {
-        let attempts = self.backoff.attempts().max(1);
-        let mut last = NetError::Closed;
-        for attempt in 0..attempts {
-            let (inner, generation) = self.snapshot();
-            match inner.send(msg, dst, seq) {
-                Ok(()) => return Ok(()),
-                Err(e) if SelfHealing::link_death(&e) => {
-                    last = e;
-                    self.heal(generation)?;
-                    if attempt + 1 < attempts {
-                        std::thread::sleep(self.backoff.delay(attempt));
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(NetError::ConnectTimeout {
-            attempts,
-            last: last.to_string(),
-        })
+        self.with_healing(|inner| inner.send(msg, dst, seq))
     }
 
     fn recv(&self) -> Result<Frame, NetError> {
-        let attempts = self.backoff.attempts().max(1);
-        let mut last = NetError::Closed;
-        for attempt in 0..attempts {
-            let (inner, generation) = self.snapshot();
-            match inner.recv() {
-                Ok(frame) => return Ok(frame),
-                Err(e) if SelfHealing::link_death(&e) => {
-                    last = e;
-                    self.heal(generation)?;
-                    if attempt + 1 < attempts {
-                        std::thread::sleep(self.backoff.delay(attempt));
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(NetError::ConnectTimeout {
-            attempts,
-            last: last.to_string(),
-        })
+        self.with_healing(|inner| inner.recv())
     }
 
     fn stats(&self) -> WireStats {

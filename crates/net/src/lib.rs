@@ -6,7 +6,7 @@
 //! over a *simulated* fabric. This crate is the missing layer for a real
 //! deployment, in three parts:
 //!
-//! * **Wire codec** ([`wire`]) — a versioned binary format for every
+//! * **Wire codec** ([`WireMsg`], [`Frame`]) — a versioned binary format for every
 //!   protocol message: lock request/forward/grant, barrier arrival/exit,
 //!   page-miss request/reply, write-notice batches (interval records),
 //!   diffs, and the node runtime's RPC envelope. Payload encodings match
@@ -46,19 +46,20 @@
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod channel;
 mod fault;
 mod heal;
 mod tcp;
 mod transport;
-pub mod wire;
+pub(crate) mod wire;
 
 pub use channel::{ChannelNet, ChannelTransport};
-pub use fault::{FaultPlan, FaultRule, FaultyTransport};
+pub use fault::{FaultPlan, FaultyTransport};
 pub use heal::{Connector, SelfHealing};
 pub use tcp::{TcpHub, TcpTransport};
-pub use transport::{Backoff, NetError, NodeId, Transport, WireMeter, WireStats};
+pub use transport::{Backoff, NetError, NodeId, Transport, WireStats};
 pub use wire::{
     Frame, FrameBuf, NoticeBatch, NoticeInterval, WireCtx, WireDiff, WireError, WireKind, WireMsg,
     FRAME_HEADER_BYTES, MAX_BODY_BYTES, WIRE_MAGIC, WIRE_VERSION,

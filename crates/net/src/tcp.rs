@@ -221,33 +221,7 @@ impl TcpHub {
     ///
     /// I/O failures, or a first frame that is not a valid `Hello`.
     pub fn accept(self, n_peers: usize) -> Result<TcpTransport, NetError> {
-        self.accept_conns(n_peers, None)
-    }
-
-    /// Like [`TcpHub::accept`], but bounded: if the full peer set has not
-    /// connected (and identified itself) within `timeout`, returns
-    /// [`NetError::AcceptTimeout`] naming the peers that did make it —
-    /// a spoke that never starts surfaces as a typed error instead of a
-    /// hub blocked in `accept` forever.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::AcceptTimeout`] on expiry; otherwise as
-    /// [`TcpHub::accept`].
-    pub fn accept_within(
-        self,
-        n_peers: usize,
-        timeout: Duration,
-    ) -> Result<TcpTransport, NetError> {
-        self.accept_conns(n_peers, Some(Instant::now() + timeout))
-    }
-
-    fn accept_conns(
-        self,
-        n_peers: usize,
-        deadline: Option<Instant>,
-    ) -> Result<TcpTransport, NetError> {
-        let mut transport = self.accept_initial(n_peers, deadline)?;
+        let mut transport = self.accept_initial(n_peers, None)?;
         transport.seal();
         Ok(transport)
     }
@@ -326,8 +300,12 @@ impl TcpHub {
         Ok(conns)
     }
 
-    /// Like [`TcpHub::accept_within`], but the hub keeps healing after
-    /// setup: the listener moves to a background acceptor thread that
+    /// Like [`TcpHub::accept`], but bounded, and the hub keeps healing
+    /// after setup. If the full peer set has not connected (and identified
+    /// itself) within `timeout`, returns [`NetError::AcceptTimeout`]
+    /// naming the peers that did make it — a spoke that never starts
+    /// surfaces as a typed error instead of a hub blocked in `accept`
+    /// forever. After setup the listener moves to a background acceptor thread that
     /// accepts late connections for as long as the transport lives, reads
     /// each one's transport-level [`WireMsg::Hello`], and **re-attaches**
     /// the peer — a reconnecting spoke supersedes its stale link, so a
@@ -341,7 +319,8 @@ impl TcpHub {
     ///
     /// # Errors
     ///
-    /// As [`TcpHub::accept_within`] for the initial peer set.
+    /// [`NetError::AcceptTimeout`] on expiry; otherwise as
+    /// [`TcpHub::accept`].
     pub fn accept_healing(
         self,
         n_peers: usize,
@@ -477,7 +456,7 @@ impl Transport for TcpTransport {
             return Err(NetError::Closed);
         }
         link.tx.send(bytes).map_err(|_| NetError::Closed)?;
-        self.meter.count_sent(msg.kind(), len);
+        self.meter.count_sent(len);
         Ok(())
     }
 
@@ -601,7 +580,7 @@ mod tests {
     fn accept_within_times_out_when_a_spoke_never_connects() {
         let hub = TcpTransport::bind("127.0.0.1:0", 0).expect("bind");
         let err = hub
-            .accept_within(2, std::time::Duration::from_millis(100))
+            .accept_healing(2, std::time::Duration::from_millis(100))
             .unwrap_err();
         assert_eq!(
             err,
@@ -620,7 +599,7 @@ mod tests {
         let spoke_thread =
             thread::spawn(move || TcpTransport::connect(&addr, 3, 0).expect("connect"));
         let err = hub
-            .accept_within(2, std::time::Duration::from_millis(400))
+            .accept_healing(2, std::time::Duration::from_millis(400))
             .unwrap_err();
         assert_eq!(
             err,
@@ -770,7 +749,7 @@ mod tests {
             let addr = hub.local_addr();
             let first = TcpTransport::connect(&addr, 1, 0).expect("connect");
             let second = TcpTransport::connect(&addr, taken, 0).expect("connect");
-            let err = hub.accept_within(2, Duration::from_secs(5)).unwrap_err();
+            let err = hub.accept_healing(2, Duration::from_secs(5)).unwrap_err();
             assert_eq!(err, NetError::DuplicatePeer(taken));
             assert!(err.to_string().contains("already in use"), "{err}");
             drop((first, second));
@@ -785,7 +764,7 @@ mod tests {
         // deadline this wedged accept forever.
         let _silent = std::net::TcpStream::connect(&addr).expect("connect");
         let err = hub
-            .accept_within(1, std::time::Duration::from_millis(200))
+            .accept_healing(1, std::time::Duration::from_millis(200))
             .unwrap_err();
         assert_eq!(
             err,

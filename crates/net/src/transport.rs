@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::wire::{Frame, WireError, WireKind, WireMsg, MAX_BODY_BYTES};
+use crate::wire::{Frame, WireError, WireMsg, MAX_BODY_BYTES};
 
 /// Identifier of a transport endpoint (a node of the deployment).
 pub type NodeId = u16;
@@ -102,7 +102,7 @@ impl From<std::io::Error> for NetError {
 ///
 /// The schedule is a pure function of its parameters: attempt `i`
 /// (0-based) sleeps `min(cap, base · 2^i)` scaled by a jitter factor in
-/// `[0.5, 1.0]` drawn from a seeded xorshift stream — randomized enough
+/// `[0.5, 1.0]` drawn from a fixed-seed xorshift stream — randomized enough
 /// to de-synchronize a thundering herd, deterministic enough that a
 /// failing run replays exactly (the same property the fault plans lean
 /// on). Once `attempts` tries have failed, the caller reports
@@ -112,7 +112,6 @@ pub struct Backoff {
     base: Duration,
     cap: Duration,
     attempts: u32,
-    seed: u64,
 }
 
 impl Default for Backoff {
@@ -131,32 +130,23 @@ impl Backoff {
             base,
             cap,
             attempts,
-            seed: 0x2545_f491_4f6c_dd1d,
         }
     }
 
-    /// Sets the jitter seed (`0` is mapped to `1`; xorshift has no zero
-    /// state).
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Backoff {
-        self.seed = if seed == 0 { 1 } else { seed };
-        self
-    }
-
     /// The try budget.
-    pub fn attempts(&self) -> u32 {
+    pub(crate) fn attempts(&self) -> u32 {
         self.attempts
     }
 
     /// The jittered sleep after the `attempt`-th failure (0-based).
-    pub fn delay(&self, attempt: u32) -> Duration {
+    pub(crate) fn delay(&self, attempt: u32) -> Duration {
         let exp = self
             .base
             .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
             .min(self.cap);
         // One xorshift64 step per prior attempt keeps the draw a pure
-        // function of (seed, attempt).
-        let mut rng = self.seed;
+        // function of the attempt.
+        let mut rng: u64 = 0x2545_f491_4f6c_dd1d;
         for _ in 0..=attempt {
             rng ^= rng << 13;
             rng ^= rng >> 7;
@@ -173,7 +163,7 @@ impl Backoff {
     ///
     /// [`NetError::ConnectTimeout`] carrying the attempt count and the
     /// last underlying failure once the budget is spent.
-    pub fn retry<T>(
+    pub(crate) fn retry<T>(
         &self,
         mut try_once: impl FnMut() -> Result<T, NetError>,
     ) -> Result<T, NetError> {
@@ -229,39 +219,35 @@ impl std::ops::Add for WireStats {
 /// Internal per-endpoint traffic meter (atomics; snapshot with
 /// [`WireMeter::stats`]).
 #[derive(Debug, Default)]
-pub struct WireMeter {
+pub(crate) struct WireMeter {
     msgs_sent: AtomicU64,
     bytes_sent: AtomicU64,
     msgs_received: AtomicU64,
     bytes_received: AtomicU64,
     flushes: AtomicU64,
-    sent_by_kind: [AtomicU64; WireKind::COUNT],
-    sent_bytes_by_kind: [AtomicU64; WireKind::COUNT],
 }
 
 impl WireMeter {
     /// Records one sent frame.
-    pub fn count_sent(&self, kind: WireKind, bytes: usize) {
+    pub(crate) fn count_sent(&self, bytes: usize) {
         self.msgs_sent.fetch_add(1, Ordering::Relaxed);
         self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.sent_by_kind[kind.tag() as usize].fetch_add(1, Ordering::Relaxed);
-        self.sent_bytes_by_kind[kind.tag() as usize].fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Records one received frame.
-    pub fn count_received(&self, bytes: usize) {
+    pub(crate) fn count_received(&self, bytes: usize) {
         self.msgs_received.fetch_add(1, Ordering::Relaxed);
         self.bytes_received
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Records one socket write (carrying one or more queued frames).
-    pub fn count_flush(&self) {
+    pub(crate) fn count_flush(&self) {
         self.flushes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Aggregate snapshot.
-    pub fn stats(&self) -> WireStats {
+    pub(crate) fn stats(&self) -> WireStats {
         WireStats {
             msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
             bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
@@ -269,14 +255,6 @@ impl WireMeter {
             bytes_received: self.bytes_received.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
         }
-    }
-
-    /// Sent traffic of one message kind: `(frames, bytes)`.
-    pub fn sent_of(&self, kind: WireKind) -> (u64, u64) {
-        (
-            self.sent_by_kind[kind.tag() as usize].load(Ordering::Relaxed),
-            self.sent_bytes_by_kind[kind.tag() as usize].load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -353,8 +331,8 @@ mod tests {
     #[test]
     fn meter_counts_both_directions() {
         let m = WireMeter::default();
-        m.count_sent(WireKind::OpRequest, 40);
-        m.count_sent(WireKind::OpRequest, 50);
+        m.count_sent(40);
+        m.count_sent(50);
         m.count_received(32);
         m.count_flush();
         let s = m.stats();
@@ -364,8 +342,6 @@ mod tests {
         assert_eq!(s.bytes_received, 32);
         assert_eq!(s.flushes, 1);
         assert_eq!((s + s).bytes_sent, 180, "snapshots add field by field");
-        assert_eq!(m.sent_of(WireKind::OpRequest), (2, 90));
-        assert_eq!(m.sent_of(WireKind::Hello), (0, 0));
     }
 
     #[test]

@@ -235,7 +235,7 @@ impl WireKind {
     ];
 
     /// Number of kinds.
-    pub const COUNT: usize = 14;
+    pub(crate) const COUNT: usize = 14;
 
     /// Dense tag (also the frame header byte).
     pub fn tag(self) -> u8 {
@@ -258,7 +258,7 @@ impl WireKind {
     }
 
     /// Reverse of [`WireKind::tag`].
-    pub fn from_tag(tag: u8) -> Option<WireKind> {
+    pub(crate) fn from_tag(tag: u8) -> Option<WireKind> {
         WireKind::ALL.get(tag as usize).copied()
     }
 }
@@ -328,7 +328,7 @@ impl<B: Deref<Target = [u8]>> Frame<B> {
     /// # Panics
     ///
     /// Panics if `header` is shorter than [`FRAME_HEADER_BYTES`].
-    pub fn from_wire_parts(header: &[u8], body: B) -> Result<Frame<B>, WireError> {
+    pub(crate) fn from_wire_parts(header: &[u8], body: B) -> Result<Frame<B>, WireError> {
         let body_len = Frame::peek_body_len(header)?;
         if body.len() != body_len {
             return Err(malformed(format!(
@@ -409,7 +409,7 @@ impl Frame {
     /// # Panics
     ///
     /// Panics if `header` is shorter than [`FRAME_HEADER_BYTES`].
-    pub fn peek_body_len(header: &[u8]) -> Result<usize, WireError> {
+    pub(crate) fn peek_body_len(header: &[u8]) -> Result<usize, WireError> {
         assert!(header.len() >= FRAME_HEADER_BYTES, "short frame header");
         if header[..4] != WIRE_MAGIC {
             return Err(WireError::BadMagic);

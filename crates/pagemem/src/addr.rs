@@ -46,13 +46,6 @@ pub struct PageSizeError {
     value: usize,
 }
 
-impl PageSizeError {
-    /// The rejected value.
-    pub fn value(&self) -> usize {
-        self.value
-    }
-}
-
 impl fmt::Display for PageSizeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -114,7 +107,7 @@ impl PageSize {
     }
 
     /// Mask selecting the in-page offset bits.
-    pub fn offset_mask(self) -> u64 {
+    pub(crate) fn offset_mask(self) -> u64 {
         (self.bytes as u64) - 1
     }
 }
@@ -154,10 +147,9 @@ pub struct Segment {
 /// ```
 /// use lrc_pagemem::{AddrSpace, PageId, PageSize};
 ///
-/// let space = AddrSpace::new(PageSize::new(512)?, 16);
+/// let space = AddrSpace::with_capacity(PageSize::new(512)?, 8192);
 /// assert_eq!(space.total_bytes(), 8192);
 /// assert_eq!(space.page_of(1000), PageId::new(1));
-/// assert_eq!(space.offset_of(1000), 488);
 /// # Ok::<(), lrc_pagemem::PageSizeError>(())
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -172,7 +164,7 @@ impl AddrSpace {
     /// # Panics
     ///
     /// Panics if `n_pages` is zero or the total size overflows `u64`.
-    pub fn new(page_size: PageSize, n_pages: u32) -> Self {
+    pub(crate) fn new(page_size: PageSize, n_pages: u32) -> Self {
         assert!(n_pages > 0, "address space needs at least one page");
         AddrSpace { page_size, n_pages }
     }
@@ -222,16 +214,6 @@ impl AddrSpace {
     pub fn page_of(self, addr: u64) -> PageId {
         assert!(self.contains(addr, 1), "address {addr:#x} out of range");
         PageId((addr >> self.page_size.shift()) as u32)
-    }
-
-    /// Offset of `addr` within its page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range.
-    pub fn offset_of(self, addr: u64) -> usize {
-        assert!(self.contains(addr, 1), "address {addr:#x} out of range");
-        (addr & self.page_size.offset_mask()) as usize
     }
 
     /// Splits the access `[addr, addr + len)` into per-page segments, in
@@ -292,7 +274,6 @@ mod tests {
     #[test]
     fn page_size_error_reports_value() {
         let err = PageSize::new(1000).unwrap_err();
-        assert_eq!(err.value(), 1000);
         assert!(err.to_string().contains("1000"));
     }
 
@@ -315,9 +296,9 @@ mod tests {
     fn addressing_round_trips() {
         let space = AddrSpace::new(PageSize::new(256).unwrap(), 8);
         for addr in [0u64, 1, 255, 256, 1000, 2047] {
-            let page = space.page_of(addr);
-            let off = space.offset_of(addr);
-            assert_eq!(page.index() as u64 * 256 + off as u64, addr);
+            let seg = space.segments(addr, 1).next().unwrap();
+            assert_eq!(seg.page, space.page_of(addr));
+            assert_eq!(seg.page.index() as u64 * 256 + seg.offset as u64, addr);
         }
     }
 

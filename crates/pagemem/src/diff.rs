@@ -161,7 +161,7 @@ pub struct Diff {
 
 impl Diff {
     /// Creates an empty diff (no modifications).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Diff::default()
     }
 

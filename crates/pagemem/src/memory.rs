@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{AddrSpace, PageBuf, PageId};
+use crate::{AddrSpace, PageBuf};
 
 /// A flat, sequentially-consistent memory over an [`AddrSpace`].
 ///
@@ -17,7 +17,7 @@ use crate::{AddrSpace, PageBuf, PageId};
 /// ```
 /// use lrc_pagemem::{AddrSpace, Memory, PageSize};
 ///
-/// let space = AddrSpace::new(PageSize::new(512)?, 4);
+/// let space = AddrSpace::with_capacity(PageSize::new(512)?, 2048);
 /// let mut mem = Memory::zeroed(space);
 /// mem.write(700, &[1, 2, 3]); // straddles nothing, lands on page 1
 /// assert_eq!(mem.read_vec(700, 3), vec![1, 2, 3]);
@@ -39,36 +39,13 @@ impl Memory {
         Memory { space, pages }
     }
 
-    /// The address space this memory covers.
-    pub fn space(&self) -> AddrSpace {
-        self.space
-    }
-
-    /// Borrows one page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range.
-    pub fn page(&self, page: PageId) -> &PageBuf {
-        &self.pages[page.index()]
-    }
-
-    /// Mutably borrows one page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range.
-    pub fn page_mut(&mut self, page: PageId) -> &mut PageBuf {
-        &mut self.pages[page.index()]
-    }
-
     /// Reads `buf.len()` bytes starting at flat address `addr`, crossing
     /// page boundaries as needed. An empty read is a no-op.
     ///
     /// # Panics
     ///
     /// Panics if the range — an empty one too — is out of range.
-    pub fn read(&self, addr: u64, buf: &mut [u8]) {
+    pub(crate) fn read(&self, addr: u64, buf: &mut [u8]) {
         let mut cursor = 0;
         for seg in self.space.segments(addr, buf.len()) {
             self.pages[seg.page.index()].read(seg.offset, &mut buf[cursor..cursor + seg.len]);
@@ -100,31 +77,6 @@ impl Memory {
             cursor += seg.len;
         }
     }
-
-    /// Reads a little-endian `u64` at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of range.
-    pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut raw = [0u8; 8];
-        self.read(addr, &mut raw);
-        u64::from_le_bytes(raw)
-    }
-
-    /// Writes a little-endian `u64` at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of range.
-    pub fn write_u64(&mut self, addr: u64, value: u64) {
-        self.write(addr, &value.to_le_bytes());
-    }
-
-    /// Iterates over `(page id, page)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (PageId, &PageBuf)> {
-        self.space.pages().zip(self.pages.iter())
-    }
 }
 
 impl fmt::Debug for Memory {
@@ -151,7 +103,7 @@ mod tests {
     fn fresh_memory_reads_zero() {
         let m = mem();
         assert_eq!(m.read_vec(0, 16), vec![0u8; 16]);
-        assert_eq!(m.read_u64(100), 0);
+        assert_eq!(m.read_vec(100, 8), vec![0u8; 8]);
     }
 
     #[test]
@@ -167,16 +119,6 @@ mod tests {
         let data: Vec<u8> = (0..40).collect();
         m.write(120, &data); // crosses from page 0 into page 1
         assert_eq!(m.read_vec(120, 40), data);
-        // The split really landed on two pages.
-        assert_eq!(m.page(PageId::new(0)).slice(120, 8), &data[..8]);
-        assert_eq!(m.page(PageId::new(1)).slice(0, 32), &data[8..]);
-    }
-
-    #[test]
-    fn u64_helpers_round_trip() {
-        let mut m = mem();
-        m.write_u64(124, 0x0123_4567_89ab_cdef); // straddles pages 0 and 1
-        assert_eq!(m.read_u64(124), 0x0123_4567_89ab_cdef);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::PageSize;
 /// use lrc_pagemem::{PageBuf, PageSize};
 ///
 /// let mut page = PageBuf::zeroed(PageSize::new(512)?);
-/// page.write_u64(64, 0xdead_beef);
+/// page.write(64, &0xdead_beef_u64.to_le_bytes());
 /// assert_eq!(page.read_u64(64), 0xdead_beef);
 /// # Ok::<(), lrc_pagemem::PageSizeError>(())
 /// ```
@@ -45,13 +45,8 @@ impl PageBuf {
     }
 
     /// Page length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bytes.len()
-    }
-
-    /// True if the page has no bytes (never the case for a valid page).
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
     }
 
     /// The page contents.
@@ -101,35 +96,6 @@ impl PageBuf {
         raw.copy_from_slice(&self.bytes[offset..offset + 8]);
         u64::from_le_bytes(raw)
     }
-
-    /// Writes a little-endian `u64` at `offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + 8` exceeds the page.
-    pub fn write_u64(&mut self, offset: usize, value: u64) {
-        self.bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
-    }
-
-    /// Reads a little-endian `u32` at `offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + 4` exceeds the page.
-    pub fn read_u32(&self, offset: usize) -> u32 {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(&self.bytes[offset..offset + 4]);
-        u32::from_le_bytes(raw)
-    }
-
-    /// Writes a little-endian `u32` at `offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + 4` exceeds the page.
-    pub fn write_u32(&mut self, offset: usize, value: u32) {
-        self.bytes[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
-    }
 }
 
 impl fmt::Debug for PageBuf {
@@ -157,7 +123,6 @@ mod tests {
         let page = PageBuf::zeroed(size());
         assert_eq!(page.len(), 256);
         assert!(page.as_bytes().iter().all(|&b| b == 0));
-        assert!(!page.is_empty());
     }
 
     #[test]
@@ -173,10 +138,8 @@ mod tests {
     #[test]
     fn typed_accessors_round_trip() {
         let mut page = PageBuf::zeroed(size());
-        page.write_u64(0, u64::MAX - 5);
-        page.write_u32(128, 77);
+        page.write(0, &(u64::MAX - 5).to_le_bytes());
         assert_eq!(page.read_u64(0), u64::MAX - 5);
-        assert_eq!(page.read_u32(128), 77);
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl AnyEngine {
     }
 
     /// The logged messages (empty unless tracing was enabled).
-    pub fn net_records(&self) -> Vec<MsgRecord> {
+    pub(crate) fn net_records(&self) -> Vec<MsgRecord> {
         self.core().net().traced()
     }
 

@@ -52,6 +52,7 @@
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod engine_any;
 mod matrix;
@@ -63,5 +64,6 @@ pub use engine_any::AnyEngine;
 pub use lrc_core::EngineParams;
 pub use matrix::{run_traced, CommMatrix};
 pub use protocol::ProtocolKind;
-pub use runner::{run_trace, synth_write_bytes, RunReport, SimError, SimOptions};
+pub use runner::SimError;
+pub use runner::{run_trace, synth_write_bytes, RunReport, SimOptions};
 pub use sweep::{sweep, Metric, SweepConfig, SweepResult};

@@ -43,7 +43,7 @@ impl ProtocolKind {
     }
 
     /// The data-movement policy.
-    pub fn policy(self) -> Policy {
+    pub(crate) fn policy(self) -> Policy {
         match self {
             ProtocolKind::LazyInvalidate | ProtocolKind::EagerInvalidate => Policy::Invalidate,
             ProtocolKind::LazyUpdate | ProtocolKind::EagerUpdate => Policy::Update,

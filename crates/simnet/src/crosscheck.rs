@@ -12,7 +12,7 @@ use std::fmt;
 /// One audited quantity: what the model charged vs what the codec
 /// produced.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CrosscheckRow {
+pub(crate) struct CrosscheckRow {
     /// What was measured (message kind, payload family, …).
     pub label: String,
     /// Bytes the simulation model charges for it.
@@ -23,7 +23,7 @@ pub struct CrosscheckRow {
 
 impl CrosscheckRow {
     /// Signed deviation of the measurement from the model.
-    pub fn delta(&self) -> i64 {
+    pub(crate) fn delta(&self) -> i64 {
         self.measured as i64 - self.modeled as i64
     }
 }
@@ -49,18 +49,13 @@ impl SizeCrosscheck {
         });
     }
 
-    /// The recorded rows, in insertion order.
-    pub fn rows(&self) -> &[CrosscheckRow] {
-        &self.rows
-    }
-
     /// Total bytes the model charged.
-    pub fn total_modeled(&self) -> u64 {
+    pub(crate) fn total_modeled(&self) -> u64 {
         self.rows.iter().map(|r| r.modeled).sum()
     }
 
     /// Total bytes measured on the wire.
-    pub fn total_measured(&self) -> u64 {
+    pub(crate) fn total_measured(&self) -> u64 {
         self.rows.iter().map(|r| r.measured).sum()
     }
 
@@ -119,10 +114,11 @@ mod tests {
         let mut cc = SizeCrosscheck::new();
         cc.record("clock", 16, 16);
         cc.record("notices", 20, 24);
-        assert_eq!(cc.rows().len(), 2);
         assert_eq!(cc.total_modeled(), 36);
         assert_eq!(cc.total_measured(), 40);
-        assert_eq!(cc.rows()[1].delta(), 4);
+        let rows: Vec<String> = cc.to_string().lines().map(str::to_string).collect();
+        assert_eq!(rows.len(), 4, "header, two rows, total");
+        assert!(rows[2].starts_with("notices") && rows[2].ends_with("+4"));
         assert!((cc.max_relative_error() - 0.2).abs() < 1e-9);
     }
 

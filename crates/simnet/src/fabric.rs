@@ -67,11 +67,6 @@ impl Fabric {
         }
     }
 
-    /// Number of processors attached.
-    pub fn n_procs(&self) -> usize {
-        self.n_procs
-    }
-
     /// Starts logging individual messages (unbounded; intended for tests).
     pub fn enable_trace(&self) {
         self.trace_on.store(true, Ordering::Release);

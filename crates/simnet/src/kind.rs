@@ -47,7 +47,7 @@ impl fmt::Display for OpClass {
 ///
 /// Kinds exist so that tests can assert fine-grained traffic (e.g. "LI sends
 /// no messages at unlocks") and so each message lands in the right Table 1
-/// column via [`MsgKind::class`].
+/// column via [`OpClass`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum MsgKind {
     // ---- access misses ----
@@ -112,7 +112,7 @@ pub enum MsgKind {
 
 impl MsgKind {
     /// All kinds, grouped by class.
-    pub const ALL: [MsgKind; 20] = [
+    pub(crate) const ALL: [MsgKind; 20] = [
         MsgKind::MissRequest,
         MsgKind::MissForward,
         MsgKind::MissReply,
@@ -136,7 +136,7 @@ impl MsgKind {
     ];
 
     /// The Table 1 column this message kind is charged to.
-    pub fn class(self) -> OpClass {
+    pub(crate) fn class(self) -> OpClass {
         match self {
             MsgKind::MissRequest | MsgKind::MissForward | MsgKind::MissReply => OpClass::Miss,
             MsgKind::LockRequest

@@ -28,6 +28,7 @@
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod crosscheck;
 mod fabric;
@@ -35,12 +36,11 @@ mod kind;
 mod sizes;
 mod stats;
 
-pub use crosscheck::{CrosscheckRow, SizeCrosscheck};
+pub use crosscheck::SizeCrosscheck;
 pub use fabric::{Fabric, MsgRecord};
 pub use kind::{MsgKind, OpClass};
 pub use sizes::{
     invalidation_bytes, notice_batch_bytes, vc_bytes, BARRIER_ID_BYTES, DIFF_REQUEST_ENTRY_BYTES,
-    INVALIDATION_HEADER_BYTES, LOCK_ID_BYTES, MSG_HEADER_BYTES, NOTICE_INTERVAL_HEADER_BYTES,
-    NOTICE_PAGE_BYTES, PAGE_ID_BYTES, WRITE_NOTICE_BYTES,
+    LOCK_ID_BYTES, MSG_HEADER_BYTES, PAGE_ID_BYTES,
 };
 pub use stats::{Counter, NetStats};

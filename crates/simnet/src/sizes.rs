@@ -12,17 +12,12 @@
 /// Fixed per-message transport header (addressing, type, sequence).
 pub const MSG_HEADER_BYTES: u64 = 32;
 
-/// One write notice on the wire: page id (4), interval processor (4),
-/// interval sequence (4), flags (4). Used when notices travel singly;
-/// batched notices use [`notice_batch_bytes`].
-pub const WRITE_NOTICE_BYTES: u64 = 16;
-
 /// Per-interval header of a batched write-notice list: processor (2),
 /// sequence (4), page count (2), timestamp entry (4).
-pub const NOTICE_INTERVAL_HEADER_BYTES: u64 = 12;
+pub(crate) const NOTICE_INTERVAL_HEADER_BYTES: u64 = 12;
 
 /// Per-page entry of a batched write-notice list (a page id).
-pub const NOTICE_PAGE_BYTES: u64 = 4;
+pub(crate) const NOTICE_PAGE_BYTES: u64 = 4;
 
 /// Wire size of a batched write-notice list covering `intervals` distinct
 /// intervals and `pages` page entries in total — the encoding a lock grant
@@ -33,7 +28,7 @@ pub fn notice_batch_bytes(intervals: usize, pages: usize) -> u64 {
 }
 
 /// Header of an eager invalidation message (epoch tag, count).
-pub const INVALIDATION_HEADER_BYTES: u64 = 8;
+pub(crate) const INVALIDATION_HEADER_BYTES: u64 = 8;
 
 /// Wire size of an eager invalidation notice naming `pages` pages.
 pub fn invalidation_bytes(pages: usize) -> u64 {

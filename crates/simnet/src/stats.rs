@@ -14,7 +14,7 @@ pub struct Counter {
 
 impl Counter {
     /// The zero counter.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Counter::default()
     }
 
@@ -53,11 +53,14 @@ impl fmt::Display for Counter {
 /// # Example
 ///
 /// ```
-/// use lrc_simnet::{MsgKind, NetStats, OpClass};
+/// use lrc_simnet::{Fabric, MsgKind, OpClass};
+/// use lrc_vclock::ProcId;
 ///
-/// let mut stats = NetStats::new();
-/// stats.record(MsgKind::BarrierArrival, 8);
-/// stats.record(MsgKind::BarrierExit, 8);
+/// let fabric = Fabric::new(2);
+/// let (p0, p1) = (ProcId::new(0), ProcId::new(1));
+/// fabric.send(p1, p0, MsgKind::BarrierArrival, 8);
+/// fabric.send(p0, p1, MsgKind::BarrierExit, 8);
+/// let stats = fabric.stats();
 /// assert_eq!(stats.class(OpClass::Barrier).msgs, 2);
 /// assert_eq!(stats.total().msgs, 2);
 /// ```
@@ -68,16 +71,8 @@ pub struct NetStats {
 
 impl NetStats {
     /// Creates empty statistics.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NetStats::default()
-    }
-
-    /// Records one message of `kind` carrying `payload_bytes` of payload.
-    /// The fixed transport header is added automatically.
-    pub fn record(&mut self, kind: MsgKind, payload_bytes: u64) {
-        let c = &mut self.by_kind[kind.index()];
-        c.msgs += 1;
-        c.bytes += crate::MSG_HEADER_BYTES + payload_bytes;
     }
 
     /// Overwrites the counter of one kind (used by [`crate::Fabric`] when
@@ -105,13 +100,6 @@ impl NetStats {
         self.by_kind.iter().copied().fold(Counter::new(), Add::add)
     }
 
-    /// Adds another statistics block into this one.
-    pub fn merge(&mut self, other: &NetStats) {
-        for (a, b) in self.by_kind.iter_mut().zip(&other.by_kind) {
-            *a += *b;
-        }
-    }
-
     /// The traffic accumulated since `earlier` (pointwise subtraction).
     ///
     /// # Panics
@@ -134,7 +122,7 @@ impl NetStats {
     }
 
     /// Iterates over `(kind, counter)` pairs with non-zero traffic.
-    pub fn iter(&self) -> impl Iterator<Item = (MsgKind, Counter)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (MsgKind, Counter)> + '_ {
         MsgKind::ALL
             .iter()
             .map(|&k| (k, self.kind(k)))
@@ -156,12 +144,21 @@ impl fmt::Display for NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fabric;
+    use lrc_vclock::ProcId;
+
+    /// The statistics of a two-processor fabric that carried `msgs`.
+    fn stats_of(msgs: &[(MsgKind, u64)]) -> NetStats {
+        let fabric = Fabric::new(2);
+        for &(kind, payload) in msgs {
+            fabric.send(ProcId::new(0), ProcId::new(1), kind, payload);
+        }
+        fabric.stats()
+    }
 
     #[test]
     fn record_accumulates_header_and_payload() {
-        let mut s = NetStats::new();
-        s.record(MsgKind::MissRequest, 4);
-        s.record(MsgKind::MissRequest, 4);
+        let s = stats_of(&[(MsgKind::MissRequest, 4), (MsgKind::MissRequest, 4)]);
         let c = s.kind(MsgKind::MissRequest);
         assert_eq!(c.msgs, 2);
         assert_eq!(c.bytes, 2 * (crate::MSG_HEADER_BYTES + 4));
@@ -169,11 +166,12 @@ mod tests {
 
     #[test]
     fn class_sums_member_kinds() {
-        let mut s = NetStats::new();
-        s.record(MsgKind::MissRequest, 0);
-        s.record(MsgKind::MissForward, 0);
-        s.record(MsgKind::MissReply, 100);
-        s.record(MsgKind::LockRequest, 0);
+        let s = stats_of(&[
+            (MsgKind::MissRequest, 0),
+            (MsgKind::MissForward, 0),
+            (MsgKind::MissReply, 100),
+            (MsgKind::LockRequest, 0),
+        ]);
         assert_eq!(s.class(OpClass::Miss).msgs, 3);
         assert_eq!(s.class(OpClass::Lock).msgs, 1);
         assert_eq!(s.class(OpClass::Unlock).msgs, 0);
@@ -182,25 +180,25 @@ mod tests {
 
     #[test]
     fn merge_and_since_are_inverses() {
-        let mut a = NetStats::new();
-        a.record(MsgKind::BarrierArrival, 8);
-        let snapshot = a.clone();
-        a.record(MsgKind::BarrierExit, 8);
-        a.record(MsgKind::BarrierExit, 8);
+        let snapshot = stats_of(&[(MsgKind::BarrierArrival, 8)]);
+        let a = stats_of(&[
+            (MsgKind::BarrierArrival, 8),
+            (MsgKind::BarrierExit, 8),
+            (MsgKind::BarrierExit, 8),
+        ]);
         let delta = a.since(&snapshot);
         assert_eq!(delta.kind(MsgKind::BarrierArrival).msgs, 0);
         assert_eq!(delta.kind(MsgKind::BarrierExit).msgs, 2);
 
-        let mut rebuilt = snapshot.clone();
-        rebuilt.merge(&delta);
-        assert_eq!(rebuilt, a);
+        for kind in MsgKind::ALL {
+            assert_eq!(snapshot.kind(kind) + delta.kind(kind), a.kind(kind));
+        }
     }
 
     #[test]
     #[should_panic(expected = "not earlier")]
     fn since_rejects_later_snapshot() {
-        let mut later = NetStats::new();
-        later.record(MsgKind::LockGrant, 0);
+        let later = stats_of(&[(MsgKind::LockGrant, 0)]);
         NetStats::new().since(&later);
     }
 
@@ -242,9 +240,7 @@ mod tests {
 
     #[test]
     fn display_lists_nonzero_kinds() {
-        let mut s = NetStats::new();
-        s.record(MsgKind::LockRequest, 8);
-        let text = s.to_string();
+        let text = stats_of(&[(MsgKind::LockRequest, 8)]).to_string();
         assert!(text.contains("LockRequest"));
         assert!(!text.contains("MissReply"));
         assert!(text.contains("total"));

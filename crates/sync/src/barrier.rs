@@ -152,11 +152,6 @@ impl BarrierSet {
         }
     }
 
-    /// Number of barriers in the set.
-    pub fn n_barriers(&self) -> usize {
-        self.arrived.len()
-    }
-
     /// The static master of `barrier`.
     ///
     /// # Panics
@@ -168,11 +163,6 @@ impl BarrierSet {
             "unknown barrier {barrier}"
         );
         ProcId::new((barrier.index() % self.n_procs) as u16)
-    }
-
-    /// Episodes completed so far at `barrier`.
-    pub fn episodes_completed(&self, barrier: BarrierId) -> Option<u64> {
-        self.episode.get(barrier.index()).copied()
     }
 
     /// Validates that `p` may arrive at `barrier`, without mutating state.
@@ -259,11 +249,6 @@ impl BarrierSet {
         self.dead[p.index()] = false;
     }
 
-    /// True if `p` is currently excluded from episode completion.
-    pub fn is_dead(&self, p: ProcId) -> bool {
-        self.dead.get(p.index()).copied().unwrap_or(false)
-    }
-
     /// The *live* processors the current episode of `barrier` is still
     /// waiting for — the failure detector's suspect list when a barrier
     /// wait times out. Empty for an out-of-range barrier (the waiter's
@@ -346,7 +331,7 @@ mod tests {
             b.arrive(p(2), id).unwrap(),
             BarrierArrival::Complete { episode: 0 }
         );
-        assert_eq!(b.episodes_completed(id), Some(1));
+        assert_eq!(b.arrive(p(0), id).unwrap().episode(), 1);
     }
 
     #[test]
@@ -382,7 +367,6 @@ mod tests {
         assert_eq!(b.master(BarrierId::new(0)), p(0));
         assert_eq!(b.master(BarrierId::new(1)), p(1));
         assert_eq!(b.master(BarrierId::new(2)), p(0));
-        assert_eq!(b.n_barriers(), 3);
     }
 
     #[test]
@@ -407,10 +391,10 @@ mod tests {
         // p1 dies without arriving: the episode completes on its behalf.
         let completed = b.mark_dead(p(1));
         assert_eq!(completed, vec![(id, 0)]);
-        assert_eq!(b.episodes_completed(id), Some(1));
-        assert!(b.is_dead(p(1)));
+        // The next episode waits for the live processors only.
+        assert_eq!(b.absent(id), vec![p(0), p(2)]);
         // Untouched barriers complete nothing.
-        assert_eq!(b.episodes_completed(BarrierId::new(1)), Some(0));
+        assert_eq!(b.arrive(p(0), BarrierId::new(1)).unwrap().episode(), 0);
         // The next episode needs only the two live processors.
         b.arrive(p(0), id).unwrap();
         assert_eq!(
@@ -438,9 +422,13 @@ mod tests {
     fn marking_dead_with_no_live_arrivals_completes_nothing() {
         let mut b = BarrierSet::new(1, 2);
         assert_eq!(b.mark_dead(p(1)), vec![]);
-        assert_eq!(b.episodes_completed(BarrierId::new(0)), Some(0));
         // A second mark is a no-op.
         assert_eq!(b.mark_dead(p(1)), vec![]);
+        // The episode did not start, so the next arrival opens and closes it.
+        assert_eq!(
+            b.arrive(p(0), BarrierId::new(0)).unwrap(),
+            BarrierArrival::Complete { episode: 0 }
+        );
     }
 
     #[test]
@@ -453,7 +441,7 @@ mod tests {
             BarrierArrival::Complete { episode: 0 }
         );
         b.revive(p(1));
-        assert!(!b.is_dead(p(1)));
+        assert_eq!(b.absent(id), vec![p(0), p(1)]);
         assert_eq!(
             b.arrive(p(0), id).unwrap(),
             BarrierArrival::Waiting {

@@ -17,6 +17,7 @@
 //! threaded runtime share these state machines.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod barrier;
 mod lock;

@@ -120,13 +120,6 @@ pub struct AcquirePath {
     pub grant: Option<(ProcId, ProcId)>,
 }
 
-impl AcquirePath {
-    /// Number of messages on the path (0 to 3).
-    pub fn message_count(&self) -> u64 {
-        self.request.is_some() as u64 + self.forward.is_some() as u64 + self.grant.is_some() as u64
-    }
-}
-
 /// The distributed lock directory.
 ///
 /// Each lock has a static *home* processor (`lock mod n_procs`) that always
@@ -150,7 +143,7 @@ impl AcquirePath {
 ///
 /// // Re-acquiring a lock this processor released last is free.
 /// let path = locks.acquire(p1, l)?;
-/// assert_eq!(path.message_count(), 0);
+/// assert_eq!((path.request, path.forward, path.grant), (None, None, None));
 /// # Ok::<(), lrc_sync::LockError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -182,17 +175,12 @@ impl LockTable {
         }
     }
 
-    /// Number of locks in the table.
-    pub fn n_locks(&self) -> usize {
-        self.holder.len()
-    }
-
     /// The static home of `lock` — the processor that tracks its grantor.
     ///
     /// # Panics
     ///
     /// Panics if `lock` is out of range.
-    pub fn home(&self, lock: LockId) -> ProcId {
+    pub(crate) fn home(&self, lock: LockId) -> ProcId {
         assert!(lock.index() < self.holder.len(), "unknown lock {lock}");
         ProcId::new((lock.index() % self.n_procs) as u16)
     }
@@ -200,11 +188,6 @@ impl LockTable {
     /// Current holder of `lock`, if any.
     pub fn holder(&self, lock: LockId) -> Option<ProcId> {
         self.holder.get(lock.index()).copied().flatten()
-    }
-
-    /// The processor that would grant `lock` right now.
-    pub fn grantor(&self, lock: LockId) -> Option<ProcId> {
-        self.grantor.get(lock.index()).copied()
     }
 
     /// Every lock currently held by `p` (crash recovery: the locks a dead
@@ -337,7 +320,6 @@ mod tests {
         assert_eq!(t.home(LockId::new(1)), p(1));
         assert_eq!(t.home(LockId::new(2)), p(2));
         assert_eq!(t.home(LockId::new(3)), p(0));
-        assert_eq!(t.n_locks(), 5);
     }
 
     #[test]
@@ -349,7 +331,6 @@ mod tests {
         assert_eq!(path.request, Some((p(2), p(0))));
         assert_eq!(path.forward, None);
         assert_eq!(path.grant, Some((p(0), p(2))));
-        assert_eq!(path.message_count(), 2);
         assert_eq!(t.holder(LockId::new(0)), Some(p(2)));
     }
 
@@ -365,7 +346,6 @@ mod tests {
         assert_eq!(path.request, Some((p(2), p(0))));
         assert_eq!(path.forward, Some((p(0), p(1))));
         assert_eq!(path.grant, Some((p(1), p(2))));
-        assert_eq!(path.message_count(), 3);
     }
 
     #[test]
@@ -376,7 +356,6 @@ mod tests {
         t.release(p(1), l).unwrap();
         // requester == home = p0, grantor = p1: forward + grant.
         let path = t.acquire(p(0), l).unwrap();
-        assert_eq!(path.message_count(), 2);
         assert_eq!(path.request, None);
         assert_eq!(path.forward, Some((p(0), p(1))));
         assert_eq!(path.grant, Some((p(1), p(0))));
@@ -389,7 +368,7 @@ mod tests {
         t.acquire(p(3), l).unwrap();
         t.release(p(3), l).unwrap();
         let path = t.acquire(p(3), l).unwrap();
-        assert_eq!(path.message_count(), 0);
+        assert_eq!((path.request, path.forward, path.grant), (None, None, None));
         assert_eq!(path.grantor, p(3));
     }
 
@@ -435,7 +414,7 @@ mod tests {
         );
         assert!(t.release(p(1), l).is_ok());
         assert_eq!(t.holder(l), None);
-        assert_eq!(t.grantor(l), Some(p(1)));
+        assert_eq!(t.acquire(p(0), l).unwrap().grantor, p(1));
     }
 
     #[test]
@@ -499,7 +478,8 @@ mod tests {
         for round in 0..6 {
             let requester = p(2 + (round % 2) as u16); // p2, p3 alternating
             let path = t.acquire(requester, l).unwrap();
-            assert_eq!(path.message_count(), 3, "round {round}");
+            let hops = [path.request, path.forward, path.grant];
+            assert!(hops.iter().all(Option::is_some), "round {round}");
             t.release(requester, l).unwrap();
         }
     }

@@ -32,26 +32,6 @@ pub enum Op {
     Barrier(BarrierId),
 }
 
-impl Op {
-    /// True for reads and writes.
-    pub fn is_ordinary(&self) -> bool {
-        matches!(self, Op::Read { .. } | Op::Write { .. })
-    }
-
-    /// True for acquire/release/barrier.
-    pub fn is_special(&self) -> bool {
-        !self.is_ordinary()
-    }
-
-    /// The accessed byte range, for ordinary accesses.
-    pub fn access_range(&self) -> Option<(u64, u32)> {
-        match *self {
-            Op::Read { addr, len } | Op::Write { addr, len } => Some((addr, len)),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -89,21 +69,6 @@ impl fmt::Display for Event {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classification() {
-        assert!(Op::Read { addr: 0, len: 4 }.is_ordinary());
-        assert!(Op::Write { addr: 0, len: 4 }.is_ordinary());
-        assert!(Op::Acquire(LockId::new(0)).is_special());
-        assert!(Op::Release(LockId::new(0)).is_special());
-        assert!(Op::Barrier(BarrierId::new(0)).is_special());
-    }
-
-    #[test]
-    fn access_range_only_for_ordinary() {
-        assert_eq!(Op::Write { addr: 16, len: 8 }.access_range(), Some((16, 8)));
-        assert_eq!(Op::Acquire(LockId::new(1)).access_range(), None);
-    }
 
     #[test]
     fn display_is_compact() {

@@ -42,6 +42,7 @@
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod codec;
 mod event;
@@ -52,8 +53,9 @@ mod trace;
 mod validate;
 
 pub use event::{Event, Op};
-pub use program::{interleave, Program, ScheduleError};
+pub use program::{interleave, Program};
 pub use race::{check_labeling, Race, RaceAccess};
 pub use stats::TraceStats;
 pub use trace::{Trace, TraceBuilder, TraceMeta};
-pub use validate::{validate, TraceError, MAX_ACCESS_LEN};
+pub use validate::validate;
+pub use validate::TraceError;

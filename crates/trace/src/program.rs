@@ -53,23 +53,18 @@ impl Program {
     }
 
     /// The owning processor.
-    pub fn proc(&self) -> ProcId {
+    pub(crate) fn proc(&self) -> ProcId {
         self.proc
     }
 
     /// Operations in program order.
-    pub fn ops(&self) -> &[Op] {
+    pub(crate) fn ops(&self) -> &[Op] {
         &self.ops
     }
 
     /// Number of operations.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ops.len()
-    }
-
-    /// True if the program has no operations.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
     }
 
     /// Appends a read.
@@ -101,17 +96,11 @@ impl Program {
         self.ops.push(Op::Barrier(barrier));
         self
     }
-
-    /// Appends an arbitrary operation.
-    pub fn push(&mut self, op: Op) -> &mut Self {
-        self.ops.push(op);
-        self
-    }
 }
 
 /// Why a set of programs cannot be scheduled.
 #[derive(Debug, PartialEq, Eq)]
-pub enum ScheduleError {
+pub(crate) enum ScheduleError {
     /// Two programs claim the same processor, or a processor is outside
     /// the metadata's range.
     BadPrograms(String),
@@ -311,7 +300,6 @@ mod tests {
             .release(LockId::new(0));
         assert_eq!(prog.proc(), p(1));
         assert_eq!(prog.len(), 4);
-        assert!(!prog.is_empty());
         assert!(matches!(prog.ops()[0], Op::Read { .. }));
     }
 

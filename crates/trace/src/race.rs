@@ -24,7 +24,7 @@ use crate::{Op, Trace};
 /// when they touch the same word and at least one writes. Running the
 /// detector at word rather than byte granularity matches how the SPLASH
 /// programs share data (word-aligned scalars) and keeps state compact.
-pub const RACE_WORD_BYTES: u64 = 4;
+pub(crate) const RACE_WORD_BYTES: u64 = 4;
 
 /// One side of a detected race.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -126,7 +126,7 @@ impl Trace {
     }
 
     /// Iterates over the events.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Event> {
         self.events.iter()
     }
 }
@@ -153,8 +153,7 @@ impl fmt::Display for Trace {
 ///
 /// let mut b = TraceBuilder::new(TraceMeta::new("t", 2, 0, 1, 1024));
 /// b.write(ProcId::new(0), 0, 8)?;
-/// b.barrier(ProcId::new(0), BarrierId::new(0))?;
-/// b.barrier(ProcId::new(1), BarrierId::new(0))?; // episode completes
+/// b.barrier_all(BarrierId::new(0))?; // every processor arrives
 /// b.read(ProcId::new(1), 0, 8)?;
 /// let trace = b.finish()?;
 /// assert_eq!(trace.len(), 4);
@@ -184,7 +183,7 @@ impl TraceBuilder {
     ///
     /// Returns a [`TraceError`] if the event would make the trace illegal;
     /// the builder is unchanged in that case.
-    pub fn push(&mut self, event: Event) -> Result<(), TraceError> {
+    pub(crate) fn push(&mut self, event: Event) -> Result<(), TraceError> {
         self.legality.admit(self.events.len(), &event)?;
         self.events.push(event);
         Ok(())
@@ -194,7 +193,8 @@ impl TraceBuilder {
     ///
     /// # Errors
     ///
-    /// See [`TraceBuilder::push`].
+    /// Returns a [`TraceError`] if the event would make the trace illegal;
+    /// the builder is unchanged in that case.
     pub fn read(&mut self, p: ProcId, addr: u64, len: u32) -> Result<(), TraceError> {
         self.push(Event::new(p, Op::Read { addr, len }))
     }
@@ -203,7 +203,8 @@ impl TraceBuilder {
     ///
     /// # Errors
     ///
-    /// See [`TraceBuilder::push`].
+    /// Returns a [`TraceError`] if the event would make the trace illegal;
+    /// the builder is unchanged in that case.
     pub fn write(&mut self, p: ProcId, addr: u64, len: u32) -> Result<(), TraceError> {
         self.push(Event::new(p, Op::Write { addr, len }))
     }
@@ -212,7 +213,8 @@ impl TraceBuilder {
     ///
     /// # Errors
     ///
-    /// See [`TraceBuilder::push`].
+    /// Returns a [`TraceError`] if the event would make the trace illegal;
+    /// the builder is unchanged in that case.
     pub fn acquire(&mut self, p: ProcId, lock: LockId) -> Result<(), TraceError> {
         self.push(Event::new(p, Op::Acquire(lock)))
     }
@@ -221,7 +223,8 @@ impl TraceBuilder {
     ///
     /// # Errors
     ///
-    /// See [`TraceBuilder::push`].
+    /// Returns a [`TraceError`] if the event would make the trace illegal;
+    /// the builder is unchanged in that case.
     pub fn release(&mut self, p: ProcId, lock: LockId) -> Result<(), TraceError> {
         self.push(Event::new(p, Op::Release(lock)))
     }
@@ -230,8 +233,9 @@ impl TraceBuilder {
     ///
     /// # Errors
     ///
-    /// See [`TraceBuilder::push`].
-    pub fn barrier(&mut self, p: ProcId, barrier: BarrierId) -> Result<(), TraceError> {
+    /// Returns a [`TraceError`] if the event would make the trace illegal;
+    /// the builder is unchanged in that case.
+    pub(crate) fn barrier(&mut self, p: ProcId, barrier: BarrierId) -> Result<(), TraceError> {
         self.push(Event::new(p, Op::Barrier(barrier)))
     }
 
@@ -240,22 +244,13 @@ impl TraceBuilder {
     ///
     /// # Errors
     ///
-    /// See [`TraceBuilder::push`].
+    /// Returns a [`TraceError`] if the event would make the trace illegal;
+    /// the builder is unchanged in that case.
     pub fn barrier_all(&mut self, barrier: BarrierId) -> Result<(), TraceError> {
         for p in ProcId::all(self.meta.n_procs()) {
             self.barrier(p, barrier)?;
         }
         Ok(())
-    }
-
-    /// Events appended so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Finishes the trace.
@@ -301,12 +296,12 @@ mod tests {
         // Acquire by p0, then p1 tries to acquire the same lock.
         b.acquire(p(0), LockId::new(0)).unwrap();
         assert!(b.acquire(p(1), LockId::new(0)).is_err());
-        assert_eq!(b.len(), 1, "failed append must not modify the trace");
         // The builder still works.
         b.release(p(0), LockId::new(0)).unwrap();
         b.acquire(p(1), LockId::new(0)).unwrap();
         b.release(p(1), LockId::new(0)).unwrap();
-        assert!(b.finish().is_ok());
+        let t = b.finish().unwrap();
+        assert_eq!(t.len(), 4, "failed append must not modify the trace");
     }
 
     #[test]

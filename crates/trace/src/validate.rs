@@ -8,7 +8,7 @@ use crate::{Event, Op, Trace, TraceMeta};
 
 /// Maximum length of a single ordinary access, in bytes. Large block moves
 /// must be expressed as multiple events (as a real trace would record them).
-pub const MAX_ACCESS_LEN: u32 = 4096;
+pub(crate) const MAX_ACCESS_LEN: u32 = 4096;
 
 /// Why a trace (or an appended event) is illegal.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -35,7 +35,7 @@ pub enum TraceError {
         barrier: BarrierId,
     },
     /// An ordinary access outside the shared space, zero-length, or longer
-    /// than [`MAX_ACCESS_LEN`].
+    /// than 4096 bytes.
     BadAccess {
         /// Index of the offending event.
         at: usize,
@@ -65,21 +65,6 @@ pub enum TraceError {
         /// Human-readable explanation.
         detail: String,
     },
-}
-
-impl TraceError {
-    /// Index of the offending event, if the error is positional.
-    pub fn at(&self) -> Option<usize> {
-        match self {
-            TraceError::UnknownProc { at, .. }
-            | TraceError::UnknownLock { at, .. }
-            | TraceError::UnknownBarrier { at, .. }
-            | TraceError::BadAccess { at, .. }
-            | TraceError::LockDiscipline { at, .. }
-            | TraceError::ActiveWhileBlocked { at, .. } => Some(*at),
-            TraceError::DanglingSync { .. } => None,
-        }
-    }
 }
 
 impl fmt::Display for TraceError {
@@ -365,6 +350,5 @@ mod tests {
     fn errors_render() {
         let err = trace(vec![Event::new(p(0), Op::Read { addr: 999, len: 4 })]).unwrap_err();
         assert_eq!(err.to_string(), "event 0: bad access [0x3e7, +4)");
-        assert_eq!(err.at(), Some(0));
     }
 }

@@ -51,13 +51,8 @@ impl VectorClock {
     }
 
     /// Number of processors this clock covers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True if the clock covers no processors.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Returns the interval index recorded for processor `p`.

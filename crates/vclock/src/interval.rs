@@ -130,17 +130,6 @@ impl StampedInterval {
     }
 }
 
-/// Sorts stamped intervals into a linear extension of happened-before-1:
-/// if `a` happened before `b`, `a` is placed earlier. Concurrent intervals
-/// are ordered deterministically by `(clock weight, proc, seq)`.
-///
-/// This is the order in which diffs must be applied to a page (paper,
-/// §4.3.3: "the happened-before-1 partial order specifies the order in which
-/// the diffs need to be applied").
-pub fn linearize(intervals: &mut [StampedInterval]) {
-    intervals.sort_by_key(|iv| (iv.clock().weight(), iv.id().proc(), iv.id().seq()));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,21 +186,6 @@ mod tests {
     fn stamp_must_carry_own_seq() {
         let vc = VectorClock::new(2);
         StampedInterval::new(IntervalId::new(p(0), 3), vc);
-    }
-
-    #[test]
-    fn linearize_respects_happened_before() {
-        let a = stamp(0, 1, &[]); // earliest
-        let b = stamp(1, 1, &[(0, 1)]); // after a
-        let c = stamp(2, 1, &[]); // concurrent with both
-        let mut v = vec![b.clone(), c.clone(), a.clone()];
-        linearize(&mut v);
-        let pos = |x: &StampedInterval| v.iter().position(|y| y.id() == x.id()).unwrap();
-        assert!(pos(&a) < pos(&b), "a must precede b");
-        // Deterministic output regardless of input order.
-        let mut v2 = vec![c, a, b];
-        linearize(&mut v2);
-        assert_eq!(v, v2);
     }
 
     #[test]

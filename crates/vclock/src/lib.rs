@@ -33,11 +33,12 @@
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod clock;
 mod interval;
 mod proc_id;
 
 pub use clock::{CausalOrd, VectorClock};
-pub use interval::{linearize, IntervalId, StampedInterval};
+pub use interval::{IntervalId, StampedInterval};
 pub use proc_id::ProcId;

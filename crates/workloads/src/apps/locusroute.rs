@@ -93,7 +93,10 @@ mod tests {
         let a = generate(&Scale::small(4));
         let b = generate(&Scale::small(4));
         assert_eq!(a, b);
-        let c = generate(&Scale::small(4).with_seed(5));
+        let c = generate(&Scale {
+            seed: 5,
+            ..Scale::small(4)
+        });
         assert_ne!(a, c);
     }
 

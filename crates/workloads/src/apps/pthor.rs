@@ -138,7 +138,10 @@ mod tests {
 
     #[test]
     fn lock_heavy_rare_barriers() {
-        let trace = generate(&Scale::small(4).with_units(200));
+        let trace = generate(&Scale {
+            units: 200,
+            ..Scale::small(4)
+        });
         let stats = TraceStats::compute(&trace);
         assert!(stats.acquires >= 3 * 200, "several locks per task");
         let episodes = stats.barrier_episodes(4);

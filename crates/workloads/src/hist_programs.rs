@@ -32,7 +32,7 @@ use lrc_vclock::ProcId;
 use crate::Pcg32;
 
 /// Words (8 bytes each) per private region and per lock region.
-pub const REGION_WORDS: u64 = 16;
+pub(crate) const REGION_WORDS: u64 = 16;
 
 /// One race-free-by-construction command of one processor.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -167,17 +167,17 @@ impl ThreadProgram {
     }
 
     /// Byte address of word `w` of processor `p`'s private region.
-    pub fn private_word(&self, p: usize, w: u64) -> u64 {
+    pub(crate) fn private_word(&self, p: usize, w: u64) -> u64 {
         (p as u64 * REGION_WORDS + w) * 8
     }
 
     /// Byte address of word `w` of lock `l`'s region.
-    pub fn lock_word(&self, l: u32, w: u64) -> u64 {
+    pub(crate) fn lock_word(&self, l: u32, w: u64) -> u64 {
         ((self.n_procs as u64 + l as u64) * REGION_WORDS + w) * 8
     }
 
     /// Byte address of processor `q`'s slot in exchange bank `bank`.
-    pub fn bank_word(&self, bank: u64, q: usize) -> u64 {
+    pub(crate) fn bank_word(&self, bank: u64, q: usize) -> u64 {
         (((self.n_procs + self.n_locks) as u64 * REGION_WORDS)
             + bank * self.n_procs as u64
             + q as u64)

@@ -41,9 +41,10 @@
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod apps;
-pub mod hist_programs;
+pub(crate) mod hist_programs;
 pub mod micro;
 mod rng;
 mod scale;

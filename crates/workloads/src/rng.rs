@@ -12,7 +12,7 @@
 ///
 /// let mut a = Pcg32::seed(42);
 /// let mut b = Pcg32::seed(42);
-/// assert_eq!(a.next_u32(), b.next_u32());
+/// assert_eq!(a.below(1000), b.below(1000));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Pcg32 {
@@ -35,17 +35,12 @@ impl Pcg32 {
     }
 
     /// Next 32 uniform bits.
-    pub fn next_u32(&mut self) -> u32 {
+    pub(crate) fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
         let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
         let rot = (old >> 59) as u32;
         xorshifted.rotate_right(rot)
-    }
-
-    /// Next 64 uniform bits.
-    pub fn next_u64(&mut self) -> u64 {
-        (self.next_u32() as u64) << 32 | self.next_u32() as u64
     }
 
     /// Uniform value in `[0, bound)` (Lemire-style rejection is overkill
@@ -89,7 +84,7 @@ mod tests {
         let mut a = Pcg32::seed(7);
         let mut b = Pcg32::seed(7);
         for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
+            assert_eq!(a.next_u32(), b.next_u32());
         }
     }
 

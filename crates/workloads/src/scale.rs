@@ -10,8 +10,8 @@
 ///
 /// let paper = Scale::paper();
 /// assert_eq!(paper.procs, 16);
-/// let tiny = Scale::small(4).with_seed(7);
-/// assert_eq!(tiny.seed, 7);
+/// let tiny = Scale { seed: 7, ..Scale::small(4) };
+/// assert_eq!((tiny.procs, tiny.seed), (4, 7));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Scale {
@@ -43,24 +43,6 @@ impl Scale {
             seed: 1992,
         }
     }
-
-    /// Replaces the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the unit count.
-    pub fn with_units(mut self, units: usize) -> Self {
-        self.units = units;
-        self
-    }
-
-    /// Replaces the processor count.
-    pub fn with_procs(mut self, procs: usize) -> Self {
-        self.procs = procs;
-        self
-    }
 }
 
 impl Default for Scale {
@@ -74,16 +56,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builders_replace_fields() {
-        let s = Scale::paper().with_procs(8).with_units(10).with_seed(3);
-        assert_eq!(
-            s,
-            Scale {
-                procs: 8,
-                units: 10,
-                seed: 3
-            }
-        );
+    fn default_is_the_paper_scale() {
         assert_eq!(Scale::default(), Scale::paper());
     }
 }

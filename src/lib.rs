@@ -39,6 +39,7 @@
 //! `examples/` directory.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub use lrc_core as core;
 pub use lrc_dsm as dsm;

@@ -203,7 +203,7 @@ fn resumable_hello_revives_a_processor_declared_dead_while_severed() {
 }
 
 /// The deterministic variant: a scripted sever window
-/// ([`lrc::net::FaultRule::SeverThenHeal`]) on the spoke's send side, no
+/// ([`lrc::net::FaultPlan::sever_then_heal`]) on the spoke's send side, no
 /// sockets. Every lock-guarded increment lands exactly once even though
 /// some requests burned failed attempts inside the window.
 #[test]
