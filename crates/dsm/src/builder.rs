@@ -92,9 +92,13 @@ impl DsmBuilder {
     }
 
     /// Bounds every blocking wait (lock hand-offs, barrier episodes) by
-    /// `timeout`. A wait that exceeds the deadline panics with a
-    /// stuck-waiter report — what a test suite wants from a lost wake-up
-    /// instead of a silent CI hang. Default: wait forever.
+    /// `timeout`. A wait that sees no progress for `timeout` panics with
+    /// a stuck-waiter report — what a test suite wants from a lost
+    /// wake-up instead of a silent CI hang. Default: wait forever.
+    ///
+    /// Composes with [`DsmBuilder::holder_timeout`]: a waiter suspects
+    /// after every `holder_timeout` without progress and panics after
+    /// `wait_timeout` without progress, whichever options are set.
     pub fn wait_timeout(mut self, timeout: Duration) -> Self {
         self.wait_timeout = Some(timeout);
         self
@@ -102,7 +106,8 @@ impl DsmBuilder {
 
     /// Arms the failure detector: a processor blocked *waiting* for longer
     /// than `timeout` presumes the processor it waits on has crashed and
-    /// declares it dead ([`Dsm::declare_dead`]). A lock waiter suspects
+    /// declares it dead ([`Dsm::declare_dead`]), and suspects again after
+    /// every further `timeout` without progress. A lock waiter suspects
     /// the holder (its open interval is flushed, its locks force-released)
     /// and retries the acquire; a barrier waiter suspects every live
     /// processor yet to arrive, completing the episode on their behalf.
@@ -111,7 +116,9 @@ impl DsmBuilder {
     /// suspect.
     ///
     /// Distinct from [`DsmBuilder::wait_timeout`], which *panics* on a
-    /// stuck wait — this one recovers.
+    /// stuck wait — this one recovers. With both set, suspicion runs
+    /// every `holder_timeout` until `wait_timeout` passes without
+    /// progress, and then the wait panics.
     pub fn holder_timeout(mut self, timeout: Duration) -> Self {
         self.holder_timeout = Some(timeout);
         self

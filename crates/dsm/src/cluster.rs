@@ -1,13 +1,13 @@
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lrc_core::{CheckpointError, DeathReport, EngineCheckpoint, LrcEngine};
 use lrc_hist::HistoryRecorder;
 use lrc_sim::{AnyEngine, ProtocolKind};
 use lrc_simnet::NetStats;
-use lrc_sync::{BarrierError, BarrierId, LockError, LockId};
+use lrc_sync::{BarrierError, LockError};
 use lrc_vclock::ProcId;
 use parking_lot::lockdep::classes;
 
@@ -71,45 +71,70 @@ impl From<BarrierError> for DsmError {
     }
 }
 
-/// One lock's wait queue: a release generation plus the condvar its
-/// waiters sleep on. Per-lock queues mean a release wakes only *that*
-/// lock's waiters — under heavy multi-lock contention the old global
-/// generation woke every waiter of every lock on every release.
-pub(crate) struct LockSlot {
-    /// Bumped on every release of this lock; waiters re-try their acquire
-    /// when it moves. Capturing the generation *before* the acquire
-    /// attempt and re-checking it under the mutex closes the lost-wakeup
-    /// window.
-    pub(crate) generation: parking_lot::Mutex<u64>,
-    /// Woken when this lock is released.
-    pub(crate) released: parking_lot::Condvar,
+/// One synchronization object's wait queue: a generation counter plus
+/// the condvar its waiters sleep on. Each lock and each barrier has its
+/// own, so an event wakes only the waiters of *that* object.
+///
+/// A slot advances on a release of its lock, on the closing arrival of
+/// its barrier's episode, and when a death declaration force-releases
+/// the lock or completes the episode. A waiter captures the generation
+/// *before* it calls the engine and parks until the generation moves, so
+/// an event that slips in between the engine call and the park is never
+/// lost.
+pub(crate) struct WaitSlot {
+    generation: parking_lot::Mutex<u64>,
+    moved: parking_lot::Condvar,
+}
+
+impl WaitSlot {
+    fn new() -> WaitSlot {
+        WaitSlot {
+            generation: parking_lot::Mutex::new_in(0, classes::DSM_WAIT_SLOT),
+            moved: parking_lot::Condvar::new(),
+        }
+    }
+
+    /// The current generation.
+    fn generation(&self) -> u64 {
+        *self.generation.lock()
+    }
+
+    /// The slot with its current generation, captured before an engine
+    /// call.
+    pub(crate) fn capture(&self) -> (&WaitSlot, u64) {
+        (self, self.generation())
+    }
+
+    /// Moves the generation on and wakes every waiter.
+    pub(crate) fn advance(&self) {
+        *self.generation.lock() += 1;
+        self.moved.notify_all();
+    }
 }
 
 /// Shared state of the runtime: the (internally synchronized) protocol
-/// engine, plus condition variables for lock hand-off and barrier episodes.
+/// engine, plus a wait queue per lock and per barrier.
 ///
 /// The engine shards its own state per processor, so the runtime adds no
 /// global lock of its own: ordinary reads and writes go straight to the
 /// engine and contend only on the accessed processor's shard. The runtime
-/// keeps just enough state to *block* — a wait queue per lock and an
-/// episode counter per barrier.
+/// keeps just enough state to *block*.
 pub(crate) struct Cluster {
     pub(crate) engine: AnyEngine,
     /// Per-lock wait queues, indexed by lock id.
-    pub(crate) lock_slots: Vec<LockSlot>,
-    /// Woken when a barrier episode completes.
-    pub(crate) barrier_cv: parking_lot::Condvar,
-    /// Completed episodes per barrier, advanced by the closing arrival.
-    pub(crate) episodes: parking_lot::Mutex<Vec<u64>>,
-    pub(crate) n_procs: usize,
+    pub(crate) lock_slots: Vec<WaitSlot>,
+    /// Per-barrier wait queues, indexed by barrier id.
+    pub(crate) barrier_slots: Vec<WaitSlot>,
     /// Deadline for every blocking wait (lock hand-offs and barrier
-    /// episodes). `None` waits forever; tests set a bound so a lost
-    /// wake-up fails with a stuck-waiter report instead of hanging CI.
-    pub(crate) wait_timeout: Option<Duration>,
-    /// Failure-detector deadline: a lock waiter blocked this long
-    /// suspects the holder crashed and declares it dead (lazy engines
-    /// only). `None` disables suspicion.
-    pub(crate) holder_timeout: Option<Duration>,
+    /// episodes), suspicion or not. `None` waits forever; tests set a
+    /// bound so a lost wake-up fails with a stuck-waiter report instead
+    /// of hanging CI.
+    wait_timeout: Option<Duration>,
+    /// Failure-detector period: a waiter blocked this long without
+    /// progress suspects the processors it waits on and declares them
+    /// dead (lazy engines only), then again after every further period.
+    /// `None` disables suspicion.
+    holder_timeout: Option<Duration>,
     /// Serializes concurrent suspicions of the same processor: the engine
     /// panics on a double `declare_dead`, so check-and-declare must be
     /// atomic across waiters.
@@ -136,59 +161,83 @@ impl Cluster {
         )
     }
 
-    /// Declares `p` dead on behalf of a lock waiter that timed out while
-    /// the release generation of `lock` sat at `generation` — unless the
-    /// grievance went stale while the waiter assembled it. Between the
-    /// waiter's timeout and this call the hand-off may have happened (the
-    /// generation moved) or the holder may have changed; declaring on
-    /// stale evidence would kill a healthy processor, so both are
-    /// re-checked under the suspicion lock, atomically with the
-    /// declaration. Returns whether this call declared the death.
-    pub(crate) fn suspect_lock_holder(&self, lock: LockId, generation: u64, p: ProcId) -> bool {
-        let _serialized = self.suspicion.lock();
-        let current = *self.lock_slots[lock.index()].generation.lock();
-        if current != generation || self.engine.core().lock_holder(lock) != Some(p) {
-            return false;
-        }
-        if self.engine.is_dead(p) {
-            return false;
-        }
-        self.declare_dead(p);
-        true
+    /// Number of processors.
+    pub(crate) fn n_procs(&self) -> usize {
+        self.engine.core().params().n_procs
     }
 
-    /// Declares `p` dead on behalf of a barrier waiter stuck on
-    /// `barrier`'s episode `target` — unless that episode completed while
-    /// the waiter assembled its suspicion. A concurrent death declaration
-    /// can complete the stuck episode between the waiter's timeout and
-    /// its absentee scan, in which case the scan describes the *next*
-    /// episode, whose processors are merely not there yet — not dead. The
-    /// episode counter is re-checked under the suspicion lock, atomically
-    /// with the declaration. Returns whether this call declared the
-    /// death.
-    pub(crate) fn suspect_barrier_absentee(
+    /// Blocks until `slot`'s generation moves past `captured`.
+    ///
+    /// After every `holder_timeout` without movement it suspects each
+    /// processor `suspects` names. Once `wait_timeout` passes without
+    /// movement it panics with the stuck-waiter `report`, suspicion or
+    /// not.
+    // Out of line: inlined into `apply`, the wait loop and its stuck-waiter
+    // diagnostics bloat that function's frame and tax every operation the
+    // node runtime dispatches (measured: +9% on the benchmark's `round_us`).
+    #[inline(never)]
+    pub(crate) fn wait_moved(
         &self,
-        barrier: BarrierId,
-        target: u64,
-        p: ProcId,
-    ) -> bool {
+        slot: &WaitSlot,
+        captured: u64,
+        suspects: &dyn Fn() -> Vec<ProcId>,
+        report: &dyn Fn() -> String,
+    ) {
+        let start = Instant::now();
+        let deadline = self.wait_timeout.map(|limit| start + limit);
+        let mut next_suspicion = self.holder_timeout.map(|period| start + period);
+        let mut generation = slot.generation.lock();
+        while *generation == captured {
+            let Some(wake) = deadline.into_iter().chain(next_suspicion).min() else {
+                slot.moved.wait(&mut generation);
+                continue;
+            };
+            let now = Instant::now();
+            if now < wake {
+                slot.moved.wait_for(&mut generation, wake - now);
+                continue;
+            }
+            drop(generation);
+            if deadline.is_some_and(|d| now >= d) {
+                panic!(
+                    "DSM wait deadline exceeded after {:?}: {}",
+                    now - start,
+                    report()
+                );
+            }
+            // Failure-detector path: whoever this waiter waits on has been
+            // silent for a whole period and is presumed crashed. Declaring
+            // it dead force-releases its locks and completes its barrier
+            // episodes, which advances the slot.
+            for p in suspects() {
+                self.suspect(slot, captured, p);
+            }
+            next_suspicion = self.holder_timeout.map(|period| now + period);
+            generation = slot.generation.lock();
+        }
+    }
+
+    /// Declares `p` dead on behalf of a waiter that timed out while
+    /// `slot` sat at generation `captured` — unless the grievance went
+    /// stale while the waiter assembled it. Between the waiter's timeout
+    /// and this call the lock may have been handed off or the episode
+    /// completed (a concurrent death declaration can do either), and the
+    /// waiter's suspect list may describe the lock's next holder or the
+    /// barrier's next episode, whose processors are merely not there yet.
+    /// Declaring on stale evidence would kill a healthy processor, so the
+    /// generation is re-checked under the suspicion lock, atomically with
+    /// the declaration.
+    fn suspect(&self, slot: &WaitSlot, captured: u64, p: ProcId) {
         let _serialized = self.suspicion.lock();
-        if self.episodes.lock()[barrier.index()] >= target {
-            return false;
+        if slot.generation() == captured && !self.engine.is_dead(p) {
+            self.declare_dead(p);
         }
-        if self.engine.is_dead(p) {
-            return false;
-        }
-        self.declare_dead(p);
-        true
     }
 
     /// Declares `p` dead in the engine and propagates the consequences
-    /// into the runtime's blocking layer: every lock the engine
-    /// force-released gets its generation bumped (so its waiters retry
-    /// and win), and every barrier episode completed on `p`'s behalf
-    /// advances the runtime's episode counter (so parked arrivals fall
-    /// through).
+    /// into the runtime's blocking layer: the slot of every lock the
+    /// engine force-released and of every barrier episode it completed on
+    /// `p`'s behalf advances, so their waiters retry or fall through.
     pub(crate) fn declare_dead(&self, p: ProcId) -> DeathReport {
         // Cut *before* the engine processes the death: declaring `p` dead
         // resets its frames, and committed contents only `p` held would
@@ -206,20 +255,10 @@ impl Cluster {
         }
         let report = engine.declare_dead(p);
         for &lock in &report.released {
-            if let Some(slot) = self.lock_slots.get(lock.index()) {
-                *slot.generation.lock() += 1;
-                slot.released.notify_all();
-            }
+            self.lock_slots[lock.index()].advance();
         }
-        if !report.completed_episodes.is_empty() {
-            let mut episodes = self.episodes.lock();
-            for &(barrier, _) in &report.completed_episodes {
-                if let Some(done) = episodes.get_mut(barrier.index()) {
-                    *done += 1;
-                }
-            }
-            drop(episodes);
-            self.barrier_cv.notify_all();
+        for &(barrier, _) in &report.completed_episodes {
+            self.barrier_slots[barrier.index()].advance();
         }
         report
     }
@@ -237,8 +276,6 @@ impl Cluster {
 pub struct Dsm {
     cluster: Arc<Cluster>,
     kind: ProtocolKind,
-    n_locks: usize,
-    n_barriers: usize,
 }
 
 impl Dsm {
@@ -250,32 +287,18 @@ impl Dsm {
         recovery: Option<Arc<crate::recovery::AutoCheckpointer>>,
     ) -> Self {
         let params = engine.core().params();
-        let (n_procs, n_locks, n_barriers) = (params.n_procs, params.n_locks, params.n_barriers);
+        let lock_slots = (0..params.n_locks).map(|_| WaitSlot::new()).collect();
+        let barrier_slots = (0..params.n_barriers).map(|_| WaitSlot::new()).collect();
         let cluster = Arc::new(Cluster {
             engine,
-            lock_slots: (0..n_locks)
-                .map(|l| LockSlot {
-                    generation: parking_lot::Mutex::new_in(
-                        0,
-                        classes::DSM_LOCK_SLOT.with_order(l as u64),
-                    ),
-                    released: parking_lot::Condvar::new(),
-                })
-                .collect(),
-            barrier_cv: parking_lot::Condvar::new(),
-            episodes: parking_lot::Mutex::new_in(vec![0; n_barriers], classes::DSM_EPISODES),
-            n_procs,
+            lock_slots,
+            barrier_slots,
             wait_timeout,
             holder_timeout,
             suspicion: parking_lot::Mutex::new_in((), classes::DSM_SUSPICION),
             recovery,
         });
-        Dsm {
-            cluster,
-            kind,
-            n_locks,
-            n_barriers,
-        }
+        Dsm { cluster, kind }
     }
 
     /// Attaches a history recorder to the underlying engine: every
@@ -302,7 +325,7 @@ impl Dsm {
 
     /// Number of processors.
     pub(crate) fn n_procs(&self) -> usize {
-        self.cluster.n_procs
+        self.cluster.n_procs()
     }
 
     /// The protocol in use.
@@ -316,10 +339,7 @@ impl Dsm {
     ///
     /// Panics if `p` is out of range.
     pub fn handle(&self, p: ProcId) -> ProcHandle {
-        assert!(
-            p.index() < self.cluster.n_procs,
-            "processor {p} out of range"
-        );
+        assert!(p.index() < self.n_procs(), "processor {p} out of range");
         ProcHandle::new(Arc::clone(&self.cluster), p)
     }
 
@@ -338,7 +358,7 @@ impl Dsm {
         F: Fn(&mut ProcHandle) -> Result<(), DsmError> + Send + Sync,
     {
         let results: Vec<Result<(), DsmError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.cluster.n_procs)
+            let handles: Vec<_> = (0..self.n_procs())
                 .map(|i| {
                     let mut proc = self.handle(ProcId::new(i as u16));
                     let body = &body;
@@ -446,10 +466,11 @@ impl Dsm {
 
 impl fmt::Debug for Dsm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let params = self.cluster.engine.core().params();
         write!(
             f,
             "Dsm({} procs, {}, {} locks, {} barriers)",
-            self.cluster.n_procs, self.kind, self.n_locks, self.n_barriers
+            params.n_procs, self.kind, params.n_locks, params.n_barriers
         )
     }
 }

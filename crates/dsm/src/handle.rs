@@ -2,10 +2,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use lrc_core::EngineOp;
-use lrc_sync::{BarrierArrival, BarrierError, BarrierId, LockError, LockId};
+use lrc_sync::{BarrierArrival, BarrierId, LockError, LockId};
 use lrc_vclock::ProcId;
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, WaitSlot};
 use crate::DsmError;
 
 /// One simulated processor of a running [`Dsm`](crate::Dsm).
@@ -74,66 +74,32 @@ impl ProcHandle {
     /// # Errors
     ///
     /// [`DsmError::Lock`] on misuse (unknown lock, double acquire).
-    // Out of line: inlined into `apply`, the wait loop and its stuck-waiter
-    // diagnostics bloat that function's frame and tax every operation the
-    // node runtime dispatches (measured: +9% on the benchmark's `round_us`).
-    #[inline(never)]
     pub fn acquire(&mut self, lock: LockId) -> Result<(), DsmError> {
+        let cluster = &*self.cluster;
         loop {
-            // Capture this lock's release generation *before* trying: if a
-            // release slips in between the failed attempt and the wait
-            // below, the generation has moved and the wait falls through
-            // immediately — no release notification can be lost. Out-of-
-            // range ids skip the capture; the engine reports them.
-            let generation = self
-                .cluster
-                .lock_slots
-                .get(lock.index())
-                .map(|slot| *slot.generation.lock());
-            match self.cluster.engine.acquire(self.proc, lock) {
+            // Captured *before* the attempt: a release that slips in
+            // between the failed attempt and the wait moves the generation,
+            // and the wait falls through at once. Out-of-range ids skip the
+            // capture; the engine reports them.
+            let capture = cluster.lock_slots.get(lock.index()).map(WaitSlot::capture);
+            match cluster.engine.acquire(self.proc, lock) {
                 Ok(()) => return Ok(()),
                 Err(LockError::HeldByOther { .. }) => {
-                    // A contended lock is necessarily in range.
-                    let slot = &self.cluster.lock_slots[lock.index()];
-                    let generation = generation.expect("contended lock is in range");
-                    let mut current = slot.generation.lock();
-                    while *current == generation {
-                        if let Some(suspect_after) = self.cluster.holder_timeout {
-                            // Failure-detector path: a holder silent past
-                            // the deadline is presumed crashed. Declare it
-                            // dead (flushing its interval and force-
-                            // releasing its locks) and retry the acquire.
-                            let result = slot.released.wait_for(&mut current, suspect_after);
-                            if result.timed_out() && *current == generation {
-                                drop(current);
-                                if let Some(holder) = self.cluster.engine.core().lock_holder(lock) {
-                                    if holder != self.proc {
-                                        self.cluster.suspect_lock_holder(lock, generation, holder);
-                                    }
-                                }
-                                break;
-                            }
-                            continue;
-                        }
-                        match self.cluster.wait_timeout {
-                            None => slot.released.wait(&mut current),
-                            Some(limit) => {
-                                let result = slot.released.wait_for(&mut current, limit);
-                                if result.timed_out() && *current == generation {
-                                    panic!(
-                                        "DSM wait deadline exceeded: {} waited {limit:?} \
-                                         for {lock} (held by {}, release generation stuck \
-                                         at {generation}) — lost wake-up or deadlock",
-                                        self.proc,
-                                        match self.cluster.engine.core().lock_holder(lock) {
-                                            Some(holder) => holder.to_string(),
-                                            None => "nobody".to_string(),
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                    }
+                    let (slot, captured) = capture.expect("a contended lock is in range");
+                    let holder = || cluster.engine.core().lock_holder(lock);
+                    cluster.wait_moved(
+                        slot,
+                        captured,
+                        &|| holder().into_iter().filter(|&h| h != self.proc).collect(),
+                        &|| {
+                            format!(
+                                "{} waited for {lock} (held by {}, release generation stuck \
+                                 at {captured}) — lost wake-up or deadlock",
+                                self.proc,
+                                holder().map_or("nobody".to_string(), |h| h.to_string()),
+                            )
+                        },
+                    );
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -150,9 +116,7 @@ impl ProcHandle {
         self.cluster.engine.release(self.proc, lock)?;
         // Wake only this lock's waiters (a successful release implies the
         // id is in range).
-        let slot = &self.cluster.lock_slots[lock.index()];
-        *slot.generation.lock() += 1;
-        slot.released.notify_all();
+        self.cluster.lock_slots[lock.index()].advance();
         Ok(())
     }
 
@@ -204,82 +168,49 @@ impl ProcHandle {
     /// # Errors
     ///
     /// [`DsmError::Barrier`] on misuse (unknown barrier).
-    // Out of line for the same reason as `acquire`.
-    #[inline(never)]
     pub fn barrier(&mut self, barrier: BarrierId) -> Result<(), DsmError> {
-        // Capture the episode we are about to complete. Between this
-        // capture and our arrival the episode cannot complete — it needs
-        // our arrival — so the target is stable.
-        let target = {
-            let episodes = self.cluster.episodes.lock();
-            match episodes.get(barrier.index()) {
-                Some(done) => done + 1,
-                None => return Err(DsmError::Barrier(BarrierError::UnknownBarrier(barrier))),
-            }
-        };
-        match self.cluster.engine.barrier(self.proc, barrier)? {
+        let cluster = &*self.cluster;
+        // No episode of this barrier can complete between the capture and
+        // our own arrival, because the episode needs that arrival. So the
+        // generation moving past the capture means exactly that our
+        // episode completed. Out-of-range ids skip the capture; the engine
+        // reports them.
+        let capture = cluster
+            .barrier_slots
+            .get(barrier.index())
+            .map(WaitSlot::capture);
+        let arrival = cluster.engine.barrier(self.proc, barrier)?;
+        let (slot, captured) = capture.expect("an arrival the engine accepts is in range");
+        match arrival {
             BarrierArrival::Complete { .. } => {
                 // The closing arrival drives the episode-based checkpoint
-                // trigger *before* advancing the runtime counter: every
-                // other processor is still parked below, so the cut is a
-                // consistent synchronization point.
-                if let Some(auto) = self.cluster.recovery.as_ref() {
-                    auto.maybe_cut(self.cluster.lazy());
+                // trigger *before* advancing the slot: every other
+                // processor is still parked, so the cut is a consistent
+                // synchronization point.
+                if let Some(auto) = cluster.recovery.as_ref() {
+                    auto.maybe_cut(cluster.lazy());
                 }
-                let mut episodes = self.cluster.episodes.lock();
-                episodes[barrier.index()] += 1;
-                drop(episodes);
-                self.cluster.barrier_cv.notify_all();
-                Ok(())
+                slot.advance();
             }
-            BarrierArrival::Waiting { .. } => {
-                let mut episodes = self.cluster.episodes.lock();
-                while episodes[barrier.index()] < target {
-                    if let Some(suspect_after) = self.cluster.holder_timeout {
-                        // Failure-detector path, mirroring the lock wait:
-                        // an episode stuck past the deadline means a
-                        // processor died before arriving. Suspect every
-                        // live absentee; declaring one dead completes the
-                        // episode on its behalf and advances the counter
-                        // this loop re-checks. (The episodes lock is
-                        // dropped first — suspicion takes the engine
-                        // hierarchy and re-enters this counter to
-                        // propagate completions.)
-                        let result = self
-                            .cluster
-                            .barrier_cv
-                            .wait_for(&mut episodes, suspect_after);
-                        if result.timed_out() && episodes[barrier.index()] < target {
-                            drop(episodes);
-                            for absent in self.cluster.engine.core().barrier_absentees(barrier) {
-                                if absent != self.proc {
-                                    self.cluster
-                                        .suspect_barrier_absentee(barrier, target, absent);
-                                }
-                            }
-                            episodes = self.cluster.episodes.lock();
-                        }
-                        continue;
-                    }
-                    match self.cluster.wait_timeout {
-                        None => self.cluster.barrier_cv.wait(&mut episodes),
-                        Some(limit) => {
-                            let result = self.cluster.barrier_cv.wait_for(&mut episodes, limit);
-                            if result.timed_out() && episodes[barrier.index()] < target {
-                                panic!(
-                                    "DSM wait deadline exceeded: {} waited {limit:?} at \
-                                     {barrier} for episode {target} (completed: {}) — a \
-                                     processor never arrived, or its wake-up was lost",
-                                    self.proc,
-                                    episodes[barrier.index()],
-                                );
-                            }
-                        }
-                    }
-                }
-                Ok(())
+            BarrierArrival::Waiting { episode, .. } => {
+                cluster.wait_moved(
+                    slot,
+                    captured,
+                    &|| {
+                        let absent = cluster.engine.core().barrier_absentees(barrier);
+                        absent.into_iter().filter(|&p| p != self.proc).collect()
+                    },
+                    &|| {
+                        format!(
+                            "{} waited at {barrier} in episode {episode} — a processor \
+                             never arrived, or its wake-up was lost",
+                            self.proc,
+                        )
+                    },
+                );
             }
         }
+        Ok(())
     }
 }
 

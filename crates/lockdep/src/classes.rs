@@ -17,12 +17,13 @@ use crate::Class;
 /// Serializes concurrent failure-detector suspicions; held across
 /// `declare_dead`, which takes the whole engine hierarchy below it.
 pub const DSM_SUSPICION: Class = Class::new("dsm.suspicion", 10);
-/// A lock's wait-queue generation counter. Held across the condvar wait
-/// for a hand-off and, on the stuck-waiter diagnostic path, while reading
-/// the lock table — so it sits below every engine class.
-pub const DSM_LOCK_SLOT: Class = Class::new("dsm.lock_slot", 15);
-/// The barrier episode counters (runtime parking).
-pub const DSM_EPISODES: Class = Class::new("dsm.episodes", 16);
+/// A lock's or barrier's wait-slot generation counter (runtime parking).
+/// Held only to read or advance the counter and across the condvar wait
+/// itself; waiters drop it before they suspect or report, and no path
+/// holds two slots at once, so the class has no order key. It sits below
+/// the suspicion lock, which a suspicion holds while it re-checks the
+/// generation and while `declare_dead` advances slots.
+pub const DSM_WAIT_SLOT: Class = Class::new("dsm.wait_slot", 15);
 /// The automatic checkpointer's newest cut (its episode and encoded
 /// bytes). Held across `checkpoint()` (the engine hierarchy below), so it
 /// sits above the engine classes.
@@ -82,10 +83,9 @@ pub const SIMNET_TRACE: Class = Class::new("simnet.trace", 95);
 pub const NET_HEAL: Class = Class::new("net.heal", 79);
 /// A node client's pending-reply table.
 pub const NET_PENDING: Class = Class::new("net.pending", 80);
-/// Fault-injection decision state (advanced per attempted send).
+/// Fault-injection decision state (advanced per attempted send) and its
+/// dropped-frame count.
 pub const NET_FAULT_STATE: Class = Class::new("net.fault_state", 82);
-/// Fault-injection dropped-frame counter.
-pub const NET_FAULT_DROPPED: Class = Class::new("net.fault_dropped", 83);
 /// A TCP endpoint's per-peer send-queue map.
 pub const NET_PEERS: Class = Class::new("net.peers", 85);
 /// A transport endpoint's incoming-frame queue (channel and TCP); held

@@ -110,7 +110,7 @@ impl FaultPlan {
 }
 
 /// Mutable fault-decision state, advanced on every send.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct FaultState {
     /// Total sends attempted (1-based after increment).
     sends: u64,
@@ -120,6 +120,8 @@ struct FaultState {
     /// [`FaultRule::SeverThenHeal`], whose window must not stretch when
     /// the caller retries into the cut).
     attempted_to: Vec<u64>,
+    /// Frames silently discarded so far.
+    dropped: u64,
 }
 
 /// The outcome of consulting the plan for one send.
@@ -142,7 +144,6 @@ pub struct FaultyTransport<T> {
     plan: FaultPlan,
     state: Mutex<FaultState>,
     killed: AtomicBool,
-    dropped: Mutex<u64>,
 }
 
 impl<T: Transport> FaultyTransport<T> {
@@ -151,16 +152,8 @@ impl<T: Transport> FaultyTransport<T> {
         FaultyTransport {
             inner,
             plan,
-            state: Mutex::new_in(
-                FaultState {
-                    sends: 0,
-                    sends_by_kind: [0; WireKind::COUNT],
-                    attempted_to: Vec::new(),
-                },
-                classes::NET_FAULT_STATE,
-            ),
+            state: Mutex::new_in(FaultState::default(), classes::NET_FAULT_STATE),
             killed: AtomicBool::new(false),
-            dropped: Mutex::new_in(0, classes::NET_FAULT_DROPPED),
         }
     }
 
@@ -176,11 +169,12 @@ impl<T: Transport> FaultyTransport<T> {
 
     /// Frames silently discarded so far.
     pub fn dropped(&self) -> u64 {
-        *self.dropped.lock()
+        self.state.lock().dropped
     }
 
     /// Advances the counters for one send and decides its fate. The most
-    /// severe applicable verdict wins: kill > sever > drop.
+    /// severe applicable verdict wins: kill > sever > drop. A drop is
+    /// counted here, under the same lock.
     fn consult(&self, kind: WireKind, dst: NodeId) -> Verdict {
         let mut st = self.state.lock();
         st.sends += 1;
@@ -213,6 +207,9 @@ impl<T: Transport> FaultyTransport<T> {
                 _ => {}
             }
         }
+        if matches!(verdict, Verdict::Drop) {
+            st.dropped += 1;
+        }
         verdict
     }
 }
@@ -228,10 +225,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         }
         match self.consult(msg.kind(), dst) {
             Verdict::Deliver => self.inner.send(msg, dst, seq),
-            Verdict::Drop => {
-                *self.dropped.lock() += 1;
-                Ok(())
-            }
+            Verdict::Drop => Ok(()),
             Verdict::Sever => Err(NetError::Closed),
             Verdict::Kill => {
                 self.killed.store(true, Ordering::Release);

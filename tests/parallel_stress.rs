@@ -10,9 +10,10 @@
 //! the test with a stuck-waiter report (processor, lock/barrier, current
 //! holder or episode) instead of hanging CI until the harness timeout.
 
+use std::sync::mpsc;
 use std::time::Duration;
 
-use lrc::dsm::DsmBuilder;
+use lrc::dsm::{DsmBuilder, DsmError};
 use lrc::sim::ProtocolKind;
 use lrc::sync::{BarrierId, LockId};
 use lrc::vclock::ProcId;
@@ -224,38 +225,73 @@ fn mixed_fast_and_slow_paths_stay_consistent() {
     reader.release(lock).unwrap();
 }
 
-/// The deadline machinery itself: a genuinely stuck waiter (the holder
-/// never releases) must fail within the bound, and the panic message must
-/// name the waiter, the lock, and the current holder — the stuck-waiter
-/// report this suite relies on instead of hanging.
-#[test]
-fn exceeded_deadline_reports_the_stuck_waiter() {
-    let dsm = DsmBuilder::new(ProtocolKind::LazyInvalidate, 2, 1 << 14)
-        .page_size(512)
-        .wait_timeout(Duration::from_millis(100))
-        .build()
-        .unwrap();
-    let lock = LockId::new(1);
-    let mut holder = dsm.handle(ProcId::new(0));
-    holder.acquire(lock).unwrap(); // never released
-    let waiter_dsm = dsm.clone();
-    let waiter = std::thread::spawn(move || {
-        let mut waiter = waiter_dsm.handle(ProcId::new(1));
-        waiter.acquire(lock)
+/// Runs `wait` on its own thread and returns the message it panics with.
+/// The panic must come within 30 s: the result is relayed over a channel
+/// so that a waiter that never gives up fails the test instead of hanging
+/// it.
+fn stuck_waiter_report(wait: impl FnOnce() -> Result<(), DsmError> + Send + 'static) -> String {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(std::thread::spawn(wait).join());
     });
-    let panic = waiter
-        .join()
-        .expect_err("the waiter must panic, not acquire or hang");
-    let message = panic
+    let panic = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the waiter must hit its deadline within 30 s, not hang")
+        .expect_err("the waiter must panic, not return");
+    panic
         .downcast_ref::<String>()
         .cloned()
-        .unwrap_or_else(|| "<non-string panic>".to_string());
+        .unwrap_or_else(|| "<non-string panic>".to_string())
+}
+
+/// The deadline machinery itself: a genuinely stuck waiter (the holder
+/// never releases, a processor never arrives) must fail within the bound,
+/// and the panic message must name the waiter and what it waits for — the
+/// stuck-waiter report this suite relies on instead of hanging. The
+/// deadline holds under suspicion too: a failure-detector period far
+/// longer than the deadline must not postpone it.
+#[test]
+fn exceeded_deadline_reports_the_stuck_waiter() {
+    let deadline = Duration::from_millis(100);
+    let lock = LockId::new(1);
+    let builders = [
+        DsmBuilder::new(ProtocolKind::LazyInvalidate, 2, 1 << 14).wait_timeout(deadline),
+        DsmBuilder::new(ProtocolKind::LazyInvalidate, 2, 1 << 14)
+            .wait_timeout(deadline)
+            .holder_timeout(Duration::from_secs(3600)),
+    ];
+    for builder in builders {
+        let dsm = builder.page_size(512).build().unwrap();
+        let mut holder = dsm.handle(ProcId::new(0));
+        holder.acquire(lock).unwrap(); // never released
+        let mut waiter = dsm.handle(ProcId::new(1));
+        let message = stuck_waiter_report(move || waiter.acquire(lock));
+        assert!(message.contains("deadline exceeded"), "{message}");
+        assert!(message.contains("p1"), "names the waiter: {message}");
+        assert!(message.contains("lk1"), "names the lock: {message}");
+        assert!(
+            message.contains("held by p0"),
+            "names the holder: {message}"
+        );
+        holder.release(lock).unwrap();
+    }
+
+    // A barrier waiter: one episode completes, then p0 never arrives for
+    // the second.
+    let barrier = BarrierId::new(1);
+    let dsm = DsmBuilder::new(ProtocolKind::LazyInvalidate, 2, 1 << 14)
+        .page_size(512)
+        .wait_timeout(deadline)
+        .build()
+        .unwrap();
+    dsm.parallel(|p| p.barrier(barrier)).unwrap();
+    let mut waiter = dsm.handle(ProcId::new(1));
+    let message = stuck_waiter_report(move || waiter.barrier(barrier));
     assert!(message.contains("deadline exceeded"), "{message}");
     assert!(message.contains("p1"), "names the waiter: {message}");
-    assert!(message.contains("lk1"), "names the lock: {message}");
+    assert!(message.contains("br1"), "names the barrier: {message}");
     assert!(
-        message.contains("held by p0"),
-        "names the holder: {message}"
+        message.contains("episode 1"),
+        "names the episode: {message}"
     );
-    holder.release(lock).unwrap();
 }
