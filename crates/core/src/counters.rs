@@ -1,24 +1,28 @@
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Declares the counter list once: the engine's relaxed-atomic cells
+use lrc_simnet::Tally;
+
+/// Declares the counter list once: the engine's live cells
 /// ([`CounterCells`]), the plain `Copy` snapshot ([`EngineCounters`]), and
 /// the aggregation between them.
 macro_rules! counters {
     ($($(#[$doc:meta])* $name:ident,)*) => {
-        /// The engine's internal, thread-safe mirror of [`EngineCounters`]:
-        /// one relaxed atomic per event class, so concurrently running
-        /// processors never contend on a statistics lock.
+        /// The engine's internal mirror of [`EngineCounters`]: one
+        /// [`Tally`] cell per event class, of the engine's
+        /// [`Sharing`](crate::Sharing) family — a relaxed atomic in a
+        /// threaded engine, so concurrently running processors never
+        /// contend on a statistics lock, a plain `Cell` in a
+        /// single-threaded one.
         #[derive(Debug, Default)]
-        pub struct CounterCells {
-            $($(#[$doc])* pub $name: AtomicU64,)*
+        pub struct CounterCells<C> {
+            $($(#[$doc])* pub $name: C,)*
         }
 
-        impl CounterCells {
-            /// Aggregates the atomics into a plain snapshot.
+        impl<C: Tally> CounterCells<C> {
+            /// Aggregates the cells into a plain snapshot.
             pub(crate) fn snapshot(&self) -> EngineCounters {
                 EngineCounters {
-                    $($name: self.$name.load(Ordering::Relaxed),)*
+                    $($name: self.$name.get(),)*
                 }
             }
         }
@@ -108,11 +112,11 @@ counters! {
     flushes,
 }
 
-/// Adds `n` to a counter cell (statistics only — relaxed ordering). Adding
+/// Adds `n` to a counter cell (statistics only — no ordering). Adding
 /// nothing touches nothing.
-pub fn bump(counter: &AtomicU64, n: u64) {
+pub fn bump(counter: &impl Tally, n: u64) {
     if n != 0 {
-        counter.fetch_add(n, Ordering::Relaxed);
+        counter.add(n);
     }
 }
 

@@ -12,23 +12,24 @@
 //! ([`LrcEngine::checkpoint`](crate::LrcEngine::checkpoint)).
 
 use std::fmt;
-use std::ops::Deref;
-use std::sync::atomic::AtomicU64;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
 use lrc_hist::HistoryRecorder;
 use lrc_pagemem::{AddrSpace, PageBuf, PageId};
-use lrc_simnet::Fabric;
+use lrc_simnet::{Fabric, Tally};
 use lrc_sync::{
     AcquirePath, BarrierArrival, BarrierError, BarrierId, BarrierSet, LockError, LockId, LockTable,
 };
 use lrc_vclock::ProcId;
 use parking_lot::lockdep::classes;
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::counters::{bump, CounterCells};
-use crate::slowpath::{gate_lock, raise, settle_contention, FetchHook, FetchHookCell, InFlight};
-use crate::{ConfigError, EngineCounters, EngineParams, Frame, Policy};
+use crate::slowpath::{gate_lock, settle_contention, FetchHook, FetchHookCell, InFlight};
+use crate::{ConfigError, EngineCounters, EngineParams, Frame, LockCell, Policy, Sharing};
+
+/// A held gate of family `S`.
+type Gate<'a, S> = <<S as Sharing>::Mutex<()> as LockCell<()>>::Guard<'a>;
 
 /// The state and bookkeeping every protocol engine shares, independent of
 /// the protocol: validated parameters, the lock table and barrier set,
@@ -39,10 +40,17 @@ use crate::{ConfigError, EngineCounters, EngineParams, Frame, Policy};
 ///
 /// # Concurrency
 ///
-/// Every engine method takes `&self`: the engine is internally
-/// synchronized so a threaded runtime can drive all processors
-/// concurrently through one shared engine, while single-threaded trace
-/// replay uses the same API. State is split three ways:
+/// Every engine method takes `&self`, and the engine keeps its shared
+/// state in the cells of its [`Sharing`] family `S`. A
+/// [`Threads`](crate::Threads) engine is internally synchronized, so a
+/// threaded runtime drives all processors concurrently through one
+/// shared engine; a [`OneThread`](crate::OneThread) engine — the
+/// trace-driven simulator's — has the same acquisition structure with
+/// no locks: its mutexes are `RefCell`s, its statistics plain cells, and
+/// it is not `Sync`. Everything below describes the `Threads` family;
+/// under `OneThread` each "lock" is a borrow that cannot be contended,
+/// and a re-entry that would deadlock a `Threads` engine panics instead.
+/// State is split three ways:
 ///
 /// * **per-processor shards** (page frames, dirty list, and the
 ///   protocol's per-processor extension), each behind its own mutex — the
@@ -51,7 +59,8 @@ use crate::{ConfigError, EngineCounters, EngineParams, Frame, Policy};
 ///   whatever the protocol adds (the lazy interval store, the eager
 ///   directory), each behind its own lock;
 /// * **statistics** — the fabric meter and [`EngineCounters`] are relaxed
-///   atomics, aggregated on read.
+///   atomics (`Threads`) or plain cells (`OneThread`), aggregated on
+///   read.
 ///
 /// Slow paths do **not** share a global mutex; they serialize only on the
 /// object they act on (one preamble enters the slow path, takes the
@@ -73,38 +82,39 @@ use crate::{ConfigError, EngineCounters, EngineParams, Frame, Policy};
 ///   other processor is parked by the runtime awaiting the episode, so it
 ///   has the engine to itself.
 ///
-/// Lock order: lock gate → page gates (ascending) → lock-table /
-/// barrier-set mutexes → protocol state (eager directory, epoch buffer |
-/// the lazy store lock) → shard mutexes. No path holds two lock gates or
-/// two shard mutexes at once.
+/// Lock order (the `Threads` family's; the lockdep verifier checks it):
+/// lock gate → page gates (ascending) → lock-table / barrier-set mutexes
+/// → protocol state (eager directory, epoch buffer | the lazy store lock)
+/// → shard mutexes. No path holds two lock gates or two shard mutexes at
+/// once.
 ///
 /// Two assumptions bound the concurrency (both enforced by the `lrc-dsm`
 /// runtime and trivially true single-threaded): each processor is driven
 /// by one thread at a time, and a processor that arrived at a barrier
 /// issues nothing until the episode completes.
 #[derive(Debug)]
-pub struct EngineCore {
+pub struct EngineCore<S: Sharing> {
     pub(crate) params: EngineParams,
     pub(crate) policy: Policy,
     pub(crate) space: AddrSpace,
-    pub(crate) locks: Mutex<LockTable>,
-    pub(crate) barriers: Mutex<BarrierSet>,
+    pub(crate) locks: S::Mutex<LockTable>,
+    pub(crate) barriers: S::Mutex<BarrierSet>,
     /// Per-lock gates: acquire/release of one lock serialize here; distinct
     /// locks proceed concurrently.
-    lock_gates: Vec<Mutex<()>>,
+    lock_gates: Vec<S::Mutex<()>>,
     /// Per-page gates (the in-flight-miss table): a miss holds its page's
     /// gate for the whole resolution, so same-page followers wait on the
     /// resolver and distinct pages resolve concurrently.
-    page_gates: Vec<Mutex<()>>,
+    page_gates: Vec<S::Mutex<()>>,
     /// Slow paths currently in flight (gauge behind
     /// [`EngineCounters::slow_waits_avoided`]).
-    slow_inflight: AtomicU64,
+    slow_inflight: S::Cell,
     /// Misses currently in flight (gauge behind
     /// [`EngineCounters::miss_inflight_peak`]).
-    miss_inflight: AtomicU64,
+    miss_inflight: S::Cell,
     fetch_hook: FetchHookCell,
-    pub(crate) net: Fabric,
-    pub(crate) counters: CounterCells,
+    pub(crate) net: Fabric<S::Cell>,
+    pub(crate) counters: CounterCells<S::Cell>,
     /// Optional history recorder (`lrc-hist`): when attached, every
     /// public operation logs itself — reads with the bytes they observed,
     /// synchronization operations with the engine-assigned grant/episode
@@ -112,28 +122,28 @@ pub struct EngineCore {
     recorder: OnceLock<Arc<HistoryRecorder>>,
 }
 
-impl EngineCore {
+impl<S: Sharing> EngineCore<S> {
     fn new(policy: Policy, params: &EngineParams) -> Result<Self, ConfigError> {
         let space = params.address_space()?;
         let n = params.n_procs;
         Ok(EngineCore {
             policy,
             space,
-            locks: Mutex::new_in(LockTable::new(params.n_locks, n), classes::SYNC_LOCK_TABLE),
-            barriers: Mutex::new_in(
+            locks: LockCell::new_in(LockTable::new(params.n_locks, n), classes::SYNC_LOCK_TABLE),
+            barriers: LockCell::new_in(
                 BarrierSet::new(params.n_barriers, n),
                 classes::SYNC_BARRIER_SET,
             ),
             lock_gates: (0..params.n_locks)
-                .map(|l| Mutex::new_in((), classes::ENGINE_LOCK_GATE.with_order(l as u64)))
+                .map(|l| LockCell::new_in((), classes::ENGINE_LOCK_GATE.with_order(l as u64)))
                 .collect(),
             page_gates: (0..space.n_pages())
-                .map(|p| Mutex::new_in((), classes::ENGINE_PAGE_GATE.with_order(u64::from(p))))
+                .map(|p| LockCell::new_in((), classes::ENGINE_PAGE_GATE.with_order(u64::from(p))))
                 .collect(),
-            slow_inflight: AtomicU64::new(0),
-            miss_inflight: AtomicU64::new(0),
+            slow_inflight: S::Cell::default(),
+            miss_inflight: S::Cell::default(),
             fetch_hook: FetchHookCell::default(),
-            net: Fabric::new(n),
+            net: Fabric::with_cells(n),
             counters: CounterCells::default(),
             recorder: OnceLock::new(),
             params: params.clone(),
@@ -211,7 +221,7 @@ impl EngineCore {
     }
 
     /// The network meter.
-    pub fn net(&self) -> &Fabric {
+    pub fn net(&self) -> &Fabric<S::Cell> {
         &self.net
     }
 
@@ -226,7 +236,7 @@ impl EngineCore {
     }
 
     /// The live counter cells, for a protocol to [`bump`].
-    pub fn tally(&self) -> &CounterCells {
+    pub fn tally(&self) -> &CounterCells<S::Cell> {
         &self.counters
     }
 
@@ -264,7 +274,7 @@ impl EngineCore {
 
     /// Marks one slow path in flight. The caller takes the gates it needs
     /// and then [`SlowPath::settle`]s the entry.
-    fn slow_path(&self) -> SlowPath<'_> {
+    fn slow_path(&self) -> SlowPath<'_, S> {
         let (inflight, others) = InFlight::enter(&self.slow_inflight);
         SlowPath {
             core: self,
@@ -280,7 +290,7 @@ impl EngineCore {
     /// Enters a slow path serialized on `lock`'s gate (an unknown lock has
     /// no gate; the lock table refuses it next). Not yet settled: a
     /// release goes on to take its flush set's page gates.
-    fn with_lock_gate(&self, lock: LockId) -> SlowPath<'_> {
+    fn with_lock_gate(&self, lock: LockId) -> SlowPath<'_, S> {
         let mut slow = self.slow_path();
         slow._gate = self
             .lock_gates
@@ -291,10 +301,10 @@ impl EngineCore {
 
     /// Enters the slow path of a miss on `page`: counted in the in-flight
     /// miss gauge, serialized on the page's gate, settled.
-    fn with_miss_gate(&self, page: PageId) -> SlowPath<'_> {
+    fn with_miss_gate(&self, page: PageId) -> SlowPath<'_, S> {
         let mut slow = self.slow_path();
         let (miss, others) = InFlight::enter(&self.miss_inflight);
-        raise(&self.counters.miss_inflight_peak, others + 1);
+        self.counters.miss_inflight_peak.raise(others + 1);
         slow._miss = Some(miss);
         slow._gate = Some(gate_lock(&self.page_gates[page.index()], &mut slow.waited));
         slow.settle();
@@ -337,14 +347,14 @@ impl EngineCore {
 
 /// One slow-path entry: the RAII in-flight marks plus the gates taken so
 /// far. Dropping it releases the gates, then leaves the gauges.
-struct SlowPath<'a> {
-    core: &'a EngineCore,
+struct SlowPath<'a, S: Sharing> {
+    core: &'a EngineCore<S>,
     /// The gates of a flush set.
-    page_gates: Vec<MutexGuard<'a, ()>>,
+    page_gates: Vec<Gate<'a, S>>,
     /// The one gate the entry is about: a lock's, or a missed page's.
-    _gate: Option<MutexGuard<'a, ()>>,
-    _miss: Option<InFlight<'a>>,
-    _inflight: InFlight<'a>,
+    _gate: Option<Gate<'a, S>>,
+    _miss: Option<InFlight<'a, S::Cell>>,
+    _inflight: InFlight<'a, S::Cell>,
     /// Another slow path was in flight at entry — the overlap the retired
     /// global protocol mutex would have serialized.
     overlapped: bool,
@@ -352,7 +362,7 @@ struct SlowPath<'a> {
     waited: bool,
 }
 
-impl SlowPath<'_> {
+impl<S: Sharing> SlowPath<'_, S> {
     /// Takes the gates of the flush set `pages`, which must be ascending.
     fn page_gates(&mut self, pages: &[PageId]) {
         let (core, waited) = (self.core, &mut self.waited);
@@ -399,6 +409,9 @@ pub struct Shard<P: Protocol> {
 /// its shards, its core, and — through [`Engine::protocol`] — the
 /// protocol's own shared state.
 pub trait Protocol: Sized + fmt::Debug {
+    /// The sharing family the engine and this protocol's shared state are
+    /// built in.
+    type Family: Sharing;
     /// Per-processor state kept in each [`Shard`] next to the frames.
     type ShardExt: fmt::Debug;
     /// Per-page state kept in each [`Frame`] (every processor holds a
@@ -412,10 +425,10 @@ pub trait Protocol: Sized + fmt::Debug {
     ///
     /// [`ConfigError`] if `core`'s parameters ask for something the
     /// protocol does not implement.
-    fn new(core: &EngineCore) -> Result<Self, ConfigError>;
+    fn new(core: &EngineCore<Self::Family>) -> Result<Self, ConfigError>;
 
     /// Builds processor `p`'s shard extension for a fresh engine.
-    fn new_ext(core: &EngineCore, p: ProcId) -> Self::ShardExt;
+    fn new_ext(core: &EngineCore<Self::Family>, p: ProcId) -> Self::ShardExt;
 
     /// Whether processors can be declared dead under this protocol. When
     /// set, every operation first asserts its processor is alive
@@ -468,18 +481,19 @@ pub trait Protocol: Sized + fmt::Debug {
 /// the bytes a processor of the simulated DSM would observe — which on a
 /// properly-labeled program must equal sequential consistency (the
 /// `lrc-sim` crate checks exactly that). It dereferences to its
-/// [`EngineCore`], whose docs describe the concurrency model.
+/// [`EngineCore`], whose docs describe the concurrency model and the two
+/// [`Sharing`] families an engine is built in (`P::Family`).
 #[derive(Debug)]
 pub struct Engine<P: Protocol> {
-    core: EngineCore,
-    shards: Vec<Mutex<Shard<P>>>,
+    core: EngineCore<P::Family>,
+    shards: Vec<<P::Family as Sharing>::Mutex<Shard<P>>>,
     pub(crate) proto: P,
 }
 
 impl<P: Protocol> Deref for Engine<P> {
-    type Target = EngineCore;
+    type Target = EngineCore<P::Family>;
 
-    fn deref(&self) -> &EngineCore {
+    fn deref(&self) -> &EngineCore<P::Family> {
         &self.core
     }
 }
@@ -503,7 +517,7 @@ impl<P: Protocol> Engine<P> {
                     spare_twins: Vec::new(),
                     ext: P::new_ext(&core, p),
                 };
-                Mutex::new_in(shard, classes::ENGINE_SHARD)
+                LockCell::new_in(shard, classes::ENGINE_SHARD)
             })
             .collect();
         Ok(Engine {
@@ -523,7 +537,7 @@ impl<P: Protocol> Engine<P> {
     /// # Panics
     ///
     /// Panics if `p` is out of range.
-    pub fn shard(&self, p: ProcId) -> MutexGuard<'_, Shard<P>> {
+    pub fn shard(&self, p: ProcId) -> impl DerefMut<Target = Shard<P>> + '_ {
         self.shards[p.index()].lock()
     }
 

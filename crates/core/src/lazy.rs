@@ -15,14 +15,13 @@ use lrc_simnet::{
 use lrc_sync::{AcquirePath, BarrierId, LockId};
 use lrc_vclock::{IntervalId, ProcId, StampedInterval, VectorClock};
 use parking_lot::lockdep::classes;
-use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::counters::bump;
 use crate::engine::{Engine, EngineCore, Protocol, Shard};
 use crate::plan::{FetchPlan, Planned, Source};
 use crate::{
-    CheckpointError, ConfigError, EngineCheckpoint, Frame, FrameCheckpoint, IntervalStore, Policy,
-    ProcCheckpoint, WriteNotice,
+    CheckpointError, ConfigError, EngineCheckpoint, Frame, FrameCheckpoint, IntervalStore,
+    LockCell, Policy, ProcCheckpoint, RwCell, Sharing, Threads, WriteNotice,
 };
 
 /// The lazy protocol's shared state: the interval store plus the
@@ -41,8 +40,8 @@ use crate::{
 /// store's era did not move. A shard mutex may be taken
 /// while holding the lock, never the reverse.
 #[derive(Debug)]
-pub struct Lazy {
-    state: RwLock<LazyState>,
+pub struct Lazy<S: Sharing> {
+    state: S::RwLock<LazyState>,
 }
 
 /// What the lazy protocol's one lock guards.
@@ -73,9 +72,9 @@ impl LazyState {
 }
 
 /// A read guard on the lazy lock that shows only the interval store.
-struct StoreGuard<'a>(RwLockReadGuard<'a, LazyState>);
+struct StoreGuard<G>(G);
 
-impl Deref for StoreGuard<'_> {
+impl<G: Deref<Target = LazyState>> Deref for StoreGuard<G> {
     type Target = IntervalStore;
 
     fn deref(&self) -> &IntervalStore {
@@ -186,9 +185,11 @@ impl Sizer {
 }
 
 /// The lazy release consistency engine (LI under [`Policy::Invalidate`],
-/// LU under [`Policy::Update`]). See the [crate docs](crate) for an
+/// LU under [`Policy::Update`]) of the threaded runtime, in the
+/// [`Threads`] family; the trace-driven simulator builds
+/// `Engine<Lazy<OneThread>>`. See the [crate docs](crate) for an
 /// end-to-end example.
-pub type LrcEngine = Engine<Lazy>;
+pub type LrcEngine = Engine<Lazy<Threads>>;
 
 /// What [`LrcEngine::declare_dead`] did on the survivors' behalf.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -254,23 +255,24 @@ fn chain_bytes<'a>(
     size as u64
 }
 
-impl Protocol for Lazy {
+impl<S: Sharing> Protocol for Lazy<S> {
+    type Family = S;
     type ShardExt = LazyShard;
     type FrameExt = Pending;
     const CRASH_TOLERANT: bool = true;
 
-    fn new(core: &EngineCore) -> Result<Self, ConfigError> {
+    fn new(core: &EngineCore<S>) -> Result<Self, ConfigError> {
         let state = LazyState {
             store: IntervalStore::new(core.params.n_procs),
             gc_owner: vec![None; core.space.n_pages() as usize],
             escrow: HashMap::new(),
         };
         Ok(Lazy {
-            state: RwLock::new_in(state, classes::CORE_STORE),
+            state: RwCell::new_in(state, classes::CORE_STORE),
         })
     }
 
-    fn new_ext(core: &EngineCore, p: ProcId) -> LazyShard {
+    fn new_ext(core: &EngineCore<S>, p: ProcId) -> LazyShard {
         let mut clock = VectorClock::new(core.params.n_procs);
         clock.set(p, 1); // interval numbering starts at 1
         LazyShard {
@@ -290,7 +292,7 @@ impl Protocol for Lazy {
     /// piggybacked write notices for every interval performed at the
     /// grantor but not at `p`, and — under the update policy — pulls diffs
     /// to bring all cached pages up to date.
-    fn on_acquire(e: &LrcEngine, p: ProcId, path: &AcquirePath) {
+    fn on_acquire(e: &Engine<Self>, p: ProcId, path: &AcquirePath) {
         e.close_interval(p);
         let q = path.grantor;
         if q == p {
@@ -388,13 +390,13 @@ impl Protocol for Lazy {
 
     /// Purely local under LRC: the interval closes (diffs are made for
     /// dirtied pages) and **no messages are sent** (§4.2).
-    fn on_release(e: &LrcEngine, p: ProcId) {
+    fn on_release(e: &Engine<Self>, p: ProcId) {
         e.close_interval(p);
     }
 
     /// The arrival message carries the processor's clock and fresh write
     /// notices to the master.
-    fn barrier_arrive(e: &LrcEngine, p: ProcId, _barrier: BarrierId, master: ProcId) {
+    fn barrier_arrive(e: &Engine<Self>, p: ProcId, _barrier: BarrierId, master: ProcId) {
         e.close_interval(p);
         if p != master {
             let state = e.proto.state.read();
@@ -413,7 +415,7 @@ impl Protocol for Lazy {
         }
     }
 
-    fn barrier_complete(e: &LrcEngine, _barrier: BarrierId, master: ProcId) {
+    fn barrier_complete(e: &Engine<Self>, _barrier: BarrierId, master: ProcId) {
         e.complete_barrier(master);
     }
 
@@ -424,7 +426,7 @@ impl Protocol for Lazy {
     /// No lock is held across the fetch: the plan and its payload sizes
     /// come from the read lock, the round trips are charged lock-free, and
     /// the write lock is taken only to apply.
-    fn resolve_miss(e: &LrcEngine, p: ProcId, page: PageId) {
+    fn resolve_miss(e: &Engine<Self>, p: ProcId, page: PageId) {
         let gi = page.index();
         // Plan phase: pending list, plan, and payload sizes all read under
         // ONE read guard, so the pending list names only intervals the
@@ -543,14 +545,15 @@ impl Protocol for Lazy {
     }
 }
 
-impl Engine<Lazy> {
+impl<S: Sharing> Engine<Lazy<S>> {
     /// The interval/diff store (shared read access, for inspection).
     ///
     /// **Do not call any engine method while holding the guard.** Slow
     /// paths take the store's write lock for interval closes and plan
     /// application (and therefore any read or write that misses does), so
-    /// a read-then-write on the same thread deadlocks; from other threads
-    /// it merely blocks them. Read what you need and drop the guard.
+    /// a read-then-write on the same thread deadlocks a `Threads` engine
+    /// and panics a `OneThread` one; from other threads it merely blocks
+    /// them. Read what you need and drop the guard.
     pub fn store(&self) -> impl Deref<Target = IntervalStore> + '_ {
         StoreGuard(self.proto.state.read())
     }
@@ -665,7 +668,7 @@ impl Engine<Lazy> {
         &self,
         store: &mut IntervalStore,
         p: ProcId,
-        shard: &mut Shard<Lazy>,
+        shard: &mut Shard<Lazy<S>>,
         scratch: Scratch,
     ) -> usize {
         let pages = &mut shard.pages;
@@ -1088,7 +1091,7 @@ impl Engine<Lazy> {
 
     /// Replaces a (locked) shard's frames with checkpointed ones and
     /// brings the processor back to life.
-    fn reset_frames(&self, shard: &mut Shard<Lazy>, frames: &[FrameCheckpoint]) {
+    fn reset_frames(&self, shard: &mut Shard<Lazy<S>>, frames: &[FrameCheckpoint]) {
         shard.dirty.clear();
         shard.pages.fill_with(Frame::default);
         shard.ext.dead = false;

@@ -34,7 +34,10 @@
 //! twins and diffs are real, and reads return exactly what a DSM would
 //! return. Message and byte costs are charged to an [`lrc_simnet::Fabric`].
 //! The trace-driven simulator (`lrc-sim`) and the threaded runtime
-//! (`lrc-dsm`) are both thin drivers around [`LrcEngine`].
+//! (`lrc-dsm`) both run one lazy engine source, built in two [`Sharing`]
+//! families: the runtime's [`LrcEngine`] keeps its state behind
+//! [`Threads`] locks and atomics, the simulator's
+//! `Engine<Lazy<OneThread>>` in [`OneThread`] `RefCell`s and `Cell`s.
 //!
 //! Everything that is *not* specific to laziness — the per-processor
 //! shards and the cached read/write path over them, the lock table and
@@ -81,6 +84,7 @@ mod plan;
 mod remote;
 #[cfg(test)]
 mod seeded;
+mod share;
 mod slowpath;
 mod store;
 
@@ -94,6 +98,7 @@ pub use engine::{Engine, EngineCore, Protocol, Shard};
 pub use lazy::{DeathReport, Lazy, LazyShard, LrcEngine};
 pub use pagestate::Frame;
 pub use remote::EngineOp;
+pub use share::{LockCell, OneThread, RwCell, Sharing, Threads};
 pub use slowpath::FetchHook;
 pub use store::IntervalStore;
 pub(crate) use store::WriteNotice;

@@ -3,12 +3,13 @@
 //! contended-gate accounting, and the miss-fetch instrumentation hook.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use lrc_pagemem::PageId;
+use lrc_simnet::Tally;
 use lrc_vclock::ProcId;
-use parking_lot::{Mutex, MutexGuard};
+
+use crate::LockCell;
 
 /// Test/bench instrumentation: a callback the engine invokes once per miss
 /// during the *fetch phase* — after the fetch plan is built and its
@@ -44,26 +45,26 @@ impl fmt::Debug for FetchHookCell {
 
 /// RAII over an in-flight gauge: [`InFlight::enter`] increments it, the
 /// guard's drop decrements — so error returns and panics unwind it too.
-pub(crate) struct InFlight<'a>(&'a AtomicU64);
+pub(crate) struct InFlight<'a, C: Tally>(&'a C);
 
-impl<'a> InFlight<'a> {
+impl<'a, C: Tally> InFlight<'a, C> {
     /// Increments `gauge` and returns the guard plus the *pre-increment*
     /// value (how many others were already in flight).
-    pub(crate) fn enter(gauge: &'a AtomicU64) -> (Self, u64) {
-        let others = gauge.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn enter(gauge: &'a C) -> (Self, u64) {
+        let others = gauge.add(1);
         (InFlight(gauge), others)
     }
 }
 
-impl Drop for InFlight<'_> {
+impl<C: Tally> Drop for InFlight<'_, C> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
+        self.0.sub(1);
     }
 }
 
 /// Locks `gate`, recording in `waited` whether it was contended (a
 /// try-lock probe first, so an uncontended gate costs no extra atomics).
-pub(crate) fn gate_lock<'a>(gate: &'a Mutex<()>, waited: &mut bool) -> MutexGuard<'a, ()> {
+pub(crate) fn gate_lock<'a, G: LockCell<()>>(gate: &'a G, waited: &mut bool) -> G::Guard<'a> {
     match gate.try_lock() {
         Some(guard) => guard,
         None => {
@@ -77,30 +78,20 @@ pub(crate) fn gate_lock<'a>(gate: &'a Mutex<()>, waited: &mut bool) -> MutexGuar
 /// entry blocked behind another slow path; an un-waited entry that
 /// `overlapped` one is a wait the retired engine-wide protocol mutex
 /// would have imposed.
-pub(crate) fn settle_contention(
-    waited: bool,
-    overlapped: bool,
-    waits: &AtomicU64,
-    avoided: &AtomicU64,
-) {
+pub(crate) fn settle_contention<C: Tally>(waited: bool, overlapped: bool, waits: &C, avoided: &C) {
     if waited {
-        waits.fetch_add(1, Ordering::Relaxed);
+        waits.add(1);
     } else if overlapped {
-        avoided.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Raises a high-water-mark counter to at least `value` (statistics only
-/// — relaxed ordering). A value that does not raise the mark costs a load,
-/// not a read-modify-write.
-pub(crate) fn raise(counter: &AtomicU64, value: u64) {
-    if value > counter.load(Ordering::Relaxed) {
-        counter.fetch_max(value, Ordering::Relaxed);
+        avoided.add(1);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use parking_lot::Mutex;
+
     use super::*;
 
     #[test]
@@ -136,12 +127,16 @@ mod tests {
         assert_eq!(avoided.load(Ordering::Relaxed), 1);
     }
 
+    /// The miss-gauge peak relies on `Tally::raise` in both families.
     #[test]
     fn raise_is_a_high_water_mark() {
-        let peak = AtomicU64::new(0);
-        raise(&peak, 3);
-        raise(&peak, 1);
-        assert_eq!(peak.load(Ordering::Relaxed), 3);
+        fn check(peak: &impl Tally) {
+            peak.raise(3);
+            peak.raise(1);
+            assert_eq!(peak.get(), 3);
+        }
+        check(&AtomicU64::new(0));
+        check(&std::cell::Cell::new(0));
     }
 
     #[test]

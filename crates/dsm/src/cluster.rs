@@ -3,7 +3,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lrc_core::{CheckpointError, DeathReport, EngineCheckpoint, LrcEngine};
+use lrc_core::{CheckpointError, DeathReport, EngineCheckpoint, LrcEngine, Threads};
 use lrc_hist::HistoryRecorder;
 use lrc_sim::{AnyEngine, ProtocolKind};
 use lrc_simnet::NetStats;
@@ -120,7 +120,7 @@ impl WaitSlot {
 /// engine and contend only on the accessed processor's shard. The runtime
 /// keeps just enough state to *block*.
 pub(crate) struct Cluster {
-    pub(crate) engine: AnyEngine,
+    pub(crate) engine: AnyEngine<Threads>,
     /// Per-lock wait queues, indexed by lock id.
     pub(crate) lock_slots: Vec<WaitSlot>,
     /// Per-barrier wait queues, indexed by barrier id.
@@ -280,7 +280,7 @@ pub struct Dsm {
 
 impl Dsm {
     pub(crate) fn from_engine(
-        engine: AnyEngine,
+        engine: AnyEngine<Threads>,
         kind: ProtocolKind,
         wait_timeout: Option<Duration>,
         holder_timeout: Option<Duration>,
@@ -319,7 +319,7 @@ impl Dsm {
     /// synchronized; calling its methods directly bypasses only the
     /// runtime's *blocking* (lock wait queues, barrier parking), never its
     /// correctness.
-    pub fn engine(&self) -> &AnyEngine {
+    pub fn engine(&self) -> &AnyEngine<Threads> {
         &self.cluster.engine
     }
 

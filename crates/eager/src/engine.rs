@@ -1,10 +1,11 @@
-use lrc_core::{bump, ConfigError, Engine, EngineCore, Policy, Protocol, Shard};
+use lrc_core::{
+    bump, ConfigError, Engine, EngineCore, LockCell, Policy, Protocol, Shard, Sharing, Threads,
+};
 use lrc_pagemem::{Diff, PageBuf, PageId};
 use lrc_simnet::{invalidation_bytes, MsgKind, BARRIER_ID_BYTES, LOCK_ID_BYTES, PAGE_ID_BYTES};
 use lrc_sync::{AcquirePath, BarrierId};
 use lrc_vclock::ProcId;
 use parking_lot::lockdep::classes;
-use parking_lot::Mutex;
 
 /// Directory entry: who caches the page and who reconciled it last.
 #[derive(Clone, Copy, Debug)]
@@ -42,18 +43,20 @@ struct EpochMod {
 /// page's gate. The directory mutex may be held while taking a shard
 /// mutex, never the reverse.
 #[derive(Debug)]
-pub struct Eager {
-    dir: Mutex<Vec<DirEntry>>,
+pub struct Eager<S: Sharing> {
+    dir: S::Mutex<Vec<DirEntry>>,
     /// EI: modifications buffered for the current episode, indexed by
     /// barrier.
-    epoch_mods: Mutex<Vec<Vec<EpochMod>>>,
+    epoch_mods: S::Mutex<Vec<Vec<EpochMod>>>,
 }
 
 /// The eager release consistency engine (EI under [`Policy::Invalidate`],
 /// EU under [`Policy::Update`]). Data-full and metered like
 /// [`lrc_core::LrcEngine`], so lazy and eager runs are directly
-/// comparable. See the [crate docs](crate) for an example.
-pub type EagerEngine = Engine<Eager>;
+/// comparable. This is the threaded runtime's engine, in the [`Threads`]
+/// family; the trace-driven simulator builds `Engine<Eager<OneThread>>`.
+/// See the [crate docs](crate) for an example.
+pub type EagerEngine = Engine<Eager<Threads>>;
 
 fn bit(p: ProcId) -> u64 {
     1u64 << p.index()
@@ -70,7 +73,7 @@ fn procs_in(mut mask: u64) -> impl Iterator<Item = ProcId> {
     })
 }
 
-impl Eager {
+impl<S: Sharing> Eager<S> {
     /// Processors currently caching `page` (the initial home copy counts,
     /// even before materialization).
     ///
@@ -86,11 +89,12 @@ impl Eager {
     }
 }
 
-impl Protocol for Eager {
+impl<S: Sharing> Protocol for Eager<S> {
+    type Family = S;
     type ShardExt = ();
     type FrameExt = ();
 
-    fn new(core: &EngineCore) -> Result<Self, ConfigError> {
+    fn new(core: &EngineCore<S>) -> Result<Self, ConfigError> {
         // A silently ignored lease would promise a recovery that cannot
         // happen: the eager baseline has no crash story.
         if core.params().death_lease_episodes.is_some() {
@@ -109,19 +113,19 @@ impl Protocol for Eager {
             })
             .collect();
         Ok(Eager {
-            dir: Mutex::new_in(dir, classes::EAGER_DIRECTORY),
-            epoch_mods: Mutex::new_in(
+            dir: LockCell::new_in(dir, classes::EAGER_DIRECTORY),
+            epoch_mods: LockCell::new_in(
                 vec![Vec::new(); core.params().n_barriers],
                 classes::EAGER_EPOCH_MODS,
             ),
         })
     }
 
-    fn new_ext(_core: &EngineCore, _p: ProcId) {}
+    fn new_ext(_core: &EngineCore<S>, _p: ProcId) {}
 
     /// Find-and-transfer messages only: eager RC performs **no
     /// consistency actions at acquires** (§3).
-    fn on_acquire(e: &EagerEngine, _p: ProcId, path: &AcquirePath) {
+    fn on_acquire(e: &Engine<Self>, _p: ProcId, path: &AcquirePath) {
         let hops = [
             (path.request, MsgKind::LockRequest),
             (path.forward, MsgKind::LockForward),
@@ -135,7 +139,7 @@ impl Protocol for Eager {
     }
 
     /// The pages `p` has dirtied this epoch.
-    fn flush_set(e: &EagerEngine, p: ProcId) -> Vec<PageId> {
+    fn flush_set(e: &Engine<Self>, p: ProcId) -> Vec<PageId> {
         let mut pages = e.shard(p).dirty.clone();
         pages.sort();
         pages.dedup();
@@ -145,7 +149,7 @@ impl Protocol for Eager {
     /// Propagates every modification of the epoch to all other cachers
     /// (updates under EU, invalidations under EI), one merged message per
     /// destination, and blocks for their acknowledgments — Table 1's `2c`.
-    fn on_release(e: &EagerEngine, p: ProcId) {
+    fn on_release(e: &Engine<Self>, p: ProcId) {
         let diffs = take_epoch_diffs(e, p);
         if diffs.is_empty() {
             return;
@@ -162,7 +166,7 @@ impl Protocol for Eager {
     /// (`2u`); EI piggybacks its invalidations on the barrier traffic and
     /// pays only `2v` to resolve multiple concurrent invalidators of one
     /// page (Table 1).
-    fn barrier_arrive(e: &EagerEngine, p: ProcId, barrier: BarrierId, master: ProcId) {
+    fn barrier_arrive(e: &Engine<Self>, p: ProcId, barrier: BarrierId, master: ProcId) {
         let diffs = take_epoch_diffs(e, p);
         let mut piggyback_pages = 0usize;
         match e.policy() {
@@ -194,7 +198,7 @@ impl Protocol for Eager {
     /// EI: resolve multiple invalidators per page (the `2v` term),
     /// invalidate all other cachers (piggybacked, free), and send exit
     /// messages carrying the aggregated notices.
-    fn barrier_complete(e: &EagerEngine, barrier: BarrierId, master: ProcId) {
+    fn barrier_complete(e: &Engine<Self>, barrier: BarrierId, master: ProcId) {
         let n = e.params().n_procs;
         let dir = &e.protocol().dir;
         let mut mods = std::mem::take(&mut e.protocol().epoch_mods.lock()[barrier.index()]);
@@ -265,7 +269,7 @@ impl Protocol for Eager {
     /// when the request is forwarded to the owner (§3). No directory lock
     /// is held across the message charges; the page's gate keeps the
     /// entry stable meanwhile.
-    fn resolve_miss(e: &EagerEngine, p: ProcId, page: PageId) {
+    fn resolve_miss(e: &Engine<Self>, p: ProcId, page: PageId) {
         let gi = page.index();
         let home = e.page_home(page);
         let page_size = e.space().page_size();
@@ -323,7 +327,7 @@ impl Protocol for Eager {
 
 /// Ends `p`'s current epoch: diffs all dirty pages against their twins
 /// and transfers ownership to `p`. Callers hold the dirty pages' gates.
-fn take_epoch_diffs(e: &EagerEngine, p: ProcId) -> Vec<(PageId, Diff)> {
+fn take_epoch_diffs<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId) -> Vec<(PageId, Diff)> {
     let mut out = Vec::new();
     {
         let mut shard = e.shard(p);
@@ -371,7 +375,7 @@ struct Fanout<'a> {
 }
 
 impl<'a> Fanout<'a> {
-    fn new(e: &EagerEngine, p: ProcId, diffs: &'a [(PageId, Diff)]) -> Self {
+    fn new<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId, diffs: &'a [(PageId, Diff)]) -> Self {
         let dir = e.protocol().dir.lock();
         let masks = diffs
             .iter()
@@ -397,8 +401,8 @@ impl<'a> Fanout<'a> {
 
 /// EU: one update message per destination carrying the diffs of every
 /// modified page that destination caches, plus an ack each.
-fn push_updates(
-    e: &EagerEngine,
+fn push_updates<S: Sharing>(
+    e: &Engine<Eager<S>>,
     p: ProcId,
     diffs: &[(PageId, Diff)],
     update_kind: MsgKind,
@@ -427,7 +431,7 @@ fn push_updates(
 /// EI at a release: write notices to every other cacher; cachers drop
 /// their copies (writing back their own concurrent modifications first),
 /// leaving the releaser the only valid copy.
-fn push_invalidations(e: &EagerEngine, p: ProcId, diffs: &[(PageId, Diff)]) {
+fn push_invalidations<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId, diffs: &[(PageId, Diff)]) {
     let fanout = Fanout::new(e, p, diffs);
     for dest in fanout.dests() {
         let payload = invalidation_bytes(fanout.to(dest).count());

@@ -9,6 +9,12 @@
 //!
 //! Gaps between levels are deliberate: future tiers slot in without
 //! renumbering the tree.
+//!
+//! The engine classes (`engine.*`, `sync.*`, `eager.*`, `core.store`)
+//! tag the locks of the engine's `Threads` sharing family only — the
+//! threaded runtime's. The simulator's `OneThread` engines are built
+//! from the same source with `RefCell`s in place of these locks: they
+//! take no tracked lock, and their class arguments are ignored.
 
 use crate::Class;
 

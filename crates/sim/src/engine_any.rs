@@ -1,12 +1,13 @@
-use lrc_core::{ConfigError, Engine, EngineCore, EngineParams, LrcEngine};
-use lrc_eager::EagerEngine;
+use lrc_core::{ConfigError, Engine, EngineCore, EngineParams, Lazy, OneThread, Sharing};
+use lrc_eager::Eager;
 use lrc_simnet::{MsgRecord, NetStats};
 use lrc_sync::{BarrierArrival, BarrierError, BarrierId, LockError, LockId};
 use lrc_vclock::ProcId;
 
 use crate::ProtocolKind;
 
-/// A protocol engine of either family behind one interface.
+/// A protocol engine of either family behind one interface, built in the
+/// [`Sharing`] family `S`.
 ///
 /// The simulator, the runtime DSM, and the benches all drive protocols
 /// through this type so a run is parameterized by [`ProtocolKind`] alone.
@@ -16,27 +17,56 @@ use crate::ProtocolKind;
 /// dispatch on the family. Crash tolerance — checkpoints, deaths,
 /// rejoins — belongs to the lazy engine alone, reached through
 /// [`AnyEngine::as_lazy`].
+///
+/// The trace-driven simulator builds [`OneThread`] engines
+/// ([`AnyEngine::build`]): no engine locks, no atomic counters, and not
+/// `Sync`, so one cannot reach a second thread. The threaded runtime
+/// (`lrc-dsm`) builds [`Threads`](lrc_core::Threads) engines through
+/// `AnyEngine::<Threads>::new`.
+///
+/// ```compile_fail
+/// use lrc_sim::{AnyEngine, EngineParams, ProtocolKind};
+///
+/// let engine = AnyEngine::build(ProtocolKind::LazyInvalidate, &EngineParams::default())?;
+/// // A single-threaded engine is not `Sync`: no second thread may share it.
+/// std::thread::scope(|s| {
+///     s.spawn(|| engine.core().counters());
+/// });
+/// # Ok::<(), lrc_core::ConfigError>(())
+/// ```
 // The variants' sizes diverge as the lazy engine grows recovery state,
 // but every construction site makes exactly one engine and keeps it for
 // the whole run — boxing would tax every access to save one allocation.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-pub enum AnyEngine {
+pub enum AnyEngine<S: Sharing> {
     /// A lazy release consistency engine (LI or LU).
-    Lazy(LrcEngine),
+    Lazy(Engine<Lazy<S>>),
     /// An eager release consistency engine (EI or EU).
-    Eager(EagerEngine),
+    Eager(Engine<Eager<S>>),
 }
 
-impl AnyEngine {
-    /// Builds an engine of the given kind.
+impl AnyEngine<OneThread> {
+    /// Builds a single-threaded engine of the given kind, for trace
+    /// replay.
+    ///
+    /// # Errors
+    ///
+    /// As [`AnyEngine::new`].
+    pub fn build(kind: ProtocolKind, params: &EngineParams) -> Result<Self, ConfigError> {
+        AnyEngine::new(kind, params)
+    }
+}
+
+impl<S: Sharing> AnyEngine<S> {
+    /// Builds an engine of the given kind in family `S`.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the parameters do not validate —
     /// including [`ConfigError::LazyOnly`] for a death lease on an eager
     /// kind.
-    pub fn build(kind: ProtocolKind, params: &EngineParams) -> Result<Self, ConfigError> {
+    pub fn new(kind: ProtocolKind, params: &EngineParams) -> Result<Self, ConfigError> {
         Ok(if kind.is_lazy() {
             AnyEngine::Lazy(Engine::new(kind.policy(), params)?)
         } else {
@@ -45,7 +75,7 @@ impl AnyEngine {
     }
 
     /// The protocol-independent core of either family.
-    pub fn core(&self) -> &EngineCore {
+    pub fn core(&self) -> &EngineCore<S> {
         match self {
             AnyEngine::Lazy(e) => e,
             AnyEngine::Eager(e) => e,
@@ -133,7 +163,7 @@ impl AnyEngine {
     }
 
     /// The lazy engine, if this is one.
-    pub fn as_lazy(&self) -> Option<&LrcEngine> {
+    pub fn as_lazy(&self) -> Option<&Engine<Lazy<S>>> {
         match self {
             AnyEngine::Lazy(e) => Some(e),
             AnyEngine::Eager(_) => None,

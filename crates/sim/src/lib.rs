@@ -3,18 +3,27 @@
 //! This crate is the experimental apparatus of the reproduction: it replays
 //! a [`lrc_trace::Trace`] over any of the paper's four protocols —
 //!
-//! | kind | engine | policy |
+//! | kind | protocol | policy |
 //! |------|--------|--------|
-//! | [`ProtocolKind::LazyInvalidate`] (LI) | [`lrc_core::LrcEngine`] | invalidate |
-//! | [`ProtocolKind::LazyUpdate`] (LU) | [`lrc_core::LrcEngine`] | update |
-//! | [`ProtocolKind::EagerInvalidate`] (EI) | [`lrc_eager::EagerEngine`] | invalidate |
-//! | [`ProtocolKind::EagerUpdate`] (EU) | [`lrc_eager::EagerEngine`] | update |
+//! | [`ProtocolKind::LazyInvalidate`] (LI) | [`lrc_core::Lazy`] | invalidate |
+//! | [`ProtocolKind::LazyUpdate`] (LU) | [`lrc_core::Lazy`] | update |
+//! | [`ProtocolKind::EagerInvalidate`] (EI) | [`lrc_eager::Eager`] | invalidate |
+//! | [`ProtocolKind::EagerUpdate`] (EU) | [`lrc_eager::Eager`] | update |
 //!
 //! (both engines are the one [`lrc_core::Engine`] under a different
 //! [`lrc_core::Protocol`])
 //!
 //! — and reports the two quantities the paper measures: **messages** and
 //! **data** exchanged, per operation class (Table 1's columns).
+//!
+//! The paper's evaluation is a single-threaded simulation, and so is
+//! this one: every replay ([`run_trace`], [`run_traced`], [`sweep`])
+//! builds its engine in the [`lrc_core::OneThread`] sharing family
+//! ([`AnyEngine::build`]) — `RefCell`s and `Cell`s instead of the
+//! threaded runtime's locks and atomics, and not `Sync`, so the compiler
+//! keeps it on one thread. The runtime's [`lrc_core::Threads`] engines
+//! are the same source; [`run_trace_in`] replays through either family,
+//! and a test requires both to produce identical traffic and counters.
 //!
 //! Because both engines maintain real page contents, the simulator can run
 //! with a **sequential-consistency oracle** ([`SimOptions::check_sc`]):
@@ -65,5 +74,5 @@ pub use lrc_core::EngineParams;
 pub use matrix::{run_traced, CommMatrix};
 pub use protocol::ProtocolKind;
 pub use runner::SimError;
-pub use runner::{run_trace, synth_write_bytes, RunReport, SimOptions};
+pub use runner::{run_trace, run_trace_in, synth_write_bytes, RunReport, SimOptions};
 pub use sweep::{sweep, Metric, SweepConfig, SweepResult};

@@ -88,9 +88,9 @@ pub fn run_traced(
     page_bytes: usize,
     options: &SimOptions,
 ) -> Result<(RunReport, CommMatrix), SimError> {
-    let mut engine = AnyEngine::build(kind, &params_for(trace, page_bytes, options))?;
+    let engine = AnyEngine::build(kind, &params_for(trace, page_bytes, options))?;
     engine.core().enable_net_trace();
-    let report = replay(trace, kind, page_bytes, options, &mut engine)?;
+    let report = replay(trace, kind, page_bytes, options, &engine)?;
     let matrix = CommMatrix::from_records(trace.meta().n_procs(), &engine.net_records());
     Ok((report, matrix))
 }

@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use lrc_core::{ConfigError, EngineParams};
+use lrc_core::{ConfigError, EngineParams, OneThread, Sharing};
 use lrc_pagemem::Memory;
 use lrc_simnet::{Counter, NetStats, OpClass};
 use lrc_trace::{Op, Trace};
@@ -115,7 +115,7 @@ impl From<ConfigError> for SimError {
 }
 
 /// The outcome of replaying one trace over one protocol at one page size.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RunReport {
     /// Protocol that ran.
     pub kind: ProtocolKind,
@@ -191,7 +191,8 @@ fn fill_write_bytes(event_index: usize, out: &mut [u8]) {
     }
 }
 
-/// Replays `trace` over protocol `kind` with pages of `page_bytes`.
+/// Replays `trace` over protocol `kind` with pages of `page_bytes`,
+/// through a single-threaded ([`OneThread`]) engine.
 ///
 /// # Errors
 ///
@@ -206,8 +207,27 @@ pub fn run_trace(
     page_bytes: usize,
     options: &SimOptions,
 ) -> Result<RunReport, SimError> {
-    let mut engine = AnyEngine::build(kind, &params_for(trace, page_bytes, options))?;
-    replay(trace, kind, page_bytes, options, &mut engine)
+    run_trace_in::<OneThread>(trace, kind, page_bytes, options).map(|(report, _)| report)
+}
+
+/// [`run_trace`] through an engine of the [`Sharing`] family `S`, handed
+/// back with the report so the caller can read its counters. Both
+/// families replay the same source; a run that differs between them —
+/// traffic, counters, or a read the oracle rejects — is a bug in one
+/// family's cells.
+///
+/// # Errors
+///
+/// As [`run_trace`].
+pub fn run_trace_in<S: Sharing>(
+    trace: &Trace,
+    kind: ProtocolKind,
+    page_bytes: usize,
+    options: &SimOptions,
+) -> Result<(RunReport, AnyEngine<S>), SimError> {
+    let engine = AnyEngine::new(kind, &params_for(trace, page_bytes, options))?;
+    let report = replay(trace, kind, page_bytes, options, &engine)?;
+    Ok((report, engine))
 }
 
 /// The engine parameters a replay of `trace` needs: the system shape from
@@ -229,12 +249,12 @@ pub(crate) fn params_for(trace: &Trace, page_bytes: usize, options: &SimOptions)
 
 /// Replays `trace` through a pre-built engine (shared by [`run_trace`] and
 /// [`run_traced`](crate::run_traced)).
-pub(crate) fn replay(
+pub(crate) fn replay<S: Sharing>(
     trace: &Trace,
     kind: ProtocolKind,
     page_bytes: usize,
     options: &SimOptions,
-    engine: &mut AnyEngine,
+    engine: &AnyEngine<S>,
 ) -> Result<RunReport, SimError> {
     let mut oracle = options
         .check_sc

@@ -1,3 +1,4 @@
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -6,6 +7,67 @@ use parking_lot::lockdep::classes;
 use parking_lot::Mutex;
 
 use crate::{MsgKind, NetStats};
+
+/// A statistics cell: one `u64` a meter counts into. A relaxed
+/// [`AtomicU64`] where several threads charge one meter, a [`Cell<u64>`]
+/// where only one thread can reach it — there a read-modify-write is a
+/// load and a store, exact because nobody else writes in between. The
+/// values are statistics, not synchronization: no operation orders any
+/// other memory access.
+pub trait Tally: Default + fmt::Debug {
+    /// The current value.
+    fn get(&self) -> u64;
+    /// Adds `n`, returning the value before.
+    fn add(&self, n: u64) -> u64;
+    /// Subtracts `n`.
+    fn sub(&self, n: u64);
+    /// Raises the value to at least `value` (a high-water mark).
+    fn raise(&self, value: u64);
+}
+
+impl Tally for AtomicU64 {
+    fn get(&self) -> u64 {
+        self.load(Ordering::Relaxed)
+    }
+
+    fn add(&self, n: u64) -> u64 {
+        self.fetch_add(n, Ordering::Relaxed)
+    }
+
+    fn sub(&self, n: u64) {
+        self.fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// A value that does not raise the mark costs a load, not a
+    /// read-modify-write.
+    fn raise(&self, value: u64) {
+        if value > self.load(Ordering::Relaxed) {
+            self.fetch_max(value, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Tally for Cell<u64> {
+    fn get(&self) -> u64 {
+        Cell::get(self)
+    }
+
+    fn add(&self, n: u64) -> u64 {
+        let before = Cell::get(self);
+        self.set(before + n);
+        before
+    }
+
+    fn sub(&self, n: u64) {
+        self.set(Cell::get(self) - n);
+    }
+
+    fn raise(&self, value: u64) {
+        if value > Cell::get(self) {
+            self.set(value);
+        }
+    }
+}
 
 /// A record of one message, kept when tracing is enabled on the [`Fabric`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -38,27 +100,41 @@ impl fmt::Display for MsgRecord {
 /// [`MsgRecord`]s, which the tests use to assert fine-grained protocol
 /// behaviour (e.g. "a release sends nothing under LRC").
 ///
-/// The meter is internally thread-safe: counts are per-kind atomics updated
-/// with relaxed ordering (they are statistics, not synchronization), so
-/// concurrently running processors of a threaded runtime can charge traffic
-/// without contending on a lock. [`Fabric::stats`] aggregates the atomics
-/// into a plain [`NetStats`] snapshot on read.
+/// The meter counts into per-kind [`Tally`] cells `C`. With the default
+/// relaxed atomics, concurrently running processors of a threaded runtime
+/// charge traffic without contending on a lock; a single-threaded
+/// simulator meters into `Cell<u64>`s instead, and the fabric is then not
+/// `Sync`. [`Fabric::stats`] aggregates the cells into a plain
+/// [`NetStats`] snapshot on read.
 #[derive(Debug, Default)]
-pub struct Fabric {
+pub struct Fabric<C = AtomicU64> {
     n_procs: usize,
-    msgs: [AtomicU64; MsgKind::COUNT],
-    bytes: [AtomicU64; MsgKind::COUNT],
+    msgs: [C; MsgKind::COUNT],
+    bytes: [C; MsgKind::COUNT],
     trace_on: AtomicBool,
     trace: Mutex<Vec<MsgRecord>>,
 }
 
 impl Fabric {
-    /// Creates a fabric connecting `n_procs` processors.
+    /// Creates a fabric connecting `n_procs` processors, metered in
+    /// relaxed atomics.
     ///
     /// # Panics
     ///
     /// Panics if `n_procs` is zero.
     pub fn new(n_procs: usize) -> Self {
+        Fabric::with_cells(n_procs)
+    }
+}
+
+impl<C: Tally> Fabric<C> {
+    /// Creates a fabric connecting `n_procs` processors, metered in cells
+    /// of type `C`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_procs` is zero.
+    pub fn with_cells(n_procs: usize) -> Self {
         assert!(n_procs > 0, "a fabric needs at least one processor");
         Fabric {
             n_procs,
@@ -93,8 +169,8 @@ impl Fabric {
         assert!(src.index() < self.n_procs, "source {src} out of range");
         assert!(dst.index() < self.n_procs, "destination {dst} out of range");
         assert_ne!(src, dst, "{src} attempted to send {kind} to itself");
-        self.msgs[kind.index()].fetch_add(1, Ordering::Relaxed);
-        self.bytes[kind.index()].fetch_add(crate::MSG_HEADER_BYTES + payload, Ordering::Relaxed);
+        self.msgs[kind.index()].add(1);
+        self.bytes[kind.index()].add(crate::MSG_HEADER_BYTES + payload);
         if self.trace_on.load(Ordering::Acquire) {
             self.trace.lock().push(MsgRecord {
                 src,
@@ -119,14 +195,14 @@ impl Fabric {
         self.send(dst, src, reply, reply_payload);
     }
 
-    /// Aggregates the per-kind atomics into a statistics snapshot.
+    /// Aggregates the per-kind cells into a statistics snapshot.
     pub fn stats(&self) -> NetStats {
         let mut out = NetStats::new();
         for &kind in MsgKind::ALL.iter() {
             out.set(
                 kind,
-                self.msgs[kind.index()].load(Ordering::Relaxed),
-                self.bytes[kind.index()].load(Ordering::Relaxed),
+                self.msgs[kind.index()].get(),
+                self.bytes[kind.index()].get(),
             );
         }
         out
@@ -198,6 +274,32 @@ mod tests {
         let f = Fabric::new(2);
         f.send(p(0), p(1), MsgKind::LockRequest, 0);
         assert!(f.traced().is_empty());
+    }
+
+    #[test]
+    fn one_thread_cells_meter_like_atomics() {
+        let f = Fabric::<Cell<u64>>::with_cells(2);
+        f.round_trip(p(0), p(1), MsgKind::MissRequest, 4, MsgKind::MissReply, 512);
+        f.send(p(1), p(0), MsgKind::LockGrant, 8);
+        let g = Fabric::new(2);
+        g.round_trip(p(0), p(1), MsgKind::MissRequest, 4, MsgKind::MissReply, 512);
+        g.send(p(1), p(0), MsgKind::LockGrant, 8);
+        assert_eq!(f.stats(), g.stats());
+    }
+
+    #[test]
+    fn tally_cells_agree() {
+        let (a, c) = (AtomicU64::new(0), Cell::new(0u64));
+        assert_eq!((a.add(5), c.add(5)), (0, 0));
+        assert_eq!((a.add(2), c.add(2)), (5, 5));
+        a.sub(3);
+        c.sub(3);
+        a.raise(1);
+        c.raise(1);
+        assert_eq!((Tally::get(&a), Tally::get(&c)), (4, 4));
+        a.raise(9);
+        c.raise(9);
+        assert_eq!((Tally::get(&a), Tally::get(&c)), (9, 9));
     }
 
     #[test]

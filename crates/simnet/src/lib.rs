@@ -37,7 +37,7 @@ mod sizes;
 mod stats;
 
 pub use crosscheck::SizeCrosscheck;
-pub use fabric::{Fabric, MsgRecord};
+pub use fabric::{Fabric, MsgRecord, Tally};
 pub use kind::{MsgKind, OpClass};
 pub use sizes::{
     invalidation_bytes, notice_batch_bytes, vc_bytes, BARRIER_ID_BYTES, DIFF_REQUEST_ENTRY_BYTES,

@@ -53,3 +53,14 @@ pub use lrc_sync as sync;
 pub use lrc_trace as trace;
 pub use lrc_vclock as vclock;
 pub use lrc_workloads as workloads;
+
+// The runtime's engines are shared by every processor's thread, so they
+// must stay `Send + Sync`. The simulator's `OneThread` engines must not
+// be `Sync`: `AnyEngine`'s docs hold the `compile_fail` example.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<lrc_dsm::Dsm>();
+    send_sync::<lrc_core::LrcEngine>();
+    send_sync::<lrc_eager::EagerEngine>();
+    send_sync::<lrc_sim::AnyEngine<lrc_core::Threads>>();
+};
