@@ -1,18 +1,19 @@
-//! Trace tooling: generate, inspect, validate, race-check, and replay
-//! trace files, all in the text format of `lrc_trace::codec`.
+//! Trace tooling: generate, inspect, race-check, and replay trace files,
+//! all in the text format of `lrc_trace::codec` (which refuses an illegal
+//! trace as it reads it).
 //!
 //! ```text
 //! tracectl generate <app> [--procs N] [--units N] [--seed N] -o trace.txt
 //! tracectl info <file>                  # metadata + statistics + sharing
-//! tracectl check <file>                 # legality + proper-labeling check
+//! tracectl check <file>                 # proper labeling, by lrc-hist's race scan
 //! tracectl replay <file> [--protocol LI] [--page 4096] [--oracle]
 //! ```
 
 use std::process::ExitCode;
 
-use lrc_sim::{run_trace, ProtocolKind, SimOptions};
+use lrc_sim::{history_of, run_trace, ProtocolKind, SimOptions};
 use lrc_simnet::OpClass;
-use lrc_trace::{check_labeling, codec, validate, Trace, TraceStats};
+use lrc_trace::{codec, Trace, TraceStats};
 use lrc_workloads::{AppKind, Scale};
 
 fn main() -> ExitCode {
@@ -100,11 +101,9 @@ fn info(args: &[String]) -> Result<String, String> {
 fn check(args: &[String]) -> Result<String, String> {
     let path = args.first().ok_or("check: missing file")?;
     let trace = load(path)?;
-    validate(&trace).map_err(|e| format!("illegal trace: {e}"))?;
-    match check_labeling(&trace) {
-        Ok(()) => Ok("legal and properly labeled\n".to_string()),
-        Err(race) => Err(format!("data race: {race}")),
-    }
+    // A race renders as "data race: <one access> and <the other> ...".
+    history_of(&trace).check_drf().map_err(|e| e.to_string())?;
+    Ok("legal and properly labeled\n".to_string())
 }
 
 fn replay(args: &[String]) -> Result<String, String> {

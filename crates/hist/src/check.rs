@@ -2,16 +2,12 @@
 //! numbers, then the race scan, the justification scan and the witness
 //! search over it.
 //!
-//! `lrc-trace::race` finds races with vector clocks too, and the two share
-//! no code on purpose. That detector sweeps one global trace order with a
-//! clock per processor that counts synchronization intervals, keeping the
-//! last write and the readers of each word as it goes. A history has no
-//! global order, only per-processor logs: here every event gets its own
-//! clock (a row of a flat matrix, counting events, not intervals) and
-//! accesses are found through an index by location, which also serves the
-//! justification scan and stays exact on racy histories, where a sweep's
-//! "last write" is whichever the sweep happened to meet last. The shared
-//! part would be one integer comparison.
+//! This is the tree's one race oracle. A trace reaches it as the history
+//! its sequentially consistent run records (`lrc_sim::history_of`). A
+//! history has no global order, only per-processor logs: every event gets
+//! its own clock (a row of a flat matrix, counting events) and accesses
+//! are found through an index by location, which also serves the
+//! justification scan and stays exact on racy histories.
 
 // The error type is deliberately rich (rendered events, expected bytes,
 // blocked-frontier listings): it IS the failure report the conformance

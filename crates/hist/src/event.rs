@@ -59,7 +59,7 @@ pub enum HistEvent {
 }
 
 impl HistEvent {
-    /// The access range `(addr, len)` if this is a read or write.
+    /// The access `(addr, len, is_write)` if this is a read or write.
     pub fn access(&self) -> Option<(u64, usize, bool)> {
         match self {
             HistEvent::Read { addr, value } => Some((*addr, value.len(), false)),

@@ -29,9 +29,14 @@
 //! with a **sequential-consistency oracle** ([`SimOptions::check_sc`]):
 //! every write deterministically synthesizes its bytes, a flat memory
 //! replays them in trace order, and every read of every protocol is
-//! compared against it. On a properly-labeled trace (see
-//! [`lrc_trace::check_labeling`]) any mismatch is a protocol bug; the test
-//! suites lean on this heavily.
+//! compared against it. On a properly-labeled trace any mismatch is a
+//! protocol bug; the test suites lean on this heavily.
+//!
+//! Whether a trace is properly labeled is decided by the one race oracle
+//! of the tree, `lrc-hist`'s [`lrc_hist::History::check_drf`]:
+//! [`history_of`] lowers a trace to the history its sequentially
+//! consistent run records (the same synthesized bytes), so traces,
+//! threaded runs and node runs are all checked by the same code.
 //!
 //! [`sweep`] replays one trace across page sizes × protocols — exactly how
 //! the paper produces Figures 5–14 — and renders the series as tables.
@@ -64,12 +69,16 @@
 #![warn(unreachable_pub)]
 
 mod engine_any;
+mod history;
 mod matrix;
 mod protocol;
+#[cfg(test)]
+mod race;
 mod runner;
 mod sweep;
 
 pub use engine_any::AnyEngine;
+pub use history::history_of;
 pub use lrc_core::EngineParams;
 pub use matrix::{run_traced, CommMatrix};
 pub use protocol::ProtocolKind;

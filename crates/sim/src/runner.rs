@@ -12,7 +12,8 @@ use crate::{AnyEngine, ProtocolKind};
 #[derive(Clone, Debug)]
 pub struct SimOptions {
     /// Compare every read against a sequentially consistent replay. The
-    /// trace must be properly labeled for this to be meaningful.
+    /// trace must be properly labeled for this to be meaningful: its
+    /// [`history_of`](crate::history_of) must pass `check_drf`.
     pub check_sc: bool,
     /// Disable write-notice piggybacking (lazy protocols; ablation A2).
     pub piggyback_notices: bool,
@@ -386,7 +387,7 @@ mod tests {
         b.read(p(1), 512, 8).unwrap();
         let racy = b.finish().unwrap();
         assert!(
-            lrc_trace::check_labeling(&racy).is_err(),
+            crate::history_of(&racy).check_drf().is_err(),
             "trace really is racy"
         );
         for kind in [ProtocolKind::LazyInvalidate, ProtocolKind::EagerInvalidate] {

@@ -5,9 +5,9 @@
 //! which regime — not absolute numbers. A moderate scale keeps the suite
 //! fast while leaving the orderings stable.
 
-use lrc_sim::{run_trace, sweep, Metric, ProtocolKind, SimOptions, SweepConfig};
-use lrc_trace::check_labeling;
-use lrc_workloads::{AppKind, Scale};
+use lrc_sim::{history_of, run_trace, sweep, Metric, ProtocolKind, SimOptions, SweepConfig};
+use lrc_trace::{Op, Trace};
+use lrc_workloads::{micro, AppKind, Scale};
 
 use ProtocolKind::{
     EagerInvalidate as EI, EagerUpdate as EU, LazyInvalidate as LI, LazyUpdate as LU,
@@ -39,18 +39,41 @@ fn data(s: &lrc_sim::SweepResult, kind: ProtocolKind, page: usize) -> u64 {
     s.get(kind, page).expect("cell exists").data_bytes()
 }
 
-/// Every workload is properly labeled and every protocol's replay matches
-/// sequential consistency on it — the foundational correctness claim that
-/// makes the traffic comparison meaningful.
+/// Every workload — the five applications and the three micro-patterns —
+/// is properly labeled, and every protocol's replay matches sequential
+/// consistency on it: the foundational correctness claim that makes the
+/// traffic comparison meaningful. Labeling is decided by `lrc-hist`'s race
+/// scan over the trace's history. The verdict is not vacuous: every
+/// workload shares data, so with its locks and barriers taken out it
+/// races.
 #[test]
 fn all_workloads_pass_the_sc_oracle_under_all_protocols() {
-    for app in AppKind::ALL {
-        let trace = app.generate(&Scale::small(4));
-        assert!(check_labeling(&trace).is_ok(), "{app} must be race-free");
+    let apps = AppKind::ALL.map(|app| (app.name(), app.generate(&Scale::small(4))));
+    let micros = [
+        ("migratory", micro::migratory(4, 10, 8)),
+        ("false_sharing", micro::false_sharing(4, 6, 16)),
+        ("producer_consumer", micro::producer_consumer(3, 8, 4)),
+    ];
+    for (name, trace) in apps.into_iter().chain(micros) {
+        if let Err(race) = history_of(&trace).check_drf() {
+            panic!("{name} must be race-free: {race}");
+        }
+        let accesses_only = Trace::from_parts(
+            trace.meta().clone(),
+            (trace.events().iter())
+                .filter(|e| matches!(e.op, Op::Read { .. } | Op::Write { .. }))
+                .copied()
+                .collect(),
+        )
+        .expect("accesses alone are legal");
+        assert!(
+            history_of(&accesses_only).check_drf().is_err(),
+            "{name} without its synchronization must race"
+        );
         for kind in ProtocolKind::ALL {
             for page in [512, 4096] {
                 run_trace(&trace, kind, page, &SimOptions::checked())
-                    .unwrap_or_else(|e| panic!("{app}/{kind}/{page}: {e}"));
+                    .unwrap_or_else(|e| panic!("{name}/{kind}/{page}: {e}"));
             }
         }
     }

@@ -80,9 +80,11 @@ impl fmt::Display for TraceMeta {
 ///
 /// Legality means: accesses stay in bounds, locks are acquired only when
 /// free and released only by their holder, and a processor that arrived at
-/// a barrier stays silent until the episode completes. Construct traces
-/// with [`TraceBuilder`] (which enforces legality incrementally) or check
-/// foreign traces with [`validate`](crate::validate).
+/// a barrier stays silent until the episode completes. Every constructor
+/// enforces it: [`TraceBuilder`] incrementally, [`Trace::from_parts`] (and
+/// so [`codec::from_text`](crate::codec::from_text), which builds through
+/// it) on foreign input, and [`interleave`](crate::interleave) as it
+/// schedules. A `Trace` value is therefore always legal.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Trace {
     meta: TraceMeta,

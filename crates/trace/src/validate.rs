@@ -212,13 +212,14 @@ impl Legality {
     }
 }
 
-/// Checks a finished trace for legality.
+/// Checks a finished trace for legality: the check behind
+/// [`Trace::from_parts`].
 ///
 /// # Errors
 ///
 /// Returns the first [`TraceError`] found, with the offending event index
 /// where applicable.
-pub fn validate(trace: &Trace) -> Result<(), TraceError> {
+pub(crate) fn validate(trace: &Trace) -> Result<(), TraceError> {
     let mut legality = Legality::new(trace.meta());
     for (at, event) in trace.events().iter().enumerate() {
         legality.admit(at, event)?;

@@ -99,10 +99,4 @@ mod tests {
         });
         assert_ne!(a, c);
     }
-
-    #[test]
-    fn properly_labeled() {
-        let trace = generate(&Scale::small(4));
-        assert!(lrc_trace::check_labeling(&trace).is_ok());
-    }
 }

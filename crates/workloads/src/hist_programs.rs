@@ -1,9 +1,11 @@
-//! Seeded random **threaded** programs for recorded-history checking.
+//! Seeded random programs, one type for every execution the tree has.
 //!
-//! Unlike the trace generators (which emit one global event order for the
-//! simulator), a [`ThreadProgram`] is a per-processor script meant to run
-//! on real threads through the runtime DSM, with a history recorder
-//! attached and the `lrc-hist` conformance checker as the oracle.
+//! A [`ThreadProgram`] is a per-processor script. It runs on real threads
+//! through the runtime DSM and through the node runtime, with a history
+//! recorder attached, and [`ThreadProgram::trace`] schedules it into one
+//! legal trace for the simulator. All three are checked by the same
+//! oracle, `lrc-hist`'s checker: a trace reaches it through
+//! `lrc_sim::history_of`.
 //!
 //! Programs are **data-race-free by construction**:
 //!
@@ -27,6 +29,7 @@
 //! the conformance suites print.
 
 use lrc_sync::{BarrierId, LockId};
+use lrc_trace::{interleave, Program, Trace, TraceMeta};
 use lrc_vclock::ProcId;
 
 use crate::Pcg32;
@@ -261,6 +264,40 @@ impl ThreadProgram {
         ops
     }
 
+    /// Schedules the program into one legal trace: each processor's
+    /// [`ops_for`](Self::ops_for) becomes a [`Program`] of 8-byte accesses
+    /// (the written values are dropped; a replay synthesizes its own), and
+    /// [`interleave`] interleaves them, seeded by `schedule_seed`.
+    pub fn trace(&self, schedule_seed: u64) -> Trace {
+        let meta = TraceMeta::new(
+            "thread_program",
+            self.n_procs,
+            self.n_locks,
+            1,
+            self.mem_bytes(),
+        );
+        let programs = (0..self.n_procs)
+            .map(|p| {
+                let p = ProcId::new(p as u16);
+                let mut program = Program::new(p);
+                for op in self.ops_for(p) {
+                    match op {
+                        ThreadOp::Acquire(lock) => program.acquire(lock),
+                        ThreadOp::Release(lock) => program.release(lock),
+                        ThreadOp::Read { addr } => program.read(addr, 8),
+                        ThreadOp::Write { addr, .. } => program.write(addr, 8),
+                        ThreadOp::Barrier(barrier) => program.barrier(barrier),
+                    };
+                }
+                program
+            })
+            .collect();
+        interleave(meta, programs, schedule_seed).expect(
+            "a ThreadProgram never nests locks and every processor crosses the \
+             same number of barriers, so any seed schedules it",
+        )
+    }
+
     /// Total lowered operations across all processors.
     pub fn op_count(&self) -> usize {
         (0..self.n_procs)
@@ -376,6 +413,7 @@ impl ThreadProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrc_trace::Op;
 
     fn shape() -> ProgramShape {
         ProgramShape::default()
@@ -424,6 +462,36 @@ mod tests {
                 "seed {seed}: barrier counts differ across processors"
             );
         }
+    }
+
+    #[test]
+    fn trace_keeps_each_processors_ops_in_program_order() {
+        let prog = ThreadProgram::generate(3, &shape());
+        for seed in 0..4 {
+            let trace = prog.trace(seed);
+            for p in 0..prog.n_procs {
+                let p = ProcId::new(p as u16);
+                let lowered: Vec<Op> = prog
+                    .ops_for(p)
+                    .into_iter()
+                    .map(|op| match op {
+                        ThreadOp::Acquire(lock) => Op::Acquire(lock),
+                        ThreadOp::Release(lock) => Op::Release(lock),
+                        ThreadOp::Read { addr } => Op::Read { addr, len: 8 },
+                        ThreadOp::Write { addr, .. } => Op::Write { addr, len: 8 },
+                        ThreadOp::Barrier(barrier) => Op::Barrier(barrier),
+                    })
+                    .collect();
+                let traced: Vec<Op> = trace
+                    .events()
+                    .iter()
+                    .filter(|e| e.proc == p)
+                    .map(|e| e.op)
+                    .collect();
+                assert_eq!(traced, lowered, "seed {seed}, {p}");
+            }
+        }
+        assert_ne!(prog.trace(0), prog.trace(1), "the seed picks the schedule");
     }
 
     #[test]

@@ -25,10 +25,17 @@
 //! [`micro`] holds the small patterns used in the paper's motivating
 //! figures (migratory lock data, false sharing, producer/consumer).
 //!
+//! [`ThreadProgram`] is the tree's one random program type: a
+//! race-free-by-construction per-processor script that runs on real
+//! threads, through the node runtime, and — lowered by
+//! [`ThreadProgram::trace`] — in the simulator.
+//!
 //! Every generator emits through the validating
-//! [`lrc_trace::TraceBuilder`], and the test suite additionally checks the
-//! traces are **properly labeled** ([`lrc_trace::check_labeling`]) — the
-//! precondition for the simulator's sequential-consistency oracle.
+//! [`lrc_trace::TraceBuilder`], and the simulator's test suite checks the
+//! traces are **properly labeled** — the precondition for the simulator's
+//! sequential-consistency oracle — with the tree's one race oracle:
+//! `lrc_sim::history_of` lowers a trace to an `lrc-hist` history, whose
+//! `check_drf` decides.
 //!
 //! # Example
 //!
@@ -37,7 +44,6 @@
 //!
 //! let trace = AppKind::Water.generate(&Scale::small(4));
 //! assert!(trace.len() > 0);
-//! assert!(lrc_trace::check_labeling(&trace).is_ok());
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

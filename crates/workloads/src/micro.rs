@@ -34,7 +34,7 @@ const WORD: u32 = 8;
 /// use lrc_workloads::micro::migratory;
 ///
 /// let trace = migratory(4, 10, 8);
-/// assert!(lrc_trace::check_labeling(&trace).is_ok());
+/// assert_eq!(trace.len(), 4 * 10 * (8 + 3));
 /// ```
 pub fn migratory(procs: usize, rounds: usize, block_words: u64) -> Trace {
     assert!(
@@ -76,7 +76,7 @@ pub fn migratory(procs: usize, rounds: usize, block_words: u64) -> Trace {
 /// use lrc_workloads::micro::false_sharing;
 ///
 /// let trace = false_sharing(4, 6, 16);
-/// assert!(lrc_trace::check_labeling(&trace).is_ok());
+/// assert_eq!(trace.meta().mem_bytes(), 4 * 16 * 8);
 /// ```
 pub fn false_sharing(procs: usize, phases: usize, stride_words: u64) -> Trace {
     assert!(
@@ -122,7 +122,7 @@ pub fn false_sharing(procs: usize, phases: usize, stride_words: u64) -> Trace {
 /// use lrc_workloads::micro::producer_consumer;
 ///
 /// let trace = producer_consumer(3, 8, 4);
-/// assert!(lrc_trace::check_labeling(&trace).is_ok());
+/// assert_eq!(trace.meta().n_procs(), 3);
 /// ```
 pub fn producer_consumer(procs: usize, items: usize, record_words: u64) -> Trace {
     assert!(
@@ -174,7 +174,7 @@ pub fn producer_consumer(procs: usize, items: usize, record_words: u64) -> Trace
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrc_trace::{check_labeling, TraceStats};
+    use lrc_trace::TraceStats;
 
     #[test]
     fn migratory_is_lock_only_and_labeled() {
@@ -183,7 +183,7 @@ mod tests {
         assert_eq!(stats.barrier_arrivals, 0);
         assert_eq!(stats.acquires, 20);
         assert_eq!(stats.releases, 20);
-        assert!(check_labeling(&t).is_ok());
+        // `workload_conformance` checks it properly labeled through lrc-hist.
     }
 
     #[test]
@@ -192,7 +192,7 @@ mod tests {
         let stats = TraceStats::compute(&t);
         assert_eq!(stats.acquires, 0);
         assert_eq!(stats.barrier_episodes(4), 6, "read and write sub-phases");
-        assert!(check_labeling(&t).is_ok());
+        // `workload_conformance` checks it properly labeled through lrc-hist.
         // The whole point: one writer per 512-byte page, four per 8K page.
         assert_eq!(stats.mean_writers_per_page(&t, 512).unwrap(), 1.0);
         assert_eq!(stats.mean_writers_per_page(&t, 8192).unwrap(), 4.0);
@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn producer_consumer_is_labeled() {
         let t = producer_consumer(4, 6, 4);
-        assert!(check_labeling(&t).is_ok());
+        // `workload_conformance` checks it properly labeled through lrc-hist.
         let stats = TraceStats::compute(&t);
         assert_eq!(stats.acquires, 6 * 4); // producer + 3 consumers per item
     }

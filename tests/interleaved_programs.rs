@@ -1,124 +1,33 @@
-//! Property tests over *scheduled* programs: per-processor programs are
-//! interleaved by the seeded scheduler into different legal executions,
-//! and every protocol must match sequential consistency on each of them.
-//! This exercises genuinely concurrent critical sections and overlapping
-//! intervals that the sequential command generator cannot produce.
+//! Property tests over *wide* scheduled programs: four processors and
+//! three locks, so critical sections of different locks overlap more often
+//! than in `random_programs`' three-processor programs. Every protocol
+//! must match sequential consistency on each schedule, and the lazy
+//! protocol must stay within eager update's message count on all of them.
+//! The generator, the schedule and the failure report are
+//! `program_support`'s.
 
-use lrc::sim::{run_trace, ProtocolKind, SimOptions};
-use lrc::sync::{BarrierId, LockId};
-use lrc::trace::{check_labeling, interleave, Program, TraceMeta};
-use lrc::vclock::ProcId;
+mod program_support;
+
+use program_support::{check, lazy_within_eager_update, matches_sequential_consistency};
 use proptest::prelude::*;
 
-const PROCS: usize = 4;
-const LOCKS: usize = 3;
-const REGION_WORDS: u64 = 16;
-
-/// One per-processor step, mapped into race-free operations.
-#[derive(Clone, Debug)]
-enum Step {
-    /// Acquire a lock region, read-modify-write some of it, release.
-    Cs { lock: u32, word: u64, span: u64 },
-    /// Touch the processor's private region.
-    Private { word: u64 },
-    /// Arrive at the barrier.
-    Barrier,
-}
-
-fn step() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        5 => (0..LOCKS as u32, 0..REGION_WORDS - 3, 1..3u64)
-            .prop_map(|(lock, word, span)| Step::Cs { lock, word, span }),
-        3 => (0..REGION_WORDS).prop_map(|word| Step::Private { word }),
-        1 => Just(Step::Barrier),
-    ]
-}
-
-fn lock_region(lock: u32) -> u64 {
-    (PROCS as u64 + lock as u64) * REGION_WORDS * 8
-}
-
-fn private_region(proc: u16) -> u64 {
-    proc as u64 * REGION_WORDS * 8
-}
-
-fn build_programs(steps: &[Vec<Step>]) -> (TraceMeta, Vec<Program>) {
-    let mem = (PROCS as u64 + LOCKS as u64) * REGION_WORDS * 8;
-    let meta = TraceMeta::new("interleaved", PROCS, LOCKS, 1, mem);
-    // Everyone must reach the barrier the same number of times: emit the
-    // minimum count across processors, then one final aligning barrier.
-    let barrier_quota = steps
-        .iter()
-        .map(|s| s.iter().filter(|x| matches!(x, Step::Barrier)).count())
-        .min()
-        .unwrap_or(0);
-    let programs = steps
-        .iter()
-        .enumerate()
-        .map(|(pi, proc_steps)| {
-            let proc = ProcId::new(pi as u16);
-            let mut prog = Program::new(proc);
-            let mut barriers_done = 0usize;
-            for s in proc_steps {
-                match *s {
-                    Step::Cs { lock, word, span } => {
-                        prog.acquire(LockId::new(lock));
-                        for k in 0..span {
-                            prog.read(lock_region(lock) + (word + k) * 8, 8);
-                            prog.write(lock_region(lock) + (word + k) * 8, 8);
-                        }
-                        prog.release(LockId::new(lock));
-                    }
-                    Step::Private { word } => {
-                        prog.write(private_region(pi as u16) + word * 8, 8);
-                    }
-                    Step::Barrier => {
-                        if barriers_done < barrier_quota {
-                            prog.barrier(BarrierId::new(0));
-                            barriers_done += 1;
-                        }
-                    }
-                }
-            }
-            for _ in barriers_done..barrier_quota {
-                prog.barrier(BarrierId::new(0));
-            }
-            prog
-        })
-        .collect();
-    (meta, programs)
-}
+/// `(processors, locks)` of every program.
+const SHAPE: (usize, usize) = (4, 3);
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     /// All four protocols match sequential consistency on every schedule
-    /// of every race-free program set.
+    /// of every race-free program.
     #[test]
-    fn protocols_match_sc_on_scheduled_programs(
-        steps in prop::collection::vec(prop::collection::vec(step(), 0..16), PROCS..=PROCS),
-        seed in 0u64..1000,
-    ) {
-        let (meta, programs) = build_programs(&steps);
-        let trace = interleave(meta, programs, seed).expect("programs schedule");
-        prop_assert!(check_labeling(&trace).is_ok(), "region discipline is race-free");
-        for kind in ProtocolKind::ALL {
-            let run = run_trace(&trace, kind, 512, &SimOptions::checked());
-            prop_assert!(run.is_ok(), "{kind}: {}", run.err().map(|e| e.to_string()).unwrap_or_default());
-        }
+    fn protocols_match_sc_on_scheduled_programs(program_seed in any::<u64>(), schedule_seed in any::<u64>()) {
+        check(SHAPE, program_seed, schedule_seed, matches_sequential_consistency);
     }
 
-    /// Message totals depend on the schedule, but protocol correctness and
-    /// the lazy-beats-eager-update ordering hold across schedules.
+    /// Message totals depend on the schedule, but lazy invalidate never
+    /// sends more messages than eager update on any of them.
     #[test]
-    fn lazy_beats_eu_across_schedules(
-        steps in prop::collection::vec(prop::collection::vec(step(), 4..16), PROCS..=PROCS),
-        seed in 0u64..1000,
-    ) {
-        let (meta, programs) = build_programs(&steps);
-        let trace = interleave(meta, programs, seed).expect("programs schedule");
-        let li = run_trace(&trace, ProtocolKind::LazyInvalidate, 512, &SimOptions::fast()).unwrap();
-        let eu = run_trace(&trace, ProtocolKind::EagerUpdate, 512, &SimOptions::fast()).unwrap();
-        prop_assert!(li.messages() <= eu.messages());
+    fn lazy_beats_eu_across_schedules(program_seed in any::<u64>(), schedule_seed in any::<u64>()) {
+        check(SHAPE, program_seed, schedule_seed, lazy_within_eager_update);
     }
 }
