@@ -12,6 +12,7 @@
 //! ([`LrcEngine::checkpoint`](crate::LrcEngine::checkpoint)).
 
 use std::fmt;
+use std::mem;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
@@ -30,6 +31,11 @@ use crate::{ConfigError, EngineCounters, EngineParams, Frame, LockCell, Policy, 
 
 /// A held gate of family `S`.
 type Gate<'a, S> = <<S as Sharing>::Mutex<()> as LockCell<()>>::Guard<'a>;
+
+/// How many gates of a flush set [`FlushGates`] holds in place; the rest
+/// go to a heap list. Nearly every release of the paper's traces flushes at
+/// most two pages; the larger flushes, mostly barrier arrivals, spill.
+const INLINE_GATES: usize = 4;
 
 /// The state and bookkeeping every protocol engine shares, independent of
 /// the protocol: validated parameters, the lock table and barrier set,
@@ -74,7 +80,7 @@ type Gate<'a, S> = <<S as Sharing>::Mutex<()> as LockCell<()>>::Guard<'a>;
 ///   page, the in-flight-miss table): misses on distinct pages resolve
 ///   concurrently, and a same-page follower waits on the resolver, not on
 ///   the engine. A protocol that flushes pages at a release or barrier
-///   arrival ([`Protocol::flush_set`]) holds those pages' gates too,
+///   arrival ([`Protocol::FLUSHES_DIRTY`]) holds those pages' gates too,
 ///   taken in ascending page order — the deadlock-free order of every
 ///   multi-gate path;
 /// * barrier arrivals serialize only on the barrier set's mutex; an
@@ -278,7 +284,6 @@ impl<S: Sharing> EngineCore<S> {
         let (inflight, others) = InFlight::enter(&self.slow_inflight);
         SlowPath {
             core: self,
-            page_gates: Vec::new(),
             _gate: None,
             _miss: None,
             _inflight: inflight,
@@ -345,12 +350,10 @@ impl<S: Sharing> EngineCore<S> {
     }
 }
 
-/// One slow-path entry: the RAII in-flight marks plus the gates taken so
-/// far. Dropping it releases the gates, then leaves the gauges.
+/// One slow-path entry: the RAII in-flight marks plus the gate it is
+/// about. Dropping it releases the gate, then leaves the gauges.
 struct SlowPath<'a, S: Sharing> {
     core: &'a EngineCore<S>,
-    /// The gates of a flush set.
-    page_gates: Vec<Gate<'a, S>>,
     /// The one gate the entry is about: a lock's, or a missed page's.
     _gate: Option<Gate<'a, S>>,
     _miss: Option<InFlight<'a, S::Cell>>,
@@ -363,15 +366,6 @@ struct SlowPath<'a, S: Sharing> {
 }
 
 impl<S: Sharing> SlowPath<'_, S> {
-    /// Takes the gates of the flush set `pages`, which must be ascending.
-    fn page_gates(&mut self, pages: &[PageId]) {
-        let (core, waited) = (self.core, &mut self.waited);
-        self.page_gates = pages
-            .iter()
-            .map(|g| gate_lock(&core.page_gates[g.index()], waited))
-            .collect();
-    }
-
     /// Settles the contention counters for this entry, once every gate it
     /// needs is held.
     fn settle(&self) {
@@ -384,6 +378,15 @@ impl<S: Sharing> SlowPath<'_, S> {
     }
 }
 
+/// The page gates a release or barrier arrival holds across its flush
+/// ([`Protocol::FLUSHES_DIRTY`]), taken in ascending page order: the first
+/// [`INLINE_GATES`] in place, the rest in a heap list. Dropping it
+/// releases them.
+struct FlushGates<'a, S: Sharing> {
+    inline: [Option<Gate<'a, S>>; INLINE_GATES],
+    spilled: Vec<Gate<'a, S>>,
+}
+
 /// One processor's private slice of the engine: its page frames, the
 /// pages dirtied in the open interval or epoch, and the protocol's
 /// per-processor extension. Everything an ordinary cached read or write
@@ -393,7 +396,10 @@ impl<S: Sharing> SlowPath<'_, S> {
 pub struct Shard<P: Protocol> {
     /// The processor's page table.
     pub pages: Vec<Frame<P::FrameExt>>,
-    /// Pages dirtied since the last interval close or flush.
+    /// Pages dirtied since the last interval close or flush, in the order
+    /// of their first writes. A page is listed at most once: it joins
+    /// when its twin is made and leaves when its twin is consumed, and
+    /// only a page without a twin gets one.
     pub dirty: Vec<PageId>,
     /// Buffers of consumed twins, for the next first writes to take
     /// (`Frame::ensure_twin`, `Frame::close_twin`). A buffer returns
@@ -402,6 +408,9 @@ pub struct Shard<P: Protocol> {
     pub spare_twins: Vec<PageBuf>,
     /// The protocol's per-processor state.
     pub ext: P::ShardExt,
+    /// `dirty`, ascending: the pages whose gates a flush holds
+    /// ([`Protocol::FLUSHES_DIRTY`]). Refilled at each flush.
+    flush_set: Vec<PageId>,
 }
 
 /// A release-consistency protocol, as the four points where the paper
@@ -446,13 +455,12 @@ pub trait Protocol: Sized + fmt::Debug {
     /// actions.
     fn on_acquire(engine: &Engine<Self>, p: ProcId, path: &AcquirePath);
 
-    /// The pages `p`'s next release or barrier arrival will flush to other
-    /// processors, ascending and deduplicated: the engine holds their
-    /// gates across [`Protocol::on_release`] / [`Protocol::barrier_arrive`].
-    /// Empty for a protocol whose releases are local.
-    fn flush_set(_engine: &Engine<Self>, _p: ProcId) -> Vec<PageId> {
-        Vec::new()
-    }
+    /// Whether a release or barrier arrival of `p` flushes the pages `p`
+    /// dirtied ([`Shard::dirty`]) to other processors. If so, the engine
+    /// holds those pages' gates, taken in ascending order, across
+    /// [`Protocol::on_release`] / [`Protocol::barrier_arrive`]. False for
+    /// a protocol whose releases are local.
+    const FLUSHES_DIRTY: bool = false;
 
     /// **What a release sends.** `p` holds the lock and is about to hand
     /// it back (inside the lock's gate and the flush set's page gates).
@@ -516,6 +524,7 @@ impl<P: Protocol> Engine<P> {
                     dirty: Vec::new(),
                     spare_twins: Vec::new(),
                     ext: P::new_ext(&core, p),
+                    flush_set: Vec::new(),
                 };
                 LockCell::new_in(shard, classes::ENGINE_SHARD)
             })
@@ -548,6 +557,45 @@ impl<P: Protocol> Engine<P> {
     /// Panics if `p` or `page` is out of range.
     pub fn page_valid(&self, p: ProcId, page: PageId) -> bool {
         self.shard(p).pages[page.index()].valid
+    }
+
+    /// Takes the gates of the pages `p`'s release or barrier arrival
+    /// flushes, if the protocol flushes ([`Protocol::FLUSHES_DIRTY`]):
+    /// `p`'s dirty pages, copied into the shard's own buffer and sorted
+    /// there. No shard lock is held while the gates are taken; `waited`
+    /// is set if one was contended.
+    fn gate_flush_set(&self, p: ProcId, waited: &mut bool) -> Option<FlushGates<'_, P::Family>> {
+        if !P::FLUSHES_DIRTY {
+            return None;
+        }
+        let mut pages = {
+            let mut shard = self.shard(p);
+            let Shard {
+                dirty, flush_set, ..
+            } = &mut *shard;
+            let mut pages = mem::take(flush_set);
+            pages.clear();
+            pages.extend_from_slice(dirty);
+            pages
+        };
+        pages.sort_unstable();
+        debug_assert!(
+            pages.windows(2).all(|w| w[0] != w[1]),
+            "a page is dirty at most once"
+        );
+        let mut gates = FlushGates {
+            inline: Default::default(),
+            spilled: Vec::new(),
+        };
+        for (i, g) in pages.iter().enumerate() {
+            let gate = gate_lock(&self.core.page_gates[g.index()], waited);
+            match gates.inline.get_mut(i) {
+                Some(slot) => *slot = Some(gate),
+                None => gates.spilled.push(gate),
+            }
+        }
+        self.shard(p).flush_set = pages;
+        Some(gates)
     }
 
     fn assert_live(&self, p: ProcId, op: &str) {
@@ -731,7 +779,9 @@ impl<P: Protocol> Engine<P> {
             slow.settle();
             return Err(e);
         }
-        slow.page_gates(&P::flush_set(self, p));
+        // Declared after `slow`, so dropped first: the page gates go before
+        // the lock's.
+        let _flush = self.gate_flush_set(p, &mut slow.waited);
         slow.settle();
         P::on_release(self, p);
         self.core.finish_release(p, lock);
@@ -764,7 +814,7 @@ impl<P: Protocol> Engine<P> {
                 return Err(e);
             }
         };
-        slow.page_gates(&P::flush_set(self, p));
+        let _flush = self.gate_flush_set(p, &mut slow.waited);
         slow.settle();
         P::barrier_arrive(self, p, barrier, master);
         let outcome = self.core.barriers.lock().arrive(p, barrier)?;

@@ -152,6 +152,9 @@ struct Scratch {
     sizer: Sizer,
     /// The diffs an interval close made, on their way into the store.
     page_diffs: Vec<(PageId, Diff)>,
+    /// Another processor's clock — an acquire's grantor, a barrier
+    /// arrival's master — copied because no path holds two shard locks.
+    peer_clock: VectorClock,
 }
 
 /// The buffers that sizing a diff reply works in: a multi-page reply's
@@ -209,6 +212,15 @@ fn merge_knowledge(into: &mut VectorClock, clock: &VectorClock, r: ProcId) {
     let own = into.get(r);
     into.merge(clock);
     into.set(r, own.max(clock.get(r).saturating_sub(1)));
+}
+
+/// The processors of a set given as a bitmask, one bit per processor
+/// ([`MAX_PROCS`](crate::MAX_PROCS) is 64): here, the dead ones.
+type ProcSet = u64;
+
+/// True if `r`'s bit is set in `set`.
+fn holds(set: ProcSet, r: ProcId) -> bool {
+    set >> r.index() & 1 != 0
 }
 
 /// Wire size of a batch of write notices: one header per distinct
@@ -315,9 +327,11 @@ impl<S: Sharing> Protocol for Lazy<S> {
         // closed is in the store before its clock shows it (close_interval
         // publishes under the store's write lock before bumping), so the
         // notice computation below never names an unrecorded interval. Its
-        // clock is copied because no path holds two shard locks; its own
-        // entry, the open interval, reads one lower where it is used.
-        let grantor = e.shard(q).ext.clock.clone();
+        // clock is copied, into `p`'s scratch, because no path holds two
+        // shard locks; its own entry, the open interval, reads one lower
+        // where it is used.
+        let mut grantor = mem::take(&mut e.shard(p).ext.scratch.peer_clock);
+        grantor.clone_from(&e.shard(q).ext.clock);
         let state = e.proto.state.read();
         let store = &state.store;
         // The notices are computed into `p`'s scratch and delivered from
@@ -329,6 +343,7 @@ impl<S: Sharing> Protocol for Lazy<S> {
             store.notices_missing(&ext.clock, &grantor, Some(q), notices);
             e.deliver_notices(pages, p, notices);
             merge_knowledge(&mut ext.clock, &grantor, q);
+            ext.scratch.peer_clock = grantor;
             notice_bytes(notices)
         };
 
@@ -400,7 +415,8 @@ impl<S: Sharing> Protocol for Lazy<S> {
         e.close_interval(p);
         if p != master {
             let state = e.proto.state.read();
-            let master_clock = e.shard(master).ext.clock.clone();
+            let mut master_clock = mem::take(&mut e.shard(p).ext.scratch.peer_clock);
+            master_clock.clone_from(&e.shard(master).ext.clock);
             let notice_payload = {
                 let mut shard = e.shard(p);
                 let LazyShard { clock, scratch, .. } = &mut shard.ext;
@@ -408,6 +424,7 @@ impl<S: Sharing> Protocol for Lazy<S> {
                 state
                     .store
                     .notices_missing(&master_clock, clock, Some(p), fresh);
+                scratch.peer_clock = master_clock;
                 notice_bytes(fresh)
             };
             let payload = BARRIER_ID_BYTES + vc_bytes(e.params.n_procs) + notice_payload;
@@ -581,15 +598,17 @@ impl<S: Sharing> Engine<Lazy<S>> {
             dirty,
             spare_twins,
             ext,
+            ..
         } = &mut *shard;
         let LazyShard { clock, scratch, .. } = ext;
         let page_diffs = &mut scratch.page_diffs;
         // Drained, not taken: the list keeps its allocation for the next
         // interval's first write, as the twins' buffers do.
         for g in dirty.drain(..) {
-            let diff = pages[g.index()]
-                .close_twin(spare_twins)
-                .expect("dirty page has a twin");
+            // A fresh diff: it goes to the store and never comes back.
+            let mut diff = Diff::default();
+            let closed = pages[g.index()].close_twin(spare_twins, &mut diff);
+            assert!(closed, "dirty page has a twin");
             if !diff.is_empty() {
                 page_diffs.push((g, diff));
             }
@@ -712,13 +731,15 @@ impl<S: Sharing> Engine<Lazy<S>> {
         // was declared dead) but receives nothing: no exit message, no
         // notices, no clock merge. Its frames were reset at death — the
         // catch-up happens at rejoin, against its checkpoint.
-        let dead: Vec<bool> = ProcId::all(n).map(|r| self.shard(r).ext.dead).collect();
+        let dead: ProcSet = ProcId::all(n)
+            .filter(|&r| self.shard(r).ext.dead)
+            .fold(0, |set, r| set | 1 << r.index());
         let mut merged = VectorClock::new(n);
         for r in ProcId::all(n) {
             merge_knowledge(&mut merged, &self.shard(r).ext.clock, r);
         }
         let mut state = self.proto.state.write();
-        let live = || ProcId::all(n).filter(|r| !dead[r.index()]);
+        let live = || ProcId::all(n).filter(|&r| !holds(dead, r));
         // The exits stream: each live processor's missing notices are
         // computed into its own scratch against its own pre-merge clock,
         // sent, delivered, and only then is its clock merged. No list
@@ -758,23 +779,22 @@ impl<S: Sharing> Engine<Lazy<S>> {
         // checkpoint of the new era. Each deferred round bumps
         // `gc_deferrals`, so the stall stays observable and bounded.
         if self.params.gc_at_barriers {
-            let any_dead = dead.iter().any(|&d| d);
-            if !any_dead {
-                self.collect_garbage(&mut state, &dead);
+            if dead == 0 {
+                self.collect_garbage(&mut state, dead);
             } else {
                 let episode = self.counters().barrier_episodes;
-                let all_dead = dead.iter().all(|&d| d);
+                let all_dead = dead.count_ones() as usize == n;
                 let leases_expired = !all_dead
                     && self.params.death_lease_episodes.is_some_and(|lease| {
                         ProcId::all(n)
-                            .filter(|r| dead[r.index()])
+                            .filter(|&r| holds(dead, r))
                             .all(|r| episode.saturating_sub(self.shard(r).ext.dead_since) >= lease)
                     });
                 if leases_expired {
-                    for r in ProcId::all(n).filter(|r| dead[r.index()]) {
+                    for r in ProcId::all(n).filter(|&r| holds(dead, r)) {
                         self.shard(r).ext.lease_expired = true;
                     }
-                    self.collect_garbage(&mut state, &dead);
+                    self.collect_garbage(&mut state, dead);
                 } else {
                     bump(&self.counters.gc_deferrals, 1);
                 }
@@ -805,12 +825,12 @@ impl<S: Sharing> Engine<Lazy<S>> {
     /// and the entire interval/diff history is discarded — advancing the
     /// store's era. Safe exactly at barrier completion, when every
     /// interval has performed everywhere.
-    fn collect_garbage(&self, state: &mut LazyState, dead: &[bool]) {
+    fn collect_garbage(&self, state: &mut LazyState, dead: ProcSet) {
         let n = self.params.n_procs;
         // Validate every resident copy (the update policy already did; a
         // dead processor's frames were reset at death, so it has none).
         if self.policy == Policy::Invalidate {
-            for r in ProcId::all(n).filter(|r| !dead[r.index()]) {
+            for r in ProcId::all(n).filter(|&r| !holds(dead, r)) {
                 let touched = self.validate_cached_pages(&mut state.store, r);
                 bump(&self.counters.gc_validated_pages, touched as u64);
             }
@@ -820,7 +840,7 @@ impl<S: Sharing> Engine<Lazy<S>> {
         for (page, owner) in state.store.latest_writers() {
             state.gc_owner[page.index()] = Some(owner);
         }
-        if dead.iter().any(|&d| d) {
+        if dead != 0 {
             self.rehome_dead_owned_pages(state, dead);
         }
         for r in ProcId::all(n) {
@@ -848,19 +868,19 @@ impl<S: Sharing> Engine<Lazy<S>> {
     /// barrier completion: every recorded interval has performed at every
     /// live processor. The bytes come from the local escrow replica, not
     /// the fabric, so no messages are charged.
-    fn rehome_dead_owned_pages(&self, state: &mut LazyState, dead: &[bool]) {
+    fn rehome_dead_owned_pages(&self, state: &mut LazyState, dead: ProcSet) {
         let n = self.params.n_procs;
-        let orphaned = state.pages_owned_where(|o| dead[o.index()]);
+        let orphaned = state.pages_owned_where(|o| holds(dead, o));
         if orphaned.is_empty() {
             return;
         }
         let fallback = ProcId::all(n)
-            .find(|r| !dead[r.index()])
+            .find(|&r| !holds(dead, r))
             .expect("re-homing requires a live processor");
         let store = &state.store;
         for page in orphaned {
             let resident = ProcId::all(n)
-                .find(|&r| !dead[r.index()] && self.shard(r).pages[page.index()].copy.is_some());
+                .find(|&r| !holds(dead, r) && self.shard(r).pages[page.index()].copy.is_some());
             let escrowed = state.escrow.remove(&page);
             let new_owner = match resident {
                 Some(r) => r,

@@ -140,25 +140,28 @@ impl<E> Frame<E> {
         }
     }
 
-    /// Consumes the twin of a dirty page: returns the diff of the copy
-    /// against it — scanning only the written range, outside which the
-    /// two are equal — and puts the twin's buffer on `spare` for the next
-    /// first write. `None` if the page is not dirty.
+    /// Consumes the twin of a dirty page: refills `diff` with the diff of
+    /// the copy against it ([`Diff::refill`]) — scanning only the written
+    /// range, outside which the two are equal — and puts the twin's buffer
+    /// on `spare` for the next first write. Returns false, leaving `diff`
+    /// untouched, if the page is not dirty.
     ///
     /// # Panics
     ///
     /// Panics if a twinned page has no copy.
-    pub fn close_twin(&mut self, spare: &mut Vec<PageBuf>) -> Option<Diff> {
-        let twin = self.twin.take()?;
+    pub fn close_twin(&mut self, spare: &mut Vec<PageBuf>, diff: &mut Diff) -> bool {
+        let Some(twin) = self.twin.take() else {
+            return false;
+        };
         let copy = self.copy.as_ref().expect("dirty page has a copy");
-        let diff = Diff::between_in(&twin, copy, self.written.range());
+        diff.refill(&twin, copy, self.written.range());
         debug_assert_eq!(
-            diff,
+            *diff,
             Diff::between(&twin, copy),
             "a dirty copy changed outside its written range"
         );
         spare.push(twin);
-        Some(diff)
+        true
     }
 
     /// The last *committed* contents: the twin of a dirty page (kept in
@@ -227,9 +230,10 @@ mod tests {
         a.copy_mut(size()).write(0, &[7; 128]);
         a.ensure_twin(&mut spare);
         a.write(5, &[1]);
-        let diff = a.close_twin(&mut spare).expect("dirty");
+        let mut diff = Diff::default();
+        assert!(a.close_twin(&mut spare, &mut diff), "dirty");
         assert_eq!(diff.modified_bytes(), 1);
-        assert!(!a.is_dirty() && a.close_twin(&mut spare).is_none());
+        assert!(!a.is_dirty() && !a.close_twin(&mut spare, &mut diff));
         assert_eq!(spare.len(), 1, "the twin's buffer is kept");
 
         // The next first write, to another page, reuses it — as a copy of
@@ -256,7 +260,8 @@ mod tests {
         let mut other = PageBuf::zeroed(size());
         other.write(120, &[9; 4]);
         f.apply(&Diff::between(&PageBuf::zeroed(size()), &other), size());
-        let diff = f.close_twin(&mut spare).expect("dirty");
+        let mut diff = Diff::default();
+        assert!(f.close_twin(&mut spare, &mut diff), "dirty");
         let runs: Vec<_> = diff.runs().collect();
         assert_eq!(runs, [(10, &[3][..]), (100, &[1, 2][..])]);
         assert_eq!(f.copy.as_ref().unwrap().as_bytes()[120], 9);

@@ -1,3 +1,5 @@
+use std::mem;
+
 use lrc_core::{
     bump, ConfigError, Engine, EngineCore, LockCell, Policy, Protocol, Shard, Sharing, Threads,
 };
@@ -25,21 +27,49 @@ struct EpochMod {
     diff: Diff,
 }
 
+/// One page of an epoch's flush: the page, the diff of the epoch's
+/// writes to it, and where it goes — the page's other cachers, as
+/// copyset bits read when the epoch closed. A destination's message
+/// carries the diffs whose bit it has, in flush order, and destinations
+/// go lowest first — so the work is one bit test per diff and
+/// destination, and no list is built per destination.
+#[derive(Debug)]
+struct Flushed {
+    page: PageId,
+    diff: Diff,
+    dests: u64,
+}
+
+/// The eager protocol's per-processor state: the buffers this
+/// processor's flushes reuse, so that a release allocates only while
+/// its flushes outgrow every earlier one.
+#[derive(Debug, Default)]
+pub struct EagerShard {
+    /// The flush in progress, one entry per flushed page. It is taken out
+    /// of the shard while the flush is sent, and given back emptied.
+    flush: Vec<Flushed>,
+    /// Buffers of consumed diffs, for the next flush's diffs to refill
+    /// ([`lrc_pagemem::Diff::refill`]). A diff's buffer returns here once
+    /// its flush is sent, or, for an EI barrier arrival, once the episode
+    /// completes.
+    spare_diffs: Vec<Diff>,
+}
+
 /// The eager release consistency protocol (Munin-style write-shared):
 /// modifications propagate to **all cachers at release time**, access
 /// misses go through a directory, and acquires carry no consistency
 /// information. This is its shared state — the page directory and EI's
-/// per-episode modification buffer; per-processor state is just the
-/// shared frames.
+/// per-episode modification buffer; per-processor state is the shared
+/// frames plus the buffers a flush reuses ([`EagerShard`]).
 ///
 /// A release's (or barrier arrival's) flush runs inside the gates of
-/// every page it flushes ([`Protocol::flush_set`]), so flushes of disjoint
-/// page sets overlap while same-page flush/flush and flush/miss pairs
-/// serialize. The invalidation-writeback dance for a page is therefore
-/// atomic: a concurrent writer either flushes before the invalidator
-/// takes the page's gate or contributes its epoch's writes as a writeback
-/// (its twin is consumed and the page leaves its dirty set under the
-/// destination's shard lock). A directory entry changes only under its
+/// every page it flushes ([`Protocol::FLUSHES_DIRTY`]), so flushes of
+/// disjoint page sets overlap while same-page flush/flush and flush/miss
+/// pairs serialize. The invalidation-writeback dance for a page is
+/// therefore atomic: a concurrent writer either flushes before the
+/// invalidator takes the page's gate or contributes its epoch's writes
+/// as a writeback (its twin is consumed and the page leaves its dirty set
+/// under the destination's shard lock). A directory entry changes only under its
 /// page's gate. The directory mutex may be held while taking a shard
 /// mutex, never the reverse.
 #[derive(Debug)]
@@ -91,7 +121,7 @@ impl<S: Sharing> Eager<S> {
 
 impl<S: Sharing> Protocol for Eager<S> {
     type Family = S;
-    type ShardExt = ();
+    type ShardExt = EagerShard;
     type FrameExt = ();
 
     fn new(core: &EngineCore<S>) -> Result<Self, ConfigError> {
@@ -121,7 +151,9 @@ impl<S: Sharing> Protocol for Eager<S> {
         })
     }
 
-    fn new_ext(_core: &EngineCore<S>, _p: ProcId) {}
+    fn new_ext(_core: &EngineCore<S>, _p: ProcId) -> EagerShard {
+        EagerShard::default()
+    }
 
     /// Find-and-transfer messages only: eager RC performs **no
     /// consistency actions at acquires** (§3).
@@ -138,28 +170,23 @@ impl<S: Sharing> Protocol for Eager<S> {
         }
     }
 
-    /// The pages `p` has dirtied this epoch.
-    fn flush_set(e: &Engine<Self>, p: ProcId) -> Vec<PageId> {
-        let mut pages = e.shard(p).dirty.clone();
-        pages.sort();
-        pages.dedup();
-        pages
-    }
+    /// A release or barrier arrival flushes the pages dirtied this epoch.
+    const FLUSHES_DIRTY: bool = true;
 
     /// Propagates every modification of the epoch to all other cachers
     /// (updates under EU, invalidations under EI), one merged message per
     /// destination, and blocks for their acknowledgments — Table 1's `2c`.
     fn on_release(e: &Engine<Self>, p: ProcId) {
-        let diffs = take_epoch_diffs(e, p);
-        if diffs.is_empty() {
-            return;
-        }
-        match e.policy() {
-            Policy::Update => {
-                push_updates(e, p, &diffs, MsgKind::ReleaseUpdate, MsgKind::ReleaseAck)
+        let flush = take_epoch_flush(e, p);
+        if !flush.is_empty() {
+            match e.policy() {
+                Policy::Update => {
+                    push_updates(e, p, &flush, MsgKind::ReleaseUpdate, MsgKind::ReleaseAck)
+                }
+                Policy::Invalidate => push_invalidations(e, p, &flush),
             }
-            Policy::Invalidate => push_invalidations(e, p, &diffs),
         }
+        give_back(e, p, flush);
     }
 
     /// Flushes like a release. EU pushes update messages immediately
@@ -167,21 +194,21 @@ impl<S: Sharing> Protocol for Eager<S> {
     /// pays only `2v` to resolve multiple concurrent invalidators of one
     /// page (Table 1).
     fn barrier_arrive(e: &Engine<Self>, p: ProcId, barrier: BarrierId, master: ProcId) {
-        let diffs = take_epoch_diffs(e, p);
+        let mut flush = take_epoch_flush(e, p);
         let mut piggyback_pages = 0usize;
         match e.policy() {
             Policy::Update => push_updates(
                 e,
                 p,
-                &diffs,
+                &flush,
                 MsgKind::BarrierUpdate,
                 MsgKind::BarrierUpdateAck,
             ),
             Policy::Invalidate => {
-                piggyback_pages = diffs.len();
+                piggyback_pages = flush.len();
                 // The barrier set refused an unknown id before this ran.
-                e.protocol().epoch_mods.lock()[barrier.index()].extend(diffs.into_iter().map(
-                    |(page, diff)| EpochMod {
+                e.protocol().epoch_mods.lock()[barrier.index()].extend(flush.drain(..).map(
+                    |Flushed { page, diff, .. }| EpochMod {
                         writer: p,
                         page,
                         diff,
@@ -189,6 +216,7 @@ impl<S: Sharing> Protocol for Eager<S> {
                 ));
             }
         }
+        give_back(e, p, flush);
         if p != master {
             let payload = BARRIER_ID_BYTES + invalidation_bytes(piggyback_pages);
             e.net().send(p, master, MsgKind::BarrierArrival, payload);
@@ -262,6 +290,12 @@ impl<S: Sharing> Protocol for Eager<S> {
         for r in ProcId::all(n).filter(|&r| r != master) {
             e.net().send(master, r, MsgKind::BarrierExit, payload);
         }
+        // The episode's diffs go back to their writers, and the emptied
+        // buffer to the barrier.
+        for m in mods.drain(..) {
+            e.shard(m.writer).ext.spare_diffs.push(m.diff);
+        }
+        e.protocol().epoch_mods.lock()[barrier.index()] = mods;
         bump(&e.tally().barrier_episodes, 1);
     }
 
@@ -289,11 +323,22 @@ impl<S: Sharing> Protocol for Eager<S> {
         // The source's *committed* contents (the home's initial copy is
         // zeros): a dirty source's unflushed epoch writes must not leak to
         // a cold miss under false sharing before the release-time flush
-        // makes them visible everywhere.
-        let content = e.shard(source).pages[gi]
-            .committed()
-            .cloned()
-            .unwrap_or_else(|| PageBuf::zeroed(page_size));
+        // makes them visible everywhere. They refill the stale buffer the
+        // frame holds, if any, taken out first because no path holds two
+        // shard locks.
+        let stale = e.shard(p).pages[gi].copy.take();
+        let content = match (stale, e.shard(source).pages[gi].committed()) {
+            (Some(mut buf), Some(committed)) => {
+                buf.write(0, committed.as_bytes());
+                buf
+            }
+            (Some(mut buf), None) => {
+                buf.as_bytes_mut().fill(0);
+                buf
+            }
+            (None, Some(committed)) => committed.clone(),
+            (None, None) => PageBuf::zeroed(page_size),
+        };
         let page_bytes = page_size.bytes() as u64;
         if p == home || home_has {
             // The home answers itself, or — missing its own page — asks
@@ -325,78 +370,71 @@ impl<S: Sharing> Protocol for Eager<S> {
     }
 }
 
-/// Ends `p`'s current epoch: diffs all dirty pages against their twins
-/// and transfers ownership to `p`. Callers hold the dirty pages' gates.
-fn take_epoch_diffs<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId) -> Vec<(PageId, Diff)> {
-    let mut out = Vec::new();
-    {
+/// Ends `p`'s current epoch: diffs every dirty page against its twin,
+/// into `p`'s flush list and recycled diff buffers, and transfers the
+/// pages' ownership to `p`, reading their other cachers under the same
+/// directory lock. Callers hold the dirty pages' gates, and hand the list
+/// to [`give_back`] once it is sent.
+fn take_epoch_flush<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId) -> Vec<Flushed> {
+    let mut flush = {
         let mut shard = e.shard(p);
         let Shard {
             pages,
             dirty,
             spare_twins,
+            ext,
             ..
         } = &mut *shard;
-        out.reserve(dirty.len());
+        let mut flush = mem::take(&mut ext.flush);
         // Drained, not taken: the list keeps its allocation for the next
         // epoch's first write, as the twins' buffers do.
         for g in dirty.drain(..) {
-            // Defensive: a twin consumed by a concurrent invalidator's
-            // writeback leaves the dirty list together with it (under
-            // this shard's lock), but skipping an already-written-back
-            // page is the right recovery either way.
-            let Some(diff) = pages[g.index()].close_twin(spare_twins) else {
-                continue;
-            };
-            if !diff.is_empty() {
-                out.push((g, diff));
+            let mut diff = ext.spare_diffs.pop().unwrap_or_default();
+            // A twin consumed by a concurrent invalidator's writeback
+            // leaves the dirty list together with it (under this shard's
+            // lock), but skipping an already-written-back page is the
+            // right recovery either way.
+            if pages[g.index()].close_twin(spare_twins, &mut diff) && !diff.is_empty() {
+                flush.push(Flushed {
+                    page: g,
+                    diff,
+                    dests: 0,
+                });
+            } else {
+                ext.spare_diffs.push(diff);
             }
         }
-    }
-    if !out.is_empty() {
+        flush
+    };
+    if !flush.is_empty() {
         let mut dir = e.protocol().dir.lock();
-        for (g, _) in &out {
-            dir[g.index()].owner = p;
+        for f in &mut flush {
+            let entry = &mut dir[f.page.index()];
+            entry.owner = p;
+            f.dests = entry.copyset & !bit(p);
         }
         bump(&e.tally().flushes, 1);
     }
-    out
+    flush
 }
 
-/// Where a flush goes: the other cachers of each flushed page, as
-/// copyset bits read under one directory lock. A destination's message
-/// carries the diffs whose bit it has, in flush order, and destinations
-/// go lowest first — so the work is one bit test per diff and
-/// destination, and no list is built per destination.
-struct Fanout<'a> {
-    diffs: &'a [(PageId, Diff)],
-    /// `masks[i]`: the copyset of `diffs[i]`'s page without the flusher.
-    masks: Vec<u64>,
+/// Returns a sent flush to `p`'s shard: its diffs' buffers to the spare
+/// list, and the emptied list itself.
+fn give_back<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId, mut flush: Vec<Flushed>) {
+    let mut shard = e.shard(p);
+    let ext = &mut shard.ext;
+    ext.spare_diffs.extend(flush.drain(..).map(|f| f.diff));
+    ext.flush = flush;
 }
 
-impl<'a> Fanout<'a> {
-    fn new<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId, diffs: &'a [(PageId, Diff)]) -> Self {
-        let dir = e.protocol().dir.lock();
-        let masks = diffs
-            .iter()
-            .map(|(g, _)| dir[g.index()].copyset & !bit(p))
-            .collect();
-        Fanout { diffs, masks }
-    }
+/// Every destination of a flush, lowest first.
+fn dests(flush: &[Flushed]) -> impl Iterator<Item = ProcId> {
+    procs_in(flush.iter().fold(0, |all, f| all | f.dests))
+}
 
-    /// Every destination, lowest first.
-    fn dests(&self) -> impl Iterator<Item = ProcId> {
-        procs_in(self.masks.iter().fold(0, |all, m| all | m))
-    }
-
-    /// The diffs `dest` caches, in flush order.
-    fn to(&self, dest: ProcId) -> impl Iterator<Item = &'a (PageId, Diff)> + '_ {
-        self.diffs
-            .iter()
-            .zip(&self.masks)
-            .filter(move |(_, mask)| *mask & bit(dest) != 0)
-            .map(|(diff, _)| diff)
-    }
+/// The flushed pages `dest` caches, in flush order.
+fn sent_to(flush: &[Flushed], dest: ProcId) -> impl Iterator<Item = &Flushed> {
+    flush.iter().filter(move |f| f.dests & bit(dest) != 0)
 }
 
 /// EU: one update message per destination carrying the diffs of every
@@ -404,22 +442,20 @@ impl<'a> Fanout<'a> {
 fn push_updates<S: Sharing>(
     e: &Engine<Eager<S>>,
     p: ProcId,
-    diffs: &[(PageId, Diff)],
+    flush: &[Flushed],
     update_kind: MsgKind,
     ack_kind: MsgKind,
 ) {
-    let fanout = Fanout::new(e, p, diffs);
-    for dest in fanout.dests() {
-        let payload: u64 = fanout
-            .to(dest)
-            .map(|(_, diff)| diff.encoded_size() as u64)
+    for dest in dests(flush) {
+        let payload: u64 = sent_to(flush, dest)
+            .map(|f| f.diff.encoded_size() as u64)
             .sum();
         e.net().send(p, dest, update_kind, payload);
         {
             let mut dest_shard = e.shard(dest);
-            for (g, diff) in fanout.to(dest) {
-                let entry = &mut dest_shard.pages[g.index()];
-                entry.apply(diff, e.space().page_size());
+            for f in sent_to(flush, dest) {
+                let entry = &mut dest_shard.pages[f.page.index()];
+                entry.apply(&f.diff, e.space().page_size());
                 entry.valid = true;
             }
         }
@@ -431,10 +467,9 @@ fn push_updates<S: Sharing>(
 /// EI at a release: write notices to every other cacher; cachers drop
 /// their copies (writing back their own concurrent modifications first),
 /// leaving the releaser the only valid copy.
-fn push_invalidations<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId, diffs: &[(PageId, Diff)]) {
-    let fanout = Fanout::new(e, p, diffs);
-    for dest in fanout.dests() {
-        let payload = invalidation_bytes(fanout.to(dest).count());
+fn push_invalidations<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId, flush: &[Flushed]) {
+    for dest in dests(flush) {
+        let payload = invalidation_bytes(sent_to(flush, dest).count());
         e.net().send(p, dest, MsgKind::ReleaseInvalidate, payload);
         bump(&e.tally().invalidations_sent, 1);
         // Invalidate at the destination, collecting writebacks from
@@ -445,13 +480,14 @@ fn push_invalidations<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId, diffs: &[(Pag
         {
             let mut guard = e.shard(dest);
             let dest_shard = &mut *guard;
-            for &(g, _) in fanout.to(dest) {
+            for &Flushed { page: g, .. } in sent_to(flush, dest) {
                 let entry = &mut dest_shard.pages[g.index()];
                 entry.valid = false;
                 // A destination that wrote the page concurrently: its
                 // modifications ride back to the releaser before the
                 // copy is dropped.
-                if let Some(wb) = entry.close_twin(&mut dest_shard.spare_twins) {
+                let mut wb = Diff::default();
+                if entry.close_twin(&mut dest_shard.spare_twins, &mut wb) {
                     dest_shard.dirty.retain(|&d| d != g);
                     if !wb.is_empty() {
                         writebacks.push((g, wb));
@@ -472,16 +508,16 @@ fn push_invalidations<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId, diffs: &[(Pag
         }
         {
             let mut dir = e.protocol().dir.lock();
-            for (g, _) in fanout.to(dest) {
-                dir[g.index()].copyset &= !bit(dest);
+            for f in sent_to(flush, dest) {
+                dir[f.page.index()].copyset &= !bit(dest);
                 bump(&e.tally().pages_invalidated, 1);
             }
         }
         e.net().send(dest, p, MsgKind::ReleaseAck, 0);
     }
     let mut dir = e.protocol().dir.lock();
-    for (g, _) in diffs {
+    for f in flush {
         // The releaser keeps the only valid copy.
-        dir[g.index()].copyset |= bit(p);
+        dir[f.page.index()].copyset |= bit(p);
     }
 }

@@ -76,4 +76,4 @@
 
 mod engine;
 
-pub use engine::{Eager, EagerEngine};
+pub use engine::{Eager, EagerEngine, EagerShard};

@@ -350,6 +350,70 @@ fn a_recycled_twin_never_leaks_stale_bytes() {
     }
 }
 
+#[test]
+fn a_recycled_diff_never_leaks_stale_runs() {
+    // A flushed diff's buffer is refilled by the flusher's next diff; it
+    // must come back holding that diff's runs only. p0 first flushes one
+    // byte in every 16 of page 0 (32 runs), then a single byte. Between
+    // the two, another writer overwrites a byte of an old run: a leaked
+    // run would put p0's stale byte back over it.
+    let one_byte = MSG_HEADER_BYTES + (DIFF_HEADER_BYTES + RUN_HEADER_BYTES + 1) as u64;
+    let every_16th = |dsm: &EagerEngine| {
+        for at in (0..512).step_by(16) {
+            dsm.write(p(0), at, &[0xee]);
+        }
+    };
+    let agree = |dsm: &EagerEngine, what: &str| {
+        let page = dsm.read_vec(p(0), 0, 512);
+        assert_eq!(page[32], 0x33, "{what}: the overwrite stands");
+        for i in 1..4 {
+            assert_eq!(dsm.read_vec(p(i), 0, 512), page, "{what}: p{i}'s copy");
+        }
+    };
+
+    // EU, at releases: every update carries p0's diff to the cachers.
+    let dsm = engine(Policy::Update);
+    for i in 1..4 {
+        dsm.read_u64(p(i), 0);
+    }
+    dsm.acquire(p(0), l(0)).unwrap();
+    every_16th(&dsm);
+    dsm.release(p(0), l(0)).unwrap();
+    dsm.acquire(p(1), l(0)).unwrap();
+    dsm.write(p(1), 32, &[0x33]);
+    dsm.release(p(1), l(0)).unwrap();
+    dsm.acquire(p(0), l(0)).unwrap();
+    dsm.write(p(0), 100, &[0x11]);
+    let before = dsm.net().snapshot();
+    dsm.release(p(0), l(0)).unwrap();
+    let delta = dsm.net().stats().since(&before);
+    assert_eq!(delta.kind(MsgKind::ReleaseUpdate).bytes, 3 * one_byte);
+    agree(&dsm, "EU");
+
+    // EI, at barriers: p0 and p1 write page 0 in each episode, and p1,
+    // the page's last flusher, wins it, so p0's diff is merged into p1's
+    // copy with one resolve message each episode.
+    let dsm = engine(Policy::Invalidate);
+    let episode = |dsm: &EagerEngine| {
+        let before = dsm.net().snapshot();
+        for i in 0..4 {
+            dsm.barrier(p(i), b(0)).unwrap();
+        }
+        dsm.net()
+            .stats()
+            .since(&before)
+            .kind(MsgKind::BarrierResolve)
+    };
+    every_16th(&dsm);
+    dsm.write(p(1), 1, &[0x22]);
+    assert_eq!(episode(&dsm).msgs, 1);
+    dsm.write(p(0), 100, &[0x11]);
+    dsm.write(p(1), 32, &[0x33]);
+    let resolve = episode(&dsm);
+    assert_eq!((resolve.msgs, resolve.bytes), (1, one_byte));
+    agree(&dsm, "EI");
+}
+
 /// The messages of one release by `releaser` of an 8-byte write to page
 /// `a` and a 16-byte write to page `b`, after `a_readers` and `b_readers`
 /// have cached those pages. Pages are 512 bytes, so page `g`'s home —

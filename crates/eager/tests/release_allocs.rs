@@ -1,15 +1,17 @@
-//! Allocation fence for an eager release, counted by a global allocator:
-//! an EU release of one write makes the same number of allocation calls
-//! however many processors cache the page, because the flush finds its
-//! destinations from the copyset bits instead of building a list per
-//! destination. The binary holds a single test, so no other test thread
-//! allocates while it counts.
+//! Allocation fence for eager releases and misses, counted by a global
+//! allocator: once a processor has released once, its next release of as
+//! many pages makes no allocation call at all, however many processors
+//! cache the pages — its flush list, diff buffers and twins are the
+//! shard's own, refilled — and a miss into a frame that holds a stale copy
+//! refills that copy. The binary holds a single test, so no other test
+//! thread allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lrc_core::{EngineParams, Policy};
 use lrc_eager::EagerEngine;
+use lrc_pagemem::PageId;
 use lrc_simnet::MsgKind;
 use lrc_sync::LockId;
 use lrc_vclock::ProcId;
@@ -54,44 +56,93 @@ fn counted(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
-/// Allocation calls of p0's EU release of one 8-byte write to page 0
-/// (home p0) after `k` other processors have cached the page.
-fn release_allocs(k: u16) -> u64 {
+const PAGE: u64 = 512;
+
+/// What two releases in a row cost: the allocation calls of each, and of
+/// each warm miss after them.
+struct Counts {
+    releases: [u64; 2],
+    warm_misses: Vec<u64>,
+}
+
+/// p0 releases, twice, an 8-byte write to each of pages `0..pages` after
+/// processors `1..=k` have cached them. Page `g`'s home is `p(g)`, so
+/// every cacher but p0 is one of the `k`. Under EI each release
+/// invalidates the cachers, and each re-reads its pages after it: a warm
+/// miss into a frame that still holds the stale copy.
+fn two_releases(policy: Policy, pages: u64, k: u16) -> Counts {
     let params = EngineParams {
         n_procs: 16,
-        mem_bytes: 16 * 512,
-        page_bytes: 512,
+        mem_bytes: 16 * PAGE,
+        page_bytes: PAGE as usize,
         ..EngineParams::default()
     };
-    let dsm = EagerEngine::new(Policy::Update, &params).unwrap();
+    let dsm = EagerEngine::new(policy, &params).unwrap();
     let (p0, lock) = (ProcId::new(0), LockId::new(0));
-    for r in 1..=k {
-        dsm.read_u64(ProcId::new(r), 0);
+    let cachers = || (1..=k).map(ProcId::new);
+    for r in cachers() {
+        for g in 0..pages {
+            dsm.read_u64(r, g * PAGE);
+        }
     }
-    dsm.acquire(p0, lock).unwrap();
-    dsm.write_u64(p0, 0, u64::MAX);
-    let before = dsm.net().snapshot();
-    let allocs = counted(|| dsm.release(p0, lock).unwrap());
-    let updates = dsm
-        .net()
-        .stats()
-        .since(&before)
-        .kind(MsgKind::ReleaseUpdate)
-        .msgs;
-    assert_eq!(updates, u64::from(k), "one update per other cacher");
-    allocs
+    let mut counts = Counts {
+        releases: [0; 2],
+        warm_misses: Vec::new(),
+    };
+    for round in 0..2 {
+        dsm.acquire(p0, lock).unwrap();
+        for g in 0..pages {
+            dsm.write_u64(p0, g * PAGE, round + 1);
+        }
+        let before = dsm.net().snapshot();
+        counts.releases[round as usize] = counted(|| dsm.release(p0, lock).unwrap());
+        let delta = dsm.net().stats().since(&before);
+        let kind = match policy {
+            Policy::Update => MsgKind::ReleaseUpdate,
+            Policy::Invalidate => MsgKind::ReleaseInvalidate,
+        };
+        assert_eq!(
+            delta.kind(kind).msgs,
+            u64::from(k),
+            "one message per cacher"
+        );
+        if policy == Policy::Invalidate {
+            for r in cachers() {
+                for g in 0..pages {
+                    assert!(!dsm.page_valid(r, PageId::new(g as u32)), "invalidated");
+                    let mut word = 0;
+                    let allocs = counted(|| word = dsm.read_u64(r, g * PAGE));
+                    assert_eq!(word, round + 1, "the released write");
+                    counts.warm_misses.push(allocs);
+                }
+            }
+        }
+    }
+    counts
 }
 
 #[test]
-fn an_eu_release_allocates_the_same_for_any_number_of_cachers() {
+fn a_second_eager_release_and_a_warm_miss_make_no_allocation_calls() {
     // The lock-order verifier allocates as it tracks locks; the fence
     // counts the engine's own calls, so the engines' locks are built
     // untracked even where `LRC_LOCKDEP` is set.
     lockdep::set_mode(Mode::Disabled);
-    // A debug build's twin close checks its diff against a whole-page
-    // diff, one more allocation.
-    let expected = if cfg!(debug_assertions) { 7 } else { 6 };
-    for k in [1, 3, 15] {
-        assert_eq!(release_allocs(k), expected, "{k} other cachers");
+    for policy in [Policy::Update, Policy::Invalidate] {
+        for pages in [1, 2] {
+            // A debug build's twin close checks its diff against a
+            // whole-page diff, one more allocation per page.
+            let expected = if cfg!(debug_assertions) { pages } else { 0 };
+            for k in [1, 3, 15] {
+                let at = format!("{policy:?}, {pages} pages, {k} other cachers");
+                let counts = two_releases(policy, pages, k);
+                assert!(
+                    counts.releases[0] > expected,
+                    "{at}: the first release warms up"
+                );
+                assert_eq!(counts.releases[1], expected, "{at}: second release");
+                let warm = &counts.warm_misses;
+                assert!(warm.iter().all(|&n| n == 0), "{at}: warm misses {warm:?}");
+            }
+        }
     }
 }

@@ -123,13 +123,18 @@ fn coverage<'a>(chain: impl Iterator<Item = &'a Diff>, ranges: &mut Vec<(u32, u3
 ///
 /// [`Diff::from_runs`] and [`Diff::squash`] know every run before they
 /// build, so they allocate the buffer once at its exact size.
-/// [`Diff::between_in`] (and [`Diff::between`]) finds its runs as it
-/// scans, so it grows the buffer run by run: a reallocation whenever the
-/// next run does not fit. On the paper's replays that growth is ≈ 22 % of
-/// the lazy engine's allocation calls and ≈ 17 % of the eager engine's.
-/// A two-pass, exact-size `between_in` was measured and not kept: it did
-/// not speed either replay, and it would compare a page twice when its
-/// writer rewrote all of it.
+/// [`Diff::refill`] finds its runs as it scans, so it grows the buffer
+/// run by run: a reallocation whenever the next run does not fit. It
+/// refills an existing diff, clearing it but keeping its capacity;
+/// [`Diff::between_in`] (and [`Diff::between`]) is a refill of an empty
+/// diff. The lazy engine's diffs go to its interval store and are never
+/// refilled, so there the growth is ≈ 24 % of the allocation calls on the
+/// paper's replays. The eager engine refills the diffs of its last flush,
+/// so it grows a buffer only when a diff outgrows that buffer's earlier
+/// ones: ≈ 20 calls per thousand events, and ≈ 27 % of what that engine
+/// still allocates. A two-pass, exact-size scan was measured and not
+/// kept: it did not speed either replay, and it would compare a page
+/// twice when its writer rewrote all of it.
 ///
 /// Applying a diff overwrites the runs' byte ranges. Diffs from causally
 /// ordered intervals must be applied in happened-before order; diffs from
@@ -226,6 +231,19 @@ impl Diff {
     /// Panics if the pages have different sizes, or if `range` is reversed
     /// or ends past the page.
     pub fn between_in(twin: &PageBuf, current: &PageBuf, range: Range<usize>) -> Self {
+        let mut diff = Diff::new();
+        diff.refill(twin, current, range);
+        diff
+    }
+
+    /// [`Diff::between_in`] into this diff's buffer: whatever the diff
+    /// held is cleared, and its capacity is kept, so a diff refilled run
+    /// after run allocates only when a refill outgrows every earlier one.
+    ///
+    /// # Panics
+    ///
+    /// As [`Diff::between_in`].
+    pub fn refill(&mut self, twin: &PageBuf, current: &PageBuf, range: Range<usize>) {
         assert_eq!(
             twin.len(),
             current.len(),
@@ -238,7 +256,8 @@ impl Diff {
         );
         let old = twin.as_bytes();
         let new = current.as_bytes();
-        let mut diff = Diff::new();
+        self.wire.clear();
+        self.run_count = 0;
         let Range { start: mut i, end } = range;
         // The equal scan steps a block at a time while whole blocks match,
         // then a word at a time; the unequal scan steps a word at a time
@@ -264,9 +283,8 @@ impl Diff {
             while i < end && old[i] != new[i] {
                 i += 1;
             }
-            diff.push_run(start as u32, &new[start..i]);
+            self.push_run(start as u32, &new[start..i]);
         }
-        diff
     }
 
     /// Overwrites the diff's byte ranges in `page`.
@@ -528,6 +546,22 @@ mod tests {
         assert_eq!(runs(10..201), runs(0..256));
         assert_eq!(runs(11..256), [(11, vec![2]), (200, vec![3])]);
         assert!(runs(12..200).is_empty() && runs(256..256).is_empty());
+    }
+
+    #[test]
+    fn a_refilled_diff_keeps_its_buffer_and_none_of_its_runs() {
+        let twin = page();
+        let mut many = twin.clone();
+        for at in (0..256).step_by(16) {
+            many.write(at, &[7; 4]);
+        }
+        let mut one = twin.clone();
+        one.write(100, &[9]);
+        let mut diff = Diff::between(&twin, &many);
+        let capacity = diff.wire.capacity();
+        diff.refill(&twin, &one, 0..256);
+        assert_eq!(diff, Diff::between(&twin, &one));
+        assert_eq!(diff.wire.capacity(), capacity, "no reallocation");
     }
 
     #[test]

@@ -37,9 +37,23 @@ pub enum CausalOrd {
 /// assert_eq!(vc.get(ProcId::new(0)), 2);
 /// assert_eq!(vc.get(ProcId::new(1)), 0);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(PartialEq, Eq, Hash, Default)]
 pub struct VectorClock {
     entries: Vec<u32>,
+}
+
+impl Clone for VectorClock {
+    fn clone(&self) -> Self {
+        VectorClock {
+            entries: self.entries.clone(),
+        }
+    }
+
+    /// Copies `source` into this clock's buffer, which is reused when it
+    /// is large enough: a clock kept for copying into allocates once.
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+    }
 }
 
 impl VectorClock {
@@ -242,6 +256,17 @@ mod tests {
 
     fn p(i: u16) -> ProcId {
         ProcId::new(i)
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_existing_buffer() {
+        let mut source = VectorClock::new(4);
+        source.set(p(2), 7);
+        let mut copy = VectorClock::new(4);
+        let buffer = copy.entries.as_ptr();
+        copy.clone_from(&source);
+        assert_eq!(copy, source);
+        assert_eq!(copy.entries.as_ptr(), buffer, "no reallocation");
     }
 
     #[test]
