@@ -7,21 +7,22 @@ use std::collections::HashMap;
 use std::mem;
 use std::ops::Deref;
 
-use lrc_pagemem::{Diff, PageBuf, PageId};
+use lrc_pagemem::{Diff, DiffView, PageBuf, PageId};
 use lrc_simnet::{
     notice_batch_bytes, vc_bytes, MsgKind, BARRIER_ID_BYTES, DIFF_REQUEST_ENTRY_BYTES,
     LOCK_ID_BYTES, PAGE_ID_BYTES,
 };
 use lrc_sync::{AcquirePath, BarrierId, LockId};
-use lrc_vclock::{IntervalId, ProcId, StampedInterval, VectorClock};
+use lrc_vclock::{IntervalId, ProcId, VectorClock};
 use parking_lot::lockdep::classes;
 
 use crate::counters::bump;
 use crate::engine::{Engine, EngineCore, Protocol, Shard};
+use crate::pending::NoticeList;
 use crate::plan::{FetchPlan, Planned, Source};
 use crate::{
     CheckpointError, ConfigError, EngineCheckpoint, Frame, FrameCheckpoint, IntervalStore,
-    LockCell, Policy, ProcCheckpoint, RwCell, Sharing, Threads, WriteNotice,
+    LockCell, Pending, Policy, ProcCheckpoint, RwCell, Sharing, Threads, WriteNotice,
 };
 
 /// The lazy protocol's shared state: the interval store plus the
@@ -52,6 +53,10 @@ struct LazyState {
     /// After garbage collection: the processor holding the authoritative
     /// copy of each page whose diff history was discarded.
     gc_owner: Vec<Option<ProcId>>,
+    /// Working space of the collection's owner pass
+    /// ([`IntervalStore::latest_writers`]): the weight of each page's
+    /// latest writer.
+    gc_weights: Vec<u64>,
     /// Committed contents of pages whose post-GC authoritative owner
     /// died, parked at [`LrcEngine::declare_dead`] (the dead frames are
     /// reset) and consumed when a lease-expired collection re-homes the
@@ -96,12 +101,6 @@ fn assert_era(store: &IntervalStore, planned: u64, p: ProcId) {
     );
 }
 
-/// The lazy protocol's per-page state ([`Frame::ext`]): the
-/// noticed-but-unapplied intervals that modified the page, in arrival
-/// order. A valid frame has none; pages never cached keep accumulating
-/// notices so a cold miss knows the page's full known write history.
-pub(crate) type Pending = Vec<IntervalId>;
-
 /// The lazy protocol's per-processor state, next to the frames in the
 /// processor's shard.
 #[derive(Debug)]
@@ -122,6 +121,8 @@ pub struct LazyShard {
     /// instead of the generic era mismatch, directing the node to
     /// cold-join from a checkpoint cut after the collection.
     lease_expired: bool,
+    /// The slots of every frame's [`Pending`] notices.
+    pending: NoticeList,
     /// The buffers this processor's slow paths reuse.
     scratch: Scratch,
 }
@@ -150,36 +151,36 @@ struct Scratch {
     /// target, sized under the store lock and charged without it.
     trips: Vec<(ProcId, u64, u64)>,
     sizer: Sizer,
-    /// The diffs an interval close made, on their way into the store.
-    page_diffs: Vec<(PageId, Diff)>,
     /// Another processor's clock — an acquire's grantor, a barrier
     /// arrival's master — copied because no path holds two shard locks.
     peer_clock: VectorClock,
+    /// The knowledge a barrier episode completing at this processor, its
+    /// master, merges from every processor.
+    merged: VectorClock,
 }
 
 /// The buffers that sizing a diff reply works in: a multi-page reply's
 /// by-page sort, and the byte ranges one chain covers.
 #[derive(Debug, Default)]
 struct Sizer {
-    by_page: Vec<(PageId, IntervalId)>,
+    /// Page, interval and log entry of each diff.
+    by_page: Vec<(PageId, IntervalId, usize)>,
     ranges: Vec<(u32, u32)>,
 }
 
 impl Sizer {
     /// Wire size of a batch of diffs supplied by one processor: the sum
     /// of its pages' chains ([`chain_bytes`]), found by one sort.
-    fn diff_payload(
+    fn diff_payload<'a>(
         &mut self,
         store: &IntervalStore,
-        diffs: impl Iterator<Item = (IntervalId, PageId)>,
+        diffs: impl Iterator<Item = &'a Planned>,
     ) -> u64 {
         let Sizer { by_page, ranges } = self;
         by_page.clear();
-        by_page.extend(diffs.map(|(iv, g)| (g, iv)));
+        by_page.extend(diffs.map(|d| (d.page, d.interval, d.entry)));
         by_page.sort_unstable();
-        let diff_of = |&(g, iv): &(PageId, IntervalId)| -> &Diff {
-            store.diff(iv, g).expect("planned diff exists")
-        };
+        let diff_of = |&(_, iv, entry): &(PageId, IntervalId, usize)| store.diff_at(iv, entry);
         by_page
             .chunk_by(|a, b| a.0 == b.0)
             .map(|chain| chain_bytes(chain.iter().map(diff_of), ranges))
@@ -249,7 +250,7 @@ fn hb_key(store: &IntervalStore, iv: IntervalId) -> (u64, ProcId, u32) {
 /// of the chain — so [`Diff::squashed_size`] reads no data byte; it
 /// gathers the coverage in `ranges`. The chain is walked once.
 fn chain_bytes<'a>(
-    chain: impl Iterator<Item = &'a Diff> + Clone,
+    chain: impl Iterator<Item = DiffView<'a>> + Clone,
     ranges: &mut Vec<(u32, u32)>,
 ) -> u64 {
     let whole = chain.clone();
@@ -277,6 +278,7 @@ impl<S: Sharing> Protocol for Lazy<S> {
         let state = LazyState {
             store: IntervalStore::new(core.params.n_procs),
             gc_owner: vec![None; core.space.n_pages() as usize],
+            gc_weights: Vec::new(),
             escrow: HashMap::new(),
         };
         Ok(Lazy {
@@ -292,6 +294,9 @@ impl<S: Sharing> Protocol for Lazy<S> {
             dead: false,
             dead_since: 0,
             lease_expired: false,
+            // Room for a notice per page before the list grows: 12 bytes
+            // a frame, less than the 16 the frame saved on its own list.
+            pending: NoticeList::with_capacity(core.space.n_pages() as usize),
             scratch: Scratch::default(),
         }
     }
@@ -341,7 +346,7 @@ impl<S: Sharing> Protocol for Lazy<S> {
             let Shard { pages, ext, .. } = &mut *shard;
             let notices = &mut ext.scratch.notices;
             store.notices_missing(&ext.clock, &grantor, Some(q), notices);
-            e.deliver_notices(pages, p, notices);
+            e.deliver_notices(pages, &mut ext.pending, p, notices);
             merge_knowledge(&mut ext.clock, &grantor, q);
             ext.scratch.peer_clock = grantor;
             notice_bytes(notices)
@@ -364,10 +369,10 @@ impl<S: Sharing> Protocol for Lazy<S> {
             } = &mut scratch;
             plan.build(store, p, Some(q), needed);
             let era = store.era();
-            grant_payload += sizer.diff_payload(store, plan.supplied_by(Source::Free));
+            grant_payload += sizer.diff_payload(store, plan.planned_by(Source::Free));
             trips.clear();
             for (t, &target) in plan.targets().iter().enumerate() {
-                let diffs = plan.supplied_by(Source::Target(t));
+                let diffs = plan.planned_by(Source::Target(t));
                 let request = diffs.clone().count() as u64 * DIFF_REQUEST_ENTRY_BYTES;
                 trips.push((target, request, sizer.diff_payload(store, diffs)));
             }
@@ -454,12 +459,13 @@ impl<S: Sharing> Protocol for Lazy<S> {
         let store = &state.store;
         let (cold, mut scratch) = {
             let mut shard = e.shard(p);
-            let mut scratch = mem::take(&mut shard.ext.scratch);
-            let entry = &shard.pages[gi];
+            let Shard { pages, ext, .. } = &mut *shard;
+            let mut scratch = mem::take(&mut ext.scratch);
+            let entry = &pages[gi];
             scratch.needed.clear();
             scratch
                 .needed
-                .extend(entry.ext.iter().map(|&iv| (iv, page)));
+                .extend(ext.pending.iter(entry.ext).map(|iv| (iv, page)));
             (entry.copy.is_none(), scratch)
         };
         if cold {
@@ -510,15 +516,13 @@ impl<S: Sharing> Protocol for Lazy<S> {
         // All of a miss's diffs name the missed page: what each target
         // supplies is one chain as it stands.
         let mut chain_payload = |source: Source| {
-            let diff_of = |(iv, _): (IntervalId, PageId)| -> &Diff {
-                store.diff(iv, page).expect("planned diff exists")
-            };
-            chain_bytes(plan.supplied_by(source).map(diff_of), &mut sizer.ranges)
+            let diff_of = |d: &Planned| store.diff_at(d.interval, d.entry);
+            chain_bytes(plan.planned_by(source).map(diff_of), &mut sizer.ranges)
         };
         trips.clear();
         trips.extend(plan.targets().iter().enumerate().map(|(t, &target)| {
             let source = Source::Target(t);
-            let request = plan.supplied_by(source).count() as u64 * DIFF_REQUEST_ENTRY_BYTES;
+            let request = plan.planned_by(source).count() as u64 * DIFF_REQUEST_ENTRY_BYTES;
             if cold && t == 0 {
                 // The first supplier's reply also carries the base.
                 let reply = chain_payload(source) + page_bytes;
@@ -556,8 +560,9 @@ impl<S: Sharing> Protocol for Lazy<S> {
             shard.pages[gi].copy = Some(buf);
         }
         e.apply_plan(&mut state.store, p, &mut shard, scratch);
-        let entry = &mut shard.pages[gi];
-        entry.ext.clear();
+        let Shard { pages, ext, .. } = &mut *shard;
+        let entry = &mut pages[gi];
+        ext.pending.clear(&mut entry.ext);
         entry.valid = true;
     }
 }
@@ -585,11 +590,12 @@ impl<S: Sharing> Engine<Lazy<S>> {
     }
 
     /// Closes `p`'s open interval: diffs every dirtied page against its
-    /// twin, records the interval (if any page actually changed), and opens
-    /// the next interval. The interval is published to the store *before*
-    /// the clock bump (both under the store's write lock plus `p`'s shard
-    /// lock), so any processor that observes the new clock value finds the
-    /// interval recorded.
+    /// twin, straight into `p`'s log in the store, records the interval
+    /// (if any page actually changed), and opens the next interval. The
+    /// interval is published to the store *before* the clock bump (both
+    /// under the store's write lock plus `p`'s shard lock), so any
+    /// processor that observes the new clock value finds the interval
+    /// recorded.
     fn close_interval(&self, p: ProcId) {
         let mut state = self.proto.state.write();
         let mut shard = self.shard(p);
@@ -600,38 +606,37 @@ impl<S: Sharing> Engine<Lazy<S>> {
             ext,
             ..
         } = &mut *shard;
-        let LazyShard { clock, scratch, .. } = ext;
-        let page_diffs = &mut scratch.page_diffs;
+        let mut closing = state.store.open(p);
         // Drained, not taken: the list keeps its allocation for the next
         // interval's first write, as the twins' buffers do.
         for g in dirty.drain(..) {
-            // A fresh diff: it goes to the store and never comes back.
-            let mut diff = Diff::default();
-            let closed = pages[g.index()].close_twin(spare_twins, &mut diff);
-            assert!(closed, "dirty page has a twin");
-            if !diff.is_empty() {
-                page_diffs.push((g, diff));
-            }
+            let closed = pages[g.index()].close_twin(spare_twins, |twin, copy, written| {
+                closing.add(g, twin, copy, written)
+            });
+            assert!(closed.is_some(), "dirty page has a twin");
         }
-        if page_diffs.is_empty() {
-            return;
+        if closing.close(&ext.clock) {
+            bump(&self.counters.intervals_closed, 1);
+            ext.clock.bump(p);
         }
-        let stamp = StampedInterval::new(IntervalId::new(p, clock.get(p)), clock.clone());
-        state.store.close_interval(stamp, page_diffs);
-        bump(&self.counters.intervals_closed, 1);
-        clock.bump(p);
     }
 
     /// Delivers write notices to `p`, whose locked shard's frames are
-    /// `pages`: pending lists grow and, under the invalidate policy,
-    /// resident valid copies are invalidated.
-    fn deliver_notices(&self, pages: &mut [Frame<Pending>], p: ProcId, notices: &[WriteNotice]) {
+    /// `pages` and notice slots `pending`: pending lists grow and, under
+    /// the invalidate policy, resident valid copies are invalidated.
+    fn deliver_notices(
+        &self,
+        pages: &mut [Frame<Pending>],
+        pending: &mut NoticeList,
+        p: ProcId,
+        notices: &[WriteNotice],
+    ) {
         bump(&self.counters.notices_received, notices.len() as u64);
         let mut invalidated = 0;
         for n in notices {
             debug_assert_ne!(n.interval.proc(), p, "no notices for own intervals");
             let entry = &mut pages[n.page.index()];
-            entry.ext.push(n.interval);
+            pending.push(&mut entry.ext, n.interval);
             if self.policy == Policy::Invalidate && entry.valid {
                 entry.valid = false;
                 invalidated += 1;
@@ -646,12 +651,15 @@ impl<S: Sharing> Engine<Lazy<S>> {
     /// the scratch back.
     fn needed_for_cached_pages(&self, p: ProcId) -> Scratch {
         let mut shard = self.shard(p);
-        let mut scratch = mem::take(&mut shard.ext.scratch);
+        let Shard { pages, ext, .. } = &mut *shard;
+        let mut scratch = mem::take(&mut ext.scratch);
         scratch.needed.clear();
-        for (gi, entry) in shard.pages.iter().enumerate() {
+        for (gi, entry) in pages.iter().enumerate() {
             if entry.copy.is_some() {
                 let g = PageId::new(gi as u32);
-                scratch.needed.extend(entry.ext.iter().map(|&iv| (iv, g)));
+                scratch
+                    .needed
+                    .extend(ext.pending.iter(entry.ext).map(|iv| (iv, g)));
             }
         }
         scratch
@@ -661,13 +669,13 @@ impl<S: Sharing> Engine<Lazy<S>> {
     /// barrier (the barrier paths run exclusively and may hold the store
     /// lock across the charge; the acquire and miss paths size payloads
     /// under the read lock and charge lock-free instead).
-    fn barrier_fetch(
+    fn barrier_fetch<'a>(
         &self,
         store: &IntervalStore,
         sizer: &mut Sizer,
         p: ProcId,
         target: ProcId,
-        diffs: impl Iterator<Item = (IntervalId, PageId)> + Clone,
+        diffs: impl Iterator<Item = &'a Planned> + Clone,
     ) {
         self.net.round_trip(
             p,
@@ -690,29 +698,33 @@ impl<S: Sharing> Engine<Lazy<S>> {
         shard: &mut Shard<Lazy<S>>,
         scratch: Scratch,
     ) -> usize {
-        let pages = &mut shard.pages;
+        let Shard { pages, ext, .. } = shard;
         let mut touched = 0;
         let mut applied = 0;
-        for &Planned { interval, page, .. } in scratch.plan.diffs() {
+        for &Planned {
+            interval,
+            page,
+            entry,
+            ..
+        } in scratch.plan.diffs()
+        {
             // The holder bit flips and the diff is applied straight out
-            // of the store — no per-diff clone on the hot miss path.
-            let diff = store
-                .hold_and_diff(p, interval, page)
-                .expect("planned diff exists");
-            let entry = &mut pages[page.index()];
-            entry.apply(diff, self.space.page_size());
+            // of the store — no per-diff copy on the hot miss path.
+            let diff = store.hold_at(p, interval, entry);
+            let frame = &mut pages[page.index()];
+            frame.apply(diff, self.space.page_size());
             applied += 1;
             // Every planned diff is one of its page's pending notices, so
             // a page's first diff finds the list non-empty: that is where
             // the page is counted and the list cleared.
-            if !entry.ext.is_empty() {
-                entry.ext.clear();
+            if !frame.ext.is_empty() {
+                ext.pending.clear(&mut frame.ext);
                 touched += 1;
             }
-            entry.valid = true;
+            frame.valid = true;
         }
         bump(&self.counters.diffs_applied, applied);
-        shard.ext.scratch = scratch;
+        ext.scratch = scratch;
         touched
     }
 
@@ -734,8 +746,14 @@ impl<S: Sharing> Engine<Lazy<S>> {
         let dead: ProcSet = ProcId::all(n)
             .filter(|&r| self.shard(r).ext.dead)
             .fold(0, |set, r| set | 1 << r.index());
-        let mut merged = VectorClock::new(n);
-        for r in ProcId::all(n) {
+        // The merged clock is built in the master's scratch, taken out
+        // while every processor's own scratch is in use below, starting
+        // from the master's knowledge: its clock, its open interval's
+        // entry one lower.
+        let mut merged = mem::take(&mut self.shard(master).ext.scratch.merged);
+        merged.clone_from(&self.shard(master).ext.clock);
+        merged.set(master, merged.get(master).saturating_sub(1));
+        for r in ProcId::all(n).filter(|&r| r != master) {
             merge_knowledge(&mut merged, &self.shard(r).ext.clock, r);
         }
         let mut state = self.proto.state.write();
@@ -748,16 +766,22 @@ impl<S: Sharing> Engine<Lazy<S>> {
         for r in live() {
             let mut shard = self.shard(r);
             let Shard { pages, ext, .. } = &mut *shard;
-            let LazyShard { clock, scratch, .. } = ext;
+            let LazyShard {
+                clock,
+                pending,
+                scratch,
+                ..
+            } = ext;
             let missing = &mut scratch.notices;
             state.store.notices_missing(clock, &merged, None, missing);
             if r != master {
                 let payload = BARRIER_ID_BYTES + vc_bytes(n) + notice_bytes(missing);
                 self.net.send(master, r, MsgKind::BarrierExit, payload);
             }
-            self.deliver_notices(pages, r, missing);
+            self.deliver_notices(pages, pending, r, missing);
             clock.merge(&merged);
         }
+        self.shard(master).ext.scratch.merged = merged;
         if self.policy == Policy::Update {
             // Every processor pulls the diffs for its cached pages: one
             // round trip per (cacher, modifier) pair — Table 1's `2u`.
@@ -814,7 +838,7 @@ impl<S: Sharing> Engine<Lazy<S>> {
         } = &mut scratch;
         plan.build(store, r, None, needed);
         for (t, &target) in plan.targets().iter().enumerate() {
-            self.barrier_fetch(store, sizer, r, target, plan.supplied_by(Source::Target(t)));
+            self.barrier_fetch(store, sizer, r, target, plan.planned_by(Source::Target(t)));
         }
         self.apply_plan(store, r, &mut self.shard(r), scratch)
     }
@@ -837,16 +861,22 @@ impl<S: Sharing> Engine<Lazy<S>> {
         }
         // Record the authoritative owner of every page whose history is
         // about to disappear, then drop the history and dangling notices.
-        for (page, owner) in state.store.latest_writers() {
-            state.gc_owner[page.index()] = Some(owner);
-        }
+        let LazyState {
+            store,
+            gc_owner,
+            gc_weights,
+            ..
+        } = state;
+        store.latest_writers(gc_owner, gc_weights);
         if dead != 0 {
             self.rehome_dead_owned_pages(state, dead);
         }
         for r in ProcId::all(n) {
-            for entry in &mut self.shard(r).pages {
-                entry.ext.clear();
+            let mut shard = self.shard(r);
+            for entry in &mut shard.pages {
+                entry.ext = Pending::default();
             }
+            shard.ext.pending.reset();
         }
         state.store.clear();
         bump(&self.counters.gc_rounds, 1);
@@ -930,7 +960,7 @@ impl<S: Sharing> Engine<Lazy<S>> {
                     page: PageId::new(gi as u32),
                     contents: entry.committed().map(|c| c.as_bytes().to_vec()),
                     valid: entry.valid,
-                    pending: entry.ext.clone(),
+                    pending: shard.ext.pending.iter(entry.ext).collect(),
                 };
                 if !frame.is_default() {
                     frames.push(frame);
@@ -1061,6 +1091,7 @@ impl<S: Sharing> Engine<Lazy<S>> {
             }
             shard.dirty.clear();
             shard.pages.fill_with(Frame::default);
+            shard.ext.pending.reset();
         }
         let completed_episodes = self.barriers.lock().mark_dead(p);
         for &(barrier, _) in &completed_episodes {
@@ -1112,19 +1143,25 @@ impl<S: Sharing> Engine<Lazy<S>> {
     /// Replaces a (locked) shard's frames with checkpointed ones and
     /// brings the processor back to life.
     fn reset_frames(&self, shard: &mut Shard<Lazy<S>>, frames: &[FrameCheckpoint]) {
-        shard.dirty.clear();
-        shard.pages.fill_with(Frame::default);
-        shard.ext.dead = false;
-        shard.ext.dead_since = 0;
-        shard.ext.lease_expired = false;
+        let Shard {
+            pages, dirty, ext, ..
+        } = shard;
+        dirty.clear();
+        pages.fill_with(Frame::default);
+        ext.pending.reset();
+        ext.dead = false;
+        ext.dead_since = 0;
+        ext.lease_expired = false;
         for frame in frames {
-            let entry = &mut shard.pages[frame.page.index()];
+            let entry = &mut pages[frame.page.index()];
             entry.install(
                 frame.contents.as_deref(),
                 frame.valid,
                 self.space.page_size(),
             );
-            entry.ext = frame.pending.clone();
+            for &interval in &frame.pending {
+                ext.pending.push(&mut entry.ext, interval);
+            }
         }
     }
 
@@ -1216,7 +1253,7 @@ impl<S: Sharing> Engine<Lazy<S>> {
             bump(&self.counters.notices_received, notices.len() as u64);
             for notice in notices.iter() {
                 let entry = &mut pages[notice.page.index()];
-                entry.ext.push(notice.interval);
+                ext.pending.push(&mut entry.ext, notice.interval);
                 if entry.valid {
                     entry.valid = false;
                     bump(&self.counters.invalidations, 1);

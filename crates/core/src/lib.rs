@@ -80,6 +80,7 @@ mod counters;
 mod engine;
 mod lazy;
 mod pagestate;
+mod pending;
 mod plan;
 mod remote;
 #[cfg(test)]
@@ -97,6 +98,7 @@ pub use counters::{bump, CounterCells, EngineCounters};
 pub use engine::{Engine, EngineCore, Protocol, Shard};
 pub use lazy::{DeathReport, Lazy, LazyShard, LrcEngine};
 pub use pagestate::Frame;
+pub use pending::Pending;
 pub use remote::EngineOp;
 pub use share::{LockCell, OneThread, RwCell, Sharing, Threads};
 pub use slowpath::FetchHook;

@@ -1,6 +1,8 @@
 use std::ops::Range;
 
-use lrc_pagemem::{Diff, PageBuf, PageSize};
+#[cfg(doc)]
+use lrc_pagemem::{Diff, DiffLog};
+use lrc_pagemem::{DiffView, PageBuf, PageSize};
 
 /// One processor's frame of one page — the part of the page table both
 /// protocol families share.
@@ -133,35 +135,41 @@ impl<E> Frame<E> {
     /// # Panics
     ///
     /// Panics if a run of `diff` extends past the end of the page.
-    pub fn apply(&mut self, diff: &Diff, size: PageSize) {
+    pub fn apply<'a>(&mut self, diff: impl Into<DiffView<'a>>, size: PageSize) {
+        let diff = diff.into();
         diff.apply_to(self.copy_mut(size));
         if let Some(twin) = self.twin.as_mut() {
             diff.apply_to(twin);
         }
     }
 
-    /// Consumes the twin of a dirty page: refills `diff` with the diff of
-    /// the copy against it ([`Diff::refill`]) — scanning only the written
-    /// range, outside which the two are equal — and puts the twin's buffer
-    /// on `spare` for the next first write. Returns false, leaving `diff`
-    /// untouched, if the page is not dirty.
+    /// Consumes the twin of a dirty page: hands `scan` the twin, the copy
+    /// and the range written since the twin was made, outside which the
+    /// two are equal, for it to diff ([`Diff::refill`] into a diff of the
+    /// caller's, or [`DiffLog::push_between`] onto a log's tail), then
+    /// puts the twin's buffer on `spare` for the next first write. Returns
+    /// what `scan` returned, or `None` without calling it if the page is
+    /// not dirty.
     ///
     /// # Panics
     ///
     /// Panics if a twinned page has no copy.
-    pub fn close_twin(&mut self, spare: &mut Vec<PageBuf>, diff: &mut Diff) -> bool {
-        let Some(twin) = self.twin.take() else {
-            return false;
-        };
+    pub fn close_twin<T>(
+        &mut self,
+        spare: &mut Vec<PageBuf>,
+        scan: impl FnOnce(&PageBuf, &PageBuf, Range<usize>) -> T,
+    ) -> Option<T> {
+        let twin = self.twin.take()?;
         let copy = self.copy.as_ref().expect("dirty page has a copy");
-        diff.refill(&twin, copy, self.written.range());
-        debug_assert_eq!(
-            *diff,
-            Diff::between(&twin, copy),
+        let written = self.written.range();
+        debug_assert!(
+            twin.as_bytes()[..written.start] == copy.as_bytes()[..written.start]
+                && twin.as_bytes()[written.end..] == copy.as_bytes()[written.end..],
             "a dirty copy changed outside its written range"
         );
+        let made = scan(&twin, copy, written);
         spare.push(twin);
-        true
+        Some(made)
     }
 
     /// The last *committed* contents: the twin of a dirty page (kept in
@@ -186,6 +194,7 @@ impl<E> Frame<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrc_pagemem::Diff;
     use lrc_vclock::{IntervalId, ProcId};
 
     fn size() -> PageSize {
@@ -231,9 +240,10 @@ mod tests {
         a.ensure_twin(&mut spare);
         a.write(5, &[1]);
         let mut diff = Diff::default();
-        assert!(a.close_twin(&mut spare, &mut diff), "dirty");
+        let mut refill = |twin: &PageBuf, copy: &PageBuf, written| diff.refill(twin, copy, written);
+        assert!(a.close_twin(&mut spare, &mut refill).is_some(), "dirty");
+        assert!(!a.is_dirty() && a.close_twin(&mut spare, &mut refill).is_none());
         assert_eq!(diff.modified_bytes(), 1);
-        assert!(!a.is_dirty() && !a.close_twin(&mut spare, &mut diff));
         assert_eq!(spare.len(), 1, "the twin's buffer is kept");
 
         // The next first write, to another page, reuses it — as a copy of
@@ -260,8 +270,11 @@ mod tests {
         let mut other = PageBuf::zeroed(size());
         other.write(120, &[9; 4]);
         f.apply(&Diff::between(&PageBuf::zeroed(size()), &other), size());
-        let mut diff = Diff::default();
-        assert!(f.close_twin(&mut spare, &mut diff), "dirty");
+        let diff = f
+            .close_twin(&mut spare, |twin, copy, written| {
+                Diff::between_in(twin, copy, written)
+            })
+            .expect("dirty");
         let runs: Vec<_> = diff.runs().collect();
         assert_eq!(runs, [(10, &[3][..]), (100, &[1, 2][..])]);
         assert_eq!(f.copy.as_ref().unwrap().as_bytes()[120], 9);
@@ -284,9 +297,10 @@ mod tests {
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn the_written_range_fits_in_the_frame_padding() {
-        // Two page buffers, a vector and the validity bit take 57 bytes;
-        // the range's two `u16`s fit in what padding leaves of 64.
-        assert_eq!(std::mem::size_of::<Frame<Vec<IntervalId>>>(), 64);
+        // Two page buffers, the pending chain's two indices and the
+        // validity bit take 41 bytes; the range's two `u16`s fit in what
+        // padding leaves of 48.
+        assert_eq!(std::mem::size_of::<Frame<crate::Pending>>(), 48);
     }
 
     #[test]

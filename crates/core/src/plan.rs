@@ -20,6 +20,12 @@ pub(crate) enum Source {
 pub(crate) struct Planned {
     pub(crate) interval: IntervalId,
     pub(crate) page: PageId,
+    /// The diff's entry in its creator's log
+    /// ([`Located::entry`](crate::store::Located::entry)): sizing
+    /// and applying the plan read the diff there with no search. An index
+    /// stays valid while processors append to their logs, and the plan is
+    /// applied in the era it was built in.
+    pub(crate) entry: usize,
     pub(crate) source: Source,
 }
 
@@ -49,8 +55,8 @@ pub(crate) struct FetchPlan {
     /// The explicit targets, in the order they were chosen.
     targets: Vec<ProcId>,
     /// Working space of [`FetchPlan::build`]: each needed diff's weight,
-    /// id and holder mask, sorted latest first.
-    order: Vec<(u64, IntervalId, PageId, u64)>,
+    /// id, holder mask and entry, sorted latest first.
+    order: Vec<(u64, IntervalId, PageId, u64, usize)>,
 }
 
 impl FetchPlan {
@@ -76,13 +82,12 @@ impl FetchPlan {
             targets,
             order,
         } = self;
-        // Weight and holder mask of each needed diff, from one lookup.
+        // Weight, holder mask and entry of each needed diff, from one
+        // lookup.
         order.clear();
         order.extend(needed.iter().map(|&(iv, g)| {
-            let (weight, holders) = store
-                .weight_and_holders(iv, g)
-                .expect("needed diff must be recorded");
-            (weight, iv, g, holders)
+            let found = store.locate(iv, g).expect("needed diff must be recorded");
+            (found.weight, iv, g, found.holders, found.entry)
         }));
         // Latest first; ties broken deterministically (`needed` has no
         // duplicates, so the mask never decides).
@@ -91,7 +96,7 @@ impl FetchPlan {
         let held_by = |holders: u64, q: ProcId| holders & (1u64 << q.index()) != 0;
         targets.clear();
         diffs.clear();
-        diffs.extend(order.iter().map(|&(_, interval, page, holders)| {
+        diffs.extend(order.iter().map(|&(_, interval, page, holders, entry)| {
             // A diff the processor already holds costs no messages: it is
             // applied from local possession. In normal operation pending
             // diffs are never already held, so this arm is reserved for
@@ -117,6 +122,7 @@ impl FetchPlan {
             Planned {
                 interval,
                 page,
+                entry,
                 source,
             }
         }));
@@ -136,14 +142,17 @@ impl FetchPlan {
     }
 
     /// The diffs `source` supplies, in happened-before order.
+    pub(crate) fn planned_by(&self, source: Source) -> impl Iterator<Item = &Planned> + Clone {
+        self.diffs.iter().filter(move |d| d.source == source)
+    }
+
+    /// The diffs `source` supplies, in happened-before order, by name.
+    #[cfg(test)]
     pub(crate) fn supplied_by(
         &self,
         source: Source,
     ) -> impl Iterator<Item = (IntervalId, PageId)> + Clone + '_ {
-        self.diffs
-            .iter()
-            .filter(move |d| d.source == source)
-            .map(|d| (d.interval, d.page))
+        self.planned_by(source).map(|d| (d.interval, d.page))
     }
 
     /// True if nothing needs fetching.

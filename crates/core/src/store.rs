@@ -1,6 +1,6 @@
-use std::collections::HashMap;
+use std::ops::Range;
 
-use lrc_pagemem::{Diff, PageId};
+use lrc_pagemem::{DiffLog, DiffSpan, DiffView, PageBuf, PageId};
 use lrc_vclock::{IntervalId, ProcId, StampedInterval, VectorClock};
 
 /// A write notice: page × interval, without the data (§4.2).
@@ -12,107 +12,241 @@ pub(crate) struct WriteNotice {
     pub page: PageId,
 }
 
-/// One page a closed interval modified: its diff, and who holds it.
-#[derive(Clone, Debug)]
-struct PageEntry {
-    page: PageId,
-    diff: Diff,
-    /// Which processors hold the diff as an object (bitmask by proc
-    /// index). The creator's bit is set from the start.
-    holders: u64,
-}
-
-/// One closed interval: its stamp plus the pages it modified, each with
-/// its diff and possession bits.
-#[derive(Clone, Debug)]
-struct IntervalRecord {
-    stamp: StampedInterval,
+/// One closed interval in its creator's log: what finds it, and where
+/// its pages lie. Its stamp clock is the log's `i`-th run of `n` clock
+/// entries, `i` being the header's own index.
+#[derive(Clone, Copy, Debug)]
+struct Header {
+    seq: u32,
     /// The stamp's clock weight, summed once at close or import: every
     /// happened-before sort key of every plan reads it.
     weight: u64,
-    /// Ascending by page; a handful per interval.
-    pages: Vec<PageEntry>,
+    /// The log's entries of the interval's pages, ascending by page; a
+    /// handful per interval.
+    entries: (usize, usize),
 }
 
-impl IntervalRecord {
-    fn new(stamp: StampedInterval, mut pages: Vec<PageEntry>) -> Self {
-        pages.sort_by_key(|e| e.page);
-        IntervalRecord {
-            weight: stamp.clock().weight(),
-            stamp,
-            pages,
+impl Header {
+    fn entries(&self) -> Range<usize> {
+        self.entries.0..self.entries.1
+    }
+}
+
+/// One page a closed interval modified: where its diff lies in the log's
+/// bytes, and who holds it.
+#[derive(Clone, Copy, Debug)]
+struct PageEntry {
+    page: PageId,
+    /// Which processors hold the diff as an object (bitmask by proc
+    /// index). The creator's bit is set from the start.
+    holders: u64,
+    diff: DiffSpan,
+}
+
+/// How many intervals a fresh log has room for before its buffers grow,
+/// at two modified pages each and [`LOG_DIFF_BYTES`] of diffs in all. A
+/// processor of the paper's replayed applications (16 processors, no
+/// collection) records, over a whole run, 29 intervals, 36 modified pages
+/// and 1.7 KiB of diffs at the median and 42, 69 and 3.8 KiB at the 90th
+/// percentile: most logs never grow, and each of their four buffers is
+/// one allocation.
+const LOG_INTERVALS: usize = 32;
+
+/// The diff bytes a fresh log has room for ([`LOG_INTERVALS`]): twice
+/// the 90th percentile, since a diff goes into a buffer only where its
+/// whole written range fits as one run.
+const LOG_DIFF_BYTES: usize = 8192;
+
+/// One processor's history: the closed intervals it recorded, in four
+/// buffers that only grow between collections — the interval headers,
+/// their page entries, their stamp clocks and their diffs' bytes.
+#[derive(Clone, Debug)]
+struct Log {
+    /// Ascending by seq.
+    headers: Vec<Header>,
+    entries: Vec<PageEntry>,
+    /// `n` entries per header: the stamp clocks, back to back.
+    clocks: Vec<u32>,
+    diffs: DiffLog,
+}
+
+impl Log {
+    /// An empty log for `n` processors' stamps, with room for
+    /// [`LOG_INTERVALS`] intervals.
+    fn new(n: usize) -> Self {
+        Log {
+            headers: Vec::with_capacity(LOG_INTERVALS),
+            entries: Vec::with_capacity(2 * LOG_INTERVALS),
+            clocks: Vec::with_capacity(n * LOG_INTERVALS),
+            diffs: DiffLog::with_capacity(LOG_DIFF_BYTES),
         }
     }
 
-    fn seq(&self) -> u32 {
-        self.stamp.id().seq()
+    /// Index of the first header numbered `seq` or higher (the number of
+    /// headers if there is none).
+    ///
+    /// A processor numbers the intervals it records consecutively (an
+    /// interval that modified nothing leaves no record and uses up no
+    /// number), so that header is `seq − first seq` slots in. Only a
+    /// rejoin reopens past a gap; the binary search then finds what the
+    /// slot missed.
+    fn lower_bound(&self, seq: u32) -> usize {
+        let list = &self.headers;
+        let Some(first) = list.first() else { return 0 };
+        let slot = (seq.saturating_sub(first.seq) as usize).min(list.len());
+        let below = slot == 0 || list[slot - 1].seq < seq;
+        let at = list.get(slot).is_none_or(|h| h.seq >= seq);
+        if below && at {
+            slot
+        } else {
+            list.partition_point(|h| h.seq < seq)
+        }
     }
 
-    fn entry(&self, page: PageId) -> Option<&PageEntry> {
-        let at = self.pages.binary_search_by_key(&page, |e| e.page).ok()?;
-        Some(&self.pages[at])
+    /// The header numbered `seq`.
+    fn header(&self, seq: u32) -> Option<&Header> {
+        let header = self.headers.get(self.lower_bound(seq))?;
+        (header.seq == seq).then_some(header)
     }
 
-    fn entry_mut(&mut self, page: PageId) -> Option<&mut PageEntry> {
-        let at = self.pages.binary_search_by_key(&page, |e| e.page).ok()?;
-        Some(&mut self.pages[at])
+    /// The index of `header`'s entry for `page`.
+    fn find(&self, header: &Header, page: PageId) -> Option<usize> {
+        let range = header.entries();
+        let at = self.entries[range.clone()]
+            .binary_search_by_key(&page, |e| e.page)
+            .ok()?;
+        Some(range.start + at)
     }
 
-    /// One write notice per modified page.
-    fn notices(&self) -> impl ExactSizeIterator<Item = WriteNotice> + '_ {
-        let interval = self.stamp.id();
-        self.pages.iter().map(move |e| WriteNotice {
-            interval,
-            page: e.page,
-        })
+    /// Records interval `id`, stamped `clock`, over the entries from
+    /// `first` on, which it sorts by page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the interval is out of seq order for its processor.
+    fn seal(&mut self, id: IntervalId, clock: &VectorClock, first: usize, how: &str) {
+        if let Some(last) = self.headers.last() {
+            assert!(last.seq < id.seq(), "interval {id} {how} out of order");
+        }
+        self.entries[first..].sort_unstable_by_key(|e| e.page);
+        self.clocks.extend(clock.iter().map(|(_, seq)| seq));
+        self.headers.push(Header {
+            seq: id.seq(),
+            weight: clock.weight(),
+            entries: (first, self.entries.len()),
+        });
+    }
+
+    /// The stamp of the header at `at`, rebuilt from its `n` clock
+    /// entries.
+    fn stamp(&self, creator: ProcId, at: usize, n: usize) -> StampedInterval {
+        let mut clock = VectorClock::new(n);
+        for (q, &seq) in ProcId::all(n).zip(&self.clocks[at * n..(at + 1) * n]) {
+            clock.set(q, seq);
+        }
+        StampedInterval::new(IntervalId::new(creator, self.headers[at].seq), clock)
+    }
+
+    /// Forgets every record, keeping every buffer.
+    fn clear(&mut self) {
+        self.headers.clear();
+        self.entries.clear();
+        self.clocks.clear();
+        self.diffs.clear();
     }
 }
 
-/// Index of the first record numbered `seq` or higher in one processor's
-/// list (its length if there is none).
-///
-/// A processor numbers the intervals it records consecutively (an
-/// interval that modified nothing leaves no record and uses up no
-/// number), so that record is `seq − first seq` slots in. Only a rejoin
-/// reopens past a gap; the binary search then finds what the slot missed.
-fn lower_bound(list: &[IntervalRecord], seq: u32) -> usize {
-    let Some(first) = list.first() else { return 0 };
-    let slot = (seq.saturating_sub(first.seq()) as usize).min(list.len());
-    let below = slot == 0 || list[slot - 1].seq() < seq;
-    let at = list.get(slot).is_none_or(|rec| rec.seq() >= seq);
-    if below && at {
-        slot
-    } else {
-        list.partition_point(|rec| rec.seq() < seq)
+/// An interval being closed into its creator's log
+/// ([`IntervalStore::open`]): each closing twin is scanned straight onto
+/// the log's byte tail, and [`Closing::close`] records the interval if any
+/// page changed.
+pub(crate) struct Closing<'a> {
+    log: &'a mut Log,
+    creator: ProcId,
+    first: usize,
+}
+
+impl Closing<'_> {
+    /// Diffs `current` against `twin` within `written` onto the log; a
+    /// page whose diff is empty leaves no entry. The creator holds its
+    /// diff from the start.
+    pub(crate) fn add(
+        &mut self,
+        page: PageId,
+        twin: &PageBuf,
+        current: &PageBuf,
+        written: Range<usize>,
+    ) {
+        let diff = self.log.diffs.push_between(twin, current, written);
+        if !diff.is_empty() {
+            self.log.entries.push(PageEntry {
+                page,
+                holders: 1u64 << self.creator.index(),
+                diff,
+            });
+        }
+    }
+
+    /// Records the interval stamped `clock` — its creator's own clock,
+    /// whose own entry is the interval's seq — if a page changed, and
+    /// says whether one did.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the interval is out of seq order for its processor.
+    pub(crate) fn close(self, clock: &VectorClock) -> bool {
+        if self.log.entries.len() == self.first {
+            return false;
+        }
+        let id = IntervalId::new(self.creator, clock.get(self.creator));
+        self.log.seal(id, clock, self.first, "closed");
+        true
     }
 }
 
-/// Where the record numbered `seq` sits in one processor's list.
-fn position(list: &[IntervalRecord], seq: u32) -> Option<usize> {
-    let slot = lower_bound(list, seq);
-    (list.get(slot)?.seq() == seq).then_some(slot)
+/// What a fetch planner learns of a recorded diff in one lookup.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Located {
+    /// The clock weight of the diff's interval.
+    pub(crate) weight: u64,
+    /// The mask of processors holding the diff.
+    pub(crate) holders: u64,
+    /// The diff's entry in its creator's log, for
+    /// [`IntervalStore::diff_at`] and [`IntervalStore::hold_at`].
+    pub(crate) entry: usize,
 }
 
-/// The interval, diff, and possession bookkeeping, one list per processor.
+/// The interval, diff, and possession bookkeeping, one log per processor.
 ///
 /// This is the paper's layout (§4.2), not a concession to the simulator:
 /// each processor keeps the records of the intervals *it* closed, in the
 /// order it closed them, and each record owns the diffs it made and their
-/// possession bits. `records[p]` is exactly the state a node hosting only
-/// processor `p` would hold; the lists share one struct because the
+/// possession bits. `logs[p]` is exactly the state a node hosting only
+/// processor `p` would hold; the logs share one struct because the
 /// processors of one process share an address space. Every query is
 /// filtered by the asking processor's vector clock, so no processor can
 /// observe intervals that have not performed at it.
+///
+/// A log is four buffers, appended to as the processor closes intervals:
+/// one header per interval (seq, weight, the range of its page entries),
+/// one entry per modified page (page, holders, where its diff lies), the
+/// stamp clocks (`n` entries per interval), and the diffs' bytes in their
+/// wire layout, into which each closing twin is scanned directly. No
+/// record, diff or stamp is an allocation of its own, and a collection
+/// keeps every buffer's capacity, so a history no longer than an earlier
+/// one is recorded without allocating. An entry's index in its log stays
+/// valid while other intervals are appended, to that log or any other,
+/// until the next collection: within one era.
 ///
 /// Possession tracking records which processors hold each diff *as an
 /// object* (creators, fetchers, and cold-miss recipients), which is what
 /// lets a miss be served by the *concurrent last modifiers* only: a
 /// modifier forwards the dominated diffs it holds along with its own
 /// (§4.3.2).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct IntervalStore {
-    /// Closed, non-empty intervals per processor, in ascending seq order.
-    records: Vec<Vec<IntervalRecord>>,
+    /// One log per processor.
+    logs: Vec<Log>,
     /// How many times the history was discarded ([`IntervalStore::clear`],
     /// the barrier-time garbage collection). Additive mutations — closing
     /// intervals, adding holders — leave it unchanged.
@@ -123,7 +257,7 @@ impl IntervalStore {
     /// Creates an empty store for `n_procs` processors.
     pub(crate) fn new(n_procs: usize) -> Self {
         IntervalStore {
-            records: vec![Vec::new(); n_procs],
+            logs: (0..n_procs).map(|_| Log::new(n_procs)).collect(),
             era: 0,
         }
     }
@@ -136,132 +270,174 @@ impl IntervalStore {
         self.era
     }
 
-    /// Appends a record to its creator's list.
+    /// Starts closing an interval of `creator`'s ([`Closing`]).
+    pub(crate) fn open(&mut self, creator: ProcId) -> Closing<'_> {
+        let log = &mut self.logs[creator.index()];
+        let first = log.entries.len();
+        Closing {
+            log,
+            creator,
+            first,
+        }
+    }
+
+    /// Appends a record of `stamp` with copies of `diffs`, each with its
+    /// holder mask, to its creator's log.
     ///
     /// # Panics
     ///
     /// Panics if the interval is out of seq order for its processor.
-    fn push(&mut self, record: IntervalRecord, how: &str) {
-        let id = record.stamp.id();
-        let list = &mut self.records[id.proc().index()];
-        if let Some(last) = list.last() {
-            assert!(last.seq() < id.seq(), "interval {id} {how} out of order");
+    fn push<'a>(
+        &mut self,
+        stamp: &StampedInterval,
+        diffs: impl Iterator<Item = (PageId, DiffView<'a>, u64)>,
+        how: &str,
+    ) {
+        let id = stamp.id();
+        let log = &mut self.logs[id.proc().index()];
+        let first = log.entries.len();
+        for (page, diff, holders) in diffs {
+            let diff = log.diffs.push(diff);
+            log.entries.push(PageEntry {
+                page,
+                holders,
+                diff,
+            });
         }
-        list.push(record);
+        log.seal(id, stamp.clock(), first, how);
     }
 
     /// Records a closed interval with its modified pages and their diffs,
-    /// drained out of `page_diffs` (which keeps its allocation for the
-    /// creator's next close) into the record's own exact-size list. The
-    /// creator holds all of its own diffs.
+    /// drained out of `page_diffs`, the way the model histories of the
+    /// tests stage one; the engine closes through
+    /// [`IntervalStore::open`]. The creator holds all of its own diffs.
     ///
     /// # Panics
     ///
     /// Panics if the interval is out of seq order for its processor.
+    #[cfg(test)]
     pub(crate) fn close_interval(
         &mut self,
         stamp: StampedInterval,
-        page_diffs: &mut Vec<(PageId, Diff)>,
+        page_diffs: &mut Vec<(PageId, lrc_pagemem::Diff)>,
     ) {
         let holders = 1u64 << stamp.id().proc().index();
-        let pages = page_diffs
-            .drain(..)
-            .map(|(page, diff)| PageEntry {
-                page,
-                diff,
-                holders,
-            })
-            .collect();
-        self.push(IntervalRecord::new(stamp, pages), "closed");
+        let diffs = page_diffs
+            .iter()
+            .map(|(page, diff)| (*page, diff.view(), holders));
+        self.push(&stamp, diffs, "closed");
+        page_diffs.clear();
     }
 
-    fn record(&self, interval: IntervalId) -> Option<&IntervalRecord> {
-        let list = &self.records[interval.proc().index()];
-        Some(&list[position(list, interval.seq())?])
+    /// The log and header of `interval`, if it is recorded.
+    fn record(&self, interval: IntervalId) -> Option<(&Log, &Header)> {
+        let log = &self.logs[interval.proc().index()];
+        Some((log, log.header(interval.seq())?))
     }
 
-    fn entry(&self, interval: IntervalId, page: PageId) -> Option<&PageEntry> {
-        self.record(interval)?.entry(page)
-    }
-
-    fn entry_mut(&mut self, interval: IntervalId, page: PageId) -> Option<&mut PageEntry> {
-        let list = &mut self.records[interval.proc().index()];
-        let slot = position(list, interval.seq())?;
-        list[slot].entry_mut(page)
+    /// The creator's log and the index of the entry of `(interval, page)`.
+    fn entry(&self, interval: IntervalId, page: PageId) -> Option<(&Log, usize)> {
+        let (log, header) = self.record(interval)?;
+        Some((log, log.find(header, page)?))
     }
 
     /// The clock weight of a recorded interval's stamp. Sorting by
     /// `(weight, proc, seq)` is a linear extension of happened-before.
     pub(crate) fn weight(&self, interval: IntervalId) -> Option<u64> {
-        self.record(interval).map(|r| r.weight)
+        self.record(interval).map(|(_, h)| h.weight)
     }
 
     /// What a fetch planner asks about a diff, in one lookup: the weight
-    /// of its interval and the mask of processors holding it.
-    pub(crate) fn weight_and_holders(
-        &self,
-        interval: IntervalId,
-        page: PageId,
-    ) -> Option<(u64, u64)> {
-        let record = self.record(interval)?;
-        Some((record.weight, record.entry(page)?.holders))
+    /// of its interval, the mask of processors holding it, and where its
+    /// entry is.
+    pub(crate) fn locate(&self, interval: IntervalId, page: PageId) -> Option<Located> {
+        let (log, header) = self.record(interval)?;
+        let entry = log.find(header, page)?;
+        Some(Located {
+            weight: header.weight,
+            holders: log.entries[entry].holders,
+            entry,
+        })
     }
 
-    /// The diff of `(interval, page)`.
-    pub fn diff(&self, interval: IntervalId, page: PageId) -> Option<&Diff> {
-        self.entry(interval, page).map(|e| &e.diff)
+    /// The diff of `(interval, page)`, borrowed from the store.
+    pub fn diff(&self, interval: IntervalId, page: PageId) -> Option<DiffView<'_>> {
+        let (log, entry) = self.entry(interval, page)?;
+        Some(log.diffs.view(log.entries[entry].diff))
+    }
+
+    /// Checks, in debug builds, that `entry` is one of `interval`'s page
+    /// entries: a plan's handle into the creator's log.
+    fn debug_check_entry(&self, interval: IntervalId, entry: usize) {
+        debug_assert!(
+            self.record(interval)
+                .is_some_and(|(_, h)| h.entries().contains(&entry)),
+            "entry {entry} is not one of {interval}'s"
+        );
+    }
+
+    /// The diff at `entry` of `interval`'s creator's log
+    /// ([`Located::entry`]): no search.
+    pub(crate) fn diff_at(&self, interval: IntervalId, entry: usize) -> DiffView<'_> {
+        self.debug_check_entry(interval, entry);
+        let log = &self.logs[interval.proc().index()];
+        log.diffs.view(log.entries[entry].diff)
+    }
+
+    /// The apply path's fetch: records `proc` as a holder of the diff at
+    /// `entry` of `interval`'s creator's log and returns the diff *by
+    /// reference* — a plan is applied straight out of the store, no diff
+    /// is copied on the way.
+    pub(crate) fn hold_at(
+        &mut self,
+        proc: ProcId,
+        interval: IntervalId,
+        entry: usize,
+    ) -> DiffView<'_> {
+        self.debug_check_entry(interval, entry);
+        let log = &mut self.logs[interval.proc().index()];
+        let entry = &mut log.entries[entry];
+        entry.holders |= 1u64 << proc.index();
+        log.diffs.view(entry.diff)
     }
 
     /// True if `proc` holds the diff `(interval, page)` as an object.
     #[cfg(test)]
     pub(crate) fn holds(&self, proc: ProcId, interval: IntervalId, page: PageId) -> bool {
-        self.entry(interval, page)
-            .is_some_and(|e| e.holders & (1u64 << proc.index()) != 0)
+        self.locate(interval, page)
+            .is_some_and(|l| l.holders & (1u64 << proc.index()) != 0)
     }
 
     /// Records that `proc` now holds the diff `(interval, page)` — for
     /// tests that stage possession by hand; the engine flips the bit as it
-    /// applies the diff ([`IntervalStore::hold_and_diff`]).
-    #[cfg(test)]
-    pub(crate) fn add_holder(&mut self, proc: ProcId, interval: IntervalId, page: PageId) {
-        self.hold_and_diff(proc, interval, page);
-    }
-
-    /// The apply path's fetch: records `proc` as a holder of
-    /// `(interval, page)` and returns the diff *by reference*, in one
-    /// lookup — a plan is applied straight out of the store, no diff is
-    /// cloned on the way.
+    /// applies the diff ([`IntervalStore::hold_at`]).
     ///
     /// # Panics
     ///
     /// In debug builds, panics if `(interval, page)` names no recorded diff
     /// — a protocol bookkeeping bug (e.g. applying a garbage-collected
     /// diff) that would otherwise silently corrupt possession tracking.
-    pub(crate) fn hold_and_diff(
-        &mut self,
-        proc: ProcId,
-        interval: IntervalId,
-        page: PageId,
-    ) -> Option<&Diff> {
-        let entry = self.entry_mut(interval, page);
+    #[cfg(test)]
+    pub(crate) fn add_holder(&mut self, proc: ProcId, interval: IntervalId, page: PageId) {
+        let located = self.locate(interval, page);
         debug_assert!(
-            entry.is_some(),
-            "hold_and_diff({proc}, {interval}, {page}): no such diff is recorded"
+            located.is_some(),
+            "add_holder({proc}, {interval}, {page}): no such diff is recorded"
         );
-        let entry = entry?;
-        entry.holders |= 1u64 << proc.index();
-        Some(&entry.diff)
+        if let Some(located) = located {
+            self.hold_at(proc, interval, located.entry);
+        }
     }
 
-    /// The records of `creator` with sequence in `(after, upto]`.
-    fn window(&self, creator: ProcId, after: u32, upto: u32) -> &[IntervalRecord] {
-        let list = &self.records[creator.index()];
+    /// The headers of `creator` with sequence in `(after, upto]`.
+    fn window(&self, creator: ProcId, after: u32, upto: u32) -> (&Log, &[Header]) {
+        let log = &self.logs[creator.index()];
         let past = |seq: u32| {
             seq.checked_add(1)
-                .map_or(list.len(), |next| lower_bound(list, next))
+                .map_or(log.headers.len(), |next| log.lower_bound(next))
         };
         let (start, end) = (past(after), past(upto));
-        &list[start..end.max(start)]
+        (log, &log.headers[start..end.max(start)])
     }
 
     /// All write notices of intervals of `creator` with sequence in
@@ -274,9 +450,14 @@ impl IntervalStore {
         after: u32,
         upto: u32,
     ) -> impl Iterator<Item = WriteNotice> + '_ {
-        self.window(creator, after, upto)
-            .iter()
-            .flat_map(IntervalRecord::notices)
+        let (log, headers) = self.window(creator, after, upto);
+        headers.iter().flat_map(move |h| {
+            let interval = IntervalId::new(creator, h.seq);
+            log.entries[h.entries()].iter().map(move |e| WriteNotice {
+                interval,
+                page: e.page,
+            })
+        })
     }
 
     /// Fills `out` with all write notices a processor with knowledge
@@ -305,32 +486,36 @@ impl IntervalStore {
             };
             let after = have.get(proc);
             if upto > after {
-                for record in self.window(proc, after, upto) {
-                    out.extend(record.notices());
+                let (log, headers) = self.window(proc, after, upto);
+                for h in headers {
+                    let interval = IntervalId::new(proc, h.seq);
+                    out.extend(log.entries[h.entries()].iter().map(|e| WriteNotice {
+                        interval,
+                        page: e.page,
+                    }));
                 }
             }
         }
     }
 
-    fn all_records(&self) -> impl Iterator<Item = &IntervalRecord> {
-        self.records.iter().flatten()
-    }
-
     /// Number of recorded (non-empty) intervals.
     pub fn interval_count(&self) -> usize {
-        self.records.iter().map(Vec::len).sum()
+        self.logs.iter().map(|log| log.headers.len()).sum()
     }
 
     /// Number of stored diffs.
     pub fn diff_count(&self) -> usize {
-        self.all_records().map(|r| r.pages.len()).sum()
+        self.logs.iter().map(|log| log.entries.len()).sum()
     }
 
     /// Total bytes of stored diff payloads (wire encoding).
     pub fn diff_bytes(&self) -> u64 {
-        self.all_records()
-            .flat_map(|r| &r.pages)
-            .map(|e| e.diff.encoded_size() as u64)
+        self.logs
+            .iter()
+            .flat_map(|log| {
+                let size = |e: &PageEntry| log.diffs.view(e.diff).encoded_size() as u64;
+                log.entries.iter().map(size)
+            })
             .sum()
     }
 
@@ -339,52 +524,63 @@ impl IntervalStore {
     /// page by applying this set in happened-before order over its
     /// escrowed base.
     pub(crate) fn diff_intervals_of_page(&self, page: PageId) -> Vec<IntervalId> {
-        self.all_records()
-            .filter(|r| r.entry(page).is_some())
-            .map(|r| r.stamp.id())
-            .collect()
-    }
-
-    /// The causally-latest recorded writer of every written page (by stamp
-    /// weight, ties broken by processor id) — the processor a cold miss
-    /// falls back to after the history is garbage-collected.
-    pub(crate) fn latest_writers(&self) -> HashMap<PageId, ProcId> {
-        let mut best: HashMap<PageId, (u64, ProcId)> = HashMap::new();
-        for rec in self.all_records() {
-            let candidate = (rec.weight, rec.stamp.id().proc());
-            for e in &rec.pages {
-                let entry = best.entry(e.page).or_insert(candidate);
-                if candidate > *entry {
-                    *entry = candidate;
+        let mut intervals = Vec::new();
+        for (p, log) in ProcId::all(self.logs.len()).zip(&self.logs) {
+            for h in &log.headers {
+                if log.find(h, page).is_some() {
+                    intervals.push(IntervalId::new(p, h.seq));
                 }
             }
         }
-        best.into_iter().map(|(g, (_, p))| (g, p)).collect()
+        intervals
+    }
+
+    /// Writes into `owners`, indexed by page, the causally-latest recorded
+    /// writer of every written page (by stamp weight, ties broken by
+    /// processor id) — the processor a cold miss falls back to after the
+    /// history is garbage-collected. A page nobody wrote keeps its owner.
+    /// `weights` is working space: the weight of each page's latest writer
+    /// so far.
+    pub(crate) fn latest_writers(&self, owners: &mut [Option<ProcId>], weights: &mut Vec<u64>) {
+        // Weights are at least 1 (a stamp's own entry is), so 0 marks a
+        // page not written yet.
+        weights.clear();
+        weights.resize(owners.len(), 0);
+        for (p, log) in ProcId::all(self.logs.len()).zip(&self.logs) {
+            for h in &log.headers {
+                for e in &log.entries[h.entries()] {
+                    let g = e.page.index();
+                    let best = (weights[g], owners[g]);
+                    if best.0 == 0 || (h.weight, Some(p)) > best {
+                        (weights[g], owners[g]) = (h.weight, Some(p));
+                    }
+                }
+            }
+        }
     }
 
     /// The highest closed-interval sequence number recorded for `p`
     /// (0 if none survives — empty intervals leave no records, and
     /// garbage collection discards them all).
     pub fn latest_seq(&self, p: ProcId) -> u32 {
-        self.records[p.index()]
-            .last()
-            .map_or(0, IntervalRecord::seq)
+        self.logs[p.index()].headers.last().map_or(0, |h| h.seq)
     }
 
     /// Exports every interval record with its diff payloads and holder
     /// masks — grouped by processor, ascending seq within each — the
     /// checkpoint serialization view of the store.
     pub(crate) fn export(&self) -> Vec<crate::StoreEntry> {
-        self.all_records()
-            .map(|rec| {
-                let diffs = rec
-                    .pages
+        let mut out = Vec::with_capacity(self.interval_count());
+        for (p, log) in ProcId::all(self.logs.len()).zip(&self.logs) {
+            for (at, h) in log.headers.iter().enumerate() {
+                let diffs = log.entries[h.entries()]
                     .iter()
-                    .map(|e| (e.page, e.diff.clone(), e.holders))
+                    .map(|e| (e.page, log.diffs.view(e.diff).clone(), e.holders))
                     .collect();
-                (rec.stamp.clone(), diffs)
-            })
-            .collect()
+                out.push((log.stamp(p, at, self.logs.len()), diffs));
+            }
+        }
+        out
     }
 
     /// Rebuilds a store from an exported view (the inverse of
@@ -400,25 +596,21 @@ impl IntervalStore {
         let mut store = IntervalStore::new(n_procs);
         store.era = era;
         for (stamp, diffs) in entries {
-            let pages = diffs
+            let diffs = diffs
                 .iter()
-                .map(|(page, diff, holders)| PageEntry {
-                    page: *page,
-                    diff: diff.clone(),
-                    holders: *holders,
-                })
-                .collect();
-            store.push(IntervalRecord::new(stamp.clone(), pages), "imported");
+                .map(|(page, diff, holders)| (*page, diff.view(), *holders));
+            store.push(stamp, diffs, "imported");
         }
         store
     }
 
     /// Discards every interval record with its diffs and possession bits
-    /// — the barrier-time garbage collection step. Callers must first
-    /// ensure all processors have applied what they need.
+    /// — the barrier-time garbage collection step — keeping every
+    /// buffer's capacity for the next era. Callers must first ensure all
+    /// processors have applied what they need.
     pub(crate) fn clear(&mut self) {
-        for list in &mut self.records {
-            list.clear();
+        for log in &mut self.logs {
+            log.clear();
         }
         self.era += 1;
     }
@@ -426,9 +618,11 @@ impl IntervalStore {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::seeded::{script, Rng, StoreOp};
-    use lrc_pagemem::{PageBuf, PageSize};
+    use lrc_pagemem::{Diff, PageSize};
 
     fn p(i: u16) -> ProcId {
         ProcId::new(i)
@@ -753,7 +947,12 @@ mod tests {
         assert_eq!(store.diff_count(), model.diffs.len());
         let bytes: u64 = model.diffs.values().map(|d| d.encoded_size() as u64).sum();
         assert_eq!(store.diff_bytes(), bytes);
-        assert_eq!(store.latest_writers(), model.latest_writers());
+        let mut owners = vec![None; n_pages as usize];
+        store.latest_writers(&mut owners, &mut Vec::new());
+        let latest = model.latest_writers();
+        for page in (0..n_pages).map(PageId::new) {
+            assert_eq!(owners[page.index()], latest.get(&page).copied());
+        }
 
         // Every diff there is, and names around them that are none:
         // other pages, skipped and future sequence numbers.
@@ -776,11 +975,11 @@ mod tests {
                 for page in (0..n_pages).map(PageId::new) {
                     assert_eq!(
                         store.diff(interval, page),
-                        model.diffs.get(&(interval, page))
+                        model.diffs.get(&(interval, page)).map(Diff::view)
                     );
                     let holders = model.holders.get(&(interval, page));
                     assert_eq!(
-                        store.weight_and_holders(interval, page).map(|(_, h)| h),
+                        store.locate(interval, page).map(|l| l.holders),
                         holders.copied()
                     );
                     for r in ProcId::all(n) {

@@ -394,7 +394,10 @@ fn take_epoch_flush<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId) -> Vec<Flushed>
             // leaves the dirty list together with it (under this shard's
             // lock), but skipping an already-written-back page is the
             // right recovery either way.
-            if pages[g.index()].close_twin(spare_twins, &mut diff) && !diff.is_empty() {
+            let closed = pages[g.index()].close_twin(spare_twins, |twin, copy, written| {
+                diff.refill(twin, copy, written)
+            });
+            if closed.is_some() && !diff.is_empty() {
                 flush.push(Flushed {
                     page: g,
                     diff,
@@ -486,8 +489,10 @@ fn push_invalidations<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId, flush: &[Flus
                 // A destination that wrote the page concurrently: its
                 // modifications ride back to the releaser before the
                 // copy is dropped.
-                let mut wb = Diff::default();
-                if entry.close_twin(&mut dest_shard.spare_twins, &mut wb) {
+                let wb = entry.close_twin(&mut dest_shard.spare_twins, |twin, copy, written| {
+                    Diff::between_in(twin, copy, written)
+                });
+                if let Some(wb) = wb {
                     dest_shard.dirty.retain(|&d| d != g);
                     if !wb.is_empty() {
                         writebacks.push((g, wb));

@@ -9,7 +9,7 @@ pub const DIFF_HEADER_BYTES: usize = 12;
 /// Wire overhead of one run: offset (4) and length (4).
 pub const RUN_HEADER_BYTES: usize = 8;
 
-/// Bytes [`Diff::between_in`] compares at once while a page is unchanged.
+/// Bytes the page scan compares at once while a page is unchanged.
 const BLOCK: usize = 32;
 
 /// One run of modified bytes, owned: the input of [`Diff::from_runs`].
@@ -64,6 +64,73 @@ fn has_zero_byte(x: u64) -> bool {
     x.wrapping_sub(LOW) & !x & HIGH != 0
 }
 
+/// Appends a run header for `len` bytes at `offset` to a run buffer; the
+/// caller appends the bytes.
+fn push_run_header(wire: &mut Vec<u8>, offset: u32, len: usize) {
+    wire.extend_from_slice(&offset.to_le_bytes());
+    wire.extend_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// Appends a run to a run buffer, growing it at most once.
+fn push_run(wire: &mut Vec<u8>, offset: u32, data: &[u8]) {
+    wire.reserve(RUN_HEADER_BYTES + data.len());
+    push_run_header(wire, offset, data.len());
+    wire.extend_from_slice(data);
+}
+
+/// The page scan every diff is made by: appends to `wire` the runs of
+/// bytes within `range` where `current` differs from `twin`, in offset
+/// order, and returns how many it appended. What `wire` held stays.
+///
+/// # Panics
+///
+/// Panics if the pages have different sizes, or if `range` is reversed
+/// or ends past the page.
+fn scan(twin: &PageBuf, current: &PageBuf, range: Range<usize>, wire: &mut Vec<u8>) -> u32 {
+    assert_eq!(
+        twin.len(),
+        current.len(),
+        "diffing pages of different sizes"
+    );
+    assert!(
+        range.start <= range.end && range.end <= twin.len(),
+        "diff range {range:?} outside a {}-byte page",
+        twin.len()
+    );
+    let old = twin.as_bytes();
+    let new = current.as_bytes();
+    let mut runs = 0;
+    let Range { start: mut i, end } = range;
+    // The equal scan steps a block at a time while whole blocks match,
+    // then a word at a time; the unequal scan steps a word at a time
+    // while all eight bytes differ. Both finish byte by byte, so run
+    // boundaries are exact.
+    while i < end {
+        while i + BLOCK <= end && block_at(old, i) == block_at(new, i) {
+            i += BLOCK;
+        }
+        while i + 8 <= end && word_at(old, i) == word_at(new, i) {
+            i += 8;
+        }
+        while i < end && old[i] == new[i] {
+            i += 1;
+        }
+        if i == end {
+            break;
+        }
+        let start = i;
+        while i + 8 <= end && !has_zero_byte(word_at(old, i) ^ word_at(new, i)) {
+            i += 8;
+        }
+        while i < end && old[i] != new[i] {
+            i += 1;
+        }
+        push_run(wire, start as u32, &new[start..i]);
+        runs += 1;
+    }
+    runs
+}
+
 /// The runs of a diff's run buffer, in offset order.
 struct Runs<'a> {
     rest: &'a [u8],
@@ -88,7 +155,7 @@ impl<'a> Iterator for Runs<'a> {
 /// adjacent runs merged — one range per run of the chain's
 /// [`Diff::squash`]. Whatever `ranges` held is discarded; the chain is
 /// walked once.
-fn coverage<'a>(chain: impl Iterator<Item = &'a Diff>, ranges: &mut Vec<(u32, u32)>) {
+fn coverage<'a>(chain: impl Iterator<Item = DiffView<'a>>, ranges: &mut Vec<(u32, u32)>) {
     ranges.clear();
     for diff in chain {
         ranges.extend(
@@ -119,22 +186,29 @@ fn coverage<'a>(chain: impl Iterator<Item = &'a Diff>, ranges: &mut Vec<(u32, u3
 /// layout — offset (4), length (4) and the run's bytes, in offset order —
 /// which is exactly what [`Diff::write_wire`] emits after the header. So
 /// [`Diff::encoded_size`] is that buffer's length plus the header.
-/// [`Diff::runs`] walks the buffer as `(offset, bytes)` views.
+/// [`Diff::runs`] walks the buffer as `(offset, bytes)` views. The same
+/// layout, borrowed, is a [`DiffView`]: what a [`DiffLog`] holds many of
+/// back to back.
 ///
 /// [`Diff::from_runs`] and [`Diff::squash`] know every run before they
-/// build, so they allocate the buffer once at its exact size.
-/// [`Diff::refill`] finds its runs as it scans, so it grows the buffer
-/// run by run: a reallocation whenever the next run does not fit. It
-/// refills an existing diff, clearing it but keeping its capacity;
+/// build, so they allocate the buffer once at its exact size. A page scan
+/// finds its runs as it goes, so it grows its buffer run by run: a
+/// reallocation whenever the next run does not fit. [`Diff::refill`]
+/// scans into an existing diff, clearing it but keeping its capacity;
 /// [`Diff::between_in`] (and [`Diff::between`]) is a refill of an empty
-/// diff. The lazy engine's diffs go to its interval store and are never
-/// refilled, so there the growth is ≈ 24 % of the allocation calls on the
-/// paper's replays. The eager engine refills the diffs of its last flush,
-/// so it grows a buffer only when a diff outgrows that buffer's earlier
-/// ones: ≈ 20 calls per thousand events, and ≈ 27 % of what that engine
-/// still allocates. A two-pass, exact-size scan was measured and not
-/// kept: it did not speed either replay, and it would compare a page
-/// twice when its writer rewrote all of it.
+/// diff. The eager engine refills the diffs of its last flush, so it grows
+/// a buffer only when a diff outgrows that buffer's earlier ones: ≈ 20
+/// calls per thousand events, and ≈ 27 % of what that engine still
+/// allocates. The lazy engine keeps no `Diff` objects: it scans each twin
+/// into the tail of its processor's [`DiffLog`]
+/// ([`DiffLog::push_between`]), whose first buffer has room for a few
+/// KiB, which adds a 128 KiB buffer when the last is full, and which keeps
+/// every buffer when the history is collected. So its diffs make no
+/// allocation call once the log holds one collection round, and on the
+/// paper's replays, where most logs never outgrow their first buffer,
+/// ≈ 1 call per thousand events. A two-pass, exact-size scan was measured
+/// and not kept: it did not speed either replay, and it would compare a
+/// page twice when its writer rewrote all of it.
 ///
 /// Applying a diff overwrites the runs' byte ranges. Diffs from causally
 /// ordered intervals must be applied in happened-before order; diffs from
@@ -170,22 +244,6 @@ impl Diff {
         Diff::default()
     }
 
-    /// Appends a run header for `len` bytes at `offset`; the caller
-    /// appends the bytes.
-    fn push_run_header(&mut self, offset: u32, len: usize) {
-        self.wire.extend_from_slice(&offset.to_le_bytes());
-        self.wire.extend_from_slice(&(len as u32).to_le_bytes());
-        self.run_count += 1;
-    }
-
-    /// Appends a run past every run so far, growing the buffer at most
-    /// once.
-    fn push_run(&mut self, offset: u32, data: &[u8]) {
-        self.wire.reserve(RUN_HEADER_BYTES + data.len());
-        self.push_run_header(offset, data.len());
-        self.wire.extend_from_slice(data);
-    }
-
     /// Creates a diff from pre-built runs.
     ///
     /// # Panics
@@ -200,14 +258,14 @@ impl Diff {
             );
         }
         let bytes = runs.iter().map(|r| RUN_HEADER_BYTES + r.data.len()).sum();
-        let mut diff = Diff {
-            wire: Vec::with_capacity(bytes),
-            run_count: 0,
-        };
+        let mut wire = Vec::with_capacity(bytes);
         for run in &runs {
-            diff.push_run(run.offset, &run.data);
+            push_run(&mut wire, run.offset, &run.data);
         }
-        diff
+        Diff {
+            wire,
+            run_count: runs.len() as u32,
+        }
     }
 
     /// Compares a working page against its twin and encodes every byte that
@@ -244,46 +302,16 @@ impl Diff {
     ///
     /// As [`Diff::between_in`].
     pub fn refill(&mut self, twin: &PageBuf, current: &PageBuf, range: Range<usize>) {
-        assert_eq!(
-            twin.len(),
-            current.len(),
-            "diffing pages of different sizes"
-        );
-        assert!(
-            range.start <= range.end && range.end <= twin.len(),
-            "diff range {range:?} outside a {}-byte page",
-            twin.len()
-        );
-        let old = twin.as_bytes();
-        let new = current.as_bytes();
         self.wire.clear();
-        self.run_count = 0;
-        let Range { start: mut i, end } = range;
-        // The equal scan steps a block at a time while whole blocks match,
-        // then a word at a time; the unequal scan steps a word at a time
-        // while all eight bytes differ. Both finish byte by byte, so run
-        // boundaries are exact.
-        while i < end {
-            while i + BLOCK <= end && block_at(old, i) == block_at(new, i) {
-                i += BLOCK;
-            }
-            while i + 8 <= end && word_at(old, i) == word_at(new, i) {
-                i += 8;
-            }
-            while i < end && old[i] == new[i] {
-                i += 1;
-            }
-            if i == end {
-                break;
-            }
-            let start = i;
-            while i + 8 <= end && !has_zero_byte(word_at(old, i) ^ word_at(new, i)) {
-                i += 8;
-            }
-            while i < end && old[i] != new[i] {
-                i += 1;
-            }
-            self.push_run(start as u32, &new[start..i]);
+        self.run_count = scan(twin, current, range, &mut self.wire);
+    }
+
+    /// The diff, borrowed: what a [`DiffLog`] hands out for the diffs it
+    /// holds.
+    pub fn view(&self) -> DiffView<'_> {
+        DiffView {
+            wire: &self.wire,
+            run_count: self.run_count,
         }
     }
 
@@ -293,9 +321,7 @@ impl Diff {
     ///
     /// Panics if a run extends past the end of the page.
     pub fn apply_to(&self, page: &mut PageBuf) {
-        for (offset, data) in self.runs() {
-            page.write(offset as usize, data);
-        }
+        self.view().apply_to(page);
     }
 
     /// Number of runs.
@@ -311,7 +337,7 @@ impl Diff {
     /// Iterates over the runs in offset order, as `(offset, bytes)` views
     /// into the diff's buffer.
     pub fn runs(&self) -> impl Iterator<Item = (u32, &[u8])> {
-        Runs { rest: &self.wire }
+        self.view().runs()
     }
 
     /// One past the last byte the diff modifies (0 for an empty diff): the
@@ -336,7 +362,8 @@ impl Diff {
 
     /// Merges a happened-before-ordered sequence of diffs of one page into
     /// a single minimal diff: later diffs overwrite earlier ones where they
-    /// touch the same bytes, and adjacent runs coalesce.
+    /// touch the same bytes, and adjacent runs coalesce. The chain is of
+    /// diffs or of views.
     ///
     /// This is the paper's overwrite pruning (§4.3.2: a diff is not needed
     /// from interval `j` if a later interval `k` overwrote the
@@ -364,27 +391,24 @@ impl Diff {
     /// assert_eq!(page.as_bytes(), v2.as_bytes());
     /// # Ok::<(), lrc_pagemem::PageSizeError>(())
     /// ```
-    pub fn squash<'a>(diffs: impl IntoIterator<Item = &'a Diff>) -> Diff {
-        let chain: Vec<&Diff> = diffs.into_iter().collect();
+    pub fn squash<'a, D: Into<DiffView<'a>>>(diffs: impl IntoIterator<Item = D>) -> Diff {
+        let chain: Vec<DiffView<'a>> = diffs.into_iter().map(Into::into).collect();
         // Room for every run of the chain: the ranges take one allocation.
-        let mut ranges = Vec::with_capacity(chain.iter().map(|d| d.run_count()).sum());
-        coverage(chain.iter().copied(), &mut ranges);
+        let mut ranges = Vec::with_capacity(chain.iter().map(|d| d.run_count as usize).sum());
+        coverage(chain.iter().map(DiffView::reborrow), &mut ranges);
         // Lay the merged runs out zero-filled, then copy every run of the
         // chain into place, later diffs over earlier ones.
         let bytes = ranges
             .iter()
             .map(|&(start, end)| RUN_HEADER_BYTES + (end - start) as usize)
             .sum();
-        let mut out = Diff {
-            wire: Vec::with_capacity(bytes),
-            run_count: 0,
-        };
+        let mut wire = Vec::with_capacity(bytes);
         for &(start, end) in &ranges {
             let len = (end - start) as usize;
-            out.push_run_header(start, len);
-            out.wire.resize(out.wire.len() + len, 0);
+            push_run_header(&mut wire, start, len);
+            wire.resize(wire.len() + len, 0);
         }
-        for diff in chain {
+        for diff in &chain {
             // Every run lies inside exactly one merged run, and both lists
             // are sorted by offset: one cursor finds them all. `at` is the
             // merged run, `data` where its bytes start in the buffer.
@@ -395,24 +419,28 @@ impl Diff {
                     at += 1;
                 }
                 let into = data + (offset - ranges[at].0) as usize;
-                out.wire[into..into + bytes.len()].copy_from_slice(bytes);
+                wire[into..into + bytes.len()].copy_from_slice(bytes);
             }
         }
-        out
+        Diff {
+            wire,
+            run_count: ranges.len() as u32,
+        }
     }
 
     /// `Diff::squash(diffs).encoded_size()` without building the squash:
     /// the size depends only on which bytes the chain covers, so no data
     /// byte is read. This is what the traffic model charges for a chain.
+    /// The chain is of diffs or of views.
     ///
     /// `ranges` is working space: the chain's coverage is gathered there,
     /// over whatever it held, so a caller sizing chain after chain passes
     /// one buffer and allocates only while it grows.
-    pub fn squashed_size<'a>(
-        diffs: impl IntoIterator<Item = &'a Diff>,
+    pub fn squashed_size<'a, D: Into<DiffView<'a>>>(
+        diffs: impl IntoIterator<Item = D>,
         ranges: &mut Vec<(u32, u32)>,
     ) -> usize {
-        coverage(diffs.into_iter(), ranges);
+        coverage(diffs.into_iter().map(Into::into), ranges);
         DIFF_HEADER_BYTES
             + ranges
                 .iter()
@@ -494,8 +522,7 @@ impl Diff {
 impl fmt::Debug for Diff {
     /// Lists the runs as `(offset, bytes)` pairs.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Diff")?;
-        f.debug_list().entries(self.runs()).finish()
+        self.view().fmt(f)
     }
 }
 
@@ -508,6 +535,209 @@ impl fmt::Display for Diff {
             self.modified_bytes(),
             self.encoded_size()
         )
+    }
+}
+
+/// A diff, borrowed: its runs in their wire layout, wherever they are
+/// kept — in a [`Diff`] ([`Diff::view`]) or among the other diffs of a
+/// [`DiffLog`] ([`DiffLog::view`]).
+#[derive(PartialEq, Eq)]
+pub struct DiffView<'a> {
+    /// As [`Diff`]'s buffer.
+    wire: &'a [u8],
+    run_count: u32,
+}
+
+impl<'a> DiffView<'a> {
+    /// This view again, for a second pass over a chain of views.
+    fn reborrow(&self) -> DiffView<'a> {
+        DiffView {
+            wire: self.wire,
+            run_count: self.run_count,
+        }
+    }
+
+    /// Iterates over the runs in offset order, as `(offset, bytes)` views
+    /// into the viewed buffer.
+    pub fn runs(&self) -> impl Iterator<Item = (u32, &'a [u8])> + 'a {
+        Runs { rest: self.wire }
+    }
+
+    /// Overwrites the diff's byte ranges in `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run extends past the end of the page.
+    pub fn apply_to(&self, page: &mut PageBuf) {
+        for (offset, data) in self.runs() {
+            page.write(offset as usize, data);
+        }
+    }
+
+    /// Bytes the diff occupies on the wire ([`Diff::encoded_size`]).
+    pub fn encoded_size(&self) -> usize {
+        DIFF_HEADER_BYTES + self.wire.len()
+    }
+
+    /// An owned copy of the viewed diff. A view is never copied as a
+    /// view: what outlives the buffer it borrows is a [`Diff`], so this is
+    /// the one `clone` a view has, and `DiffView` is not `Clone`.
+    #[allow(clippy::should_implement_trait)]
+    pub fn clone(&self) -> Diff {
+        Diff {
+            wire: self.wire.to_vec(),
+            run_count: self.run_count,
+        }
+    }
+}
+
+impl<'a> From<&'a Diff> for DiffView<'a> {
+    fn from(diff: &'a Diff) -> Self {
+        diff.view()
+    }
+}
+
+impl fmt::Debug for DiffView<'_> {
+    /// Lists the runs as `(offset, bytes)` pairs, as [`Diff`] does.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Diff")?;
+        f.debug_list().entries(self.runs()).finish()
+    }
+}
+
+/// The size of every buffer of a [`DiffLog`] after its first, unless one
+/// diff needs more.
+const LOG_BUFFER_BYTES: usize = 128 * 1024;
+
+/// Many diffs, each in [`Diff`]'s run layout; a [`DiffSpan`] says where
+/// one of them lies. A page scan appends its runs at the tail
+/// ([`DiffLog::push_between`], the same scan as [`Diff::refill`]).
+///
+/// The diffs lie in buffers that are not moved to make room: a diff goes
+/// to the first buffer with room for its range as one run, else to a new
+/// 128 KiB one. So a log grows by allocating, not by copying what it
+/// holds into a larger buffer and leaving the old one behind, and only
+/// the end of each buffer is room no diff wrote to. (A diff of more runs
+/// than that room holds grows its buffer as a `Vec` grows.)
+/// [`DiffLog::clear`] keeps every buffer for the next history.
+#[derive(Clone, Default, Debug)]
+pub struct DiffLog {
+    /// The buffer the log is made with: buffer 0.
+    first: Vec<u8>,
+    /// The buffers added since, 1 onwards.
+    more: Vec<Vec<u8>>,
+    /// The buffer being filled; the ones before it are full.
+    at: usize,
+}
+
+/// Where one diff lies in a [`DiffLog`]: valid for the log that made it,
+/// until that log is cleared. A buffer is 128 KiB or one diff's room,
+/// and takes one diff past that room at most, so its offsets fit in
+/// `u32`s.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DiffSpan {
+    buffer: u32,
+    start: u32,
+    end: u32,
+    run_count: u32,
+}
+
+impl DiffSpan {
+    /// True if the diff carries no modifications.
+    pub fn is_empty(&self) -> bool {
+        self.run_count == 0
+    }
+}
+
+impl DiffLog {
+    /// An empty log with room for `bytes` bytes of runs.
+    pub fn with_capacity(bytes: usize) -> Self {
+        DiffLog {
+            first: Vec::with_capacity(bytes),
+            more: Vec::new(),
+            at: 0,
+        }
+    }
+
+    /// Buffer `i`, if the log has it.
+    fn buffer_mut(&mut self, i: usize) -> Option<&mut Vec<u8>> {
+        match i {
+            0 => Some(&mut self.first),
+            _ => self.more.get_mut(i - 1),
+        }
+    }
+
+    /// Appends a diff that should take at most `bytes`, which `write`
+    /// appends to the buffer it is handed, returning its run count.
+    fn append(&mut self, bytes: usize, write: impl FnOnce(&mut Vec<u8>) -> u32) -> DiffSpan {
+        let at = loop {
+            match self.buffer_mut(self.at) {
+                Some(buffer) if buffer.capacity() - buffer.len() >= bytes => break self.at,
+                Some(_) => self.at += 1,
+                None => self
+                    .more
+                    .push(Vec::with_capacity(bytes.max(LOG_BUFFER_BYTES))),
+            }
+        };
+        let wire = self.buffer_mut(at).expect("the loop found it");
+        let offset = |at: usize| u32::try_from(at).expect("a log buffer holds under 4 GiB");
+        let start = offset(wire.len());
+        let run_count = write(wire);
+        DiffSpan {
+            buffer: offset(at),
+            start,
+            end: offset(wire.len()),
+            run_count,
+        }
+    }
+
+    /// Appends the diff of `current` against `twin` within `range`
+    /// ([`Diff::between_in`]) and says where it lies. A diff without runs
+    /// appends nothing.
+    ///
+    /// # Panics
+    ///
+    /// As [`Diff::between_in`].
+    pub fn push_between(
+        &mut self,
+        twin: &PageBuf,
+        current: &PageBuf,
+        range: Range<usize>,
+    ) -> DiffSpan {
+        let one_run = RUN_HEADER_BYTES + range.len();
+        self.append(one_run, |wire| scan(twin, current, range, wire))
+    }
+
+    /// Appends a copy of `diff` and says where it lies.
+    pub fn push(&mut self, diff: DiffView<'_>) -> DiffSpan {
+        self.append(diff.wire.len(), |wire| {
+            wire.extend_from_slice(diff.wire);
+            diff.run_count
+        })
+    }
+
+    /// The diff at `span`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span` lies past what the log holds, as a span of a
+    /// cleared log may.
+    pub fn view(&self, span: DiffSpan) -> DiffView<'_> {
+        let buffer = match span.buffer {
+            0 => &self.first,
+            i => &self.more[i as usize - 1],
+        };
+        DiffView {
+            wire: &buffer[span.start as usize..span.end as usize],
+            run_count: span.run_count,
+        }
+    }
+
+    /// Forgets every diff, keeping every buffer.
+    pub fn clear(&mut self) {
+        self.first.clear();
+        self.more.iter_mut().for_each(Vec::clear);
+        self.at = 0;
     }
 }
 
@@ -562,6 +792,39 @@ mod tests {
         diff.refill(&twin, &one, 0..256);
         assert_eq!(diff, Diff::between(&twin, &one));
         assert_eq!(diff.wire.capacity(), capacity, "no reallocation");
+    }
+
+    #[test]
+    fn a_log_keeps_each_diff_whole_in_buffers_it_never_moves() {
+        let twin = page();
+        let mut log = DiffLog::with_capacity(64);
+        let (mut spans, mut wants) = (Vec::new(), Vec::new());
+        let first = log.first.as_ptr();
+        let mut more = None;
+        for k in 0..40 {
+            let mut cur = twin.clone();
+            let at = k * 5;
+            cur.write(at, &[k as u8 + 1; 7]);
+            spans.push(log.push_between(&twin, &cur, at..at + 7));
+            wants.push(Diff::between(&twin, &cur));
+            assert_eq!(log.first.as_ptr(), first, "diff {k}");
+            if let Some(buffer) = log.more.first() {
+                assert_eq!(*more.get_or_insert(buffer.as_ptr()), buffer.as_ptr());
+            }
+        }
+        // Four 15-byte diffs fill the first buffer; a second takes the rest.
+        assert_eq!(
+            (spans[3].buffer, spans[4].buffer, log.more.len()),
+            (0, 1, 1)
+        );
+        for (span, want) in spans.iter().zip(&wants) {
+            assert_eq!(log.view(*span), want.view());
+        }
+        // Clearing keeps every buffer; a copied diff lands whole.
+        log.clear();
+        let copied = log.push(wants[3].view());
+        assert_eq!(log.view(copied), wants[3].view());
+        assert_eq!((log.more.len(), log.first.capacity()), (1, 64));
     }
 
     #[test]
@@ -698,9 +961,9 @@ mod tests {
 
     #[test]
     fn squash_of_nothing_is_empty() {
-        assert!(Diff::squash([]).is_empty());
+        assert!(Diff::squash([] as [&Diff; 0]).is_empty());
         assert_eq!(
-            Diff::squashed_size([], &mut vec![(0, 4)]),
+            Diff::squashed_size([] as [&Diff; 0], &mut vec![(0, 4)]),
             DIFF_HEADER_BYTES
         );
     }

@@ -18,6 +18,8 @@
 //!   buffer holding its runs in their wire layout (offset, length, bytes
 //!   per run), so its encoded size is that buffer's length plus a fixed
 //!   header and encoding it is one copy;
+//! * [`DiffLog`] — many diffs kept in the same layout in buffers a log
+//!   reuses, each read back as a borrowed [`DiffView`];
 //! * [`Memory`] — a flat, sequentially-consistent memory used for page homes
 //!   and as the correctness oracle in the simulator.
 //!
@@ -51,6 +53,6 @@ mod memory;
 mod page;
 
 pub use addr::{AddrSpace, PageId, PageSize, PageSizeError, Segment};
-pub use diff::{Diff, DiffRun, DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
+pub use diff::{Diff, DiffLog, DiffRun, DiffSpan, DiffView, DIFF_HEADER_BYTES, RUN_HEADER_BYTES};
 pub use memory::Memory;
 pub use page::PageBuf;
