@@ -130,7 +130,9 @@ pub struct LazyShard {
 /// The transient lists one processor's lazy slow paths build, kept in its
 /// shard so that each call refills the buffers of the last one instead of
 /// allocating its own. Every user clears or rebuilds a buffer before it
-/// reads it: only capacity carries over from call to call.
+/// reads it: only capacity carries over from call to call. A shard's
+/// scratch is built with room ([`Scratch::new`]), so a fresh engine's
+/// first slow paths do not grow it from nothing.
 ///
 /// A slow path of `p` either uses a buffer in place, under a shard-`p`
 /// lock it holds anyway (an interval close, the notice step of an
@@ -143,8 +145,10 @@ pub struct LazyShard {
 struct Scratch {
     /// Write notices, from [`IntervalStore::notices_missing`].
     notices: Vec<WriteNotice>,
-    /// The diffs a plan is built for.
-    needed: Vec<(IntervalId, PageId)>,
+    /// The diffs a plan is built for, with their handles, grouped by page
+    /// in ascending page order: a miss lists one page's pending notices,
+    /// and an update lists its cached pages one after another.
+    needed: Vec<WriteNotice>,
     /// The fetch plan, with its own sort buffer.
     plan: FetchPlan,
     /// One `(target, request bytes, reply bytes)` round trip per fetch
@@ -159,31 +163,65 @@ struct Scratch {
     merged: VectorClock,
 }
 
-/// The buffers that sizing a diff reply works in: a multi-page reply's
-/// by-page sort, and the byte ranges one chain covers.
+/// How many notices, needed diffs and covered ranges a fresh shard's
+/// scratch has room for.
+const SCRATCH_ROOM: usize = 64;
+
+impl Scratch {
+    /// A scratch for one of `n` processors, with room for
+    /// [`SCRATCH_ROOM`] entries in each list and `n` in each per-target
+    /// or per-processor one.
+    fn new(n: usize) -> Self {
+        Scratch {
+            notices: Vec::with_capacity(SCRATCH_ROOM),
+            needed: Vec::with_capacity(SCRATCH_ROOM),
+            plan: FetchPlan::with_capacity(SCRATCH_ROOM, n),
+            trips: Vec::with_capacity(n),
+            sizer: Sizer {
+                ranges: Vec::with_capacity(SCRATCH_ROOM),
+            },
+            peer_clock: VectorClock::new(n),
+            merged: VectorClock::new(n),
+        }
+    }
+}
+
+/// The buffer that sizing a diff reply works in: the byte ranges one
+/// chain covers.
 #[derive(Debug, Default)]
 struct Sizer {
-    /// Page, interval and log entry of each diff.
-    by_page: Vec<(PageId, IntervalId, usize)>,
     ranges: Vec<(u32, u32)>,
 }
 
 impl Sizer {
-    /// Wire size of a batch of diffs supplied by one processor: the sum
-    /// of its pages' chains ([`chain_bytes`]), found by one sort.
-    fn diff_payload<'a>(
+    /// Wire size of the diffs that `source` supplies of a plan built for
+    /// `needed`: the sum of its pages' chains ([`chain_bytes`]). `needed`
+    /// is grouped by page, so each group filtered by source is one chain,
+    /// found with no sort.
+    fn diff_payload(
         &mut self,
         store: &IntervalStore,
-        diffs: impl Iterator<Item = &'a Planned>,
+        needed: &[WriteNotice],
+        plan: &FetchPlan,
+        source: Source,
     ) -> u64 {
-        let Sizer { by_page, ranges } = self;
-        by_page.clear();
-        by_page.extend(diffs.map(|d| (d.page, d.interval, d.entry)));
-        by_page.sort_unstable();
-        let diff_of = |&(_, iv, entry): &(PageId, IntervalId, usize)| store.diff_at(iv, entry);
-        by_page
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|chain| chain_bytes(chain.iter().map(diff_of), ranges))
+        debug_assert!(
+            needed.is_sorted_by_key(|n| n.page),
+            "needed diffs come page by page"
+        );
+        let mut at = 0;
+        needed
+            .chunk_by(|a, b| a.page == b.page)
+            .map(|group| {
+                let sources = &plan.sources()[at..at + group.len()];
+                at += group.len();
+                let chain = group
+                    .iter()
+                    .zip(sources)
+                    .filter(|&(_, &s)| s == source)
+                    .map(|(notice, _)| store.diff_at(notice));
+                chain_bytes(chain, &mut self.ranges)
+            })
             .sum()
     }
 }
@@ -233,6 +271,25 @@ fn notice_bytes(notices: &[WriteNotice]) -> u64 {
     notice_batch_bytes(intervals, notices.len())
 }
 
+/// A checkpointed pending notice of `interval` on `page`, resolved to its
+/// handle in `store`: the one place a handle is searched for.
+///
+/// # Errors
+///
+/// [`CheckpointError::Incompatible`] if `store` records no diff of
+/// `interval` for `page`.
+fn resolve(
+    store: &IntervalStore,
+    interval: IntervalId,
+    page: PageId,
+) -> Result<WriteNotice, CheckpointError> {
+    store.locate(interval, page).ok_or_else(|| {
+        CheckpointError::Incompatible(format!(
+            "pending notice of {interval} names no recorded diff of {page}"
+        ))
+    })
+}
+
 /// Sort key giving a linear extension of happened-before over recorded
 /// intervals: stamp weight, then id.
 fn hb_key(store: &IntervalStore, iv: IntervalId) -> (u64, ProcId, u32) {
@@ -243,12 +300,14 @@ fn hb_key(store: &IntervalStore, iv: IntervalId) -> (u64, ProcId, u32) {
 /// Wire size of one page's chain of diffs as one processor supplies it:
 /// the chain is squashed in happened-before order before shipping, so
 /// overwritten modifications never cross the wire (§4.3.2's pruning of
-/// intervals "in which the modification was overwritten").
+/// intervals "in which the modification was overwritten"). An empty
+/// chain ships nothing.
 ///
 /// Only the size is charged here, and the size of a squash depends on
 /// which bytes the chain covers — not on their values, nor on the order
 /// of the chain — so [`Diff::squashed_size`] reads no data byte; it
-/// gathers the coverage in `ranges`. The chain is walked once.
+/// gathers the coverage in `ranges`, and the chain may come in any
+/// order. The chain is walked once.
 fn chain_bytes<'a>(
     chain: impl Iterator<Item = DiffView<'a>> + Clone,
     ranges: &mut Vec<(u32, u32)>,
@@ -256,6 +315,7 @@ fn chain_bytes<'a>(
     let whole = chain.clone();
     let mut rest = chain;
     let size = match (rest.next(), rest.next()) {
+        (None, _) => 0,
         // A lone diff ships as it is.
         (Some(lone), None) => lone.encoded_size(),
         (first, second) => {
@@ -294,10 +354,10 @@ impl<S: Sharing> Protocol for Lazy<S> {
             dead: false,
             dead_since: 0,
             lease_expired: false,
-            // Room for a notice per page before the list grows: 12 bytes
-            // a frame, less than the 16 the frame saved on its own list.
+            // Room for a notice per page before the list grows: 16 bytes
+            // a frame, as many as the frame saved on its own list.
             pending: NoticeList::with_capacity(core.space.n_pages() as usize),
-            scratch: Scratch::default(),
+            scratch: Scratch::new(core.params.n_procs),
         }
     }
 
@@ -369,12 +429,16 @@ impl<S: Sharing> Protocol for Lazy<S> {
             } = &mut scratch;
             plan.build(store, p, Some(q), needed);
             let era = store.era();
-            grant_payload += sizer.diff_payload(store, plan.planned_by(Source::Free));
+            grant_payload += sizer.diff_payload(store, needed, plan, Source::Free);
             trips.clear();
             for (t, &target) in plan.targets().iter().enumerate() {
-                let diffs = plan.planned_by(Source::Target(t));
-                let request = diffs.clone().count() as u64 * DIFF_REQUEST_ENTRY_BYTES;
-                trips.push((target, request, sizer.diff_payload(store, diffs)));
+                let source = Source::Target(t);
+                let request = plan.planned_by(source).count() as u64 * DIFF_REQUEST_ENTRY_BYTES;
+                trips.push((
+                    target,
+                    request,
+                    sizer.diff_payload(store, needed, plan, source),
+                ));
             }
             drop(state);
             for &(target, request, reply) in trips.iter() {
@@ -463,9 +527,7 @@ impl<S: Sharing> Protocol for Lazy<S> {
             let mut scratch = mem::take(&mut ext.scratch);
             let entry = &pages[gi];
             scratch.needed.clear();
-            scratch
-                .needed
-                .extend(ext.pending.iter(entry.ext).map(|iv| (iv, page)));
+            scratch.needed.extend(ext.pending.iter(entry.ext, page));
             (entry.copy.is_none(), scratch)
         };
         if cold {
@@ -516,7 +578,7 @@ impl<S: Sharing> Protocol for Lazy<S> {
         // All of a miss's diffs name the missed page: what each target
         // supplies is one chain as it stands.
         let mut chain_payload = |source: Source| {
-            let diff_of = |d: &Planned| store.diff_at(d.interval, d.entry);
+            let diff_of = |d: &Planned| store.diff_at(&d.notice);
             chain_bytes(plan.planned_by(source).map(diff_of), &mut sizer.ranges)
         };
         trips.clear();
@@ -636,7 +698,7 @@ impl<S: Sharing> Engine<Lazy<S>> {
         for n in notices {
             debug_assert_ne!(n.interval.proc(), p, "no notices for own intervals");
             let entry = &mut pages[n.page.index()];
-            pending.push(&mut entry.ext, n.interval);
+            pending.push(&mut entry.ext, n);
             if self.policy == Policy::Invalidate && entry.valid {
                 entry.valid = false;
                 invalidated += 1;
@@ -657,33 +719,32 @@ impl<S: Sharing> Engine<Lazy<S>> {
         for (gi, entry) in pages.iter().enumerate() {
             if entry.copy.is_some() {
                 let g = PageId::new(gi as u32);
-                scratch
-                    .needed
-                    .extend(ext.pending.iter(entry.ext).map(|iv| (iv, g)));
+                scratch.needed.extend(ext.pending.iter(entry.ext, g));
             }
         }
         scratch
     }
 
-    /// One request/reply exchange fetching `diffs` from `target` at a
-    /// barrier (the barrier paths run exclusively and may hold the store
-    /// lock across the charge; the acquire and miss paths size payloads
-    /// under the read lock and charge lock-free instead).
-    fn barrier_fetch<'a>(
-        &self,
-        store: &IntervalStore,
-        sizer: &mut Sizer,
-        p: ProcId,
-        target: ProcId,
-        diffs: impl Iterator<Item = &'a Planned> + Clone,
-    ) {
+    /// One request/reply exchange fetching from `target` at a barrier
+    /// the diffs that `plan`, built for `needed`, assigns it at index
+    /// `t` (the barrier paths run exclusively and may hold the store lock
+    /// across the charge; the acquire and miss paths size payloads under
+    /// the read lock and charge lock-free instead).
+    fn barrier_fetch(&self, store: &IntervalStore, scratch: &mut Scratch, p: ProcId, t: usize) {
+        let Scratch {
+            needed,
+            plan,
+            sizer,
+            ..
+        } = scratch;
+        let source = Source::Target(t);
         self.net.round_trip(
             p,
-            target,
+            plan.targets()[t],
             MsgKind::BarrierDiffRequest,
-            diffs.clone().count() as u64 * DIFF_REQUEST_ENTRY_BYTES,
+            plan.planned_by(source).count() as u64 * DIFF_REQUEST_ENTRY_BYTES,
             MsgKind::BarrierDiffReply,
-            sizer.diff_payload(store, diffs),
+            sizer.diff_payload(store, needed, plan, source),
         );
     }
 
@@ -701,17 +762,11 @@ impl<S: Sharing> Engine<Lazy<S>> {
         let Shard { pages, ext, .. } = shard;
         let mut touched = 0;
         let mut applied = 0;
-        for &Planned {
-            interval,
-            page,
-            entry,
-            ..
-        } in scratch.plan.diffs()
-        {
+        for Planned { notice, .. } in scratch.plan.diffs() {
             // The holder bit flips and the diff is applied straight out
             // of the store — no per-diff copy on the hot miss path.
-            let diff = store.hold_at(p, interval, entry);
-            let frame = &mut pages[page.index()];
+            let diff = store.hold_at(p, notice);
+            let frame = &mut pages[notice.page.index()];
             frame.apply(diff, self.space.page_size());
             applied += 1;
             // Every planned diff is one of its page's pending notices, so
@@ -830,15 +885,9 @@ impl<S: Sharing> Engine<Lazy<S>> {
     /// barrier traffic; returns the number of pages touched.
     fn validate_cached_pages(&self, store: &mut IntervalStore, r: ProcId) -> usize {
         let mut scratch = self.needed_for_cached_pages(r);
-        let Scratch {
-            needed,
-            plan,
-            sizer,
-            ..
-        } = &mut scratch;
-        plan.build(store, r, None, needed);
-        for (t, &target) in plan.targets().iter().enumerate() {
-            self.barrier_fetch(store, sizer, r, target, plan.planned_by(Source::Target(t)));
+        scratch.plan.build(store, r, None, &scratch.needed);
+        for t in 0..scratch.plan.targets().len() {
+            self.barrier_fetch(store, &mut scratch, r, t);
         }
         self.apply_plan(store, r, &mut self.shard(r), scratch)
     }
@@ -954,13 +1003,15 @@ impl<S: Sharing> Engine<Lazy<S>> {
         let mut procs = Vec::with_capacity(n);
         for p in ProcId::all(n) {
             let shard = self.shard(p);
+            let notices = &shard.ext.pending;
             let mut frames = Vec::new();
             for (gi, entry) in shard.pages.iter().enumerate() {
+                let page = PageId::new(gi as u32);
                 let frame = FrameCheckpoint {
-                    page: PageId::new(gi as u32),
+                    page,
                     contents: entry.committed().map(|c| c.as_bytes().to_vec()),
                     valid: entry.valid,
-                    pending: shard.ext.pending.iter(entry.ext).collect(),
+                    pending: notices.iter(entry.ext, page).map(|n| n.interval).collect(),
                 };
                 if !frame.is_default() {
                     frames.push(frame);
@@ -992,17 +1043,26 @@ impl<S: Sharing> Engine<Lazy<S>> {
     /// # Errors
     ///
     /// [`CheckpointError::Incompatible`] if the checkpoint describes a
-    /// different engine shape.
+    /// different engine shape, or if a frame's pending notice names no
+    /// diff the checkpoint's store records for that page. Either way the
+    /// engine is left as it was.
     pub fn restore(&self, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
         self.check_shape(ckpt)?;
+        let store = IntervalStore::import(self.params.n_procs, ckpt.store_era, &ckpt.store);
+        // Every notice resolves before anything is replaced.
+        for frame in ckpt.procs.iter().flat_map(|proc| &proc.frames) {
+            for &interval in &frame.pending {
+                resolve(&store, interval, frame.page)?;
+            }
+        }
         let mut state = self.proto.state.write();
-        state.store = IntervalStore::import(self.params.n_procs, ckpt.store_era, &ckpt.store);
+        state.store = store;
         state.gc_owner = ckpt.owners.clone();
         state.escrow.clear();
         for p in ProcId::all(self.params.n_procs) {
             let mut shard = self.shard(p);
             shard.ext.clock = ckpt.procs[p.index()].clock.clone();
-            self.reset_frames(&mut shard, &ckpt.procs[p.index()].frames);
+            self.reset_frames(&state.store, &mut shard, &ckpt.procs[p.index()].frames)?;
         }
         Ok(())
     }
@@ -1140,18 +1200,27 @@ impl<S: Sharing> Engine<Lazy<S>> {
         Ok(())
     }
 
-    /// Replaces a (locked) shard's frames with checkpointed ones and
-    /// brings the processor back to life.
-    fn reset_frames(&self, shard: &mut Shard<Lazy<S>>, frames: &[FrameCheckpoint]) {
+    /// Replaces a (locked) shard's frames with checkpointed ones, each
+    /// pending notice resolved to its handle in `store`, and brings the
+    /// processor back to life.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Incompatible`] if a notice names no diff `store`
+    /// records for its page. The shard's frames are then left reset and
+    /// the processor as dead or alive as it was.
+    fn reset_frames(
+        &self,
+        store: &IntervalStore,
+        shard: &mut Shard<Lazy<S>>,
+        frames: &[FrameCheckpoint],
+    ) -> Result<(), CheckpointError> {
         let Shard {
             pages, dirty, ext, ..
         } = shard;
         dirty.clear();
         pages.fill_with(Frame::default);
         ext.pending.reset();
-        ext.dead = false;
-        ext.dead_since = 0;
-        ext.lease_expired = false;
         for frame in frames {
             let entry = &mut pages[frame.page.index()];
             entry.install(
@@ -1160,9 +1229,20 @@ impl<S: Sharing> Engine<Lazy<S>> {
                 self.space.page_size(),
             );
             for &interval in &frame.pending {
-                ext.pending.push(&mut entry.ext, interval);
+                match resolve(store, interval, frame.page) {
+                    Ok(notice) => ext.pending.push(&mut entry.ext, &notice),
+                    Err(refused) => {
+                        pages.fill_with(Frame::default);
+                        ext.pending.reset();
+                        return Err(refused);
+                    }
+                }
             }
         }
+        ext.dead = false;
+        ext.dead_since = 0;
+        ext.lease_expired = false;
+        Ok(())
     }
 
     /// Rejoins dead processor `p` from a checkpoint of this run.
@@ -1241,7 +1321,7 @@ impl<S: Sharing> Engine<Lazy<S>> {
                     "processor {p} is not declared dead"
                 )));
             }
-            self.reset_frames(&mut shard, &ckpt.procs[p.index()].frames);
+            self.reset_frames(store, &mut shard, &ckpt.procs[p.index()].frames)?;
             let Shard { pages, ext, .. } = &mut *shard;
             let notices = &mut ext.scratch.notices;
             store.notices_missing(&have, &want, None, notices);
@@ -1253,7 +1333,7 @@ impl<S: Sharing> Engine<Lazy<S>> {
             bump(&self.counters.notices_received, notices.len() as u64);
             for notice in notices.iter() {
                 let entry = &mut pages[notice.page.index()];
-                ext.pending.push(&mut entry.ext, notice.interval);
+                ext.pending.push(&mut entry.ext, notice);
                 if entry.valid {
                     entry.valid = false;
                     bump(&self.counters.invalidations, 1);

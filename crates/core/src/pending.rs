@@ -1,6 +1,9 @@
 use std::iter;
 
+use lrc_pagemem::PageId;
 use lrc_vclock::IntervalId;
+
+use crate::WriteNotice;
 
 /// The end of a chain of slots.
 const NIL: u32 = u32::MAX;
@@ -13,6 +16,9 @@ const NIL: u32 = u32::MAX;
 /// The intervals are a chain of slots in the processor's notice list,
 /// of which the frame keeps only the first and last index, so they mean
 /// something only together with the list of the shard the frame is in.
+/// Each slot keeps the notice's handle into its creator's log
+/// ([`WriteNotice::entry`]), so a miss plans from the chain with no
+/// search. A `Pending` is 8 bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Pending {
     head: u32,
@@ -35,10 +41,14 @@ impl Pending {
     }
 }
 
-/// One noticed interval and the next slot of its page's chain.
+/// One noticed interval, the handle of its diff of the chain's page, and
+/// the next slot of the chain: 16 bytes. (Reading the seq back from the
+/// handle's header would make it 12, at one more indirection per
+/// notice read.)
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     interval: IntervalId,
+    entry: u32,
     next: u32,
 }
 
@@ -47,6 +57,11 @@ struct Slot {
 /// order, and freed slots chain from `free` and are taken first. So
 /// delivering a notice allocates only while more notices are pending than
 /// ever were, and applying a page's notices frees them in constant time.
+///
+/// A slot is 16 bytes: a [`WriteNotice`] without its page, which the
+/// chain implies, and the link to the next slot. The handles stay valid
+/// for the era they were noticed in: a collection resets every list
+/// ([`NoticeList::reset`]) with the store.
 #[derive(Debug)]
 pub(crate) struct NoticeList {
     slots: Vec<Slot>,
@@ -63,10 +78,12 @@ impl NoticeList {
         }
     }
 
-    /// Appends `interval` to the chain of `pending`.
-    pub(crate) fn push(&mut self, pending: &mut Pending, interval: IntervalId) {
+    /// Appends `notice` to the chain of `pending`, the chain of the
+    /// notice's page.
+    pub(crate) fn push(&mut self, pending: &mut Pending, notice: &WriteNotice) {
         let slot = Slot {
-            interval,
+            interval: notice.interval,
+            entry: notice.entry,
             next: NIL,
         };
         let at = if self.free == NIL {
@@ -86,13 +103,21 @@ impl NoticeList {
         pending.tail = at;
     }
 
-    /// The intervals of `pending`, in arrival order.
-    pub(crate) fn iter(&self, pending: Pending) -> impl Iterator<Item = IntervalId> + '_ {
+    /// The notices of `pending`, the chain of `page`, in arrival order.
+    pub(crate) fn iter(
+        &self,
+        pending: Pending,
+        page: PageId,
+    ) -> impl Iterator<Item = WriteNotice> + '_ {
         let mut at = pending.head;
         iter::from_fn(move || {
             let slot = self.slots.get(at as usize)?;
             at = slot.next;
-            Some(slot.interval)
+            Some(WriteNotice {
+                interval: slot.interval,
+                page,
+                entry: slot.entry,
+            })
         })
     }
 
@@ -118,12 +143,29 @@ mod tests {
     use super::*;
     use lrc_vclock::ProcId;
 
-    fn iv(seq: u32) -> IntervalId {
-        IntervalId::new(ProcId::new(1), seq)
+    /// A notice of interval `seq` whose handle is `seq + 100`.
+    fn iv(seq: u32) -> WriteNotice {
+        WriteNotice {
+            interval: IntervalId::new(ProcId::new(1), seq),
+            page: PageId::new(0),
+            entry: seq + 100,
+        }
     }
 
     fn listed(list: &NoticeList, pending: Pending) -> Vec<u32> {
-        list.iter(pending).map(IntervalId::seq).collect()
+        list.iter(pending, PageId::new(0))
+            .map(|n| {
+                assert_eq!(n.entry, n.interval.seq() + 100, "the handle travels");
+                n.interval.seq()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_slot_is_a_notice_without_its_page_and_a_link() {
+        assert_eq!(std::mem::size_of::<WriteNotice>(), 16);
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
+        assert_eq!(std::mem::size_of::<Pending>(), 8);
     }
 
     #[test]
@@ -132,8 +174,8 @@ mod tests {
         let (mut a, mut b) = (Pending::default(), Pending::default());
         assert!(a.is_empty() && listed(&list, a).is_empty());
         for seq in 1..=3 {
-            list.push(&mut a, iv(seq));
-            list.push(&mut b, iv(10 + seq));
+            list.push(&mut a, &iv(seq));
+            list.push(&mut b, &iv(10 + seq));
         }
         assert_eq!(listed(&list, a), [1, 2, 3]);
         assert_eq!(listed(&list, b), [11, 12, 13]);
@@ -142,20 +184,20 @@ mod tests {
         // and the other chains keep theirs.
         list.clear(&mut a);
         assert!(a.is_empty() && listed(&list, a).is_empty());
-        list.push(&mut b, iv(14));
-        list.push(&mut a, iv(4));
+        list.push(&mut b, &iv(14));
+        list.push(&mut a, &iv(4));
         assert_eq!(listed(&list, a), [4]);
         assert_eq!(listed(&list, b), [11, 12, 13, 14]);
         assert_eq!(list.slots.len(), 6, "freed slots were taken first");
         list.clear(&mut a);
         list.clear(&mut a);
-        list.push(&mut a, iv(5));
+        list.push(&mut a, &iv(5));
         assert_eq!(listed(&list, a), [5]);
         assert_eq!(listed(&list, b), [11, 12, 13, 14]);
 
         list.reset();
         let mut c = Pending::default();
-        list.push(&mut c, iv(6));
+        list.push(&mut c, &iv(6));
         assert_eq!(listed(&list, c), [6]);
         assert_eq!(list.slots.len(), 1);
     }

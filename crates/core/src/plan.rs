@@ -1,7 +1,8 @@
-use lrc_pagemem::PageId;
-use lrc_vclock::{IntervalId, ProcId};
+use std::cmp::Reverse;
 
-use crate::IntervalStore;
+use lrc_vclock::ProcId;
+
+use crate::{IntervalStore, WriteNotice};
 
 /// Where a planned diff comes from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -18,15 +19,35 @@ pub(crate) enum Source {
 /// One needed diff and its source.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct Planned {
-    pub(crate) interval: IntervalId,
-    pub(crate) page: PageId,
-    /// The diff's entry in its creator's log
-    /// ([`Located::entry`](crate::store::Located::entry)): sizing
-    /// and applying the plan read the diff there with no search. An index
-    /// stays valid while processors append to their logs, and the plan is
-    /// applied in the era it was built in.
-    pub(crate) entry: usize,
+    /// The diff's notice, whose handle sizing and applying the plan read
+    /// the diff by, with no search. A handle stays valid while processors
+    /// append to their logs, and the plan is applied in the era it was
+    /// built in.
+    pub(crate) notice: WriteNotice,
     pub(crate) source: Source,
+}
+
+/// The bits of [`hb_key`] below the processor: the seq's and the page's.
+const PROC_SHIFT: u32 = 64;
+/// The bits of [`hb_key`] below the weight: the processor's 6 above
+/// [`PROC_SHIFT`].
+const WEIGHT_SHIFT: u32 = PROC_SHIFT + 6;
+
+/// The happened-before sort key of a needed diff, packed into one
+/// `u128`: weight | proc | seq | page, from the top down.
+///
+/// The fields keep their order and none overflows into the next, so the
+/// key sorts exactly as the tuple `(weight, proc, seq, page)` does: a
+/// processor index is below [`MAX_PROCS`](crate::MAX_PROCS) = 64, 6 bits,
+/// and a weight sums at most 64 seqs of 32 bits, so it is below 2³⁸ and
+/// the key uses 108 of the 128 bits.
+fn hb_key(weight: u64, notice: &WriteNotice) -> u128 {
+    let proc = notice.interval.proc().index() as u128;
+    debug_assert!(weight < 1 << 38 && proc < 64, "{weight}, {proc}");
+    (weight as u128) << WEIGHT_SHIFT
+        | proc << PROC_SHIFT
+        | (notice.interval.seq() as u128) << 32
+        | notice.page.index() as u128
 }
 
 /// A plan for fetching a set of needed diffs.
@@ -41,9 +62,15 @@ pub(crate) struct Planned {
 /// the number of [`FetchPlan::targets`].
 ///
 /// The plan is one list, sorted once: every needed diff in ascending
-/// `(weight, proc, seq)` order of its interval — a linear extension of
-/// happened-before — tagged with its source. Applying the plan walks the
-/// list as it is, and sizing a source's reply filters it.
+/// `(weight, proc, seq, page)` order — a linear extension of
+/// happened-before — tagged with its source. The sort is over one packed
+/// `u128` key per diff ([`hb_key`]: weight | proc | seq | page, the
+/// weight below 2³⁸), and the weight and holder mask it needs are read
+/// by each notice's handle, so planning searches the store for nothing.
+/// Applying the plan walks the list as it is. The plan also keeps each
+/// needed diff's source in the order of `needed` itself
+/// ([`FetchPlan::sources`]), which sizing a source's reply walks page by
+/// page.
 ///
 /// A plan is a reusable buffer: each processor's slow paths rebuild the
 /// one plan kept in its shard, so after warm-up planning allocates
@@ -52,20 +79,34 @@ pub(crate) struct Planned {
 pub(crate) struct FetchPlan {
     /// Every needed diff, in the order the diffs apply.
     diffs: Vec<Planned>,
+    /// The source of each needed diff, in `needed` order.
+    sources: Vec<Source>,
     /// The explicit targets, in the order they were chosen.
     targets: Vec<ProcId>,
-    /// Working space of [`FetchPlan::build`]: each needed diff's weight,
-    /// id, holder mask and entry, sorted latest first.
-    order: Vec<(u64, IntervalId, PageId, u64, usize)>,
+    /// Working space of [`FetchPlan::build`]: each needed diff's key,
+    /// holder mask and place in `needed`, sorted latest first.
+    order: Vec<(u128, u64, u32)>,
 }
 
 impl FetchPlan {
+    /// An empty plan with room for `diffs` needed diffs and `targets`
+    /// targets before its buffers grow.
+    pub(crate) fn with_capacity(diffs: usize, targets: usize) -> Self {
+        FetchPlan {
+            diffs: Vec::with_capacity(diffs),
+            sources: Vec::with_capacity(diffs),
+            targets: Vec::with_capacity(targets),
+            order: Vec::with_capacity(diffs),
+        }
+    }
+
     /// Replans this plan for fetching `needed` diffs for processor
     /// `for_proc`; nothing of the previous plan survives.
     ///
-    /// `needed` must be free of duplicates. `free_source` is a processor
-    /// whose reply is already being paid for (e.g. the lock grantor);
-    /// `None` when there is no such processor (access misses, barriers).
+    /// `needed` must be free of duplicates, and each notice's handle must
+    /// name its diff in `store`. `free_source` is a processor whose reply
+    /// is already being paid for (e.g. the lock grantor); `None` when
+    /// there is no such processor (access misses, barriers).
     ///
     /// Assignment order runs from causally latest to earliest (by stamp
     /// weight), so each new target is a *last* modifier; diffs it also
@@ -75,28 +116,32 @@ impl FetchPlan {
         store: &IntervalStore,
         for_proc: ProcId,
         free_source: Option<ProcId>,
-        needed: &[(IntervalId, PageId)],
+        needed: &[WriteNotice],
     ) {
         let FetchPlan {
             diffs,
+            sources,
             targets,
             order,
         } = self;
-        // Weight, holder mask and entry of each needed diff, from one
-        // lookup.
+        // Key and holder mask of each needed diff, read by its handle.
+        let places = u32::try_from(needed.len()).expect("fewer than 2^32 needed diffs");
         order.clear();
-        order.extend(needed.iter().map(|&(iv, g)| {
-            let found = store.locate(iv, g).expect("needed diff must be recorded");
-            (found.weight, iv, g, found.holders, found.entry)
+        order.extend(needed.iter().zip(0..places).map(|(notice, at)| {
+            let found = store.located(notice);
+            (hb_key(found.weight, notice), found.holders, at)
         }));
-        // Latest first; ties broken deterministically (`needed` has no
-        // duplicates, so the mask never decides).
-        order.sort_unstable_by(|a, b| b.cmp(a));
+        // Latest first. The keys are distinct (`needed` has no
+        // duplicates), so neither the mask nor the place ever decides.
+        order.sort_unstable_by_key(|&(key, _, _)| Reverse(key));
 
         let held_by = |holders: u64, q: ProcId| holders & (1u64 << q.index()) != 0;
         targets.clear();
         diffs.clear();
-        diffs.extend(order.iter().map(|&(_, interval, page, holders, entry)| {
+        // Sized to `needed`; the loop below writes every place.
+        sources.resize(needed.len(), Source::Free);
+        diffs.extend(order.iter().map(|&(_, holders, at)| {
+            let notice = needed[at as usize];
             // A diff the processor already holds costs no messages: it is
             // applied from local possession. In normal operation pending
             // diffs are never already held, so this arm is reserved for
@@ -115,16 +160,12 @@ impl FetchPlan {
                 // found first.
                 let existing = targets.iter().position(|&t| held_by(holders, t));
                 Source::Target(existing.unwrap_or_else(|| {
-                    targets.push(interval.proc());
+                    targets.push(notice.interval.proc());
                     targets.len() - 1
                 }))
             };
-            Planned {
-                interval,
-                page,
-                entry,
-                source,
-            }
+            sources[at as usize] = source;
+            Planned { notice, source }
         }));
         // Earliest first: the order the diffs apply in.
         diffs.reverse();
@@ -141,6 +182,12 @@ impl FetchPlan {
         &self.diffs
     }
 
+    /// The source of each diff of the `needed` list the plan was built
+    /// for, in that list's order.
+    pub(crate) fn sources(&self) -> &[Source] {
+        &self.sources
+    }
+
     /// The diffs `source` supplies, in happened-before order.
     pub(crate) fn planned_by(&self, source: Source) -> impl Iterator<Item = &Planned> + Clone {
         self.diffs.iter().filter(move |d| d.source == source)
@@ -151,8 +198,9 @@ impl FetchPlan {
     pub(crate) fn supplied_by(
         &self,
         source: Source,
-    ) -> impl Iterator<Item = (IntervalId, PageId)> + Clone + '_ {
-        self.planned_by(source).map(|d| (d.interval, d.page))
+    ) -> impl Iterator<Item = (lrc_vclock::IntervalId, lrc_pagemem::PageId)> + Clone + '_ {
+        self.planned_by(source)
+            .map(|d| (d.notice.interval, d.notice.page))
     }
 
     /// True if nothing needs fetching.
@@ -167,8 +215,8 @@ mod tests {
 
     use super::*;
     use crate::seeded::{script, Rng, StoreOp};
-    use lrc_pagemem::{Diff, PageBuf, PageSize};
-    use lrc_vclock::{StampedInterval, VectorClock};
+    use lrc_pagemem::{Diff, PageBuf, PageId, PageSize};
+    use lrc_vclock::{IntervalId, StampedInterval, VectorClock};
 
     fn p(i: u16) -> ProcId {
         ProcId::new(i)
@@ -185,16 +233,64 @@ mod tests {
         Diff::between(&twin, &cur)
     }
 
-    /// A fresh plan for `needed`.
+    /// A fresh plan for `needed`, whose handles the store's search finds.
     fn plan_for(
         store: &IntervalStore,
         for_proc: ProcId,
         free_source: Option<ProcId>,
         needed: &[(IntervalId, PageId)],
     ) -> FetchPlan {
+        let needed: Vec<WriteNotice> = needed
+            .iter()
+            .map(|&(iv, g)| store.locate(iv, g).expect("recorded"))
+            .collect();
         let mut plan = FetchPlan::default();
-        plan.build(store, for_proc, free_source, needed);
+        plan.build(store, for_proc, free_source, &needed);
         plan
+    }
+
+    #[test]
+    fn the_packed_key_orders_as_the_tuple_at_the_extremes() {
+        let top_weight = 64 * u64::from(u32::MAX);
+        let (weights, procs, values) = (
+            [0, 1, top_weight - 1, top_weight],
+            [0, 1, 62, 63],
+            [0, 1, u32::MAX - 1, u32::MAX],
+        );
+        let mut keyed = Vec::new();
+        for &weight in &weights {
+            for &proc in &procs {
+                for &seq in &values {
+                    for &page in &values {
+                        let notice = WriteNotice {
+                            interval: IntervalId::new(p(proc), seq),
+                            page: g(page),
+                            entry: 0,
+                        };
+                        let key = hb_key(weight, &notice);
+                        keyed.push((key, (weight, p(proc), seq, g(page))));
+                    }
+                }
+            }
+        }
+        // Every pair of keys compares as its pair of tuples does.
+        for a in &keyed {
+            for b in &keyed {
+                assert_eq!(a.0.cmp(&b.0), a.1.cmp(&b.1), "{:?} vs {:?}", a.1, b.1);
+            }
+        }
+        // Two diffs of one interval differ in the page alone, and the
+        // page alone orders them.
+        let of_page = |page| {
+            let notice = WriteNotice {
+                interval: IntervalId::new(p(63), u32::MAX),
+                page: g(page),
+                entry: 0,
+            };
+            hb_key(top_weight, &notice)
+        };
+        assert_eq!(of_page(u32::MAX) - of_page(0), u128::from(u32::MAX));
+        assert!(of_page(1) > of_page(0));
     }
 
     /// Closes an interval for `proc` at `seq` writing `page`, with a clock
@@ -375,6 +471,7 @@ mod tests {
         // One plan, rebuilt for every case, as a processor's scratch plan
         // is: nothing of an earlier plan may leak into a later one.
         let mut plan = FetchPlan::default();
+        let mut noticed = Vec::new();
         for seed in 0..60u64 {
             let mut rng = Rng::new(seed);
             let n = 3 + (seed % 4) as usize;
@@ -385,20 +482,28 @@ mod tests {
                     continue;
                 }
                 // What a processor would pull: every diff it does not
-                // hold, of all pages or of one.
+                // hold, of all pages or of one, noticed as a processor
+                // that knew nothing would be noticed of them, handles and
+                // all.
                 let for_proc = rng.proc(n);
                 let one_page =
                     (rng.below(2) == 0).then(|| PageId::new(rng.below(PAGES as u64) as u32));
-                let needed: Vec<(IntervalId, PageId)> = store
-                    .export()
+                let mut everything = VectorClock::new(n);
+                for q in ProcId::all(n) {
+                    everything.set(q, store.latest_seq(q));
+                }
+                store.notices_missing(&VectorClock::new(n), &everything, None, &mut noticed);
+                let needed: Vec<WriteNotice> = noticed
                     .iter()
-                    .flat_map(|(stamp, diffs)| diffs.iter().map(|(g, _, _)| (stamp.id(), *g)))
-                    .filter(|&(iv, g)| !store.holds(for_proc, iv, g) || rng.below(8) == 0)
-                    .filter(|&(_, g)| one_page.is_none_or(|only| g == only))
+                    .copied()
+                    .filter(|w| !store.holds(for_proc, w.interval, w.page) || rng.below(8) == 0)
+                    .filter(|w| one_page.is_none_or(|only| w.page == only))
                     .collect();
                 let free_source = (rng.below(2) == 0).then(|| rng.proc(n));
                 plan.build(&store, for_proc, free_source, &needed);
-                let old = build_with_target_index(&store, for_proc, free_source, &needed);
+                let named: Vec<(IntervalId, PageId)> =
+                    needed.iter().map(|w| (w.interval, w.page)).collect();
+                let old = build_with_target_index(&store, for_proc, free_source, &named);
                 let why = format!("seed {seed}, for {for_proc} via {free_source:?}");
 
                 // Every diff comes from where the old builder sent it, and
@@ -415,6 +520,11 @@ mod tests {
                     assert_eq!(&sourced(Source::Target(t)), diffs, "{why}, target {t}");
                 }
                 assert_eq!(plan.diffs().len(), needed.len());
+                // Each needed diff's source, in `needed` order.
+                for (w, source) in needed.iter().zip(plan.sources()) {
+                    let planned = plan.diffs().iter().find(|d| d.notice == *w);
+                    assert_eq!(planned.map(|d| d.source), Some(*source), "{why}");
+                }
 
                 // On every page, the diffs apply in the order the old
                 // apply path sorted them into.
@@ -424,7 +534,12 @@ mod tests {
                         diffs.filter(|&(_, g)| g == page).collect::<Vec<_>>()
                     };
                     assert_eq!(
-                        on_page(&mut plan.diffs().iter().map(|d| (d.interval, d.page))),
+                        on_page(
+                            &mut plan
+                                .diffs()
+                                .iter()
+                                .map(|d| (d.notice.interval, d.notice.page))
+                        ),
                         on_page(&mut old_order.iter().copied()),
                         "{why}, page {page}"
                     );

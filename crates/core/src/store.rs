@@ -3,13 +3,23 @@ use std::ops::Range;
 use lrc_pagemem::{DiffLog, DiffSpan, DiffView, PageBuf, PageId};
 use lrc_vclock::{IntervalId, ProcId, StampedInterval, VectorClock};
 
-/// A write notice: page × interval, without the data (§4.2).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// A write notice: page × interval, without the data (§4.2), and the
+/// handle of the diff it announces.
+///
+/// The handle is the diff's entry in its creator's log, found once, when
+/// [`IntervalStore::notices_missing`] walks the interval's entries. A
+/// notice carries it through delivery, the pending lists and the fetch
+/// plan, so sizing and applying a needed diff read it by index with no
+/// search. A notice is 16 bytes: the interval's 8, the page's 4 and the
+/// entry's 4.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct WriteNotice {
     /// The interval in which the page was modified.
     pub interval: IntervalId,
     /// The modified page.
     pub page: PageId,
+    /// The diff's entry in the log of `interval`'s creator.
+    pub entry: u32,
 }
 
 /// One closed interval in its creator's log: what finds it, and where
@@ -23,20 +33,29 @@ struct Header {
     weight: u64,
     /// The log's entries of the interval's pages, ascending by page; a
     /// handful per interval.
-    entries: (usize, usize),
+    entries: (u32, u32),
 }
 
 impl Header {
-    fn entries(&self) -> Range<usize> {
+    /// The handles of the interval's page entries.
+    fn handles(&self) -> Range<u32> {
         self.entries.0..self.entries.1
+    }
+
+    fn entries(&self) -> Range<usize> {
+        self.entries.0 as usize..self.entries.1 as usize
     }
 }
 
 /// One page a closed interval modified: where its diff lies in the log's
-/// bytes, and who holds it.
+/// bytes, and who holds it. 32 bytes.
 #[derive(Clone, Copy, Debug)]
 struct PageEntry {
     page: PageId,
+    /// The index of the interval's header in the log, set when the
+    /// interval is sealed: a notice's handle reaches the weight through
+    /// it. It sits where `page`'s padding was.
+    header: u32,
     /// Which processors hold the diff as an object (bitmask by proc
     /// index). The creator's bit is set from the start.
     holders: u64,
@@ -119,22 +138,42 @@ impl Log {
     }
 
     /// Records interval `id`, stamped `clock`, over the entries from
-    /// `first` on, which it sorts by page.
+    /// `first` on, which it sorts by page and points at the new header.
     ///
     /// # Panics
     ///
-    /// Panics if the interval is out of seq order for its processor.
+    /// Panics if the interval is out of seq order for its processor, or
+    /// if the log would hold 2³² page entries.
     fn seal(&mut self, id: IntervalId, clock: &VectorClock, first: usize, how: &str) {
         if let Some(last) = self.headers.last() {
             assert!(last.seq < id.seq(), "interval {id} {how} out of order");
         }
+        let handle = |at: usize| u32::try_from(at).expect("fewer than 2^32 entries in a log");
+        // There are no more headers than entries.
+        let header = handle(self.headers.len());
+        let entries = (handle(first), handle(self.entries.len()));
         self.entries[first..].sort_unstable_by_key(|e| e.page);
+        for e in &mut self.entries[first..] {
+            e.header = header;
+        }
         self.clocks.extend(clock.iter().map(|(_, seq)| seq));
         self.headers.push(Header {
             seq: id.seq(),
             weight: clock.weight(),
-            entries: (first, self.entries.len()),
+            entries,
         });
+    }
+
+    /// The notices of the header at `h`, each with its entry.
+    fn notices(&self, creator: ProcId, h: &Header) -> impl Iterator<Item = WriteNotice> + '_ {
+        let interval = IntervalId::new(creator, h.seq);
+        h.handles()
+            .zip(&self.entries[h.entries()])
+            .map(move |(entry, e)| WriteNotice {
+                interval,
+                page: e.page,
+                entry,
+            })
     }
 
     /// The stamp of the header at `at`, rebuilt from its `n` clock
@@ -181,6 +220,7 @@ impl Closing<'_> {
         if !diff.is_empty() {
             self.log.entries.push(PageEntry {
                 page,
+                header: 0, // set by `seal`
                 holders: 1u64 << self.creator.index(),
                 diff,
             });
@@ -204,16 +244,13 @@ impl Closing<'_> {
     }
 }
 
-/// What a fetch planner learns of a recorded diff in one lookup.
+/// What a fetch planner reads of a noticed diff, by its handle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct Located {
     /// The clock weight of the diff's interval.
     pub(crate) weight: u64,
     /// The mask of processors holding the diff.
     pub(crate) holders: u64,
-    /// The diff's entry in its creator's log, for
-    /// [`IntervalStore::diff_at`] and [`IntervalStore::hold_at`].
-    pub(crate) entry: usize,
 }
 
 /// The interval, diff, and possession bookkeeping, one log per processor.
@@ -237,6 +274,13 @@ pub(crate) struct Located {
 /// one is recorded without allocating. An entry's index in its log stays
 /// valid while other intervals are appended, to that log or any other,
 /// until the next collection: within one era.
+///
+/// That index is a write notice's handle ([`WriteNotice::entry`]). A
+/// pending handle never outlives its era: every collection resets every
+/// processor's pending lists together with the logs, and a restore or
+/// rejoin resolves each checkpointed notice against the store it
+/// installs ([`IntervalStore::locate`]), refusing one that names no
+/// recorded diff.
 ///
 /// Possession tracking records which processors hold each diff *as an
 /// object* (creators, fetchers, and cold-miss recipients), which is what
@@ -300,6 +344,7 @@ impl IntervalStore {
             let diff = log.diffs.push(diff);
             log.entries.push(PageEntry {
                 page,
+                header: 0, // set by `seal`
                 holders,
                 diff,
             });
@@ -347,16 +392,16 @@ impl IntervalStore {
         self.record(interval).map(|(_, h)| h.weight)
     }
 
-    /// What a fetch planner asks about a diff, in one lookup: the weight
-    /// of its interval, the mask of processors holding it, and where its
-    /// entry is.
-    pub(crate) fn locate(&self, interval: IntervalId, page: PageId) -> Option<Located> {
+    /// The notice of `(interval, page)` with its handle, found by a
+    /// search: for a notice that comes from outside the store, as a
+    /// checkpointed one does. `None` if no such diff is recorded.
+    pub(crate) fn locate(&self, interval: IntervalId, page: PageId) -> Option<WriteNotice> {
         let (log, header) = self.record(interval)?;
         let entry = log.find(header, page)?;
-        Some(Located {
-            weight: header.weight,
-            holders: log.entries[entry].holders,
-            entry,
+        Some(WriteNotice {
+            interval,
+            page,
+            entry: entry as u32,
         })
     }
 
@@ -366,37 +411,50 @@ impl IntervalStore {
         Some(log.diffs.view(log.entries[entry].diff))
     }
 
-    /// Checks, in debug builds, that `entry` is one of `interval`'s page
-    /// entries: a plan's handle into the creator's log.
-    fn debug_check_entry(&self, interval: IntervalId, entry: usize) {
+    /// Checks, in debug builds, that `notice`'s handle is its interval's
+    /// entry for its page.
+    fn debug_check_handle(log: &Log, notice: &WriteNotice) {
         debug_assert!(
-            self.record(interval)
-                .is_some_and(|(_, h)| h.entries().contains(&entry)),
-            "entry {entry} is not one of {interval}'s"
+            log.entries.get(notice.entry as usize).is_some_and(|e| {
+                e.page == notice.page && log.headers[e.header as usize].seq == notice.interval.seq()
+            }),
+            "entry {} is not {}'s for {}",
+            notice.entry,
+            notice.interval,
+            notice.page
         );
     }
 
-    /// The diff at `entry` of `interval`'s creator's log
-    /// ([`Located::entry`]): no search.
-    pub(crate) fn diff_at(&self, interval: IntervalId, entry: usize) -> DiffView<'_> {
-        self.debug_check_entry(interval, entry);
-        let log = &self.logs[interval.proc().index()];
-        log.diffs.view(log.entries[entry].diff)
+    /// The log entry `notice`'s handle names: no search.
+    fn noticed(&self, notice: &WriteNotice) -> (&Log, &PageEntry) {
+        let log = &self.logs[notice.interval.proc().index()];
+        Self::debug_check_handle(log, notice);
+        (log, &log.entries[notice.entry as usize])
     }
 
-    /// The apply path's fetch: records `proc` as a holder of the diff at
-    /// `entry` of `interval`'s creator's log and returns the diff *by
-    /// reference* — a plan is applied straight out of the store, no diff
-    /// is copied on the way.
-    pub(crate) fn hold_at(
-        &mut self,
-        proc: ProcId,
-        interval: IntervalId,
-        entry: usize,
-    ) -> DiffView<'_> {
-        self.debug_check_entry(interval, entry);
-        let log = &mut self.logs[interval.proc().index()];
-        let entry = &mut log.entries[entry];
+    /// What a fetch planner asks about a noticed diff, read by its handle:
+    /// the weight of its interval and the mask of processors holding it.
+    pub(crate) fn located(&self, notice: &WriteNotice) -> Located {
+        let (log, entry) = self.noticed(notice);
+        Located {
+            weight: log.headers[entry.header as usize].weight,
+            holders: entry.holders,
+        }
+    }
+
+    /// The noticed diff, read by its handle.
+    pub(crate) fn diff_at(&self, notice: &WriteNotice) -> DiffView<'_> {
+        let (log, entry) = self.noticed(notice);
+        log.diffs.view(entry.diff)
+    }
+
+    /// The apply path's fetch: records `proc` as a holder of the noticed
+    /// diff and returns the diff *by reference* — a plan is applied
+    /// straight out of the store, no diff is copied on the way.
+    pub(crate) fn hold_at(&mut self, proc: ProcId, notice: &WriteNotice) -> DiffView<'_> {
+        let log = &mut self.logs[notice.interval.proc().index()];
+        Self::debug_check_handle(log, notice);
+        let entry = &mut log.entries[notice.entry as usize];
         entry.holders |= 1u64 << proc.index();
         log.diffs.view(entry.diff)
     }
@@ -405,7 +463,7 @@ impl IntervalStore {
     #[cfg(test)]
     pub(crate) fn holds(&self, proc: ProcId, interval: IntervalId, page: PageId) -> bool {
         self.locate(interval, page)
-            .is_some_and(|l| l.holders & (1u64 << proc.index()) != 0)
+            .is_some_and(|n| self.located(&n).holders & (1u64 << proc.index()) != 0)
     }
 
     /// Records that `proc` now holds the diff `(interval, page)` — for
@@ -419,13 +477,13 @@ impl IntervalStore {
     /// diff) that would otherwise silently corrupt possession tracking.
     #[cfg(test)]
     pub(crate) fn add_holder(&mut self, proc: ProcId, interval: IntervalId, page: PageId) {
-        let located = self.locate(interval, page);
+        let notice = self.locate(interval, page);
         debug_assert!(
-            located.is_some(),
+            notice.is_some(),
             "add_holder({proc}, {interval}, {page}): no such diff is recorded"
         );
-        if let Some(located) = located {
-            self.hold_at(proc, interval, located.entry);
+        if let Some(notice) = notice {
+            self.hold_at(proc, &notice);
         }
     }
 
@@ -451,20 +509,15 @@ impl IntervalStore {
         upto: u32,
     ) -> impl Iterator<Item = WriteNotice> + '_ {
         let (log, headers) = self.window(creator, after, upto);
-        headers.iter().flat_map(move |h| {
-            let interval = IntervalId::new(creator, h.seq);
-            log.entries[h.entries()].iter().map(move |e| WriteNotice {
-                interval,
-                page: e.page,
-            })
-        })
+        headers.iter().flat_map(move |h| log.notices(creator, h))
     }
 
     /// Fills `out` with all write notices a processor with knowledge
     /// `have` is missing relative to knowledge `want` (pointwise interval
-    /// ranges), replacing whatever it held. One interval's notices are
-    /// contiguous. A slow path passes its processor's reused notice
-    /// buffer, so a query allocates only while that buffer grows.
+    /// ranges), replacing whatever it held, each with its handle. One
+    /// interval's notices are contiguous. A slow path passes its
+    /// processor's reused notice buffer, so a query allocates only while
+    /// that buffer grows.
     ///
     /// `open` names the processor whose own clock `want` is, if it is one:
     /// that processor's entry is its *open* interval, and only what it
@@ -488,11 +541,7 @@ impl IntervalStore {
             if upto > after {
                 let (log, headers) = self.window(proc, after, upto);
                 for h in headers {
-                    let interval = IntervalId::new(proc, h.seq);
-                    out.extend(log.entries[h.entries()].iter().map(|e| WriteNotice {
-                        interval,
-                        page: e.page,
-                    }));
+                    out.extend(log.notices(proc, h));
                 }
             }
         }
@@ -639,6 +688,11 @@ mod tests {
         let mut cur = twin.clone();
         cur.write(0, bytes);
         Diff::between(&twin, &cur)
+    }
+
+    #[test]
+    fn a_page_entry_keeps_its_header_index_in_padding() {
+        assert_eq!(std::mem::size_of::<PageEntry>(), 32);
     }
 
     #[test]
@@ -877,7 +931,16 @@ mod tests {
                 .is_some_and(|mask| mask & (1u64 << proc.index()) != 0)
         }
 
-        fn notices_between(&self, creator: ProcId, after: u32, upto: u32) -> Vec<WriteNotice> {
+        /// The notices of `creator`'s intervals in `(after, upto]`, each
+        /// with the handle that the store's own search for its diff
+        /// ([`IntervalStore::locate`]) returns.
+        fn notices_between(
+            &self,
+            store: &IntervalStore,
+            creator: ProcId,
+            after: u32,
+            upto: u32,
+        ) -> Vec<WriteNotice> {
             let list = &self.records[creator.index()];
             let start = list.partition_point(|(stamp, _)| stamp.id().seq() <= after);
             list[start..]
@@ -885,19 +948,26 @@ mod tests {
                 .take_while(|(stamp, _)| stamp.id().seq() <= upto)
                 .flat_map(|(stamp, pages)| {
                     let interval = stamp.id();
-                    pages
-                        .iter()
-                        .map(move |&page| WriteNotice { interval, page })
+                    pages.iter().map(move |&page| {
+                        let found = store.locate(interval, page).expect("recorded");
+                        assert_eq!((found.interval, found.page), (interval, page));
+                        found
+                    })
                 })
                 .collect()
         }
 
-        fn notices_missing(&self, have: &VectorClock, want: &VectorClock) -> Vec<WriteNotice> {
+        fn notices_missing(
+            &self,
+            store: &IntervalStore,
+            have: &VectorClock,
+            want: &VectorClock,
+        ) -> Vec<WriteNotice> {
             let mut out = Vec::new();
             for (proc, upto) in want.iter() {
                 let after = have.get(proc);
                 if upto > after {
-                    out.extend(self.notices_between(proc, after, upto));
+                    out.extend(self.notices_between(store, proc, after, upto));
                 }
             }
             out
@@ -978,10 +1048,13 @@ mod tests {
                         model.diffs.get(&(interval, page)).map(Diff::view)
                     );
                     let holders = model.holders.get(&(interval, page));
-                    assert_eq!(
-                        store.locate(interval, page).map(|l| l.holders),
-                        holders.copied()
-                    );
+                    // The handle reads what the search finds.
+                    let notice = store.locate(interval, page);
+                    assert_eq!(notice.map(|n| store.located(&n).holders), holders.copied());
+                    if let Some(n) = notice {
+                        assert_eq!(Some(store.located(&n).weight), store.weight(interval));
+                        assert_eq!(Some(store.diff_at(&n)), store.diff(interval, page));
+                    }
                     for r in ProcId::all(n) {
                         assert_eq!(
                             store.holds(r, interval, page),
@@ -1007,7 +1080,7 @@ mod tests {
                 _ => rng.below(top as u64 + 3) as u32,
             };
             let got: Vec<WriteNotice> = store.notices_between(creator, after, upto).collect();
-            assert_eq!(got, model.notices_between(creator, after, upto));
+            assert_eq!(got, model.notices_between(store, creator, after, upto));
         }
         for _ in 0..3 {
             let mut clock = || {
@@ -1019,13 +1092,13 @@ mod tests {
             };
             let (have, want) = (clock(), clock());
             store.notices_missing(&have, &want, None, missing);
-            assert_eq!(*missing, model.notices_missing(&have, &want));
+            assert_eq!(*missing, model.notices_missing(store, &have, &want));
             // Read as some processor's own clock: its entry one lower.
             let open = rng.proc(n);
             let mut lowered = want.clone();
             lowered.set(open, want.get(open).saturating_sub(1));
             store.notices_missing(&have, &want, Some(open), missing);
-            assert_eq!(*missing, model.notices_missing(&have, &lowered));
+            assert_eq!(*missing, model.notices_missing(store, &have, &lowered));
         }
     }
 

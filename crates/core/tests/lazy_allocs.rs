@@ -4,8 +4,10 @@
 //! round of lock hand-offs and a collecting barrier has run, the next
 //! round makes no allocation call at all. Without collection the history
 //! grows, and its buffers double as it does, so a thousand rounds make a
-//! logarithmic number of calls. The binary holds a single test, so no
-//! other test thread allocates while it counts.
+//! logarithmic number of calls. A fresh engine's shards are built with
+//! room for their slow paths' lists, so even its first round allocates
+//! little beyond the pages it touches. The binary holds a single test, so
+//! no other test thread allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,10 +86,8 @@ fn round(dsm: &LrcEngine, k: u64, value: u64) {
     }
 }
 
-/// A two-processor engine in which p0 has written pages `0..k` under the
-/// lock and p1 has read them, so that both hold copies, and both have
-/// passed the barrier.
-fn engine(policy: Policy, gc: bool, k: u64) -> LrcEngine {
+/// A two-processor engine over eight pages that has run nothing.
+fn fresh(policy: Policy, gc: bool) -> LrcEngine {
     let params = EngineParams {
         n_procs: 2,
         mem_bytes: 8 * PAGE,
@@ -95,7 +95,14 @@ fn engine(policy: Policy, gc: bool, k: u64) -> LrcEngine {
         gc_at_barriers: gc,
         ..EngineParams::default()
     };
-    let dsm = LrcEngine::new(policy, &params).unwrap();
+    LrcEngine::new(policy, &params).unwrap()
+}
+
+/// A two-processor engine in which p0 has written pages `0..k` under the
+/// lock and p1 has read them, so that both hold copies, and both have
+/// passed the barrier.
+fn engine(policy: Policy, gc: bool, k: u64) -> LrcEngine {
+    let dsm = fresh(policy, gc);
     let lock = LockId::new(0);
     dsm.acquire(p(0), lock).unwrap();
     for g in 0..k {
@@ -118,6 +125,24 @@ fn a_collected_lazy_round_makes_no_allocation_calls() {
     for policy in [Policy::Invalidate, Policy::Update] {
         for k in [1, 3] {
             let at = format!("{policy:?}, {k} pages");
+
+            // A fresh engine's first round allocates what holds the pages
+            // and the first buffers of lists the engine core grows on
+            // demand, and nothing for the lazy slow paths' notices, plans
+            // or sizing. Per page: a frame at each processor's cold miss
+            // or first write (2) and a twin at each processor's first
+            // write (2). Per processor: the first buffer of its dirty list
+            // and of its spare-twin list (2 × 2). Once: the collection's
+            // weight table (1). The interval logs were allocated with the
+            // engine.
+            let dsm = fresh(policy, true);
+            let ceiling = 2 * k + 2 * k + 2 * 2 + 1;
+            let first = counted(|| round(&dsm, k, 1));
+            assert!(
+                first <= ceiling,
+                "{at}: {first} calls in a fresh engine's first round"
+            );
+
             let dsm = engine(policy, true, k);
             let warm_up = counted(|| round(&dsm, k, 1));
             assert!(warm_up > 0, "{at}: the first round warms up");

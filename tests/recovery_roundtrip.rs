@@ -6,8 +6,9 @@
 
 use std::time::Duration;
 
-use lrc::core::{CheckpointError, EngineCheckpoint};
+use lrc::core::{CheckpointError, EngineCheckpoint, FrameCheckpoint};
 use lrc::dsm::{Dsm, DsmBuilder};
+use lrc::pagemem::PageId;
 use lrc::sim::ProtocolKind;
 use lrc::sync::{BarrierId, LockId};
 use lrc::vclock::ProcId;
@@ -151,6 +152,76 @@ fn incompatible_and_corrupt_checkpoints_are_rejected() {
         EngineCheckpoint::decode(&[]),
         Err(CheckpointError::Corrupt(_))
     ));
+}
+
+/// A decodable checkpoint whose pending notice names no diff its store
+/// records for the notice's page is refused by both restore and rejoin
+/// with the typed error, and neither leaves anything of it behind: the
+/// runtime takes a good checkpoint afterwards, and the rejoining
+/// processor stays dead until one does.
+#[test]
+fn a_pending_notice_naming_no_recorded_diff_is_refused() {
+    let (live, dead) = (ProcId::new(0), ProcId::new(1));
+    let dsm = build(ProtocolKind::LazyInvalidate);
+    committed_phase(&dsm, 1);
+    let good = dsm.checkpoint();
+
+    // A real pending notice, moved to the last page, which nobody wrote.
+    let (noticed, on) = good
+        .procs
+        .iter()
+        .flat_map(|proc| &proc.frames)
+        .find_map(|frame| Some((*frame.pending.first()?, frame.page)))
+        .expect("a processor has a pending notice after the phase");
+    let last = PageId::new((MEM / PAGE as u64) as u32 - 1);
+    assert!(on < last, "the notice's own page is another one");
+    let mut bad = good.clone();
+    bad.procs[dead.index()].frames.push(FrameCheckpoint {
+        page: last,
+        contents: None,
+        valid: false,
+        pending: vec![noticed],
+    });
+    let bad = EngineCheckpoint::decode(&bad.encode()).expect("the bad cut decodes");
+
+    let fresh = build(ProtocolKind::LazyInvalidate);
+    let untouched = fresh.checkpoint();
+    match fresh.restore(&bad) {
+        Err(CheckpointError::Incompatible(why)) => {
+            assert!(why.contains("no recorded diff"), "{why}");
+        }
+        other => panic!("expected Incompatible for the bad cut, got {other:?}"),
+    }
+    assert_eq!(
+        fresh.checkpoint(),
+        untouched,
+        "a refused restore changes nothing"
+    );
+    fresh
+        .restore(&good)
+        .expect("the good cut restores after the refusal");
+    assert_eq!(
+        fresh.checkpoint(),
+        good,
+        "the good cut, and nothing of the bad"
+    );
+    assert_eq!(
+        read_all(&fresh, dead),
+        read_all(&dsm, dead),
+        "the restored notices fetch the diffs they name"
+    );
+
+    dsm.declare_dead(dead);
+    assert!(matches!(
+        dsm.rejoin(dead, &bad),
+        Err(CheckpointError::Incompatible(_))
+    ));
+    assert!(
+        dsm.is_dead(dead),
+        "a refused rejoin leaves the processor dead"
+    );
+    dsm.rejoin(dead, &good).expect("the good cut rejoins");
+    assert_eq!(read_all(&dsm, dead), read_all(&dsm, live));
 }
 
 /// Both processors arrive at barrier 0 (the second from its own thread),
