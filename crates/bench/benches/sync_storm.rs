@@ -1,17 +1,18 @@
 //! Slow-path contention storm: N processors hammering *disjoint* locks
 //! plus N processors generating *disjoint-page* misses, with a fetch hook
-//! modeling network round-trip latency — the workload the engine's
-//! fine-grained slow paths (per-lock gates, per-page in-flight-miss
-//! table, no store lock held across a fetch) exist for, and the global
-//! `protocol` mutex's worst case.
+//! modeling network round-trip latency — the workload the runtime's miss
+//! split (the fetch runs with the engine released; only a miss on a page
+//! another processor is fetching waits) exists for, and the worst case
+//! of an engine held across every fetch.
 //!
 //! The verdict is **counter-based**, not wall-clock-based, so it holds on
 //! the single-core CI container where parallel speedup is invisible:
-//! [`lrc_core::EngineCounters::slow_waits`] counts slow-path entries that
-//! blocked behind another slow path, and `slow_waits_avoided` counts
-//! overlaps that did *not* block — exactly the serialization the retired
-//! engine-wide mutex imposed (5658 waits on this storm when it was last
-//! measured, against 0). Results are written as machine-readable JSON to
+//! [`lrc_core::EngineCounters::slow_waits`] counts misses that waited on
+//! another processor's fetch of their page, and `slow_waits_avoided`
+//! counts slow-path entries that overlapped a fetch without waiting —
+//! exactly the serialization an engine-wide mutex held across the fetch
+//! imposed (5658 waits on this storm when it was last measured, against
+//! 0). Results are written as machine-readable JSON to
 //! `BENCH_sync_storm.json` (override with `--json PATH`).
 //!
 //! Two runs of the identical workload: **sharded** — the engine as
@@ -85,9 +86,10 @@ fn run(piggyback: bool, load: &Load) -> Outcome {
     dsm.parallel(|proc| {
         let id = proc.proc().index();
         if id < N_PROCS / 2 {
-            // Lock group: private lock, private page. Under the old
-            // global mutex every one of these acquires could queue behind
-            // a sleeping miss; under per-lock gates they never wait.
+            // Lock group: private lock, private page. Under an engine
+            // held across the fetch every one of these acquires could
+            // queue behind a sleeping miss; with the fetch outside the
+            // engine they never wait.
             let lock = LockId::new(id as u32);
             let addr = (id as u64) * PAGE_BYTES as u64;
             for i in 0..load.lock_iters {

@@ -1,123 +1,84 @@
 use std::fmt;
 
-use lrc_simnet::Tally;
-
-/// Declares the counter list once: the engine's live cells
-/// ([`CounterCells`]), the plain `Copy` snapshot ([`EngineCounters`]), and
-/// the aggregation between them.
-macro_rules! counters {
-    ($($(#[$doc:meta])* $name:ident,)*) => {
-        /// The engine's internal mirror of [`EngineCounters`]: one
-        /// [`Tally`] cell per event class, of the engine's
-        /// [`Sharing`](crate::Sharing) family — a relaxed atomic in a
-        /// threaded engine, so concurrently running processors never
-        /// contend on a statistics lock, a plain `Cell` in a
-        /// single-threaded one.
-        #[derive(Debug, Default)]
-        pub struct CounterCells<C> {
-            $($(#[$doc])* pub $name: C,)*
-        }
-
-        impl<C: Tally> CounterCells<C> {
-            /// Aggregates the cells into a plain snapshot.
-            pub(crate) fn snapshot(&self) -> EngineCounters {
-                EngineCounters {
-                    $($name: self.$name.get(),)*
-                }
-            }
-        }
-
-        /// Protocol-level event counters of an [`Engine`](crate::Engine),
-        /// complementing the message/byte accounting of the fabric. One
-        /// struct serves both protocol families; a field a family never
-        /// bumps stays 0.
-        #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-        pub struct EngineCounters {
-            $($(#[$doc])* pub $name: u64,)*
-        }
-    };
-}
-
-counters! {
+/// Protocol-level event counters of an [`Engine`](crate::Engine),
+/// complementing the message/byte accounting of the fabric. One struct
+/// serves both protocol families; a field a family never bumps stays 0.
+/// The engine counts into its own copy; [`EngineCore::counters`](crate::EngineCore::counters)
+/// hands out a snapshot.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct EngineCounters {
     /// Lock acquires processed.
-    acquires,
+    pub acquires: u64,
     /// Lock releases processed.
-    releases,
+    pub releases: u64,
     /// Barrier episodes completed.
-    barrier_episodes,
-    /// Slow-path entries (synchronization operations and misses) that had
-    /// to block behind another in-flight slow path: a same-lock
-    /// acquire/release, a same-page miss, or an overlapping flush.
-    slow_waits,
-    /// Slow-path entries that ran while at least one other slow path was
-    /// in flight *without* blocking — exactly the serialization the
-    /// retired engine-wide protocol mutex used to impose. Measurable even
-    /// where wall-clock scaling is not (single-core CI).
-    slow_waits_avoided,
-    /// High-water mark of misses resolving concurrently (counting any
-    /// same-page follower waiting on the resolver).
-    miss_inflight_peak,
+    pub barrier_episodes: u64,
+    /// Slow-path entries that had to wait for another: misses told
+    /// [`Miss::Busy`](crate::Miss::Busy) because another processor was
+    /// fetching their page, each counted once however often it asked.
+    pub slow_waits: u64,
+    /// Slow-path entries (synchronization operations and misses) that ran
+    /// while another processor's miss was in its fetch *without*
+    /// waiting — exactly the serialization an engine held across every
+    /// fetch would impose. Measurable even where wall-clock scaling is
+    /// not (single-core CI).
+    pub slow_waits_avoided: u64,
+    /// High-water mark of misses under way at once: those in their fetch
+    /// plus the one beginning.
+    pub miss_inflight_peak: u64,
     /// Checkpoints cut through
     /// [`EngineCore::note_checkpoint`](crate::EngineCore::note_checkpoint)
     /// — the runtime's automatic cuts.
-    checkpoints_cut,
+    pub checkpoints_cut: u64,
     /// Encoded bytes of the cuts the runtime took.
-    checkpoint_bytes,
+    pub checkpoint_bytes: u64,
     /// Lazy: access misses on pages never cached before (base copy
     /// needed).
-    cold_misses,
+    pub cold_misses: u64,
     /// Lazy: access misses on resident but invalidated copies (diffs
     /// only).
-    warm_misses,
+    pub warm_misses: u64,
     /// Lazy: diffs applied to local copies.
-    diffs_applied,
+    pub diffs_applied: u64,
     /// Lazy: write notices received (at acquires and barrier exits).
-    notices_received,
+    pub notices_received: u64,
     /// Lazy: pages invalidated on notice arrival (invalidate policy).
-    invalidations,
+    pub invalidations: u64,
     /// Lazy: acquire- or barrier-time page updates (update policy).
-    updates,
+    pub updates: u64,
     /// Lazy: intervals closed with at least one modified page.
-    intervals_closed,
+    pub intervals_closed: u64,
     /// Lazy: garbage-collection rounds performed (`gc_at_barriers`).
-    gc_rounds,
+    pub gc_rounds: u64,
     /// Lazy: pages force-validated by garbage collection.
-    gc_validated_pages,
+    pub gc_validated_pages: u64,
     /// Lazy: barrier-time garbage-collection rounds *deferred* because a
     /// dead processor's rejoin lease was still live (clearing the history
     /// would have stranded its catch-up). Bounded by
     /// [`EngineParams::death_lease_episodes`](crate::EngineParams): once
     /// the lease expires, GC proceeds and the era advances.
-    gc_deferrals,
+    pub gc_deferrals: u64,
     /// Eager: access misses served in two messages (directory home had the
     /// page).
-    misses_2hop,
+    pub misses_2hop: u64,
     /// Eager: access misses served in three messages (forwarded to the
     /// owner).
-    misses_3hop,
+    pub misses_3hop: u64,
     /// Eager: update messages sent at releases and barriers (EU).
-    updates_sent,
+    pub updates_sent: u64,
     /// Eager: invalidation messages sent at releases (EI); barrier
     /// invalidations are piggybacked and not counted here.
-    invalidations_sent,
+    pub invalidations_sent: u64,
     /// Eager: pages invalidated (EI), however delivered.
-    pages_invalidated,
+    pub pages_invalidated: u64,
     /// Eager: diffs written back by concurrent writers hit by an
     /// invalidation.
-    writebacks,
+    pub writebacks: u64,
     /// Eager: excess invalidators resolved at barriers (Table 1's `v`).
-    excess_invalidators,
+    pub excess_invalidators: u64,
     /// Eager: flush episodes (releases and barrier arrivals with dirty
     /// pages).
-    flushes,
-}
-
-/// Adds `n` to a counter cell (statistics only — no ordering). Adding
-/// nothing touches nothing.
-pub fn bump(counter: &impl Tally, n: u64) {
-    if n != 0 {
-        counter.add(n);
-    }
+    pub flushes: u64,
 }
 
 impl EngineCounters {

@@ -5,7 +5,6 @@
 
 use std::collections::HashMap;
 use std::mem;
-use std::ops::Deref;
 
 use lrc_pagemem::{Diff, DiffView, PageBuf, PageId};
 use lrc_simnet::{
@@ -14,41 +13,28 @@ use lrc_simnet::{
 };
 use lrc_sync::{AcquirePath, BarrierId, LockId};
 use lrc_vclock::{IntervalId, ProcId, VectorClock};
-use parking_lot::lockdep::classes;
 
-use crate::counters::bump;
 use crate::engine::{Engine, EngineCore, Protocol, Shard};
 use crate::pending::NoticeList;
 use crate::plan::{FetchPlan, Planned, Source};
 use crate::{
-    CheckpointError, ConfigError, EngineCheckpoint, Frame, FrameCheckpoint, IntervalStore,
-    LockCell, Pending, Policy, ProcCheckpoint, RwCell, Sharing, Threads, WriteNotice,
+    CheckpointError, ConfigError, EngineCheckpoint, Frame, FrameCheckpoint, IntervalStore, Pending,
+    Policy, ProcCheckpoint, WriteNotice,
 };
 
 /// The lazy protocol's shared state: the interval store plus the
-/// garbage-collection and crash-recovery tables around it, behind one
-/// lock.
+/// garbage-collection and crash-recovery tables around it.
 ///
-/// Within a gated slow path, the write lock is held only for the brief
-/// bookkeeping steps (closing an interval, applying a fetch plan) —
-/// **never across a fetch**: a plan is built under the read lock, the
-/// fetch is charged with no lock held, and the plan applies under the
-/// write lock. Only garbage collection rewrites the history, and it runs
-/// where no slow path can sit between plan and apply: at a barrier
-/// episode's completion, which has the engine to itself and holds the
-/// write lock across the whole compound update, and at a death, whose
-/// victim's thread must have stopped. The apply step asserts that the
-/// store's era did not move. A shard mutex may be taken
-/// while holding the lock, never the reverse.
+/// A miss plans against the store in [`Engine::begin_miss`] and applies
+/// in [`Engine::finish_miss`], and the store may grow in between (other
+/// processors close intervals), but only garbage collection rewrites the
+/// history, and it runs where no miss can sit between its halves: at a
+/// barrier episode's completion, which needs every live processor's
+/// arrival, and at a death, whose victim's thread must have stopped. The
+/// finish asserts that the store's era did not move.
 #[derive(Debug)]
-pub struct Lazy<S: Sharing> {
-    state: S::RwLock<LazyState>,
-}
-
-/// What the lazy protocol's one lock guards.
-#[derive(Debug)]
-struct LazyState {
-    /// Interval records, diffs, and possession tracking (read-mostly).
+pub struct Lazy {
+    /// Interval records, diffs, and possession tracking.
     store: IntervalStore,
     /// After garbage collection: the processor holding the authoritative
     /// copy of each page whose diff history was discarded.
@@ -64,7 +50,7 @@ struct LazyState {
     escrow: HashMap<PageId, PageBuf>,
 }
 
-impl LazyState {
+impl Lazy {
     /// The pages whose post-GC authoritative owner satisfies `owned`.
     fn pages_owned_where(&self, owned: impl Fn(ProcId) -> bool) -> Vec<PageId> {
         self.gc_owner
@@ -76,19 +62,8 @@ impl LazyState {
     }
 }
 
-/// A read guard on the lazy lock that shows only the interval store.
-struct StoreGuard<G>(G);
-
-impl<G: Deref<Target = LazyState>> Deref for StoreGuard<G> {
-    type Target = IntervalStore;
-
-    fn deref(&self) -> &IntervalStore {
-        &self.0.store
-    }
-}
-
-/// Asserts that the store's era is still `planned`, the era `p`'s slow
-/// path read when it built its plan. A collection between plan and apply
+/// Asserts that the store's era is still `planned`, the era `p`'s miss
+/// read when it built its plan. A collection between plan and apply
 /// would leave the plan naming discarded diffs, and none can happen
 /// there: a barrier completes only once `p` has arrived, and a death
 /// collects only with its victim's thread stopped.
@@ -134,13 +109,12 @@ pub struct LazyShard {
 /// scratch is built with room ([`Scratch::new`]), so a fresh engine's
 /// first slow paths do not grow it from nothing.
 ///
-/// A slow path of `p` either uses a buffer in place, under a shard-`p`
-/// lock it holds anyway (an interval close, the notice step of an
-/// acquire, arrival or barrier exit), or takes the whole scratch out
-/// (`mem::take`) under the first such lock and puts it back under its
-/// last one, holding no lock in between. Only `p`'s own thread drives
-/// `p`, and a barrier completion runs with every other processor parked,
-/// so nobody else reaches for the scratch meanwhile.
+/// A miss's plan stays here between [`Engine::begin_miss`] and
+/// [`Engine::finish_miss`]. Only `p`'s own thread drives `p`, so no other
+/// slow path of `p` runs in between to overwrite it, and a barrier
+/// completion, which uses every processor's scratch, needs `p`'s arrival
+/// first. The one buffer another processor's slow path uses is the
+/// master's `merged`, which no miss touches.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Write notices, from [`IntervalStore::notices_missing`].
@@ -151,16 +125,16 @@ struct Scratch {
     needed: Vec<WriteNotice>,
     /// The fetch plan, with its own sort buffer.
     plan: FetchPlan,
-    /// One `(target, request bytes, reply bytes)` round trip per fetch
-    /// target, sized under the store lock and charged without it.
-    trips: Vec<(ProcId, u64, u64)>,
     sizer: Sizer,
     /// Another processor's clock — an acquire's grantor, a barrier
-    /// arrival's master — copied because no path holds two shard locks.
+    /// arrival's master — copied so that the processor's own shard can
+    /// change while it is read.
     peer_clock: VectorClock,
     /// The knowledge a barrier episode completing at this processor, its
     /// master, merges from every processor.
     merged: VectorClock,
+    /// A cold miss's base copy, between its plan and its apply.
+    base: Option<PageBuf>,
 }
 
 /// How many notices, needed diffs and covered ranges a fresh shard's
@@ -176,12 +150,12 @@ impl Scratch {
             notices: Vec::with_capacity(SCRATCH_ROOM),
             needed: Vec::with_capacity(SCRATCH_ROOM),
             plan: FetchPlan::with_capacity(SCRATCH_ROOM, n),
-            trips: Vec::with_capacity(n),
             sizer: Sizer {
                 ranges: Vec::with_capacity(SCRATCH_ROOM),
             },
             peer_clock: VectorClock::new(n),
             merged: VectorClock::new(n),
+            base: None,
         }
     }
 }
@@ -227,11 +201,9 @@ impl Sizer {
 }
 
 /// The lazy release consistency engine (LI under [`Policy::Invalidate`],
-/// LU under [`Policy::Update`]) of the threaded runtime, in the
-/// [`Threads`] family; the trace-driven simulator builds
-/// `Engine<Lazy<OneThread>>`. See the [crate docs](crate) for an
+/// LU under [`Policy::Update`]). See the [crate docs](crate) for an
 /// end-to-end example.
-pub type LrcEngine = Engine<Lazy<Threads>>;
+pub type LrcEngine = Engine<Lazy>;
 
 /// What [`LrcEngine::declare_dead`] did on the survivors' behalf.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -328,25 +300,21 @@ fn chain_bytes<'a>(
     size as u64
 }
 
-impl<S: Sharing> Protocol for Lazy<S> {
-    type Family = S;
+impl Protocol for Lazy {
     type ShardExt = LazyShard;
     type FrameExt = Pending;
     const CRASH_TOLERANT: bool = true;
 
-    fn new(core: &EngineCore<S>) -> Result<Self, ConfigError> {
-        let state = LazyState {
+    fn new(core: &EngineCore) -> Result<Self, ConfigError> {
+        Ok(Lazy {
             store: IntervalStore::new(core.params.n_procs),
             gc_owner: vec![None; core.space.n_pages() as usize],
             gc_weights: Vec::new(),
             escrow: HashMap::new(),
-        };
-        Ok(Lazy {
-            state: RwCell::new_in(state, classes::CORE_STORE),
         })
     }
 
-    fn new_ext(core: &EngineCore<S>, p: ProcId) -> LazyShard {
+    fn new_ext(core: &EngineCore, p: ProcId) -> LazyShard {
         let mut clock = VectorClock::new(core.params.n_procs);
         clock.set(p, 1); // interval numbering starts at 1
         LazyShard {
@@ -369,80 +337,67 @@ impl<S: Sharing> Protocol for Lazy<S> {
     /// piggybacked write notices for every interval performed at the
     /// grantor but not at `p`, and — under the update policy — pulls diffs
     /// to bring all cached pages up to date.
-    fn on_acquire(e: &Engine<Self>, p: ProcId, path: &AcquirePath) {
+    fn on_acquire(e: &mut Engine<Self>, p: ProcId, path: &AcquirePath) {
         e.close_interval(p);
         let q = path.grantor;
         if q == p {
             // Local re-acquire: nothing new to learn, nothing on the wire.
             return;
         }
-        let n = e.params.n_procs;
+        let Engine {
+            core,
+            shards,
+            proto,
+        } = e;
+        let n = core.params.n_procs;
 
         // Request and forward hops carry the acquirer's vector clock so the
         // grantor can compute the missing write notices (§4.2).
         let hop_payload = LOCK_ID_BYTES + vc_bytes(n);
         if let Some((src, dst)) = path.request {
-            e.net.send(src, dst, MsgKind::LockRequest, hop_payload);
+            core.net.send(src, dst, MsgKind::LockRequest, hop_payload);
         }
         if let Some((src, dst)) = path.forward {
-            e.net.send(src, dst, MsgKind::LockForward, hop_payload);
+            core.net.send(src, dst, MsgKind::LockForward, hop_payload);
         }
 
-        // The grantor's knowledge is safe to read here: everything it
-        // closed is in the store before its clock shows it (close_interval
-        // publishes under the store's write lock before bumping), so the
-        // notice computation below never names an unrecorded interval. Its
-        // clock is copied, into `p`'s scratch, because no path holds two
-        // shard locks; its own entry, the open interval, reads one lower
-        // where it is used.
-        let mut grantor = mem::take(&mut e.shard(p).ext.scratch.peer_clock);
-        grantor.clone_from(&e.shard(q).ext.clock);
-        let state = e.proto.state.read();
-        let store = &state.store;
+        // The grantor's knowledge: everything it closed is in the store
+        // (close_interval records before it bumps the clock), so the
+        // notice computation below never names an unrecorded interval.
+        // Its clock is copied into `p`'s scratch; its own entry, the open
+        // interval, reads one lower where it is used.
+        let mut grantor = mem::take(&mut shards[p.index()].ext.scratch.peer_clock);
+        grantor.clone_from(&shards[q.index()].ext.clock);
+        let store = &mut proto.store;
+        let Shard { pages, ext, .. } = &mut shards[p.index()];
         // The notices are computed into `p`'s scratch and delivered from
-        // it under the one shard lock; only their wire size leaves.
-        let notice_payload = {
-            let mut shard = e.shard(p);
-            let Shard { pages, ext, .. } = &mut *shard;
-            let notices = &mut ext.scratch.notices;
-            store.notices_missing(&ext.clock, &grantor, Some(q), notices);
-            e.deliver_notices(pages, &mut ext.pending, p, notices);
-            merge_knowledge(&mut ext.clock, &grantor, q);
-            ext.scratch.peer_clock = grantor;
-            notice_bytes(notices)
-        };
+        // it; only their wire size leaves.
+        let notices = &mut ext.scratch.notices;
+        store.notices_missing(&ext.clock, &grantor, Some(q), notices);
+        deliver_notices(core, pages, &mut ext.pending, p, notices);
+        merge_knowledge(&mut ext.clock, &grantor, q);
+        ext.scratch.peer_clock = grantor;
+        let notice_payload = notice_bytes(&ext.scratch.notices);
 
         // Update policy: bring every cached page up to date now. Diffs the
         // grantor holds ride the grant; the rest cost 2 messages per other
-        // concurrent last modifier (Table 1's `2h`). The plan is built
-        // under the read lock, the round trips are charged with no lock
-        // held, and the write lock is taken only to apply.
+        // concurrent last modifier (Table 1's `2h`).
         let mut grant_payload = LOCK_ID_BYTES + vc_bytes(n) + notice_payload;
-        if e.policy == Policy::Update {
-            let mut scratch = e.needed_for_cached_pages(p);
+        if core.policy == Policy::Update {
+            let mut scratch = needed_for_cached_pages(pages, ext);
             let Scratch {
                 needed,
                 plan,
-                trips,
                 sizer,
                 ..
             } = &mut scratch;
             plan.build(store, p, Some(q), needed);
-            let era = store.era();
             grant_payload += sizer.diff_payload(store, needed, plan, Source::Free);
-            trips.clear();
             for (t, &target) in plan.targets().iter().enumerate() {
                 let source = Source::Target(t);
                 let request = plan.planned_by(source).count() as u64 * DIFF_REQUEST_ENTRY_BYTES;
-                trips.push((
-                    target,
-                    request,
-                    sizer.diff_payload(store, needed, plan, source),
-                ));
-            }
-            drop(state);
-            for &(target, request, reply) in trips.iter() {
-                e.net.round_trip(
+                let reply = sizer.diff_payload(store, needed, plan, source);
+                core.net.round_trip(
                     p,
                     target,
                     MsgKind::AcquireDiffRequest,
@@ -451,22 +406,18 @@ impl<S: Sharing> Protocol for Lazy<S> {
                     reply,
                 );
             }
-            let mut state = e.proto.state.write();
-            assert_era(&state.store, era, p);
-            let touched = e.apply_plan(&mut state.store, p, &mut e.shard(p), scratch);
-            bump(&e.counters.updates, touched as u64);
-        } else {
-            drop(state);
+            let touched = apply_plan(core, store, p, pages, ext, scratch);
+            core.counters.updates += touched as u64;
         }
 
         if let Some((src, dst)) = path.grant {
-            if e.params.piggyback_notices {
-                e.net.send(src, dst, MsgKind::LockGrant, grant_payload);
+            if core.params.piggyback_notices {
+                core.net.send(src, dst, MsgKind::LockGrant, grant_payload);
             } else {
                 // Ablation: the grant carries only the lock; consistency
                 // data travels in a separate message.
-                e.net.send(src, dst, MsgKind::LockGrant, LOCK_ID_BYTES);
-                e.net
+                core.net.send(src, dst, MsgKind::LockGrant, LOCK_ID_BYTES);
+                core.net
                     .send(src, dst, MsgKind::LockGrant, grant_payload - LOCK_ID_BYTES);
             }
         }
@@ -474,76 +425,63 @@ impl<S: Sharing> Protocol for Lazy<S> {
 
     /// Purely local under LRC: the interval closes (diffs are made for
     /// dirtied pages) and **no messages are sent** (§4.2).
-    fn on_release(e: &Engine<Self>, p: ProcId) {
+    fn on_release(e: &mut Engine<Self>, p: ProcId) {
         e.close_interval(p);
     }
 
     /// The arrival message carries the processor's clock and fresh write
     /// notices to the master.
-    fn barrier_arrive(e: &Engine<Self>, p: ProcId, _barrier: BarrierId, master: ProcId) {
+    fn barrier_arrive(e: &mut Engine<Self>, p: ProcId, _barrier: BarrierId, master: ProcId) {
         e.close_interval(p);
         if p != master {
-            let state = e.proto.state.read();
-            let mut master_clock = mem::take(&mut e.shard(p).ext.scratch.peer_clock);
-            master_clock.clone_from(&e.shard(master).ext.clock);
-            let notice_payload = {
-                let mut shard = e.shard(p);
-                let LazyShard { clock, scratch, .. } = &mut shard.ext;
-                let fresh = &mut scratch.notices;
-                state
-                    .store
-                    .notices_missing(&master_clock, clock, Some(p), fresh);
-                scratch.peer_clock = master_clock;
-                notice_bytes(fresh)
-            };
-            let payload = BARRIER_ID_BYTES + vc_bytes(e.params.n_procs) + notice_payload;
-            e.net.send(p, master, MsgKind::BarrierArrival, payload);
+            let Engine {
+                core,
+                shards,
+                proto,
+            } = e;
+            let mut master_clock = mem::take(&mut shards[p.index()].ext.scratch.peer_clock);
+            master_clock.clone_from(&shards[master.index()].ext.clock);
+            let LazyShard { clock, scratch, .. } = &mut shards[p.index()].ext;
+            let fresh = &mut scratch.notices;
+            proto
+                .store
+                .notices_missing(&master_clock, clock, Some(p), fresh);
+            scratch.peer_clock = master_clock;
+            let payload =
+                BARRIER_ID_BYTES + vc_bytes(core.params.n_procs) + notice_bytes(&scratch.notices);
+            core.net.send(p, master, MsgKind::BarrierArrival, payload);
         }
     }
 
-    fn barrier_complete(e: &Engine<Self>, _barrier: BarrierId, master: ProcId) {
+    fn barrier_complete(e: &mut Engine<Self>, _barrier: BarrierId, master: ProcId) {
         e.complete_barrier(master);
     }
 
-    /// §4.3.2/§4.3.3: pulls the needed diffs from the concurrent last
-    /// modifiers (2m messages), plus a base copy if the page was never
-    /// resident.
-    ///
-    /// No lock is held across the fetch: the plan and its payload sizes
-    /// come from the read lock, the round trips are charged lock-free, and
-    /// the write lock is taken only to apply.
-    fn resolve_miss(e: &Engine<Self>, p: ProcId, page: PageId) {
+    /// §4.3.2/§4.3.3, planning half: plans the pulls of the needed diffs
+    /// from the concurrent last modifiers (2m messages), plus a base copy
+    /// if the page was never resident, and charges them. The plan and
+    /// the base wait in `p`'s scratch.
+    fn begin_miss(e: &mut Engine<Self>, p: ProcId, page: PageId) -> Option<u64> {
         let gi = page.index();
-        // Plan phase: pending list, plan, and payload sizes all read under
-        // ONE read guard, so the pending list names only intervals the
-        // store records (garbage collection clears both together). The
-        // miss borrows `p`'s scratch from the pending-list read to the
-        // apply.
-        let state = e.proto.state.read();
-        let store = &state.store;
-        let (cold, mut scratch) = {
-            let mut shard = e.shard(p);
-            let Shard { pages, ext, .. } = &mut *shard;
-            let mut scratch = mem::take(&mut ext.scratch);
-            let entry = &pages[gi];
-            scratch.needed.clear();
-            scratch.needed.extend(ext.pending.iter(entry.ext, page));
-            (entry.copy.is_none(), scratch)
-        };
+        let Engine {
+            core,
+            shards,
+            proto,
+        } = e;
+        let store = &proto.store;
+        let Shard { pages, ext, .. } = &mut shards[p.index()];
+        let cold = pages[gi].copy.is_none();
         if cold {
-            bump(&e.counters.cold_misses, 1);
+            core.counters.cold_misses += 1;
         } else {
-            bump(&e.counters.warm_misses, 1);
+            core.counters.warm_misses += 1;
         }
         let Scratch {
-            needed,
-            plan,
-            trips,
-            sizer,
-            ..
-        } = &mut scratch;
+            needed, plan, base, ..
+        } = &mut ext.scratch;
+        needed.clear();
+        needed.extend(ext.pending.iter(pages[gi].ext, page));
         plan.build(store, p, None, needed);
-        let era = store.era();
         debug_assert!(
             cold || !plan.is_empty(),
             "warm miss without pending diffs cannot occur"
@@ -553,56 +491,55 @@ impl<S: Sharing> Protocol for Lazy<S> {
         // (§4.3.3). The base ships from the first diff supplier when there
         // is one, from the post-GC owner if the history was collected, and
         // from the page's home (the initial contents) otherwise.
-        let mut base: Option<PageBuf> = None;
-        let mut base_trip: Option<ProcId> = None;
+        let page_bytes = core.space.page_size().bytes() as u64;
+        let first_target = plan.targets().first().copied();
+        *base = None;
         if cold {
-            let first_target = plan.targets().first().copied();
             let supplier = first_target
-                .or(state.gc_owner[gi])
-                .unwrap_or_else(|| e.page_home(page));
+                .or(proto.gc_owner[gi])
+                .unwrap_or_else(|| core.page_home(page));
             // The supplier's *committed* contents, cloned without
             // disturbing its state; a never-touched home (and `p` itself,
             // only possible for the untouched-home case) supplies the
             // initial zero page.
             let committed = (supplier != p)
-                .then(|| e.shard(supplier).pages[gi].committed().cloned())
+                .then(|| shards[supplier.index()].pages[gi].committed().cloned())
                 .flatten();
-            base = Some(committed.unwrap_or_else(|| PageBuf::zeroed(e.space.page_size())));
+            let buf = committed.unwrap_or_else(|| PageBuf::zeroed(core.space.page_size()));
             // The base rides the first diff reply when the supplier is
             // also a fetch target; otherwise it is its own round trip.
             if supplier != p && first_target != Some(supplier) {
-                base_trip = Some(supplier);
+                core.net.round_trip(
+                    p,
+                    supplier,
+                    MsgKind::MissRequest,
+                    PAGE_ID_BYTES,
+                    MsgKind::MissReply,
+                    page_bytes,
+                );
             }
+            shards[p.index()].ext.scratch.base = Some(buf);
         }
-        let page_bytes = e.space.page_size().bytes() as u64;
         // All of a miss's diffs name the missed page: what each target
         // supplies is one chain as it stands.
-        let mut chain_payload = |source: Source| {
-            let diff_of = |d: &Planned| store.diff_at(&d.notice);
-            chain_bytes(plan.planned_by(source).map(diff_of), &mut sizer.ranges)
-        };
-        trips.clear();
-        trips.extend(plan.targets().iter().enumerate().map(|(t, &target)| {
+        let Scratch { plan, sizer, .. } = &mut shards[p.index()].ext.scratch;
+        for (t, &target) in plan.targets().iter().enumerate() {
             let source = Source::Target(t);
             let request = plan.planned_by(source).count() as u64 * DIFF_REQUEST_ENTRY_BYTES;
-            if cold && t == 0 {
+            let mut chain = || {
+                let diff_of = |d: &Planned| store.diff_at(&d.notice);
+                chain_bytes(plan.planned_by(source).map(diff_of), &mut sizer.ranges)
+            };
+            let (request, reply) = if cold && t == 0 {
                 // The first supplier's reply also carries the base.
-                let reply = chain_payload(source) + page_bytes;
-                (target, request + PAGE_ID_BYTES, reply)
-            } else if e.params.full_page_misses {
+                (request + PAGE_ID_BYTES, chain() + page_bytes)
+            } else if core.params.full_page_misses {
                 // Ablation of §4.3.3: whole pages, not diffs.
-                (target, request, page_bytes)
+                (request, page_bytes)
             } else {
-                (target, request, chain_payload(source))
-            }
-        }));
-        drop(state);
-
-        // Fetch phase: round trips with no lock held. A stalled fetch here
-        // blocks only this page's gate.
-        let base_request = base_trip.map(|supplier| (supplier, PAGE_ID_BYTES, page_bytes));
-        for &(target, request, reply) in base_request.iter().chain(trips.iter()) {
-            e.net.round_trip(
+                (request, chain())
+            };
+            core.net.round_trip(
                 p,
                 target,
                 MsgKind::MissRequest,
@@ -611,35 +548,144 @@ impl<S: Sharing> Protocol for Lazy<S> {
                 reply,
             );
         }
-        e.run_fetch_hook(p, page);
+        Some(store.era())
+    }
 
-        // Apply phase, under the write lock and one shard lock, which also
-        // takes the scratch back.
-        let mut state = e.proto.state.write();
-        assert_era(&state.store, era, p);
-        let mut shard = e.shard(p);
-        if let Some(buf) = base {
-            shard.pages[gi].copy = Some(buf);
+    /// Applying half: installs the base, if the miss was cold, and
+    /// applies the planned diffs in happened-before order.
+    fn finish_miss(e: &mut Engine<Self>, p: ProcId, page: PageId, era: u64) {
+        let Engine {
+            core,
+            shards,
+            proto,
+        } = e;
+        assert_era(&proto.store, era, p);
+        let Shard { pages, ext, .. } = &mut shards[p.index()];
+        let entry = &mut pages[page.index()];
+        if let Some(buf) = ext.scratch.base.take() {
+            entry.copy = Some(buf);
         }
-        e.apply_plan(&mut state.store, p, &mut shard, scratch);
-        let Shard { pages, ext, .. } = &mut *shard;
-        let entry = &mut pages[gi];
+        let scratch = mem::take(&mut ext.scratch);
+        apply_plan(core, &mut proto.store, p, pages, ext, scratch);
+        let entry = &mut pages[page.index()];
         ext.pending.clear(&mut entry.ext);
         entry.valid = true;
     }
 }
 
-impl<S: Sharing> Engine<Lazy<S>> {
-    /// The interval/diff store (shared read access, for inspection).
-    ///
-    /// **Do not call any engine method while holding the guard.** Slow
-    /// paths take the store's write lock for interval closes and plan
-    /// application (and therefore any read or write that misses does), so
-    /// a read-then-write on the same thread deadlocks a `Threads` engine
-    /// and panics a `OneThread` one; from other threads it merely blocks
-    /// them. Read what you need and drop the guard.
-    pub fn store(&self) -> impl Deref<Target = IntervalStore> + '_ {
-        StoreGuard(self.proto.state.read())
+/// Delivers write notices to `p`, whose frames are `pages` and notice
+/// slots `pending`: pending lists grow and, under the invalidate policy,
+/// resident valid copies are invalidated.
+fn deliver_notices(
+    core: &mut EngineCore,
+    pages: &mut [Frame<Pending>],
+    pending: &mut NoticeList,
+    p: ProcId,
+    notices: &[WriteNotice],
+) {
+    core.counters.notices_received += notices.len() as u64;
+    let mut invalidated = 0;
+    for n in notices {
+        debug_assert_ne!(n.interval.proc(), p, "no notices for own intervals");
+        let entry = &mut pages[n.page.index()];
+        pending.push(&mut entry.ext, n);
+        if core.policy == Policy::Invalidate && entry.valid {
+            entry.valid = false;
+            invalidated += 1;
+        }
+    }
+    core.counters.invalidations += invalidated;
+}
+
+/// Takes the scratch out of a processor's shard extension `ext`, its
+/// `needed` list holding every pending diff of a page of `pages` the
+/// processor has a copy of (the update policy's working set at acquires
+/// and barriers). [`apply_plan`] puts the scratch back.
+fn needed_for_cached_pages(pages: &[Frame<Pending>], ext: &mut LazyShard) -> Scratch {
+    let mut scratch = mem::take(&mut ext.scratch);
+    scratch.needed.clear();
+    for (gi, entry) in pages.iter().enumerate() {
+        if entry.copy.is_some() {
+            let g = PageId::new(gi as u32);
+            scratch.needed.extend(ext.pending.iter(entry.ext, g));
+        }
+    }
+    scratch
+}
+
+/// Applies every diff of `scratch`'s plan to `p`'s copies (`pages`, with
+/// shard extension `ext`) in happened-before order — the order the plan
+/// lists them in — and marks the touched pages valid, then returns the
+/// scratch to the shard. Returns the number of distinct pages touched.
+fn apply_plan(
+    core: &mut EngineCore,
+    store: &mut IntervalStore,
+    p: ProcId,
+    pages: &mut [Frame<Pending>],
+    ext: &mut LazyShard,
+    scratch: Scratch,
+) -> usize {
+    let mut touched = 0;
+    let mut applied = 0;
+    for Planned { notice, .. } in scratch.plan.diffs() {
+        // The holder bit flips and the diff is applied straight out
+        // of the store — no per-diff copy on the hot miss path.
+        let diff = store.hold_at(p, notice);
+        let frame = &mut pages[notice.page.index()];
+        frame.apply(diff, core.space.page_size());
+        applied += 1;
+        // Every planned diff is one of its page's pending notices, so
+        // a page's first diff finds the list non-empty: that is where
+        // the page is counted and the list cleared.
+        if !frame.ext.is_empty() {
+            ext.pending.clear(&mut frame.ext);
+            touched += 1;
+        }
+        frame.valid = true;
+    }
+    core.counters.diffs_applied += applied;
+    ext.scratch = scratch;
+    touched
+}
+
+/// Brings every page `r` has a copy of fully up to date, charged as
+/// barrier traffic: one request/reply exchange per fetch target. Returns
+/// the number of pages touched.
+fn validate_cached_pages(
+    core: &mut EngineCore,
+    store: &mut IntervalStore,
+    shards: &mut [Shard<Lazy>],
+    r: ProcId,
+) -> usize {
+    let Shard { pages, ext, .. } = &mut shards[r.index()];
+    let mut scratch = needed_for_cached_pages(pages, ext);
+    let Scratch {
+        needed,
+        plan,
+        sizer,
+        ..
+    } = &mut scratch;
+    plan.build(store, r, None, needed);
+    for (t, &target) in plan.targets().iter().enumerate() {
+        let source = Source::Target(t);
+        let request = plan.planned_by(source).count() as u64 * DIFF_REQUEST_ENTRY_BYTES;
+        let reply = sizer.diff_payload(store, needed, plan, source);
+        core.net.round_trip(
+            r,
+            target,
+            MsgKind::BarrierDiffRequest,
+            request,
+            MsgKind::BarrierDiffReply,
+            reply,
+        );
+    }
+    apply_plan(core, store, r, pages, ext, scratch)
+}
+
+impl Engine<Lazy> {
+    /// The interval/diff store (for inspection).
+    pub fn store(&self) -> &IntervalStore {
+        &self.proto.store
     }
 
     /// Processor `p`'s current vector time (a snapshot).
@@ -654,21 +700,17 @@ impl<S: Sharing> Engine<Lazy<S>> {
     /// Closes `p`'s open interval: diffs every dirtied page against its
     /// twin, straight into `p`'s log in the store, records the interval
     /// (if any page actually changed), and opens the next interval. The
-    /// interval is published to the store *before* the clock bump (both
-    /// under the store's write lock plus `p`'s shard lock), so any
+    /// interval is recorded in the store *before* the clock bump, so any
     /// processor that observes the new clock value finds the interval
     /// recorded.
-    fn close_interval(&self, p: ProcId) {
-        let mut state = self.proto.state.write();
-        let mut shard = self.shard(p);
+    fn close_interval(&mut self, p: ProcId) {
         let Shard {
             pages,
             dirty,
             spare_twins,
             ext,
-            ..
-        } = &mut *shard;
-        let mut closing = state.store.open(p);
+        } = &mut self.shards[p.index()];
+        let mut closing = self.proto.store.open(p);
         // Drained, not taken: the list keeps its allocation for the next
         // interval's first write, as the twins' buffers do.
         for g in dirty.drain(..) {
@@ -678,121 +720,20 @@ impl<S: Sharing> Engine<Lazy<S>> {
             assert!(closed.is_some(), "dirty page has a twin");
         }
         if closing.close(&ext.clock) {
-            bump(&self.counters.intervals_closed, 1);
+            self.core.counters.intervals_closed += 1;
             ext.clock.bump(p);
         }
-    }
-
-    /// Delivers write notices to `p`, whose locked shard's frames are
-    /// `pages` and notice slots `pending`: pending lists grow and, under
-    /// the invalidate policy, resident valid copies are invalidated.
-    fn deliver_notices(
-        &self,
-        pages: &mut [Frame<Pending>],
-        pending: &mut NoticeList,
-        p: ProcId,
-        notices: &[WriteNotice],
-    ) {
-        bump(&self.counters.notices_received, notices.len() as u64);
-        let mut invalidated = 0;
-        for n in notices {
-            debug_assert_ne!(n.interval.proc(), p, "no notices for own intervals");
-            let entry = &mut pages[n.page.index()];
-            pending.push(&mut entry.ext, n);
-            if self.policy == Policy::Invalidate && entry.valid {
-                entry.valid = false;
-                invalidated += 1;
-            }
-        }
-        bump(&self.counters.invalidations, invalidated);
-    }
-
-    /// Takes `p`'s scratch out of its shard, its `needed` list holding
-    /// every pending diff of a page `p` has a copy of (the update policy's
-    /// working set at acquires and barriers). [`Engine::apply_plan`] puts
-    /// the scratch back.
-    fn needed_for_cached_pages(&self, p: ProcId) -> Scratch {
-        let mut shard = self.shard(p);
-        let Shard { pages, ext, .. } = &mut *shard;
-        let mut scratch = mem::take(&mut ext.scratch);
-        scratch.needed.clear();
-        for (gi, entry) in pages.iter().enumerate() {
-            if entry.copy.is_some() {
-                let g = PageId::new(gi as u32);
-                scratch.needed.extend(ext.pending.iter(entry.ext, g));
-            }
-        }
-        scratch
-    }
-
-    /// One request/reply exchange fetching from `target` at a barrier
-    /// the diffs that `plan`, built for `needed`, assigns it at index
-    /// `t` (the barrier paths run exclusively and may hold the store lock
-    /// across the charge; the acquire and miss paths size payloads under
-    /// the read lock and charge lock-free instead).
-    fn barrier_fetch(&self, store: &IntervalStore, scratch: &mut Scratch, p: ProcId, t: usize) {
-        let Scratch {
-            needed,
-            plan,
-            sizer,
-            ..
-        } = scratch;
-        let source = Source::Target(t);
-        self.net.round_trip(
-            p,
-            plan.targets()[t],
-            MsgKind::BarrierDiffRequest,
-            plan.planned_by(source).count() as u64 * DIFF_REQUEST_ENTRY_BYTES,
-            MsgKind::BarrierDiffReply,
-            sizer.diff_payload(store, needed, plan, source),
-        );
-    }
-
-    /// Applies every diff of `scratch`'s plan to the copies in `p`'s
-    /// locked `shard` in happened-before order — the order the plan lists
-    /// them in — and marks the touched pages valid, then returns the
-    /// scratch to the shard. Returns the number of distinct pages touched.
-    fn apply_plan(
-        &self,
-        store: &mut IntervalStore,
-        p: ProcId,
-        shard: &mut Shard<Lazy<S>>,
-        scratch: Scratch,
-    ) -> usize {
-        let Shard { pages, ext, .. } = shard;
-        let mut touched = 0;
-        let mut applied = 0;
-        for Planned { notice, .. } in scratch.plan.diffs() {
-            // The holder bit flips and the diff is applied straight out
-            // of the store — no per-diff copy on the hot miss path.
-            let diff = store.hold_at(p, notice);
-            let frame = &mut pages[notice.page.index()];
-            frame.apply(diff, self.space.page_size());
-            applied += 1;
-            // Every planned diff is one of its page's pending notices, so
-            // a page's first diff finds the list non-empty: that is where
-            // the page is counted and the list cleared.
-            if !frame.ext.is_empty() {
-                ext.pending.clear(&mut frame.ext);
-                touched += 1;
-            }
-            frame.valid = true;
-        }
-        bump(&self.counters.diffs_applied, applied);
-        ext.scratch = scratch;
-        touched
     }
 
     /// Completes a barrier episode at `master`: merge all knowledge, send
     /// exit messages with the notices each processor lacks, and apply the
     /// policy: `2(n-1)` messages per episode, with all consistency
     /// information piggybacked (Table 1, LI row); under the update policy
-    /// each processor then pulls diffs for its cached pages (`2u`). Runs
-    /// on the last arriver's thread; every other processor is parked by
-    /// the runtime awaiting the episode, so the completion holds the
-    /// store's write lock across the whole compound update.
-    fn complete_barrier(&self, master: ProcId) {
-        let n = self.params.n_procs;
+    /// each processor then pulls diffs for its cached pages (`2u`). Every
+    /// other processor is waiting for the episode, so the completion is
+    /// free to rewrite the history.
+    fn complete_barrier(&mut self, master: ProcId) {
+        let n = self.core.params.n_procs;
         // A dead processor contributes its knowledge (its frozen clock
         // names only intervals that were flushed into the store when it
         // was declared dead) but receives nothing: no exit message, no
@@ -801,17 +742,21 @@ impl<S: Sharing> Engine<Lazy<S>> {
         let dead: ProcSet = ProcId::all(n)
             .filter(|&r| self.shard(r).ext.dead)
             .fold(0, |set, r| set | 1 << r.index());
+        let Engine {
+            core,
+            shards,
+            proto,
+        } = self;
         // The merged clock is built in the master's scratch, taken out
         // while every processor's own scratch is in use below, starting
         // from the master's knowledge: its clock, its open interval's
         // entry one lower.
-        let mut merged = mem::take(&mut self.shard(master).ext.scratch.merged);
-        merged.clone_from(&self.shard(master).ext.clock);
+        let mut merged = mem::take(&mut shards[master.index()].ext.scratch.merged);
+        merged.clone_from(&shards[master.index()].ext.clock);
         merged.set(master, merged.get(master).saturating_sub(1));
         for r in ProcId::all(n).filter(|&r| r != master) {
-            merge_knowledge(&mut merged, &self.shard(r).ext.clock, r);
+            merge_knowledge(&mut merged, &shards[r.index()].ext.clock, r);
         }
-        let mut state = self.proto.state.write();
         let live = || ProcId::all(n).filter(|&r| !holds(dead, r));
         // The exits stream: each live processor's missing notices are
         // computed into its own scratch against its own pre-merge clock,
@@ -819,8 +764,7 @@ impl<S: Sharing> Engine<Lazy<S>> {
         // reads another processor's clock, so this sends what computing
         // every list first would.
         for r in live() {
-            let mut shard = self.shard(r);
-            let Shard { pages, ext, .. } = &mut *shard;
+            let Shard { pages, ext, .. } = &mut shards[r.index()];
             let LazyShard {
                 clock,
                 pending,
@@ -828,24 +772,24 @@ impl<S: Sharing> Engine<Lazy<S>> {
                 ..
             } = ext;
             let missing = &mut scratch.notices;
-            state.store.notices_missing(clock, &merged, None, missing);
+            proto.store.notices_missing(clock, &merged, None, missing);
             if r != master {
                 let payload = BARRIER_ID_BYTES + vc_bytes(n) + notice_bytes(missing);
-                self.net.send(master, r, MsgKind::BarrierExit, payload);
+                core.net.send(master, r, MsgKind::BarrierExit, payload);
             }
-            self.deliver_notices(pages, pending, r, missing);
+            deliver_notices(core, pages, pending, r, missing);
             clock.merge(&merged);
         }
-        self.shard(master).ext.scratch.merged = merged;
-        if self.policy == Policy::Update {
+        shards[master.index()].ext.scratch.merged = merged;
+        if core.policy == Policy::Update {
             // Every processor pulls the diffs for its cached pages: one
             // round trip per (cacher, modifier) pair — Table 1's `2u`.
             for r in live() {
-                let touched = self.validate_cached_pages(&mut state.store, r);
-                bump(&self.counters.updates, touched as u64);
+                let touched = validate_cached_pages(core, &mut proto.store, shards, r);
+                core.counters.updates += touched as u64;
             }
         }
-        bump(&self.counters.barrier_episodes, 1);
+        core.counters.barrier_episodes += 1;
         // Garbage collection normally pauses while any processor is down:
         // clearing the interval history would strand both the rejoin
         // catch-up (the era guard would reject the checkpoint) and cold
@@ -857,39 +801,28 @@ impl<S: Sharing> Engine<Lazy<S>> {
         // after which an expired processor can only cold-join from a
         // checkpoint of the new era. Each deferred round bumps
         // `gc_deferrals`, so the stall stays observable and bounded.
-        if self.params.gc_at_barriers {
+        if self.core.params.gc_at_barriers {
             if dead == 0 {
-                self.collect_garbage(&mut state, dead);
+                self.collect_garbage(dead);
             } else {
-                let episode = self.counters().barrier_episodes;
+                let episode = self.core.counters.barrier_episodes;
                 let all_dead = dead.count_ones() as usize == n;
                 let leases_expired = !all_dead
-                    && self.params.death_lease_episodes.is_some_and(|lease| {
+                    && self.core.params.death_lease_episodes.is_some_and(|lease| {
                         ProcId::all(n)
                             .filter(|&r| holds(dead, r))
                             .all(|r| episode.saturating_sub(self.shard(r).ext.dead_since) >= lease)
                     });
                 if leases_expired {
                     for r in ProcId::all(n).filter(|&r| holds(dead, r)) {
-                        self.shard(r).ext.lease_expired = true;
+                        self.shards[r.index()].ext.lease_expired = true;
                     }
-                    self.collect_garbage(&mut state, dead);
+                    self.collect_garbage(dead);
                 } else {
-                    bump(&self.counters.gc_deferrals, 1);
+                    self.core.counters.gc_deferrals += 1;
                 }
             }
         }
-    }
-
-    /// Brings every page `r` has a copy of fully up to date, charged as
-    /// barrier traffic; returns the number of pages touched.
-    fn validate_cached_pages(&self, store: &mut IntervalStore, r: ProcId) -> usize {
-        let mut scratch = self.needed_for_cached_pages(r);
-        scratch.plan.build(store, r, None, &scratch.needed);
-        for t in 0..scratch.plan.targets().len() {
-            self.barrier_fetch(store, &mut scratch, r, t);
-        }
-        self.apply_plan(store, r, &mut self.shard(r), scratch)
     }
 
     /// Barrier-time garbage collection (TreadMarks-style): every processor
@@ -898,37 +831,37 @@ impl<S: Sharing> Engine<Lazy<S>> {
     /// and the entire interval/diff history is discarded — advancing the
     /// store's era. Safe exactly at barrier completion, when every
     /// interval has performed everywhere.
-    fn collect_garbage(&self, state: &mut LazyState, dead: ProcSet) {
-        let n = self.params.n_procs;
+    fn collect_garbage(&mut self, dead: ProcSet) {
+        let n = self.core.params.n_procs;
+        let Engine {
+            core,
+            shards,
+            proto,
+        } = self;
         // Validate every resident copy (the update policy already did; a
         // dead processor's frames were reset at death, so it has none).
-        if self.policy == Policy::Invalidate {
+        if core.policy == Policy::Invalidate {
             for r in ProcId::all(n).filter(|&r| !holds(dead, r)) {
-                let touched = self.validate_cached_pages(&mut state.store, r);
-                bump(&self.counters.gc_validated_pages, touched as u64);
+                let touched = validate_cached_pages(core, &mut proto.store, shards, r);
+                core.counters.gc_validated_pages += touched as u64;
             }
         }
         // Record the authoritative owner of every page whose history is
         // about to disappear, then drop the history and dangling notices.
-        let LazyState {
-            store,
-            gc_owner,
-            gc_weights,
-            ..
-        } = state;
-        store.latest_writers(gc_owner, gc_weights);
+        proto
+            .store
+            .latest_writers(&mut proto.gc_owner, &mut proto.gc_weights);
         if dead != 0 {
-            self.rehome_dead_owned_pages(state, dead);
+            self.rehome_dead_owned_pages(dead);
         }
-        for r in ProcId::all(n) {
-            let mut shard = self.shard(r);
+        for shard in &mut self.shards {
             for entry in &mut shard.pages {
                 entry.ext = Pending::default();
             }
             shard.ext.pending.reset();
         }
-        state.store.clear();
-        bump(&self.counters.gc_rounds, 1);
+        self.proto.store.clear();
+        self.core.counters.gc_rounds += 1;
     }
 
     /// Re-homes every page whose post-GC authoritative owner is dead onto
@@ -947,25 +880,30 @@ impl<S: Sharing> Engine<Lazy<S>> {
     /// barrier completion: every recorded interval has performed at every
     /// live processor. The bytes come from the local escrow replica, not
     /// the fabric, so no messages are charged.
-    fn rehome_dead_owned_pages(&self, state: &mut LazyState, dead: ProcSet) {
-        let n = self.params.n_procs;
-        let orphaned = state.pages_owned_where(|o| holds(dead, o));
+    fn rehome_dead_owned_pages(&mut self, dead: ProcSet) {
+        let n = self.core.params.n_procs;
+        let orphaned = self.proto.pages_owned_where(|o| holds(dead, o));
         if orphaned.is_empty() {
             return;
         }
         let fallback = ProcId::all(n)
             .find(|&r| !holds(dead, r))
             .expect("re-homing requires a live processor");
-        let store = &state.store;
+        let Engine {
+            core,
+            shards,
+            proto,
+        } = self;
         for page in orphaned {
             let resident = ProcId::all(n)
-                .find(|&r| !holds(dead, r) && self.shard(r).pages[page.index()].copy.is_some());
-            let escrowed = state.escrow.remove(&page);
+                .find(|&r| !holds(dead, r) && shards[r.index()].pages[page.index()].copy.is_some());
+            let escrowed = proto.escrow.remove(&page);
             let new_owner = match resident {
                 Some(r) => r,
                 None => {
+                    let store = &proto.store;
                     let mut buf =
-                        escrowed.unwrap_or_else(|| PageBuf::zeroed(self.space.page_size()));
+                        escrowed.unwrap_or_else(|| PageBuf::zeroed(core.space.page_size()));
                     let mut chain = store.diff_intervals_of_page(page);
                     chain.sort_by_key(|&iv| hb_key(store, iv));
                     for iv in chain {
@@ -974,16 +912,13 @@ impl<S: Sharing> Engine<Lazy<S>> {
                             .expect("listed diff exists")
                             .apply_to(&mut buf);
                     }
-                    {
-                        let mut shard = self.shard(fallback);
-                        let entry = &mut shard.pages[page.index()];
-                        entry.copy = Some(buf);
-                        entry.valid = true;
-                    }
+                    let entry = &mut shards[fallback.index()].pages[page.index()];
+                    entry.copy = Some(buf);
+                    entry.valid = true;
                     fallback
                 }
             };
-            state.gc_owner[page.index()] = Some(new_owner);
+            proto.gc_owner[page.index()] = Some(new_owner);
         }
     }
 
@@ -998,7 +933,7 @@ impl<S: Sharing> Engine<Lazy<S>> {
     /// contents — see [`Frame::committed`]), so uncommitted writes are
     /// never checkpointed, exactly as a real crash would lose them.
     pub fn checkpoint(&self) -> EngineCheckpoint {
-        let state = self.proto.state.read();
+        let state = &self.proto;
         let n = self.params.n_procs;
         let mut procs = Vec::with_capacity(n);
         for p in ProcId::all(n) {
@@ -1046,7 +981,7 @@ impl<S: Sharing> Engine<Lazy<S>> {
     /// different engine shape, or if a frame's pending notice names no
     /// diff the checkpoint's store records for that page. Either way the
     /// engine is left as it was.
-    pub fn restore(&self, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
+    pub fn restore(&mut self, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
         self.check_shape(ckpt)?;
         let store = IntervalStore::import(self.params.n_procs, ckpt.store_era, &ckpt.store);
         // Every notice resolves before anything is replaced.
@@ -1055,14 +990,14 @@ impl<S: Sharing> Engine<Lazy<S>> {
                 resolve(&store, interval, frame.page)?;
             }
         }
-        let mut state = self.proto.state.write();
-        state.store = store;
-        state.gc_owner = ckpt.owners.clone();
-        state.escrow.clear();
-        for p in ProcId::all(self.params.n_procs) {
-            let mut shard = self.shard(p);
-            shard.ext.clock = ckpt.procs[p.index()].clock.clone();
-            self.reset_frames(&state.store, &mut shard, &ckpt.procs[p.index()].frames)?;
+        let page_size = self.space.page_size();
+        let Engine { shards, proto, .. } = self;
+        proto.store = store;
+        proto.gc_owner = ckpt.owners.clone();
+        proto.escrow.clear();
+        for (shard, proc) in shards.iter_mut().zip(&ckpt.procs) {
+            shard.ext.clock = proc.clock.clone();
+            reset_frames(&proto.store, page_size, shard, &proc.frames)?;
         }
         Ok(())
     }
@@ -1088,10 +1023,9 @@ impl<S: Sharing> Engine<Lazy<S>> {
     /// expires and garbage collection re-homes its pages — after which
     /// post-GC cuts are valid cold-join sources again.
     pub fn awaiting_rejoin(&self) -> bool {
-        ProcId::all(self.params.n_procs).any(|p| {
-            let shard = self.shard(p);
-            shard.ext.dead && !shard.ext.lease_expired
-        })
+        self.shards
+            .iter()
+            .any(|shard| shard.ext.dead && !shard.ext.lease_expired)
     }
 
     /// Declares `p` dead on the survivors' behalf.
@@ -1120,18 +1054,17 @@ impl<S: Sharing> Engine<Lazy<S>> {
     /// # Panics
     ///
     /// Panics if `p` is out of range or already dead.
-    pub fn declare_dead(&self, p: ProcId) -> DeathReport {
-        {
-            let mut shard = self.shard(p);
-            assert!(!shard.ext.dead, "processor {p} is already dead");
-            shard.ext.dead = true;
-            shard.ext.dead_since = self.counters().barrier_episodes;
-        }
+    pub fn declare_dead(&mut self, p: ProcId) -> DeathReport {
+        let episodes = self.core.counters.barrier_episodes;
+        let ext = &mut self.shards[p.index()].ext;
+        assert!(!ext.dead, "processor {p} is already dead");
+        ext.dead = true;
+        ext.dead_since = episodes;
         // Flush: every write of the open interval becomes durable history.
         self.close_interval(p);
-        let released = self.locks.lock().held_by(p);
+        let released = self.core.locks.held_by(p);
         for &lock in &released {
-            self.force_release(p, lock);
+            self.core.finish_release(p, lock);
         }
         if let Some(rec) = self.recorder() {
             rec.crash(p);
@@ -1141,21 +1074,19 @@ impl<S: Sharing> Engine<Lazy<S>> {
         // and a lease-expired collection must still be able to re-home
         // those pages onto live frames (cold misses would otherwise read
         // zeros). Consumed by `rehome_dead_owned_pages`.
-        {
-            let mut state = self.proto.state.write();
-            let mut shard = self.shard(p);
-            for page in state.pages_owned_where(|o| o == p) {
-                if let Some(buf) = shard.pages[page.index()].committed() {
-                    state.escrow.insert(page, buf.clone());
-                }
+        let Engine { shards, proto, .. } = self;
+        let shard = &mut shards[p.index()];
+        for page in proto.pages_owned_where(|o| o == p) {
+            if let Some(buf) = shard.pages[page.index()].committed() {
+                proto.escrow.insert(page, buf.clone());
             }
-            shard.dirty.clear();
-            shard.pages.fill_with(Frame::default);
-            shard.ext.pending.reset();
         }
-        let completed_episodes = self.barriers.lock().mark_dead(p);
+        shard.dirty.clear();
+        shard.pages.fill_with(Frame::default);
+        shard.ext.pending.reset();
+        let completed_episodes = self.core.barriers.mark_dead(p);
         for &(barrier, _) in &completed_episodes {
-            let master = self.barriers.lock().master(barrier);
+            let master = self.core.barriers.master(barrier);
             self.complete_barrier(master);
         }
         DeathReport {
@@ -1200,51 +1131,6 @@ impl<S: Sharing> Engine<Lazy<S>> {
         Ok(())
     }
 
-    /// Replaces a (locked) shard's frames with checkpointed ones, each
-    /// pending notice resolved to its handle in `store`, and brings the
-    /// processor back to life.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Incompatible`] if a notice names no diff `store`
-    /// records for its page. The shard's frames are then left reset and
-    /// the processor as dead or alive as it was.
-    fn reset_frames(
-        &self,
-        store: &IntervalStore,
-        shard: &mut Shard<Lazy<S>>,
-        frames: &[FrameCheckpoint],
-    ) -> Result<(), CheckpointError> {
-        let Shard {
-            pages, dirty, ext, ..
-        } = shard;
-        dirty.clear();
-        pages.fill_with(Frame::default);
-        ext.pending.reset();
-        for frame in frames {
-            let entry = &mut pages[frame.page.index()];
-            entry.install(
-                frame.contents.as_deref(),
-                frame.valid,
-                self.space.page_size(),
-            );
-            for &interval in &frame.pending {
-                match resolve(store, interval, frame.page) {
-                    Ok(notice) => ext.pending.push(&mut entry.ext, &notice),
-                    Err(refused) => {
-                        pages.fill_with(Frame::default);
-                        ext.pending.reset();
-                        return Err(refused);
-                    }
-                }
-            }
-        }
-        ext.dead = false;
-        ext.dead_since = 0;
-        ext.lease_expired = false;
-        Ok(())
-    }
-
     /// Rejoins dead processor `p` from a checkpoint of this run.
     ///
     /// The checkpoint's frames and clock are restored, then `p` catches up
@@ -1276,80 +1162,124 @@ impl<S: Sharing> Engine<Lazy<S>> {
     /// # Panics
     ///
     /// Panics if `p` is out of range.
-    pub fn rejoin(&self, p: ProcId, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
+    pub fn rejoin(&mut self, p: ProcId, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
         self.check_shape(ckpt)?;
         let n = self.params.n_procs;
-        {
-            let state = self.proto.state.read();
-            let store = &state.store;
-            if store.era() != ckpt.store_era {
-                let why = format!(
-                    "store era {} differs from checkpoint era {}: the \
-                     catch-up history was garbage-collected",
-                    store.era(),
-                    ckpt.store_era
-                );
-                // A lease-expired processor's history was collected *on
-                // purpose*: the typed error tells the runtime to cold-join
-                // from a post-collection checkpoint instead of retrying.
-                return Err(if self.shard(p).ext.lease_expired {
-                    CheckpointError::LeaseExpired(why)
-                } else {
-                    CheckpointError::Incompatible(why)
-                });
-            }
-            // Target knowledge: the checkpoint's own view, every live
-            // survivor's knowledge, and p's own flushed intervals.
-            let ckpt_clock = &ckpt.procs[p.index()].clock;
-            let mut have = ckpt_clock.clone();
-            have.set(p, ckpt_clock.get(p) - 1);
-            let mut want = have.clone();
-            for r in ProcId::all(n).filter(|&r| r != p) {
-                let shard_r = self.shard(r);
-                if !shard_r.ext.dead {
-                    merge_knowledge(&mut want, &shard_r.ext.clock, r);
-                }
-            }
-            let latest = store.latest_seq(p);
-            if want.get(p) < latest {
-                want.set(p, latest);
-            }
-
-            let mut shard = self.shard(p);
-            if !shard.ext.dead {
-                return Err(CheckpointError::Incompatible(format!(
-                    "processor {p} is not declared dead"
-                )));
-            }
-            self.reset_frames(store, &mut shard, &ckpt.procs[p.index()].frames)?;
-            let Shard { pages, ext, .. } = &mut *shard;
-            let notices = &mut ext.scratch.notices;
-            store.notices_missing(&have, &want, None, notices);
-            // Catch-up delivery. Unlike deliver_notices this may carry
-            // p's *own* post-checkpoint intervals, and it invalidates
-            // under the update policy too: rejoin is not an acquire, so
-            // nothing will pull for cached pages afterwards — the miss
-            // path must.
-            bump(&self.counters.notices_received, notices.len() as u64);
-            for notice in notices.iter() {
-                let entry = &mut pages[notice.page.index()];
-                ext.pending.push(&mut entry.ext, notice);
-                if entry.valid {
-                    entry.valid = false;
-                    bump(&self.counters.invalidations, 1);
-                }
-            }
-            // Advance the clock past everything just delivered, so the
-            // next synchronization does not re-deliver the same notices
-            // (duplicate pendings would poison the fetch planner). The
-            // own entry reopens past both the checkpoint's open interval
-            // and the flushed history.
-            let mut clock = ckpt_clock.clone();
-            clock.merge(&want);
-            clock.set(p, ckpt_clock.get(p).max(latest + 1));
-            ext.clock = clock;
+        let page_size = self.space.page_size();
+        let Engine {
+            core,
+            shards,
+            proto,
+        } = self;
+        let store = &proto.store;
+        if store.era() != ckpt.store_era {
+            let why = format!(
+                "store era {} differs from checkpoint era {}: the \
+                 catch-up history was garbage-collected",
+                store.era(),
+                ckpt.store_era
+            );
+            // A lease-expired processor's history was collected *on
+            // purpose*: the typed error tells the runtime to cold-join
+            // from a post-collection checkpoint instead of retrying.
+            return Err(if shards[p.index()].ext.lease_expired {
+                CheckpointError::LeaseExpired(why)
+            } else {
+                CheckpointError::Incompatible(why)
+            });
         }
-        self.barriers.lock().revive(p);
+        // Target knowledge: the checkpoint's own view, every live
+        // survivor's knowledge, and p's own flushed intervals.
+        let ckpt_clock = &ckpt.procs[p.index()].clock;
+        let mut have = ckpt_clock.clone();
+        have.set(p, ckpt_clock.get(p) - 1);
+        let mut want = have.clone();
+        for r in ProcId::all(n).filter(|&r| r != p) {
+            let ext_r = &shards[r.index()].ext;
+            if !ext_r.dead {
+                merge_knowledge(&mut want, &ext_r.clock, r);
+            }
+        }
+        let latest = store.latest_seq(p);
+        if want.get(p) < latest {
+            want.set(p, latest);
+        }
+
+        let shard = &mut shards[p.index()];
+        if !shard.ext.dead {
+            return Err(CheckpointError::Incompatible(format!(
+                "processor {p} is not declared dead"
+            )));
+        }
+        reset_frames(store, page_size, shard, &ckpt.procs[p.index()].frames)?;
+        let Shard { pages, ext, .. } = shard;
+        let notices = &mut ext.scratch.notices;
+        store.notices_missing(&have, &want, None, notices);
+        // Catch-up delivery. Unlike deliver_notices this may carry
+        // p's *own* post-checkpoint intervals, and it invalidates
+        // under the update policy too: rejoin is not an acquire, so
+        // nothing will pull for cached pages afterwards — the miss
+        // path must.
+        core.counters.notices_received += notices.len() as u64;
+        for notice in notices.iter() {
+            let entry = &mut pages[notice.page.index()];
+            ext.pending.push(&mut entry.ext, notice);
+            if entry.valid {
+                entry.valid = false;
+                core.counters.invalidations += 1;
+            }
+        }
+        // Advance the clock past everything just delivered, so the
+        // next synchronization does not re-deliver the same notices
+        // (duplicate pendings would poison the fetch planner). The
+        // own entry reopens past both the checkpoint's open interval
+        // and the flushed history.
+        let mut clock = ckpt_clock.clone();
+        clock.merge(&want);
+        clock.set(p, ckpt_clock.get(p).max(latest + 1));
+        ext.clock = clock;
+        core.barriers.revive(p);
         Ok(())
     }
+}
+
+/// Replaces a shard's frames with checkpointed ones, each pending notice
+/// resolved to its handle in `store`, and brings the processor back to
+/// life.
+///
+/// # Errors
+///
+/// [`CheckpointError::Incompatible`] if a notice names no diff `store`
+/// records for its page. The shard's frames are then left reset and the
+/// processor as dead or alive as it was.
+fn reset_frames(
+    store: &IntervalStore,
+    page_size: lrc_pagemem::PageSize,
+    shard: &mut Shard<Lazy>,
+    frames: &[FrameCheckpoint],
+) -> Result<(), CheckpointError> {
+    let Shard {
+        pages, dirty, ext, ..
+    } = shard;
+    dirty.clear();
+    pages.fill_with(Frame::default);
+    ext.pending.reset();
+    for frame in frames {
+        let entry = &mut pages[frame.page.index()];
+        entry.install(frame.contents.as_deref(), frame.valid, page_size);
+        for &interval in &frame.pending {
+            match resolve(store, interval, frame.page) {
+                Ok(notice) => ext.pending.push(&mut entry.ext, &notice),
+                Err(refused) => {
+                    pages.fill_with(Frame::default);
+                    ext.pending.reset();
+                    return Err(refused);
+                }
+            }
+        }
+    }
+    ext.dead = false;
+    ext.dead_since = 0;
+    ext.lease_expired = false;
+    Ok(())
 }

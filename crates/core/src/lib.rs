@@ -33,15 +33,15 @@
 //! The engine maintains *real page contents*: every write carries bytes,
 //! twins and diffs are real, and reads return exactly what a DSM would
 //! return. Message and byte costs are charged to an [`lrc_simnet::Fabric`].
-//! The trace-driven simulator (`lrc-sim`) and the threaded runtime
-//! (`lrc-dsm`) both run one lazy engine source, built in two [`Sharing`]
-//! families: the runtime's [`LrcEngine`] keeps its state behind
-//! [`Threads`] locks and atomics, the simulator's
-//! `Engine<Lazy<OneThread>>` in [`OneThread`] `RefCell`s and `Cell`s.
+//! An engine is plain data driven through `&mut self`: the trace-driven
+//! simulator (`lrc-sim`) owns its [`LrcEngine`], and the threaded runtime
+//! (`lrc-dsm`) keeps one behind one mutex. A miss comes in two halves,
+//! [`Engine::begin_miss`] and [`Engine::finish_miss`], so that the
+//! runtime can run the fetch between them with the engine released.
 //!
 //! Everything that is *not* specific to laziness — the per-processor
 //! shards and the cached read/write path over them, the lock table and
-//! barrier set, the slow-path gates, counters, fabric and recorder hook —
+//! barrier set, the miss split, counters, fabric and recorder hook —
 //! lives in the protocol-independent [`Engine`] / [`EngineCore`], which
 //! the eager baseline (`lrc-eager`) plugs into at the same four
 //! [`Protocol`] points.
@@ -57,7 +57,7 @@
 //!     n_procs: 2,
 //!     ..EngineParams::default()
 //! };
-//! let dsm = LrcEngine::new(Policy::Invalidate, &params)?;
+//! let mut dsm = LrcEngine::new(Policy::Invalidate, &params)?;
 //! let (p0, p1, l) = (ProcId::new(0), ProcId::new(1), LockId::new(0));
 //!
 //! dsm.acquire(p0, l)?;
@@ -85,7 +85,6 @@ mod plan;
 mod remote;
 #[cfg(test)]
 mod seeded;
-mod share;
 mod slowpath;
 mod store;
 
@@ -94,13 +93,12 @@ pub use checkpoint::{CheckpointError, EngineCheckpoint};
 pub use checkpoint::{FrameCheckpoint, ProcCheckpoint};
 pub(crate) use config::MAX_PROCS;
 pub use config::{ConfigError, EngineParams, Policy};
-pub use counters::{bump, CounterCells, EngineCounters};
+pub use counters::EngineCounters;
 pub use engine::{Engine, EngineCore, Protocol, Shard};
 pub use lazy::{DeathReport, Lazy, LazyShard, LrcEngine};
 pub use pagestate::Frame;
 pub use pending::Pending;
 pub use remote::EngineOp;
-pub use share::{LockCell, OneThread, RwCell, Sharing, Threads};
-pub use slowpath::FetchHook;
+pub use slowpath::{FetchHook, Miss, MissTicket};
 pub use store::IntervalStore;
 pub(crate) use store::WriteNotice;

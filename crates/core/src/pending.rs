@@ -17,7 +17,7 @@ const NIL: u32 = u32::MAX;
 /// of which the frame keeps only the first and last index, so they mean
 /// something only together with the list of the shard the frame is in.
 /// Each slot keeps the notice's handle into its creator's log
-/// ([`WriteNotice::entry`]), so a miss plans from the chain with no
+/// (`WriteNotice::entry`), so a miss plans from the chain with no
 /// search. A `Pending` is 8 bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Pending {

@@ -1,151 +1,207 @@
-//! Slow-path bookkeeping primitives behind
-//! [`EngineCore`](crate::EngineCore)'s gate preamble: in-flight gauges,
-//! contended-gate accounting, and the miss-fetch instrumentation hook.
-
-use std::fmt;
-use std::sync::OnceLock;
+//! The miss split: what [`Engine::begin_miss`](crate::Engine::begin_miss)
+//! finds, the ticket [`Engine::finish_miss`](crate::Engine::finish_miss)
+//! redeems, the table of pages whose fetch is in progress, and the
+//! miss-fetch instrumentation hook a driver runs between the two.
 
 use lrc_pagemem::PageId;
-use lrc_simnet::Tally;
 use lrc_vclock::ProcId;
 
-use crate::LockCell;
+use crate::EngineCounters;
 
-/// Test/bench instrumentation: a callback the engine invokes once per miss
-/// during the *fetch phase* — after the fetch plan is built and its
-/// request/reply round trips are charged, before the plan is applied. At
-/// that point the engine holds no shared-structure lock for the miss
-/// (only the missed page's gate), so a hook that blocks or sleeps models a
-/// stalled network fetch: concurrent misses on *other* pages and
-/// synchronization on unrelated locks must keep flowing.
+/// Test/bench instrumentation: a callback a driver runs once per miss
+/// during the *fetch phase* — after [`Engine::begin_miss`] planned the
+/// fetch and charged its round trips, before [`Engine::finish_miss`]
+/// applies it. The threaded runtime runs it with the engine released, so
+/// a hook that blocks or sleeps models a stalled network fetch: misses on
+/// *other* pages and synchronization on unrelated locks must keep
+/// flowing.
+///
+/// [`Engine::begin_miss`]: crate::Engine::begin_miss
+/// [`Engine::finish_miss`]: crate::Engine::finish_miss
 pub type FetchHook = Box<dyn Fn(ProcId, PageId) + Send + Sync>;
 
-/// A write-once [`FetchHook`] slot with a `Debug` that does not require
-/// the hook itself to implement it.
-#[derive(Default)]
-pub(crate) struct FetchHookCell(OnceLock<FetchHook>);
-
-impl FetchHookCell {
-    /// The installed hook, if any.
-    pub(crate) fn get(&self) -> Option<&FetchHook> {
-        self.0.get()
-    }
-
-    /// Installs `hook`; returns `false` if one is already installed.
-    pub(crate) fn set(&self, hook: FetchHook) -> bool {
-        self.0.set(hook).is_ok()
-    }
+/// What [`Engine::begin_miss`](crate::Engine::begin_miss) found.
+#[derive(Debug)]
+#[must_use]
+pub enum Miss {
+    /// The page is valid at the processor: nothing to fetch.
+    Ready,
+    /// The fetch is planned and charged: run it, then finish the miss.
+    Fetching(MissTicket),
+    /// Another processor is fetching the page: wait for its miss to
+    /// finish, then begin again.
+    Busy,
 }
 
-impl fmt::Debug for FetchHookCell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "FetchHookCell(installed: {})", self.0.get().is_some())
-    }
+/// A miss between its two halves. Its plan waits in the processor's
+/// shard; [`Engine::finish_miss`](crate::Engine::finish_miss) applies it.
+#[derive(Debug)]
+#[must_use = "a begun miss keeps its page busy until it is finished"]
+pub struct MissTicket {
+    pub(crate) p: ProcId,
+    pub(crate) page: PageId,
+    /// The protocol's token for checking the plan at the finish.
+    pub(crate) era: u64,
 }
 
-/// RAII over an in-flight gauge: [`InFlight::enter`] increments it, the
-/// guard's drop decrements — so error returns and panics unwind it too.
-pub(crate) struct InFlight<'a, C: Tally>(&'a C);
-
-impl<'a, C: Tally> InFlight<'a, C> {
-    /// Increments `gauge` and returns the guard plus the *pre-increment*
-    /// value (how many others were already in flight).
-    pub(crate) fn enter(gauge: &'a C) -> (Self, u64) {
-        let others = gauge.add(1);
-        (InFlight(gauge), others)
-    }
+/// The pages whose fetch is in progress, and the contention accounting
+/// around them: the in-flight-miss table.
+#[derive(Debug)]
+pub(crate) struct MissTable {
+    /// The processor fetching each page, if any.
+    fetcher: Vec<Option<ProcId>>,
+    /// The processors whose current miss found its page busy and has not
+    /// started a fetch since, one bit each
+    /// ([`MAX_PROCS`](crate::MAX_PROCS) is 64).
+    waiting: u64,
+    /// Misses in their fetch phase.
+    in_flight: u64,
 }
 
-impl<C: Tally> Drop for InFlight<'_, C> {
-    fn drop(&mut self) {
-        self.0.sub(1);
-    }
-}
-
-/// Locks `gate`, recording in `waited` whether it was contended (a
-/// try-lock probe first, so an uncontended gate costs no extra atomics).
-pub(crate) fn gate_lock<'a, G: LockCell<()>>(gate: &'a G, waited: &mut bool) -> G::Guard<'a> {
-    match gate.try_lock() {
-        Some(guard) => guard,
-        None => {
-            *waited = true;
-            gate.lock()
+impl MissTable {
+    pub(crate) fn new(n_pages: usize) -> Self {
+        MissTable {
+            fetcher: vec![None; n_pages],
+            waiting: 0,
+            in_flight: 0,
         }
     }
-}
 
-/// Settles the contention counters for one slow-path entry: a `waited`
-/// entry blocked behind another slow path; an un-waited entry that
-/// `overlapped` one is a wait the retired engine-wide protocol mutex
-/// would have imposed.
-pub(crate) fn settle_contention<C: Tally>(waited: bool, overlapped: bool, waits: &C, avoided: &C) {
-    if waited {
-        waits.add(1);
-    } else if overlapped {
-        avoided.add(1);
+    /// Counts a slow-path entry that runs while a fetch is in flight: a
+    /// wait that holding the engine across every fetch would impose.
+    pub(crate) fn overlap(&self, counters: &mut EngineCounters) {
+        if self.in_flight > 0 {
+            counters.slow_waits_avoided += 1;
+        }
+    }
+
+    /// Admits `p`'s miss on `page` unless another processor is fetching
+    /// the page, and raises the high-water mark of misses under way with
+    /// it. A miss is one slow-path entry however often it asks: the
+    /// first refusal counts it as a wait, and a miss admitted after
+    /// waiting counts nothing more.
+    pub(crate) fn admit(&mut self, p: ProcId, page: PageId, counters: &mut EngineCounters) -> bool {
+        counters.miss_inflight_peak = counters.miss_inflight_peak.max(self.in_flight + 1);
+        let bit = 1u64 << p.index();
+        if let Some(q) = self.fetcher[page.index()] {
+            debug_assert_ne!(q, p, "{p} begins a second miss on {page}");
+            if self.waiting & bit == 0 {
+                self.waiting |= bit;
+                counters.slow_waits += 1;
+            }
+            return false;
+        }
+        if self.waiting & bit != 0 {
+            self.waiting &= !bit;
+        } else {
+            self.overlap(counters);
+        }
+        true
+    }
+
+    /// Marks `page` as being fetched by `p`.
+    pub(crate) fn start(&mut self, p: ProcId, page: PageId) {
+        self.fetcher[page.index()] = Some(p);
+        self.in_flight += 1;
+    }
+
+    /// Ends `p`'s fetch of `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `p` is fetching `page`.
+    pub(crate) fn finish(&mut self, p: ProcId, page: PageId) {
+        let fetcher = self.fetcher[page.index()].take();
+        assert_eq!(
+            fetcher,
+            Some(p),
+            "{p} finishes a miss on {page} it did not begin"
+        );
+        self.in_flight -= 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    use parking_lot::Mutex;
-
     use super::*;
 
-    #[test]
-    fn inflight_gauge_counts_and_unwinds() {
-        let gauge = AtomicU64::new(0);
-        let (a, others) = InFlight::enter(&gauge);
-        assert_eq!(others, 0);
-        let (b, others) = InFlight::enter(&gauge);
-        assert_eq!(others, 1);
-        assert_eq!(gauge.load(Ordering::Relaxed), 2);
-        drop(a);
-        drop(b);
-        assert_eq!(gauge.load(Ordering::Relaxed), 0);
+    fn p(i: u16) -> ProcId {
+        ProcId::new(i)
     }
 
     #[test]
-    fn gate_lock_reports_contention_only_when_held() {
-        let gate = Mutex::new(());
-        let mut waited = false;
-        let guard = gate_lock(&gate, &mut waited);
-        assert!(!waited);
-        drop(guard);
+    fn inflight_gauge_counts_and_unwinds() {
+        let mut table = MissTable::new(4);
+        let mut c = EngineCounters::default();
+        assert!(table.admit(p(0), PageId::new(1), &mut c));
+        table.start(p(0), PageId::new(1));
+        assert!(table.admit(p(1), PageId::new(2), &mut c));
+        table.start(p(1), PageId::new(2));
+        assert_eq!(table.in_flight, 2);
+        table.finish(p(0), PageId::new(1));
+        table.finish(p(1), PageId::new(2));
+        assert_eq!(table.in_flight, 0);
+        assert!(table.fetcher.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn busy_only_while_another_processor_fetches() {
+        let mut table = MissTable::new(4);
+        let mut c = EngineCounters::default();
+        let page = PageId::new(3);
+        assert!(table.admit(p(0), page, &mut c));
+        table.start(p(0), page);
+        assert!(!table.admit(p(1), page, &mut c), "the page is busy");
+        assert!(table.admit(p(1), PageId::new(0), &mut c), "others are not");
+        table.finish(p(0), page);
+        assert!(table.admit(p(1), page, &mut c), "free once finished");
     }
 
     #[test]
     fn settle_counts_at_most_one_event_per_entry() {
-        let waits = AtomicU64::new(0);
-        let avoided = AtomicU64::new(0);
-        settle_contention(false, false, &waits, &avoided);
-        settle_contention(false, true, &waits, &avoided);
-        settle_contention(true, true, &waits, &avoided);
-        assert_eq!(waits.load(Ordering::Relaxed), 1);
-        assert_eq!(avoided.load(Ordering::Relaxed), 1);
+        let mut table = MissTable::new(4);
+        let mut c = EngineCounters::default();
+        let page = PageId::new(0);
+        assert!(table.admit(p(0), page, &mut c));
+        assert_eq!((c.slow_waits, c.slow_waits_avoided), (0, 0), "alone");
+        table.start(p(0), page);
+        // A follower asks three times: one wait.
+        for _ in 0..3 {
+            assert!(!table.admit(p(1), page, &mut c));
+        }
+        assert_eq!(c.slow_waits, 1);
+        // Admitted while another fetch runs, after waiting: no more.
+        assert!(table.admit(p(2), PageId::new(1), &mut c));
+        table.start(p(2), PageId::new(1));
+        table.finish(p(0), page);
+        assert!(table.admit(p(1), page, &mut c));
+        assert_eq!((c.slow_waits, c.slow_waits_avoided), (1, 1));
+        // A synchronization operation beside a fetch avoided a wait.
+        table.overlap(&mut c);
+        assert_eq!(c.slow_waits_avoided, 2);
     }
 
-    /// The miss-gauge peak relies on `Tally::raise` in both families.
+    /// The miss peak is a high-water mark: finishing lowers the gauge,
+    /// never the peak.
     #[test]
     fn raise_is_a_high_water_mark() {
-        fn check(peak: &impl Tally) {
-            peak.raise(3);
-            peak.raise(1);
-            assert_eq!(peak.get(), 3);
+        let mut table = MissTable::new(4);
+        let mut c = EngineCounters::default();
+        for i in 0..3 {
+            assert!(table.admit(p(i), PageId::new(u32::from(i)), &mut c));
+            table.start(p(i), PageId::new(u32::from(i)));
         }
-        check(&AtomicU64::new(0));
-        check(&std::cell::Cell::new(0));
+        for i in 0..3 {
+            table.finish(p(i), PageId::new(u32::from(i)));
+        }
+        assert!(table.admit(p(0), PageId::new(0), &mut c));
+        table.start(p(0), PageId::new(0));
+        assert_eq!(c.miss_inflight_peak, 3);
     }
 
     #[test]
-    fn hook_cell_installs_once() {
-        let cell = FetchHookCell::default();
-        assert!(cell.get().is_none());
-        assert!(format!("{cell:?}").contains("installed: false"));
-        assert!(cell.set(Box::new(|_, _| {})));
-        assert!(!cell.set(Box::new(|_, _| {})), "second install refused");
-        assert!(cell.get().is_some());
+    #[should_panic(expected = "did not begin")]
+    fn finishing_an_unbegun_miss_panics() {
+        MissTable::new(1).finish(p(0), PageId::new(0));
     }
 }

@@ -275,11 +275,11 @@ pub(crate) struct Located {
 /// valid while other intervals are appended, to that log or any other,
 /// until the next collection: within one era.
 ///
-/// That index is a write notice's handle ([`WriteNotice::entry`]). A
+/// That index is a write notice's handle (`WriteNotice::entry`). A
 /// pending handle never outlives its era: every collection resets every
 /// processor's pending lists together with the logs, and a restore or
 /// rejoin resolves each checkpointed notice against the store it
-/// installs ([`IntervalStore::locate`]), refusing one that names no
+/// installs (`IntervalStore::locate`), refusing one that names no
 /// recorded diff.
 ///
 /// Possession tracking records which processors hold each diff *as an
@@ -933,7 +933,7 @@ mod tests {
 
         /// The notices of `creator`'s intervals in `(after, upto]`, each
         /// with the handle that the store's own search for its diff
-        /// ([`IntervalStore::locate`]) returns.
+        /// (`IntervalStore::locate`) returns.
         fn notices_between(
             &self,
             store: &IntervalStore,

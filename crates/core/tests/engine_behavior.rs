@@ -34,7 +34,7 @@ fn params() -> EngineParams {
 
 #[test]
 fn releases_are_purely_local() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.acquire(p(1), l(0)).unwrap();
     dsm.write_u64(p(1), 0, 42);
     let before = dsm.net().snapshot();
@@ -51,7 +51,7 @@ fn releases_are_purely_local() {
 fn acquire_costs_three_messages_steady_state() {
     // home(lock 0) = p0; rotate p1 -> p2 -> p3: requester, home, grantor
     // all distinct => 3 messages per lock transfer (Table 1).
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.acquire(p(1), l(0)).unwrap();
     dsm.write_u64(p(1), 0, 1);
     dsm.release(p(1), l(0)).unwrap();
@@ -68,7 +68,7 @@ fn acquire_costs_three_messages_steady_state() {
 
 #[test]
 fn local_reacquire_is_free() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.acquire(p(2), l(0)).unwrap();
     dsm.write_u64(p(2), 0, 5);
     dsm.release(p(2), l(0)).unwrap();
@@ -81,7 +81,7 @@ fn local_reacquire_is_free() {
 #[test]
 fn notices_piggyback_and_invalidate() {
     // Lock 0's home is p0; use p1/p2/p3 so every hop is a real message.
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     // p1 warms its copy of page 0.
     dsm.acquire(p(1), l(0)).unwrap();
     dsm.write_u64(p(1), 0, 1);
@@ -106,7 +106,7 @@ fn notices_piggyback_and_invalidate() {
 fn migratory_data_rides_the_lock_chain() {
     // Figure 4 of the paper: each acquire moves lock + data in one grant
     // (LU) — the acquirer then reads/writes with zero additional traffic.
-    let dsm = engine(Policy::Update);
+    let mut dsm = engine(Policy::Update);
     dsm.acquire(p(0), l(0)).unwrap();
     dsm.write_u64(p(0), 0, 100);
     dsm.release(p(0), l(0)).unwrap();
@@ -152,7 +152,7 @@ fn migratory_data_rides_the_lock_chain() {
 
 #[test]
 fn cold_miss_fetches_base_from_home() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     // Page 5's home is p1 (5 % 4). p0 reads it cold: 2 messages, page-sized
     // reply.
     let page_bytes = 512;
@@ -173,7 +173,7 @@ fn cold_miss_fetches_base_from_home() {
 #[test]
 fn warm_miss_moves_diffs_not_pages() {
     // §4.3.3: a processor holding an invalidated copy fetches only diffs.
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     // p0 and p1 both warm page 0.
     dsm.acquire(p(0), l(0)).unwrap();
     dsm.write_u64(p(0), 0, 1);
@@ -204,7 +204,7 @@ fn full_page_miss_ablation_inflates_data() {
             full_page_misses: full_page,
             ..params()
         };
-        let dsm = LrcEngine::new(Policy::Invalidate, &params).unwrap();
+        let mut dsm = LrcEngine::new(Policy::Invalidate, &params).unwrap();
         dsm.acquire(p(0), l(0)).unwrap();
         dsm.write_u64(p(0), 0, 1);
         dsm.release(p(0), l(0)).unwrap();
@@ -232,7 +232,7 @@ fn no_piggyback_ablation_adds_messages() {
             piggyback_notices: piggyback,
             ..params()
         };
-        let dsm = LrcEngine::new(Policy::Invalidate, &params).unwrap();
+        let mut dsm = LrcEngine::new(Policy::Invalidate, &params).unwrap();
         dsm.acquire(p(1), l(0)).unwrap();
         dsm.write_u64(p(1), 0, 1);
         dsm.release(p(1), l(0)).unwrap();
@@ -249,7 +249,7 @@ fn no_piggyback_ablation_adds_messages() {
 fn false_sharing_needs_no_messages_between_writers() {
     // Two processors write different words of the same page concurrently:
     // multiple-writer protocols exchange nothing until synchronization.
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     // Warm both copies first (cold fetches).
     dsm.read_u64(p(0), 0);
     dsm.read_u64(p(1), 0);
@@ -267,7 +267,7 @@ fn false_sharing_needs_no_messages_between_writers() {
 
 #[test]
 fn false_sharing_merges_at_barrier() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.read_u64(p(0), 0);
     dsm.read_u64(p(1), 0);
     dsm.write_u64(p(0), 0, 7);
@@ -289,7 +289,7 @@ fn false_sharing_merges_at_barrier() {
 
 #[test]
 fn barrier_costs_two_n_minus_one_messages() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.write_u64(p(2), 0, 3); // some dirty state to notice
     let before = dsm.net().snapshot();
     for i in 0..4 {
@@ -308,7 +308,7 @@ fn barrier_costs_two_n_minus_one_messages() {
 
 #[test]
 fn update_policy_pulls_diffs_at_barrier() {
-    let dsm = engine(Policy::Update);
+    let mut dsm = engine(Policy::Update);
     // p1 and p2 cache page 0 (cold fetches).
     dsm.read_u64(p(1), 0);
     dsm.read_u64(p(2), 0);
@@ -332,7 +332,7 @@ fn update_policy_pulls_diffs_at_barrier() {
 
 #[test]
 fn invalidate_policy_pays_at_miss_instead() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.read_u64(p(1), 0);
     dsm.read_u64(p(0), 0);
     dsm.write_u64(p(0), 16, 5);
@@ -363,7 +363,7 @@ fn invalidate_policy_pays_at_miss_instead() {
 fn transitive_chain_propagates_notices() {
     // p0 writes x under l0; p1 relays via l0 -> l1; p2 must see p0's write
     // after acquiring l1 (the transitive "preceding" of §1).
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.acquire(p(0), l(0)).unwrap();
     dsm.write_u64(p(0), 64, 11);
     dsm.release(p(0), l(0)).unwrap();
@@ -378,7 +378,7 @@ fn transitive_chain_propagates_notices() {
 
 #[test]
 fn reads_of_valid_pages_are_free() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.read_u64(p(0), 0); // cold once
     let before = dsm.net().snapshot();
     for _ in 0..100 {
@@ -392,7 +392,7 @@ fn reads_of_valid_pages_are_free() {
 fn overwritten_values_resolve_in_happened_before_order() {
     // p0 writes 1, p1 overwrites with 2 (same word, via the lock chain),
     // then p2 misses: it must see 2, never 1.
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.acquire(p(0), l(0)).unwrap();
     dsm.write_u64(p(0), 32, 1);
     dsm.release(p(0), l(0)).unwrap();
@@ -409,7 +409,7 @@ fn migratory_miss_served_by_single_last_modifier() {
     // After a chain p0 -> p1 -> p2 of modifications, p3's miss is served
     // by m = 1 concurrent last modifier (2 messages), because each writer
     // accumulated its predecessors' diffs.
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     for i in 0..3u16 {
         dsm.acquire(p(i), l(0)).unwrap();
         dsm.write_u64(p(i), 8 * i as u64, i as u64 + 1);
@@ -431,7 +431,7 @@ fn migratory_miss_served_by_single_last_modifier() {
 
 #[test]
 fn lock_errors_propagate() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.acquire(p(0), l(0)).unwrap();
     assert!(dsm.acquire(p(1), l(0)).is_err());
     assert!(dsm.release(p(1), l(0)).is_err());
@@ -440,7 +440,7 @@ fn lock_errors_propagate() {
 
 #[test]
 fn interval_store_grows_only_for_nonempty_intervals() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.acquire(p(0), l(0)).unwrap();
     dsm.release(p(0), l(0)).unwrap(); // empty critical section
     assert_eq!(dsm.store().interval_count(), 0);
@@ -453,7 +453,7 @@ fn interval_store_grows_only_for_nonempty_intervals() {
 
 #[test]
 fn an_empty_access_is_a_no_op() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.acquire(p(1), l(0)).unwrap();
     let before = dsm.net().snapshot();
     // Page 0 was never fetched here: an empty access must not miss on it.
@@ -475,13 +475,13 @@ fn an_empty_access_is_a_no_op() {
 #[test]
 #[should_panic(expected = "out of range")]
 fn an_empty_access_past_the_end_still_panics() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.read_vec(p(0), 16 * 512 + 1, 0);
 }
 
 #[test]
 fn clock_advances_only_on_real_intervals() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     let before = dsm.clock(p(0)).get(p(0));
     dsm.acquire(p(0), l(0)).unwrap();
     dsm.release(p(0), l(0)).unwrap();
@@ -506,7 +506,7 @@ fn a_recycled_twin_never_leaks_stale_bytes() {
     let (a, b) = (2 * 512, 4 * 512); // homes p2 and p0
     let pattern: Vec<u8> = (0..512).map(|i| (i % 251 + 1) as u8).collect();
     for policy in [Policy::Invalidate, Policy::Update] {
-        let dsm = engine(policy);
+        let mut dsm = engine(policy);
         for (proc, data) in [(p(1), &pattern[..]), (p(0), &[0])] {
             dsm.acquire(proc, l(0)).unwrap();
             dsm.write(proc, a, data);

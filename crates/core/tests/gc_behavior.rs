@@ -1,20 +1,12 @@
 //! Tests of barrier-time garbage collection — the TreadMarks-style answer
 //! to the unbounded consistency-history problem the paper leaves open.
 
-use std::sync::mpsc;
-use std::thread;
-use std::time::Duration;
+use std::panic::{self, AssertUnwindSafe};
 
-use lrc_core::{EngineParams, LrcEngine, Policy};
+use lrc_core::{EngineParams, LrcEngine, Miss, Policy};
 use lrc_pagemem::Diff;
 use lrc_sync::{BarrierId, LockId};
 use lrc_vclock::{IntervalId, ProcId};
-use parking_lot::Mutex;
-
-/// Reached only on a regression (a stalled thread never released or never
-/// stalled), failing the test instead of hanging it.
-const DEADLINE: Duration = Duration::from_secs(60);
-
 fn p(i: u16) -> ProcId {
     ProcId::new(i)
 }
@@ -46,7 +38,7 @@ fn zero_lease_engine(n_procs: usize) -> LrcEngine {
 
 #[test]
 fn gc_empties_the_store_at_every_barrier() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     for round in 0..5u64 {
         for i in 0..4u16 {
             dsm.acquire(p(i), LockId::new(0)).unwrap();
@@ -100,7 +92,7 @@ fn values_survive_collection() {
     // their diffs are gone: resident copies were validated and cold misses
     // fall back to the post-GC owner.
     for policy in [Policy::Invalidate, Policy::Update] {
-        let dsm = engine(policy);
+        let mut dsm = engine(policy);
         dsm.acquire(p(1), LockId::new(0)).unwrap();
         dsm.write_u64(p(1), 0, 111);
         dsm.write_u64(p(1), 520, 222); // second page
@@ -125,7 +117,7 @@ fn values_survive_collection() {
 
 #[test]
 fn chains_across_gc_rounds_stay_consistent() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     let lock = LockId::new(1);
     let mut expected = 0u64;
     for round in 0..6u64 {
@@ -146,7 +138,7 @@ fn chains_across_gc_rounds_stay_consistent() {
 
 #[test]
 fn gc_validates_invalid_resident_copies() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     // p2 caches page 0; p1's locked write invalidates it via notices.
     dsm.read_u64(p(2), 0);
     dsm.acquire(p(1), LockId::new(0)).unwrap();
@@ -170,14 +162,14 @@ fn gc_validates_invalid_resident_copies() {
 }
 
 /// Only a collection rewrites the history, and none can run while a live
-/// processor's slow path sits between plan and apply. The one way to
+/// processor's miss sits between its plan and its apply. The one way to
 /// break that is to declare a processor dead while its own thread is
 /// inside a miss: the death completes the barrier, the collection runs,
 /// and the miss resumes against a new era. It must fail loudly there,
 /// without installing anything into the dead processor's reset frame.
 #[test]
 fn a_miss_resumed_across_its_own_death_fails_loudly() {
-    let dsm = zero_lease_engine(3);
+    let mut dsm = zero_lease_engine(3);
     let (lock, barrier) = (LockId::new(0), BarrierId::new(0));
     let page = dsm.space().page_of(0);
     // p1 writes the page and p0 learns of it, so p0's miss plans a diff
@@ -187,32 +179,17 @@ fn a_miss_resumed_across_its_own_death_fails_loudly() {
     dsm.release(p(1), lock).unwrap();
     dsm.acquire(p(0), lock).unwrap();
 
-    let (entered_tx, entered_rx) = mpsc::channel();
-    let (release_tx, release_rx) = mpsc::channel::<()>();
-    // Stalls p0's first fetch only.
-    let release_rx = Mutex::new(Some(release_rx));
-    dsm.set_fetch_hook(Box::new(move |q, _| {
-        let stall = (q == p(0)).then(|| release_rx.lock().take());
-        if let Some(release_rx) = stall.flatten() {
-            entered_tx.send(()).expect("test alive");
-            release_rx
-                .recv_timeout(DEADLINE)
-                .expect("the test releases the stalled miss");
-        }
-    }));
-    let panic = thread::scope(|scope| {
-        let miss = scope.spawn(|| dsm.read_u64(p(0), 0));
-        entered_rx
-            .recv_timeout(DEADLINE)
-            .expect("p0's cold miss reaches its fetch");
-        dsm.barrier(p(1), barrier).unwrap();
-        dsm.barrier(p(2), barrier).unwrap();
-        let report = dsm.declare_dead(p(0));
-        assert_eq!(report.completed_episodes.len(), 1);
-        assert_eq!(dsm.counters().gc_rounds, 1, "the death collected");
-        release_tx.send(()).expect("the miss is waiting");
-        miss.join().expect_err("the miss must not apply its plan")
-    });
+    // p0's cold miss stops between its halves, as a stalled fetch does.
+    let Miss::Fetching(ticket) = dsm.begin_miss(p(0), page) else {
+        panic!("p0's cold miss fetches");
+    };
+    dsm.barrier(p(1), barrier).unwrap();
+    dsm.barrier(p(2), barrier).unwrap();
+    let report = dsm.declare_dead(p(0));
+    assert_eq!(report.completed_episodes.len(), 1);
+    assert_eq!(dsm.counters().gc_rounds, 1, "the death collected");
+    let panic = panic::catch_unwind(AssertUnwindSafe(|| dsm.finish_miss(ticket)))
+        .expect_err("the miss must not apply its plan");
     let message = panic.downcast_ref::<String>().expect("a formatted panic");
     assert!(
         message.contains("declared dead while its own thread was inside an operation"),
@@ -242,9 +219,9 @@ fn dead_writers_pages_rehome_from_a_resident_copy_or_the_escrow() {
     let (first, second) = (2 * 512, 2 * 512 + 8);
     for resident_copy in [true, false] {
         let case = if resident_copy { "(a)" } else { "(b)" };
-        let dsm = zero_lease_engine(4);
+        let mut dsm = zero_lease_engine(4);
         let page = dsm.space().page_of(first);
-        let locked_write = |addr: u64, value: u64| -> IntervalId {
+        let locked_write = |dsm: &mut LrcEngine, addr: u64, value: u64| -> IntervalId {
             dsm.acquire(writer, lock).unwrap();
             let interval = IntervalId::new(writer, dsm.clock(writer).get(writer));
             dsm.write_u64(writer, addr, value);
@@ -253,7 +230,7 @@ fn dead_writers_pages_rehome_from_a_resident_copy_or_the_escrow() {
         };
 
         // Era 0: the collection makes the writer the page's owner.
-        locked_write(first, 11);
+        locked_write(&mut dsm, first, 11);
         for i in 0..4 {
             dsm.barrier(p(i), barrier).unwrap();
         }
@@ -262,10 +239,13 @@ fn dead_writers_pages_rehome_from_a_resident_copy_or_the_escrow() {
         }
         // Era 1: two diffs on one word, then the writer dies while the
         // others wait at the barrier, and its death completes the episode.
-        let chain: Vec<Diff> = [locked_write(second, 21), locked_write(second, 22)]
-            .into_iter()
-            .map(|iv| dsm.store().diff(iv, page).expect("recorded").clone())
-            .collect();
+        let chain: Vec<Diff> = [
+            locked_write(&mut dsm, second, 21),
+            locked_write(&mut dsm, second, 22),
+        ]
+        .into_iter()
+        .map(|iv| dsm.store().diff(iv, page).expect("recorded").clone())
+        .collect();
         for r in [fallback, cacher, reader] {
             dsm.barrier(r, barrier).unwrap();
         }

@@ -32,7 +32,7 @@ fn engine(policy: Policy) -> LrcEngine {
 #[test]
 fn cold_miss_does_not_leak_unreleased_writes() {
     for policy in [Policy::Invalidate, Policy::Update] {
-        let dsm = engine(policy);
+        let mut dsm = engine(policy);
         // Page 0's home is p0, so p0 both writes it and supplies the base.
         dsm.write_u64(p(0), 8, 42); // open interval: twin is the zero page
         assert_eq!(
@@ -59,7 +59,7 @@ fn cold_miss_does_not_leak_unreleased_writes() {
 /// current open interval must not ride along on the base page.
 #[test]
 fn cold_miss_base_from_diff_supplier_excludes_open_interval() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     // p1 commits a write to page 0 (home p0, but p1 becomes the first
     // diff target for p3's miss below).
     dsm.acquire(p(1), l(0)).unwrap();
@@ -88,7 +88,7 @@ fn cold_miss_base_from_diff_supplier_excludes_open_interval() {
 /// of a blocked acquirer with dirty pages closed an interval.
 #[test]
 fn failed_contended_acquire_has_no_side_effects() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.acquire(p(0), l(0)).unwrap();
 
     // p1 has an open interval with real modifications.
@@ -134,7 +134,7 @@ fn failed_contended_acquire_has_no_side_effects() {
 /// with dirty pages closed an interval here too.
 #[test]
 fn failed_contended_acquire_is_side_effect_free_under_update_policy() {
-    let dsm = engine(Policy::Update);
+    let mut dsm = engine(Policy::Update);
     dsm.acquire(p(0), l(0)).unwrap();
 
     dsm.write_u64(p(1), 512, 5); // p1 has an open interval
@@ -173,7 +173,7 @@ fn failed_contended_acquire_is_side_effect_free_under_update_policy() {
 /// notice bytes on the wire).
 #[test]
 fn retried_acquire_does_not_split_the_open_interval() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.acquire(p(0), l(0)).unwrap();
 
     dsm.write_u64(p(1), 512, 1); // open interval, first write
@@ -207,7 +207,7 @@ fn retried_acquire_does_not_split_the_open_interval() {
 /// free for the same reason.
 #[test]
 fn double_acquire_has_no_side_effects() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.acquire(p(2), l(1)).unwrap();
     dsm.write_u64(p(2), 1024, 9);
     let clock_before = dsm.clock(p(2));
@@ -222,7 +222,7 @@ fn double_acquire_has_no_side_effects() {
 /// A release of an unheld lock must not close the open interval either.
 #[test]
 fn failed_release_has_no_side_effects() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.write_u64(p(1), 512, 5);
     let clock_before = dsm.clock(p(1));
     assert!(dsm.release(p(1), l(0)).is_err());

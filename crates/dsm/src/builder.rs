@@ -1,7 +1,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use lrc_core::{ConfigError, EngineParams, Threads};
+use lrc_core::{ConfigError, EngineParams};
 use lrc_sim::{AnyEngine, ProtocolKind};
 
 use crate::cluster::Dsm;
@@ -176,7 +176,7 @@ impl DsmBuilder {
                 return Err(ConfigError::LazyOnly("checkpoint_every"));
             }
         }
-        let engine = AnyEngine::<Threads>::new(self.kind, &self.params)?;
+        let engine = AnyEngine::build(self.kind, &self.params)?;
         let recovery = self
             .checkpoint_every
             .map(|episodes| Arc::new(AutoCheckpointer::new(episodes)));

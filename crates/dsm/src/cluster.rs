@@ -1,15 +1,19 @@
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use lrc_core::{CheckpointError, DeathReport, EngineCheckpoint, LrcEngine, Threads};
+use lrc_core::{
+    CheckpointError, DeathReport, EngineCheckpoint, EngineCounters, FetchHook, LrcEngine, Miss,
+};
 use lrc_hist::HistoryRecorder;
-use lrc_sim::{AnyEngine, ProtocolKind};
+use lrc_sim::{AddrSpace, AnyEngine, PageId, ProtocolKind};
 use lrc_simnet::NetStats;
-use lrc_sync::{BarrierError, LockError};
+use lrc_sync::{BarrierArrival, BarrierError, BarrierId, LockError, LockId};
 use lrc_vclock::ProcId;
 use parking_lot::lockdep::classes;
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::cell::RefMut;
 
 use crate::ProcHandle;
 
@@ -112,15 +116,46 @@ impl WaitSlot {
     }
 }
 
-/// Shared state of the runtime: the (internally synchronized) protocol
-/// engine, plus a wait queue per lock and per barrier.
+/// The engine, held for one operation.
+pub(crate) type EngineGuard<'a> = MutexGuard<'a, AnyEngine>;
+
+/// The lazy engine inside `engine`, which alone has checkpoints, deaths
+/// and rejoins.
 ///
-/// The engine shards its own state per processor, so the runtime adds no
-/// global lock of its own: ordinary reads and writes go straight to the
-/// engine and contend only on the accessed processor's shard. The runtime
-/// keeps just enough state to *block*.
+/// # Panics
+///
+/// Panics on an eager engine. No option reaches this there —
+/// [`crate::DsmBuilder::build`] refuses every lazy-only one — so only a
+/// direct crash-tolerance call on an eager [`Dsm`] does.
+pub(crate) fn lazy(engine: &AnyEngine) -> RefMut<'_, LrcEngine> {
+    engine.as_lazy().expect(
+        "crash tolerance is a lazy-protocol feature: the eager baseline \
+         has no checkpoint, restore, rejoin or declare_dead",
+    )
+}
+
+/// Shared state of the runtime: the protocol engine behind one mutex,
+/// plus a wait queue per lock and per barrier.
+///
+/// Every operation takes the engine once and runs to completion with it,
+/// except a miss, which releases it for its fetch: the engine plans the
+/// miss ([`AnyEngine::begin_miss`]), the fetch hook runs with the
+/// mutex released, and the engine applies the fetch
+/// ([`AnyEngine::finish_miss`]). So a stalled fetch blocks nobody
+/// else's operations. A miss on a page another processor is fetching
+/// waits on `settled` until that miss finishes. Lock and barrier waits
+/// happen outside the engine, in the wait slots.
 pub(crate) struct Cluster {
-    pub(crate) engine: AnyEngine<Threads>,
+    pub(crate) engine: Mutex<AnyEngine>,
+    /// Notified whenever a miss finishes: a miss told its page is busy
+    /// waits here, with the engine released, and asks again.
+    settled: Condvar,
+    /// The modeled network fetch every miss runs between its halves.
+    fetch_hook: OnceLock<FetchHook>,
+    /// The engine's address space, which never changes: range checks
+    /// read it without the lock.
+    space: AddrSpace,
+    n_procs: usize,
     /// Per-lock wait queues, indexed by lock id.
     pub(crate) lock_slots: Vec<WaitSlot>,
     /// Per-barrier wait queues, indexed by barrier id.
@@ -138,7 +173,7 @@ pub(crate) struct Cluster {
     /// Serializes concurrent suspicions of the same processor: the engine
     /// panics on a double `declare_dead`, so check-and-declare must be
     /// atomic across waiters.
-    pub(crate) suspicion: parking_lot::Mutex<()>,
+    pub(crate) suspicion: Mutex<()>,
     /// The automatic checkpointer, when
     /// [`crate::DsmBuilder::checkpoint_every`] is set: closing barrier
     /// arrivals and death declarations feed it, and revival reads its
@@ -147,23 +182,88 @@ pub(crate) struct Cluster {
 }
 
 impl Cluster {
-    /// The lazy engine, which alone has checkpoints, deaths and rejoins.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an eager runtime. No option reaches this there —
-    /// [`crate::DsmBuilder::build`] refuses every lazy-only one — so only
-    /// a direct crash-tolerance call on an eager [`Dsm`] does.
-    pub(crate) fn lazy(&self) -> &LrcEngine {
-        self.engine.as_lazy().expect(
-            "crash tolerance is a lazy-protocol feature: the eager baseline \
-             has no checkpoint, restore, rejoin or declare_dead",
-        )
+    /// Takes the engine.
+    pub(crate) fn lock(&self) -> EngineGuard<'_> {
+        self.engine.lock()
     }
 
     /// Number of processors.
     pub(crate) fn n_procs(&self) -> usize {
-        self.engine.core().params().n_procs
+        self.n_procs
+    }
+
+    /// The shared address space.
+    pub(crate) fn space(&self) -> AddrSpace {
+        self.space
+    }
+
+    /// Reads `buf.len()` bytes at `addr` as `p`, resolving misses.
+    pub(crate) fn read(&self, p: ProcId, addr: u64, buf: &mut [u8]) {
+        let mut engine = self.lock();
+        while let Err(page) = engine.try_read(p, addr, buf) {
+            engine = self.resolve_miss(engine, p, page);
+        }
+    }
+
+    /// Writes `data` at `addr` as `p`, resolving misses.
+    pub(crate) fn write(&self, p: ProcId, addr: u64, data: &[u8]) {
+        let mut engine = self.lock();
+        while let Err(page) = engine.try_write(p, addr, data) {
+            engine = self.resolve_miss(engine, p, page);
+        }
+    }
+
+    /// Makes `page` valid at `p`: begins the miss, runs the fetch hook
+    /// with the engine released, and finishes the miss — or, while
+    /// another processor fetches the page, waits for that miss to finish
+    /// and begins again. Returns the engine, held again, with the page
+    /// valid.
+    // Out of line: the miss path stays out of every access's frame.
+    #[inline(never)]
+    fn resolve_miss<'a>(
+        &'a self,
+        mut engine: EngineGuard<'a>,
+        p: ProcId,
+        page: PageId,
+    ) -> EngineGuard<'a> {
+        loop {
+            match engine.begin_miss(p, page) {
+                Miss::Ready => break,
+                Miss::Fetching(ticket) => {
+                    drop(engine);
+                    if let Some(hook) = self.fetch_hook.get() {
+                        hook(p, page);
+                    }
+                    engine = self.lock();
+                    engine.finish_miss(ticket);
+                    self.settled.notify_all();
+                    break;
+                }
+                Miss::Busy => self.settled.wait(&mut engine),
+            }
+        }
+        debug_assert!(
+            engine.page_valid(p, page),
+            "a resolved miss leaves {page} valid at {p}"
+        );
+        engine
+    }
+
+    /// Whether `p` is declared dead (always `false` on eager engines).
+    pub(crate) fn is_dead(&self, p: ProcId) -> bool {
+        self.lock().as_lazy().is_some_and(|e| e.is_dead(p))
+    }
+
+    /// Installs the fetch hook every miss runs between its halves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a hook is already installed.
+    pub(crate) fn set_fetch_hook(&self, hook: FetchHook) {
+        assert!(
+            self.fetch_hook.set(hook).is_ok(),
+            "a fetch hook is already installed"
+        );
     }
 
     /// Blocks until `slot`'s generation moves past `captured`.
@@ -229,7 +329,7 @@ impl Cluster {
     /// the declaration.
     fn suspect(&self, slot: &WaitSlot, captured: u64, p: ProcId) {
         let _serialized = self.suspicion.lock();
-        if slot.generation() == captured && !self.engine.is_dead(p) {
+        if slot.generation() == captured && !self.is_dead(p) {
             self.declare_dead(p);
         }
     }
@@ -248,12 +348,15 @@ impl Cluster {
         // where rejoin's catch-up delivery finds it. A refused
         // declaration must not cut: a second one would replace the
         // pre-death cut with one of the dead window.
-        let engine = self.lazy();
+        let guard = self.lock();
+        let mut engine = lazy(&guard);
         assert!(!engine.is_dead(p), "processor {p} is already dead");
         if let Some(auto) = self.recovery.as_ref() {
-            auto.cut_now(engine);
+            auto.cut_now(&mut engine);
         }
         let report = engine.declare_dead(p);
+        drop(engine);
+        drop(guard);
         for &lock in &report.released {
             self.lock_slots[lock.index()].advance();
         }
@@ -280,22 +383,29 @@ pub struct Dsm {
 
 impl Dsm {
     pub(crate) fn from_engine(
-        engine: AnyEngine<Threads>,
+        engine: AnyEngine,
         kind: ProtocolKind,
         wait_timeout: Option<Duration>,
         holder_timeout: Option<Duration>,
         recovery: Option<Arc<crate::recovery::AutoCheckpointer>>,
     ) -> Self {
-        let params = engine.core().params();
+        let core = engine.core();
+        let params = core.params();
         let lock_slots = (0..params.n_locks).map(|_| WaitSlot::new()).collect();
         let barrier_slots = (0..params.n_barriers).map(|_| WaitSlot::new()).collect();
+        let (space, n_procs) = (core.space(), params.n_procs);
+        drop(core);
         let cluster = Arc::new(Cluster {
-            engine,
+            engine: Mutex::new_in(engine, classes::DSM_ENGINE),
+            settled: Condvar::new(),
+            fetch_hook: OnceLock::new(),
+            space,
+            n_procs,
             lock_slots,
             barrier_slots,
             wait_timeout,
             holder_timeout,
-            suspicion: parking_lot::Mutex::new_in((), classes::DSM_SUSPICION),
+            suspicion: Mutex::new_in((), classes::DSM_SUSPICION),
             recovery,
         });
         Dsm { cluster, kind }
@@ -311,16 +421,16 @@ impl Dsm {
     /// Panics if a recorder is already attached or its processor count
     /// differs from the engine's.
     pub fn attach_recorder(&self, recorder: Arc<HistoryRecorder>) {
-        self.cluster.engine.core().attach_recorder(recorder);
+        self.cluster.lock().core_mut().attach_recorder(recorder);
     }
 
     /// The shared protocol engine — for inspection (counters, fabric
-    /// stats, fetch hooks) by tests and benches. The engine is internally
-    /// synchronized; calling its methods directly bypasses only the
-    /// runtime's *blocking* (lock wait queues, barrier parking), never its
-    /// correctness.
-    pub fn engine(&self) -> &AnyEngine<Threads> {
-        &self.cluster.engine
+    /// stats, fetch hooks) by tests and benches, and for driving it
+    /// without the runtime's *blocking* (lock wait queues, barrier
+    /// parking). Each call takes the engine's mutex once; misses resolve
+    /// as a [`ProcHandle`]'s do.
+    pub fn engine(&self) -> SharedEngine<'_> {
+        SharedEngine(&self.cluster)
     }
 
     /// Number of processors.
@@ -375,7 +485,7 @@ impl Dsm {
 
     /// Snapshot of the accumulated network statistics.
     pub fn net_stats(&self) -> NetStats {
-        self.cluster.engine.net_stats()
+        self.cluster.lock().net_stats()
     }
 
     // ---- crash tolerance ----
@@ -389,7 +499,7 @@ impl Dsm {
     ///
     /// Panics if the protocol is eager.
     pub fn checkpoint(&self) -> EngineCheckpoint {
-        self.cluster.lazy().checkpoint()
+        lazy(&self.cluster.lock()).checkpoint()
     }
 
     /// Restores a checkpoint into this (freshly built, idle) runtime
@@ -403,7 +513,7 @@ impl Dsm {
     ///
     /// Panics if the protocol is eager.
     pub fn restore(&self, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
-        self.cluster.lazy().restore(ckpt)
+        lazy(&self.cluster.lock()).restore(ckpt)
     }
 
     /// Declares processor `p` dead on the survivors' behalf (lazy
@@ -423,7 +533,7 @@ impl Dsm {
 
     /// Whether `p` is declared dead (always `false` on eager engines).
     pub fn is_dead(&self, p: ProcId) -> bool {
-        self.cluster.engine.is_dead(p)
+        self.cluster.is_dead(p)
     }
 
     /// Rejoins dead processor `p` from a checkpoint of this run (lazy
@@ -440,7 +550,7 @@ impl Dsm {
     ///
     /// Panics if `p` is out of range or the protocol is eager.
     pub fn rejoin(&self, p: ProcId, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
-        self.cluster.lazy().rejoin(p, ckpt)
+        lazy(&self.cluster.lock()).rejoin(p, ckpt)
     }
 
     // ---- self-healing runtime ----
@@ -466,12 +576,100 @@ impl Dsm {
 
 impl fmt::Debug for Dsm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let params = self.cluster.engine.core().params();
+        let engine = self.cluster.lock();
+        let core = engine.core();
+        let params = core.params();
         write!(
             f,
             "Dsm({} procs, {}, {} locks, {} barriers)",
             params.n_procs, self.kind, params.n_locks, params.n_barriers
         )
+    }
+}
+
+/// The runtime's engine as [`Dsm::engine`] hands it out: each call takes
+/// the engine's mutex once and releases it before returning. Accesses
+/// resolve their misses as a [`ProcHandle`]'s do, fetch hook included;
+/// synchronization operations do not block — a held lock is a
+/// [`LockError::HeldByOther`], a barrier arrival returns at once — and
+/// wake no waiter.
+#[derive(Clone, Copy)]
+pub struct SharedEngine<'a>(&'a Cluster);
+
+impl<'a> SharedEngine<'a> {
+    /// Reads bytes as `p`, resolving misses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is outside the shared space.
+    pub fn read_into(&self, p: ProcId, addr: u64, buf: &mut [u8]) {
+        self.0.read(p, addr, buf);
+    }
+
+    /// Writes bytes as `p`, resolving misses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is outside the shared space.
+    pub fn write(&self, p: ProcId, addr: u64, data: &[u8]) {
+        self.0.write(p, addr, data);
+    }
+
+    /// Acquires `lock` for `p` if it is free.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`LockError`], [`LockError::HeldByOther`] included.
+    pub fn acquire(&self, p: ProcId, lock: LockId) -> Result<(), LockError> {
+        self.0.lock().acquire(p, lock)
+    }
+
+    /// Releases `lock` held by `p`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`LockError`].
+    pub fn release(&self, p: ProcId, lock: LockId) -> Result<(), LockError> {
+        self.0.lock().release(p, lock)
+    }
+
+    /// Arrives at `barrier` as `p`, without waiting for the episode.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`BarrierError`].
+    pub fn barrier(&self, p: ProcId, barrier: BarrierId) -> Result<BarrierArrival, BarrierError> {
+        self.0.lock().barrier(p, barrier)
+    }
+
+    /// Installs the miss-fetch instrumentation hook (see [`FetchHook`]):
+    /// every miss runs it between its halves, with the engine released.
+    /// Tests use a blocking hook to *prove* that a stalled fetch blocks
+    /// nothing else; benches use a sleeping one to model network latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a hook is already installed.
+    pub fn set_fetch_hook(&self, hook: FetchHook) {
+        self.0.set_fetch_hook(hook);
+    }
+
+    /// What the engine's protocol-independent core reports.
+    pub fn core(&self) -> CoreView<'a> {
+        CoreView(self.0)
+    }
+}
+
+/// What [`SharedEngine::core`] shows of the engine's
+/// [`EngineCore`](lrc_core::EngineCore): each call takes the engine's
+/// mutex once.
+#[derive(Clone, Copy)]
+pub struct CoreView<'a>(&'a Cluster);
+
+impl CoreView<'_> {
+    /// Snapshot of the protocol event counters.
+    pub fn counters(&self) -> EngineCounters {
+        self.0.lock().core().counters()
     }
 }
 

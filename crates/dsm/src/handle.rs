@@ -5,7 +5,7 @@ use lrc_core::EngineOp;
 use lrc_sync::{BarrierArrival, BarrierId, LockError, LockId};
 use lrc_vclock::ProcId;
 
-use crate::cluster::{Cluster, WaitSlot};
+use crate::cluster::{lazy, Cluster, WaitSlot};
 use crate::DsmError;
 
 /// One simulated processor of a running [`Dsm`](crate::Dsm).
@@ -36,7 +36,7 @@ impl ProcHandle {
     ///
     /// Panics if the range is outside the shared space.
     pub fn read_bytes(&mut self, addr: u64, buf: &mut [u8]) {
-        self.cluster.engine.read_into(self.proc, addr, buf);
+        self.cluster.read(self.proc, addr, buf);
     }
 
     /// Writes `data` at `addr` (twinning pages on first write).
@@ -45,7 +45,7 @@ impl ProcHandle {
     ///
     /// Panics if the range is outside the shared space.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
-        self.cluster.engine.write(self.proc, addr, data);
+        self.cluster.write(self.proc, addr, data);
     }
 
     /// Reads a little-endian `u64` at `addr`.
@@ -82,11 +82,12 @@ impl ProcHandle {
             // and the wait falls through at once. Out-of-range ids skip the
             // capture; the engine reports them.
             let capture = cluster.lock_slots.get(lock.index()).map(WaitSlot::capture);
-            match cluster.engine.acquire(self.proc, lock) {
+            let acquired = cluster.lock().acquire(self.proc, lock);
+            match acquired {
                 Ok(()) => return Ok(()),
                 Err(LockError::HeldByOther { .. }) => {
                     let (slot, captured) = capture.expect("a contended lock is in range");
-                    let holder = || cluster.engine.core().lock_holder(lock);
+                    let holder = || cluster.lock().core().lock_holder(lock);
                     cluster.wait_moved(
                         slot,
                         captured,
@@ -113,7 +114,7 @@ impl ProcHandle {
     ///
     /// [`DsmError::Lock`] if this processor does not hold the lock.
     pub fn release(&mut self, lock: LockId) -> Result<(), DsmError> {
-        self.cluster.engine.release(self.proc, lock)?;
+        self.cluster.lock().release(self.proc, lock)?;
         // Wake only this lock's waiters (a successful release implies the
         // id is in range).
         self.cluster.lock_slots[lock.index()].advance();
@@ -156,7 +157,7 @@ impl ProcHandle {
     }
 
     fn check_range(&self, addr: u64, len: usize) -> Result<(), DsmError> {
-        if self.cluster.engine.core().space().contains(addr, len) {
+        if self.cluster.space().contains(addr, len) {
             Ok(())
         } else {
             Err(DsmError::OutOfRange { addr, len })
@@ -179,25 +180,27 @@ impl ProcHandle {
             .barrier_slots
             .get(barrier.index())
             .map(WaitSlot::capture);
-        let arrival = cluster.engine.barrier(self.proc, barrier)?;
+        let arrival = {
+            let engine = cluster.lock();
+            let arrival = engine.barrier(self.proc, barrier)?;
+            // The closing arrival drives the episode-based checkpoint
+            // trigger in the same hold of the engine, *before* the slot
+            // advances: every other processor is still parked, so the cut
+            // is a consistent synchronization point.
+            if let (BarrierArrival::Complete { .. }, Some(auto)) = (&arrival, &cluster.recovery) {
+                auto.maybe_cut(&mut lazy(&engine));
+            }
+            arrival
+        };
         let (slot, captured) = capture.expect("an arrival the engine accepts is in range");
         match arrival {
-            BarrierArrival::Complete { .. } => {
-                // The closing arrival drives the episode-based checkpoint
-                // trigger *before* advancing the slot: every other
-                // processor is still parked, so the cut is a consistent
-                // synchronization point.
-                if let Some(auto) = cluster.recovery.as_ref() {
-                    auto.maybe_cut(cluster.lazy());
-                }
-                slot.advance();
-            }
+            BarrierArrival::Complete { .. } => slot.advance(),
             BarrierArrival::Waiting { episode, .. } => {
                 cluster.wait_moved(
                     slot,
                     captured,
                     &|| {
-                        let absent = cluster.engine.core().barrier_absentees(barrier);
+                        let absent = cluster.lock().core().barrier_absentees(barrier);
                         absent.into_iter().filter(|&p| p != self.proc).collect()
                     },
                     &|| {

@@ -56,6 +56,6 @@ mod node;
 mod recovery;
 
 pub use builder::DsmBuilder;
-pub use cluster::{Dsm, DsmError};
+pub use cluster::{CoreView, Dsm, DsmError, SharedEngine};
 pub use handle::ProcHandle;
 pub use node::{NodeClient, NodeError, NodeServer, RemoteHandle};

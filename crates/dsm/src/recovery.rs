@@ -37,7 +37,7 @@ use lrc_vclock::ProcId;
 use parking_lot::lockdep::classes;
 use parking_lot::Mutex;
 
-use crate::cluster::Cluster;
+use crate::cluster::{lazy, Cluster};
 
 /// Cuts every `every_episodes` completed barrier episodes (and before
 /// every death) and keeps the newest cut. One per cluster, created by
@@ -68,7 +68,7 @@ impl AutoCheckpointer {
     /// frames no longer hold the dead processor's committed pages,
     /// poisoning its revival source. Once the lease expires and GC
     /// re-homes the pages (or the processor rejoins), cuts resume.
-    pub(crate) fn maybe_cut(&self, engine: &LrcEngine) {
+    pub(crate) fn maybe_cut(&self, engine: &mut LrcEngine) {
         if engine.awaiting_rejoin() {
             return;
         }
@@ -85,13 +85,13 @@ impl AutoCheckpointer {
     /// Cuts unconditionally — used right before `declare_dead` (so the
     /// pre-death state is recoverable) and by the cold-join path (so a
     /// post-GC cut exists whose store era matches the live engine).
-    pub(crate) fn cut_now(&self, engine: &LrcEngine) {
+    pub(crate) fn cut_now(&self, engine: &mut LrcEngine) {
         Self::cut_locked(&mut self.latest.lock(), engine);
     }
 
     /// The cut itself: capture and encode the engine, replacing the
     /// previous cut.
-    fn cut_locked(latest: &mut Option<(u64, Vec<u8>)>, engine: &LrcEngine) {
+    fn cut_locked(latest: &mut Option<(u64, Vec<u8>)>, engine: &mut LrcEngine) {
         let episodes = engine.counters().barrier_episodes;
         let bytes = engine.checkpoint().encode();
         engine.note_checkpoint(bytes.len() as u64);
@@ -117,7 +117,8 @@ impl Cluster {
             return false;
         };
         let _serialized = self.suspicion.lock();
-        let engine = self.lazy();
+        let guard = self.lock();
+        let mut engine = lazy(&guard);
         if !engine.is_dead(p) {
             return true;
         }
@@ -130,7 +131,7 @@ impl Cluster {
                 // The newest cut predates the GC era (or the death lease
                 // expired and GC moved on). Cold join: cut the live
                 // post-GC state and rejoin from that.
-                auto.cut_now(engine);
+                auto.cut_now(&mut engine);
                 auto.latest()
                     .is_some_and(|cut| engine.rejoin(p, &cut).is_ok())
             }

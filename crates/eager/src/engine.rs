@@ -1,13 +1,10 @@
 use std::mem;
 
-use lrc_core::{
-    bump, ConfigError, Engine, EngineCore, LockCell, Policy, Protocol, Shard, Sharing, Threads,
-};
+use lrc_core::{ConfigError, Engine, EngineCore, Policy, Protocol, Shard};
 use lrc_pagemem::{Diff, PageBuf, PageId};
 use lrc_simnet::{invalidation_bytes, MsgKind, BARRIER_ID_BYTES, LOCK_ID_BYTES, PAGE_ID_BYTES};
 use lrc_sync::{AcquirePath, BarrierId};
 use lrc_vclock::ProcId;
-use parking_lot::lockdep::classes;
 
 /// Directory entry: who caches the page and who reconciled it last.
 #[derive(Clone, Copy, Debug)]
@@ -62,31 +59,26 @@ pub struct EagerShard {
 /// per-episode modification buffer; per-processor state is the shared
 /// frames plus the buffers a flush reuses ([`EagerShard`]).
 ///
-/// A release's (or barrier arrival's) flush runs inside the gates of
-/// every page it flushes ([`Protocol::FLUSHES_DIRTY`]), so flushes of
-/// disjoint page sets overlap while same-page flush/flush and flush/miss
-/// pairs serialize. The invalidation-writeback dance for a page is
-/// therefore atomic: a concurrent writer either flushes before the
-/// invalidator takes the page's gate or contributes its epoch's writes
-/// as a writeback (its twin is consumed and the page leaves its dirty set
-/// under the destination's shard lock). A directory entry changes only under its
-/// page's gate. The directory mutex may be held while taking a shard
-/// mutex, never the reverse.
+/// A miss reads the directory twice. Its first half decides the route
+/// (two or three hops) and charges it; its second half, after the fetch,
+/// copies the page from whoever holds it *then* and joins the copyset in
+/// the same step. A release that flushes the page while the fetch is in
+/// flight therefore either finds the missing processor in the copyset
+/// and updates or invalidates it, or happened before the copy, which
+/// then carries the flushed writes.
 #[derive(Debug)]
-pub struct Eager<S: Sharing> {
-    dir: S::Mutex<Vec<DirEntry>>,
+pub struct Eager {
+    dir: Vec<DirEntry>,
     /// EI: modifications buffered for the current episode, indexed by
     /// barrier.
-    epoch_mods: S::Mutex<Vec<Vec<EpochMod>>>,
+    epoch_mods: Vec<Vec<EpochMod>>,
 }
 
 /// The eager release consistency engine (EI under [`Policy::Invalidate`],
 /// EU under [`Policy::Update`]). Data-full and metered like
 /// [`lrc_core::LrcEngine`], so lazy and eager runs are directly
-/// comparable. This is the threaded runtime's engine, in the [`Threads`]
-/// family; the trace-driven simulator builds `Engine<Eager<OneThread>>`.
-/// See the [crate docs](crate) for an example.
-pub type EagerEngine = Engine<Eager<Threads>>;
+/// comparable. See the [crate docs](crate) for an example.
+pub type EagerEngine = Engine<Eager>;
 
 fn bit(p: ProcId) -> u64 {
     1u64 << p.index()
@@ -103,7 +95,7 @@ fn procs_in(mut mask: u64) -> impl Iterator<Item = ProcId> {
     })
 }
 
-impl<S: Sharing> Eager<S> {
+impl Eager {
     /// Processors currently caching `page` (the initial home copy counts,
     /// even before materialization).
     ///
@@ -111,7 +103,7 @@ impl<S: Sharing> Eager<S> {
     ///
     /// Panics if `page` is out of range.
     pub fn copyset(&self, page: PageId) -> Vec<ProcId> {
-        let mask = self.dir.lock()[page.index()].copyset;
+        let mask = self.dir[page.index()].copyset;
         (0..u64::BITS as u16)
             .map(ProcId::new)
             .filter(|&p| mask & bit(p) != 0)
@@ -119,12 +111,11 @@ impl<S: Sharing> Eager<S> {
     }
 }
 
-impl<S: Sharing> Protocol for Eager<S> {
-    type Family = S;
+impl Protocol for Eager {
     type ShardExt = EagerShard;
     type FrameExt = ();
 
-    fn new(core: &EngineCore<S>) -> Result<Self, ConfigError> {
+    fn new(core: &EngineCore) -> Result<Self, ConfigError> {
         // A silently ignored lease would promise a recovery that cannot
         // happen: the eager baseline has no crash story.
         if core.params().death_lease_episodes.is_some() {
@@ -143,21 +134,18 @@ impl<S: Sharing> Protocol for Eager<S> {
             })
             .collect();
         Ok(Eager {
-            dir: LockCell::new_in(dir, classes::EAGER_DIRECTORY),
-            epoch_mods: LockCell::new_in(
-                vec![Vec::new(); core.params().n_barriers],
-                classes::EAGER_EPOCH_MODS,
-            ),
+            dir,
+            epoch_mods: vec![Vec::new(); core.params().n_barriers],
         })
     }
 
-    fn new_ext(_core: &EngineCore<S>, _p: ProcId) -> EagerShard {
+    fn new_ext(_core: &EngineCore, _p: ProcId) -> EagerShard {
         EagerShard::default()
     }
 
     /// Find-and-transfer messages only: eager RC performs **no
     /// consistency actions at acquires** (§3).
-    fn on_acquire(e: &Engine<Self>, _p: ProcId, path: &AcquirePath) {
+    fn on_acquire(e: &mut Engine<Self>, _p: ProcId, path: &AcquirePath) {
         let hops = [
             (path.request, MsgKind::LockRequest),
             (path.forward, MsgKind::LockForward),
@@ -165,18 +153,15 @@ impl<S: Sharing> Protocol for Eager<S> {
         ];
         for (hop, kind) in hops {
             if let Some((src, dst)) = hop {
-                e.net().send(src, dst, kind, LOCK_ID_BYTES);
+                e.parts().0.send(src, dst, kind, LOCK_ID_BYTES);
             }
         }
     }
 
-    /// A release or barrier arrival flushes the pages dirtied this epoch.
-    const FLUSHES_DIRTY: bool = true;
-
     /// Propagates every modification of the epoch to all other cachers
     /// (updates under EU, invalidations under EI), one merged message per
     /// destination, and blocks for their acknowledgments — Table 1's `2c`.
-    fn on_release(e: &Engine<Self>, p: ProcId) {
+    fn on_release(e: &mut Engine<Self>, p: ProcId) {
         let flush = take_epoch_flush(e, p);
         if !flush.is_empty() {
             match e.policy() {
@@ -193,7 +178,7 @@ impl<S: Sharing> Protocol for Eager<S> {
     /// (`2u`); EI piggybacks its invalidations on the barrier traffic and
     /// pays only `2v` to resolve multiple concurrent invalidators of one
     /// page (Table 1).
-    fn barrier_arrive(e: &Engine<Self>, p: ProcId, barrier: BarrierId, master: ProcId) {
+    fn barrier_arrive(e: &mut Engine<Self>, p: ProcId, barrier: BarrierId, master: ProcId) {
         let mut flush = take_epoch_flush(e, p);
         let mut piggyback_pages = 0usize;
         match e.policy() {
@@ -207,7 +192,8 @@ impl<S: Sharing> Protocol for Eager<S> {
             Policy::Invalidate => {
                 piggyback_pages = flush.len();
                 // The barrier set refused an unknown id before this ran.
-                e.protocol().epoch_mods.lock()[barrier.index()].extend(flush.drain(..).map(
+                let (_, _, _, eager) = e.parts();
+                eager.epoch_mods[barrier.index()].extend(flush.drain(..).map(
                     |Flushed { page, diff, .. }| EpochMod {
                         writer: p,
                         page,
@@ -219,17 +205,19 @@ impl<S: Sharing> Protocol for Eager<S> {
         give_back(e, p, flush);
         if p != master {
             let payload = BARRIER_ID_BYTES + invalidation_bytes(piggyback_pages);
-            e.net().send(p, master, MsgKind::BarrierArrival, payload);
+            e.parts()
+                .0
+                .send(p, master, MsgKind::BarrierArrival, payload);
         }
     }
 
     /// EI: resolve multiple invalidators per page (the `2v` term),
     /// invalidate all other cachers (piggybacked, free), and send exit
     /// messages carrying the aggregated notices.
-    fn barrier_complete(e: &Engine<Self>, barrier: BarrierId, master: ProcId) {
+    fn barrier_complete(e: &mut Engine<Self>, barrier: BarrierId, master: ProcId) {
         let n = e.params().n_procs;
-        let dir = &e.protocol().dir;
-        let mut mods = std::mem::take(&mut e.protocol().epoch_mods.lock()[barrier.index()]);
+        let (net, counters, shards, eager) = e.parts();
+        let mut mods = std::mem::take(&mut eager.epoch_mods[barrier.index()]);
         // Pages ascending, writers ascending within a page. Each processor
         // arrives once per episode, so no two modifications tie.
         mods.sort_unstable_by_key(|m| (m.page, m.writer));
@@ -251,8 +239,8 @@ impl<S: Sharing> Protocol for Eager<S> {
             // content plus its own writes, and the highest-numbered one
             // wins as before.
             let winner = {
-                let owner = dir.lock()[g.index()].owner;
-                if e.page_valid(owner, g) {
+                let owner = eager.dir[g.index()].owner;
+                if shards[owner.index()].pages[g.index()].valid {
                     owner
                 } else {
                     writers.last().expect("a page has a writer").writer
@@ -262,72 +250,104 @@ impl<S: Sharing> Protocol for Eager<S> {
                 // Excess invalidator: its modifications merge into the
                 // winner's copy with one round trip.
                 let payload = m.diff.encoded_size() as u64;
-                e.net()
-                    .send(m.writer, winner, MsgKind::BarrierResolve, payload);
-                e.net()
-                    .send(winner, m.writer, MsgKind::BarrierResolveAck, 0);
-                let mut winner_shard = e.shard(winner);
-                let copy = winner_shard.pages[g.index()]
+                net.send(m.writer, winner, MsgKind::BarrierResolve, payload);
+                net.send(winner, m.writer, MsgKind::BarrierResolveAck, 0);
+                let copy = shards[winner.index()].pages[g.index()]
                     .copy
                     .as_mut()
                     .expect("winner holds a copy");
                 m.diff.apply_to(copy);
-                bump(&e.tally().excess_invalidators, 1);
+                counters.excess_invalidators += 1;
             }
             // Everyone but the winner drops the page (notices piggybacked
             // on the barrier messages — no extra traffic).
-            let mut dir = dir.lock();
-            for d in procs_in(dir[g.index()].copyset & !bit(winner)) {
-                e.shard(d).pages[g.index()].valid = false;
-                bump(&e.tally().pages_invalidated, 1);
+            let entry = &mut eager.dir[g.index()];
+            for d in procs_in(entry.copyset & !bit(winner)) {
+                shards[d.index()].pages[g.index()].valid = false;
+                counters.pages_invalidated += 1;
             }
-            dir[g.index()] = DirEntry {
+            *entry = DirEntry {
                 copyset: bit(winner),
                 owner: winner,
             };
         }
         let payload = BARRIER_ID_BYTES + invalidation_bytes(total_pages);
         for r in ProcId::all(n).filter(|&r| r != master) {
-            e.net().send(master, r, MsgKind::BarrierExit, payload);
+            net.send(master, r, MsgKind::BarrierExit, payload);
         }
         // The episode's diffs go back to their writers, and the emptied
         // buffer to the barrier.
         for m in mods.drain(..) {
-            e.shard(m.writer).ext.spare_diffs.push(m.diff);
+            shards[m.writer.index()].ext.spare_diffs.push(m.diff);
         }
-        e.protocol().epoch_mods.lock()[barrier.index()] = mods;
-        bump(&e.tally().barrier_episodes, 1);
+        eager.epoch_mods[barrier.index()] = mods;
+        counters.barrier_episodes += 1;
     }
 
-    /// Directory miss: two messages when the home has a valid copy, three
-    /// when the request is forwarded to the owner (§3). No directory lock
-    /// is held across the message charges; the page's gate keeps the
-    /// entry stable meanwhile.
-    fn resolve_miss(e: &Engine<Self>, p: ProcId, page: PageId) {
+    /// Directory miss, first half: two messages when the home has a valid
+    /// copy, three when the request is forwarded to the owner (§3). A
+    /// processor in the copyset without a copy is the home before its
+    /// first access, and materializes the zero page with nothing to
+    /// fetch.
+    fn begin_miss(e: &mut Engine<Self>, p: ProcId, page: PageId) -> Option<u64> {
         let gi = page.index();
         let home = e.page_home(page);
         let page_size = e.space().page_size();
-        let dir = &e.protocol().dir;
-        let entry = dir.lock()[gi];
+        let (net, counters, shards, eager) = e.parts();
+        let entry = eager.dir[gi];
         if entry.copyset & bit(p) != 0 {
             // Initial home copy: materialize the zero page locally.
-            let mut shard = e.shard(p);
-            shard.pages[gi].copy_mut(page_size);
-            shard.pages[gi].valid = true;
-            return;
+            let frame = &mut shards[p.index()].pages[gi];
+            frame.copy_mut(page_size);
+            frame.valid = true;
+            return None;
         }
         let home_has = entry.copyset & bit(home) != 0;
         let source = if home_has { home } else { entry.owner };
         debug_assert_ne!(source, p, "a missing processor cannot be the source");
+        let page_bytes = page_size.bytes() as u64;
+        if p == home || home_has {
+            // The home answers itself, or — missing its own page — asks
+            // the owner directly. (`p == home && home_has` cannot happen:
+            // its copyset bit would be set.)
+            net.round_trip(
+                p,
+                source,
+                MsgKind::MissRequest,
+                PAGE_ID_BYTES,
+                MsgKind::MissReply,
+                page_bytes,
+            );
+            counters.misses_2hop += 1;
+        } else {
+            net.send(p, home, MsgKind::MissRequest, PAGE_ID_BYTES);
+            net.send(home, source, MsgKind::MissForward, PAGE_ID_BYTES);
+            net.send(source, p, MsgKind::MissReply, page_bytes);
+            counters.misses_3hop += 1;
+        }
+        Some(0)
+    }
 
+    /// Directory miss, second half: copies the page from the processor
+    /// the directory names now and joins its copyset.
+    fn finish_miss(e: &mut Engine<Self>, p: ProcId, page: PageId, _era: u64) {
+        let gi = page.index();
+        let home = e.page_home(page);
+        let page_size = e.space().page_size();
+        let (_, _, shards, eager) = e.parts();
+        let entry = &mut eager.dir[gi];
+        let source = if entry.copyset & bit(home) != 0 {
+            home
+        } else {
+            entry.owner
+        };
         // The source's *committed* contents (the home's initial copy is
         // zeros): a dirty source's unflushed epoch writes must not leak to
         // a cold miss under false sharing before the release-time flush
         // makes them visible everywhere. They refill the stale buffer the
-        // frame holds, if any, taken out first because no path holds two
-        // shard locks.
-        let stale = e.shard(p).pages[gi].copy.take();
-        let content = match (stale, e.shard(source).pages[gi].committed()) {
+        // frame holds, if any.
+        let stale = shards[p.index()].pages[gi].copy.take();
+        let content = match (stale, shards[source.index()].pages[gi].committed()) {
             (Some(mut buf), Some(committed)) => {
                 buf.write(0, committed.as_bytes());
                 buf
@@ -339,93 +359,60 @@ impl<S: Sharing> Protocol for Eager<S> {
             (None, Some(committed)) => committed.clone(),
             (None, None) => PageBuf::zeroed(page_size),
         };
-        let page_bytes = page_size.bytes() as u64;
-        if p == home || home_has {
-            // The home answers itself, or — missing its own page — asks
-            // the owner directly. (`p == home && home_has` cannot happen:
-            // its copyset bit would be set.)
-            e.net().round_trip(
-                p,
-                source,
-                MsgKind::MissRequest,
-                PAGE_ID_BYTES,
-                MsgKind::MissReply,
-                page_bytes,
-            );
-            bump(&e.tally().misses_2hop, 1);
-        } else {
-            e.net().send(p, home, MsgKind::MissRequest, PAGE_ID_BYTES);
-            e.net()
-                .send(home, source, MsgKind::MissForward, PAGE_ID_BYTES);
-            e.net().send(source, p, MsgKind::MissReply, page_bytes);
-            bump(&e.tally().misses_3hop, 1);
-        }
-        e.run_fetch_hook(p, page);
-        {
-            let mut shard = e.shard(p);
-            shard.pages[gi].copy = Some(content);
-            shard.pages[gi].valid = true;
-        }
-        dir.lock()[gi].copyset |= bit(p);
+        let frame = &mut shards[p.index()].pages[gi];
+        frame.copy = Some(content);
+        frame.valid = true;
+        entry.copyset |= bit(p);
     }
 }
 
 /// Ends `p`'s current epoch: diffs every dirty page against its twin,
 /// into `p`'s flush list and recycled diff buffers, and transfers the
-/// pages' ownership to `p`, reading their other cachers under the same
-/// directory lock. Callers hold the dirty pages' gates, and hand the list
-/// to [`give_back`] once it is sent.
-fn take_epoch_flush<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId) -> Vec<Flushed> {
-    let mut flush = {
-        let mut shard = e.shard(p);
-        let Shard {
-            pages,
-            dirty,
-            spare_twins,
-            ext,
-            ..
-        } = &mut *shard;
-        let mut flush = mem::take(&mut ext.flush);
-        // Drained, not taken: the list keeps its allocation for the next
-        // epoch's first write, as the twins' buffers do.
-        for g in dirty.drain(..) {
-            let mut diff = ext.spare_diffs.pop().unwrap_or_default();
-            // A twin consumed by a concurrent invalidator's writeback
-            // leaves the dirty list together with it (under this shard's
-            // lock), but skipping an already-written-back page is the
-            // right recovery either way.
-            let closed = pages[g.index()].close_twin(spare_twins, |twin, copy, written| {
-                diff.refill(twin, copy, written)
+/// pages' ownership to `p`, reading their other cachers from the same
+/// directory entries. Callers hand the list to [`give_back`] once it is
+/// sent.
+fn take_epoch_flush(e: &mut Engine<Eager>, p: ProcId) -> Vec<Flushed> {
+    let (_, counters, shards, eager) = e.parts();
+    let Shard {
+        pages,
+        dirty,
+        spare_twins,
+        ext,
+    } = &mut shards[p.index()];
+    let mut flush = mem::take(&mut ext.flush);
+    // Drained, not taken: the list keeps its allocation for the next
+    // epoch's first write, as the twins' buffers do.
+    for g in dirty.drain(..) {
+        let mut diff = ext.spare_diffs.pop().unwrap_or_default();
+        let closed = pages[g.index()].close_twin(spare_twins, |twin, copy, written| {
+            diff.refill(twin, copy, written)
+        });
+        if closed.is_some() && !diff.is_empty() {
+            flush.push(Flushed {
+                page: g,
+                diff,
+                dests: 0,
             });
-            if closed.is_some() && !diff.is_empty() {
-                flush.push(Flushed {
-                    page: g,
-                    diff,
-                    dests: 0,
-                });
-            } else {
-                ext.spare_diffs.push(diff);
-            }
+        } else {
+            ext.spare_diffs.push(diff);
         }
-        flush
-    };
+    }
     if !flush.is_empty() {
-        let mut dir = e.protocol().dir.lock();
         for f in &mut flush {
-            let entry = &mut dir[f.page.index()];
+            let entry = &mut eager.dir[f.page.index()];
             entry.owner = p;
             f.dests = entry.copyset & !bit(p);
         }
-        bump(&e.tally().flushes, 1);
+        counters.flushes += 1;
     }
     flush
 }
 
 /// Returns a sent flush to `p`'s shard: its diffs' buffers to the spare
 /// list, and the emptied list itself.
-fn give_back<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId, mut flush: Vec<Flushed>) {
-    let mut shard = e.shard(p);
-    let ext = &mut shard.ext;
+fn give_back(e: &mut Engine<Eager>, p: ProcId, mut flush: Vec<Flushed>) {
+    let (_, _, shards, _) = e.parts();
+    let ext = &mut shards[p.index()].ext;
     ext.spare_diffs.extend(flush.drain(..).map(|f| f.diff));
     ext.flush = flush;
 }
@@ -442,87 +429,71 @@ fn sent_to(flush: &[Flushed], dest: ProcId) -> impl Iterator<Item = &Flushed> {
 
 /// EU: one update message per destination carrying the diffs of every
 /// modified page that destination caches, plus an ack each.
-fn push_updates<S: Sharing>(
-    e: &Engine<Eager<S>>,
+fn push_updates(
+    e: &mut Engine<Eager>,
     p: ProcId,
     flush: &[Flushed],
     update_kind: MsgKind,
     ack_kind: MsgKind,
 ) {
+    let page_size = e.space().page_size();
+    let (net, counters, shards, _) = e.parts();
     for dest in dests(flush) {
         let payload: u64 = sent_to(flush, dest)
             .map(|f| f.diff.encoded_size() as u64)
             .sum();
-        e.net().send(p, dest, update_kind, payload);
-        {
-            let mut dest_shard = e.shard(dest);
-            for f in sent_to(flush, dest) {
-                let entry = &mut dest_shard.pages[f.page.index()];
-                entry.apply(&f.diff, e.space().page_size());
-                entry.valid = true;
-            }
+        net.send(p, dest, update_kind, payload);
+        let dest_shard = &mut shards[dest.index()];
+        for f in sent_to(flush, dest) {
+            let entry = &mut dest_shard.pages[f.page.index()];
+            entry.apply(&f.diff, page_size);
+            entry.valid = true;
         }
-        e.net().send(dest, p, ack_kind, 0);
-        bump(&e.tally().updates_sent, 1);
+        net.send(dest, p, ack_kind, 0);
+        counters.updates_sent += 1;
     }
 }
 
 /// EI at a release: write notices to every other cacher; cachers drop
 /// their copies (writing back their own concurrent modifications first),
 /// leaving the releaser the only valid copy.
-fn push_invalidations<S: Sharing>(e: &Engine<Eager<S>>, p: ProcId, flush: &[Flushed]) {
+fn push_invalidations(e: &mut Engine<Eager>, p: ProcId, flush: &[Flushed]) {
+    let (net, counters, shards, eager) = e.parts();
     for dest in dests(flush) {
         let payload = invalidation_bytes(sent_to(flush, dest).count());
-        e.net().send(p, dest, MsgKind::ReleaseInvalidate, payload);
-        bump(&e.tally().invalidations_sent, 1);
-        // Invalidate at the destination, collecting writebacks from
-        // concurrent writers (false sharing); never hold two shard
-        // locks at once — the writebacks apply to the releaser after
-        // the destination's shard is dropped.
-        let mut writebacks: Vec<(PageId, Diff)> = Vec::new();
-        {
-            let mut guard = e.shard(dest);
-            let dest_shard = &mut *guard;
-            for &Flushed { page: g, .. } in sent_to(flush, dest) {
-                let entry = &mut dest_shard.pages[g.index()];
-                entry.valid = false;
-                // A destination that wrote the page concurrently: its
-                // modifications ride back to the releaser before the
-                // copy is dropped.
-                let wb = entry.close_twin(&mut dest_shard.spare_twins, |twin, copy, written| {
-                    Diff::between_in(twin, copy, written)
-                });
-                if let Some(wb) = wb {
-                    dest_shard.dirty.retain(|&d| d != g);
-                    if !wb.is_empty() {
-                        writebacks.push((g, wb));
-                    }
+        net.send(p, dest, MsgKind::ReleaseInvalidate, payload);
+        counters.invalidations_sent += 1;
+        for &Flushed { page: g, .. } in sent_to(flush, dest) {
+            let dest_shard = &mut shards[dest.index()];
+            let entry = &mut dest_shard.pages[g.index()];
+            entry.valid = false;
+            // A destination that wrote the page concurrently (false
+            // sharing): its modifications ride back to the releaser
+            // before the copy is dropped.
+            let wb = entry.close_twin(&mut dest_shard.spare_twins, |twin, copy, written| {
+                Diff::between_in(twin, copy, written)
+            });
+            if let Some(wb) = wb {
+                dest_shard.dirty.retain(|&d| d != g);
+                if !wb.is_empty() {
+                    net.send(dest, p, MsgKind::WritebackReply, wb.encoded_size() as u64);
+                    counters.writebacks += 1;
+                    let copy = shards[p.index()].pages[g.index()]
+                        .copy
+                        .as_mut()
+                        .expect("releaser has the page");
+                    wb.apply_to(copy);
                 }
             }
         }
-        for (g, wb) in &writebacks {
-            e.net()
-                .send(dest, p, MsgKind::WritebackReply, wb.encoded_size() as u64);
-            bump(&e.tally().writebacks, 1);
-            let mut releaser = e.shard(p);
-            let copy = releaser.pages[g.index()]
-                .copy
-                .as_mut()
-                .expect("releaser has the page");
-            wb.apply_to(copy);
+        for f in sent_to(flush, dest) {
+            eager.dir[f.page.index()].copyset &= !bit(dest);
+            counters.pages_invalidated += 1;
         }
-        {
-            let mut dir = e.protocol().dir.lock();
-            for f in sent_to(flush, dest) {
-                dir[f.page.index()].copyset &= !bit(dest);
-                bump(&e.tally().pages_invalidated, 1);
-            }
-        }
-        e.net().send(dest, p, MsgKind::ReleaseAck, 0);
+        net.send(dest, p, MsgKind::ReleaseAck, 0);
     }
-    let mut dir = e.protocol().dir.lock();
     for f in flush {
         // The releaser keeps the only valid copy.
-        dir[f.page.index()].copyset |= bit(p);
+        eager.dir[f.page.index()].copyset |= bit(p);
     }
 }

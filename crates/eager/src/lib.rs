@@ -26,7 +26,7 @@
 //!
 //! Only those four differences live here: [`Eager`] implements
 //! [`lrc_core::Protocol`] and everything else — shards, cached accesses,
-//! lock and barrier tables, slow-path gates, counters — is the shared
+//! lock and barrier tables, the miss split, counters — is the shared
 //! [`lrc_core::Engine`].
 //!
 //! # No crash story, on purpose
@@ -57,7 +57,7 @@
 //!     n_procs: 2,
 //!     ..EngineParams::default()
 //! };
-//! let dsm = EagerEngine::new(Policy::Update, &params)?;
+//! let mut dsm = EagerEngine::new(Policy::Update, &params)?;
 //! let (p0, p1, l) = (ProcId::new(0), ProcId::new(1), LockId::new(0));
 //!
 //! dsm.acquire(p0, l)?;

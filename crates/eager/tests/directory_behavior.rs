@@ -23,7 +23,7 @@ fn engine(policy: Policy) -> EagerEngine {
 
 #[test]
 fn ownership_migrates_with_writers_under_ei() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     let l = LockId::new(0);
     // Ownership moves p1 -> p2 through locked writes.
     for i in 1..3u16 {
@@ -47,7 +47,7 @@ fn ownership_migrates_with_writers_under_ei() {
 
 #[test]
 fn home_copy_stays_fresh_under_eu() {
-    let dsm = engine(Policy::Update);
+    let mut dsm = engine(Policy::Update);
     let l = LockId::new(0);
     // The home (p0) is in the copyset from the start, so every release
     // pushes it updates; a late reader served by the home sees everything.
@@ -73,7 +73,7 @@ fn home_copy_stays_fresh_under_eu() {
 
 #[test]
 fn late_joiner_receives_all_accumulated_updates() {
-    let dsm = engine(Policy::Update);
+    let mut dsm = engine(Policy::Update);
     let l = LockId::new(0);
     for i in 0..8u64 {
         let proc = p((i % 3) as u16);
@@ -107,7 +107,7 @@ fn late_joiner_receives_all_accumulated_updates() {
 fn copyset_shrinks_under_ei_and_grows_under_eu() {
     let page0 = lrc_pagemem::PageId::new(0);
     // EI: after a locked write, only the writer caches the page.
-    let ei = engine(Policy::Invalidate);
+    let mut ei = engine(Policy::Invalidate);
     for i in 0..4u16 {
         ei.read_u64(p(i), 0);
     }
@@ -118,7 +118,7 @@ fn copyset_shrinks_under_ei_and_grows_under_eu() {
     assert_eq!(ei.protocol().copyset(page0), vec![p(2)]);
 
     // EU: the copyset only ever grows.
-    let eu = engine(Policy::Update);
+    let mut eu = engine(Policy::Update);
     for i in 0..4u16 {
         eu.read_u64(p(i), 0);
     }
@@ -131,7 +131,7 @@ fn copyset_shrinks_under_ei_and_grows_under_eu() {
 #[test]
 fn unrelated_pages_do_not_travel() {
     // A release only touches cachers of the *modified* pages.
-    let dsm = engine(Policy::Update);
+    let mut dsm = engine(Policy::Update);
     dsm.read_u64(p(2), 512); // p2 caches page 1 only
     dsm.acquire(p(1), LockId::new(0)).unwrap();
     dsm.write_u64(p(1), 0, 5); // page 0

@@ -33,7 +33,7 @@ fn engine(policy: Policy) -> EagerEngine {
 
 #[test]
 fn acquires_carry_no_consistency_data() {
-    let dsm = engine(Policy::Update);
+    let mut dsm = engine(Policy::Update);
     dsm.acquire(p(1), l(0)).unwrap();
     dsm.write_u64(p(1), 0, 1);
     dsm.release(p(1), l(0)).unwrap();
@@ -47,7 +47,7 @@ fn acquires_carry_no_consistency_data() {
 
 #[test]
 fn release_pushes_updates_to_all_cachers() {
-    let dsm = engine(Policy::Update);
+    let mut dsm = engine(Policy::Update);
     // p1, p2, p3 cache page 0 (cold misses through the directory).
     for i in 1..4u16 {
         dsm.read_u64(p(i), 0);
@@ -71,7 +71,7 @@ fn release_pushes_updates_to_all_cachers() {
 
 #[test]
 fn release_invalidates_under_ei() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     for i in 1..4u16 {
         dsm.read_u64(p(i), 0);
     }
@@ -96,7 +96,7 @@ fn release_invalidates_under_ei() {
 
 #[test]
 fn miss_is_two_hops_when_home_has_copy() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     // Page 0's home is p0 and holds the initial copy: first miss by p2 is
     // 2 messages.
     let before = dsm.net().snapshot();
@@ -111,7 +111,7 @@ fn repeated_lock_rounds_update_everyone_eagerly() {
     // The Figure 3 pathology: once all four processors cache the page,
     // every EU release updates all of them although only the next lock
     // holder needs the data.
-    let dsm = engine(Policy::Update);
+    let mut dsm = engine(Policy::Update);
     for i in 0..4u16 {
         dsm.read_u64(p(i), 0);
     }
@@ -132,7 +132,7 @@ fn repeated_lock_rounds_update_everyone_eagerly() {
 
 #[test]
 fn eu_barrier_pushes_2u_messages() {
-    let dsm = engine(Policy::Update);
+    let mut dsm = engine(Policy::Update);
     // p1 and p2 cache page 0; p0 (home) also caches it implicitly.
     dsm.read_u64(p(1), 0);
     dsm.read_u64(p(2), 0);
@@ -152,7 +152,7 @@ fn eu_barrier_pushes_2u_messages() {
 
 #[test]
 fn ei_barrier_piggybacks_invalidations() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.read_u64(p(1), 0);
     dsm.read_u64(p(2), 0);
     dsm.write_u64(p(1), 0, 5);
@@ -171,7 +171,7 @@ fn ei_barrier_piggybacks_invalidations() {
 
 #[test]
 fn ei_excess_invalidators_pay_2v() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     // Three processors write disjoint words of page 0 between barriers.
     for i in 0..3u16 {
         dsm.read_u64(p(i), 0);
@@ -195,7 +195,7 @@ fn ei_excess_invalidators_pay_2v() {
 
 #[test]
 fn concurrent_writer_writes_back_on_invalidation() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     // p1 and p2 write disjoint words of page 0; p1 releases a lock.
     dsm.read_u64(p(1), 0);
     dsm.read_u64(p(2), 0);
@@ -217,7 +217,7 @@ fn concurrent_writer_writes_back_on_invalidation() {
 
 #[test]
 fn empty_critical_sections_flush_nothing() {
-    let dsm = engine(Policy::Update);
+    let mut dsm = engine(Policy::Update);
     dsm.read_u64(p(1), 0);
     dsm.acquire(p(2), l(0)).unwrap();
     let before = dsm.net().snapshot();
@@ -227,7 +227,7 @@ fn empty_critical_sections_flush_nothing() {
 
 #[test]
 fn an_empty_access_is_a_no_op() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.read_u64(p(1), 0); // p1 caches page 0: a flush would have a target
     dsm.acquire(p(2), l(0)).unwrap();
     let before = dsm.net().snapshot();
@@ -246,14 +246,14 @@ fn an_empty_access_is_a_no_op() {
 #[test]
 #[should_panic(expected = "out of range")]
 fn an_empty_access_past_the_end_still_panics() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.write(p(0), 16 * 512 + 1, &[]);
 }
 
 #[test]
 fn migratory_chain_values_flow_correctly() {
     for policy in [Policy::Invalidate, Policy::Update] {
-        let dsm = engine(policy);
+        let mut dsm = engine(policy);
         let mut expected = 0u64;
         for round in 0..8u16 {
             let proc = p(round % 4);
@@ -269,7 +269,7 @@ fn migratory_chain_values_flow_correctly() {
 
 #[test]
 fn lock_and_barrier_errors_propagate() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     dsm.acquire(p(0), l(0)).unwrap();
     assert!(dsm.acquire(p(1), l(0)).is_err());
     assert!(dsm.release(p(1), l(0)).is_err());
@@ -281,25 +281,25 @@ fn lock_and_barrier_errors_propagate() {
 
 #[test]
 fn page_valid_reflects_directory_and_invalidations() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     let page = dsm.space().page_of(0);
-    let cached = |who: ProcId| dsm.protocol().copyset(page).contains(&who);
-    assert!(cached(p(0)), "home starts with the initial copy");
+    let cached = |dsm: &EagerEngine, who: ProcId| dsm.protocol().copyset(page).contains(&who);
+    assert!(cached(&dsm, p(0)), "home starts with the initial copy");
     assert!(
         !dsm.page_valid(p(0), page),
         "not materialized until touched"
     );
-    assert!(!cached(p(2)));
+    assert!(!cached(&dsm, p(2)));
     dsm.read_u64(p(2), 0);
-    assert!(cached(p(2)) && dsm.page_valid(p(2), page));
+    assert!(cached(&dsm, p(2)) && dsm.page_valid(p(2), page));
     dsm.acquire(p(1), l(0)).unwrap();
     dsm.write_u64(p(1), 0, 1);
     dsm.release(p(1), l(0)).unwrap();
     assert!(
-        !cached(p(2)) && !dsm.page_valid(p(2), page),
+        !cached(&dsm, p(2)) && !dsm.page_valid(p(2), page),
         "EI release invalidated the reader"
     );
-    assert!(cached(p(1)) && dsm.page_valid(p(1), page));
+    assert!(cached(&dsm, p(1)) && dsm.page_valid(p(1), page));
 }
 
 #[test]
@@ -313,7 +313,7 @@ fn a_recycled_twin_never_leaks_stale_bytes() {
     let pattern: Vec<u8> = (0..512).map(|i| (i % 251 + 1) as u8).collect();
     let one_word = MSG_HEADER_BYTES + (DIFF_HEADER_BYTES + RUN_HEADER_BYTES + 8) as u64;
     for policy in [Policy::Invalidate, Policy::Update] {
-        let dsm = engine(policy);
+        let mut dsm = engine(policy);
         for (proc, data) in [(p(1), &pattern[..]), (p(0), &[0])] {
             dsm.acquire(proc, l(0)).unwrap();
             dsm.write(proc, a, data);
@@ -358,12 +358,12 @@ fn a_recycled_diff_never_leaks_stale_runs() {
     // the two, another writer overwrites a byte of an old run: a leaked
     // run would put p0's stale byte back over it.
     let one_byte = MSG_HEADER_BYTES + (DIFF_HEADER_BYTES + RUN_HEADER_BYTES + 1) as u64;
-    let every_16th = |dsm: &EagerEngine| {
+    let every_16th = |dsm: &mut EagerEngine| {
         for at in (0..512).step_by(16) {
             dsm.write(p(0), at, &[0xee]);
         }
     };
-    let agree = |dsm: &EagerEngine, what: &str| {
+    let agree = |dsm: &mut EagerEngine, what: &str| {
         let page = dsm.read_vec(p(0), 0, 512);
         assert_eq!(page[32], 0x33, "{what}: the overwrite stands");
         for i in 1..4 {
@@ -372,12 +372,12 @@ fn a_recycled_diff_never_leaks_stale_runs() {
     };
 
     // EU, at releases: every update carries p0's diff to the cachers.
-    let dsm = engine(Policy::Update);
+    let mut dsm = engine(Policy::Update);
     for i in 1..4 {
         dsm.read_u64(p(i), 0);
     }
     dsm.acquire(p(0), l(0)).unwrap();
-    every_16th(&dsm);
+    every_16th(&mut dsm);
     dsm.release(p(0), l(0)).unwrap();
     dsm.acquire(p(1), l(0)).unwrap();
     dsm.write(p(1), 32, &[0x33]);
@@ -388,13 +388,13 @@ fn a_recycled_diff_never_leaks_stale_runs() {
     dsm.release(p(0), l(0)).unwrap();
     let delta = dsm.net().stats().since(&before);
     assert_eq!(delta.kind(MsgKind::ReleaseUpdate).bytes, 3 * one_byte);
-    agree(&dsm, "EU");
+    agree(&mut dsm, "EU");
 
     // EI, at barriers: p0 and p1 write page 0 in each episode, and p1,
     // the page's last flusher, wins it, so p0's diff is merged into p1's
     // copy with one resolve message each episode.
-    let dsm = engine(Policy::Invalidate);
-    let episode = |dsm: &EagerEngine| {
+    let mut dsm = engine(Policy::Invalidate);
+    let episode = |dsm: &mut EagerEngine| {
         let before = dsm.net().snapshot();
         for i in 0..4 {
             dsm.barrier(p(i), b(0)).unwrap();
@@ -404,14 +404,14 @@ fn a_recycled_diff_never_leaks_stale_runs() {
             .since(&before)
             .kind(MsgKind::BarrierResolve)
     };
-    every_16th(&dsm);
+    every_16th(&mut dsm);
     dsm.write(p(1), 1, &[0x22]);
-    assert_eq!(episode(&dsm).msgs, 1);
+    assert_eq!(episode(&mut dsm).msgs, 1);
     dsm.write(p(0), 100, &[0x11]);
     dsm.write(p(1), 32, &[0x33]);
-    let resolve = episode(&dsm);
+    let resolve = episode(&mut dsm);
     assert_eq!((resolve.msgs, resolve.bytes), (1, one_byte));
-    agree(&dsm, "EI");
+    agree(&mut dsm, "EI");
 }
 
 /// The messages of one release by `releaser` of an 8-byte write to page
@@ -431,7 +431,7 @@ fn flush_messages(
         page_bytes: 512,
         ..EngineParams::default()
     };
-    let dsm = EagerEngine::new(policy, &params).unwrap();
+    let mut dsm = EagerEngine::new(policy, &params).unwrap();
     dsm.enable_net_trace();
     for (page, readers) in [(a, a_readers), (b, b_readers)] {
         for &r in readers {

@@ -35,7 +35,7 @@ fn engine(policy: Policy) -> EagerEngine {
 #[test]
 fn cold_miss_does_not_leak_unflushed_epoch_writes() {
     for policy in [Policy::Invalidate, Policy::Update] {
-        let dsm = engine(policy);
+        let mut dsm = engine(policy);
         // Page 0's home is p0, so p0 both writes it and supplies the copy.
         dsm.acquire(p(0), l(0)).unwrap();
         dsm.write_u64(p(0), 8, 42); // open epoch: twin is the zero page
@@ -67,7 +67,7 @@ fn cold_miss_does_not_leak_unflushed_epoch_writes() {
 /// reproduction, which fails before the fix.
 #[test]
 fn barrier_winner_is_the_reconciled_copy_not_a_stale_buffered_writer() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     let b = BarrierId::new(0);
     // p1 writes word A of page 0 and arrives: its diff is buffered for
     // episode-end resolution, its twin is consumed.
@@ -100,7 +100,7 @@ fn barrier_winner_is_the_reconciled_copy_not_a_stale_buffered_writer() {
 /// the copy, and its current epoch's writes must not ride along.
 #[test]
 fn cold_miss_from_dirty_owner_serves_reconciled_contents() {
-    let dsm = engine(Policy::Invalidate);
+    let mut dsm = engine(Policy::Invalidate);
     // p0 takes ownership of page 1 (home p1) with a flushed write.
     dsm.acquire(p(0), l(0)).unwrap();
     dsm.write_u64(p(0), 512, 7);

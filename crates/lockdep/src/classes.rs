@@ -10,11 +10,9 @@
 //! Gaps between levels are deliberate: future tiers slot in without
 //! renumbering the tree.
 //!
-//! The engine classes (`engine.*`, `sync.*`, `eager.*`, `core.store`)
-//! tag the locks of the engine's `Threads` sharing family only — the
-//! threaded runtime's. The simulator's `OneThread` engines are built
-//! from the same source with `RefCell`s in place of these locks: they
-//! take no tracked lock, and their class arguments are ignored.
+//! The protocol engine itself holds no lock: it is plain data driven
+//! through `&mut self`. The threaded runtime keeps it behind one mutex,
+//! [`DSM_ENGINE`].
 
 use crate::Class;
 
@@ -30,9 +28,12 @@ pub const DSM_SUSPICION: Class = Class::new("dsm.suspicion", 10);
 /// the suspicion lock, which a suspicion holds while it re-checks the
 /// generation and while `declare_dead` advances slots.
 pub const DSM_WAIT_SLOT: Class = Class::new("dsm.wait_slot", 15);
+/// The runtime's protocol engine, taken once per operation (and released
+/// across a miss's fetch). A suspicion holds it inside the suspicion lock;
+/// no path takes a wait slot while holding it.
+pub const DSM_ENGINE: Class = Class::new("dsm.engine", 18);
 /// The automatic checkpointer's newest cut (its episode and encoded
-/// bytes). Held across `checkpoint()` (the engine hierarchy below), so it
-/// sits above the engine classes.
+/// bytes). Taken with the engine held, to cut it.
 pub const DSM_CKPT_STATE: Class = Class::new("dsm.ckpt_state", 20);
 /// The node server's at-most-once reply cache (executed results plus
 /// in-flight marks, keyed by client node and sequence number). Taken by
@@ -40,45 +41,12 @@ pub const DSM_CKPT_STATE: Class = Class::new("dsm.ckpt_state", 20);
 /// call returns — never held across engine locks.
 pub const DSM_REPLY_CACHE: Class = Class::new("dsm.reply_cache", 22);
 
-// ---- engine slow-path gates ----
-
-/// Per-lock gates (acquire/release of one DSM lock serialize here).
-/// Instances carry the lock id as order key.
-pub const ENGINE_LOCK_GATE: Class = Class::new("engine.lock_gate", 40);
-/// Per-page gates (the in-flight-miss table). Instances carry the page
-/// id as order key; the eager flush takes several in ascending order.
-pub const ENGINE_PAGE_GATE: Class = Class::new("engine.page_gate", 45);
-
-// ---- shared protocol structures ----
-
-/// The lock table (`lrc_sync::LockTable` behind its engine mutex).
-pub const SYNC_LOCK_TABLE: Class = Class::new("sync.lock_table", 50);
-/// The barrier set (`lrc_sync::BarrierSet` behind its engine mutex).
-pub const SYNC_BARRIER_SET: Class = Class::new("sync.barrier_set", 52);
-/// The eager engines' page directory (copyset + owner per page).
-pub const EAGER_DIRECTORY: Class = Class::new("eager.directory", 54);
-/// EI's per-episode buffered modifications.
-pub const EAGER_EPOCH_MODS: Class = Class::new("eager.epoch_mods", 56);
-/// The lazy engine's shared state (a `RwLock`): the interval/diff store,
-/// the post-GC owner map and the death escrow.
-pub const CORE_STORE: Class = Class::new("core.store", 60);
-
-// ---- per-processor shards (innermost protocol state) ----
-
-/// A processor's private shard (page table, clock, dirty list). No path
-/// holds two shards at once — cross-processor copies stage through
-/// locals — so the class has no order key: nesting two is a violation.
-pub const ENGINE_SHARD: Class = Class::new("engine.shard", 70);
-
 // ---- leaf instrumentation (held-nothing-else-after tiers) ----
 
 /// The history recorder's per-processor event logs; the engines log
-/// while holding shards, gates, or the store, so logs sit below only the
-/// fabric trace.
+/// while the runtime holds them, so logs are the innermost class of the
+/// protocol plane.
 pub const HIST_LOG: Class = Class::new("hist.log", 90);
-/// The simulated fabric's optional per-message trace, charged from deep
-/// inside both engines: the innermost class of the protocol plane.
-pub const SIMNET_TRACE: Class = Class::new("simnet.trace", 95);
 
 // ---- wire transports (disjoint from the protocol plane) ----
 

@@ -8,13 +8,12 @@
 //! `SIZE.json`, so a change that grows or shrinks the product shows it as
 //! a diff, the way the benches show time.
 //!
-//! A `RefCell` is not a blind spot. The engine's `OneThread` sharing
-//! family (`lrc_core::OneThread`, the simulator's) keeps its state in
-//! `RefCell`s where the `Threads` family has tracked locks, and this scan
-//! does not look for them: a `RefCell` is `!Sync`, so the compiler proves
-//! that no other thread can contend for it, and a re-entry that would
-//! deadlock a mutex panics on the borrow flag instead of hanging. There
-//! is no lock order to verify where only one thread exists.
+//! A `RefCell` is not a blind spot. `lrc_sim::AnyEngine` keeps its engine
+//! in one, and this scan does not look for them: a `RefCell` is `!Sync`,
+//! so the compiler proves that no other thread can contend for it, and a
+//! re-entry that would deadlock a mutex panics on the borrow flag instead
+//! of hanging. The threaded runtime shares its `AnyEngine` behind one
+//! tracked mutex (`dsm.engine`), which this scan does cover.
 //!
 //! Comments in this file spell the forbidden module path with a space
 //! (`std:: sync`) so the scanner does not flag its own source.

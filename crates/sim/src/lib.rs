@@ -18,12 +18,10 @@
 //!
 //! The paper's evaluation is a single-threaded simulation, and so is
 //! this one: every replay ([`run_trace`], [`run_traced`], [`sweep`])
-//! builds its engine in the [`lrc_core::OneThread`] sharing family
-//! ([`AnyEngine::build`]) — `RefCell`s and `Cell`s instead of the
-//! threaded runtime's locks and atomics, and not `Sync`, so the compiler
-//! keeps it on one thread. The runtime's [`lrc_core::Threads`] engines
-//! are the same source; [`run_trace_in`] replays through either family,
-//! and a test requires both to produce identical traffic and counters.
+//! owns its engine and drives it through `&mut`, each miss's two halves
+//! back to back. [`AnyEngine`] is the same engine behind `&self`, one
+//! borrow per call; the threaded runtime (`lrc-dsm`) keeps one behind a
+//! mutex and runs each miss's fetch between its halves.
 //!
 //! Because both engines maintain real page contents, the simulator can run
 //! with a **sequential-consistency oracle** ([`SimOptions::check_sc`]):
@@ -80,8 +78,9 @@ mod sweep;
 pub use engine_any::AnyEngine;
 pub use history::history_of;
 pub use lrc_core::EngineParams;
+pub use lrc_pagemem::{AddrSpace, PageId};
 pub use matrix::{run_traced, CommMatrix};
 pub use protocol::ProtocolKind;
 pub use runner::SimError;
-pub use runner::{run_trace, run_trace_in, synth_write_bytes, RunReport, SimOptions};
+pub use runner::{run_trace, synth_write_bytes, RunReport, SimOptions};
 pub use sweep::{sweep, Metric, SweepConfig, SweepResult};

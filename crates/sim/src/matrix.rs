@@ -3,8 +3,9 @@ use std::fmt;
 use lrc_simnet::MsgRecord;
 use lrc_trace::Trace;
 
+use crate::engine_any::EitherEngine;
 use crate::runner::{params_for, replay};
-use crate::{AnyEngine, ProtocolKind, RunReport, SimError, SimOptions};
+use crate::{ProtocolKind, RunReport, SimError, SimOptions};
 
 /// A processor-to-processor traffic matrix.
 ///
@@ -88,9 +89,9 @@ pub fn run_traced(
     page_bytes: usize,
     options: &SimOptions,
 ) -> Result<(RunReport, CommMatrix), SimError> {
-    let engine = AnyEngine::build(kind, &params_for(trace, page_bytes, options))?;
-    engine.core().enable_net_trace();
-    let report = replay(trace, kind, page_bytes, options, &engine)?;
+    let mut engine = EitherEngine::new(kind, &params_for(trace, page_bytes, options))?;
+    engine.core_mut().enable_net_trace();
+    let report = replay(trace, kind, page_bytes, options, &mut engine)?;
     let matrix = CommMatrix::from_records(trace.meta().n_procs(), &engine.net_records());
     Ok((report, matrix))
 }

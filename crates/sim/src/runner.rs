@@ -1,12 +1,13 @@
 use std::error::Error;
 use std::fmt;
 
-use lrc_core::{ConfigError, EngineParams, OneThread, Sharing};
+use lrc_core::{ConfigError, EngineParams};
 use lrc_pagemem::Memory;
 use lrc_simnet::{Counter, NetStats, OpClass};
 use lrc_trace::{Op, Trace};
 
-use crate::{AnyEngine, ProtocolKind};
+use crate::engine_any::EitherEngine;
+use crate::ProtocolKind;
 
 /// Options of a simulation run.
 #[derive(Clone, Debug)]
@@ -193,7 +194,8 @@ fn fill_write_bytes(event_index: usize, out: &mut [u8]) {
 }
 
 /// Replays `trace` over protocol `kind` with pages of `page_bytes`,
-/// through a single-threaded ([`OneThread`]) engine.
+/// through an engine this call owns, every miss's two halves back to
+/// back.
 ///
 /// # Errors
 ///
@@ -208,27 +210,8 @@ pub fn run_trace(
     page_bytes: usize,
     options: &SimOptions,
 ) -> Result<RunReport, SimError> {
-    run_trace_in::<OneThread>(trace, kind, page_bytes, options).map(|(report, _)| report)
-}
-
-/// [`run_trace`] through an engine of the [`Sharing`] family `S`, handed
-/// back with the report so the caller can read its counters. Both
-/// families replay the same source; a run that differs between them —
-/// traffic, counters, or a read the oracle rejects — is a bug in one
-/// family's cells.
-///
-/// # Errors
-///
-/// As [`run_trace`].
-pub fn run_trace_in<S: Sharing>(
-    trace: &Trace,
-    kind: ProtocolKind,
-    page_bytes: usize,
-    options: &SimOptions,
-) -> Result<(RunReport, AnyEngine<S>), SimError> {
-    let engine = AnyEngine::new(kind, &params_for(trace, page_bytes, options))?;
-    let report = replay(trace, kind, page_bytes, options, &engine)?;
-    Ok((report, engine))
+    let mut engine = EitherEngine::new(kind, &params_for(trace, page_bytes, options))?;
+    replay(trace, kind, page_bytes, options, &mut engine)
 }
 
 /// The engine parameters a replay of `trace` needs: the system shape from
@@ -250,12 +233,12 @@ pub(crate) fn params_for(trace: &Trace, page_bytes: usize, options: &SimOptions)
 
 /// Replays `trace` through a pre-built engine (shared by [`run_trace`] and
 /// [`run_traced`](crate::run_traced)).
-pub(crate) fn replay<S: Sharing>(
+pub(crate) fn replay(
     trace: &Trace,
     kind: ProtocolKind,
     page_bytes: usize,
     options: &SimOptions,
-    engine: &AnyEngine<S>,
+    engine: &mut EitherEngine,
 ) -> Result<RunReport, SimError> {
     let mut oracle = options
         .check_sc
@@ -315,7 +298,7 @@ pub(crate) fn replay<S: Sharing>(
     Ok(RunReport {
         kind,
         page_bytes,
-        net: engine.net_stats(),
+        net: engine.core().net().stats(),
         events: trace.len(),
         history_bytes,
     })

@@ -17,7 +17,7 @@
 //! use lrc_simnet::{Fabric, MsgKind, OpClass};
 //! use lrc_vclock::ProcId;
 //!
-//! let net = Fabric::new(4);
+//! let mut net = Fabric::new(4);
 //! net.send(ProcId::new(0), ProcId::new(1), MsgKind::LockRequest, 8);
 //! net.send(ProcId::new(1), ProcId::new(2), MsgKind::LockForward, 8);
 //! net.send(ProcId::new(2), ProcId::new(0), MsgKind::LockGrant, 64);
@@ -37,7 +37,7 @@ mod sizes;
 mod stats;
 
 pub use crosscheck::SizeCrosscheck;
-pub use fabric::{Fabric, MsgRecord, Tally};
+pub use fabric::{Fabric, MsgRecord};
 pub use kind::{MsgKind, OpClass};
 pub use sizes::{
     invalidation_bytes, notice_batch_bytes, vc_bytes, BARRIER_ID_BYTES, DIFF_REQUEST_ENTRY_BYTES,

@@ -56,7 +56,7 @@ impl fmt::Display for Counter {
 /// use lrc_simnet::{Fabric, MsgKind, OpClass};
 /// use lrc_vclock::ProcId;
 ///
-/// let fabric = Fabric::new(2);
+/// let mut fabric = Fabric::new(2);
 /// let (p0, p1) = (ProcId::new(0), ProcId::new(1));
 /// fabric.send(p1, p0, MsgKind::BarrierArrival, 8);
 /// fabric.send(p0, p1, MsgKind::BarrierExit, 8);
@@ -76,7 +76,7 @@ impl NetStats {
     }
 
     /// Overwrites the counter of one kind (used by [`crate::Fabric`] when
-    /// aggregating its atomics into a snapshot).
+    /// copying its counters into a snapshot).
     pub(crate) fn set(&mut self, kind: MsgKind, msgs: u64, bytes: u64) {
         self.by_kind[kind.index()] = Counter { msgs, bytes };
     }
@@ -149,7 +149,7 @@ mod tests {
 
     /// The statistics of a two-processor fabric that carried `msgs`.
     fn stats_of(msgs: &[(MsgKind, u64)]) -> NetStats {
-        let fabric = Fabric::new(2);
+        let mut fabric = Fabric::new(2);
         for &(kind, payload) in msgs {
             fabric.send(ProcId::new(0), ProcId::new(1), kind, payload);
         }

@@ -54,13 +54,15 @@ pub use lrc_trace as trace;
 pub use lrc_vclock as vclock;
 pub use lrc_workloads as workloads;
 
-// The runtime's engines are shared by every processor's thread, so they
-// must stay `Send + Sync`. The simulator's `OneThread` engines must not
-// be `Sync`: `AnyEngine`'s docs hold the `compile_fail` example.
+// The runtime shares one engine between every processor's thread behind
+// its mutex, so an engine must be `Send`; the runtime, and the facade its
+// `engine()` hands out, must be `Send + Sync`.
 const _: () = {
+    const fn send<T: Send>() {}
     const fn send_sync<T: Send + Sync>() {}
     send_sync::<lrc_dsm::Dsm>();
-    send_sync::<lrc_core::LrcEngine>();
-    send_sync::<lrc_eager::EagerEngine>();
-    send_sync::<lrc_sim::AnyEngine<lrc_core::Threads>>();
+    send_sync::<lrc_dsm::SharedEngine<'static>>();
+    send::<lrc_sim::AnyEngine>();
+    send::<lrc_core::LrcEngine>();
+    send::<lrc_eager::EagerEngine>();
 };

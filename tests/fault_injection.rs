@@ -626,7 +626,7 @@ fn killed_node_rejoins_from_checkpoint_and_converges() {
         ..EngineParams::default()
     };
     let built = AnyEngine::build(kind, &params).unwrap();
-    let engine = built.as_lazy().expect("checkpoints are lazy-only");
+    let mut engine = built.as_lazy().expect("checkpoints are lazy-only");
     engine.write(p0, 8, &0x51u64.to_le_bytes());
     engine.write(p1, 1024, &0x41u64.to_le_bytes());
     engine.barrier(p0, barrier).unwrap();

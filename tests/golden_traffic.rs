@@ -155,7 +155,7 @@ fn p(i: u16) -> ProcId {
 }
 
 /// One committed round of lock-protected work over pages 0, 1, 2 and 4.
-fn phase(e: &LrcEngine, salt: u64) {
+fn phase(e: &mut LrcEngine, salt: u64) {
     let (l0, l1) = (LockId::new(0), LockId::new(1));
     e.acquire(p(0), l0).unwrap();
     e.write(p(0), 8, &(100 + salt).to_le_bytes());
@@ -174,7 +174,7 @@ fn phase(e: &LrcEngine, salt: u64) {
 /// Runs the script up to the first cut: a phase, a barrier (a garbage
 /// collection, so the owner table is populated), another phase, and a
 /// bare lock hand-off that leaves unapplied notices at p2.
-fn run_to_first_cut(e: &LrcEngine) {
+fn run_to_first_cut(e: &mut LrcEngine) {
     phase(e, 1);
     for i in 0..3 {
         e.barrier(p(i), BarrierId::new(0)).unwrap();
@@ -188,8 +188,8 @@ fn run_to_first_cut(e: &LrcEngine) {
 fn lazy_checkpoint_encodes_byte_identically() {
     let lrck = unhex(include_str!("fixtures/lrck.hex"));
 
-    let live = fixture_engine();
-    run_to_first_cut(&live);
+    let mut live = fixture_engine();
+    run_to_first_cut(&mut live);
     let base = live.checkpoint();
     assert!(base.owners.iter().any(Option::is_some), "owners populated");
     assert!(!base.store.is_empty(), "store populated");
@@ -201,7 +201,7 @@ fn lazy_checkpoint_encodes_byte_identically() {
 
     // Fixture → restore into a fresh engine → cut again. The episode
     // counter is engine statistics, not restored state.
-    let fresh = fixture_engine();
+    let mut fresh = fixture_engine();
     fresh.restore(&decoded).expect("same-shape restore");
     let mut again = fresh.checkpoint();
     assert_eq!(again.episode, 0);

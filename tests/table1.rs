@@ -38,7 +38,7 @@ fn eager(policy: Policy) -> EagerEngine {
 /// when requester, home, and grantor are distinct; LI adds nothing.
 #[test]
 fn lock_cost_li_is_3() {
-    let dsm = lazy(Policy::Invalidate);
+    let mut dsm = lazy(Policy::Invalidate);
     let l = LockId::new(0); // home p0
     dsm.acquire(p(1), l).unwrap();
     dsm.write_u64(p(1), 0, 1);
@@ -58,7 +58,7 @@ fn lock_cost_li_is_3() {
 /// acquirer's cached pages (diffs from the grantor ride the grant free).
 #[test]
 fn lock_cost_lu_is_3_plus_2h() {
-    let dsm = lazy(Policy::Update);
+    let mut dsm = lazy(Policy::Update);
     let l = LockId::new(0);
     // p2 caches pages 0 and 1.
     dsm.read_u64(p(2), 0);
@@ -94,7 +94,7 @@ fn lock_cost_lu_is_3_plus_2h() {
 #[test]
 fn lock_cost_eager_is_3() {
     for policy in [Policy::Invalidate, Policy::Update] {
-        let dsm = eager(policy);
+        let mut dsm = eager(policy);
         let l = LockId::new(0);
         dsm.acquire(p(1), l).unwrap();
         dsm.release(p(1), l).unwrap();
@@ -111,7 +111,7 @@ fn lock_cost_eager_is_3() {
 #[test]
 fn unlock_cost_lazy_0_eager_2c() {
     for policy in [Policy::Invalidate, Policy::Update] {
-        let dsm = lazy(policy);
+        let mut dsm = lazy(policy);
         let l = LockId::new(0);
         dsm.acquire(p(1), l).unwrap();
         dsm.write_u64(p(1), 0, 9);
@@ -120,7 +120,7 @@ fn unlock_cost_lazy_0_eager_2c() {
         assert_eq!(dsm.net().stats().since(&before).total().msgs, 0, "{policy}");
     }
     for policy in [Policy::Invalidate, Policy::Update] {
-        let dsm = eager(policy);
+        let mut dsm = eager(policy);
         // c = 3 other cachers of page 0 (home p0 plus readers p2, p3).
         dsm.read_u64(p(2), 0);
         dsm.read_u64(p(3), 0);
@@ -142,7 +142,7 @@ fn unlock_cost_lazy_0_eager_2c() {
 #[test]
 fn miss_cost_lazy_is_2m() {
     // m = 1: a migratory chain is served by its last modifier alone.
-    let dsm = lazy(Policy::Invalidate);
+    let mut dsm = lazy(Policy::Invalidate);
     let l = LockId::new(0);
     for i in 1..=2u16 {
         dsm.acquire(p(i), l).unwrap();
@@ -160,7 +160,7 @@ fn miss_cost_lazy_is_2m() {
     dsm.release(p(3), l).unwrap();
 
     // m = 2: two concurrent writers of disjoint words (false sharing).
-    let dsm = lazy(Policy::Invalidate);
+    let mut dsm = lazy(Policy::Invalidate);
     dsm.read_u64(p(3), 0); // p3 caches the page first
     dsm.write_u64(p(1), 0, 1);
     dsm.write_u64(p(2), 8, 2);
@@ -180,7 +180,7 @@ fn miss_cost_lazy_is_2m() {
 /// copy, 3 when it forwards to the owner.
 #[test]
 fn miss_cost_eager_is_2_or_3() {
-    let dsm = eager(Policy::Invalidate);
+    let mut dsm = eager(Policy::Invalidate);
     // 2 hops: page 0's home (p0) holds the initial copy.
     let before = dsm.net().snapshot();
     dsm.read_u64(p(2), 0);
@@ -208,7 +208,7 @@ fn miss_cost_eager_is_2_or_3() {
 fn barrier_cost_all_protocols() {
     let b = BarrierId::new(0);
     // LI: exactly 2(n-1).
-    let dsm = lazy(Policy::Invalidate);
+    let mut dsm = lazy(Policy::Invalidate);
     dsm.write_u64(p(1), 0, 1);
     let before = dsm.net().snapshot();
     for i in 0..N as u16 {
@@ -225,7 +225,7 @@ fn barrier_cost_all_protocols() {
     );
 
     // LU: 2(n-1) + 2u with u = 2 (two other processors cache the page).
-    let dsm = lazy(Policy::Update);
+    let mut dsm = lazy(Policy::Update);
     dsm.read_u64(p(2), 0);
     dsm.read_u64(p(3), 0);
     dsm.read_u64(p(1), 0);
@@ -245,7 +245,7 @@ fn barrier_cost_all_protocols() {
     );
 
     // EU: same 2u shape, pushed instead of pulled.
-    let dsm = eager(Policy::Update);
+    let mut dsm = eager(Policy::Update);
     dsm.read_u64(p(2), 0);
     dsm.read_u64(p(3), 0);
     dsm.read_u64(p(1), 0);
@@ -266,7 +266,7 @@ fn barrier_cost_all_protocols() {
     );
 
     // EI: 2(n-1) + 2v, with v = excess invalidators of each page.
-    let dsm = eager(Policy::Invalidate);
+    let mut dsm = eager(Policy::Invalidate);
     dsm.read_u64(p(1), 0);
     dsm.read_u64(p(2), 0);
     dsm.read_u64(p(3), 0);
