@@ -1,4 +1,3 @@
-use std::sync::Arc;
 use std::time::Duration;
 
 use lrc_core::{ConfigError, EngineParams};
@@ -91,10 +90,11 @@ impl DsmBuilder {
         self
     }
 
-    /// Bounds every blocking wait (lock hand-offs, barrier episodes) by
-    /// `timeout`. A wait that sees no progress for `timeout` panics with
-    /// a stuck-waiter report — what a test suite wants from a lost
-    /// wake-up instead of a silent CI hang. Default: wait forever.
+    /// Bounds every blocking wait (lock hand-offs, barrier episodes, a
+    /// miss on a page another processor is fetching) by `timeout`. A
+    /// wait that is not woken for `timeout` panics with a stuck-waiter
+    /// report — what a test suite wants from a lost wake-up instead of a
+    /// silent CI hang. Default: wait forever.
     ///
     /// Composes with [`DsmBuilder::holder_timeout`]: a waiter suspects
     /// after every `holder_timeout` without progress and panics after
@@ -177,9 +177,7 @@ impl DsmBuilder {
             }
         }
         let engine = AnyEngine::build(self.kind, &self.params)?;
-        let recovery = self
-            .checkpoint_every
-            .map(|episodes| Arc::new(AutoCheckpointer::new(episodes)));
+        let recovery = self.checkpoint_every.map(AutoCheckpointer::new);
         Ok(Dsm::from_engine(
             engine,
             self.kind,

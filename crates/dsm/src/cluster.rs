@@ -15,6 +15,7 @@ use parking_lot::lockdep::classes;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::RefMut;
 
+use crate::recovery::AutoCheckpointer;
 use crate::ProcHandle;
 
 /// Errors surfaced by the runtime API.
@@ -75,49 +76,23 @@ impl From<BarrierError> for DsmError {
     }
 }
 
-/// One synchronization object's wait queue: a generation counter plus
-/// the condvar its waiters sleep on. Each lock and each barrier has its
-/// own, so an event wakes only the waiters of *that* object.
-///
-/// A slot advances on a release of its lock, on the closing arrival of
-/// its barrier's episode, and when a death declaration force-releases
-/// the lock or completes the episode. A waiter captures the generation
-/// *before* it calls the engine and parks until the generation moves, so
-/// an event that slips in between the engine call and the park is never
-/// lost.
-pub(crate) struct WaitSlot {
-    generation: parking_lot::Mutex<u64>,
-    moved: parking_lot::Condvar,
+/// Everything the runtime shares, behind its one mutex.
+pub(crate) struct Shared {
+    pub(crate) engine: AnyEngine,
+    /// Per barrier, one past the index of its newest completed episode
+    /// (0 before any): an arrival that waits in episode `e` parks until
+    /// this passes `e`. Set by the closing arrival and by a death
+    /// declaration that completes an episode.
+    pub(crate) episodes_done: Vec<u64>,
+    /// The automatic checkpointer, when
+    /// [`crate::DsmBuilder::checkpoint_every`] is set: closing barrier
+    /// arrivals and death declarations feed it, and revival reads its
+    /// newest cut.
+    pub(crate) recovery: Option<AutoCheckpointer>,
 }
 
-impl WaitSlot {
-    fn new() -> WaitSlot {
-        WaitSlot {
-            generation: parking_lot::Mutex::new_in(0, classes::DSM_WAIT_SLOT),
-            moved: parking_lot::Condvar::new(),
-        }
-    }
-
-    /// The current generation.
-    fn generation(&self) -> u64 {
-        *self.generation.lock()
-    }
-
-    /// The slot with its current generation, captured before an engine
-    /// call.
-    pub(crate) fn capture(&self) -> (&WaitSlot, u64) {
-        (self, self.generation())
-    }
-
-    /// Moves the generation on and wakes every waiter.
-    pub(crate) fn advance(&self) {
-        *self.generation.lock() += 1;
-        self.moved.notify_all();
-    }
-}
-
-/// The engine, held for one operation.
-pub(crate) type EngineGuard<'a> = MutexGuard<'a, AnyEngine>;
+/// The shared state, held for one operation.
+pub(crate) type EngineGuard<'a> = MutexGuard<'a, Shared>;
 
 /// The lazy engine inside `engine`, which alone has checkpoints, deaths
 /// and rejoins.
@@ -134,57 +109,54 @@ pub(crate) fn lazy(engine: &AnyEngine) -> RefMut<'_, LrcEngine> {
     )
 }
 
-/// Shared state of the runtime: the protocol engine behind one mutex,
-/// plus a wait queue per lock and per barrier.
+/// The runtime: its shared state behind one mutex, and the condvars of
+/// that mutex that every wait parks on.
 ///
-/// Every operation takes the engine once and runs to completion with it,
+/// Every operation takes the mutex once and runs to completion with it,
 /// except a miss, which releases it for its fetch: the engine plans the
 /// miss ([`AnyEngine::begin_miss`]), the fetch hook runs with the
 /// mutex released, and the engine applies the fetch
 /// ([`AnyEngine::finish_miss`]). So a stalled fetch blocks nobody
-/// else's operations. A miss on a page another processor is fetching
-/// waits on `settled` until that miss finishes. Lock and barrier waits
-/// happen outside the engine, in the wait slots.
+/// else's operations.
+///
+/// A processor waits in three places: an acquire of a held lock, a
+/// barrier arrival that does not close its episode, and a miss on a page
+/// another processor is fetching. Each checks its condition and parks in
+/// one hold of the mutex, in [`Cluster::wait`], so no wake-up can slip in
+/// between. Whoever changes a condition does so under the mutex and then
+/// notifies its condvar: a release (or a death that force-releases the
+/// lock) its lock's, a closing arrival (or a death that completes the
+/// episode) its barrier's, and a finished miss `settled`.
 pub(crate) struct Cluster {
-    pub(crate) engine: Mutex<AnyEngine>,
+    shared: Mutex<Shared>,
     /// Notified whenever a miss finishes: a miss told its page is busy
-    /// waits here, with the engine released, and asks again.
+    /// waits here and asks again.
     settled: Condvar,
+    /// Per lock, notified when the lock is released.
+    pub(crate) lock_freed: Vec<Condvar>,
+    /// Per barrier, notified when one of its episodes completes.
+    pub(crate) episode_done: Vec<Condvar>,
     /// The modeled network fetch every miss runs between its halves.
     fetch_hook: OnceLock<FetchHook>,
     /// The engine's address space, which never changes: range checks
     /// read it without the lock.
     space: AddrSpace,
     n_procs: usize,
-    /// Per-lock wait queues, indexed by lock id.
-    pub(crate) lock_slots: Vec<WaitSlot>,
-    /// Per-barrier wait queues, indexed by barrier id.
-    pub(crate) barrier_slots: Vec<WaitSlot>,
-    /// Deadline for every blocking wait (lock hand-offs and barrier
-    /// episodes), suspicion or not. `None` waits forever; tests set a
-    /// bound so a lost wake-up fails with a stuck-waiter report instead
-    /// of hanging CI.
+    /// Deadline for every wait, suspicion or not. `None` waits forever;
+    /// tests set a bound so a lost wake-up fails with a stuck-waiter
+    /// report instead of hanging CI.
     wait_timeout: Option<Duration>,
     /// Failure-detector period: a waiter blocked this long without
     /// progress suspects the processors it waits on and declares them
     /// dead (lazy engines only), then again after every further period.
     /// `None` disables suspicion.
     holder_timeout: Option<Duration>,
-    /// Serializes concurrent suspicions of the same processor: the engine
-    /// panics on a double `declare_dead`, so check-and-declare must be
-    /// atomic across waiters.
-    pub(crate) suspicion: Mutex<()>,
-    /// The automatic checkpointer, when
-    /// [`crate::DsmBuilder::checkpoint_every`] is set: closing barrier
-    /// arrivals and death declarations feed it, and revival reads its
-    /// newest cut.
-    pub(crate) recovery: Option<Arc<crate::recovery::AutoCheckpointer>>,
 }
 
 impl Cluster {
-    /// Takes the engine.
+    /// Takes the shared state.
     pub(crate) fn lock(&self) -> EngineGuard<'_> {
-        self.engine.lock()
+        self.shared.lock()
     }
 
     /// Number of processors.
@@ -199,59 +171,104 @@ impl Cluster {
 
     /// Reads `buf.len()` bytes at `addr` as `p`, resolving misses.
     pub(crate) fn read(&self, p: ProcId, addr: u64, buf: &mut [u8]) {
-        let mut engine = self.lock();
-        while let Err(page) = engine.try_read(p, addr, buf) {
-            engine = self.resolve_miss(engine, p, page);
+        let mut state = self.lock();
+        while let Err(page) = state.engine.try_read(p, addr, buf) {
+            state = self.resolve_miss(state, p, page);
         }
     }
 
     /// Writes `data` at `addr` as `p`, resolving misses.
     pub(crate) fn write(&self, p: ProcId, addr: u64, data: &[u8]) {
-        let mut engine = self.lock();
-        while let Err(page) = engine.try_write(p, addr, data) {
-            engine = self.resolve_miss(engine, p, page);
+        let mut state = self.lock();
+        while let Err(page) = state.engine.try_write(p, addr, data) {
+            state = self.resolve_miss(state, p, page);
         }
     }
 
     /// Makes `page` valid at `p`: begins the miss, runs the fetch hook
-    /// with the engine released, and finishes the miss — or, while
+    /// with the mutex released, and finishes the miss — or, while
     /// another processor fetches the page, waits for that miss to finish
-    /// and begins again. Returns the engine, held again, with the page
+    /// and begins again. Returns the state, held again, with the page
     /// valid.
     // Out of line: the miss path stays out of every access's frame.
     #[inline(never)]
     fn resolve_miss<'a>(
         &'a self,
-        mut engine: EngineGuard<'a>,
+        mut state: EngineGuard<'a>,
         p: ProcId,
         page: PageId,
     ) -> EngineGuard<'a> {
-        loop {
-            match engine.begin_miss(p, page) {
-                Miss::Ready => break,
-                Miss::Fetching(ticket) => {
-                    drop(engine);
-                    if let Some(hook) = self.fetch_hook.get() {
-                        hook(p, page);
-                    }
-                    engine = self.lock();
-                    engine.finish_miss(ticket);
-                    self.settled.notify_all();
-                    break;
-                }
-                Miss::Busy => self.settled.wait(&mut engine),
+        let mut miss = state.engine.begin_miss(p, page);
+        if let Miss::Busy = miss {
+            state = self.wait(
+                state,
+                &self.settled,
+                &mut |s| {
+                    miss = s.engine.begin_miss(p, page);
+                    !matches!(miss, Miss::Busy)
+                },
+                &|_| Vec::new(),
+                &|_| format!("{p} waited for another processor's fetch of {page}"),
+            );
+        }
+        if let Miss::Fetching(ticket) = miss {
+            drop(state);
+            if let Some(hook) = self.fetch_hook.get() {
+                hook(p, page);
             }
+            state = self.lock();
+            state.engine.finish_miss(ticket);
+            self.settled.notify_all();
         }
         debug_assert!(
-            engine.page_valid(p, page),
+            state.engine.page_valid(p, page),
             "a resolved miss leaves {page} valid at {p}"
         );
-        engine
+        state
+    }
+
+    /// Releases `lock` held by `p` and wakes the lock's waiters.
+    pub(crate) fn release(&self, p: ProcId, lock: LockId) -> Result<(), LockError> {
+        self.lock().engine.release(p, lock)?;
+        // Notified once the mutex is let go, as a woken waiter's first step
+        // is to take it. A successful release implies the id is in range.
+        self.lock_freed[lock.index()].notify_all();
+        Ok(())
+    }
+
+    /// Arrives at `barrier` as `p`. A closing arrival runs the
+    /// checkpointer's trigger and wakes the episode's waiters. Returns
+    /// the state, still held, so that a waiting arrival parks in the same
+    /// hold.
+    pub(crate) fn arrive(
+        &self,
+        p: ProcId,
+        barrier: BarrierId,
+    ) -> Result<(EngineGuard<'_>, BarrierArrival), BarrierError> {
+        let mut state = self.lock();
+        let arrival = state.engine.barrier(p, barrier)?;
+        if let BarrierArrival::Complete { episode } = arrival {
+            let s = &mut *state;
+            // Every other processor is still parked, so the cut is a
+            // consistent synchronization point.
+            if let Some(auto) = s.recovery.as_mut() {
+                auto.maybe_cut(&mut lazy(&s.engine));
+            }
+            self.complete_episode(s, barrier, episode);
+        }
+        Ok((state, arrival))
+    }
+
+    /// Records that `episode` of `barrier` completed and wakes its
+    /// waiters.
+    fn complete_episode(&self, s: &mut Shared, barrier: BarrierId, episode: u64) {
+        s.episodes_done[barrier.index()] = episode + 1;
+        self.episode_done[barrier.index()].notify_all();
     }
 
     /// Whether `p` is declared dead (always `false` on eager engines).
     pub(crate) fn is_dead(&self, p: ProcId) -> bool {
-        self.lock().as_lazy().is_some_and(|e| e.is_dead(p))
+        self.lock().engine.as_lazy().is_some_and(|e| e.is_dead(p))
     }
 
     /// Installs the fetch hook every miss runs between its halves.
@@ -266,79 +283,89 @@ impl Cluster {
         );
     }
 
-    /// Blocks until `slot`'s generation moves past `captured`.
+    /// Parks on `on` until `ready` holds, and returns the state held
+    /// again. The caller has just found the condition false in this hold
+    /// of `state`, so a wake-up cannot be lost: whoever makes the
+    /// condition true does so under the same mutex and notifies `on`.
+    /// `ready` runs with the state held after every wake-up; an acquire
+    /// retries in it.
     ///
-    /// After every `holder_timeout` without movement it suspects each
-    /// processor `suspects` names. Once `wait_timeout` passes without
-    /// movement it panics with the stuck-waiter `report`, suspicion or
-    /// not.
+    /// After every `holder_timeout` without a wake-up it declares each
+    /// processor `suspects` names dead, in the same hold that read them.
+    /// Once `wait_timeout` passes without a wake-up it panics with the
+    /// stuck-waiter `report`, suspicion or not, and whether or not the
+    /// condition holds by then: a condition that came true without a
+    /// notify is a lost wake-up.
     // Out of line: inlined into `apply`, the wait loop and its stuck-waiter
     // diagnostics bloat that function's frame and tax every operation the
     // node runtime dispatches (measured: +9% on the benchmark's `round_us`).
     #[inline(never)]
-    pub(crate) fn wait_moved(
-        &self,
-        slot: &WaitSlot,
-        captured: u64,
-        suspects: &dyn Fn() -> Vec<ProcId>,
-        report: &dyn Fn() -> String,
-    ) {
-        let start = Instant::now();
-        let deadline = self.wait_timeout.map(|limit| start + limit);
+    pub(crate) fn wait<'a>(
+        &'a self,
+        mut state: EngineGuard<'a>,
+        on: &Condvar,
+        ready: &mut dyn FnMut(&Shared) -> bool,
+        suspects: &dyn Fn(&Shared) -> Vec<ProcId>,
+        report: &dyn Fn(&Shared) -> String,
+    ) -> EngineGuard<'a> {
+        let mut start = Instant::now();
         let mut next_suspicion = self.holder_timeout.map(|period| start + period);
-        let mut generation = slot.generation.lock();
-        while *generation == captured {
-            let Some(wake) = deadline.into_iter().chain(next_suspicion).min() else {
-                slot.moved.wait(&mut generation);
-                continue;
-            };
-            let now = Instant::now();
-            if now < wake {
-                slot.moved.wait_for(&mut generation, wake - now);
-                continue;
+        loop {
+            let deadline = self.wait_timeout.map(|limit| start + limit);
+            match deadline.into_iter().chain(next_suspicion).min() {
+                None => on.wait(&mut state),
+                Some(wake) => {
+                    let now = Instant::now();
+                    if now < wake {
+                        if on.wait_for(&mut state, wake - now).timed_out() {
+                            continue;
+                        }
+                    } else if deadline.is_some_and(|d| now >= d) {
+                        let report = report(&state);
+                        drop(state);
+                        panic!(
+                            "DSM wait deadline exceeded after {:?}: {report}",
+                            now - start
+                        );
+                    } else {
+                        // Failure-detector path: whoever this waiter waits
+                        // on has been silent for a whole period and is
+                        // presumed crashed. Declaring it dead
+                        // force-releases its locks and completes its
+                        // barrier episodes. The condition is checked
+                        // first, in the same hold, so that the suspects
+                        // are the current ones.
+                        if ready(&state) {
+                            return state;
+                        }
+                        for p in suspects(&state) {
+                            self.declare_dead_in(&mut state, p);
+                        }
+                        next_suspicion = self.holder_timeout.map(|period| now + period);
+                        if ready(&state) {
+                            return state;
+                        }
+                        continue;
+                    }
+                }
             }
-            drop(generation);
-            if deadline.is_some_and(|d| now >= d) {
-                panic!(
-                    "DSM wait deadline exceeded after {:?}: {}",
-                    now - start,
-                    report()
-                );
+            if ready(&state) {
+                return state;
             }
-            // Failure-detector path: whoever this waiter waits on has been
-            // silent for a whole period and is presumed crashed. Declaring
-            // it dead force-releases its locks and completes its barrier
-            // episodes, which advances the slot.
-            for p in suspects() {
-                self.suspect(slot, captured, p);
-            }
-            next_suspicion = self.holder_timeout.map(|period| now + period);
-            generation = slot.generation.lock();
+            // Woken without the condition: both clocks restart.
+            start = Instant::now();
+            next_suspicion = self.holder_timeout.map(|period| start + period);
         }
     }
 
-    /// Declares `p` dead on behalf of a waiter that timed out while
-    /// `slot` sat at generation `captured` — unless the grievance went
-    /// stale while the waiter assembled it. Between the waiter's timeout
-    /// and this call the lock may have been handed off or the episode
-    /// completed (a concurrent death declaration can do either), and the
-    /// waiter's suspect list may describe the lock's next holder or the
-    /// barrier's next episode, whose processors are merely not there yet.
-    /// Declaring on stale evidence would kill a healthy processor, so the
-    /// generation is re-checked under the suspicion lock, atomically with
-    /// the declaration.
-    fn suspect(&self, slot: &WaitSlot, captured: u64, p: ProcId) {
-        let _serialized = self.suspicion.lock();
-        if slot.generation() == captured && !self.is_dead(p) {
-            self.declare_dead(p);
-        }
-    }
-
-    /// Declares `p` dead in the engine and propagates the consequences
-    /// into the runtime's blocking layer: the slot of every lock the
-    /// engine force-released and of every barrier episode it completed on
-    /// `p`'s behalf advances, so their waiters retry or fall through.
+    /// Declares `p` dead in the engine and wakes the waiters of every
+    /// lock the engine force-released and of every barrier episode it
+    /// completed on `p`'s behalf, so they retry or fall through.
     pub(crate) fn declare_dead(&self, p: ProcId) -> DeathReport {
+        self.declare_dead_in(&mut self.lock(), p)
+    }
+
+    fn declare_dead_in(&self, s: &mut Shared, p: ProcId) -> DeathReport {
         // Cut *before* the engine processes the death: declaring `p` dead
         // resets its frames, and committed contents only `p` held would
         // vanish from every later cut — a revival would then cold-miss
@@ -348,20 +375,18 @@ impl Cluster {
         // where rejoin's catch-up delivery finds it. A refused
         // declaration must not cut: a second one would replace the
         // pre-death cut with one of the dead window.
-        let guard = self.lock();
-        let mut engine = lazy(&guard);
+        let mut engine = lazy(&s.engine);
         assert!(!engine.is_dead(p), "processor {p} is already dead");
-        if let Some(auto) = self.recovery.as_ref() {
+        if let Some(auto) = s.recovery.as_mut() {
             auto.cut_now(&mut engine);
         }
         let report = engine.declare_dead(p);
         drop(engine);
-        drop(guard);
         for &lock in &report.released {
-            self.lock_slots[lock.index()].advance();
+            self.lock_freed[lock.index()].notify_all();
         }
-        for &(barrier, _) in &report.completed_episodes {
-            self.barrier_slots[barrier.index()].advance();
+        for &(barrier, episode) in &report.completed_episodes {
+            self.complete_episode(s, barrier, episode);
         }
         report
     }
@@ -387,26 +412,28 @@ impl Dsm {
         kind: ProtocolKind,
         wait_timeout: Option<Duration>,
         holder_timeout: Option<Duration>,
-        recovery: Option<Arc<crate::recovery::AutoCheckpointer>>,
+        recovery: Option<AutoCheckpointer>,
     ) -> Self {
         let core = engine.core();
         let params = core.params();
-        let lock_slots = (0..params.n_locks).map(|_| WaitSlot::new()).collect();
-        let barrier_slots = (0..params.n_barriers).map(|_| WaitSlot::new()).collect();
+        let (n_locks, n_barriers) = (params.n_locks, params.n_barriers);
         let (space, n_procs) = (core.space(), params.n_procs);
         drop(core);
+        let shared = Shared {
+            engine,
+            episodes_done: vec![0; n_barriers],
+            recovery,
+        };
         let cluster = Arc::new(Cluster {
-            engine: Mutex::new_in(engine, classes::DSM_ENGINE),
+            shared: Mutex::new_in(shared, classes::DSM_ENGINE),
             settled: Condvar::new(),
+            lock_freed: (0..n_locks).map(|_| Condvar::new()).collect(),
+            episode_done: (0..n_barriers).map(|_| Condvar::new()).collect(),
             fetch_hook: OnceLock::new(),
             space,
             n_procs,
-            lock_slots,
-            barrier_slots,
             wait_timeout,
             holder_timeout,
-            suspicion: Mutex::new_in((), classes::DSM_SUSPICION),
-            recovery,
         });
         Dsm { cluster, kind }
     }
@@ -421,14 +448,19 @@ impl Dsm {
     /// Panics if a recorder is already attached or its processor count
     /// differs from the engine's.
     pub fn attach_recorder(&self, recorder: Arc<HistoryRecorder>) {
-        self.cluster.lock().core_mut().attach_recorder(recorder);
+        self.cluster
+            .lock()
+            .engine
+            .core_mut()
+            .attach_recorder(recorder);
     }
 
     /// The shared protocol engine — for inspection (counters, fabric
     /// stats, fetch hooks) by tests and benches, and for driving it
-    /// without the runtime's *blocking* (lock wait queues, barrier
-    /// parking). Each call takes the engine's mutex once; misses resolve
-    /// as a [`ProcHandle`]'s do.
+    /// from one thread without blocking: an acquire of a held lock fails
+    /// and a barrier arrival returns at once. Each call takes the
+    /// runtime's mutex once; misses, releases and arrivals run as a
+    /// [`ProcHandle`]'s do.
     pub fn engine(&self) -> SharedEngine<'_> {
         SharedEngine(&self.cluster)
     }
@@ -485,7 +517,7 @@ impl Dsm {
 
     /// Snapshot of the accumulated network statistics.
     pub fn net_stats(&self) -> NetStats {
-        self.cluster.lock().net_stats()
+        self.cluster.lock().engine.net_stats()
     }
 
     // ---- crash tolerance ----
@@ -499,7 +531,7 @@ impl Dsm {
     ///
     /// Panics if the protocol is eager.
     pub fn checkpoint(&self) -> EngineCheckpoint {
-        lazy(&self.cluster.lock()).checkpoint()
+        lazy(&self.cluster.lock().engine).checkpoint()
     }
 
     /// Restores a checkpoint into this (freshly built, idle) runtime
@@ -513,7 +545,7 @@ impl Dsm {
     ///
     /// Panics if the protocol is eager.
     pub fn restore(&self, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
-        lazy(&self.cluster.lock()).restore(ckpt)
+        lazy(&self.cluster.lock().engine).restore(ckpt)
     }
 
     /// Declares processor `p` dead on the survivors' behalf (lazy
@@ -550,15 +582,17 @@ impl Dsm {
     ///
     /// Panics if `p` is out of range or the protocol is eager.
     pub fn rejoin(&self, p: ProcId, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
-        lazy(&self.cluster.lock()).rejoin(p, ckpt)
+        lazy(&self.cluster.lock().engine).rejoin(p, ckpt)
     }
 
     // ---- self-healing runtime ----
 
-    /// The automatic checkpointer's newest cut. `None` without
+    /// The automatic checkpointer's newest cut. The checkpointer keeps it
+    /// beside the engine, under the runtime's one mutex, so this read
+    /// never sees half of a cut. `None` without
     /// [`crate::DsmBuilder::checkpoint_every`] or before the first cut.
     pub fn latest_checkpoint(&self) -> Option<EngineCheckpoint> {
-        self.cluster.recovery.as_ref()?.latest()
+        self.cluster.lock().recovery.as_ref()?.latest()
     }
 
     /// Attempts automatic revival of `p`: rejoin from the newest
@@ -576,8 +610,8 @@ impl Dsm {
 
 impl fmt::Debug for Dsm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let engine = self.cluster.lock();
-        let core = engine.core();
+        let state = self.cluster.lock();
+        let core = state.engine.core();
         let params = core.params();
         write!(
             f,
@@ -588,11 +622,12 @@ impl fmt::Debug for Dsm {
 }
 
 /// The runtime's engine as [`Dsm::engine`] hands it out: each call takes
-/// the engine's mutex once and releases it before returning. Accesses
-/// resolve their misses as a [`ProcHandle`]'s do, fetch hook included;
-/// synchronization operations do not block — a held lock is a
-/// [`LockError::HeldByOther`], a barrier arrival returns at once — and
-/// wake no waiter.
+/// the runtime's mutex once and releases it before returning. Accesses
+/// resolve their misses as a [`ProcHandle`]'s do, fetch hook included,
+/// and a release or a closing arrival wakes the same waiters and drives
+/// the same checkpointer as a [`ProcHandle`]'s. Nothing here blocks: an
+/// acquire of a held lock is a [`LockError::HeldByOther`], and a barrier
+/// arrival returns at once.
 #[derive(Clone, Copy)]
 pub struct SharedEngine<'a>(&'a Cluster);
 
@@ -621,7 +656,7 @@ impl<'a> SharedEngine<'a> {
     ///
     /// Propagates [`LockError`], [`LockError::HeldByOther`] included.
     pub fn acquire(&self, p: ProcId, lock: LockId) -> Result<(), LockError> {
-        self.0.lock().acquire(p, lock)
+        self.0.lock().engine.acquire(p, lock)
     }
 
     /// Releases `lock` held by `p`.
@@ -630,7 +665,7 @@ impl<'a> SharedEngine<'a> {
     ///
     /// Propagates [`LockError`].
     pub fn release(&self, p: ProcId, lock: LockId) -> Result<(), LockError> {
-        self.0.lock().release(p, lock)
+        self.0.release(p, lock)
     }
 
     /// Arrives at `barrier` as `p`, without waiting for the episode.
@@ -639,7 +674,7 @@ impl<'a> SharedEngine<'a> {
     ///
     /// Propagates [`BarrierError`].
     pub fn barrier(&self, p: ProcId, barrier: BarrierId) -> Result<BarrierArrival, BarrierError> {
-        self.0.lock().barrier(p, barrier)
+        self.0.arrive(p, barrier).map(|(_, arrival)| arrival)
     }
 
     /// Installs the miss-fetch instrumentation hook (see [`FetchHook`]):
@@ -661,7 +696,7 @@ impl<'a> SharedEngine<'a> {
 }
 
 /// What [`SharedEngine::core`] shows of the engine's
-/// [`EngineCore`](lrc_core::EngineCore): each call takes the engine's
+/// [`EngineCore`](lrc_core::EngineCore): each call takes the runtime's
 /// mutex once.
 #[derive(Clone, Copy)]
 pub struct CoreView<'a>(&'a Cluster);
@@ -669,7 +704,7 @@ pub struct CoreView<'a>(&'a Cluster);
 impl CoreView<'_> {
     /// Snapshot of the protocol event counters.
     pub fn counters(&self) -> EngineCounters {
-        self.0.lock().core().counters()
+        self.0.lock().engine.core().counters()
     }
 }
 

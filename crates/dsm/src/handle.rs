@@ -5,7 +5,7 @@ use lrc_core::EngineOp;
 use lrc_sync::{BarrierArrival, BarrierId, LockError, LockId};
 use lrc_vclock::ProcId;
 
-use crate::cluster::{lazy, Cluster, WaitSlot};
+use crate::cluster::Cluster;
 use crate::DsmError;
 
 /// One simulated processor of a running [`Dsm`](crate::Dsm).
@@ -75,36 +75,29 @@ impl ProcHandle {
     ///
     /// [`DsmError::Lock`] on misuse (unknown lock, double acquire).
     pub fn acquire(&mut self, lock: LockId) -> Result<(), DsmError> {
-        let cluster = &*self.cluster;
-        loop {
-            // Captured *before* the attempt: a release that slips in
-            // between the failed attempt and the wait moves the generation,
-            // and the wait falls through at once. Out-of-range ids skip the
-            // capture; the engine reports them.
-            let capture = cluster.lock_slots.get(lock.index()).map(WaitSlot::capture);
-            let acquired = cluster.lock().acquire(self.proc, lock);
-            match acquired {
-                Ok(()) => return Ok(()),
-                Err(LockError::HeldByOther { .. }) => {
-                    let (slot, captured) = capture.expect("a contended lock is in range");
-                    let holder = || cluster.lock().core().lock_holder(lock);
-                    cluster.wait_moved(
-                        slot,
-                        captured,
-                        &|| holder().into_iter().filter(|&h| h != self.proc).collect(),
-                        &|| {
-                            format!(
-                                "{} waited for {lock} (held by {}, release generation stuck \
-                                 at {captured}) — lost wake-up or deadlock",
-                                self.proc,
-                                holder().map_or("nobody".to_string(), |h| h.to_string()),
-                            )
-                        },
-                    );
-                }
-                Err(e) => return Err(e.into()),
-            }
+        let (cluster, p) = (&*self.cluster, self.proc);
+        let state = cluster.lock();
+        let mut acquired = state.engine.acquire(p, lock);
+        if let Err(LockError::HeldByOther { .. }) = acquired {
+            // A contended lock is in range.
+            cluster.wait(
+                state,
+                &cluster.lock_freed[lock.index()],
+                &mut |s| {
+                    acquired = s.engine.acquire(p, lock);
+                    !matches!(acquired, Err(LockError::HeldByOther { .. }))
+                },
+                &|s| s.engine.core().lock_holder(lock).into_iter().collect(),
+                &|s| {
+                    let holder = s.engine.core().lock_holder(lock);
+                    format!(
+                        "{p} waited for {lock} (held by {}) — lost wake-up or deadlock",
+                        holder.map_or("nobody".to_string(), |h| h.to_string()),
+                    )
+                },
+            );
         }
+        Ok(acquired?)
     }
 
     /// Releases `lock`. Purely local under the lazy protocols; pushes
@@ -114,11 +107,7 @@ impl ProcHandle {
     ///
     /// [`DsmError::Lock`] if this processor does not hold the lock.
     pub fn release(&mut self, lock: LockId) -> Result<(), DsmError> {
-        self.cluster.lock().release(self.proc, lock)?;
-        // Wake only this lock's waiters (a successful release implies the
-        // id is in range).
-        self.cluster.lock_slots[lock.index()].advance();
-        Ok(())
+        Ok(self.cluster.release(self.proc, lock)?)
     }
 
     /// Dispatches one decoded remote request with this runtime's blocking
@@ -170,48 +159,22 @@ impl ProcHandle {
     ///
     /// [`DsmError::Barrier`] on misuse (unknown barrier).
     pub fn barrier(&mut self, barrier: BarrierId) -> Result<(), DsmError> {
-        let cluster = &*self.cluster;
-        // No episode of this barrier can complete between the capture and
-        // our own arrival, because the episode needs that arrival. So the
-        // generation moving past the capture means exactly that our
-        // episode completed. Out-of-range ids skip the capture; the engine
-        // reports them.
-        let capture = cluster
-            .barrier_slots
-            .get(barrier.index())
-            .map(WaitSlot::capture);
-        let arrival = {
-            let engine = cluster.lock();
-            let arrival = engine.barrier(self.proc, barrier)?;
-            // The closing arrival drives the episode-based checkpoint
-            // trigger in the same hold of the engine, *before* the slot
-            // advances: every other processor is still parked, so the cut
-            // is a consistent synchronization point.
-            if let (BarrierArrival::Complete { .. }, Some(auto)) = (&arrival, &cluster.recovery) {
-                auto.maybe_cut(&mut lazy(&engine));
-            }
-            arrival
-        };
-        let (slot, captured) = capture.expect("an arrival the engine accepts is in range");
-        match arrival {
-            BarrierArrival::Complete { .. } => slot.advance(),
-            BarrierArrival::Waiting { episode, .. } => {
-                cluster.wait_moved(
-                    slot,
-                    captured,
-                    &|| {
-                        let absent = cluster.lock().core().barrier_absentees(barrier);
-                        absent.into_iter().filter(|&p| p != self.proc).collect()
-                    },
-                    &|| {
-                        format!(
-                            "{} waited at {barrier} in episode {episode} — a processor \
-                             never arrived, or its wake-up was lost",
-                            self.proc,
-                        )
-                    },
-                );
-            }
+        let (cluster, p) = (&*self.cluster, self.proc);
+        let (state, arrival) = cluster.arrive(p, barrier)?;
+        if let BarrierArrival::Waiting { episode, .. } = arrival {
+            // An arrival the engine accepts is in range.
+            cluster.wait(
+                state,
+                &cluster.episode_done[barrier.index()],
+                &mut |s| s.episodes_done[barrier.index()] > episode,
+                &|s| s.engine.core().barrier_absentees(barrier),
+                &|_| {
+                    format!(
+                        "{p} waited at {barrier} in episode {episode} — a processor \
+                         never arrived, or its wake-up was lost"
+                    )
+                },
+            );
         }
         Ok(())
     }

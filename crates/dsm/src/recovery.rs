@@ -34,28 +34,26 @@
 
 use lrc_core::{CheckpointError, EngineCheckpoint, LrcEngine};
 use lrc_vclock::ProcId;
-use parking_lot::lockdep::classes;
-use parking_lot::Mutex;
 
 use crate::cluster::{lazy, Cluster};
 
 /// Cuts every `every_episodes` completed barrier episodes (and before
 /// every death) and keeps the newest cut. One per cluster, created by
-/// [`crate::DsmBuilder::checkpoint_every`].
+/// [`crate::DsmBuilder::checkpoint_every`] and kept beside the engine
+/// under the runtime's mutex, so its triggers (a closing barrier
+/// arrival, a death) replace the cut one at a time.
 pub(crate) struct AutoCheckpointer {
     every_episodes: u64,
     /// The newest cut: the engine episode count it was taken at, and its
     /// [`EngineCheckpoint::encode`] bytes. `None` before the first cut.
-    /// Serialized so concurrent triggers (a closing barrier arrival, a
-    /// death cut) replace it one at a time.
-    latest: Mutex<Option<(u64, Vec<u8>)>>,
+    latest: Option<(u64, Vec<u8>)>,
 }
 
 impl AutoCheckpointer {
     pub(crate) fn new(every_episodes: u64) -> AutoCheckpointer {
         AutoCheckpointer {
             every_episodes,
-            latest: Mutex::new_in(None, classes::DSM_CKPT_STATE),
+            latest: None,
         }
     }
 
@@ -68,40 +66,34 @@ impl AutoCheckpointer {
     /// frames no longer hold the dead processor's committed pages,
     /// poisoning its revival source. Once the lease expires and GC
     /// re-homes the pages (or the processor rejoins), cuts resume.
-    pub(crate) fn maybe_cut(&self, engine: &mut LrcEngine) {
+    pub(crate) fn maybe_cut(&mut self, engine: &mut LrcEngine) {
         if engine.awaiting_rejoin() {
             return;
         }
-        let mut latest = self.latest.lock();
         let episodes = engine.counters().barrier_episodes;
-        let due = latest
+        let due = self
+            .latest
             .as_ref()
             .is_none_or(|&(last, _)| episodes.saturating_sub(last) >= self.every_episodes);
         if due {
-            Self::cut_locked(&mut latest, engine);
+            self.cut_now(engine);
         }
     }
 
     /// Cuts unconditionally — used right before `declare_dead` (so the
     /// pre-death state is recoverable) and by the cold-join path (so a
-    /// post-GC cut exists whose store era matches the live engine).
-    pub(crate) fn cut_now(&self, engine: &mut LrcEngine) {
-        Self::cut_locked(&mut self.latest.lock(), engine);
-    }
-
-    /// The cut itself: capture and encode the engine, replacing the
-    /// previous cut.
-    fn cut_locked(latest: &mut Option<(u64, Vec<u8>)>, engine: &mut LrcEngine) {
+    /// post-GC cut exists whose store era matches the live engine):
+    /// captures and encodes the engine, replacing the previous cut.
+    pub(crate) fn cut_now(&mut self, engine: &mut LrcEngine) {
         let episodes = engine.counters().barrier_episodes;
         let bytes = engine.checkpoint().encode();
         engine.note_checkpoint(bytes.len() as u64);
-        *latest = Some((episodes, bytes));
+        self.latest = Some((episodes, bytes));
     }
 
     /// The newest cut, decoded.
     pub(crate) fn latest(&self) -> Option<EngineCheckpoint> {
-        let latest = self.latest.lock();
-        let (_, bytes) = latest.as_ref()?;
+        let (_, bytes) = self.latest.as_ref()?;
         Some(EngineCheckpoint::decode(bytes).expect("the checkpointer decodes its own encoding"))
     }
 }
@@ -109,16 +101,16 @@ impl AutoCheckpointer {
 impl Cluster {
     /// Rejoins `p` from the newest cut, cold-joining from a fresh post-GC
     /// cut when the newest one was invalidated by lease expiry (the store
-    /// era moved past it). Serialized with the failure detector so a
-    /// concurrent suspicion cannot interleave with the revival. Returns
+    /// era moved past it). One hold of the runtime's mutex, so neither a
+    /// suspicion nor a cut can interleave with the revival. Returns
     /// whether `p` is alive afterwards.
     pub(crate) fn try_revive(&self, p: ProcId) -> bool {
-        let Some(auto) = self.recovery.as_ref() else {
+        let mut state = self.lock();
+        let s = &mut *state;
+        let Some(auto) = s.recovery.as_mut() else {
             return false;
         };
-        let _serialized = self.suspicion.lock();
-        let guard = self.lock();
-        let mut engine = lazy(&guard);
+        let mut engine = lazy(&s.engine);
         if !engine.is_dead(p) {
             return true;
         }

@@ -12,29 +12,26 @@
 //!
 //! The protocol engine itself holds no lock: it is plain data driven
 //! through `&mut self`. The threaded runtime keeps it behind one mutex,
-//! [`DSM_ENGINE`].
+//! [`DSM_ENGINE`], together with everything else the runtime shares (the
+//! checkpointer's newest cut, the per-barrier episode counts), and every
+//! runtime wait — an acquire, a barrier arrival, a miss on a page being
+//! fetched — parks on a condvar of that mutex. So the runtime's blocking
+//! layer is one class, and the only lock taken under it is the history
+//! recorder's log ([`HIST_LOG`]).
+//!
+//! The README's lockdep class table lists every class here with its
+//! level; `tests/source_conformance.rs` checks the two agree.
 
 use crate::Class;
 
 // ---- runtime blocking layer (`lrc-dsm`), outermost ----
 
-/// Serializes concurrent failure-detector suspicions; held across
-/// `declare_dead`, which takes the whole engine hierarchy below it.
-pub const DSM_SUSPICION: Class = Class::new("dsm.suspicion", 10);
-/// A lock's or barrier's wait-slot generation counter (runtime parking).
-/// Held only to read or advance the counter and across the condvar wait
-/// itself; waiters drop it before they suspect or report, and no path
-/// holds two slots at once, so the class has no order key. It sits below
-/// the suspicion lock, which a suspicion holds while it re-checks the
-/// generation and while `declare_dead` advances slots.
-pub const DSM_WAIT_SLOT: Class = Class::new("dsm.wait_slot", 15);
-/// The runtime's protocol engine, taken once per operation (and released
-/// across a miss's fetch). A suspicion holds it inside the suspicion lock;
-/// no path takes a wait slot while holding it.
+/// The runtime's shared state: the protocol engine, the automatic
+/// checkpointer's newest cut and the barriers' completed-episode counts.
+/// Taken once per operation (and released across a miss's fetch); every
+/// runtime wait parks on one of its condvars, and a suspicion declares a
+/// death in the hold that found it.
 pub const DSM_ENGINE: Class = Class::new("dsm.engine", 18);
-/// The automatic checkpointer's newest cut (its episode and encoded
-/// bytes). Taken with the engine held, to cut it.
-pub const DSM_CKPT_STATE: Class = Class::new("dsm.ckpt_state", 20);
 /// The node server's at-most-once reply cache (executed results plus
 /// in-flight marks, keyed by client node and sequence number). Taken by
 /// the dispatch loop before enqueueing and by workers after the engine

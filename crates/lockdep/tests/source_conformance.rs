@@ -231,6 +231,89 @@ fn scanner_catches_the_patterns_it_claims_to() {
     assert!(scan(&clean, &names).is_empty(), "no false positives");
 }
 
+// ---- the README's class table ----
+
+/// The `(name, level)` of every `pub const NAME: Class = Class::new("name",
+/// level);` in `classes.rs`.
+fn declared_classes(source: &str) -> BTreeSet<(String, u32)> {
+    let marker = "Class::new(\"";
+    source
+        .lines()
+        .map(str::trim)
+        .filter(|line| line.starts_with("pub const "))
+        .filter_map(|line| line.split_once(marker).map(|(_, rest)| rest))
+        .map(|rest| {
+            let (name, rest) = rest.split_once('"').expect("a class name is a literal");
+            let level = rest
+                .trim_start_matches([',', ' '])
+                .split(')')
+                .next()
+                .and_then(|level| level.trim().parse().ok())
+                .unwrap_or_else(|| panic!("class `{name}` has a literal level"));
+            (name.to_string(), level)
+        })
+        .collect()
+}
+
+/// The `(name, level)` of every row of the README's lockdep class table:
+/// the rows after the `| class | level | guards |` header, up to the
+/// first line that is not a row.
+fn documented_classes(readme: &str) -> BTreeSet<(String, u32)> {
+    readme
+        .lines()
+        .skip_while(|line| !line.starts_with("| class | level |"))
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let name = cells[1].trim_matches('`');
+            let level = cells[2]
+                .parse()
+                .unwrap_or_else(|_| panic!("README row `{row}` has a numeric level"));
+            (name.to_string(), level)
+        })
+        .collect()
+}
+
+/// The README's lockdep class table and `classes.rs` list the same
+/// classes at the same levels, in both directions: a class added,
+/// removed or re-leveled in the code fails here until the table says so.
+#[test]
+fn readme_class_table_matches_classes_rs() {
+    let root = repo_root();
+    let read = |path: &str| std::fs::read_to_string(root.join(path)).expect("readable");
+    let declared = declared_classes(&read("crates/lockdep/src/classes.rs"));
+    let documented = documented_classes(&read("README.md"));
+    assert!(!declared.is_empty(), "no class found in classes.rs");
+    let undocumented: Vec<_> = declared.difference(&documented).collect();
+    let stale: Vec<_> = documented.difference(&declared).collect();
+    assert!(
+        undocumented.is_empty() && stale.is_empty(),
+        "README's lockdep class table disagrees with crates/lockdep/src/classes.rs:\n  \
+         only in classes.rs: {undocumented:?}\n  only in README: {stale:?}"
+    );
+}
+
+#[test]
+fn class_table_parsers_read_names_and_levels() {
+    let source = "/// Doc naming Class::new(\"doc.only\", 1).\n\
+                  pub const A: Class = Class::new(\"dsm.a\", 18);\n\
+                  pub const B: Class = Class::new(\"net.b\", 85);\n";
+    let readme = "intro\n| class | level | guards |\n|---|---|---|\n\
+                  | `dsm.a` | 18 | a | b |\n| `net.b` | 86 | c |\n\nAfter the table.\n| x | 1 |\n";
+    let pair = |name: &str, level| (name.to_string(), level);
+    let declared = declared_classes(source);
+    assert_eq!(
+        declared,
+        BTreeSet::from([pair("dsm.a", 18), pair("net.b", 85)])
+    );
+    let documented = documented_classes(readme);
+    assert_eq!(
+        documented,
+        BTreeSet::from([pair("dsm.a", 18), pair("net.b", 86)])
+    );
+}
+
 // ---- size ----
 
 /// The item kinds a `pub` line declares that count as public surface.

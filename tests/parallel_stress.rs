@@ -10,12 +10,13 @@
 //! the test with a stuck-waiter report (processor, lock/barrier, current
 //! holder or episode) instead of hanging CI until the harness timeout.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 use lrc::dsm::{DsmBuilder, DsmError};
+use lrc::pagemem::PageId;
 use lrc::sim::ProtocolKind;
-use lrc::sync::{BarrierId, LockId};
+use lrc::sync::{BarrierArrival, BarrierId, LockId};
 use lrc::vclock::ProcId;
 
 /// Generous for the slowest CI runner, but finite: a wait this long means
@@ -294,4 +295,87 @@ fn exceeded_deadline_reports_the_stuck_waiter() {
         message.contains("episode 1"),
         "names the episode: {message}"
     );
+
+    // A miss on a page another processor is fetching: p1's fetch of page
+    // 3 never returns (its hook waits on a gate the test opens at the
+    // end), and p2 misses the same page. Such a wait has nobody to
+    // suspect, and its empty suspicion rounds must not postpone the
+    // deadline.
+    let (page, addr) = (PageId::new(3), 3 * 512);
+    let dsm = DsmBuilder::new(ProtocolKind::LazyInvalidate, 3, 1 << 14)
+        .page_size(512)
+        .wait_timeout(deadline)
+        .holder_timeout(Duration::from_millis(10))
+        .build()
+        .unwrap();
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (open_tx, open_rx) = mpsc::channel::<()>();
+    let open_rx = Mutex::new(open_rx);
+    dsm.engine().set_fetch_hook(Box::new(move |p, missed| {
+        if p == ProcId::new(1) && missed == page {
+            entered_tx.send(()).expect("the test waits for the fetch");
+            let _ = open_rx.lock().expect("gate").recv();
+        }
+    }));
+    // Publish a value on the page, so that p1's miss really fetches.
+    let mut publisher = dsm.handle(ProcId::new(0));
+    publisher.acquire(lock).unwrap();
+    publisher.write_u64(addr, 7);
+    publisher.release(lock).unwrap();
+    let mut fetcher = dsm.handle(ProcId::new(1));
+    let fetching = std::thread::spawn(move || {
+        fetcher.acquire(lock).unwrap();
+        let value = fetcher.read_u64(addr);
+        fetcher.release(lock).unwrap();
+        value
+    });
+    entered_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("p1 reaches its fetch");
+    let mut follower = dsm.handle(ProcId::new(2));
+    let message = stuck_waiter_report(move || {
+        follower.read_u64(addr);
+        Ok(())
+    });
+    assert!(message.contains("deadline exceeded"), "{message}");
+    assert!(message.contains("p2"), "names the waiter: {message}");
+    assert!(message.contains("pg3"), "names the page: {message}");
+    open_tx.send(()).expect("p1 is still fetching");
+    assert_eq!(fetching.join().expect("p1 finishes its miss"), 7);
+}
+
+/// A release and a closing barrier arrival made through `Dsm::engine`
+/// wake a processor blocked in `ProcHandle::acquire` and
+/// `ProcHandle::barrier`: they run the runtime's own release and
+/// arrival, not the engine's alone.
+#[test]
+fn engine_releases_and_arrivals_wake_blocked_handles() {
+    let (lock, barrier) = (LockId::new(0), BarrierId::new(0));
+    let (p0, p1) = (ProcId::new(0), ProcId::new(1));
+    let dsm = DsmBuilder::new(ProtocolKind::LazyInvalidate, 2, 1 << 14)
+        .page_size(512)
+        .wait_timeout(Duration::from_secs(5))
+        .build()
+        .unwrap();
+    dsm.engine().acquire(p0, lock).unwrap();
+    let mut waiter = dsm.handle(p1);
+    let (done_tx, done) = mpsc::channel();
+    std::thread::spawn(move || {
+        waiter.acquire(lock).unwrap();
+        done_tx.send("acquired").unwrap();
+        waiter.release(lock).unwrap();
+        waiter.barrier(barrier).unwrap();
+        done_tx.send("passed the barrier").unwrap();
+    });
+    // Give p1 time to park; were it not parked yet, it would simply
+    // find the lock free or the episode complete.
+    std::thread::sleep(Duration::from_millis(100));
+    dsm.engine().release(p0, lock).unwrap();
+    let step = done.recv_timeout(Duration::from_secs(30));
+    assert_eq!(step, Ok("acquired"), "the release woke p1");
+    std::thread::sleep(Duration::from_millis(100));
+    let arrival = dsm.engine().barrier(p0, barrier).unwrap();
+    assert!(matches!(arrival, BarrierArrival::Complete { .. }));
+    let step = done.recv_timeout(Duration::from_secs(30));
+    assert_eq!(step, Ok("passed the barrier"), "the arrival woke p1");
 }

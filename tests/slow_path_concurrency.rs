@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lrc::dsm::DsmBuilder;
 use lrc::pagemem::PageId;
@@ -230,7 +230,14 @@ fn same_page_followers_wait_on_the_resolver_and_still_resolve() {
             let _ = p2.read_u64(addr_of_page(3));
             p2.release(LockId::new(1)).expect("held");
         });
-        // Release the resolver; the follower can only finish afterwards.
+        // Release the resolver once p2 has found the page busy (its miss
+        // counts one slow wait, and parks in the same hold of the
+        // runtime's mutex); the follower can only finish afterwards.
+        let start = Instant::now();
+        while dsm.engine().core().counters().slow_waits == 0 {
+            assert!(start.elapsed() < DEADLINE, "p2 never found the page busy");
+            std::thread::yield_now();
+        }
         stall.release_tx.send(()).expect("victim waiting");
         follower.join().expect("follower completes");
     });
