@@ -9,20 +9,36 @@
 //! dirty page), so an open interval's uncommitted writes are never in a
 //! checkpoint, exactly as they would be lost in a real crash.
 //!
+//! The cut holds the interval store as the engine does: a copy of its
+//! per-processor logs ([`IntervalStore`]). Its section of the encoding is
+//! written straight from those logs, and decoded straight back into a
+//! fresh store's logs, each diff parsed in place and copied once
+//! ([`IntervalStore::write_section`], [`IntervalStore::read_section`]).
+//!
 //! Serialization reuses the protocol's wire codecs ([`VectorClock`],
-//! [`IntervalId`], [`Diff`]) so checkpoints travel the same transports as
-//! protocol messages. There is one format, `LRCK`: every encoded
-//! checkpoint is a whole cut, decodable on its own.
+//! [`IntervalId`], [`DiffView`]) so checkpoints travel the same
+//! transports as protocol messages. There is one format, `LRCK`: every
+//! encoded checkpoint is a whole cut, decodable on its own.
+//!
+//! A cut that travels — a peer's rejoin request — is refused at the
+//! door. Decoding allocates only in proportion to its input, and returns
+//! [`CheckpointError::Corrupt`] for what a restore or a rejoin would
+//! index with or trip over: a processor, page, or diff extent out of the
+//! header's range; a stamp that is not its own interval's; a processor's
+//! intervals, or the owner table, out of ascending order; a frame flagged
+//! valid without contents, stale with nothing pending, or noticing an
+//! unknown processor. Restore and rejoin check a checkpoint built in
+//! memory for the same, and every processor's clock for opening an
+//! interval past the ones it recorded, before they touch the engine:
+//! [`CheckpointError::Incompatible`].
 
 use std::error::Error;
 use std::fmt;
 
-use lrc_pagemem::{Diff, PageId};
-use lrc_vclock::{IntervalId, ProcId, StampedInterval, VectorClock};
+use lrc_pagemem::{DiffView, PageId};
+use lrc_vclock::{IntervalId, ProcId, VectorClock};
 
-/// One exported interval of the store: its stamp plus one
-/// `(page, diff, holder-mask)` row per page the interval modified.
-pub(crate) type StoreEntry = (StampedInterval, Vec<(PageId, Diff, u64)>);
+use crate::IntervalStore;
 
 const MAGIC: &[u8; 4] = b"LRCK";
 const FORMAT: u16 = 1;
@@ -51,6 +67,26 @@ impl FrameCheckpoint {
     pub(crate) fn is_default(&self) -> bool {
         self.contents.is_none() && !self.valid && self.pending.is_empty()
     }
+
+    /// What makes this a frame no engine of the given shape holds, if
+    /// anything.
+    fn fault(&self, n: usize, page_bytes: usize, n_pages: usize) -> Option<String> {
+        let resident = self.contents.as_ref().map(Vec::len);
+        let why = if self.page.index() >= n_pages {
+            "is out of range"
+        } else if resident.is_some_and(|len| len != page_bytes) {
+            "has contents that are not page-sized"
+        } else if self.valid && resident.is_none() {
+            "is valid without contents"
+        } else if !self.valid && resident.is_some() && self.pending.is_empty() {
+            "is stale with nothing pending"
+        } else if (self.pending.iter()).any(|iv| iv.proc().index() >= n) {
+            "notices an interval of an unknown processor"
+        } else {
+            return None;
+        };
+        Some(format!("frame of {} {why}", self.page))
+    }
 }
 
 /// One processor's checkpointed state.
@@ -63,6 +99,9 @@ pub struct ProcCheckpoint {
 }
 
 /// A full checkpoint of the engine at a synchronization point.
+///
+/// Two checkpoints are equal if they are the same cut: the store is
+/// compared by what it records, not by how its buffers are laid out.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EngineCheckpoint {
     /// Number of processors.
@@ -74,15 +113,15 @@ pub struct EngineCheckpoint {
     /// Completed barrier episodes at capture time — the checkpoint's
     /// version; later checkpoints of the same run have larger values.
     pub episode: u64,
-    /// The interval store's era at capture.
-    /// A processor may rejoin from this checkpoint only while the live
-    /// store is still in the same era — garbage collection discards the
-    /// history the catch-up needs.
-    pub store_era: u64,
-    /// Garbage-collection owner per page (`None` where unassigned).
-    pub owners: Vec<Option<ProcId>>,
-    /// The interval store: stamps, diffs, and possession masks.
-    pub store: Vec<StoreEntry>,
+    /// The garbage-collection owners of the pages that have one,
+    /// ascending by page.
+    pub owners: Vec<(PageId, ProcId)>,
+    /// The interval store at capture: every processor's log of the
+    /// intervals it closed, with their stamps, diffs and possession masks,
+    /// and the store's era. A processor may rejoin from this checkpoint
+    /// only while the live store is still in that era — garbage collection
+    /// discards the history the catch-up needs.
+    pub store: IntervalStore,
     /// Per-processor state, index = processor id.
     pub procs: Vec<ProcCheckpoint>,
 }
@@ -118,7 +157,7 @@ impl fmt::Display for CheckpointError {
 
 impl Error for CheckpointError {}
 
-fn corrupt(why: impl Into<String>) -> CheckpointError {
+pub(crate) fn corrupt(why: impl Into<String>) -> CheckpointError {
     CheckpointError::Corrupt(why.into())
 }
 
@@ -127,13 +166,13 @@ fn corrupt(why: impl Into<String>) -> CheckpointError {
 
 /// A bounds-checked cursor over serialized checkpoint bytes: every read
 /// that would run past the end is [`CheckpointError::Corrupt`].
-struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     at: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         Reader { bytes, at: 0 }
     }
 
@@ -163,7 +202,7 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("eight bytes")))
     }
@@ -181,24 +220,34 @@ impl<'a> Reader<'a> {
 
     /// A `u32` count that must be plausible for `per_item`-byte items
     /// (see [`Reader::fits`]).
-    fn count(&mut self, per_item: usize) -> Result<usize, CheckpointError> {
+    pub(crate) fn count(&mut self, per_item: usize) -> Result<usize, CheckpointError> {
         let n = self.u32()? as usize;
         self.fits(n, per_item)?;
         Ok(n)
     }
 
-    fn clock(&mut self, n_procs: usize) -> Result<VectorClock, CheckpointError> {
+    pub(crate) fn clock(&mut self, n_procs: usize) -> Result<VectorClock, CheckpointError> {
         let bytes = self.take(4 * n_procs)?;
         VectorClock::read_wire(bytes, n_procs).ok_or_else(|| corrupt("short vector clock"))
     }
 
-    fn interval(&mut self) -> Result<IntervalId, CheckpointError> {
+    pub(crate) fn interval(&mut self) -> Result<IntervalId, CheckpointError> {
         let bytes = self.take(IntervalId::WIRE_BYTES)?;
         IntervalId::read_wire(bytes).ok_or_else(|| corrupt("short interval id"))
     }
 
+    /// One diff in its wire form, viewed where it lies: its page tag and
+    /// its runs. The stamp slot is not read back.
+    pub(crate) fn diff(&mut self) -> Result<(u32, DiffView<'a>), CheckpointError> {
+        let rest = &self.bytes[self.at..];
+        let (page, _stamp, diff, used) =
+            DiffView::read_wire(rest).ok_or_else(|| corrupt("short diff"))?;
+        self.at += used;
+        Ok((page, diff))
+    }
+
     /// Refuses trailing bytes.
-    fn done(&self) -> Result<(), CheckpointError> {
+    pub(crate) fn done(&self) -> Result<(), CheckpointError> {
         if self.at != self.bytes.len() {
             return Err(corrupt(format!(
                 "{} trailing bytes",
@@ -224,15 +273,8 @@ fn write_frame(frame: &FrameCheckpoint, page_bytes: usize, out: &mut Vec<u8>) {
     }
 }
 
-fn read_frame(
-    r: &mut Reader<'_>,
-    page_bytes: usize,
-    n_pages: usize,
-) -> Result<FrameCheckpoint, CheckpointError> {
+fn read_frame(r: &mut Reader<'_>, page_bytes: usize) -> Result<FrameCheckpoint, CheckpointError> {
     let page = PageId::new(r.u32()?);
-    if page.index() >= n_pages {
-        return Err(corrupt(format!("frame page {page} out of range")));
-    }
     let flags = r.u8()?;
     if flags & !3 != 0 {
         return Err(corrupt(format!("unknown frame flags {flags:#x}")));
@@ -256,115 +298,21 @@ fn read_frame(
     })
 }
 
-fn write_store_entry(entry: &StoreEntry, out: &mut Vec<u8>) {
-    let (stamp, diffs) = entry;
-    stamp.id().write_wire(out);
-    stamp.clock().write_wire(out);
-    out.extend_from_slice(&(diffs.len() as u32).to_le_bytes());
-    for (page, diff, mask) in diffs {
-        out.extend_from_slice(&mask.to_le_bytes());
-        // The diff codec embeds the page and a u32 stamp slot; the slot
-        // carries the interval seq (redundant here, but keeps the frames
-        // byte-identical to the ones the fetch paths ship).
-        diff.write_wire(page.raw(), stamp.id().seq(), out);
+fn write_owners(owners: &[(PageId, ProcId)], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(owners.len() as u32).to_le_bytes());
+    for (page, proc) in owners {
+        out.extend_from_slice(&page.raw().to_le_bytes());
+        out.extend_from_slice(&proc.raw().to_le_bytes());
     }
 }
 
-fn read_store_entry(
-    r: &mut Reader<'_>,
-    n_procs: usize,
-    page_bytes: usize,
-    n_pages: usize,
-) -> Result<StoreEntry, CheckpointError> {
-    let id = r.interval()?;
-    if id.proc().index() >= n_procs {
-        return Err(corrupt(format!("interval {id} names an unknown processor")));
-    }
-    let clock = r.clock(n_procs)?;
-    if clock.get(id.proc()) != id.seq() {
-        return Err(corrupt(format!(
-            "stamp of {id} carries another sequence number"
-        )));
-    }
-    let stamp = StampedInterval::new(id, clock);
-    let n_diffs = r.count(8)?;
-    let mut diffs = Vec::with_capacity(n_diffs);
-    for _ in 0..n_diffs {
-        let mask = r.u64()?;
-        let rest = &r.bytes[r.at..];
-        let (page, _stamp, diff, used) =
-            Diff::read_wire(rest).ok_or_else(|| corrupt("short diff"))?;
-        r.at += used;
-        // A restored engine indexes its frames by this page and applies
-        // this diff to a page-sized buffer: refuse both overruns here.
-        if page as usize >= n_pages {
-            return Err(corrupt(format!(
-                "diff of {id} names page {page}, out of range"
-            )));
-        }
-        if diff.extent() > page_bytes {
-            return Err(corrupt(format!(
-                "diff of {id} ends at byte {}, past the {page_bytes}-byte page",
-                diff.extent()
-            )));
-        }
-        diffs.push((PageId::new(page), diff, mask));
-    }
-    Ok((stamp, diffs))
-}
-
-/// Reads a store section: a count, then that many entries, each
-/// processor's intervals in ascending sequence order — the order
-/// [`crate::IntervalStore`]'s export writes and its import insists on.
-fn read_store(
-    r: &mut Reader<'_>,
-    n_procs: usize,
-    page_bytes: usize,
-    n_pages: usize,
-) -> Result<Vec<StoreEntry>, CheckpointError> {
-    let n_entries = r.count(IntervalId::WIRE_BYTES)?;
-    let mut store = Vec::with_capacity(n_entries);
-    let mut latest: Vec<Option<u32>> = vec![None; n_procs];
-    for _ in 0..n_entries {
-        let entry = read_store_entry(r, n_procs, page_bytes, n_pages)?;
-        let id = entry.0.id();
-        let last = &mut latest[id.proc().index()];
-        if last.is_some_and(|seq| seq >= id.seq()) {
-            return Err(corrupt(format!("interval {id} out of sequence order")));
-        }
-        *last = Some(id.seq());
-        store.push(entry);
-    }
-    Ok(store)
-}
-
-fn write_owners(owners: &[Option<ProcId>], out: &mut Vec<u8>) {
-    let set: Vec<(u32, u16)> = owners
-        .iter()
-        .enumerate()
-        .filter_map(|(g, o)| o.map(|p| (g as u32, p.raw())))
-        .collect();
-    out.extend_from_slice(&(set.len() as u32).to_le_bytes());
-    for (page, proc) in set {
-        out.extend_from_slice(&page.to_le_bytes());
-        out.extend_from_slice(&proc.to_le_bytes());
-    }
-}
-
-fn read_owners(
-    r: &mut Reader<'_>,
-    n_pages: usize,
-    n_procs: usize,
-) -> Result<Vec<Option<ProcId>>, CheckpointError> {
-    let mut owners = vec![None; n_pages];
+/// Reads what [`write_owners`] wrote: as many entries as the input holds
+/// room for, never a table the size of the header's page count.
+fn read_owners(r: &mut Reader<'_>) -> Result<Vec<(PageId, ProcId)>, CheckpointError> {
     let n = r.count(6)?;
+    let mut owners = Vec::with_capacity(n);
     for _ in 0..n {
-        let page = r.u32()? as usize;
-        let proc = r.u16()?;
-        if page >= n_pages || (proc as usize) >= n_procs {
-            return Err(corrupt("owner entry out of range"));
-        }
-        owners[page] = Some(ProcId::new(proc));
+        owners.push((PageId::new(r.u32()?), ProcId::new(r.u16()?)));
     }
     Ok(owners)
 }
@@ -406,12 +354,9 @@ impl EngineCheckpoint {
         let mut out = Vec::new();
         write_header(self.n_procs, self.page_bytes, self.n_pages, &mut out);
         out.extend_from_slice(&self.episode.to_le_bytes());
-        out.extend_from_slice(&self.store_era.to_le_bytes());
+        out.extend_from_slice(&self.store.era().to_le_bytes());
         write_owners(&self.owners, &mut out);
-        out.extend_from_slice(&(self.store.len() as u32).to_le_bytes());
-        for entry in &self.store {
-            write_store_entry(entry, &mut out);
-        }
+        self.store.write_section(&mut out);
         for proc in &self.procs {
             proc.clock.write_wire(&mut out);
             out.extend_from_slice(&(proc.frames.len() as u32).to_le_bytes());
@@ -427,37 +372,77 @@ impl EngineCheckpoint {
         let mut r = Reader::new(bytes);
         let (n_procs, page_bytes, n_pages) = read_header(&mut r)?;
         let episode = r.u64()?;
-        let store_era = r.u64()?;
-        let owners = read_owners(&mut r, n_pages, n_procs)?;
-        let store = read_store(&mut r, n_procs, page_bytes, n_pages)?;
+        let era = r.u64()?;
+        let owners = read_owners(&mut r)?;
+        let store = IntervalStore::read_section(&mut r, era, n_procs)?;
         let mut procs = Vec::with_capacity(n_procs);
         for _ in 0..n_procs {
             let clock = r.clock(n_procs)?;
             let n_frames = r.count(5)?;
             let mut frames = Vec::with_capacity(n_frames);
             for _ in 0..n_frames {
-                frames.push(read_frame(&mut r, page_bytes, n_pages)?);
+                frames.push(read_frame(&mut r, page_bytes)?);
             }
             procs.push(ProcCheckpoint { clock, frames });
         }
         r.done()?;
-        Ok(EngineCheckpoint {
+        let ckpt = EngineCheckpoint {
             n_procs,
             page_bytes,
             n_pages,
             episode,
-            store_era,
             owners,
             store,
             procs,
-        })
+        };
+        let fault = ckpt.fault(n_procs, page_bytes, n_pages);
+        fault.map_or(Ok(ckpt), |why| Err(corrupt(why)))
+    }
+
+    /// What makes this a cut that no engine of `n` processors and
+    /// `n_pages` pages of `page_bytes` bytes holds, if anything: another
+    /// shape; a processor, page or diff extent out of range; an owner
+    /// table out of page order; a clock of another length; or a frame
+    /// that is valid without contents, stale with nothing pending, or
+    /// noticing an unknown processor. Decoding refuses such a cut as
+    /// [`CheckpointError::Corrupt`], restore and rejoin one built in
+    /// memory as [`CheckpointError::Incompatible`].
+    pub(crate) fn fault(&self, n: usize, page_bytes: usize, n_pages: usize) -> Option<String> {
+        let shape = (self.n_procs, self.page_bytes, self.n_pages);
+        if shape != (n, page_bytes, n_pages) || self.procs.len() != n {
+            return Some(format!(
+                "checkpoint is {}×{}B×{} pages, engine is {n}×{page_bytes}B×{n_pages}",
+                shape.0, shape.1, shape.2
+            ));
+        }
+        let owner_out = |&(g, p): &(PageId, ProcId)| g.index() >= n_pages || p.index() >= n;
+        if self.owners.iter().any(owner_out) || self.owners.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Some("owner table out of range or out of page order".into());
+        }
+        if let Some(why) = self.store.fault(n, page_bytes, n_pages) {
+            return Some(why);
+        }
+        for (p, proc) in ProcId::all(n).zip(&self.procs) {
+            if proc.clock.wire_len() != 4 * n {
+                return Some(format!("clock of {p} is not {n} entries long"));
+            }
+            if let Some(why) = proc
+                .frames
+                .iter()
+                .find_map(|f| f.fault(n, page_bytes, n_pages))
+            {
+                return Some(why);
+            }
+        }
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrc_pagemem::{PageBuf, PageSize};
+    use lrc_pagemem::{Diff, PageBuf, PageSize};
+    use lrc_vclock::StampedInterval;
 
     fn p(i: u16) -> ProcId {
         ProcId::new(i)
@@ -474,14 +459,20 @@ mod tests {
         Diff::between(&twin, &cur)
     }
 
-    fn entry(proc: u16, seq: u32, page: u32, mask: u64) -> StoreEntry {
+    /// Records interval `proc:seq` as its creator's diff of `page`.
+    fn close(store: &mut IntervalStore, proc: u16, seq: u32, page: u32) {
         let mut vc = VectorClock::new(2);
         vc.set(p(proc), seq);
         let stamp = StampedInterval::new(IntervalId::new(p(proc), seq), vc);
-        (stamp, vec![(g(page), diff_of(seq as u8), mask)])
+        store.close_interval(stamp, &mut vec![(g(page), diff_of(seq as u8))]);
     }
 
     fn sample() -> EngineCheckpoint {
+        let mut store = IntervalStore::new(2);
+        store.clear(); // era 1
+        close(&mut store, 0, 2, 1);
+        close(&mut store, 1, 1, 0);
+        store.add_holder(p(0), IntervalId::new(p(1), 1), g(0));
         let mut clock0 = VectorClock::new(2);
         clock0.set(p(0), 3);
         clock0.set(p(1), 1);
@@ -492,9 +483,8 @@ mod tests {
             page_bytes: 64,
             n_pages: 4,
             episode: 5,
-            store_era: 1,
-            owners: vec![None, Some(p(1)), None, None],
-            store: vec![entry(0, 2, 1, 0b01), entry(1, 1, 0, 0b11)],
+            owners: vec![(g(1), p(1))],
+            store,
             procs: vec![
                 ProcCheckpoint {
                     clock: clock0,

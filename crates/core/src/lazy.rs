@@ -962,9 +962,10 @@ impl Engine<Lazy> {
             page_bytes: self.space.page_size().bytes(),
             n_pages: self.space.n_pages() as usize,
             episode: self.counters().barrier_episodes,
-            store_era: state.store.era(),
-            owners: state.gc_owner.clone(),
-            store: state.store.export(),
+            owners: (state.gc_owner.iter().enumerate())
+                .filter_map(|(g, owner)| owner.map(|p| (PageId::new(g as u32), p)))
+                .collect(),
+            store: state.store.clone(),
             procs,
         }
     }
@@ -977,23 +978,25 @@ impl Engine<Lazy> {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Incompatible`] if the checkpoint describes a
-    /// different engine shape, or if a frame's pending notice names no
-    /// diff the checkpoint's store records for that page. Either way the
-    /// engine is left as it was.
+    /// [`CheckpointError::Incompatible`] if the checkpoint does not fit
+    /// this engine (see [`EngineCheckpoint`]), or if a frame's pending
+    /// notice names no diff the checkpoint's store records for that page.
+    /// Either way the engine is left as it was.
     pub fn restore(&mut self, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
         self.check_shape(ckpt)?;
-        let store = IntervalStore::import(self.params.n_procs, ckpt.store_era, &ckpt.store);
         // Every notice resolves before anything is replaced.
         for frame in ckpt.procs.iter().flat_map(|proc| &proc.frames) {
             for &interval in &frame.pending {
-                resolve(&store, interval, frame.page)?;
+                resolve(&ckpt.store, interval, frame.page)?;
             }
         }
         let page_size = self.space.page_size();
         let Engine { shards, proto, .. } = self;
-        proto.store = store;
-        proto.gc_owner = ckpt.owners.clone();
+        proto.store = ckpt.store.clone();
+        proto.gc_owner.fill(None);
+        for &(page, owner) in &ckpt.owners {
+            proto.gc_owner[page.index()] = Some(owner);
+        }
         proto.escrow.clear();
         for (shard, proc) in shards.iter_mut().zip(&ckpt.procs) {
             shard.ext.clock = proc.clock.clone();
@@ -1095,36 +1098,21 @@ impl Engine<Lazy> {
         }
     }
 
-    /// Checks that a checkpoint describes this engine's shape.
+    /// Checks that a checkpoint fits this engine
+    /// ([`EngineCheckpoint::fault`]), and that every processor's clock
+    /// opens an interval past the ones it recorded in the checkpoint's
+    /// store: the next one it closes must be new.
     fn check_shape(&self, ckpt: &EngineCheckpoint) -> Result<(), CheckpointError> {
-        let (n, page_bytes, n_pages) = (
-            self.params.n_procs,
-            self.space.page_size().bytes(),
-            self.space.n_pages() as usize,
-        );
-        if (ckpt.n_procs, ckpt.page_bytes, ckpt.n_pages) != (n, page_bytes, n_pages)
-            || ckpt.procs.len() != n
-            || ckpt.owners.len() != n_pages
-        {
-            return Err(CheckpointError::Incompatible(format!(
-                "checkpoint is {}×{}B×{} pages, engine is {n}×{page_bytes}B×{n_pages}",
-                ckpt.n_procs, ckpt.page_bytes, ckpt.n_pages
-            )));
+        let (n, page_bytes) = (self.params.n_procs, self.space.page_size().bytes());
+        let refuse = |why| Err(CheckpointError::Incompatible(why));
+        if let Some(why) = ckpt.fault(n, page_bytes, self.space.n_pages() as usize) {
+            return refuse(why);
         }
-        for frame in ckpt.procs.iter().flat_map(|proc| &proc.frames) {
-            if frame.page.index() >= n_pages {
-                return Err(CheckpointError::Incompatible(format!(
-                    "frame page {} out of range",
-                    frame.page
-                )));
-            }
-            if frame
-                .contents
-                .as_ref()
-                .is_some_and(|c| c.len() != page_bytes)
-            {
-                return Err(CheckpointError::Incompatible(
-                    "frame contents are not page-sized".into(),
+        for (p, proc) in ProcId::all(n).zip(&ckpt.procs) {
+            let (open, recorded) = (proc.clock.get(p), ckpt.store.latest_seq(p));
+            if open <= recorded {
+                return refuse(format!(
+                    "clock of {p} opens {open}, not past its recorded {recorded}"
                 ));
             }
         }
@@ -1172,12 +1160,12 @@ impl Engine<Lazy> {
             proto,
         } = self;
         let store = &proto.store;
-        if store.era() != ckpt.store_era {
+        if store.era() != ckpt.store.era() {
             let why = format!(
                 "store era {} differs from checkpoint era {}: the \
                  catch-up history was garbage-collected",
                 store.era(),
-                ckpt.store_era
+                ckpt.store.era()
             );
             // A lease-expired processor's history was collected *on
             // purpose*: the typed error tells the runtime to cold-join

@@ -88,7 +88,6 @@ mod seeded;
 mod slowpath;
 mod store;
 
-pub(crate) use checkpoint::StoreEntry;
 pub use checkpoint::{CheckpointError, EngineCheckpoint};
 pub use checkpoint::{FrameCheckpoint, ProcCheckpoint};
 pub(crate) use config::MAX_PROCS;

@@ -1,11 +1,13 @@
 //! Seeded interval-store histories for the model tests of `store.rs` and
 //! `plan.rs` (test builds only): closes of 1–4 pages under clocks that
 //! learn from each other, possession spreading, garbage collection, and a
-//! checkpoint round trip, in an order drawn from the seed.
+//! checkpoint round trip of the store section, in an order drawn from the
+//! seed.
 
 use lrc_pagemem::{Diff, PageBuf, PageId, PageSize};
 use lrc_vclock::{IntervalId, ProcId, StampedInterval, VectorClock};
 
+use crate::checkpoint::Reader;
 use crate::IntervalStore;
 
 /// splitmix64: all the randomness these tests need.
@@ -40,7 +42,7 @@ pub(crate) enum StoreOp {
     Close(StampedInterval, Vec<(PageId, Diff)>),
     Hold(ProcId, IntervalId, PageId),
     Clear,
-    /// `export` → `import`.
+    /// The store section of a checkpoint, written and read back.
     Reload,
 }
 
@@ -53,7 +55,12 @@ impl StoreOp {
             StoreOp::Hold(proc, interval, page) => store.add_holder(*proc, *interval, *page),
             StoreOp::Clear => store.clear(),
             StoreOp::Reload => {
-                *store = IntervalStore::import(n_procs, store.era(), &store.export())
+                let mut section = Vec::new();
+                store.write_section(&mut section);
+                let mut r = Reader::new(&section);
+                *store = IntervalStore::read_section(&mut r, store.era(), n_procs)
+                    .expect("a written section reads back");
+                r.done().expect("and reads back whole");
             }
         }
     }

@@ -3,6 +3,9 @@ use std::ops::Range;
 use lrc_pagemem::{DiffLog, DiffSpan, DiffView, PageBuf, PageId};
 use lrc_vclock::{IntervalId, ProcId, StampedInterval, VectorClock};
 
+use crate::checkpoint::{corrupt, Reader};
+use crate::CheckpointError;
+
 /// A write notice: page × interval, without the data (§4.2), and the
 /// handle of the diff it announces.
 ///
@@ -28,7 +31,7 @@ pub(crate) struct WriteNotice {
 #[derive(Clone, Copy, Debug)]
 struct Header {
     seq: u32,
-    /// The stamp's clock weight, summed once at close or import: every
+    /// The stamp's clock weight, summed once at close or read: every
     /// happened-before sort key of every plan reads it.
     weight: u64,
     /// The log's entries of the interval's pages, ascending by page; a
@@ -176,16 +179,6 @@ impl Log {
             })
     }
 
-    /// The stamp of the header at `at`, rebuilt from its `n` clock
-    /// entries.
-    fn stamp(&self, creator: ProcId, at: usize, n: usize) -> StampedInterval {
-        let mut clock = VectorClock::new(n);
-        for (q, &seq) in ProcId::all(n).zip(&self.clocks[at * n..(at + 1) * n]) {
-            clock.set(q, seq);
-        }
-        StampedInterval::new(IntervalId::new(creator, self.headers[at].seq), clock)
-    }
-
     /// Forgets every record, keeping every buffer.
     fn clear(&mut self) {
         self.headers.clear();
@@ -216,8 +209,7 @@ impl Closing<'_> {
         current: &PageBuf,
         written: Range<usize>,
     ) {
-        let diff = self.log.diffs.push_between(twin, current, written);
-        if !diff.is_empty() {
+        if let Some(diff) = self.log.diffs.push_between(twin, current, written) {
             self.log.entries.push(PageEntry {
                 page,
                 header: 0, // set by `seal`
@@ -287,6 +279,10 @@ pub(crate) struct Located {
 /// lets a miss be served by the *concurrent last modifiers* only: a
 /// modifier forwards the dominated diffs it holds along with its own
 /// (§4.3.2).
+///
+/// Two stores are equal if they record the same history in the same era,
+/// however their buffers are laid out: a store read back from a checkpoint
+/// equals the one that was cut.
 #[derive(Clone, Debug)]
 pub struct IntervalStore {
     /// One log per processor.
@@ -296,6 +292,21 @@ pub struct IntervalStore {
     /// intervals, adding holders — leave it unchanged.
     era: u64,
 }
+
+impl PartialEq for IntervalStore {
+    /// The same era, and the same checkpoint section: seqs, stamp clocks,
+    /// pages, holder masks and diff bytes.
+    fn eq(&self, other: &IntervalStore) -> bool {
+        let section = |store: &IntervalStore| {
+            let mut out = Vec::new();
+            store.write_section(&mut out);
+            out
+        };
+        self.era == other.era && section(self) == section(other)
+    }
+}
+
+impl Eq for IntervalStore {}
 
 impl IntervalStore {
     /// Creates an empty store for `n_procs` processors.
@@ -615,42 +626,102 @@ impl IntervalStore {
         self.logs[p.index()].headers.last().map_or(0, |h| h.seq)
     }
 
-    /// Exports every interval record with its diff payloads and holder
-    /// masks — grouped by processor, ascending seq within each — the
-    /// checkpoint serialization view of the store.
-    pub(crate) fn export(&self) -> Vec<crate::StoreEntry> {
-        let mut out = Vec::with_capacity(self.interval_count());
-        for (p, log) in ProcId::all(self.logs.len()).zip(&self.logs) {
-            for (at, h) in log.headers.iter().enumerate() {
-                let diffs = log.entries[h.entries()]
-                    .iter()
-                    .map(|e| (e.page, log.diffs.view(e.diff).clone(), e.holders))
-                    .collect();
-                out.push((log.stamp(p, at, self.logs.len()), diffs));
+    /// What makes this a store no engine of `n` processors and
+    /// `n_pages` pages of `page_bytes` bytes holds, if anything: another
+    /// number of logs, or a diff that names a page out of range or runs
+    /// past the end of the page — a restored engine indexes its frames by
+    /// that page and applies the diff to a page-sized buffer.
+    pub(crate) fn fault(&self, n: usize, page_bytes: usize, n_pages: usize) -> Option<String> {
+        if self.logs.len() != n {
+            return Some(format!("the store has {} logs", self.logs.len()));
+        }
+        for (p, log) in ProcId::all(n).zip(&self.logs) {
+            for e in &log.entries {
+                let id = IntervalId::new(p, log.headers[e.header as usize].seq);
+                let (page, end) = (e.page.raw(), log.diffs.view(e.diff).extent());
+                if page as usize >= n_pages {
+                    return Some(format!("diff of {id} names page {page}, out of range"));
+                }
+                if end > page_bytes {
+                    return Some(format!(
+                        "diff of {id} ends at byte {end}, past the {page_bytes}-byte page"
+                    ));
+                }
             }
         }
-        out
+        None
     }
 
-    /// Rebuilds a store from an exported view (the inverse of
-    /// [`IntervalStore::export`]). `era` is restored so the recovery guard
-    /// against rejoining across a garbage collection keeps working after a
-    /// whole-engine restore.
+    /// Writes the store section of an `LRCK` checkpoint straight from the
+    /// logs: the number of intervals, then every log's in processor order
+    /// and ascending seq. Each interval writes its id, its stamp clock
+    /// (the log's clock run, laid out as [`VectorClock::write_wire`] lays
+    /// a clock out) and its page count; each page then its holder mask and
+    /// its diff in wire form. The diff's stamp slot carries the interval's
+    /// seq: redundant here, but it keeps the diff byte-identical to the
+    /// ones the fetch paths ship.
+    pub(crate) fn write_section(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.interval_count() as u32).to_le_bytes());
+        let n = self.logs.len();
+        for (p, log) in ProcId::all(n).zip(&self.logs) {
+            for (h, clock) in log.headers.iter().zip(log.clocks.chunks_exact(n)) {
+                IntervalId::new(p, h.seq).write_wire(out);
+                for seq in clock {
+                    out.extend_from_slice(&seq.to_le_bytes());
+                }
+                out.extend_from_slice(&(h.entries().len() as u32).to_le_bytes());
+                for e in &log.entries[h.entries()] {
+                    out.extend_from_slice(&e.holders.to_le_bytes());
+                    log.diffs.view(e.diff).write_wire(e.page.raw(), h.seq, out);
+                }
+            }
+        }
+    }
+
+    /// Reads what [`IntervalStore::write_section`] wrote into a fresh
+    /// store of era `era` for `n_procs` processors, each diff parsed where
+    /// it lies and copied once, into its creator's log. What the diffs
+    /// name is checked by [`IntervalStore::fault`], of the whole cut.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a processor's intervals arrive out of seq order (a
-    /// decoded checkpoint cannot: its decoder refuses that order).
-    pub(crate) fn import(n_procs: usize, era: u64, entries: &[crate::StoreEntry]) -> IntervalStore {
+    /// [`CheckpointError::Corrupt`] if the bytes run short, or an
+    /// interval names an unknown processor, carries a stamp whose own
+    /// entry is another seq, or does not follow its processor's previous
+    /// interval in ascending seq order.
+    pub(crate) fn read_section(
+        r: &mut Reader<'_>,
+        era: u64,
+        n_procs: usize,
+    ) -> Result<IntervalStore, CheckpointError> {
         let mut store = IntervalStore::new(n_procs);
         store.era = era;
-        for (stamp, diffs) in entries {
-            let diffs = diffs
-                .iter()
-                .map(|(page, diff, holders)| (*page, diff.view(), *holders));
-            store.push(stamp, diffs, "imported");
+        for _ in 0..r.count(IntervalId::WIRE_BYTES)? {
+            let id = r.interval()?;
+            let Some(log) = store.logs.get(id.proc().index()) else {
+                return Err(corrupt(format!("interval {id} names an unknown processor")));
+            };
+            let clock = r.clock(n_procs)?;
+            if clock.get(id.proc()) != id.seq() {
+                return Err(corrupt(format!(
+                    "stamp of {id} carries another sequence number"
+                )));
+            }
+            if log.headers.last().is_some_and(|h| h.seq >= id.seq()) {
+                return Err(corrupt(format!("interval {id} out of sequence order")));
+            }
+            let mut refused = Ok(());
+            let diffs = (0..r.count(8)?).map_while(|_| {
+                let entry = r.u64().and_then(|holders| {
+                    let (page, diff) = r.diff()?;
+                    Ok((PageId::new(page), diff, holders))
+                });
+                entry.map_err(|why| refused = Err(why)).ok()
+            });
+            store.push(&StampedInterval::new(id, clock), diffs, "read");
+            refused?;
         }
-        store
+        Ok(store)
     }
 
     /// Discards every interval record with its diffs and possession bits
@@ -787,8 +858,15 @@ mod tests {
         assert_eq!(s.era(), 2);
     }
 
+    /// `s` written as a store section and read back.
+    fn reread(s: &IntervalStore, n_procs: usize) -> IntervalStore {
+        let mut back = s.clone();
+        StoreOp::Reload.apply(&mut back, n_procs);
+        back
+    }
+
     #[test]
-    fn export_import_round_trips_records_diffs_and_holders() {
+    fn section_round_trips_records_diffs_and_holders() {
         let mut s = IntervalStore::new(3);
         let g0 = PageId::new(0);
         let g1 = PageId::new(5);
@@ -803,7 +881,8 @@ mod tests {
         s.close_interval(stamp(2, 7, 3), &mut vec![(g0, diff_of(&[5]))]);
         s.add_holder(p(0), IntervalId::new(p(2), 7), g0);
 
-        let back = IntervalStore::import(3, s.era(), &s.export());
+        let back = reread(&s, 3);
+        assert_eq!(back, s);
         assert_eq!(back.era(), s.era());
         assert_eq!(back.interval_count(), s.interval_count());
         assert_eq!(back.diff_count(), s.diff_count());
@@ -814,6 +893,31 @@ mod tests {
         assert!(back.holds(p(2), id, g0), "creator mask survives");
         assert!(back.holds(p(0), id, g0), "fetched-holder mask survives");
         assert_eq!(back.diff(id, g0), s.diff(id, g0));
+    }
+
+    #[test]
+    fn equality_is_of_the_history_not_of_the_buffers() {
+        let mut s = IntervalStore::new(2);
+        let g = PageId::new(1);
+        s.close_interval(stamp(0, 1, 2), &mut vec![(g, diff_of(&[1, 2]))]);
+        // The same record, laid out after a collected history.
+        let mut t = IntervalStore::new(2);
+        t.close_interval(stamp(1, 1, 2), &mut vec![(g, diff_of(&[9; 40]))]);
+        t.clear();
+        t.era = s.era();
+        t.close_interval(stamp(0, 1, 2), &mut vec![(g, diff_of(&[1, 2]))]);
+        assert_eq!(t, s);
+        let other = |change: &dyn Fn(&mut IntervalStore)| {
+            let mut u = reread(&s, 2);
+            change(&mut u);
+            assert_ne!(u, s);
+        };
+        other(&|u| u.clear());
+        other(&|u| u.add_holder(p(1), IntervalId::new(p(0), 1), g));
+        other(&|u| u.close_interval(stamp(0, 2, 2), &mut vec![(g, diff_of(&[1]))]));
+        let mut wider = IntervalStore::new(2);
+        wider.close_interval(stamp(0, 1, 2), &mut vec![(g, diff_of(&[1, 3]))]);
+        assert_ne!(wider, s, "diff bytes differ");
     }
 
     #[test]
@@ -892,37 +996,31 @@ mod tests {
                     self.holders.clear();
                     self.era += 1;
                 }
-                StoreOp::Reload => {
-                    let mut back = TwoMaps::new(self.records.len());
-                    back.era = self.era;
-                    for (stamp, diffs) in self.export() {
-                        let id = stamp.id();
-                        let mut pages = Vec::new();
-                        for (page, diff, mask) in diffs {
-                            pages.push(page);
-                            back.diffs.insert((id, page), diff);
-                            back.holders.insert((id, page), mask);
-                        }
-                        back.records[id.proc().index()].push((stamp, pages));
-                    }
-                    *self = back;
-                }
+                // The model is the reference a reload is checked against:
+                // it holds nothing a reload could lose.
+                StoreOp::Reload => {}
             }
         }
 
-        fn export(&self) -> Vec<crate::StoreEntry> {
-            self.records
-                .iter()
-                .flatten()
-                .map(|(stamp, pages)| {
-                    let id = stamp.id();
-                    let diffs = pages
-                        .iter()
-                        .map(|&g| (g, self.diffs[&(id, g)].clone(), self.holders[&(id, g)]))
-                        .collect();
-                    (stamp.clone(), diffs)
-                })
-                .collect()
+        /// The store section of a checkpoint, written from the model: the
+        /// reference [`IntervalStore::write_section`] is checked against,
+        /// stamps, holder masks and order included.
+        fn section(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            let n: usize = self.records.iter().map(Vec::len).sum();
+            out.extend_from_slice(&(n as u32).to_le_bytes());
+            for (stamp, pages) in self.records.iter().flatten() {
+                let id = stamp.id();
+                id.write_wire(&mut out);
+                stamp.clock().write_wire(&mut out);
+                out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
+                for &g in pages {
+                    out.extend_from_slice(&self.holders[&(id, g)].to_le_bytes());
+                    // The diff's stamp slot carries the interval's seq.
+                    self.diffs[&(id, g)].write_wire(g.raw(), id.seq(), &mut out);
+                }
+            }
+            out
         }
 
         fn holds(&self, proc: ProcId, interval: IntervalId, page: PageId) -> bool {
@@ -1009,7 +1107,9 @@ mod tests {
     ) {
         let n = model.records.len();
         assert_eq!(store.era(), model.era);
-        assert_eq!(store.export(), model.export());
+        let mut section = Vec::new();
+        store.write_section(&mut section);
+        assert_eq!(section, model.section());
         assert_eq!(
             store.interval_count(),
             model.records.iter().map(Vec::len).sum::<usize>()

@@ -66,7 +66,7 @@ use std::fmt;
 use std::ops::Deref;
 
 use lrc_core::EngineOp;
-use lrc_pagemem::{Diff, PageId};
+use lrc_pagemem::{Diff, DiffView, PageId};
 use lrc_sync::{BarrierId, LockId};
 use lrc_vclock::{IntervalId, ProcId, VectorClock};
 
@@ -571,12 +571,12 @@ impl WireDiff {
 
     fn read(r: &mut Reader<'_>) -> Result<WireDiff, WireError> {
         let (page, stamp, diff, used) =
-            Diff::read_wire(r.rest()).ok_or_else(|| malformed("bad diff encoding"))?;
+            DiffView::read_wire(r.rest()).ok_or_else(|| malformed("bad diff encoding"))?;
         r.skip(used);
         Ok(WireDiff {
             page: PageId::new(page),
             stamp,
-            diff,
+            diff: diff.clone(),
         })
     }
 }

@@ -184,8 +184,8 @@ fn coverage<'a>(chain: impl Iterator<Item = DiffView<'a>>, ranges: &mut Vec<(u32
 ///
 /// A diff is one buffer: its runs stored back to back in their wire
 /// layout — offset (4), length (4) and the run's bytes, in offset order —
-/// which is exactly what [`Diff::write_wire`] emits after the header. So
-/// [`Diff::encoded_size`] is that buffer's length plus the header.
+/// which is exactly what [`DiffView::write_wire`] emits after the header.
+/// So [`Diff::encoded_size`] is that buffer's length plus the header.
 /// [`Diff::runs`] walks the buffer as `(offset, bytes)` views. The same
 /// layout, borrowed, is a [`DiffView`]: what a [`DiffLog`] holds many of
 /// back to back.
@@ -340,14 +340,6 @@ impl Diff {
         self.view().runs()
     }
 
-    /// One past the last byte the diff modifies (0 for an empty diff): the
-    /// diff applies to any page at least this long.
-    pub fn extent(&self) -> usize {
-        self.runs()
-            .last()
-            .map_or(0, |(offset, data)| offset as usize + data.len())
-    }
-
     /// Total number of modified bytes.
     pub fn modified_bytes(&self) -> usize {
         self.wire.len() - self.run_count() * RUN_HEADER_BYTES
@@ -448,54 +440,10 @@ impl Diff {
                 .sum::<usize>()
     }
 
-    /// Appends the diff's wire encoding to `out`, tagged with the page it
-    /// applies to and the sequence number of the interval that produced
-    /// it. The layout matches [`Diff::encoded_size`] *exactly* — page id
-    /// (4), run count (4), interval stamp (4), then per run offset (4),
-    /// length (4), and the run's bytes — so the modeled byte accounting of
-    /// `lrc-simnet` becomes a measurement for diffs. The runs are the
-    /// diff's own buffer, copied as they are.
+    /// Appends the diff's wire encoding to `out`
+    /// ([`DiffView::write_wire`]).
     pub fn write_wire(&self, page: u32, stamp: u32, out: &mut Vec<u8>) {
-        out.reserve(self.encoded_size());
-        out.extend_from_slice(&page.to_le_bytes());
-        out.extend_from_slice(&self.run_count.to_le_bytes());
-        out.extend_from_slice(&stamp.to_le_bytes());
-        out.extend_from_slice(&self.wire);
-    }
-
-    /// Decodes one wire diff from the front of `bytes`, returning the page
-    /// tag, interval stamp, the diff, and the number of bytes consumed.
-    ///
-    /// Returns `None` on truncation, an unreasonable run count, empty
-    /// runs, a run that ends past `u32::MAX`, or runs that are not sorted
-    /// and disjoint (a diff that would not have been produced by
-    /// [`Diff::write_wire`]).
-    pub fn read_wire(bytes: &[u8]) -> Option<(u32, u32, Diff, usize)> {
-        let u32_at = |at: usize| -> Option<u32> {
-            bytes
-                .get(at..at + 4)
-                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        };
-        let page = u32_at(0)?;
-        let run_count = u32_at(4)?;
-        let stamp = u32_at(8)?;
-        if run_count as usize > bytes.len() / RUN_HEADER_BYTES {
-            return None; // each run costs at least its header
-        }
-        let mut at = DIFF_HEADER_BYTES;
-        let mut min_offset = 0usize;
-        for _ in 0..run_count {
-            let offset = u32_at(at)?;
-            let len = u32_at(at + 4)? as usize;
-            at += RUN_HEADER_BYTES;
-            if len == 0 || (offset as usize) < min_offset || bytes.len() - at < len {
-                return None;
-            }
-            min_offset = run_end(offset, len)? as usize;
-            at += len;
-        }
-        let wire = bytes[DIFF_HEADER_BYTES..at].to_vec();
-        Some((page, stamp, Diff { wire, run_count }, at))
+        self.view().write_wire(page, stamp, out);
     }
 
     /// True if any byte range of `self` overlaps any byte range of `other`.
@@ -579,6 +527,65 @@ impl<'a> DiffView<'a> {
         DIFF_HEADER_BYTES + self.wire.len()
     }
 
+    /// One past the last byte the diff modifies (0 for an empty diff): the
+    /// diff applies to any page at least this long.
+    pub fn extent(&self) -> usize {
+        self.runs()
+            .last()
+            .map_or(0, |(offset, data)| offset as usize + data.len())
+    }
+
+    /// Appends the diff's wire encoding to `out`, tagged with the page it
+    /// applies to and the sequence number of the interval that produced
+    /// it. The layout matches [`DiffView::encoded_size`] *exactly* — page
+    /// id (4), run count (4), interval stamp (4), then per run offset (4),
+    /// length (4), and the run's bytes — so the modeled byte accounting of
+    /// `lrc-simnet` becomes a measurement for diffs. The runs are the
+    /// viewed buffer, copied as they are.
+    pub fn write_wire(&self, page: u32, stamp: u32, out: &mut Vec<u8>) {
+        out.reserve(self.encoded_size());
+        out.extend_from_slice(&page.to_le_bytes());
+        out.extend_from_slice(&self.run_count.to_le_bytes());
+        out.extend_from_slice(&stamp.to_le_bytes());
+        out.extend_from_slice(self.wire);
+    }
+
+    /// Decodes one wire diff from the front of `bytes` without copying
+    /// it, returning the page tag, interval stamp, the diff as a view of
+    /// `bytes`, and the number of bytes consumed.
+    ///
+    /// Returns `None` on truncation, an unreasonable run count, empty
+    /// runs, a run that ends past `u32::MAX`, or runs that are not sorted
+    /// and disjoint (a diff that would not have been produced by
+    /// [`DiffView::write_wire`]).
+    pub fn read_wire(bytes: &'a [u8]) -> Option<(u32, u32, DiffView<'a>, usize)> {
+        let u32_at = |at: usize| -> Option<u32> {
+            bytes
+                .get(at..at + 4)
+                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        };
+        let page = u32_at(0)?;
+        let run_count = u32_at(4)?;
+        let stamp = u32_at(8)?;
+        if run_count as usize > bytes.len() / RUN_HEADER_BYTES {
+            return None; // each run costs at least its header
+        }
+        let mut at = DIFF_HEADER_BYTES;
+        let mut min_offset = 0usize;
+        for _ in 0..run_count {
+            let offset = u32_at(at)?;
+            let len = u32_at(at + 4)? as usize;
+            at += RUN_HEADER_BYTES;
+            if len == 0 || (offset as usize) < min_offset || bytes.len() - at < len {
+                return None;
+            }
+            min_offset = run_end(offset, len)? as usize;
+            at += len;
+        }
+        let wire = &bytes[DIFF_HEADER_BYTES..at];
+        Some((page, stamp, DiffView { wire, run_count }, at))
+    }
+
     /// An owned copy of the viewed diff. A view is never copied as a
     /// view: what outlives the buffer it borrows is a [`Diff`], so this is
     /// the one `clone` a view has, and `DiffView` is not `Clone`.
@@ -642,13 +649,6 @@ pub struct DiffSpan {
     run_count: u32,
 }
 
-impl DiffSpan {
-    /// True if the diff carries no modifications.
-    pub fn is_empty(&self) -> bool {
-        self.run_count == 0
-    }
-}
-
 impl DiffLog {
     /// An empty log with room for `bytes` bytes of runs.
     pub fn with_capacity(bytes: usize) -> Self {
@@ -692,8 +692,8 @@ impl DiffLog {
     }
 
     /// Appends the diff of `current` against `twin` within `range`
-    /// ([`Diff::between_in`]) and says where it lies. A diff without runs
-    /// appends nothing.
+    /// ([`Diff::between_in`]) and says where it lies, or `None` if the
+    /// pages agree there: a diff without runs appends nothing.
     ///
     /// # Panics
     ///
@@ -703,9 +703,10 @@ impl DiffLog {
         twin: &PageBuf,
         current: &PageBuf,
         range: Range<usize>,
-    ) -> DiffSpan {
+    ) -> Option<DiffSpan> {
         let one_run = RUN_HEADER_BYTES + range.len();
-        self.append(one_run, |wire| scan(twin, current, range, wire))
+        let span = self.append(one_run, |wire| scan(twin, current, range, wire));
+        (span.run_count > 0).then_some(span)
     }
 
     /// Appends a copy of `diff` and says where it lies.
@@ -805,7 +806,7 @@ mod tests {
             let mut cur = twin.clone();
             let at = k * 5;
             cur.write(at, &[k as u8 + 1; 7]);
-            spans.push(log.push_between(&twin, &cur, at..at + 7));
+            spans.push(log.push_between(&twin, &cur, at..at + 7).unwrap());
             wants.push(Diff::between(&twin, &cur));
             assert_eq!(log.first.as_ptr(), first, "diff {k}");
             if let Some(buffer) = log.more.first() {
@@ -993,14 +994,14 @@ mod tests {
         let mut buf = Vec::new();
         diff.write_wire(17, 5, &mut buf);
         assert_eq!(buf.len(), diff.encoded_size(), "wire bytes match model");
-        let (page_id, stamp, back, used) = Diff::read_wire(&buf).unwrap();
+        let (page_id, stamp, back, used) = DiffView::read_wire(&buf).unwrap();
         assert_eq!((page_id, stamp, used), (17, 5, buf.len()));
-        assert_eq!(back, diff);
+        assert_eq!(back, diff.view());
         // An empty diff is a bare header.
         let mut buf = Vec::new();
         Diff::new().write_wire(0, 0, &mut buf);
         assert_eq!(buf.len(), DIFF_HEADER_BYTES);
-        assert!(Diff::read_wire(&buf).unwrap().2.is_empty());
+        assert_eq!(DiffView::read_wire(&buf).unwrap().2.extent(), 0);
     }
 
     #[test]
@@ -1023,7 +1024,7 @@ mod tests {
             runs,
             [(3, &[9, 9][..]), (5, &[4][..]), (300, &[7, 7, 7][..])]
         );
-        assert_eq!((diff.extent(), diff.modified_bytes()), (303, 6));
+        assert_eq!((diff.view().extent(), diff.modified_bytes()), (303, 6));
     }
 
     #[test]
@@ -1036,24 +1037,24 @@ mod tests {
         diff.write_wire(0, 1, &mut buf);
         // Truncation at every boundary.
         for cut in [1, 4, 11, buf.len() - 1] {
-            assert!(Diff::read_wire(&buf[..cut]).is_none(), "cut at {cut}");
+            assert!(DiffView::read_wire(&buf[..cut]).is_none(), "cut at {cut}");
         }
         // Absurd run count.
         let mut bad = buf.clone();
         bad[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Diff::read_wire(&bad).is_none());
+        assert!(DiffView::read_wire(&bad).is_none());
         // Zero-length run.
         let mut bad = buf.clone();
         bad[16..20].copy_from_slice(&0u32.to_le_bytes());
-        assert!(Diff::read_wire(&bad).is_none());
+        assert!(DiffView::read_wire(&bad).is_none());
         // A run whose end does not fit the u32 offset space: the last
         // offset that fits still decodes, one more does not.
         let mut edge = buf.clone();
         edge[12..16].copy_from_slice(&(u32::MAX - 4).to_le_bytes());
-        let (_, _, fits, _) = Diff::read_wire(&edge).expect("ends exactly at u32::MAX");
+        let (_, _, fits, _) = DiffView::read_wire(&edge).expect("ends exactly at u32::MAX");
         assert_eq!(fits.extent(), u32::MAX as usize);
         edge[12..16].copy_from_slice(&(u32::MAX - 3).to_le_bytes());
-        assert!(Diff::read_wire(&edge).is_none());
+        assert!(DiffView::read_wire(&edge).is_none());
     }
 
     #[test]
@@ -1064,12 +1065,12 @@ mod tests {
 
     #[test]
     fn extent_is_the_end_of_the_last_run() {
-        assert_eq!(Diff::new().extent(), 0);
+        assert_eq!(Diff::new().view().extent(), 0);
         let twin = page();
         let mut cur = twin.clone();
         cur.write(3, &[9; 7]);
         cur.write(250, &[4; 6]);
-        assert_eq!(Diff::between(&twin, &cur).extent(), 256);
+        assert_eq!(Diff::between(&twin, &cur).view().extent(), 256);
     }
 
     #[test]

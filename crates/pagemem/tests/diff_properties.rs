@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use lrc_pagemem::{Diff, DiffRun, PageBuf, PageSize};
+use lrc_pagemem::{Diff, DiffRun, DiffView, PageBuf, PageSize};
 use proptest::prelude::*;
 
 const PAGE: usize = 256;
@@ -195,9 +195,9 @@ proptest! {
             diff.write_wire(page, stamp, &mut buf);
             prop_assert_eq!(buf.len() - 1, diff.encoded_size());
             buf.push(0xCD); // trailing bytes are not consumed
-            let (back_page, back_stamp, back, used) = Diff::read_wire(&buf[1..]).unwrap();
+            let (back_page, back_stamp, back, used) = DiffView::read_wire(&buf[1..]).unwrap();
             prop_assert_eq!((back_page, back_stamp, used), (page, stamp, diff.encoded_size()));
-            prop_assert_eq!(&back, diff);
+            prop_assert_eq!(back, diff.view());
         }
     }
 

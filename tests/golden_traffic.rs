@@ -191,8 +191,8 @@ fn lazy_checkpoint_encodes_byte_identically() {
     let mut live = fixture_engine();
     run_to_first_cut(&mut live);
     let base = live.checkpoint();
-    assert!(base.owners.iter().any(Option::is_some), "owners populated");
-    assert!(!base.store.is_empty(), "store populated");
+    assert!(!base.owners.is_empty(), "owners populated");
+    assert!(base.store.interval_count() > 0, "store populated");
     assert_bytes_eq("the live LRCK cut", &base.encode(), &lrck);
 
     // Fixture → decode → re-encode.
@@ -276,4 +276,157 @@ fn store_intervals_out_of_sequence_order_are_corrupt() {
     // And an interval whose stamp is not its own never reaches the store.
     let why = second_entry_as(0, 3, [2, 2, 1]).unwrap_err();
     assert!(why.contains("carries another sequence number"), "{why}");
+}
+
+/// Reads every page at every live processor, then runs one barrier
+/// episode: what a restored or rejoined engine must survive.
+fn exercise(e: &mut LrcEngine) -> Result<(), String> {
+    let mut page = [0u8; 256];
+    for i in 0..3 {
+        for g in 0..16u64 {
+            e.read_into(p(i), g * 256, &mut page);
+        }
+    }
+    for i in 0..3 {
+        e.barrier(p(i), BarrierId::new(0))
+            .map_err(|e| format!("barrier refused: {e}"))?;
+    }
+    Ok(())
+}
+
+/// What one decoded mutant of the fixture does: restored into a fresh
+/// engine, and p2 rejoined from it on a live one. A refusal is a typed
+/// error; anything else must leave an engine that runs.
+fn restore_and_rejoin(ckpt: &EngineCheckpoint) -> Result<(), String> {
+    let mut fresh = fixture_engine();
+    match fresh.restore(ckpt) {
+        Ok(()) => exercise(&mut fresh)?,
+        Err(CheckpointError::Corrupt(why)) => return Err(format!("restore said Corrupt: {why}")),
+        Err(_) => {}
+    }
+    let mut live = fixture_engine();
+    run_to_first_cut(&mut live);
+    live.declare_dead(p(2));
+    if live.rejoin(p(2), ckpt).is_ok() {
+        exercise(&mut live)?;
+    }
+    Ok(())
+}
+
+#[test]
+fn every_single_byte_mutant_of_the_fixture_is_refused_or_runs() {
+    let lrck = unhex(include_str!("fixtures/lrck.hex"));
+    let (mut refused, mut ran, mut faults) = (0, 0, Vec::new());
+    for at in 0..lrck.len() {
+        for mask in [0x01u8, 0x02, 0x04, 0x10, 0x80, 0xff] {
+            let mut mutant = lrck.clone();
+            mutant[at] ^= mask;
+            let Ok(ckpt) = EngineCheckpoint::decode(&mutant) else {
+                refused += 1;
+                continue;
+            };
+            let outcome = std::panic::catch_unwind(|| restore_and_rejoin(&ckpt));
+            match outcome {
+                Ok(Ok(())) => ran += 1,
+                Ok(Err(why)) => faults.push(format!("byte {at} ^ {mask:#04x}: {why}")),
+                Err(_) => faults.push(format!("byte {at} ^ {mask:#04x}: panicked")),
+            }
+        }
+    }
+    assert!(
+        faults.is_empty(),
+        "{} mutants:\n{}",
+        faults.len(),
+        faults.join("\n")
+    );
+    // The sweep reaches both sides of the door.
+    assert!(refused > 1000 && ran > 5000, "{refused} refused, {ran} ran");
+}
+
+/// The offset of a field of the fixture's processor section (see the
+/// store offsets above): p1's frame of page 2 is cold, flags 0, with one
+/// pending notice; p0's frame of page 0 is resident and valid, flags 3,
+/// with none; p2's frame of page 0 notices p0:2.
+const N_PAGES_AT: usize = 12;
+const P0_FRAME_G0_FLAGS_AT: usize = 266;
+const P1_FRAME_G2_FLAGS_AT: usize = 1077;
+const P2_FRAME_G0_NOTICE_PROC_AT: usize = 1378;
+
+/// Restores `ckpt` into a fresh fixture engine, and rejoins p2 from it on
+/// a live one, expecting both refused as incompatible.
+fn assert_incompatible(ckpt: &EngineCheckpoint, what: &str) {
+    let refused = |got: Result<(), CheckpointError>| match got {
+        Err(CheckpointError::Incompatible(why)) => assert!(why.contains(what), "{why}"),
+        other => panic!("expected Incompatible ({what}), got {other:?}"),
+    };
+    refused(fixture_engine().restore(ckpt));
+    let mut live = fixture_engine();
+    run_to_first_cut(&mut live);
+    live.declare_dead(p(2));
+    refused(live.rejoin(p(2), ckpt));
+}
+
+#[test]
+fn a_header_claiming_four_billion_pages_allocates_nothing_for_them() {
+    let all = u32::MAX.to_le_bytes();
+    let ckpt = decode_patched_lrck(N_PAGES_AT, &16u32.to_le_bytes(), &all).unwrap();
+    assert_eq!(ckpt.n_pages, u32::MAX as usize);
+    assert_incompatible(&ckpt, "engine is 3×256B×16");
+}
+
+#[test]
+fn a_frame_valid_without_contents_is_corrupt_or_incompatible() {
+    let why = decode_patched_lrck(P1_FRAME_G2_FLAGS_AT, &[0], &[2]).unwrap_err();
+    assert!(
+        why.contains("frame of pg2 is valid without contents"),
+        "{why}"
+    );
+
+    let mut live = fixture_engine();
+    run_to_first_cut(&mut live);
+    let mut ckpt = live.checkpoint();
+    let frame = &mut ckpt.procs[1].frames[1];
+    assert_eq!((frame.page.index(), frame.contents.is_none()), (2, true));
+    frame.valid = true;
+    assert_incompatible(&ckpt, "valid without contents");
+}
+
+#[test]
+fn a_resident_frame_stale_with_nothing_pending_is_corrupt() {
+    let why = decode_patched_lrck(P0_FRAME_G0_FLAGS_AT, &[3], &[1]).unwrap_err();
+    assert!(
+        why.contains("frame of pg0 is stale with nothing pending"),
+        "{why}"
+    );
+}
+
+#[test]
+fn a_pending_notice_of_an_unknown_processor_is_corrupt_or_incompatible() {
+    let p0 = 0u16.to_le_bytes();
+    // p2 exists (the notice then names no recorded diff, which restore
+    // refuses); p3 does not.
+    let at = P2_FRAME_G0_NOTICE_PROC_AT;
+    assert!(decode_patched_lrck(at, &p0, &2u16.to_le_bytes()).is_ok());
+    let why = decode_patched_lrck(at, &p0, &3u16.to_le_bytes()).unwrap_err();
+    assert!(
+        why.contains("notices an interval of an unknown processor"),
+        "{why}"
+    );
+
+    let mut live = fixture_engine();
+    run_to_first_cut(&mut live);
+    let mut ckpt = live.checkpoint();
+    let interval = &mut ckpt.procs[2].frames[0].pending[0];
+    *interval = lrc::vclock::IntervalId::new(p(7), interval.seq());
+    assert_incompatible(&ckpt, "unknown processor");
+}
+
+#[test]
+fn a_clock_that_reopens_a_recorded_interval_is_incompatible() {
+    let mut live = fixture_engine();
+    run_to_first_cut(&mut live);
+    let mut ckpt = live.checkpoint();
+    // p0 recorded p0:2; a clock that opens 2 again would close it twice.
+    ckpt.procs[0].clock.set(p(0), 2);
+    assert_incompatible(&ckpt, "clock of p0 opens 2");
 }
