@@ -50,7 +50,10 @@ use crate::{ConfigError, EngineCounters, EngineParams, Frame, Policy};
 /// misses' fetches — overlap it. The plan waits in the missing
 /// processor's scratch. A second processor missing the same page
 /// meanwhile is told [`Miss::Busy`] and asks again once the first miss
-/// finishes. The simulator calls the two halves back to back.
+/// finishes. The simulator calls the two halves back to back. A death
+/// ([`LrcEngine::declare_dead`](crate::LrcEngine::declare_dead)) may land
+/// between the halves: it drops its victim's miss, so the page is free
+/// at once, and the finish reports that it installed nothing.
 ///
 /// Two assumptions bound this (both enforced by the `lrc-dsm` runtime and
 /// trivially true single-threaded): each processor is driven by one
@@ -66,7 +69,7 @@ pub struct EngineCore {
     pub(crate) barriers: BarrierSet,
     /// The pages whose fetch is in progress, and the contention
     /// accounting around them.
-    misses: MissTable,
+    pub(crate) misses: MissTable,
     pub(crate) net: Fabric,
     pub(crate) counters: EngineCounters,
     /// Optional history recorder (`lrc-hist`): when attached, every
@@ -547,7 +550,10 @@ impl<P: Protocol> Engine<P> {
     fn resolve_miss(&mut self, p: ProcId, page: PageId) {
         match self.begin_miss(p, page) {
             Miss::Ready => {}
-            Miss::Fetching(ticket) => self.finish_miss(ticket),
+            Miss::Fetching(ticket) => {
+                let installed = self.finish_miss(ticket);
+                debug_assert!(installed, "no death lands between back-to-back halves");
+            }
             Miss::Busy => panic!(
                 "{page} is being fetched by another processor: finish that miss before {p} \
                  resolves its own"
@@ -589,17 +595,25 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Finishes the miss `ticket` stands for: applies its plan, making
-    /// the page valid at its processor.
+    /// the page valid at its processor, and returns `true`. Returns
+    /// `false`, installing nothing, if the processor was declared dead
+    /// since [`Engine::begin_miss`]: the death dropped the miss and its
+    /// plan ([`LrcEngine::declare_dead`](crate::LrcEngine::declare_dead)).
     ///
     /// # Panics
     ///
     /// Panics if the plan no longer fits the engine — the lazy store was
-    /// garbage-collected since [`Engine::begin_miss`], which only a
-    /// processor declared dead mid-miss can bring about.
-    pub fn finish_miss(&mut self, ticket: MissTicket) {
+    /// garbage-collected since [`Engine::begin_miss`], which a live
+    /// driver never brings about: a collection needs the processor's
+    /// barrier arrival, and it arrives nowhere between the halves.
+    pub fn finish_miss(&mut self, ticket: MissTicket) -> bool {
         let MissTicket { p, page, era } = ticket;
+        if !self.core.misses.fetching(p, page) {
+            return false;
+        }
         self.core.misses.finish(p, page);
         P::finish_miss(self, p, page, era);
+        true
     }
 
     // ---- special accesses ----

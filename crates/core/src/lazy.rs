@@ -30,7 +30,7 @@ use crate::{
 /// processors close intervals), but only garbage collection rewrites the
 /// history, and it runs where no miss can sit between its halves: at a
 /// barrier episode's completion, which needs every live processor's
-/// arrival, and at a death, whose victim's thread must have stopped. The
+/// arrival, and at a death, which drops its victim's miss first. The
 /// finish asserts that the store's era did not move.
 #[derive(Debug)]
 pub struct Lazy {
@@ -65,14 +65,14 @@ impl Lazy {
 /// Asserts that the store's era is still `planned`, the era `p`'s miss
 /// read when it built its plan. A collection between plan and apply
 /// would leave the plan naming discarded diffs, and none can happen
-/// there: a barrier completes only once `p` has arrived, and a death
-/// collects only with its victim's thread stopped.
+/// there under a live driver: a barrier completes only once `p` has
+/// arrived, and a death drops its victim's miss before it collects.
 fn assert_era(store: &IntervalStore, planned: u64, p: ProcId) {
     assert_eq!(
         store.era(),
         planned,
-        "the interval store was collected under {p}'s slow path: {p} was \
-         declared dead while its own thread was inside an operation"
+        "the interval store was collected under {p}'s slow path: {p} \
+         arrived at a barrier between the halves of its own miss"
     );
 }
 
@@ -1048,11 +1048,14 @@ impl Engine<Lazy> {
     ///
     /// `p`'s clock stays frozen (it is valid knowledge), its frames are
     /// discarded (a real crash loses them — rejoin restores a checkpoint
-    /// instead), and every subsequent operation by `p` panics until
-    /// [`LrcEngine::rejoin`].
+    /// instead), and every later operation of `p` fails the engine's
+    /// liveness assertion until [`LrcEngine::rejoin`]: a driver checks
+    /// [`LrcEngine::is_dead`] first, as the `lrc-dsm` runtime does.
     ///
-    /// The caller (the runtime's failure detector) must ensure `p`'s
-    /// driving thread has stopped issuing operations.
+    /// `p`'s thread may be between the halves of a miss. The death drops
+    /// that miss and its plan: the page is free for another processor's
+    /// miss at once, and [`Engine::finish_miss`] reports the dropped miss
+    /// instead of installing into the reset frames.
     ///
     /// # Panics
     ///
@@ -1087,6 +1090,10 @@ impl Engine<Lazy> {
         shard.dirty.clear();
         shard.pages.fill_with(Frame::default);
         shard.ext.pending.reset();
+        // Drop the miss `p` may be fetching, cold base and all: its next
+        // miss rebuilds the rest of the plan.
+        shard.ext.scratch.base = None;
+        self.core.misses.drop_miss(p);
         let completed_episodes = self.core.barriers.mark_dead(p);
         for &(barrier, _) in &completed_episodes {
             let master = self.core.barriers.master(barrier);

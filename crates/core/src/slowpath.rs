@@ -105,6 +105,22 @@ impl MissTable {
         self.in_flight += 1;
     }
 
+    /// Whether `p` is fetching `page`: false once a death dropped the
+    /// miss.
+    pub(crate) fn fetching(&self, p: ProcId, page: PageId) -> bool {
+        self.fetcher[page.index()] == Some(p)
+    }
+
+    /// Drops `p`'s miss, if it has one, as its death does: the page is
+    /// free for another processor's miss, and `p` waits for none.
+    pub(crate) fn drop_miss(&mut self, p: ProcId) {
+        if let Some(slot) = self.fetcher.iter_mut().find(|f| **f == Some(p)) {
+            *slot = None;
+            self.in_flight -= 1;
+        }
+        self.waiting &= !(1u64 << p.index());
+    }
+
     /// Ends `p`'s fetch of `page`.
     ///
     /// # Panics

@@ -1,8 +1,6 @@
 //! Tests of barrier-time garbage collection — the TreadMarks-style answer
 //! to the unbounded consistency-history problem the paper leaves open.
 
-use std::panic::{self, AssertUnwindSafe};
-
 use lrc_core::{EngineParams, LrcEngine, Miss, Policy};
 use lrc_pagemem::Diff;
 use lrc_sync::{BarrierId, LockId};
@@ -162,11 +160,11 @@ fn gc_validates_invalid_resident_copies() {
 }
 
 /// Only a collection rewrites the history, and none can run while a live
-/// processor's miss sits between its plan and its apply. The one way to
-/// break that is to declare a processor dead while its own thread is
-/// inside a miss: the death completes the barrier, the collection runs,
-/// and the miss resumes against a new era. It must fail loudly there,
-/// without installing anything into the dead processor's reset frame.
+/// processor's miss sits between its plan and its apply. A death can
+/// land there: it completes the barrier, the collection runs, and the
+/// miss resumes against a new era. The death dropped the miss, so the
+/// finish reports that instead of applying a stale plan, and installs
+/// nothing into the dead processor's reset frame.
 #[test]
 fn a_miss_resumed_across_its_own_death_fails_loudly() {
     let mut dsm = zero_lease_engine(3);
@@ -188,12 +186,9 @@ fn a_miss_resumed_across_its_own_death_fails_loudly() {
     let report = dsm.declare_dead(p(0));
     assert_eq!(report.completed_episodes.len(), 1);
     assert_eq!(dsm.counters().gc_rounds, 1, "the death collected");
-    let panic = panic::catch_unwind(AssertUnwindSafe(|| dsm.finish_miss(ticket)))
-        .expect_err("the miss must not apply its plan");
-    let message = panic.downcast_ref::<String>().expect("a formatted panic");
     assert!(
-        message.contains("declared dead while its own thread was inside an operation"),
-        "{message}"
+        !dsm.finish_miss(ticket),
+        "the death dropped the miss: its plan is not applied"
     );
     assert!(
         dsm.shard(p(0)).pages[page.index()].copy.is_none(),

@@ -130,7 +130,7 @@ fn split_miss_allocs(policy: Policy) -> u64 {
     dsm.acquire(p(0), lock).unwrap();
     let page = dsm.space().page_of(0);
     let allocs = counted(|| match dsm.begin_miss(p(0), page) {
-        Miss::Fetching(ticket) => dsm.finish_miss(ticket),
+        Miss::Fetching(ticket) => assert!(dsm.finish_miss(ticket)),
         other => panic!("{policy:?}: a warm miss fetches, not {other:?}"),
     });
     assert_eq!(dsm.read_u64(p(0), 0), 3, "{policy:?}: p1's write");

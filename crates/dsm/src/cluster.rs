@@ -1,10 +1,12 @@
 use std::error::Error;
 use std::fmt;
+use std::panic::resume_unwind;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use lrc_core::{
     CheckpointError, DeathReport, EngineCheckpoint, EngineCounters, FetchHook, LrcEngine, Miss,
+    MissTicket,
 };
 use lrc_hist::HistoryRecorder;
 use lrc_sim::{AddrSpace, AnyEngine, PageId, ProtocolKind};
@@ -21,8 +23,9 @@ use crate::ProcHandle;
 /// Errors surfaced by the runtime API.
 ///
 /// Lock contention is *not* an error — [`ProcHandle::acquire`] blocks — so
-/// what remains is genuine misuse: unknown ids, double acquires, releasing
-/// an unheld lock, a dispatched access outside the shared space.
+/// what remains is genuine misuse (unknown ids, double acquires, releasing
+/// an unheld lock, a dispatched access outside the shared space) and a
+/// death.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum DsmError {
     /// A lock operation was invalid.
@@ -37,6 +40,9 @@ pub enum DsmError {
         /// Its length in bytes.
         len: usize,
     },
+    /// The processor was declared dead ([`Dsm::declare_dead`]) before or
+    /// during the operation, and has not rejoined.
+    Dead(ProcId),
 }
 
 impl fmt::Display for DsmError {
@@ -50,6 +56,7 @@ impl fmt::Display for DsmError {
                     "access of {len} bytes at {addr:#x} is outside the shared space"
                 )
             }
+            DsmError::Dead(p) => write!(f, "operation by dead processor {p}"),
         }
     }
 }
@@ -59,7 +66,7 @@ impl Error for DsmError {
         match self {
             DsmError::Lock(e) => Some(e),
             DsmError::Barrier(e) => Some(e),
-            DsmError::OutOfRange { .. } => None,
+            DsmError::OutOfRange { .. } | DsmError::Dead(_) => None,
         }
     }
 }
@@ -94,6 +101,21 @@ pub(crate) struct Shared {
 /// The shared state, held for one operation.
 pub(crate) type EngineGuard<'a> = MutexGuard<'a, Shared>;
 
+/// `Err(Dead(p))` if `p` is declared dead (never on an eager engine).
+fn live(s: &Shared, p: ProcId) -> Result<(), DsmError> {
+    match s.engine.as_lazy() {
+        Some(engine) if engine.is_dead(p) => Err(DsmError::Dead(p)),
+        _ => Ok(()),
+    }
+}
+
+/// Unwraps an access's outcome. The accessors that return no error
+/// ([`ProcHandle::read_bytes`], [`SharedEngine::write`], ...) report a
+/// death by panicking with its message.
+pub(crate) fn or_panic(result: Result<(), DsmError>) {
+    result.unwrap_or_else(|dead| panic!("{dead}"));
+}
+
 /// The lazy engine inside `engine`, which alone has checkpoints, deaths
 /// and rejoins.
 ///
@@ -124,9 +146,13 @@ pub(crate) fn lazy(engine: &AnyEngine) -> RefMut<'_, LrcEngine> {
 /// another processor is fetching. Each checks its condition and parks in
 /// one hold of the mutex, in [`Cluster::wait`], so no wake-up can slip in
 /// between. Whoever changes a condition does so under the mutex and then
-/// notifies its condvar: a release (or a death that force-releases the
-/// lock) its lock's, a closing arrival (or a death that completes the
-/// episode) its barrier's, and a finished miss `settled`.
+/// notifies its condvar: a release its lock's, a closing arrival its
+/// barrier's, a finished miss `settled`, and a death every one.
+///
+/// A death can land on its victim wherever the mutex is let go: before an
+/// operation takes it, while the operation waits, and while its miss
+/// fetches. The victim checks its liveness at each of those, in the same
+/// hold as the engine call the check guards, and gets [`DsmError::Dead`].
 pub(crate) struct Cluster {
     shared: Mutex<Shared>,
     /// Notified whenever a miss finishes: a miss told its page is busy
@@ -169,20 +195,43 @@ impl Cluster {
         self.space
     }
 
+    /// Takes the shared state for an operation of `p`.
+    ///
+    /// # Errors
+    ///
+    /// [`DsmError::Dead`] if `p` is declared dead.
+    pub(crate) fn lock_for(&self, p: ProcId) -> Result<EngineGuard<'_>, DsmError> {
+        let state = self.lock();
+        live(&state, p)?;
+        Ok(state)
+    }
+
     /// Reads `buf.len()` bytes at `addr` as `p`, resolving misses.
-    pub(crate) fn read(&self, p: ProcId, addr: u64, buf: &mut [u8]) {
-        let mut state = self.lock();
+    ///
+    /// # Errors
+    ///
+    /// [`DsmError::Dead`] if `p` is declared dead before or during the
+    /// read.
+    pub(crate) fn read(&self, p: ProcId, addr: u64, buf: &mut [u8]) -> Result<(), DsmError> {
+        let mut state = self.lock_for(p)?;
         while let Err(page) = state.engine.try_read(p, addr, buf) {
-            state = self.resolve_miss(state, p, page);
+            state = self.resolve_miss(state, p, page)?;
         }
+        Ok(())
     }
 
     /// Writes `data` at `addr` as `p`, resolving misses.
-    pub(crate) fn write(&self, p: ProcId, addr: u64, data: &[u8]) {
-        let mut state = self.lock();
+    ///
+    /// # Errors
+    ///
+    /// [`DsmError::Dead`] if `p` is declared dead before or during the
+    /// write.
+    pub(crate) fn write(&self, p: ProcId, addr: u64, data: &[u8]) -> Result<(), DsmError> {
+        let mut state = self.lock_for(p)?;
         while let Err(page) = state.engine.try_write(p, addr, data) {
-            state = self.resolve_miss(state, p, page);
+            state = self.resolve_miss(state, p, page)?;
         }
+        Ok(())
     }
 
     /// Makes `page` valid at `p`: begins the miss, runs the fetch hook
@@ -190,6 +239,11 @@ impl Cluster {
     /// another processor fetches the page, waits for that miss to finish
     /// and begins again. Returns the state, held again, with the page
     /// valid.
+    ///
+    /// # Errors
+    ///
+    /// [`DsmError::Dead`] if `p` is declared dead while it waits or
+    /// fetches.
     // Out of line: the miss path stays out of every access's frame.
     #[inline(never)]
     fn resolve_miss<'a>(
@@ -197,11 +251,12 @@ impl Cluster {
         mut state: EngineGuard<'a>,
         p: ProcId,
         page: PageId,
-    ) -> EngineGuard<'a> {
+    ) -> Result<EngineGuard<'a>, DsmError> {
         let mut miss = state.engine.begin_miss(p, page);
         if let Miss::Busy = miss {
             state = self.wait(
                 state,
+                p,
                 &self.settled,
                 &mut |s| {
                     miss = s.engine.begin_miss(p, page);
@@ -209,43 +264,55 @@ impl Cluster {
                 },
                 &|_| Vec::new(),
                 &|_| format!("{p} waited for another processor's fetch of {page}"),
-            );
+            )?;
         }
         if let Miss::Fetching(ticket) = miss {
+            let mut fetch = Fetch(self, Some(ticket));
             drop(state);
             if let Some(hook) = self.fetch_hook.get() {
                 hook(p, page);
             }
             state = self.lock();
-            state.engine.finish_miss(ticket);
+            let ticket = fetch.1.take().expect("held until now");
+            // A death that dropped the miss woke its followers already.
+            if !state.engine.finish_miss(ticket) {
+                return Err(DsmError::Dead(p));
+            }
             self.settled.notify_all();
         }
         debug_assert!(
             state.engine.page_valid(p, page),
             "a resolved miss leaves {page} valid at {p}"
         );
-        state
+        Ok(state)
     }
 
-    /// Releases `lock` held by `p` and wakes the lock's waiters.
-    pub(crate) fn release(&self, p: ProcId, lock: LockId) -> Result<(), LockError> {
-        self.lock().engine.release(p, lock)?;
+    /// Releases `lock` held by `p`, in `state`, and wakes the lock's
+    /// waiters.
+    pub(crate) fn release(
+        &self,
+        state: EngineGuard<'_>,
+        p: ProcId,
+        lock: LockId,
+    ) -> Result<(), LockError> {
+        state.engine.release(p, lock)?;
+        drop(state);
         // Notified once the mutex is let go, as a woken waiter's first step
         // is to take it. A successful release implies the id is in range.
         self.lock_freed[lock.index()].notify_all();
         Ok(())
     }
 
-    /// Arrives at `barrier` as `p`. A closing arrival runs the
-    /// checkpointer's trigger and wakes the episode's waiters. Returns
+    /// Arrives at `barrier` as `p`, in `state`. A closing arrival runs
+    /// the checkpointer's trigger and wakes the episode's waiters. Returns
     /// the state, still held, so that a waiting arrival parks in the same
     /// hold.
-    pub(crate) fn arrive(
-        &self,
+    pub(crate) fn arrive<'a>(
+        &'a self,
+        mut state: EngineGuard<'a>,
         p: ProcId,
         barrier: BarrierId,
-    ) -> Result<(EngineGuard<'_>, BarrierArrival), BarrierError> {
-        let mut state = self.lock();
+    ) -> Result<(EngineGuard<'a>, BarrierArrival), BarrierError> {
         let arrival = state.engine.barrier(p, barrier)?;
         if let BarrierArrival::Complete { episode } = arrival {
             let s = &mut *state;
@@ -254,21 +321,15 @@ impl Cluster {
             if let Some(auto) = s.recovery.as_mut() {
                 auto.maybe_cut(&mut lazy(&s.engine));
             }
-            self.complete_episode(s, barrier, episode);
+            s.episodes_done[barrier.index()] = episode + 1;
+            self.episode_done[barrier.index()].notify_all();
         }
         Ok((state, arrival))
     }
 
-    /// Records that `episode` of `barrier` completed and wakes its
-    /// waiters.
-    fn complete_episode(&self, s: &mut Shared, barrier: BarrierId, episode: u64) {
-        s.episodes_done[barrier.index()] = episode + 1;
-        self.episode_done[barrier.index()].notify_all();
-    }
-
     /// Whether `p` is declared dead (always `false` on eager engines).
     pub(crate) fn is_dead(&self, p: ProcId) -> bool {
-        self.lock().engine.as_lazy().is_some_and(|e| e.is_dead(p))
+        live(&self.lock(), p).is_err()
     }
 
     /// Installs the fetch hook every miss runs between its halves.
@@ -283,12 +344,16 @@ impl Cluster {
         );
     }
 
-    /// Parks on `on` until `ready` holds, and returns the state held
+    /// Parks `p` on `on` until `ready` holds, and returns the state held
     /// again. The caller has just found the condition false in this hold
     /// of `state`, so a wake-up cannot be lost: whoever makes the
     /// condition true does so under the same mutex and notifies `on`.
     /// `ready` runs with the state held after every wake-up; an acquire
     /// retries in it.
+    ///
+    /// After every wake-up, timed out or not, it first checks that `p`
+    /// is alive: a death notifies every condvar, so a parked victim
+    /// finds out at once.
     ///
     /// After every `holder_timeout` without a wake-up it declares each
     /// processor `suspects` names dead, in the same hold that read them.
@@ -296,6 +361,10 @@ impl Cluster {
     /// stuck-waiter `report`, suspicion or not, and whether or not the
     /// condition holds by then: a condition that came true without a
     /// notify is a lost wake-up.
+    ///
+    /// # Errors
+    ///
+    /// [`DsmError::Dead`] once `p` is declared dead.
     // Out of line: inlined into `apply`, the wait loop and its stuck-waiter
     // diagnostics bloat that function's frame and tax every operation the
     // node runtime dispatches (measured: +9% on the benchmark's `round_us`).
@@ -303,11 +372,12 @@ impl Cluster {
     pub(crate) fn wait<'a>(
         &'a self,
         mut state: EngineGuard<'a>,
+        p: ProcId,
         on: &Condvar,
         ready: &mut dyn FnMut(&Shared) -> bool,
         suspects: &dyn Fn(&Shared) -> Vec<ProcId>,
         report: &dyn Fn(&Shared) -> String,
-    ) -> EngineGuard<'a> {
+    ) -> Result<EngineGuard<'a>, DsmError> {
         let mut start = Instant::now();
         let mut next_suspicion = self.holder_timeout.map(|period| start + period);
         loop {
@@ -318,6 +388,7 @@ impl Cluster {
                     let now = Instant::now();
                     if now < wake {
                         if on.wait_for(&mut state, wake - now).timed_out() {
+                            live(&state, p)?;
                             continue;
                         }
                     } else if deadline.is_some_and(|d| now >= d) {
@@ -336,21 +407,22 @@ impl Cluster {
                         // first, in the same hold, so that the suspects
                         // are the current ones.
                         if ready(&state) {
-                            return state;
+                            return Ok(state);
                         }
-                        for p in suspects(&state) {
-                            self.declare_dead_in(&mut state, p);
+                        for suspect in suspects(&state) {
+                            self.declare_dead_in(&mut state, suspect);
                         }
                         next_suspicion = self.holder_timeout.map(|period| now + period);
                         if ready(&state) {
-                            return state;
+                            return Ok(state);
                         }
                         continue;
                     }
                 }
             }
+            live(&state, p)?;
             if ready(&state) {
-                return state;
+                return Ok(state);
             }
             // Woken without the condition: both clocks restart.
             start = Instant::now();
@@ -358,9 +430,11 @@ impl Cluster {
         }
     }
 
-    /// Declares `p` dead in the engine and wakes the waiters of every
-    /// lock the engine force-released and of every barrier episode it
-    /// completed on `p`'s behalf, so they retry or fall through.
+    /// Declares `p` dead in the engine and wakes every waiter: those of
+    /// the locks the engine force-released, of the barrier episodes it
+    /// completed on `p`'s behalf and of the page whose miss it dropped
+    /// retry or fall through, and `p`, if it waits, gets
+    /// [`DsmError::Dead`].
     pub(crate) fn declare_dead(&self, p: ProcId) -> DeathReport {
         self.declare_dead_in(&mut self.lock(), p)
     }
@@ -382,13 +456,31 @@ impl Cluster {
         }
         let report = engine.declare_dead(p);
         drop(engine);
-        for &lock in &report.released {
-            self.lock_freed[lock.index()].notify_all();
-        }
         for &(barrier, episode) in &report.completed_episodes {
-            self.complete_episode(s, barrier, episode);
+            s.episodes_done[barrier.index()] = episode + 1;
+        }
+        // Every waiter retries: `p` itself, wherever it is parked, to
+        // find itself dead; the followers of the miss the death dropped;
+        // and the waiters of the locks and episodes it freed.
+        self.settled.notify_all();
+        for freed in self.lock_freed.iter().chain(&self.episode_done) {
+            freed.notify_all();
         }
         report
+    }
+}
+
+/// A miss in its fetch, the mutex let go. A fetch hook that panics drops
+/// it unfinished, and it finishes the miss as the panic goes on, so that
+/// its page is not left busy for every same-page follower.
+struct Fetch<'a>(&'a Cluster, Option<MissTicket>);
+
+impl Drop for Fetch<'_> {
+    fn drop(&mut self) {
+        if let Some(ticket) = self.1.take() {
+            self.0.lock().engine.finish_miss(ticket);
+            self.0.settled.notify_all();
+        }
     }
 }
 
@@ -494,7 +586,8 @@ impl Dsm {
     ///
     /// # Panics
     ///
-    /// Propagates panics from the worker threads.
+    /// Re-raises a body's panic, with its own payload, once every thread
+    /// has finished.
     pub fn parallel<F>(&self, body: F) -> Result<(), DsmError>
     where
         F: Fn(&mut ProcHandle) -> Result<(), DsmError> + Send + Sync,
@@ -509,7 +602,7 @@ impl Dsm {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("DSM worker thread panicked"))
+                .map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
                 .collect()
         });
         results.into_iter().collect()
@@ -552,8 +645,13 @@ impl Dsm {
     /// protocols only — see [`lrc_core::LrcEngine::declare_dead`]): `p`'s
     /// open interval is flushed, its locks force-released (their waiters
     /// woken to retry and win), and any barrier episode waiting only on
-    /// `p` completes (parked survivors fall through). The caller must
-    /// ensure `p`'s driving thread has stopped issuing operations.
+    /// `p` completes (parked survivors fall through).
+    ///
+    /// `p`'s driving thread may be inside an operation. One that waits,
+    /// or whose miss is fetching, ends with [`DsmError::Dead`] and
+    /// installs nothing, and so does every later operation of `p` until a
+    /// rejoin. The accessors without an error type
+    /// ([`ProcHandle::read_bytes`], ...) panic with its message instead.
     ///
     /// # Panics
     ///
@@ -636,18 +734,20 @@ impl<'a> SharedEngine<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the range is outside the shared space.
+    /// Panics if the range is outside the shared space, or with
+    /// [`DsmError::Dead`]'s message if `p` is declared dead.
     pub fn read_into(&self, p: ProcId, addr: u64, buf: &mut [u8]) {
-        self.0.read(p, addr, buf);
+        or_panic(self.0.read(p, addr, buf));
     }
 
     /// Writes bytes as `p`, resolving misses.
     ///
     /// # Panics
     ///
-    /// Panics if the range is outside the shared space.
+    /// Panics if the range is outside the shared space, or with
+    /// [`DsmError::Dead`]'s message if `p` is declared dead.
     pub fn write(&self, p: ProcId, addr: u64, data: &[u8]) {
-        self.0.write(p, addr, data);
+        or_panic(self.0.write(p, addr, data));
     }
 
     /// Acquires `lock` for `p` if it is free.
@@ -655,6 +755,10 @@ impl<'a> SharedEngine<'a> {
     /// # Errors
     ///
     /// Propagates [`LockError`], [`LockError::HeldByOther`] included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is declared dead.
     pub fn acquire(&self, p: ProcId, lock: LockId) -> Result<(), LockError> {
         self.0.lock().engine.acquire(p, lock)
     }
@@ -664,8 +768,12 @@ impl<'a> SharedEngine<'a> {
     /// # Errors
     ///
     /// Propagates [`LockError`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is declared dead.
     pub fn release(&self, p: ProcId, lock: LockId) -> Result<(), LockError> {
-        self.0.release(p, lock)
+        self.0.release(self.0.lock(), p, lock)
     }
 
     /// Arrives at `barrier` as `p`, without waiting for the episode.
@@ -673,8 +781,14 @@ impl<'a> SharedEngine<'a> {
     /// # Errors
     ///
     /// Propagates [`BarrierError`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is declared dead.
     pub fn barrier(&self, p: ProcId, barrier: BarrierId) -> Result<BarrierArrival, BarrierError> {
-        self.0.arrive(p, barrier).map(|(_, arrival)| arrival)
+        self.0
+            .arrive(self.0.lock(), p, barrier)
+            .map(|(_, arrival)| arrival)
     }
 
     /// Installs the miss-fetch instrumentation hook (see [`FetchHook`]):

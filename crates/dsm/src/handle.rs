@@ -5,7 +5,7 @@ use lrc_core::EngineOp;
 use lrc_sync::{BarrierArrival, BarrierId, LockError, LockId};
 use lrc_vclock::ProcId;
 
-use crate::cluster::Cluster;
+use crate::cluster::{or_panic, Cluster};
 use crate::DsmError;
 
 /// One simulated processor of a running [`Dsm`](crate::Dsm).
@@ -34,25 +34,27 @@ impl ProcHandle {
     ///
     /// # Panics
     ///
-    /// Panics if the range is outside the shared space.
+    /// Panics if the range is outside the shared space, or with
+    /// [`DsmError::Dead`]'s message if this processor is declared dead
+    /// ([`ProcHandle::apply`] returns that error instead).
     pub fn read_bytes(&mut self, addr: u64, buf: &mut [u8]) {
-        self.cluster.read(self.proc, addr, buf);
+        or_panic(self.cluster.read(self.proc, addr, buf));
     }
 
     /// Writes `data` at `addr` (twinning pages on first write).
     ///
     /// # Panics
     ///
-    /// Panics if the range is outside the shared space.
+    /// See [`ProcHandle::read_bytes`].
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
-        self.cluster.write(self.proc, addr, data);
+        or_panic(self.cluster.write(self.proc, addr, data));
     }
 
     /// Reads a little-endian `u64` at `addr`.
     ///
     /// # Panics
     ///
-    /// Panics if the range is outside the shared space.
+    /// See [`ProcHandle::read_bytes`].
     pub fn read_u64(&mut self, addr: u64) -> u64 {
         let mut raw = [0u8; 8];
         self.read_bytes(addr, &mut raw);
@@ -63,7 +65,7 @@ impl ProcHandle {
     ///
     /// # Panics
     ///
-    /// Panics if the range is outside the shared space.
+    /// See [`ProcHandle::read_bytes`].
     pub fn write_u64(&mut self, addr: u64, value: u64) {
         self.write_bytes(addr, &value.to_le_bytes());
     }
@@ -73,15 +75,18 @@ impl ProcHandle {
     ///
     /// # Errors
     ///
-    /// [`DsmError::Lock`] on misuse (unknown lock, double acquire).
+    /// [`DsmError::Lock`] on misuse (unknown lock, double acquire), and
+    /// [`DsmError::Dead`] if this processor is declared dead before or
+    /// while it waits.
     pub fn acquire(&mut self, lock: LockId) -> Result<(), DsmError> {
         let (cluster, p) = (&*self.cluster, self.proc);
-        let state = cluster.lock();
+        let state = cluster.lock_for(p)?;
         let mut acquired = state.engine.acquire(p, lock);
         if let Err(LockError::HeldByOther { .. }) = acquired {
             // A contended lock is in range.
             cluster.wait(
                 state,
+                p,
                 &cluster.lock_freed[lock.index()],
                 &mut |s| {
                     acquired = s.engine.acquire(p, lock);
@@ -95,7 +100,7 @@ impl ProcHandle {
                         holder.map_or("nobody".to_string(), |h| h.to_string()),
                     )
                 },
-            );
+            )?;
         }
         Ok(acquired?)
     }
@@ -105,9 +110,11 @@ impl ProcHandle {
     ///
     /// # Errors
     ///
-    /// [`DsmError::Lock`] if this processor does not hold the lock.
+    /// [`DsmError::Lock`] if this processor does not hold the lock, and
+    /// [`DsmError::Dead`] if it is declared dead.
     pub fn release(&mut self, lock: LockId) -> Result<(), DsmError> {
-        Ok(self.cluster.release(self.proc, lock)?)
+        let state = self.cluster.lock_for(self.proc)?;
+        Ok(self.cluster.release(state, self.proc, lock)?)
     }
 
     /// Dispatches one decoded remote request with this runtime's blocking
@@ -123,20 +130,21 @@ impl ProcHandle {
     /// # Errors
     ///
     /// [`DsmError`] on misuse, like the individual methods — and, because
-    /// the request comes from a peer, [`DsmError::OutOfRange`] where
-    /// [`ProcHandle::read_bytes`] and [`ProcHandle::write_bytes`] panic.
+    /// the request comes from a peer, [`DsmError::OutOfRange`] and
+    /// [`DsmError::Dead`] where [`ProcHandle::read_bytes`] and
+    /// [`ProcHandle::write_bytes`] panic.
     pub fn apply(&mut self, op: &EngineOp) -> Result<Vec<u8>, DsmError> {
         match op {
             EngineOp::Read { addr, len } => {
                 // Checked before the buffer exists: `len` is peer-supplied.
                 self.check_range(*addr, *len as usize)?;
                 let mut buf = vec![0u8; *len as usize];
-                self.read_bytes(*addr, &mut buf);
+                self.cluster.read(self.proc, *addr, &mut buf)?;
                 Ok(buf)
             }
             EngineOp::Write { addr, data } => {
                 self.check_range(*addr, data.len())?;
-                self.write_bytes(*addr, data);
+                self.cluster.write(self.proc, *addr, data)?;
                 Ok(Vec::new())
             }
             EngineOp::Acquire(lock) => self.acquire(*lock).map(|()| Vec::new()),
@@ -157,14 +165,17 @@ impl ProcHandle {
     ///
     /// # Errors
     ///
-    /// [`DsmError::Barrier`] on misuse (unknown barrier).
+    /// [`DsmError::Barrier`] on misuse (unknown barrier), and
+    /// [`DsmError::Dead`] if this processor is declared dead before or
+    /// while it waits.
     pub fn barrier(&mut self, barrier: BarrierId) -> Result<(), DsmError> {
         let (cluster, p) = (&*self.cluster, self.proc);
-        let (state, arrival) = cluster.arrive(p, barrier)?;
+        let (state, arrival) = cluster.arrive(cluster.lock_for(p)?, p, barrier)?;
         if let BarrierArrival::Waiting { episode, .. } = arrival {
             // An arrival the engine accepts is in range.
             cluster.wait(
                 state,
+                p,
                 &cluster.episode_done[barrier.index()],
                 &mut |s| s.episodes_done[barrier.index()] > episode,
                 &|s| s.engine.core().barrier_absentees(barrier),
@@ -174,7 +185,7 @@ impl ProcHandle {
                          never arrived, or its wake-up was lost"
                     )
                 },
-            );
+            )?;
         }
         Ok(())
     }

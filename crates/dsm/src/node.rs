@@ -60,6 +60,7 @@ use lrc_sync::{BarrierId, LockId};
 use lrc_vclock::ProcId;
 
 use crate::cluster::Dsm;
+use crate::DsmError;
 
 /// Errors surfaced by the node runtime.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -158,8 +159,8 @@ impl ReplyCache {
         }
     }
 
-    /// Un-admits a request that never produced a result (dropped before
-    /// dispatch, or its engine call panicked at a death boundary). Without
+    /// Un-admits a request that never produced a result: its processor
+    /// was declared dead before or under it ([`DsmError::Dead`]). Without
     /// this the key would stay in-flight forever and the client's replay
     /// would be dropped instead of executed.
     fn forget(&mut self, key: (NodeId, u64)) {
@@ -218,21 +219,17 @@ impl NodeServer {
             .name(format!("lrc-node-worker-{proc}"))
             .spawn(move || {
                 while let Ok((seq, src, op)) = rx.recv() {
-                    // Contain engine panics: declaring this processor dead
-                    // mid-operation panics the blocked call (locks force-
-                    // released, episodes completed on its behalf). The
-                    // request is *forgotten* — not recorded as executed —
-                    // so the client's replay after the revival handshake
-                    // executes fresh instead of hitting a stale verdict.
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        handle.apply(&op).map_err(|e| e.to_string())
-                    }));
-                    let result = match outcome {
-                        Ok(result) => result,
-                        Err(_) => {
+                    let result = match handle.apply(&op) {
+                        // The processor was declared dead before or under
+                        // the request. It is *forgotten* — not recorded as
+                        // executed — so the client's replay after the
+                        // revival handshake executes fresh instead of
+                        // hitting a stale verdict.
+                        Err(DsmError::Dead(_)) => {
                             cache.lock().forget((src, seq));
                             continue;
                         }
+                        result => result.map_err(|e| e.to_string()),
                     };
                     // Record before replying: once the result is cached,
                     // a replay of this request (the reply lost with a dead
@@ -260,13 +257,13 @@ impl NodeServer {
         node: NodeId,
     ) -> bool {
         // Retire the stale worker first: dropping its sender drains it to
-        // exit. Its pending operations finished or panicked when the death
-        // was declared (locks force-released, episodes completed), so the
-        // join is bounded — and joining *before* the revival guarantees no
+        // exit. Its pending operations ended with `DsmError::Dead` when the
+        // death was declared (a death wakes every waiter), so the join is
+        // bounded — and joining *before* the revival guarantees no
         // old-incarnation retry runs against the revived processor.
         if let Some((tx, thread)) = workers.remove(&proc) {
             drop(tx);
-            let _ = thread.join();
+            join_worker(thread);
         }
         // A dead processor must be revived in-engine before any operation
         // runs on its behalf (a rejoin handshake already did).
@@ -387,23 +384,19 @@ impl NodeServer {
                     // hosts; anything else is refused, on the record.
                     let refusal = match hosts.get(&proc) {
                         Some(&host) if host == frame.src => {
-                            // A request for a dead processor would panic
-                            // the worker if dispatched. But an operation
-                            // from the processor's *current* host is a live
-                            // driver showing up — exactly the revival
-                            // trigger. This covers both a request that
-                            // outran its incarnation's resumable hello (the
-                            // link healed mid-send) and a false suspicion
-                            // (a slow-but-alive processor declared dead
-                            // over a healthy link, which will never
-                            // re-hello). If revival is impossible — no
-                            // recovery configured — drop and forget, so a
-                            // later replay of the same sequence number is
-                            // admitted fresh.
-                            if self.dsm.is_dead(proc) && !self.dsm.try_revive(proc) {
-                                self.cache.lock().forget(key);
-                                continue;
-                            }
+                            // An operation from a dead processor's
+                            // *current* host is a live driver showing up —
+                            // exactly the revival trigger. This covers both
+                            // a request that outran its incarnation's
+                            // resumable hello (the link healed mid-send)
+                            // and a false suspicion (a slow-but-alive
+                            // processor declared dead over a healthy link,
+                            // which will never re-hello). If revival is
+                            // impossible — no recovery configured — the
+                            // worker finds the processor dead and forgets
+                            // the request, so a later replay of the same
+                            // sequence number is admitted fresh.
+                            self.dsm.try_revive(proc);
                             let queued = workers
                                 .get(&proc)
                                 .is_some_and(|(tx, _)| tx.send((frame.seq, frame.src, op)).is_ok());
@@ -496,9 +489,17 @@ impl NodeServer {
         let threads: Vec<JoinHandle<()>> =
             workers.into_values().map(|(_, thread)| thread).collect();
         for thread in threads {
-            let _ = thread.join();
+            join_worker(thread);
         }
         result
+    }
+}
+
+/// Joins a worker, re-raising its panic: a worker forgets only a death,
+/// so a panic is a bug, and it reaches whoever runs [`NodeServer::serve`].
+fn join_worker(thread: JoinHandle<()>) {
+    if let Err(panic) = thread.join() {
+        std::panic::resume_unwind(panic);
     }
 }
 
@@ -1014,6 +1015,31 @@ mod tests {
         asking.join().unwrap();
         client.shutdown().unwrap();
         serving.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_serve() {
+        // A panic under a remote operation is a bug, not a death: it
+        // must reach whoever runs `serve`, not be forgotten like one.
+        let (dsm, client, serving) = two_node_setup(ProtocolKind::LazyInvalidate);
+        let (entered, fetching) = std::sync::mpsc::channel();
+        let entered = Mutex::new(entered);
+        dsm.engine().set_fetch_hook(Box::new(move |p, _| {
+            if p == ProcId::new(1) {
+                let _ = entered.lock().send(());
+                panic!("planted fetch failure");
+            }
+        }));
+        let mut remote = client.handle(ProcId::new(1));
+        let asking = std::thread::spawn(move || remote.read_u64(0));
+        fetching
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the remote read misses");
+        client.shutdown().unwrap();
+        let panic = serving.join().expect_err("serve re-raises the panic");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"planted fetch failure"));
+        // The server is gone, and the read ends with its transport.
+        assert!(asking.join().unwrap().is_err());
     }
 
     #[test]

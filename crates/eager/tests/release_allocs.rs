@@ -115,7 +115,7 @@ fn two_releases(policy: Policy, pages: u64, k: u16) -> Counts {
                     let allocs = if r == ProcId::new(k) && g == pages - 1 {
                         // The runtime's way: begin, fetch, finish.
                         let allocs = counted(|| match dsm.begin_miss(r, page) {
-                            Miss::Fetching(ticket) => dsm.finish_miss(ticket),
+                            Miss::Fetching(ticket) => assert!(dsm.finish_miss(ticket)),
                             other => panic!("a warm miss fetches, not {other:?}"),
                         });
                         word = dsm.read_u64(r, g * PAGE);

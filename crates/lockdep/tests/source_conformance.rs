@@ -412,6 +412,12 @@ fn count_word(line: &str, word: &str) -> usize {
         .count()
 }
 
+/// Threads a line starts: every `.spawn(` — a `thread::Builder`'s, a
+/// scope's — and every `thread::spawn`.
+fn spawn_sites(line: &str) -> usize {
+    line.matches(".spawn(").count() + count_word(line, "thread::spawn")
+}
+
 fn package_name(dir: &Path) -> String {
     let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("package manifest");
     manifest
@@ -460,7 +466,7 @@ fn size_report(root: &Path) -> String {
     let callers = caller_sources(root, &dirs);
     let mut per_crate = BTreeMap::new();
     let (mut setters, mut classes) = (0, 0);
-    let mut sites = [("thread::spawn", 0), ("catch_unwind", 0), ("unsafe", 0)];
+    let (mut spawns, mut sites) = (0, [("catch_unwind", 0), ("unsafe", 0)]);
     for dir in &dirs {
         let src = dir.join("src");
         let outside: Vec<&str> = callers
@@ -484,6 +490,7 @@ fn size_report(root: &Path) -> String {
                 "crates/lockdep/src/classes.rs" => classes += lines_with("pub const ", ""),
                 _ => {}
             }
+            spawns += code.iter().map(|l| spawn_sites(l)).sum::<usize>();
             for (word, count) in &mut sites {
                 *count += code.iter().map(|l| count_word(l, word)).sum::<usize>();
             }
@@ -504,9 +511,9 @@ fn size_report(root: &Path) -> String {
          \"lockdep_classes\": {classes},\n  \"thread_spawn_sites\": {},\n  \
          \"catch_unwind_sites\": {},\n  \"unsafe_sites\": {}\n}}\n",
         crates.join(",\n"),
+        spawns,
         sites[0].1,
         sites[1].1,
-        sites[2].1,
     )
 }
 
@@ -535,6 +542,9 @@ fn size_counts_only_product_code() {
     assert_eq!(code.len(), 6, "{code:?}");
     assert_eq!(code.iter().filter(|l| is_pub_item(l)).count(), 2);
     assert_eq!(count_word(code[4], "thread::spawn"), 1);
+    assert_eq!(spawn_sites(code[4]), 1);
+    assert_eq!(spawn_sites("scope.spawn(move || {"), 1);
+    assert_eq!(spawn_sites("fn spawn_worker(&self) {"), 0);
     assert_eq!(
         count_word(code[5], "unsafe"),
         1,

@@ -173,8 +173,9 @@ impl AnyEngine {
         either!(&mut *self.0.borrow_mut(), e => e.begin_miss(p, page))
     }
 
-    /// Finishes a begun miss (see [`Engine::finish_miss`](lrc_core::Engine::finish_miss)).
-    pub fn finish_miss(&self, ticket: MissTicket) {
+    /// Finishes a begun miss (see [`Engine::finish_miss`](lrc_core::Engine::finish_miss)):
+    /// `false` if a death dropped it.
+    pub fn finish_miss(&self, ticket: MissTicket) -> bool {
         either!(&mut *self.0.borrow_mut(), e => e.finish_miss(ticket))
     }
 

@@ -9,13 +9,19 @@
 //! every slow path serialized on one engine mutex — the independent
 //! worker would park behind the stalled miss and the join below would
 //! deadline instead of completing.
+//!
+//! The last three tests put a death or a panic where the mutex is let
+//! go — a processor declared dead while its own miss fetches or while
+//! it waits, and a fetch hook that panics — and require a value
+//! (`DsmError::Dead`) or a surfaced panic, and no page left busy.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lrc::dsm::DsmBuilder;
+use lrc::core::EngineOp;
+use lrc::dsm::{Dsm, DsmBuilder, DsmError};
 use lrc::pagemem::PageId;
 use lrc::sim::ProtocolKind;
 use lrc::sync::LockId;
@@ -248,4 +254,186 @@ fn same_page_followers_wait_on_the_resolver_and_still_resolve() {
         "both processors resolved their own miss (misses = {})",
         counters.misses()
     );
+}
+
+/// Spins until some processor's miss has found its page busy (it counts
+/// one slow wait, and parks in the same hold of the runtime's mutex).
+fn await_a_busy_follower(dsm: &Dsm) {
+    let start = Instant::now();
+    while dsm.engine().core().counters().slow_waits == 0 {
+        assert!(start.elapsed() < DEADLINE, "no miss found the page busy");
+        std::thread::yield_now();
+    }
+}
+
+/// A processor declared dead while its own miss fetches. The death drops
+/// the miss, so a follower parked on the page goes on at once; the
+/// victim's operation, once its fetch returns, ends with
+/// `DsmError::Dead` and installs nothing into its reset frame. Run cold
+/// under both lazy protocols, and warm (a copy the victim held, then
+/// invalidated) under LI.
+#[test]
+fn a_death_during_the_victims_own_fetch_is_a_value() {
+    for (kind, warm) in [
+        (ProtocolKind::LazyInvalidate, false),
+        (ProtocolKind::LazyInvalidate, true),
+        (ProtocolKind::LazyUpdate, false),
+    ] {
+        let (victim, writer, follower) = (ProcId::new(0), ProcId::new(1), ProcId::new(2));
+        let page = PageId::new(1);
+        let addr = addr_of_page(1);
+        let dsm = DsmBuilder::new(kind, 3, 1 << 14)
+            .page_size(PAGE_BYTES)
+            .wait_timeout(DEADLINE)
+            .build()
+            .expect("valid config");
+        if warm {
+            dsm.handle(victim).read_u64(addr);
+        }
+        let (hook, stall) = stall_hook(victim, page);
+        dsm.engine().set_fetch_hook(hook);
+        // The writer publishes under both locks: lock 0 for the victim,
+        // lock 1 for the follower.
+        let mut w = dsm.handle(writer);
+        for lock in [LockId::new(0), LockId::new(1)] {
+            w.acquire(lock).expect("free");
+            w.write_u64(addr, 42);
+            w.release(lock).expect("held");
+        }
+        std::thread::scope(|scope| {
+            let victim_op = scope.spawn(|| {
+                let mut h = dsm.handle(victim);
+                h.acquire(LockId::new(0))?;
+                h.apply(&EngineOp::Read { addr, len: 8 })
+            });
+            stall
+                .entered_rx
+                .recv_timeout(DEADLINE)
+                .expect("the victim's miss fetches");
+            let following = scope.spawn(|| {
+                let mut h = dsm.handle(follower);
+                h.acquire(LockId::new(1))?;
+                let value = h.read_u64(addr);
+                h.release(LockId::new(1))?;
+                Ok::<_, DsmError>(value)
+            });
+            await_a_busy_follower(&dsm);
+            dsm.declare_dead(victim);
+            // Joined while the victim's fetch is still stalled.
+            assert_eq!(
+                following.join().expect("the follower goes on"),
+                Ok(42),
+                "{kind} warm={warm}"
+            );
+            stall.release_tx.send(()).expect("victim waiting");
+            assert_eq!(
+                victim_op.join().expect("a death is a value, not a panic"),
+                Err(DsmError::Dead(victim)),
+                "{kind} warm={warm}"
+            );
+        });
+        let cut = dsm.checkpoint();
+        assert!(
+            cut.procs[victim.index()]
+                .frames
+                .iter()
+                .all(|f| f.contents.is_none() && !f.valid),
+            "{kind} warm={warm}: the dead frames stay reset: {:?}",
+            cut.procs[victim.index()].frames
+        );
+    }
+}
+
+/// A processor parked on a lock another holds, declared dead: the death
+/// wakes it, and it gets `DsmError::Dead` while the lock is still held.
+/// The death may land before the park (the entry check refuses the
+/// acquire) or after it (the wake-up's check ends the wait); both give
+/// the value.
+#[test]
+fn a_processor_declared_dead_while_parked_gets_dead() {
+    for death_first in [true, false] {
+        let (victim, holder) = (ProcId::new(0), ProcId::new(1));
+        let lock = LockId::new(0);
+        let dsm = DsmBuilder::new(ProtocolKind::LazyInvalidate, 2, 1 << 14)
+            .page_size(PAGE_BYTES)
+            .wait_timeout(Duration::from_secs(10))
+            .build()
+            .expect("valid config");
+        let mut h = dsm.handle(holder);
+        h.acquire(lock).expect("free");
+        if death_first {
+            dsm.declare_dead(victim);
+        }
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| dsm.handle(victim).acquire(lock));
+            if !death_first {
+                // Long enough for the victim to park behind the holder.
+                std::thread::sleep(Duration::from_millis(200));
+                dsm.declare_dead(victim);
+            }
+            assert_eq!(
+                parked.join().expect("a death is a value, not a panic"),
+                Err(DsmError::Dead(victim)),
+                "death_first={death_first}"
+            );
+        });
+        h.release(lock).expect("the holder kept its lock");
+    }
+}
+
+/// A fetch hook that panics: the panic reaches whoever joins the missing
+/// processor's thread, and the miss still ends as it unwinds, so a
+/// follower parked on the page goes on well before the wait deadline
+/// instead of finding the page busy until then.
+#[test]
+fn a_panicking_fetch_hook_surfaces_and_frees_its_page() {
+    const WAIT: Duration = Duration::from_secs(2);
+    let (victim, writer, follower) = (ProcId::new(0), ProcId::new(1), ProcId::new(2));
+    let addr = addr_of_page(1);
+    let dsm = DsmBuilder::new(ProtocolKind::LazyInvalidate, 3, 1 << 14)
+        .page_size(PAGE_BYTES)
+        .wait_timeout(WAIT)
+        .build()
+        .expect("valid config");
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (fail_tx, fail_rx) = mpsc::channel::<()>();
+    let fail_rx = std::sync::Mutex::new(fail_rx);
+    dsm.engine().set_fetch_hook(Box::new(move |p, _| {
+        if p == victim {
+            entered_tx.send(()).expect("test alive");
+            let go = fail_rx.lock().expect("hook mutex").recv_timeout(DEADLINE);
+            go.expect("the test lets the fetch fail");
+            panic!("planted fetch failure");
+        }
+    }));
+    let mut w = dsm.handle(writer);
+    w.acquire(LockId::new(1)).expect("free");
+    w.write_u64(addr, 42);
+    w.release(LockId::new(1)).expect("held");
+    std::thread::scope(|scope| {
+        let victim_read = scope.spawn(|| dsm.handle(victim).read_u64(addr));
+        entered_rx
+            .recv_timeout(DEADLINE)
+            .expect("the victim's miss fetches");
+        let following = scope.spawn(|| {
+            let mut h = dsm.handle(follower);
+            h.acquire(LockId::new(1))?;
+            let value = h.read_u64(addr);
+            h.release(LockId::new(1))?;
+            Ok::<_, DsmError>(value)
+        });
+        await_a_busy_follower(&dsm);
+        let failed_at = Instant::now();
+        fail_tx.send(()).expect("hook waiting");
+        let panic = victim_read
+            .join()
+            .expect_err("the hook's panic reaches the joiner");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"planted fetch failure"));
+        assert_eq!(following.join().expect("the follower goes on"), Ok(42));
+        assert!(
+            failed_at.elapsed() < WAIT / 2,
+            "the follower waited {:?} for a page nobody fetched",
+            failed_at.elapsed()
+        );
+    });
 }
