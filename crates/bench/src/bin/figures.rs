@@ -10,10 +10,14 @@
 //! cargo run --release -p lrc-bench --bin figures -- ablation-piggyback
 //! cargo run --release -p lrc-bench --bin figures -- ablation-gc
 //! cargo run --release -p lrc-bench --bin figures -- matrix
+//! cargo run --release -p lrc-bench --bin figures -- scale        # cost per event at 8..64 processors
 //! ```
 //!
-//! Options: `--procs N` (default 16), `--units N` (default 400),
-//! `--seed N` (default 1992).
+//! Options: `--procs N` (default 16), `--units N` (default 400; 40 for
+//! `scale`, which sets the processor count itself), `--seed N` (default
+//! 1992).
+
+use std::time::{Duration, Instant};
 
 use lrc_sim::{run_trace, run_traced, sweep, Metric, ProtocolKind, SimOptions, SweepConfig};
 use lrc_simnet::OpClass;
@@ -23,21 +27,30 @@ use lrc_workloads::{micro, AppKind, Scale};
 struct Args {
     command: String,
     scale: Scale,
+    /// `--units`, if given: `scale` defaults to fewer units than the
+    /// other targets.
+    units: Option<usize>,
 }
 
 fn parse_args() -> Args {
     let mut command = String::from("all");
     let mut scale = Scale::paper();
+    let mut units = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--procs" => scale.procs = args.next().and_then(|v| v.parse().ok()).expect("--procs N"),
-            "--units" => scale.units = args.next().and_then(|v| v.parse().ok()).expect("--units N"),
+            "--units" => units = Some(args.next().and_then(|v| v.parse().ok()).expect("--units N")),
             "--seed" => scale.seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N"),
             other => command = other.to_string(),
         }
     }
-    Args { command, scale }
+    scale.units = units.unwrap_or(scale.units);
+    Args {
+        command,
+        scale,
+        units,
+    }
 }
 
 fn main() {
@@ -62,13 +75,14 @@ fn main() {
         "ablation-piggyback" => ablation_piggyback(&args.scale),
         "ablation-gc" => ablation_gc(&args.scale),
         "matrix" => matrix(),
+        "scale" => scaling(args.units.unwrap_or(SCALING_UNITS), args.scale.seed),
         name => match AppKind::from_name(name) {
             Some(app) => figures_for(app, &args.scale),
             None => {
                 eprintln!(
                     "unknown target '{name}'; use all, table1, migratory, summary, \
-                     ablation-diff, ablation-piggyback, ablation-gc, matrix, or an \
-                     application name (locusroute, cholesky, mp3d, water, pthor)"
+                     ablation-diff, ablation-piggyback, ablation-gc, matrix, scale, or \
+                     an application name (locusroute, cholesky, mp3d, water, pthor)"
                 );
                 std::process::exit(2);
             }
@@ -93,6 +107,79 @@ fn matrix() {
         println!("{matrix}");
     }
     println!("LRC's traffic follows the lock chain; eager update floods every cacher.\n");
+}
+
+/// The processor counts `scale` replays each application at.
+const SCALING_PROCS: [usize; 4] = [8, 16, 32, 64];
+/// `scale`'s default work units per application.
+const SCALING_UNITS: usize = 40;
+/// A cell of `scale` replays at least this many times, and for at least
+/// [`SCALING_MIN`], and prints the median.
+const SCALING_REPEATS: usize = 5;
+/// See [`SCALING_REPEATS`].
+const SCALING_MIN: Duration = Duration::from_millis(50);
+
+/// How the cost of an event grows with the processor count: each
+/// application replayed at 8 to 64 processors under all four protocols,
+/// with 4096-byte pages. The times are wall-clock medians; the lazy
+/// protocols' notice, diff and traffic counts are exact.
+fn scaling(units: usize, seed: u64) {
+    println!(
+        "== Scaling: cost per event at n processors, 4096-byte pages, \
+         {units} units, seed {seed}\n"
+    );
+    println!(
+        "ns/event is wall-clock time on this machine, the median of at \
+         least {SCALING_REPEATS} replays; every other column is an exact count.\n"
+    );
+    for app in AppKind::ALL {
+        let mut counts = Vec::new();
+        println!(
+            "{app}\n{:>5} {:>8} {:>9} {:>9} {:>9} {:>9}",
+            "n", "events", "LI ns/ev", "LU ns/ev", "EI ns/ev", "EU ns/ev"
+        );
+        for procs in SCALING_PROCS {
+            let trace = app.generate(&Scale { procs, units, seed });
+            print!("{procs:>5} {:>8}", trace.len());
+            for kind in ProtocolKind::ALL {
+                let mut ns = Vec::new();
+                let cell = Instant::now();
+                let report = loop {
+                    let start = Instant::now();
+                    let run =
+                        run_trace(&trace, kind, 4096, &SimOptions::fast()).expect("legal trace");
+                    ns.push(start.elapsed().as_nanos() as f64 / run.events as f64);
+                    if ns.len() >= SCALING_REPEATS && cell.elapsed() >= SCALING_MIN {
+                        break run;
+                    }
+                };
+                ns.sort_by(f64::total_cmp);
+                print!(" {:>9.1}", ns[ns.len() / 2]);
+                if kind.is_lazy() {
+                    counts.push((procs, report));
+                }
+            }
+            println!();
+        }
+        println!(
+            "{:>5} {:>5} {:>11} {:>11} {:>9} {:>9} {:>9}",
+            "n", "proto", "notices/acq", "notices/kev", "diffs/kev", "msgs/kev", "KiB/kev"
+        );
+        for (procs, report) in &counts {
+            let kev = report.events as f64 / 1000.0;
+            let c = &report.counters;
+            println!(
+                "{procs:>5} {:>5} {:>11.2} {:>11.1} {:>9.1} {:>9.1} {:>9.2}",
+                report.kind.label(),
+                c.notices_received as f64 / c.acquires.max(1) as f64,
+                c.notices_received as f64 / kev,
+                c.diffs_applied as f64 / kev,
+                report.messages() as f64 / kev,
+                report.data_kbytes() / kev,
+            );
+        }
+        println!();
+    }
 }
 
 /// Table 1: per-operation message costs, measured on crafted scenarios

@@ -20,6 +20,7 @@ fn an_unknown_target_exits_2_naming_every_accepted_target() {
         "ablation-piggyback",
         "ablation-gc",
         "matrix",
+        "scale",
         "locusroute",
         "cholesky",
         "mp3d",

@@ -55,6 +55,7 @@ impl Written {
 
     /// Widens the range to cover `len > 0` bytes at `offset`, a write that
     /// fit in its page.
+    #[inline]
     fn cover(&mut self, offset: usize, len: usize) {
         self.first = self.first.min(offset as u16);
         self.last = self.last.max((offset + len - 1) as u16);
@@ -135,6 +136,7 @@ impl<E> Frame<E> {
     /// # Panics
     ///
     /// Panics if a run of `diff` extends past the end of the page.
+    #[inline]
     pub fn apply<'a>(&mut self, diff: impl Into<DiffView<'a>>, size: PageSize) {
         let diff = diff.into();
         diff.apply_to(self.copy_mut(size));

@@ -80,6 +80,7 @@ impl MissTable {
     /// it. A miss is one slow-path entry however often it asks: the
     /// first refusal counts it as a wait, and a miss admitted after
     /// waiting counts nothing more.
+    #[inline]
     pub(crate) fn admit(&mut self, p: ProcId, page: PageId, counters: &mut EngineCounters) -> bool {
         counters.miss_inflight_peak = counters.miss_inflight_peak.max(self.in_flight + 1);
         let bit = 1u64 << p.index();
@@ -126,6 +127,7 @@ impl MissTable {
     /// # Panics
     ///
     /// Panics unless `p` is fetching `page`.
+    #[inline]
     pub(crate) fn finish(&mut self, p: ProcId, page: PageId) {
         let fetcher = self.fetcher[page.index()].take();
         assert_eq!(

@@ -202,6 +202,7 @@ impl Closing<'_> {
     /// Diffs `current` against `twin` within `written` onto the log; a
     /// page whose diff is empty leaves no entry. The creator holds its
     /// diff from the start.
+    #[inline]
     pub(crate) fn add(
         &mut self,
         page: PageId,
@@ -454,6 +455,7 @@ impl IntervalStore {
     }
 
     /// The noticed diff, read by its handle.
+    #[inline]
     pub(crate) fn diff_at(&self, notice: &WriteNotice) -> DiffView<'_> {
         let (log, entry) = self.noticed(notice);
         log.diffs.view(entry.diff)
@@ -462,6 +464,7 @@ impl IntervalStore {
     /// The apply path's fetch: records `proc` as a holder of the noticed
     /// diff and returns the diff *by reference* — a plan is applied
     /// straight out of the store, no diff is copied on the way.
+    #[inline]
     pub(crate) fn hold_at(&mut self, proc: ProcId, notice: &WriteNotice) -> DiffView<'_> {
         let log = &mut self.logs[notice.interval.proc().index()];
         Self::debug_check_handle(log, notice);

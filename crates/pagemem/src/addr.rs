@@ -196,11 +196,13 @@ impl AddrSpace {
     }
 
     /// Total bytes covered.
+    #[inline]
     pub fn total_bytes(self) -> u64 {
         self.n_pages as u64 * self.page_size.bytes() as u64
     }
 
     /// True if `[addr, addr + len)` lies inside the space.
+    #[inline]
     pub fn contains(self, addr: u64, len: usize) -> bool {
         addr.checked_add(len as u64)
             .is_some_and(|end| end <= self.total_bytes())
@@ -224,6 +226,7 @@ impl AddrSpace {
     /// # Panics
     ///
     /// Panics, at the call, if the range is out of range.
+    #[inline]
     pub fn segments(self, addr: u64, len: usize) -> impl Iterator<Item = Segment> {
         assert!(
             self.contains(addr, len),

@@ -139,6 +139,7 @@ struct Runs<'a> {
 impl<'a> Iterator for Runs<'a> {
     type Item = (u32, &'a [u8]);
 
+    #[inline]
     fn next(&mut self) -> Option<(u32, &'a [u8])> {
         let (&[o0, o1, o2, o3, l0, l1, l2, l3], rest) =
             self.rest.split_first_chunk::<RUN_HEADER_BYTES>()?;
@@ -301,6 +302,7 @@ impl Diff {
     /// # Panics
     ///
     /// As [`Diff::between_in`].
+    #[inline]
     pub fn refill(&mut self, twin: &PageBuf, current: &PageBuf, range: Range<usize>) {
         self.wire.clear();
         self.run_count = scan(twin, current, range, &mut self.wire);
@@ -320,6 +322,7 @@ impl Diff {
     /// # Panics
     ///
     /// Panics if a run extends past the end of the page.
+    #[inline]
     pub fn apply_to(&self, page: &mut PageBuf) {
         self.view().apply_to(page);
     }
@@ -516,6 +519,7 @@ impl<'a> DiffView<'a> {
     /// # Panics
     ///
     /// Panics if a run extends past the end of the page.
+    #[inline]
     pub fn apply_to(&self, page: &mut PageBuf) {
         for (offset, data) in self.runs() {
             page.write(offset as usize, data);
@@ -660,6 +664,7 @@ impl DiffLog {
     }
 
     /// Buffer `i`, if the log has it.
+    #[inline]
     fn buffer_mut(&mut self, i: usize) -> Option<&mut Vec<u8>> {
         match i {
             0 => Some(&mut self.first),
@@ -669,6 +674,7 @@ impl DiffLog {
 
     /// Appends a diff that should take at most `bytes`, which `write`
     /// appends to the buffer it is handed, returning its run count.
+    #[inline]
     fn append(&mut self, bytes: usize, write: impl FnOnce(&mut Vec<u8>) -> u32) -> DiffSpan {
         let at = loop {
             match self.buffer_mut(self.at) {
@@ -698,6 +704,7 @@ impl DiffLog {
     /// # Panics
     ///
     /// As [`Diff::between_in`].
+    #[inline]
     pub fn push_between(
         &mut self,
         twin: &PageBuf,
@@ -723,6 +730,7 @@ impl DiffLog {
     ///
     /// Panics if `span` lies past what the log holds, as a span of a
     /// cleared log may.
+    #[inline]
     pub fn view(&self, span: DiffSpan) -> DiffView<'_> {
         let buffer = match span.buffer {
             0 => &self.first,

@@ -21,6 +21,7 @@ pub struct PageBuf {
 
 impl PageBuf {
     /// Creates an all-zero page of the given size.
+    #[inline]
     pub fn zeroed(size: PageSize) -> Self {
         PageBuf {
             bytes: vec![0u8; size.bytes()].into_boxed_slice(),
@@ -64,6 +65,7 @@ impl PageBuf {
     /// # Panics
     ///
     /// Panics if the range exceeds the page.
+    #[inline]
     pub fn read(&self, offset: usize, buf: &mut [u8]) {
         buf.copy_from_slice(&self.bytes[offset..offset + buf.len()]);
     }
@@ -82,6 +84,7 @@ impl PageBuf {
     /// # Panics
     ///
     /// Panics if the range exceeds the page.
+    #[inline]
     pub fn write(&mut self, offset: usize, data: &[u8]) {
         self.bytes[offset..offset + data.len()].copy_from_slice(data);
     }

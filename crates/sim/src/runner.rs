@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use lrc_core::{ConfigError, EngineParams};
+use lrc_core::{ConfigError, EngineCounters, EngineParams};
 use lrc_pagemem::Memory;
 use lrc_simnet::{Counter, NetStats, OpClass};
 use lrc_trace::{Op, Trace};
@@ -131,6 +131,10 @@ pub struct RunReport {
     /// only; `Some(0)` once garbage collection has run at the last
     /// barrier).
     pub history_bytes: Option<u64>,
+    /// The engine's protocol-level counters at the end of the run (write
+    /// notices received, diffs applied, misses, ...): exact counts that
+    /// say what the traffic was spent on.
+    pub counters: EngineCounters,
 }
 
 impl RunReport {
@@ -301,6 +305,7 @@ pub(crate) fn replay(
         net: engine.core().net().stats(),
         events: trace.len(),
         history_bytes,
+        counters: engine.core().counters(),
     })
 }
 

@@ -358,3 +358,44 @@ fn sweeps_are_deterministic() {
         );
     }
 }
+
+/// What LI's cost per event grows with as processors are added: the write
+/// notices an acquire delivers grow about as fast as the processor count,
+/// while the messages an event costs barely move. From 4 to 16
+/// processors (4096-byte pages, 4 units), notices per acquire grow at
+/// least 4x and messages per event less than 1.6x. MP3D is left out: it
+/// synchronizes mostly at barriers, so the notices its barrier exits
+/// deliver dominate its count per acquire (43 -> 158, 3.7x).
+#[test]
+fn notices_per_acquire_grow_with_processors_while_messages_per_event_stay_flat() {
+    let at = |app: AppKind, procs: usize| {
+        let trace = app.generate(&Scale {
+            procs,
+            units: 4,
+            seed: 1992,
+        });
+        let report = run_trace(&trace, LI, 4096, &SimOptions::fast()).expect("legal trace");
+        let c = report.counters;
+        (
+            c.notices_received as f64 / c.acquires as f64,
+            report.messages() as f64 / report.events as f64,
+        )
+    };
+    for app in [
+        AppKind::LocusRoute,
+        AppKind::Cholesky,
+        AppKind::Water,
+        AppKind::Pthor,
+    ] {
+        let (notices_4, msgs_4) = at(app, 4);
+        let (notices_16, msgs_16) = at(app, 16);
+        assert!(
+            notices_16 >= 4.0 * notices_4,
+            "{app}: notices per acquire {notices_4:.2} -> {notices_16:.2}"
+        );
+        assert!(
+            msgs_16 < 1.6 * msgs_4,
+            "{app}: messages per event {msgs_4:.3} -> {msgs_16:.3}"
+        );
+    }
+}

@@ -97,6 +97,7 @@ impl Fabric {
     }
 
     /// A request/reply exchange: two messages with separate payloads.
+    #[inline]
     pub fn round_trip(
         &mut self,
         src: ProcId,

@@ -51,6 +51,7 @@ impl Clone for VectorClock {
 
     /// Copies `source` into this clock's buffer, which is reused when it
     /// is large enough: a clock kept for copying into allocates once.
+    #[inline]
     fn clone_from(&mut self, source: &Self) {
         self.entries.clone_from(&source.entries);
     }
@@ -134,6 +135,7 @@ impl VectorClock {
     /// # Panics
     ///
     /// Panics if the clocks cover different numbers of processors.
+    #[inline]
     pub fn merge(&mut self, other: &VectorClock) {
         assert_eq!(
             self.len(),
@@ -225,6 +227,7 @@ impl VectorClock {
     /// Sum of all entries. Strictly increases along every happened-before
     /// chain, so sorting by `(weight, proc, seq)` is a valid linear extension
     /// of causality — the order in which diffs are applied.
+    #[inline]
     pub fn weight(&self) -> u64 {
         self.entries.iter().map(|&e| e as u64).sum()
     }
