@@ -13,9 +13,9 @@
 //! cargo run --release -p lrc-bench --bin figures -- scale        # cost per event at 8..64 processors
 //! ```
 //!
-//! Options: `--procs N` (default 16), `--units N` (default 400; 40 for
-//! `scale`, which sets the processor count itself), `--seed N` (default
-//! 1992).
+//! Options: `--procs N` (default 16; `scale` ignores it and sets the
+//! processor count itself), `--units N` (default 400; 40 for `scale`),
+//! `--seed N` (default 1992).
 
 use std::time::{Duration, Instant};
 
@@ -27,9 +27,6 @@ use lrc_workloads::{micro, AppKind, Scale};
 struct Args {
     command: String,
     scale: Scale,
-    /// `--units`, if given: `scale` defaults to fewer units than the
-    /// other targets.
-    units: Option<usize>,
 }
 
 fn parse_args() -> Args {
@@ -45,12 +42,12 @@ fn parse_args() -> Args {
             other => command = other.to_string(),
         }
     }
-    scale.units = units.unwrap_or(scale.units);
-    Args {
-        command,
-        scale,
-        units,
-    }
+    scale.units = match (units, command.as_str()) {
+        (Some(units), _) => units,
+        (None, "scale") => SCALING_UNITS,
+        (None, _) => scale.units,
+    };
+    Args { command, scale }
 }
 
 fn main() {
@@ -75,7 +72,7 @@ fn main() {
         "ablation-piggyback" => ablation_piggyback(&args.scale),
         "ablation-gc" => ablation_gc(&args.scale),
         "matrix" => matrix(),
-        "scale" => scaling(args.units.unwrap_or(SCALING_UNITS), args.scale.seed),
+        "scale" => scaling(args.scale.units, args.scale.seed),
         name => match AppKind::from_name(name) {
             Some(app) => figures_for(app, &args.scale),
             None => {

@@ -219,7 +219,6 @@ pub struct DeathReport {
 /// Merges processor `r`'s transferable knowledge into `into`: `clock`,
 /// `r`'s own clock, with `r`'s entry one lower — its last *closed*
 /// interval, not the open one. The clock is read in place, not copied.
-#[inline]
 fn merge_knowledge(into: &mut VectorClock, clock: &VectorClock, r: ProcId) {
     let own = into.get(r);
     into.merge(clock);
@@ -239,7 +238,6 @@ fn holds(set: ProcSet, r: ProcId) -> bool {
 /// interval plus a page id per notice (TreadMarks-style interval
 /// records). `notices` comes from [`IntervalStore::notices_missing`],
 /// which lists each interval's notices contiguously.
-#[inline]
 fn notice_bytes(notices: &[WriteNotice]) -> u64 {
     let intervals = notices.chunk_by(|a, b| a.interval == b.interval).count();
     notice_batch_bytes(intervals, notices.len())
@@ -339,7 +337,6 @@ impl Protocol for Lazy {
     /// piggybacked write notices for every interval performed at the
     /// grantor but not at `p`, and — under the update policy — pulls diffs
     /// to bring all cached pages up to date.
-    #[inline]
     fn on_acquire(e: &mut Engine<Self>, p: ProcId, path: &AcquirePath) {
         e.close_interval(p);
         let q = path.grantor;
@@ -428,14 +425,12 @@ impl Protocol for Lazy {
 
     /// Purely local under LRC: the interval closes (diffs are made for
     /// dirtied pages) and **no messages are sent** (§4.2).
-    #[inline]
     fn on_release(e: &mut Engine<Self>, p: ProcId) {
         e.close_interval(p);
     }
 
     /// The arrival message carries the processor's clock and fresh write
     /// notices to the master.
-    #[inline]
     fn barrier_arrive(e: &mut Engine<Self>, p: ProcId, _barrier: BarrierId, master: ProcId) {
         e.close_interval(p);
         if p != master {
@@ -458,7 +453,6 @@ impl Protocol for Lazy {
         }
     }
 
-    #[inline]
     fn barrier_complete(e: &mut Engine<Self>, _barrier: BarrierId, master: ProcId) {
         e.complete_barrier(master);
     }
@@ -467,7 +461,6 @@ impl Protocol for Lazy {
     /// from the concurrent last modifiers (2m messages), plus a base copy
     /// if the page was never resident, and charges them. The plan and
     /// the base wait in `p`'s scratch.
-    #[inline]
     fn begin_miss(e: &mut Engine<Self>, p: ProcId, page: PageId) -> Option<u64> {
         let gi = page.index();
         let Engine {
@@ -583,7 +576,6 @@ impl Protocol for Lazy {
 /// Delivers write notices to `p`, whose frames are `pages` and notice
 /// slots `pending`: pending lists grow and, under the invalidate policy,
 /// resident valid copies are invalidated.
-#[inline]
 fn deliver_notices(
     core: &mut EngineCore,
     pages: &mut [Frame<Pending>],

@@ -145,7 +145,6 @@ impl Protocol for Eager {
 
     /// Find-and-transfer messages only: eager RC performs **no
     /// consistency actions at acquires** (§3).
-    #[inline]
     fn on_acquire(e: &mut Engine<Self>, _p: ProcId, path: &AcquirePath) {
         let hops = [
             (path.request, MsgKind::LockRequest),
@@ -162,7 +161,6 @@ impl Protocol for Eager {
     /// Propagates every modification of the epoch to all other cachers
     /// (updates under EU, invalidations under EI), one merged message per
     /// destination, and blocks for their acknowledgments — Table 1's `2c`.
-    #[inline]
     fn on_release(e: &mut Engine<Self>, p: ProcId) {
         let flush = take_epoch_flush(e, p);
         if !flush.is_empty() {
@@ -180,7 +178,6 @@ impl Protocol for Eager {
     /// (`2u`); EI piggybacks its invalidations on the barrier traffic and
     /// pays only `2v` to resolve multiple concurrent invalidators of one
     /// page (Table 1).
-    #[inline]
     fn barrier_arrive(e: &mut Engine<Self>, p: ProcId, barrier: BarrierId, master: ProcId) {
         let mut flush = take_epoch_flush(e, p);
         let mut piggyback_pages = 0usize;
@@ -217,7 +214,6 @@ impl Protocol for Eager {
     /// EI: resolve multiple invalidators per page (the `2v` term),
     /// invalidate all other cachers (piggybacked, free), and send exit
     /// messages carrying the aggregated notices.
-    #[inline]
     fn barrier_complete(e: &mut Engine<Self>, barrier: BarrierId, master: ProcId) {
         let n = e.params().n_procs;
         let (net, counters, shards, eager) = e.parts();
@@ -293,7 +289,6 @@ impl Protocol for Eager {
     /// processor in the copyset without a copy is the home before its
     /// first access, and materializes the zero page with nothing to
     /// fetch.
-    #[inline]
     fn begin_miss(e: &mut Engine<Self>, p: ProcId, page: PageId) -> Option<u64> {
         let gi = page.index();
         let home = e.page_home(page);
@@ -423,7 +418,6 @@ fn give_back(e: &mut Engine<Eager>, p: ProcId, mut flush: Vec<Flushed>) {
 }
 
 /// Every destination of a flush, lowest first.
-#[inline]
 fn dests(flush: &[Flushed]) -> impl Iterator<Item = ProcId> {
     procs_in(flush.iter().fold(0, |all, f| all | f.dests))
 }
@@ -463,7 +457,6 @@ fn push_updates(
 /// EI at a release: write notices to every other cacher; cachers drop
 /// their copies (writing back their own concurrent modifications first),
 /// leaving the releaser the only valid copy.
-#[inline]
 fn push_invalidations(e: &mut Engine<Eager>, p: ProcId, flush: &[Flushed]) {
     let (net, counters, shards, eager) = e.parts();
     for dest in dests(flush) {
